@@ -574,7 +574,7 @@ fn codec_json(mode: &str, value_len: usize, iters: usize, entries: &[CodecNumber
     let speedup = |f: fn(&CodecNumbers) -> f64| jf(f(last) / f(&entries[0]));
     format!(
         "{{\n  \"bench\": \"codec\",\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  {},\n  \"shape\": {{ \"k\": {SHAPE_K}, \"n\": {SHAPE_N} }},\n  \"value_len\": {value_len},\n  \"iters\": {iters},\n  \"entries\": [\n{}\n  ],\n  \"encode_speedup\": {},\n  \"decode_speedup\": {}\n}}\n",
-        bench::host_json(1, "none"),
+        bench::host_json(1),
         rows.join(",\n"),
         speedup(|e| e.encode_mb_s),
         speedup(|e| e.decode_mb_s),
@@ -611,7 +611,7 @@ fn convergence_scenario_json(name: &str, entries: &[ConvergenceNumbers]) -> Stri
 fn convergence_json(mode: &str, puts: usize, value_len: usize, scenarios: &[String]) -> String {
     format!(
         "{{\n  \"bench\": \"convergence\",\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  {},\n  \"seed\": 42,\n  \"workload\": {{ \"puts\": {puts}, \"value_len\": {value_len} }},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        bench::host_json(1, "legacy"),
+        bench::host_json(1),
         scenarios.join(",\n")
     )
 }
@@ -657,7 +657,7 @@ fn protocol_json(
 ) -> String {
     format!(
         "{{\n  \"bench\": \"protocol\",\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  {},\n  \"seed\": 42,\n  \"workload\": {{ \"puts\": {puts}, \"value_len\": {value_len} }},\n  \"pr3_baseline_events_per_sec\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        bench::host_json(1, "legacy"),
+        bench::host_json(1),
         jf(pr3_events_per_sec),
         scenarios.join(",\n")
     )
@@ -685,7 +685,7 @@ fn pair_json(name: &str, unit: &str, entries: &[QueueNumbers]) -> String {
 fn engine_json(mode: &str, sections: &[String], sweep: &SweepNumbers) -> String {
     format!(
         "{{\n  \"bench\": \"engine\",\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  {},\n{},\n  \"sweep\": {{ \"scenarios\": {}, \"workers\": {}, \"sequential_secs\": {}, \"parallel_secs\": {}, \"identical_results\": {} }}\n}}\n",
-        bench::host_json(sweep.workers, "legacy"),
+        bench::host_json(sweep.workers),
         sections.join(",\n"),
         sweep.scenarios,
         sweep.workers,

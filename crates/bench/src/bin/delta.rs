@@ -484,7 +484,7 @@ fn main() {
         "{{\n  \"bench\": \"delta\",\n  \"schema_version\": 1,\n  \"mode\": \"{}\",\n  {},\n  \
          \"cells\": [\n    {}\n  ],\n  \"pairs\": [\n    {}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
-        bench::host_json(workers, "legacy"),
+        bench::host_json(workers),
         lines.join(",\n    "),
         pair_json.join(",\n    "),
     );

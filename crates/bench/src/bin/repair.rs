@@ -116,9 +116,9 @@ fn run_cell(cell: &Cell) -> CellResult {
     // the 80% per-DC repair threshold, and no read path touches the
     // stripes, so the repair engine is the only way back.
     let victim = cluster.layout().fs(0, 0);
-    let destroy_at = cluster.view().now();
+    let destroy_at = cluster.sim().now();
     {
-        let fs = cluster.actor_mut::<Fs>(victim);
+        let fs = cluster.sim_mut().actor_mut::<Fs>(victim);
         fs.destroy_disk(0, destroy_at);
         fs.destroy_disk(1, destroy_at);
     }
@@ -128,33 +128,38 @@ fn run_cell(cell: &Cell) -> CellResult {
     let client_id = cluster.layout().client();
     for i in 0..cell.puts as u64 {
         cluster
+            .sim_mut()
             .actor_mut::<Client>(client_id)
             .enqueue(ClientOp::Get {
                 key: Key::from_u64(i + 1),
             });
     }
-    cluster.schedule_timer(client_id, SimDuration::ZERO, 1);
+    cluster
+        .sim_mut()
+        .schedule_timer(client_id, SimDuration::ZERO, 1);
 
     // Poll at a fixed sim cadence until every stripe is whole again.
     let deadline = destroy_at + SimDuration::from_secs(3600);
     let mut reprotect_at = None;
-    while cluster.view().now() < deadline {
-        let step = cluster.view().now() + SimDuration::from_millis(500);
-        cluster.run_until_time(step);
+    while cluster.sim().now() < deadline {
+        let step = cluster.sim().now() + SimDuration::from_millis(500);
+        cluster.sim_mut().run_until_time(step);
         if ovs
             .iter()
             .all(|&ov| cluster_live(&cluster, &fss, ov) == full)
         {
-            reprotect_at = Some(cluster.view().now());
+            reprotect_at = Some(cluster.sim().now());
             break;
         }
     }
     // Let the read burst finish so the degraded-read rate is complete.
     let burst = cell.puts;
-    cluster.run_until_view(move |sim| sim.actor::<Client>(client_id).gets_done().len() >= burst);
+    cluster
+        .sim_mut()
+        .run_until(move |sim| sim.actor::<Client>(client_id).gets_done().len() >= burst);
     let wall_secs = t0.elapsed().as_secs_f64();
 
-    let metrics = cluster.view().metrics();
+    let metrics = cluster.sim().metrics();
     let counters: Vec<(&'static str, u64)> = COUNTERS
         .iter()
         .map(|&label| (label, metrics.event(label)))
@@ -330,7 +335,7 @@ fn main() {
         "{{\n  \"bench\": \"repair\",\n  \"schema_version\": 1,\n  \"mode\": \"{}\",\n  {},\n  \
          \"cells\": [\n    {}\n  ],\n  \"pairs\": [\n    {}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
-        bench::host_json(1, "legacy"),
+        bench::host_json(1),
         cell_lines.join(",\n    "),
         pair_json.join(",\n    "),
     );

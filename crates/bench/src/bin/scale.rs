@@ -30,7 +30,7 @@ use std::process::Command;
 use std::rc::Rc;
 
 use pahoehoe::client::Client;
-use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout, EngineMode};
+use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::fs::Fs;
 use pahoehoe::policy::Policy;
 use pahoehoe::protocol::ProtocolMode;
@@ -43,8 +43,7 @@ use stats::{current_rss_bytes, peak_rss_bytes, StreamingQuantile};
 // lint:allow(wall-clock)
 use std::time::Instant;
 
-/// One grid cell: cluster shape, workload shape, the compaction switch
-/// and the simulation engine driving it.
+/// One grid cell: cluster shape, workload shape and the compaction switch.
 #[derive(Clone, Debug, PartialEq)]
 struct Cell {
     name: &'static str,
@@ -60,9 +59,6 @@ struct Cell {
     /// Per-put overwrite correlation (1/1000 of bytes rewritten at a
     /// fixed per-key offset); 0 = the standard key-derived blobs.
     overwrite_delta_permille: u16,
-    /// Simulation engine: legacy single-queue, or DC-sharded at a worker
-    /// count (the scale grid's workers axis).
-    engine: EngineMode,
 }
 
 impl Cell {
@@ -118,10 +114,6 @@ impl Cell {
             self.seed.to_string(),
             "--overwrite-permille".into(),
             self.overwrite_delta_permille.to_string(),
-            "--engine".into(),
-            self.engine.label().into(),
-            "--engine-workers".into(),
-            self.engine.workers().to_string(),
         ]
     }
 }
@@ -170,15 +162,11 @@ fn run_cell(cell: &Cell) -> CellResult {
     // A million-put stream takes tens of virtual hours; the default
     // one-day ceiling is too close for comfort.
     cfg.max_sim_time = SimDuration::from_secs(14 * 24 * 3600);
-    cfg.engine = cell.engine;
     let max_sim_time = cfg.max_sim_time;
     let mut cluster = Cluster::build(cfg, cell.seed);
 
     // Stream answered puts' latencies into three P² estimators: constant
-    // memory regardless of put count. Under the sharded engine the
-    // inspector fires at round barriers, not per event, so the estimators
-    // sample the last-answered put of each window — the quantiles are
-    // barrier-granular there.
+    // memory regardless of put count.
     let client = cluster.client_ids()[0];
     let quantiles = Rc::new(RefCell::new((
         0u64,
@@ -189,7 +177,7 @@ fn run_cell(cell: &Cell) -> CellResult {
         ],
     )));
     let hook = Rc::clone(&quantiles);
-    cluster.set_view_inspector(move |sim| {
+    cluster.sim_mut().set_inspector(move |sim| {
         let c: &Client = sim.actor(client);
         let mut q = hook.borrow_mut();
         if c.puts_answered() > q.0 {
@@ -208,7 +196,7 @@ fn run_cell(cell: &Cell) -> CellResult {
     // lint:allow(wall-clock)
     let t0 = Instant::now();
     let fss_pred = fss.clone();
-    let outcome = cluster.run_until_view(move |sim| {
+    let outcome = cluster.sim_mut().run_until(move |sim| {
         if sim.now() >= deadline {
             return true;
         }
@@ -223,7 +211,7 @@ fn run_cell(cell: &Cell) -> CellResult {
     });
     let wall_secs = t0.elapsed().as_secs_f64();
 
-    let sim = cluster.view();
+    let sim = cluster.sim();
     let compacted_entries = fss
         .iter()
         .map(|&fs| sim.actor::<Fs>(fs).compacted_count() as u64)
@@ -259,8 +247,7 @@ fn cell_json(cell: &Cell, r: &CellResult) -> String {
     format!(
         "{{ \"name\": \"{}\", \"nodes\": {}, \"dcs\": {}, \"kls_per_dc\": {}, \
          \"fs_per_dc\": {}, \"key_space\": {}, \"puts\": {}, \"value_len\": {}, \
-         \"dist\": \"{}\", \"compact\": {}, \"seed\": {}, \"engine\": \"{}\", \
-         \"engine_workers\": {}, \"outcome\": \"{:?}\", \
+         \"dist\": \"{}\", \"compact\": {}, \"seed\": {}, \"outcome\": \"{:?}\", \
          \"events\": {}, \"sim_secs\": {}, \"wall_secs\": {}, \
          \"events_per_wall_sec\": {}, \"puts_attempted\": {}, \"puts_succeeded\": {}, \
          \"put_latency_ms\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {} }}, \
@@ -276,8 +263,6 @@ fn cell_json(cell: &Cell, r: &CellResult) -> String {
         cell.dist_label(),
         cell.compact,
         cell.seed,
-        cell.engine.label(),
-        cell.engine.workers(),
         r.outcome,
         r.events,
         jf(r.sim_secs),
@@ -298,9 +283,7 @@ fn cell_json(cell: &Cell, r: &CellResult) -> String {
 /// are superseded) come in compaction-on/off pairs at two put counts —
 /// the four measurements behind the sublinear-RSS claim. The remaining
 /// cells scale the node count, key space and skew axis up to the
-/// 100-node / million-key corner; the big-zipf corner additionally runs
-/// the workers axis (sharded at 1, 2 and 4 worker threads) so the
-/// parallel engine's throughput is recorded alongside legacy.
+/// 100-node / million-key corner.
 fn grid(smoke: bool) -> Vec<Cell> {
     let update = |name, puts, compact| Cell {
         name,
@@ -314,7 +297,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
         compact,
         seed: 42,
         overwrite_delta_permille: 0,
-        engine: EngineMode::Legacy,
     };
     if smoke {
         return vec![
@@ -334,16 +316,11 @@ fn grid(smoke: bool) -> Vec<Cell> {
                 compact: true,
                 seed: 42,
                 overwrite_delta_permille: 0,
-                engine: EngineMode::Legacy,
-            },
-            Cell {
-                engine: EngineMode::Sharded { workers: 2 },
-                ..update("update-small-par2", 2_000, true)
             },
         ];
     }
-    let big_zipf = |name, engine| Cell {
-        name,
+    let big_zipf = Cell {
+        name: "big-zipf",
         dcs: 5,
         kls_per_dc: 2,
         fs_per_dc: 18,
@@ -354,7 +331,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
         compact: true,
         seed: 42,
         overwrite_delta_permille: 0,
-        engine,
     };
     vec![
         update("update-small-on", 20_000, true),
@@ -373,7 +349,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
             compact: true,
             seed: 42,
             overwrite_delta_permille: 0,
-            engine: EngineMode::Legacy,
         },
         Cell {
             name: "mid-hot",
@@ -390,12 +365,8 @@ fn grid(smoke: bool) -> Vec<Cell> {
             compact: true,
             seed: 42,
             overwrite_delta_permille: 0,
-            engine: EngineMode::Legacy,
         },
-        big_zipf("big-zipf", EngineMode::Legacy),
-        big_zipf("big-zipf-shard1", EngineMode::Sharded { workers: 1 }),
-        big_zipf("big-zipf-par2", EngineMode::Sharded { workers: 2 }),
-        big_zipf("big-zipf-par4", EngineMode::Sharded { workers: 4 }),
+        big_zipf,
     ]
 }
 
@@ -447,11 +418,6 @@ fn parse_cell(args: &[String]) -> Cell {
     // The name only labels output; leaking it is fine.
     let name: &'static str =
         Box::leak(get("--cell").unwrap_or("cell").to_string().into_boxed_str());
-    let engine = EngineMode::parse(
-        get("--engine").unwrap_or("legacy"),
-        num("--engine-workers", 1) as usize,
-    )
-    .unwrap_or(EngineMode::Legacy);
     Cell {
         name,
         dcs: num("--dcs", 2) as u8,
@@ -464,7 +430,6 @@ fn parse_cell(args: &[String]) -> Cell {
         compact: get("--compact") != Some("off"),
         seed: num("--seed", 42),
         overwrite_delta_permille: num("--overwrite-permille", 0) as u16,
-        engine,
     }
 }
 
@@ -558,15 +523,14 @@ fn main() {
         );
     }
 
-    // Per-cell engine/worker knobs live in each cell object; the host
-    // object records the physical CPU budget they all shared.
+    // The host object records the physical CPU budget the cells shared.
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"schema_version\": 1,\n  \"mode\": \"{}\",\n  {},\n  \
          \"cells\": [\n    {}\n  ],\n  \"update_heavy\": {{ \
          \"steady_rss_growth_compact_on\": {}, \"steady_rss_growth_compact_off\": {}, \
          \"steady_rss_saved_bytes\": {} }}\n}}\n",
         if smoke { "smoke" } else { "full" },
-        bench::host_json(workers, "per-cell"),
+        bench::host_json(workers),
         lines.join(",\n    "),
         jf(growth(true).unwrap_or(f64::NAN)),
         jf(growth(false).unwrap_or(f64::NAN)),
@@ -581,44 +545,11 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Every knob a cell carries — shape, workload, distribution,
-    /// compaction, seed, overwrite correlation, and the engine axis —
-    /// must survive the `to_args` → `parse_cell` round trip, or a
-    /// re-exec'd child would silently benchmark a different cell than
-    /// the parent scheduled.
-    #[test]
-    fn cell_args_round_trip_every_engine() {
-        let base = Cell {
-            name: "rt",
-            dcs: 5,
-            kls_per_dc: 2,
-            fs_per_dc: 18,
-            key_space: 1_000_000,
-            puts: 250_000,
-            value_len: 64,
-            dist: KeyDistribution::Zipf { exponent: 1.1 },
-            compact: true,
-            seed: 42,
-            overwrite_delta_permille: 250,
-            engine: EngineMode::Legacy,
-        };
-        let engines = [
-            EngineMode::Legacy,
-            EngineMode::Sharded { workers: 1 },
-            EngineMode::Sharded { workers: 2 },
-            EngineMode::Sharded { workers: 4 },
-        ];
-        for engine in engines {
-            let cell = Cell {
-                engine,
-                ..base.clone()
-            };
-            assert_eq!(parse_cell(&cell.to_args()), cell, "engine {engine:?}");
-        }
-    }
-
-    /// The non-engine axes round-trip too, including every distribution
-    /// variant and the compaction-off switch.
+    /// Every knob a cell carries — shape, workload, every distribution
+    /// variant, the compaction-off switch, seed and overwrite correlation —
+    /// must survive the `to_args` → `parse_cell` round trip, or a re-exec'd
+    /// child would silently benchmark a different cell than the parent
+    /// scheduled.
     #[test]
     fn cell_args_round_trip_distributions() {
         let dists = [
@@ -642,8 +573,7 @@ mod tests {
                 dist,
                 compact: false,
                 seed: 7,
-                overwrite_delta_permille: 0,
-                engine: EngineMode::Sharded { workers: 2 },
+                overwrite_delta_permille: 250,
             };
             assert_eq!(parse_cell(&cell.to_args()), cell, "dist {dist:?}");
         }

@@ -17,8 +17,8 @@
 //!
 //! The `BENCH_*.json` writer binaries (`baseline`, `scale`, `delta`)
 //! share [`host_json`], so every recorded file carries the host context
-//! needed to read its numbers honestly (a 4-worker parallel cell on a
-//! single-core runner cannot speed up, and the record says so).
+//! needed to read its numbers honestly (a 4-worker sweep on a single-core
+//! runner cannot speed up, and the record says so).
 
 /// Logical CPUs available to this process (1 when undetectable).
 pub fn nproc() -> usize {
@@ -28,11 +28,11 @@ pub fn nproc() -> usize {
 }
 
 /// The host-context object embedded in every recorded `BENCH_*.json`:
-/// logical CPU count, the worker-thread count the run was launched with,
-/// and the simulation engine mode driving it.
-pub fn host_json(workers: usize, engine: &str) -> String {
+/// logical CPU count and the worker-thread count the run was launched
+/// with.
+pub fn host_json(workers: usize) -> String {
     format!(
-        "\"host\": {{ \"nproc\": {}, \"workers\": {workers}, \"engine\": \"{engine}\" }}",
+        "\"host\": {{ \"nproc\": {}, \"workers\": {workers} }}",
         nproc()
     )
 }

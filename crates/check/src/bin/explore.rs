@@ -16,20 +16,11 @@
 //!   convergence in every scenario, to prove the checker catches it;
 //! * `--trace-out PATH` — where to write the violation trace (default
 //!   `target/check-violation.trace`);
-//! * `--workers N` — with the legacy engine, run the sweep through the
-//!   deterministic parallel harness with `N` worker threads (default: the
-//!   sequential sweep; the two produce byte-identical digests). With
-//!   `--engine parallel`, the worker threads drive each scenario's
-//!   sharded engine instead and scenarios run one at a time;
-//! * `--engine legacy|sharded|parallel` — which simulation engine every
-//!   scenario runs on. `legacy` (default) is the single-threaded engine,
-//!   byte-identical to all recorded digests. `sharded` is the DC-sharded
-//!   conservative engine executed sequentially; `parallel` is the same
-//!   engine on `--workers` threads (min 2). Sharded digests differ from
-//!   legacy (per-shard RNG streams) but `sharded` and `parallel` at any
-//!   worker count are byte-identical — the CI determinism check;
+//! * `--workers N` — fan the scenarios out over `N` worker threads through
+//!   `simnet::sweep` (default: the sequential sweep; the two produce
+//!   byte-identical digests — the CI determinism check);
 //! * `--digest-out PATH` — write one replay-digest line per scenario, for
-//!   comparing sequential and parallel runs byte for byte;
+//!   comparing sequential and `--workers` runs byte for byte;
 //! * `--protocol reference|optimized|batched` — pin the protocol hot-path
 //!   mode (shared metadata / coalesced round accounting) the sweep's
 //!   clusters run with. `reference` and `optimized` produce byte-identical
@@ -42,26 +33,19 @@
 //!   overwrites a key and exercises the XOR-delta stripe path. Delta mode
 //!   changes the message flow (delta puts skip location decision), so its
 //!   digests differ from the default sweep's, but every invariant must
-//!   hold and the sequential and parallel digests must still match;
+//!   hold and the sequential and `--workers` digests must still match;
 //! * `--scale` — after the sweep, run the scale-tier spot check: one Zipf
 //!   streaming-workload scenario pinned to the scale protocol mode
 //!   (sharded stores + converged-version compaction) with the invariant
 //!   registry installed at a sampled rate. Its digest line — which pins
 //!   the compacted-version count — is appended to `--digest-out`;
-//! * `--mesh` — after the sweep, run the mesh spot check: one clean
-//!   scenario on a three-DC cluster under the configured engine. Three
-//!   DCs give every shard two cross-shard peers, so the sharded engine's
-//!   `(time, src-shard, seq)` mailbox tie-break is observable (the
-//!   paper-shaped sweep scenarios, with one peer per shard, cannot see
-//!   it). Its digest line is appended to `--digest-out`;
 //! * `--repair` — after the sweep, run the repair-engine churn check:
 //!   four scenario families (sustained disk churn, whole-rack outage,
 //!   flash-crowd reads during rebuild, throttled repair storm) on
 //!   rack-aware repair-enabled clusters, under the redundancy-floor
 //!   invariant. One digest line per family — folding the `EV_REPAIR_*`
 //!   counters and the final redundancy floor — is appended to
-//!   `--digest-out`. Always runs on the legacy engine, so the digest is
-//!   independent of harness parallelism;
+//!   `--digest-out`;
 //! * `--quiet` — suppress per-scenario progress lines.
 
 use std::path::PathBuf;
@@ -73,9 +57,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: explore [--smoke] [--seeds N] [--puts N] [--value-len N] \
          [--inject-corruption] [--trace-out PATH] [--workers N] \
-         [--engine legacy|sharded|parallel] [--digest-out PATH] \
-         [--protocol reference|optimized|batched] [--delta] [--scale] \
-         [--mesh] [--repair] [--quiet]"
+         [--digest-out PATH] [--protocol reference|optimized|batched] \
+         [--delta] [--scale] [--repair] [--quiet]"
     );
     std::process::exit(2)
 }
@@ -86,9 +69,7 @@ fn main() -> ExitCode {
     let mut trace_out = PathBuf::from("target/check-violation.trace");
     let mut digest_out: Option<PathBuf> = None;
     let mut workers: Option<usize> = None;
-    let mut engine: Option<String> = None;
     let mut scale = false;
-    let mut mesh = false;
     let mut repair = false;
     let mut quiet = false;
 
@@ -111,7 +92,6 @@ fn main() -> ExitCode {
             "--inject-corruption" => injection = Injection::CorruptFragment,
             "--trace-out" => trace_out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--workers" => workers = Some(num(&mut args)),
-            "--engine" => engine = Some(args.next().unwrap_or_else(|| usage())),
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
@@ -135,37 +115,22 @@ fn main() -> ExitCode {
                 cfg.workload.rounds = 2;
             }
             "--scale" => scale = true,
-            "--mesh" => mesh = true,
             "--repair" => repair = true,
             "--quiet" => quiet = true,
             _ => usage(),
         }
     }
 
-    // `--workers` steers the scenario fan-out on the legacy engine; on the
-    // sharded engines it sizes each scenario's worker pool instead (the
-    // scenarios then run one at a time, so thread counts compose sanely).
-    match engine.as_deref() {
-        None | Some("legacy") => {}
-        Some(mode) => {
-            let mode = pahoehoe::cluster::EngineMode::parse(mode, workers.unwrap_or(2))
-                .unwrap_or_else(|| usage());
-            cfg.workload.engine = mode;
-            workers = None;
-        }
-    }
-
     let total = cfg.scenarios().len();
     println!(
         "exploring {total} scenarios ({} seeds x {} fault specs x {} presets), \
-         {} puts of {} B each, engine={} workers={}",
+         {} puts of {} B each, workers={}",
         cfg.seeds.len(),
         cfg.fault_specs.len(),
         cfg.presets.len(),
         cfg.workload.puts,
         cfg.workload.value_len,
-        cfg.workload.engine.label(),
-        cfg.workload.engine.workers(),
+        workers.unwrap_or(1),
     );
 
     let mut n = 0usize;
@@ -228,32 +193,6 @@ fn main() -> ExitCode {
         scale_violation = out.violation;
     }
 
-    let mut mesh_violation = None;
-    if mesh {
-        let mesh_cfg = explorer::MeshCheckCfg::smoke();
-        let out = explorer::run_mesh_check(&mesh_cfg, cfg.workload.engine);
-        if !quiet {
-            println!(
-                "[mesh] seed={} dcs=3 puts={} engine={} -> {:?}, {} events{}",
-                mesh_cfg.seed,
-                mesh_cfg.puts,
-                cfg.workload.engine.label(),
-                out.outcome,
-                out.events,
-                if out.violation.is_some() {
-                    "  ** VIOLATION **"
-                } else {
-                    ""
-                },
-            );
-        }
-        if digest_out.is_some() {
-            digest.push_str(&explorer::mesh_digest_line(&mesh_cfg, &out));
-            digest.push('\n');
-        }
-        mesh_violation = out.violation;
-    }
-
     let mut repair_violation = None;
     if repair {
         let repair_cfg = explorer::RepairCheckCfg::smoke();
@@ -301,20 +240,6 @@ fn main() -> ExitCode {
         println!();
         println!(
             "INVARIANT VIOLATED in scale check: {} — {}",
-            v.invariant, v.detail
-        );
-        println!(
-            "  at event {} / {:.3}s virtual",
-            v.events_processed,
-            v.sim_time.as_secs_f64()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(v) = mesh_violation {
-        println!();
-        println!(
-            "INVARIANT VIOLATED in mesh check: {} — {}",
             v.invariant, v.detail
         );
         println!(

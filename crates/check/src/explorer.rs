@@ -12,7 +12,7 @@
 
 use pahoehoe::analysis;
 use pahoehoe::client::{Client, ClientOp};
-use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout, EngineMode};
+use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
 use pahoehoe::protocol::ProtocolMode;
@@ -190,11 +190,6 @@ pub struct WorkloadCfg {
     /// actually exercise the delta encode/resolve path instead of
     /// vacuously falling back to full stripes.
     pub rounds: usize,
-    /// Simulation engine every scenario runs on. `Legacy` (the default)
-    /// keeps sweep digests byte-identical to historical recordings;
-    /// `Sharded` digests differ from legacy (per-shard RNG streams) but
-    /// are byte-identical across worker counts.
-    pub engine: EngineMode,
 }
 
 impl Default for WorkloadCfg {
@@ -203,7 +198,6 @@ impl Default for WorkloadCfg {
             puts: 3,
             value_len: 4096,
             rounds: 1,
-            engine: EngineMode::Legacy,
         }
     }
 }
@@ -254,7 +248,7 @@ pub fn amr_digest(cluster: &Cluster) -> String {
     let topo = cluster.topology();
     let fss: Vec<NodeId> = topo.all_fss().collect();
     let klss: Vec<NodeId> = topo.all_klss().collect();
-    let sim = cluster.view();
+    let sim = cluster.sim();
     let durable = analysis::durable_versions(sim, &fss);
     analysis::known_versions(sim, &klss, &fss)
         .iter()
@@ -291,14 +285,13 @@ pub fn run_scenario_pinned(
 ) -> ScenarioOutcome {
     let mut cfg = ClusterConfig::paper_default();
     cfg.protocol = protocol;
-    cfg.engine = wl.engine;
     cfg.convergence = sc.preset.options();
     cfg.workload_puts = wl.puts;
     cfg.workload_value_len = wl.value_len;
     cfg.workload_rounds = wl.rounds;
     cfg.network = sc.faults.network();
     let mut cluster = Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan());
-    cluster.enable_trace();
+    cluster.sim_mut().enable_trace();
     let checker = Checker::install_registry(&mut cluster);
 
     let report = cluster.run_to_convergence();
@@ -307,7 +300,7 @@ pub fn run_scenario_pinned(
     }
 
     let violation = checker.finish(&cluster, report.outcome);
-    let sim = cluster.view();
+    let sim = cluster.sim();
     ScenarioOutcome {
         violation,
         events: sim.events_processed(),
@@ -329,7 +322,7 @@ pub fn run_scenario_pinned(
 fn inject_corruption(cluster: &mut Cluster) {
     let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
     let target = fss.iter().find_map(|&fs| {
-        let actor: &Fs = cluster.view().actor(fs);
+        let actor: &Fs = cluster.sim().actor(fs);
         actor.known_versions().next().and_then(|ov| {
             let entry = actor.entry(ov)?;
             let idx = *entry.fragments.keys().next()?;
@@ -339,11 +332,16 @@ fn inject_corruption(cluster: &mut Cluster) {
     let Some((fs, ov, idx)) = target else {
         return; // nothing stored anywhere; nothing to corrupt
     };
-    let flipped = cluster.actor_mut::<Fs>(fs).corrupt_fragment(ov, idx);
+    let flipped = cluster
+        .sim_mut()
+        .actor_mut::<Fs>(fs)
+        .corrupt_fragment(ov, idx);
     debug_assert!(flipped);
-    let deadline = cluster.view().now() + SimDuration::from_secs(2);
-    cluster.schedule_timer(fs, SimDuration::from_millis(1), WAKE_TIMER_TAG);
-    cluster.run_until_time(deadline);
+    let deadline = cluster.sim().now() + SimDuration::from_secs(2);
+    cluster
+        .sim_mut()
+        .schedule_timer(fs, SimDuration::from_millis(1), WAKE_TIMER_TAG);
+    cluster.sim_mut().run_until_time(deadline);
 }
 
 /// Greedily shrinks a violating scenario: repeatedly applies the first
@@ -741,117 +739,6 @@ pub fn scale_digest_line(cfg: &ScaleCheckCfg, out: &ScaleOutcome) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-DC mesh check (`explore --mesh`)
-// ---------------------------------------------------------------------------
-
-/// Configuration for the mesh spot check: one clean scenario on a
-/// **three**-data-center cluster. Every sweep scenario is paper-shaped
-/// (two DCs), where each shard of the sharded engine receives cross-shard
-/// traffic from exactly one peer — an inbox ordering that a stable
-/// time-only sort can never disturb. Three DCs give every destination
-/// shard two source shards, making the mailbox merge's
-/// `(time, src-shard, seq)` tie-break observable: this check is what lets
-/// the parallel-vs-sequential digest comparison kill the
-/// `shard-merge-skip` mutant.
-#[derive(Debug, Clone)]
-pub struct MeshCheckCfg {
-    /// RNG seed for cluster and workload.
-    pub seed: u64,
-    /// Standard-workload puts.
-    pub puts: usize,
-    /// Blob size per put.
-    pub value_len: usize,
-}
-
-impl MeshCheckCfg {
-    /// The CI smoke cell: small, clean-network, full invariant registry.
-    pub fn smoke() -> Self {
-        MeshCheckCfg {
-            seed: 7,
-            puts: 12,
-            value_len: 2048,
-        }
-    }
-}
-
-/// Outcome of [`run_mesh_check`].
-#[derive(Debug, Clone)]
-pub struct MeshOutcome {
-    /// First invariant violation, if any.
-    pub violation: Option<Violation>,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Events processed.
-    pub events: u64,
-    /// Virtual time at the end of the run.
-    pub sim_time: SimTime,
-    /// Full traffic-metrics rendering.
-    pub metrics_digest: String,
-}
-
-/// Runs the mesh spot check on `engine`: a 3-DC cluster (two KLSs + four
-/// FSs per DC, `(4, 12)` erasure spread one fragment per DC's FS set)
-/// under the full invariant registry. The digest line deliberately omits
-/// the engine label so sequential-sharded and parallel runs of the same
-/// configuration can be compared byte for byte.
-///
-/// The network is constant-latency (every link exactly 25 ms) and lossy
-/// (8% drops). Constant latency means cross-DC messages launched at the
-/// same synchronized-round instant arrive at their destination shard at
-/// the same microsecond, so the mailbox merge's `(time, src-shard, seq)`
-/// tie-break is exercised on every anti-entropy round — with two or more
-/// source shards per tie, which a 2-DC topology can never produce. The
-/// losses force AMR sibling recovery, whose per-query replies make the
-/// processing order of tied envelopes observable: each reply draws the
-/// drop-model RNG at send time and lands in the trace in send order, so
-/// a reordered merge shifts both the RNG stream and the trace, and the
-/// digest (which folds in the full trace) moves.
-pub fn run_mesh_check(cfg: &MeshCheckCfg, engine: EngineMode) -> MeshOutcome {
-    let mut cc = ClusterConfig::paper_default();
-    cc.engine = engine;
-    cc.layout = ClusterLayout {
-        dcs: 3,
-        kls_per_dc: 2,
-        fs_per_dc: 4,
-    };
-    cc.policy = pahoehoe::policy::Policy::new(4, 12, 3, 1);
-    let mut network = NetworkConfig::with_drop_rate(0.08);
-    network.latency_min = SimDuration::from_millis(25);
-    network.latency_max = SimDuration::from_millis(25);
-    cc.network = network;
-    cc.workload_puts = cfg.puts;
-    cc.workload_value_len = cfg.value_len;
-    let mut cluster = Cluster::build(cc, cfg.seed);
-    cluster.enable_trace();
-    let checker = Checker::install_registry(&mut cluster);
-    let report = cluster.run_to_convergence();
-    let violation = checker.finish(&cluster, report.outcome);
-    let sim = cluster.view();
-    let trace = sim.trace().expect("tracing enabled above").render();
-    MeshOutcome {
-        violation,
-        outcome: report.outcome,
-        events: sim.events_processed(),
-        sim_time: sim.now(),
-        metrics_digest: format!("{:?}\n{trace}", sim.metrics()),
-    }
-}
-
-/// The mesh check's replay-digest line, appended after the sweep's
-/// per-scenario lines when both `--mesh` and `--digest-out` are given.
-pub fn mesh_digest_line(cfg: &MeshCheckCfg, out: &MeshOutcome) -> String {
-    format!(
-        "mesh seed={} dcs=3 puts={} -> {:?} events={} t={}us metrics={:016x}",
-        cfg.seed,
-        cfg.puts,
-        out.outcome,
-        out.events,
-        out.sim_time.as_micros(),
-        erasure::Checksum::of(out.metrics_digest.as_bytes()).as_u64(),
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Repair-engine churn check (`explore --repair`)
 // ---------------------------------------------------------------------------
 
@@ -859,8 +746,7 @@ pub fn mesh_digest_line(cfg: &MeshCheckCfg, out: &MeshOutcome) -> String {
 /// (sustained disk churn, whole-rack outage, a flash crowd of reads during
 /// rebuild, and a throttled repair storm), each on a rack-aware
 /// paper-default cluster with one [`RepairActor`](pahoehoe::repair)
-/// per DC. Always run on the legacy engine, so the digest is independent
-/// of harness parallelism.
+/// per DC.
 #[derive(Debug, Clone)]
 pub struct RepairCheckCfg {
     /// Simulation seed shared by every family.
@@ -967,8 +853,8 @@ fn run_repair_family(
 
     // Settle: give the engine its full grace window (and then some) to
     // re-protect whatever the last destruction window left degraded.
-    let deadline = cluster.view().now() + SimDuration::from_secs(420);
-    let outcome = cluster.run_until_time(deadline);
+    let deadline = cluster.sim().now() + SimDuration::from_secs(420);
+    let outcome = cluster.sim_mut().run_until_time(deadline);
     let violation = checker.finish(&cluster, outcome);
 
     let acked: Vec<ObjectVersion> = cluster
@@ -991,7 +877,7 @@ fn run_repair_family(
         })
         .min()
         .unwrap_or(0);
-    let sim = cluster.view();
+    let sim = cluster.sim();
     RepairFamilyOutcome {
         name,
         violation,
@@ -1010,9 +896,12 @@ fn run_repair_family(
 /// remote DC always holds live donors and each object stays repairable.
 fn destroy(cluster: &mut Cluster, i: usize, disks: &[u8]) {
     let victim = cluster.layout().fs(0, i);
-    let now = cluster.view().now();
+    let now = cluster.sim().now();
     for &disk in disks {
-        cluster.actor_mut::<Fs>(victim).destroy_disk(disk, now);
+        cluster
+            .sim_mut()
+            .actor_mut::<Fs>(victim)
+            .destroy_disk(disk, now);
     }
 }
 
@@ -1031,8 +920,8 @@ pub fn run_repair_check(cfg: &RepairCheckCfg) -> RepairOutcome {
         |cluster| {
             for window in 0..6usize {
                 destroy(cluster, window % 3, &[(window / 3) as u8]);
-                let deadline = cluster.view().now() + SimDuration::from_secs(120);
-                cluster.run_until_time(deadline);
+                let deadline = cluster.sim().now() + SimDuration::from_secs(120);
+                cluster.sim_mut().run_until_time(deadline);
             }
         },
     ));
@@ -1064,14 +953,17 @@ pub fn run_repair_check(cfg: &RepairCheckCfg) -> RepairOutcome {
             for burst in 0..3u64 {
                 for i in 0..puts as u64 {
                     cluster
+                        .sim_mut()
                         .actor_mut::<Client>(client_id)
                         .enqueue(ClientOp::Get {
                             key: Key::from_u64(i + 1),
                         });
                 }
-                cluster.schedule_timer(client_id, SimDuration::ZERO, 1);
-                let deadline = cluster.view().now() + SimDuration::from_secs(10 + burst);
-                cluster.run_until_time(deadline);
+                cluster
+                    .sim_mut()
+                    .schedule_timer(client_id, SimDuration::ZERO, 1);
+                let deadline = cluster.sim().now() + SimDuration::from_secs(10 + burst);
+                cluster.sim_mut().run_until_time(deadline);
             }
         },
     ));

@@ -6,10 +6,7 @@
 //! registry as a [`simnet::Simulation::set_inspector`] hook, so every
 //! property is re-examined after **every** processed event — a violation is
 //! caught at the earliest event that exhibits it, not at quiescence, and
-//! the recorded event index pins it in the message trace. Under the
-//! sharded engine the inspector instead fires at every round barrier —
-//! the same properties, sampled at the engine's natural consistency
-//! points.
+//! the recorded event index pins it in the message trace.
 //!
 //! The registry assumes the cluster runs the **standard workload**
 //! ([`Client::standard_workload`]): workload key `i + 1` holds
@@ -32,7 +29,7 @@ use pahoehoe::repair::RepairOptions;
 use pahoehoe::topology::{DataCenterId, Topology};
 use pahoehoe::types::ObjectVersion;
 use pahoehoe::{Metadata, Policy};
-use simnet::{Disposition, NodeId, RunOutcome, SimDuration, SimTime, SimView};
+use simnet::{Disposition, NodeId, RunOutcome, SimDuration, SimTime, Simulation};
 
 /// One observed breach of a protocol invariant.
 #[derive(Debug, Clone)]
@@ -52,8 +49,8 @@ pub struct Violation {
 /// facts (topology, node ids, workload shape) captured when the checker
 /// was installed.
 pub struct ClusterView<'a> {
-    /// The simulation, mid-run or after the run (either engine).
-    pub sim: &'a dyn SimView<Message>,
+    /// The simulation, mid-run or after the run.
+    pub sim: &'a Simulation<Message>,
     /// Cluster topology (which nodes are KLSs/FSs, per data center).
     pub topo: &'a Topology,
     /// All fragment-server node ids.
@@ -254,22 +251,13 @@ impl Invariant for QuiescentAmr {
         }
         for &c in view.clients {
             for &ov in view.sim.actor::<Client>(c).success_versions() {
-                if !durable.contains(&ov) && !is_compacted_somewhere(view, ov) {
+                if !durable.contains(&ov) {
                     return Err(format!("ACKed version {ov:?} is not durable at end of run"));
                 }
             }
         }
         Ok(())
     }
-}
-
-/// Whether any FS holds a compaction residual for `ov` — evidence the
-/// version reached AMR (and so was durable) before its fragment bytes
-/// were released.
-fn is_compacted_somewhere(view: &ClusterView<'_>, ov: ObjectVersion) -> bool {
-    view.fss
-        .iter()
-        .any(|&fs| view.sim.actor::<Fs>(fs).compacted_residual(ov).is_some())
 }
 
 // ---------------------------------------------------------------------------
@@ -532,15 +520,11 @@ impl Invariant for DurableMonotone {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
+        // Compacted versions stay in the durable set (their residual
+        // records the fragments they held), so any shrink means an actor
+        // deleted fragments it should have kept.
         let now = analysis::durable_versions(view.sim, view.fss);
-        // Compaction legitimately removes a version from the durable set
-        // (its fragment bytes are released after AMR); any other shrink
-        // means an actor deleted fragments it should have kept.
-        if let Some(&lost) = self
-            .durable
-            .difference(&now)
-            .find(|&&ov| !is_compacted_somewhere(view, ov))
-        {
+        if let Some(&lost) = self.durable.difference(&now).next() {
             return Err(format!(
                 "version {lost:?} was durable earlier in the run but is not anymore"
             ));
@@ -746,7 +730,7 @@ struct StaticCtx {
 }
 
 impl StaticCtx {
-    fn view<'a>(&'a self, sim: &'a dyn SimView<Message>) -> ClusterView<'a> {
+    fn view<'a>(&'a self, sim: &'a Simulation<Message>) -> ClusterView<'a> {
         ClusterView {
             sim,
             topo: &self.topo,
@@ -773,7 +757,7 @@ struct CheckerState {
 }
 
 impl CheckerState {
-    fn check_event(&mut self, sim: &dyn SimView<Message>) {
+    fn check_event(&mut self, sim: &Simulation<Message>) {
         if self.violation.is_some() {
             return; // first violation wins; keep the run cheap afterwards
         }
@@ -796,7 +780,7 @@ impl CheckerState {
         }
     }
 
-    fn check_final(&mut self, sim: &dyn SimView<Message>, outcome: RunOutcome) {
+    fn check_final(&mut self, sim: &Simulation<Message>, outcome: RunOutcome) {
         if self.violation.is_some() {
             return;
         }
@@ -857,7 +841,9 @@ impl Checker {
             events_since_check: 0,
         }));
         let hook = Rc::clone(&state);
-        cluster.set_view_inspector(move |sim| hook.borrow_mut().check_event(sim));
+        cluster
+            .sim_mut()
+            .set_inspector(move |sim| hook.borrow_mut().check_event(sim));
         Checker { state }
     }
 
@@ -869,7 +855,7 @@ impl Checker {
     /// Runs every invariant's end-of-run check and returns the first
     /// violation observed anywhere in the run, if any.
     pub fn finish(self, cluster: &Cluster, outcome: RunOutcome) -> Option<Violation> {
-        self.state.borrow_mut().check_final(cluster.view(), outcome);
+        self.state.borrow_mut().check_final(cluster.sim(), outcome);
         let state = self.state.borrow();
         state.violation.clone()
     }

@@ -75,7 +75,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "shared-mutable",
         "static mut / Atomic* / lazy_static / OnceLock / LazyLock / OnceCell: cross-actor \
-         mutable globals leak state between runs and across parallel shards; keep mutable \
+         mutable globals leak state between runs and across sweep worker threads; keep mutable \
          state inside actors or the engine",
     ),
 ];
@@ -83,9 +83,9 @@ pub const RULES: &[(&str, &str)] = &[
 /// Files (matched by path suffix) allowed to hold process-global mutable
 /// state for the `shared-mutable` rule. Each is a deliberate, documented
 /// process-wide switch — protocol/codec/queue mode toggles read once at
-/// construction — not simulation-visible state. Everything else, in
-/// particular the parallel engine, must stay free of shared mutability so
-/// worker scheduling cannot leak into a run.
+/// construction — not simulation-visible state. Everything else must stay
+/// free of shared mutability: runs execute on `simnet::sweep` worker
+/// threads, and worker scheduling must not leak into a run.
 pub const SHARED_MUTABLE_ALLOWED: &[&str] = &[
     "crates/simnet/src/engine.rs",
     "crates/pahoehoe/src/protocol.rs",
@@ -523,9 +523,9 @@ mod tests {
                 "{sfx} is allowlisted for process-wide switches"
             );
         }
-        // The parallel engine is deliberately NOT allowlisted: shared
+        // The sweep harness is deliberately NOT allowlisted: shared
         // mutability there could leak worker scheduling into a run.
-        let findings = lint_source(Path::new("/work/crates/simnet/src/parallel.rs"), src);
+        let findings = lint_source(Path::new("/work/crates/simnet/src/sweep.rs"), src);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.rule == "shared-mutable"));
         // lint:allow still works on non-allowlisted files.

@@ -18,7 +18,7 @@
 //!
 //! # Mutation operators
 //!
-//! Nine operators, each aimed at a protocol decision the paper's
+//! Eight operators, each aimed at a protocol decision the paper's
 //! correctness argument leans on (sites are discovered by scanning the
 //! *current* source, so they track refactors; the pinned CI set selects
 //! stable `(operator, file, occurrence)` ids):
@@ -32,18 +32,11 @@
 //! | `timer-gen-skip` | `TimerSlab` retire stops bumping the generation: cancelled timers still fire |
 //! | `compaction-skip` | the converged-version compactor never fires |
 //! | `delta-resolve-skip` | the FS adopts a windowed delta stripe raw instead of resolving it |
-//! | `shard-merge-skip` | the parallel engine's mailbox merge drops the `(time, src-shard, seq)` tie-break |
 //! | `repair-threshold-skip` | the repair actor ignores `repair_threshold` and only triggers once local parity is exhausted |
 //!
-//! Every mutant runs three sweeps per build: the legacy smoke sweep
-//! (with the caller's extra args, e.g. `--scale --delta --repair`), then the same
-//! smoke sweep under `--engine sharded` and `--engine parallel
-//! --workers 2`. The three digests concatenate into one baseline, and
-//! the sharded/parallel pair must be byte-identical on the unmutated
-//! tree — that parallel-vs-sequential differential is the only
-//! observable that kills `shard-merge-skip` (dropping the tie-break
-//! leaves cross-shard ties in scheduling-dependent gather order, which
-//! sequential execution never exposes).
+//! Every mutant is one build and one explorer smoke sweep (with the
+//! caller's extra args, e.g. `--scale --delta --repair`), compared against
+//! the unmutated tree's digest.
 //!
 //! The build tree is copied once to `target/mutate/tree` and rebuilt
 //! incrementally per mutant (shared `CARGO_TARGET_DIR`), so the dominant
@@ -90,11 +83,6 @@ pub const OPERATORS: &[(&str, &str)] = &[
          it against the base (`Some(resolved) => resolved` -> `fragment.clone()`)",
     ),
     (
-        "shard-merge-skip",
-        "the parallel engine's mailbox merge sorts by time only, dropping the \
-         (time, src-shard, seq) tie-break that erases scheduling-dependent gather order",
-    ),
-    (
         "repair-threshold-skip",
         "the repair actor ignores the configured `repair_threshold` and only triggers \
          once local parity is exhausted (`live * 100 < pct * target` -> `live < k`)",
@@ -102,16 +90,14 @@ pub const OPERATORS: &[(&str, &str)] = &[
 ];
 
 /// Files the operators scan, workspace-relative. Only protocol-decision
-/// code: the actors, the protocol helpers, the timer slab, the parallel
-/// engine's merge discipline and the checksum — not tests, not the
-/// harness itself.
+/// code: the actors, the protocol helpers, the timer slab and the
+/// checksum — not tests, not the harness itself.
 pub const TARGET_FILES: &[&str] = &[
     "crates/pahoehoe/src/proxy.rs",
     "crates/pahoehoe/src/fs.rs",
     "crates/pahoehoe/src/kls.rs",
     "crates/pahoehoe/src/protocol.rs",
     "crates/simnet/src/queue.rs",
-    "crates/simnet/src/parallel.rs",
     "crates/erasure/src/checksum.rs",
     "crates/pahoehoe/src/repair.rs",
 ];
@@ -321,24 +307,6 @@ pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
         }
     }
 
-    // shard-merge-skip: only meaningful in the parallel engine's mailbox
-    // merge. A time-only sort is *stable* over the gather order, so the
-    // sequential-sharded sweep (index-ordered gather) still canonicalizes
-    // ties and its digest stays on baseline; only the parallel sweep,
-    // whose gather order is worker-completion order, diverges. Killed by
-    // the engine-differential digest comparison.
-    if stem == "parallel" {
-        const MERGE_SORT: &str = "inbox.sort_by_key(|(src, env)| (env.at, *src, env.seq));";
-        for pos in occurrences(src, MERGE_SORT) {
-            push(
-                "shard-merge-skip",
-                pos,
-                pos + MERGE_SORT.len(),
-                "inbox.sort_by_key(|(_src, env)| env.at);".to_string(),
-            );
-        }
-    }
-
     // repair-threshold-skip: only meaningful in the repair actor. The
     // mutant triggers only once local parity is exhausted (`live < k`)
     // instead of at the configured percentage — with the paper policy
@@ -383,24 +351,23 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Mutation>> {
 // Pinned smoke set
 // ---------------------------------------------------------------------------
 
-/// The 14 pinned protocol mutants CI runs (`mutate --smoke`), chosen to
-/// cover all nine operators across proxy, FS, KLS, protocol helpers,
-/// timer slab, parallel engine, checksum and repair actor. The kill-rate
-/// gate and the per-mutant expectations are documented in DESIGN.md §6.
+/// The 13 pinned protocol mutants CI runs (`mutate --smoke`), chosen to
+/// cover all eight operators across proxy, FS, KLS, protocol helpers,
+/// timer slab, checksum and repair actor. The kill-rate gate and the
+/// per-mutant expectations are documented in DESIGN.md §6.
 pub const PINNED_SMOKE: &[&str] = &[
-    "quorum-off-by-one:proxy:0",   // put success needs one extra fragment ack
-    "cmp-flip:proxy:1",            // `>= usize::from(` -> `>`: late/never client ack
-    "cmp-flip:proxy:0",            // kls_complete.len() == total_klss -> != (AMR misdetect)
-    "cmp-flip:fs:0",               // recovery plan `planned.len() < k` -> <=
-    "cmp-flip:kls:0",              // per-DC location count == frags_per_dc -> !=
-    "cmp-flip:checksum:0",         // Checksum::verify == -> != (integrity inverted)
-    "ack-drop:fs:0",               // ConvergeFsReply never sent (verification stalls)
-    "ack-drop:kls:0",              // DecideLocsReply never sent (put cannot place)
-    "fragmask-flip:protocol:0",    // FragMask::insert sets the wrong bit
-    "timer-gen-skip:queue:0",      // timer slab reuses live generations
-    "compaction-skip:fs:0",        // compactor off: scale-check digest's compacted count drops
-    "delta-resolve-skip:fs:0",     // delta stripes stored raw: `--delta` sweep diverges
-    "shard-merge-skip:parallel:0", // merge tie-break dropped: parallel digest leaves sharded
+    "quorum-off-by-one:proxy:0", // put success needs one extra fragment ack
+    "cmp-flip:proxy:1",          // `>= usize::from(` -> `>`: late/never client ack
+    "cmp-flip:proxy:0",          // kls_complete.len() == total_klss -> != (AMR misdetect)
+    "cmp-flip:fs:0",             // recovery plan `planned.len() < k` -> <=
+    "cmp-flip:kls:0",            // per-DC location count == frags_per_dc -> !=
+    "cmp-flip:checksum:0",       // Checksum::verify == -> != (integrity inverted)
+    "ack-drop:fs:0",             // ConvergeFsReply never sent (verification stalls)
+    "ack-drop:kls:0",            // DecideLocsReply never sent (put cannot place)
+    "fragmask-flip:protocol:0",  // FragMask::insert sets the wrong bit
+    "timer-gen-skip:queue:0",    // timer slab reuses live generations
+    "compaction-skip:fs:0",      // compactor off: scale-check digest's compacted count drops
+    "delta-resolve-skip:fs:0",   // delta stripes stored raw: `--delta` sweep diverges
     "repair-threshold-skip:repair:0", // repair waits for parity exhaustion: floor invariant fires
 ];
 
@@ -464,12 +431,11 @@ pub struct MutantReport {
 pub struct Harness {
     tree: PathBuf,
     target_dir: PathBuf,
-    /// Per-scenario digests of the unmutated sweeps, concatenated under
-    /// `== legacy ==` / `== sharded ==` / `== parallel2 ==` headers.
+    /// Per-scenario digest of the unmutated smoke sweep.
     pub baseline_digest: String,
     /// Time to build the unmutated tree from scratch, seconds.
     pub baseline_build_secs: f64,
-    /// Extra arguments passed to the legacy explorer sweep.
+    /// Extra arguments passed to every explorer sweep.
     sweep_args: Vec<String>,
     /// Per-phase time budget.
     timeout: Duration,
@@ -528,9 +494,8 @@ fn run_with_timeout(
 impl Harness {
     /// Copies the workspace at `root` into `target/mutate/tree`, builds
     /// the explorer there and records the unmutated baseline digest.
-    /// `sweep_args` are appended to the legacy `explore --smoke --quiet`
-    /// run (e.g. `--scale --delta`); the sharded and parallel engine
-    /// sweeps run plain so their digests stay directly comparable.
+    /// `sweep_args` are appended to every `explore --smoke --quiet` run
+    /// (e.g. `--scale --delta`).
     pub fn prepare(root: &Path, sweep_args: &[String], timeout: Duration) -> io::Result<Harness> {
         // The sweep child runs with the *tree* as its working directory, so
         // every path shared with it must be absolute — a relative root would
@@ -585,21 +550,9 @@ impl Harness {
                 "baseline sweep not green (exit {code}):\n{out}"
             )));
         }
-        for label in ["legacy", "sharded", "parallel2"] {
-            if Self::digest_section(&digest, label).lines().count() == 0 {
-                return Err(io::Error::other(format!(
-                    "baseline {label} sweep wrote no digest lines: digest-based kills would be blind"
-                )));
-            }
-        }
-        // The unmutated tree must satisfy the engine-differential
-        // contract: parallel at two workers is byte-identical to
-        // sequential-sharded. This equality is the observable that kills
-        // `shard-merge-skip` when a mutant breaks it.
-        if Self::digest_section(&digest, "sharded") != Self::digest_section(&digest, "parallel2") {
+        if digest.lines().count() == 0 {
             return Err(io::Error::other(
-                "baseline engine digests diverge (sharded vs parallel2): \
-                 the parallel engine is nondeterministic before any mutation",
+                "baseline sweep wrote no digest lines: digest-based kills would be blind",
             ));
         }
         h.baseline_digest = digest;
@@ -617,83 +570,24 @@ impl Harness {
         )
     }
 
-    /// Runs one explorer smoke sweep in the tree with `extra` appended;
-    /// returns `(exit_code, output, digest_text)`.
-    fn sweep_once(
-        &self,
-        label: &str,
-        extra: &[String],
-    ) -> io::Result<Option<(i32, String, String)>> {
-        let digest_path = self.tree.join(format!("digest-{label}.txt"));
+    /// Runs the explorer smoke sweep in the tree; returns
+    /// `(exit_code, output, digest_text)`.
+    fn sweep(&self) -> io::Result<Option<(i32, String, String)>> {
+        let digest_path = self.tree.join("digest.txt");
         std::fs::remove_file(&digest_path).ok();
         let explore = self.target_dir.join("release").join("explore");
         let mut cmd = Command::new(explore);
         cmd.args(["--smoke", "--quiet", "--digest-out"])
             .arg(&digest_path)
-            .args(extra)
+            .args(&self.sweep_args)
             .current_dir(&self.tree);
-        let log = self.tree.join(format!("sweep-{label}.log"));
-        let Some((code, out)) = run_with_timeout(&mut cmd, &log, self.timeout)? else {
+        let Some((code, out)) =
+            run_with_timeout(&mut cmd, &self.tree.join("sweep.log"), self.timeout)?
+        else {
             return Ok(None);
         };
         let digest = std::fs::read_to_string(&digest_path).unwrap_or_default();
         Ok(Some((code, out, digest)))
-    }
-
-    /// Runs all three sweeps — legacy (with the caller's extra args),
-    /// sequential-sharded and parallel at two workers — and concatenates
-    /// their digests under `== label ==` headers. Short-circuits on the
-    /// first non-green sweep; returns `(exit_code, output, digest_text)`.
-    fn sweep(&self) -> io::Result<Option<(i32, String, String)>> {
-        let mut digest = String::new();
-        // The engine sweeps carry `--mesh` (a three-DC spot check): the
-        // paper-shaped sweep scenarios give every shard exactly one
-        // cross-shard peer, an inbox ordering no stable time-only sort
-        // can disturb, so without the mesh cell the merge tie-break
-        // would be unobservable and `shard-merge-skip` unkillable.
-        let engines: [(&str, Vec<String>); 3] = [
-            ("legacy", self.sweep_args.clone()),
-            (
-                "sharded",
-                vec!["--engine".into(), "sharded".into(), "--mesh".into()],
-            ),
-            (
-                "parallel2",
-                vec![
-                    "--engine".into(),
-                    "parallel".into(),
-                    "--workers".into(),
-                    "2".into(),
-                    "--mesh".into(),
-                ],
-            ),
-        ];
-        let mut last_out = String::new();
-        for (label, extra) in &engines {
-            let Some((code, out, d)) = self.sweep_once(label, extra)? else {
-                return Ok(None);
-            };
-            if code != 0 {
-                return Ok(Some((code, out, digest)));
-            }
-            digest.push_str(&format!("== {label} ==\n"));
-            digest.push_str(&d);
-            last_out = out;
-        }
-        Ok(Some((0, last_out, digest)))
-    }
-
-    /// Extracts one `== label ==` section from a concatenated digest.
-    fn digest_section<'a>(digest: &'a str, label: &str) -> &'a str {
-        let header = format!("== {label} ==\n");
-        let Some(start) = digest.find(&header) else {
-            return "";
-        };
-        let body = &digest[start + header.len()..];
-        match body.find("== ") {
-            Some(end) => &body[..end],
-            None => body,
-        }
     }
 
     /// Applies `m` in the tree, rebuilds, sweeps, restores the file and
@@ -775,10 +669,8 @@ pub fn write_bench(
     };
     // Host context, local to this crate: `check` cannot depend on `bench`
     // (dependency direction), so the object is rendered here in the same
-    // shape `bench::host_json` emits. The sweeps run single-threaded in
-    // the parent (worker parallelism lives inside each mutant child's
-    // parallel-engine sweep), and every mutant build exercises all three
-    // engine paths.
+    // shape `bench::host_json` emits. Mutants run one at a time, each a
+    // single-threaded sweep.
     let nproc = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -787,7 +679,7 @@ pub fn write_bench(
     out.push_str("  \"bench\": \"analysis\",\n");
     out.push_str("  \"schema_version\": 1,\n");
     out.push_str(&format!(
-        "  \"host\": {{ \"nproc\": {nproc}, \"workers\": 1, \"engine\": \"legacy+sharded+parallel2\" }},\n"
+        "  \"host\": {{ \"nproc\": {nproc}, \"workers\": 1 }},\n"
     ));
     out.push_str(&format!(
         "  \"analyzer\": {{ \"files\": {analyzer_files}, \"wall_ms\": {analyzer_ms:.2} }},\n"
@@ -880,34 +772,33 @@ mod tests {
     }
 
     #[test]
-    fn pinned_set_is_fourteen_distinct_ids() {
+    fn pinned_ids_are_distinct() {
         let set: std::collections::BTreeSet<&&str> = PINNED_SMOKE.iter().collect();
-        assert_eq!(set.len(), 14);
+        assert_eq!(set.len(), PINNED_SMOKE.len());
     }
 
+    /// The committed `BENCH_analysis.json` must record a run of the pinned
+    /// set as it is now: a stale file (regenerated before a mutant was
+    /// added or cut) fails here rather than drifting silently.
     #[test]
-    fn shard_merge_skip_site_is_parallel_only() {
-        let src =
-            "fn merge_inbox() {\n    inbox.sort_by_key(|(src, env)| (env.at, *src, env.seq));\n}\n";
-        let ms = scan_file(Path::new("parallel.rs"), src);
-        let m = ms
-            .iter()
-            .find(|m| m.operator == "shard-merge-skip")
-            .expect("site found");
-        assert_eq!(m.id, "shard-merge-skip:parallel:0");
-        assert!(m.apply(src).contains("|(_src, env)| env.at);"));
-        // The same pattern outside parallel.rs is not a site.
-        let ms = scan_file(Path::new("engine.rs"), src);
-        assert!(ms.iter().all(|m| m.operator != "shard-merge-skip"));
-    }
-
-    #[test]
-    fn digest_sections_round_trip() {
-        let digest = "== legacy ==\na 1\nb 2\n== sharded ==\nc 3\n== parallel2 ==\nc 3\n";
-        assert_eq!(Harness::digest_section(digest, "legacy"), "a 1\nb 2\n");
-        assert_eq!(Harness::digest_section(digest, "sharded"), "c 3\n");
-        assert_eq!(Harness::digest_section(digest, "parallel2"), "c 3\n");
-        assert_eq!(Harness::digest_section(digest, "missing"), "");
+    fn committed_bench_records_the_pinned_set() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_analysis.json");
+        let json = std::fs::read_to_string(&path).expect("BENCH_analysis.json at the repo root");
+        let field = "\"mutation\": { \"mutants\": ";
+        let at = json.find(field).expect("mutation.mutants field") + field.len();
+        let recorded: usize = json[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("mutation.mutants is a number");
+        assert_eq!(
+            recorded,
+            PINNED_SMOKE.len(),
+            "BENCH_analysis.json is stale: rerun `mutate --smoke --bench-out BENCH_analysis.json`"
+        );
+        for id in PINNED_SMOKE {
+            assert!(json.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fixture: every shared-mutable hazard class the determinism lint must
-//! flag — process-global mutable state that leaks between runs and, on
-//! the parallel engine, across worker shards.
+//! flag — process-global mutable state that leaks between runs and, under
+//! the sweep harness, across worker threads.
 use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 

@@ -6,7 +6,6 @@ use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenar
 use proptest::prelude::*;
 
 const WORKLOAD: WorkloadCfg = WorkloadCfg {
-    engine: pahoehoe::cluster::EngineMode::Legacy,
     puts: 2,
     value_len: 2048,
     rounds: 1,

@@ -9,10 +9,14 @@
 //! * a version is **at maximum redundancy (AMR)** when every KLS stores
 //!   complete metadata for it and every sibling FS stores both complete
 //!   metadata and all of its assigned sibling fragments.
+//!
+//! Under converged-version compaction an FS may hold only a residual record
+//! of a superseded version; since compaction requires the version to have
+//! settled AMR first, a residual counts as stored on both definitions.
 
 use std::collections::BTreeSet;
 
-use simnet::{NodeId, SimView};
+use simnet::{NodeId, Simulation};
 
 use crate::fs::Fs;
 use crate::kls::Kls;
@@ -21,8 +25,10 @@ use crate::topology::Topology;
 use crate::types::ObjectVersion;
 
 /// Object versions with at least `k` distinct fragments stored across the
-/// given fragment servers.
-pub fn durable_versions(sim: &dyn SimView<Message>, fss: &[NodeId]) -> BTreeSet<ObjectVersion> {
+/// given fragment servers. A version some FS has compacted to a residual
+/// counts as durable: compaction only happens after the version settled
+/// AMR, and the residual is the record that its fragments were stored.
+pub fn durable_versions(sim: &Simulation<Message>, fss: &[NodeId]) -> BTreeSet<ObjectVersion> {
     let mut out = BTreeSet::new();
     let mut seen: BTreeSet<ObjectVersion> = BTreeSet::new();
     for &fs in fss {
@@ -33,16 +39,18 @@ pub fn durable_versions(sim: &dyn SimView<Message>, fss: &[NodeId]) -> BTreeSet<
     for ov in seen {
         let mut distinct: BTreeSet<u8> = BTreeSet::new();
         let mut k = None;
+        let mut compacted = false;
         for &fs in fss {
-            if let Some(entry) = sim.actor::<Fs>(fs).entry(ov) {
+            let actor = sim.actor::<Fs>(fs);
+            if let Some(entry) = actor.entry(ov) {
                 k = Some(entry.meta.policy().k);
                 distinct.extend(entry.fragments.keys().copied());
+            } else if actor.compacted_residual(ov).is_some() {
+                compacted = true;
             }
         }
-        if let Some(k) = k {
-            if distinct.len() >= usize::from(k) {
-                out.insert(ov);
-            }
+        if compacted || k.is_some_and(|k| distinct.len() >= usize::from(k)) {
+            out.insert(ov);
         }
     }
     out
@@ -50,7 +58,7 @@ pub fn durable_versions(sim: &dyn SimView<Message>, fss: &[NodeId]) -> BTreeSet<
 
 /// Every object version any KLS or FS has heard of.
 pub fn known_versions(
-    sim: &dyn SimView<Message>,
+    sim: &Simulation<Message>,
     klss: &[NodeId],
     fss: &[NodeId],
 ) -> BTreeSet<ObjectVersion> {
@@ -65,7 +73,7 @@ pub fn known_versions(
 }
 
 /// Whether `ov` is globally at maximum redundancy.
-pub fn is_amr(sim: &dyn SimView<Message>, topo: &Topology, ov: ObjectVersion) -> bool {
+pub fn is_amr(sim: &Simulation<Message>, topo: &Topology, ov: ObjectVersion) -> bool {
     // Every KLS must hold complete metadata.
     let mut meta = None;
     for kls in topo.all_klss() {
@@ -80,14 +88,8 @@ pub fn is_amr(sim: &dyn SimView<Message>, topo: &Topology, ov: ObjectVersion) ->
     let Some(meta) = meta else { return false };
     debug_assert!(meta.is_complete());
     // Every sibling FS must hold complete metadata and every fragment
-    // assigned to it.
-    for (idx, loc) in meta.assignments() {
-        let Some(entry) = sim.actor::<Fs>(loc.fs).entry(ov) else {
-            return false;
-        };
-        if !entry.meta.is_complete() || !entry.fragments.contains_key(&idx) {
-            return false;
-        }
-    }
-    true
+    // assigned to it (or a compaction residual, which implies it did).
+    meta.sibling_fss()
+        .into_iter()
+        .all(|fs| sim.actor::<Fs>(fs).verified(ov))
 }

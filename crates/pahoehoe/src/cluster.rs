@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use simnet::{
-    FaultPlan, Metrics, NetworkConfig, NodeId, RunOutcome, ShardPlan, ShardedSimulation,
-    SimDuration, SimTime, SimView, Simulation,
+    FaultPlan, Metrics, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime, Simulation,
 };
 
 use crate::analysis;
@@ -113,56 +112,6 @@ impl ClusterLayout {
     }
 }
 
-/// Which simulation engine drives the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The single-threaded legacy engine (default; byte-identical to
-    /// every recorded digest).
-    Legacy,
-    /// The DC-sharded conservative engine ([`simnet::parallel`]): one
-    /// shard per data center (the proxy and client live in DC 0, extra
-    /// pairs in their configured DC), lookahead derived from the
-    /// topology's cross-DC latency floor. `workers == 1` is
-    /// sequential-sharded; any worker count is byte-identical to it.
-    Sharded {
-        /// Worker threads executing shard windows.
-        workers: usize,
-    },
-}
-
-impl EngineMode {
-    /// Parses the explorer/bench CLI spelling: `legacy`, `sharded`, or
-    /// `parallel` (sharded is parallel with one worker; a `--workers`
-    /// flag then picks the thread count for `parallel`).
-    pub fn parse(s: &str, workers: usize) -> Option<EngineMode> {
-        match s {
-            "legacy" => Some(EngineMode::Legacy),
-            "sharded" => Some(EngineMode::Sharded { workers: 1 }),
-            "parallel" => Some(EngineMode::Sharded {
-                workers: workers.max(2),
-            }),
-            _ => None,
-        }
-    }
-
-    /// The CLI label for this mode.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineMode::Legacy => "legacy",
-            EngineMode::Sharded { workers: 1 } => "sharded",
-            EngineMode::Sharded { .. } => "parallel",
-        }
-    }
-
-    /// Worker-thread count (1 for legacy and sequential-sharded).
-    pub fn workers(&self) -> usize {
-        match self {
-            EngineMode::Legacy => 1,
-            EngineMode::Sharded { workers } => (*workers).max(1),
-        }
-    }
-}
-
 /// An additional proxy/client pair beyond the primary one — used to
 /// exercise concurrent puts from different data centers with loosely
 /// synchronized clocks (§3.1). Extra pairs take the node ids following
@@ -220,9 +169,6 @@ pub struct ClusterConfig {
     pub streaming_workload: Option<crate::workload::StreamingWorkload>,
     /// Virtual-time safety deadline for [`Cluster::run_to_convergence`].
     pub max_sim_time: SimDuration,
-    /// Which simulation engine drives the cluster (legacy by default, so
-    /// all recorded digests stay byte-identical).
-    pub engine: EngineMode,
     /// Failure-domain modeling: `Some(r)` partitions each data center's
     /// FSs into `r` racks (by position) and switches the KLS to rack-aware
     /// fragment placement; `None` (the default — byte-identical to every
@@ -253,7 +199,6 @@ impl ClusterConfig {
             custom_workload: None,
             streaming_workload: None,
             max_sim_time: SimDuration::from_secs(24 * 3600),
-            engine: EngineMode::Legacy,
             racks_per_dc: None,
         }
     }
@@ -300,149 +245,9 @@ pub struct ConvergenceReport {
     pub metrics: Metrics,
 }
 
-/// A cluster-level view inspector: boxed so [`Engine`] can forward it to
-/// whichever engine is live.
-type Inspector = Box<dyn FnMut(&dyn SimView<Message>)>;
-
-/// Either simulation engine, dispatched behind one seam so the cluster
-/// assembly and harness code is engine-agnostic. One `Engine` exists per
-/// cluster, so the variant size gap is irrelevant — boxing the legacy
-/// simulation would only add a pointer hop to every event.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    Legacy(Simulation<Message>),
-    Sharded(ShardedSimulation<Message>),
-}
-
-impl Engine {
-    fn add_actor<A: simnet::Actor<Message> + Send + 'static>(&mut self, actor: A) -> NodeId {
-        match self {
-            Engine::Legacy(sim) => sim.add_actor(actor),
-            Engine::Sharded(sim) => sim.add_actor(actor),
-        }
-    }
-
-    fn view(&self) -> &dyn SimView<Message> {
-        match self {
-            Engine::Legacy(sim) => sim,
-            Engine::Sharded(sim) => sim,
-        }
-    }
-
-    fn actor_mut<T: std::any::Any>(&mut self, id: NodeId) -> &mut T {
-        match self {
-            Engine::Legacy(sim) => sim.actor_mut(id),
-            Engine::Sharded(sim) => sim.actor_mut(id),
-        }
-    }
-
-    fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
-        match self {
-            Engine::Legacy(sim) => {
-                sim.schedule_timer(node, delay, tag);
-            }
-            Engine::Sharded(sim) => {
-                sim.schedule_timer(node, delay, tag);
-            }
-        }
-    }
-
-    fn run_until(&mut self, mut pred: impl FnMut(&dyn SimView<Message>) -> bool) -> RunOutcome {
-        match self {
-            Engine::Legacy(sim) => sim.run_until(|s| pred(s)),
-            Engine::Sharded(sim) => sim.run_until(|s| pred(s)),
-        }
-    }
-
-    fn run_until_time(&mut self, deadline: SimTime) -> RunOutcome {
-        match self {
-            Engine::Legacy(sim) => sim.run_until_time(deadline),
-            Engine::Sharded(sim) => sim.run_until_time(deadline),
-        }
-    }
-
-    fn run_until_quiescent(&mut self) -> RunOutcome {
-        match self {
-            Engine::Legacy(sim) => sim.run_until_quiescent(),
-            Engine::Sharded(sim) => sim.run_until_quiescent(),
-        }
-    }
-
-    fn set_inspector(&mut self, mut f: Inspector) {
-        match self {
-            Engine::Legacy(sim) => sim.set_inspector(move |s| f(s)),
-            Engine::Sharded(sim) => sim.set_inspector(move |s| f(s)),
-        }
-    }
-
-    fn clear_inspector(&mut self) {
-        match self {
-            Engine::Legacy(sim) => sim.clear_inspector(),
-            Engine::Sharded(sim) => sim.clear_inspector(),
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        match self {
-            Engine::Legacy(sim) => sim.enable_trace(),
-            Engine::Sharded(sim) => sim.enable_trace(),
-        }
-    }
-
-    fn set_event_limit(&mut self, limit: u64) {
-        match self {
-            Engine::Legacy(sim) => sim.set_event_limit(limit),
-            Engine::Sharded(sim) => sim.set_event_limit(limit),
-        }
-    }
-}
-
-/// Computes the DC shard plan for a cluster shape: every node of a data
-/// center (servers, plus the proxy/client pairs homed there) shares a
-/// shard, and the lookahead is the latency floor over all cross-shard
-/// links.
-fn shard_plan(
-    layout: ClusterLayout,
-    extras: &[ExtraProxy],
-    network: &NetworkConfig,
-    workers: usize,
-    repair: bool,
-) -> ShardPlan {
-    let mut owner: Vec<u16> = Vec::new();
-    for dc in 0..layout.dcs {
-        owner.extend(std::iter::repeat_n(dc as u16, layout.per_dc()));
-    }
-    owner.push(0); // primary proxy lives in DC 0
-    owner.push(0); // primary client lives in DC 0
-    for spec in extras {
-        owner.push(spec.dc as u16); // extra proxy
-        owner.push(spec.dc as u16); // its client
-    }
-    if repair {
-        // One repair actor per data center, homed with the FSs it watches.
-        owner.extend((0..layout.dcs).map(|dc| dc as u16));
-    }
-    let mut lookahead: Option<SimDuration> = None;
-    for a in 0..owner.len() {
-        for b in 0..owner.len() {
-            if owner[a] != owner[b] {
-                let floor = network.link_latency_min(NodeId::new(a as u32), NodeId::new(b as u32));
-                lookahead = Some(lookahead.map_or(floor, |l| l.min(floor)));
-            }
-        }
-    }
-    ShardPlan {
-        owner,
-        // Single-DC clusters have no cross-shard links; any positive
-        // bound is sound (there is nothing to look ahead of).
-        lookahead: lookahead.unwrap_or(network.latency_min),
-        workers,
-    }
-}
-
 /// A fully wired Pahoehoe cluster inside a deterministic simulation.
 pub struct Cluster {
-    sim: Engine,
+    sim: Simulation<Message>,
     layout: ClusterLayout,
     topo: Arc<Topology>,
     config: ClusterConfig,
@@ -462,28 +267,7 @@ impl Cluster {
     /// [`ClusterLayout`] to compute the node ids the plan needs.
     pub fn build_with_faults(config: ClusterConfig, seed: u64, faults: FaultPlan) -> Self {
         let layout = config.layout;
-        let mut sim = match config.engine {
-            EngineMode::Legacy => Engine::Legacy(Simulation::with_network(
-                seed,
-                config.network.clone(),
-                faults,
-            )),
-            EngineMode::Sharded { workers } => {
-                let plan = shard_plan(
-                    layout,
-                    &config.extra_proxies,
-                    &config.network,
-                    workers,
-                    config.convergence.repair.is_some(),
-                );
-                Engine::Sharded(ShardedSimulation::with_network(
-                    seed,
-                    config.network.clone(),
-                    faults,
-                    plan,
-                ))
-            }
-        };
+        let mut sim = Simulation::with_network(seed, config.network.clone(), faults);
 
         let dc_shape = (0..layout.dcs)
             .map(|dc| {
@@ -586,82 +370,17 @@ impl Cluster {
         }
     }
 
-    /// The underlying legacy simulation. Panics under a sharded engine —
-    /// engine-agnostic code should use [`view`](Self::view) and the
-    /// cluster-level run/inspect helpers instead.
+    /// The underlying simulation (for metrics, tracing and direct actor
+    /// access).
     pub fn sim(&self) -> &Simulation<Message> {
-        match &self.sim {
-            Engine::Legacy(sim) => sim,
-            Engine::Sharded(_) => panic!("sim() is legacy-engine only; use view()"),
-        }
+        &self.sim
     }
 
-    /// Mutable access to the underlying legacy simulation — e.g. to
-    /// advance virtual time into a scheduled fault window with
-    /// [`Simulation::run_until_time`]. Panics under a sharded engine; use
-    /// the cluster-level helpers ([`run_until_time`](Self::run_until_time),
-    /// [`set_view_inspector`](Self::set_view_inspector), ...) instead.
+    /// Mutable access to the underlying simulation — e.g. to advance
+    /// virtual time into a scheduled fault window with
+    /// [`Simulation::run_until_time`].
     pub fn sim_mut(&mut self) -> &mut Simulation<Message> {
-        match &mut self.sim {
-            Engine::Legacy(sim) => sim,
-            Engine::Sharded(_) => panic!("sim_mut() is legacy-engine only; use view()"),
-        }
-    }
-
-    /// Engine-agnostic read access to the simulation (clock, metrics,
-    /// trace, actors) — works under both engines.
-    pub fn view(&self) -> &dyn SimView<Message> {
-        self.sim.view()
-    }
-
-    /// Runs until `pred` holds at an observation point (legacy: after any
-    /// event; sharded: at a round barrier).
-    pub fn run_until_view(
-        &mut self,
-        pred: impl FnMut(&dyn SimView<Message>) -> bool,
-    ) -> RunOutcome {
-        self.sim.run_until(pred)
-    }
-
-    /// Runs until the virtual clock reaches `deadline`.
-    pub fn run_until_time(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until_time(deadline)
-    }
-
-    /// Runs until no events remain.
-    pub fn run_until_quiescent(&mut self) -> RunOutcome {
-        self.sim.run_until_quiescent()
-    }
-
-    /// Installs an engine-agnostic inspector (legacy: after every event;
-    /// sharded: at every round barrier).
-    pub fn set_view_inspector(&mut self, f: impl FnMut(&dyn SimView<Message>) + 'static) {
-        self.sim.set_inspector(Box::new(f));
-    }
-
-    /// Removes the inspector.
-    pub fn clear_view_inspector(&mut self) {
-        self.sim.clear_inspector();
-    }
-
-    /// Enables message tracing on the underlying engine.
-    pub fn enable_trace(&mut self) {
-        self.sim.enable_trace();
-    }
-
-    /// Caps the number of processed events (safety net for exploration).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.sim.set_event_limit(limit);
-    }
-
-    /// Mutable access to an actor by node id, under either engine.
-    pub fn actor_mut<T: std::any::Any>(&mut self, id: NodeId) -> &mut T {
-        self.sim.actor_mut(id)
-    }
-
-    /// Schedules a timer for `node` after `delay`, under either engine.
-    pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
-        self.sim.schedule_timer(node, delay, tag);
+        &mut self.sim
     }
 
     /// The cluster's node-id layout.
@@ -681,22 +400,22 @@ impl Cluster {
 
     /// Borrows a KLS actor.
     pub fn kls(&self, id: NodeId) -> &Kls {
-        self.sim.view().actor(id)
+        self.sim.actor(id)
     }
 
     /// Borrows an FS actor.
     pub fn fs(&self, id: NodeId) -> &Fs {
-        self.sim.view().actor(id)
+        self.sim.actor(id)
     }
 
     /// Borrows the proxy actor.
     pub fn proxy(&self) -> &Proxy {
-        self.sim.view().actor(self.layout.proxy())
+        self.sim.actor(self.layout.proxy())
     }
 
     /// Borrows the client actor.
     pub fn client(&self) -> &Client {
-        self.sim.view().actor(self.layout.client())
+        self.sim.actor(self.layout.client())
     }
 
     /// Node ids of every client: the primary first, then the extras in
@@ -721,7 +440,7 @@ impl Cluster {
     /// Borrows the repair actor of data center `dc`. Panics when repair is
     /// disabled.
     pub fn repair_actor(&self, dc: usize) -> &RepairActor {
-        self.sim.view().actor(self.repair[dc])
+        self.sim.actor(self.repair[dc])
     }
 
     /// Enqueues a put of `value` under the key named `name` (retried by
@@ -766,15 +485,14 @@ impl Cluster {
 
     fn get_as(&mut self, client_id: NodeId, name: &[u8]) -> Option<Vec<u8>> {
         let key = Key::from_name(name);
-        let done_before = self.sim.view().actor::<Client>(client_id).gets_done().len();
+        let done_before = self.sim.actor::<Client>(client_id).gets_done().len();
         self.sim
             .actor_mut::<Client>(client_id)
             .enqueue(ClientOp::Get { key });
         self.sim.schedule_timer(client_id, SimDuration::ZERO, 1);
         self.sim
             .run_until(|sim| sim.actor::<Client>(client_id).gets_done().len() > done_before);
-        let outcome: &GetOutcome =
-            &self.sim.view().actor::<Client>(client_id).gets_done()[done_before];
+        let outcome: &GetOutcome = &self.sim.actor::<Client>(client_id).gets_done()[done_before];
         debug_assert_eq!(outcome.key, key);
         outcome.result.as_ref().map(|(_, v)| v.to_vec())
     }
@@ -828,7 +546,7 @@ impl Cluster {
         let mut puts_attempted = 0;
         let mut puts_succeeded = 0;
         for id in self.client_ids() {
-            let client: &Client = self.sim.view().actor(id);
+            let client: &Client = self.sim.actor(id);
             success_versions.extend(client.success_versions());
             client_versions.extend(client.success_versions());
             client_versions.extend(client.failed_versions());
@@ -836,8 +554,8 @@ impl Cluster {
             puts_succeeded += client.puts_succeeded();
         }
 
-        let durable = analysis::durable_versions(self.sim.view(), &fss);
-        let all_versions = analysis::known_versions(self.sim.view(), &klss, &fss)
+        let durable = analysis::durable_versions(&self.sim, &fss);
+        let all_versions = analysis::known_versions(&self.sim, &klss, &fss)
             .union(&client_versions)
             .copied()
             .collect::<BTreeSet<ObjectVersion>>();
@@ -848,14 +566,14 @@ impl Cluster {
         let mut non_durable = 0;
         let mut time_to_amr = Vec::new();
         for &ov in &all_versions {
-            let amr = analysis::is_amr(self.sim.view(), &self.topo, ov);
+            let amr = analysis::is_amr(&self.sim, &self.topo, ov);
             if amr {
                 amr_versions += 1;
                 // Settled when the last sibling FS stopped convergence
                 // work for it (verified or indicated).
                 let settled = fss
                     .iter()
-                    .filter_map(|&fs| self.sim.view().actor::<Fs>(fs).amr_settled_at(ov))
+                    .filter_map(|&fs| self.sim.actor::<Fs>(fs).amr_settled_at(ov))
                     .max();
                 if let Some(settled) = settled {
                     time_to_amr.push(SimDuration::from_micros(
@@ -879,7 +597,7 @@ impl Cluster {
         time_to_amr.sort_unstable();
         ConvergenceReport {
             outcome,
-            sim_time: self.sim.view().now(),
+            sim_time: self.sim.now(),
             puts_attempted,
             puts_succeeded,
             amr_versions,
@@ -887,7 +605,7 @@ impl Cluster {
             non_durable,
             durable_not_amr,
             time_to_amr,
-            metrics: self.sim.view().metrics().clone(),
+            metrics: self.sim.metrics().clone(),
         }
     }
 }

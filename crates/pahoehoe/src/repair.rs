@@ -48,9 +48,9 @@
 //! `None` (the default) no repair actors are built, no report timers are
 //! scheduled and no messages or counters change, so the full 144-scenario
 //! sweep digests stay byte-identical to the pre-repair tree. The
-//! equivalence ladder (sequential vs parallel, default vs reference
-//! protocol) therefore keeps guarding the paper protocol while the repair
-//! scenarios guard the engine.
+//! equivalence ladder (sequential vs `simnet::sweep`-fanned sweep, default
+//! vs reference protocol) therefore keeps guarding the paper protocol while
+//! the repair scenarios guard the engine.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

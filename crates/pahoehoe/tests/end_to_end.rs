@@ -2,6 +2,7 @@
 
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe::protocol::ProtocolMode;
 use simnet::{FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime};
 
 fn small_workload(mut cfg: ClusterConfig, puts: usize) -> ClusterConfig {
@@ -110,6 +111,37 @@ fn wan_partition_preserves_availability_and_heals() {
 }
 
 #[test]
+fn whole_dc_blackout_with_loss_converges() {
+    let layout = ClusterLayout {
+        dcs: 2,
+        kls_per_dc: 2,
+        fs_per_dc: 3,
+    };
+    // Every server of DC1 is dark for the first five minutes while the
+    // client writes through DC0, on a network that also loses 2 %.
+    let mut faults = FaultPlan::none();
+    for node in layout.dc_nodes(1) {
+        faults.add_node_outage(node, SimTime::ZERO, SimDuration::from_secs(300));
+    }
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 3);
+    cfg.network = NetworkConfig::with_drop_rate(0.02);
+    let mut cluster = Cluster::build_with_faults(cfg, 42, faults);
+    let r = cluster.run_to_convergence();
+    assert_eq!(r.outcome, RunOutcome::PredicateSatisfied);
+    // The client retries until the proxy reports success, so convergence
+    // implies a full success ledger; failed attempts account for exactly
+    // the excess-AMR remainder.
+    assert_eq!(r.puts_succeeded, 3);
+    assert!(r.puts_attempted >= r.puts_succeeded);
+    assert_eq!(r.durable_not_amr, 0);
+    assert_eq!(
+        r.amr_versions as u64,
+        r.puts_succeeded + r.excess_amr as u64
+    );
+    assert!(r.sim_time >= SimTime::ZERO + SimDuration::from_secs(300));
+}
+
+#[test]
 fn lossy_network_eventually_converges() {
     let mut cfg = small_workload(ClusterConfig::paper_default(), 10);
     cfg.network = NetworkConfig::with_drop_rate(0.10);
@@ -143,6 +175,30 @@ fn overwrites_return_the_latest_version() {
     cluster.put(b"key", b"new".to_vec());
     cluster.run_to_convergence();
     assert_eq!(cluster.get(b"key"), Some(b"new".to_vec()));
+}
+
+#[test]
+fn report_counts_compacted_versions_as_durable_and_amr() {
+    // Three rounds over four keys under the scale protocol mode: every
+    // version but the newest of each key is superseded once AMR, so the
+    // FSs collapse them to residual records. The ledger must still count
+    // them — compaction only happens after a version reached AMR.
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 4);
+    cfg.workload_rounds = 3;
+    cfg.protocol = ProtocolMode::scale();
+    let mut cluster = Cluster::build(cfg, 8);
+    let report = cluster.run_to_convergence();
+    assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+    assert_eq!(report.puts_succeeded, 12);
+    let compacted: usize = cluster
+        .topology()
+        .all_fss()
+        .map(|fs| cluster.fs(fs).compacted_count())
+        .sum();
+    assert!(compacted > 0, "the workload must compact something");
+    assert_eq!(report.non_durable, 0);
+    assert_eq!(report.durable_not_amr, 0);
+    assert_eq!(report.amr_versions, 12);
 }
 
 #[test]

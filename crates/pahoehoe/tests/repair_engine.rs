@@ -48,9 +48,9 @@ fn repair_engine_reprotects_after_losing_both_disks_of_a_server() {
     // wake is scheduled, so the repair engine is the only re-protection
     // path.
     let victim = cluster.layout().fs(0, 0);
-    let now = cluster.view().now();
+    let now = cluster.sim().now();
     let lost = {
-        let fs = cluster.actor_mut::<Fs>(victim);
+        let fs = cluster.sim_mut().actor_mut::<Fs>(victim);
         fs.destroy_disk(0, now) + fs.destroy_disk(1, now)
     };
     assert_eq!(lost, 2 * 10, "two fragments per object on the victim");
@@ -58,7 +58,9 @@ fn repair_engine_reprotects_after_losing_both_disks_of_a_server() {
         assert_eq!(cluster_live(&cluster, ov), 10);
     }
 
-    cluster.run_until_time(now + SimDuration::from_secs(600));
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(600));
 
     let repair = cluster.repair_actor(0);
     assert_eq!(repair.jobs_triggered(), 10, "every object dipped below");
@@ -69,7 +71,7 @@ fn repair_engine_reprotects_after_losing_both_disks_of_a_server() {
         assert_eq!(cluster_live(&cluster, ov), 12, "back at full redundancy");
         assert_eq!(repair.live_fragments(ov), 6);
     }
-    let m = cluster.view().metrics();
+    let m = cluster.sim().metrics();
     assert_eq!(m.event("repair_triggered"), 10);
     assert_eq!(m.event("repair_completed"), 10);
     assert!(m.event("repair_bytes") > 0);
@@ -78,15 +80,20 @@ fn repair_engine_reprotects_after_losing_both_disks_of_a_server() {
     // `Key::from_u64(i + 1)`).
     let client_id = cluster.layout().client();
     for i in 0..10u64 {
-        let done = cluster.view().actor::<Client>(client_id).gets_done().len();
+        let done = cluster.sim().actor::<Client>(client_id).gets_done().len();
         cluster
+            .sim_mut()
             .actor_mut::<Client>(client_id)
             .enqueue(ClientOp::Get {
                 key: Key::from_u64(i + 1),
             });
-        cluster.schedule_timer(client_id, SimDuration::ZERO, 1);
-        cluster.run_until_view(move |sim| sim.actor::<Client>(client_id).gets_done().len() > done);
-        let outcome = &cluster.view().actor::<Client>(client_id).gets_done()[done];
+        cluster
+            .sim_mut()
+            .schedule_timer(client_id, SimDuration::ZERO, 1);
+        cluster
+            .sim_mut()
+            .run_until(move |sim| sim.actor::<Client>(client_id).gets_done().len() > done);
+        let outcome = &cluster.sim().actor::<Client>(client_id).gets_done()[done];
         assert!(outcome.result.is_some(), "get after repair must succeed");
     }
 }
@@ -108,17 +115,19 @@ fn throttled_repair_stalls_but_still_reprotects() {
         .collect();
 
     let victim = cluster.layout().fs(0, 0);
-    let now = cluster.view().now();
+    let now = cluster.sim().now();
     {
-        let fs = cluster.actor_mut::<Fs>(victim);
+        let fs = cluster.sim_mut().actor_mut::<Fs>(victim);
         fs.destroy_disk(0, now);
         fs.destroy_disk(1, now);
     }
-    cluster.run_until_time(now + SimDuration::from_secs(1200));
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(1200));
 
     let repair = cluster.repair_actor(0);
     assert_eq!(repair.jobs_completed(), 10);
-    let m = cluster.view().metrics();
+    let m = cluster.sim().metrics();
     assert!(
         m.event("repair_throttle_stalls") > 0,
         "the token bucket must have gated admissions"
@@ -136,14 +145,19 @@ fn repair_is_not_triggered_above_threshold() {
     // One disk = one fragment per object on the victim: 6 -> 5 live in
     // the DC, which is still >= 80% of 6.
     let victim = cluster.layout().fs(0, 1);
-    let now = cluster.view().now();
-    let lost = cluster.actor_mut::<Fs>(victim).destroy_disk(0, now);
+    let now = cluster.sim().now();
+    let lost = cluster
+        .sim_mut()
+        .actor_mut::<Fs>(victim)
+        .destroy_disk(0, now);
     assert_eq!(lost, 5);
-    cluster.run_until_time(now + SimDuration::from_secs(300));
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(300));
 
     let repair = cluster.repair_actor(0);
     assert_eq!(repair.jobs_triggered(), 0);
-    assert_eq!(cluster.view().metrics().event("repair_triggered"), 0);
+    assert_eq!(cluster.sim().metrics().event("repair_triggered"), 0);
 }
 
 #[test]
@@ -173,19 +187,26 @@ fn paced_scrub_detects_corruption_without_starving_the_protocol() {
             .expect("holds a fragment");
         (ov, idx)
     };
-    assert!(cluster.actor_mut::<Fs>(victim).corrupt_fragment(ov, idx));
+    assert!(cluster
+        .sim_mut()
+        .actor_mut::<Fs>(victim)
+        .corrupt_fragment(ov, idx));
 
     // While the cursor-paced scrub crawls the store, fresh protocol work
     // must still make progress: a put issued mid-scrub completes and is
     // readable.
-    let now = cluster.view().now();
-    cluster.run_until_time(now + SimDuration::from_secs(7));
+    let now = cluster.sim().now();
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(7));
     cluster.put(b"mid-scrub", vec![0xAB; 4096]);
     assert_eq!(cluster.get(b"mid-scrub"), Some(vec![0xAB; 4096]));
 
     // And the scrubber finds the corruption within a few passes.
-    let now = cluster.view().now();
-    cluster.run_until_time(now + SimDuration::from_secs(120));
+    let now = cluster.sim().now();
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(120));
     assert!(
         cluster.fs(victim).corruption_detected() >= 1,
         "paced scrub still re-hashes the whole store"

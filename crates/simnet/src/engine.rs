@@ -59,67 +59,28 @@ pub enum RunOutcome {
     EventLimitReached,
 }
 
-/// Node→shard routing installed by the sharded engine
-/// ([`crate::parallel`]): [`Inner::push`] diverts deliveries addressed to a
-/// node owned by another shard into the sender's outbox instead of the
-/// local queue, so the coordinator can merge them deterministically at the
-/// next round barrier. Legacy simulations carry `None` and are untouched.
-pub(crate) struct Routing {
-    /// The shard this `Inner` belongs to.
-    pub(crate) self_shard: u16,
-    /// Owning shard of every node id, indexed by `NodeId::index`.
-    pub(crate) owner: std::sync::Arc<[u16]>,
-}
-
-/// One cross-shard event in flight between round barriers: the arrival
-/// time and payload are finalized on the *sending* shard (latency, drop
-/// and duplication draws all happen on the sender's RNG stream), and
-/// `seq` carries the sender-local sequence used by the deterministic
-/// (time, src-shard, seq) mailbox merge.
-pub(crate) struct Envelope<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) to: NodeId,
-    pub(crate) kind: EventKind<M>,
-}
-
-pub(crate) struct Inner<M> {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) queue: EventQueue<M>,
+struct Inner<M> {
+    now: SimTime,
+    seq: u64,
+    queue: EventQueue<M>,
     /// Generation-stamped liveness for every scheduled timer; cancelling
     /// bumps a generation so the queued firing event goes stale in place.
-    pub(crate) timers: TimerSlab,
-    pub(crate) rng: StdRng,
-    pub(crate) network: NetworkConfig,
-    pub(crate) faults: FaultPlan,
-    pub(crate) metrics: Metrics,
-    pub(crate) trace: Option<Trace>,
-    /// Shard routing, present only inside the sharded engine.
-    pub(crate) routing: Option<Routing>,
-    /// Cross-shard events awaiting the next round barrier (always empty
-    /// in legacy simulations and at every barrier).
-    pub(crate) outbox: Vec<Envelope<M>>,
+    timers: TimerSlab,
+    rng: StdRng,
+    network: NetworkConfig,
+    faults: FaultPlan,
+    metrics: Metrics,
+    trace: Option<Trace>,
 }
 
 impl<M: Payload> Inner<M> {
-    pub(crate) fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind<M>) {
+    fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        if let Some(routing) = &self.routing {
-            if routing.owner[to.index()] != routing.self_shard {
-                debug_assert!(
-                    matches!(kind, EventKind::Deliver { .. }),
-                    "timers never cross shards"
-                );
-                self.outbox.push(Envelope { at, seq, to, kind });
-                return;
-            }
-        }
         self.queue.push(QueuedEvent { at, seq, to, kind });
     }
 
-    pub(crate) fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
+    fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
         let id = self.timers.allocate();
         let at = self.now + delay;
         self.push(at, node, EventKind::Timer { id, tag });
@@ -193,8 +154,8 @@ impl<M: Payload> Inner<M> {
 /// event. All actor effects — sending, timers, randomness — go through
 /// here, keeping the run deterministic.
 pub struct Context<'a, M: Payload> {
-    pub(crate) self_id: NodeId,
-    pub(crate) inner: &'a mut Inner<M>,
+    self_id: NodeId,
+    inner: &'a mut Inner<M>,
 }
 
 impl<M: Payload> Context<'_, M> {
@@ -311,8 +272,6 @@ impl<M: Payload> Simulation<M> {
                 faults,
                 metrics: Metrics::for_payload::<M>(),
                 trace: None,
-                routing: None,
-                outbox: Vec::new(),
             },
             started: false,
             events_processed: 0,
@@ -476,15 +435,6 @@ impl<M: Payload> Simulation<M> {
             .get(id.index())
             .and_then(|slot| slot.as_ref())
             .and_then(|a| a.as_any().downcast_ref::<T>())
-    }
-
-    /// Borrows the actor at `id` as a type-erased [`Any`], if present.
-    /// Backs the [`crate::parallel::SimView`] impl.
-    pub(crate) fn try_actor_any(&self, id: NodeId) -> Option<&dyn Any> {
-        self.actors
-            .get(id.index())
-            .and_then(|slot| slot.as_ref())
-            .map(|a| a.as_any())
     }
 
     /// Mutably borrows the actor at `id`, downcast to its concrete type.

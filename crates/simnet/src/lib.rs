@@ -58,7 +58,6 @@ pub mod engine;
 pub mod metrics;
 pub mod network;
 pub mod node;
-pub mod parallel;
 pub mod payload;
 pub mod queue;
 pub mod sweep;
@@ -73,7 +72,6 @@ pub use engine::{
 pub use metrics::{DropStats, KindStats, Metrics};
 pub use network::{FaultPlan, LatencyOverride, NetworkConfig};
 pub use node::NodeId;
-pub use parallel::{ShardPlan, ShardedSimulation, SimView};
 pub use payload::Payload;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Disposition, Trace, TraceEvent};

@@ -122,22 +122,6 @@ impl NetworkConfig {
         self.sample_latency(rng)
     }
 
-    /// The minimum possible one-way latency on the link `from → to`,
-    /// honoring [`latency_overrides`](Self::latency_overrides) with the
-    /// same first-match-wins rule as
-    /// [`sample_link_latency`](Self::sample_link_latency). This is the
-    /// link's deterministic latency floor; the sharded engine
-    /// ([`crate::parallel`]) derives its conservative lookahead from the
-    /// minimum over all cross-shard links.
-    pub fn link_latency_min(&self, from: NodeId, to: NodeId) -> SimDuration {
-        for ov in &self.latency_overrides {
-            if ov.matches(from, to) {
-                return ov.latency_min;
-            }
-        }
-        self.latency_min
-    }
-
     fn sample<R: Rng + ?Sized>(min: SimDuration, max: SimDuration, rng: &mut R) -> SimDuration {
         let lo = min.as_micros();
         let hi = max.as_micros();

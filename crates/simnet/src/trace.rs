@@ -63,13 +63,6 @@ impl Trace {
         &self.events
     }
 
-    /// Removes and returns all recorded events, leaving the trace empty.
-    /// Used by the sharded engine to merge per-shard traces at each round
-    /// barrier.
-    pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -12,6 +12,9 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test"
+# Includes check's committed_bench_records_the_pinned_set, which fails when
+# the committed BENCH_analysis.json was not regenerated for the current
+# pinned mutant set.
 cargo test --workspace -q
 
 echo "==> determinism lint"
@@ -20,7 +23,7 @@ cargo run -p check --bin lint
 echo "==> semantic analyzer (workspace must be clean)"
 cargo run -p check --release --bin analyze
 
-echo "==> mutation smoke (pinned 14 mutants, kill-rate gate >= 12/14)"
+echo "==> mutation smoke (pinned 13 mutants, kill-rate gate >= 11/13)"
 # Surviving mutants print their diff; the binary exits 1 below the gate.
 cargo run -p check --release --bin mutate -- --smoke --bench-out BENCH_analysis.json
 python3 -m json.tool BENCH_analysis.json > /dev/null
@@ -32,17 +35,6 @@ echo "==> invariant explorer (smoke sweep, parallel harness)"
 cargo run -p check --release --bin explore -- --smoke --scale --workers 2 --digest-out target/digest-par.txt
 cmp target/digest-seq.txt target/digest-par.txt
 echo "    parallel sweep digest (incl. scale line) is byte-identical to sequential"
-
-echo "==> invariant explorer (smoke sweep, parallel engine vs sequential-sharded)"
-# The same smoke sweep executed inside the simulation engines themselves:
-# sequential-sharded (one logical process per DC, run in-place) must be
-# byte-identical to true parallel execution at 2 workers. --mesh adds the
-# 3-DC constant-latency spot check whose round-boundary ties exercise the
-# (time, src-shard, seq) mailbox-merge tie-break.
-cargo run -p check --release --bin explore -- --smoke --engine sharded --mesh --digest-out target/digest-eng-seq.txt
-cargo run -p check --release --bin explore -- --smoke --engine parallel --workers 2 --mesh --digest-out target/digest-eng-par2.txt
-cmp target/digest-eng-seq.txt target/digest-eng-par2.txt
-echo "    parallel-engine digest (incl. mesh line) is byte-identical to sequential-sharded"
 
 echo "==> invariant explorer (smoke sweep, batched protocol rounds)"
 cargo run -p check --release --bin explore -- --smoke --protocol batched
@@ -72,7 +64,7 @@ python3 -m json.tool BENCH_engine.json > /dev/null
 python3 -m json.tool BENCH_convergence.json > /dev/null
 python3 -m json.tool BENCH_protocol.json > /dev/null
 
-echo "==> bench scale (smoke, incl. a parallel-engine cell at 2 workers)"
+echo "==> bench scale (smoke)"
 cargo run -p bench --release --bin scale -- --smoke
 python3 -m json.tool BENCH_scale.json > /dev/null
 
@@ -86,6 +78,9 @@ cargo run -p bench --release --bin repair -- --smoke
 python3 -m json.tool BENCH_repair.json > /dev/null
 grep -q '"schema_version": 1' BENCH_repair.json || { echo "    BENCH_repair.json schema drift"; exit 1; }
 grep -q '"host"' BENCH_repair.json || { echo "    BENCH_repair.json missing host context"; exit 1; }
+
+echo "==> benchmark self-checks (BENCHMARK.json vs describe, all four workloads traced and untraced)"
+benchmark/check.sh
 
 echo "==> bench schema versions"
 for f in BENCH_*.json; do
