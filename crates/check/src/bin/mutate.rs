@@ -71,7 +71,7 @@ fn main() -> ExitCode {
     if list || (!smoke && ids.is_empty()) {
         println!("{} mutation site(s):", sites.len());
         for m in &sites {
-            let pinned = if mutate::PINNED_SMOKE.contains(&m.id.as_str()) {
+            let pinned = if mutate::pinned_ids().any(|id| id == m.id) {
                 " [pinned]"
             } else {
                 ""
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
     }
 
     if smoke {
-        ids = mutate::PINNED_SMOKE.iter().map(|s| s.to_string()).collect();
+        ids = mutate::pinned_ids().map(str::to_string).collect();
     }
     let mut selected = Vec::new();
     for id in &ids {

@@ -355,21 +355,44 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Mutation>> {
 /// cover all eight operators across proxy, FS, KLS, protocol helpers,
 /// timer slab, checksum and repair actor. The kill-rate gate and the
 /// per-mutant expectations are documented in DESIGN.md §6.
-pub const PINNED_SMOKE: &[&str] = &[
-    "quorum-off-by-one:proxy:0", // put success needs one extra fragment ack
-    "cmp-flip:proxy:1",          // `>= usize::from(` -> `>`: late/never client ack
-    "cmp-flip:proxy:0",          // kls_complete.len() == total_klss -> != (AMR misdetect)
-    "cmp-flip:fs:0",             // recovery plan `planned.len() < k` -> <=
-    "cmp-flip:kls:0",            // per-DC location count == frags_per_dc -> !=
-    "cmp-flip:checksum:0",       // Checksum::verify == -> != (integrity inverted)
-    "ack-drop:fs:0",             // ConvergeFsReply never sent (verification stalls)
-    "ack-drop:kls:0",            // DecideLocsReply never sent (put cannot place)
-    "fragmask-flip:protocol:0",  // FragMask::insert sets the wrong bit
-    "timer-gen-skip:queue:0",    // timer slab reuses live generations
-    "compaction-skip:fs:0",      // compactor off: scale-check digest's compacted count drops
-    "delta-resolve-skip:fs:0",   // delta stripes stored raw: `--delta` sweep diverges
-    "repair-threshold-skip:repair:0", // repair waits for parity exhaustion: floor invariant fires
+///
+/// Each entry is `(id, anchor)`. Ids are ordinals — the n-th site of an
+/// operator in a file — so a comparison inserted above a pinned one
+/// silently retargets the pin; the anchor is text the mutated statement
+/// must contain, and a unit test checks it against the real sources.
+pub const PINNED_SMOKE: &[(&str, &str)] = &[
+    // put success needs one extra fragment ack
+    ("quorum-off-by-one:proxy:0", "put_success_threshold"),
+    // `>= usize::from(` -> `>`: late/never client ack
+    ("cmp-flip:proxy:2", "put_success_threshold"),
+    // kls_complete.len() == klss.len() -> != (AMR misdetect)
+    ("cmp-flip:proxy:1", "kls_complete.len() == "),
+    // recovery plan `planned.len() < k` -> <=
+    ("cmp-flip:fs:0", "planned.len() < k"),
+    // per-DC location count == frags_per_dc -> !=
+    ("cmp-flip:kls:0", "locs.len() == policy.frags_per_dc"),
+    // Checksum::verify == -> != (integrity inverted)
+    ("cmp-flip:checksum:0", "Checksum::of(data) == self"),
+    // ConvergeFsReply never sent (verification stalls)
+    ("ack-drop:fs:0", "Message::ConvergeFsReply"),
+    // DecideLocsReply never sent (put cannot place)
+    ("ack-drop:kls:0", "Message::DecideLocsReply"),
+    // FragMask::insert sets the wrong bit
+    ("fragmask-flip:protocol:0", "self.bits[w] |= 1 << b"),
+    // timer slab reuses live generations
+    ("timer-gen-skip:queue:0", "self.generations[id.slot()]"),
+    // compactor off: scale-check digest's compacted count drops
+    ("compaction-skip:fs:0", "self.mode.compact_converged"),
+    // delta stripes stored raw: `--delta` sweep diverges
+    ("delta-resolve-skip:fs:0", "Some(resolved) => resolved"),
+    // repair waits for parity exhaustion: floor invariant fires
+    ("repair-threshold-skip:repair:0", "self.opts.threshold_pct"),
 ];
+
+/// The ids of [`PINNED_SMOKE`].
+pub fn pinned_ids() -> impl Iterator<Item = &'static str> {
+    PINNED_SMOKE.iter().map(|&(id, _)| id)
+}
 
 // ---------------------------------------------------------------------------
 // Runner
@@ -773,8 +796,37 @@ mod tests {
 
     #[test]
     fn pinned_ids_are_distinct() {
-        let set: std::collections::BTreeSet<&&str> = PINNED_SMOKE.iter().collect();
+        let set: std::collections::BTreeSet<&str> = pinned_ids().collect();
         assert_eq!(set.len(), PINNED_SMOKE.len());
+    }
+
+    /// Every pinned id still names the statement its comment describes:
+    /// the source lines the mutation touches contain the pin's anchor.
+    /// Inserting, say, a `.len() ==` above a pinned comparison shifts the
+    /// ordinals and fails here instead of quietly gating on another site.
+    #[test]
+    fn pinned_ids_hit_their_anchored_statements() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let sites = scan_workspace(&root).expect("workspace sources are readable");
+        for &(id, anchor) in PINNED_SMOKE {
+            let m = sites
+                .iter()
+                .find(|m| m.id == id)
+                .unwrap_or_else(|| panic!("pinned {id} is not a mutation site any more"));
+            let src = std::fs::read_to_string(root.join(&m.file)).expect("scanned file");
+            let from = src[..m.span.0].rfind('\n').map_or(0, |p| p + 1);
+            let to = src[m.span.1..]
+                .find('\n')
+                .map_or(src.len(), |p| m.span.1 + p);
+            let statement = &src[from..to];
+            assert!(
+                statement.contains(anchor),
+                "{id} now mutates {}:{} `{}`, which lacks `{anchor}`: re-pin it",
+                m.file.display(),
+                m.line,
+                statement.trim()
+            );
+        }
     }
 
     /// The committed `BENCH_analysis.json` must record a run of the pinned
@@ -796,7 +848,7 @@ mod tests {
             PINNED_SMOKE.len(),
             "BENCH_analysis.json is stale: rerun `mutate --smoke --bench-out BENCH_analysis.json`"
         );
-        for id in PINNED_SMOKE {
+        for id in pinned_ids() {
             assert!(json.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
         }
     }

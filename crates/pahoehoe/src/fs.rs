@@ -33,7 +33,7 @@ use simnet::{Actor, Context, NodeId, SimTime, TimerId};
 use crate::convergence::{ConvergenceOptions, RoundSchedule};
 use crate::messages::{Message, OpId, EV_DELTAS_RESOLVED, EV_DELTA_UNRESOLVABLE};
 use crate::metadata::Metadata;
-use crate::protocol::{FragMask, ProtocolMode};
+use crate::protocol::{FragMap, FragMask, ProtocolMode};
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, Timestamp};
 
@@ -58,11 +58,11 @@ pub struct FragEntry {
     /// [`ProtocolMode`]).
     pub meta: Arc<Metadata>,
     /// The sibling fragments this server holds, by fragment index.
-    pub fragments: BTreeMap<FragmentIndex, Fragment>,
+    pub fragments: FragMap<Fragment>,
     /// Content hash recorded when each fragment was durably stored; the
     /// scrubber and the read path verify against it to "detect disk
     /// corruption using hashes" (§3.1).
-    pub checksums: BTreeMap<FragmentIndex, Checksum>,
+    pub checksums: FragMap<Checksum>,
 }
 
 /// Convergence bookkeeping for one not-yet-AMR object version.
@@ -1239,8 +1239,8 @@ impl Fs {
         let mode = self.mode;
         let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
             meta: mode.share(meta),
-            fragments: BTreeMap::new(),
-            checksums: BTreeMap::new(),
+            fragments: FragMap::new(),
+            checksums: FragMap::new(),
         }) else {
             // Compacted: the version is settled AMR with complete
             // metadata, so a full store's merge would be a no-op and
@@ -1282,7 +1282,7 @@ impl Fs {
                     .expect("settled versions are stored")
                     .meta,
             );
-            for fs in meta.sibling_fss() {
+            for fs in meta.siblings() {
                 if fs != me {
                     let share = self.mode.share(&meta);
                     self.send_amr_indication(ctx, fs, ov, share);
@@ -1522,12 +1522,12 @@ impl Fs {
                 work.fs_ok.clear();
                 work.step_open = true;
             }
-            let klss: Vec<NodeId> = self.topo.all_klss().collect();
-            for kls in klss {
+            let topo = Arc::clone(&self.topo);
+            for kls in topo.all_klss() {
                 let share = self.mode.share(&meta);
                 self.send_converge_kls(ctx, kls, ov, share);
             }
-            for fs in meta.sibling_fss() {
+            for fs in meta.siblings() {
                 if fs != me {
                     let share = self.mode.share(&meta);
                     self.send_converge_fs(ctx, fs, ov, share, false);
@@ -1563,7 +1563,7 @@ impl Fs {
             // report what they need; we fetch after a short accumulation
             // window. The probes are convergence traffic emitted by a
             // round, so a batching FS coalesces them too.
-            for fs in meta.sibling_fss() {
+            for fs in meta.siblings() {
                 if fs != me {
                     let share = self.mode.share(&meta);
                     self.send_converge_fs(ctx, fs, ov, share, true);
@@ -1681,9 +1681,11 @@ impl Fs {
             let work = self.store.work(ov).expect("recovering");
             // lint:allow(panic-path): callers reach here only with a recovery in flight
             let rec = work.recovery.as_ref().expect("recovery in flight");
-            let mut pool: BTreeMap<FragmentIndex, Fragment> = entry.fragments.clone();
+            let mut pool = entry.fragments.clone();
             for (idx, frag) in &rec.collected {
-                pool.entry(*idx).or_insert_with(|| frag.clone());
+                if !pool.contains_key(idx) {
+                    pool.insert(*idx, frag.clone());
+                }
             }
             let mut sibling_needs: Vec<(NodeId, Vec<FragmentIndex>)> = Vec::new();
             if self.opts.sibling_recovery {
@@ -1782,8 +1784,7 @@ impl Fs {
         // lint:allow(panic-path): pending versions are always stored
         let meta = &self.store.entry(ov).expect("pending implies stored").meta;
         let all_siblings_ok = meta
-            .sibling_fss()
-            .into_iter()
+            .siblings()
             .filter(|&fs| fs != me)
             .all(|fs| work.fs_ok.contains(&fs));
         if all_siblings_ok && self.verified(ov) {

@@ -2,10 +2,14 @@
 //!
 //! A KLS maintains two persistent stores (§3.2): a **timestamp store**
 //! mapping each key to its object versions, and a **metadata store**
-//! mapping each object version to its `(policy, locations)` metadata. It
-//! answers location-decision requests for *its own* data center, absorbs
-//! metadata stores from proxies, answers convergence probes from fragment
-//! servers, and serves the version list for gets.
+//! mapping each object version to its `(policy, locations)` metadata. The
+//! two are always written together, and object versions order by
+//! `(key, timestamp)`, so here one ordered table serves as both: the
+//! metadata store is the table, and the timestamp store is its
+//! `(key, MIN)..=(key, MAX)` range. The KLS answers location-decision
+//! requests for *its own* data center, absorbs metadata stores from
+//! proxies, answers convergence probes from fragment servers, and serves
+//! the version list for gets.
 //!
 //! # Location decisions
 //!
@@ -20,7 +24,8 @@
 //! across fragment servers over many objects.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use simnet::{Actor, Context, NodeId};
@@ -37,7 +42,8 @@ pub struct Kls {
     topo: Arc<Topology>,
     my_dc: DataCenterId,
     mode: ProtocolMode,
-    storets: BTreeMap<Key, BTreeSet<Timestamp>>,
+    /// Metadata per object version; a key's versions are a contiguous
+    /// range of it (the paper's timestamp store).
     storemeta: BTreeMap<ObjectVersion, Arc<Metadata>>,
 }
 
@@ -56,7 +62,6 @@ impl Kls {
             topo,
             my_dc,
             mode,
-            storets: BTreeMap::new(),
             storemeta: BTreeMap::new(),
         }
     }
@@ -178,22 +183,37 @@ impl Kls {
         h
     }
 
-    /// Merges `meta` into the metadata store and records the version in
-    /// the timestamp store. Returns whether anything new was learned.
-    /// Adopting a first sighting is a refcount bump (or, in reference
-    /// mode, the seed's deep copy); merging copies-on-write only when the
-    /// probe actually teaches this KLS something.
+    /// Merges `meta` into the store. Returns whether anything new was
+    /// learned. Adopting a first sighting is a refcount bump (or, in
+    /// reference mode, the seed's deep copy); a fuller snapshot replaces
+    /// the held handle, and only divergent ones are copied (see
+    /// [`Metadata::merge_shared`]).
     // lint:hot
     fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> bool {
-        self.storets.entry(ov.key).or_default().insert(ov.ts);
-        match self.storemeta.get_mut(&ov) {
-            Some(existing) => Metadata::merge_shared(existing, meta),
-            None => {
-                let adopted = self.mode.share(meta);
-                self.storemeta.insert(ov, adopted);
+        match self.storemeta.entry(ov) {
+            Entry::Occupied(existing) => Metadata::merge_shared(existing.into_mut(), meta),
+            Entry::Vacant(slot) => {
+                slot.insert(self.mode.share(meta));
                 true
             }
         }
+    }
+
+    /// The stored versions of `key` strictly older than `older_than`
+    /// (all of them for `None`), oldest first, with their metadata: the
+    /// timestamp-store view of the table.
+    // lint:hot
+    fn versions_before(
+        &self,
+        key: Key,
+        older_than: Option<Timestamp>,
+    ) -> impl DoubleEndedIterator<Item = (&ObjectVersion, &Arc<Metadata>)> {
+        let lo = Bound::Included(ObjectVersion::new(key, Timestamp::MIN));
+        let hi = match older_than {
+            Some(cursor) => Bound::Excluded(ObjectVersion::new(key, cursor)),
+            None => Bound::Included(ObjectVersion::new(key, Timestamp::MAX)),
+        };
+        self.storemeta.range((lo, hi))
     }
 
     // ---- state inspection (used by the harness and tests) ----
@@ -211,10 +231,9 @@ impl Kls {
 
     /// Known timestamps for `key`, oldest first.
     pub fn versions_of(&self, key: Key) -> Vec<Timestamp> {
-        self.storets
-            .get(&key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.versions_before(key, None)
+            .map(|(ov, _)| ov.ts)
+            .collect()
     }
 
     /// Every object version this KLS knows about.
@@ -281,7 +300,7 @@ impl Actor<Message> for Kls {
                     .then(|| self.storemeta.get(&ov).map(Arc::clone))
                     .flatten()
                 {
-                    for fs in meta.sibling_fss() {
+                    for fs in meta.siblings() {
                         if fs != from {
                             ctx.send(
                                 fs,
@@ -324,22 +343,15 @@ impl Actor<Message> for Kls {
                 limit,
                 older_than,
             } => {
-                // Page newest-first, strictly older than the cursor.
-                let mut all = self.versions_of(key);
-                all.reverse(); // newest first
-                let page: Vec<Timestamp> = all
-                    .into_iter()
-                    .filter(|ts| older_than.is_none_or(|cur| *ts < cur))
-                    .collect();
-                let more = page.len() > usize::from(limit);
-                let versions: Vec<(Timestamp, Arc<Metadata>)> = page
-                    .into_iter()
+                // Page newest-first, strictly older than the cursor; a
+                // `(limit + 1)`-th version in range means more remain.
+                let mut older = self.versions_before(key, older_than).rev();
+                let versions: Vec<(Timestamp, Arc<Metadata>)> = older
+                    .by_ref()
                     .take(usize::from(limit))
-                    .filter_map(|ts| {
-                        let ov = ObjectVersion::new(key, ts);
-                        self.storemeta.get(&ov).map(|m| (ts, self.mode.share(m)))
-                    })
+                    .map(|(ov, m)| (ov.ts, self.mode.share(m)))
                     .collect();
+                let more = older.next().is_some();
                 ctx.send(
                     from,
                     Message::RetrieveTsReply {
@@ -373,6 +385,7 @@ impl Actor<Message> for Kls {
 mod tests {
     use super::*;
     use simnet::SimTime;
+    use std::collections::BTreeSet;
 
     fn topo() -> Arc<Topology> {
         Topology::new(vec![
@@ -516,86 +529,89 @@ mod tests {
         let _ = Kls::which_locs(&small, DataCenterId::new(0), ov(0), &p);
     }
 
+    /// The paging contract `RetrieveTs` must keep however the stores are
+    /// laid out: newest first, strictly older than the cursor, `more`
+    /// exactly when a further version exists, nothing from other keys.
     #[test]
-    fn retrieve_ts_pages_newest_first() {
+    fn retrieve_ts_paging_contract() {
         use crate::testutil::Driver;
         use simnet::Simulation;
 
         let t = topo();
         let p = Policy::paper_default();
-        let kls_node = NodeId::new(0);
-
-        // Build a KLS with five versions of one key, then page with
-        // limit 2 through a driver.
-        let key = Key::from_u64(42);
+        let dc0 = DataCenterId::new(0);
         let ts = |i: u64| Timestamp::new(SimTime::from_micros(i * 1000), 0);
-        let mut seed_kls = Kls::new(t.clone(), DataCenterId::new(0));
-        for i in 1..=5 {
-            let v = ObjectVersion::new(key, ts(i));
-            let mut meta = Metadata::new(p, DataCenterId::new(0), 10);
-            meta.add_dc_locations(
-                DataCenterId::new(0),
-                Kls::which_locs(&t, DataCenterId::new(0), v, &p),
-            );
-            seed_kls.absorb(v, &Arc::new(meta));
+        // Three versions of key 42 between keys 41 and 43, whose
+        // timestamps bracket key 42's so a range that leaked across keys
+        // would show; key 7 has no versions at all.
+        let key = Key::from_u64(42);
+        let mut kls = Kls::new(t.clone(), dc0);
+        let mut store = |key: Key, ts: Timestamp| {
+            let v = ObjectVersion::new(key, ts);
+            let mut meta = Metadata::new(p, dc0, 10);
+            meta.add_dc_locations(dc0, Kls::which_locs(&t, dc0, v, &p));
+            kls.absorb(v, &Arc::new(meta));
+        };
+        for i in [2, 3, 1] {
+            store(key, ts(i));
+        }
+        for neighbour in [41, 43] {
+            store(Key::from_u64(neighbour), Timestamp::MIN);
+            store(Key::from_u64(neighbour), ts(2));
+            store(Key::from_u64(neighbour), Timestamp::MAX);
         }
 
+        let request = |op, key, limit, older_than| {
+            (
+                NodeId::new(0),
+                Message::RetrieveTs {
+                    op,
+                    key,
+                    limit,
+                    older_than,
+                },
+            )
+        };
         let mut sim = Simulation::new(1);
-        let added = sim.add_actor(seed_kls);
-        assert_eq!(added, kls_node);
+        sim.add_actor(kls);
         let driver = sim.add_actor(Driver::new(vec![
-            (
-                kls_node,
-                Message::RetrieveTs {
-                    op: 1,
-                    key,
-                    limit: 2,
-                    older_than: None,
-                },
-            ),
-            (
-                kls_node,
-                Message::RetrieveTs {
-                    op: 2,
-                    key,
-                    limit: 2,
-                    older_than: Some(ts(4)),
-                },
-            ),
-            (
-                kls_node,
-                Message::RetrieveTs {
-                    op: 3,
-                    key,
-                    limit: 10,
-                    older_than: Some(ts(2)),
-                },
-            ),
+            request(1, key, 3, None),        // exactly `limit` versions
+            request(2, key, 2, None),        // `limit + 1` versions
+            request(3, key, 2, Some(ts(2))), // second page from the cursor
+            request(4, key, 2, Some(ts(1))), // cursor at the oldest
+            request(5, key, 0, None),        // zero-length page
+            request(6, Key::from_u64(7), 8, None),
+            request(7, key, 8, Some(Timestamp::MAX)),
+            request(8, key, 1, Some(ts(3))), // a cursor page with more behind it
         ]));
         sim.run_until_quiescent();
 
         let d: &Driver = sim.actor(driver);
-        assert_eq!(d.received.len(), 3);
         let page = |op_want: u64| {
             d.received
                 .iter()
                 .find_map(|(_, m)| match m {
                     Message::RetrieveTsReply {
-                        op, versions, more, ..
-                    } if *op == op_want => Some((
-                        versions.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(),
-                        *more,
-                    )),
+                        op,
+                        key: k,
+                        versions,
+                        more,
+                    } if *op == op_want => {
+                        assert!(versions.iter().all(|(_, m)| m.value_len() == 10));
+                        Some((*k, versions.iter().map(|(ts, _)| *ts).collect(), *more))
+                    }
                     _ => None,
                 })
                 .expect("reply present")
         };
-        // Page 1: newest two, more pending.
-        assert_eq!(page(1), (vec![ts(5), ts(4)], true));
-        // Cursor at ts(4): next two older.
-        assert_eq!(page(2), (vec![ts(3), ts(2)], true));
-        // Cursor at ts(2), big limit: the final version, exhausted.
-        assert_eq!(page(3), (vec![ts(1)], false));
+        assert_eq!(page(1), (key, vec![ts(3), ts(2), ts(1)], false));
+        assert_eq!(page(2), (key, vec![ts(3), ts(2)], true));
+        assert_eq!(page(3), (key, vec![ts(1)], false), "strictly older");
+        assert_eq!(page(4), (key, vec![], false));
+        assert_eq!(page(5), (key, vec![], true));
+        assert_eq!(page(6), (Key::from_u64(7), vec![], false));
+        assert_eq!(page(7), (key, vec![ts(3), ts(2), ts(1)], false));
+        assert_eq!(page(8), (key, vec![ts(2)], true));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Object-version metadata: policy plus fragment locations.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use erasure::FragmentIndex;
@@ -21,6 +20,13 @@ pub struct Location {
     pub disk: u8,
 }
 
+/// What an undecided slot of [`Metadata`]'s location table holds, so two
+/// records that know the same data centers compare (and print) equal.
+const UNDECIDED: Location = Location {
+    fs: NodeId::new(u32::MAX),
+    disk: u8::MAX,
+};
+
 /// The metadata a KLS stores per object version and a proxy assembles
 /// during a put: the durability policy and the decided fragment locations.
 ///
@@ -32,12 +38,21 @@ pub struct Location {
 /// (see [`crate::kls`]). The fragment index of a location is derived from
 /// its DC's slot and its position within the DC's list, so all servers
 /// agree on which fragment lives where.
+///
+/// The record is flat: one table of `n` locations indexed by fragment
+/// index (`slot × frags_per_dc + position`) plus a bitmask of the slots
+/// decided so far, so a copy is one allocation and every per-DC question
+/// is a bit test or a sub-slice.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Metadata {
     policy: Policy,
     home_dc: DataCenterId,
     value_len: u32,
-    locs: BTreeMap<DataCenterId, Vec<Location>>,
+    /// Bit `s` is set once DC slot `s` has decided locations.
+    decided: u64,
+    /// Location of fragment `i` at `locs[i]`; [`UNDECIDED`] in the slots
+    /// `decided` does not cover.
+    locs: Box<[Location]>,
     /// Delta-coded versions record the timestamp of the base version whose
     /// stripe the proxy XOR-deltaed against (same key, same length). `None`
     /// for fully encoded versions — the only shape the default protocol
@@ -47,12 +62,26 @@ pub struct Metadata {
 
 impl Metadata {
     /// Creates metadata with no locations decided yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy spans more than 64 data centers, or if
+    /// `home_dc` is not one of them.
     pub fn new(policy: Policy, home_dc: DataCenterId, value_len: usize) -> Self {
+        assert!(
+            policy.data_centers() <= 64,
+            "policies spanning more than 64 data centers are out of scope"
+        );
+        assert!(
+            home_dc.index() < usize::from(policy.data_centers()),
+            "the home data center must be one the policy spans"
+        );
         Metadata {
             policy,
             home_dc,
             value_len: u32::try_from(value_len).expect("values larger than 4 GiB are out of scope"),
-            locs: BTreeMap::new(),
+            decided: 0,
+            locs: vec![UNDECIDED; usize::from(policy.n)].into_boxed_slice(),
             delta_base: None,
         }
     }
@@ -86,36 +115,76 @@ impl Metadata {
         self.value_len as usize
     }
 
+    /// The slot of `dc` under this record's home DC, if the policy spans
+    /// that many data centers.
+    fn slot_of(&self, dc: DataCenterId) -> Option<u8> {
+        let slot = dc.slot(self.home_dc);
+        (slot < self.policy.data_centers()).then_some(slot)
+    }
+
+    /// The table range holding slot `slot`'s locations.
+    fn slot_range(&self, slot: u8) -> std::ops::Range<usize> {
+        let per_dc = usize::from(self.policy.frags_per_dc);
+        usize::from(slot) * per_dc..(usize::from(slot) + 1) * per_dc
+    }
+
+    /// The slots whose bit is set in `mask`, ascending.
+    fn slots_in(&self, mask: u64) -> impl Iterator<Item = u8> {
+        (0..self.policy.data_centers()).filter(move |slot| mask & (1 << slot) != 0)
+    }
+
+    /// The decided `(data center, slot)` pairs in **data-center-id**
+    /// order — the order every walk below keeps, because senders iterate
+    /// them and each send draws from the simulation's RNG.
+    fn decided_slots(&self) -> impl Iterator<Item = (DataCenterId, u8)> + '_ {
+        (0..self.policy.data_centers()).filter_map(move |i| {
+            let dc = DataCenterId::new(i);
+            let slot = dc.slot(self.home_dc);
+            (self.decided & (1 << slot) != 0).then_some((dc, slot))
+        })
+    }
+
     /// Adds the decided locations for one data center. Returns `true` if
     /// this DC had no locations yet (first writer wins; a second,
     /// identical decision is a no-op and a conflicting one is ignored).
     ///
     /// # Panics
     ///
-    /// Panics if the list length differs from the policy's per-DC count.
+    /// Panics if the list length differs from the policy's per-DC count,
+    /// or if `dc` lies outside the data centers the policy spans.
     pub fn add_dc_locations(&mut self, dc: DataCenterId, locations: Vec<Location>) -> bool {
         assert_eq!(
             locations.len(),
             self.policy.frags_per_dc as usize,
             "a DC decision must cover the full per-DC fragment count"
         );
-        if self.locs.contains_key(&dc) {
+        let slot = self
+            .slot_of(dc)
+            .expect("a DC decision must be for a data center the policy spans");
+        if self.decided & (1 << slot) != 0 {
             return false;
         }
-        self.locs.insert(dc, locations);
+        let range = self.slot_range(slot);
+        self.locs[range].copy_from_slice(&locations);
+        self.decided |= 1 << slot;
         true
     }
 
     /// Merges locations from another metadata for the same object version.
     /// Returns `true` if anything was learned.
     pub fn merge(&mut self, other: &Metadata) -> bool {
-        let mut changed = false;
-        for (dc, locs) in &other.locs {
-            if !self.locs.contains_key(dc) {
-                self.locs.insert(*dc, locs.clone());
-                changed = true;
-            }
+        debug_assert_eq!(
+            (self.policy, self.home_dc),
+            (other.policy, other.home_dc),
+            "merging metadata of different object versions"
+        );
+        let learn = other.decided & !self.decided;
+        let mut changed = learn != 0;
+        for slot in self.slots_in(learn) {
+            let range = self.slot_range(slot);
+            self.locs[range.clone()].copy_from_slice(&other.locs[range]);
         }
+        self.decided |= learn;
         // Repair a placeholder value length (defensive: all senders carry
         // real metadata, but a server that first learned of a version
         // through a bare location decision would otherwise poison fragment
@@ -139,58 +208,90 @@ impl Metadata {
     /// shared-metadata path skip the copy-on-write a no-op
     /// [`merge_shared`] would otherwise force.
     pub fn would_learn_from(&self, other: &Metadata) -> bool {
-        other.locs.keys().any(|dc| !self.locs.contains_key(dc))
+        other.decided & !self.decided != 0
             || (self.value_len == 0 && other.value_len != 0)
             || (self.delta_base.is_none() && other.delta_base.is_some())
     }
 
-    /// Merges `src` into the shared handle `dst`, copying-on-write only
-    /// when something is actually learned. Returns `true` if `dst`
-    /// changed. Equivalent to `dst.merge(src)` on owned metadata; the
-    /// `Arc::ptr_eq` fast path skips even the field comparisons when both
-    /// handles are the same snapshot (the common case once a version
-    /// settles).
+    /// Merges `src` into the shared handle `dst`. Returns `true` if `dst`
+    /// changed; the result equals `dst.merge(src)` on owned metadata.
+    ///
+    /// Nothing is copied unless the two snapshots are genuinely divergent
+    /// (each knows a data center the other lacks). The `Arc::ptr_eq` fast
+    /// path skips even the field comparisons when both handles are the
+    /// same snapshot (the common case once a version settles); a `src`
+    /// that knows everything `dst` does is *adopted* — `dst` becomes
+    /// another handle on `src`'s allocation — which is exact because a
+    /// DC's decision is a pure function of the object version
+    /// ([`Kls::which_locs`](crate::kls::Kls::which_locs)), so the data
+    /// centers both sides know carry identical locations. Every server a
+    /// put reaches therefore ends up holding the one record the proxy
+    /// built last.
     // lint:hot
     pub fn merge_shared(dst: &mut Arc<Metadata>, src: &Arc<Metadata>) -> bool {
         if Arc::ptr_eq(dst, src) || !dst.would_learn_from(src) {
             return false;
         }
+        if !src.would_learn_from(dst) {
+            debug_assert!(
+                dst.agrees_with(src),
+                "snapshots of one object version disagree on a shared decision"
+            );
+            *dst = Arc::clone(src);
+            return true;
+        }
         Arc::make_mut(dst).merge(src)
+    }
+
+    /// Whether the two records carry the same value wherever both have
+    /// one (what determinism of the per-DC decisions guarantees).
+    fn agrees_with(&self, other: &Metadata) -> bool {
+        self.slots_in(self.decided & other.decided)
+            .all(|s| self.locs[self.slot_range(s)] == other.locs[self.slot_range(s)])
+            && (self.value_len == 0 || other.value_len == 0 || self.value_len == other.value_len)
+            && (self.delta_base.is_none()
+                || other.delta_base.is_none()
+                || self.delta_base == other.delta_base)
     }
 
     /// Whether the proxy/FS knows locations for `dc` already (the paper's
     /// `useful_locs` test: locations are useful iff they are the first for
     /// their data center).
     pub fn has_dc(&self, dc: DataCenterId) -> bool {
-        self.locs.contains_key(&dc)
+        self.slot_of(dc)
+            .is_some_and(|slot| self.decided & (1 << slot) != 0)
     }
 
     /// The decided locations for `dc`, if any, in fragment order.
     pub fn dc_locations(&self, dc: DataCenterId) -> Option<&[Location]> {
-        self.locs.get(&dc).map(Vec::as_slice)
+        let slot = self.slot_of(dc)?;
+        (self.decided & (1 << slot) != 0).then(|| &self.locs[self.slot_range(slot)])
     }
 
     /// Data centers with decided locations.
     pub fn decided_dcs(&self) -> impl Iterator<Item = DataCenterId> + '_ {
-        self.locs.keys().copied()
+        self.decided_slots().map(|(dc, _)| dc)
     }
 
     /// `verify(meta)` from the paper: the metadata is complete when every
     /// data center required by the policy has decided locations.
     pub fn is_complete(&self) -> bool {
-        self.locs.len() == self.policy.data_centers() as usize
+        self.decided.count_ones() == u32::from(self.policy.data_centers())
     }
 
     /// Iterates over `(fragment index, location)` for every decided
-    /// location. Fragment indices follow the DC slot layout: the home DC
-    /// covers indices `0..frags_per_dc` (data fragments first), the next
-    /// slot the following block, and so on.
+    /// location, data center by data center in DC-id order. Fragment
+    /// indices follow the DC slot layout: the home DC covers indices
+    /// `0..frags_per_dc` (data fragments first), the next slot the
+    /// following block, and so on.
     pub fn assignments(&self) -> impl Iterator<Item = (FragmentIndex, Location)> + '_ {
-        self.locs.iter().flat_map(move |(dc, locs)| {
-            let base = dc.slot(self.home_dc) * self.policy.frags_per_dc;
-            locs.iter()
+        self.decided_slots().flat_map(move |(_, slot)| {
+            let range = self.slot_range(slot);
+            let base = range.start;
+            self.locs[range]
+                .iter()
                 .enumerate()
-                .map(move |(i, &loc)| (base + i as FragmentIndex, loc))
+                .map(move |(i, &loc)| ((base + i) as FragmentIndex, loc))
         })
     }
 
@@ -216,15 +317,58 @@ impl Metadata {
 
     /// The distinct sibling fragment servers, in id order.
     pub fn sibling_fss(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.assignments().map(|(_, loc)| loc.fs).collect();
-        out.sort_unstable();
-        out.dedup();
+        self.siblings().collect()
+    }
+
+    /// The distinct sibling fragment servers in id order, without
+    /// allocating (the hot-path form of
+    /// [`sibling_fss`](Self::sibling_fss)): a policy has at most 255
+    /// fragments, so the servers fit a stack array.
+    // lint:hot
+    pub fn siblings(&self) -> Siblings {
+        self.distinct_fss(None)
+    }
+
+    /// The [`siblings`](Self::siblings) hosting a fragment in some data
+    /// center other than `dc`: whose stored snapshot goes stale when `dc`
+    /// decides.
+    // lint:hot
+    pub fn siblings_outside(&self, dc: DataCenterId) -> Siblings {
+        self.distinct_fss(Some(dc))
+    }
+
+    // lint:hot
+    fn distinct_fss(&self, skip: Option<DataCenterId>) -> Siblings {
+        let mut out = Siblings {
+            ids: [NodeId::new(0); Siblings::CAPACITY],
+            next: 0,
+            len: 0,
+        };
+        let hosts = self
+            .decided_slots()
+            .filter(|&(dc, _)| Some(dc) != skip)
+            .flat_map(|(_, slot)| &self.locs[self.slot_range(slot)]);
+        for (id, loc) in out.ids.iter_mut().zip(hosts) {
+            *id = loc.fs;
+            out.len += 1;
+        }
+        let ids = &mut out.ids[..out.len];
+        ids.sort_unstable();
+        // Dedup in place: `kept` distinct ids so far, all below `ids[i]`.
+        let mut kept = 0;
+        for i in 0..ids.len() {
+            if kept == 0 || ids[kept - 1] != ids[i] {
+                ids[kept] = ids[i];
+                kept += 1;
+            }
+        }
+        out.len = kept;
         out
     }
 
     /// Total decided locations (equals `n` when complete).
     pub fn location_count(&self) -> usize {
-        self.locs.values().map(Vec::len).sum()
+        self.decided.count_ones() as usize * usize::from(self.policy.frags_per_dc)
     }
 
     /// Modeled wire size of this metadata when embedded in a message.
@@ -233,6 +377,29 @@ impl Metadata {
         // disk 1 + dc tag amortized 1); delta-coded versions also carry the
         // base timestamp (8 + 1 tag).
         10 + 6 * self.location_count() + if self.delta_base.is_some() { 9 } else { 0 }
+    }
+}
+
+/// The distinct sibling fragment servers of one [`Metadata`], ascending;
+/// see [`Metadata::siblings`].
+pub struct Siblings {
+    ids: [NodeId; Siblings::CAPACITY],
+    next: usize,
+    len: usize,
+}
+
+impl Siblings {
+    /// `Policy::n` is a `u8`.
+    const CAPACITY: usize = u8::MAX as usize;
+}
+
+impl Iterator for Siblings {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let id = self.ids[..self.len].get(self.next).copied()?;
+        self.next += 1;
+        Some(id)
     }
 }
 
@@ -385,33 +552,107 @@ mod tests {
     }
 
     #[test]
-    fn merge_shared_copies_only_on_learning() {
+    fn merge_shared_adopts_a_superset_snapshot() {
         let full = Arc::new(meta_with_both_dcs());
         let mut partial_owned = Metadata::new(Policy::paper_default(), dc(0), 100 * 1024);
         partial_owned.add_dc_locations(dc(0), six_locs(10));
         let mut dst = Arc::new(partial_owned);
-        // A second handle forces `Arc::make_mut` to actually copy.
         let observer = Arc::clone(&dst);
-        let before = Arc::as_ptr(&dst);
 
         assert!(dst.would_learn_from(&full));
         assert!(Metadata::merge_shared(&mut dst, &full), "learns DC1");
-        assert_ne!(Arc::as_ptr(&dst), before, "copy-on-write happened");
-        assert_eq!(*dst, *full);
+        assert!(Arc::ptr_eq(&dst, &full), "adopted, not copied");
         assert!(!observer.is_complete(), "the aliased handle is untouched");
 
-        let settled = Arc::as_ptr(&dst);
+        assert!(!Metadata::merge_shared(&mut dst, &full), "ptr_eq fast path");
+        let mut stale = Arc::clone(&observer);
+        assert!(Metadata::merge_shared(&mut stale, &dst));
+        let mut settled = Arc::clone(&full);
         assert!(
-            !Metadata::merge_shared(&mut dst, &full),
-            "no-op learns nothing"
+            !Metadata::merge_shared(&mut settled, &observer),
+            "an older snapshot teaches nothing"
         );
-        assert_eq!(Arc::as_ptr(&dst), settled, "no-op never copies");
+        assert!(Arc::ptr_eq(&settled, &full), "no-op never re-points");
+    }
 
-        let mut alias = Arc::clone(&dst);
-        assert!(
-            !Metadata::merge_shared(&mut alias, &dst),
-            "ptr_eq fast path"
+    #[test]
+    fn merge_shared_copies_only_divergent_snapshots() {
+        let mut a = Metadata::new(Policy::paper_default(), dc(0), 7);
+        a.add_dc_locations(dc(0), six_locs(10));
+        let mut b = Metadata::new(Policy::paper_default(), dc(0), 7);
+        b.add_dc_locations(dc(1), six_locs(20));
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let mut dst = Arc::clone(&a);
+        assert!(Metadata::merge_shared(&mut dst, &b));
+        assert!(!Arc::ptr_eq(&dst, &a) && !Arc::ptr_eq(&dst, &b));
+        assert!(dst.is_complete());
+        assert!(!a.is_complete() && !b.is_complete(), "sources untouched");
+        let mut owned = (*a).clone();
+        owned.merge(&b);
+        assert_eq!(*dst, owned);
+    }
+
+    #[test]
+    fn undecided_slots_compare_and_iterate_as_absent() {
+        // Decide DC1 only, with DC1 as home and as non-home: equality,
+        // assignments and the sibling walk must see exactly that DC.
+        let mut m = Metadata::new(Policy::paper_default(), dc(0), 1);
+        m.add_dc_locations(dc(1), six_locs(20));
+        assert_eq!(m.location_count(), 6);
+        assert_eq!(m.decided_dcs().collect::<Vec<_>>(), vec![dc(1)]);
+        assert_eq!(m.dc_locations(dc(0)), None);
+        assert_eq!(m.dc_locations(dc(7)), None, "outside the policy");
+        assert!(!m.has_dc(dc(7)));
+        let idx: Vec<_> = m.assignments().map(|(i, _)| i).collect();
+        assert_eq!(idx, vec![6, 7, 8, 9, 10, 11]);
+        assert_eq!(m.sibling_fss(), vec![fs(20), fs(21), fs(22)]);
+        let mut again = Metadata::new(Policy::paper_default(), dc(0), 1);
+        again.add_dc_locations(dc(1), six_locs(20));
+        assert_eq!(m, again);
+        again.add_dc_locations(dc(0), six_locs(10));
+        assert_ne!(m, again);
+    }
+
+    #[test]
+    fn walks_keep_data_center_id_order_not_slot_order() {
+        // Three DCs, home DC2: slots are dc2, dc0, dc1, but assignments
+        // and decided_dcs walk dc0, dc1, dc2 — the order senders (and so
+        // the RNG) have always seen.
+        let p = Policy::new(2, 6, 3, 2);
+        let mut m = Metadata::new(p, dc(2), 1);
+        let two = |first| {
+            vec![
+                Location {
+                    fs: fs(first),
+                    disk: 0,
+                },
+                Location {
+                    fs: fs(first),
+                    disk: 1,
+                },
+            ]
+        };
+        for (d, first) in [(2, 30), (0, 10), (1, 20)] {
+            assert!(m.add_dc_locations(dc(d), two(first)));
+        }
+        assert_eq!(
+            m.decided_dcs().collect::<Vec<_>>(),
+            vec![dc(0), dc(1), dc(2)]
         );
+        let idx: Vec<_> = m.assignments().map(|(i, l)| (i, l.fs)).collect();
+        assert_eq!(
+            idx,
+            vec![
+                (2, fs(10)),
+                (3, fs(10)),
+                (4, fs(20)),
+                (5, fs(20)),
+                (0, fs(30)),
+                (1, fs(30))
+            ]
+        );
+        assert_eq!(m.siblings().collect::<Vec<_>>(), m.sibling_fss());
+        assert_eq!(m.sibling_fss(), vec![fs(10), fs(20), fs(30)]);
     }
 
     #[test]

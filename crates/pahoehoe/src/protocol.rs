@@ -319,6 +319,125 @@ impl FragMask {
     }
 }
 
+/// The fragments (or checksums) one server holds for one object version,
+/// by fragment index: a sorted vector sized to its contents. A server is
+/// assigned at most `max_frags_per_fs` — one or two — fragments of a
+/// version, so a B-tree node per entry would be almost entirely empty
+/// slots; this costs nothing while empty and one exact-fit allocation
+/// after. The methods are the `BTreeMap` subset the stores use.
+#[derive(Clone, Default)]
+pub struct FragMap<V> {
+    /// Sorted by fragment index, indices distinct.
+    entries: Vec<(FragmentIndex, V)>,
+}
+
+impl<V> FragMap<V> {
+    /// The empty map (no allocation).
+    pub const fn new() -> Self {
+        FragMap {
+            entries: Vec::new(),
+        }
+    }
+
+    // lint:hot
+    fn position(&self, idx: &FragmentIndex) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(idx, |&(i, _)| i)
+    }
+
+    /// Number of fragments held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The value stored for `idx`, if any.
+    // lint:hot
+    pub fn get(&self, idx: &FragmentIndex) -> Option<&V> {
+        let at = self.position(idx).ok()?;
+        self.entries.get(at).map(|(_, v)| v)
+    }
+
+    /// Mutable access to the value stored for `idx`, if any.
+    pub fn get_mut(&mut self, idx: &FragmentIndex) -> Option<&mut V> {
+        let at = self.position(idx).ok()?;
+        self.entries.get_mut(at).map(|(_, v)| v)
+    }
+
+    /// Whether `idx` is held.
+    // lint:hot
+    pub fn contains_key(&self, idx: &FragmentIndex) -> bool {
+        self.position(idx).is_ok()
+    }
+
+    /// Stores `value` for `idx`, returning the value it replaces.
+    pub fn insert(&mut self, idx: FragmentIndex, value: V) -> Option<V> {
+        match self.position(&idx) {
+            Ok(at) => self
+                .entries
+                .get_mut(at)
+                .map(|(_, v)| std::mem::replace(v, value)),
+            Err(at) => {
+                // Grow by exactly one: `Vec`'s doubling would start a
+                // one-fragment entry at four slots.
+                self.entries.reserve_exact(1);
+                self.entries.insert(at, (idx, value));
+                None
+            }
+        }
+    }
+
+    /// Removes and returns the value stored for `idx`, if any.
+    pub fn remove(&mut self, idx: &FragmentIndex) -> Option<V> {
+        let at = self.position(idx).ok()?;
+        Some(self.entries.remove(at).1)
+    }
+
+    /// The held fragment indices, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &FragmentIndex> + '_ {
+        self.iter().map(|(i, _)| i)
+    }
+
+    /// The held values, by ascending fragment index.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// `(index, value)` pairs, by ascending fragment index.
+    pub fn iter(&self) -> FragMapIter<'_, V> {
+        FragMapIter(self.entries.iter())
+    }
+}
+
+/// Iterator over a [`FragMap`]'s `(index, value)` pairs.
+pub struct FragMapIter<'a, V>(std::slice::Iter<'a, (FragmentIndex, V)>);
+
+impl<'a, V> Iterator for FragMapIter<'a, V> {
+    type Item = (&'a FragmentIndex, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(i, v)| (i, v))
+    }
+}
+
+impl<'a, V> IntoIterator for &'a FragMap<V> {
+    type Item = (&'a FragmentIndex, &'a V);
+    type IntoIter = FragMapIter<'a, V>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for FragMap<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +481,49 @@ mod tests {
         let copied = ProtocolMode::reference().share(&meta);
         assert!(!Arc::ptr_eq(&meta, &copied), "reference mode deep-copies");
         assert_eq!(*meta, *copied, "the copy is equal");
+    }
+
+    #[test]
+    fn frag_map_is_a_sorted_exact_fit_map() {
+        let mut m: FragMap<&str> = FragMap::new();
+        assert!(m.is_empty());
+        assert_eq!(m.entries.capacity(), 0, "empty costs nothing");
+        assert_eq!(m.insert(9, "nine"), None);
+        assert_eq!(m.entries.capacity(), 1, "one fragment, one slot");
+        assert_eq!(m.insert(2, "two"), None);
+        assert_eq!(m.insert(200, "two hundred"), None);
+        assert_eq!(m.len(), 3);
+
+        // Sorted iteration, whatever the insertion order; `keys` yields
+        // references like the `BTreeMap` it replaces.
+        let keys: Vec<&FragmentIndex> = m.keys().collect();
+        assert_eq!(keys, vec![&2, &9, &200]);
+        assert_eq!(
+            m.values().copied().collect::<Vec<_>>(),
+            vec!["two", "nine", "two hundred"]
+        );
+        let mut pairs = Vec::new();
+        for (&idx, &v) in &m {
+            pairs.push((idx, v));
+        }
+        assert_eq!(pairs, vec![(2, "two"), (9, "nine"), (200, "two hundred")]);
+
+        // A duplicate insert replaces in place and reports the old value.
+        assert_eq!(m.insert(9, "NINE"), Some("nine"));
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get(&9), Some(&"NINE"));
+        assert_eq!(m.get(&3), None);
+        assert!(m.contains_key(&200) && !m.contains_key(&0));
+        if let Some(v) = m.get_mut(&2) {
+            *v = "TWO";
+        }
+        assert_eq!(m.get(&2), Some(&"TWO"));
+
+        assert_eq!(m.remove(&9), Some("NINE"));
+        assert_eq!(m.remove(&9), None);
+        assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![2, 200]);
+        assert_eq!(format!("{m:?}"), r#"{2: "TWO", 200: "two hundred"}"#);
+        assert_eq!(format!("{:?}", m.clone()), format!("{m:?}"));
     }
 
     #[test]

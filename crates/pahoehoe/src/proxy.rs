@@ -207,8 +207,9 @@ pub struct Proxy {
     /// construction so concurrent simulations cannot race on the
     /// process-global switch.
     mode: ProtocolMode,
-    /// Cached `topo.all_klss().count()` for the full-ack check.
-    total_klss: usize,
+    /// Every KLS, in topology order: each put wave and each get fans out
+    /// to all of them.
+    klss: Box<[NodeId]>,
     puts: BTreeMap<ObjectVersion, PutOp>,
     /// Timer-tag → object version for put timeouts.
     put_seq: BTreeMap<u64, ObjectVersion>,
@@ -249,14 +250,14 @@ impl Proxy {
         cfg: ProxyConfig,
         mode: ProtocolMode,
     ) -> Self {
-        let total_klss = topo.all_klss().count();
+        let klss = topo.all_klss().collect();
         Proxy {
             topo,
             my_dc,
             uid,
             cfg,
             mode,
-            total_klss,
+            klss,
             puts: BTreeMap::new(),
             put_seq: BTreeMap::new(),
             next_seq: 0,
@@ -443,8 +444,7 @@ impl Proxy {
             // its locations are reused verbatim, so there is nothing to
             // decide — store the tagged metadata at every KLS and the
             // windowed fragments index-for-index on the base's servers.
-            let klss: Vec<NodeId> = self.topo.all_klss().collect();
-            for kls in klss {
+            for &kls in self.klss.iter() {
                 ctx.send(
                     kls,
                     Message::StoreMetadata {
@@ -453,24 +453,20 @@ impl Proxy {
                     },
                 );
             }
-            let sends: Vec<(NodeId, Fragment)> = meta
-                .assignments()
-                // lint:allow(panic-path): assignment indexes are < n == fragments.len()
-                .map(|(idx, loc)| (loc.fs, self.put_op(ov).fragments[idx as usize].clone()))
-                .collect();
-            for (fs, fragment) in sends {
+            let fragments = &self.put_op(ov).fragments;
+            for (idx, loc) in meta.assignments() {
                 ctx.send(
-                    fs,
+                    loc.fs,
                     Message::StoreFragment {
                         ov,
                         meta: self.mode.share(&meta),
-                        fragment,
+                        // lint:allow(panic-path): assignment indexes are < n == fragments.len()
+                        fragment: fragments[idx as usize].clone(),
                     },
                 );
             }
         } else {
-            let klss: Vec<NodeId> = self.topo.all_klss().collect();
-            for kls in klss {
+            for &kls in self.klss.iter() {
                 ctx.send(
                     kls,
                     Message::DecideLocs {
@@ -483,6 +479,7 @@ impl Proxy {
         }
     }
 
+    // lint:hot
     fn on_locations_decided(
         &mut self,
         ctx: &mut Context<'_, Message>,
@@ -494,12 +491,13 @@ impl Proxy {
             return;
         };
         // `useful_locs`: only the first decision per data center counts.
-        // In optimized mode the copy-on-write clone fires at most once per
-        // decision wave; every send below is then reference-counted.
+        // The snapshot of the previous wave is still in flight, so this
+        // copies the record once per wave; every send below is then
+        // reference-counted.
         if !Arc::make_mut(&mut op.meta).add_dc_locations(dc, locations) {
             return;
         }
-        let meta = Arc::clone(&op.meta);
+        let (mode, meta) = (self.mode, &op.meta);
         // Forward the (possibly still partial) metadata to every KLS
         // immediately — the paper's first latency optimization — and to
         // the FSs of previously decided data centers, whose stored
@@ -508,44 +506,36 @@ impl Proxy {
         // updates instead of one" that keep the optimized put above the
         // idealized minimum (§5.2). Fragments themselves are sent exactly
         // once per location.
-        let klss: Vec<NodeId> = self.topo.all_klss().collect();
-        for kls in klss {
+        for &kls in self.klss.iter() {
             ctx.send(
                 kls,
                 Message::StoreMetadata {
                     ov,
-                    meta: self.mode.share(&meta),
+                    meta: mode.share(meta),
                 },
             );
         }
-        let stale_fss: BTreeSet<NodeId> = meta
-            .assignments()
-            .filter(|(idx, _)| meta.dc_of_fragment(*idx) != dc)
-            .map(|(_, loc)| loc.fs)
-            .collect();
-        for fs in stale_fss {
+        for fs in meta.siblings_outside(dc) {
             ctx.send(
                 fs,
                 Message::StoreMetadata {
                     ov,
-                    meta: self.mode.share(&meta),
+                    meta: mode.share(meta),
                 },
             );
         }
         // Send this data center's sibling fragments to its FSs.
-        let sends: Vec<(NodeId, Fragment)> = meta
+        for (idx, loc) in meta
             .assignments()
             .filter(|(idx, _)| meta.dc_of_fragment(*idx) == dc)
-            // lint:allow(panic-path): assignment indexes are < n == fragments.len()
-            .map(|(idx, loc)| (loc.fs, self.put_op(ov).fragments[idx as usize].clone()))
-            .collect();
-        for (fs, fragment) in sends {
+        {
             ctx.send(
-                fs,
+                loc.fs,
                 Message::StoreFragment {
                     ov,
-                    meta: self.mode.share(&meta),
-                    fragment,
+                    meta: mode.share(meta),
+                    // lint:allow(panic-path): assignment indexes are < n == fragments.len()
+                    fragment: op.fragments[idx as usize].clone(),
                 },
             );
         }
@@ -586,7 +576,7 @@ impl Proxy {
             // Each assigned fragment index is stored by exactly one FS, so
             // the mask count reaching the assignment count is the same
             // condition as the reference mode's pairwise subset check.
-            op.kls_complete.len() == self.total_klss && op.acked.count() == op.meta.location_count()
+            op.kls_complete.len() == self.klss.len() && op.acked.count() == op.meta.location_count()
         } else {
             // Reference cost model: rebuild both sets on every
             // acknowledgment, as the seed protocol core did.
@@ -618,7 +608,7 @@ impl Proxy {
                 );
             }
             if self.cfg.put_amr_indication {
-                for fs in meta.sibling_fss() {
+                for fs in meta.siblings() {
                     ctx.send(
                         fs,
                         Message::AmrIndication {
@@ -667,7 +657,7 @@ impl Proxy {
     fn start_get(&mut self, ctx: &mut Context<'_, Message>, client: NodeId, op: OpId, key: Key) {
         let timer = ctx.schedule_timer(self.cfg.get_timeout, TAG_GET | op);
         let mut views = BTreeMap::new();
-        for kls in self.topo.all_klss() {
+        for &kls in self.klss.iter() {
             views.insert(
                 kls,
                 KlsView {
@@ -691,8 +681,7 @@ impl Proxy {
             },
         );
         let limit = self.cfg.ts_page_size;
-        let klss: Vec<NodeId> = self.topo.all_klss().collect();
-        for kls in klss {
+        for &kls in self.klss.iter() {
             ctx.send(
                 kls,
                 Message::RetrieveTs {

@@ -217,3 +217,57 @@ fn identical_seeds_reproduce_identical_runs() {
     assert_eq!(run(11), run(11));
     assert_ne!(run(11).1, 0);
 }
+
+#[test]
+fn one_metadata_allocation_per_amr_version() {
+    // Failure-free puts on the 4-DC (4, 16) layout: the proxy streams a
+    // fuller metadata snapshot to every server as each DC answers, and at
+    // quiescence every server that still stores the record must hold the
+    // *same* allocation — merging adopts the superset snapshot instead of
+    // copying it.
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 6);
+    cfg.layout = ClusterLayout {
+        dcs: 4,
+        kls_per_dc: 2,
+        fs_per_dc: 4,
+    };
+    cfg.policy = pahoehoe::Policy::new(4, 16, 4, 1);
+    cfg.workload_rounds = 2;
+    cfg.protocol = ProtocolMode::scale();
+    let mut cluster = Cluster::build(cfg, 42);
+    let report = cluster.run_to_convergence();
+    assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+    assert_eq!(report.amr_versions, 12);
+
+    let topo = cluster.topology().clone();
+    let versions: Vec<_> = cluster
+        .client()
+        .success_versions()
+        .iter()
+        .copied()
+        .collect();
+    assert_eq!(versions.len(), 12);
+    let mut full_entries = 0;
+    for ov in versions {
+        let mut klss = topo.all_klss();
+        let first = cluster
+            .kls(klss.next().expect("a KLS"))
+            .meta(ov)
+            .expect("every KLS knows an AMR version");
+        assert!(first.is_complete());
+        for kls in klss {
+            let meta = cluster.kls(kls).meta(ov).expect("known");
+            assert!(std::ptr::eq(first, meta), "{kls:?} copied {ov:?}");
+        }
+        for fs in topo.all_fss() {
+            if let Some(entry) = cluster.fs(fs).entry(ov) {
+                full_entries += 1;
+                assert!(std::ptr::eq(first, &*entry.meta), "{fs:?} copied {ov:?}");
+            }
+        }
+    }
+    assert!(
+        full_entries >= 6 * 16,
+        "the newest versions keep full entries"
+    );
+}

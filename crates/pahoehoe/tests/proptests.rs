@@ -6,6 +6,7 @@ use pahoehoe::topology::DataCenterId;
 use pahoehoe::types::{Key, ObjectVersion, Timestamp};
 use proptest::prelude::*;
 use simnet::{NodeId, SimTime};
+use std::sync::Arc;
 
 /// Strategy: a valid per-DC location list for the default policy (6
 /// locations over 3 FSs x 2 disks, FS ids derived from a base).
@@ -30,7 +31,59 @@ fn partial_meta(mask: u8) -> Metadata {
     m
 }
 
+/// One snapshot of a 4-DC `(4, 16)` version as some server might hold or
+/// send it: the DCs in `dcs` decided (home DC2, so slots and DC ids
+/// differ), optionally a placeholder value length, optionally the delta
+/// tag. Every snapshot of the version agrees wherever it has a value.
+fn snapshot(dcs: u8, flags: u8) -> Metadata {
+    let value_len = if flags & 1 != 0 { 0 } else { 4321 };
+    let mut m = Metadata::new(Policy::new(4, 16, 4, 1), DataCenterId::new(2), value_len);
+    for dc in (0..4u8).filter(|dc| dcs & (1 << dc) != 0) {
+        let locs = (0..4)
+            .map(|i| Location {
+                fs: NodeId::new(10 * u32::from(dc) + i),
+                disk: 0,
+            })
+            .collect();
+        m.add_dc_locations(DataCenterId::new(dc), locs);
+    }
+    if flags & 2 != 0 {
+        m.set_delta_base(Timestamp::new(SimTime::from_micros(77), 3));
+    }
+    m
+}
+
 proptest! {
+    /// `merge_shared` on handles is `merge` on owned records — same
+    /// result, same `changed` — however the decision waves are ordered
+    /// or duplicated, and it adopts `src`'s allocation (instead of
+    /// copying) whenever `src` knows everything `dst` does.
+    #[test]
+    fn merge_shared_matches_owned_merge_and_adopts_supersets(
+        first in (0u8..16, 0u8..4),
+        waves in proptest::collection::vec((0u8..16, 0u8..4), 1..12),
+    ) {
+        let mut owned = snapshot(first.0, first.1);
+        let mut handle = Arc::new(owned.clone());
+        for (dcs, flags) in waves {
+            let src = Arc::new(snapshot(dcs, flags));
+            // A second handle on `dst`, as the other servers hold one.
+            let before = Arc::clone(&handle);
+            let before_value = owned.clone();
+            let src_covers_dst = !src.would_learn_from(&before);
+
+            let changed = Metadata::merge_shared(&mut handle, &src);
+            prop_assert_eq!(changed, owned.merge(&src));
+            prop_assert_eq!(&*handle, &owned);
+            prop_assert_eq!(changed, !Arc::ptr_eq(&handle, &before));
+            if src_covers_dst {
+                prop_assert_eq!(&*handle, &*src);
+                prop_assert_eq!(changed, Arc::ptr_eq(&handle, &src));
+            }
+            prop_assert_eq!(&*before, &before_value, "the aliased handle is untouched");
+        }
+    }
+
     /// Metadata merging is a join: commutative, associative, idempotent.
     /// (First-writer-wins per DC is conflict-free here because every
     /// server derives identical per-DC decisions.)

@@ -1,0 +1,139 @@
+#!/usr/bin/env bash
+# Parent-vs-working-tree benchmark in alternating pairs (choosing-metrics §8).
+#
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workload W] [--seed S]
+#
+# Unpacks the parent's committed files (`git archive`, as the driver runs
+# them) under target/bench_pairs/, gives each side its own CARGO_TARGET_DIR,
+# and runs the BENCHMARK.json command on both, untraced, --pairs times per
+# workload, alternating which side goes first. Prints, per workload and
+# end-to-end metric: both medians, both quartile pairs, the pairs each side
+# won (ties count for neither), and whether the medians differ by more than
+# the parent's own interquartile distance. Every run's JSON line is kept in
+# target/bench_pairs/runs.jsonl. Reads BENCHMARK.json; edits nothing under
+# benchmark/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    sed -n '2,5p' "$0" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_ref=$1
+shift
+pairs=10 only_workload="" seed=42
+while [ $# -gt 0 ]; do
+    case $1 in
+    --pairs) pairs=$2 ;;
+    --workload) only_workload=$2 ;;
+    --seed) seed=$2 ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+
+root=$PWD
+out=$root/target/bench_pairs
+sha=$(git rev-parse --verify "$parent_ref^{commit}")
+parent_dir=$out/parent-${sha:0:12}
+mkdir -p "$out"
+if [ ! -d "$parent_dir" ]; then
+    mkdir -p "$parent_dir"
+    git archive "$sha" | tar -x -C "$parent_dir"
+fi
+
+# The benchmark command and the workload names come from the working tree's
+# BENCHMARK.json (a change that claims a gain may not edit it, so the
+# parent's is the same).
+mapfile -t command < <(python3 -c '
+import json
+print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")')
+if [ -n "$only_workload" ]; then
+    workloads=("$only_workload")
+else
+    mapfile -t workloads < <(python3 -c '
+import json
+print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]], sep="\n")')
+fi
+
+# One run of one side: the last line of the command's output is the JSON
+# object the driver reads.
+run_side() { # side dir workload pair
+    local line
+    line=$(cd "$2" && CARGO_TARGET_DIR=$out/target-$1 \
+        "${command[@]}" --workload "$3" --seed "$seed" | tail -n 1)
+    printf '{"side": "%s", "workload": "%s", "pair": %d, "seed": %d, "result": %s}\n' \
+        "$1" "$3" "$4" "$seed" "$line" >>"$runs"
+}
+
+runs=$out/runs.jsonl
+: >"$runs"
+echo "building parent ${sha:0:12} and the working tree ..." >&2
+(cd "$parent_dir" && CARGO_TARGET_DIR=$out/target-parent \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+CARGO_TARGET_DIR=$out/target-change \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
+for workload in "${workloads[@]}"; do
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_side parent "$parent_dir" "$workload" "$pair"
+            run_side change "$root" "$workload" "$pair"
+        else
+            run_side change "$root" "$workload" "$pair"
+            run_side parent "$parent_dir" "$workload" "$pair"
+        fi
+        echo "  $workload: pair $pair/$pairs done" >&2
+    done
+done
+
+python3 - "$runs" <<'EOF'
+import json, sys
+
+spec = json.load(open("BENCHMARK.json"))
+runs = [json.loads(line) for line in open(sys.argv[1])]
+
+
+def quartiles(xs):
+    """(q1, median, q3) by linear interpolation between order statistics."""
+    xs = sorted(xs)
+
+    def at(p):
+        h = (len(xs) - 1) * p
+        lo = int(h)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (h - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+for workload in dict.fromkeys(r["workload"] for r in runs):
+    sides = {"parent": {}, "change": {}}
+    failed = {"parent": 0, "change": 0}
+    for r in runs:
+        if r["workload"] != workload:
+            continue
+        res = r["result"]
+        failed[r["side"]] += res["failed"] + (0 if res["correct"] else 1)
+        for name, m in res["metrics"].items():
+            sides[r["side"]].setdefault(name, {})[r["pair"]] = m["value"]
+    n = len(sides["parent"][spec["end_to_end"][0]["name"]])
+    print(f"\n## {workload}: {n} pairs, failed ops or checks parent {failed['parent']} / change {failed['change']}")
+    print("| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | pairs won (change : parent) | beyond parent IQR |")
+    print("|---|---|---|---|---|---|")
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        p, c = sides["parent"][name], sides["change"][name]
+        pq, cq = quartiles(p.values()), quartiles(c.values())
+        won_c = sum(1 for k in p if (c[k] < p[k] if lower else c[k] > p[k]))
+        won_p = sum(1 for k in p if (c[k] > p[k] if lower else c[k] < p[k]))
+        ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        beyond = abs(cq[1] - pq[1]) > pq[2] - pq[0]
+        direction = "same" if cq[1] == pq[1] else (
+            "better" if (cq[1] < pq[1]) == lower else "worse")
+        print(f"| `{name}` ({m['unit']}) | {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] "
+              f"| {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] | {ratio:.4f} "
+              f"| {won_c} : {won_p} | {'yes' if beyond else 'no'} ({direction}) |")
+EOF
