@@ -3,7 +3,8 @@
 //! Runs hot-key overwrite streams in **delta-on / delta-off pairs** and
 //! records the put-path payload bytes each mode ships, the delta-engine
 //! counters, and the convergence ledger into `BENCH_delta.json` at the
-//! repo root. The headline claim (DESIGN.md §8.8): at 4 KiB values with
+//! repo root (`--smoke` writes `target/BENCH_delta.smoke.json` and leaves
+//! the committed record alone). The headline claim (DESIGN.md §8.8): at 4 KiB values with
 //! ~1% of bytes changed per overwrite, XOR-delta stripes cut put-path
 //! fragment payload by **at least 3x** while converging to the same AMR
 //! ledger as the full-stripe run.
@@ -21,7 +22,6 @@
 //! ```
 
 use std::cell::Cell as StdCell;
-use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use pahoehoe::client::Client;
@@ -308,11 +308,6 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn parse_cell(args: &[String]) -> Cell {
     let get = |flag: &str| -> Option<&str> {
         args.iter()
@@ -488,7 +483,5 @@ fn main() {
         lines.join(",\n    "),
         pair_json.join(",\n    "),
     );
-    let path = repo_root().join("BENCH_delta.json");
-    std::fs::write(&path, json).expect("write BENCH_delta.json");
-    eprintln!("wrote {}", path.display());
+    bench::write_record("delta", smoke, &json);
 }

@@ -3,7 +3,8 @@
 //! Runs a `nodes x keys x skew` grid of streaming-workload scenarios and
 //! records events/s, put-latency quantiles (P² streaming estimators — no
 //! per-put sample vector) and memory per cell into `BENCH_scale.json` at
-//! the repo root. The grid spans the paper-shaped cluster up to a
+//! the repo root (`--smoke` writes `target/BENCH_scale.smoke.json` and
+//! leaves the committed record alone). The grid spans the paper-shaped cluster up to a
 //! 100-node / million-key cell, and pairs update-heavy cells with
 //! converged-version compaction on and off so the recorded steady-state
 //! RSS demonstrates the sublinear memory claim (DESIGN.md §8.7).
@@ -25,7 +26,6 @@
 //! check and would dominate a million-key run.
 
 use std::cell::{Cell as StdCell, RefCell};
-use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::rc::Rc;
 
@@ -383,11 +383,6 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn parse_cell(args: &[String]) -> Cell {
     let get = |flag: &str| -> Option<&str> {
         args.iter()
@@ -536,9 +531,7 @@ fn main() {
         jf(growth(false).unwrap_or(f64::NAN)),
         jf(saved.unwrap_or(f64::NAN)),
     );
-    let path = repo_root().join("BENCH_scale.json");
-    std::fs::write(&path, json).expect("write BENCH_scale.json");
-    eprintln!("wrote {}", path.display());
+    bench::write_record("scale", smoke, &json);
 }
 
 #[cfg(test)]

@@ -81,17 +81,12 @@ pub const RULES: &[(&str, &str)] = &[
 ];
 
 /// Files (matched by path suffix) allowed to hold process-global mutable
-/// state for the `shared-mutable` rule. Each is a deliberate, documented
-/// process-wide switch — protocol/codec/queue mode toggles read once at
-/// construction — not simulation-visible state. Everything else must stay
-/// free of shared mutability: runs execute on `simnet::sweep` worker
-/// threads, and worker scheduling must not leak into a run.
-pub const SHARED_MUTABLE_ALLOWED: &[&str] = &[
-    "crates/simnet/src/engine.rs",
-    "crates/pahoehoe/src/protocol.rs",
-    "crates/erasure/src/checksum.rs",
-    "crates/erasure/src/codec.rs",
-];
+/// state for the `shared-mutable` rule: the protocol-mode defaults, read
+/// once at actor construction — not simulation-visible state. Everything
+/// else must stay free of shared mutability: runs execute on
+/// `simnet::sweep` worker threads, and worker scheduling must not leak
+/// into a run.
+pub const SHARED_MUTABLE_ALLOWED: &[&str] = &["crates/pahoehoe/src/protocol.rs"];
 
 /// Index of `rule` in [`RULES`] — the bit it occupies in the CLI's
 /// per-rule exit code (see `bin/lint.rs`).

@@ -11,16 +11,8 @@
 //! chunks — breaking the single-lane multiply dependency chain that caps
 //! plain FNV at one multiply per 8 bytes — then folds the lanes together
 //! with rotations, absorbs the tail serially, and finishes with a
-//! splitmix64 avalanche. A single-lane reference implementation is kept
-//! behind [`Checksum::set_reference_mode`] for the benchmark baseline;
-//! the two modes produce **different values** (nothing persists
-//! checksums, so only within-run consistency matters).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide switch to the single-lane reference checksum; see
-/// [`Checksum::set_reference_mode`].
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
+//! splitmix64 avalanche. Nothing persists checksums, so only within-run
+//! consistency matters.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -33,9 +25,6 @@ impl Checksum {
     /// Computes the checksum of `data`.
     // lint:hot
     pub fn of(data: &[u8]) -> Self {
-        if Self::reference_mode() {
-            return Self::of_reference(data);
-        }
         // Four FNV-1a lanes advance in lockstep over 32-byte chunks, so
         // the four multiplies per chunk are independent and pipeline.
         let mut lanes: [u64; 4] = [
@@ -73,38 +62,6 @@ impl Checksum {
     /// The raw 64-bit value.
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Switches every checksum in the process to the single-lane
-    /// reference implementation (the seed's plain FNV-1a over 8-byte
-    /// words). The two modes yield **different checksum values** — that
-    /// is fine because checksums are computed and verified within one
-    /// run and never persisted — so this exists solely for the recorded
-    /// benchmark baseline to measure honest before/after throughput.
-    /// Not for production use.
-    pub fn set_reference_mode(enabled: bool) {
-        REFERENCE_MODE.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether [`set_reference_mode`](Self::set_reference_mode) is on.
-    pub fn reference_mode() -> bool {
-        REFERENCE_MODE.load(Ordering::Relaxed)
-    }
-
-    /// The seed implementation: one FNV-1a lane over 8-byte words.
-    fn of_reference(data: &[u8]) -> Self {
-        let mut h: u64 = FNV_OFFSET;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            let lane = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            h ^= lane;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        Checksum(finalize(h))
     }
 }
 
@@ -176,24 +133,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn reference_mode_checksums_bit_flips_too() {
-        // The reference lane must stay a working checksum (the bench runs
-        // whole convergence scenarios under it).
-        let _guard = MODE_LOCK.lock().unwrap();
-        Checksum::set_reference_mode(true);
-        assert!(Checksum::reference_mode());
-        let data: Vec<u8> = (0..4096).map(|i| (i % 249) as u8).collect();
-        let sum = Checksum::of(&data);
-        assert!(sum.verify(&data));
-        let mut corrupted = data.clone();
-        corrupted[1234] ^= 0x40;
-        assert!(!sum.verify(&corrupted));
-        Checksum::set_reference_mode(false);
-        assert!(!Checksum::reference_mode());
-    }
-
-    /// Serializes tests that toggle the process-wide reference mode.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }

@@ -9,7 +9,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use bytes::Bytes;
 
@@ -17,37 +16,6 @@ use crate::error::CodecError;
 use crate::fragment::{Fragment, FragmentIndex};
 use crate::gf;
 use crate::matrix::Matrix;
-
-/// Selects which generation of the codec implementation runs; see
-/// [`Codec::set_impl_mode`]. All three produce byte-identical fragments —
-/// only the cost differs — so the benchmark baseline can attribute
-/// speedups honestly to each generation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CodecImpl {
-    /// The seed implementation: per-shard allocations, byte-at-a-time
-    /// log/exp arithmetic, a fresh Gaussian elimination per decode.
-    Reference,
-    /// Flat 256-entry multiplication tables with word-wide accumulation
-    /// and the decode-matrix inversion cache, one parity row at a time.
-    FlatTable,
-    /// Everything in `FlatTable`, plus the packed-parity encode kernel:
-    /// one table lookup per data byte yields all `n - k` parity products
-    /// at once (byte lanes of a `u64`), de-interleaved by an in-register
-    /// 8×8 byte transpose. Applies when `1 <= n - k <= 8`; other shapes
-    /// fall back to `FlatTable` behavior, as does any CPU where
-    /// [`gf::simd_active`] reports the split-nibble shuffle kernel — there,
-    /// row-at-a-time `mul_acc` over long contiguous rows beats the
-    /// position-major gather. This is the default.
-    Packed,
-}
-
-/// Process-wide codec implementation selector; see
-/// [`Codec::set_impl_mode`].
-static IMPL_MODE: AtomicU8 = AtomicU8::new(IMPL_PACKED);
-
-const IMPL_REFERENCE: u8 = 0;
-const IMPL_FLAT_TABLE: u8 = 1;
-const IMPL_PACKED: u8 = 2;
 
 /// Upper bound on cached decode-matrix inversions per codec.
 ///
@@ -221,11 +189,6 @@ impl Codec {
     // lint:hot
     pub fn encode_into(&self, value: &[u8], out: &mut Vec<Fragment>) {
         out.clear();
-        let mode = Self::impl_mode();
-        if mode == CodecImpl::Reference {
-            self.encode_reference_into(value, out);
-            return;
-        }
         let flen = self.fragment_len(value.len());
         // Copy the value in, then zero-extend: only the padding and the
         // parity region get zeroed, not the bytes we just wrote.
@@ -233,24 +196,7 @@ impl Codec {
         stripe.extend_from_slice(value);
         stripe.resize(self.n * flen, 0);
         let (data, parity) = stripe.split_at_mut(self.k * flen);
-        // The packed position-major gather wins for the scalar table
-        // kernel; when the SIMD shuffle kernel is active, row-at-a-time
-        // `mul_acc` over long contiguous rows is faster still.
-        if mode == CodecImpl::Packed && !self.packed.is_empty() && flen > 0 && !gf::simd_active() {
-            let rows: Vec<&[u8]> = data.chunks_exact(flen).collect();
-            self.encode_parity_packed(&rows, parity, flen);
-        } else {
-            for row in self.k..self.n {
-                let seg = &mut parity[(row - self.k) * flen..(row - self.k + 1) * flen];
-                for i in 0..self.k {
-                    gf::mul_acc(
-                        seg,
-                        &data[i * flen..(i + 1) * flen],
-                        self.generator.get(row, i),
-                    );
-                }
-            }
-        }
+        self.encode_parity(|i| &data[i * flen..(i + 1) * flen], parity, flen);
         let backing = Bytes::from(stripe);
         out.reserve(self.n);
         for i in 0..self.n {
@@ -266,9 +212,7 @@ impl Codec {
     /// is materialized, when `value.len()` is not a multiple of the
     /// fragment length), and the parity rows are computed into one shared
     /// backing allocation. Byte-identical to [`encode`](Self::encode) —
-    /// this is the put-path fast lane; it always runs the fastest
-    /// available kernel and ignores [`set_impl_mode`](Self::set_impl_mode)
-    /// (reference benchmarking goes through [`encode`](Self::encode)).
+    /// this is the put-path fast lane.
     // lint:hot
     pub fn encode_value(&self, value: &Bytes, out: &mut Vec<Fragment>) {
         out.clear();
@@ -293,17 +237,7 @@ impl Codec {
         out.reserve(self.n);
         if pk > 0 && flen > 0 {
             let mut parity = vec![0u8; pk * flen];
-            let row_slices: Vec<&[u8]> = rows.iter().map(|r| r.as_ref()).collect();
-            if self.packed.is_empty() || gf::simd_active() {
-                for p in 0..pk {
-                    let seg = &mut parity[p * flen..(p + 1) * flen];
-                    for (i, row) in row_slices.iter().enumerate() {
-                        gf::mul_acc(seg, row, self.generator.get(self.k + p, i));
-                    }
-                }
-            } else {
-                self.encode_parity_packed(&row_slices, &mut parity, flen);
-            }
+            self.encode_parity(|i| &rows[i], &mut parity, flen);
             let backing = Bytes::from(parity);
             for (i, row) in rows.into_iter().enumerate() {
                 out.push(Fragment::new(i as FragmentIndex, row));
@@ -417,16 +351,44 @@ impl Codec {
         (start, w)
     }
 
-    /// Fills the `(n - k) * flen` parity region from the `k * flen` data
-    /// region using the packed tables: one lookup per data byte produces
-    /// the products for **all** parity rows at once (byte lanes of a
-    /// `u64`), XOR-accumulated position-major, then de-interleaved into
-    /// row-major parity by an in-register 8×8 byte transpose.
+    /// Fills the `(n - k) * flen` parity region from the `k` data rows
+    /// (`row(i)` is data row `i`, `flen` bytes), choosing the loop
+    /// structure from what the codec can observe: the packed
+    /// position-major gather wins for the scalar table kernel; when the
+    /// SIMD shuffle kernel is active — or the shape has no packed tables
+    /// — row-at-a-time [`gf::mul_acc`] over long contiguous rows is faster
+    /// still. Both produce the same bytes.
+    // lint:hot
+    fn encode_parity<'a>(&self, row: impl Fn(usize) -> &'a [u8], parity: &mut [u8], flen: usize) {
+        if flen == 0 {
+            return;
+        }
+        if !self.packed.is_empty() && !gf::simd_active() {
+            self.encode_parity_packed(row, parity, flen);
+            return;
+        }
+        for (p, seg) in parity.chunks_exact_mut(flen).enumerate() {
+            for i in 0..self.k {
+                gf::mul_acc(seg, row(i), self.generator.get(self.k + p, i));
+            }
+        }
+    }
+
+    /// The packed-table body of [`encode_parity`](Self::encode_parity):
+    /// one lookup per data byte produces the products for **all** parity
+    /// rows at once (byte lanes of a `u64`), XOR-accumulated
+    /// position-major, then de-interleaved into row-major parity by an
+    /// in-register 8×8 byte transpose. Requires `1 <= n - k <= 8`.
     ///
     /// Byte-identical to the row-at-a-time [`gf::mul_acc`] loop: the lanes
     /// are the same GF(2⁸) products, and XOR never crosses lanes.
     // lint:hot
-    fn encode_parity_packed(&self, rows: &[&[u8]], parity: &mut [u8], flen: usize) {
+    fn encode_parity_packed<'a>(
+        &self,
+        row: impl Fn(usize) -> &'a [u8],
+        parity: &mut [u8],
+        flen: usize,
+    ) {
         let pk = self.n - self.k;
         let mut inter = self.inter.borrow_mut();
         if inter.len() != flen {
@@ -444,7 +406,7 @@ impl Codec {
                 &self.packed[2],
                 &self.packed[3],
             );
-            let (d0, d1, d2, d3) = (rows[0], rows[1], rows[2], rows[3]);
+            let (d0, d1, d2, d3) = (row(0), row(1), row(2), row(3));
             for (j, w) in inter.iter_mut().enumerate() {
                 *w = t0[d0[j] as usize]
                     ^ t1[d1[j] as usize]
@@ -456,8 +418,7 @@ impl Codec {
             // zeroed.
             inter.fill(0);
             for (i, t) in self.packed.iter().enumerate() {
-                let d = rows[i];
-                for (w, &b) in inter.iter_mut().zip(d) {
+                for (w, &b) in inter.iter_mut().zip(row(i)) {
                     *w ^= t[b as usize];
                 }
             }
@@ -517,13 +478,6 @@ impl Codec {
         let picked = self.pick_fragments(fragments, value_len)?;
         let flen = self.fragment_len(value_len);
         out.clear();
-        if Self::reference_mode() {
-            for shard in self.data_shards_reference(&picked, flen) {
-                out.extend_from_slice(&shard);
-            }
-            out.truncate(value_len);
-            return Ok(());
-        }
         out.resize(self.k * flen, 0);
         self.reconstruct_into(&picked, flen, out);
         out.truncate(value_len);
@@ -578,19 +532,6 @@ impl Codec {
         }
         let picked = self.pick_fragments(fragments, value_len)?;
         let flen = self.fragment_len(value_len);
-
-        if Self::reference_mode() {
-            let shards = self.data_shards_reference(&picked, flen);
-            for &m in missing {
-                let row = m as usize;
-                let mut shard = vec![0u8; flen];
-                for (i, data) in shards.iter().enumerate() {
-                    gf::mul_acc_ref(&mut shard, data, self.generator.get(row, i));
-                }
-                out.push(Fragment::new(m, shard));
-            }
-            return Ok(());
-        }
 
         let mut data = vec![0u8; self.k * flen];
         self.reconstruct_into(&picked, flen, &mut data);
@@ -713,104 +654,6 @@ impl Codec {
     /// diagnostics).
     pub fn cached_inversions(&self) -> usize {
         self.inversions.borrow().entries.len()
-    }
-
-    // ---- implementation-generation switch (benchmark baselines) ----
-
-    /// Selects which implementation generation every codec in the process
-    /// runs. Output bytes are identical in all modes — only the cost
-    /// changes — so this exists solely for the recorded benchmark baseline
-    /// (`cargo run -p bench --release --bin baseline`) to measure honest
-    /// before/after numbers through the full protocol stack, one
-    /// generation at a time. Not for production use.
-    pub fn set_impl_mode(mode: CodecImpl) {
-        let v = match mode {
-            CodecImpl::Reference => IMPL_REFERENCE,
-            CodecImpl::FlatTable => IMPL_FLAT_TABLE,
-            CodecImpl::Packed => IMPL_PACKED,
-        };
-        IMPL_MODE.store(v, Ordering::Relaxed);
-    }
-
-    /// The current process-wide [`CodecImpl`] selection.
-    pub fn impl_mode() -> CodecImpl {
-        match IMPL_MODE.load(Ordering::Relaxed) {
-            IMPL_REFERENCE => CodecImpl::Reference,
-            IMPL_FLAT_TABLE => CodecImpl::FlatTable,
-            _ => CodecImpl::Packed,
-        }
-    }
-
-    /// Switches every codec in the process to the pre-optimization
-    /// reference implementation: log/exp [`gf::mul_acc_ref`] arithmetic,
-    /// per-shard allocations, and a fresh Gaussian elimination per decode
-    /// (no inversion cache). Shorthand for
-    /// [`set_impl_mode`](Self::set_impl_mode) with
-    /// [`CodecImpl::Reference`] (on) or [`CodecImpl::Packed`] (off).
-    pub fn set_reference_mode(enabled: bool) {
-        Self::set_impl_mode(if enabled {
-            CodecImpl::Reference
-        } else {
-            CodecImpl::Packed
-        });
-    }
-
-    /// Whether [`set_reference_mode`](Self::set_reference_mode) is on.
-    pub fn reference_mode() -> bool {
-        Self::impl_mode() == CodecImpl::Reference
-    }
-
-    /// The seed implementation of `encode`, kept verbatim as the
-    /// benchmark's "before": per-shard `Vec` → `Bytes` copies and
-    /// byte-at-a-time log/exp parity accumulation.
-    fn encode_reference_into(&self, value: &[u8], out: &mut Vec<Fragment>) {
-        let flen = self.fragment_len(value.len());
-        let mut data_shards: Vec<Bytes> = Vec::with_capacity(self.k);
-        for i in 0..self.k {
-            let start = (i * flen).min(value.len());
-            let end = ((i + 1) * flen).min(value.len());
-            let mut shard = Vec::with_capacity(flen);
-            shard.extend_from_slice(&value[start..end]);
-            shard.resize(flen, 0);
-            data_shards.push(Bytes::from(shard));
-        }
-        for (i, shard) in data_shards.iter().enumerate() {
-            out.push(Fragment::new(i as FragmentIndex, shard.clone()));
-        }
-        for row in self.k..self.n {
-            let mut parity = vec![0u8; flen];
-            for (i, shard) in data_shards.iter().enumerate() {
-                gf::mul_acc_ref(&mut parity, shard, self.generator.get(row, i));
-            }
-            out.push(Fragment::new(row as FragmentIndex, parity));
-        }
-    }
-
-    /// The seed implementation of data-shard reconstruction: fresh shard
-    /// `Vec`s, a Gaussian elimination per call, log/exp arithmetic.
-    fn data_shards_reference(&self, picked: &[&Fragment], flen: usize) -> Vec<Vec<u8>> {
-        if picked
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.index() as usize == i)
-        {
-            return picked.iter().map(|f| f.data().to_vec()).collect();
-        }
-        let rows: Vec<usize> = picked.iter().map(|f| f.index() as usize).collect();
-        let inv = self
-            .generator
-            .select_rows(&rows)
-            .inverse()
-            .expect("any k rows of the systematic generator are independent");
-        let mut shards = Vec::with_capacity(self.k);
-        for r in 0..self.k {
-            let mut shard = vec![0u8; flen];
-            for (c, frag) in picked.iter().enumerate() {
-                gf::mul_acc_ref(&mut shard, frag.data(), inv.get(r, c));
-            }
-            shards.push(shard);
-        }
-        shards
     }
 }
 
@@ -1038,37 +881,80 @@ mod tests {
         assert_eq!(err, CodecError::InvalidFragmentIndex { index: 4, n: 4 });
     }
 
-    /// Serializes the tests that read or write the process-wide reference
-    /// mode, so parallel test threads cannot observe each other's toggles.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// The log/exp oracle: stripe and pad `v`, then compute every fragment
+    /// row byte-at-a-time with [`gf::mul_acc_ref`] over the generator — no
+    /// flat tables, no packed kernel, no SIMD, one allocation per shard.
+    fn oracle_encode(c: &Codec, v: &[u8]) -> Vec<Fragment> {
+        let flen = c.fragment_len(v.len());
+        let mut data = v.to_vec();
+        data.resize(c.k * flen, 0);
+        (0..c.n)
+            .map(|row| {
+                let mut shard = vec![0u8; flen];
+                for i in 0..c.k {
+                    let src = &data[i * flen..(i + 1) * flen];
+                    gf::mul_acc_ref(&mut shard, src, c.generator.get(row, i));
+                }
+                Fragment::new(row as FragmentIndex, shard)
+            })
+            .collect()
+    }
+
+    /// Oracle reconstruction of the `k * flen` padded data bytes from `k`
+    /// survivors in ascending index order: a fresh Gaussian elimination
+    /// (no inversion cache) applied with log/exp arithmetic.
+    fn oracle_data(c: &Codec, survivors: &[Fragment], flen: usize) -> Vec<u8> {
+        let rows: Vec<usize> = survivors.iter().map(|f| f.index() as usize).collect();
+        let inv = c.generator.select_rows(&rows).inverse().unwrap();
+        let mut data = vec![0u8; c.k * flen];
+        for r in 0..c.k {
+            let shard = &mut data[r * flen..(r + 1) * flen];
+            for (col, f) in survivors.iter().enumerate() {
+                gf::mul_acc_ref(shard, f.data(), inv.get(r, col));
+            }
+        }
+        data
+    }
 
     #[test]
-    fn reference_mode_is_byte_identical() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let c = Codec::new(4, 12).unwrap();
-        let v = value(777);
-        let frags = c.encode(&v);
-        let subset = [
-            frags[2].clone(),
-            frags[5].clone(),
-            frags[7].clone(),
-            frags[11].clone(),
-        ];
-
-        Codec::set_reference_mode(true);
-        assert!(Codec::reference_mode());
-        let ref_frags = c.encode(&v);
-        let ref_decoded = c.decode(&subset, v.len()).unwrap();
-        let ref_recovered = c.recover(&subset, &[0, 3, 10], v.len()).unwrap();
-        Codec::set_reference_mode(false);
-
-        assert_eq!(ref_frags, frags, "encode agrees across modes");
-        assert_eq!(ref_decoded, v, "decode agrees across modes");
-        assert_eq!(
-            ref_recovered,
-            c.recover(&subset, &[0, 3, 10], v.len()).unwrap(),
-            "recover agrees across modes"
-        );
+    fn encode_decode_recover_match_the_logexp_oracle() {
+        // Shapes straddle the packed-table boundary (1..=8 parity rows;
+        // (4,4) has none and (2,12) has ten) and lengths cover empty,
+        // sub-block, odd-tail, and exact multiples of the 8-byte
+        // transpose block.
+        for (k, n) in [(4, 12), (16, 19), (1, 3), (2, 10), (3, 6), (4, 4), (2, 12)] {
+            let c = Codec::new(k, n).unwrap();
+            let all: Vec<FragmentIndex> = (0..n as FragmentIndex).collect();
+            for len in [0usize, 1, 5, 7, 8, 9, 63, 64, 65, 1000, 4096] {
+                let v = value(len);
+                let frags = c.encode(&v);
+                assert_eq!(frags, oracle_encode(&c, &v), "encode k={k} n={n} len={len}");
+                // The systematic set, then — where parity exists — two
+                // sets that need algebra: the last k fragments, and the
+                // data fragments with the first swapped for the last
+                // parity.
+                let mut sets = vec![frags[..k].to_vec()];
+                if n > k {
+                    sets.push(frags[n - k..].to_vec());
+                    sets.push([&frags[1..k], &frags[n - 1..]].concat());
+                }
+                for survivors in sets {
+                    let ids: Vec<u8> = survivors.iter().map(Fragment::index).collect();
+                    let data = oracle_data(&c, &survivors, c.fragment_len(len));
+                    assert_eq!(
+                        c.decode(&survivors, len).unwrap(),
+                        data[..len],
+                        "decode k={k} n={n} len={len} from {ids:?}"
+                    );
+                    assert_eq!(
+                        c.recover(&survivors, &all, len).unwrap(),
+                        oracle_encode(&c, &data),
+                        "recover k={k} n={n} len={len} from {ids:?}"
+                    );
+                    assert_eq!(data[..len], v[..], "the oracle itself round-trips");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1088,46 +974,39 @@ mod tests {
     }
 
     #[test]
-    fn packed_encode_matches_flat_table_across_shapes() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        // Shapes straddle the packed-kernel applicability boundary (it
-        // needs 1..=8 parity rows; (4,4) has none and (2,12) has ten) and
-        // lengths cover empty, sub-block, odd-tail, and exact multiples
-        // of the 8-byte transpose block.
-        for (k, n) in [(4, 12), (16, 19), (1, 3), (2, 10), (3, 6), (4, 4), (2, 12)] {
+    fn packed_kernel_matches_the_oracle_on_every_host() {
+        // `encode` takes the row-at-a-time path wherever the SIMD kernel
+        // is active, so the packed kernel is called directly: it is what
+        // every other host runs. (4,12) takes the unrolled k = 4 gather,
+        // the rest the generic one; fragment lengths cover the 8-byte
+        // block scatter, the tail loop, and both together.
+        for (k, n) in [(4, 12), (3, 6), (2, 10), (16, 19)] {
+            // One codec per shape, so every call after the first runs on
+            // scratch an earlier call left behind: the repeated 64 reuses
+            // same-length scratch (which the k = 4 gather never re-zeroes)
+            // and the final 1 is a short call after a long one.
             let c = Codec::new(k, n).unwrap();
-            for len in [0usize, 1, 5, 7, 8, 9, 63, 64, 65, 1000, 4096] {
-                let v = value(len);
-                Codec::set_impl_mode(CodecImpl::FlatTable);
-                let flat = c.encode(&v);
-                Codec::set_impl_mode(CodecImpl::Packed);
-                let packed = c.encode(&v);
-                assert_eq!(flat, packed, "k={k} n={n} len={len}");
+            let flens = [1usize, 7, 8, 9, 63, 64, 64, 65, 1000, 4096, 1];
+            for (round, flen) in flens.into_iter().enumerate() {
+                let v: Vec<u8> = (0..k * flen)
+                    .map(|i| ((i * 31 + round * 7) % 251) as u8)
+                    .collect();
+                let mut parity = vec![0u8; (n - k) * flen];
+                c.encode_parity_packed(|i| &v[i * flen..(i + 1) * flen], &mut parity, flen);
+                let expect = oracle_encode(&c, &v);
+                for (p, seg) in parity.chunks_exact(flen).enumerate() {
+                    assert_eq!(
+                        seg,
+                        &expect[k + p].data()[..],
+                        "k={k} n={n} flen={flen} round={round} parity row {p}"
+                    );
+                }
             }
         }
-        Codec::set_impl_mode(CodecImpl::Packed);
-    }
-
-    #[test]
-    fn impl_mode_round_trips() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        for mode in [
-            CodecImpl::Reference,
-            CodecImpl::FlatTable,
-            CodecImpl::Packed,
-        ] {
-            Codec::set_impl_mode(mode);
-            assert_eq!(Codec::impl_mode(), mode);
-        }
-        Codec::set_reference_mode(true);
-        assert_eq!(Codec::impl_mode(), CodecImpl::Reference);
-        Codec::set_reference_mode(false);
-        assert_eq!(Codec::impl_mode(), CodecImpl::Packed);
     }
 
     #[test]
     fn encode_fragments_share_one_backing_allocation() {
-        let _guard = MODE_LOCK.lock().unwrap();
         let c = Codec::new(4, 12).unwrap();
         let v = value(100);
         let frags = c.encode(&v);
@@ -1144,10 +1023,9 @@ mod tests {
 
     #[test]
     fn encode_value_matches_encode() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        // Shapes cover the packed kernel (k=4 unrolled and generic), the
-        // flat fallback (no packed tables when parity > 8 rows), no-parity
-        // codes, and tail/padding edge lengths including empty.
+        // Shapes cover packed tables present (k=4 and generic) and absent
+        // (more than 8 parity rows), no-parity codes, and tail/padding
+        // edge lengths including empty.
         for (k, n) in [(4, 12), (3, 6), (2, 10), (4, 4), (2, 12), (16, 19)] {
             let c = Codec::new(k, n).unwrap();
             for len in [0usize, 1, 5, 8, 63, 64, 65, 1000, 4096] {
@@ -1229,7 +1107,6 @@ mod tests {
 
     #[test]
     fn inversion_cache_populates_and_hits_identically() {
-        let _guard = MODE_LOCK.lock().unwrap();
         let warm = Codec::new(3, 6).unwrap();
         let v = value(99);
         let frags = warm.encode(&v);
@@ -1261,7 +1138,6 @@ mod tests {
     fn inversion_cache_is_bounded() {
         // k=2, n=12: 66 two-fragment subsets, 65 of which need algebra —
         // one more than the cap, so eviction must kick in.
-        let _guard = MODE_LOCK.lock().unwrap();
         let c = Codec::new(2, 12).unwrap();
         let v = value(24);
         let frags = c.encode(&v);
@@ -1308,7 +1184,6 @@ mod tests {
 
     #[test]
     fn delta_encode_matches_xor_of_full_encodes() {
-        let _guard = MODE_LOCK.lock().unwrap();
         for (k, n) in [(4, 12), (16, 19), (3, 6), (4, 4)] {
             let c = Codec::new(k, n).unwrap();
             for len in [97usize, 1000, 4096] {
@@ -1404,21 +1279,6 @@ mod tests {
             cur = next;
         }
         assert_eq!(c.decode(&frags[5..9], cur.len()).unwrap(), cur);
-    }
-
-    #[test]
-    fn delta_encode_is_mode_independent() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let c = Codec::new(4, 12).unwrap();
-        let old = value(4096);
-        let new = overwrite(&old, 1234, 40);
-        let mut packed = Vec::new();
-        c.encode_delta_into(&old, &new, &mut packed);
-        Codec::set_reference_mode(true);
-        let mut reference = Vec::new();
-        c.encode_delta_into(&old, &new, &mut reference);
-        Codec::set_reference_mode(false);
-        assert_eq!(packed, reference, "delta bytes agree across codec impls");
     }
 
     #[test]

@@ -140,8 +140,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Multiplies two field elements via the log/exp tables.
 ///
-/// Reference implementation for [`mul`]; kept for the property tests and
-/// the recorded "before" benchmark baseline.
+/// Reference implementation for [`mul`]; kept for the property tests.
 #[inline]
 pub fn mul_logexp(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
@@ -418,8 +417,8 @@ mod simd {
 ///
 /// Byte-at-a-time with a zero check per source byte — exactly the loop the
 /// codec shipped with before the flat-table rewrite. The property tests
-/// assert `mul_acc` matches this for all scalars, and the benchmark
-/// baseline records its throughput as the "before" number.
+/// assert `mul_acc` matches this for all scalars, and the codec's unit
+/// tests build their whole-stripe oracle from it.
 pub fn mul_acc_ref(dst: &mut [u8], src: &[u8], scalar: u8) {
     assert_eq!(dst.len(), src.len(), "mul_acc slice length mismatch");
     if scalar == 0 {

@@ -47,6 +47,6 @@ pub mod matrix;
 mod error;
 
 pub use checksum::Checksum;
-pub use codec::{Codec, CodecImpl};
+pub use codec::Codec;
 pub use error::CodecError;
 pub use fragment::{Fragment, FragmentIndex, DELTA_WINDOW_BYTES};

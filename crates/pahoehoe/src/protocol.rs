@@ -1,10 +1,10 @@
 //! Protocol hot-path mode switches and dense helpers.
 //!
-//! PRs 2 and 3 gave the codec and the engine process-wide *reference
-//! switches* (`erasure::Codec::set_reference_mode`,
-//! `simnet::set_reference_queue_mode`) so the recorded benchmarks can
-//! attribute speedups honestly, one layer at a time. This module does the
-//! same for the protocol layer itself:
+//! The layers below (codec, checksum, event queue) each have one
+//! implementation; the protocol layer still carries switches that select
+//! between a pre-optimization reference and the optimized path, so
+//! differential tests and the explorer's `--protocol` axis can compare
+//! them:
 //!
 //! * **Shared metadata** — with `share_metadata` on (the default), actors
 //!   pass [`Metadata`] around as refcounted [`Arc`]s: a send is a refcount
@@ -28,7 +28,7 @@
 //! Modes are captured per actor at construction (see
 //! [`ClusterConfig::protocol`](crate::cluster::ClusterConfig)); the
 //! process-wide setters here only choose the default for subsequently
-//! built actors, mirroring the codec/engine switches.
+//! built actors.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,11 +58,9 @@ static DELTA_CODING: AtomicBool = AtomicBool::new(false);
 
 /// Switches every *subsequently constructed* protocol actor to the
 /// pre-optimization metadata handling: a deep [`Metadata`] copy on every
-/// share, exactly the seed's clone-per-send cost. Mirrors
-/// `erasure::Codec::set_reference_mode` / `simnet::set_reference_queue_mode`
-/// and exists solely so the recorded benchmark
-/// (`cargo run -p bench --release --bin baseline`) measures an honest
-/// before/after. Not for production use.
+/// share, exactly the seed's clone-per-send cost. Exists so the explorer's
+/// `--protocol reference` sweep can run the pre-optimization path in every
+/// scenario. Not for production use.
 pub fn set_reference_protocol_mode(enabled: bool) {
     REFERENCE_PROTOCOL_MODE.store(enabled, Ordering::Relaxed);
 }

@@ -138,6 +138,78 @@ fn throttled_repair_stalls_but_still_reprotects() {
 }
 
 #[test]
+fn reads_survive_the_rebuild_and_the_throttle_costs_time_not_bytes() {
+    // {rack-aware, legacy placement} x {unthrottled, 8 KiB/tick}: an
+    // 8 KiB budget is below one job's ~12 KiB cost (k = 4 donor fetches
+    // plus 2 re-placed 2 KiB fragments), so the throttled cells stall.
+    for racks_per_dc in [Some(3), None] {
+        let [fast, slow] = [
+            RepairOptions::paper_default(),
+            RepairOptions::throttled(8 * 1024),
+        ]
+        .map(|repair| {
+            let mut cfg = repair_cfg(48);
+            cfg.racks_per_dc = racks_per_dc;
+            cfg.convergence.repair = Some(repair);
+            let mut cluster = Cluster::build(cfg, 42);
+            let report = cluster.run_to_convergence();
+            assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+            let ovs: Vec<ObjectVersion> = cluster
+                .client()
+                .success_versions()
+                .iter()
+                .copied()
+                .collect();
+            assert_eq!(ovs.len(), 48);
+
+            let victim = cluster.layout().fs(0, 0);
+            let destroyed_at = cluster.sim().now();
+            {
+                let fs = cluster.sim_mut().actor_mut::<Fs>(victim);
+                fs.destroy_disk(0, destroyed_at);
+                fs.destroy_disk(1, destroyed_at);
+            }
+            // Flash-crowd burst: read every key while the rebuild runs.
+            let client_id = cluster.layout().client();
+            for i in 0..48 {
+                cluster
+                    .sim_mut()
+                    .actor_mut::<Client>(client_id)
+                    .enqueue(ClientOp::Get {
+                        key: Key::from_u64(i + 1),
+                    });
+            }
+            cluster
+                .sim_mut()
+                .schedule_timer(client_id, SimDuration::ZERO, 1);
+
+            // Poll at a fixed sim cadence until every stripe is whole.
+            let deadline = destroyed_at + SimDuration::from_secs(3600);
+            while !ovs.iter().all(|&ov| cluster_live(&cluster, ov) == 12) {
+                let step = cluster.sim().now() + SimDuration::from_millis(500);
+                assert!(step < deadline, "never re-protected");
+                cluster.sim_mut().run_until_time(step);
+            }
+            let reprotected_after = cluster.sim().now().duration_since(destroyed_at);
+            cluster
+                .sim_mut()
+                .run_until(move |sim| sim.actor::<Client>(client_id).gets_done().len() >= 48);
+
+            for outcome in cluster.client().gets_done() {
+                assert!(outcome.result.is_some(), "a read failed mid-rebuild");
+            }
+            let m = cluster.sim().metrics();
+            assert!(m.event("degraded_reads") > 0, "no read raced the rebuild");
+            assert_eq!(m.event("repair_triggered"), m.event("repair_completed"));
+            assert_eq!(m.event("repair_abandoned"), 0);
+            (reprotected_after, m.event("repair_bytes"))
+        });
+        assert!(slow.0 >= fast.0, "{racks_per_dc:?}: throttle sped it up");
+        assert_eq!(slow.1, fast.1, "{racks_per_dc:?}: throttle moved bytes");
+    }
+}
+
+#[test]
 fn repair_is_not_triggered_above_threshold() {
     let mut cluster = Cluster::build(repair_cfg(5), 11);
     cluster.run_to_convergence();

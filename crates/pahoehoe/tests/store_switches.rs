@@ -1,6 +1,6 @@
 //! The process-wide store switches: `set_flat_store` and
 //! `set_compaction` must apply to *subsequently constructed* clusters
-//! (capture at construction, like `simnet::set_reference_queue_mode`)
+//! (each actor captures its mode at construction)
 //! and must be observationally safe to flip back afterwards.
 //!
 //! Both switches are exercised from one `#[test]` so the process-wide

@@ -6,7 +6,6 @@
 //! the same seed and the same actor set are bit-for-bit identical.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,34 +15,11 @@ use crate::metrics::Metrics;
 use crate::network::{FaultPlan, NetworkConfig};
 use crate::node::NodeId;
 use crate::payload::Payload;
-use crate::queue::{EventKind, EventQueue, QueuedEvent, TimerSlab};
+use crate::queue::{EventKind, QueuedEvent, TimerSlab, TimingWheel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, Trace, TraceEvent};
 
 pub use crate::queue::TimerId;
-
-/// Process-wide switch to the pre-wheel binary-heap event queue; see
-/// [`set_reference_queue_mode`].
-static REFERENCE_QUEUE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Switches every *subsequently constructed* [`Simulation`] in the
-/// process to the pre-optimization binary-heap event queue (mirroring
-/// `erasure::Codec::set_reference_mode`).
-///
-/// Event order — and therefore every run's replay digest — is identical
-/// in both modes; only the cost changes. This exists solely so the
-/// recorded benchmarks (`cargo run -p bench --release --bin baseline`)
-/// measure an honest before/after through the full protocol stack. Not
-/// for production use; for per-instance control in tests see
-/// [`Simulation::use_reference_queue`].
-pub fn set_reference_queue_mode(enabled: bool) {
-    REFERENCE_QUEUE_MODE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether [`set_reference_queue_mode`] is on.
-pub fn reference_queue_mode() -> bool {
-    REFERENCE_QUEUE_MODE.load(Ordering::Relaxed)
-}
 
 /// Why a `run_*` call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +38,10 @@ pub enum RunOutcome {
 struct Inner<M> {
     now: SimTime,
     seq: u64,
-    queue: EventQueue<M>,
+    /// Boxed so the wheel's inline state (the 128-byte summary bitmap
+    /// among it) stays out of `Inner`, whose other fields the run loop
+    /// touches on every event.
+    queue: Box<TimingWheel<M>>,
     /// Generation-stamped liveness for every scheduled timer; cancelling
     /// bumps a generation so the queued firing event goes stale in place.
     timers: TimerSlab,
@@ -85,6 +64,14 @@ impl<M: Payload> Inner<M> {
         let at = self.now + delay;
         self.push(at, node, EventKind::Timer { id, tag });
         id
+    }
+
+    /// Retires `id` and, if it was still live, drops the queue's memoized
+    /// peek, which may point at the now-stale firing event.
+    fn cancel_timer(&mut self, id: TimerId) {
+        if self.timers.retire(id) {
+            self.queue.invalidate_peek();
+        }
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
@@ -218,9 +205,7 @@ impl<M: Payload> Context<'_, M> {
     /// Cancels a previously scheduled timer. Cancelling a timer that
     /// already fired (or was already cancelled) is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.inner.timers.retire(id) {
-            self.inner.queue.invalidate_peek();
-        }
+        self.inner.cancel_timer(id);
     }
 
     /// The simulation's seeded random number generator.
@@ -255,17 +240,12 @@ impl<M: Payload> Simulation<M> {
 
     /// Creates a simulation with an explicit network model and fault plan.
     pub fn with_network(seed: u64, network: NetworkConfig, faults: FaultPlan) -> Self {
-        let queue = if reference_queue_mode() {
-            EventQueue::reference()
-        } else {
-            EventQueue::wheel()
-        };
         Simulation {
             actors: Vec::new(),
             inner: Inner {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue,
+                queue: Box::new(TimingWheel::new()),
                 timers: TimerSlab::new(),
                 rng: StdRng::seed_from_u64(seed),
                 network,
@@ -278,45 +258,6 @@ impl<M: Payload> Simulation<M> {
             event_limit: u64::MAX,
             inspector: None,
         }
-    }
-
-    /// Switches **this** simulation between the timing-wheel queue and the
-    /// reference binary heap (see [`set_reference_queue_mode`] for the
-    /// process-wide default). Intended for differential tests; event order
-    /// is identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already has queued events.
-    pub fn use_reference_queue(&mut self, enabled: bool) {
-        assert_eq!(
-            self.inner.queue.len(),
-            0,
-            "queue implementation must be chosen before any event is scheduled"
-        );
-        if enabled != self.inner.queue.is_reference() {
-            self.inner.queue = if enabled {
-                EventQueue::reference()
-            } else {
-                EventQueue::wheel()
-            };
-        }
-    }
-
-    /// Whether this simulation runs on the reference binary-heap queue —
-    /// chosen at construction from [`set_reference_queue_mode`] or per
-    /// instance via [`Simulation::use_reference_queue`].
-    pub fn queue_is_reference(&self) -> bool {
-        self.inner.queue.is_reference()
-    }
-
-    /// Offsets the internal event sequence counter, so differential tests
-    /// can exercise ordering comparisons near the top of the `u64` range.
-    /// Must be called before any event is scheduled.
-    #[doc(hidden)]
-    pub fn set_seq_base(&mut self, base: u64) {
-        assert_eq!(self.inner.queue.len(), 0, "seq base must be set first");
-        self.inner.seq = base;
     }
 
     /// Installs an observation hook that runs after **every** processed
@@ -375,9 +316,7 @@ impl<M: Payload> Simulation<M> {
     /// events. Cancelling an already-fired or already-cancelled timer is
     /// a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.inner.timers.retire(id) {
-            self.inner.queue.invalidate_peek();
-        }
+        self.inner.cancel_timer(id);
     }
 
     /// Current virtual time.
@@ -849,6 +788,97 @@ mod tests {
         sim.add_actor(Canceller { kept: None });
         assert_eq!(sim.run_until_quiescent(), RunOutcome::Quiescent);
         assert_eq!(sim.pending_timers(), 0, "no timer bookkeeping survives");
+    }
+
+    /// Records every timer firing; on tag 0 it first cancels `victim`
+    /// through its context.
+    struct TimerLog {
+        fired: Vec<(u64, SimTime)>,
+        victim: Option<TimerId>,
+    }
+    impl Actor<Msg> for TimerLog {
+        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, _msg: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
+            self.fired.push((tag, ctx.now()));
+            if let (0, Some(id)) = (tag, self.victim.take()) {
+                ctx.cancel_timer(id);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn cancelling_the_peeked_timer_drops_the_queue_memo() {
+        // The engine's half of the queue contract: a run that stops at its
+        // deadline leaves the queue's peek memo on the next event, and a
+        // cancel of that very timer must drop the memo — or the next run
+        // takes the dead timer's time for the next live event's and
+        // dispatches whatever follows it, deadline or not. (Inside a
+        // dispatch the memo is already empty — `pop` cleared it — so that
+        // half pins the outcome, not the invalidation.)
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        for from_inside in [false, true] {
+            let mut sim: Simulation<Msg> = Simulation::new(1);
+            let node = sim.add_actor(TimerLog {
+                fired: Vec::new(),
+                victim: None,
+            });
+            let a = sim.schedule_timer(node, SimDuration::from_millis(5), 1);
+            sim.schedule_timer(node, SimDuration::from_millis(50), 2);
+            if from_inside {
+                // A timer ahead of A cancels it through its `Context`.
+                sim.schedule_timer(node, SimDuration::from_millis(2), 0);
+                sim.actor_mut::<TimerLog>(node).victim = Some(a);
+            }
+            assert_eq!(sim.run_until_time(at(1)), RunOutcome::DeadlineReached);
+            if !from_inside {
+                sim.cancel_timer(a);
+            }
+            assert_eq!(sim.run_until_time(at(20)), RunOutcome::DeadlineReached);
+            assert_eq!(sim.now(), at(20), "inside={from_inside}");
+            let early: &[(u64, SimTime)] = if from_inside { &[(0, at(2))] } else { &[] };
+            assert_eq!(sim.actor::<TimerLog>(node).fired, early);
+            assert_eq!(sim.events_processed(), early.len() as u64);
+
+            assert_eq!(sim.run_until_quiescent(), RunOutcome::Quiescent);
+            let fired = &sim.actor::<TimerLog>(node).fired;
+            assert_eq!(fired.last(), Some(&(2, at(50))), "B fires on time");
+            assert!(fired.iter().all(|&(tag, _)| tag != 1), "A never fires");
+            assert_eq!(sim.pending_timers(), 0);
+        }
+    }
+
+    #[test]
+    fn predicate_runs_once_per_dispatched_event() {
+        // `run_until` evaluates its predicate once up front and once per
+        // *dispatched* event — never for queue housekeeping such as
+        // skipping cancelled timers.
+        let (mut sim, pinger) = ping_pong_sim(7, 2);
+        // Five timers, three cancelled while still queued: the cancelled
+        // ones are skipped inside the queue and must not be visible to
+        // the predicate.
+        let ids: Vec<TimerId> = (0..5)
+            .map(|i| sim.schedule_timer(pinger, SimDuration::from_millis(2 + i), 7))
+            .collect();
+        for id in [ids[0], ids[2], ids[4]] {
+            sim.cancel_timer(id);
+        }
+        let calls = std::cell::Cell::new(0u64);
+        sim.run_until(|_| {
+            calls.set(calls.get() + 1);
+            false
+        });
+        assert_eq!(sim.events_processed(), 6, "2 pings, 2 pongs, 2 timers");
+        assert_eq!(
+            calls.get(),
+            1 + sim.events_processed(),
+            "one call up front plus one per dispatch"
+        );
     }
 
     #[test]

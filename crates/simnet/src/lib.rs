@@ -65,10 +65,7 @@ pub mod time;
 pub mod trace;
 
 pub use actor::Actor;
-pub use engine::{
-    reference_queue_mode, set_reference_queue_mode, Context, Inspector, RunOutcome, Simulation,
-    TimerId,
-};
+pub use engine::{Context, Inspector, RunOutcome, Simulation, TimerId};
 pub use metrics::{DropStats, KindStats, Metrics};
 pub use network::{FaultPlan, LatencyOverride, NetworkConfig};
 pub use node::NodeId;

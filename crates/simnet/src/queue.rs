@@ -1,5 +1,4 @@
-//! Event-queue implementations: the hierarchical timing wheel and the
-//! reference binary heap it replaced.
+//! The engine's event queue: a hierarchical timing wheel.
 //!
 //! The simulator's hot loop is "pop the earliest event, dispatch it":
 //! every message delivery pays one queue insert and one removal, so the
@@ -12,12 +11,10 @@
 //! # Ordering contract
 //!
 //! Events execute in `(time, seq)` order, where `seq` is a global
-//! monotone insertion counter. Both implementations preserve that order
-//! **exactly**; the explorer's replay digests are byte-identical across
-//! them, which is enforced by a differential proptest. The old heap stays
-//! available behind [`EventQueue::reference`] (mirroring
-//! `Codec::set_reference_mode`) so the recorded benchmarks measure an
-//! honest before/after through the same code paths.
+//! monotone insertion counter. The wheel preserves that order **exactly**
+//! — it is what makes replay digests stable — and the proptest in this
+//! module's tests holds it to a plain `BinaryHeap` of the same events,
+//! step by step, through pushes, peeks, pops and timer cancellations.
 //!
 //! # Wheel layout
 //!
@@ -229,12 +226,12 @@ pub(crate) struct TimingWheel<M> {
     /// Memoized result of the last [`TimingWheel::locate_next`]. The
     /// engine peeks then immediately pops, and the memo makes the second
     /// scan free. Invalidated by a pop, by a push that orders earlier,
-    /// and by timer cancellation (see [`EventQueue::invalidate_peek`]).
+    /// and by timer cancellation (see [`TimingWheel::invalidate_peek`]).
     cached: Option<(Loc, SimTime, u64)>,
 }
 
 impl<M> TimingWheel<M> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimingWheel {
             slots: vec![EMPTY_SLOT; NUM_SLOTS].into_boxed_slice(),
             pool: Vec::new(),
@@ -248,7 +245,9 @@ impl<M> TimingWheel<M> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Queued events, including not-yet-discarded stale timer events.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slot_events + self.overflow.len()
     }
 
@@ -350,7 +349,7 @@ impl<M> TimingWheel<M> {
     }
 
     // lint:hot
-    fn push(&mut self, ev: QueuedEvent<M>) {
+    pub(crate) fn push(&mut self, ev: QueuedEvent<M>) {
         debug_assert!(ev.at >= self.cursor, "event scheduled in the past");
         if let Some((_, at, seq)) = self.cached {
             if (ev.at, ev.seq) < (at, seq) {
@@ -448,8 +447,24 @@ impl<M> TimingWheel<M> {
         Some(found)
     }
 
+    /// Drops the memoized peek. Must be called when a timer is cancelled
+    /// outside of event dispatch: the memo may point at the newly stale
+    /// firing event, and a subsequent peek must not report its time as
+    /// the next live event.
+    pub(crate) fn invalidate_peek(&mut self) {
+        self.cached = None;
+    }
+
+    /// `(time, seq)` of the next live event, discarding any stale timer
+    /// events that surface. `None` means no live events remain.
     // lint:hot
-    fn pop(&mut self, timers: &TimerSlab) -> Option<QueuedEvent<M>> {
+    pub(crate) fn peek_next(&mut self, timers: &TimerSlab) -> Option<(SimTime, u64)> {
+        self.locate_next(timers).map(|(_, at, seq)| (at, seq))
+    }
+
+    /// Removes and returns the next live event.
+    // lint:hot
+    pub(crate) fn pop(&mut self, timers: &TimerSlab) -> Option<QueuedEvent<M>> {
         loop {
             let (loc, at, seq) = self.locate_next(timers)?;
             self.cached = None;
@@ -469,101 +484,12 @@ impl<M> TimingWheel<M> {
     }
 }
 
-/// The pre-wheel binary-heap queue, kept verbatim as the recorded
-/// benchmark "before" and as the differential-testing oracle.
-pub(crate) struct ReferenceHeap<M> {
-    heap: BinaryHeap<QueuedEvent<M>>,
-}
-
-impl<M> ReferenceHeap<M> {
-    fn peek_live(&mut self, timers: &TimerSlab) -> Option<&QueuedEvent<M>> {
-        while let Some(ev) = self.heap.peek() {
-            if ev.stale_timer(timers) {
-                self.heap.pop();
-                continue;
-            }
-            break;
-        }
-        self.heap.peek()
-    }
-}
-
-/// The engine's event queue: timing wheel by default, binary heap in
-/// reference mode. The wheel is boxed: its inline bitmaps dwarf the
-/// heap variant, and one pointer hop on an always-hot allocation is
-/// cheaper than carrying them in every `Inner`.
-pub(crate) enum EventQueue<M> {
-    Wheel(Box<TimingWheel<M>>),
-    Reference(ReferenceHeap<M>),
-}
-
-impl<M> EventQueue<M> {
-    pub(crate) fn wheel() -> Self {
-        EventQueue::Wheel(Box::new(TimingWheel::new()))
-    }
-
-    pub(crate) fn reference() -> Self {
-        EventQueue::Reference(ReferenceHeap {
-            heap: BinaryHeap::new(),
-        })
-    }
-
-    pub(crate) fn is_reference(&self) -> bool {
-        matches!(self, EventQueue::Reference(_))
-    }
-
-    /// Queued events, including not-yet-discarded stale timer events.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Reference(r) => r.heap.len(),
-        }
-    }
-
-    // lint:hot
-    pub(crate) fn push(&mut self, ev: QueuedEvent<M>) {
-        match self {
-            EventQueue::Wheel(w) => w.push(ev),
-            EventQueue::Reference(r) => r.heap.push(ev),
-        }
-    }
-
-    /// Drops the wheel's memoized peek. Must be called when a timer is
-    /// cancelled outside of event dispatch: the memo may point at the
-    /// newly stale firing event, and a subsequent peek must not report
-    /// its time as the next live event.
-    pub(crate) fn invalidate_peek(&mut self) {
-        if let EventQueue::Wheel(w) = self {
-            w.cached = None;
-        }
-    }
-
-    /// `(time, seq)` of the next live event, discarding any stale timer
-    /// events that surface. `None` means no live events remain.
-    // lint:hot
-    pub(crate) fn peek_next(&mut self, timers: &TimerSlab) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Wheel(w) => w.locate_next(timers).map(|(_, at, seq)| (at, seq)),
-            EventQueue::Reference(r) => r.peek_live(timers).map(|ev| (ev.at, ev.seq)),
-        }
-    }
-
-    /// Removes and returns the next live event.
-    // lint:hot
-    pub(crate) fn pop(&mut self, timers: &TimerSlab) -> Option<QueuedEvent<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(timers),
-            EventQueue::Reference(r) => {
-                r.peek_live(timers)?;
-                r.heap.pop()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::time::SimDuration;
 
     fn ev(at_us: u64, seq: u64) -> QueuedEvent<()> {
         QueuedEvent {
@@ -577,7 +503,7 @@ mod tests {
         }
     }
 
-    fn drain(q: &mut EventQueue<()>, timers: &TimerSlab) -> Vec<(u64, u64)> {
+    fn drain(q: &mut TimingWheel<()>, timers: &TimerSlab) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop(timers) {
             out.push((e.at.as_micros(), e.seq));
@@ -588,7 +514,7 @@ mod tests {
     #[test]
     fn wheel_pops_in_time_seq_order() {
         let timers = TimerSlab::new();
-        let mut q = EventQueue::wheel();
+        let mut q = TimingWheel::new();
         // In-window, overflow, same-time ties — all interleaved.
         for (at, seq) in [(30_000, 0), (10, 1), (500_000, 2), (10, 3), (65_536, 4)] {
             q.push(ev(at, seq));
@@ -603,7 +529,7 @@ mod tests {
     #[test]
     fn promotion_preserves_seq_order_on_shared_timestamps() {
         let timers = TimerSlab::new();
-        let mut q = EventQueue::wheel();
+        let mut q = TimingWheel::new();
         // seq 0 goes to overflow (beyond the 65.536 ms window), then after
         // popping an early event the window advances and a younger seq is
         // pushed directly into the very same slot & timestamp. The promoted
@@ -619,7 +545,7 @@ mod tests {
     #[test]
     fn wheel_wraps_across_window_laps() {
         let timers = TimerSlab::new();
-        let mut q = EventQueue::wheel();
+        let mut q = TimingWheel::new();
         let mut expect = Vec::new();
         // March virtual time through many window laps.
         for lap in 0..10u64 {
@@ -635,7 +561,7 @@ mod tests {
     #[test]
     fn stale_timers_are_discarded_not_returned() {
         let mut timers = TimerSlab::new();
-        let mut q: EventQueue<()> = EventQueue::wheel();
+        let mut q: TimingWheel<()> = TimingWheel::new();
         let near = timers.allocate();
         let far = timers.allocate();
         q.push(QueuedEvent {
@@ -673,20 +599,184 @@ mod tests {
         assert_eq!(slab.live_count(), 1);
     }
 
+    /// One step of a queue schedule, applied to the wheel and to the
+    /// `BinaryHeap` oracle alike.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Push a delivery `delay_us` after the last popped event's time.
+        Deliver { delay_us: u64 },
+        /// Push a timer firing likewise, remembering its id.
+        Timer { delay_us: u64 },
+        /// Peek without popping, leaving the wheel's memo behind.
+        Peek,
+        /// Peek, then pop — the engine's loop.
+        Pop,
+        /// Retire the `idx % queued`-th timer still sitting in the queue,
+        /// then `invalidate_peek` — the engine's cancel path.
+        Cancel { idx: usize },
+    }
+
+    /// What one queue reported for one op: `peek_next` and the popped
+    /// `(time, seq)` where the op asked for them, and `len` afterwards.
+    type Step = (Option<(SimTime, u64)>, Option<(SimTime, u64)>, usize);
+
+    /// The oracle's `peek_next`: the heap top, after discarding stale
+    /// timer events that surfaced there (the same rule the wheel applies).
+    fn heap_peek(
+        heap: &mut BinaryHeap<QueuedEvent<()>>,
+        timers: &TimerSlab,
+    ) -> Option<(SimTime, u64)> {
+        while heap.peek().is_some_and(|ev| ev.stale_timer(timers)) {
+            heap.pop();
+        }
+        heap.peek().map(|ev| (ev.at, ev.seq))
+    }
+
+    /// Drives a wheel and a `BinaryHeap` of the same events through `ops`
+    /// (then pops until both are empty) and returns each queue's log. The
+    /// oracle's pops drive virtual time and timer retirement, as the
+    /// engine's would. The schedule runs twice, with sequence numbers
+    /// starting at 0 and near `u64::MAX`: ordering must not depend on
+    /// small sequence numbers.
+    fn run_both(ops: &[Op]) -> (Vec<Step>, Vec<Step>) {
+        let (mut wheel_log, mut heap_log) = (Vec::new(), Vec::new());
+        for seq_base in [0, u64::MAX - (1 << 20)] {
+            run_both_from(ops, seq_base, &mut wheel_log, &mut heap_log);
+        }
+        (wheel_log, heap_log)
+    }
+
+    fn run_both_from(
+        ops: &[Op],
+        seq_base: u64,
+        wheel_log: &mut Vec<Step>,
+        heap_log: &mut Vec<Step>,
+    ) {
+        let mut timers = TimerSlab::new();
+        let mut wheel = TimingWheel::new();
+        let mut heap = BinaryHeap::new();
+        let mut queued: Vec<TimerId> = Vec::new();
+        let (mut now, mut seq) = (SimTime::ZERO, seq_base);
+        let mut script = ops.iter();
+        loop {
+            let op = match script.next() {
+                Some(op) => op,
+                None if !heap.is_empty() => &Op::Pop,
+                None => break,
+            };
+            let (mut w, mut h): (Step, Step) = Default::default();
+            match *op {
+                Op::Deliver { delay_us } | Op::Timer { delay_us } => {
+                    let id = matches!(op, Op::Timer { .. }).then(|| timers.allocate());
+                    queued.extend(id);
+                    let ev = || QueuedEvent {
+                        at: now + SimDuration::from_micros(delay_us),
+                        seq,
+                        to: NodeId::new(0),
+                        kind: match id {
+                            Some(id) => EventKind::Timer { id, tag: 0 },
+                            None => EventKind::Deliver {
+                                from: NodeId::new(0),
+                                msg: (),
+                            },
+                        },
+                    };
+                    wheel.push(ev());
+                    heap.push(ev());
+                    seq += 1;
+                }
+                Op::Peek | Op::Pop => {
+                    w.0 = wheel.peek_next(&timers);
+                    h.0 = heap_peek(&mut heap, &timers);
+                    if matches!(op, Op::Pop) {
+                        w.1 = wheel.pop(&timers).map(|ev| (ev.at, ev.seq));
+                        // `heap_peek` left a live event on top, or nothing.
+                        if let Some(ev) = heap.pop() {
+                            h.1 = Some((ev.at, ev.seq));
+                            now = ev.at;
+                            if let EventKind::Timer { id, .. } = ev.kind {
+                                timers.retire(id);
+                                queued.retain(|q| *q != id);
+                            }
+                        }
+                    }
+                }
+                Op::Cancel { idx } => {
+                    if !queued.is_empty() {
+                        timers.retire(queued.remove(idx % queued.len()));
+                        wheel.invalidate_peek();
+                    }
+                }
+            }
+            w.2 = wheel.len();
+            h.2 = heap.len();
+            wheel_log.push(w);
+            heap_log.push(h);
+        }
+    }
+
     #[test]
     fn reference_heap_matches_wheel_on_a_mixed_schedule() {
-        let timers = TimerSlab::new();
-        let mut wheel = EventQueue::wheel();
-        let mut heap = EventQueue::reference();
-        let mut seq = 0u64;
-        for round in 0..50u64 {
-            for offset in [3u64, 70_000, 12_345, 0, 65_535, 131_072] {
-                let at = round * 20_000 + offset;
-                wheel.push(ev(at, seq));
-                heap.push(ev(at, seq));
-                seq += 1;
+        // Six offsets per round straddling the window edge (65 535 in,
+        // 70 000 and 131 072 out), 50 rounds 20 ms apart, all pushed up
+        // front and then drained.
+        let ops: Vec<Op> = (0..50u64)
+            .flat_map(|round| {
+                [3u64, 70_000, 12_345, 0, 65_535, 131_072].map(|offset| Op::Deliver {
+                    delay_us: round * 20_000 + offset,
+                })
+            })
+            .collect();
+        let (wheel, heap) = run_both(&ops);
+        assert_eq!(wheel, heap);
+    }
+
+    #[test]
+    fn long_timers_cross_the_wheel_window_identically() {
+        // Every timer exceeds the 65.536 ms slot window, forcing each one
+        // through overflow promotion, between near-term deliveries and
+        // cancellations of timers still buried in the overflow heap.
+        let ops: Vec<Op> = (0..20u64)
+            .flat_map(|i| {
+                let op = match i % 3 {
+                    0 => Op::Timer {
+                        delay_us: (70 + 13 * i) * 1000,
+                    },
+                    1 => Op::Deliver {
+                        delay_us: (10 + i) * 1000,
+                    },
+                    _ => Op::Cancel { idx: i as usize },
+                };
+                [op, Op::Pop]
+            })
+            .collect();
+        let (wheel, heap) = run_both(&ops);
+        assert_eq!(wheel, heap);
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        // Whole-millisecond delays make same-timestamp ties common, and
+        // 0–200 ms straddles the 65.536 ms window: short delays land in
+        // slots, long ones go through the overflow heap and are promoted.
+        (0u8..6, 0u64..200, 0usize..8).prop_map(|(tag, delay_ms, idx)| {
+            let delay_us = delay_ms * 1000;
+            match tag {
+                0 => Op::Deliver { delay_us },
+                1 => Op::Timer { delay_us },
+                2 => Op::Peek,
+                3 | 4 => Op::Pop,
+                _ => Op::Cancel { idx },
             }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn wheel_matches_a_binary_heap_step_by_step(
+            ops in proptest::collection::vec(op_strategy(), 0..120),
+        ) {
+            let (wheel, heap) = run_both(&ops);
+            prop_assert_eq!(wheel, heap);
         }
-        assert_eq!(drain(&mut wheel, &timers), drain(&mut heap, &timers));
     }
 }
