@@ -20,6 +20,12 @@
 //! cargo run -p bench --release --bin scale -- --smoke # CI subset
 //! ```
 //!
+//! After the cells return the sweep is checked, not just recorded (see
+//! [`gate_failures`]): each `update-*` pair must report equal `events`
+//! with compaction on and off, every compacting cell must have compacted
+//! something, and on the full grid steady RSS must grow more slowly with
+//! compaction on than off. Otherwise the binary exits 1 and writes nothing.
+//!
 //! Cells terminate on a cheap predicate — every client drained its stream
 //! AND every FS's pending (not-yet-settled-AMR) set is empty — instead of
 //! `run_to_convergence`'s durable-set walk, which is O(versions) per
@@ -383,6 +389,55 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// What a sweep must show beyond parsing as JSON, one line per broken
+/// expectation. Compaction is local bookkeeping, so an `update-*` pair
+/// must process the same events with it on and off, and every cell that
+/// runs with it on must have compacted something — both deterministic.
+/// `steady_growth` is the update-heavy quadrant's `(on, off)` steady-RSS
+/// growth, passed only by the full grid, whose cells are large enough for
+/// the sublinear-memory claim to rise above allocator noise.
+fn gate_failures(
+    cells: &[Cell],
+    lines: &[String],
+    steady_growth: Option<(f64, f64)>,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let events_of = |name: &str| {
+        let (_, line) = cells.iter().zip(lines).find(|(c, _)| c.name == name)?;
+        json_u64(line, "events")
+    };
+    for (cell, line) in cells.iter().zip(lines) {
+        if cell.compact && json_u64(line, "compacted_entries").unwrap_or(0) == 0 {
+            failures.push(format!(
+                "{}: compaction is on but nothing compacted",
+                cell.name
+            ));
+        }
+        let pair = cell
+            .name
+            .strip_suffix("-on")
+            .filter(|p| p.starts_with("update-"));
+        if let Some(pair) = pair {
+            let (on, off) = (json_u64(line, "events"), events_of(&format!("{pair}-off")));
+            if on.is_none() || on != off {
+                failures.push(format!(
+                    "{pair}: {on:?} events with compaction on, {off:?} with it off"
+                ));
+            }
+        }
+    }
+    if let Some((on, off)) = steady_growth {
+        // NaN (a cell missing from the grid) fails too.
+        if on.partial_cmp(&off) != Some(std::cmp::Ordering::Less) {
+            failures.push(format!(
+                "update-heavy steady RSS grew {on:.2}x compacted vs {off:.2}x full: \
+                 compaction no longer bends the curve"
+            ));
+        }
+    }
+    failures
+}
+
 fn parse_cell(args: &[String]) -> Cell {
     let get = |flag: &str| -> Option<&str> {
         args.iter()
@@ -510,12 +565,22 @@ fn main() {
         )
     };
     let saved = (|| Some(steady("update-large-off")? - steady("update-large-on")?))();
-    if let (Some(on), Some(off)) = (growth(true), growth(false)) {
-        eprintln!(
-            "update-heavy steady RSS growth (4x puts): {on:.2}x compacted vs {off:.2}x full \
-             (saved {} MB at the large count)",
-            saved.unwrap_or(0.0) as u64 / (1 << 20)
-        );
+    let growth_on = growth(true).unwrap_or(f64::NAN);
+    let growth_off = growth(false).unwrap_or(f64::NAN);
+    eprintln!(
+        "update-heavy steady RSS growth (4x puts): {growth_on:.2}x compacted vs \
+         {growth_off:.2}x full (saved {} MB at the large count)",
+        saved.unwrap_or(0.0) as u64 / (1 << 20)
+    );
+
+    // Gate before recording: a sweep that breaks what the record exists to
+    // show must not replace a committed one.
+    let failures = gate_failures(&cells, &lines, (!smoke).then_some((growth_on, growth_off)));
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("scale gate: {failure}");
+        }
+        std::process::exit(1);
     }
 
     // The host object records the physical CPU budget the cells shared.
@@ -527,8 +592,8 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         bench::host_json(workers),
         lines.join(",\n    "),
-        jf(growth(true).unwrap_or(f64::NAN)),
-        jf(growth(false).unwrap_or(f64::NAN)),
+        jf(growth_on),
+        jf(growth_off),
         jf(saved.unwrap_or(f64::NAN)),
     );
     bench::write_record("scale", smoke, &json);
@@ -570,6 +635,31 @@ mod tests {
             };
             assert_eq!(parse_cell(&cell.to_args()), cell, "dist {dist:?}");
         }
+    }
+
+    /// The gate passes a healthy sweep and names each broken expectation:
+    /// a pair whose event counts diverge, a compacting cell that compacted
+    /// nothing, and (full grid only) growth that compaction did not bend.
+    #[test]
+    fn gate_names_each_broken_expectation() {
+        let cells: Vec<Cell> = grid(true).into_iter().take(2).collect();
+        let line = |events: u64, compacted: u64| {
+            format!("{{ \"events\": {events}, \"compacted_entries\": {compacted} }}")
+        };
+        let healthy = [line(100, 7), line(100, 0)];
+        assert!(gate_failures(&cells, &healthy, None).is_empty());
+        assert!(gate_failures(&cells, &healthy, Some((2.0, 3.9))).is_empty());
+
+        let broken = [line(100, 0), line(101, 0)];
+        let failures = gate_failures(&cells, &broken, Some((4.0, 3.9)));
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].starts_with("update-small-on: compaction is on"));
+        assert!(failures[1].starts_with("update-small: Some(100) events"));
+        assert!(failures[2].starts_with("update-heavy steady RSS grew 4.00x"));
+        assert_eq!(
+            gate_failures(&cells, &healthy, Some((f64::NAN, 3.9))).len(),
+            1
+        );
     }
 
     /// The full and smoke grids only contain cells that re-exec

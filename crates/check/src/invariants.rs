@@ -544,6 +544,12 @@ impl Invariant for DurableMonotone {
 /// re-enters the pending set. Together with [`NoResurrection`] this pins
 /// the no-resurrection half of the compaction contract; the durability
 /// half is [`AckedDurability`]'s residual accounting.
+///
+/// Compaction also hands the version's store slot back, so the bookkeeping
+/// is checked too: a version is a residual or a full entry, never both,
+/// slots in use plus residuals account for every known version — a slot
+/// is neither leaked nor counted twice — and the newest version of a key
+/// is never a residual.
 pub struct CompactionSafety;
 
 impl Invariant for CompactionSafety {
@@ -554,12 +560,37 @@ impl Invariant for CompactionSafety {
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
         for &fs in view.fss {
             let actor = view.sim.actor::<Fs>(fs);
-            if actor.compacted_count() == 0 {
+            let (slots, residuals) = (actor.resident_slots(), actor.compacted_count());
+            let known: Vec<ObjectVersion> = actor.known_versions().collect();
+            if slots + residuals != known.len() {
+                return Err(format!(
+                    "{fs:?} has {slots} slots in use and {residuals} residuals for {} known \
+                     versions",
+                    known.len()
+                ));
+            }
+            if residuals == 0 {
                 continue;
+            }
+            // The store skips its residual table for a key's newest
+            // version, which is sound only while that version is never a
+            // residual (`known` is sorted by key, then timestamp).
+            for (i, &ov) in known.iter().enumerate() {
+                let newest_of_key = known.get(i + 1).is_none_or(|next| next.key != ov.key);
+                if newest_of_key && actor.compacted_residual(ov).is_some() {
+                    return Err(format!(
+                        "{fs:?} compacted {ov:?}, the newest version of its key"
+                    ));
+                }
             }
             let amr: BTreeSet<ObjectVersion> = actor.amr_versions().collect();
             let pending: BTreeSet<ObjectVersion> = actor.pending_versions().collect();
             for ov in actor.compacted_versions() {
+                if actor.entry(ov).is_some() {
+                    return Err(format!(
+                        "{fs:?} holds {ov:?} both as a residual and as a full entry"
+                    ));
+                }
                 if !amr.contains(&ov) {
                     return Err(format!("{fs:?} compacted {ov:?} which is not settled AMR"));
                 }

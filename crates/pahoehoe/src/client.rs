@@ -6,6 +6,12 @@
 //! operations must be *attempted* for 100 to *succeed*, and classifies the
 //! object versions left behind by failed attempts (excess-AMR versus
 //! non-durable).
+//!
+//! What the client keeps is bounded by the data it describes, not by the
+//! operations it served: version ledgers hold one small record per put, and
+//! the values gets returned live in a [`GetLog`] that counts every
+//! completed get but retains only the newest few — a get's value belongs
+//! to the caller, who reads it right after the get completes.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -52,6 +58,90 @@ pub struct GetOutcome {
     pub result: Option<(ObjectVersion, Bytes)>,
 }
 
+/// How many of the newest outcomes a [`GetLog`] retains.
+const GET_LOG_WINDOW: usize = 64;
+
+/// The client's record of completed gets, addressed by absolute completion
+/// index (the first get to complete is 0). Every completion is counted;
+/// only the newest few outcomes — and so the values they carry — are
+/// retained, which keeps a long read-heavy run's memory independent of how
+/// many gets it has served. Callers that want a value read it when the get
+/// completes: remember [`len`](GetLog::len), issue the get, and index the
+/// log at the remembered position once `len` has grown.
+#[derive(Debug, Default)]
+pub struct GetLog {
+    /// Gets completed so far, retained or not.
+    done: usize,
+    /// How many of them returned nothing.
+    failed: usize,
+    /// The newest `min(done, GET_LOG_WINDOW)` outcomes, oldest first.
+    recent: VecDeque<GetOutcome>,
+}
+
+impl GetLog {
+    /// Gets completed so far (not the number still retained).
+    pub fn len(&self) -> usize {
+        self.done
+    }
+
+    /// Whether no get has completed yet.
+    pub fn is_empty(&self) -> bool {
+        self.done == 0
+    }
+
+    /// How many completed gets returned nothing (aborted, failed, or
+    /// timed out at the client).
+    pub fn failed(&self) -> usize {
+        self.failed
+    }
+
+    /// The outcome of the `i`-th get to complete, or `None` if no such
+    /// get completed yet or its outcome has left the retained window.
+    pub fn get(&self, i: usize) -> Option<&GetOutcome> {
+        let first_retained = self.done - self.recent.len();
+        self.recent.get(i.checked_sub(first_retained)?)
+    }
+
+    /// The most recently completed get's outcome.
+    pub fn last(&self) -> Option<&GetOutcome> {
+        self.recent.back()
+    }
+
+    fn push(&mut self, outcome: GetOutcome) {
+        self.done += 1;
+        self.failed += usize::from(outcome.result.is_none());
+        if self.recent.len() == GET_LOG_WINDOW {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(outcome);
+    }
+}
+
+impl std::ops::Index<usize> for GetLog {
+    type Output = GetOutcome;
+
+    fn index(&self, i: usize) -> &GetOutcome {
+        match self.get(i) {
+            Some(outcome) => outcome,
+            None if i < self.done => panic!(
+                "get outcome {i} was evicted: only the newest {GET_LOG_WINDOW} of {} are retained",
+                self.done
+            ),
+            None => panic!("get outcome {i} out of range: {} gets completed", self.done),
+        }
+    }
+}
+
+/// Iterates the retained outcomes, oldest first.
+impl<'a> IntoIterator for &'a GetLog {
+    type Item = &'a GetOutcome;
+    type IntoIter = std::collections::vec_deque::Iter<'a, GetOutcome>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.recent.iter()
+    }
+}
+
 /// A scripted workload client bound to one proxy.
 pub struct Client {
     proxy: NodeId,
@@ -94,7 +184,7 @@ pub struct Client {
     failed_versions: BTreeSet<ObjectVersion>,
     /// Version each key's successful put produced.
     version_of: BTreeMap<Key, ObjectVersion>,
-    gets_done: Vec<GetOutcome>,
+    gets_done: GetLog,
 }
 
 impl Client {
@@ -120,7 +210,7 @@ impl Client {
             success_versions: BTreeSet::new(),
             failed_versions: BTreeSet::new(),
             version_of: BTreeMap::new(),
-            gets_done: Vec::new(),
+            gets_done: GetLog::default(),
         }
     }
 
@@ -261,8 +351,9 @@ impl Client {
         self.version_of.get(&key).copied()
     }
 
-    /// Outcomes of completed gets, in completion order.
-    pub fn gets_done(&self) -> &[GetOutcome] {
+    /// Completed gets in completion order: all of them counted, the
+    /// newest outcomes retained (see [`GetLog`]).
+    pub fn gets_done(&self) -> &GetLog {
         &self.gets_done
     }
 
@@ -443,6 +534,84 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 5);
         assert!(!c.is_done());
+    }
+
+    fn outcome(i: u64) -> GetOutcome {
+        let key = Key::from_u64(i);
+        let ov = ObjectVersion::new(key, crate::types::Timestamp::new(SimTime::ZERO, 0));
+        GetOutcome {
+            key,
+            result: Some((ov, Bytes::from(vec![i as u8]))),
+        }
+    }
+
+    #[test]
+    fn get_log_counts_every_get_and_retains_the_newest_window() {
+        let mut log = GetLog::default();
+        assert!(log.is_empty());
+        assert!(log.last().is_none());
+        for i in 0..200 {
+            log.push(outcome(i));
+            assert_eq!(log.len(), i as usize + 1);
+            assert_eq!(log.last(), Some(&outcome(i)), "the newest is always there");
+        }
+        assert_eq!(log.failed(), 0);
+        let first_kept = 200 - GET_LOG_WINDOW;
+        for i in 0..200 {
+            if i < first_kept {
+                assert!(log.get(i).is_none(), "outcome {i} left the window");
+            } else {
+                assert_eq!(log.get(i), Some(&outcome(i as u64)));
+                assert_eq!(log[i], outcome(i as u64));
+            }
+        }
+        assert!(log.get(200).is_none(), "not completed yet");
+        let kept: Vec<&GetOutcome> = (&log).into_iter().collect();
+        assert_eq!(kept.len(), GET_LOG_WINDOW);
+        assert_eq!(kept[0], &outcome(first_kept as u64));
+    }
+
+    #[test]
+    #[should_panic(expected = "was evicted")]
+    fn indexing_an_evicted_get_outcome_says_so() {
+        let mut log = GetLog::default();
+        for i in 0..=GET_LOG_WINDOW as u64 {
+            log.push(outcome(i));
+        }
+        let _ = &log[0];
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn indexing_a_get_that_has_not_completed_is_out_of_range() {
+        let mut log = GetLog::default();
+        log.push(outcome(0));
+        let _ = &log[1];
+    }
+
+    /// A proxy stand-in that never answers.
+    struct Silent;
+    impl Actor<Message> for Silent {
+        fn on_message(&mut self, _ctx: &mut Context<'_, Message>, _from: NodeId, _msg: Message) {}
+        fn on_timer(&mut self, _ctx: &mut Context<'_, Message>, _tag: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_get_that_times_out_at_the_client_counts_as_failed() {
+        let mut sim = simnet::Simulation::new(3);
+        let proxy = sim.add_actor(Silent);
+        let key = Key::from_u64(1);
+        let client = sim.add_actor(Client::new(proxy, vec![ClientOp::Get { key }]));
+        sim.run_until_quiescent();
+        let log = sim.actor::<Client>(client).gets_done();
+        assert_eq!((log.len(), log.failed()), (1, 1));
+        assert_eq!(log[0], GetOutcome { key, result: None });
     }
 
     #[test]

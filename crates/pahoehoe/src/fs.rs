@@ -22,6 +22,16 @@
 //! (§3.5) and reset when new information arrives. Round scheduling,
 //! indications and sibling recovery are all governed by
 //! [`ConvergenceOptions`].
+//!
+//! What an FS keeps resident follows the versions that still hold
+//! fragments, not the puts it has served. AMR is the paper's terminal
+//! state, so with [`ProtocolMode::compact_converged`] a version that is
+//! settled AMR and superseded by a newer settled-AMR version of its key
+//! gives up its fragments, its metadata handle, its store slot and its
+//! index entry, and leaves one small residual — which fragment indices it
+//! held and when it settled — from which every later question about it (a
+//! re-delivered fragment, a sibling's probe, a repeated AMR indication) is
+//! answered as the full entry would have answered it (DESIGN.md §8.7).
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -133,45 +143,44 @@ enum VersionState {
     GaveUp,
 }
 
-/// The storage payload of one slab slot: the full fragment entry, or the
-/// O(1) residual left behind by converged-version compaction.
-#[derive(Debug)]
-enum SlotEntry {
-    /// Fragments, checksums and metadata are all retained.
-    Full(FragEntry),
-    /// Compacted: the version was settled AMR *and* superseded by a newer
-    /// settled-AMR version of the same key, so its fragment bytes,
-    /// checksums and metadata handle have been released. `held` records
-    /// which fragment indices were stored at compaction time, which is
-    /// what keeps convergence replies about this version byte-identical
-    /// to the full store's (and lets the sampled invariants assert the
-    /// version really was durable).
-    Compacted { held: FragMask },
-}
-
-impl SlotEntry {
-    fn full(&self) -> Option<&FragEntry> {
-        match self {
-            SlotEntry::Full(e) => Some(e),
-            SlotEntry::Compacted { .. } => None,
-        }
-    }
-
-    fn full_mut(&mut self) -> Option<&mut FragEntry> {
-        match self {
-            SlotEntry::Full(e) => Some(e),
-            SlotEntry::Compacted { .. } => None,
-        }
-    }
-}
-
 /// One dense per-version record: fragment entry and lifecycle state side
 /// by side in one slab slot.
 #[derive(Debug)]
 struct VersionSlot {
     ov: ObjectVersion,
-    entry: SlotEntry,
+    entry: FragEntry,
     state: VersionState,
+}
+
+/// All that converged-version compaction keeps of a version: it was
+/// settled AMR *and* superseded by a newer settled-AMR version of the same
+/// key, so its fragment bytes, checksums, metadata handle, slab slot and
+/// index entry have all been released.
+#[derive(Debug, Clone, Copy)]
+struct Residual {
+    /// Which fragment indices were stored at compaction time — what keeps
+    /// convergence replies about this version byte-identical to the full
+    /// store's (and lets the sampled invariants assert the version really
+    /// was durable).
+    held: FragMask,
+    /// When the version settled AMR (re-stamped by a later indication, as
+    /// a full entry's is).
+    amr_at: SimTime,
+}
+
+/// The occupied slab slot `s`, for a slot id taken from the index or the
+/// pending list: those only name occupied slots, because compaction drops
+/// a slot's index entry as it vacates the slot and only vacates settled
+/// (hence not pending) slots.
+fn live(slots: &[Option<VersionSlot>], s: u32) -> &VersionSlot {
+    // lint:allow(panic-path): index and pending entries always name occupied slots
+    slots[s as usize].as_ref().expect("occupied slot")
+}
+
+/// Mutable variant of [`live`].
+fn live_mut(slots: &mut [Option<VersionSlot>], s: u32) -> &mut VersionSlot {
+    // lint:allow(panic-path): index and pending entries always name occupied slots
+    slots[s as usize].as_mut().expect("occupied slot")
 }
 
 /// Slot hint meaning "resolve through the index".
@@ -228,6 +237,12 @@ impl ShardIndex {
         self.shards[i].insert(ov, s);
     }
 
+    fn remove(&mut self, ov: &ObjectVersion) {
+        let i = self.shard_of(ov.key);
+        // lint:allow(panic-path): shard_of is masked to the shard count
+        self.shards[i].remove(ov);
+    }
+
     /// `key`'s versions strictly newer than `ov`, ascending, with slot
     /// ids.
     fn key_versions_above(
@@ -253,33 +268,37 @@ impl ShardIndex {
             .range(lo..ov)
             .map(|(&v, &s)| (v, s))
     }
-
-    /// Every stored version in global object-version order (inspection
-    /// only: collects and sorts across shards).
-    fn keys_sorted(&self) -> Vec<ObjectVersion> {
-        let mut all: Vec<ObjectVersion> =
-            self.shards.iter().flat_map(|m| m.keys().copied()).collect();
-        all.sort_unstable();
-        all
-    }
 }
 
 /// Per-version storage for an FS, behind the protocol reference switch.
 ///
-/// The dense representation keeps every version in an append-only slab
-/// (versions are never forgotten, only settled), an `ov -> slot` index,
-/// and a sorted list of pending slot indices that `run_round` walks
-/// without any map lookups. The reference representation reproduces the
-/// seed's four separate ordered maps, so the recorded benchmark can
-/// attribute the win honestly.
+/// The dense representation keeps every *live* version — one that still
+/// holds its fragments — in a slab slot, with an `ov -> slot` index and a
+/// sorted list of pending slot indices that `run_round` walks without any
+/// map lookups. Versions are never forgotten, but a compacted one shrinks
+/// to a [`Residual`] in a table of its own and gives its slot and index
+/// entry back, so slab, index, pending list and every walk over them are
+/// O(live versions), not O(versions ever stored). The reference
+/// representation reproduces the seed's four separate ordered maps (and,
+/// like the seed, never compacts), so the recorded benchmark can attribute
+/// the win honestly.
 #[derive(Debug)]
 enum VersionStore {
     Dense {
-        slots: Vec<VersionSlot>,
+        /// `None` marks a vacated slot, listed in `free`.
+        slots: Vec<Option<VersionSlot>>,
+        /// Slots vacated by compaction, reused before the slab grows.
+        free: Vec<u32>,
         index: ShardIndex,
         /// Slot indices of pending versions, sorted by object version so
         /// rounds step versions in the same order as the reference maps.
         pending: Vec<u32>,
+        /// What is left of each compacted version. Consulted when the
+        /// index misses: a version is in the index or here, never both.
+        /// Compacting takes a newer settled version of the key, so the
+        /// newest version a key has is never here: every residual has a
+        /// newer version of its key in the index.
+        residuals: BTreeMap<ObjectVersion, Residual>,
     },
     Reference {
         entries: BTreeMap<ObjectVersion, FragEntry>,
@@ -294,8 +313,10 @@ impl VersionStore {
         if mode.share_metadata {
             VersionStore::Dense {
                 slots: Vec::new(),
+                free: Vec::new(),
                 index: ShardIndex::new(if mode.shard_store { SHARD_FANOUT } else { 1 }),
                 pending: Vec::new(),
+                residuals: BTreeMap::new(),
             }
         } else {
             VersionStore::Reference {
@@ -310,8 +331,7 @@ impl VersionStore {
     fn entry(&self, ov: ObjectVersion) -> Option<&FragEntry> {
         match self {
             VersionStore::Dense { slots, index, .. } => {
-                // lint:allow(panic-path): index map entries always point at live slots
-                index.get(&ov).and_then(|s| slots[s as usize].entry.full())
+                index.get(&ov).map(|s| &live(slots, s).entry)
             }
             VersionStore::Reference { entries, .. } => entries.get(&ov),
         }
@@ -321,23 +341,25 @@ impl VersionStore {
         match self {
             VersionStore::Dense { slots, index, .. } => {
                 let s = index.get(&ov)?;
-                // lint:allow(panic-path): index map entries always point at live slots
-                slots[s as usize].entry.full_mut()
+                Some(&mut live_mut(slots, s).entry)
             }
             VersionStore::Reference { entries, .. } => entries.get_mut(&ov),
         }
     }
 
-    /// Entry access with a slot hint from `collect_pending`/`collect_known`
-    /// (skips the index walk in dense mode).
+    /// Entry access with a slot hint from `collect_pending`/`collect_live`
+    /// (skips the index walk in dense mode). A hint stays good for the
+    /// walk it was listed for: nothing is inserted during a round or a
+    /// scrub, so no slot changes owner, and a slot that compaction vacated
+    /// mid-walk reads as absent.
     // lint:hot
     fn entry_at(&self, ov: ObjectVersion, hint: u32) -> Option<&FragEntry> {
         match self {
             VersionStore::Dense { slots, .. } if hint != NO_SLOT => {
-                // lint:allow(panic-path): hint from a collect_* listing is a live slot (ov debug-asserted)
-                let slot = &slots[hint as usize];
+                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
+                let slot = slots[hint as usize].as_ref()?;
                 debug_assert_eq!(slot.ov, ov);
-                slot.entry.full()
+                Some(&slot.entry)
             }
             _ => self.entry(ov),
         }
@@ -348,10 +370,10 @@ impl VersionStore {
     fn entry_at_mut(&mut self, ov: ObjectVersion, hint: u32) -> Option<&mut FragEntry> {
         if hint != NO_SLOT {
             if let VersionStore::Dense { slots, .. } = self {
-                // lint:allow(panic-path): hint from a collect_* listing is a live slot (ov debug-asserted)
-                let slot = &mut slots[hint as usize];
+                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
+                let slot = slots[hint as usize].as_mut()?;
                 debug_assert_eq!(slot.ov, ov);
-                return slot.entry.full_mut();
+                return Some(&mut slot.entry);
             }
         }
         self.entry_mut(ov)
@@ -360,13 +382,10 @@ impl VersionStore {
     /// The convergence work for `ov`, if it is pending.
     fn work(&self, ov: ObjectVersion) -> Option<&ConvWork> {
         match self {
-            VersionStore::Dense { slots, index, .. } => {
-                // lint:allow(panic-path): index map entries always point at live slots
-                match &slots[index.get(&ov)? as usize].state {
-                    VersionState::Pending(w) => Some(w),
-                    _ => None,
-                }
-            }
+            VersionStore::Dense { slots, index, .. } => match &live(slots, index.get(&ov)?).state {
+                VersionState::Pending(w) => Some(w),
+                _ => None,
+            },
             VersionStore::Reference { work, .. } => work.get(&ov),
         }
     }
@@ -374,8 +393,7 @@ impl VersionStore {
     fn work_mut(&mut self, ov: ObjectVersion) -> Option<&mut ConvWork> {
         match self {
             VersionStore::Dense { slots, index, .. } => {
-                // lint:allow(panic-path): index map entries always point at live slots
-                match &mut slots[index.get(&ov)? as usize].state {
+                match &mut live_mut(slots, index.get(&ov)?).state {
                     VersionState::Pending(w) => Some(w),
                     _ => None,
                 }
@@ -389,8 +407,8 @@ impl VersionStore {
     fn work_at(&self, ov: ObjectVersion, hint: u32) -> Option<&ConvWork> {
         match self {
             VersionStore::Dense { slots, .. } if hint != NO_SLOT => {
-                // lint:allow(panic-path): hint from a collect_* listing is a live slot (ov debug-asserted)
-                let slot = &slots[hint as usize];
+                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
+                let slot = slots[hint as usize].as_ref()?;
                 debug_assert_eq!(slot.ov, ov);
                 match &slot.state {
                     VersionState::Pending(w) => Some(w),
@@ -406,8 +424,8 @@ impl VersionStore {
     fn work_at_mut(&mut self, ov: ObjectVersion, hint: u32) -> Option<&mut ConvWork> {
         if hint != NO_SLOT {
             if let VersionStore::Dense { slots, .. } = self {
-                // lint:allow(panic-path): hint from a collect_* listing is a live slot (ov debug-asserted)
-                let slot = &mut slots[hint as usize];
+                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
+                let slot = slots[hint as usize].as_mut()?;
                 debug_assert_eq!(slot.ov, ov);
                 return match &mut slot.state {
                     VersionState::Pending(w) => Some(w),
@@ -421,10 +439,15 @@ impl VersionStore {
     /// Whether `ov` is settled (AMR or given up).
     fn is_settled(&self, ov: ObjectVersion) -> bool {
         match self {
-            VersionStore::Dense { slots, index, .. } => index
-                .get(&ov)
-                // lint:allow(panic-path): index map entries always point at live slots
-                .is_some_and(|s| !matches!(slots[s as usize].state, VersionState::Pending(_))),
+            VersionStore::Dense {
+                slots,
+                index,
+                residuals,
+                ..
+            } => match index.get(&ov) {
+                Some(s) => !matches!(live(slots, s).state, VersionState::Pending(_)),
+                None => residuals.contains_key(&ov),
+            },
             VersionStore::Reference { amr, gave_up, .. } => {
                 amr.contains_key(&ov) || gave_up.contains(&ov)
             }
@@ -433,13 +456,18 @@ impl VersionStore {
 
     fn amr_at(&self, ov: ObjectVersion) -> Option<SimTime> {
         match self {
-            VersionStore::Dense { slots, index, .. } => {
-                // lint:allow(panic-path): index map entries always point at live slots
-                match slots[index.get(&ov)? as usize].state {
+            VersionStore::Dense {
+                slots,
+                index,
+                residuals,
+                ..
+            } => match index.get(&ov) {
+                Some(s) => match live(slots, s).state {
                     VersionState::Amr(at) => Some(at),
                     _ => None,
-                }
-            }
+                },
+                None => residuals.get(&ov).map(|r| r.amr_at),
+            },
             VersionStore::Reference { amr, .. } => amr.get(&ov).copied(),
         }
     }
@@ -448,91 +476,92 @@ impl VersionStore {
     /// when the version's entry was released, if it has been compacted.
     fn residual(&self, ov: ObjectVersion) -> Option<FragMask> {
         match self {
-            VersionStore::Dense { slots, index, .. } => {
-                // lint:allow(panic-path): index map entries always point at live slots
-                match slots[index.get(&ov)? as usize].entry {
-                    SlotEntry::Compacted { held } => Some(held),
-                    SlotEntry::Full(_) => None,
-                }
-            }
+            VersionStore::Dense { residuals, .. } => residuals.get(&ov).map(|r| r.held),
             VersionStore::Reference { .. } => None,
         }
     }
 
-    /// Number of compacted residual records in the slab.
+    /// Number of compacted residual records.
     fn compacted_count(&self) -> usize {
         match self {
-            VersionStore::Dense { slots, .. } => slots
-                .iter()
-                .filter(|s| matches!(s.entry, SlotEntry::Compacted { .. }))
-                .count(),
+            VersionStore::Dense { residuals, .. } => residuals.len(),
             VersionStore::Reference { .. } => 0,
+        }
+    }
+
+    /// Slab slots in use: one per version that still holds a full entry.
+    fn resident_slots(&self) -> usize {
+        match self {
+            VersionStore::Dense { slots, free, .. } => slots.len() - free.len(),
+            VersionStore::Reference { entries, .. } => entries.len(),
         }
     }
 
     /// Incremental compaction run on the *first* settle of `ov`:
     /// compacts `ov` itself when a strictly newer settled-AMR version of
     /// its key exists, and every settled-AMR version strictly older than
-    /// `ov` — fragments, checksums and the metadata handle collapse to a
-    /// [`SlotEntry::Compacted`] residual. Dense-store only (the
-    /// reference maps model the seed, which never compacted). Returns
-    /// how many versions were compacted.
+    /// `ov` — fragments, checksums and the metadata handle are dropped,
+    /// the slot and its index entry are freed, and a [`Residual`] is all
+    /// that stays. Dense-store only (the reference maps model the seed,
+    /// which never compacted).
     ///
     /// Running this on every first settle maintains the invariant that
     /// *every settled version superseded by a newer settled version is
-    /// compacted*, which is what lets the downward walk stop at the
-    /// first already-compacted slot: anything older is superseded by
-    /// that (settled) slot and was therefore compacted when the
-    /// invariant last held. Each version is compacted exactly once and
-    /// the walks only re-visit the bounded window of still-unsettled
-    /// interleaved versions, so the amortized cost per settle is O(1) —
-    /// the earlier whole-key rescan made a hot key's settles quadratic
-    /// in its version count.
-    fn compact_superseded(&mut self, ov: ObjectVersion) -> usize {
-        let VersionStore::Dense { slots, index, .. } = self else {
-            return 0;
+    /// compacted*. Each version is compacted exactly once, and because a
+    /// compacted version leaves the index, the walks below only meet a
+    /// key's live versions — the newest settled one plus the bounded
+    /// window of still-unsettled interleaved ones — so the amortized cost
+    /// per settle is O(1) however many versions the key has had.
+    fn compact_superseded(&mut self, ov: ObjectVersion) {
+        let VersionStore::Dense {
+            slots,
+            free,
+            index,
+            residuals,
+            ..
+        } = self
+        else {
+            return;
         };
-        let mut compacted = 0;
         // `ov` is superseded iff any strictly newer version of its key
         // has settled (newer unsettled versions are the in-flight
-        // window; scan past them).
-        let superseded = index
-            .key_versions_above(ov)
-            // lint:allow(panic-path): index map entries always point at live slots
-            .any(|(_, s)| matches!(slots[s as usize].state, VersionState::Amr(_)));
-        if superseded {
-            if let Some(s) = index.get(&ov) {
-                // lint:allow(panic-path): index map entries always point at live slots
-                compacted += Self::compact_slot(&mut slots[s as usize]);
-            }
-        }
+        // window; scan past them). A newer residual counts: it settled
+        // before it was compacted. The usual settle is of the key's
+        // newest version, which the (small, warm) index alone can tell.
+        let newest = ObjectVersion::new(ov.key, Timestamp::MAX);
+        let superseded = {
+            let mut newer_live = index.key_versions_above(ov).peekable();
+            newer_live.peek().is_some()
+                && (newer_live.any(|(_, s)| matches!(live(slots, s).state, VersionState::Amr(_)))
+                    || residuals
+                        .range((
+                            std::ops::Bound::Excluded(ov),
+                            std::ops::Bound::Included(newest),
+                        ))
+                        .next()
+                        .is_some())
+        };
         // Everything strictly older than the just-settled `ov` is
-        // superseded; walk down until the first already-compacted slot.
-        for (_, s) in index.key_versions_below(ov).rev() {
-            // lint:allow(panic-path): index map entries always point at live slots
-            let slot = &mut slots[s as usize];
-            if matches!(slot.entry, SlotEntry::Compacted { .. }) {
-                break;
-            }
-            if matches!(slot.state, VersionState::Amr(_)) {
-                compacted += Self::compact_slot(slot);
-            }
-        }
-        compacted
-    }
-
-    /// Collapses a settled slot's full entry to its residual record.
-    /// Returns 1 if the slot was compacted (0 if already a residual).
-    fn compact_slot(slot: &mut VersionSlot) -> usize {
-        if let SlotEntry::Full(e) = &slot.entry {
+        // superseded too.
+        let own = index.get(&ov).filter(|_| superseded).map(|s| (ov, s));
+        let victims: Vec<(ObjectVersion, u32, SimTime)> = index
+            .key_versions_below(ov)
+            .chain(own)
+            .filter_map(|(victim, s)| match live(slots, s).state {
+                VersionState::Amr(at) => Some((victim, s, at)),
+                _ => None,
+            })
+            .collect();
+        for (victim, s, amr_at) in victims {
             let mut held = FragMask::new();
-            for &idx in e.fragments.keys() {
+            for &idx in live(slots, s).entry.fragments.keys() {
                 held.insert(idx);
             }
-            slot.entry = SlotEntry::Compacted { held };
-            1
-        } else {
-            0
+            residuals.insert(victim, Residual { held, amr_at });
+            index.remove(&victim);
+            // lint:allow(panic-path): `live` read this very slot two statements up
+            slots[s as usize] = None;
+            free.push(s);
         }
     }
 
@@ -550,8 +579,7 @@ impl VersionStore {
         out.clear();
         match self {
             VersionStore::Dense { slots, pending, .. } => {
-                // lint:allow(panic-path): the pending list holds live slot ids
-                out.extend(pending.iter().map(|&s| (slots[s as usize].ov, s)));
+                out.extend(pending.iter().map(|&s| (live(slots, s).ov, s)));
             }
             VersionStore::Reference { work, .. } => {
                 out.extend(work.keys().map(|&ov| (ov, NO_SLOT)));
@@ -559,11 +587,11 @@ impl VersionStore {
         }
     }
 
-    /// Fills `out` with every stored version plus slot hints (dense mode
-    /// iterates the slab linearly; the scrubber does not care about
-    /// order).
+    /// Fills `out` with every version that still holds a full entry —
+    /// compacted versions have no bytes to scrub, lose or report — plus
+    /// slot hints, in object-version order.
     // lint:hot
-    fn collect_known(&self, out: &mut Vec<(ObjectVersion, u32)>) {
+    fn collect_live(&self, out: &mut Vec<(ObjectVersion, u32)>) {
         out.clear();
         match self {
             VersionStore::Dense { slots, .. } => {
@@ -571,8 +599,11 @@ impl VersionStore {
                     slots
                         .iter()
                         .enumerate()
-                        .map(|(i, slot)| (slot.ov, i as u32)),
+                        .filter_map(|(i, slot)| Some((slot.as_ref()?.ov, i as u32))),
                 );
+                // Slab order is allocation order with reuse; callers walk
+                // by version (the scrub cursor, the report's entry order).
+                out.sort_unstable_by_key(|&(ov, _)| ov);
             }
             VersionStore::Reference { entries, .. } => {
                 out.extend(entries.keys().map(|&ov| (ov, NO_SLOT)));
@@ -583,26 +614,28 @@ impl VersionStore {
     fn pending_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
         match self {
             VersionStore::Dense { slots, pending, .. } => {
-                Box::new(pending.iter().map(move |&s| slots[s as usize].ov))
+                Box::new(pending.iter().map(move |&s| live(slots, s).ov))
             }
             VersionStore::Reference { work, .. } => Box::new(work.keys().copied()),
         }
     }
 
-    /// Stored versions matching `keep`, in global object-version order
-    /// (collected and sorted across shards; inspection paths only).
-    fn sorted_versions_where(
-        slots: &[VersionSlot],
+    /// Live versions matching `keep` plus the `compacted` ones, in global
+    /// object-version order (collected and sorted across shards;
+    /// inspection paths only).
+    fn sorted_versions_where<'a>(
+        slots: &[Option<VersionSlot>],
         index: &ShardIndex,
+        compacted: impl Iterator<Item = &'a ObjectVersion>,
         keep: impl Fn(&VersionSlot) -> bool,
     ) -> Vec<ObjectVersion> {
         let mut out: Vec<ObjectVersion> = index
             .shards
             .iter()
             .flat_map(|m| m.iter())
-            // lint:allow(panic-path): index map entries always point at live slots
-            .filter(|(_, &s)| keep(&slots[s as usize]))
+            .filter(|(_, &s)| keep(live(slots, s)))
             .map(|(&ov, _)| ov)
+            .chain(compacted.copied())
             .collect();
         out.sort_unstable();
         out
@@ -610,8 +643,13 @@ impl VersionStore {
 
     fn amr_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
         match self {
-            VersionStore::Dense { slots, index, .. } => Box::new(
-                Self::sorted_versions_where(slots, index, |slot| {
+            VersionStore::Dense {
+                slots,
+                index,
+                residuals,
+                ..
+            } => Box::new(
+                Self::sorted_versions_where(slots, index, residuals.keys(), |slot| {
                     matches!(slot.state, VersionState::Amr(_))
                 })
                 .into_iter(),
@@ -623,7 +661,7 @@ impl VersionStore {
     fn gave_up_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
         match self {
             VersionStore::Dense { slots, index, .. } => Box::new(
-                Self::sorted_versions_where(slots, index, |slot| {
+                Self::sorted_versions_where(slots, index, std::iter::empty(), |slot| {
                     matches!(slot.state, VersionState::GaveUp)
                 })
                 .into_iter(),
@@ -634,7 +672,14 @@ impl VersionStore {
 
     fn known_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
         match self {
-            VersionStore::Dense { index, .. } => Box::new(index.keys_sorted().into_iter()),
+            VersionStore::Dense {
+                slots,
+                index,
+                residuals,
+                ..
+            } => Box::new(
+                Self::sorted_versions_where(slots, index, residuals.keys(), |_| true).into_iter(),
+            ),
             VersionStore::Reference { entries, .. } => Box::new(entries.keys().copied()),
         }
     }
@@ -643,12 +688,7 @@ impl VersionStore {
     /// order.
     fn compacted_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
         match self {
-            VersionStore::Dense { slots, index, .. } => Box::new(
-                Self::sorted_versions_where(slots, index, |slot| {
-                    matches!(slot.entry, SlotEntry::Compacted { .. })
-                })
-                .into_iter(),
-            ),
+            VersionStore::Dense { residuals, .. } => Box::new(residuals.keys().copied()),
             VersionStore::Reference { .. } => Box::new(std::iter::empty()),
         }
     }
@@ -666,23 +706,39 @@ impl VersionStore {
         match self {
             VersionStore::Dense {
                 slots,
+                free,
                 index,
                 pending,
+                residuals,
             } => {
                 if let Some(s) = index.get(&ov) {
-                    // lint:allow(panic-path): index map entries always point at live slots
-                    return slots[s as usize].entry.full_mut().map(|e| (e, false));
+                    return Some((&mut live_mut(slots, s).entry, false));
                 }
-                let s = slots.len() as u32;
-                slots.push(VersionSlot {
+                // Only a version older than a live one of its key can be
+                // a residual, so a key's newest version — the usual
+                // insert — skips the (large, cold) residual table.
+                if index.key_versions_above(ov).next().is_some() && residuals.contains_key(&ov) {
+                    return None;
+                }
+                let slot = Some(VersionSlot {
                     ov,
-                    entry: SlotEntry::Full(make()),
+                    entry: make(),
                     state: VersionState::Pending(Box::new(ConvWork::new(now))),
                 });
+                let s = match free.pop() {
+                    Some(s) => {
+                        // lint:allow(panic-path): the free list holds ids of slots inside the slab
+                        slots[s as usize] = slot;
+                        s
+                    }
+                    None => {
+                        slots.push(slot);
+                        (slots.len() - 1) as u32
+                    }
+                };
                 index.insert(ov, s);
                 Self::pending_insert(slots, pending, s);
-                // lint:allow(panic-path): slot s was pushed two statements above
-                slots[s as usize].entry.full_mut().map(|e| (e, true))
+                Some((&mut live_mut(slots, s).entry, true))
             }
             VersionStore::Reference { entries, work, .. } => {
                 let mut inserted = false;
@@ -706,11 +762,17 @@ impl VersionStore {
                 slots,
                 index,
                 pending,
+                residuals,
+                ..
             } => {
-                let s = index.get(&ov)?;
+                let Some(s) = index.get(&ov) else {
+                    if let Some(residual) = residuals.get_mut(&ov) {
+                        residual.amr_at = at;
+                    }
+                    return None;
+                };
                 Self::pending_remove(slots, pending, ov);
-                // lint:allow(panic-path): index map entries always point at live slots
-                match std::mem::replace(&mut slots[s as usize].state, VersionState::Amr(at)) {
+                match std::mem::replace(&mut live_mut(slots, s).state, VersionState::Amr(at)) {
                     VersionState::Pending(w) => Some(*w),
                     _ => None,
                 }
@@ -732,11 +794,11 @@ impl VersionStore {
                 slots,
                 index,
                 pending,
+                ..
             } => {
                 let s = index.get(&ov)?;
                 Self::pending_remove(slots, pending, ov);
-                // lint:allow(panic-path): index map entries always point at live slots
-                match std::mem::replace(&mut slots[s as usize].state, VersionState::GaveUp) {
+                match std::mem::replace(&mut live_mut(slots, s).state, VersionState::GaveUp) {
                     VersionState::Pending(w) => Some(*w),
                     _ => None,
                 }
@@ -757,22 +819,17 @@ impl VersionStore {
                 slots,
                 index,
                 pending,
+                ..
             } => {
-                // lint:allow(panic-path): callers reopen only versions already present in the store
+                // Compacted versions hold no bytes to lose, so they never
+                // re-enter convergence: the version is in the index.
+                // lint:allow(panic-path): callers reopen only versions whose full entry they just edited
                 let s = index.get(&ov).expect("reopened version is stored");
-                debug_assert!(
-                    // lint:allow(panic-path): index map entries always point at live slots
-                    matches!(slots[s as usize].entry, SlotEntry::Full(_)),
-                    "compacted versions hold no bytes and never re-enter convergence"
-                );
-                // lint:allow(panic-path): index map entries always point at live slots
-                if !matches!(slots[s as usize].state, VersionState::Pending(_)) {
-                    // lint:allow(panic-path): index map entries always point at live slots
-                    slots[s as usize].state = VersionState::Pending(Box::new(ConvWork::new(now)));
+                if !matches!(live(slots, s).state, VersionState::Pending(_)) {
+                    live_mut(slots, s).state = VersionState::Pending(Box::new(ConvWork::new(now)));
                     Self::pending_insert(slots, pending, s);
                 }
-                // lint:allow(panic-path): index map entries always point at live slots
-                match &mut slots[s as usize].state {
+                match &mut live_mut(slots, s).state {
                     VersionState::Pending(w) => w,
                     _ => unreachable!("just made pending"),
                 }
@@ -791,8 +848,7 @@ impl VersionStore {
     fn find_recovery(&self, op: OpId) -> Option<ObjectVersion> {
         match self {
             VersionStore::Dense { slots, pending, .. } => pending.iter().find_map(|&s| {
-                // lint:allow(panic-path): the pending list holds live slot ids
-                let slot = &slots[s as usize];
+                let slot = live(slots, s);
                 match &slot.state {
                     VersionState::Pending(w) if w.recovery.as_ref().is_some_and(|r| r.op == op) => {
                         Some(slot.ov)
@@ -806,18 +862,15 @@ impl VersionStore {
         }
     }
 
-    fn pending_insert(slots: &[VersionSlot], pending: &mut Vec<u32>, s: u32) {
-        // lint:allow(panic-path): the pending list holds live slot ids
-        let ov = slots[s as usize].ov;
-        // lint:allow(panic-path): the pending list holds live slot ids
-        if let Err(pos) = pending.binary_search_by(|&p| slots[p as usize].ov.cmp(&ov)) {
+    fn pending_insert(slots: &[Option<VersionSlot>], pending: &mut Vec<u32>, s: u32) {
+        let ov = live(slots, s).ov;
+        if let Err(pos) = pending.binary_search_by(|&p| live(slots, p).ov.cmp(&ov)) {
             pending.insert(pos, s);
         }
     }
 
-    fn pending_remove(slots: &[VersionSlot], pending: &mut Vec<u32>, ov: ObjectVersion) {
-        // lint:allow(panic-path): the pending list holds live slot ids
-        if let Ok(pos) = pending.binary_search_by(|&p| slots[p as usize].ov.cmp(&ov)) {
+    fn pending_remove(slots: &[Option<VersionSlot>], pending: &mut Vec<u32>, ov: ObjectVersion) {
+        if let Ok(pos) = pending.binary_search_by(|&p| live(slots, p).ov.cmp(&ov)) {
             pending.remove(pos);
         }
     }
@@ -1010,6 +1063,13 @@ impl Fs {
         self.store.compacted_count()
     }
 
+    /// Version-store slots in use: one per version that still holds a
+    /// full entry. Together with [`compacted_count`](Fs::compacted_count)
+    /// this accounts for every known version exactly once.
+    pub fn resident_slots(&self) -> usize {
+        self.store.resident_slots()
+    }
+
     /// Versions this FS has compacted, in object-version order.
     pub fn compacted_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
         self.store.compacted_versions()
@@ -1050,12 +1110,13 @@ impl Fs {
             None => return 0, // never ran; stores nothing
         };
         let mut lost = 0;
-        let versions: Vec<ObjectVersion> = self.store.known_versions().collect();
-        for ov in versions {
+        // Live versions only: compacted residuals hold no bytes, so a
+        // dead disk cannot lose them.
+        let mut versions = Vec::new();
+        self.store.collect_live(&mut versions);
+        for (ov, hint) in versions {
             let doomed: Vec<FragmentIndex> = {
-                // Compacted residuals hold no bytes, so a dead disk
-                // cannot lose them.
-                let Some(entry) = self.store.entry(ov) else {
+                let Some(entry) = self.store.entry_at(ov, hint) else {
                     continue;
                 };
                 entry
@@ -1070,7 +1131,7 @@ impl Fs {
             if doomed.is_empty() {
                 continue;
             }
-            let entry = self.store.entry_mut(ov).expect("present");
+            let entry = self.store.entry_at_mut(ov, hint).expect("present");
             for idx in &doomed {
                 entry.fragments.remove(idx);
                 entry.checksums.remove(idx);
@@ -1104,10 +1165,7 @@ impl Fs {
         let mut scanned = 0usize;
         let mut found = 0;
         let mut versions = std::mem::take(&mut self.version_scratch);
-        self.store.collect_known(&mut versions);
-        // The dense store yields versions in slot order; sort so the
-        // cursor walk is stable across store layouts.
-        versions.sort_unstable_by_key(|&(ov, _)| ov);
+        self.store.collect_live(&mut versions);
         let resume = self.scrub_cursor.take();
         for &(ov, hint) in &versions {
             if resume.is_some_and(|cur| ov < cur) {
@@ -1122,7 +1180,6 @@ impl Fs {
             // allocation on the (usually clean) scrub walk.
             let mut bad = FragMask::new();
             {
-                // Compacted residuals hold no fragments to verify.
                 let Some(entry) = self.store.entry_at_mut(ov, hint) else {
                     continue;
                 };
@@ -1165,11 +1222,10 @@ impl Fs {
             return;
         };
         let mut versions = std::mem::take(&mut self.version_scratch);
-        self.store.collect_known(&mut versions);
-        versions.sort_unstable_by_key(|&(ov, _)| ov);
+        self.store.collect_live(&mut versions);
         let mut entries = Vec::with_capacity(versions.len());
-        for &(ov, _) in &versions {
-            let Some(entry) = self.store.entry(ov) else {
+        for &(ov, hint) in &versions {
+            let Some(entry) = self.store.entry_at(ov, hint) else {
                 continue;
             };
             entries.push((
@@ -2214,22 +2270,32 @@ mod tests {
         Arc::new(meta)
     }
 
-    /// A driver that injects a fixed script of messages at start and
-    /// records everything it receives.
+    /// A driver that injects a fixed script of messages at start (and
+    /// whatever the test scripted since, each time it is woken by a timer)
+    /// and records everything it receives.
     struct Driver {
         script: Vec<(NodeId, Message)>,
-        received: Vec<(NodeId, &'static str)>,
+        inbox: Vec<(NodeId, Message)>,
+    }
+    impl Driver {
+        /// Sender and kind label of everything received so far.
+        fn received(&self) -> Vec<(NodeId, &'static str)> {
+            let kind = |(from, msg): &(NodeId, Message)| (*from, simnet::Payload::kind(msg));
+            self.inbox.iter().map(kind).collect()
+        }
     }
     impl Actor<Message> for Driver {
         fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
+            self.inbox.push((from, msg));
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _tag: u64) {
             for (to, msg) in self.script.drain(..) {
                 ctx.send(to, msg);
             }
         }
-        fn on_message(&mut self, _ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
-            self.received.push((from, simnet::Payload::kind(&msg)));
-        }
-        fn on_timer(&mut self, _ctx: &mut Context<'_, Message>, _tag: u64) {}
         fn as_any(&self) -> &dyn Any {
             self
         }
@@ -2244,15 +2310,24 @@ mod tests {
         opts: ConvergenceOptions,
         script: Vec<(NodeId, Message)>,
     ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
+        tiny_world_with_mode(ProtocolMode::current(), opts, script)
+    }
+
+    fn tiny_world_with_mode(
+        mode: ProtocolMode,
+        opts: ConvergenceOptions,
+        script: Vec<(NodeId, Message)>,
+    ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
         let topo = tiny_topo();
+        let dc = DataCenterId::new;
         let mut sim = Simulation::new(7);
-        sim.add_actor(Kls::new(topo.clone(), DataCenterId::new(0)));
-        let fs0 = sim.add_actor(Fs::new(topo.clone(), DataCenterId::new(0), opts.clone()));
-        sim.add_actor(Kls::new(topo.clone(), DataCenterId::new(1)));
-        let fs1 = sim.add_actor(Fs::new(topo.clone(), DataCenterId::new(1), opts));
+        sim.add_actor(Kls::new(topo.clone(), dc(0)));
+        let fs0 = sim.add_actor(Fs::with_mode(topo.clone(), dc(0), opts.clone(), mode));
+        sim.add_actor(Kls::new(topo.clone(), dc(1)));
+        let fs1 = sim.add_actor(Fs::with_mode(topo.clone(), dc(1), opts, mode));
         let driver = sim.add_actor(Driver {
             script,
-            received: Vec::new(),
+            inbox: Vec::new(),
         });
         (sim, fs0, fs1, driver)
     }
@@ -2283,7 +2358,7 @@ mod tests {
         assert_eq!(fs.pending_versions().count(), 1, "convergence pending");
         assert!(!fs.verified(ov()), "second fragment still missing");
         let d: &Driver = sim.actor(driver);
-        assert_eq!(d.received, vec![(fs_node, "StoreFragmentRep")]);
+        assert_eq!(d.received(), vec![(fs_node, "StoreFragmentRep")]);
     }
 
     #[test]
@@ -2400,7 +2475,7 @@ mod tests {
         assert_eq!(fs.pending_versions().count(), 1);
         assert!(!fs.verified(ov()), "no fragments yet");
         let d: &Driver = sim.actor(driver);
-        assert_eq!(d.received, vec![(fs1_node, "FSConvergeRep")]);
+        assert_eq!(d.received(), vec![(fs1_node, "FSConvergeRep")]);
     }
 
     #[test]
@@ -2503,6 +2578,126 @@ mod tests {
     }
 
     #[test]
+    fn compacted_version_keeps_answering_after_its_slot_is_reused() {
+        // Three versions of one key on fs0. v1 and v2 settle AMR, which
+        // compacts v1; v3 then takes v1's vacated slot. Everything the FS
+        // says about v1 afterwards must come from the residual table.
+        let fs_node = NodeId::new(1);
+        let at = |us| {
+            ObjectVersion::new(
+                Key::from_u64(9),
+                Timestamp::new(SimTime::from_micros(us), 0),
+            )
+        };
+        let (v1, v2, v3) = (at(5), at(10), at(15));
+        let meta = full_meta(100);
+        let f = frags(100);
+        let store = |ov, i: usize| {
+            let (meta, fragment) = (meta.clone(), f[i].clone());
+            (fs_node, Message::StoreFragment { ov, meta, fragment })
+        };
+        let indicate = |ov| {
+            let meta = meta.clone();
+            (fs_node, Message::AmrIndication { ov, meta })
+        };
+        let (mut sim, fs0, _, driver) =
+            tiny_world_with_mode(ProtocolMode::scale(), ConvergenceOptions::all(), Vec::new());
+        // Delivers one batch of messages to fs0 and returns the replies.
+        // Well inside the first convergence round (>= 30 s away), so only
+        // the scripted messages act on the store.
+        let deliver = |sim: &mut Simulation<Message>, script| {
+            sim.actor_mut::<Driver>(driver).script = script;
+            sim.schedule_timer(driver, SimDuration::ZERO, 0);
+            let deadline = sim.now() + SimDuration::from_millis(200);
+            sim.run_until_time(deadline);
+            std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
+        };
+        let slab = |sim: &Simulation<Message>| match &sim.actor::<Fs>(fs0).store {
+            VersionStore::Dense { slots, free, .. } => (slots.len(), free.len()),
+            VersionStore::Reference { .. } => unreachable!("scale mode uses the dense store"),
+        };
+
+        deliver(&mut sim, vec![store(v1, 0), store(v1, 1)]);
+        deliver(&mut sim, vec![indicate(v1)]);
+        let first_settled = sim.actor::<Fs>(fs0).amr_settled_at(v1).expect("v1 is AMR");
+        deliver(&mut sim, vec![store(v2, 0), store(v2, 1)]);
+        assert_eq!(slab(&sim), (2, 0));
+        deliver(&mut sim, vec![indicate(v2)]);
+        let mut held = FragMask::new();
+        held.insert(0);
+        held.insert(1);
+        {
+            let fs: &Fs = sim.actor(fs0);
+            assert_eq!(fs.compacted_residual(v1), Some(held), "v2 superseded v1");
+            assert!(fs.entry(v1).is_none());
+            assert_eq!((fs.resident_slots(), fs.compacted_count()), (1, 1));
+            assert_eq!(slab(&sim), (2, 1), "v1's slot is on the free list");
+        }
+        deliver(&mut sim, vec![store(v3, 0)]);
+        assert_eq!(
+            slab(&sim),
+            (2, 0),
+            "v3 reused v1's slot; the slab did not grow"
+        );
+        assert_eq!(sim.actor::<Fs>(fs0).resident_slots(), 2);
+
+        // A re-delivered fragment of v1 is acknowledged like a duplicate
+        // and resurrects nothing.
+        let replies = deliver(&mut sim, vec![store(v1, 0)]);
+        assert!(
+            matches!(replies[..], [(_, Message::StoreFragmentReply { ov, fragment: 0 })] if ov == v1),
+            "{replies:?}"
+        );
+        {
+            let fs: &Fs = sim.actor(fs0);
+            assert!(fs.entry(v1).is_none(), "no full entry resurrected");
+            assert_eq!(fs.known_versions().collect::<Vec<_>>(), [v1, v2, v3]);
+            assert_eq!(fs.pending_versions().collect::<Vec<_>>(), [v3]);
+            assert_eq!((fs.resident_slots(), fs.compacted_count()), (2, 1));
+            assert_eq!(slab(&sim), (2, 0));
+        }
+
+        // A sibling's probe hears what the full store would have said.
+        let probe = Message::ConvergeFs {
+            ov: v1,
+            meta: meta.clone(),
+            recovery_intent: false,
+        };
+        let replies = deliver(&mut sim, vec![(fs_node, probe)]);
+        match &replies[..] {
+            [(
+                _,
+                Message::ConvergeFsReply {
+                    ov,
+                    verified: true,
+                    have,
+                    missing,
+                    recovering: false,
+                },
+            )] => {
+                assert_eq!(*ov, v1);
+                assert_eq!(have[..], [0, 1]);
+                assert!(missing.is_empty());
+            }
+            other => panic!("unexpected replies {other:?}"),
+        }
+
+        // A repeated indication re-stamps the settle time, as it does for
+        // a full entry, and leaves the residual alone.
+        deliver(&mut sim, vec![indicate(v1)]);
+        let fs: &Fs = sim.actor(fs0);
+        let restamped = fs.amr_settled_at(v1).expect("still AMR");
+        assert!(
+            restamped > first_settled,
+            "{restamped:?} vs {first_settled:?}"
+        );
+        assert_eq!(fs.compacted_residual(v1), Some(held));
+        assert!(fs.verified(v1));
+        assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), [v1]);
+        assert_eq!(fs.amr_versions().collect::<Vec<_>>(), [v1, v2]);
+    }
+
+    #[test]
     fn retrieve_unknown_fragment_answers_bottom() {
         let fs_node = NodeId::new(1);
         let (mut sim, _, _, driver) = tiny_world(
@@ -2518,6 +2713,6 @@ mod tests {
         );
         sim.run_until_time(SimTime::from_micros(100_000));
         let d: &Driver = sim.actor(driver);
-        assert_eq!(d.received, vec![(fs_node, "RetrieveFragRep")]);
+        assert_eq!(d.received(), vec![(fs_node, "RetrieveFragRep")]);
     }
 }

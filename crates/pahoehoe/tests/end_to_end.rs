@@ -3,6 +3,7 @@
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe::protocol::ProtocolMode;
+use pahoehoe::types::Key;
 use simnet::{FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime};
 
 fn small_workload(mut cfg: ClusterConfig, puts: usize) -> ClusterConfig {
@@ -199,6 +200,56 @@ fn report_counts_compacted_versions_as_durable_and_amr() {
     assert_eq!(report.non_durable, 0);
     assert_eq!(report.durable_not_amr, 0);
     assert_eq!(report.amr_versions, 12);
+}
+
+#[test]
+fn fs_slots_follow_live_versions_not_puts() {
+    // 50 overwrite rounds over 20 keys: 1 000 versions reach every FS, but
+    // once converged only the newest of each key still holds fragments.
+    // Compaction gives the other 980 slots back, so the slab is sized by
+    // the live versions, and every version is accounted for exactly once.
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 20);
+    cfg.workload_rounds = 50;
+    cfg.protocol = ProtocolMode::scale();
+    let mut cluster = Cluster::build(cfg, 10);
+    let report = cluster.run_to_convergence();
+    assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+    assert_eq!(report.puts_succeeded, 1_000);
+    for id in cluster.topology().all_fss() {
+        let fs = cluster.fs(id);
+        assert_eq!(fs.known_versions().count(), 1_000, "{id:?}");
+        assert!(
+            fs.resident_slots() <= 60,
+            "{id:?} keeps {} slots for 20 live versions",
+            fs.resident_slots()
+        );
+        assert_eq!(
+            fs.resident_slots() + fs.compacted_count(),
+            fs.known_versions().count(),
+            "{id:?} leaked or double-counted a slot"
+        );
+    }
+}
+
+#[test]
+fn gets_are_all_counted_and_the_newest_retained() {
+    let mut cluster = Cluster::build(ClusterConfig::paper_default(), 9);
+    for round in 0..2u8 {
+        for k in 0..8u8 {
+            cluster.put(&[k], vec![round * 8 + k; 300]);
+        }
+    }
+    cluster.run_to_convergence();
+    for i in 0..200u8 {
+        let k = i % 8;
+        assert_eq!(cluster.get(&[k]), Some(vec![8 + k; 300]), "get {i}");
+    }
+    let log = cluster.client().gets_done();
+    assert_eq!((log.len(), log.failed()), (200, 0));
+    assert!(log.get(0).is_none(), "the first outcome left the window");
+    let last = log.last().expect("200 gets completed");
+    assert!(std::ptr::eq(last, &log[199]), "last() is the 200th");
+    assert_eq!(last.key, Key::from_name(&[199 % 8]));
 }
 
 #[test]

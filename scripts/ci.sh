@@ -58,7 +58,7 @@ cargo run -p check --release --bin explore -- --smoke --repair --workers 2 --dig
 cmp target/digest-repair-seq.txt target/digest-repair-par.txt
 echo "    repair-mode parallel sweep digest is byte-identical to sequential"
 
-echo "==> bench scale (smoke)"
+echo "==> bench scale (smoke, gates equal events per update-* pair and compaction in every compacting cell)"
 cargo run -p bench --release --bin scale -- --smoke
 python3 -m json.tool target/BENCH_scale.smoke.json > /dev/null
 
