@@ -153,7 +153,7 @@ fn run_cell(cell: &Cell) -> CellResult {
     cfg.protocol = if cell.compact {
         ProtocolMode::scale()
     } else {
-        ProtocolMode::optimized()
+        ProtocolMode::default()
     };
     cfg.workload_value_len = cell.value_len;
     cfg.streaming_workload = Some(StreamingWorkload {

@@ -17,8 +17,8 @@
 //!   *token streams* (integration-test files and `#[cfg(test)]` modules),
 //!   not raw text, so doc prose never satisfies the obligation. A switch
 //!   function is also satisfied by a test driving a `*Mode`/`*Impl` type
-//!   defined in the same file (e.g. `ProtocolMode::reference()` exercises
-//!   `set_reference_protocol_mode`'s knob per actor).
+//!   defined in the same file (e.g. a test constructing `FooMode::reference()`
+//!   covers a `set_reference_foo` that selects the same knob).
 //! * **panic-path** — `.unwrap()`, `.expect()` and non-literal indexing
 //!   reachable from an actor dispatch root (`on_message` / `on_timer` /
 //!   `on_start`, plus the engine's `run_impl` event loop) via the

@@ -21,13 +21,6 @@
 //!   byte-identical digests — the CI determinism check);
 //! * `--digest-out PATH` — write one replay-digest line per scenario, for
 //!   comparing sequential and `--workers` runs byte for byte;
-//! * `--protocol reference|optimized|batched` — pin the protocol hot-path
-//!   mode (shared metadata / coalesced round accounting) the sweep's
-//!   clusters run with. `reference` and `optimized` produce byte-identical
-//!   digests (the optimizations are representation changes only);
-//!   `batched` changes the traffic accounting, so its digests differ but
-//!   every invariant must still hold. Default: the process default
-//!   (optimized, unbatched);
 //! * `--delta` — switch the delta-aware multiversion codec on and run the
 //!   standard workload for **two rounds**, so every second-round put
 //!   overwrites a key and exercises the XOR-delta stripe path. Delta mode
@@ -35,8 +28,8 @@
 //!   digests differ from the default sweep's, but every invariant must
 //!   hold and the sequential and `--workers` digests must still match;
 //! * `--scale` — after the sweep, run the scale-tier spot check: one Zipf
-//!   streaming-workload scenario pinned to the scale protocol mode
-//!   (sharded stores + converged-version compaction) with the invariant
+//!   streaming-workload scenario under the scale protocol mode
+//!   (converged-version compaction) with the invariant
 //!   registry installed at a sampled rate. Its digest line — which pins
 //!   the compacted-version count — is appended to `--digest-out`;
 //! * `--repair` — after the sweep, run the repair-engine churn check:
@@ -52,13 +45,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use check::explorer::{self, Injection, SweepConfig};
+use pahoehoe::protocol::ProtocolMode;
 
 fn usage() -> ! {
     eprintln!(
         "usage: explore [--smoke] [--seeds N] [--puts N] [--value-len N] \
          [--inject-corruption] [--trace-out PATH] [--workers N] \
-         [--digest-out PATH] [--protocol reference|optimized|batched] \
-         [--delta] [--scale] [--repair] [--quiet]"
+         [--digest-out PATH] [--delta] [--scale] [--repair] [--quiet]"
     );
     std::process::exit(2)
 }
@@ -95,23 +88,8 @@ fn main() -> ExitCode {
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
-            "--protocol" => match args.next().as_deref() {
-                Some("reference") => {
-                    pahoehoe::protocol::set_reference_protocol_mode(true);
-                    pahoehoe::protocol::set_batched_rounds(false);
-                }
-                Some("optimized") => {
-                    pahoehoe::protocol::set_reference_protocol_mode(false);
-                    pahoehoe::protocol::set_batched_rounds(false);
-                }
-                Some("batched") => {
-                    pahoehoe::protocol::set_reference_protocol_mode(false);
-                    pahoehoe::protocol::set_batched_rounds(true);
-                }
-                _ => usage(),
-            },
             "--delta" => {
-                pahoehoe::protocol::set_delta_coding(true);
+                cfg.workload.protocol = ProtocolMode::delta();
                 cfg.workload.rounds = 2;
             }
             "--scale" => scale = true,
@@ -122,6 +100,13 @@ fn main() -> ExitCode {
     }
 
     let total = cfg.scenarios().len();
+    if total == 0 && !scale && !repair {
+        eprintln!(
+            "explore: nothing to run: the sweep has 0 scenarios and neither --scale nor \
+             --repair was given"
+        );
+        return ExitCode::from(2);
+    }
     println!(
         "exploring {total} scenarios ({} seeds x {} fault specs x {} presets), \
          {} puts of {} B each, workers={}",

@@ -10,7 +10,6 @@
 //! duplication) to the minimal fault plan that still violates, and renders
 //! the shrunk run's message trace for offline diagnosis.
 
-use pahoehoe::analysis;
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
@@ -190,6 +189,9 @@ pub struct WorkloadCfg {
     /// actually exercise the delta encode/resolve path instead of
     /// vacuously falling back to full stripes.
     pub rounds: usize,
+    /// The protocol mode every scenario's cluster runs (`--delta` sets
+    /// [`ProtocolMode::delta`]).
+    pub protocol: ProtocolMode,
 }
 
 impl Default for WorkloadCfg {
@@ -198,6 +200,7 @@ impl Default for WorkloadCfg {
             puts: 3,
             value_len: 4096,
             rounds: 1,
+            protocol: ProtocolMode::default(),
         }
     }
 }
@@ -231,60 +234,17 @@ pub struct ScenarioOutcome {
     /// Debug rendering of the traffic metrics — byte-identical across
     /// replays of the same scenario.
     pub metrics_digest: String,
-    /// The final AMR ledger ([`amr_digest`]): one line per known object
-    /// version with its AMR classification. Identical across *all*
-    /// protocol modes for the same scenario — batching and metadata
-    /// sharing are representation changes only.
-    pub amr_digest: String,
 }
 
-/// Renders the cluster's final AMR ledger: every object version any KLS
-/// or FS knows, tagged with whether it reached absolute maximum
-/// redundancy, plus whether it is durable. Runs of the same scenario
-/// under different [`ProtocolMode`]s must produce identical ledgers —
-/// this is the cross-run convergence invariant the batched-rounds
-/// optimization is checked against.
-pub fn amr_digest(cluster: &Cluster) -> String {
-    let topo = cluster.topology();
-    let fss: Vec<NodeId> = topo.all_fss().collect();
-    let klss: Vec<NodeId> = topo.all_klss().collect();
-    let sim = cluster.sim();
-    let durable = analysis::durable_versions(sim, &fss);
-    analysis::known_versions(sim, &klss, &fss)
-        .iter()
-        .map(|&ov| {
-            format!(
-                "{ov:?} amr={} durable={}\n",
-                analysis::is_amr(sim, topo, ov),
-                durable.contains(&ov),
-            )
-        })
-        .collect()
-}
-
-/// Runs one scenario under the full invariant registry, with the protocol
-/// hot-path mode the process-wide switches currently select.
+/// Runs one scenario under the full invariant registry.
 pub fn run_scenario(
     sc: &Scenario,
     wl: &WorkloadCfg,
     injection: Injection,
     want_trace: bool,
 ) -> ScenarioOutcome {
-    run_scenario_pinned(sc, wl, injection, want_trace, ProtocolMode::current())
-}
-
-/// Like [`run_scenario`], but pins the cluster to an explicit
-/// [`ProtocolMode`] so tests can compare modes side by side without
-/// racing on the process-wide switches.
-pub fn run_scenario_pinned(
-    sc: &Scenario,
-    wl: &WorkloadCfg,
-    injection: Injection,
-    want_trace: bool,
-    protocol: ProtocolMode,
-) -> ScenarioOutcome {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.protocol = protocol;
+    cfg.protocol = wl.protocol;
     cfg.convergence = sc.preset.options();
     cfg.workload_puts = wl.puts;
     cfg.workload_value_len = wl.value_len;
@@ -312,7 +272,6 @@ pub fn run_scenario_pinned(
                 .unwrap_or_else(|| "(trace disabled)".to_string())
         }),
         metrics_digest: format!("{:?}", sim.metrics()),
-        amr_digest: amr_digest(&cluster),
     }
 }
 
@@ -629,9 +588,9 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
 // ---------------------------------------------------------------------------
 
 /// Configuration for the scale-tier spot check: one Zipf streaming-workload
-/// scenario run under [`ProtocolMode::scale`] (sharded stores, converged-
-/// version compaction) with the full invariant registry installed at a
-/// sampled rate.
+/// scenario run under [`ProtocolMode::scale`] (converged-version
+/// compaction) with the full invariant registry installed at a sampled
+/// rate.
 #[derive(Debug, Clone)]
 pub struct ScaleCheckCfg {
     /// RNG seed for both the cluster and the workload stream.
@@ -681,10 +640,8 @@ pub struct ScaleOutcome {
     pub metrics_digest: String,
 }
 
-/// Runs the scale-tier spot check. The cluster is pinned to
-/// [`ProtocolMode::scale`] regardless of the process-wide switches, so the
-/// check exercises sharding and compaction even when the surrounding sweep
-/// runs another mode.
+/// Runs the scale-tier spot check: a cluster under
+/// [`ProtocolMode::scale`], whatever mode the surrounding sweep runs.
 pub fn run_scale_check(cfg: &ScaleCheckCfg) -> ScaleOutcome {
     let mut cc = ClusterConfig::paper_default();
     cc.protocol = ProtocolMode::scale();

@@ -377,11 +377,9 @@ impl Invariant for ChecksumIntegrity {
 // ---------------------------------------------------------------------------
 
 /// The metrics and trace agree with each other and with causality: counters
-/// only grow, drops never exceed logical entries, per-kind totals sum to
-/// the grand totals, and (when tracing is on) the trace records exactly
-/// one event per logical entry — equal to one per physical send unless
-/// convergence rounds were batched — with drop dispositions matching the
-/// drop counter.
+/// only grow, drops never exceed sends, per-kind totals sum to the grand
+/// totals, and (when tracing is on) the trace records exactly one event
+/// per send, with drop dispositions matching the drop counter.
 pub struct MetricsSanity {
     prev_total: u64,
     prev_bytes: u64,
@@ -430,21 +428,10 @@ impl Invariant for MetricsSanity {
         if m.dropped() < self.prev_dropped || m.duplicated() < self.prev_duplicated {
             return Err("drop/duplicate counters regressed".to_string());
         }
-        // Drops and the trace are recorded per *logical entry* (each entry
-        // of a coalesced batch traverses the channel individually), so they
-        // bound against `total_entries`, which equals `total_count` unless
-        // rounds were batched.
-        let entries = m.total_entries();
-        if entries < total {
+        if m.dropped() > total {
             return Err(format!(
-                "{entries} logical entries but {total} physical messages sent"
-            ));
-        }
-        if m.dropped() > entries {
-            return Err(format!(
-                "{} messages dropped but only {} entries ever sent",
-                m.dropped(),
-                entries
+                "{} messages dropped but only {total} ever sent",
+                m.dropped()
             ));
         }
         let (kind_count, kind_bytes) = m
@@ -457,11 +444,10 @@ impl Invariant for MetricsSanity {
             ));
         }
         if let Some(trace) = view.sim.trace() {
-            if trace.len() != entries as usize {
+            if trace.len() != total as usize {
                 return Err(format!(
-                    "trace records {} events but {} message entries were sent",
-                    trace.len(),
-                    entries
+                    "trace records {} events but {total} messages were sent",
+                    trace.len()
                 ));
             }
             for ev in &trace.events()[self.trace_seen..] {

@@ -80,14 +80,6 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Files (matched by path suffix) allowed to hold process-global mutable
-/// state for the `shared-mutable` rule: the protocol-mode defaults, read
-/// once at actor construction — not simulation-visible state. Everything
-/// else must stay free of shared mutability: runs execute on
-/// `simnet::sweep` worker threads, and worker scheduling must not leak
-/// into a run.
-pub const SHARED_MUTABLE_ALLOWED: &[&str] = &["crates/pahoehoe/src/protocol.rs"];
-
 /// Index of `rule` in [`RULES`] — the bit it occupies in the CLI's
 /// per-rule exit code (see `bin/lint.rs`).
 pub fn rule_bit(rule: &str) -> Option<usize> {
@@ -252,22 +244,14 @@ fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Whether `file` sits on the [`SHARED_MUTABLE_ALLOWED`] allowlist.
-fn shared_mutable_allowed_file(file: &Path) -> bool {
-    let p = file.to_string_lossy().replace('\\', "/");
-    SHARED_MUTABLE_ALLOWED.iter().any(|sfx| p.ends_with(sfx))
-}
-
 /// Lints one file's source text.
 pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
     let code = rustlite::strip_noncode(src);
     let toks = rustlite::tokenize(&code);
     let lines: Vec<&str> = src.lines().collect();
     let allows = allows_by_line(src);
-    let shared_ok = shared_mutable_allowed_file(file);
     scan_tokens(&toks, &lines, file)
         .into_iter()
-        .filter(|f| !(shared_ok && f.rule == "shared-mutable"))
         .filter(|f| !allowed(&allows, &lines, f.line, f.rule))
         .collect()
 }
@@ -509,23 +493,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_mutable_allowlist_is_path_scoped() {
+    fn shared_mutable_has_no_path_exemption() {
+        // No file may hold a process global: runs execute on
+        // `simnet::sweep` worker threads, and nothing outside a run's own
+        // actors and engine may carry state into it. The file that used to
+        // hold the protocol-mode statics is a finding like any other.
         let src = "static M: AtomicBool = AtomicBool::new(false);";
-        for sfx in SHARED_MUTABLE_ALLOWED {
-            let path = PathBuf::from("/work").join(sfx);
-            assert!(
-                lint_source(&path, src).is_empty(),
-                "{sfx} is allowlisted for process-wide switches"
-            );
+        for file in [
+            "/work/crates/pahoehoe/src/protocol.rs",
+            "/work/crates/simnet/src/sweep.rs",
+        ] {
+            let findings = lint_source(Path::new(file), src);
+            assert_eq!(findings.len(), 2, "{file}");
+            assert!(findings.iter().all(|f| f.rule == "shared-mutable"));
         }
-        // The sweep harness is deliberately NOT allowlisted: shared
-        // mutability there could leak worker scheduling into a run.
-        let findings = lint_source(Path::new("/work/crates/simnet/src/sweep.rs"), src);
-        assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.rule == "shared-mutable"));
-        // lint:allow still works on non-allowlisted files.
+        // lint:allow still works, there as anywhere.
         let allowed_src = "static M: AtomicBool = AtomicBool::new(false); \
                            // lint:allow(shared-mutable)";
-        assert!(lint_source(Path::new("/work/crates/x/src/lib.rs"), allowed_src).is_empty());
+        assert!(lint_source(
+            Path::new("/work/crates/pahoehoe/src/protocol.rs"),
+            allowed_src
+        )
+        .is_empty());
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end proof that the checker machinery actually detects
 //! violations: a deliberately injected bug (a silent fragment corruption)
 //! must be flagged, shrunk to a minimal repro and traced — both through
-//! the library API and through the `explore` binary's exit status.
+//! the library API and through the `explore` binary's exit status. The
+//! converse guard sits here too: a sweep of nothing is a usage error, not
+//! a pass.
 
 use check::explorer::{sweep, FaultSpec, Injection, Preset, SweepConfig, WorkloadCfg};
 
@@ -68,6 +70,34 @@ fn explore_binary_exits_nonzero_with_repro_and_trace() {
     let trace = std::fs::read_to_string(&trace_path).expect("trace dumped");
     assert!(!trace.is_empty());
     let _ = std::fs::remove_file(&trace_path);
+}
+
+#[test]
+fn explore_binary_rejects_an_empty_sweep() {
+    let explore = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
+            .args(args)
+            .output()
+            .expect("explore binary runs")
+    };
+    // Zero scenarios and nothing else to run: exit 2 and say why, rather
+    // than print `ok: 0 scenarios` and exit 0.
+    let empty = explore(&["--smoke", "--quiet", "--seeds", "0"]);
+    assert_eq!(empty.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&empty.stderr);
+    assert!(stderr.contains("0 scenarios"), "stderr: {stderr}");
+    assert!(
+        !String::from_utf8_lossy(&empty.stdout).contains("ok:"),
+        "an empty sweep must not report success"
+    );
+    // `--repair` gives the run something to check, so it stays legal.
+    let repair_only = explore(&["--smoke", "--quiet", "--seeds", "0", "--repair"]);
+    assert_eq!(
+        repair_only.status.code(),
+        Some(0),
+        "stdout:\n{}",
+        String::from_utf8_lossy(&repair_only.stdout)
+    );
 }
 
 #[test]

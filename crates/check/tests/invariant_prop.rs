@@ -5,11 +5,13 @@
 use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario, WorkloadCfg};
 use proptest::prelude::*;
 
-const WORKLOAD: WorkloadCfg = WorkloadCfg {
-    puts: 2,
-    value_len: 2048,
-    rounds: 1,
-};
+fn workload() -> WorkloadCfg {
+    WorkloadCfg {
+        puts: 2,
+        value_len: 2048,
+        ..WorkloadCfg::default()
+    }
+}
 
 fn assert_invariants_hold(seed: u64, faults: FaultSpec, preset: Preset) {
     let sc = Scenario {
@@ -17,7 +19,7 @@ fn assert_invariants_hold(seed: u64, faults: FaultSpec, preset: Preset) {
         faults,
         preset,
     };
-    let outcome = run_scenario(&sc, &WORKLOAD, Injection::None, false);
+    let outcome = run_scenario(&sc, &workload(), Injection::None, false);
     assert!(
         outcome.violation.is_none(),
         "invariant violated: {:?} for {sc:?}",

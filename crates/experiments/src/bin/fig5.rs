@@ -40,7 +40,7 @@ fn main() {
     );
     println!("{}", render_run_stats(&results));
     // Non-empty only when a configuration recorded protocol events
-    // (e.g. the delta-codec ledger under `set_delta_coding`).
+    // (e.g. the put path's fragment-byte ledger).
     let events = render_events("Figure 5 - protocol event counters", &results);
     if !events.is_empty() {
         println!("{events}");

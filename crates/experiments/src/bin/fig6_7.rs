@@ -17,7 +17,7 @@ fn main() {
         FigureOptions::paper()
     };
     eprintln!(
-        "fig6_7: {} puts x {} KiB, {} seeds x 22 configs ...",
+        "fig6_7: {} puts x {} KiB, {} seeds x 17 configs ...",
         opts.puts,
         opts.value_len / 1024,
         opts.seeds

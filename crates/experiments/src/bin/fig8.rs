@@ -18,7 +18,7 @@ fn main() {
         FigureOptions::paper()
     };
     eprintln!(
-        "fig8: {} puts x {} KiB, {} seeds x 22 configs ...",
+        "fig8: {} puts x {} KiB, {} seeds x 17 configs ...",
         opts.puts,
         opts.value_len / 1024,
         opts.seeds

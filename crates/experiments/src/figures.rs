@@ -2,7 +2,6 @@
 
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
-use pahoehoe::protocol::ProtocolMode;
 use simnet::{FaultPlan, NetworkConfig, SimDuration, SimTime};
 use stats::{percentile, Summary};
 
@@ -61,14 +60,12 @@ fn run_config(
     label: &str,
     opts: FigureOptions,
     conv: ConvergenceOptions,
-    protocol: ProtocolMode,
     faults: impl Fn() -> FaultPlan + Send + Sync,
     network: NetworkConfig,
 ) -> ConfigResult {
     let reports = run_many(1..opts.seeds + 1, |seed| {
         let mut cfg = base_config(opts, conv.clone());
         cfg.network = network.clone();
-        cfg.protocol = protocol;
         Cluster::build_with_faults(cfg, seed, faults())
     });
     aggregate(label, &reports)
@@ -96,7 +93,6 @@ pub fn fig5(opts: FigureOptions) -> Vec<ConfigResult> {
                 label,
                 opts,
                 conv,
-                ProtocolMode::optimized(),
                 FaultPlan::none,
                 NetworkConfig::paper_default(),
             )
@@ -138,49 +134,25 @@ pub fn fs_outage(layout: ClusterLayout, down: usize) -> FaultPlan {
 /// Figures 6 and 7: message counts and bytes as 0–4 FSs are unavailable
 /// for ten minutes, for each optimization setting. The `0-All` column is
 /// the reference point (same data as Fig. 5's PutAMR bar).
-///
-/// Beyond the paper's matrix, each outage level also gets a `Batched`
-/// column: the `All` setting re-run with [`ProtocolMode::batched`], which
-/// coalesces every convergence round's per-destination traffic into
-/// multi-entry messages. Event order and AMR outcomes are bit-identical
-/// to the `All` column (batching is accounting-only; see
-/// [`pahoehoe::protocol`]); only the message counts and header bytes
-/// shrink.
 pub fn fig6_7(opts: FigureOptions) -> Vec<ConfigResult> {
     let layout = paper_layout();
-    let mut out = Vec::new();
-    for (label, protocol) in [
-        ("0-All", ProtocolMode::optimized()),
-        ("0-Batched", ProtocolMode::batched()),
-    ] {
-        out.push(run_config(
-            label,
-            opts,
-            ConvergenceOptions::all(),
-            protocol,
-            FaultPlan::none,
-            NetworkConfig::paper_default(),
-        ));
-    }
+    let mut out = vec![run_config(
+        "0-All",
+        opts,
+        ConvergenceOptions::all(),
+        FaultPlan::none,
+        NetworkConfig::paper_default(),
+    )];
     for down in 1..=4usize {
         for (name, conv) in failure_optimization_matrix() {
             out.push(run_config(
                 &format!("{down}-{name}"),
                 opts,
                 conv,
-                ProtocolMode::optimized(),
                 move || fs_outage(layout, down),
                 NetworkConfig::paper_default(),
             ));
         }
-        out.push(run_config(
-            &format!("{down}-Batched"),
-            opts,
-            ConvergenceOptions::all(),
-            ProtocolMode::batched(),
-            move || fs_outage(layout, down),
-            NetworkConfig::paper_default(),
-        ));
     }
     out
 }
@@ -217,44 +189,26 @@ pub fn kls_outage(layout: ClusterLayout, pattern: &str) -> FaultPlan {
 }
 
 /// Figure 8: message bytes as KLSs become unavailable, for each
-/// optimization setting. As in [`fig6_7`], each outage pattern gets an
-/// extra `Batched` column — the `All` setting with coalesced convergence
-/// rounds ([`ProtocolMode::batched`]).
+/// optimization setting.
 pub fn fig8(opts: FigureOptions) -> Vec<ConfigResult> {
     let layout = paper_layout();
-    let mut out = Vec::new();
-    for (label, protocol) in [
-        ("0-All", ProtocolMode::optimized()),
-        ("0-Batched", ProtocolMode::batched()),
-    ] {
-        out.push(run_config(
-            label,
-            opts,
-            ConvergenceOptions::all(),
-            protocol,
-            FaultPlan::none,
-            NetworkConfig::paper_default(),
-        ));
-    }
+    let mut out = vec![run_config(
+        "0-All",
+        opts,
+        ConvergenceOptions::all(),
+        FaultPlan::none,
+        NetworkConfig::paper_default(),
+    )];
     for pattern in ["1", "2C", "2P", "3"] {
         for (name, conv) in failure_optimization_matrix() {
             out.push(run_config(
                 &format!("{pattern}-{name}"),
                 opts,
                 conv,
-                ProtocolMode::optimized(),
                 move || kls_outage(layout, pattern),
                 NetworkConfig::paper_default(),
             ));
         }
-        out.push(run_config(
-            &format!("{pattern}-Batched"),
-            opts,
-            ConvergenceOptions::all(),
-            ProtocolMode::batched(),
-            move || kls_outage(layout, pattern),
-            NetworkConfig::paper_default(),
-        ));
     }
     out
 }
@@ -373,9 +327,8 @@ mod tests {
     #[test]
     fn fig6_7_matrix_shape_and_monotonicity() {
         let results = fig6_7(mini());
-        assert_eq!(results.len(), 22, "(0-All + 0-Batched) + 4 x 5 settings");
+        assert_eq!(results.len(), 17, "0-All + 4 x 4 settings");
         assert_eq!(results[0].label, "0-All");
-        assert_eq!(results[1].label, "0-Batched");
         assert!(results.iter().all(|r| r.all_converged));
         // Recovery traffic appears once failures do.
         let zero = &results[0];
@@ -385,7 +338,7 @@ mod tests {
                 .map_or(0.0, |s| s.mean),
             0.0
         );
-        let one_putamr = &results[2];
+        let one_putamr = &results[1];
         assert!(one_putamr.label.starts_with("1-"));
         assert!(
             one_putamr
@@ -409,54 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn fig6_7_batched_column_coalesces_without_changing_outcomes() {
-        let results = fig6_7(mini());
-        let by_label = |l: &str| {
-            results
-                .iter()
-                .find(|r| r.label == l)
-                .unwrap_or_else(|| panic!("{l} missing"))
-        };
-        for level in ["0", "1", "2", "3", "4"] {
-            let all = by_label(&format!("{level}-All"));
-            let batched = by_label(&format!("{level}-Batched"));
-            // Batching is accounting-only: same events, same virtual time.
-            assert_eq!(
-                all.sim_secs.mean, batched.sim_secs.mean,
-                "level {level}: batching must not change convergence time"
-            );
-            assert_eq!(
-                all.puts_attempted.mean, batched.puts_attempted.mean,
-                "level {level}"
-            );
-            // Coalescing can only shrink the physical message/byte totals.
-            assert!(
-                batched.total_count.mean <= all.total_count.mean,
-                "level {level}: {} > {}",
-                batched.total_count.mean,
-                all.total_count.mean
-            );
-            assert!(
-                batched.total_bytes.mean <= all.total_bytes.mean,
-                "level {level}"
-            );
-        }
-        // Long outages queue many entries per round, so coalescing must
-        // actually bite somewhere in the sweep.
-        let all4 = by_label("4-All");
-        let batched4 = by_label("4-Batched");
-        assert!(
-            batched4.total_count.mean < all4.total_count.mean,
-            "outage-heavy convergence rounds must coalesce: {} vs {}",
-            batched4.total_count.mean,
-            all4.total_count.mean
-        );
-    }
-
-    #[test]
     fn fig8_partitioned_case_dominates() {
         let results = fig8(mini());
-        assert_eq!(results.len(), 22);
+        assert_eq!(results.len(), 17);
         assert!(results.iter().all(|r| r.all_converged));
         let retrievals = |label: &str| {
             results

@@ -138,10 +138,9 @@ pub struct ClusterConfig {
     /// Convergence configuration for every FS (and the proxy's Put-AMR
     /// switch).
     pub convergence: ConvergenceOptions,
-    /// Protocol hot-path switches (shared metadata, batched round
-    /// accounting) for every actor in the cluster. Defaults to the
-    /// process-wide switches (see [`crate::protocol`]); pin it explicitly
-    /// in tests that compare modes so parallel tests cannot race.
+    /// Protocol behaviour switches (converged-version compaction, delta
+    /// coding; see [`crate::protocol`]) for every actor in the cluster.
+    /// Both off by default.
     pub protocol: ProtocolMode,
     /// Proxy timeouts and clock skew.
     pub proxy: ProxyConfig,
@@ -190,7 +189,7 @@ impl ClusterConfig {
             extra_proxies: Vec::new(),
             policy: Policy::paper_default(),
             convergence: ConvergenceOptions::all(),
-            protocol: ProtocolMode::current(),
+            protocol: ProtocolMode::default(),
             proxy: ProxyConfig::default(),
             network: NetworkConfig::paper_default(),
             workload_puts: 0,
@@ -285,7 +284,7 @@ impl Cluster {
         for dc in 0..layout.dcs {
             let dc_id = DataCenterId::new(dc as u8);
             for _ in 0..layout.kls_per_dc {
-                let id = sim.add_actor(Kls::with_mode(topo.clone(), dc_id, config.protocol));
+                let id = sim.add_actor(Kls::new(topo.clone(), dc_id));
                 debug_assert!(topo.klss_in(dc_id).contains(&id));
             }
             for _ in 0..layout.fs_per_dc {

@@ -64,8 +64,8 @@ pub const WAKE_TIMER_TAG: u64 = TAG_ROUND;
 /// Stored fragments plus the metadata snapshot for one object version.
 #[derive(Debug, Clone)]
 pub struct FragEntry {
-    /// Best-known metadata (shared by refcount in optimized mode; see
-    /// [`ProtocolMode`]).
+    /// Best-known metadata, shared by refcount with the messages that
+    /// carried it and the other stores that adopted it.
     pub meta: Arc<Metadata>,
     /// The sibling fragments this server holds, by fragment index.
     pub fragments: FragMap<Fragment>,
@@ -131,8 +131,8 @@ struct Recovery {
 
 /// Lifecycle state of one stored object version. Exactly one of these
 /// holds at any time (a stored version is being converged, settled AMR,
-/// or abandoned), which is what lets the dense store keep it as a single
-/// tagged field instead of the seed's three side tables.
+/// or abandoned), which is what lets the store keep it as a single tagged
+/// field.
 #[derive(Debug)]
 enum VersionState {
     /// Still being converged.
@@ -183,64 +183,54 @@ fn live_mut(slots: &mut [Option<VersionSlot>], s: u32) -> &mut VersionSlot {
     slots[s as usize].as_mut().expect("occupied slot")
 }
 
-/// Slot hint meaning "resolve through the index".
-const NO_SLOT: u32 = u32::MAX;
-
-/// Shard count of the dense store's key-sharded `ov -> slot` index
-/// (power of two; the shard is a hash of the key, so every version of a
-/// key lands in the same shard and per-key range scans stay local).
+/// Shard count of the store's key-sharded `ov -> slot` index (power of
+/// two; the shard is a hash of the key, so every version of a key lands in
+/// the same shard and per-key range scans stay local).
 const SHARD_FANOUT: usize = 64;
 
-/// The dense store's `ov -> slot` index, split into `fanout` shards by
-/// key hash. With `fanout == 1` this is exactly the flat map the scale
-/// tier replaced, kept reachable via `ProtocolMode::shard_store = false`
-/// as the differential oracle. Lookups touch a single shard whose size is
-/// `~versions / fanout`, which keeps comparisons short and the working
-/// set of a hot key's operations small at million-key scale.
+/// The store's `ov -> slot` index, split into [`SHARD_FANOUT`] shards by
+/// key hash. Lookups touch a single shard whose size is
+/// `~versions / SHARD_FANOUT`, which keeps comparisons short and the
+/// working set of a hot key's operations small at million-key scale.
 #[derive(Debug)]
 struct ShardIndex {
     shards: Vec<BTreeMap<ObjectVersion, u32>>,
-    mask: u64,
 }
 
 impl ShardIndex {
-    fn new(fanout: usize) -> Self {
-        debug_assert!(fanout.is_power_of_two());
+    fn new() -> Self {
         ShardIndex {
-            shards: (0..fanout).map(|_| BTreeMap::new()).collect(),
-            mask: fanout as u64 - 1,
+            shards: (0..SHARD_FANOUT).map(|_| BTreeMap::new()).collect(),
         }
     }
 
     /// The shard holding `key`'s versions (splitmix64 finalizer: workload
     /// keys are often sequential, so the raw bits must be mixed).
     // lint:hot
-    fn shard_of(&self, key: Key) -> usize {
+    fn shard_of(key: Key) -> usize {
         let mut h = key.as_u64();
         h ^= h >> 30;
         h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h ^= h >> 27;
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
-        (h & self.mask) as usize
+        (h & (SHARD_FANOUT as u64 - 1)) as usize
     }
 
     // lint:hot
     fn get(&self, ov: &ObjectVersion) -> Option<u32> {
         // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[self.shard_of(ov.key)].get(ov).copied()
+        self.shards[Self::shard_of(ov.key)].get(ov).copied()
     }
 
     fn insert(&mut self, ov: ObjectVersion, s: u32) {
-        let i = self.shard_of(ov.key);
         // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[i].insert(ov, s);
+        self.shards[Self::shard_of(ov.key)].insert(ov, s);
     }
 
     fn remove(&mut self, ov: &ObjectVersion) {
-        let i = self.shard_of(ov.key);
         // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[i].remove(ov);
+        self.shards[Self::shard_of(ov.key)].remove(ov);
     }
 
     /// `key`'s versions strictly newer than `ov`, ascending, with slot
@@ -251,7 +241,7 @@ impl ShardIndex {
     ) -> impl DoubleEndedIterator<Item = (ObjectVersion, u32)> + '_ {
         let hi = ObjectVersion::new(ov.key, Timestamp::MAX);
         // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[self.shard_of(ov.key)]
+        self.shards[Self::shard_of(ov.key)]
             .range((std::ops::Bound::Excluded(ov), std::ops::Bound::Included(hi)))
             .map(|(&v, &s)| (v, s))
     }
@@ -264,237 +254,153 @@ impl ShardIndex {
     ) -> impl DoubleEndedIterator<Item = (ObjectVersion, u32)> + '_ {
         let lo = ObjectVersion::new(ov.key, Timestamp::MIN);
         // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[self.shard_of(ov.key)]
+        self.shards[Self::shard_of(ov.key)]
             .range(lo..ov)
             .map(|(&v, &s)| (v, s))
     }
 }
 
-/// Per-version storage for an FS, behind the protocol reference switch.
+/// Per-version storage for an FS.
 ///
-/// The dense representation keeps every *live* version — one that still
-/// holds its fragments — in a slab slot, with an `ov -> slot` index and a
-/// sorted list of pending slot indices that `run_round` walks without any
-/// map lookups. Versions are never forgotten, but a compacted one shrinks
-/// to a [`Residual`] in a table of its own and gives its slot and index
-/// entry back, so slab, index, pending list and every walk over them are
-/// O(live versions), not O(versions ever stored). The reference
-/// representation reproduces the seed's four separate ordered maps (and,
-/// like the seed, never compacts), so the recorded benchmark can attribute
-/// the win honestly.
+/// Every *live* version — one that still holds its fragments — sits in a
+/// slab slot, with an `ov -> slot` index and a sorted list of pending slot
+/// indices that `run_round` walks without any map lookups. Versions are
+/// never forgotten, but a compacted one shrinks to a [`Residual`] in a
+/// table of its own and gives its slot and index entry back, so slab,
+/// index, pending list and every walk over them are O(live versions), not
+/// O(versions ever stored).
 #[derive(Debug)]
-enum VersionStore {
-    Dense {
-        /// `None` marks a vacated slot, listed in `free`.
-        slots: Vec<Option<VersionSlot>>,
-        /// Slots vacated by compaction, reused before the slab grows.
-        free: Vec<u32>,
-        index: ShardIndex,
-        /// Slot indices of pending versions, sorted by object version so
-        /// rounds step versions in the same order as the reference maps.
-        pending: Vec<u32>,
-        /// What is left of each compacted version. Consulted when the
-        /// index misses: a version is in the index or here, never both.
-        /// Compacting takes a newer settled version of the key, so the
-        /// newest version a key has is never here: every residual has a
-        /// newer version of its key in the index.
-        residuals: BTreeMap<ObjectVersion, Residual>,
-    },
-    Reference {
-        entries: BTreeMap<ObjectVersion, FragEntry>,
-        work: BTreeMap<ObjectVersion, ConvWork>,
-        amr: BTreeMap<ObjectVersion, SimTime>,
-        gave_up: BTreeSet<ObjectVersion>,
-    },
+struct VersionStore {
+    /// `None` marks a vacated slot, listed in `free`.
+    slots: Vec<Option<VersionSlot>>,
+    /// Slots vacated by compaction, reused before the slab grows.
+    free: Vec<u32>,
+    index: ShardIndex,
+    /// Slot indices of pending versions, sorted by object version so
+    /// rounds step versions in version order.
+    pending: Vec<u32>,
+    /// What is left of each compacted version. Consulted when the index
+    /// misses: a version is in the index or here, never both. Compacting
+    /// takes a newer settled version of the key, so the newest version a
+    /// key has is never here: every residual has a newer version of its
+    /// key in the index.
+    residuals: BTreeMap<ObjectVersion, Residual>,
 }
 
 impl VersionStore {
-    fn new(mode: ProtocolMode) -> Self {
-        if mode.share_metadata {
-            VersionStore::Dense {
-                slots: Vec::new(),
-                free: Vec::new(),
-                index: ShardIndex::new(if mode.shard_store { SHARD_FANOUT } else { 1 }),
-                pending: Vec::new(),
-                residuals: BTreeMap::new(),
-            }
-        } else {
-            VersionStore::Reference {
-                entries: BTreeMap::new(),
-                work: BTreeMap::new(),
-                amr: BTreeMap::new(),
-                gave_up: BTreeSet::new(),
-            }
+    fn new() -> Self {
+        VersionStore {
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: ShardIndex::new(),
+            pending: Vec::new(),
+            residuals: BTreeMap::new(),
         }
     }
 
     fn entry(&self, ov: ObjectVersion) -> Option<&FragEntry> {
-        match self {
-            VersionStore::Dense { slots, index, .. } => {
-                index.get(&ov).map(|s| &live(slots, s).entry)
-            }
-            VersionStore::Reference { entries, .. } => entries.get(&ov),
-        }
+        let s = self.index.get(&ov)?;
+        Some(&live(&self.slots, s).entry)
     }
 
     fn entry_mut(&mut self, ov: ObjectVersion) -> Option<&mut FragEntry> {
-        match self {
-            VersionStore::Dense { slots, index, .. } => {
-                let s = index.get(&ov)?;
-                Some(&mut live_mut(slots, s).entry)
-            }
-            VersionStore::Reference { entries, .. } => entries.get_mut(&ov),
-        }
+        let s = self.index.get(&ov)?;
+        Some(&mut live_mut(&mut self.slots, s).entry)
     }
 
-    /// Entry access with a slot hint from `collect_pending`/`collect_live`
-    /// (skips the index walk in dense mode). A hint stays good for the
-    /// walk it was listed for: nothing is inserted during a round or a
-    /// scrub, so no slot changes owner, and a slot that compaction vacated
+    /// Entry access by the slot a `collect_pending`/`collect_live` listing
+    /// named (skips the index walk). A listed slot stays good for the walk
+    /// it was listed for: nothing is inserted during a round or a scrub,
+    /// so no slot changes owner, and a slot that compaction vacated
     /// mid-walk reads as absent.
     // lint:hot
-    fn entry_at(&self, ov: ObjectVersion, hint: u32) -> Option<&FragEntry> {
-        match self {
-            VersionStore::Dense { slots, .. } if hint != NO_SLOT => {
-                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
-                let slot = slots[hint as usize].as_ref()?;
-                debug_assert_eq!(slot.ov, ov);
-                Some(&slot.entry)
-            }
-            _ => self.entry(ov),
-        }
+    fn entry_at(&self, ov: ObjectVersion, s: u32) -> Option<&FragEntry> {
+        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
+        let slot = self.slots[s as usize].as_ref()?;
+        debug_assert_eq!(slot.ov, ov);
+        Some(&slot.entry)
     }
 
     /// Mutable variant of [`VersionStore::entry_at`].
     // lint:hot
-    fn entry_at_mut(&mut self, ov: ObjectVersion, hint: u32) -> Option<&mut FragEntry> {
-        if hint != NO_SLOT {
-            if let VersionStore::Dense { slots, .. } = self {
-                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
-                let slot = slots[hint as usize].as_mut()?;
-                debug_assert_eq!(slot.ov, ov);
-                return Some(&mut slot.entry);
-            }
-        }
-        self.entry_mut(ov)
+    fn entry_at_mut(&mut self, ov: ObjectVersion, s: u32) -> Option<&mut FragEntry> {
+        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
+        let slot = self.slots[s as usize].as_mut()?;
+        debug_assert_eq!(slot.ov, ov);
+        Some(&mut slot.entry)
     }
 
     /// The convergence work for `ov`, if it is pending.
     fn work(&self, ov: ObjectVersion) -> Option<&ConvWork> {
-        match self {
-            VersionStore::Dense { slots, index, .. } => match &live(slots, index.get(&ov)?).state {
-                VersionState::Pending(w) => Some(w),
-                _ => None,
-            },
-            VersionStore::Reference { work, .. } => work.get(&ov),
+        match &live(&self.slots, self.index.get(&ov)?).state {
+            VersionState::Pending(w) => Some(w),
+            _ => None,
         }
     }
 
     fn work_mut(&mut self, ov: ObjectVersion) -> Option<&mut ConvWork> {
-        match self {
-            VersionStore::Dense { slots, index, .. } => {
-                match &mut live_mut(slots, index.get(&ov)?).state {
-                    VersionState::Pending(w) => Some(w),
-                    _ => None,
-                }
-            }
-            VersionStore::Reference { work, .. } => work.get_mut(&ov),
+        match &mut live_mut(&mut self.slots, self.index.get(&ov)?).state {
+            VersionState::Pending(w) => Some(w),
+            _ => None,
         }
     }
 
-    /// Work access with a slot hint (see `entry_at_mut`).
+    /// Work access by listed slot (see [`VersionStore::entry_at`]).
     // lint:hot
-    fn work_at(&self, ov: ObjectVersion, hint: u32) -> Option<&ConvWork> {
-        match self {
-            VersionStore::Dense { slots, .. } if hint != NO_SLOT => {
-                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
-                let slot = slots[hint as usize].as_ref()?;
-                debug_assert_eq!(slot.ov, ov);
-                match &slot.state {
-                    VersionState::Pending(w) => Some(w),
-                    _ => None,
-                }
-            }
-            _ => self.work(ov),
+    fn work_at(&self, ov: ObjectVersion, s: u32) -> Option<&ConvWork> {
+        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
+        let slot = self.slots[s as usize].as_ref()?;
+        debug_assert_eq!(slot.ov, ov);
+        match &slot.state {
+            VersionState::Pending(w) => Some(w),
+            _ => None,
         }
     }
 
     /// Mutable variant of [`VersionStore::work_at`].
     // lint:hot
-    fn work_at_mut(&mut self, ov: ObjectVersion, hint: u32) -> Option<&mut ConvWork> {
-        if hint != NO_SLOT {
-            if let VersionStore::Dense { slots, .. } = self {
-                // lint:allow(panic-path): a hint from a collect_* listing is inside the slab, which never shrinks
-                let slot = slots[hint as usize].as_mut()?;
-                debug_assert_eq!(slot.ov, ov);
-                return match &mut slot.state {
-                    VersionState::Pending(w) => Some(w),
-                    _ => None,
-                };
-            }
+    fn work_at_mut(&mut self, ov: ObjectVersion, s: u32) -> Option<&mut ConvWork> {
+        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
+        let slot = self.slots[s as usize].as_mut()?;
+        debug_assert_eq!(slot.ov, ov);
+        match &mut slot.state {
+            VersionState::Pending(w) => Some(w),
+            _ => None,
         }
-        self.work_mut(ov)
     }
 
     /// Whether `ov` is settled (AMR or given up).
     fn is_settled(&self, ov: ObjectVersion) -> bool {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                residuals,
-                ..
-            } => match index.get(&ov) {
-                Some(s) => !matches!(live(slots, s).state, VersionState::Pending(_)),
-                None => residuals.contains_key(&ov),
-            },
-            VersionStore::Reference { amr, gave_up, .. } => {
-                amr.contains_key(&ov) || gave_up.contains(&ov)
-            }
+        match self.index.get(&ov) {
+            Some(s) => !matches!(live(&self.slots, s).state, VersionState::Pending(_)),
+            None => self.residuals.contains_key(&ov),
         }
     }
 
     fn amr_at(&self, ov: ObjectVersion) -> Option<SimTime> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                residuals,
-                ..
-            } => match index.get(&ov) {
-                Some(s) => match live(slots, s).state {
-                    VersionState::Amr(at) => Some(at),
-                    _ => None,
-                },
-                None => residuals.get(&ov).map(|r| r.amr_at),
+        match self.index.get(&ov) {
+            Some(s) => match live(&self.slots, s).state {
+                VersionState::Amr(at) => Some(at),
+                _ => None,
             },
-            VersionStore::Reference { amr, .. } => amr.get(&ov).copied(),
+            None => self.residuals.get(&ov).map(|r| r.amr_at),
         }
     }
 
     /// The compaction residual for `ov`: the fragment-index mask recorded
     /// when the version's entry was released, if it has been compacted.
     fn residual(&self, ov: ObjectVersion) -> Option<FragMask> {
-        match self {
-            VersionStore::Dense { residuals, .. } => residuals.get(&ov).map(|r| r.held),
-            VersionStore::Reference { .. } => None,
-        }
+        self.residuals.get(&ov).map(|r| r.held)
     }
 
     /// Number of compacted residual records.
     fn compacted_count(&self) -> usize {
-        match self {
-            VersionStore::Dense { residuals, .. } => residuals.len(),
-            VersionStore::Reference { .. } => 0,
-        }
+        self.residuals.len()
     }
 
     /// Slab slots in use: one per version that still holds a full entry.
     fn resident_slots(&self) -> usize {
-        match self {
-            VersionStore::Dense { slots, free, .. } => slots.len() - free.len(),
-            VersionStore::Reference { entries, .. } => entries.len(),
-        }
+        self.slots.len() - self.free.len()
     }
 
     /// Incremental compaction run on the *first* settle of `ov`:
@@ -502,8 +408,7 @@ impl VersionStore {
     /// its key exists, and every settled-AMR version strictly older than
     /// `ov` — fragments, checksums and the metadata handle are dropped,
     /// the slot and its index entry are freed, and a [`Residual`] is all
-    /// that stays. Dense-store only (the reference maps model the seed,
-    /// which never compacted).
+    /// that stays.
     ///
     /// Running this on every first settle maintains the invariant that
     /// *every settled version superseded by a newer settled version is
@@ -513,16 +418,13 @@ impl VersionStore {
     /// window of still-unsettled interleaved ones — so the amortized cost
     /// per settle is O(1) however many versions the key has had.
     fn compact_superseded(&mut self, ov: ObjectVersion) {
-        let VersionStore::Dense {
+        let VersionStore {
             slots,
             free,
             index,
             residuals,
             ..
-        } = self
-        else {
-            return;
-        };
+        } = self;
         // `ov` is superseded iff any strictly newer version of its key
         // has settled (newer unsettled versions are the in-flight
         // window; scan past them). A newer residual counts: it settled
@@ -566,131 +468,79 @@ impl VersionStore {
     }
 
     fn pending_is_empty(&self) -> bool {
-        match self {
-            VersionStore::Dense { pending, .. } => pending.is_empty(),
-            VersionStore::Reference { work, .. } => work.is_empty(),
-        }
+        self.pending.is_empty()
     }
 
     /// Fills `out` with the pending versions in object-version order plus
-    /// slot hints, reusing `out`'s capacity.
+    /// their slots, reusing `out`'s capacity.
     // lint:hot
     fn collect_pending(&self, out: &mut Vec<(ObjectVersion, u32)>) {
         out.clear();
-        match self {
-            VersionStore::Dense { slots, pending, .. } => {
-                out.extend(pending.iter().map(|&s| (live(slots, s).ov, s)));
-            }
-            VersionStore::Reference { work, .. } => {
-                out.extend(work.keys().map(|&ov| (ov, NO_SLOT)));
-            }
-        }
+        out.extend(self.pending.iter().map(|&s| (live(&self.slots, s).ov, s)));
     }
 
     /// Fills `out` with every version that still holds a full entry —
     /// compacted versions have no bytes to scrub, lose or report — plus
-    /// slot hints, in object-version order.
+    /// their slots, in object-version order.
     // lint:hot
     fn collect_live(&self, out: &mut Vec<(ObjectVersion, u32)>) {
         out.clear();
-        match self {
-            VersionStore::Dense { slots, .. } => {
-                out.extend(
-                    slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, slot)| Some((slot.as_ref()?.ov, i as u32))),
-                );
-                // Slab order is allocation order with reuse; callers walk
-                // by version (the scrub cursor, the report's entry order).
-                out.sort_unstable_by_key(|&(ov, _)| ov);
-            }
-            VersionStore::Reference { entries, .. } => {
-                out.extend(entries.keys().map(|&ov| (ov, NO_SLOT)));
-            }
-        }
+        out.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| Some((slot.as_ref()?.ov, i as u32))),
+        );
+        // Slab order is allocation order with reuse; callers walk by
+        // version (the scrub cursor, the report's entry order).
+        out.sort_unstable_by_key(|&(ov, _)| ov);
     }
 
-    fn pending_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
-        match self {
-            VersionStore::Dense { slots, pending, .. } => {
-                Box::new(pending.iter().map(move |&s| live(slots, s).ov))
-            }
-            VersionStore::Reference { work, .. } => Box::new(work.keys().copied()),
-        }
+    fn pending_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
+        self.pending.iter().map(|&s| live(&self.slots, s).ov)
     }
 
     /// Live versions matching `keep` plus the `compacted` ones, in global
     /// object-version order (collected and sorted across shards;
     /// inspection paths only).
     fn sorted_versions_where<'a>(
-        slots: &[Option<VersionSlot>],
-        index: &ShardIndex,
+        &self,
         compacted: impl Iterator<Item = &'a ObjectVersion>,
         keep: impl Fn(&VersionSlot) -> bool,
-    ) -> Vec<ObjectVersion> {
-        let mut out: Vec<ObjectVersion> = index
+    ) -> std::vec::IntoIter<ObjectVersion> {
+        let mut out: Vec<ObjectVersion> = self
+            .index
             .shards
             .iter()
             .flat_map(|m| m.iter())
-            .filter(|(_, &s)| keep(live(slots, s)))
+            .filter(|(_, &s)| keep(live(&self.slots, s)))
             .map(|(&ov, _)| ov)
             .chain(compacted.copied())
             .collect();
         out.sort_unstable();
-        out
+        out.into_iter()
     }
 
-    fn amr_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                residuals,
-                ..
-            } => Box::new(
-                Self::sorted_versions_where(slots, index, residuals.keys(), |slot| {
-                    matches!(slot.state, VersionState::Amr(_))
-                })
-                .into_iter(),
-            ),
-            VersionStore::Reference { amr, .. } => Box::new(amr.keys().copied()),
-        }
+    fn amr_versions(&self) -> std::vec::IntoIter<ObjectVersion> {
+        self.sorted_versions_where(self.residuals.keys(), |slot| {
+            matches!(slot.state, VersionState::Amr(_))
+        })
     }
 
-    fn gave_up_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
-        match self {
-            VersionStore::Dense { slots, index, .. } => Box::new(
-                Self::sorted_versions_where(slots, index, std::iter::empty(), |slot| {
-                    matches!(slot.state, VersionState::GaveUp)
-                })
-                .into_iter(),
-            ),
-            VersionStore::Reference { gave_up, .. } => Box::new(gave_up.iter().copied()),
-        }
+    fn gave_up_versions(&self) -> std::vec::IntoIter<ObjectVersion> {
+        self.sorted_versions_where(std::iter::empty(), |slot| {
+            matches!(slot.state, VersionState::GaveUp)
+        })
     }
 
-    fn known_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                residuals,
-                ..
-            } => Box::new(
-                Self::sorted_versions_where(slots, index, residuals.keys(), |_| true).into_iter(),
-            ),
-            VersionStore::Reference { entries, .. } => Box::new(entries.keys().copied()),
-        }
+    fn known_versions(&self) -> std::vec::IntoIter<ObjectVersion> {
+        self.sorted_versions_where(self.residuals.keys(), |_| true)
     }
 
     /// Versions collapsed to compaction residuals, in object-version
     /// order.
-    fn compacted_versions(&self) -> Box<dyn Iterator<Item = ObjectVersion> + '_> {
-        match self {
-            VersionStore::Dense { residuals, .. } => Box::new(residuals.keys().copied()),
-            VersionStore::Reference { .. } => Box::new(std::iter::empty()),
-        }
+    fn compacted_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
+        self.residuals.keys().copied()
     }
 
     /// Entry for `ov`, inserting a fresh one (which always starts
@@ -703,110 +553,65 @@ impl VersionStore {
         now: SimTime,
         make: impl FnOnce() -> FragEntry,
     ) -> Option<(&mut FragEntry, bool)> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                free,
-                index,
-                pending,
-                residuals,
-            } => {
-                if let Some(s) = index.get(&ov) {
-                    return Some((&mut live_mut(slots, s).entry, false));
-                }
-                // Only a version older than a live one of its key can be
-                // a residual, so a key's newest version — the usual
-                // insert — skips the (large, cold) residual table.
-                if index.key_versions_above(ov).next().is_some() && residuals.contains_key(&ov) {
-                    return None;
-                }
-                let slot = Some(VersionSlot {
-                    ov,
-                    entry: make(),
-                    state: VersionState::Pending(Box::new(ConvWork::new(now))),
-                });
-                let s = match free.pop() {
-                    Some(s) => {
-                        // lint:allow(panic-path): the free list holds ids of slots inside the slab
-                        slots[s as usize] = slot;
-                        s
-                    }
-                    None => {
-                        slots.push(slot);
-                        (slots.len() - 1) as u32
-                    }
-                };
-                index.insert(ov, s);
-                Self::pending_insert(slots, pending, s);
-                Some((&mut live_mut(slots, s).entry, true))
-            }
-            VersionStore::Reference { entries, work, .. } => {
-                let mut inserted = false;
-                let entry = entries.entry(ov).or_insert_with(|| {
-                    inserted = true;
-                    make()
-                });
-                if inserted {
-                    work.insert(ov, ConvWork::new(now));
-                }
-                Some((entry, inserted))
-            }
+        if let Some(s) = self.index.get(&ov) {
+            return Some((&mut live_mut(&mut self.slots, s).entry, false));
         }
+        // Only a version older than a live one of its key can be a
+        // residual, so a key's newest version — the usual insert — skips
+        // the (large, cold) residual table.
+        if self.index.key_versions_above(ov).next().is_some() && self.residuals.contains_key(&ov) {
+            return None;
+        }
+        let slot = Some(VersionSlot {
+            ov,
+            entry: make(),
+            state: VersionState::Pending(Box::new(ConvWork::new(now))),
+        });
+        let s = match self.free.pop() {
+            Some(s) => {
+                // lint:allow(panic-path): the free list holds ids of slots inside the slab
+                self.slots[s as usize] = slot;
+                s
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(ov, s);
+        Self::pending_insert(&self.slots, &mut self.pending, s);
+        Some((&mut live_mut(&mut self.slots, s).entry, true))
     }
 
-    /// Settles `ov` as AMR at `at` (overwriting an earlier AMR time, as
-    /// the seed did), returning the pending work it displaced, if any.
+    /// Settles `ov` as AMR at `at` (overwriting an earlier AMR time),
+    /// returning the pending work it displaced, if any.
     fn settle_amr(&mut self, ov: ObjectVersion, at: SimTime) -> Option<ConvWork> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                pending,
-                residuals,
-                ..
-            } => {
-                let Some(s) = index.get(&ov) else {
-                    if let Some(residual) = residuals.get_mut(&ov) {
-                        residual.amr_at = at;
-                    }
-                    return None;
-                };
-                Self::pending_remove(slots, pending, ov);
-                match std::mem::replace(&mut live_mut(slots, s).state, VersionState::Amr(at)) {
-                    VersionState::Pending(w) => Some(*w),
-                    _ => None,
-                }
+        let Some(s) = self.index.get(&ov) else {
+            if let Some(residual) = self.residuals.get_mut(&ov) {
+                residual.amr_at = at;
             }
-            VersionStore::Reference {
-                work, amr, gave_up, ..
-            } => {
-                gave_up.remove(&ov);
-                amr.insert(ov, at);
-                work.remove(&ov)
-            }
+            return None;
+        };
+        Self::pending_remove(&self.slots, &mut self.pending, ov);
+        match std::mem::replace(
+            &mut live_mut(&mut self.slots, s).state,
+            VersionState::Amr(at),
+        ) {
+            VersionState::Pending(w) => Some(*w),
+            _ => None,
         }
     }
 
     /// Abandons `ov` (give-up age exceeded), returning its pending work.
     fn settle_gave_up(&mut self, ov: ObjectVersion) -> Option<ConvWork> {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                pending,
-                ..
-            } => {
-                let s = index.get(&ov)?;
-                Self::pending_remove(slots, pending, ov);
-                match std::mem::replace(&mut live_mut(slots, s).state, VersionState::GaveUp) {
-                    VersionState::Pending(w) => Some(*w),
-                    _ => None,
-                }
-            }
-            VersionStore::Reference { work, gave_up, .. } => {
-                gave_up.insert(ov);
-                work.remove(&ov)
-            }
+        let s = self.index.get(&ov)?;
+        Self::pending_remove(&self.slots, &mut self.pending, ov);
+        match std::mem::replace(
+            &mut live_mut(&mut self.slots, s).state,
+            VersionState::GaveUp,
+        ) {
+            VersionState::Pending(w) => Some(*w),
+            _ => None,
         }
     }
 
@@ -814,52 +619,32 @@ impl VersionStore {
     /// disk loss), clearing any AMR/give-up mark; the returned work is
     /// fresh or the still-pending one.
     fn reopen(&mut self, ov: ObjectVersion, now: SimTime) -> &mut ConvWork {
-        match self {
-            VersionStore::Dense {
-                slots,
-                index,
-                pending,
-                ..
-            } => {
-                // Compacted versions hold no bytes to lose, so they never
-                // re-enter convergence: the version is in the index.
-                // lint:allow(panic-path): callers reopen only versions whose full entry they just edited
-                let s = index.get(&ov).expect("reopened version is stored");
-                if !matches!(live(slots, s).state, VersionState::Pending(_)) {
-                    live_mut(slots, s).state = VersionState::Pending(Box::new(ConvWork::new(now)));
-                    Self::pending_insert(slots, pending, s);
-                }
-                match &mut live_mut(slots, s).state {
-                    VersionState::Pending(w) => w,
-                    _ => unreachable!("just made pending"),
-                }
-            }
-            VersionStore::Reference {
-                work, amr, gave_up, ..
-            } => {
-                amr.remove(&ov);
-                gave_up.remove(&ov);
-                work.entry(ov).or_insert_with(|| ConvWork::new(now))
-            }
+        // Compacted versions hold no bytes to lose, so they never
+        // re-enter convergence: the version is in the index.
+        // lint:allow(panic-path): callers reopen only versions whose full entry they just edited
+        let s = self.index.get(&ov).expect("reopened version is stored");
+        if !matches!(live(&self.slots, s).state, VersionState::Pending(_)) {
+            live_mut(&mut self.slots, s).state =
+                VersionState::Pending(Box::new(ConvWork::new(now)));
+            Self::pending_insert(&self.slots, &mut self.pending, s);
+        }
+        match &mut live_mut(&mut self.slots, s).state {
+            VersionState::Pending(w) => w,
+            _ => unreachable!("just made pending"),
         }
     }
 
     /// The version whose in-flight recovery carries `op`, if any.
     fn find_recovery(&self, op: OpId) -> Option<ObjectVersion> {
-        match self {
-            VersionStore::Dense { slots, pending, .. } => pending.iter().find_map(|&s| {
-                let slot = live(slots, s);
-                match &slot.state {
-                    VersionState::Pending(w) if w.recovery.as_ref().is_some_and(|r| r.op == op) => {
-                        Some(slot.ov)
-                    }
-                    _ => None,
+        self.pending.iter().find_map(|&s| {
+            let slot = live(&self.slots, s);
+            match &slot.state {
+                VersionState::Pending(w) if w.recovery.as_ref().is_some_and(|r| r.op == op) => {
+                    Some(slot.ov)
                 }
-            }),
-            VersionStore::Reference { work, .. } => work
-                .iter()
-                .find_map(|(&ov, w)| w.recovery.as_ref().filter(|r| r.op == op).map(|_| ov)),
-        }
+                _ => None,
+            }
+        })
     }
 
     fn pending_insert(slots: &[Option<VersionSlot>], pending: &mut Vec<u32>, s: u32) {
@@ -876,17 +661,6 @@ impl VersionStore {
     }
 }
 
-/// Per-destination coalescing buffers for one batched convergence round
-/// (see [`ProtocolMode::batch_rounds`]). Entries accumulate while the
-/// round's parts are delivered individually; `flush_round_batch` then
-/// records one multi-entry message per destination and kind.
-#[derive(Default)]
-struct RoundBatch {
-    kls: BTreeMap<NodeId, Vec<(ObjectVersion, Arc<Metadata>)>>,
-    fs: BTreeMap<NodeId, Vec<(ObjectVersion, Arc<Metadata>, bool)>>,
-    amr: BTreeMap<NodeId, Vec<(ObjectVersion, Arc<Metadata>)>>,
-}
-
 /// A fragment server actor.
 pub struct Fs {
     topo: Arc<Topology>,
@@ -895,15 +669,13 @@ pub struct Fs {
     /// Own node id, captured at `on_start` (actors learn their id from the
     /// context).
     self_id: Option<NodeId>,
-    /// Protocol hot-path switches, captured at construction.
+    /// Protocol behaviour switches, fixed at construction.
     mode: ProtocolMode,
     /// Cached `topo.all_klss().count()` for the verification check.
     total_klss: usize,
     /// Every version this FS knows, with its fragments, metadata and
     /// convergence state.
     store: VersionStore,
-    /// Coalescing buffers, `Some` only while a batched round is running.
-    batch: Option<RoundBatch>,
     round_scheduled: bool,
     next_op: OpId,
     /// Convergence steps executed (for tests and ablations).
@@ -917,7 +689,7 @@ pub struct Fs {
     codecs: BTreeMap<(u8, u8), Codec>,
     /// Reusable fragment-list scratch for the recovery path.
     recover_scratch: Vec<Fragment>,
-    /// Reusable `(version, slot hint)` list for `run_round` and `scrub`,
+    /// Reusable `(version, slot)` list for `run_round` and `scrub`,
     /// so steady-state rounds do not allocate a version list each tick.
     version_scratch: Vec<(ObjectVersion, u32)>,
     /// This DC's repair actor, set by the cluster builder when the
@@ -931,9 +703,9 @@ pub struct Fs {
 
 impl Fs {
     /// Creates the FS for data center `my_dc` with the given convergence
-    /// configuration, using the process-global [`ProtocolMode`].
+    /// configuration and the default [`ProtocolMode`].
     pub fn new(topo: Arc<Topology>, my_dc: DataCenterId, opts: ConvergenceOptions) -> Self {
-        Self::with_mode(topo, my_dc, opts, ProtocolMode::current())
+        Self::with_mode(topo, my_dc, opts, ProtocolMode::default())
     }
 
     /// Creates the FS with an explicit [`ProtocolMode`].
@@ -951,8 +723,7 @@ impl Fs {
             self_id: None,
             mode,
             total_klss,
-            store: VersionStore::new(mode),
-            batch: None,
+            store: VersionStore::new(),
             round_scheduled: false,
             next_op: 1,
             steps_run: 0,
@@ -1114,9 +885,9 @@ impl Fs {
         // dead disk cannot lose them.
         let mut versions = Vec::new();
         self.store.collect_live(&mut versions);
-        for (ov, hint) in versions {
+        for (ov, slot) in versions {
             let doomed: Vec<FragmentIndex> = {
-                let Some(entry) = self.store.entry_at(ov, hint) else {
+                let Some(entry) = self.store.entry_at(ov, slot) else {
                     continue;
                 };
                 entry
@@ -1131,7 +902,7 @@ impl Fs {
             if doomed.is_empty() {
                 continue;
             }
-            let entry = self.store.entry_at_mut(ov, hint).expect("present");
+            let entry = self.store.entry_at_mut(ov, slot).expect("present");
             for idx in &doomed {
                 entry.fragments.remove(idx);
                 entry.checksums.remove(idx);
@@ -1167,7 +938,7 @@ impl Fs {
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_live(&mut versions);
         let resume = self.scrub_cursor.take();
-        for &(ov, hint) in &versions {
+        for &(ov, slot) in &versions {
             if resume.is_some_and(|cur| ov < cur) {
                 continue;
             }
@@ -1180,7 +951,7 @@ impl Fs {
             // allocation on the (usually clean) scrub walk.
             let mut bad = FragMask::new();
             {
-                let Some(entry) = self.store.entry_at_mut(ov, hint) else {
+                let Some(entry) = self.store.entry_at_mut(ov, slot) else {
                     continue;
                 };
                 for (&idx, frag) in &entry.fragments {
@@ -1224,8 +995,8 @@ impl Fs {
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_live(&mut versions);
         let mut entries = Vec::with_capacity(versions.len());
-        for &(ov, hint) in &versions {
-            let Some(entry) = self.store.entry_at(ov, hint) else {
+        for &(ov, slot) in &versions {
+            let Some(entry) = self.store.entry_at(ov, slot) else {
                 continue;
             };
             entries.push((
@@ -1292,9 +1063,8 @@ impl Fs {
         meta: &Arc<Metadata>,
     ) -> bool {
         let now = ctx.now();
-        let mode = self.mode;
         let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
-            meta: mode.share(meta),
+            meta: Arc::clone(meta),
             fragments: FragMap::new(),
             checksums: FragMap::new(),
         }) else {
@@ -1303,12 +1073,7 @@ impl Fs {
             // the settled branch below would skip scheduling anyway.
             return false;
         };
-        let changed = if mode.share_metadata {
-            Metadata::merge_shared(&mut entry.meta, meta)
-        } else {
-            // Reference cost model: the seed's unconditional merge walk.
-            Arc::make_mut(&mut entry.meta).merge(meta)
-        };
+        let changed = Metadata::merge_shared(&mut entry.meta, meta);
         if !self.store.is_settled(ov) {
             if changed {
                 self.note_progress(ctx, ov);
@@ -1340,8 +1105,8 @@ impl Fs {
             );
             for fs in meta.siblings() {
                 if fs != me {
-                    let share = self.mode.share(&meta);
-                    self.send_amr_indication(ctx, fs, ov, share);
+                    let meta = Arc::clone(&meta);
+                    ctx.send(fs, Message::AmrIndication { ov, meta });
                 }
             }
         }
@@ -1355,120 +1120,6 @@ impl Fs {
         // amortized O(1).
         if self.mode.compact_converged && newly_settled {
             self.store.compact_superseded(ov);
-        }
-    }
-
-    // ---- batched-round send helpers ----
-    //
-    // Inside a batched round (`self.batch` is `Some`) these deliver each
-    // message individually through the simulated channel — drawing exactly
-    // the RNG an unbatched send would, so behavior is bit-identical — but
-    // defer the metric record: the flush below accounts one multi-entry
-    // message per destination and kind instead. Outside a round they are
-    // plain sends.
-
-    // lint:hot
-    fn send_converge_kls(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        to: NodeId,
-        ov: ObjectVersion,
-        meta: Arc<Metadata>,
-    ) {
-        match &mut self.batch {
-            Some(batch) => {
-                ctx.send_coalesced_part(
-                    to,
-                    Message::ConvergeKls {
-                        ov,
-                        meta: Arc::clone(&meta),
-                    },
-                );
-                batch.kls.entry(to).or_default().push((ov, meta));
-            }
-            None => ctx.send(to, Message::ConvergeKls { ov, meta }),
-        }
-    }
-
-    // lint:hot
-    fn send_converge_fs(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        to: NodeId,
-        ov: ObjectVersion,
-        meta: Arc<Metadata>,
-        recovery_intent: bool,
-    ) {
-        match &mut self.batch {
-            Some(batch) => {
-                ctx.send_coalesced_part(
-                    to,
-                    Message::ConvergeFs {
-                        ov,
-                        meta: Arc::clone(&meta),
-                        recovery_intent,
-                    },
-                );
-                batch
-                    .fs
-                    .entry(to)
-                    .or_default()
-                    .push((ov, meta, recovery_intent));
-            }
-            None => ctx.send(
-                to,
-                Message::ConvergeFs {
-                    ov,
-                    meta,
-                    recovery_intent,
-                },
-            ),
-        }
-    }
-
-    // lint:hot
-    fn send_amr_indication(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        to: NodeId,
-        ov: ObjectVersion,
-        meta: Arc<Metadata>,
-    ) {
-        match &mut self.batch {
-            Some(batch) => {
-                ctx.send_coalesced_part(
-                    to,
-                    Message::AmrIndication {
-                        ov,
-                        meta: Arc::clone(&meta),
-                    },
-                );
-                batch.amr.entry(to).or_default().push((ov, meta));
-            }
-            None => ctx.send(to, Message::AmrIndication { ov, meta }),
-        }
-    }
-
-    /// Records the round's coalesced traffic: one multi-entry message per
-    /// destination and kind (one shared header, per-entry bodies).
-    fn flush_round_batch(&mut self, ctx: &mut Context<'_, Message>) {
-        let Some(batch) = self.batch.take() else {
-            return;
-        };
-        for (_, entries) in batch.kls {
-            let n = entries.len() as u64;
-            let msg = Message::ConvergeKlsBatch { entries };
-            ctx.record_coalesced(&msg, n);
-        }
-        for (_, entries) in batch.fs {
-            let n = entries.len() as u64;
-            let msg = Message::ConvergeFsBatch { entries };
-            ctx.record_coalesced(&msg, n);
-        }
-        for (_, entries) in batch.amr {
-            let n = entries.len() as u64;
-            let msg = Message::AmrIndicationBatch { entries };
-            ctx.record_coalesced(&msg, n);
         }
     }
 
@@ -1494,13 +1145,10 @@ impl Fs {
     // lint:hot
     fn run_round(&mut self, ctx: &mut Context<'_, Message>) {
         let now = ctx.now();
-        if self.mode.batch_rounds {
-            self.batch = Some(RoundBatch::default());
-        }
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_pending(&mut versions);
-        for &(ov, hint) in &versions {
-            let Some(work) = self.store.work_at(ov, hint) else {
+        for &(ov, slot) in &versions {
+            let Some(work) = self.store.work_at(ov, slot) else {
                 continue;
             };
             if work.recovery.is_some() || now < work.next_eligible {
@@ -1515,22 +1163,21 @@ impl Fs {
                     continue;
                 }
             }
-            self.step(ctx, ov, hint);
+            self.step(ctx, ov, slot);
         }
         versions.clear();
         self.version_scratch = versions;
-        self.flush_round_batch(ctx);
         self.ensure_round(ctx);
     }
 
     /// One convergence step for one object version.
     // lint:hot
-    fn step(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, hint: u32) {
+    fn step(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, slot: u32) {
         self.steps_run += 1;
         let me = ctx.self_id();
         let entry = self
             .store
-            .entry_at(ov, hint)
+            .entry_at(ov, slot)
             // lint:allow(panic-path): step runs only over the pending listing
             .expect("pending implies stored");
         let meta = Arc::clone(&entry.meta);
@@ -1539,7 +1186,7 @@ impl Fs {
         // Charge the backoff up front; any new information resets it.
         let attempt = {
             // lint:allow(panic-path): step already verified the version is pending
-            let work = self.store.work_at_mut(ov, hint).expect("checked by caller");
+            let work = self.store.work_at_mut(ov, slot).expect("checked by caller");
             work.attempts += 1;
             let delay = self.opts.backoff_delay(work.attempts);
             work.next_eligible = ctx.now() + delay;
@@ -1550,7 +1197,6 @@ impl Fs {
         if !meta.is_complete() {
             // 1. Metadata repair: probe one KLS per missing DC, rotating
             // through the DC's KLSs across attempts (§3.5 fixed order).
-            // Repair probes are rare and never batched.
             for dc in self.topo.dc_ids() {
                 if meta.has_dc(dc) {
                     continue;
@@ -1562,7 +1208,7 @@ impl Fs {
                     kls,
                     Message::FsDecideLocs {
                         ov,
-                        meta: self.mode.share(&meta),
+                        meta: Arc::clone(&meta),
                     },
                 );
             }
@@ -1573,20 +1219,25 @@ impl Fs {
             // 3. Verification: probe all KLSs and sibling FSs.
             {
                 // lint:allow(panic-path): step already verified the version is pending
-                let work = self.store.work_at_mut(ov, hint).expect("present");
+                let work = self.store.work_at_mut(ov, slot).expect("present");
                 work.kls_ok.clear();
                 work.fs_ok.clear();
                 work.step_open = true;
             }
-            let topo = Arc::clone(&self.topo);
-            for kls in topo.all_klss() {
-                let share = self.mode.share(&meta);
-                self.send_converge_kls(ctx, kls, ov, share);
+            for kls in self.topo.all_klss() {
+                let meta = Arc::clone(&meta);
+                ctx.send(kls, Message::ConvergeKls { ov, meta });
             }
             for fs in meta.siblings() {
                 if fs != me {
-                    let share = self.mode.share(&meta);
-                    self.send_converge_fs(ctx, fs, ov, share, false);
+                    ctx.send(
+                        fs,
+                        Message::ConvergeFs {
+                            ov,
+                            meta: Arc::clone(&meta),
+                            recovery_intent: false,
+                        },
+                    );
                 }
             }
             self.check_amr(ctx, ov);
@@ -1617,12 +1268,17 @@ impl Fs {
         if self.opts.sibling_recovery {
             // Probe siblings with the recovery-intent flag; their replies
             // report what they need; we fetch after a short accumulation
-            // window. The probes are convergence traffic emitted by a
-            // round, so a batching FS coalesces them too.
+            // window.
             for fs in meta.siblings() {
                 if fs != me {
-                    let share = self.mode.share(&meta);
-                    self.send_converge_fs(ctx, fs, ov, share, true);
+                    ctx.send(
+                        fs,
+                        Message::ConvergeFs {
+                            ov,
+                            meta: Arc::clone(&meta),
+                            recovery_intent: true,
+                        },
+                    );
                 }
             }
             let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
@@ -1799,12 +1455,11 @@ impl Fs {
         // Push the siblings' recovered fragments to them (§4.2).
         for (fs, needs) in sibling_needs {
             for idx in needs {
-                let share = self.mode.share(&meta);
                 ctx.send(
                     fs,
                     Message::SiblingStore {
                         ov,
-                        meta: share,
+                        meta: Arc::clone(&meta),
                         // lint:allow(panic-path): recover_into returns a fragment for every requested target
                         fragment: by_idx[&idx].clone(),
                     },
@@ -1909,8 +1564,7 @@ impl Fs {
         true
     }
 
-    /// Handles one FS convergence probe — the singular message or one
-    /// entry of a coalesced batch (replies are per entry either way).
+    /// Handles one FS convergence probe.
     fn on_converge_fs(
         &mut self,
         ctx: &mut Context<'_, Message>,
@@ -2023,25 +1677,12 @@ impl Actor<Message> for Fs {
                 self.finalize_amr(ctx, ov, false);
             }
 
-            Message::AmrIndicationBatch { entries } => {
-                for (ov, meta) in entries {
-                    self.adopt(ctx, ov, &meta);
-                    self.finalize_amr(ctx, ov, false);
-                }
-            }
-
             Message::ConvergeFs {
                 ov,
                 meta,
                 recovery_intent,
             } => {
                 self.on_converge_fs(ctx, from, ov, &meta, recovery_intent);
-            }
-
-            Message::ConvergeFsBatch { entries } => {
-                for (ov, meta, recovery_intent) in entries {
-                    self.on_converge_fs(ctx, from, ov, &meta, recovery_intent);
-                }
             }
 
             Message::ConvergeFsReply {
@@ -2310,7 +1951,7 @@ mod tests {
         opts: ConvergenceOptions,
         script: Vec<(NodeId, Message)>,
     ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
-        tiny_world_with_mode(ProtocolMode::current(), opts, script)
+        tiny_world_with_mode(ProtocolMode::default(), opts, script)
     }
 
     fn tiny_world_with_mode(
@@ -2612,9 +2253,9 @@ mod tests {
             sim.run_until_time(deadline);
             std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
         };
-        let slab = |sim: &Simulation<Message>| match &sim.actor::<Fs>(fs0).store {
-            VersionStore::Dense { slots, free, .. } => (slots.len(), free.len()),
-            VersionStore::Reference { .. } => unreachable!("scale mode uses the dense store"),
+        let slab = |sim: &Simulation<Message>| {
+            let store = &sim.actor::<Fs>(fs0).store;
+            (store.slots.len(), store.free.len())
         };
 
         deliver(&mut sim, vec![store(v1, 0), store(v1, 1)]);
@@ -2714,5 +2355,260 @@ mod tests {
         sim.run_until_time(SimTime::from_micros(100_000));
         let d: &Driver = sim.actor(driver);
         assert_eq!(d.received(), vec![(fs_node, "RetrieveFragRep")]);
+    }
+
+    // ---- the version store against a map-based model ----
+
+    /// The versions the model test draws from: 3 keys x 6 timestamps.
+    const MODEL_VERSIONS: usize = 18;
+
+    fn model_version(i: usize) -> ObjectVersion {
+        ObjectVersion::new(
+            Key::from_u64(1 + (i / 6) as u64),
+            Timestamp::new(SimTime::from_micros(10 * (1 + i % 6) as u64), 0),
+        )
+    }
+
+    /// What the model keeps per known version: the fragment indices held,
+    /// and whether compaction has reduced the version to that set.
+    #[derive(Default)]
+    struct ModelEntry {
+        held: BTreeSet<FragmentIndex>,
+        compacted: bool,
+    }
+
+    /// The version store as four ordered collections — the obvious
+    /// representation, from which [`VersionStore`]'s slab, sharded index,
+    /// pending list, free list and residual table must be
+    /// indistinguishable.
+    #[derive(Default)]
+    struct ModelStore {
+        entries: BTreeMap<ObjectVersion, ModelEntry>,
+        pending: BTreeSet<ObjectVersion>,
+        amr: BTreeMap<ObjectVersion, SimTime>,
+        gave_up: BTreeSet<ObjectVersion>,
+    }
+
+    impl ModelStore {
+        fn is_live(&self, ov: ObjectVersion) -> bool {
+            self.entries.get(&ov).is_some_and(|e| !e.compacted)
+        }
+
+        /// `entry_or_insert_with`: `None` for a compacted version, else
+        /// whether the version was new.
+        fn insert(&mut self, ov: ObjectVersion) -> Option<bool> {
+            if self.entries.get(&ov).is_some_and(|e| e.compacted) {
+                return None;
+            }
+            let inserted = !self.entries.contains_key(&ov);
+            if inserted {
+                self.entries.insert(ov, ModelEntry::default());
+                self.pending.insert(ov);
+            }
+            Some(inserted)
+        }
+
+        /// `settle_amr`: whether pending work was displaced.
+        fn settle_amr(&mut self, ov: ObjectVersion, at: SimTime) -> bool {
+            self.gave_up.remove(&ov);
+            self.amr.insert(ov, at);
+            self.pending.remove(&ov)
+        }
+
+        /// The compaction rule, stated on its own: on the first AMR
+        /// settle of `ov`, every settled-AMR version of the key older
+        /// than `ov` — and `ov` itself if a newer settled-AMR version of
+        /// the key exists — keeps only its held indices and settle time.
+        fn compact_superseded(&mut self, ov: ObjectVersion) {
+            let newer_amr = self.amr.keys().any(|v| v.key == ov.key && v.ts > ov.ts);
+            for (v, entry) in &mut self.entries {
+                let superseded = v.key == ov.key && (v.ts < ov.ts || (*v == ov && newer_amr));
+                if superseded && self.amr.contains_key(v) {
+                    entry.compacted = true;
+                }
+            }
+        }
+
+        /// `settle_gave_up`: whether pending work was displaced.
+        fn settle_gave_up(&mut self, ov: ObjectVersion) -> bool {
+            self.gave_up.insert(ov);
+            self.pending.remove(&ov)
+        }
+
+        fn reopen(&mut self, ov: ObjectVersion) {
+            self.amr.remove(&ov);
+            self.gave_up.remove(&ov);
+            self.pending.insert(ov);
+        }
+    }
+
+    /// Compares everything the store answers with the model's answer.
+    fn check_against_model(
+        store: &mut VersionStore,
+        model: &ModelStore,
+        now: SimTime,
+    ) -> proptest::test_runner::TestCaseResult {
+        use proptest::prelude::*;
+
+        let held = |e: &FragEntry| e.fragments.keys().copied().collect::<BTreeSet<_>>();
+        for ov in (0..MODEL_VERSIONS).map(model_version) {
+            let m = model.entries.get(&ov);
+            let full = m.filter(|e| !e.compacted).map(|e| e.held.clone());
+            prop_assert_eq!(store.entry(ov).map(held), full, "entry of {:?}", ov);
+            prop_assert_eq!(store.work(ov).is_some(), model.pending.contains(&ov));
+            prop_assert_eq!(
+                store.is_settled(ov),
+                model.amr.contains_key(&ov) || model.gave_up.contains(&ov),
+                "is_settled({:?})",
+                ov
+            );
+            prop_assert_eq!(store.amr_at(ov), model.amr.get(&ov).copied());
+            let residual = m.filter(|e| e.compacted).map(|e| {
+                let mut mask = FragMask::new();
+                for &idx in &e.held {
+                    mask.insert(idx);
+                }
+                mask
+            });
+            prop_assert_eq!(store.residual(ov), residual, "residual of {:?}", ov);
+            if residual.is_some() {
+                let again = store.entry_or_insert_with(ov, now, || -> FragEntry {
+                    unreachable!("a compacted version is never rebuilt")
+                });
+                prop_assert!(again.is_none(), "{:?} was resurrected", ov);
+            }
+        }
+
+        // Listings: same versions, same order; listed slots resolve.
+        let pending: Vec<_> = model.pending.iter().copied().collect();
+        let live: Vec<_> = model
+            .entries
+            .keys()
+            .copied()
+            .filter(|&ov| model.is_live(ov))
+            .collect();
+        let compacted: Vec<_> = model
+            .entries
+            .keys()
+            .copied()
+            .filter(|&ov| !model.is_live(ov))
+            .collect();
+        let mut listed = Vec::new();
+        store.collect_pending(&mut listed);
+        prop_assert_eq!(
+            listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(),
+            pending.clone()
+        );
+        for &(ov, s) in &listed {
+            prop_assert!(store.work_at(ov, s).is_some() && store.entry_at(ov, s).is_some());
+        }
+        store.collect_live(&mut listed);
+        prop_assert_eq!(listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(), live);
+        for &(ov, s) in &listed {
+            prop_assert_eq!(store.entry_at(ov, s).map(held), store.entry(ov).map(held));
+        }
+        prop_assert_eq!(store.pending_versions().collect::<Vec<_>>(), pending);
+        prop_assert_eq!(store.pending_is_empty(), model.pending.is_empty());
+        prop_assert_eq!(
+            store.known_versions().collect::<Vec<_>>(),
+            model.entries.keys().copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            store.amr_versions().collect::<Vec<_>>(),
+            model.amr.keys().copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            store.gave_up_versions().collect::<Vec<_>>(),
+            model.gave_up.iter().copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            store.compacted_versions().collect::<Vec<_>>(),
+            compacted.clone()
+        );
+        prop_assert_eq!(store.compacted_count(), compacted.len());
+        prop_assert_eq!(
+            store.resident_slots() + store.compacted_count(),
+            store.known_versions().count()
+        );
+        Ok(())
+    }
+
+    /// Drives the store and the model through `ops` — `(kind, version,
+    /// fragment index)` triples — comparing after every step. Operations
+    /// keep to what `Fs` does: it settles only versions it has adopted,
+    /// gives up only on pending ones, and reopens only versions whose
+    /// full entry it holds.
+    fn run_against_model(
+        ops: &[(u8, usize, u8)],
+        compact: bool,
+    ) -> proptest::test_runner::TestCaseResult {
+        use proptest::prelude::*;
+
+        let mut store = VersionStore::new();
+        let mut model = ModelStore::default();
+        let blank = || FragEntry {
+            meta: full_meta(8),
+            fragments: FragMap::new(),
+            checksums: FragMap::new(),
+        };
+        for (step, &(kind, version, idx)) in ops.iter().enumerate() {
+            let now = SimTime::from_micros(1 + step as u64);
+            let ov = model_version(version);
+            match kind {
+                0 | 1 => {
+                    let got = store
+                        .entry_or_insert_with(ov, now, blank)
+                        .map(|(_, new)| new);
+                    prop_assert_eq!(got, model.insert(ov), "insert {:?}", ov);
+                }
+                2 => {
+                    let entry = store.entry_mut(ov);
+                    prop_assert_eq!(entry.is_some(), model.is_live(ov));
+                    if let Some(entry) = entry {
+                        entry
+                            .fragments
+                            .insert(idx, Fragment::new(idx, vec![idx; 4]));
+                        model.entries.entry(ov).or_default().held.insert(idx);
+                    }
+                }
+                3..=5 if model.entries.contains_key(&ov) => {
+                    let first = store.amr_at(ov).is_none();
+                    prop_assert_eq!(first, !model.amr.contains_key(&ov));
+                    let displaced = store.settle_amr(ov, now).is_some();
+                    prop_assert_eq!(displaced, model.settle_amr(ov, now), "settle {:?}", ov);
+                    if compact && first {
+                        store.compact_superseded(ov);
+                        model.compact_superseded(ov);
+                    }
+                }
+                6 if model.pending.contains(&ov) => {
+                    let displaced = store.settle_gave_up(ov).is_some();
+                    prop_assert_eq!(displaced, model.settle_gave_up(ov));
+                }
+                7 if model.is_live(ov) => {
+                    store.reopen(ov, now);
+                    model.reopen(ov);
+                }
+                _ => {}
+            }
+            check_against_model(&mut store, &model, now)?;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The slab store answers exactly as the map-based model does,
+        /// with compaction off and on, through interleavings a cluster
+        /// run rarely produces: give-up and reopen between settles,
+        /// settles in any version order, slot reuse after compaction.
+        #[test]
+        fn version_store_matches_the_model(
+            ops in proptest::collection::vec((0u8..8, 0..MODEL_VERSIONS, 0u8..4), 1..160),
+        ) {
+            run_against_model(&ops, false)?;
+            run_against_model(&ops, true)?;
+        }
     }
 }

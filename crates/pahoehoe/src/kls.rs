@@ -41,29 +41,25 @@ use crate::types::{Key, ObjectVersion, Timestamp};
 pub struct Kls {
     topo: Arc<Topology>,
     my_dc: DataCenterId,
-    mode: ProtocolMode,
     /// Metadata per object version; a key's versions are a contiguous
     /// range of it (the paper's timestamp store).
     storemeta: BTreeMap<ObjectVersion, Arc<Metadata>>,
 }
 
 impl Kls {
-    /// Creates the KLS for data center `my_dc`, adopting the process-wide
-    /// [`ProtocolMode::current`].
+    /// Creates the KLS for data center `my_dc`.
     pub fn new(topo: Arc<Topology>, my_dc: DataCenterId) -> Self {
-        Kls::with_mode(topo, my_dc, ProtocolMode::current())
-    }
-
-    /// Creates the KLS with an explicit [`ProtocolMode`] (differential
-    /// tests pin modes per cluster instead of racing on the process-wide
-    /// switches).
-    pub fn with_mode(topo: Arc<Topology>, my_dc: DataCenterId, mode: ProtocolMode) -> Self {
         Kls {
             topo,
             my_dc,
-            mode,
             storemeta: BTreeMap::new(),
         }
+    }
+
+    /// [`Kls::new`]: no [`ProtocolMode`] switch changes what a KLS does.
+    /// Kept only as the compile surface of `benchmark/src/api.rs`.
+    pub fn with_mode(topo: Arc<Topology>, my_dc: DataCenterId, _mode: ProtocolMode) -> Self {
+        Kls::new(topo, my_dc)
     }
 
     /// Deterministic, load-balanced fragment placement for one data
@@ -184,16 +180,15 @@ impl Kls {
     }
 
     /// Merges `meta` into the store. Returns whether anything new was
-    /// learned. Adopting a first sighting is a refcount bump (or, in
-    /// reference mode, the seed's deep copy); a fuller snapshot replaces
-    /// the held handle, and only divergent ones are copied (see
-    /// [`Metadata::merge_shared`]).
+    /// learned. Adopting a first sighting is a refcount bump; a fuller
+    /// snapshot replaces the held handle, and only divergent ones are
+    /// copied (see [`Metadata::merge_shared`]).
     // lint:hot
     fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> bool {
         match self.storemeta.entry(ov) {
             Entry::Occupied(existing) => Metadata::merge_shared(existing.into_mut(), meta),
             Entry::Vacant(slot) => {
-                slot.insert(self.mode.share(meta));
+                slot.insert(Arc::clone(meta));
                 true
             }
         }
@@ -283,7 +278,7 @@ impl Actor<Message> for Kls {
                     }
                     _ => Self::which_locs(&self.topo, self.my_dc, ov, meta.policy()),
                 };
-                let mut fresh = self.mode.share(&meta);
+                let mut fresh = Arc::clone(&meta);
                 Arc::make_mut(&mut fresh).add_dc_locations(self.my_dc, locations.clone());
                 let newly_decided = !already_known && self.absorb(ov, &fresh);
                 ctx.send(
@@ -306,7 +301,7 @@ impl Actor<Message> for Kls {
                                 fs,
                                 Message::LocsIndication {
                                     ov,
-                                    meta: self.mode.share(&meta),
+                                    meta: Arc::clone(&meta),
                                 },
                             );
                         }
@@ -326,17 +321,6 @@ impl Actor<Message> for Kls {
                 ctx.send(from, Message::ConvergeKlsReply { ov, verified });
             }
 
-            // A coalesced round's probes: identical to the singular form,
-            // entry by entry, replying per entry (replies are not part of
-            // the round and are never batched).
-            Message::ConvergeKlsBatch { entries } => {
-                for (ov, meta) in entries {
-                    self.absorb(ov, &meta);
-                    let verified = self.has_complete_meta(ov);
-                    ctx.send(from, Message::ConvergeKlsReply { ov, verified });
-                }
-            }
-
             Message::RetrieveTs {
                 op,
                 key,
@@ -349,7 +333,7 @@ impl Actor<Message> for Kls {
                 let versions: Vec<(Timestamp, Arc<Metadata>)> = older
                     .by_ref()
                     .take(usize::from(limit))
-                    .map(|(ov, m)| (ov.ts, self.mode.share(m)))
+                    .map(|(ov, m)| (ov.ts, Arc::clone(m)))
                     .collect();
                 let more = older.next().is_some();
                 ctx.send(

@@ -61,10 +61,7 @@ pub use convergence::ConvergenceOptions;
 pub use messages::Message;
 pub use metadata::{Location, Metadata};
 pub use policy::Policy;
-pub use protocol::{
-    batched_rounds, compaction, flat_store, reference_protocol_mode, set_batched_rounds,
-    set_compaction, set_flat_store, set_reference_protocol_mode, ProtocolMode,
-};
+pub use protocol::ProtocolMode;
 pub use repair::{RepairActor, RepairOptions};
 pub use types::{Key, ObjectVersion, Timestamp};
 

@@ -17,14 +17,8 @@
 //! fragment-bearing message carries 25 KiB.
 //!
 //! Metadata is embedded as [`Arc<Metadata>`] so a send is a refcount bump
-//! rather than a deep copy (see [`crate::protocol`]); the wire-size model
-//! is unaffected because it prices the serialized bytes.
-//!
-//! The `*Batch` variants model one convergence round's coalesced traffic
-//! to a single destination: one shared [`HEADER_BYTES`] plus the per-entry
-//! bodies. They report under the same metric label (`kind_id`) as their
-//! singular counterparts, so figure legends are unchanged and batching
-//! shows up as fewer, larger messages of the same kind.
+//! rather than a deep copy; the wire-size model is unaffected because it
+//! prices the serialized bytes.
 
 use std::sync::Arc;
 
@@ -207,12 +201,6 @@ pub enum Message {
         /// Complete metadata.
         meta: Arc<Metadata>,
     },
-    /// Several [`Message::AmrIndication`] entries for the same destination,
-    /// coalesced by one convergence round (one shared header).
-    AmrIndicationBatch {
-        /// `(object version, complete metadata)` per indication.
-        entries: Vec<(ObjectVersion, Arc<Metadata>)>,
-    },
 
     // ---- get protocol ----
     /// Proxy asks a KLS for the object versions of `key` with metadata,
@@ -272,12 +260,6 @@ pub enum Message {
         /// The FS's metadata (merged into the KLS's store).
         meta: Arc<Metadata>,
     },
-    /// Several [`Message::ConvergeKls`] probes for the same KLS, coalesced
-    /// by one convergence round (one shared header).
-    ConvergeKlsBatch {
-        /// `(object version, sender's metadata)` per probe.
-        entries: Vec<(ObjectVersion, Arc<Metadata>)>,
-    },
     /// KLS's answer: is its stored metadata complete?
     ConvergeKlsReply {
         /// Object version.
@@ -295,13 +277,6 @@ pub enum Message {
         /// recovery (§4.2); the receiver then reports which fragments it
         /// needs and may trigger the id-ordered backoff rule.
         recovery_intent: bool,
-    },
-    /// Several [`Message::ConvergeFs`] probes for the same sibling FS,
-    /// coalesced by one convergence round (one shared header).
-    ConvergeFsBatch {
-        /// `(object version, sender's metadata, recovery intent)` per
-        /// probe.
-        entries: Vec<(ObjectVersion, Arc<Metadata>, bool)>,
     },
     /// Sibling FS's answer to a convergence probe.
     ConvergeFsReply {
@@ -361,9 +336,7 @@ impl Message {
 impl Payload for Message {
     /// One label per *protocol* message kind, so
     /// [`kind_id`](Payload::kind_id) is a dense index and the engine's
-    /// per-kind counters are plain arrays. The `*Batch` variants share
-    /// their singular counterpart's label: a batch is the same protocol
-    /// traffic, just coalesced under one header.
+    /// per-kind counters are plain arrays.
     const KINDS: &'static [&'static str] = &[
         "ClientPutReq",
         "ClientPutRep",
@@ -424,14 +397,14 @@ impl Payload for Message {
             Message::StoreMetadataReply { .. } => 9,
             Message::StoreFragment { .. } => 10,
             Message::StoreFragmentReply { .. } => 11,
-            Message::AmrIndication { .. } | Message::AmrIndicationBatch { .. } => 12,
+            Message::AmrIndication { .. } => 12,
             Message::RetrieveTs { .. } => 13,
             Message::RetrieveTsReply { .. } => 14,
             Message::RetrieveFrag { .. } => 15,
             Message::RetrieveFragReply { .. } => 16,
-            Message::ConvergeKls { .. } | Message::ConvergeKlsBatch { .. } => 17,
+            Message::ConvergeKls { .. } => 17,
             Message::ConvergeKlsReply { .. } => 18,
-            Message::ConvergeFs { .. } | Message::ConvergeFsBatch { .. } => 19,
+            Message::ConvergeFs { .. } => 19,
             Message::ConvergeFsReply { .. } | Message::RepairReport { .. } => 20,
             Message::SiblingStore { .. } => 21,
         }
@@ -457,10 +430,6 @@ impl Payload for Message {
                 }
                 Message::StoreFragmentReply { .. } => OV_BYTES + 1,
                 Message::AmrIndication { meta, .. } => OV_BYTES + meta.wire_size(),
-                Message::AmrIndicationBatch { entries } => entries
-                    .iter()
-                    .map(|(_, m)| OV_BYTES + m.wire_size())
-                    .sum::<usize>(),
                 Message::RetrieveTs { older_than, .. } => 8 + 8 + 2 + older_than.map_or(1, |_| 13),
                 Message::RetrieveTsReply { versions, .. } => {
                     8 + 8
@@ -475,16 +444,8 @@ impl Payload for Message {
                     8 + OV_BYTES + 1 + data.as_ref().map_or(1, |f| 1 + f.wire_len())
                 }
                 Message::ConvergeKls { meta, .. } => OV_BYTES + meta.wire_size(),
-                Message::ConvergeKlsBatch { entries } => entries
-                    .iter()
-                    .map(|(_, m)| OV_BYTES + m.wire_size())
-                    .sum::<usize>(),
                 Message::ConvergeKlsReply { .. } => OV_BYTES + 1,
                 Message::ConvergeFs { meta, .. } => OV_BYTES + meta.wire_size() + 1,
-                Message::ConvergeFsBatch { entries } => entries
-                    .iter()
-                    .map(|(_, m, _)| OV_BYTES + m.wire_size() + 1)
-                    .sum::<usize>(),
                 Message::ConvergeFsReply { have, missing, .. } => {
                     OV_BYTES + 2 + have.len() + missing.len()
                 }
@@ -649,7 +610,7 @@ mod tests {
             entries: vec![(ov(), Arc::new(full_meta()), vec![0, 3])],
         };
         assert_eq!(report.kind(), "FSConvergeRep");
-        // One shared header plus per-entry bodies, like the batches.
+        // One header plus per-entry bodies.
         assert_eq!(
             report.wire_size(),
             HEADER_BYTES + OV_BYTES + full_meta().wire_size() + 1 + 2
@@ -715,123 +676,5 @@ mod tests {
             two.wire_size() - one.wire_size(),
             12 + full_meta().wire_size()
         );
-    }
-
-    /// Metadata in every completeness state a batch entry can carry:
-    /// nothing decided, one DC, both DCs.
-    fn meta_variants() -> Vec<Arc<Metadata>> {
-        let empty = Metadata::new(Policy::paper_default(), DataCenterId::new(0), 512);
-        let mut one_dc = empty.clone();
-        one_dc.add_dc_locations(
-            DataCenterId::new(0),
-            (0..6)
-                .map(|i| Location {
-                    fs: NodeId::new(u32::from(i) / 2),
-                    disk: i % 2,
-                })
-                .collect(),
-        );
-        vec![Arc::new(empty), Arc::new(one_dc), Arc::new(full_meta())]
-    }
-
-    #[test]
-    fn batch_kinds_share_the_singular_label() {
-        let m = Arc::new(full_meta());
-        let entries = vec![(ov(), m.clone())];
-        assert_eq!(
-            Message::ConvergeKlsBatch {
-                entries: entries.clone()
-            }
-            .kind(),
-            "KLSConvergeReq"
-        );
-        assert_eq!(
-            Message::AmrIndicationBatch { entries }.kind(),
-            "AMRIndication"
-        );
-        assert_eq!(
-            Message::ConvergeFsBatch {
-                entries: vec![(ov(), m, true)]
-            }
-            .kind(),
-            "FSConvergeReq"
-        );
-    }
-
-    /// The batching satellite's wire-size property, checked across every
-    /// batch kind, entry count 1..=8 and mixed metadata completeness: a
-    /// batch of k entries costs exactly one `HEADER_BYTES` plus the sum of
-    /// the entry bodies, which equals the unbatched total minus
-    /// (k-1)·`HEADER_BYTES`.
-    #[test]
-    fn batched_wire_size_amortizes_exactly_one_header() {
-        let metas = meta_variants();
-        for k in 1usize..=8 {
-            let entries: Vec<(ObjectVersion, Arc<Metadata>)> = (0..k)
-                .map(|i| {
-                    (
-                        ObjectVersion::new(
-                            Key::from_u64(i as u64),
-                            Timestamp::new(SimTime::ZERO, i as u32),
-                        ),
-                        metas[i % metas.len()].clone(),
-                    )
-                })
-                .collect();
-
-            let singles: Vec<Message> = entries
-                .iter()
-                .map(|(ov, m)| Message::ConvergeKls {
-                    ov: *ov,
-                    meta: m.clone(),
-                })
-                .collect();
-            let unbatched: usize = singles.iter().map(Message::wire_size).sum();
-            let batch = Message::ConvergeKlsBatch {
-                entries: entries.clone(),
-            };
-            assert_eq!(batch.wire_size(), unbatched - (k - 1) * HEADER_BYTES);
-            let bodies: usize = entries.iter().map(|(_, m)| OV_BYTES + m.wire_size()).sum();
-            assert_eq!(batch.wire_size(), HEADER_BYTES + bodies);
-
-            let amr_unbatched: usize = entries
-                .iter()
-                .map(|(ov, m)| {
-                    Message::AmrIndication {
-                        ov: *ov,
-                        meta: m.clone(),
-                    }
-                    .wire_size()
-                })
-                .sum();
-            let amr_batch = Message::AmrIndicationBatch {
-                entries: entries.clone(),
-            };
-            assert_eq!(
-                amr_batch.wire_size(),
-                amr_unbatched - (k - 1) * HEADER_BYTES
-            );
-
-            let fs_entries: Vec<(ObjectVersion, Arc<Metadata>, bool)> = entries
-                .iter()
-                .enumerate()
-                .map(|(i, (ov, m))| (*ov, m.clone(), i % 2 == 0))
-                .collect();
-            let fs_unbatched: usize = fs_entries
-                .iter()
-                .map(|(ov, m, ri)| {
-                    Message::ConvergeFs {
-                        ov: *ov,
-                        meta: m.clone(),
-                        recovery_intent: *ri,
-                    }
-                    .wire_size()
-                })
-                .sum();
-            let fs_batch = Message::ConvergeFsBatch {
-                entries: fs_entries,
-            };
-            assert_eq!(fs_batch.wire_size(), fs_unbatched - (k - 1) * HEADER_BYTES);
-        }
     }
 }

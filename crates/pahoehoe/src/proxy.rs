@@ -122,12 +122,6 @@ struct PutOp {
     is_delta: bool,
     /// KLSs that acknowledged *complete* metadata.
     kls_complete: BTreeSet<NodeId>,
-    /// `(fs, fragment)` pairs durably acknowledged (maintained in
-    /// reference mode only; the optimized path tracks the same facts in
-    /// `acked`).
-    frag_acks: BTreeSet<(NodeId, FragmentIndex)>,
-    /// Distinct fragment indices durably stored (reference mode only).
-    distinct_frags: BTreeSet<FragmentIndex>,
     /// Distinct fragment indices durably stored, as a 256-bit mask
     /// (fragments are only ever stored by — and acknowledged from — the
     /// FS they are assigned to, so the index alone identifies the ack).
@@ -203,9 +197,7 @@ pub struct Proxy {
     /// Unique proxy identifier, the timestamp tie-breaker.
     uid: u32,
     cfg: ProxyConfig,
-    /// Cost model for the protocol hot path (§8.6), captured at
-    /// construction so concurrent simulations cannot race on the
-    /// process-global switch.
+    /// Protocol behaviour switches, fixed at construction.
     mode: ProtocolMode,
     /// Every KLS, in topology order: each put wave and each get fans out
     /// to all of them.
@@ -236,10 +228,10 @@ pub struct Proxy {
 }
 
 impl Proxy {
-    /// Creates a proxy in `my_dc` with unique id `uid`, using the
-    /// process-global [`ProtocolMode`].
+    /// Creates a proxy in `my_dc` with unique id `uid` and the default
+    /// [`ProtocolMode`].
     pub fn new(topo: Arc<Topology>, my_dc: DataCenterId, uid: u32, cfg: ProxyConfig) -> Self {
-        Self::with_mode(topo, my_dc, uid, cfg, ProtocolMode::current())
+        Self::with_mode(topo, my_dc, uid, cfg, ProtocolMode::default())
     }
 
     /// Creates a proxy with an explicit [`ProtocolMode`].
@@ -395,20 +387,13 @@ impl Proxy {
         let (meta, chain, is_delta) = match delta {
             Some((meta, chain)) => (meta, chain, true),
             None => {
-                if self.mode.share_metadata {
-                    // Zero-copy encode: data fragments are windows of the
-                    // client's value; only parity is freshly written.
-                    self.codec(policy.k, policy.n)
-                        .encode_value(&value, &mut fragments);
-                } else {
-                    // Reference cost model: the seed's allocating stripe
-                    // encode.
-                    self.codec(policy.k, policy.n)
-                        .encode_into(&value, &mut fragments);
-                }
-                // Recorded in every mode: the delta bench compares a
-                // delta-off run's full-stripe bytes against a delta run's
-                // mixed ledger.
+                // Zero-copy encode: data fragments are windows of the
+                // client's value; only parity is freshly written.
+                self.codec(policy.k, policy.n)
+                    .encode_value(&value, &mut fragments);
+                // Recorded with delta coding on or off: the delta payload
+                // test compares a delta-off run's full-stripe bytes
+                // against a delta run's mixed ledger.
                 let payload: u64 = fragments.iter().map(|f| f.len() as u64).sum();
                 ctx.record_event(EV_FULL_FRAG_BYTES, payload);
                 let meta = Arc::new(Metadata::new(policy, self.my_dc, value.len()));
@@ -431,8 +416,6 @@ impl Proxy {
                 chain,
                 is_delta,
                 kls_complete: BTreeSet::new(),
-                frag_acks: BTreeSet::new(),
-                distinct_frags: BTreeSet::new(),
                 acked: FragMask::new(),
                 replied: false,
                 timer,
@@ -449,7 +432,7 @@ impl Proxy {
                     kls,
                     Message::StoreMetadata {
                         ov,
-                        meta: self.mode.share(&meta),
+                        meta: Arc::clone(&meta),
                     },
                 );
             }
@@ -459,7 +442,7 @@ impl Proxy {
                     loc.fs,
                     Message::StoreFragment {
                         ov,
-                        meta: self.mode.share(&meta),
+                        meta: Arc::clone(&meta),
                         // lint:allow(panic-path): assignment indexes are < n == fragments.len()
                         fragment: fragments[idx as usize].clone(),
                     },
@@ -497,7 +480,7 @@ impl Proxy {
         if !Arc::make_mut(&mut op.meta).add_dc_locations(dc, locations) {
             return;
         }
-        let (mode, meta) = (self.mode, &op.meta);
+        let meta = &op.meta;
         // Forward the (possibly still partial) metadata to every KLS
         // immediately — the paper's first latency optimization — and to
         // the FSs of previously decided data centers, whose stored
@@ -511,7 +494,7 @@ impl Proxy {
                 kls,
                 Message::StoreMetadata {
                     ov,
-                    meta: mode.share(meta),
+                    meta: Arc::clone(meta),
                 },
             );
         }
@@ -520,7 +503,7 @@ impl Proxy {
                 fs,
                 Message::StoreMetadata {
                     ov,
-                    meta: mode.share(meta),
+                    meta: Arc::clone(meta),
                 },
             );
         }
@@ -533,7 +516,7 @@ impl Proxy {
                 loc.fs,
                 Message::StoreFragment {
                     ov,
-                    meta: mode.share(meta),
+                    meta: Arc::clone(meta),
                     // lint:allow(panic-path): assignment indexes are < n == fragments.len()
                     fragment: op.fragments[idx as usize].clone(),
                 },
@@ -546,12 +529,7 @@ impl Proxy {
             return;
         };
         // Early success: enough distinct fragments durably stored.
-        let distinct = if self.mode.share_metadata {
-            op.acked.count()
-        } else {
-            op.distinct_frags.len()
-        };
-        if !op.replied && distinct >= usize::from(op.meta.policy().put_success_threshold) {
+        if !op.replied && op.acked.count() >= usize::from(op.meta.policy().put_success_threshold) {
             op.replied = true;
             let (client, client_op) = (op.client, op.client_op);
             ctx.send(
@@ -572,22 +550,13 @@ impl Proxy {
         if !op.meta.is_complete() {
             return;
         }
-        let fully_acked = if self.mode.share_metadata {
-            // Each assigned fragment index is stored by exactly one FS, so
-            // the mask count reaching the assignment count is the same
-            // condition as the reference mode's pairwise subset check.
-            op.kls_complete.len() == self.klss.len() && op.acked.count() == op.meta.location_count()
-        } else {
-            // Reference cost model: rebuild both sets on every
-            // acknowledgment, as the seed protocol core did.
-            let all_kls: BTreeSet<NodeId> = self.topo.all_klss().collect();
-            let all_assigned: BTreeSet<(NodeId, FragmentIndex)> = op
-                .meta
-                .assignments()
-                .map(|(idx, loc)| (loc.fs, idx))
-                .collect();
-            op.kls_complete.is_superset(&all_kls) && all_assigned.is_subset(&op.frag_acks)
-        };
+        // `kls_complete` only holds KLSs, and each assigned fragment index
+        // is stored by — and acknowledged from — exactly one FS, so the two
+        // counts reaching the cluster's KLS count and the assignment count
+        // is the subset test "every KLS and every `(fs, index)` assignment
+        // has acknowledged" without building either set.
+        let fully_acked = op.kls_complete.len() == self.klss.len()
+            && op.acked.count() == op.meta.location_count();
         if fully_acked {
             self.puts_fully_acked += 1;
             let meta = Arc::clone(&op.meta);
@@ -613,7 +582,7 @@ impl Proxy {
                         fs,
                         Message::AmrIndication {
                             ov,
-                            meta: self.mode.share(&meta),
+                            meta: Arc::clone(&meta),
                         },
                     );
                 }
@@ -973,15 +942,10 @@ impl Actor<Message> for Proxy {
             }
             Message::StoreFragmentReply { ov, fragment } => {
                 if let Some(op) = self.puts.get_mut(&ov) {
-                    if self.mode.share_metadata {
-                        // The reply necessarily comes from the FS the
-                        // fragment is assigned to (stores are only ever
-                        // sent there), so the index alone is the ack.
-                        op.acked.insert(fragment);
-                    } else {
-                        op.frag_acks.insert((from, fragment));
-                        op.distinct_frags.insert(fragment);
-                    }
+                    // The reply necessarily comes from the FS the
+                    // fragment is assigned to (stores are only ever sent
+                    // there), so the index alone is the ack.
+                    op.acked.insert(fragment);
                     self.on_put_progress(ctx, ov);
                 }
             }

@@ -75,21 +75,10 @@ impl<M: Payload> Inner<M> {
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        // Count at send time: dropped messages were still sent (§5.1).
-        self.metrics.record_send(msg.kind_id(), msg.wire_size());
-        self.deliver(from, to, msg);
-    }
-
-    /// The delivery half of [`send`](Self::send): loss model, trace,
-    /// duplication, latency sampling and queueing — everything except the
-    /// send-side `record_send`. Split out so a coalesced batch can account
-    /// for its parts as one physical message (via
-    /// [`Metrics::record_coalesced`]) while each part still traverses the
-    /// channel individually, drawing RNG in exactly the order the
-    /// unbatched protocol would. Drops are still recorded per part.
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
         let kind_id = msg.kind_id();
         let bytes = msg.wire_size();
+        // Count at send time: dropped messages were still sent (§5.1).
+        self.metrics.record_send(kind_id, bytes);
         let disposition = if self.faults.blocks(from, to, self.now) {
             self.metrics.record_drop(kind_id, bytes, true);
             Disposition::DroppedFault
@@ -106,7 +95,7 @@ impl<M: Payload> Inner<M> {
                 from,
                 to,
                 kind: msg.kind(),
-                bytes: msg.wire_size(),
+                bytes,
                 disposition,
             });
         }
@@ -161,31 +150,6 @@ impl<M: Payload> Context<'_, M> {
     /// legal and traverse the network like any other.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.inner.send(self.self_id, to, msg);
-    }
-
-    /// Sends one *part* of a coalesced batch: the message traverses the
-    /// channel exactly like [`send`](Self::send) — same fault and loss
-    /// checks, same per-copy latency samples, drops still recorded — but no
-    /// send-side metrics are recorded for it. The sender must account for
-    /// the whole batch once via
-    /// [`record_coalesced`](Self::record_coalesced), normally with the
-    /// combined multi-entry message's `kind_id`/`wire_size`.
-    ///
-    /// Because parts draw RNG in the same order as individual sends,
-    /// coalescing changes only the traffic accounting, never event order
-    /// or actor state.
-    pub fn send_coalesced_part(&mut self, to: NodeId, msg: M) {
-        self.inner.deliver(self.self_id, to, msg);
-    }
-
-    /// Accounts for a coalesced batch message: one physical send of
-    /// `msg.wire_size()` bytes carrying `entries` logical protocol
-    /// entries. Pair with [`send_coalesced_part`](Self::send_coalesced_part)
-    /// for each entry's delivery.
-    pub fn record_coalesced(&mut self, msg: &M, entries: u64) {
-        self.inner
-            .metrics
-            .record_coalesced(msg.kind_id(), msg.wire_size(), entries);
     }
 
     /// Adds `amount` to protocol event counter `event_id` (an index into

@@ -57,28 +57,19 @@ impl DropStats {
 ///
 /// Backed by dense arrays laid out by a payload type's kind registry;
 /// recording is O(1) array indexing, reporting sorts labels on demand.
-///
-/// Physical messages vs. logical entries: a coalesced batch (see
-/// [`record_coalesced`](Self::record_coalesced)) counts as **one** sent
-/// message carrying several logical protocol entries. `entries` tracks the
-/// latter so batched and unbatched runs can be compared on equal logical
-/// work while `count`/`bytes` show the physical (header-amortized) cost.
 #[derive(Clone, Default)]
 pub struct Metrics {
     registry: &'static [&'static str],
     sends: Vec<KindStats>,
     drops: Vec<DropStats>,
     duplicated: u64,
-    entries: Vec<u64>,
     event_registry: &'static [&'static str],
     events: Vec<u64>,
 }
 
 impl std::fmt::Debug for Metrics {
-    /// Matches the pre-`entries` derived output field for field: replay
-    /// digests are `format!("{:?}")` of this struct, and adding the
-    /// logical-entry counters must not disturb digests of runs that never
-    /// coalesce (where `entries` mirrors `count` exactly).
+    /// Replay digests are `format!("{:?}")` of this struct, so it prints
+    /// exactly these four fields: the event counters stay out of digests.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Metrics")
             .field("registry", &self.registry)
@@ -114,7 +105,6 @@ impl Metrics {
             sends: vec![KindStats::default(); registry.len()],
             drops: vec![DropStats::default(); registry.len()],
             duplicated: 0,
-            entries: vec![0; registry.len()],
             event_registry,
             events: vec![0; event_registry.len()],
         }
@@ -142,21 +132,6 @@ impl Metrics {
         let e = &mut self.sends[kind_id];
         e.count += 1;
         e.bytes += bytes as u64;
-        self.entries[kind_id] += 1;
-    }
-
-    /// Records one physical message of kind `kind_id` carrying `entries`
-    /// logical protocol entries in `bytes` wire bytes — the accounting for
-    /// a coalesced batch (one shared header, several entry bodies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind_id` is out of range for the registry.
-    pub fn record_coalesced(&mut self, kind_id: usize, bytes: usize, entries: u64) {
-        let e = &mut self.sends[kind_id];
-        e.count += 1;
-        e.bytes += bytes as u64;
-        self.entries[kind_id] += entries;
     }
 
     /// Records that a sent message of kind `kind_id` was dropped in
@@ -244,18 +219,6 @@ impl Metrics {
             .unwrap_or_default()
     }
 
-    /// Logical protocol entries sent for a single kind (zero if never seen
-    /// or unregistered). Equals `kind(kind).count` unless batches were
-    /// coalesced for this kind.
-    pub fn entries_for(&self, kind: &str) -> u64 {
-        self.index_of(kind).map(|i| self.entries[i]).unwrap_or(0)
-    }
-
-    /// Total logical protocol entries sent across all kinds.
-    pub fn total_entries(&self) -> u64 {
-        self.entries.iter().sum()
-    }
-
     /// Iterates over `(kind, stats)` of every kind with at least one send,
     /// in lexicographic kind order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, KindStats)> + '_ {
@@ -316,7 +279,6 @@ impl Metrics {
             self.registry = other.registry;
             self.sends = vec![KindStats::default(); other.registry.len()];
             self.drops = vec![DropStats::default(); other.registry.len()];
-            self.entries = vec![0; other.registry.len()];
         }
         if self.event_registry.is_empty() {
             self.event_registry = other.event_registry;
@@ -341,9 +303,6 @@ impl Metrics {
             a.random_bytes += b.random_bytes;
         }
         self.duplicated += other.duplicated;
-        for (a, b) in self.entries.iter_mut().zip(&other.entries) {
-            *a += b;
-        }
         for (a, b) in self.events.iter_mut().zip(&other.events) {
             *a += b;
         }
