@@ -22,9 +22,12 @@
 //!
 //! After the cells return the sweep is checked, not just recorded (see
 //! [`gate_failures`]): each `update-*` pair must report equal `events`
-//! with compaction on and off, every compacting cell must have compacted
-//! something, and on the full grid steady RSS must grow more slowly with
-//! compaction on than off. Otherwise the binary exits 1 and writes nothing.
+//! with compaction on and off, and every compacting cell must have
+//! compacted something; the smoke grid must report exactly the
+//! `(events, compacted_entries)` of [`SMOKE_COUNTS`]; and on the full grid
+//! steady RSS must grow more slowly with compaction on than off, and
+//! `mid-hot` must settle under half of `mid-uniform`. Otherwise the binary
+//! exits 1 and writes nothing.
 //!
 //! Cells terminate on a cheap predicate — every client drained its stream
 //! AND every FS's pending (not-yet-settled-AMR) set is empty — instead of
@@ -376,6 +379,19 @@ fn grid(smoke: bool) -> Vec<Cell> {
     ]
 }
 
+/// What each smoke cell reports as `(events, compacted_entries)`. Both are
+/// deterministic, and compaction is local bookkeeping: a change to how an FS
+/// keeps its versions that moves either number has changed what the cluster
+/// does, whatever it meant to do. A protocol change re-pins them in the
+/// commit that regenerates `results/digests/`.
+const SMOKE_COUNTS: [(&str, (u64, u64)); 5] = [
+    ("update-small-on", (126_023, 9_306)),
+    ("update-small-off", (126_023, 0)),
+    ("update-large-on", (504_087, 43_176)),
+    ("update-large-off", (504_087, 0)),
+    ("mid-uniform", (3_580_552, 56_176)),
+];
+
 /// Extracts `"field": value` from a cell's JSON line (the hand-rolled
 /// format above is regular enough for this).
 fn json_u64(line: &str, field: &str) -> Option<u64> {
@@ -389,23 +405,42 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// `field` of the cell called `name`, from its JSON line.
+fn cell_field(cells: &[Cell], lines: &[String], name: &str, field: &str) -> Option<u64> {
+    let (_, line) = cells.iter().zip(lines).find(|(c, _)| c.name == name)?;
+    json_u64(line, field)
+}
+
 /// What a sweep must show beyond parsing as JSON, one line per broken
 /// expectation. Compaction is local bookkeeping, so an `update-*` pair
 /// must process the same events with it on and off, and every cell that
-/// runs with it on must have compacted something — both deterministic.
+/// runs with it on must have compacted something — both deterministic —
+/// and each cell named in `pinned` (the smoke grid passes
+/// [`SMOKE_COUNTS`]) must report exactly those counts.
 /// `steady_growth` is the update-heavy quadrant's `(on, off)` steady-RSS
 /// growth, passed only by the full grid, whose cells are large enough for
-/// the sublinear-memory claim to rise above allocator noise.
+/// the memory claims to rise above allocator noise: compaction bends the
+/// update-heavy curve, and `mid-hot` — the same cluster and put count as
+/// `mid-uniform`, nine puts in ten overwriting a hundred keys — settles
+/// under half of `mid-uniform`'s steady RSS, which it does only while a
+/// compacted version costs its FS far less than a live one.
 fn gate_failures(
     cells: &[Cell],
     lines: &[String],
+    pinned: &[(&str, (u64, u64))],
     steady_growth: Option<(f64, f64)>,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    let events_of = |name: &str| {
-        let (_, line) = cells.iter().zip(lines).find(|(c, _)| c.name == name)?;
-        json_u64(line, "events")
-    };
+    let field_of = |name: &str, field: &str| cell_field(cells, lines, name, field);
+    let events_of = |name: &str| field_of(name, "events");
+    for &(name, counts) in pinned {
+        let got = (|| Some((events_of(name)?, field_of(name, "compacted_entries")?)))();
+        if got != Some(counts) {
+            failures.push(format!(
+                "{name}: (events, compacted_entries) is {got:?}, pinned {counts:?}"
+            ));
+        }
+    }
     for (cell, line) in cells.iter().zip(lines) {
         if cell.compact && json_u64(line, "compacted_entries").unwrap_or(0) == 0 {
             failures.push(format!(
@@ -432,6 +467,15 @@ fn gate_failures(
             failures.push(format!(
                 "update-heavy steady RSS grew {on:.2}x compacted vs {off:.2}x full: \
                  compaction no longer bends the curve"
+            ));
+        }
+        let steady_of = |name: &str| field_of(name, "steady_rss_bytes");
+        let (hot, uniform) = (steady_of("mid-hot"), steady_of("mid-uniform"));
+        // A missing cell fails too.
+        if !matches!((hot, uniform), (Some(hot), Some(uniform)) if 2 * hot < uniform) {
+            failures.push(format!(
+                "mid-hot steady RSS {hot:?} B is not under half of mid-uniform's {uniform:?} B: \
+                 a compacted version costs too much of a live one"
             ));
         }
     }
@@ -551,12 +595,7 @@ fn main() {
     // claim: with compaction on, 4x the puts costs well under 4x the
     // memory, while the uncompacted store grows linearly.
     let steady = |name: &str| -> Option<f64> {
-        let line = cells
-            .iter()
-            .zip(&lines)
-            .find(|(c, _)| c.name == name)
-            .map(|(_, l)| l)?;
-        json_u64(line, "steady_rss_bytes").map(|b| b as f64)
+        cell_field(&cells, &lines, name, "steady_rss_bytes").map(|b| b as f64)
     };
     let growth = |on: bool| -> Option<f64> {
         let suffix = if on { "on" } else { "off" };
@@ -575,7 +614,9 @@ fn main() {
 
     // Gate before recording: a sweep that breaks what the record exists to
     // show must not replace a committed one.
-    let failures = gate_failures(&cells, &lines, (!smoke).then_some((growth_on, growth_off)));
+    let pinned: &[_] = if smoke { &SMOKE_COUNTS } else { &[] };
+    let full_growth = (!smoke).then_some((growth_on, growth_off));
+    let failures = gate_failures(&cells, &lines, pinned, full_growth);
     if !failures.is_empty() {
         for failure in &failures {
             eprintln!("scale gate: {failure}");
@@ -639,27 +680,74 @@ mod tests {
 
     /// The gate passes a healthy sweep and names each broken expectation:
     /// a pair whose event counts diverge, a compacting cell that compacted
-    /// nothing, and (full grid only) growth that compaction did not bend.
+    /// nothing, a count off its pin, and (full grid only) growth that
+    /// compaction did not bend or a `mid-hot` over half of `mid-uniform`.
     #[test]
     fn gate_names_each_broken_expectation() {
-        let cells: Vec<Cell> = grid(true).into_iter().take(2).collect();
-        let line = |events: u64, compacted: u64| {
-            format!("{{ \"events\": {events}, \"compacted_entries\": {compacted} }}")
+        let names = [
+            "update-small-on",
+            "update-small-off",
+            "mid-uniform",
+            "mid-hot",
+        ];
+        let cells: Vec<Cell> = grid(false)
+            .into_iter()
+            .filter(|c| names.contains(&c.name))
+            .collect();
+        assert_eq!(cells.len(), names.len());
+        let line = |events: u64, compacted: u64, steady: u64| {
+            format!(
+                "{{ \"events\": {events}, \"compacted_entries\": {compacted}, \
+                 \"steady_rss_bytes\": {steady} }}"
+            )
         };
-        let healthy = [line(100, 7), line(100, 0)];
-        assert!(gate_failures(&cells, &healthy, None).is_empty());
-        assert!(gate_failures(&cells, &healthy, Some((2.0, 3.9))).is_empty());
+        let update = [line(100, 7, 1), line(100, 0, 1)];
+        let with_mid = |uniform: u64, hot: u64| {
+            let mut lines = update.to_vec();
+            lines.extend([line(900, 5, uniform), line(900, 8, hot)]);
+            lines
+        };
+        let healthy = with_mid(440_000_000, 180_000_000);
+        let pins = [("update-small-on", (100, 7)), ("mid-hot", (900, 8))];
+        assert!(gate_failures(&cells, &healthy, &[], None).is_empty());
+        assert!(gate_failures(&cells, &healthy, &pins, Some((2.0, 3.9))).is_empty());
 
-        let broken = [line(100, 0), line(101, 0)];
-        let failures = gate_failures(&cells, &broken, Some((4.0, 3.9)));
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures[0].starts_with("update-small-on: compaction is on"));
-        assert!(failures[1].starts_with("update-small: Some(100) events"));
-        assert!(failures[2].starts_with("update-heavy steady RSS grew 4.00x"));
+        let mut broken = with_mid(440_000_000, 180_000_000);
+        broken[..2].clone_from_slice(&[line(100, 0, 1), line(101, 0, 1)]);
+        let failures = gate_failures(&cells, &broken, &pins, Some((4.0, 3.9)));
+        assert_eq!(failures.len(), 4, "{failures:?}");
         assert_eq!(
-            gate_failures(&cells, &healthy, Some((f64::NAN, 3.9))).len(),
+            failures[0],
+            "update-small-on: (events, compacted_entries) is Some((100, 0)), pinned (100, 7)"
+        );
+        assert!(failures[1].starts_with("update-small-on: compaction is on"));
+        assert!(failures[2].starts_with("update-small: Some(100) events"));
+        assert!(failures[3].starts_with("update-heavy steady RSS grew 4.00x"));
+        assert_eq!(
+            gate_failures(&cells, &healthy, &[], Some((f64::NAN, 3.9))).len(),
             1
         );
+
+        // The record committed before residual chains (PR 19's
+        // `BENCH_scale.json`): mid-hot at 0.70 of mid-uniform.
+        let parent = with_mid(458_711_040, 319_983_616);
+        let failures = gate_failures(&cells, &parent, &[], Some((2.845, 3.963)));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with(
+            "mid-hot steady RSS Some(319983616) B is not under half of mid-uniform's Some(458711040) B"
+        ));
+        // A grid without the pair cannot pass a full-grid gate.
+        let no_mid = gate_failures(&cells[..2], &update, &[], Some((2.0, 3.9)));
+        assert_eq!(no_mid.len(), 1, "{no_mid:?}");
+        assert!(no_mid[0].starts_with("mid-hot steady RSS None"));
+    }
+
+    /// The pins name the smoke grid's cells, each once and in grid order.
+    #[test]
+    fn smoke_counts_cover_the_smoke_grid() {
+        let cells: Vec<&str> = grid(true).iter().map(|c| c.name).collect();
+        let pinned: Vec<&str> = SMOKE_COUNTS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(pinned, cells);
     }
 
     /// The full and smoke grids only contain cells that re-exec

@@ -28,10 +28,11 @@
 //! state, so with [`ProtocolMode::compact_converged`] a version that is
 //! settled AMR and superseded by a newer settled-AMR version of its key
 //! gives up its fragments, its metadata handle, its store slot and its
-//! index entry, and leaves one small residual — which fragment indices it
-//! held and when it settled — from which every later question about it (a
-//! re-delivered fragment, a sibling's probe, a repeated AMR indication) is
-//! answered as the full entry would have answered it (DESIGN.md §8.7).
+//! index entry, and leaves one 24-byte residual in its key's chain — which
+//! fragment indices it held and when it settled — from which every later
+//! question about it (a re-delivered fragment, a sibling's probe, a
+//! repeated AMR indication) is answered as the full entry would have
+//! answered it (DESIGN.md §8.7).
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -155,17 +156,136 @@ struct VersionSlot {
 /// All that converged-version compaction keeps of a version: it was
 /// settled AMR *and* superseded by a newer settled-AMR version of the same
 /// key, so its fragment bytes, checksums, metadata handle, slab slot and
-/// index entry have all been released.
+/// index entry have all been released. One packed record in its key's
+/// chain of a [`ResidualTable`]: the key is the chain's, the timestamp is
+/// stored as its two parts so that the fields pack into three words, and
+/// the held-index set is an id into the table's interned masks.
 #[derive(Debug, Clone, Copy)]
 struct Residual {
-    /// Which fragment indices were stored at compaction time — what keeps
-    /// convergence replies about this version byte-identical to the full
-    /// store's (and lets the sampled invariants assert the version really
-    /// was durable).
-    held: FragMask,
+    /// The version timestamp's clock part, in microseconds.
+    clock: u64,
     /// When the version settled AMR (re-stamped by a later indication, as
     /// a full entry's is).
     amr_at: SimTime,
+    /// The version timestamp's proxy part.
+    proxy: u32,
+    /// Which fragment indices were stored at compaction time — what keeps
+    /// convergence replies about this version byte-identical to the full
+    /// store's (and lets the sampled invariants assert the version really
+    /// was durable) — as an id into [`ResidualTable::masks`].
+    held: u16,
+}
+
+impl Residual {
+    fn ts(&self) -> Timestamp {
+        Timestamp::new(SimTime::from_micros(self.clock), self.proxy)
+    }
+}
+
+/// Chains of up to this many records are allocated exact-fit: most keys of
+/// a wide key space are overwritten once or twice, and `Vec`'s first push
+/// would reserve four records for each of them. Longer chains belong to hot
+/// keys and grow amortised.
+const EXACT_FIT_CHAIN: usize = 4;
+
+/// What is left of an FS's compacted versions: per key, a chain of
+/// [`Residual`]s sorted by timestamp, so walking the table key by key
+/// lists versions in [`ObjectVersion`] order. A probe searches a map with
+/// one entry per compacted *key* — small and warm next to one entry per
+/// compacted version — and then the key's own chain.
+#[derive(Debug, Default)]
+struct ResidualTable {
+    chains: BTreeMap<Key, Vec<Residual>>,
+    /// The distinct held-index sets, by [`Residual::held`] id. Placement
+    /// deals fragments by server rank, so an FS only ever holds a handful
+    /// of different sets; storing each once is what lets a record carry
+    /// two bytes for any 256-bit mask.
+    masks: Vec<FragMask>,
+    /// Records over all chains.
+    count: usize,
+}
+
+impl ResidualTable {
+    /// Where the record stamped `ts` sits in `chain`, if it is there.
+    fn position(chain: &[Residual], ts: Timestamp) -> Option<usize> {
+        chain.binary_search_by(|r| r.ts().cmp(&ts)).ok()
+    }
+
+    fn get(&self, ov: ObjectVersion) -> Option<&Residual> {
+        let chain = self.chains.get(&ov.key)?;
+        chain.get(Self::position(chain, ov.ts)?)
+    }
+
+    fn get_mut(&mut self, ov: ObjectVersion) -> Option<&mut Residual> {
+        let chain = self.chains.get_mut(&ov.key)?;
+        let at = Self::position(chain, ov.ts)?;
+        chain.get_mut(at)
+    }
+
+    /// The fragment-index set `residual` recorded.
+    fn held(&self, residual: &Residual) -> FragMask {
+        // lint:allow(panic-path): a record's id is a position `intern` returned, and masks are never removed
+        self.masks[usize::from(residual.held)]
+    }
+
+    /// The timestamp of `key`'s newest compacted version.
+    fn newest(&self, key: Key) -> Option<Timestamp> {
+        self.chains.get(&key)?.last().map(Residual::ts)
+    }
+
+    /// Every compacted version, in object-version order.
+    fn versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
+        self.chains.iter().flat_map(|(&key, chain)| {
+            chain
+                .iter()
+                .map(move |residual| ObjectVersion::new(key, residual.ts()))
+        })
+    }
+
+    /// The id of `mask`, added to the table if this is its first use.
+    fn intern(&mut self, mask: FragMask) -> u16 {
+        let known = self.masks.iter().position(|m| *m == mask);
+        let Ok(id) = u16::try_from(known.unwrap_or(self.masks.len())) else {
+            // 65 536 different placements on one server is a broken
+            // placement, not a workload: stop rather than wrap an id.
+            panic!(
+                "this FS compacted versions holding more than {} distinct fragment-index sets, \
+                 and a residual names its set by a u16 id",
+                self.masks.len()
+            );
+        };
+        if known.is_none() {
+            self.masks.push(mask);
+        }
+        id
+    }
+
+    /// Records that `ov`, settled AMR at `amr_at`, was compacted holding
+    /// `held`. A version is compacted once: it has no record yet.
+    fn insert(&mut self, ov: ObjectVersion, held: FragMask, amr_at: SimTime) {
+        let held = self.intern(held);
+        let chain = self.chains.entry(ov.key).or_default();
+        // Versions mostly settle in timestamp order: look at the chain's
+        // end before searching it.
+        let at = match chain.last() {
+            Some(last) if last.ts() > ov.ts => chain.partition_point(|r| r.ts() < ov.ts),
+            _ => chain.len(),
+        };
+        debug_assert!(chain.get(at).is_none_or(|r| r.ts() != ov.ts));
+        if EXACT_FIT_CHAIN > chain.len() {
+            chain.reserve_exact(1);
+        }
+        chain.insert(
+            at,
+            Residual {
+                clock: ov.ts.clock_micros(),
+                amr_at,
+                proxy: ov.ts.proxy(),
+                held,
+            },
+        );
+        self.count += 1;
+    }
 }
 
 /// The occupied slab slot `s`, for a slot id taken from the index or the
@@ -265,10 +385,10 @@ impl ShardIndex {
 /// Every *live* version — one that still holds its fragments — sits in a
 /// slab slot, with an `ov -> slot` index and a sorted list of pending slot
 /// indices that `run_round` walks without any map lookups. Versions are
-/// never forgotten, but a compacted one shrinks to a [`Residual`] in a
-/// table of its own and gives its slot and index entry back, so slab,
-/// index, pending list and every walk over them are O(live versions), not
-/// O(versions ever stored).
+/// never forgotten, but a compacted one shrinks to a 24-byte [`Residual`]
+/// in its key's chain of the [`ResidualTable`] and gives its slot and index
+/// entry back, so slab, index, pending list and every walk over them are
+/// O(live versions), not O(versions ever stored).
 #[derive(Debug)]
 struct VersionStore {
     /// `None` marks a vacated slot, listed in `free`.
@@ -284,7 +404,7 @@ struct VersionStore {
     /// takes a newer settled version of the key, so the newest version a
     /// key has is never here: every residual has a newer version of its
     /// key in the index.
-    residuals: BTreeMap<ObjectVersion, Residual>,
+    residuals: ResidualTable,
 }
 
 impl VersionStore {
@@ -294,7 +414,7 @@ impl VersionStore {
             free: Vec::new(),
             index: ShardIndex::new(),
             pending: Vec::new(),
-            residuals: BTreeMap::new(),
+            residuals: ResidualTable::default(),
         }
     }
 
@@ -373,7 +493,7 @@ impl VersionStore {
     fn is_settled(&self, ov: ObjectVersion) -> bool {
         match self.index.get(&ov) {
             Some(s) => !matches!(live(&self.slots, s).state, VersionState::Pending(_)),
-            None => self.residuals.contains_key(&ov),
+            None => self.residuals.get(ov).is_some(),
         }
     }
 
@@ -383,19 +503,19 @@ impl VersionStore {
                 VersionState::Amr(at) => Some(at),
                 _ => None,
             },
-            None => self.residuals.get(&ov).map(|r| r.amr_at),
+            None => self.residuals.get(ov).map(|r| r.amr_at),
         }
     }
 
     /// The compaction residual for `ov`: the fragment-index mask recorded
     /// when the version's entry was released, if it has been compacted.
     fn residual(&self, ov: ObjectVersion) -> Option<FragMask> {
-        self.residuals.get(&ov).map(|r| r.held)
+        self.residuals.get(ov).map(|r| self.residuals.held(r))
     }
 
     /// Number of compacted residual records.
     fn compacted_count(&self) -> usize {
-        self.residuals.len()
+        self.residuals.count
     }
 
     /// Slab slots in use: one per version that still holds a full entry.
@@ -428,20 +548,14 @@ impl VersionStore {
         // `ov` is superseded iff any strictly newer version of its key
         // has settled (newer unsettled versions are the in-flight
         // window; scan past them). A newer residual counts: it settled
-        // before it was compacted. The usual settle is of the key's
-        // newest version, which the (small, warm) index alone can tell.
-        let newest = ObjectVersion::new(ov.key, Timestamp::MAX);
+        // before it was compacted, and the newest one ends the key's
+        // chain. The usual settle is of the key's newest version, which
+        // the index alone can tell.
         let superseded = {
             let mut newer_live = index.key_versions_above(ov).peekable();
             newer_live.peek().is_some()
                 && (newer_live.any(|(_, s)| matches!(live(slots, s).state, VersionState::Amr(_)))
-                    || residuals
-                        .range((
-                            std::ops::Bound::Excluded(ov),
-                            std::ops::Bound::Included(newest),
-                        ))
-                        .next()
-                        .is_some())
+                    || residuals.newest(ov.key).is_some_and(|ts| ts > ov.ts))
         };
         // Everything strictly older than the just-settled `ov` is
         // superseded too.
@@ -459,7 +573,7 @@ impl VersionStore {
             for &idx in live(slots, s).entry.fragments.keys() {
                 held.insert(idx);
             }
-            residuals.insert(victim, Residual { held, amr_at });
+            residuals.insert(victim, held, amr_at);
             index.remove(&victim);
             // lint:allow(panic-path): `live` read this very slot two statements up
             slots[s as usize] = None;
@@ -503,9 +617,9 @@ impl VersionStore {
     /// Live versions matching `keep` plus the `compacted` ones, in global
     /// object-version order (collected and sorted across shards;
     /// inspection paths only).
-    fn sorted_versions_where<'a>(
+    fn sorted_versions_where(
         &self,
-        compacted: impl Iterator<Item = &'a ObjectVersion>,
+        compacted: impl Iterator<Item = ObjectVersion>,
         keep: impl Fn(&VersionSlot) -> bool,
     ) -> std::vec::IntoIter<ObjectVersion> {
         let mut out: Vec<ObjectVersion> = self
@@ -515,14 +629,14 @@ impl VersionStore {
             .flat_map(|m| m.iter())
             .filter(|(_, &s)| keep(live(&self.slots, s)))
             .map(|(&ov, _)| ov)
-            .chain(compacted.copied())
+            .chain(compacted)
             .collect();
         out.sort_unstable();
         out.into_iter()
     }
 
     fn amr_versions(&self) -> std::vec::IntoIter<ObjectVersion> {
-        self.sorted_versions_where(self.residuals.keys(), |slot| {
+        self.sorted_versions_where(self.residuals.versions(), |slot| {
             matches!(slot.state, VersionState::Amr(_))
         })
     }
@@ -534,13 +648,13 @@ impl VersionStore {
     }
 
     fn known_versions(&self) -> std::vec::IntoIter<ObjectVersion> {
-        self.sorted_versions_where(self.residuals.keys(), |_| true)
+        self.sorted_versions_where(self.residuals.versions(), |_| true)
     }
 
     /// Versions collapsed to compaction residuals, in object-version
     /// order.
     fn compacted_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
-        self.residuals.keys().copied()
+        self.residuals.versions()
     }
 
     /// Entry for `ov`, inserting a fresh one (which always starts
@@ -558,8 +672,8 @@ impl VersionStore {
         }
         // Only a version older than a live one of its key can be a
         // residual, so a key's newest version — the usual insert — skips
-        // the (large, cold) residual table.
-        if self.index.key_versions_above(ov).next().is_some() && self.residuals.contains_key(&ov) {
+        // the residual table.
+        if self.index.key_versions_above(ov).next().is_some() && self.residuals.get(ov).is_some() {
             return None;
         }
         let slot = Some(VersionSlot {
@@ -587,7 +701,7 @@ impl VersionStore {
     /// returning the pending work it displaced, if any.
     fn settle_amr(&mut self, ov: ObjectVersion, at: SimTime) -> Option<ConvWork> {
         let Some(s) = self.index.get(&ov) else {
-            if let Some(residual) = self.residuals.get_mut(&ov) {
+            if let Some(residual) = self.residuals.get_mut(ov) {
                 residual.amr_at = at;
             }
             return None;
@@ -770,15 +884,17 @@ impl Fs {
     /// been settled AMR, which implies it verified (so replies about it
     /// stay byte-identical to the full store's).
     pub fn verified(&self, ov: ObjectVersion) -> bool {
-        if self.store.residual(ov).is_some() {
-            return true;
+        // A version is live or a residual, never both, and the probes that
+        // matter are about live ones: ask the index first.
+        match self.store.entry(ov) {
+            Some(entry) => Self::entry_verified(entry, self.self_node()),
+            None => self.store.residual(ov).is_some(),
         }
-        self.store.entry(ov).is_some_and(|e| {
-            e.meta.is_complete()
-                && e.meta
-                    .assigned_to(self.self_node())
-                    .all(|idx| e.fragments.contains_key(&idx))
-        })
+    }
+
+    /// [`Fs::verified`] for a version that holds its full entry.
+    fn entry_verified(entry: &FragEntry, me: NodeId) -> bool {
+        entry.meta.is_complete() && Self::missing_mask(entry, me).is_empty()
     }
 
     /// Versions still being converged.
@@ -1587,26 +1703,26 @@ impl Fs {
                 self.recovery_cancelled(ctx, ov, op);
             }
         }
-        let (have, missing): (Vec<FragmentIndex>, Vec<FragmentIndex>) = match self.store.entry(ov) {
-            Some(entry) => {
-                let have = entry.fragments.keys().copied().collect();
-                let missing = if entry.meta.is_complete() {
-                    Self::missing_mask(entry, me).iter().collect()
-                } else {
-                    Vec::new()
-                };
-                (have, missing)
-            }
-            None => {
-                // Compacted: the residual mask is exactly the fragment
-                // set the full store would report, and a verified AMR
-                // version misses nothing — the reply is byte-identical.
-                // lint:allow(panic-path): adopt stores any non-compacted version
-                let held = self.store.residual(ov).expect("compacted");
-                (held.iter().collect(), Vec::new())
-            }
-        };
-        let verified = self.verified(ov);
+        let (have, missing, verified): (Vec<FragmentIndex>, Vec<FragmentIndex>, bool) =
+            match self.store.entry(ov) {
+                Some(entry) => {
+                    let have = entry.fragments.keys().copied().collect();
+                    let missing = if entry.meta.is_complete() {
+                        Self::missing_mask(entry, me).iter().collect()
+                    } else {
+                        Vec::new()
+                    };
+                    (have, missing, Self::entry_verified(entry, me))
+                }
+                None => {
+                    // Compacted: the residual mask is exactly the fragment
+                    // set the full store would report, and a verified AMR
+                    // version misses nothing — the reply is byte-identical.
+                    // lint:allow(panic-path): adopt stores any non-compacted version
+                    let held = self.store.residual(ov).expect("compacted");
+                    (held.iter().collect(), Vec::new(), true)
+                }
+            };
         let recovering = self.store.work(ov).is_some_and(|w| w.recovery.is_some());
         ctx.send(
             from,
@@ -2339,6 +2455,113 @@ mod tests {
     }
 
     #[test]
+    fn residual_record_is_packed() {
+        assert!(std::mem::size_of::<Residual>() <= 24);
+
+        let version = |key: u64, us: u64| {
+            ObjectVersion::new(
+                Key::from_u64(key),
+                Timestamp::new(SimTime::from_micros(us), 0),
+            )
+        };
+        // Distinct for distinct `i`, with bits in every word of the mask:
+        // the binary digits of `i + 1`, 28 indices apart.
+        let mask_of = |i: usize| {
+            let mut mask = FragMask::new();
+            for bit in (0..10).filter(|bit| ((i + 1) >> bit) & 1 == 1) {
+                mask.insert((bit * 28) as FragmentIndex);
+            }
+            mask
+        };
+
+        // A short chain is exactly as long as what it holds, through the
+        // store's own compaction path; a long one reallocates rarely.
+        let mut store = VersionStore::new();
+        let key = Key::from_u64(7);
+        let mut capacities = BTreeSet::new();
+        for i in 0..=1_000u64 {
+            let ov = version(7, 10 * (i + 1));
+            let at = SimTime::from_micros(i);
+            let (entry, _) = store
+                .entry_or_insert_with(ov, at, || FragEntry {
+                    meta: full_meta(8),
+                    fragments: FragMap::new(),
+                    checksums: FragMap::new(),
+                })
+                .expect("a new version is never a residual");
+            entry.fragments.insert(0, Fragment::new(0, vec![0; 4]));
+            store.settle_amr(ov, at);
+            store.compact_superseded(ov);
+            assert_eq!(store.compacted_count() as u64, i);
+            let Some(chain) = store.residuals.chains.get(&key) else {
+                assert_eq!(i, 0, "the second settle compacts the first version");
+                continue;
+            };
+            assert_eq!(chain.len() as u64, i);
+            if i <= 4 {
+                assert_eq!(chain.capacity(), chain.len(), "{i} compactions");
+            }
+            capacities.insert(chain.capacity());
+        }
+        assert!(capacities.len() <= 16, "{capacities:?}");
+        assert_eq!(store.residuals.masks.len(), 1);
+        assert_eq!(store.resident_slots(), 1);
+
+        // N distinct masks are N table entries, each read back bit-exact.
+        let mut table = ResidualTable::default();
+        for i in 0..300 {
+            table.insert(version(i as u64 % 9, i as u64), mask_of(i), SimTime::ZERO);
+        }
+        assert_eq!(table.masks.len(), 300);
+        for i in 0..300 {
+            let residual = table
+                .get(version(i as u64 % 9, i as u64))
+                .expect("inserted");
+            assert_eq!(table.held(residual), mask_of(i), "mask {i}");
+        }
+
+        // The table grows with the masks in use, not with the residuals.
+        let mut table = ResidualTable::default();
+        for i in 0..10_000 {
+            let ov = version(i as u64 % 100, i as u64 / 100);
+            table.insert(ov, mask_of(i % 7), SimTime::from_micros(i as u64));
+        }
+        assert_eq!((table.count, table.chains.len()), (10_000, 100));
+        assert!(table.masks.len() <= 7, "{}", table.masks.len());
+        assert_eq!(
+            table.versions().collect::<Vec<_>>(),
+            (0..100u64)
+                .flat_map(|key| (0..100u64).map(move |us| version(key, us)))
+                .collect::<Vec<_>>()
+        );
+        for i in 0..10_000 {
+            let residual = table
+                .get(version(i as u64 % 100, i as u64 / 100))
+                .expect("inserted");
+            assert_eq!(table.held(residual), mask_of(i % 7));
+            assert_eq!(residual.amr_at, SimTime::from_micros(i as u64));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "65536 distinct fragment-index sets")]
+    fn residual_mask_ids_run_out_loudly() {
+        // A full id space (the entries' values do not matter here).
+        let mut table = ResidualTable {
+            masks: vec![FragMask::new(); 1 << 16],
+            ..ResidualTable::default()
+        };
+        assert_eq!(
+            table.intern(FragMask::new()),
+            0,
+            "a known mask still interns"
+        );
+        let mut fresh = FragMask::new();
+        fresh.insert(1);
+        table.intern(fresh);
+    }
+
+    #[test]
     fn retrieve_unknown_fragment_answers_bottom() {
         let fs_node = NodeId::new(1);
         let (mut sim, _, _, driver) = tiny_world(
@@ -2359,14 +2582,55 @@ mod tests {
 
     // ---- the version store against a map-based model ----
 
-    /// The versions the model test draws from: 3 keys x 6 timestamps.
-    const MODEL_VERSIONS: usize = 18;
+    /// Timestamps per key in the model test: enough for six compacted
+    /// versions of a key beside a live one.
+    const MODEL_TIMESTAMPS: usize = 8;
+
+    /// The versions the model test draws from: 3 keys x 8 timestamps.
+    const MODEL_VERSIONS: usize = 3 * MODEL_TIMESTAMPS;
+
+    /// The fragment indices the model test stores: every word of a
+    /// [`FragMask`] and both of its ends.
+    const MODEL_FRAGMENTS: [FragmentIndex; 6] = [0, 1, 2, 3, 64, 255];
 
     fn model_version(i: usize) -> ObjectVersion {
+        let (key, ts) = (i / MODEL_TIMESTAMPS, i % MODEL_TIMESTAMPS);
         ObjectVersion::new(
-            Key::from_u64(1 + (i / 6) as u64),
-            Timestamp::new(SimTime::from_micros(10 * (1 + i % 6) as u64), 0),
+            Key::from_u64(1 + key as u64),
+            Timestamp::new(SimTime::from_micros(10 * (1 + ts) as u64), 0),
         )
+    }
+
+    /// What every case starts with, on the first key: the residual-chain
+    /// shapes a random sequence reaches too rarely to rely on. Versions
+    /// settle out of timestamp order, so two residuals land mid-chain —
+    /// one holding `{64, 255}`, the same count as its neighbours'
+    /// `{0, 1}` — six compactions take the chain past its exact-fit
+    /// length, and a repeated settle re-stamps a mid-chain record.
+    fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
+        const INSERT: u8 = 0;
+        const FRAGMENT: u8 = 2;
+        const SETTLE: u8 = 3;
+        let held: [&[FragmentIndex]; 8] = [
+            &[0, 1],
+            &[0, 1],
+            &[64, 255],
+            &[2],
+            &[0, 1],
+            &[0, 1],
+            &[3],
+            &[],
+        ];
+        let mut ops = Vec::new();
+        for (version, indices) in held.iter().enumerate() {
+            ops.push((INSERT, version, 0));
+            ops.extend(indices.iter().map(|&idx| (FRAGMENT, version, idx)));
+        }
+        // Chain of the first key after each settle, compaction on:
+        // [] [0] [0 3] [0 1 3] [0 1 2 3] [0 1 2 3 4] [.. 5]; then the
+        // re-stamp of 1 and 2; then [.. 6].
+        ops.extend([0, 3, 4, 1, 2, 5, 6, 1, 2, 7].map(|version| (SETTLE, version, 0)));
+        ops
     }
 
     /// What the model keeps per known version: the fragment indices held,
@@ -2539,7 +2803,7 @@ mod tests {
     /// gives up only on pending ones, and reopens only versions whose
     /// full entry it holds.
     fn run_against_model(
-        ops: &[(u8, usize, u8)],
+        ops: &[(u8, usize, FragmentIndex)],
         compact: bool,
     ) -> proptest::test_runner::TestCaseResult {
         use proptest::prelude::*;
@@ -2602,11 +2866,20 @@ mod tests {
         /// The slab store answers exactly as the map-based model does,
         /// with compaction off and on, through interleavings a cluster
         /// run rarely produces: give-up and reopen between settles,
-        /// settles in any version order, slot reuse after compaction.
+        /// settles in any version order, slot reuse after compaction,
+        /// and (by [`model_prelude`]) long, mixed-mask residual chains
+        /// filled out of order.
         #[test]
         fn version_store_matches_the_model(
-            ops in proptest::collection::vec((0u8..8, 0..MODEL_VERSIONS, 0u8..4), 1..160),
+            ops in proptest::collection::vec(
+                (0u8..8, 0..MODEL_VERSIONS, 0..MODEL_FRAGMENTS.len()),
+                1..160,
+            ),
         ) {
+            let drawn = ops
+                .into_iter()
+                .map(|(kind, version, nth)| (kind, version, MODEL_FRAGMENTS[nth]));
+            let ops: Vec<_> = model_prelude().into_iter().chain(drawn).collect();
             run_against_model(&ops, false)?;
             run_against_model(&ops, true)?;
         }

@@ -5,6 +5,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# "Byte-identical behaviour" is a cmp against a committed file: every
+# explorer digest written below has a twin under results/digests/. A change
+# that means to move one (a protocol PR) regenerates the twin in the same
+# commit, with the same flags plus `--digest-out results/digests/<name>.txt`.
+same_as_committed() { # fresh digest, committed name
+    cmp "$1" "results/digests/$2.txt" || {
+        echo "    $1 differs from results/digests/$2.txt: behaviour moved" >&2
+        exit 1
+    }
+    echo "    $1 is byte-identical to results/digests/$2.txt"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -37,6 +49,7 @@ echo "==> invariant explorer (smoke sweep, parallel harness)"
 cargo run -p check --release --bin explore -- --smoke --scale --workers 2 --digest-out target/digest-par.txt
 cmp target/digest-seq.txt target/digest-par.txt
 echo "    parallel sweep digest (incl. scale line) is byte-identical to sequential"
+same_as_committed target/digest-seq.txt smoke-scale
 
 echo "==> invariant explorer (smoke sweep, delta codec, sequential vs parallel)"
 # Two workload rounds under delta coding: every second-round put overwrites
@@ -45,6 +58,7 @@ cargo run -p check --release --bin explore -- --smoke --delta --digest-out targe
 cargo run -p check --release --bin explore -- --smoke --delta --workers 2 --digest-out target/digest-delta-par.txt
 cmp target/digest-delta-seq.txt target/digest-delta-par.txt
 echo "    delta-mode parallel sweep digest is byte-identical to sequential"
+same_as_committed target/digest-delta-seq.txt smoke-delta
 
 echo "==> invariant explorer (smoke sweep + repair scenario families, sequential vs parallel)"
 # Four churn families (node churn, rack outage, flash-crowd reads during
@@ -55,8 +69,17 @@ cargo run -p check --release --bin explore -- --smoke --repair --digest-out targ
 cargo run -p check --release --bin explore -- --smoke --repair --workers 2 --digest-out target/digest-repair-par.txt
 cmp target/digest-repair-seq.txt target/digest-repair-par.txt
 echo "    repair-mode parallel sweep digest is byte-identical to sequential"
+same_as_committed target/digest-repair-seq.txt smoke-repair
 
-echo "==> bench scale (smoke, gates equal events per update-* pair and compaction in every compacting cell)"
+echo "==> invariant explorer (full 144-scenario sweep; smoke sweep with scale, delta and repair together)"
+# The paper-faithful sweep every default-mode digest claim is about, and the
+# one run that has every feature's lines in it (the mutation baseline).
+cargo run -p check --release --bin explore -- --workers 2 --digest-out target/digest-full.txt
+same_as_committed target/digest-full.txt full
+cargo run -p check --release --bin explore -- --smoke --scale --delta --repair --workers 2 --digest-out target/digest-smoke-scale-delta-repair.txt
+same_as_committed target/digest-smoke-scale-delta-repair.txt smoke-scale-delta-repair
+
+echo "==> bench scale (smoke, gates equal events per update-* pair, compaction in every compacting cell, and the pinned (events, compacted_entries) of all five cells)"
 cargo run -p bench --release --bin scale -- --smoke
 python3 -m json.tool target/BENCH_scale.smoke.json > /dev/null
 
