@@ -153,10 +153,10 @@ fn run_cell(cell: &Cell) -> CellResult {
         fs_per_dc: cell.fs_per_dc,
     };
     cfg.policy = cell.policy();
-    cfg.protocol = if cell.compact {
-        ProtocolMode::scale()
-    } else {
-        ProtocolMode::default()
+    // An on/off pair differs in compaction alone.
+    cfg.protocol = ProtocolMode {
+        compact_converged: cell.compact,
+        ..ProtocolMode::scale()
     };
     cfg.workload_value_len = cell.value_len;
     cfg.streaming_workload = Some(StreamingWorkload {

@@ -708,20 +708,31 @@ fn registry_file_checks(f: &SrcFile, out: &mut Vec<Finding>) {
     let Some(m) = f.model.matches_in(body).into_iter().next() else {
         return;
     };
-    // variant -> ids it maps to (a `|` pattern maps several variants to one
-    // id — the Batch variants share their singular counterpart's label).
-    let mut mapped: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    // variant -> arms that map it (a `|` pattern maps several variants to
+    // one id; an arm that names no id but calls `kind_id` delegates — a
+    // `Batch` reports as what it carries — and maps its variants onto ids
+    // the other arms answer for).
+    let mut mapped: BTreeMap<String, usize> = BTreeMap::new();
     let mut ids_used: BTreeSet<usize> = BTreeSet::new();
     for arm in &m.arms {
         let mut vs = qualified_refs(&f.model.toks, arm.pat, "Message");
         vs.extend(qualified_refs(&f.model.toks, arm.pat, "Self"));
-        let id = (arm.body.0..arm.body.1.min(f.model.toks.len()))
+        let body = arm.body.0..arm.body.1.min(f.model.toks.len());
+        let id = body
+            .clone()
             .find_map(|j| ident(&f.model.toks, j).and_then(|t| t.parse::<usize>().ok()));
+        let delegates = || {
+            body.clone()
+                .any(|j| ident(&f.model.toks, j) == Some("kind_id"))
+        };
+        if id.is_none() && !delegates() {
+            continue;
+        }
+        for v in vs {
+            *mapped.entry(v).or_default() += 1;
+        }
         let Some(id) = id else { continue };
         ids_used.insert(id);
-        for v in vs {
-            mapped.entry(v).or_default().push(id);
-        }
         if id >= n {
             out.push(Finding {
                 file: f.path.clone(),
@@ -736,7 +747,7 @@ fn registry_file_checks(f: &SrcFile, out: &mut Vec<Finding>) {
         return; // kind_id not written as a literal match; nothing checkable
     }
     for (variant, line) in &variants {
-        match mapped.get(variant).map(Vec::len).unwrap_or(0) {
+        match mapped.get(variant).copied().unwrap_or(0) {
             0 => out.push(Finding {
                 file: f.path.clone(),
                 line: *line,
@@ -1016,6 +1027,24 @@ impl Payload for Message {
     #[test]
     fn registry_sync_accepts_shared_batch_ids() {
         assert!(rules_hit(&ws(&[("messages.rs", REGISTRY_OK)])).is_empty());
+    }
+
+    #[test]
+    fn registry_sync_accepts_an_arm_that_delegates_to_its_entries() {
+        let arm = |body: &str| {
+            let src = REGISTRY_OK
+                .replace("Get }", "Get, Batch(Vec<Message>) }")
+                .replace(
+                    "            Message::Get { .. } => 1,\n",
+                    &format!("            Message::Get {{ .. }} => 1,\n            Message::Batch(entries) => {body},\n"),
+                );
+            analyze(&ws(&[("messages.rs", &src)]))
+        };
+        assert!(arm("entries.first().expect(\"never empty\").kind_id()").is_empty());
+        // An arm that neither names an id nor asks its entries maps nothing.
+        let fs = arm("entries.len()");
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].message.contains("Message::Batch has no kind_id"));
     }
 
     #[test]

@@ -27,9 +27,15 @@
 //!   changes the message flow (delta puts skip location decision), so its
 //!   digests differ from the default sweep's, but every invariant must
 //!   hold and the sequential and `--workers` digests must still match;
+//! * `--batch` — run the sweep with batched convergence rounds on: every
+//!   fault plan and preset with an FS's round traffic sent, lost,
+//!   duplicated and answered one multi-entry message per destination at a
+//!   time. Fewer sends shift the RNG, so the digests are its own; the
+//!   invariants are everyone's. (The `--scale` cell below also batches,
+//!   but it is failure-free: no round of it ever has a version to step);
 //! * `--scale` — after the sweep, run the scale-tier spot check: one Zipf
 //!   streaming-workload scenario under the scale protocol mode
-//!   (converged-version compaction) with the invariant
+//!   (converged-version compaction, batched rounds) with the invariant
 //!   registry installed at a sampled rate. Its digest line — which pins
 //!   the compacted-version count — is appended to `--digest-out`;
 //! * `--repair` — after the sweep, run the repair-engine churn check:
@@ -45,13 +51,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use check::explorer::{self, Injection, SweepConfig};
-use pahoehoe::protocol::ProtocolMode;
 
 fn usage() -> ! {
     eprintln!(
         "usage: explore [--smoke] [--seeds N] [--puts N] [--value-len N] \
          [--inject-corruption] [--trace-out PATH] [--workers N] \
-         [--digest-out PATH] [--delta] [--scale] [--repair] [--quiet]"
+         [--digest-out PATH] [--delta] [--batch] [--scale] [--repair] [--quiet]"
     );
     std::process::exit(2)
 }
@@ -89,9 +94,10 @@ fn main() -> ExitCode {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
             "--delta" => {
-                cfg.workload.protocol = ProtocolMode::delta();
+                cfg.workload.protocol.delta = true;
                 cfg.workload.rounds = 2;
             }
+            "--batch" => cfg.workload.protocol.batch_rounds = true,
             "--scale" => scale = true,
             "--repair" => repair = true,
             "--quiet" => quiet = true,

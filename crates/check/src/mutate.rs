@@ -27,7 +27,7 @@
 //! |---|---|
 //! | `quorum-off-by-one` | `distinct >= threshold` → `distinct + 1 >= threshold`: acks one fragment early |
 //! | `cmp-flip` | flips a quorum/verification comparison (`==`→`!=`, `<`→`<=`, `>`→`>=`, `>=`→`>`) |
-//! | `ack-drop` | deletes a `ctx.send(.. Reply ..)` statement: an acknowledgment is never sent |
+//! | `ack-drop` | deletes a `ctx.send(.. Reply ..)` / `self.outbox.post(.. Reply ..)` statement: an acknowledgment is never sent |
 //! | `fragmask-flip` | `bits[w] \|= 1 << b` → `2 << b`: fragment-presence bitmask records the wrong bit |
 //! | `timer-gen-skip` | `TimerSlab` retire stops bumping the generation: cancelled timers still fire |
 //! | `compaction-skip` | the converged-version compactor never fires |
@@ -62,7 +62,8 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ),
     (
         "ack-drop",
-        "deletes a `ctx.send(.. *Reply ..)` statement so an acknowledgment is never sent",
+        "deletes a `ctx.send(.. *Reply ..)` (or `self.outbox.post(..)`) statement so an \
+         acknowledgment is never sent",
     ),
     (
         "fragmask-flip",
@@ -233,9 +234,17 @@ pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
         }
     }
 
-    // ack-drop: delete a whole `ctx.send(.. Reply ..);` statement.
-    for pos in occurrences(src, "ctx.send(") {
-        let open = pos + "ctx.send".len();
+    // ack-drop: delete a whole `ctx.send(.. Reply ..);` statement — or
+    // `self.outbox.post(..);`, the FS's send of round traffic — in source
+    // order, whichever call the reply leaves through.
+    let mut sends: Vec<usize> = ["ctx.send(", "self.outbox.post("]
+        .iter()
+        .flat_map(|call| occurrences(src, call))
+        .collect();
+    sends.sort_unstable();
+    for pos in sends {
+        // Both needles end in the call's opening parenthesis.
+        let open = pos + src[pos..].find('(').unwrap_or(0);
         let bytes = src.as_bytes();
         let mut depth = 0usize;
         let mut j = open;
@@ -760,6 +769,22 @@ mod tests {
         let mutated = drops[0].apply(src);
         assert!(!mutated.contains("StoreFragmentReply"));
         assert!(mutated.contains("StoreFragment {"), "other send intact");
+
+        // A reply posted to the FS outbox is a site too, numbered with the
+        // plain sends in source order.
+        let src = "fn f() {\n    self.outbox.post(ctx, from, Message::ConvergeFsReply { ov });\n    ctx.send(from, Message::StoreFragmentReply { ov });\n    self.outbox.post(ctx, to, Message::ConvergeFs { ov });\n}\n";
+        let ms = scan_file(Path::new("fs.rs"), src);
+        let drops: Vec<&Mutation> = ms.iter().filter(|m| m.operator == "ack-drop").collect();
+        assert_eq!(drops.len(), 2, "the probe is not a site");
+        assert_eq!(drops[0].id, "ack-drop:fs:0");
+        assert_eq!(
+            drops[0].apply(src),
+            src.replace(
+                "    self.outbox.post(ctx, from, Message::ConvergeFsReply { ov });",
+                "    "
+            )
+        );
+        assert!(drops[1].original.contains("StoreFragmentReply"));
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! indications and sibling recovery are all governed by
 //! [`ConvergenceOptions`].
 //!
+//! Round traffic — a step's probes, the replies owed to a sibling's probes
+//! and FS AMR indications — leaves through the [`Outbox`]: one message per
+//! object version, the paper's accounting, or with
+//! [`ProtocolMode::batch_rounds`] one [`Message::Batch`] per destination
+//! and kind per dispatch (DESIGN.md §8.6).
+//!
 //! What an FS keeps resident follows the versions that still hold
 //! fragments, not the puts it has served. AMR is the paper's terminal
 //! state, so with [`ProtocolMode::compact_converged`] a version that is
@@ -775,6 +781,62 @@ impl VersionStore {
     }
 }
 
+/// Where an FS's round traffic leaves from: convergence probes, the
+/// replies to a sibling's probes, and FS AMR indications.
+///
+/// Batching ([`ProtocolMode::batch_rounds`]) holds each message until the
+/// dispatch that produced it ends and then sends, per destination and kind
+/// label, one [`Message::Batch`] — through the ordinary `ctx.send`, so the
+/// network blocks, drops, duplicates, delays and traces it as the single
+/// message it is. What a step decides and when its version next steps were
+/// settled before the message was posted, so a lost batch costs each of
+/// its versions exactly what a lost probe costs today: the step stays
+/// unanswered and the version retries on its own back-off.
+#[derive(Debug)]
+struct Outbox {
+    batching: bool,
+    /// This dispatch's batches so far, in first-emission order: destination,
+    /// kind id, and the messages of that kind posted for it. Empty between
+    /// dispatches, and always when not batching.
+    batches: Vec<(NodeId, usize, Vec<Message>)>,
+}
+
+impl Outbox {
+    fn new(batching: bool) -> Self {
+        Outbox {
+            batching,
+            batches: Vec::new(),
+        }
+    }
+
+    /// Sends `msg` to `to`: at once, or — batching — with the rest of what
+    /// this dispatch posts of its kind for `to`.
+    // lint:hot
+    fn post(&mut self, ctx: &mut Context<'_, Message>, to: NodeId, msg: Message) {
+        use simnet::Payload;
+        if !self.batching {
+            ctx.send(to, msg);
+            return;
+        }
+        let kind = msg.kind_id();
+        let open = self
+            .batches
+            .iter_mut()
+            .find(|(dest, of_kind, _)| *dest == to && *of_kind == kind);
+        match open {
+            Some((.., entries)) => entries.push(msg),
+            None => self.batches.push((to, kind, vec![msg])),
+        }
+    }
+
+    /// Ends the dispatch: every batch goes out as one message.
+    fn flush(&mut self, ctx: &mut Context<'_, Message>) {
+        for (to, _, entries) in self.batches.drain(..) {
+            ctx.send(to, Message::Batch(entries));
+        }
+    }
+}
+
 /// A fragment server actor.
 pub struct Fs {
     topo: Arc<Topology>,
@@ -785,6 +847,8 @@ pub struct Fs {
     self_id: Option<NodeId>,
     /// Protocol behaviour switches, fixed at construction.
     mode: ProtocolMode,
+    /// Round traffic leaves through here (batched or not, per `mode`).
+    outbox: Outbox,
     /// Cached `topo.all_klss().count()` for the verification check.
     total_klss: usize,
     /// Every version this FS knows, with its fragments, metadata and
@@ -836,6 +900,7 @@ impl Fs {
             opts,
             self_id: None,
             mode,
+            outbox: Outbox::new(mode.batch_rounds),
             total_klss,
             store: VersionStore::new(),
             round_scheduled: false,
@@ -1222,7 +1287,8 @@ impl Fs {
             for fs in meta.siblings() {
                 if fs != me {
                     let meta = Arc::clone(&meta);
-                    ctx.send(fs, Message::AmrIndication { ov, meta });
+                    self.outbox
+                        .post(ctx, fs, Message::AmrIndication { ov, meta });
                 }
             }
         }
@@ -1342,11 +1408,13 @@ impl Fs {
             }
             for kls in self.topo.all_klss() {
                 let meta = Arc::clone(&meta);
-                ctx.send(kls, Message::ConvergeKls { ov, meta });
+                self.outbox
+                    .post(ctx, kls, Message::ConvergeKls { ov, meta });
             }
             for fs in meta.siblings() {
                 if fs != me {
-                    ctx.send(
+                    self.outbox.post(
+                        ctx,
                         fs,
                         Message::ConvergeFs {
                             ov,
@@ -1387,7 +1455,8 @@ impl Fs {
             // window.
             for fs in meta.siblings() {
                 if fs != me {
-                    ctx.send(
+                    self.outbox.post(
+                        ctx,
                         fs,
                         Message::ConvergeFs {
                             ov,
@@ -1724,7 +1793,8 @@ impl Fs {
                 }
             };
         let recovering = self.store.work(ov).is_some_and(|w| w.recovery.is_some());
-        ctx.send(
+        self.outbox.post(
+            ctx,
             from,
             Message::ConvergeFsReply {
                 ov,
@@ -1758,7 +1828,6 @@ impl Actor<Message> for Fs {
 
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
         self.remember_self(ctx);
-        let me = ctx.self_id();
         match msg {
             Message::StoreFragment { ov, meta, fragment } => {
                 let idx = fragment.index();
@@ -1786,6 +1855,129 @@ impl Actor<Message> for Fs {
                 self.adopt(ctx, ov, &meta);
             }
 
+            // Round traffic, which a batching peer sends as one message
+            // per dispatch and kind: the same handler, entry by entry.
+            round @ (Message::AmrIndication { .. }
+            | Message::ConvergeFs { .. }
+            | Message::ConvergeFsReply { .. }
+            | Message::ConvergeKlsReply { .. }) => self.on_round_message(ctx, from, round),
+            Message::Batch(entries) => {
+                for entry in entries {
+                    self.on_round_message(ctx, from, entry);
+                }
+            }
+
+            Message::DecideLocsReply { ov, dc, locations } => {
+                // Reply to our FsDecideLocs probe.
+                if let Some(entry) = self.store.entry_mut(ov) {
+                    if !entry.meta.has_dc(dc) {
+                        Arc::make_mut(&mut entry.meta).add_dc_locations(dc, locations);
+                        self.note_progress(ctx, ov);
+                    }
+                }
+            }
+
+            Message::RetrieveFrag { op, ov, fragment } => {
+                // Verify before serving: a fragment that fails its hash
+                // is corrupt — drop it, answer ⊥, and let convergence
+                // regenerate it (§3.1).
+                let mut data = None;
+                if let Some(entry) = self.store.entry(ov) {
+                    if let Some(frag) = entry.fragments.get(&fragment) {
+                        let ok = entry
+                            .checksums
+                            .get(&fragment)
+                            .is_some_and(|sum| sum.verify(frag.data()));
+                        if ok {
+                            data = Some(frag.clone());
+                        }
+                    }
+                }
+                if data.is_none()
+                    && self
+                        .store
+                        .entry(ov)
+                        .is_some_and(|e| e.fragments.contains_key(&fragment))
+                {
+                    // Present but corrupt.
+                    let now = ctx.now();
+                    // lint:allow(panic-path): the entry was checked present just above
+                    let entry = self.store.entry_mut(ov).expect("present");
+                    entry.fragments.remove(&fragment);
+                    entry.checksums.remove(&fragment);
+                    self.corruption_detected += 1;
+                    self.re_pend(ov, now);
+                    self.ensure_round(ctx);
+                }
+                ctx.send(
+                    from,
+                    Message::RetrieveFragReply {
+                        op,
+                        ov,
+                        fragment,
+                        data,
+                    },
+                );
+            }
+
+            Message::RetrieveFragReply { op, ov, data, .. } => {
+                self.on_retrieve_frag_reply(ctx, op, ov, data);
+            }
+
+            other => {
+                debug_assert!(false, "FS received unexpected {:?}", other);
+            }
+        }
+        self.outbox.flush(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
+        self.remember_self(ctx);
+        let op = tag & !TAG_MASK;
+        match tag & TAG_MASK {
+            TAG_ROUND => {
+                self.round_scheduled = false;
+                self.run_round(ctx);
+            }
+            TAG_RECOVERY_WAIT => self.recovery_wait_elapsed(ctx, op),
+            TAG_RECOVERY_TIMEOUT => {
+                if let Some(ov) = self.store.find_recovery(op) {
+                    self.abort_recovery(ctx, ov);
+                    self.ensure_round(ctx);
+                }
+            }
+            TAG_SCRUB => {
+                self.scrub(ctx);
+                if let Some(interval) = self.opts.scrub_interval {
+                    ctx.schedule_timer(interval, TAG_SCRUB);
+                }
+            }
+            TAG_REPAIR_REPORT => {
+                self.send_repair_report(ctx);
+                if let Some(repair) = self.opts.repair.as_ref() {
+                    ctx.schedule_timer(repair.report_interval, TAG_REPAIR_REPORT);
+                }
+            }
+            _ => debug_assert!(false, "unknown FS timer tag {tag:#x}"),
+        }
+        self.outbox.flush(ctx);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+impl Fs {
+    /// Handles one message of a convergence round — a sibling's probe or
+    /// AMR indication, or a reply to a probe of ours — whether it arrived
+    /// alone or as an entry of a [`Message::Batch`].
+    fn on_round_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
+        let me = ctx.self_id();
+        match msg {
             Message::AmrIndication { ov, meta } => {
                 // Complete our metadata and stop all convergence work
                 // (cancelling recovery timers), without re-indicating.
@@ -1844,121 +2036,36 @@ impl Actor<Message> for Fs {
                 self.check_amr(ctx, ov);
             }
 
-            Message::DecideLocsReply { ov, dc, locations } => {
-                // Reply to our FsDecideLocs probe.
-                if let Some(entry) = self.store.entry_mut(ov) {
-                    if !entry.meta.has_dc(dc) {
-                        Arc::make_mut(&mut entry.meta).add_dc_locations(dc, locations);
-                        self.note_progress(ctx, ov);
-                    }
-                }
-            }
-
-            Message::RetrieveFrag { op, ov, fragment } => {
-                // Verify before serving: a fragment that fails its hash
-                // is corrupt — drop it, answer ⊥, and let convergence
-                // regenerate it (§3.1).
-                let mut data = None;
-                if let Some(entry) = self.store.entry(ov) {
-                    if let Some(frag) = entry.fragments.get(&fragment) {
-                        let ok = entry
-                            .checksums
-                            .get(&fragment)
-                            .is_some_and(|sum| sum.verify(frag.data()));
-                        if ok {
-                            data = Some(frag.clone());
-                        }
-                    }
-                }
-                if data.is_none()
-                    && self
-                        .store
-                        .entry(ov)
-                        .is_some_and(|e| e.fragments.contains_key(&fragment))
-                {
-                    // Present but corrupt.
-                    let now = ctx.now();
-                    // lint:allow(panic-path): the entry was checked present just above
-                    let entry = self.store.entry_mut(ov).expect("present");
-                    entry.fragments.remove(&fragment);
-                    entry.checksums.remove(&fragment);
-                    self.corruption_detected += 1;
-                    self.re_pend(ov, now);
-                    self.ensure_round(ctx);
-                }
-                ctx.send(
-                    from,
-                    Message::RetrieveFragReply {
-                        op,
-                        ov,
-                        fragment,
-                        data,
-                    },
-                );
-            }
-
-            Message::RetrieveFragReply { op, ov, data, .. } => {
-                let Some(work) = self.store.work_mut(ov) else {
-                    return;
-                };
-                let Some(rec) = work.recovery.as_mut() else {
-                    return;
-                };
-                if rec.op != op || rec.phase != RecoveryPhase::Fetching {
-                    return;
-                }
-                if let Some(frag) = data {
-                    rec.collected.insert(frag.index(), frag);
-                }
-                self.try_finish_recovery(ctx, ov);
-            }
-
             other => {
                 debug_assert!(false, "FS received unexpected {:?}", other);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
-        self.remember_self(ctx);
-        let op = tag & !TAG_MASK;
-        match tag & TAG_MASK {
-            TAG_ROUND => {
-                self.round_scheduled = false;
-                self.run_round(ctx);
-            }
-            TAG_RECOVERY_WAIT => self.recovery_wait_elapsed(ctx, op),
-            TAG_RECOVERY_TIMEOUT => {
-                if let Some(ov) = self.store.find_recovery(op) {
-                    self.abort_recovery(ctx, ov);
-                    self.ensure_round(ctx);
-                }
-            }
-            TAG_SCRUB => {
-                self.scrub(ctx);
-                if let Some(interval) = self.opts.scrub_interval {
-                    ctx.schedule_timer(interval, TAG_SCRUB);
-                }
-            }
-            TAG_REPAIR_REPORT => {
-                self.send_repair_report(ctx);
-                if let Some(repair) = self.opts.repair.as_ref() {
-                    ctx.schedule_timer(repair.report_interval, TAG_REPAIR_REPORT);
-                }
-            }
-            _ => debug_assert!(false, "unknown FS timer tag {tag:#x}"),
+    /// A fragment fetched for the recovery `op` of `ov` arrived (or its
+    /// holder answered ⊥).
+    fn on_retrieve_frag_reply(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        op: OpId,
+        ov: ObjectVersion,
+        data: Option<Fragment>,
+    ) {
+        let Some(work) = self.store.work_mut(ov) else {
+            return;
+        };
+        let Some(rec) = work.recovery.as_mut() else {
+            return;
+        };
+        if rec.op != op || rec.phase != RecoveryPhase::Fetching {
+            return;
         }
+        if let Some(frag) = data {
+            rec.collected.insert(frag.index(), frag);
+        }
+        self.try_finish_recovery(ctx, ov);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl Fs {
     /// Cancels the in-flight recovery identified by `op` for `ov`.
     fn recovery_cancelled(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, op: OpId) {
         if let Some(work) = self.store.work_mut(ov) {
@@ -2075,9 +2182,19 @@ mod tests {
         opts: ConvergenceOptions,
         script: Vec<(NodeId, Message)>,
     ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
+        tiny_world_with_faults(simnet::FaultPlan::none(), mode, opts, script)
+    }
+
+    fn tiny_world_with_faults(
+        faults: simnet::FaultPlan,
+        mode: ProtocolMode,
+        opts: ConvergenceOptions,
+        script: Vec<(NodeId, Message)>,
+    ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
         let topo = tiny_topo();
         let dc = DataCenterId::new;
-        let mut sim = Simulation::new(7);
+        let network = simnet::NetworkConfig::paper_default();
+        let mut sim = Simulation::with_network(7, network, faults);
         sim.add_actor(Kls::new(topo.clone(), dc(0)));
         let fs0 = sim.add_actor(Fs::with_mode(topo.clone(), dc(0), opts.clone(), mode));
         sim.add_actor(Kls::new(topo.clone(), dc(1)));
@@ -2357,8 +2474,13 @@ mod tests {
             let meta = meta.clone();
             (fs_node, Message::AmrIndication { ov, meta })
         };
+        // Compaction alone, so fs0 answers the scripted singles with singles.
+        let compacting = ProtocolMode {
+            compact_converged: true,
+            ..ProtocolMode::default()
+        };
         let (mut sim, fs0, _, driver) =
-            tiny_world_with_mode(ProtocolMode::scale(), ConvergenceOptions::all(), Vec::new());
+            tiny_world_with_mode(compacting, ConvergenceOptions::all(), Vec::new());
         // Delivers one batch of messages to fs0 and returns the replies.
         // Well inside the first convergence round (>= 30 s away), so only
         // the scripted messages act on the store.
@@ -2559,6 +2681,165 @@ mod tests {
         let mut fresh = FragMask::new();
         fresh.insert(1);
         table.intern(fresh);
+    }
+
+    /// Batched rounds are a network, not an identity: a round that steps
+    /// `M` versions puts one message per destination on the wire, and the
+    /// network loses it as one.
+    #[test]
+    fn a_batched_round_is_one_message_per_destination_lost_as_one() {
+        use crate::messages::{HEADER_BYTES, OV_BYTES};
+        use simnet::trace::Disposition::{Delivered, DroppedFault};
+        use simnet::Payload;
+
+        const M: usize = 4;
+        let (kls0, fs0_node, kls1, fs1_node) = (
+            NodeId::new(0),
+            NodeId::new(1),
+            NodeId::new(2),
+            NodeId::new(3),
+        );
+        let meta = full_meta(64);
+        let f = frags(64);
+        let versions: Vec<ObjectVersion> = (0..M as u64)
+            .map(|i| {
+                ObjectVersion::new(
+                    Key::from_u64(9 + i),
+                    Timestamp::new(SimTime::from_micros(5 + i), 0),
+                )
+            })
+            .collect();
+        // Every version fully stored on both servers, so the first round
+        // (naive convergence: synchronized, at 60 s) verifies all of them.
+        let script = || -> Vec<(NodeId, Message)> {
+            let store = |to, ov, i: usize| {
+                let (meta, fragment) = (meta.clone(), f[i].clone());
+                (to, Message::StoreFragment { ov, meta, fragment })
+            };
+            let both = |&ov| {
+                [
+                    store(fs0_node, ov, 0),
+                    store(fs0_node, ov, 1),
+                    store(fs1_node, ov, 2),
+                    store(fs1_node, ov, 3),
+                ]
+            };
+            versions.iter().flat_map(both).collect()
+        };
+        let round = |n: u64| SimTime::ZERO + SimDuration::from_secs(60 * n);
+        // fs0 cannot reach kls1 for the instant its first round sends.
+        let cut = || {
+            let mut faults = simnet::FaultPlan::none();
+            faults.add_link_outage(fs0_node, kls1, round(1), SimDuration::from_millis(1));
+            faults
+        };
+        let opts = ConvergenceOptions::naive;
+        let sends = |sim: &Simulation<Message>, kind| sim.metrics().kind(kind).count;
+
+        // One message per version: the cut costs M probes.
+        let (mut sim, ..) =
+            tiny_world_with_faults(cut(), ProtocolMode::default(), opts(), script());
+        sim.run_until_time(round(2) + SimDuration::from_secs(1));
+        assert_eq!(sim.metrics().dropped(), M as u64);
+        assert_eq!(sends(&sim, "KLSConvergeReq"), 6 * M as u64);
+
+        let batching = ProtocolMode {
+            batch_rounds: true,
+            ..ProtocolMode::default()
+        };
+        let (mut sim, fs0, fs1, _) = tiny_world_with_faults(cut(), batching, opts(), script());
+        sim.enable_trace();
+        sim.run_until_time(round(1) + SimDuration::from_secs(1));
+
+        // What fs0's round put on the wire: one probe per KLS and one for
+        // its sibling, each M entries under one header.
+        let bodies = |single: &dyn Fn(ObjectVersion) -> Message| -> usize {
+            let body = |&ov| single(ov).wire_size() - HEADER_BYTES;
+            versions.iter().map(body).sum()
+        };
+        let kls_probe = HEADER_BYTES
+            + bodies(&|ov| {
+                let meta = meta.clone();
+                Message::ConvergeKls { ov, meta }
+            });
+        let fs_probe = HEADER_BYTES
+            + bodies(&|ov| Message::ConvergeFs {
+                ov,
+                meta: meta.clone(),
+                recovery_intent: false,
+            });
+        let sent_by_fs0_at = |sim: &Simulation<Message>, at| -> Vec<_> {
+            let trace = sim.trace().expect("tracing");
+            let probes = trace
+                .events()
+                .iter()
+                .filter(|e| e.from == fs0 && e.at == at);
+            probes
+                .map(|e| (e.to, e.kind, e.bytes, e.disposition))
+                .collect()
+        };
+        assert_eq!(
+            sent_by_fs0_at(&sim, round(1)),
+            [
+                (kls0, "KLSConvergeReq", kls_probe, Delivered),
+                (kls1, "KLSConvergeReq", kls_probe, DroppedFault),
+                (fs1_node, "FSConvergeReq", fs_probe, Delivered),
+            ]
+        );
+        assert_eq!(sim.metrics().dropped(), 1, "one message lost, not {M}");
+        // The answers come back the same way: one reply per probe message.
+        let trace = sim.trace().expect("tracing");
+        let replies: Vec<_> = trace.events().iter().filter(|e| e.to == fs0).collect();
+        let kls_replies: Vec<_> = replies.iter().filter(|e| e.from == kls0).collect();
+        assert_eq!(kls_replies.len(), 1);
+        assert_eq!(kls_replies[0].kind, "KLSConvergeRep");
+        assert_eq!(kls_replies[0].bytes, HEADER_BYTES + M * (OV_BYTES + 1));
+        let fs_reply_kinds: Vec<_> = replies
+            .iter()
+            .filter(|e| e.from == fs1_node)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(fs_reply_kinds, ["FSConvergeReq", "FSConvergeRep"]);
+
+        // Exactly the M versions of the lost message lack kls1's answer,
+        // each with its own step open and its own back-off charged; fs1,
+        // which lost nothing, is done.
+        {
+            let fs: &Fs = sim.actor(fs0);
+            assert_eq!(fs.pending_versions().collect::<Vec<_>>(), versions);
+            for &ov in &versions {
+                let work = fs.store.work(ov).expect("pending");
+                assert!(work.step_open);
+                assert_eq!(work.kls_ok.iter().collect::<Vec<_>>(), [&kls0]);
+                assert_eq!(work.fs_ok.iter().collect::<Vec<_>>(), [&fs1_node]);
+                assert_eq!(work.attempts, 1);
+                assert_eq!(work.next_eligible, round(1) + fs.opts.backoff_delay(1));
+            }
+            assert_eq!(sim.actor::<Fs>(fs1).amr_versions().count(), M);
+        }
+
+        // The next round they are due in retries them, again as one
+        // message per destination, and this time everything verifies.
+        sim.run_until_time(round(2) + SimDuration::from_secs(1));
+        assert_eq!(
+            sent_by_fs0_at(&sim, round(2)),
+            [
+                (kls0, "KLSConvergeReq", kls_probe, Delivered),
+                (kls1, "KLSConvergeReq", kls_probe, Delivered),
+                (fs1_node, "FSConvergeReq", fs_probe, Delivered),
+            ]
+        );
+        assert_eq!(
+            sim.actor::<Fs>(fs0).amr_versions().collect::<Vec<_>>(),
+            versions
+        );
+        assert_eq!(
+            sends(&sim, "KLSConvergeReq"),
+            6,
+            "against {} unbatched",
+            6 * M
+        );
+        assert_eq!(sends(&sim, "KLSConvergeRep"), 5);
     }
 
     #[test]

@@ -180,17 +180,20 @@ impl Kls {
     }
 
     /// Merges `meta` into the store. Returns whether anything new was
-    /// learned. Adopting a first sighting is a refcount bump; a fuller
-    /// snapshot replaces the held handle, and only divergent ones are
-    /// copied (see [`Metadata::merge_shared`]).
+    /// learned, and the record as it is now stored — so a caller that
+    /// answers with its completeness does not search the table again.
+    /// Adopting a first sighting is a refcount bump; a fuller snapshot
+    /// replaces the held handle, and only divergent ones are copied (see
+    /// [`Metadata::merge_shared`]).
     // lint:hot
-    fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> bool {
+    fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> (bool, &Arc<Metadata>) {
         match self.storemeta.entry(ov) {
-            Entry::Occupied(existing) => Metadata::merge_shared(existing.into_mut(), meta),
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::clone(meta));
-                true
+            Entry::Occupied(existing) => {
+                let stored = existing.into_mut();
+                let learned = Metadata::merge_shared(stored, meta);
+                (learned, stored)
             }
+            Entry::Vacant(slot) => (true, slot.insert(Arc::clone(meta))),
         }
     }
 
@@ -280,7 +283,7 @@ impl Actor<Message> for Kls {
                 };
                 let mut fresh = Arc::clone(&meta);
                 Arc::make_mut(&mut fresh).add_dc_locations(self.my_dc, locations.clone());
-                let newly_decided = !already_known && self.absorb(ov, &fresh);
+                let newly_decided = !already_known && self.absorb(ov, &fresh).0;
                 ctx.send(
                     from,
                     Message::DecideLocsReply {
@@ -310,15 +313,30 @@ impl Actor<Message> for Kls {
             }
 
             Message::StoreMetadata { ov, meta } => {
-                self.absorb(ov, &meta);
-                let complete = self.has_complete_meta(ov);
+                let complete = self.absorb(ov, &meta).1.is_complete();
                 ctx.send(from, Message::StoreMetadataReply { ov, complete });
             }
 
             Message::ConvergeKls { ov, meta } => {
-                self.absorb(ov, &meta);
-                let verified = self.has_complete_meta(ov);
+                let verified = self.absorb(ov, &meta).1.is_complete();
                 ctx.send(from, Message::ConvergeKlsReply { ov, verified });
+            }
+
+            // A fragment server's batched round: the probes one dispatch
+            // produced for this KLS, answered in order by one batch — the
+            // reply takes the request's form, so a KLS needs no mode.
+            Message::Batch(probes) => {
+                let mut replies = Vec::with_capacity(probes.len());
+                for probe in probes {
+                    match probe {
+                        Message::ConvergeKls { ov, meta } => {
+                            let verified = self.absorb(ov, &meta).1.is_complete();
+                            replies.push(Message::ConvergeKlsReply { ov, verified });
+                        }
+                        other => debug_assert!(false, "KLS received batched {:?}", other),
+                    }
+                }
+                ctx.send(from, Message::Batch(replies));
             }
 
             Message::RetrieveTs {
@@ -611,7 +629,8 @@ mod tests {
             Kls::which_locs(&t, DataCenterId::new(0), v, &p),
         );
         let partial = Arc::new(partial);
-        assert!(kls.absorb(v, &partial));
+        let (learned, stored) = kls.absorb(v, &partial);
+        assert!(learned && !stored.is_complete());
         assert!(!kls.has_complete_meta(v));
         assert_eq!(kls.versions_of(v.key), vec![v.ts]);
 
@@ -621,9 +640,11 @@ mod tests {
             Kls::which_locs(&t, DataCenterId::new(1), v, &p),
         );
         let rest = Arc::new(rest);
-        assert!(kls.absorb(v, &rest));
+        let (learned, stored) = kls.absorb(v, &rest);
+        assert!(learned && stored.is_complete());
         assert!(kls.has_complete_meta(v));
-        assert!(!kls.absorb(v, &rest), "idempotent");
+        let (learned, stored) = kls.absorb(v, &rest);
+        assert!(!learned && stored.is_complete(), "idempotent");
         assert_eq!(kls.known_versions().count(), 1);
     }
 }

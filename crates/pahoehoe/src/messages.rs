@@ -19,6 +19,13 @@
 //! Metadata is embedded as [`Arc<Metadata>`] so a send is a refcount bump
 //! rather than a deep copy; the wire-size model is unaffected because it
 //! prices the serialized bytes.
+//!
+//! A [`Message::Batch`] is several messages of one kind to one destination
+//! under **one** header: it costs [`HEADER_BYTES`] plus each entry's fields,
+//! so a one-entry batch prices exactly as the entry sent alone and `n`
+//! entries save `(n − 1) × HEADER_BYTES` over `n` sends. It reports under
+//! its entries' label, so the figure legends gain no kind: batching shows
+//! as fewer, larger messages of the kinds that were already there.
 
 use std::sync::Arc;
 
@@ -317,6 +324,17 @@ pub enum Message {
         /// The regenerated fragment.
         fragment: Fragment,
     },
+
+    // ---- batched rounds ----
+    /// The messages of one kind that one dispatch of a fragment server
+    /// produced for one destination, travelling as a unit
+    /// ([`ProtocolMode::batch_rounds`](crate::protocol::ProtocolMode)):
+    /// one header, one fault check, one loss draw, one latency draw. Never
+    /// empty and never nested; every entry has the same
+    /// [`kind_id`](Payload::kind_id), which is also the batch's. The
+    /// receiver handles the entries in order and answers a batch of probes
+    /// with one batch of replies.
+    Batch(Vec<Message>),
 }
 
 impl Message {
@@ -407,6 +425,10 @@ impl Payload for Message {
             Message::ConvergeFs { .. } => 19,
             Message::ConvergeFsReply { .. } | Message::RepairReport { .. } => 20,
             Message::SiblingStore { .. } => 21,
+            Message::Batch(entries) => entries
+                .first()
+                .expect("a batch carries at least one entry")
+                .kind_id(),
         }
     }
 
@@ -456,6 +478,10 @@ impl Payload for Message {
                 Message::SiblingStore { meta, fragment, .. } => {
                     OV_BYTES + meta.wire_size() + fragment.wire_len()
                 }
+                Message::Batch(entries) => entries
+                    .iter()
+                    .map(|entry| entry.wire_size() - HEADER_BYTES)
+                    .sum::<usize>(),
             }
     }
 }
@@ -538,6 +564,64 @@ mod tests {
         ];
         for (msg, kind) in cases {
             assert_eq!(msg.kind(), kind);
+            // A batch is more of the same traffic: its entries' label.
+            assert_eq!(Message::Batch(vec![msg.clone(), msg]).kind(), kind);
+        }
+        // Batching adds no kind to the legends.
+        assert_eq!(Message::KINDS.len(), 22);
+    }
+
+    #[test]
+    fn a_batch_pays_one_header_for_all_its_entries() {
+        let mut partial = Metadata::new(Policy::paper_default(), DataCenterId::new(0), 512);
+        let locs = (0..6).map(|i| Location {
+            fs: NodeId::new(u32::from(i) / 2),
+            disk: i % 2,
+        });
+        partial.add_dc_locations(DataCenterId::new(0), locs.collect());
+        let metas = [Arc::new(partial), Arc::new(full_meta())];
+        // The round messages an FS batches, entry `i` of each kind, with
+        // bodies of different sizes.
+        let kinds: [&dyn Fn(usize) -> Message; 5] = [
+            &|i| Message::ConvergeKls {
+                ov: ov(),
+                meta: metas[i % 2].clone(),
+            },
+            &|i| Message::ConvergeKlsReply {
+                ov: ov(),
+                verified: i % 2 == 0,
+            },
+            &|i| Message::ConvergeFs {
+                ov: ov(),
+                meta: metas[i % 2].clone(),
+                recovery_intent: i % 3 == 0,
+            },
+            &|i| Message::ConvergeFsReply {
+                ov: ov(),
+                verified: false,
+                have: vec![0; i % 3],
+                missing: vec![1; i % 2],
+                recovering: false,
+            },
+            &|i| Message::AmrIndication {
+                ov: ov(),
+                meta: metas[(i + 1) % 2].clone(),
+            },
+        ];
+        for single in kinds {
+            // One entry prices exactly as the message sent alone.
+            assert_eq!(
+                Message::Batch(vec![single(0)]).wire_size(),
+                single(0).wire_size()
+            );
+            for n in 2..=8 {
+                let entries: Vec<Message> = (0..n).map(single).collect();
+                let alone: usize = entries.iter().map(Message::wire_size).sum();
+                let batch = Message::Batch(entries);
+                assert_eq!(batch.wire_size(), alone - (n - 1) * HEADER_BYTES);
+                assert_eq!(batch.kind(), single(0).kind());
+                assert!(!batch.is_client_traffic());
+            }
         }
     }
 

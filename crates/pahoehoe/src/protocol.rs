@@ -1,7 +1,7 @@
 //! Protocol behaviour switches and dense helpers.
 //!
-//! There is one protocol implementation. [`ProtocolMode`] carries the two
-//! switches that change what it *does* (both off by default, which is the
+//! There is one protocol implementation. [`ProtocolMode`] carries the three
+//! switches that change what it *does* (all off by default, which is the
 //! paper-faithful protocol the recorded sweep digests pin):
 //!
 //! * **`compact_converged`** — a fragment server releases a version that is
@@ -9,7 +9,12 @@
 //!   down to an O(1) residual record (DESIGN.md §8.7);
 //! * **`delta`** — a proxy encodes an overwrite of a key whose previous
 //!   stripe it still caches as XOR-delta fragments, resolved to dense bytes
-//!   at each fragment server's store path (DESIGN.md §8.8).
+//!   at each fragment server's store path (DESIGN.md §8.8);
+//! * **`batch_rounds`** — a fragment server sends the convergence probes,
+//!   probe replies and AMR indications one dispatch produces as one
+//!   [`Message::Batch`](crate::messages::Message::Batch) per destination
+//!   and kind — sent, lost and answered as a unit — instead of one message
+//!   per object version (DESIGN.md §8.6).
 //!
 //! A mode is a constructor argument:
 //! [`ClusterConfig::protocol`](crate::cluster::ClusterConfig) hands it to
@@ -41,14 +46,24 @@ pub struct ProtocolMode {
     /// pinned sweep digests keep their full-encode byte accounting; delta
     /// runs opt in (explorer `--delta`).
     pub delta: bool,
+    /// Send a dispatch's round traffic — `ConvergeKls` and `ConvergeFs`
+    /// probes, the `ConvergeFsReply`s it owes and FS-originated
+    /// `AmrIndication`s — as one multi-entry message per destination and
+    /// kind: one header, one fault check, one loss draw, one latency draw.
+    /// Which versions step, and when, is untouched. Off by default because
+    /// the paper's figures count one message per version (and fewer sends
+    /// shift every later RNG draw, so the pinned default-mode digests would
+    /// move); scale runs opt in.
+    pub batch_rounds: bool,
 }
 
 impl ProtocolMode {
-    /// The scale tier: converged-version compaction on.
+    /// The scale tier: converged-version compaction and batched rounds on.
     pub const fn scale() -> Self {
         ProtocolMode {
             compact_converged: true,
             delta: false,
+            batch_rounds: true,
         }
     }
 
@@ -58,6 +73,7 @@ impl ProtocolMode {
         ProtocolMode {
             compact_converged: false,
             delta: true,
+            batch_rounds: false,
         }
     }
 }
@@ -257,11 +273,11 @@ mod tests {
     #[test]
     fn mode_constructors_and_default() {
         let default = ProtocolMode::default();
-        assert!(!default.compact_converged && !default.delta);
-        assert!(ProtocolMode::scale().compact_converged);
-        assert!(!ProtocolMode::scale().delta);
-        assert!(ProtocolMode::delta().delta);
-        assert!(!ProtocolMode::delta().compact_converged);
+        assert!(!default.compact_converged && !default.delta && !default.batch_rounds);
+        let scale = ProtocolMode::scale();
+        assert!(scale.compact_converged && scale.batch_rounds && !scale.delta);
+        let delta = ProtocolMode::delta();
+        assert!(delta.delta && !delta.compact_converged && !delta.batch_rounds);
     }
 
     #[test]

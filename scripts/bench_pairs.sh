@@ -8,10 +8,14 @@
 # and runs the BENCHMARK.json command on both, untraced, --pairs times per
 # workload, alternating which side goes first. Prints, per workload and
 # end-to-end metric: both medians, both quartile pairs, the pairs each side
-# won (ties count for neither), and whether the medians differ by more than
-# the parent's own interquartile distance. Every run's JSON line is kept in
-# target/bench_pairs/runs.jsonl. Reads BENCHMARK.json; edits nothing under
-# benchmark/.
+# won (ties count for neither), whether the medians differ by more than the
+# parent's own interquartile distance, and the metric's verdict against its
+# BENCHMARK.json `bound` (choosing-metrics §6.5): `regression` when the
+# change's median is worse than the parent's by more than the bound,
+# `unresolved` when the parent's own quartile spread is wider than the bound
+# and not every change run beats every parent run, else `within bound`. Every
+# run's JSON line is kept in target/bench_pairs/runs.jsonl. Reads
+# BENCHMARK.json; edits nothing under benchmark/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,8 +125,8 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
             sides[r["side"]].setdefault(name, {})[r["pair"]] = m["value"]
     n = len(sides["parent"][spec["end_to_end"][0]["name"]])
     print(f"\n## {workload}: {n} pairs, failed ops or checks parent {failed['parent']} / change {failed['change']}")
-    print("| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | pairs won (change : parent) | beyond parent IQR |")
-    print("|---|---|---|---|---|---|")
+    print("| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | pairs won (change : parent) | beyond parent IQR | vs bound |")
+    print("|---|---|---|---|---|---|---|")
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         p, c = sides["parent"][name], sides["change"][name]
@@ -133,7 +137,19 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         beyond = abs(cq[1] - pq[1]) > pq[2] - pq[0]
         direction = "same" if cq[1] == pq[1] else (
             "better" if (cq[1] < pq[1]) == lower else "worse")
+        # The bound is a share of the parent's median, as `benchmark aa` reads it.
+        worse = ((cq[1] - pq[1]) if lower else (pq[1] - cq[1])) / pq[1] if pq[1] else 0.0
+        spread = (pq[2] - pq[0]) / pq[1] if pq[1] else 0.0
+        all_better = (max(c.values()) < min(p.values()) if lower
+                      else min(c.values()) > max(p.values()))
+        if spread > m["bound"] and not all_better:
+            verdict = "unresolved"
+        elif worse > m["bound"]:
+            verdict = "regression"
+        else:
+            verdict = "within bound"
         print(f"| `{name}` ({m['unit']}) | {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] "
               f"| {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] | {ratio:.4f} "
-              f"| {won_c} : {won_p} | {'yes' if beyond else 'no'} ({direction}) |")
+              f"| {won_c} : {won_p} | {'yes' if beyond else 'no'} ({direction}) "
+              f"| {verdict} (worse by {100 * worse:+.2f} %, bound {100 * m['bound']:g} %) |")
 EOF

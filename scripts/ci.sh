@@ -60,6 +60,15 @@ cmp target/digest-delta-seq.txt target/digest-delta-par.txt
 echo "    delta-mode parallel sweep digest is byte-identical to sequential"
 same_as_committed target/digest-delta-seq.txt smoke-delta
 
+echo "==> invariant explorer (smoke sweep, batched rounds, sequential vs parallel)"
+# Every fault spec and preset with an FS's round traffic sent, lost and
+# answered one multi-entry message per destination at a time.
+cargo run -p check --release --bin explore -- --smoke --batch --digest-out target/digest-batch-seq.txt
+cargo run -p check --release --bin explore -- --smoke --batch --workers 2 --digest-out target/digest-batch-par.txt
+cmp target/digest-batch-seq.txt target/digest-batch-par.txt
+echo "    batched-rounds parallel sweep digest is byte-identical to sequential"
+same_as_committed target/digest-batch-seq.txt smoke-batch
+
 echo "==> invariant explorer (smoke sweep + repair scenario families, sequential vs parallel)"
 # Four churn families (node churn, rack outage, flash-crowd reads during
 # rebuild, throttled repair storm) on a repair-enabled rack-aware cluster,
