@@ -50,6 +50,16 @@ pub struct ConvergenceOptions {
     /// An FS only initiates convergence on versions older than this, so an
     /// in-flight put can finish first ("currently 300 seconds", §4.1; the
     /// naïve protocol has no such delay).
+    ///
+    /// "Older" is the version's own age — the FS's clock minus the proxy
+    /// clock reading in the version's timestamp — not the time since this
+    /// FS first heard of it: a version waits once, and an FS that adopts
+    /// it late (back from an outage through a sibling's probe, across a
+    /// healed partition, re-pended by scrub) steps it at its next round.
+    /// This leans on the paper's loosely synchronized clocks, as version
+    /// ordering already does: a proxy running `S` ahead delays convergence
+    /// of its versions by `S`; one running behind starts it `S` early,
+    /// which can cost probes racing the put, never safety.
     pub min_age: SimDuration,
     /// Lower bound of the unsynchronized round interval (paper: 30 s).
     pub round_min: SimDuration,
@@ -67,7 +77,10 @@ pub struct ConvergenceOptions {
     /// Stop attempting convergence for versions older than this
     /// ("in practice, we set this parameter to two months", §3.5).
     /// `None` retries forever — the experiments use `None` and rely on the
-    /// harness's stop predicate instead.
+    /// harness's stop predicate instead. Unlike [`min_age`](Self::min_age)
+    /// this counts from when the FS learned of (or re-pended) the version:
+    /// an old version that scrub or a disk loss re-pends is retried for
+    /// the full span, not abandoned on arrival.
     pub give_up_age: Option<SimDuration>,
     /// How long a sibling-recovering FS accumulates `ConvergeFsReply`
     /// need-reports before retrieving fragments ("waits some time", §4.2).

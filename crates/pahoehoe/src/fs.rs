@@ -85,8 +85,12 @@ pub struct FragEntry {
 /// Convergence bookkeeping for one not-yet-AMR object version.
 #[derive(Debug)]
 struct ConvWork {
-    /// When this FS first learned of the version (drives `min_age` and
-    /// `give_up_age`).
+    /// When this FS first learned of the version, or re-pended it after
+    /// scrub / disk loss. Drives `give_up_age` only: a three-month-old
+    /// version re-pended today gets its full retry budget instead of being
+    /// abandoned on arrival. `min_age` does *not* read this — it reads the
+    /// version's own age (`now − ov.ts`, see `Fs::run_round`), so a
+    /// version waits it once, not once more at every FS that adopts it late.
     created: SimTime,
     /// Unsuccessful steps so far (drives exponential backoff).
     attempts: u32,
@@ -1336,7 +1340,10 @@ impl Fs {
             if work.recovery.is_some() || now < work.next_eligible {
                 continue;
             }
-            if now.duration_since(work.created) < self.opts.min_age {
+            // `min_age` is on the version's own age (its stamp is a proxy
+            // clock reading), not on how long this FS has known of it.
+            let age_us = now.as_micros().saturating_sub(ov.ts.clock_micros());
+            if age_us < self.opts.min_age.as_micros() {
                 continue;
             }
             if let Some(limit) = self.opts.give_up_age {
@@ -2350,6 +2357,78 @@ mod tests {
         assert!(!fs.verified(ov()), "no fragments yet");
         let d: &Driver = sim.actor(driver);
         assert_eq!(d.received(), vec![(fs1_node, "FSConvergeRep")]);
+    }
+
+    #[test]
+    fn late_adopter_waits_min_age_once() {
+        let opts = ConvergenceOptions::all();
+        let min_age = opts.min_age;
+        assert_eq!(min_age, SimDuration::from_secs(300));
+        let stamp = SimTime::from_micros(ov().ts.clock_micros());
+        let (fs0_node, fs1_node) = (NodeId::new(1), NodeId::new(3));
+
+        // fs1 first hears of a 400-s-old version from a sibling's probe
+        // (it was down, say, while the put ran and while the prober waited
+        // out `min_age`). The version has paid its wait: fs1 steps it at
+        // its next round instead of holding it until 400 s + 300 s.
+        let heard = SimTime::ZERO + SimDuration::from_secs(400);
+        let (mut sim, _, fs1, driver) = tiny_world(opts.clone(), Vec::new());
+        sim.enable_trace();
+        // Start the actors (the driver's empty script runs at time zero),
+        // then script the probe for 400 s.
+        sim.run_until_time(SimTime::from_micros(1));
+        sim.actor_mut::<Driver>(driver).script = vec![(
+            fs1_node,
+            Message::ConvergeFs {
+                ov: ov(),
+                meta: full_meta(100),
+                recovery_intent: false,
+            },
+        )];
+        sim.schedule_timer(driver, heard.duration_since(sim.now()), 0);
+        let give_up = heard + SimDuration::from_secs(1_000);
+        sim.run_until(|sim| sim.actor::<Fs>(fs1).steps_run() > 0 || sim.now() >= give_up);
+        let one_way = SimDuration::from_millis(30);
+        assert!(
+            sim.now() <= heard + one_way + opts.round_max,
+            "stepped at {:?}, a second min_age after hearing of it at {heard:?}",
+            sim.now()
+        );
+        assert_eq!(sim.actor::<Fs>(fs1).steps_run(), 1);
+        // The step found both fragments missing and opened a sibling
+        // recovery: intent probes are out to fs0.
+        let stepped_at = sim.now();
+        let trace = sim.trace().expect("tracing");
+        let mut probes = trace.events().iter().filter(|e| e.from == fs1);
+        assert!(
+            probes.any(|e| (e.to, e.kind, e.at) == (fs0_node, "FSConvergeReq", stepped_at)),
+            "no recovery-intent probe left fs1 at {stepped_at:?}"
+        );
+        let work = sim.actor::<Fs>(fs1).store.work(ov()).expect("pending");
+        assert!(work.recovery.is_some());
+
+        // The other side of the gate: an FS that hears of the version
+        // while it is young — the put's own `StoreFragment`, tens of
+        // milliseconds after the stamp — runs no step before stamp + 300 s.
+        let put = vec![(
+            fs0_node,
+            Message::StoreFragment {
+                ov: ov(),
+                meta: full_meta(100),
+                fragment: frags(100)[0].clone(),
+            },
+        )];
+        let (mut sim, fs0, _, _) = tiny_world(opts.clone(), put);
+        sim.run_until_time(stamp + min_age);
+        let fs: &Fs = sim.actor(fs0);
+        assert_eq!(fs.pending_versions().count(), 1);
+        assert_eq!(
+            fs.steps_run(),
+            0,
+            "a round stepped a version younger than min_age"
+        );
+        sim.run_until_time(stamp + min_age + opts.round_max + SimDuration::from_secs(1));
+        assert!(sim.actor::<Fs>(fs0).steps_run() >= 1, "old enough now");
     }
 
     #[test]

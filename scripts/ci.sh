@@ -6,15 +6,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # "Byte-identical behaviour" is a cmp against a committed file: every
-# explorer digest written below has a twin under results/digests/. A change
-# that means to move one (a protocol PR) regenerates the twin in the same
-# commit, with the same flags plus `--digest-out results/digests/<name>.txt`.
-same_as_committed() { # fresh digest, committed name
-    cmp "$1" "results/digests/$2.txt" || {
-        echo "    $1 differs from results/digests/$2.txt: behaviour moved" >&2
+# explorer digest written below has a twin under results/digests/, and
+# Figure 5 one under results/. A change that means to move one (a protocol
+# PR) regenerates the twin in the same commit (digests: the same flags plus
+# `--digest-out results/digests/<name>.txt`; figures: results/README.md).
+same_as_committed() { # fresh file, committed twin under results/
+    cmp "$1" "results/$2" || {
+        echo "    $1 differs from results/$2: behaviour moved" >&2
         exit 1
     }
-    echo "    $1 is byte-identical to results/digests/$2.txt"
+    echo "    $1 is byte-identical to results/$2"
 }
 
 echo "==> cargo fmt --check"
@@ -49,7 +50,7 @@ echo "==> invariant explorer (smoke sweep, parallel harness)"
 cargo run -p check --release --bin explore -- --smoke --scale --workers 2 --digest-out target/digest-par.txt
 cmp target/digest-seq.txt target/digest-par.txt
 echo "    parallel sweep digest (incl. scale line) is byte-identical to sequential"
-same_as_committed target/digest-seq.txt smoke-scale
+same_as_committed target/digest-seq.txt digests/smoke-scale.txt
 
 echo "==> invariant explorer (smoke sweep, delta codec, sequential vs parallel)"
 # Two workload rounds under delta coding: every second-round put overwrites
@@ -58,7 +59,7 @@ cargo run -p check --release --bin explore -- --smoke --delta --digest-out targe
 cargo run -p check --release --bin explore -- --smoke --delta --workers 2 --digest-out target/digest-delta-par.txt
 cmp target/digest-delta-seq.txt target/digest-delta-par.txt
 echo "    delta-mode parallel sweep digest is byte-identical to sequential"
-same_as_committed target/digest-delta-seq.txt smoke-delta
+same_as_committed target/digest-delta-seq.txt digests/smoke-delta.txt
 
 echo "==> invariant explorer (smoke sweep, batched rounds, sequential vs parallel)"
 # Every fault spec and preset with an FS's round traffic sent, lost and
@@ -67,7 +68,7 @@ cargo run -p check --release --bin explore -- --smoke --batch --digest-out targe
 cargo run -p check --release --bin explore -- --smoke --batch --workers 2 --digest-out target/digest-batch-par.txt
 cmp target/digest-batch-seq.txt target/digest-batch-par.txt
 echo "    batched-rounds parallel sweep digest is byte-identical to sequential"
-same_as_committed target/digest-batch-seq.txt smoke-batch
+same_as_committed target/digest-batch-seq.txt digests/smoke-batch.txt
 
 echo "==> invariant explorer (smoke sweep + repair scenario families, sequential vs parallel)"
 # Four churn families (node churn, rack outage, flash-crowd reads during
@@ -78,15 +79,21 @@ cargo run -p check --release --bin explore -- --smoke --repair --digest-out targ
 cargo run -p check --release --bin explore -- --smoke --repair --workers 2 --digest-out target/digest-repair-par.txt
 cmp target/digest-repair-seq.txt target/digest-repair-par.txt
 echo "    repair-mode parallel sweep digest is byte-identical to sequential"
-same_as_committed target/digest-repair-seq.txt smoke-repair
+same_as_committed target/digest-repair-seq.txt digests/smoke-repair.txt
 
 echo "==> invariant explorer (full 144-scenario sweep; smoke sweep with scale, delta and repair together)"
 # The paper-faithful sweep every default-mode digest claim is about, and the
 # one run that has every feature's lines in it (the mutation baseline).
 cargo run -p check --release --bin explore -- --workers 2 --digest-out target/digest-full.txt
-same_as_committed target/digest-full.txt full
+same_as_committed target/digest-full.txt digests/full.txt
 cargo run -p check --release --bin explore -- --smoke --scale --delta --repair --workers 2 --digest-out target/digest-smoke-scale-delta-repair.txt
-same_as_committed target/digest-smoke-scale-delta-repair.txt smoke-scale-delta-repair
+same_as_committed target/digest-smoke-scale-delta-repair.txt digests/smoke-scale-delta-repair.txt
+
+echo "==> paper figure 5 (failure-free; regenerated and compared with results/fig5.txt)"
+# The reproduction's own record, checked the way digests are. The other
+# four figure sets take ~160 s together and are not run here.
+cargo run -p experiments --release --bin fig5 > target/fig5.txt
+same_as_committed target/fig5.txt fig5.txt
 
 echo "==> bench scale (smoke, gates equal events per update-* pair, compaction in every compacting cell, and the pinned (events, compacted_entries) of all five cells)"
 cargo run -p bench --release --bin scale -- --smoke
