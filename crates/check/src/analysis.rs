@@ -21,10 +21,13 @@
 //!   covers a `set_reference_foo` that selects the same knob).
 //! * **panic-path** — `.unwrap()`, `.expect()` and non-literal indexing
 //!   reachable from an actor dispatch root (`on_message` / `on_timer` /
-//!   `on_start`, plus the engine's `run_impl` event loop) via the
-//!   intra-file call graph must carry `// lint:allow(panic-path): <why>`
-//!   with a **non-empty** justification, or be refactored into a checked
-//!   accessor. A bare marker without a justification is itself a finding.
+//!   `on_start`, plus the engine's `run_impl` event loop) via the by-name
+//!   call graph of the root's *module* — `src/<m>.rs` or `src/<m>/mod.rs`
+//!   together with every non-test file under `src/<m>/`, so splitting an
+//!   actor into a directory takes nothing out of checking — must carry
+//!   `// lint:allow(panic-path): <why>` with a **non-empty** justification,
+//!   or be refactored into a checked accessor. A bare marker without a
+//!   justification is itself a finding.
 //! * **unsafe-confinement** — `unsafe` appears only inside `mod simd` of
 //!   `gf.rs` (the `erasure::gf::simd` PSHUFB kernels). Everywhere else the
 //!   crates `forbid(unsafe_code)`, but that attribute is one edit away
@@ -446,29 +449,49 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "while", "do", "yield", "as",
 ];
 
+/// The module unit a product file belongs to: `src/<m>.rs` or
+/// `src/<m>/mod.rs` plus every file under `src/<m>/` are one unit, named
+/// `src/<m>`, however deep the file sits. A file under no such directory
+/// is a unit of its own.
+fn unit_of(path: &Path, product: &BTreeSet<&Path>) -> PathBuf {
+    let mut dirs: Vec<&Path> = path
+        .ancestors()
+        .skip(1)
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .collect();
+    dirs.reverse(); // outermost first: `fs/store/x.rs` belongs to `fs`
+    for dir in dirs {
+        let is_module = product.contains(dir.with_extension("rs").as_path())
+            || product.contains(dir.join("mod.rs").as_path());
+        if is_module {
+            return dir.to_path_buf();
+        }
+    }
+    path.with_extension("")
+}
+
 fn rule_panic_path(ws: &Workspace, out: &mut Vec<Finding>) {
-    for f in &ws.files {
-        if f.is_test_file {
-            continue;
-        }
-        let has_root = f
-            .model
-            .fns
-            .iter()
-            .any(|func| !func.in_test && DISPATCH_ROOTS.contains(&func.name.as_str()));
-        if !has_root {
-            continue;
-        }
-        let toks = &f.model.toks;
-        let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for idx in f.model.reachable_from(DISPATCH_ROOTS) {
+    let product: Vec<&SrcFile> = ws.files.iter().filter(|f| !f.is_test_file).collect();
+    let paths: BTreeSet<&Path> = product.iter().map(|f| f.path.as_path()).collect();
+    let mut units: BTreeMap<PathBuf, Vec<&SrcFile>> = BTreeMap::new();
+    for f in product {
+        units.entry(unit_of(&f.path, &paths)).or_default().push(f);
+    }
+    // One by-name call graph per unit; a unit without a dispatch root
+    // reaches nothing.
+    for files in units.values() {
+        let models: Vec<&FileModel> = files.iter().map(|f| &f.model).collect();
+        let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+        for (file, idx) in rustlite::reachable_from(&models, DISPATCH_ROOTS) {
+            let f = files[file];
+            let toks = &f.model.toks;
             let func = &f.model.fns[idx];
             let Some((start, end)) = func.body else {
                 continue;
             };
             for i in start..end.min(toks.len()) {
                 let sp = &toks[i];
-                if !seen.insert((sp.line, sp.col)) {
+                if !seen.insert((file, sp.line, sp.col)) {
                     continue;
                 }
                 match &sp.tok {
@@ -975,6 +998,42 @@ mod tests {
         let fs = analyze(&w);
         assert_eq!(fs.len(), 1);
         assert!(fs[0].message.contains("justification"));
+    }
+
+    #[test]
+    fn panic_path_walks_a_module_directory_as_one_unit() {
+        let root = "fn on_message(&mut self) { self.lookup(); }\n";
+        let helper = "fn lookup(&self) -> u8 { self.slots[self.at] }\n";
+        // `actor.rs` + `actor/`, and `actor/mod.rs` + the rest of `actor/`,
+        // however deep: the finding is in the file that holds the site.
+        for (root_file, helper_file) in [
+            ("src/actor.rs", "src/actor/helper.rs"),
+            ("src/actor/mod.rs", "src/actor/helper.rs"),
+            ("src/actor/mod.rs", "src/actor/store/helper.rs"),
+        ] {
+            let fs = analyze(&ws(&[(root_file, root), (helper_file, helper)]));
+            assert_eq!(fs.len(), 1, "{root_file} + {helper_file}: {fs:?}");
+            assert_eq!(fs[0].file, Path::new(helper_file));
+            assert!(fs[0].message.contains("via `lookup`"));
+        }
+        // A directory is a unit only through its module file: a sibling
+        // directory, a same-named helper elsewhere and a file beside the
+        // root are each on their own, and have no root.
+        for stray in [
+            "src/other/helper.rs",
+            "src/helper.rs",
+            "lib/actor/helper.rs",
+        ] {
+            assert!(rules_hit(&ws(&[("src/actor.rs", root), (stray, helper)])).is_empty());
+        }
+        // A `tests/` directory inside the unit is test code: neither its
+        // sites nor its roots count.
+        let driver = "fn on_message(&mut self) { self.inbox[self.n].unwrap(); self.lookup(); }\n";
+        let w = ws(&[
+            ("src/actor/tests/mod.rs", driver),
+            ("src/actor/helper.rs", helper),
+        ]);
+        assert!(rules_hit(&w).is_empty());
     }
 
     #[test]

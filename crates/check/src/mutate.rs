@@ -90,9 +90,10 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Files the operators scan, workspace-relative. Only protocol-decision
-/// code: the actors, the protocol helpers, the timer slab and the
-/// checksum — not tests, not the harness itself.
+/// What the operators scan, workspace-relative: a file, or a module
+/// directory scanned as the one module it is (see [`scan_dir`]). Only
+/// protocol-decision code: the actors, the protocol helpers, the timer slab
+/// and the checksum — not tests, not the harness itself.
 pub const TARGET_FILES: &[&str] = &[
     "crates/pahoehoe/src/proxy.rs",
     "crates/pahoehoe/src/fs.rs",
@@ -106,7 +107,8 @@ pub const TARGET_FILES: &[&str] = &[
 /// One concrete mutation: a byte-span replacement in one file.
 #[derive(Debug, Clone)]
 pub struct Mutation {
-    /// Stable id: `operator:file-stem:occurrence`.
+    /// Stable id: `operator:stem:occurrence` — the stem of the file, or
+    /// of the module directory the file was scanned as part of.
     pub id: String,
     /// Operator name (a key of [`OPERATORS`]).
     pub operator: &'static str,
@@ -182,14 +184,47 @@ fn occurrences(src: &str, needle: &str) -> Vec<usize> {
     out
 }
 
+/// Sites found so far per operator: the next site's ordinal.
+type SiteCounts = std::collections::BTreeMap<&'static str, usize>;
+
+/// The id stem of a target: its file name without the `.rs`, or the name
+/// of a module directory.
+fn stem_of(rel: &Path) -> String {
+    rel.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
 /// All mutation sites of every operator in one file.
 pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
-    let stem = rel
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
+    scan_source(&stem_of(rel), rel, src, &mut SiteCounts::new())
+}
+
+/// All mutation sites in the module directory `rel` under `root`: its
+/// non-test `.rs` files (nothing under a `tests/` directory) in path order,
+/// as if they were one file named after the directory — every id carries
+/// the directory's stem and ordinals run on from file to file.
+pub fn scan_dir(root: &Path, rel: &Path) -> io::Result<Vec<Mutation>> {
+    let mut files = Vec::new();
+    crate::lint::rs_files(&root.join(rel), &mut files)?;
+    let stem = stem_of(rel);
+    let mut counts = SiteCounts::new();
     let mut out = Vec::new();
-    let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    for path in files {
+        let file = path.strip_prefix(root).unwrap_or(&path);
+        if file.components().any(|c| c.as_os_str() == "tests") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path)?;
+        out.extend(scan_source(&stem, file, &src, &mut counts));
+    }
+    Ok(out)
+}
+
+/// The sites of `src`, the text of `rel`, numbered on from `counts` under
+/// the id stem `stem`.
+fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Vec<Mutation> {
+    let mut out = Vec::new();
     let mut push = |op: &'static str, start: usize, end: usize, replacement: String| {
         let n = counts.entry(op).or_insert(0);
         out.push(Mutation {
@@ -345,13 +380,13 @@ pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
 /// All mutation sites across [`TARGET_FILES`] under `root`.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Mutation>> {
     let mut out = Vec::new();
-    for rel in TARGET_FILES {
+    for rel in TARGET_FILES.iter().map(Path::new) {
         let path = root.join(rel);
-        if !path.is_file() {
-            continue;
+        if path.is_dir() {
+            out.extend(scan_dir(root, rel)?);
+        } else if path.is_file() {
+            out.extend(scan_file(rel, &std::fs::read_to_string(&path)?));
         }
-        let src = std::fs::read_to_string(&path)?;
-        out.extend(scan_file(Path::new(rel), &src));
     }
     Ok(out)
 }
@@ -808,6 +843,33 @@ mod tests {
         let ms = scan_file(Path::new("proxy.rs"), src);
         let ids: Vec<&str> = ms.iter().map(|m| m.id.as_str()).collect();
         assert_eq!(ids, ["cmp-flip:proxy:0", "cmp-flip:proxy:1"]);
+    }
+
+    #[test]
+    fn a_module_directory_is_scanned_as_one_file_named_after_it() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mutate");
+        let ms = scan_dir(&root, Path::new("src/fs")).expect("fixture reads");
+        let sites: Vec<(&str, &Path, usize)> = ms
+            .iter()
+            .map(|m| (m.id.as_str(), m.file.as_path(), m.line))
+            .collect();
+        let (module, store) = (Path::new("src/fs/mod.rs"), Path::new("src/fs/store.rs"));
+        // Path order, ordinals running across the files, every id stemmed
+        // `fs` — which is what lets the FS-only operator see `store.rs` —
+        // and nothing from `src/fs/tests/`.
+        assert_eq!(
+            sites,
+            [
+                ("cmp-flip:fs:0", module, 8),
+                ("ack-drop:fs:0", module, 11),
+                ("cmp-flip:fs:1", store, 2),
+                ("ack-drop:fs:1", store, 3),
+                ("delta-resolve-skip:fs:0", store, 6),
+            ]
+        );
+        // Each site is applied to the file it was found in.
+        let src = std::fs::read_to_string(root.join(store)).expect("fixture reads");
+        assert!(ms[2].apply(&src).contains("self.pool.len() <= self.k"));
     }
 
     #[test]

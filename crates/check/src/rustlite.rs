@@ -13,11 +13,12 @@
 //!    `#[cfg(test)] mod` regions (so rules can skip deliberate test-only
 //!    hazards), and parses `match` expressions into scrutinee + arm
 //!    pattern ranges.
-//! 3. **Call graph** — [`FileModel::reachable_from`] computes the
-//!    intra-file transitive closure of `name(`-style calls from a set of
-//!    root functions. Resolution is by bare name within one file, which
-//!    is exactly the one-level precision the workspace rules need: each
-//!    actor lives in its own file and its protocol helpers are local.
+//! 3. **Call graph** — [`reachable_from`] computes the transitive closure
+//!    of `name(`-style calls from a set of root functions over the files
+//!    it is given. Resolution is by bare name within those files, which is
+//!    exactly the one-level precision the workspace rules need: each actor
+//!    lives in its own module — one file, or a directory of them — and its
+//!    protocol helpers are local to it.
 //!
 //! The model is deliberately *not* a full parser: generics, lifetimes and
 //! attributes flow through as plain tokens, and everything downstream is
@@ -25,7 +26,7 @@
 //! no finding, never a panic — the robustness proptest in
 //! `tests/analysis_fixtures.rs` feeds it mutilated sources).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // Lexing
@@ -411,42 +412,6 @@ impl FileModel {
         out
     }
 
-    /// Indices into [`fns`](FileModel::fns) of every non-test function
-    /// reachable from the named roots via the intra-file call graph
-    /// (transitive closure; roots included when they exist).
-    pub fn reachable_from(&self, roots: &[&str]) -> Vec<usize> {
-        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (idx, f) in self.fns.iter().enumerate() {
-            if !f.in_test {
-                by_name.entry(f.name.as_str()).or_default().push(idx);
-            }
-        }
-        let mut seen = vec![false; self.fns.len()];
-        let mut work: Vec<usize> = roots
-            .iter()
-            .filter_map(|r| by_name.get(*r))
-            .flatten()
-            .copied()
-            .collect();
-        let mut out = Vec::new();
-        while let Some(idx) = work.pop() {
-            if seen[idx] {
-                continue;
-            }
-            seen[idx] = true;
-            out.push(idx);
-            if let Some(body) = self.fns[idx].body {
-                for callee in self.calls_in(body) {
-                    if let Some(targets) = by_name.get(callee.as_str()) {
-                        work.extend(targets.iter().copied());
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Every `match` expression within the token range.
     pub fn matches_in(&self, range: (usize, usize)) -> Vec<MatchModel> {
         let mut out = Vec::new();
@@ -459,6 +424,46 @@ impl FileModel {
         }
         out
     }
+}
+
+/// `(file, fn)` indices — into `files` and that file's
+/// [`fns`](FileModel::fns) — of every non-test function reachable from the
+/// named roots via the by-name call graph over all of `files` (transitive
+/// closure; roots included when they exist). The caller decides which files
+/// form one graph: one file, or the files of a module directory.
+pub fn reachable_from(files: &[&FileModel], roots: &[&str]) -> Vec<(usize, usize)> {
+    let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (file, model) in files.iter().enumerate() {
+        for (idx, f) in model.fns.iter().enumerate() {
+            if !f.in_test {
+                by_name
+                    .entry(f.name.as_str())
+                    .or_default()
+                    .push((file, idx));
+            }
+        }
+    }
+    let mut work: Vec<(usize, usize)> = roots
+        .iter()
+        .filter_map(|r| by_name.get(*r))
+        .flatten()
+        .copied()
+        .collect();
+    let mut out = BTreeSet::new();
+    while let Some((file, idx)) = work.pop() {
+        if !out.insert((file, idx)) {
+            continue;
+        }
+        let model = files[file];
+        if let Some(body) = model.fns[idx].body {
+            for callee in model.calls_in(body) {
+                if let Some(targets) = by_name.get(callee.as_str()) {
+                    work.extend(targets.iter().copied());
+                }
+            }
+        }
+    }
+    out.into_iter().collect()
 }
 
 /// Body range of the `fn` whose keyword is at `kw`: the first `{` at
@@ -702,12 +707,24 @@ mod tests {
     fn reachability_is_transitive_and_in_file() {
         let src = "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn island() {}\n";
         let m = FileModel::parse(src);
-        let names: Vec<&str> = m
-            .reachable_from(&["root"])
+        let names: Vec<&str> = reachable_from(&[&m], &["root"])
             .into_iter()
-            .map(|i| m.fns[i].name.as_str())
+            .map(|(_, i)| m.fns[i].name.as_str())
             .collect();
         assert_eq!(names, ["root", "mid", "leaf"]);
+    }
+
+    #[test]
+    fn reachability_crosses_the_files_it_is_given() {
+        let a = FileModel::parse("fn root() { mid(); }\nfn island() {}\n");
+        let b = FileModel::parse("fn mid() { leaf(); }\nfn leaf() {}\nfn other() {}\n");
+        assert_eq!(
+            reachable_from(&[&a, &b], &["root"]),
+            [(0, 0), (1, 0), (1, 1)]
+        );
+        // Alone, the second file has no root and the first no callee.
+        assert_eq!(reachable_from(&[&b], &["root"]), []);
+        assert_eq!(reachable_from(&[&a], &["root"]), [(0, 0)]);
     }
 
     #[test]

@@ -77,6 +77,23 @@ fn panic_path_justified_marker_is_clean() {
 }
 
 #[test]
+fn panic_path_follows_an_actor_into_its_module_directory() {
+    // `src/actor.rs` holds `on_message`, `src/actor/helper.rs` the index it
+    // reaches; `src/other/helper.rs` has the same site and no root.
+    let fs = run("panic_module_dir");
+    assert_eq!(fs.len(), 1, "{fs:?}");
+    assert_eq!(fs[0].rule, "panic-path");
+    assert!(fs[0].file.ends_with("src/actor/helper.rs"), "{fs:?}");
+    assert!(fs[0].message.contains("unchecked index"));
+    assert!(fs[0].message.contains("via `lookup`"));
+}
+
+#[test]
+fn panic_path_justified_marker_in_a_module_directory_is_clean() {
+    assert_eq!(run("panic_module_dir_ok"), []);
+}
+
+#[test]
 fn unsafe_outside_gf_simd_fires() {
     let fs = run("unsafe_leak");
     assert_eq!(rules_hit(&fs), ["unsafe-confinement"]);
