@@ -96,7 +96,7 @@ pub const OPERATORS: &[(&str, &str)] = &[
 /// and the checksum — not tests, not the harness itself.
 pub const TARGET_FILES: &[&str] = &[
     "crates/pahoehoe/src/proxy.rs",
-    "crates/pahoehoe/src/fs.rs",
+    "crates/pahoehoe/src/fs",
     "crates/pahoehoe/src/kls.rs",
     "crates/pahoehoe/src/protocol.rs",
     "crates/simnet/src/queue.rs",
@@ -418,7 +418,7 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     // Checksum::verify == -> != (integrity inverted)
     ("cmp-flip:checksum:0", "Checksum::of(data) == self"),
     // ConvergeFsReply never sent (verification stalls)
-    ("ack-drop:fs:0", "Message::ConvergeFsReply"),
+    ("ack-drop:fs:3", "Message::ConvergeFsReply"),
     // DecideLocsReply never sent (put cannot place)
     ("ack-drop:kls:0", "Message::DecideLocsReply"),
     // FragMask::insert sets the wrong bit

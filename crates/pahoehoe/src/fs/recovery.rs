@@ -1,0 +1,290 @@
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use erasure::{Checksum, Fragment, FragmentIndex};
+use simnet::{Context, NodeId};
+
+use super::store::{Recovery, RecoveryPhase};
+use super::{Fs, TAG_RECOVERY_TIMEOUT, TAG_RECOVERY_WAIT};
+use crate::messages::{Message, OpId};
+use crate::types::ObjectVersion;
+
+impl Fs {
+    pub(super) fn start_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        let me = ctx.self_id();
+        let op = self.next_op;
+        self.next_op += 1;
+        // lint:allow(panic-path): recovery starts only for pending (hence stored) versions
+        let meta = Arc::clone(&self.store.entry(ov).expect("pending implies stored").meta);
+        let timeout_timer =
+            ctx.schedule_timer(self.opts.recovery_timeout, TAG_RECOVERY_TIMEOUT | op);
+
+        if self.opts.sibling_recovery {
+            // Probe siblings with the recovery-intent flag; their replies
+            // report what they need; we fetch after a short accumulation
+            // window.
+            for fs in meta.siblings() {
+                if fs != me {
+                    self.outbox.post(
+                        ctx,
+                        fs,
+                        Message::ConvergeFs {
+                            ov,
+                            meta: Arc::clone(&meta),
+                            recovery_intent: true,
+                        },
+                    );
+                }
+            }
+            let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
+            // lint:allow(panic-path): recovery starts only for pending versions
+            let work = self.store.work_mut(ov).expect("present");
+            work.recovery = Some(Recovery {
+                op,
+                phase: RecoveryPhase::AwaitingReports,
+                reports: BTreeMap::new(),
+                collected: BTreeMap::new(),
+                wait_timer: Some(wait_timer),
+                timeout_timer,
+            });
+        } else {
+            // Naïve recovery: a get of this object version — request every
+            // remotely assigned fragment (§3.4 `recover_fragment`).
+            for (idx, loc) in meta.assignments() {
+                if loc.fs != me {
+                    ctx.send(
+                        loc.fs,
+                        Message::RetrieveFrag {
+                            op,
+                            ov,
+                            fragment: idx,
+                        },
+                    );
+                }
+            }
+            // lint:allow(panic-path): recovery starts only for pending versions
+            let work = self.store.work_mut(ov).expect("present");
+            work.recovery = Some(Recovery {
+                op,
+                phase: RecoveryPhase::Fetching,
+                reports: BTreeMap::new(),
+                collected: BTreeMap::new(),
+                wait_timer: None,
+                timeout_timer,
+            });
+        }
+    }
+
+    /// The recovery-wait window closed: pick fragments to fetch based on
+    /// the siblings' reports.
+    pub(super) fn recovery_wait_elapsed(&mut self, ctx: &mut Context<'_, Message>, op: OpId) {
+        let Some(ov) = self.store.find_recovery(op) else {
+            return;
+        };
+        let me = ctx.self_id();
+        let (local, k) = {
+            // lint:allow(panic-path): find_recovery returned this ov, so it is stored
+            let entry = self.store.entry(ov).expect("recovering implies stored");
+            let local: BTreeSet<FragmentIndex> = entry.fragments.keys().copied().collect();
+            (local, usize::from(entry.meta.policy().k))
+        };
+
+        // Plan fetches: iterate reports in id order, taking fragments we
+        // neither hold nor already planned, until k total are available.
+        let mut plan: Vec<(NodeId, FragmentIndex)> = Vec::new();
+        let mut planned: BTreeSet<FragmentIndex> = local.clone();
+        {
+            // lint:allow(panic-path): find_recovery returned this ov, so it is pending
+            let work = self.store.work_mut(ov).expect("recovering");
+            // lint:allow(panic-path): find_recovery guarantees an in-flight recovery
+            let rec = work.recovery.as_mut().expect("recovering");
+            rec.phase = RecoveryPhase::Fetching;
+            rec.wait_timer = None;
+            for (&fs, (have, _)) in &rec.reports {
+                for &idx in have {
+                    if planned.len() >= k {
+                        break;
+                    }
+                    if !planned.contains(&idx) {
+                        planned.insert(idx);
+                        plan.push((fs, idx));
+                    }
+                }
+            }
+        }
+        if planned.len() < k {
+            // Not enough fragments reachable right now; retry at a later
+            // round (backoff was charged when the step started).
+            self.abort_recovery(ctx, ov);
+            return;
+        }
+        debug_assert!(!plan.iter().any(|(fs, _)| *fs == me));
+        for (fs, idx) in plan {
+            ctx.send(
+                fs,
+                Message::RetrieveFrag {
+                    op,
+                    ov,
+                    fragment: idx,
+                },
+            );
+        }
+        // If we already hold k fragments locally (possible when only our
+        // *other* disk's fragment is missing), finish immediately.
+        if local.len() >= k {
+            self.try_finish_recovery(ctx, ov);
+        }
+    }
+
+    /// Completes the recovery if enough fragments are on hand: regenerate
+    /// our missing fragments (and, in sibling mode, everything the
+    /// siblings reported missing) and push the siblings' shares to them.
+    fn try_finish_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        let me = ctx.self_id();
+        let (policy, value_len, meta, my_mask, pool, sibling_needs) = {
+            // lint:allow(panic-path): recovery in flight implies stored
+            let entry = self.store.entry(ov).expect("recovering implies stored");
+            // lint:allow(panic-path): recovery in flight implies pending
+            let work = self.store.work(ov).expect("recovering");
+            // lint:allow(panic-path): callers reach here only with a recovery in flight
+            let rec = work.recovery.as_ref().expect("recovery in flight");
+            let mut pool = entry.fragments.clone();
+            for (idx, frag) in &rec.collected {
+                if !pool.contains_key(idx) {
+                    pool.insert(*idx, frag.clone());
+                }
+            }
+            let mut sibling_needs: Vec<(NodeId, Vec<FragmentIndex>)> = Vec::new();
+            if self.opts.sibling_recovery {
+                for (&fs, (_, missing)) in &rec.reports {
+                    if !missing.is_empty() {
+                        sibling_needs.push((fs, missing.clone()));
+                    }
+                }
+            }
+            (
+                *entry.meta.policy(),
+                entry.meta.value_len(),
+                Arc::clone(&entry.meta),
+                Self::missing_mask(entry, me),
+                pool,
+                sibling_needs,
+            )
+        };
+        let k = usize::from(policy.k);
+        if pool.len() < k {
+            return; // keep waiting for more RetrieveFragReply
+        }
+
+        // Regeneration targets: our own missing fragments plus everything
+        // the siblings reported missing, deduplicated by the mask.
+        let mut target_mask = my_mask;
+        for (_, needs) in &sibling_needs {
+            for &idx in needs {
+                target_mask.insert(idx);
+            }
+        }
+        let targets: Vec<FragmentIndex> = target_mask.iter().collect();
+
+        let sources: Vec<Fragment> = pool.values().cloned().collect();
+        let mut recovered = std::mem::take(&mut self.recover_scratch);
+        self.codec(policy.k, policy.n)
+            .recover_into(&sources, &targets, value_len, &mut recovered)
+            // lint:allow(panic-path): pool.len() >= k checked above
+            .expect("k fragments suffice");
+        let by_idx: BTreeMap<FragmentIndex, Fragment> =
+            recovered.drain(..).map(|f| (f.index(), f)).collect();
+        self.recover_scratch = recovered;
+
+        // Store our own missing fragments.
+        {
+            // lint:allow(panic-path): recovering versions stay stored
+            let entry = self.store.entry_mut(ov).expect("present");
+            for idx in my_mask.iter() {
+                // lint:allow(panic-path): recover_into returns a fragment for every requested target
+                let frag = by_idx[&idx].clone();
+                entry.checksums.insert(idx, Checksum::of(frag.data()));
+                entry.fragments.insert(idx, frag);
+            }
+        }
+        // Push the siblings' recovered fragments to them (§4.2).
+        for (fs, needs) in sibling_needs {
+            for idx in needs {
+                ctx.send(
+                    fs,
+                    Message::SiblingStore {
+                        ov,
+                        meta: Arc::clone(&meta),
+                        // lint:allow(panic-path): recover_into returns a fragment for every requested target
+                        fragment: by_idx[&idx].clone(),
+                    },
+                );
+            }
+        }
+
+        self.recoveries_done += 1;
+        // lint:allow(panic-path): recovering versions stay pending until settled here
+        let work = self.store.work_mut(ov).expect("present");
+        // lint:allow(panic-path): recovery was in flight until taken here
+        let rec = work.recovery.take().expect("recovery in flight");
+        self.cancel_recovery_timers(ctx, &rec);
+        self.note_progress(ctx, ov);
+    }
+
+    /// A fragment fetched for the recovery `op` of `ov` arrived (or its
+    /// holder answered ⊥).
+    pub(super) fn on_retrieve_frag_reply(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        op: OpId,
+        ov: ObjectVersion,
+        data: Option<Fragment>,
+    ) {
+        let Some(work) = self.store.work_mut(ov) else {
+            return;
+        };
+        let Some(rec) = work.recovery.as_mut() else {
+            return;
+        };
+        if rec.op != op || rec.phase != RecoveryPhase::Fetching {
+            return;
+        }
+        if let Some(frag) = data {
+            rec.collected.insert(frag.index(), frag);
+        }
+        self.try_finish_recovery(ctx, ov);
+    }
+
+    pub(super) fn cancel_recovery_timers(&self, ctx: &mut Context<'_, Message>, rec: &Recovery) {
+        if let Some(t) = rec.wait_timer {
+            ctx.cancel_timer(t);
+        }
+        ctx.cancel_timer(rec.timeout_timer);
+    }
+
+    /// Abandons an in-flight recovery (backoff already set by the step
+    /// that started it).
+    pub(super) fn abort_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        if let Some(work) = self.store.work_mut(ov) {
+            if let Some(rec) = work.recovery.take() {
+                let rec_timers = rec;
+                self.cancel_recovery_timers(ctx, &rec_timers);
+            }
+        }
+    }
+
+    /// Cancels the in-flight recovery identified by `op` for `ov`.
+    pub(super) fn recovery_cancelled(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        ov: ObjectVersion,
+        op: OpId,
+    ) {
+        if let Some(work) = self.store.work_mut(ov) {
+            if let Some(rec) = work.recovery.take() {
+                debug_assert_eq!(rec.op, op);
+                self.cancel_recovery_timers(ctx, &rec);
+            }
+        }
+    }
+}

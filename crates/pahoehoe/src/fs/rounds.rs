@@ -1,0 +1,453 @@
+use std::sync::Arc;
+
+use erasure::FragmentIndex;
+use simnet::{Context, NodeId};
+
+use super::store::RecoveryPhase;
+use super::{FragEntry, Fs, TAG_ROUND};
+use crate::convergence::RoundSchedule;
+use crate::messages::Message;
+use crate::metadata::Metadata;
+use crate::protocol::{FragMap, FragMask};
+use crate::types::ObjectVersion;
+
+/// Where an FS's round traffic leaves from: convergence probes, the
+/// replies to a sibling's probes, and FS AMR indications.
+///
+/// Batching ([`ProtocolMode::batch_rounds`]) holds each message until the
+/// dispatch that produced it ends and then sends, per destination and kind
+/// label, one [`Message::Batch`] — through the ordinary `ctx.send`, so the
+/// network blocks, drops, duplicates, delays and traces it as the single
+/// message it is. What a step decides and when its version next steps were
+/// settled before the message was posted, so a lost batch costs each of
+/// its versions exactly what a lost probe costs today: the step stays
+/// unanswered and the version retries on its own back-off.
+#[derive(Debug)]
+pub(super) struct Outbox {
+    batching: bool,
+    /// This dispatch's batches so far, in first-emission order: destination,
+    /// kind id, and the messages of that kind posted for it. Empty between
+    /// dispatches, and always when not batching.
+    batches: Vec<(NodeId, usize, Vec<Message>)>,
+}
+
+impl Outbox {
+    pub(super) fn new(batching: bool) -> Self {
+        Outbox {
+            batching,
+            batches: Vec::new(),
+        }
+    }
+
+    /// Sends `msg` to `to`: at once, or — batching — with the rest of what
+    /// this dispatch posts of its kind for `to`.
+    // lint:hot
+    pub(super) fn post(&mut self, ctx: &mut Context<'_, Message>, to: NodeId, msg: Message) {
+        use simnet::Payload;
+        if !self.batching {
+            ctx.send(to, msg);
+            return;
+        }
+        let kind = msg.kind_id();
+        let open = self
+            .batches
+            .iter_mut()
+            .find(|(dest, of_kind, _)| *dest == to && *of_kind == kind);
+        match open {
+            Some((.., entries)) => entries.push(msg),
+            None => self.batches.push((to, kind, vec![msg])),
+        }
+    }
+
+    /// Ends the dispatch: every batch goes out as one message.
+    pub(super) fn flush(&mut self, ctx: &mut Context<'_, Message>) {
+        for (to, _, entries) in self.batches.drain(..) {
+            ctx.send(to, Message::Batch(entries));
+        }
+    }
+}
+
+impl Fs {
+    pub(super) fn ensure_round(&mut self, ctx: &mut Context<'_, Message>) {
+        if self.round_scheduled || self.store.pending_is_empty() {
+            return;
+        }
+        let delay = match self.opts.schedule {
+            RoundSchedule::Unsynchronized => {
+                let lo = self.opts.round_min.as_micros();
+                let hi = self.opts.round_max.as_micros();
+                simnet::SimDuration::from_micros(rand::Rng::random_range(ctx.rng(), lo..=hi))
+            }
+            RoundSchedule::Synchronized => {
+                // Fire at the next global multiple of the period.
+                let period = self.opts.sync_period.as_micros();
+                let now = ctx.now().as_micros();
+                let next = (now / period + 1) * period;
+                simnet::SimDuration::from_micros(next - now)
+            }
+        };
+        ctx.schedule_timer(delay, TAG_ROUND);
+        self.round_scheduled = true;
+    }
+
+    /// New information arrived for `ov`: reset its backoff so convergence
+    /// reacts promptly, and make sure a round is coming.
+    pub(super) fn note_progress(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        if let Some(work) = self.store.work_mut(ov) {
+            work.attempts = 0;
+            work.next_eligible = ctx.now();
+        }
+        self.ensure_round(ctx);
+    }
+
+    /// Ensures the store tracks `ov` (pending unless it is already
+    /// settled) and merges `meta` in. Returns `true` if the metadata
+    /// gained locations.
+    // lint:hot
+    pub(super) fn adopt(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        ov: ObjectVersion,
+        meta: &Arc<Metadata>,
+    ) -> bool {
+        let now = ctx.now();
+        let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
+            meta: Arc::clone(meta),
+            fragments: FragMap::new(),
+            checksums: FragMap::new(),
+        }) else {
+            // Compacted: the version is settled AMR with complete
+            // metadata, so a full store's merge would be a no-op and
+            // the settled branch below would skip scheduling anyway.
+            return false;
+        };
+        let changed = Metadata::merge_shared(&mut entry.meta, meta);
+        if !self.store.is_settled(ov) {
+            if changed {
+                self.note_progress(ctx, ov);
+            } else {
+                self.ensure_round(ctx);
+            }
+        }
+        changed
+    }
+
+    /// Marks `ov` AMR: drop convergence work, optionally broadcast FS AMR
+    /// indications.
+    fn finalize_amr(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, indicate: bool) {
+        let newly_settled = self.store.amr_at(ov).is_none();
+        if let Some(work) = self.store.settle_amr(ov, ctx.now()) {
+            if let Some(rec) = work.recovery {
+                self.cancel_recovery_timers(ctx, &rec);
+            }
+        }
+        if indicate && self.opts.fs_amr_indication {
+            let me = ctx.self_id();
+            let meta = Arc::clone(
+                &self
+                    .store
+                    .entry(ov)
+                    // lint:allow(panic-path): settled versions stay stored
+                    .expect("settled versions are stored")
+                    .meta,
+            );
+            for fs in meta.siblings() {
+                if fs != me {
+                    let meta = Arc::clone(&meta);
+                    self.outbox
+                        .post(ctx, fs, Message::AmrIndication { ov, meta });
+                }
+            }
+        }
+        // A newly settled AMR version supersedes every older settled
+        // version of the same key: collapse those to residual records.
+        // Pure local bookkeeping — no messages, timers, or RNG draws —
+        // so replay digests are unchanged. Gated on the first settle
+        // (re-indications re-stamp the AMR time but open no new
+        // compaction opportunity), which with the incremental walk in
+        // [`VersionStore::compact_superseded`] keeps hot-key settles
+        // amortized O(1).
+        if self.mode.compact_converged && newly_settled {
+            self.store.compact_superseded(ov);
+        }
+    }
+
+    /// Runs one convergence round (the paper's `start_round`).
+    // lint:hot
+    pub(super) fn run_round(&mut self, ctx: &mut Context<'_, Message>) {
+        let now = ctx.now();
+        let mut versions = std::mem::take(&mut self.version_scratch);
+        self.store.collect_pending(&mut versions);
+        for &(ov, slot) in &versions {
+            let Some(work) = self.store.work_at(ov, slot) else {
+                continue;
+            };
+            if work.recovery.is_some() || now < work.next_eligible {
+                continue;
+            }
+            // `min_age` is on the version's own age (its stamp is a proxy
+            // clock reading), not on how long this FS has known of it.
+            let age_us = now.as_micros().saturating_sub(ov.ts.clock_micros());
+            if age_us < self.opts.min_age.as_micros() {
+                continue;
+            }
+            if let Some(limit) = self.opts.give_up_age {
+                if now.duration_since(work.created) > limit {
+                    self.store.settle_gave_up(ov);
+                    continue;
+                }
+            }
+            self.step(ctx, ov, slot);
+        }
+        versions.clear();
+        self.version_scratch = versions;
+        self.ensure_round(ctx);
+    }
+
+    /// One convergence step for one object version.
+    // lint:hot
+    fn step(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, slot: u32) {
+        self.steps_run += 1;
+        let me = ctx.self_id();
+        let entry = self
+            .store
+            .entry_at(ov, slot)
+            // lint:allow(panic-path): step runs only over the pending listing
+            .expect("pending implies stored");
+        let meta = Arc::clone(&entry.meta);
+        let missing = Self::missing_mask(entry, me);
+
+        // Charge the backoff up front; any new information resets it.
+        let attempt = {
+            // lint:allow(panic-path): step already verified the version is pending
+            let work = self.store.work_at_mut(ov, slot).expect("checked by caller");
+            work.attempts += 1;
+            let delay = self.opts.backoff_delay(work.attempts);
+            work.next_eligible = ctx.now() + delay;
+            work.step_open = false;
+            work.attempts as usize
+        };
+
+        if !meta.is_complete() {
+            // 1. Metadata repair: probe one KLS per missing DC, rotating
+            // through the DC's KLSs across attempts (§3.5 fixed order).
+            for dc in self.topo.dc_ids() {
+                if meta.has_dc(dc) {
+                    continue;
+                }
+                let klss = self.topo.klss_in(dc);
+                // lint:allow(panic-path): every DC has at least one KLS (topology invariant)
+                let kls = klss[(attempt - 1) % klss.len()];
+                ctx.send(
+                    kls,
+                    Message::FsDecideLocs {
+                        ov,
+                        meta: Arc::clone(&meta),
+                    },
+                );
+            }
+        } else if !missing.is_empty() {
+            // 2. Fragment recovery.
+            self.start_recovery(ctx, ov);
+        } else {
+            // 3. Verification: probe all KLSs and sibling FSs.
+            {
+                // lint:allow(panic-path): step already verified the version is pending
+                let work = self.store.work_at_mut(ov, slot).expect("present");
+                work.kls_ok.clear();
+                work.fs_ok.clear();
+                work.step_open = true;
+            }
+            for kls in self.topo.all_klss() {
+                let meta = Arc::clone(&meta);
+                self.outbox
+                    .post(ctx, kls, Message::ConvergeKls { ov, meta });
+            }
+            for fs in meta.siblings() {
+                if fs != me {
+                    self.outbox.post(
+                        ctx,
+                        fs,
+                        Message::ConvergeFs {
+                            ov,
+                            meta: Arc::clone(&meta),
+                            recovery_intent: false,
+                        },
+                    );
+                }
+            }
+            self.check_amr(ctx, ov);
+        }
+    }
+
+    /// Fragment indices assigned to `me` that are not in the store.
+    // lint:hot
+    pub(super) fn missing_mask(entry: &FragEntry, me: NodeId) -> FragMask {
+        let mut mask = FragMask::new();
+        for idx in entry.meta.assigned_to(me) {
+            if !entry.fragments.contains_key(&idx) {
+                mask.insert(idx);
+            }
+        }
+        mask
+    }
+
+    /// Records a verification-step reply and finalizes AMR when everyone
+    /// verified (the paper's `is_amr`).
+    fn check_amr(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        let me = ctx.self_id();
+        let Some(work) = self.store.work(ov) else {
+            return;
+        };
+        if !work.step_open {
+            return;
+        }
+        // `kls_ok` only ever holds KLSs that replied verified, so reaching
+        // the cluster's KLS count is the seed's superset-of-all-KLSs test
+        // without rebuilding that set per reply.
+        if work.kls_ok.len() < self.total_klss {
+            return;
+        }
+        // lint:allow(panic-path): pending versions are always stored
+        let meta = &self.store.entry(ov).expect("pending implies stored").meta;
+        let all_siblings_ok = meta
+            .siblings()
+            .filter(|&fs| fs != me)
+            .all(|fs| work.fs_ok.contains(&fs));
+        if all_siblings_ok && self.verified(ov) {
+            self.finalize_amr(ctx, ov, true);
+        }
+    }
+
+    /// Handles one FS convergence probe.
+    fn on_converge_fs(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        from: NodeId,
+        ov: ObjectVersion,
+        meta: &Arc<Metadata>,
+        recovery_intent: bool,
+    ) {
+        let me = ctx.self_id();
+        self.adopt(ctx, ov, meta);
+        // Sibling-recovery contention: both of us are recovering — the FS
+        // with the *lower* id backs off (§4.2).
+        if recovery_intent && self.opts.sibling_recovery && me < from {
+            let ours = self
+                .store
+                .work(ov)
+                .and_then(|w| w.recovery.as_ref())
+                .map(|r| r.op);
+            if let Some(op) = ours {
+                self.recovery_cancelled(ctx, ov, op);
+            }
+        }
+        let (have, missing, verified): (Vec<FragmentIndex>, Vec<FragmentIndex>, bool) =
+            match self.store.entry(ov) {
+                Some(entry) => {
+                    let have = entry.fragments.keys().copied().collect();
+                    let missing = if entry.meta.is_complete() {
+                        Self::missing_mask(entry, me).iter().collect()
+                    } else {
+                        Vec::new()
+                    };
+                    (have, missing, Self::entry_verified(entry, me))
+                }
+                None => {
+                    // Compacted: the residual mask is exactly the fragment
+                    // set the full store would report, and a verified AMR
+                    // version misses nothing — the reply is byte-identical.
+                    // lint:allow(panic-path): adopt stores any non-compacted version
+                    let held = self.store.residual(ov).expect("compacted");
+                    (held.iter().collect(), Vec::new(), true)
+                }
+            };
+        let recovering = self.store.work(ov).is_some_and(|w| w.recovery.is_some());
+        self.outbox.post(
+            ctx,
+            from,
+            Message::ConvergeFsReply {
+                ov,
+                verified,
+                have,
+                missing,
+                recovering,
+            },
+        );
+    }
+
+    /// Handles one message of a convergence round — a sibling's probe or
+    /// AMR indication, or a reply to a probe of ours — whether it arrived
+    /// alone or as an entry of a [`Message::Batch`].
+    pub(super) fn on_round_message(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        from: NodeId,
+        msg: Message,
+    ) {
+        let me = ctx.self_id();
+        match msg {
+            Message::AmrIndication { ov, meta } => {
+                // Complete our metadata and stop all convergence work
+                // (cancelling recovery timers), without re-indicating.
+                self.adopt(ctx, ov, &meta);
+                self.finalize_amr(ctx, ov, false);
+            }
+
+            Message::ConvergeFs {
+                ov,
+                meta,
+                recovery_intent,
+            } => {
+                self.on_converge_fs(ctx, from, ov, &meta, recovery_intent);
+            }
+
+            Message::ConvergeFsReply {
+                ov,
+                verified,
+                have,
+                missing,
+                recovering,
+            } => {
+                let Some(work) = self.store.work_mut(ov) else {
+                    return;
+                };
+                // Verification bookkeeping.
+                if verified {
+                    work.fs_ok.insert(from);
+                }
+                // Recovery bookkeeping.
+                let mut backed_off = None;
+                if let Some(rec) = work.recovery.as_mut() {
+                    if rec.phase == RecoveryPhase::AwaitingReports {
+                        rec.reports.insert(from, (have, missing));
+                    }
+                    // Contention observed from the reply side: the sender
+                    // (higher id) is also recovering — we back off if our
+                    // id is lower.
+                    if recovering && me < from {
+                        backed_off = Some(rec.op);
+                    }
+                }
+                if let Some(op) = backed_off {
+                    self.recovery_cancelled(ctx, ov, op);
+                    return;
+                }
+                self.check_amr(ctx, ov);
+            }
+
+            Message::ConvergeKlsReply { ov, verified } => {
+                if let Some(work) = self.store.work_mut(ov) {
+                    if verified {
+                        work.kls_ok.insert(from);
+                    }
+                }
+                self.check_amr(ctx, ov);
+            }
+
+            other => {
+                debug_assert!(false, "FS received unexpected {:?}", other);
+            }
+        }
+    }
+}

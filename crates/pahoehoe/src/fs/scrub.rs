@@ -1,0 +1,175 @@
+use std::sync::Arc;
+
+use erasure::{Fragment, FragmentIndex};
+use simnet::{Context, SimTime};
+
+use super::Fs;
+use crate::messages::Message;
+use crate::protocol::FragMask;
+use crate::types::ObjectVersion;
+
+impl Fs {
+    // ---- fault injection (harness API) ----
+
+    /// Silently corrupts a stored fragment by flipping one payload byte
+    /// without touching its recorded checksum — simulating bit rot on
+    /// disk. Returns `false` if the fragment is not stored (or empty).
+    /// Wake the FS with [`WAKE_TIMER_TAG`] afterwards if you want the
+    /// scrubber disabled and detection to happen on the next read
+    /// instead.
+    pub fn corrupt_fragment(&mut self, ov: ObjectVersion, idx: FragmentIndex) -> bool {
+        let Some(entry) = self.store.entry_mut(ov) else {
+            return false;
+        };
+        let Some(frag) = entry.fragments.get_mut(&idx) else {
+            return false;
+        };
+        if frag.is_empty() {
+            return false;
+        }
+        let mut bytes = frag.data().to_vec();
+        bytes[0] ^= 0xFF;
+        *frag = Fragment::new(idx, bytes);
+        true
+    }
+
+    /// Destroys one disk: every fragment this server stores on `disk`
+    /// (per each version's metadata) is dropped, and the affected
+    /// versions re-enter the convergence store so their fragments get
+    /// rebuilt (§3.1's "rebuild destroyed disks"). Returns the number of
+    /// fragments lost. Wake the FS with [`WAKE_TIMER_TAG`] afterwards.
+    pub fn destroy_disk(&mut self, disk: u8, now: SimTime) -> usize {
+        let me = match self.self_id {
+            Some(id) => id,
+            None => return 0, // never ran; stores nothing
+        };
+        let mut lost = 0;
+        // Live versions only: compacted residuals hold no bytes, so a
+        // dead disk cannot lose them.
+        let mut versions = Vec::new();
+        self.store.collect_live(&mut versions);
+        for (ov, slot) in versions {
+            let doomed: Vec<FragmentIndex> = {
+                let Some(entry) = self.store.entry_at(ov, slot) else {
+                    continue;
+                };
+                entry
+                    .meta
+                    .assignments()
+                    .filter(|(idx, loc)| {
+                        loc.fs == me && loc.disk == disk && entry.fragments.contains_key(idx)
+                    })
+                    .map(|(idx, _)| idx)
+                    .collect()
+            };
+            if doomed.is_empty() {
+                continue;
+            }
+            let entry = self.store.entry_at_mut(ov, slot).expect("present");
+            for idx in &doomed {
+                entry.fragments.remove(idx);
+                entry.checksums.remove(idx);
+                lost += 1;
+            }
+            self.re_pend(ov, now);
+        }
+        lost
+    }
+
+    /// Re-enters a version into the convergence store (after corruption
+    /// or disk loss), clearing any AMR/give-up status.
+    pub(super) fn re_pend(&mut self, ov: ObjectVersion, now: SimTime) {
+        let work = self.store.reopen(ov, now);
+        work.attempts = 0;
+        work.next_eligible = now;
+    }
+
+    /// One scrub tick: verifies stored fragments against their recorded
+    /// checksums, at most [`ConvergenceOptions::scrub_chunk_bytes`] of
+    /// payload per tick (a persistent cursor resumes the walk on the next
+    /// tick, so the cost of one event is proportional to the bytes it
+    /// scanned, not to the whole store). Corrupted fragments are dropped
+    /// and their versions re-entered for convergence (which regenerates
+    /// them from the siblings). Returns the number of corrupted fragments
+    /// found this tick.
+    // lint:hot
+    pub(super) fn scrub(&mut self, ctx: &mut Context<'_, Message>) -> usize {
+        let now = ctx.now();
+        let budget = self.opts.scrub_chunk_bytes.max(1);
+        let mut scanned = 0usize;
+        let mut found = 0;
+        let mut versions = std::mem::take(&mut self.version_scratch);
+        self.store.collect_live(&mut versions);
+        let resume = self.scrub_cursor.take();
+        for &(ov, slot) in &versions {
+            if resume.is_some_and(|cur| ov < cur) {
+                continue;
+            }
+            if scanned >= budget {
+                // Out of budget: resume from this version next tick.
+                self.scrub_cursor = Some(ov);
+                break;
+            }
+            // Corrupted fragment indices as a mask: no per-version list
+            // allocation on the (usually clean) scrub walk.
+            let mut bad = FragMask::new();
+            {
+                let Some(entry) = self.store.entry_at_mut(ov, slot) else {
+                    continue;
+                };
+                for (&idx, frag) in &entry.fragments {
+                    scanned += frag.len();
+                    if !entry
+                        .checksums
+                        .get(&idx)
+                        .is_some_and(|sum| sum.verify(frag.data()))
+                    {
+                        bad.insert(idx);
+                    }
+                }
+                if bad.is_empty() {
+                    continue;
+                }
+                for idx in bad.iter() {
+                    entry.fragments.remove(&idx);
+                    entry.checksums.remove(&idx);
+                    found += 1;
+                }
+            }
+            self.re_pend(ov, now);
+        }
+        versions.clear();
+        self.version_scratch = versions;
+        self.corruption_detected += found as u64;
+        if found > 0 {
+            self.ensure_round(ctx);
+        }
+        found
+    }
+
+    /// Sends this FS's fragment inventory — every known version with its
+    /// metadata and held fragment indices — to the DC's repair actor. An
+    /// empty store still reports (the actor waits for every FS before
+    /// judging redundancy).
+    pub(super) fn send_repair_report(&mut self, ctx: &mut Context<'_, Message>) {
+        let Some(target) = self.repair_target else {
+            return;
+        };
+        let mut versions = std::mem::take(&mut self.version_scratch);
+        self.store.collect_live(&mut versions);
+        let mut entries = Vec::with_capacity(versions.len());
+        for &(ov, slot) in &versions {
+            let Some(entry) = self.store.entry_at(ov, slot) else {
+                continue;
+            };
+            entries.push((
+                ov,
+                Arc::clone(&entry.meta),
+                entry.fragments.keys().copied().collect(),
+            ));
+        }
+        versions.clear();
+        self.version_scratch = versions;
+        ctx.send(target, Message::RepairReport { entries });
+    }
+}

@@ -1,0 +1,746 @@
+use super::*;
+use crate::convergence::RoundSchedule;
+use crate::kls::Kls;
+use crate::metadata::Location;
+use crate::policy::Policy;
+use crate::types::{Key, Timestamp};
+use simnet::{SimDuration, Simulation};
+
+/// Tiny world: 2 DCs x (1 KLS + 1 FS), policy (k=2, n=4), 2 frags
+/// per FS. Node ids: kls0=0, fs0=1, kls1=2, fs1=3, driver=4.
+fn tiny_topo() -> Arc<Topology> {
+    Topology::new(vec![
+        (vec![NodeId::new(0)], vec![NodeId::new(1)]),
+        (vec![NodeId::new(2)], vec![NodeId::new(3)]),
+    ])
+}
+
+fn tiny_policy() -> Policy {
+    Policy::new(2, 4, 2, 2)
+}
+
+fn ov() -> ObjectVersion {
+    ObjectVersion::new(Key::from_u64(9), Timestamp::new(SimTime::from_micros(5), 0))
+}
+
+pub(super) fn full_meta(value_len: usize) -> Arc<Metadata> {
+    let mut meta = Metadata::new(tiny_policy(), DataCenterId::new(0), value_len);
+    meta.add_dc_locations(
+        DataCenterId::new(0),
+        vec![
+            Location {
+                fs: NodeId::new(1),
+                disk: 0,
+            },
+            Location {
+                fs: NodeId::new(1),
+                disk: 1,
+            },
+        ],
+    );
+    meta.add_dc_locations(
+        DataCenterId::new(1),
+        vec![
+            Location {
+                fs: NodeId::new(3),
+                disk: 0,
+            },
+            Location {
+                fs: NodeId::new(3),
+                disk: 1,
+            },
+        ],
+    );
+    Arc::new(meta)
+}
+
+/// A driver that injects a fixed script of messages at start (and
+/// whatever the test scripted since, each time it is woken by a timer)
+/// and records everything it receives.
+struct Driver {
+    script: Vec<(NodeId, Message)>,
+    inbox: Vec<(NodeId, Message)>,
+}
+impl Driver {
+    /// Sender and kind label of everything received so far.
+    fn received(&self) -> Vec<(NodeId, &'static str)> {
+        let kind = |(from, msg): &(NodeId, Message)| (*from, simnet::Payload::kind(msg));
+        self.inbox.iter().map(kind).collect()
+    }
+}
+impl Actor<Message> for Driver {
+    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+        self.on_timer(ctx, 0);
+    }
+    fn on_message(&mut self, _ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
+        self.inbox.push((from, msg));
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _tag: u64) {
+        for (to, msg) in self.script.drain(..) {
+            ctx.send(to, msg);
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Builds the tiny world with the given convergence options and a
+/// driver script; returns the simulation and the node ids.
+fn tiny_world(
+    opts: ConvergenceOptions,
+    script: Vec<(NodeId, Message)>,
+) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
+    tiny_world_with_mode(ProtocolMode::default(), opts, script)
+}
+
+fn tiny_world_with_mode(
+    mode: ProtocolMode,
+    opts: ConvergenceOptions,
+    script: Vec<(NodeId, Message)>,
+) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
+    tiny_world_with_faults(simnet::FaultPlan::none(), mode, opts, script)
+}
+
+fn tiny_world_with_faults(
+    faults: simnet::FaultPlan,
+    mode: ProtocolMode,
+    opts: ConvergenceOptions,
+    script: Vec<(NodeId, Message)>,
+) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
+    let topo = tiny_topo();
+    let dc = DataCenterId::new;
+    let network = simnet::NetworkConfig::paper_default();
+    let mut sim = Simulation::with_network(7, network, faults);
+    sim.add_actor(Kls::new(topo.clone(), dc(0)));
+    let fs0 = sim.add_actor(Fs::with_mode(topo.clone(), dc(0), opts.clone(), mode));
+    sim.add_actor(Kls::new(topo.clone(), dc(1)));
+    let fs1 = sim.add_actor(Fs::with_mode(topo.clone(), dc(1), opts, mode));
+    let driver = sim.add_actor(Driver {
+        script,
+        inbox: Vec::new(),
+    });
+    (sim, fs0, fs1, driver)
+}
+
+fn frags(value_len: usize) -> Vec<Fragment> {
+    let codec = Codec::new(2, 4).unwrap();
+    codec.encode(&vec![0xEE; value_len])
+}
+
+#[test]
+fn store_fragment_is_acknowledged_and_tracked() {
+    let meta = full_meta(100);
+    let fs_node = NodeId::new(1);
+    let (mut sim, fs0, _, driver) = tiny_world(
+        ConvergenceOptions::all(),
+        vec![(
+            fs_node,
+            Message::StoreFragment {
+                ov: ov(),
+                meta: meta.clone(),
+                fragment: frags(100)[0].clone(),
+            },
+        )],
+    );
+    sim.run_until_time(SimTime::from_micros(200_000));
+    let fs: &Fs = sim.actor(fs0);
+    assert_eq!(fs.known_versions().count(), 1);
+    assert_eq!(fs.pending_versions().count(), 1, "convergence pending");
+    assert!(!fs.verified(ov()), "second fragment still missing");
+    let d: &Driver = sim.actor(driver);
+    assert_eq!(d.received(), vec![(fs_node, "StoreFragmentRep")]);
+}
+
+#[test]
+fn verified_requires_complete_meta_and_all_fragments() {
+    let meta = full_meta(100);
+    let f = frags(100);
+    let fs_node = NodeId::new(1);
+    let (mut sim, fs0, _, _) = tiny_world(
+        ConvergenceOptions::all(),
+        vec![
+            (
+                fs_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: meta.clone(),
+                    fragment: f[0].clone(),
+                },
+            ),
+            (
+                fs_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: meta.clone(),
+                    fragment: f[1].clone(),
+                },
+            ),
+        ],
+    );
+    sim.run_until_time(SimTime::from_micros(200_000));
+    let fs: &Fs = sim.actor(fs0);
+    assert!(fs.verified(ov()), "both assigned fragments present");
+    assert_eq!(fs.dc(), DataCenterId::new(0));
+}
+
+#[test]
+fn amr_indication_stops_convergence_and_completes_meta() {
+    // Deliver a fragment with *partial* metadata, then an AMR
+    // indication carrying the complete metadata: the FS must drop the
+    // version from its convergence store and still answer converge
+    // probes positively afterwards.
+    let mut partial = Metadata::new(tiny_policy(), DataCenterId::new(0), 100);
+    partial.add_dc_locations(
+        DataCenterId::new(0),
+        vec![
+            Location {
+                fs: NodeId::new(1),
+                disk: 0,
+            },
+            Location {
+                fs: NodeId::new(1),
+                disk: 1,
+            },
+        ],
+    );
+    let partial = Arc::new(partial);
+    let f = frags(100);
+    let fs_node = NodeId::new(1);
+    let (mut sim, fs0, _, _) = tiny_world(
+        ConvergenceOptions::all(),
+        vec![
+            (
+                fs_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: partial.clone(),
+                    fragment: f[0].clone(),
+                },
+            ),
+            (
+                fs_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: partial,
+                    fragment: f[1].clone(),
+                },
+            ),
+            (
+                fs_node,
+                Message::AmrIndication {
+                    ov: ov(),
+                    meta: full_meta(100),
+                },
+            ),
+        ],
+    );
+    sim.run_until_time(SimTime::from_micros(200_000));
+    let fs: &Fs = sim.actor(fs0);
+    assert_eq!(fs.pending_versions().count(), 0);
+    assert_eq!(fs.amr_versions().count(), 1);
+    assert!(fs.verified(ov()), "indication completed the metadata");
+    assert_eq!(fs.steps_run(), 0, "no convergence work was done");
+}
+
+#[test]
+fn converge_probe_on_unknown_version_adopts_it() {
+    // Fig. 4 lines 17-18: an FS receiving converge for an unknown
+    // version adopts the metadata with a ⊥ fragment and schedules
+    // convergence work of its own (which will recover the fragment).
+    let fs1_node = NodeId::new(3);
+    let (mut sim, _, fs1, driver) = tiny_world(
+        ConvergenceOptions::all(),
+        vec![(
+            fs1_node,
+            Message::ConvergeFs {
+                ov: ov(),
+                meta: full_meta(100),
+                recovery_intent: false,
+            },
+        )],
+    );
+    sim.run_until_time(SimTime::from_micros(100_000));
+    let fs: &Fs = sim.actor(fs1);
+    assert_eq!(fs.known_versions().count(), 1);
+    assert_eq!(fs.pending_versions().count(), 1);
+    assert!(!fs.verified(ov()), "no fragments yet");
+    let d: &Driver = sim.actor(driver);
+    assert_eq!(d.received(), vec![(fs1_node, "FSConvergeRep")]);
+}
+
+#[test]
+fn late_adopter_waits_min_age_once() {
+    let opts = ConvergenceOptions::all();
+    let min_age = opts.min_age;
+    assert_eq!(min_age, SimDuration::from_secs(300));
+    let stamp = SimTime::from_micros(ov().ts.clock_micros());
+    let (fs0_node, fs1_node) = (NodeId::new(1), NodeId::new(3));
+
+    // fs1 first hears of a 400-s-old version from a sibling's probe
+    // (it was down, say, while the put ran and while the prober waited
+    // out `min_age`). The version has paid its wait: fs1 steps it at
+    // its next round instead of holding it until 400 s + 300 s.
+    let heard = SimTime::ZERO + SimDuration::from_secs(400);
+    let (mut sim, _, fs1, driver) = tiny_world(opts.clone(), Vec::new());
+    sim.enable_trace();
+    // Start the actors (the driver's empty script runs at time zero),
+    // then script the probe for 400 s.
+    sim.run_until_time(SimTime::from_micros(1));
+    sim.actor_mut::<Driver>(driver).script = vec![(
+        fs1_node,
+        Message::ConvergeFs {
+            ov: ov(),
+            meta: full_meta(100),
+            recovery_intent: false,
+        },
+    )];
+    sim.schedule_timer(driver, heard.duration_since(sim.now()), 0);
+    let give_up = heard + SimDuration::from_secs(1_000);
+    sim.run_until(|sim| sim.actor::<Fs>(fs1).steps_run() > 0 || sim.now() >= give_up);
+    let one_way = SimDuration::from_millis(30);
+    assert!(
+        sim.now() <= heard + one_way + opts.round_max,
+        "stepped at {:?}, a second min_age after hearing of it at {heard:?}",
+        sim.now()
+    );
+    assert_eq!(sim.actor::<Fs>(fs1).steps_run(), 1);
+    // The step found both fragments missing and opened a sibling
+    // recovery: intent probes are out to fs0.
+    let stepped_at = sim.now();
+    let trace = sim.trace().expect("tracing");
+    let mut probes = trace.events().iter().filter(|e| e.from == fs1);
+    assert!(
+        probes.any(|e| (e.to, e.kind, e.at) == (fs0_node, "FSConvergeReq", stepped_at)),
+        "no recovery-intent probe left fs1 at {stepped_at:?}"
+    );
+    let work = sim.actor::<Fs>(fs1).store.work(ov()).expect("pending");
+    assert!(work.recovery.is_some());
+
+    // The other side of the gate: an FS that hears of the version
+    // while it is young — the put's own `StoreFragment`, tens of
+    // milliseconds after the stamp — runs no step before stamp + 300 s.
+    let put = vec![(
+        fs0_node,
+        Message::StoreFragment {
+            ov: ov(),
+            meta: full_meta(100),
+            fragment: frags(100)[0].clone(),
+        },
+    )];
+    let (mut sim, fs0, _, _) = tiny_world(opts.clone(), put);
+    sim.run_until_time(stamp + min_age);
+    let fs: &Fs = sim.actor(fs0);
+    assert_eq!(fs.pending_versions().count(), 1);
+    assert_eq!(
+        fs.steps_run(),
+        0,
+        "a round stepped a version younger than min_age"
+    );
+    sim.run_until_time(stamp + min_age + opts.round_max + SimDuration::from_secs(1));
+    assert!(sim.actor::<Fs>(fs0).steps_run() >= 1, "old enough now");
+}
+
+#[test]
+fn full_convergence_from_one_fs_to_amr() {
+    // Only FS0 receives fragments + complete metadata; convergence
+    // alone must propagate fragments to FS1 and metadata to both
+    // KLSs, ending with the version AMR everywhere and no further
+    // pending work. This is naïve convergence doing a real repair.
+    let meta = full_meta(64);
+    let f = frags(64);
+    let fs0_node = NodeId::new(1);
+    let mut opts = ConvergenceOptions::naive();
+    opts.sibling_recovery = true; // exercise the recovery push path
+    opts.schedule = RoundSchedule::Unsynchronized;
+    let (mut sim, fs0, fs1, _) = tiny_world(
+        opts,
+        vec![
+            (
+                fs0_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: meta.clone(),
+                    fragment: f[0].clone(),
+                },
+            ),
+            (
+                fs0_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta,
+                    fragment: f[1].clone(),
+                },
+            ),
+        ],
+    );
+    // Give convergence a few rounds.
+    sim.run_until_time(SimTime::ZERO + SimDuration::from_secs(1200));
+    let a: &Fs = sim.actor(fs0);
+    let b: &Fs = sim.actor(fs1);
+    assert!(a.verified(ov()));
+    assert!(b.verified(ov()), "FS1's fragments were regenerated");
+    assert_eq!(a.pending_versions().count(), 0);
+    assert_eq!(b.pending_versions().count(), 0);
+    assert!(b.recoveries_done() + a.recoveries_done() >= 1);
+    let kls0: &Kls = sim.actor(NodeId::new(0));
+    let kls1: &Kls = sim.actor(NodeId::new(2));
+    assert!(kls0.has_complete_meta(ov()));
+    assert!(kls1.has_complete_meta(ov()));
+}
+
+#[test]
+fn simultaneous_recoveries_resolve_by_server_id() {
+    // Both FSs hold complete metadata but each misses one of its two
+    // assigned fragments; with synchronized rounds both attempt
+    // sibling fragment recovery at the same instant. §4.2's rule —
+    // "an FS only backs off if its unique server id is lower than the
+    // other sibling FS's unique id" — must leave exactly one of them
+    // doing the work, and both end up whole.
+    let meta = full_meta(64);
+    let f = frags(64);
+    let fs0_node = NodeId::new(1); // assigned fragments 0, 1
+    let fs1_node = NodeId::new(3); // assigned fragments 2, 3
+    let mut opts = ConvergenceOptions::all();
+    opts.schedule = RoundSchedule::Synchronized;
+    opts.put_amr_indication = false;
+    opts.min_age = SimDuration::ZERO;
+    let (mut sim, fs0, fs1, _) = tiny_world(
+        opts,
+        vec![
+            (
+                fs0_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: meta.clone(),
+                    fragment: f[0].clone(),
+                },
+            ),
+            (
+                fs1_node,
+                Message::StoreFragment {
+                    ov: ov(),
+                    meta: meta.clone(),
+                    fragment: f[2].clone(),
+                },
+            ),
+        ],
+    );
+    sim.run_until_time(SimTime::ZERO + SimDuration::from_secs(600));
+    let a: &Fs = sim.actor(fs0);
+    let b: &Fs = sim.actor(fs1);
+    assert!(a.verified(ov()), "fs0 has fragments 0 and 1");
+    assert!(b.verified(ov()), "fs1 has fragments 2 and 3");
+    // Exactly one FS performed the recovery; the contention rule
+    // favors the higher id (fs1).
+    assert_eq!(a.recoveries_done(), 0, "lower id backed off");
+    assert_eq!(b.recoveries_done(), 1, "higher id recovered for both");
+    // And the amortization shows on the wire: the recovered sibling
+    // fragment traveled via SiblingStoreReq.
+    assert!(sim.metrics().kind("SiblingStoreReq").count >= 1);
+}
+
+#[test]
+fn compacted_version_keeps_answering_after_its_slot_is_reused() {
+    // Three versions of one key on fs0. v1 and v2 settle AMR, which
+    // compacts v1; v3 then takes v1's vacated slot. Everything the FS
+    // says about v1 afterwards must come from the residual table.
+    let fs_node = NodeId::new(1);
+    let at = |us| {
+        ObjectVersion::new(
+            Key::from_u64(9),
+            Timestamp::new(SimTime::from_micros(us), 0),
+        )
+    };
+    let (v1, v2, v3) = (at(5), at(10), at(15));
+    let meta = full_meta(100);
+    let f = frags(100);
+    let store = |ov, i: usize| {
+        let (meta, fragment) = (meta.clone(), f[i].clone());
+        (fs_node, Message::StoreFragment { ov, meta, fragment })
+    };
+    let indicate = |ov| {
+        let meta = meta.clone();
+        (fs_node, Message::AmrIndication { ov, meta })
+    };
+    // Compaction alone, so fs0 answers the scripted singles with singles.
+    let compacting = ProtocolMode {
+        compact_converged: true,
+        ..ProtocolMode::default()
+    };
+    let (mut sim, fs0, _, driver) =
+        tiny_world_with_mode(compacting, ConvergenceOptions::all(), Vec::new());
+    // Delivers one batch of messages to fs0 and returns the replies.
+    // Well inside the first convergence round (>= 30 s away), so only
+    // the scripted messages act on the store.
+    let deliver = |sim: &mut Simulation<Message>, script| {
+        sim.actor_mut::<Driver>(driver).script = script;
+        sim.schedule_timer(driver, SimDuration::ZERO, 0);
+        let deadline = sim.now() + SimDuration::from_millis(200);
+        sim.run_until_time(deadline);
+        std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
+    };
+    let slab = |sim: &Simulation<Message>| {
+        let store = &sim.actor::<Fs>(fs0).store;
+        (store.slots.len(), store.free.len())
+    };
+
+    deliver(&mut sim, vec![store(v1, 0), store(v1, 1)]);
+    deliver(&mut sim, vec![indicate(v1)]);
+    let first_settled = sim.actor::<Fs>(fs0).amr_settled_at(v1).expect("v1 is AMR");
+    deliver(&mut sim, vec![store(v2, 0), store(v2, 1)]);
+    assert_eq!(slab(&sim), (2, 0));
+    deliver(&mut sim, vec![indicate(v2)]);
+    let mut held = FragMask::new();
+    held.insert(0);
+    held.insert(1);
+    {
+        let fs: &Fs = sim.actor(fs0);
+        assert_eq!(fs.compacted_residual(v1), Some(held), "v2 superseded v1");
+        assert!(fs.entry(v1).is_none());
+        assert_eq!((fs.resident_slots(), fs.compacted_count()), (1, 1));
+        assert_eq!(slab(&sim), (2, 1), "v1's slot is on the free list");
+    }
+    deliver(&mut sim, vec![store(v3, 0)]);
+    assert_eq!(
+        slab(&sim),
+        (2, 0),
+        "v3 reused v1's slot; the slab did not grow"
+    );
+    assert_eq!(sim.actor::<Fs>(fs0).resident_slots(), 2);
+
+    // A re-delivered fragment of v1 is acknowledged like a duplicate
+    // and resurrects nothing.
+    let replies = deliver(&mut sim, vec![store(v1, 0)]);
+    assert!(
+        matches!(replies[..], [(_, Message::StoreFragmentReply { ov, fragment: 0 })] if ov == v1),
+        "{replies:?}"
+    );
+    {
+        let fs: &Fs = sim.actor(fs0);
+        assert!(fs.entry(v1).is_none(), "no full entry resurrected");
+        assert_eq!(fs.known_versions().collect::<Vec<_>>(), [v1, v2, v3]);
+        assert_eq!(fs.pending_versions().collect::<Vec<_>>(), [v3]);
+        assert_eq!((fs.resident_slots(), fs.compacted_count()), (2, 1));
+        assert_eq!(slab(&sim), (2, 0));
+    }
+
+    // A sibling's probe hears what the full store would have said.
+    let probe = Message::ConvergeFs {
+        ov: v1,
+        meta: meta.clone(),
+        recovery_intent: false,
+    };
+    let replies = deliver(&mut sim, vec![(fs_node, probe)]);
+    match &replies[..] {
+        [(
+            _,
+            Message::ConvergeFsReply {
+                ov,
+                verified: true,
+                have,
+                missing,
+                recovering: false,
+            },
+        )] => {
+            assert_eq!(*ov, v1);
+            assert_eq!(have[..], [0, 1]);
+            assert!(missing.is_empty());
+        }
+        other => panic!("unexpected replies {other:?}"),
+    }
+
+    // A repeated indication re-stamps the settle time, as it does for
+    // a full entry, and leaves the residual alone.
+    deliver(&mut sim, vec![indicate(v1)]);
+    let fs: &Fs = sim.actor(fs0);
+    let restamped = fs.amr_settled_at(v1).expect("still AMR");
+    assert!(
+        restamped > first_settled,
+        "{restamped:?} vs {first_settled:?}"
+    );
+    assert_eq!(fs.compacted_residual(v1), Some(held));
+    assert!(fs.verified(v1));
+    assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), [v1]);
+    assert_eq!(fs.amr_versions().collect::<Vec<_>>(), [v1, v2]);
+}
+
+/// Batched rounds are a network, not an identity: a round that steps
+/// `M` versions puts one message per destination on the wire, and the
+/// network loses it as one.
+#[test]
+fn a_batched_round_is_one_message_per_destination_lost_as_one() {
+    use crate::messages::{HEADER_BYTES, OV_BYTES};
+    use simnet::trace::Disposition::{Delivered, DroppedFault};
+    use simnet::Payload;
+
+    const M: usize = 4;
+    let (kls0, fs0_node, kls1, fs1_node) = (
+        NodeId::new(0),
+        NodeId::new(1),
+        NodeId::new(2),
+        NodeId::new(3),
+    );
+    let meta = full_meta(64);
+    let f = frags(64);
+    let versions: Vec<ObjectVersion> = (0..M as u64)
+        .map(|i| {
+            ObjectVersion::new(
+                Key::from_u64(9 + i),
+                Timestamp::new(SimTime::from_micros(5 + i), 0),
+            )
+        })
+        .collect();
+    // Every version fully stored on both servers, so the first round
+    // (naive convergence: synchronized, at 60 s) verifies all of them.
+    let script = || -> Vec<(NodeId, Message)> {
+        let store = |to, ov, i: usize| {
+            let (meta, fragment) = (meta.clone(), f[i].clone());
+            (to, Message::StoreFragment { ov, meta, fragment })
+        };
+        let both = |&ov| {
+            [
+                store(fs0_node, ov, 0),
+                store(fs0_node, ov, 1),
+                store(fs1_node, ov, 2),
+                store(fs1_node, ov, 3),
+            ]
+        };
+        versions.iter().flat_map(both).collect()
+    };
+    let round = |n: u64| SimTime::ZERO + SimDuration::from_secs(60 * n);
+    // fs0 cannot reach kls1 for the instant its first round sends.
+    let cut = || {
+        let mut faults = simnet::FaultPlan::none();
+        faults.add_link_outage(fs0_node, kls1, round(1), SimDuration::from_millis(1));
+        faults
+    };
+    let opts = ConvergenceOptions::naive;
+    let sends = |sim: &Simulation<Message>, kind| sim.metrics().kind(kind).count;
+
+    // One message per version: the cut costs M probes.
+    let (mut sim, ..) = tiny_world_with_faults(cut(), ProtocolMode::default(), opts(), script());
+    sim.run_until_time(round(2) + SimDuration::from_secs(1));
+    assert_eq!(sim.metrics().dropped(), M as u64);
+    assert_eq!(sends(&sim, "KLSConvergeReq"), 6 * M as u64);
+
+    let batching = ProtocolMode {
+        batch_rounds: true,
+        ..ProtocolMode::default()
+    };
+    let (mut sim, fs0, fs1, _) = tiny_world_with_faults(cut(), batching, opts(), script());
+    sim.enable_trace();
+    sim.run_until_time(round(1) + SimDuration::from_secs(1));
+
+    // What fs0's round put on the wire: one probe per KLS and one for
+    // its sibling, each M entries under one header.
+    let bodies = |single: &dyn Fn(ObjectVersion) -> Message| -> usize {
+        let body = |&ov| single(ov).wire_size() - HEADER_BYTES;
+        versions.iter().map(body).sum()
+    };
+    let kls_probe = HEADER_BYTES
+        + bodies(&|ov| {
+            let meta = meta.clone();
+            Message::ConvergeKls { ov, meta }
+        });
+    let fs_probe = HEADER_BYTES
+        + bodies(&|ov| Message::ConvergeFs {
+            ov,
+            meta: meta.clone(),
+            recovery_intent: false,
+        });
+    let sent_by_fs0_at = |sim: &Simulation<Message>, at| -> Vec<_> {
+        let trace = sim.trace().expect("tracing");
+        let probes = trace
+            .events()
+            .iter()
+            .filter(|e| e.from == fs0 && e.at == at);
+        probes
+            .map(|e| (e.to, e.kind, e.bytes, e.disposition))
+            .collect()
+    };
+    assert_eq!(
+        sent_by_fs0_at(&sim, round(1)),
+        [
+            (kls0, "KLSConvergeReq", kls_probe, Delivered),
+            (kls1, "KLSConvergeReq", kls_probe, DroppedFault),
+            (fs1_node, "FSConvergeReq", fs_probe, Delivered),
+        ]
+    );
+    assert_eq!(sim.metrics().dropped(), 1, "one message lost, not {M}");
+    // The answers come back the same way: one reply per probe message.
+    let trace = sim.trace().expect("tracing");
+    let replies: Vec<_> = trace.events().iter().filter(|e| e.to == fs0).collect();
+    let kls_replies: Vec<_> = replies.iter().filter(|e| e.from == kls0).collect();
+    assert_eq!(kls_replies.len(), 1);
+    assert_eq!(kls_replies[0].kind, "KLSConvergeRep");
+    assert_eq!(kls_replies[0].bytes, HEADER_BYTES + M * (OV_BYTES + 1));
+    let fs_reply_kinds: Vec<_> = replies
+        .iter()
+        .filter(|e| e.from == fs1_node)
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(fs_reply_kinds, ["FSConvergeReq", "FSConvergeRep"]);
+
+    // Exactly the M versions of the lost message lack kls1's answer,
+    // each with its own step open and its own back-off charged; fs1,
+    // which lost nothing, is done.
+    {
+        let fs: &Fs = sim.actor(fs0);
+        assert_eq!(fs.pending_versions().collect::<Vec<_>>(), versions);
+        for &ov in &versions {
+            let work = fs.store.work(ov).expect("pending");
+            assert!(work.step_open);
+            assert_eq!(work.kls_ok.iter().collect::<Vec<_>>(), [&kls0]);
+            assert_eq!(work.fs_ok.iter().collect::<Vec<_>>(), [&fs1_node]);
+            assert_eq!(work.attempts, 1);
+            assert_eq!(work.next_eligible, round(1) + fs.opts.backoff_delay(1));
+        }
+        assert_eq!(sim.actor::<Fs>(fs1).amr_versions().count(), M);
+    }
+
+    // The next round they are due in retries them, again as one
+    // message per destination, and this time everything verifies.
+    sim.run_until_time(round(2) + SimDuration::from_secs(1));
+    assert_eq!(
+        sent_by_fs0_at(&sim, round(2)),
+        [
+            (kls0, "KLSConvergeReq", kls_probe, Delivered),
+            (kls1, "KLSConvergeReq", kls_probe, Delivered),
+            (fs1_node, "FSConvergeReq", fs_probe, Delivered),
+        ]
+    );
+    assert_eq!(
+        sim.actor::<Fs>(fs0).amr_versions().collect::<Vec<_>>(),
+        versions
+    );
+    assert_eq!(
+        sends(&sim, "KLSConvergeReq"),
+        6,
+        "against {} unbatched",
+        6 * M
+    );
+    assert_eq!(sends(&sim, "KLSConvergeRep"), 5);
+}
+
+#[test]
+fn retrieve_unknown_fragment_answers_bottom() {
+    let fs_node = NodeId::new(1);
+    let (mut sim, _, _, driver) = tiny_world(
+        ConvergenceOptions::all(),
+        vec![(
+            fs_node,
+            Message::RetrieveFrag {
+                op: 1,
+                ov: ov(),
+                fragment: 0,
+            },
+        )],
+    );
+    sim.run_until_time(SimTime::from_micros(100_000));
+    let d: &Driver = sim.actor(driver);
+    assert_eq!(d.received(), vec![(fs_node, "RetrieveFragRep")]);
+}

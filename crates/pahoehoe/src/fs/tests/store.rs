@@ -1,0 +1,414 @@
+use super::*;
+use crate::fs::tests::full_meta;
+use crate::protocol::FragMap;
+
+#[test]
+fn residual_record_is_packed() {
+    assert!(std::mem::size_of::<Residual>() <= 24);
+
+    let version = |key: u64, us: u64| {
+        ObjectVersion::new(
+            Key::from_u64(key),
+            Timestamp::new(SimTime::from_micros(us), 0),
+        )
+    };
+    // Distinct for distinct `i`, with bits in every word of the mask:
+    // the binary digits of `i + 1`, 28 indices apart.
+    let mask_of = |i: usize| {
+        let mut mask = FragMask::new();
+        for bit in (0..10).filter(|bit| ((i + 1) >> bit) & 1 == 1) {
+            mask.insert((bit * 28) as FragmentIndex);
+        }
+        mask
+    };
+
+    // A short chain is exactly as long as what it holds, through the
+    // store's own compaction path; a long one reallocates rarely.
+    let mut store = VersionStore::new();
+    let key = Key::from_u64(7);
+    let mut capacities = BTreeSet::new();
+    for i in 0..=1_000u64 {
+        let ov = version(7, 10 * (i + 1));
+        let at = SimTime::from_micros(i);
+        let (entry, _) = store
+            .entry_or_insert_with(ov, at, || FragEntry {
+                meta: full_meta(8),
+                fragments: FragMap::new(),
+                checksums: FragMap::new(),
+            })
+            .expect("a new version is never a residual");
+        entry.fragments.insert(0, Fragment::new(0, vec![0; 4]));
+        store.settle_amr(ov, at);
+        store.compact_superseded(ov);
+        assert_eq!(store.compacted_count() as u64, i);
+        let Some(chain) = store.residuals.chains.get(&key) else {
+            assert_eq!(i, 0, "the second settle compacts the first version");
+            continue;
+        };
+        assert_eq!(chain.len() as u64, i);
+        if i <= 4 {
+            assert_eq!(chain.capacity(), chain.len(), "{i} compactions");
+        }
+        capacities.insert(chain.capacity());
+    }
+    assert!(capacities.len() <= 16, "{capacities:?}");
+    assert_eq!(store.residuals.masks.len(), 1);
+    assert_eq!(store.resident_slots(), 1);
+
+    // N distinct masks are N table entries, each read back bit-exact.
+    let mut table = ResidualTable::default();
+    for i in 0..300 {
+        table.insert(version(i as u64 % 9, i as u64), mask_of(i), SimTime::ZERO);
+    }
+    assert_eq!(table.masks.len(), 300);
+    for i in 0..300 {
+        let residual = table
+            .get(version(i as u64 % 9, i as u64))
+            .expect("inserted");
+        assert_eq!(table.held(residual), mask_of(i), "mask {i}");
+    }
+
+    // The table grows with the masks in use, not with the residuals.
+    let mut table = ResidualTable::default();
+    for i in 0..10_000 {
+        let ov = version(i as u64 % 100, i as u64 / 100);
+        table.insert(ov, mask_of(i % 7), SimTime::from_micros(i as u64));
+    }
+    assert_eq!((table.count, table.chains.len()), (10_000, 100));
+    assert!(table.masks.len() <= 7, "{}", table.masks.len());
+    assert_eq!(
+        table.versions().collect::<Vec<_>>(),
+        (0..100u64)
+            .flat_map(|key| (0..100u64).map(move |us| version(key, us)))
+            .collect::<Vec<_>>()
+    );
+    for i in 0..10_000 {
+        let residual = table
+            .get(version(i as u64 % 100, i as u64 / 100))
+            .expect("inserted");
+        assert_eq!(table.held(residual), mask_of(i % 7));
+        assert_eq!(residual.amr_at, SimTime::from_micros(i as u64));
+    }
+}
+
+#[test]
+#[should_panic(expected = "65536 distinct fragment-index sets")]
+fn residual_mask_ids_run_out_loudly() {
+    // A full id space (the entries' values do not matter here).
+    let mut table = ResidualTable {
+        masks: vec![FragMask::new(); 1 << 16],
+        ..ResidualTable::default()
+    };
+    assert_eq!(
+        table.intern(FragMask::new()),
+        0,
+        "a known mask still interns"
+    );
+    let mut fresh = FragMask::new();
+    fresh.insert(1);
+    table.intern(fresh);
+}
+// ---- the version store against a map-based model ----
+
+/// Timestamps per key in the model test: enough for six compacted
+/// versions of a key beside a live one.
+const MODEL_TIMESTAMPS: usize = 8;
+
+/// The versions the model test draws from: 3 keys x 8 timestamps.
+const MODEL_VERSIONS: usize = 3 * MODEL_TIMESTAMPS;
+
+/// The fragment indices the model test stores: every word of a
+/// [`FragMask`] and both of its ends.
+const MODEL_FRAGMENTS: [FragmentIndex; 6] = [0, 1, 2, 3, 64, 255];
+
+fn model_version(i: usize) -> ObjectVersion {
+    let (key, ts) = (i / MODEL_TIMESTAMPS, i % MODEL_TIMESTAMPS);
+    ObjectVersion::new(
+        Key::from_u64(1 + key as u64),
+        Timestamp::new(SimTime::from_micros(10 * (1 + ts) as u64), 0),
+    )
+}
+
+/// What every case starts with, on the first key: the residual-chain
+/// shapes a random sequence reaches too rarely to rely on. Versions
+/// settle out of timestamp order, so two residuals land mid-chain —
+/// one holding `{64, 255}`, the same count as its neighbours'
+/// `{0, 1}` — six compactions take the chain past its exact-fit
+/// length, and a repeated settle re-stamps a mid-chain record.
+fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
+    const INSERT: u8 = 0;
+    const FRAGMENT: u8 = 2;
+    const SETTLE: u8 = 3;
+    let held: [&[FragmentIndex]; 8] = [
+        &[0, 1],
+        &[0, 1],
+        &[64, 255],
+        &[2],
+        &[0, 1],
+        &[0, 1],
+        &[3],
+        &[],
+    ];
+    let mut ops = Vec::new();
+    for (version, indices) in held.iter().enumerate() {
+        ops.push((INSERT, version, 0));
+        ops.extend(indices.iter().map(|&idx| (FRAGMENT, version, idx)));
+    }
+    // Chain of the first key after each settle, compaction on:
+    // [] [0] [0 3] [0 1 3] [0 1 2 3] [0 1 2 3 4] [.. 5]; then the
+    // re-stamp of 1 and 2; then [.. 6].
+    ops.extend([0, 3, 4, 1, 2, 5, 6, 1, 2, 7].map(|version| (SETTLE, version, 0)));
+    ops
+}
+
+/// What the model keeps per known version: the fragment indices held,
+/// and whether compaction has reduced the version to that set.
+#[derive(Default)]
+struct ModelEntry {
+    held: BTreeSet<FragmentIndex>,
+    compacted: bool,
+}
+
+/// The version store as four ordered collections — the obvious
+/// representation, from which [`VersionStore`]'s slab, sharded index,
+/// pending list, free list and residual table must be
+/// indistinguishable.
+#[derive(Default)]
+struct ModelStore {
+    entries: BTreeMap<ObjectVersion, ModelEntry>,
+    pending: BTreeSet<ObjectVersion>,
+    amr: BTreeMap<ObjectVersion, SimTime>,
+    gave_up: BTreeSet<ObjectVersion>,
+}
+
+impl ModelStore {
+    fn is_live(&self, ov: ObjectVersion) -> bool {
+        self.entries.get(&ov).is_some_and(|e| !e.compacted)
+    }
+
+    /// `entry_or_insert_with`: `None` for a compacted version, else
+    /// whether the version was new.
+    fn insert(&mut self, ov: ObjectVersion) -> Option<bool> {
+        if self.entries.get(&ov).is_some_and(|e| e.compacted) {
+            return None;
+        }
+        let inserted = !self.entries.contains_key(&ov);
+        if inserted {
+            self.entries.insert(ov, ModelEntry::default());
+            self.pending.insert(ov);
+        }
+        Some(inserted)
+    }
+
+    /// `settle_amr`: whether pending work was displaced.
+    fn settle_amr(&mut self, ov: ObjectVersion, at: SimTime) -> bool {
+        self.gave_up.remove(&ov);
+        self.amr.insert(ov, at);
+        self.pending.remove(&ov)
+    }
+
+    /// The compaction rule, stated on its own: on the first AMR
+    /// settle of `ov`, every settled-AMR version of the key older
+    /// than `ov` — and `ov` itself if a newer settled-AMR version of
+    /// the key exists — keeps only its held indices and settle time.
+    fn compact_superseded(&mut self, ov: ObjectVersion) {
+        let newer_amr = self.amr.keys().any(|v| v.key == ov.key && v.ts > ov.ts);
+        for (v, entry) in &mut self.entries {
+            let superseded = v.key == ov.key && (v.ts < ov.ts || (*v == ov && newer_amr));
+            if superseded && self.amr.contains_key(v) {
+                entry.compacted = true;
+            }
+        }
+    }
+
+    /// `settle_gave_up`: whether pending work was displaced.
+    fn settle_gave_up(&mut self, ov: ObjectVersion) -> bool {
+        self.gave_up.insert(ov);
+        self.pending.remove(&ov)
+    }
+
+    fn reopen(&mut self, ov: ObjectVersion) {
+        self.amr.remove(&ov);
+        self.gave_up.remove(&ov);
+        self.pending.insert(ov);
+    }
+}
+
+/// Compares everything the store answers with the model's answer.
+fn check_against_model(
+    store: &mut VersionStore,
+    model: &ModelStore,
+    now: SimTime,
+) -> proptest::test_runner::TestCaseResult {
+    use proptest::prelude::*;
+
+    let held = |e: &FragEntry| e.fragments.keys().copied().collect::<BTreeSet<_>>();
+    for ov in (0..MODEL_VERSIONS).map(model_version) {
+        let m = model.entries.get(&ov);
+        let full = m.filter(|e| !e.compacted).map(|e| e.held.clone());
+        prop_assert_eq!(store.entry(ov).map(held), full, "entry of {:?}", ov);
+        prop_assert_eq!(store.work(ov).is_some(), model.pending.contains(&ov));
+        prop_assert_eq!(
+            store.is_settled(ov),
+            model.amr.contains_key(&ov) || model.gave_up.contains(&ov),
+            "is_settled({:?})",
+            ov
+        );
+        prop_assert_eq!(store.amr_at(ov), model.amr.get(&ov).copied());
+        let residual = m.filter(|e| e.compacted).map(|e| {
+            let mut mask = FragMask::new();
+            for &idx in &e.held {
+                mask.insert(idx);
+            }
+            mask
+        });
+        prop_assert_eq!(store.residual(ov), residual, "residual of {:?}", ov);
+        if residual.is_some() {
+            let again = store.entry_or_insert_with(ov, now, || -> FragEntry {
+                unreachable!("a compacted version is never rebuilt")
+            });
+            prop_assert!(again.is_none(), "{:?} was resurrected", ov);
+        }
+    }
+
+    // Listings: same versions, same order; listed slots resolve.
+    let pending: Vec<_> = model.pending.iter().copied().collect();
+    let live: Vec<_> = model
+        .entries
+        .keys()
+        .copied()
+        .filter(|&ov| model.is_live(ov))
+        .collect();
+    let compacted: Vec<_> = model
+        .entries
+        .keys()
+        .copied()
+        .filter(|&ov| !model.is_live(ov))
+        .collect();
+    let mut listed = Vec::new();
+    store.collect_pending(&mut listed);
+    prop_assert_eq!(
+        listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(),
+        pending.clone()
+    );
+    for &(ov, s) in &listed {
+        prop_assert!(store.work_at(ov, s).is_some() && store.entry_at(ov, s).is_some());
+    }
+    store.collect_live(&mut listed);
+    prop_assert_eq!(listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(), live);
+    for &(ov, s) in &listed {
+        prop_assert_eq!(store.entry_at(ov, s).map(held), store.entry(ov).map(held));
+    }
+    prop_assert_eq!(store.pending_versions().collect::<Vec<_>>(), pending);
+    prop_assert_eq!(store.pending_is_empty(), model.pending.is_empty());
+    prop_assert_eq!(
+        store.known_versions().collect::<Vec<_>>(),
+        model.entries.keys().copied().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(
+        store.amr_versions().collect::<Vec<_>>(),
+        model.amr.keys().copied().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(
+        store.gave_up_versions().collect::<Vec<_>>(),
+        model.gave_up.iter().copied().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(
+        store.compacted_versions().collect::<Vec<_>>(),
+        compacted.clone()
+    );
+    prop_assert_eq!(store.compacted_count(), compacted.len());
+    prop_assert_eq!(
+        store.resident_slots() + store.compacted_count(),
+        store.known_versions().count()
+    );
+    Ok(())
+}
+
+/// Drives the store and the model through `ops` — `(kind, version,
+/// fragment index)` triples — comparing after every step. Operations
+/// keep to what `Fs` does: it settles only versions it has adopted,
+/// gives up only on pending ones, and reopens only versions whose
+/// full entry it holds.
+fn run_against_model(
+    ops: &[(u8, usize, FragmentIndex)],
+    compact: bool,
+) -> proptest::test_runner::TestCaseResult {
+    use proptest::prelude::*;
+
+    let mut store = VersionStore::new();
+    let mut model = ModelStore::default();
+    let blank = || FragEntry {
+        meta: full_meta(8),
+        fragments: FragMap::new(),
+        checksums: FragMap::new(),
+    };
+    for (step, &(kind, version, idx)) in ops.iter().enumerate() {
+        let now = SimTime::from_micros(1 + step as u64);
+        let ov = model_version(version);
+        match kind {
+            0 | 1 => {
+                let got = store
+                    .entry_or_insert_with(ov, now, blank)
+                    .map(|(_, new)| new);
+                prop_assert_eq!(got, model.insert(ov), "insert {:?}", ov);
+            }
+            2 => {
+                let entry = store.entry_mut(ov);
+                prop_assert_eq!(entry.is_some(), model.is_live(ov));
+                if let Some(entry) = entry {
+                    entry
+                        .fragments
+                        .insert(idx, Fragment::new(idx, vec![idx; 4]));
+                    model.entries.entry(ov).or_default().held.insert(idx);
+                }
+            }
+            3..=5 if model.entries.contains_key(&ov) => {
+                let first = store.amr_at(ov).is_none();
+                prop_assert_eq!(first, !model.amr.contains_key(&ov));
+                let displaced = store.settle_amr(ov, now).is_some();
+                prop_assert_eq!(displaced, model.settle_amr(ov, now), "settle {:?}", ov);
+                if compact && first {
+                    store.compact_superseded(ov);
+                    model.compact_superseded(ov);
+                }
+            }
+            6 if model.pending.contains(&ov) => {
+                let displaced = store.settle_gave_up(ov).is_some();
+                prop_assert_eq!(displaced, model.settle_gave_up(ov));
+            }
+            7 if model.is_live(ov) => {
+                store.reopen(ov, now);
+                model.reopen(ov);
+            }
+            _ => {}
+        }
+        check_against_model(&mut store, &model, now)?;
+    }
+    Ok(())
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The slab store answers exactly as the map-based model does,
+    /// with compaction off and on, through interleavings a cluster
+    /// run rarely produces: give-up and reopen between settles,
+    /// settles in any version order, slot reuse after compaction,
+    /// and (by [`model_prelude`]) long, mixed-mask residual chains
+    /// filled out of order.
+    #[test]
+    fn version_store_matches_the_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0..MODEL_VERSIONS, 0..MODEL_FRAGMENTS.len()),
+            1..160,
+        ),
+    ) {
+        let drawn = ops
+            .into_iter()
+            .map(|(kind, version, nth)| (kind, version, MODEL_FRAGMENTS[nth]));
+        let ops: Vec<_> = model_prelude().into_iter().chain(drawn).collect();
+        run_against_model(&ops, false)?;
+        run_against_model(&ops, true)?;
+    }
+}
