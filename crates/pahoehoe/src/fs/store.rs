@@ -83,7 +83,7 @@ enum VersionState {
 /// One dense per-version record: fragment entry and lifecycle state side
 /// by side in one slab slot.
 #[derive(Debug)]
-pub(super) struct VersionSlot {
+struct VersionSlot {
     ov: ObjectVersion,
     entry: FragEntry,
     state: VersionState,
@@ -328,9 +328,9 @@ impl ShardIndex {
 #[derive(Debug)]
 pub(super) struct VersionStore {
     /// `None` marks a vacated slot, listed in `free`.
-    pub(super) slots: Vec<Option<VersionSlot>>,
+    slots: Vec<Option<VersionSlot>>,
     /// Slots vacated by compaction, reused before the slab grows.
-    pub(super) free: Vec<u32>,
+    free: Vec<u32>,
     index: ShardIndex,
     /// Slot indices of pending versions, sorted by object version so
     /// rounds step versions in version order.
@@ -457,6 +457,13 @@ impl VersionStore {
     /// Slab slots in use: one per version that still holds a full entry.
     pub(super) fn resident_slots(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// The slab's length and how much of it is on the free list, for the
+    /// actor test that watches a compacted version's slot being reused.
+    #[cfg(test)]
+    pub(super) fn slab_shape(&self) -> (usize, usize) {
+        (self.slots.len(), self.free.len())
     }
 
     /// Incremental compaction run on the *first* settle of `ov`:

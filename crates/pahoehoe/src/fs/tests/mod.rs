@@ -483,10 +483,7 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
         sim.run_until_time(deadline);
         std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
     };
-    let slab = |sim: &Simulation<Message>| {
-        let store = &sim.actor::<Fs>(fs0).store;
-        (store.slots.len(), store.free.len())
-    };
+    let slab = |sim: &Simulation<Message>| sim.actor::<Fs>(fs0).store.slab_shape();
 
     deliver(&mut sim, vec![store(v1, 0), store(v1, 1)]);
     deliver(&mut sim, vec![indicate(v1)]);
