@@ -136,12 +136,7 @@ pub struct Fs {
 
 impl Fs {
     /// Creates the FS for data center `my_dc` with the given convergence
-    /// configuration and the default [`ProtocolMode`].
-    pub fn new(topo: Arc<Topology>, my_dc: DataCenterId, opts: ConvergenceOptions) -> Self {
-        Self::with_mode(topo, my_dc, opts, ProtocolMode::default())
-    }
-
-    /// Creates the FS with an explicit [`ProtocolMode`].
+    /// configuration and [`ProtocolMode`].
     pub fn with_mode(
         topo: Arc<Topology>,
         my_dc: DataCenterId,
@@ -429,31 +424,26 @@ impl Actor<Message> for Fs {
                 // is corrupt — drop it, answer ⊥, and let convergence
                 // regenerate it (§3.1).
                 let mut data = None;
-                if let Some(entry) = self.store.entry(ov) {
+                let mut corrupt = false;
+                if let Some(entry) = self.store.entry_mut(ov) {
                     if let Some(frag) = entry.fragments.get(&fragment) {
-                        let ok = entry
+                        let sound = entry
                             .checksums
                             .get(&fragment)
                             .is_some_and(|sum| sum.verify(frag.data()));
-                        if ok {
+                        if sound {
                             data = Some(frag.clone());
+                        } else {
+                            // Present but corrupt.
+                            entry.fragments.remove(&fragment);
+                            entry.checksums.remove(&fragment);
+                            corrupt = true;
                         }
                     }
                 }
-                if data.is_none()
-                    && self
-                        .store
-                        .entry(ov)
-                        .is_some_and(|e| e.fragments.contains_key(&fragment))
-                {
-                    // Present but corrupt.
-                    let now = ctx.now();
-                    // lint:allow(panic-path): the entry was checked present just above
-                    let entry = self.store.entry_mut(ov).expect("present");
-                    entry.fragments.remove(&fragment);
-                    entry.checksums.remove(&fragment);
+                if corrupt {
                     self.corruption_detected += 1;
-                    self.re_pend(ov, now);
+                    self.re_pend(ov, ctx.now());
                     self.ensure_round(ctx);
                 }
                 ctx.send(

@@ -19,7 +19,7 @@ impl Fs {
         let timeout_timer =
             ctx.schedule_timer(self.opts.recovery_timeout, TAG_RECOVERY_TIMEOUT | op);
 
-        if self.opts.sibling_recovery {
+        let (phase, wait_timer) = if self.opts.sibling_recovery {
             // Probe siblings with the recovery-intent flag; their replies
             // report what they need; we fetch after a short accumulation
             // window.
@@ -37,16 +37,7 @@ impl Fs {
                 }
             }
             let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
-            // lint:allow(panic-path): recovery starts only for pending versions
-            let work = self.store.work_mut(ov).expect("present");
-            work.recovery = Some(Recovery {
-                op,
-                phase: RecoveryPhase::AwaitingReports,
-                reports: BTreeMap::new(),
-                collected: BTreeMap::new(),
-                wait_timer: Some(wait_timer),
-                timeout_timer,
-            });
+            (RecoveryPhase::AwaitingReports, Some(wait_timer))
         } else {
             // Naïve recovery: a get of this object version — request every
             // remotely assigned fragment (§3.4 `recover_fragment`).
@@ -62,17 +53,18 @@ impl Fs {
                     );
                 }
             }
-            // lint:allow(panic-path): recovery starts only for pending versions
-            let work = self.store.work_mut(ov).expect("present");
-            work.recovery = Some(Recovery {
-                op,
-                phase: RecoveryPhase::Fetching,
-                reports: BTreeMap::new(),
-                collected: BTreeMap::new(),
-                wait_timer: None,
-                timeout_timer,
-            });
-        }
+            (RecoveryPhase::Fetching, None)
+        };
+        // lint:allow(panic-path): recovery starts only for pending versions
+        let work = self.store.work_mut(ov).expect("present");
+        work.recovery = Some(Recovery {
+            op,
+            phase,
+            reports: BTreeMap::new(),
+            collected: BTreeMap::new(),
+            wait_timer,
+            timeout_timer,
+        });
     }
 
     /// The recovery-wait window closed: pick fragments to fetch based on
@@ -98,6 +90,7 @@ impl Fs {
             let work = self.store.work_mut(ov).expect("recovering");
             // lint:allow(panic-path): find_recovery guarantees an in-flight recovery
             let rec = work.recovery.as_mut().expect("recovering");
+            debug_assert_eq!(rec.op, op);
             rec.phase = RecoveryPhase::Fetching;
             rec.wait_timer = None;
             for (&fs, (have, _)) in &rec.reports {
@@ -262,29 +255,14 @@ impl Fs {
         ctx.cancel_timer(rec.timeout_timer);
     }
 
-    /// Abandons an in-flight recovery (backoff already set by the step
-    /// that started it).
+    /// Abandons `ov`'s in-flight recovery, if it has one — it timed out,
+    /// could not reach `k` fragments, or lost the contention rule (§4.2) to
+    /// a sibling with a higher id. Backoff was already set by the step that
+    /// started it.
     pub(super) fn abort_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
-        if let Some(work) = self.store.work_mut(ov) {
-            if let Some(rec) = work.recovery.take() {
-                let rec_timers = rec;
-                self.cancel_recovery_timers(ctx, &rec_timers);
-            }
-        }
-    }
-
-    /// Cancels the in-flight recovery identified by `op` for `ov`.
-    pub(super) fn recovery_cancelled(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        ov: ObjectVersion,
-        op: OpId,
-    ) {
-        if let Some(work) = self.store.work_mut(ov) {
-            if let Some(rec) = work.recovery.take() {
-                debug_assert_eq!(rec.op, op);
-                self.cancel_recovery_timers(ctx, &rec);
-            }
+        let work = self.store.work_mut(ov);
+        if let Some(rec) = work.and_then(|w| w.recovery.take()) {
+            self.cancel_recovery_timers(ctx, &rec);
         }
     }
 }

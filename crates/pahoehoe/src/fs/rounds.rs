@@ -333,14 +333,7 @@ impl Fs {
         // Sibling-recovery contention: both of us are recovering — the FS
         // with the *lower* id backs off (§4.2).
         if recovery_intent && self.opts.sibling_recovery && me < from {
-            let ours = self
-                .store
-                .work(ov)
-                .and_then(|w| w.recovery.as_ref())
-                .map(|r| r.op);
-            if let Some(op) = ours {
-                self.recovery_cancelled(ctx, ov, op);
-            }
+            self.abort_recovery(ctx, ov);
         }
         let (have, missing, verified): (Vec<FragmentIndex>, Vec<FragmentIndex>, bool) =
             match self.store.entry(ov) {
@@ -417,7 +410,7 @@ impl Fs {
                     work.fs_ok.insert(from);
                 }
                 // Recovery bookkeeping.
-                let mut backed_off = None;
+                let mut backed_off = false;
                 if let Some(rec) = work.recovery.as_mut() {
                     if rec.phase == RecoveryPhase::AwaitingReports {
                         rec.reports.insert(from, (have, missing));
@@ -425,12 +418,10 @@ impl Fs {
                     // Contention observed from the reply side: the sender
                     // (higher id) is also recovering — we back off if our
                     // id is lower.
-                    if recovering && me < from {
-                        backed_off = Some(rec.op);
-                    }
+                    backed_off = recovering && me < from;
                 }
-                if let Some(op) = backed_off {
-                    self.recovery_cancelled(ctx, ov, op);
+                if backed_off {
+                    self.abort_recovery(ctx, ov);
                     return;
                 }
                 self.check_amr(ctx, ov);
