@@ -1,25 +1,17 @@
-//! Benchmark crate for the Pahoehoe reproduction.
+//! Recorded benches for the Pahoehoe reproduction.
 //!
-//! All content lives in Criterion benches under `benches/`:
+//! One binary is left: `scale` (`cargo run -p bench --release --bin scale`),
+//! the scale-tier sweep that writes `BENCH_scale.json` and gates what it
+//! records. Host time per layer — codec, checksum, event queue, per-actor
+//! dispatch — is the `erasure.*`, `simnet.*` and `pahoehoe.*` metrics of
+//! the repo benchmark (`benchmark/`, `BENCHMARK.json`), on runs long enough
+//! to rise above noise.
 //!
-//! * `erasure_codec` — encode/decode/recover throughput of the
-//!   from-scratch Reed-Solomon codec;
-//! * `fig5_failure_free`, `fig6_7_fs_failures`, `fig8_kls_failures`,
-//!   `fig9_lossy` — end-to-end convergence runs matching each paper
-//!   figure's scenario (the message/byte tables themselves come from the
-//!   `experiments` binaries);
-//! * `ablations` — sensitivity of convergence cost to the tunables
-//!   DESIGN.md calls out (backoff base, round interval, sibling-recovery
-//!   accumulation window, latency model).
-//!
-//! Run with `cargo bench --workspace` or a single target, e.g.
-//! `cargo bench -p bench --bench erasure_codec`.
-//!
-//! The `BENCH_*.json` writer binaries (`scale`, `delta`) share
-//! [`host_json`], so every recorded file carries the host context needed
-//! to read its numbers honestly (a 4-worker sweep on a single-core runner
-//! cannot speed up, and the record says so), and [`write_record`], which
-//! keeps smoke runs from replacing a committed full-grid record.
+//! This library is what a `BENCH_*.json` writer shares: [`host_json`], so
+//! every recorded file carries the host context needed to read its numbers
+//! honestly (a 4-worker sweep on a single-core runner cannot speed up, and
+//! the record says so), and [`write_record`], which keeps smoke runs from
+//! replacing a committed full-grid record.
 
 use std::path::Path;
 
