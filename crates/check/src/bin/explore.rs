@@ -17,16 +17,16 @@
 //! * `--trace-out PATH` — where to write the violation trace (default
 //!   `target/check-violation.trace`);
 //! * `--workers N` — fan the scenarios out over `N` worker threads through
-//!   `simnet::sweep` (default: the sequential sweep; the two produce
-//!   byte-identical digests — the CI determinism check);
+//!   `simnet::sweep` (default 1: the same harness, run inline; any `N`
+//!   produces byte-identical digests — the CI determinism check);
 //! * `--digest-out PATH` — write one replay-digest line per scenario, for
-//!   comparing sequential and `--workers` runs byte for byte;
+//!   comparing runs byte for byte;
 //! * `--delta` — switch the delta-aware multiversion codec on and run the
 //!   standard workload for **two rounds**, so every second-round put
 //!   overwrites a key and exercises the XOR-delta stripe path. Delta mode
 //!   changes the message flow (delta puts skip location decision), so its
 //!   digests differ from the default sweep's, but every invariant must
-//!   hold and the sequential and `--workers` digests must still match;
+//!   hold and the digests must still not depend on `--workers`;
 //! * `--batch` — run the sweep with batched convergence rounds on: every
 //!   fault plan and preset with an FS's round traffic sent, lost,
 //!   duplicated and answered one multi-entry message per destination at a
@@ -50,7 +50,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use check::explorer::{self, Injection, SweepConfig};
+use check::explorer::{self, Injection, SweepConfig, WorkloadCfg};
 
 fn usage() -> ! {
     eprintln!(
@@ -62,11 +62,13 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
-    let mut cfg = SweepConfig::full();
+    let mut smoke = false;
+    let mut seeds: Option<u64> = None;
+    let mut workload = WorkloadCfg::default();
     let mut injection = Injection::None;
     let mut trace_out = PathBuf::from("target/check-violation.trace");
     let mut digest_out: Option<PathBuf> = None;
-    let mut workers: Option<usize> = None;
+    let mut workers = 1usize;
     let mut scale = false;
     let mut repair = false;
     let mut quiet = false;
@@ -79,30 +81,38 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| usage())
         };
         match arg.as_str() {
-            "--smoke" => {
-                let workload = cfg.workload;
-                cfg = SweepConfig::smoke();
-                cfg.workload = workload;
-            }
-            "--seeds" => cfg.seeds = (0..num(&mut args) as u64).collect(),
-            "--puts" => cfg.workload.puts = num(&mut args),
-            "--value-len" => cfg.workload.value_len = num(&mut args),
+            "--smoke" => smoke = true,
+            "--seeds" => seeds = Some(num(&mut args) as u64),
+            "--puts" => workload.puts = num(&mut args),
+            "--value-len" => workload.value_len = num(&mut args),
             "--inject-corruption" => injection = Injection::CorruptFragment,
             "--trace-out" => trace_out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--workers" => workers = Some(num(&mut args)),
+            "--workers" => workers = num(&mut args),
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
             "--delta" => {
-                cfg.workload.protocol.delta = true;
-                cfg.workload.rounds = 2;
+                workload.protocol.delta = true;
+                workload.rounds = 2;
             }
-            "--batch" => cfg.workload.protocol.batch_rounds = true,
+            "--batch" => workload.protocol.batch_rounds = true,
             "--scale" => scale = true,
             "--repair" => repair = true,
             "--quiet" => quiet = true,
             _ => usage(),
         }
+    }
+
+    // The sweep is chosen once every flag is read, so `--seeds 1 --smoke`
+    // and `--smoke --seeds 1` are the same 18 scenarios.
+    let mut cfg = if smoke {
+        SweepConfig::smoke()
+    } else {
+        SweepConfig::full()
+    };
+    cfg.workload = workload;
+    if let Some(n) = seeds {
+        cfg.seeds = (0..n).collect();
     }
 
     let total = cfg.scenarios().len();
@@ -121,7 +131,7 @@ fn main() -> ExitCode {
         cfg.presets.len(),
         cfg.workload.puts,
         cfg.workload.value_len,
-        workers.unwrap_or(1),
+        workers,
     );
 
     let mut n = 0usize;
@@ -152,10 +162,7 @@ fn main() -> ExitCode {
             );
         }
     };
-    let result = match workers {
-        Some(w) => explorer::sweep_parallel(&cfg, injection, w, &mut on_scenario),
-        None => explorer::sweep(&cfg, injection, &mut on_scenario),
-    };
+    let result = explorer::sweep(&cfg, injection, workers, &mut on_scenario);
 
     let mut scale_violation = None;
     if scale {

@@ -471,58 +471,19 @@ pub struct SweepResult {
     pub violation: Option<ViolationReport>,
 }
 
-/// Runs every scenario of `cfg`, stopping at (and shrinking) the first
-/// invariant violation. `progress` is invoked after each scenario with the
-/// scenario and its outcome.
-pub fn sweep(
-    cfg: &SweepConfig,
-    injection: Injection,
-    mut progress: impl FnMut(&Scenario, &ScenarioOutcome),
-) -> SweepResult {
-    let mut events_checked = 0u64;
-    let mut scenarios_run = 0usize;
-    for sc in cfg.scenarios() {
-        let outcome = run_scenario(&sc, &cfg.workload, injection, false);
-        scenarios_run += 1;
-        events_checked += outcome.events;
-        let violated = outcome.violation.is_some();
-        progress(&sc, &outcome);
-        if violated {
-            let shrunk = shrink(&sc, &cfg.workload, injection);
-            let shrunk_outcome = run_scenario(&shrunk, &cfg.workload, injection, true);
-            let violation = shrunk_outcome
-                .violation
-                .expect("shrink preserves the violation");
-            return SweepResult {
-                scenarios_run,
-                events_checked,
-                violation: Some(ViolationReport {
-                    original: sc,
-                    shrunk,
-                    violation,
-                    trace: shrunk_outcome.trace.unwrap_or_default(),
-                }),
-            };
-        }
-    }
-    SweepResult {
-        scenarios_run,
-        events_checked,
-        violation: None,
-    }
-}
-
-/// Like [`sweep`], but fans the scenarios out across `workers` scoped
-/// threads via [`simnet::sweep::map_indexed`].
+/// Runs every scenario of `cfg` — fanned out across `workers` scoped
+/// threads via [`simnet::sweep::map_indexed`], inline when `workers` is 1 —
+/// and reports (and shrinks) the first invariant violation. `progress` is
+/// invoked once per scenario, in scenario order, with the scenario and its
+/// outcome.
 ///
-/// The result is **identical** to the sequential sweep: outcomes are
-/// merged in scenario order, `progress` fires in scenario order, and the
-/// walk stops at the first violating scenario *by that order* (later
-/// scenarios may have been speculatively run by other workers, but their
-/// outcomes are discarded exactly as if they had never run). Each
+/// The result does not depend on `workers`: outcomes are merged in scenario
+/// order and the walk stops at the first violating scenario *by that
+/// order* (later scenarios have been run, by this worker or another, but
+/// their outcomes are discarded exactly as if they had never run). Each
 /// scenario run is a pure function of its recipe, so worker scheduling
 /// cannot leak into any outcome.
-pub fn sweep_parallel(
+pub fn sweep(
     cfg: &SweepConfig,
     injection: Injection,
     workers: usize,
@@ -566,8 +527,8 @@ pub fn sweep_parallel(
 
 /// One line of the sweep's replay digest: every deterministic observable
 /// of a scenario run, including a checksum of the full traffic-metrics
-/// rendering. Byte-identical digests across the sequential and parallel
-/// harnesses are what the CI determinism check compares.
+/// rendering. Byte-identical digests from one worker and from two are what
+/// the CI determinism check compares.
 pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> String {
     format!(
         "{index:03} seed={} preset={} drop={} dup={} outages={} -> {:?} events={} t={}us metrics={:016x}",

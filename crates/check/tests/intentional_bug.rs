@@ -24,7 +24,7 @@ fn injected_corruption_is_caught_and_shrunk() {
             ..WorkloadCfg::default()
         },
     };
-    let result = sweep(&cfg, Injection::CorruptFragment, |_, _| {});
+    let result = sweep(&cfg, Injection::CorruptFragment, 1, |_, _| {});
     let report = result.violation.expect("corruption must violate");
     assert!(
         matches!(
@@ -50,7 +50,11 @@ fn explore_binary_exits_nonzero_with_repro_and_trace() {
     let _ = std::fs::remove_file(&trace_path);
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
         .args([
+            // One seed: the sweep runs every scenario before it reports the
+            // first violation, and the first scenario already violates.
             "--smoke",
+            "--seeds",
+            "1",
             "--quiet",
             "--inject-corruption",
             "--trace-out",
@@ -101,6 +105,26 @@ fn explore_binary_rejects_an_empty_sweep() {
 }
 
 #[test]
+fn explore_binary_reads_smoke_and_seeds_in_either_order() {
+    // `--smoke` used to replace the whole sweep configuration, so a
+    // `--seeds` before it was silently dropped (54 scenarios, not 18).
+    for args in [["--seeds", "1", "--smoke"], ["--smoke", "--seeds", "1"]] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
+            .args(args)
+            .args(["--quiet", "--puts", "1", "--value-len", "256"])
+            .output()
+            .expect("explore binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(
+            stdout.contains("exploring 18 scenarios (1 seeds x 3 fault specs x 6 presets)"),
+            "{args:?}: {stdout}"
+        );
+        assert!(stdout.contains("ok: 18 scenarios"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn clean_mini_sweep_reports_no_violation() {
     let cfg = SweepConfig {
         seeds: vec![0, 1],
@@ -113,7 +137,7 @@ fn clean_mini_sweep_reports_no_violation() {
         },
     };
     let mut seen = 0;
-    let result = sweep(&cfg, Injection::None, |_, outcome| {
+    let result = sweep(&cfg, Injection::None, 2, |_, outcome| {
         seen += 1;
         assert!(outcome.events > 0);
     });
