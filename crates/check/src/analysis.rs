@@ -150,7 +150,7 @@ pub struct SrcFile {
 
 impl SrcFile {
     fn new(path: PathBuf, src: String) -> SrcFile {
-        let is_test_file = path.components().any(|c| c.as_os_str() == "tests");
+        let is_test_file = crate::lint::under_tests_dir(&path);
         let model = FileModel::parse(&src);
         SrcFile {
             path,
@@ -454,20 +454,14 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 /// `src/<m>`, however deep the file sits. A file under no such directory
 /// is a unit of its own.
 fn unit_of(path: &Path, product: &BTreeSet<&Path>) -> PathBuf {
-    let mut dirs: Vec<&Path> = path
-        .ancestors()
-        .skip(1)
-        .filter(|dir| !dir.as_os_str().is_empty())
-        .collect();
-    dirs.reverse(); // outermost first: `fs/store/x.rs` belongs to `fs`
-    for dir in dirs {
-        let is_module = product.contains(dir.with_extension("rs").as_path())
-            || product.contains(dir.join("mod.rs").as_path());
-        if is_module {
-            return dir.to_path_buf();
-        }
-    }
-    path.with_extension("")
+    let is_module = |dir: &&Path| {
+        product.contains(dir.with_extension("rs").as_path())
+            || product.contains(dir.join("mod.rs").as_path())
+    };
+    // Ancestors come innermost first; the outermost module directory wins
+    // (`fs/store/x.rs` belongs to `fs`).
+    let outermost = path.ancestors().skip(1).filter(is_module).last();
+    outermost.map_or_else(|| path.with_extension(""), Path::to_path_buf)
 }
 
 fn rule_panic_path(ws: &Workspace, out: &mut Vec<Finding>) {

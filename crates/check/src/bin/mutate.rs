@@ -3,7 +3,8 @@
 //! Modes:
 //!
 //! * `--list` — scan the workspace and print every mutation site with its
-//!   stable id (`operator:file-stem:occurrence`).
+//!   stable id (`operator:stem:occurrence`; the stem is the file's, or the
+//!   module directory's the file was scanned as part of).
 //! * `--smoke` — run the 13 pinned protocol mutants
 //!   ([`check::mutate::PINNED_SMOKE`]) against the explorer smoke sweep
 //!   (run in `--delta` mode so overwrites exercise the XOR-delta stripe

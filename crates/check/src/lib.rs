@@ -26,7 +26,7 @@
 //! 3. **Semantic analyzer** (`cargo run -p check --bin analyze`). The
 //!    [`analysis`] module layers five workspace-wide rules over the
 //!    shared [`rustlite`] front-end (a dependency-free lexer → fn/match
-//!    model → intra-file call graph): dispatch exhaustiveness across
+//!    model → per-module call graph): dispatch exhaustiveness across
 //!    actors, mode-switch test parity, panic-path justification,
 //!    unsafe confinement and kind-registry coherence.
 //!

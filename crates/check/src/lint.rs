@@ -262,6 +262,12 @@ pub fn lint_file(path: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(lint_source(path, &src))
 }
 
+/// Whether `path` lies under a directory named `tests`: test code, to the
+/// analyzer and to the mutation scanner alike.
+pub(crate) fn under_tests_dir(path: &Path) -> bool {
+    path.components().any(|c| c.as_os_str() == "tests")
+}
+
 /// Recursively collects `.rs` files under `dir`, sorted for deterministic
 /// reports.
 pub(crate) fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

@@ -212,7 +212,7 @@ pub fn scan_dir(root: &Path, rel: &Path) -> io::Result<Vec<Mutation>> {
     let mut out = Vec::new();
     for path in files {
         let file = path.strip_prefix(root).unwrap_or(&path);
-        if file.components().any(|c| c.as_os_str() == "tests") {
+        if crate::lint::under_tests_dir(file) {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
@@ -401,7 +401,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Mutation>> {
 /// per-mutant expectations are documented in DESIGN.md §6.
 ///
 /// Each entry is `(id, anchor)`. Ids are ordinals — the n-th site of an
-/// operator in a file — so a comparison inserted above a pinned one
+/// operator in a target — so a comparison inserted above a pinned one
 /// silently retargets the pin; the anchor is text the mutated statement
 /// must contain, and a unit test checks it against the real sources.
 pub const PINNED_SMOKE: &[(&str, &str)] = &[

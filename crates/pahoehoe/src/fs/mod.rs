@@ -39,6 +39,12 @@
 //! question about it (a re-delivered fragment, a sibling's probe, a
 //! repeated AMR indication) is answered as the full entry would have
 //! answered it (DESIGN.md §8.7).
+//!
+//! This file is the actor: the [`Fs`] struct, its constructor and
+//! inspection API, the put path's `store_fragment`, and the [`Actor`] impl
+//! every message and timer enters through. `store.rs` is the version store,
+//! `rounds.rs` the round/step loop, `recovery.rs` fragment recovery,
+//! `scrub.rs` scrub and disk loss (DESIGN.md §2 has the map).
 
 mod recovery;
 mod rounds;
@@ -279,9 +285,9 @@ impl Fs {
 
     // ---- internals ----
 
-    /// This FS's own node id. Valid only while processing an event, so we
-    /// thread it through from the context; stored here for inspection
-    /// methods we keep a copy the first time an event runs.
+    /// This FS's own node id. An actor learns its id from the context of
+    /// the first event it processes; the copy kept then is what the
+    /// inspection methods, which have no context, read.
     fn self_node(&self) -> NodeId {
         // lint:allow(panic-path): self_id is recorded the first time an event runs
         self.self_id.expect("FS has processed at least one event")

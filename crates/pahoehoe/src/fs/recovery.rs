@@ -1,3 +1,7 @@
+//! Fragment recovery (§3.4 `recover_fragment`) and its sibling variant
+//! (§4.2), from the step that finds a fragment missing to every way a
+//! recovery ends: finished, timed out, short of `k`, or backed off.
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -1,3 +1,8 @@
+//! The round/step loop (§3.4, Fig. 4): when a round fires, which pending
+//! versions it steps, what a step does — metadata repair, fragment recovery
+//! (`recovery.rs`) or verification — and the handlers for round traffic,
+//! which leaves through the [`Outbox`].
+
 use std::sync::Arc;
 
 use erasure::FragmentIndex;
@@ -22,6 +27,8 @@ use crate::types::ObjectVersion;
 /// settled before the message was posted, so a lost batch costs each of
 /// its versions exactly what a lost probe costs today: the step stays
 /// unanswered and the version retries on its own back-off.
+///
+/// [`ProtocolMode::batch_rounds`]: crate::protocol::ProtocolMode::batch_rounds
 #[derive(Debug)]
 pub(super) struct Outbox {
     batching: bool,

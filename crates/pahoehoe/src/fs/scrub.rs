@@ -1,3 +1,8 @@
+//! Lost and rotten bytes (§3.1): the harness hooks that destroy a disk or
+//! corrupt a fragment, the paced scrubber that finds corruption, and the
+//! inventory report for the repair engine. Every loss ends the same way:
+//! the version re-enters the convergence store.
+
 use std::sync::Arc;
 
 use erasure::{Fragment, FragmentIndex};
@@ -14,9 +19,8 @@ impl Fs {
     /// Silently corrupts a stored fragment by flipping one payload byte
     /// without touching its recorded checksum — simulating bit rot on
     /// disk. Returns `false` if the fragment is not stored (or empty).
-    /// Wake the FS with [`WAKE_TIMER_TAG`] afterwards if you want the
-    /// scrubber disabled and detection to happen on the next read
-    /// instead.
+    /// Nothing is scheduled: the scrubber finds the damage on a later pass
+    /// if scrubbing is on, and otherwise the next read of the fragment does.
     pub fn corrupt_fragment(&mut self, ov: ObjectVersion, idx: FragmentIndex) -> bool {
         let Some(entry) = self.store.entry_mut(ov) else {
             return false;
@@ -38,6 +42,8 @@ impl Fs {
     /// versions re-enter the convergence store so their fragments get
     /// rebuilt (§3.1's "rebuild destroyed disks"). Returns the number of
     /// fragments lost. Wake the FS with [`WAKE_TIMER_TAG`] afterwards.
+    ///
+    /// [`WAKE_TIMER_TAG`]: super::WAKE_TIMER_TAG
     pub fn destroy_disk(&mut self, disk: u8, now: SimTime) -> usize {
         let me = match self.self_id {
             Some(id) => id,
@@ -92,6 +98,8 @@ impl Fs {
     /// and their versions re-entered for convergence (which regenerates
     /// them from the siblings). Returns the number of corrupted fragments
     /// found this tick.
+    ///
+    /// [`ConvergenceOptions::scrub_chunk_bytes`]: crate::convergence::ConvergenceOptions::scrub_chunk_bytes
     // lint:hot
     pub(super) fn scrub(&mut self, ctx: &mut Context<'_, Message>) -> usize {
         let now = ctx.now();

@@ -1,3 +1,9 @@
+//! The fragment store and the convergence store beside it (§3.1):
+//! [`VersionStore`] holds every version's [`FragEntry`] and whether it is
+//! pending (with its [`ConvWork`]), settled AMR or given up, and shrinks
+//! settled, superseded versions to [`Residual`]s (DESIGN.md §8.7). It
+//! sends nothing and sets no timer.
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use erasure::{Fragment, FragmentIndex};

@@ -1,3 +1,7 @@
+//! The FS actor in a two-DC tiny world, driven by a scripted actor. (The
+//! version store's own tests are `store.rs` here, mounted under
+//! `fs::store`.)
+
 use super::*;
 use crate::convergence::RoundSchedule;
 use crate::kls::Kls;

@@ -1,3 +1,7 @@
+//! `fs::store::tests`: the packed residual record, and the store against a
+//! map-based model — no actor, no cluster. Mounted from `store.rs` and kept
+//! under `tests/` so the analyzer reads it as test code.
+
 use super::*;
 use crate::fs::tests::full_meta;
 use crate::protocol::FragMap;

@@ -7,7 +7,7 @@
 //! delta coding must change what a put ships, never what the archive
 //! holds, and batched rounds must change how many messages convergence
 //! sends, never where it ends up. (The version store itself is checked
-//! against an in-test model in `fs.rs`, without a cluster.)
+//! against an in-test model in `fs/tests/store.rs`, without a cluster.)
 
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
