@@ -471,17 +471,19 @@ pub struct SweepResult {
     pub violation: Option<ViolationReport>,
 }
 
-/// Runs every scenario of `cfg` — fanned out across `workers` scoped
-/// threads via [`simnet::sweep::map_indexed`], inline when `workers` is 1 —
-/// and reports (and shrinks) the first invariant violation. `progress` is
-/// invoked once per scenario, in scenario order, with the scenario and its
-/// outcome.
+/// Runs the scenarios of `cfg`, `workers` at a time — each batch fanned out
+/// over scoped threads via [`simnet::sweep::map_indexed`], inline when
+/// `workers` is 1 — and stops at (and shrinks) the first invariant
+/// violation. `progress` is invoked once per scenario, in scenario order,
+/// with the scenario and its outcome.
 ///
 /// The result does not depend on `workers`: outcomes are merged in scenario
 /// order and the walk stops at the first violating scenario *by that
-/// order* (later scenarios have been run, by this worker or another, but
-/// their outcomes are discarded exactly as if they had never run). Each
-/// scenario run is a pure function of its recipe, so worker scheduling
+/// order* (the rest of its batch has been run, but those outcomes are
+/// discarded exactly as if they had never run; no later batch starts, so a
+/// bug that violates an invariant in one scenario is reported as that
+/// violation rather than as whatever it does to the scenarios after it).
+/// Each scenario run is a pure function of its recipe, so worker scheduling
 /// cannot leak into any outcome.
 pub fn sweep(
     cfg: &SweepConfig,
@@ -489,33 +491,39 @@ pub fn sweep(
     workers: usize,
     mut progress: impl FnMut(&Scenario, &ScenarioOutcome),
 ) -> SweepResult {
-    let outcomes = simnet::sweep::map_indexed(cfg.scenarios(), workers, |_, sc| {
-        let outcome = run_scenario(&sc, &cfg.workload, injection, false);
-        (sc, outcome)
-    });
-
     let mut events_checked = 0u64;
     let mut scenarios_run = 0usize;
-    for (sc, outcome) in &outcomes {
-        scenarios_run += 1;
-        events_checked += outcome.events;
-        progress(sc, outcome);
-        if outcome.violation.is_some() {
-            let shrunk = shrink(sc, &cfg.workload, injection);
-            let shrunk_outcome = run_scenario(&shrunk, &cfg.workload, injection, true);
-            let violation = shrunk_outcome
-                .violation
-                .expect("shrink preserves the violation");
-            return SweepResult {
-                scenarios_run,
-                events_checked,
-                violation: Some(ViolationReport {
-                    original: sc.clone(),
-                    shrunk,
-                    violation,
-                    trace: shrunk_outcome.trace.unwrap_or_default(),
-                }),
-            };
+    let mut scenarios = cfg.scenarios().into_iter();
+    loop {
+        let batch: Vec<Scenario> = scenarios.by_ref().take(workers.max(1)).collect();
+        if batch.is_empty() {
+            break;
+        }
+        let outcomes = simnet::sweep::map_indexed(batch, workers, |_, sc| {
+            let outcome = run_scenario(&sc, &cfg.workload, injection, false);
+            (sc, outcome)
+        });
+        for (sc, outcome) in &outcomes {
+            scenarios_run += 1;
+            events_checked += outcome.events;
+            progress(sc, outcome);
+            if outcome.violation.is_some() {
+                let shrunk = shrink(sc, &cfg.workload, injection);
+                let shrunk_outcome = run_scenario(&shrunk, &cfg.workload, injection, true);
+                let violation = shrunk_outcome
+                    .violation
+                    .expect("shrink preserves the violation");
+                return SweepResult {
+                    scenarios_run,
+                    events_checked,
+                    violation: Some(ViolationReport {
+                        original: sc.clone(),
+                        shrunk,
+                        violation,
+                        trace: shrunk_outcome.trace.unwrap_or_default(),
+                    }),
+                };
+            }
         }
     }
     SweepResult {

@@ -50,11 +50,7 @@ fn explore_binary_exits_nonzero_with_repro_and_trace() {
     let _ = std::fs::remove_file(&trace_path);
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
         .args([
-            // One seed: the sweep runs every scenario before it reports the
-            // first violation, and the first scenario already violates.
             "--smoke",
-            "--seeds",
-            "1",
             "--quiet",
             "--inject-corruption",
             "--trace-out",
