@@ -3,12 +3,14 @@
 //! low/high whiskers), excess-AMR object versions, and non-durable object
 //! versions, as the system-wide message drop rate sweeps 0–15 %.
 //!
-//! Usage: `cargo run -p experiments --release --bin fig9 [--quick]`
+//! Usage: `cargo run -p experiments --release --bin fig9 [--quick] [--csv]`
+//! (`--csv` also writes `fig9.csv`, one row per drop rate, raw values).
 
 use experiments::figures::{fig9, paper_drop_rates, FigureOptions};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let csv = std::env::args().any(|a| a == "--csv");
     let mut opts = if quick {
         FigureOptions::quick()
     } else {
@@ -46,5 +48,24 @@ fn main() {
             p.non_durable.mean,
             if p.all_converged { "yes" } else { "NO" },
         );
+    }
+    if csv {
+        let mut out = String::from(
+            "drop_rate,puts_attempted,attempts_low,attempts_high,excess_amr,non_durable,converged\n",
+        );
+        for p in &points {
+            out.push_str(&format!(
+                "{},{},{},{},{},{},{}\n",
+                p.drop_rate,
+                p.attempts.mean,
+                p.attempts_low_high.0,
+                p.attempts_low_high.1,
+                p.excess_amr.mean,
+                p.non_durable.mean,
+                p.all_converged,
+            ));
+        }
+        std::fs::write("fig9.csv", out).expect("write fig9.csv");
+        eprintln!("wrote fig9.csv");
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent-vs-working-tree benchmark in alternating pairs (choosing-metrics §8).
 #
-#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workload W] [--seed S]
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workload W] [--seed S | --seeds "S1 S2 ..."]
 #
 # Unpacks the parent's committed files (`git archive`, as the driver runs
 # them) under target/bench_pairs/, gives each side its own CARGO_TARGET_DIR,
@@ -13,8 +13,12 @@
 # BENCHMARK.json `bound` (choosing-metrics §6.5): `regression` when the
 # change's median is worse than the parent's by more than the bound,
 # `unresolved` when the parent's own quartile spread is wider than the bound
-# and not every change run beats every parent run, else `within bound`. Every
-# run's JSON line is kept in target/bench_pairs/runs.jsonl. Reads
+# and not every change run beats every parent run, else `within bound`. With
+# --seeds it runs the pairs once per seed, prints one such table per workload
+# and seed, and then one row per workload and metric counting the seeds on
+# which the change's median was better, worse or the same, so that a claim
+# can be checked on a seed not used while writing it (choosing-metrics §6.3).
+# Every run's JSON line is kept in target/bench_pairs/runs.jsonl. Reads
 # BENCHMARK.json; edits nothing under benchmark/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,16 +31,19 @@ usage() {
 [ $# -ge 1 ] || usage
 parent_ref=$1
 shift
-pairs=10 only_workload="" seed=42
+pairs=10 only_workload="" seeds=42
 while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
     case $1 in
     --pairs) pairs=$2 ;;
     --workload) only_workload=$2 ;;
-    --seed) seed=$2 ;;
+    --seed | --seeds) seeds=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
+read -ra seeds <<<"$seeds"
+[ ${#seeds[@]} -ge 1 ] || usage
 
 root=$PWD
 out=$root/target/bench_pairs
@@ -64,12 +71,12 @@ fi
 
 # One run of one side: the last line of the command's output is the JSON
 # object the driver reads.
-run_side() { # side dir workload pair
+run_side() { # side dir workload pair seed
     local line
     line=$(cd "$2" && CARGO_TARGET_DIR=$out/target-$1 \
-        "${command[@]}" --workload "$3" --seed "$seed" | tail -n 1)
+        "${command[@]}" --workload "$3" --seed "$5" | tail -n 1)
     printf '{"side": "%s", "workload": "%s", "pair": %d, "seed": %d, "result": %s}\n' \
-        "$1" "$3" "$4" "$seed" "$line" >>"$runs"
+        "$1" "$3" "$4" "$5" "$line" >>"$runs"
 }
 
 runs=$out/runs.jsonl
@@ -80,16 +87,18 @@ echo "building parent ${sha:0:12} and the working tree ..." >&2
 CARGO_TARGET_DIR=$out/target-change \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
-for workload in "${workloads[@]}"; do
-    for pair in $(seq 1 "$pairs"); do
-        if [ $((pair % 2)) -eq 1 ]; then
-            run_side parent "$parent_dir" "$workload" "$pair"
-            run_side change "$root" "$workload" "$pair"
-        else
-            run_side change "$root" "$workload" "$pair"
-            run_side parent "$parent_dir" "$workload" "$pair"
-        fi
-        echo "  $workload: pair $pair/$pairs done" >&2
+for seed in "${seeds[@]}"; do
+    for workload in "${workloads[@]}"; do
+        for pair in $(seq 1 "$pairs"); do
+            if [ $((pair % 2)) -eq 1 ]; then
+                run_side parent "$parent_dir" "$workload" "$pair" "$seed"
+                run_side change "$root" "$workload" "$pair" "$seed"
+            else
+                run_side change "$root" "$workload" "$pair" "$seed"
+                run_side parent "$parent_dir" "$workload" "$pair" "$seed"
+            fi
+            echo "  seed $seed, $workload: pair $pair/$pairs done" >&2
+        done
     done
 done
 
@@ -113,20 +122,20 @@ def quartiles(xs):
     return at(0.25), at(0.5), at(0.75)
 
 
-for workload in dict.fromkeys(r["workload"] for r in runs):
+def table(title, runs):
+    """Prints one workload's table; returns {metric: direction of the change's median}."""
     sides = {"parent": {}, "change": {}}
     failed = {"parent": 0, "change": 0}
     for r in runs:
-        if r["workload"] != workload:
-            continue
         res = r["result"]
         failed[r["side"]] += res["failed"] + (0 if res["correct"] else 1)
         for name, m in res["metrics"].items():
             sides[r["side"]].setdefault(name, {})[r["pair"]] = m["value"]
     n = len(sides["parent"][spec["end_to_end"][0]["name"]])
-    print(f"\n## {workload}: {n} pairs, failed ops or checks parent {failed['parent']} / change {failed['change']}")
+    print(f"\n## {title}: {n} pairs, failed ops or checks parent {failed['parent']} / change {failed['change']}")
     print("| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | pairs won (change : parent) | beyond parent IQR | vs bound |")
     print("|---|---|---|---|---|---|---|")
+    directions = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         p, c = sides["parent"][name], sides["change"][name]
@@ -137,6 +146,7 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         beyond = abs(cq[1] - pq[1]) > pq[2] - pq[0]
         direction = "same" if cq[1] == pq[1] else (
             "better" if (cq[1] < pq[1]) == lower else "worse")
+        directions[name] = direction
         # The bound is a share of the parent's median, as `benchmark aa` reads it.
         worse = ((cq[1] - pq[1]) if lower else (pq[1] - cq[1])) / pq[1] if pq[1] else 0.0
         spread = (pq[2] - pq[0]) / pq[1] if pq[1] else 0.0
@@ -152,4 +162,23 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
               f"| {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] | {ratio:.4f} "
               f"| {won_c} : {won_p} | {'yes' if beyond else 'no'} ({direction}) "
               f"| {verdict} (worse by {100 * worse:+.2f} %, bound {100 * m['bound']:g} %) |")
+    return directions
+
+
+seeds = list(dict.fromkeys(r["seed"] for r in runs))
+workloads = list(dict.fromkeys(r["workload"] for r in runs))
+across = {}  # (workload, metric) -> the change's direction on each seed
+for seed in seeds:
+    for workload in workloads:
+        title = workload if len(seeds) == 1 else f"{workload}, seed {seed}"
+        of = [r for r in runs if r["workload"] == workload and r["seed"] == seed]
+        for name, direction in table(title, of).items():
+            across.setdefault((workload, name), []).append(direction)
+
+if len(seeds) > 1:
+    print(f"\n## Across seeds {', '.join(map(str, seeds))}: seeds on which the change's median was better / worse / the same")
+    print("| workload | metric | better | worse | same |")
+    print("|---|---|---|---|---|")
+    for (workload, name), ds in across.items():
+        print(f"| {workload} | `{name}` | {ds.count('better')} | {ds.count('worse')} | {ds.count('same')} |")
 EOF

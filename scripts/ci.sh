@@ -80,14 +80,19 @@ explore_mode smoke-repair --smoke --repair
 explore_mode full
 explore_mode smoke-scale-delta-repair --smoke --scale --delta --repair
 
-echo "==> paper figures (regenerated and compared with results/*.txt)"
+echo "==> paper figures (regenerated and compared with results/*.txt and *.csv)"
 # The reproduction's own record, checked the way digests are: Figure 5 is
 # failure-free and takes 5 s; the other four take ~160 s together on two
 # cores. A PR that moves the default protocol mode regenerates the
-# committed files in the same commit (results/README.md).
+# committed files in the same commit (results/README.md). The CSVs are what
+# the paper-claims test (crates/experiments/tests/paper_claims.rs) reads.
+mkdir -p target/figures
 for figure in fig5 fig6_7 fig8 fig9 ablations; do
-    cargo run -p experiments --release --bin "$figure" > "target/$figure.txt"
-    same_as_committed "target/$figure.txt" "$figure.txt"
+    (cd target/figures && cargo run -p experiments --release --bin "$figure" -- --csv > "$figure.txt")
+    same_as_committed "target/figures/$figure.txt" "$figure.txt"
+done
+for csv in target/figures/*.csv; do
+    same_as_committed "$csv" "$(basename "$csv")"
 done
 
 echo "==> bench scale (smoke, gates equal events per update-* pair, compaction in every compacting cell, and the pinned (events, compacted_entries) of all five cells)"
