@@ -27,19 +27,7 @@ impl Fs {
             // Probe siblings with the recovery-intent flag; their replies
             // report what they need; we fetch after a short accumulation
             // window.
-            for fs in meta.siblings() {
-                if fs != me {
-                    self.outbox.post(
-                        ctx,
-                        fs,
-                        Message::ConvergeFs {
-                            ov,
-                            meta: Arc::clone(&meta),
-                            recovery_intent: true,
-                        },
-                    );
-                }
-            }
+            self.probe_siblings(ctx, ov, &meta, true);
             let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
             (RecoveryPhase::AwaitingReports, Some(wait_timer))
         } else {
