@@ -65,9 +65,6 @@ struct Cell {
     dist: KeyDistribution,
     compact: bool,
     seed: u64,
-    /// Per-put overwrite correlation (1/1000 of bytes rewritten at a
-    /// fixed per-key offset); 0 = the standard key-derived blobs.
-    overwrite_delta_permille: u16,
 }
 
 impl Cell {
@@ -121,8 +118,6 @@ impl Cell {
             if self.compact { "on" } else { "off" }.into(),
             "--seed".into(),
             self.seed.to_string(),
-            "--overwrite-permille".into(),
-            self.overwrite_delta_permille.to_string(),
         ]
     }
 }
@@ -166,7 +161,7 @@ fn run_cell(cell: &Cell) -> CellResult {
         policy: cfg.policy,
         seed: cell.seed,
         dist: cell.dist,
-        overwrite_delta_permille: cell.overwrite_delta_permille,
+        overwrite_delta_permille: 0,
     });
     // A million-put stream takes tens of virtual hours; the default
     // one-day ceiling is too close for comfort.
@@ -305,7 +300,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
         dist: KeyDistribution::Zipf { exponent: 1.1 },
         compact,
         seed: 42,
-        overwrite_delta_permille: 0,
     };
     if smoke {
         return vec![
@@ -324,7 +318,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
                 dist: KeyDistribution::Uniform,
                 compact: true,
                 seed: 42,
-                overwrite_delta_permille: 0,
             },
         ];
     }
@@ -339,7 +332,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
         dist: KeyDistribution::Zipf { exponent: 1.1 },
         compact: true,
         seed: 42,
-        overwrite_delta_permille: 0,
     };
     vec![
         update("update-small-on", 20_000, true),
@@ -357,7 +349,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
             dist: KeyDistribution::Uniform,
             compact: true,
             seed: 42,
-            overwrite_delta_permille: 0,
         },
         Cell {
             name: "mid-hot",
@@ -373,7 +364,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
             },
             compact: true,
             seed: 42,
-            overwrite_delta_permille: 0,
         },
         big_zipf,
     ]
@@ -523,7 +513,6 @@ fn parse_cell(args: &[String]) -> Cell {
         dist,
         compact: get("--compact") != Some("off"),
         seed: num("--seed", 42),
-        overwrite_delta_permille: num("--overwrite-permille", 0) as u16,
     }
 }
 
@@ -645,10 +634,9 @@ mod tests {
     use super::*;
 
     /// Every knob a cell carries — shape, workload, every distribution
-    /// variant, the compaction-off switch, seed and overwrite correlation —
-    /// must survive the `to_args` → `parse_cell` round trip, or a re-exec'd
-    /// child would silently benchmark a different cell than the parent
-    /// scheduled.
+    /// variant, the compaction-off switch and seed — must survive the
+    /// `to_args` → `parse_cell` round trip, or a re-exec'd child would
+    /// silently benchmark a different cell than the parent scheduled.
     #[test]
     fn cell_args_round_trip_distributions() {
         let dists = [
@@ -672,7 +660,6 @@ mod tests {
                 dist,
                 compact: false,
                 seed: 7,
-                overwrite_delta_permille: 250,
             };
             assert_eq!(parse_cell(&cell.to_args()), cell, "dist {dist:?}");
         }

@@ -21,12 +21,10 @@
 //!   produces byte-identical digests — the CI determinism check);
 //! * `--digest-out PATH` — write one replay-digest line per scenario, for
 //!   comparing runs byte for byte;
-//! * `--delta` — switch the delta-aware multiversion codec on and run the
-//!   standard workload for **two rounds**, so every second-round put
-//!   overwrites a key and exercises the XOR-delta stripe path. Delta mode
-//!   changes the message flow (delta puts skip location decision), so its
-//!   digests differ from the default sweep's, but every invariant must
-//!   hold and the digests must still not depend on `--workers`;
+//! * `--overwrite` — run the standard workload for **two rounds**, so
+//!   every second-round put overwrites a key that already holds a version,
+//!   under every fault spec, preset and invariant. The extra puts move the
+//!   digests, which must still not depend on `--workers`;
 //! * `--batch` — run the sweep with batched convergence rounds on: every
 //!   fault plan and preset with an FS's round traffic sent, lost,
 //!   duplicated and answered one multi-entry message per destination at a
@@ -56,7 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: explore [--smoke] [--seeds N] [--puts N] [--value-len N] \
          [--inject-corruption] [--trace-out PATH] [--workers N] \
-         [--digest-out PATH] [--delta] [--batch] [--scale] [--repair] [--quiet]"
+         [--digest-out PATH] [--overwrite] [--batch] [--scale] [--repair] [--quiet]"
     );
     std::process::exit(2)
 }
@@ -91,10 +89,7 @@ fn main() -> ExitCode {
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
-            "--delta" => {
-                workload.protocol.delta = true;
-                workload.rounds = 2;
-            }
+            "--overwrite" => workload.rounds = 2,
             "--batch" => workload.protocol.batch_rounds = true,
             "--scale" => scale = true,
             "--repair" => repair = true,

@@ -5,16 +5,16 @@
 //! * `--list` — scan the workspace and print every mutation site with its
 //!   stable id (`operator:stem:occurrence`; the stem is the file's, or the
 //!   module directory's the file was scanned as part of).
-//! * `--smoke` — run the 13 pinned protocol mutants
+//! * `--smoke` — run the 12 pinned protocol mutants
 //!   ([`check::mutate::PINNED_SMOKE`]) against the explorer smoke sweep
-//!   (run in `--delta` mode so overwrites exercise the XOR-delta stripe
-//!   path, plus the `--scale` spot check, whose digest line pins the
-//!   compacted-version count, plus `--repair`, whose scenario families
-//!   exercise the background repair engine under the redundancy-floor
-//!   invariant) — one build and one sweep per mutant — and gate on the
-//!   kill-rate: **≥ 11 of 13** must be killed (invariant violation, digest
-//!   mismatch, crash or timeout). Surviving mutants print their source
-//!   diff. Exit 1 when the gate fails.
+//!   (run in `--overwrite` mode so every key is put twice, plus the
+//!   `--scale` spot check, whose digest line pins the compacted-version
+//!   count, plus `--repair`, whose scenario families exercise the
+//!   background repair engine under the redundancy-floor invariant) — one
+//!   build and one sweep per mutant — and gate on the kill-rate: **≥ 10 of
+//!   12** must be killed (invariant violation, digest mismatch, crash or
+//!   timeout). Surviving mutants print their source diff. Exit 1 when the
+//!   gate fails.
 //! * `--id ID` (repeatable) — run specific mutants by id.
 //!
 //! `--bench-out PATH` additionally records `BENCH_analysis.json`: the
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use check::{analysis, mutate};
 
 /// Minimum pinned mutants that must be killed for `--smoke` to pass.
-const SMOKE_KILL_GATE: usize = 11;
+const SMOKE_KILL_GATE: usize = 10;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -112,15 +112,15 @@ fn main() -> ExitCode {
     println!("preparing scratch tree + unmutated baseline sweep...");
     // `--scale` appends the scale check's digest line, which pins the
     // compacted-version count — the only observable that can kill the
-    // compaction-skip mutant. `--delta` runs the sweep's workload for two
-    // rounds under delta coding, so the overwrite path (and with it the
-    // delta-resolve-skip mutant) is exercised under every invariant.
+    // compaction-skip mutant. `--overwrite` runs the sweep's workload for
+    // two rounds, so every mutant also meets overwrites under every
+    // invariant.
     // `--repair` runs the churn scenario families with the repair engine
     // on, appending digest lines that fold the EV_REPAIR_* counters — the
     // observables that kill repair-threshold-skip.
     let sweep_args = [
         "--scale".to_string(),
-        "--delta".to_string(),
+        "--overwrite".to_string(),
         "--repair".to_string(),
     ];
     let harness = match mutate::Harness::prepare(&root, &sweep_args, timeout) {

@@ -183,14 +183,12 @@ pub struct WorkloadCfg {
     pub puts: usize,
     /// Value length per put.
     pub value_len: usize,
-    /// Rounds of the standard workload. `1` is the historical insert-only
-    /// sweep (digests byte-identical to pre-delta builds); `2` makes every
-    /// put after the first round an overwrite, so delta-mode sweeps
-    /// actually exercise the delta encode/resolve path instead of
-    /// vacuously falling back to full stripes.
+    /// Rounds of the standard workload. `1` is the insert-only sweep; `2`
+    /// (`--overwrite`) makes every put after the first round an overwrite
+    /// of a key that already holds a version.
     pub rounds: usize,
-    /// The protocol mode every scenario's cluster runs (`--delta` sets
-    /// [`ProtocolMode::delta`]).
+    /// The protocol mode every scenario's cluster runs (`--batch` sets
+    /// [`ProtocolMode::batch_rounds`]).
     pub protocol: ProtocolMode,
 }
 
@@ -243,14 +241,7 @@ pub fn run_scenario(
     injection: Injection,
     want_trace: bool,
 ) -> ScenarioOutcome {
-    let mut cfg = ClusterConfig::paper_default();
-    cfg.protocol = wl.protocol;
-    cfg.convergence = sc.preset.options();
-    cfg.workload_puts = wl.puts;
-    cfg.workload_value_len = wl.value_len;
-    cfg.workload_rounds = wl.rounds;
-    cfg.network = sc.faults.network();
-    let mut cluster = Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan());
+    let mut cluster = scenario_cluster(sc, wl);
     cluster.sim_mut().enable_trace();
     let checker = Checker::install_registry(&mut cluster);
 
@@ -273,6 +264,19 @@ pub fn run_scenario(
         }),
         metrics_digest: format!("{:?}", sim.metrics()),
     }
+}
+
+/// The cluster a scenario runs: the sweep's workload and protocol mode
+/// under the scenario's preset, network and fault plan.
+fn scenario_cluster(sc: &Scenario, wl: &WorkloadCfg) -> Cluster {
+    let mut cfg = ClusterConfig::paper_default();
+    cfg.protocol = wl.protocol;
+    cfg.convergence = sc.preset.options();
+    cfg.workload_puts = wl.puts;
+    cfg.workload_value_len = wl.value_len;
+    cfg.workload_rounds = wl.rounds;
+    cfg.network = sc.faults.network();
+    Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan())
 }
 
 /// Flips one stored fragment's bytes behind the checksum bookkeeping's
@@ -933,4 +937,45 @@ pub fn repair_digest_line(cfg: &RepairCheckCfg, family: &RepairFamilyOutcome) ->
         family.min_live,
         counters,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pahoehoe::kls::Kls;
+
+    /// `rounds = 2` (`explore --overwrite`) must really overwrite: once a
+    /// lossy scenario with an FS outage converges, every KLS holds exactly
+    /// `rounds` acknowledged versions of every workload key.
+    #[test]
+    fn second_round_overwrites_every_workload_key() {
+        let sc = Scenario {
+            seed: 0,
+            faults: SweepConfig::fault_pool()[3].clone(),
+            preset: Preset::All,
+        };
+        assert!(sc.faults.drop_centi > 0 && !sc.faults.outages.is_empty());
+        for rounds in [1, 2] {
+            let wl = WorkloadCfg {
+                rounds,
+                ..WorkloadCfg::default()
+            };
+            let mut cluster = scenario_cluster(&sc, &wl);
+            let report = cluster.run_to_convergence();
+            assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+            let acked = cluster.client().success_versions();
+            for id in cluster.topology().all_klss() {
+                let kls: &Kls = cluster.sim().actor(id);
+                for i in 0..wl.puts {
+                    let key = Key::from_u64(i as u64 + 1);
+                    let versions = kls
+                        .versions_of(key)
+                        .into_iter()
+                        .filter(|&ts| acked.contains(&ObjectVersion::new(key, ts)))
+                        .count();
+                    assert_eq!(versions, rounds, "KLS {id:?}, key {key:?}");
+                }
+            }
+        }
+    }
 }

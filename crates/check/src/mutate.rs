@@ -18,7 +18,7 @@
 //!
 //! # Mutation operators
 //!
-//! Eight operators, each aimed at a protocol decision the paper's
+//! Seven operators, each aimed at a protocol decision the paper's
 //! correctness argument leans on (sites are discovered by scanning the
 //! *current* source, so they track refactors; the pinned CI set selects
 //! stable `(operator, file, occurrence)` ids):
@@ -31,11 +31,10 @@
 //! | `fragmask-flip` | `bits[w] \|= 1 << b` → `2 << b`: fragment-presence bitmask records the wrong bit |
 //! | `timer-gen-skip` | `TimerSlab` retire stops bumping the generation: cancelled timers still fire |
 //! | `compaction-skip` | the converged-version compactor never fires |
-//! | `delta-resolve-skip` | the FS adopts a windowed delta stripe raw instead of resolving it |
 //! | `repair-threshold-skip` | the repair actor ignores `repair_threshold` and only triggers once local parity is exhausted |
 //!
 //! Every mutant is one build and one explorer smoke sweep (with the
-//! caller's extra args, e.g. `--scale --delta --repair`), compared against
+//! caller's extra args, e.g. `--scale --overwrite --repair`), compared against
 //! the unmutated tree's digest.
 //!
 //! The build tree is copied once to `target/mutate/tree` and rebuilt
@@ -77,11 +76,6 @@ pub const OPERATORS: &[(&str, &str)] = &[
         "compaction-skip",
         "converged-version compaction never fires (`if self.mode.compact_converged` gated \
          with `&& false`)",
-    ),
-    (
-        "delta-resolve-skip",
-        "the fragment server stores a windowed delta stripe verbatim instead of resolving \
-         it against the base (`Some(resolved) => resolved` -> `fragment.clone()`)",
     ),
     (
         "repair-threshold-skip",
@@ -323,22 +317,6 @@ fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Ve
         );
     }
 
-    // delta-resolve-skip: only meaningful in the fragment server. Killed
-    // through the `--delta` sweep: the stored stripe keeps its window
-    // marker and trimmed payload, so the dense-state invariants and the
-    // replay digests both diverge from the baseline.
-    if stem == "fs" {
-        const DELTA_RESOLVE: &str = "Some(resolved) => resolved,";
-        for pos in occurrences(src, DELTA_RESOLVE) {
-            push(
-                "delta-resolve-skip",
-                pos,
-                pos + DELTA_RESOLVE.len(),
-                "Some(_resolved) => fragment.clone(),".to_string(),
-            );
-        }
-    }
-
     // timer-gen-skip: only meaningful in the timer slab.
     if stem == "queue" {
         for pos in occurrences(src, "wrapping_add(1)") {
@@ -395,8 +373,8 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Mutation>> {
 // Pinned smoke set
 // ---------------------------------------------------------------------------
 
-/// The 13 pinned protocol mutants CI runs (`mutate --smoke`), chosen to
-/// cover all eight operators across proxy, FS, KLS, protocol helpers,
+/// The 12 pinned protocol mutants CI runs (`mutate --smoke`), chosen to
+/// cover all seven operators across proxy, FS, KLS, protocol helpers,
 /// timer slab, checksum and repair actor. The kill-rate gate and the
 /// per-mutant expectations are documented in DESIGN.md §6.
 ///
@@ -408,9 +386,9 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     // put success needs one extra fragment ack
     ("quorum-off-by-one:proxy:0", "put_success_threshold"),
     // `>= usize::from(` -> `>`: late/never client ack
-    ("cmp-flip:proxy:2", "put_success_threshold"),
+    ("cmp-flip:proxy:1", "put_success_threshold"),
     // kls_complete.len() == klss.len() -> != (AMR misdetect)
-    ("cmp-flip:proxy:1", "kls_complete.len() == "),
+    ("cmp-flip:proxy:0", "kls_complete.len() == "),
     // recovery plan `planned.len() < k` -> <=
     ("cmp-flip:fs:0", "planned.len() < k"),
     // per-DC location count == frags_per_dc -> !=
@@ -427,8 +405,6 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     ("timer-gen-skip:queue:0", "self.generations[id.slot()]"),
     // compactor off: scale-check digest's compacted count drops
     ("compaction-skip:fs:0", "self.mode.compact_converged"),
-    // delta stripes stored raw: `--delta` sweep diverges
-    ("delta-resolve-skip:fs:0", "Some(resolved) => resolved"),
     // repair waits for parity exhaustion: floor invariant fires
     ("repair-threshold-skip:repair:0", "self.opts.threshold_pct"),
 ];
@@ -562,7 +538,7 @@ impl Harness {
     /// Copies the workspace at `root` into `target/mutate/tree`, builds
     /// the explorer there and records the unmutated baseline digest.
     /// `sweep_args` are appended to every `explore --smoke --quiet` run
-    /// (e.g. `--scale --delta`).
+    /// (e.g. `--scale --overwrite`).
     pub fn prepare(root: &Path, sweep_args: &[String], timeout: Duration) -> io::Result<Harness> {
         // The sweep child runs with the *tree* as its working directory, so
         // every path shared with it must be absolute — a relative root would
@@ -855,8 +831,7 @@ mod tests {
             .collect();
         let (module, store) = (Path::new("src/fs/mod.rs"), Path::new("src/fs/store.rs"));
         // Path order, ordinals running across the files, every id stemmed
-        // `fs` — which is what lets the FS-only operator see `store.rs` —
-        // and nothing from `src/fs/tests/`.
+        // `fs`, and nothing from `src/fs/tests/`.
         assert_eq!(
             sites,
             [
@@ -864,7 +839,6 @@ mod tests {
                 ("ack-drop:fs:0", module, 11),
                 ("cmp-flip:fs:1", store, 2),
                 ("ack-drop:fs:1", store, 3),
-                ("delta-resolve-skip:fs:0", store, 6),
             ]
         );
         // Each site is applied to the file it was found in.
@@ -965,22 +939,5 @@ mod tests {
         // The same pattern outside repair.rs is not a site.
         let ms = scan_file(Path::new("fs.rs"), src);
         assert!(ms.iter().all(|m| m.operator != "repair-threshold-skip"));
-    }
-
-    #[test]
-    fn delta_resolve_skip_site_is_fs_only() {
-        let src = "match base.as_ref().and_then(|b| fragment.apply_delta(b)) {\n    Some(resolved) => resolved,\n    None => return false,\n}\n";
-        let ms = scan_file(Path::new("fs.rs"), src);
-        let m = ms
-            .iter()
-            .find(|m| m.operator == "delta-resolve-skip")
-            .expect("site found");
-        assert_eq!(m.id, "delta-resolve-skip:fs:0");
-        assert!(m
-            .apply(src)
-            .contains("Some(_resolved) => fragment.clone(),"));
-        // The same pattern outside fs.rs is not a site.
-        let ms = scan_file(Path::new("proxy.rs"), src);
-        assert!(ms.iter().all(|m| m.operator != "delta-resolve-skip"));
     }
 }

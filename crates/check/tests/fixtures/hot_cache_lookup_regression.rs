@@ -1,6 +1,5 @@
-// Fixture: the proxy's declared hot path — the per-put stripe-cache
-// lookup that decides delta-vs-full encoding — with the allocating
-// regressions the lint must catch if they ever creep back in.
+// Fixture: a keyed cache lookup and a column scan declared hot, with the
+// allocating regressions the lint must catch.
 
 struct CachedStripe {
     value: Vec<u8>,

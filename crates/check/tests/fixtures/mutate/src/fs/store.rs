@@ -1,9 +1,5 @@
-fn resolve(&mut self, ctx: &mut Context, from: NodeId) -> Fragment {
+fn collect(&mut self, ctx: &mut Context, from: NodeId) {
     if self.pool.len() < self.k {
         ctx.send(from, Message::RetrieveReply { ov });
-    }
-    match base.as_ref().and_then(|b| fragment.apply_delta(b)) {
-        Some(resolved) => resolved,
-        None => fragment,
     }
 }

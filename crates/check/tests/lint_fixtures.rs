@@ -104,11 +104,9 @@ fn detects_protocol_round_hot_path_regressions() {
 
 #[test]
 fn detects_stripe_cache_lookup_regressions() {
-    // The proxy's stripe-cache lookup (the per-put delta-vs-full decision)
-    // carries a `// lint:hot` marker; this fixture mirrors its shape and
-    // proves the two plausible allocation regressions — copying the cached
-    // value out, staging the dirty-window diff in a fresh buffer — trip
-    // the lint.
+    // A keyed cache lookup and a column scan marked `// lint:hot`: the two
+    // plausible allocation regressions — copying the cached value out,
+    // staging the changed-column list in a fresh buffer — trip the lint.
     let findings = lint_file(&fixture("hot_cache_lookup_regression.rs")).unwrap();
     assert_eq!(rules_hit(&findings), ["hot-path-alloc"]);
     assert_eq!(findings.len(), 2, "to_vec in lookup + Vec::new in window");

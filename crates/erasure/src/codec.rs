@@ -96,9 +96,6 @@ pub struct Codec {
     // Scratch for the packed encode kernel (position-major packed parity
     // words), reused across calls so the hot path allocates nothing.
     inter: RefCell<Vec<u64>>,
-    // Scratch for the delta encode path (the k·w dirty-column buffer),
-    // reused across calls like `inter`.
-    dirty: RefCell<Vec<u8>>,
 }
 
 impl Codec {
@@ -142,7 +139,6 @@ impl Codec {
             packed,
             inversions: RefCell::new(InversionCache::default()),
             inter: RefCell::new(Vec::new()),
-            dirty: RefCell::new(Vec::new()),
         })
     }
 
@@ -256,99 +252,6 @@ impl Codec {
                 out.push(Fragment::new((self.k + p) as FragmentIndex, Bytes::new()));
             }
         }
-    }
-
-    /// The dirty column window of an overwrite: the smallest `(start, w)`
-    /// such that for every code-word row, `old` and `new` agree outside
-    /// columns `start..start + w`. Both values must have the same length
-    /// (delta coding falls back to a full encode on length change).
-    /// Returns `(0, 0)` when the values are byte-identical.
-    ///
-    /// Columns are independent under the code: data fragment `i` is row
-    /// `i` of the striped value, and parity column `j` is a linear
-    /// combination of the data bytes in column `j` only. So the XOR of the
-    /// encodings of `old` and `new` is zero outside this window in every
-    /// fragment, data and parity alike.
-    pub fn delta_window(&self, old: &[u8], new: &[u8]) -> (usize, usize) {
-        assert_eq!(old.len(), new.len(), "delta coding requires equal lengths");
-        let flen = self.fragment_len(new.len());
-        let mut lo = flen;
-        let mut hi = 0usize;
-        for row_start in (0..new.len()).step_by(flen.max(1)) {
-            let row_end = (row_start + flen).min(new.len());
-            let o = &old[row_start..row_end];
-            let n = &new[row_start..row_end];
-            let Some(first) = o.iter().zip(n).position(|(a, b)| a != b) else {
-                continue;
-            };
-            let last = o
-                .iter()
-                .zip(n)
-                .rposition(|(a, b)| a != b)
-                .expect("a first diff implies a last diff");
-            lo = lo.min(first);
-            hi = hi.max(last + 1);
-        }
-        if lo >= hi {
-            (0, 0)
-        } else {
-            (lo, hi - lo)
-        }
-    }
-
-    /// Encodes the overwrite `old -> new` as `n` windowed delta fragments:
-    /// fragment `i` carries the dirty-column window of
-    /// `encode(new)[i] XOR encode(old)[i]`, tagged with the window start
-    /// and the full fragment length (see [`Fragment::new_delta`]).
-    ///
-    /// By linearity the XOR of the two encodings equals the encoding of
-    /// `old XOR new`, and the XOR is zero outside the dirty window in
-    /// every fragment, so only the `k·w` dirty buffer is encoded — through
-    /// the unchanged kernels, since `fragment_len(k·w) = w` exactly.
-    /// Returns the `(start, w)` window; `w == 0` means the values are
-    /// identical and every delta payload is empty.
-    ///
-    /// Both values must have the same length; callers fall back to a full
-    /// encode on length change.
-    // lint:hot
-    pub fn encode_delta_into(
-        &self,
-        old: &[u8],
-        new: &[u8],
-        out: &mut Vec<Fragment>,
-    ) -> (usize, usize) {
-        let (start, w) = self.delta_window(old, new);
-        let flen = self.fragment_len(new.len());
-        out.clear();
-        if w == 0 {
-            out.reserve(self.n);
-            for i in 0..self.n {
-                out.push(Fragment::new_delta(
-                    i as FragmentIndex,
-                    Bytes::new(),
-                    0,
-                    flen as u32,
-                ));
-            }
-            return (0, 0);
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        dirty.clear();
-        dirty.resize(self.k * w, 0);
-        for i in 0..self.k {
-            let row_start = i * flen;
-            let row_len = new.len().saturating_sub(row_start).min(flen);
-            let lo = start.min(row_len);
-            let hi = (start + w).min(row_len);
-            for j in lo..hi {
-                dirty[i * w + (j - start)] = old[row_start + j] ^ new[row_start + j];
-            }
-        }
-        self.encode_into(&dirty, out);
-        for f in out.iter_mut() {
-            *f = Fragment::new_delta(f.index(), f.data().clone(), start as u32, flen as u32);
-        }
-        (start, w)
     }
 
     /// Fills the `(n - k) * flen` parity region from the `k` data rows
@@ -1155,130 +1058,6 @@ mod tests {
         // Everything still decodes correctly after evictions.
         let subset = [frags[2].clone(), frags[3].clone()];
         assert_eq!(c.decode(&subset, v.len()).unwrap(), v);
-    }
-
-    /// Overwrites `changed` bytes of `v` starting at `at`, wrapping values.
-    fn overwrite(v: &[u8], at: usize, changed: usize) -> Vec<u8> {
-        let mut out = v.to_vec();
-        for i in 0..changed {
-            out[(at + i) % v.len()] ^= 0x5A;
-        }
-        out
-    }
-
-    #[test]
-    fn delta_window_brackets_the_dirty_columns() {
-        let c = Codec::new(4, 12).unwrap();
-        let v = value(100); // flen = 25
-                            // Change byte 30: row 1, column 5.
-        let w = overwrite(&v, 30, 1);
-        assert_eq!(c.delta_window(&v, &w), (5, 1));
-        // Identical values: empty window.
-        assert_eq!(c.delta_window(&v, &v), (0, 0));
-        // Changes in two rows widen to the union of their columns.
-        let mut w = v.clone();
-        w[3] ^= 1; // row 0, col 3
-        w[60] ^= 1; // row 2, col 10
-        assert_eq!(c.delta_window(&v, &w), (3, 8));
-    }
-
-    #[test]
-    fn delta_encode_matches_xor_of_full_encodes() {
-        for (k, n) in [(4, 12), (16, 19), (3, 6), (4, 4)] {
-            let c = Codec::new(k, n).unwrap();
-            for len in [97usize, 1000, 4096] {
-                let old = value(len);
-                let new = overwrite(&old, len / 3, len / 50 + 1);
-                let full_old = c.encode(&old);
-                let full_new = c.encode(&new);
-                let mut deltas = Vec::new();
-                let (start, w) = c.encode_delta_into(&old, &new, &mut deltas);
-                assert!(w > 0);
-                assert_eq!(deltas.len(), n);
-                let flen = c.fragment_len(len);
-                for (i, d) in deltas.iter().enumerate() {
-                    assert_eq!(d.window(), Some((start as u32, flen as u32)));
-                    assert_eq!(d.len(), w, "k={k} n={n} len={len}");
-                    // The delta payload is the XOR of the two full
-                    // fragments inside the window…
-                    for (j, &b) in d.data().iter().enumerate() {
-                        assert_eq!(
-                            b,
-                            full_old[i].data()[start + j] ^ full_new[i].data()[start + j]
-                        );
-                    }
-                    // …and the fragments agree outside it.
-                    assert_eq!(
-                        full_old[i].data()[..start],
-                        full_new[i].data()[..start],
-                        "clean prefix"
-                    );
-                    assert_eq!(
-                        full_old[i].data()[start + w..],
-                        full_new[i].data()[start + w..],
-                        "clean suffix"
-                    );
-                    // Resolution against the base reproduces the successor
-                    // fragment byte-identically.
-                    let resolved = d.apply_delta(&full_old[i]).expect("base matches");
-                    assert_eq!(&resolved, &full_new[i], "k={k} n={n} len={len} frag {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_encode_of_identical_values_is_empty() {
-        let c = Codec::new(4, 12).unwrap();
-        let v = value(100);
-        let full = c.encode(&v);
-        let mut deltas = Vec::new();
-        assert_eq!(c.encode_delta_into(&v, &v, &mut deltas), (0, 0));
-        assert_eq!(deltas.len(), 12);
-        for (i, d) in deltas.iter().enumerate() {
-            assert!(d.is_empty());
-            assert_eq!(d.window(), Some((0, 25)));
-            let resolved = d.apply_delta(&full[i]).expect("empty delta resolves");
-            assert_eq!(&resolved, &full[i]);
-        }
-    }
-
-    #[test]
-    fn delta_encode_covers_the_padded_tail_row() {
-        // len=101 with k=4: flen=26, the tail row holds 23 real bytes + 3
-        // pad zeros. A change in the last real byte must round-trip.
-        let c = Codec::new(4, 12).unwrap();
-        let old = value(101);
-        let mut new = old.clone();
-        new[100] ^= 0xFF; // row 3, column 22
-        let full_new = c.encode(&new);
-        let full_old = c.encode(&old);
-        let mut deltas = Vec::new();
-        let (start, w) = c.encode_delta_into(&old, &new, &mut deltas);
-        assert_eq!((start, w), (22, 1));
-        for (i, d) in deltas.iter().enumerate() {
-            let resolved = d.apply_delta(&full_old[i]).expect("base matches");
-            assert_eq!(&resolved, &full_new[i], "fragment {i}");
-        }
-    }
-
-    #[test]
-    fn delta_chain_resolves_byte_identical_to_full_encode() {
-        let c = Codec::new(4, 12).unwrap();
-        let mut cur = value(1000);
-        let mut frags = c.encode(&cur);
-        let mut deltas = Vec::new();
-        for step in 0..5 {
-            let next = overwrite(&cur, step * 37, 11);
-            c.encode_delta_into(&cur, &next, &mut deltas);
-            let expect = c.encode(&next);
-            for (i, d) in deltas.iter().enumerate() {
-                frags[i] = d.apply_delta(&frags[i]).expect("chain base matches");
-                assert_eq!(&frags[i], &expect[i], "step {step} fragment {i}");
-            }
-            cur = next;
-        }
-        assert_eq!(c.decode(&frags[5..9], cur.len()).unwrap(), cur);
     }
 
     #[test]

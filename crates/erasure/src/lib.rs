@@ -49,4 +49,4 @@ mod error;
 pub use checksum::Checksum;
 pub use codec::Codec;
 pub use error::CodecError;
-pub use fragment::{Fragment, FragmentIndex, DELTA_WINDOW_BYTES};
+pub use fragment::{Fragment, FragmentIndex};

@@ -189,63 +189,6 @@ proptest! {
         prop_assert_eq!(&out, &value);
     }
 
-    // ---- delta coding: linearity over GF(256) ----
-
-    #[test]
-    fn delta_chains_resolve_to_full_encodes(
-        base in proptest::collection::vec(any::<u8>(), 1..2048),
-        edits in proptest::collection::vec(
-            (any::<u64>(), any::<u8>(), 1usize..64),
-            1..6,
-        ),
-        (k, n) in (1usize..=6).prop_flat_map(|k| (Just(k), k..=12)),
-    ) {
-        let codec = Codec::new(k, n).unwrap();
-        let mut prev = base;
-        let mut resolved = codec.encode(&prev);
-        // A chain of K successive overwrites, each a small byte-window
-        // edit. Every delta stripe applied to the *previous resolved*
-        // fragments must equal the full re-encode of the new blob — the
-        // linearity argument, compounded across the whole chain.
-        for (at, xor, span) in edits {
-            let mut next = prev.clone();
-            let start = (at % next.len() as u64) as usize;
-            for p in start..(start + span).min(next.len()) {
-                next[p] ^= xor;
-            }
-            let mut deltas = Vec::new();
-            codec.encode_delta_into(&prev, &next, &mut deltas);
-            let full = codec.encode(&next);
-            prop_assert_eq!(deltas.len(), n);
-            for (d, (r, f)) in deltas.iter().zip(resolved.iter().zip(full.iter())) {
-                prop_assert!(d.is_delta());
-                let applied = d.apply_delta(r).expect("base matches");
-                prop_assert_eq!(&applied, f, "resolved delta != full encode");
-            }
-            resolved = full;
-            prev = next;
-        }
-    }
-
-    #[test]
-    fn delta_windows_bracket_every_changed_column(
-        old in proptest::collection::vec(any::<u8>(), 1..1024),
-        at: u64,
-        xor in 1u8..=255,
-    ) {
-        let codec = Codec::new(4, 12).unwrap();
-        let mut new = old.clone();
-        let p = (at % new.len() as u64) as usize;
-        new[p] ^= xor;
-        let (start, w) = codec.delta_window(&old, &new);
-        // The single changed byte lands in data row p / flen at column
-        // p % flen; the window must cover that column.
-        let flen = codec.fragment_len(new.len());
-        let col = p % flen;
-        prop_assert!(start <= col && col < start + w, "window [{start}, {}) misses column {col}", start + w);
-        prop_assert!(w >= 1);
-    }
-
     #[test]
     fn fragment_sizes_are_uniform_and_minimal(
         len in 0usize..100_000,

@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p experiments --release --bin fig5 [--quick]`
 
 use experiments::figures::{fig5, FigureOptions};
-use experiments::table::{render, render_csv, render_events, render_run_stats, Unit};
+use experiments::table::{render, render_csv, render_run_stats, Unit};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -39,12 +39,6 @@ fn main() {
         )
     );
     println!("{}", render_run_stats(&results));
-    // Non-empty only when a configuration recorded protocol events
-    // (e.g. the put path's fragment-byte ledger).
-    let events = render_events("Figure 5 - protocol event counters", &results);
-    if !events.is_empty() {
-        println!("{events}");
-    }
     if csv {
         std::fs::write("fig5_counts.csv", render_csv(&results, Unit::Count))
             .expect("write fig5_counts.csv");

@@ -44,8 +44,8 @@ pub struct ConfigResult {
     /// Mean dropped-message counts per kind, split fault vs. random loss.
     pub kind_drops: BTreeMap<&'static str, DropSummary>,
     /// Mean per-run totals of the dense protocol event counters (the
-    /// delta-codec ledger: `deltas_encoded`, `delta_fallbacks`,
-    /// `delta_bytes_saved`, ...). Empty when no trial recorded any.
+    /// repair ledger and `degraded_reads`). Empty when no trial recorded
+    /// any.
     pub event_counts: BTreeMap<&'static str, Summary>,
     /// Total fault-dropped protocol messages per run.
     pub dropped_fault: Summary,

@@ -188,61 +188,11 @@ pub fn render_run_stats(results: &[ConfigResult]) -> String {
     out
 }
 
-/// Renders the dense protocol event counters (the delta-codec ledger:
-/// `deltas_encoded`, `delta_fallbacks`, `delta_bytes_saved`, ...): one
-/// row per counter, one mean-per-run cell per configuration. Counters
-/// that stayed zero everywhere are elided; returns an empty string when
-/// no configuration recorded any event (e.g. delta coding off).
-pub fn render_events(title: &str, results: &[ConfigResult]) -> String {
-    let mut labels: Vec<&'static str> = results
-        .iter()
-        .flat_map(|r| r.event_counts.keys().copied())
-        .collect();
-    labels.sort_unstable();
-    labels.dedup();
-    let cell = |r: &ConfigResult, label: &str| -> f64 {
-        r.event_counts.get(label).map_or(0.0, |s| s.mean)
-    };
-    labels.retain(|l| results.iter().any(|r| cell(r, l) > 0.0));
-    if labels.is_empty() {
-        return String::new();
-    }
-
-    let label_w = labels
-        .iter()
-        .map(|l| l.len())
-        .chain(["event".len()])
-        .max()
-        .unwrap_or(8);
-    let col_w = results
-        .iter()
-        .map(|r| r.label.len().max(12))
-        .collect::<Vec<_>>();
-
-    let mut out = String::new();
-    out.push_str(&format!("## {title} (mean per run)\n"));
-    out.push_str(&format!("{:label_w$}", "event"));
-    for (r, w) in results.iter().zip(&col_w) {
-        out.push_str(&format!("  {:>w$}", r.label, w = w));
-    }
-    out.push('\n');
-    for label in &labels {
-        out.push_str(&format!("{label:label_w$}"));
-        for (r, w) in results.iter().zip(&col_w) {
-            out.push_str(&format!("  {:>w$.1}", cell(r, label), w = w));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the repair-engine ledger (`repair_triggered`,
 /// `repair_completed`, `repair_bytes`, ..., plus `degraded_reads`): one
-/// row per counter, one mean-per-run cell per configuration. The same
-/// shape as [`render_events`] but restricted to the repair actor's
-/// counters so repair activity reads as one table even when the delta
-/// ledger is also live. Returns an empty string when no configuration
-/// ran the repair engine.
+/// row per counter, one mean-per-run cell per configuration. Counters
+/// that stayed zero everywhere are elided; returns an empty string when
+/// no configuration ran the repair engine.
 pub fn render_repair(title: &str, results: &[ConfigResult]) -> String {
     let mut labels: Vec<&'static str> = results
         .iter()
@@ -429,8 +379,8 @@ mod tests {
         assert_eq!(render_repair("clean", &sample()), "");
 
         // Synthesize a configuration whose runs recorded repair activity
-        // alongside an unrelated dense counter: only the repair ledger
-        // (and degraded reads) may appear.
+        // alongside an unrelated counter: only the repair ledger (and
+        // degraded reads) may appear.
         let mut results = sample();
         let constant = |v: f64| -> stats::Summary {
             [v].into_iter().collect::<stats::Accumulator>().summary()
@@ -439,12 +389,12 @@ mod tests {
         r.event_counts.insert("repair_triggered", constant(8.0));
         r.event_counts.insert("repair_bytes", constant(98304.0));
         r.event_counts.insert("degraded_reads", constant(3.0));
-        r.event_counts.insert("deltas_encoded", constant(5.0));
+        r.event_counts.insert("unrelated_counter", constant(5.0));
         let t = render_repair("repair", &results);
         assert!(t.contains("repair_triggered"), "{t}");
         assert!(t.contains("repair_bytes"), "{t}");
         assert!(t.contains("degraded_reads"), "{t}");
-        assert!(!t.contains("deltas_encoded"), "{t}");
+        assert!(!t.contains("unrelated_counter"), "{t}");
 
         // And the run-stats companion column picks up the mean.
         let s = render_run_stats(&results);
@@ -477,34 +427,6 @@ mod tests {
         assert!(t.contains("fault/random"), "{t}");
         assert!(t.contains("TOTAL"), "{t}");
         assert!(t.contains('/'), "{t}");
-    }
-
-    #[test]
-    fn events_table_surfaces_delta_counters() {
-        // The idealized bound records no protocol events: the table must
-        // vanish.
-        assert_eq!(render_events("clean", &sample()), "");
-
-        // A delta-mode overwrite run (two workload rounds: the second
-        // round re-puts every key) must surface the delta-codec ledger.
-        let mut cfg = pahoehoe::cluster::ClusterConfig::paper_default();
-        cfg.workload_puts = 2;
-        cfg.workload_value_len = 2048;
-        cfg.workload_rounds = 2;
-        cfg.protocol = pahoehoe::protocol::ProtocolMode::delta();
-        let reports = crate::runner::run_many(0..2, |seed| {
-            pahoehoe::cluster::Cluster::build(cfg.clone(), seed)
-        });
-        let agg = crate::runner::aggregate("Delta", &reports);
-        assert!(
-            agg.event_counts["deltas_encoded"].mean > 0.0,
-            "{:?}",
-            agg.event_counts
-        );
-        let t = render_events("delta", std::slice::from_ref(&agg));
-        assert!(t.contains("deltas_encoded"), "{t}");
-        assert!(t.contains("delta_bytes_saved"), "{t}");
-        assert!(t.contains("stripe_cache_hits"), "{t}");
     }
 
     #[test]

@@ -228,9 +228,8 @@ impl Client {
     /// The standard workload repeated `rounds` times: every round puts
     /// each key once, with the same key-derived contents each round, so
     /// `rounds > 1` turns the insert-only script into an overwrite stream
-    /// — the shape that exercises delta coding — while staying compatible
-    /// with byte-level durability checks (the blob for a key never
-    /// changes across rounds).
+    /// while staying compatible with byte-level durability checks (the
+    /// blob for a key never changes across rounds).
     pub fn standard_workload_rounds(
         proxy: NodeId,
         count: usize,
@@ -303,11 +302,6 @@ impl Client {
         let op = wl.op_at(*next);
         *next += 1;
         Some(op)
-    }
-
-    /// Overrides the operation timeout (see the field docs).
-    pub fn set_op_timeout(&mut self, timeout: SimDuration) {
-        self.op_timeout = timeout;
     }
 
     /// Put attempts issued so far (the paper's "puts attempted").

@@ -138,8 +138,8 @@ pub struct ClusterConfig {
     /// Convergence configuration for every FS (and the proxy's Put-AMR
     /// switch).
     pub convergence: ConvergenceOptions,
-    /// Protocol behaviour switches (converged-version compaction, delta
-    /// coding; see [`crate::protocol`]) for every actor in the cluster.
+    /// Protocol behaviour switches (converged-version compaction, batched
+    /// rounds; see [`crate::protocol`]) for every actor in the cluster.
     /// Both off by default.
     pub protocol: ProtocolMode,
     /// Proxy timeouts and clock skew.
@@ -153,9 +153,9 @@ pub struct ClusterConfig {
     pub workload_value_len: usize,
     /// Rounds of the standard workload: each round puts every key once
     /// with the same key-derived contents, so `> 1` turns the insert-only
-    /// script into an overwrite stream (the shape delta coding targets)
-    /// without breaking byte-level durability checks. `1` is the paper's
-    /// workload, byte-identical to the historical script.
+    /// script into an overwrite stream without breaking byte-level
+    /// durability checks. `1` is the paper's workload, byte-identical to
+    /// the historical script.
     pub workload_rounds: usize,
     /// An explicit client script overriding the standard workload — e.g.
     /// built with [`Workload`](crate::workload::Workload) for non-uniform
@@ -199,15 +199,6 @@ impl ClusterConfig {
             streaming_workload: None,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             racks_per_dc: None,
-        }
-    }
-
-    /// The paper's standard workload on top of
-    /// [`paper_default`](Self::paper_default): 100 puts of 100 KiB.
-    pub fn paper_workload() -> Self {
-        ClusterConfig {
-            workload_puts: 100,
-            ..ClusterConfig::paper_default()
         }
     }
 }
@@ -302,13 +293,7 @@ impl Cluster {
             put_amr_indication: config.convergence.put_amr_indication,
             ..config.proxy.clone()
         };
-        let proxy_id = sim.add_actor(Proxy::with_mode(
-            topo.clone(),
-            DataCenterId::new(0),
-            0,
-            proxy_cfg,
-            config.protocol,
-        ));
+        let proxy_id = sim.add_actor(Proxy::new(topo.clone(), DataCenterId::new(0), 0, proxy_cfg));
         debug_assert_eq!(proxy_id, layout.proxy());
 
         let client = match (&config.custom_workload, &config.streaming_workload) {
@@ -334,12 +319,11 @@ impl Cluster {
                 clock_skew: spec.clock_skew,
                 ..config.proxy.clone()
             };
-            let p = sim.add_actor(Proxy::with_mode(
+            let p = sim.add_actor(Proxy::new(
                 topo.clone(),
                 DataCenterId::new(spec.dc as u8),
                 1 + i as u32,
                 proxy_cfg,
-                config.protocol,
             ));
             let c = sim.add_actor(Client::new(p, Vec::new()));
             extra.push((p, c));

@@ -64,7 +64,7 @@ use erasure::{Checksum, Codec, Fragment};
 use simnet::{Actor, Context, NodeId, SimTime};
 
 use crate::convergence::ConvergenceOptions;
-use crate::messages::{Message, OpId, EV_DELTAS_RESOLVED, EV_DELTA_UNRESOLVABLE};
+use crate::messages::{Message, OpId};
 use crate::metadata::Metadata;
 use crate::protocol::{FragMap, FragMask, ProtocolMode};
 use crate::topology::{DataCenterId, Topology};
@@ -304,52 +304,14 @@ impl Fs {
     }
 
     /// Store a fragment (from a proxy put, or a sibling push).
-    ///
-    /// Windowed delta fragments (§8.8) are eagerly resolved against the
-    /// base version's dense same-index fragment before storing — stored
-    /// state is always dense, so gets, checksums, recovery and compaction
-    /// stay delta-oblivious and single-step (chains never accumulate on
-    /// disk). Returns whether the fragment is durably stored; `false`
-    /// only for a delta whose base this server no longer holds (e.g.
-    /// compacted), in which case the caller withholds the acknowledgment
-    /// and the proxy's timeout/retry path re-anchors with a full encode.
     fn store_fragment(
         &mut self,
         ctx: &mut Context<'_, Message>,
         ov: ObjectVersion,
         meta: &Arc<Metadata>,
         fragment: Fragment,
-    ) -> bool {
-        // Resolve deltas *before* adopting the new version's metadata:
-        // adoption supersedes the base, and a compacting store releases a
-        // settled superseded base's fragments in the same breath — the
-        // window where the delta is still applicable is exactly now.
-        let was_delta = fragment.is_delta();
-        let fragment = if was_delta {
-            let base = meta
-                .delta_base()
-                .map(|ts| ObjectVersion::new(ov.key, ts))
-                .and_then(|base_ov| self.store.entry(base_ov))
-                .and_then(|e| e.fragments.get(&fragment.index()))
-                .cloned();
-            match base.as_ref().and_then(|b| fragment.apply_delta(b)) {
-                Some(resolved) => resolved,
-                None => {
-                    // Base fragment gone (compacted, or never stored
-                    // here): unresolvable, so nothing durable to ack.
-                    ctx.record_event(EV_DELTA_UNRESOLVABLE, 1);
-                    self.adopt(ctx, ov, meta);
-                    self.note_progress(ctx, ov);
-                    return false;
-                }
-            }
-        } else {
-            fragment
-        };
+    ) {
         self.adopt(ctx, ov, meta);
-        if was_delta {
-            ctx.record_event(EV_DELTAS_RESOLVED, 1);
-        }
         // Compacted versions accept no bytes; a full store would treat
         // this as a duplicate of a fragment it already holds — in both
         // cases the store is unchanged and note_progress still runs.
@@ -361,7 +323,6 @@ impl Fs {
             }
         }
         self.note_progress(ctx, ov);
-        true
     }
 
     /// Self id captured from the first processed event (actors do not know
@@ -390,9 +351,8 @@ impl Actor<Message> for Fs {
         match msg {
             Message::StoreFragment { ov, meta, fragment } => {
                 let idx = fragment.index();
-                if self.store_fragment(ctx, ov, &meta, fragment) {
-                    ctx.send(from, Message::StoreFragmentReply { ov, fragment: idx });
-                }
+                self.store_fragment(ctx, ov, &meta, fragment);
+                ctx.send(from, Message::StoreFragmentReply { ov, fragment: idx });
             }
 
             Message::StoreMetadata { ov, meta } => {
@@ -405,9 +365,8 @@ impl Actor<Message> for Fs {
             }
 
             Message::SiblingStore { ov, meta, fragment } => {
-                // Recovered fragment pushed by a sibling; unacknowledged
-                // (and always dense — recovery regenerates full rows).
-                let _ = self.store_fragment(ctx, ov, &meta, fragment);
+                // Recovered fragment pushed by a sibling; unacknowledged.
+                self.store_fragment(ctx, ov, &meta, fragment);
             }
 
             Message::LocsIndication { ov, meta } => {

@@ -53,40 +53,22 @@ pub type OpId = u64;
 // Dense indices into [`Message::EVENTS`], for `Context::record_event`.
 // Keep these in sync with the registry below — each constant is the
 // position of its label.
-/// Put-path stripes encoded as XOR deltas (proxy).
-pub const EV_DELTAS_ENCODED: usize = 0;
-/// Delta-eligible puts that fell back to full encode (proxy).
-pub const EV_DELTA_FALLBACKS: usize = 1;
-/// Put-path fragment payload bytes saved by delta coding vs full encode.
-pub const EV_DELTA_BYTES_SAVED: usize = 2;
-/// Stripe-cache lookups that found a usable base version (proxy).
-pub const EV_STRIPE_CACHE_HITS: usize = 3;
-/// Stripe-cache lookups that missed (proxy).
-pub const EV_STRIPE_CACHE_MISSES: usize = 4;
-/// Put-path fragment payload bytes shipped as windowed deltas.
-pub const EV_DELTA_FRAG_BYTES: usize = 5;
-/// Put-path fragment payload bytes shipped as full fragments.
-pub const EV_FULL_FRAG_BYTES: usize = 6;
-/// Windowed delta fragments resolved to dense bytes at an FS.
-pub const EV_DELTAS_RESOLVED: usize = 7;
-/// Windowed delta fragments an FS could not resolve (base missing).
-pub const EV_DELTA_UNRESOLVABLE: usize = 8;
 /// Repair jobs enqueued because an object fell below the repair
 /// threshold (repair actor).
-pub const EV_REPAIR_TRIGGERED: usize = 9;
+pub const EV_REPAIR_TRIGGERED: usize = 0;
 /// Repair jobs that finished re-protecting their object (repair actor).
-pub const EV_REPAIR_COMPLETED: usize = 10;
+pub const EV_REPAIR_COMPLETED: usize = 1;
 /// Repair jobs abandoned after exhausting donor retries (repair actor).
-pub const EV_REPAIR_ABANDONED: usize = 11;
+pub const EV_REPAIR_ABANDONED: usize = 2;
 /// Fragment payload bytes moved by repair (donor fetches + pushes).
-pub const EV_REPAIR_BYTES: usize = 12;
+pub const EV_REPAIR_BYTES: usize = 3;
 /// Sum of repair-queue depth sampled at each drain tick (repair actor).
-pub const EV_REPAIR_QUEUE_DEPTH: usize = 13;
+pub const EV_REPAIR_QUEUE_DEPTH: usize = 4;
 /// Drain ticks where the bandwidth budget stalled a ready job.
-pub const EV_REPAIR_THROTTLE_STALLS: usize = 14;
+pub const EV_REPAIR_THROTTLE_STALLS: usize = 5;
 /// Gets that decoded successfully but saw at least one ⊥ fragment
 /// reply on the way (proxy).
-pub const EV_DEGRADED_READS: usize = 15;
+pub const EV_DEGRADED_READS: usize = 6;
 
 /// Every message exchanged between Pahoehoe nodes.
 #[derive(Clone, Debug)]
@@ -380,18 +362,9 @@ impl Payload for Message {
         "SiblingStoreReq",
     ];
 
-    /// Protocol event counters for the delta-coding path, indexed by the
-    /// `EV_*` constants above.
+    /// Protocol event counters of the repair actor and the get path,
+    /// indexed by the `EV_*` constants above.
     const EVENTS: &'static [&'static str] = &[
-        "deltas_encoded",
-        "delta_fallbacks",
-        "delta_bytes_saved",
-        "stripe_cache_hits",
-        "stripe_cache_misses",
-        "delta_frag_bytes",
-        "full_frag_bytes",
-        "deltas_resolved",
-        "delta_unresolvable",
         "repair_triggered",
         "repair_completed",
         "repair_abandoned",
@@ -448,7 +421,7 @@ impl Payload for Message {
                 Message::StoreMetadata { meta, .. } => OV_BYTES + meta.wire_size(),
                 Message::StoreMetadataReply { .. } => OV_BYTES + 1,
                 Message::StoreFragment { meta, fragment, .. } => {
-                    OV_BYTES + meta.wire_size() + 1 + fragment.wire_len()
+                    OV_BYTES + meta.wire_size() + 1 + fragment.len()
                 }
                 Message::StoreFragmentReply { .. } => OV_BYTES + 1,
                 Message::AmrIndication { meta, .. } => OV_BYTES + meta.wire_size(),
@@ -463,7 +436,7 @@ impl Payload for Message {
                 }
                 Message::RetrieveFrag { .. } => 8 + OV_BYTES + 1,
                 Message::RetrieveFragReply { data, .. } => {
-                    8 + OV_BYTES + 1 + data.as_ref().map_or(1, |f| 1 + f.wire_len())
+                    8 + OV_BYTES + 1 + data.as_ref().map_or(1, |f| 1 + f.len())
                 }
                 Message::ConvergeKls { meta, .. } => OV_BYTES + meta.wire_size(),
                 Message::ConvergeKlsReply { .. } => OV_BYTES + 1,
@@ -476,7 +449,7 @@ impl Payload for Message {
                     .map(|(_, m, have)| OV_BYTES + m.wire_size() + 1 + have.len())
                     .sum::<usize>(),
                 Message::SiblingStore { meta, fragment, .. } => {
-                    OV_BYTES + meta.wire_size() + fragment.wire_len()
+                    OV_BYTES + meta.wire_size() + fragment.len()
                 }
                 Message::Batch(entries) => entries
                     .iter()
@@ -663,18 +636,6 @@ mod tests {
 
     #[test]
     fn event_ids_index_the_event_registry() {
-        assert_eq!(Message::EVENTS[EV_DELTAS_ENCODED], "deltas_encoded");
-        assert_eq!(Message::EVENTS[EV_DELTA_FALLBACKS], "delta_fallbacks");
-        assert_eq!(Message::EVENTS[EV_DELTA_BYTES_SAVED], "delta_bytes_saved");
-        assert_eq!(Message::EVENTS[EV_STRIPE_CACHE_HITS], "stripe_cache_hits");
-        assert_eq!(
-            Message::EVENTS[EV_STRIPE_CACHE_MISSES],
-            "stripe_cache_misses"
-        );
-        assert_eq!(Message::EVENTS[EV_DELTA_FRAG_BYTES], "delta_frag_bytes");
-        assert_eq!(Message::EVENTS[EV_FULL_FRAG_BYTES], "full_frag_bytes");
-        assert_eq!(Message::EVENTS[EV_DELTAS_RESOLVED], "deltas_resolved");
-        assert_eq!(Message::EVENTS[EV_DELTA_UNRESOLVABLE], "delta_unresolvable");
         assert_eq!(Message::EVENTS[EV_REPAIR_TRIGGERED], "repair_triggered");
         assert_eq!(Message::EVENTS[EV_REPAIR_COMPLETED], "repair_completed");
         assert_eq!(Message::EVENTS[EV_REPAIR_ABANDONED], "repair_abandoned");
@@ -685,7 +646,7 @@ mod tests {
             "repair_throttle_stalls"
         );
         assert_eq!(Message::EVENTS[EV_DEGRADED_READS], "degraded_reads");
-        assert_eq!(Message::EVENTS.len(), 16);
+        assert_eq!(Message::EVENTS.len(), 7);
     }
 
     #[test]
@@ -698,27 +659,6 @@ mod tests {
         assert_eq!(
             report.wire_size(),
             HEADER_BYTES + OV_BYTES + full_meta().wire_size() + 1 + 2
-        );
-    }
-
-    #[test]
-    fn delta_fragments_price_window_header_and_tagged_metadata() {
-        let mut tagged = full_meta();
-        tagged.set_delta_base(Timestamp::new(SimTime::ZERO, 0));
-        let dense = Message::StoreFragment {
-            ov: ov(),
-            meta: Arc::new(full_meta()),
-            fragment: Fragment::new(0, vec![0u8; 250]),
-        };
-        let delta = Message::StoreFragment {
-            ov: ov(),
-            meta: Arc::new(tagged),
-            fragment: Fragment::new_delta(0, vec![0u8; 10], 100, 250),
-        };
-        // 240 fewer payload bytes, plus 6 window header and 9 metadata tag.
-        assert_eq!(
-            dense.wire_size() - delta.wire_size(),
-            240 - erasure::DELTA_WINDOW_BYTES - 9
         );
     }
 

@@ -7,7 +7,6 @@ use simnet::NodeId;
 
 use crate::policy::Policy;
 use crate::topology::DataCenterId;
-use crate::types::Timestamp;
 
 /// A fragment location: a fragment server plus a disk on that server
 /// (§3.5: "a location actually identifies both an FS and a disk on that FS
@@ -53,11 +52,6 @@ pub struct Metadata {
     /// Location of fragment `i` at `locs[i]`; [`UNDECIDED`] in the slots
     /// `decided` does not cover.
     locs: Box<[Location]>,
-    /// Delta-coded versions record the timestamp of the base version whose
-    /// stripe the proxy XOR-deltaed against (same key, same length). `None`
-    /// for fully encoded versions — the only shape the default protocol
-    /// produces, which keeps its wire sizes (and digests) unchanged.
-    delta_base: Option<Timestamp>,
 }
 
 impl Metadata {
@@ -82,21 +76,7 @@ impl Metadata {
             value_len: u32::try_from(value_len).expect("values larger than 4 GiB are out of scope"),
             decided: 0,
             locs: vec![UNDECIDED; usize::from(policy.n)].into_boxed_slice(),
-            delta_base: None,
         }
-    }
-
-    /// Tags this version as an XOR-delta against `base` (the previous
-    /// version of the same key, same value length). Fragment servers use
-    /// the tag to pick the resolution base for incoming windowed fragments.
-    pub fn set_delta_base(&mut self, base: Timestamp) {
-        self.delta_base = Some(base);
-    }
-
-    /// The base version this metadata's fragments are deltas against, if
-    /// the version was delta-coded.
-    pub fn delta_base(&self) -> Option<Timestamp> {
-        self.delta_base
     }
 
     /// The durability policy.
@@ -193,13 +173,6 @@ impl Metadata {
             self.value_len = other.value_len;
             changed = true;
         }
-        // The delta-base tag is set once by the originating proxy, so every
-        // copy that carries one agrees; learn it from whichever replica has
-        // it first.
-        if self.delta_base.is_none() && other.delta_base.is_some() {
-            self.delta_base = other.delta_base;
-            changed = true;
-        }
         changed
     }
 
@@ -208,9 +181,7 @@ impl Metadata {
     /// shared-metadata path skip the copy-on-write a no-op
     /// [`merge_shared`] would otherwise force.
     pub fn would_learn_from(&self, other: &Metadata) -> bool {
-        other.decided & !self.decided != 0
-            || (self.value_len == 0 && other.value_len != 0)
-            || (self.delta_base.is_none() && other.delta_base.is_some())
+        other.decided & !self.decided != 0 || (self.value_len == 0 && other.value_len != 0)
     }
 
     /// Merges `src` into the shared handle `dst`. Returns `true` if `dst`
@@ -249,9 +220,6 @@ impl Metadata {
         self.slots_in(self.decided & other.decided)
             .all(|s| self.locs[self.slot_range(s)] == other.locs[self.slot_range(s)])
             && (self.value_len == 0 || other.value_len == 0 || self.value_len == other.value_len)
-            && (self.delta_base.is_none()
-                || other.delta_base.is_none()
-                || self.delta_base == other.delta_base)
     }
 
     /// Whether the proxy/FS knows locations for `dc` already (the paper's
@@ -374,9 +342,8 @@ impl Metadata {
     /// Modeled wire size of this metadata when embedded in a message.
     pub fn wire_size(&self) -> usize {
         // policy(5) + home dc(1) + value_len(4) + per location (node 4 +
-        // disk 1 + dc tag amortized 1); delta-coded versions also carry the
-        // base timestamp (8 + 1 tag).
-        10 + 6 * self.location_count() + if self.delta_base.is_some() { 9 } else { 0 }
+        // disk 1 + dc tag amortized 1).
+        10 + 6 * self.location_count()
     }
 }
 
@@ -671,24 +638,6 @@ mod tests {
         let full = meta_with_both_dcs();
         assert!(full.wire_size() > empty.wire_size());
         assert_eq!(full.wire_size(), 10 + 6 * 12);
-    }
-
-    #[test]
-    fn delta_base_tag_propagates_and_costs_wire_bytes() {
-        let ts = Timestamp::MIN;
-        let mut m = meta_with_both_dcs();
-        assert_eq!(m.delta_base(), None);
-        let plain_size = m.wire_size();
-        m.set_delta_base(ts);
-        assert_eq!(m.delta_base(), Some(ts));
-        assert_eq!(m.wire_size(), plain_size + 9);
-
-        // A replica without the tag learns it on merge.
-        let mut untagged = meta_with_both_dcs();
-        assert!(untagged.would_learn_from(&m));
-        assert!(untagged.merge(&m));
-        assert_eq!(untagged.delta_base(), Some(ts));
-        assert!(!untagged.merge(&m), "second merge is a no-op");
     }
 
     #[test]

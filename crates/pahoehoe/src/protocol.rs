@@ -1,15 +1,12 @@
 //! Protocol behaviour switches and dense helpers.
 //!
-//! There is one protocol implementation. [`ProtocolMode`] carries the three
+//! There is one protocol implementation. [`ProtocolMode`] carries the two
 //! switches that change what it *does* (all off by default, which is the
 //! paper-faithful protocol the recorded sweep digests pin):
 //!
 //! * **`compact_converged`** — a fragment server releases a version that is
 //!   settled AMR and superseded by a newer settled-AMR version of its key
 //!   down to an O(1) residual record (DESIGN.md §8.7);
-//! * **`delta`** — a proxy encodes an overwrite of a key whose previous
-//!   stripe it still caches as XOR-delta fragments, resolved to dense bytes
-//!   at each fragment server's store path (DESIGN.md §8.8);
 //! * **`batch_rounds`** — a fragment server sends the convergence probes,
 //!   probe replies and AMR indications one dispatch produces as one
 //!   [`Message::Batch`](crate::messages::Message::Batch) per destination
@@ -37,15 +34,6 @@ pub struct ProtocolMode {
     /// compaction deliberately relaxes for superseded versions, stays
     /// exact); scale runs opt in.
     pub compact_converged: bool,
-    /// Encode overwrites of cached keys as XOR-delta stripes: when a proxy
-    /// still holds the previous version's value for a key (its bounded
-    /// stripe cache), the overwrite ships windowed delta fragments — by
-    /// GF(2⁸) linearity, `encode(a) XOR encode(b) = encode(a XOR b)` — and
-    /// each FS resolves the delta against its stored base fragment at
-    /// store time, so stored state stays dense. Off by default so the
-    /// pinned sweep digests keep their full-encode byte accounting; delta
-    /// runs opt in (explorer `--delta`).
-    pub delta: bool,
     /// Send a dispatch's round traffic — `ConvergeKls` and `ConvergeFs`
     /// probes, the `ConvergeFsReply`s it owes and FS-originated
     /// `AmrIndication`s — as one multi-entry message per destination and
@@ -62,18 +50,7 @@ impl ProtocolMode {
     pub const fn scale() -> Self {
         ProtocolMode {
             compact_converged: true,
-            delta: false,
             batch_rounds: true,
-        }
-    }
-
-    /// XOR-delta stripe coding for hot-key overwrites on (what explorer
-    /// `--delta` runs).
-    pub const fn delta() -> Self {
-        ProtocolMode {
-            compact_converged: false,
-            delta: true,
-            batch_rounds: false,
         }
     }
 }
@@ -273,11 +250,9 @@ mod tests {
     #[test]
     fn mode_constructors_and_default() {
         let default = ProtocolMode::default();
-        assert!(!default.compact_converged && !default.delta && !default.batch_rounds);
+        assert!(!default.compact_converged && !default.batch_rounds);
         let scale = ProtocolMode::scale();
-        assert!(scale.compact_converged && scale.batch_rounds && !scale.delta);
-        let delta = ProtocolMode::delta();
-        assert!(delta.delta && !delta.compact_converged && !delta.batch_rounds);
+        assert!(scale.compact_converged && scale.batch_rounds);
     }
 
     #[test]

@@ -24,48 +24,16 @@ use bytes::Bytes;
 use erasure::{Codec, Fragment, FragmentIndex};
 use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
 
-use crate::messages::{
-    Message, OpId, EV_DEGRADED_READS, EV_DELTAS_ENCODED, EV_DELTA_BYTES_SAVED, EV_DELTA_FALLBACKS,
-    EV_DELTA_FRAG_BYTES, EV_FULL_FRAG_BYTES, EV_STRIPE_CACHE_HITS, EV_STRIPE_CACHE_MISSES,
-};
+use crate::messages::{Message, OpId, EV_DEGRADED_READS};
 use crate::metadata::Metadata;
 use crate::protocol::{FragMask, ProtocolMode};
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, Timestamp};
-use erasure::DELTA_WINDOW_BYTES;
 
 const TAG_PUT: u64 = 1 << 56;
 const TAG_GET: u64 = 2 << 56;
 const TAG_GET_ATTEMPT: u64 = 3 << 56;
 const TAG_MASK: u64 = 0xff << 56;
-
-/// Stripe-cache capacity: how many keys' last fully-acked stripes a proxy
-/// retains as delta bases. Small and deterministic — like the decode
-/// matrix inversion cache — so memory stays bounded per proxy.
-const STRIPE_CACHE_CAP: usize = 32;
-
-/// Maximum consecutive delta generations for one key before the proxy
-/// forces a full encode. Bounds the version chain an FS-side reader of the
-/// metadata graph can ever observe (§8.8) and re-anchors the cache with
-/// dense bytes at a fixed cadence.
-pub const MAX_DELTA_CHAIN: u8 = 4;
-
-/// The last fully-acked stripe of one key, retained as a delta base.
-struct CachedStripe {
-    /// The acked value bytes (shared handle; never copied on insert).
-    value: Bytes,
-    /// The acked version's timestamp — the `delta_base` tag of a
-    /// successor delta put.
-    ts: Timestamp,
-    /// The acked version's complete metadata (delta puts reuse its
-    /// locations verbatim: delta fragments must land index-for-index on
-    /// the base version's servers).
-    meta: Arc<Metadata>,
-    /// Consecutive delta generations behind this stripe (0 = full encode).
-    chain: u8,
-    /// Insertion order, for deterministic FIFO eviction.
-    tick: u64,
-}
 
 /// Proxy tunables.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,13 +81,6 @@ struct PutOp {
     client_op: OpId,
     meta: Arc<Metadata>,
     fragments: Vec<Fragment>,
-    /// The client's value (shared handle), retained so a fully-acked put
-    /// can seed the stripe cache in delta mode.
-    value: Bytes,
-    /// Consecutive delta generations this put extends (0 = full encode).
-    chain: u8,
-    /// Whether this put shipped windowed delta fragments.
-    is_delta: bool,
     /// KLSs that acknowledged *complete* metadata.
     kls_complete: BTreeSet<NodeId>,
     /// Distinct fragment indices durably stored, as a 256-bit mask
@@ -197,8 +158,6 @@ pub struct Proxy {
     /// Unique proxy identifier, the timestamp tie-breaker.
     uid: u32,
     cfg: ProxyConfig,
-    /// Protocol behaviour switches, fixed at construction.
-    mode: ProtocolMode,
     /// Every KLS, in topology order: each put wave and each get fans out
     /// to all of them.
     klss: Box<[NodeId]>,
@@ -220,35 +179,17 @@ pub struct Proxy {
     /// not allocate a fragment list and a value buffer per decode.
     frag_scratch: Vec<Fragment>,
     decode_scratch: Vec<u8>,
-    /// Last fully-acked stripe per key, the delta-coding base store
-    /// (bounded FIFO; only populated in delta mode).
-    stripe_cache: BTreeMap<Key, CachedStripe>,
-    /// Monotone insertion counter for stripe-cache FIFO eviction.
-    stripe_tick: u64,
 }
 
 impl Proxy {
-    /// Creates a proxy in `my_dc` with unique id `uid` and the default
-    /// [`ProtocolMode`].
+    /// Creates a proxy in `my_dc` with unique id `uid`.
     pub fn new(topo: Arc<Topology>, my_dc: DataCenterId, uid: u32, cfg: ProxyConfig) -> Self {
-        Self::with_mode(topo, my_dc, uid, cfg, ProtocolMode::default())
-    }
-
-    /// Creates a proxy with an explicit [`ProtocolMode`].
-    pub fn with_mode(
-        topo: Arc<Topology>,
-        my_dc: DataCenterId,
-        uid: u32,
-        cfg: ProxyConfig,
-        mode: ProtocolMode,
-    ) -> Self {
         let klss = topo.all_klss().collect();
         Proxy {
             topo,
             my_dc,
             uid,
             cfg,
-            mode,
             klss,
             puts: BTreeMap::new(),
             put_seq: BTreeMap::new(),
@@ -259,9 +200,19 @@ impl Proxy {
             puts_fully_acked: 0,
             frag_scratch: Vec::new(),
             decode_scratch: Vec::new(),
-            stripe_cache: BTreeMap::new(),
-            stripe_tick: 0,
         }
+    }
+
+    /// [`Proxy::new`]: no [`ProtocolMode`] switch changes what a proxy
+    /// does. Kept only as the compile surface of `benchmark/src/api.rs`.
+    pub fn with_mode(
+        topo: Arc<Topology>,
+        my_dc: DataCenterId,
+        uid: u32,
+        cfg: ProxyConfig,
+        _mode: ProtocolMode,
+    ) -> Self {
+        Proxy::new(topo, my_dc, uid, cfg)
     }
 
     /// Puts this proxy verified as fully redundant.
@@ -276,95 +227,7 @@ impl Proxy {
         })
     }
 
-    /// The in-flight put for `ov`. Callers hold an `ov` they looked up in
-    /// `self.puts` earlier on the same dispatch path, so absence is a
-    /// protocol bug worth a loud failure.
-    fn put_op(&self, ov: ObjectVersion) -> &PutOp {
-        // lint:allow(panic-path): ov taken from a live self.puts entry on this dispatch path
-        self.puts.get(&ov).expect("in-flight put")
-    }
-
     // ---- put ----
-
-    /// Allocation-free stripe-cache lookup: the delta-coding hot path runs
-    /// once per put, so it must not allocate on hit or miss.
-    // lint:hot
-    fn stripe_lookup(&self, key: Key) -> Option<&CachedStripe> {
-        self.stripe_cache.get(&key)
-    }
-
-    /// Inserts `stripe` as the delta base for `key`, evicting the
-    /// oldest-inserted entry when the cache is full (deterministic FIFO,
-    /// mirroring the codec's decode-matrix inversion cache).
-    fn stripe_insert(&mut self, key: Key, mut stripe: CachedStripe) {
-        stripe.tick = self.stripe_tick;
-        self.stripe_tick += 1;
-        if self.stripe_cache.len() >= STRIPE_CACHE_CAP && !self.stripe_cache.contains_key(&key) {
-            if let Some(victim) = self
-                .stripe_cache
-                .iter()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(&k, _)| k)
-            {
-                self.stripe_cache.remove(&victim);
-            }
-        }
-        self.stripe_cache.insert(key, stripe);
-    }
-
-    /// Attempts to encode `value` as an XOR-delta stripe against the
-    /// cached base version of `key`. On success, fills `fragments` with
-    /// windowed delta fragments and returns the complete, delta-tagged
-    /// metadata plus the new chain depth. Falls back (`None`) on cache
-    /// miss, length or policy change, an exhausted chain budget, or a
-    /// dirty window too wide to be worth shipping.
-    fn try_delta_encode(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        key: Key,
-        value: &Bytes,
-        policy: crate::policy::Policy,
-        fragments: &mut Vec<Fragment>,
-    ) -> Option<(Arc<Metadata>, u8)> {
-        let Some(cached) = self.stripe_lookup(key) else {
-            ctx.record_event(EV_STRIPE_CACHE_MISSES, 1);
-            return None;
-        };
-        ctx.record_event(EV_STRIPE_CACHE_HITS, 1);
-        let usable = cached.value.len() == value.len()
-            && !value.is_empty()
-            && cached.chain < MAX_DELTA_CHAIN
-            && *cached.meta.policy() == policy
-            && cached.meta.is_complete();
-        if !usable {
-            ctx.record_event(EV_DELTA_FALLBACKS, 1);
-            return None;
-        }
-        let (base_value, base_ts, base_chain, base_meta) = (
-            cached.value.clone(),
-            cached.ts,
-            cached.chain,
-            Arc::clone(&cached.meta),
-        );
-        let codec = self.codec(policy.k, policy.n);
-        let flen = codec.fragment_len(value.len());
-        let (_, w) = codec.delta_window(&base_value, value);
-        // Worth-shipping gates: the window header must not eat the
-        // savings, and a mostly-rewritten value encodes cheaper in full.
-        if w + DELTA_WINDOW_BYTES >= flen || w * 4 > flen * 3 {
-            ctx.record_event(EV_DELTA_FALLBACKS, 1);
-            return None;
-        }
-        codec.encode_delta_into(&base_value, value, fragments);
-        let mut tagged = Metadata::clone(&base_meta);
-        tagged.set_delta_base(base_ts);
-        ctx.record_event(EV_DELTAS_ENCODED, 1);
-        let payload: u64 = fragments.iter().map(|f| f.wire_len() as u64).sum();
-        ctx.record_event(EV_DELTA_FRAG_BYTES, payload);
-        let full: u64 = (fragments.len() * flen) as u64;
-        ctx.record_event(EV_DELTA_BYTES_SAVED, full.saturating_sub(payload));
-        Some((Arc::new(tagged), base_chain.saturating_add(1)))
-    }
 
     fn start_put(
         &mut self,
@@ -378,28 +241,12 @@ impl Proxy {
         policy.validate();
         let ts = Timestamp::new(ctx.now().saturating_add(self.cfg.clock_skew), self.uid);
         let ov = ObjectVersion::new(key, ts);
+        // Zero-copy encode: data fragments are windows of the client's
+        // value; only parity is freshly written.
         let mut fragments = Vec::new();
-        let delta = if self.mode.delta {
-            self.try_delta_encode(ctx, key, &value, policy, &mut fragments)
-        } else {
-            None
-        };
-        let (meta, chain, is_delta) = match delta {
-            Some((meta, chain)) => (meta, chain, true),
-            None => {
-                // Zero-copy encode: data fragments are windows of the
-                // client's value; only parity is freshly written.
-                self.codec(policy.k, policy.n)
-                    .encode_value(&value, &mut fragments);
-                // Recorded with delta coding on or off: the delta payload
-                // test compares a delta-off run's full-stripe bytes
-                // against a delta run's mixed ledger.
-                let payload: u64 = fragments.iter().map(|f| f.len() as u64).sum();
-                ctx.record_event(EV_FULL_FRAG_BYTES, payload);
-                let meta = Arc::new(Metadata::new(policy, self.my_dc, value.len()));
-                (meta, 0, false)
-            }
-        };
+        self.codec(policy.k, policy.n)
+            .encode_value(&value, &mut fragments);
+        let meta = Arc::new(Metadata::new(policy, self.my_dc, value.len()));
 
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -410,11 +257,8 @@ impl Proxy {
             PutOp {
                 client,
                 client_op,
-                meta: Arc::clone(&meta),
+                meta,
                 fragments,
-                value,
-                chain,
-                is_delta,
                 kls_complete: BTreeSet::new(),
                 acked: FragMask::new(),
                 replied: false,
@@ -422,43 +266,15 @@ impl Proxy {
             },
         );
 
-        if is_delta {
-            // Delta fast path: the base version's metadata is complete and
-            // its locations are reused verbatim, so there is nothing to
-            // decide — store the tagged metadata at every KLS and the
-            // windowed fragments index-for-index on the base's servers.
-            for &kls in self.klss.iter() {
-                ctx.send(
-                    kls,
-                    Message::StoreMetadata {
-                        ov,
-                        meta: Arc::clone(&meta),
-                    },
-                );
-            }
-            let fragments = &self.put_op(ov).fragments;
-            for (idx, loc) in meta.assignments() {
-                ctx.send(
-                    loc.fs,
-                    Message::StoreFragment {
-                        ov,
-                        meta: Arc::clone(&meta),
-                        // lint:allow(panic-path): assignment indexes are < n == fragments.len()
-                        fragment: fragments[idx as usize].clone(),
-                    },
-                );
-            }
-        } else {
-            for &kls in self.klss.iter() {
-                ctx.send(
-                    kls,
-                    Message::DecideLocs {
-                        ov,
-                        policy,
-                        home_dc: self.my_dc,
-                    },
-                );
-            }
+        for &kls in self.klss.iter() {
+            ctx.send(
+                kls,
+                Message::DecideLocs {
+                    ov,
+                    policy,
+                    home_dc: self.my_dc,
+                },
+            );
         }
     }
 
@@ -544,7 +360,7 @@ impl Proxy {
         // Full acknowledgment: every KLS holds complete metadata and every
         // assigned fragment is durably stored -> the proxy knows the
         // version is AMR.
-        // Field-level borrow (not put_op) so puts_fully_acked stays assignable.
+        // Field-level borrow so puts_fully_acked stays assignable.
         // lint:allow(panic-path): ov taken from a live self.puts entry on this dispatch path
         let op = &self.puts[&ov];
         if !op.meta.is_complete() {
@@ -560,22 +376,6 @@ impl Proxy {
         if fully_acked {
             self.puts_fully_acked += 1;
             let meta = Arc::clone(&op.meta);
-            let (value, chain) = (op.value.clone(), op.chain);
-            if self.mode.delta {
-                // Only fully-acked stripes become delta bases: every
-                // assigned FS then provably holds the (dense, resolved)
-                // base fragment a successor delta will need.
-                self.stripe_insert(
-                    ov.key,
-                    CachedStripe {
-                        value,
-                        ts: ov.ts,
-                        meta: Arc::clone(&meta),
-                        chain,
-                        tick: 0,
-                    },
-                );
-            }
             if self.cfg.put_amr_indication {
                 for fs in meta.siblings() {
                     ctx.send(
@@ -602,13 +402,6 @@ impl Proxy {
         };
         ctx.cancel_timer(op.timer);
         self.put_seq.retain(|_, v| *v != ov);
-        // A delta put that timed out may have an unresolvable base (e.g.
-        // compacted under a concurrent writer). Evict the cached stripe so
-        // the client's retry re-anchors with a full encode instead of
-        // looping on the same dead base.
-        if op.is_delta && !success_if_unreplied {
-            self.stripe_cache.remove(&ov.key);
-        }
         if !op.replied {
             ctx.send(
                 op.client,

@@ -551,9 +551,7 @@ impl Actor<Message> for RepairActor {
             Message::RetrieveFragReply { op, data, .. } => {
                 if let Some(job) = self.jobs.get_mut(&op) {
                     job.awaiting = job.awaiting.saturating_sub(1);
-                    // Delta-shaped fragments cannot feed the codec
-                    // directly; treat them like an absent donor.
-                    if let Some(frag) = data.filter(|f| !f.is_delta()) {
+                    if let Some(frag) = data {
                         ctx.record_event(EV_REPAIR_BYTES, frag.len() as u64);
                         job.collected.push(frag);
                     }

@@ -246,9 +246,11 @@ pub struct StreamingWorkload {
     /// put index. `0` keeps the standard key-derived blobs — required
     /// whenever byte-level durability checks are installed, since those
     /// reconstruct the expected blob from the key alone. Nonzero values
-    /// model the ≤1 %-changed overwrite streams the delta-coding benches
-    /// measure: successive puts to the same key differ only within the
-    /// window.
+    /// make windowed overwrites: successive puts to the same key differ
+    /// only within the window. Nothing in the workspace sets it above 0
+    /// except its own test; it stays because `benchmark/src/api.rs` names
+    /// it, and goes with that reference in ROADMAP item 1's `[benchmark]`
+    /// change.
     pub overwrite_delta_permille: u16,
 }
 

@@ -1,12 +1,11 @@
-//! Differential tests: the three [`ProtocolMode`] behaviour switches, each
+//! Differential tests: the two [`ProtocolMode`] behaviour switches, each
 //! alone against the default protocol.
 //!
 //! Converged-version compaction must be *invisible* on a fault-free run —
 //! same outcome, event sequence, clock, traffic and per-server observables,
-//! with superseded settled versions allowed to collapse to residuals —
-//! delta coding must change what a put ships, never what the archive
-//! holds, and batched rounds must change how many messages convergence
-//! sends, never where it ends up. (The version store itself is checked
+//! with superseded settled versions allowed to collapse to residuals — and
+//! batched rounds must change how many messages convergence sends, never
+//! where it ends up. (The version store itself is checked
 //! against an in-test model in `fs/tests/store.rs`, without a cluster.)
 
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
@@ -24,7 +23,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// which moves messages, and these tests are about what compaction moves.
 const COMPACTING: ProtocolMode = ProtocolMode {
     compact_converged: true,
-    delta: false,
     batch_rounds: false,
 };
 
@@ -71,7 +69,6 @@ fn run_update_heavy(
     key_space: u64,
     puts: u64,
     mode: ProtocolMode,
-    overwrite_delta_permille: u16,
 ) -> (Cluster, RunOutcome) {
     let layout = ClusterLayout {
         dcs: 2,
@@ -89,7 +86,7 @@ fn run_update_heavy(
         policy: cfg.policy,
         seed: sc.seed,
         dist: KeyDistribution::Sequential,
-        overwrite_delta_permille,
+        overwrite_delta_permille: 0,
     });
     cfg.convergence = if sc.naive {
         ConvergenceOptions::naive()
@@ -245,8 +242,8 @@ proptest! {
             ..sc
         };
         let (full, full_outcome) =
-            run_update_heavy(&sc, key_space, puts, ProtocolMode::default(), 0);
-        let (compact, compact_outcome) = run_update_heavy(&sc, key_space, puts, COMPACTING, 0);
+            run_update_heavy(&sc, key_space, puts, ProtocolMode::default());
+        let (compact, compact_outcome) = run_update_heavy(&sc, key_space, puts, COMPACTING);
         prop_assert_eq!(full_outcome, compact_outcome);
         prop_assert_eq!(
             full.sim().events_processed(),
@@ -280,8 +277,8 @@ fn compaction_collapses_superseded_versions_invisibly() {
         naive: false,
         outages: Vec::new(),
     };
-    let (full, full_outcome) = run_update_heavy(&sc, 1, 8, ProtocolMode::default(), 0);
-    let (compact, compact_outcome) = run_update_heavy(&sc, 1, 8, COMPACTING, 0);
+    let (full, full_outcome) = run_update_heavy(&sc, 1, 8, ProtocolMode::default());
+    let (compact, compact_outcome) = run_update_heavy(&sc, 1, 8, COMPACTING);
     assert_eq!(full_outcome, compact_outcome);
     assert_eq!(
         full.sim().events_processed(),
@@ -389,8 +386,8 @@ proptest! {
             ..ProtocolMode::default()
         };
         let (single, single_outcome) =
-            run_update_heavy(&sc, key_space, puts, ProtocolMode::default(), 0);
-        let (batched, batched_outcome) = run_update_heavy(&sc, key_space, puts, batching, 0);
+            run_update_heavy(&sc, key_space, puts, ProtocolMode::default());
+        let (batched, batched_outcome) = run_update_heavy(&sc, key_space, puts, batching);
         prop_assert_eq!(single_outcome, RunOutcome::PredicateSatisfied);
         prop_assert_eq!(batched_outcome, RunOutcome::PredicateSatisfied);
         prop_assert_eq!(single.client().puts_succeeded(), puts);
@@ -421,252 +418,4 @@ proptest! {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Delta coding: semantic equivalence against the full-encode path
-// ---------------------------------------------------------------------------
-
-/// The streaming workload [`run_update_heavy`] drives for `sc`, rebuilt
-/// so tests can compute expected last-writer blobs.
-fn update_heavy_workload(
-    sc: &Scenario,
-    key_space: u64,
-    puts: u64,
-    overwrite_delta_permille: u16,
-) -> StreamingWorkload {
-    StreamingWorkload {
-        puts,
-        key_space,
-        value_len: sc.value_len,
-        policy: pahoehoe::policy::Policy::paper_default(),
-        seed: sc.seed,
-        dist: KeyDistribution::Sequential,
-        overwrite_delta_permille,
-    }
-}
-
-/// Decodes every key's newest stored version from FS fragments and
-/// asserts it equals the last writer's bytes from the workload stream —
-/// the end-to-end correctness claim for delta resolution: whatever mix of
-/// full and XOR-delta stripes travelled, the archive holds the blobs.
-fn assert_last_writer_values(cluster: &Cluster, wl: &StreamingWorkload) {
-    use pahoehoe::client::ClientOp;
-    use std::collections::BTreeMap;
-
-    let mut last_put: BTreeMap<pahoehoe::types::Key, u64> = BTreeMap::new();
-    for i in 0..wl.puts {
-        last_put.insert(wl.key_at(i), i);
-    }
-    let topo = cluster.topology().clone();
-    let codec = erasure::Codec::new(4, 12).expect("paper-default policy");
-    for (key, &i) in &last_put {
-        let mut newest: Option<pahoehoe::types::ObjectVersion> = None;
-        let mut frags: BTreeMap<u8, erasure::Fragment> = BTreeMap::new();
-        for id in topo.all_fss() {
-            let fs: &Fs = cluster.sim().actor(id);
-            for ov in fs.known_versions().filter(|ov| ov.key == *key) {
-                if newest.is_none_or(|n| ov.ts > n.ts) {
-                    newest = Some(ov);
-                    frags.clear();
-                }
-            }
-        }
-        let ov = newest.expect("every key was stored");
-        for id in topo.all_fss() {
-            let fs: &Fs = cluster.sim().actor(id);
-            if let Some(entry) = fs.entry(ov) {
-                for (&idx, frag) in &entry.fragments {
-                    assert!(!frag.is_delta(), "stores hold dense resolved fragments");
-                    frags.entry(idx).or_insert_with(|| frag.clone());
-                }
-            }
-        }
-        assert!(frags.len() >= 4, "newest {ov:?} is decodable");
-        let subset: Vec<erasure::Fragment> = frags.into_values().take(4).collect();
-        let decoded = codec.decode(&subset, wl.value_len).expect("decodes");
-        let ClientOp::Put { value, .. } = wl.op_at(i) else {
-            panic!("streams are puts")
-        };
-        assert_eq!(
-            decoded, value,
-            "key {key:?} must hold put {i}'s bytes (newest {ov:?})"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Delta coding changes the put-path *representation* — windowed XOR
-    /// stripes against the proxy's cached base instead of full fragments
-    /// — but never the archive's contents. On a clean network with an
-    /// overwrite-correlated stream, the delta run and the full-encode run
-    /// both succeed every put, classify every version identically, and
-    /// every key converges to its last writer's exact bytes — including
-    /// when converged-version compaction reclaims superseded delta bases
-    /// underneath the chain.
-    #[test]
-    fn delta_mode_archives_last_writer_values(
-        sc in scenario_strategy(),
-        key_space in 1u64..5,
-        extra_puts in 2u64..11,
-        compact: bool,
-        permille in 1u16..30,
-    ) {
-        let sc = Scenario {
-            drop_pct: 0,
-            dup_pct: 0,
-            outages: Vec::new(),
-            ..sc
-        };
-        let puts = key_space + extra_puts; // every run revisits a key
-        let delta_mode = ProtocolMode {
-            compact_converged: compact,
-            ..ProtocolMode::delta()
-        };
-        // The baseline differs from the delta run in exactly one switch,
-        // so every report delta is attributable to delta coding. (The
-        // compaction flag must match: released residuals are invisible
-        // to the report's durability census by design.)
-        let full_mode = ProtocolMode {
-            delta: false,
-            ..delta_mode
-        };
-        let (delta, delta_outcome) =
-            run_update_heavy(&sc, key_space, puts, delta_mode, permille);
-        let (full, full_outcome) = run_update_heavy(&sc, key_space, puts, full_mode, permille);
-        prop_assert_eq!(delta_outcome, RunOutcome::PredicateSatisfied);
-        prop_assert_eq!(full_outcome, RunOutcome::PredicateSatisfied);
-
-        // Non-vacuity: overwrites of cached stripes really took the
-        // delta path.
-        let metrics = delta.sim().metrics().clone();
-        prop_assert!(metrics.event("deltas_encoded") > 0, "{metrics:?}");
-        prop_assert_eq!(metrics.event("delta_unresolvable"), 0);
-        prop_assert_eq!(
-            metrics.event("deltas_resolved") > 0,
-            metrics.event("deltas_encoded") > 0
-        );
-
-        // Semantic equivalence: identical put ledger and AMR census.
-        // (Raw digests legitimately differ — delta puts skip the
-        // location-decision round, so the message flow changes.)
-        let dr = delta.report(delta_outcome);
-        let fr = full.report(full_outcome);
-        prop_assert_eq!(dr.puts_attempted, fr.puts_attempted);
-        prop_assert_eq!(dr.puts_succeeded, fr.puts_succeeded);
-        prop_assert_eq!(dr.puts_succeeded, puts);
-        prop_assert_eq!(dr.amr_versions, fr.amr_versions);
-        prop_assert_eq!(dr.excess_amr, fr.excess_amr);
-        prop_assert_eq!(dr.non_durable, fr.non_durable);
-        prop_assert_eq!(dr.durable_not_amr, fr.durable_not_amr);
-        if !compact {
-            // Without compaction every version stays fully inspectable:
-            // all must be durable and settled AMR.
-            prop_assert_eq!(dr.non_durable, 0);
-            prop_assert_eq!(dr.durable_not_amr, 0);
-            prop_assert_eq!(dr.amr_versions as u64, puts);
-        }
-
-        let wl = update_heavy_workload(&sc, key_space, puts, permille);
-        assert_last_writer_values(&delta, &wl);
-        assert_last_writer_values(&full, &wl);
-    }
-}
-
-/// A scripted delta chain long enough to cross the chain-depth bound
-/// *and* run over an actively compacting store: twelve puts to one hot
-/// key under `delta + compact_converged`. Superseded bases must compact
-/// (the store stays bounded) while every resolved stripe still decodes
-/// to the last writer's bytes.
-#[test]
-fn delta_chains_survive_base_compaction() {
-    let sc = Scenario {
-        seed: 7,
-        value_len: 4096,
-        drop_pct: 0,
-        dup_pct: 0,
-        naive: false,
-        outages: Vec::new(),
-    };
-    let mode = ProtocolMode {
-        compact_converged: true,
-        ..ProtocolMode::delta()
-    };
-    let (cluster, outcome) = run_update_heavy(&sc, 1, 12, mode, 10);
-    assert_eq!(outcome, RunOutcome::PredicateSatisfied);
-
-    let compacted: usize = cluster
-        .topology()
-        .clone()
-        .all_fss()
-        .map(|id| cluster.sim().actor::<Fs>(id).compacted_count())
-        .sum();
-    assert!(compacted > 0, "superseded delta bases compacted");
-
-    let metrics = cluster.sim().metrics().clone();
-    // Twelve puts to one key: the first is a full encode and every
-    // chain-depth re-anchor falls back, but most overwrites are deltas.
-    assert!(metrics.event("deltas_encoded") >= 6, "{metrics:?}");
-    assert_eq!(metrics.event("delta_unresolvable"), 0, "{metrics:?}");
-
-    let report = cluster.report(outcome);
-    assert_eq!(report.puts_succeeded, 12);
-
-    let wl = update_heavy_workload(&sc, 1, 12, 10);
-    assert_last_writer_values(&cluster, &wl);
-}
-
-/// The delta codec's headline number (DESIGN.md §8.8): on a hot overwrite
-/// stream — 16 keys cycled sequentially, 4 KiB values, ~1 % of bytes
-/// rewritten per overwrite, so every stripe stays inside the proxy's
-/// 32-entry cache and only the chain-depth re-anchors ship full stripes —
-/// delta coding cuts the put path's fragment payload at least threefold
-/// while the pair converges to the same put and AMR ledger. Every quantity
-/// is a deterministic count: 3.33x here, and 3.49x for the same stream at
-/// 4 096 puts in `results/history/BENCH_delta.json`.
-#[test]
-fn delta_cuts_hot_pair_payload_threefold() {
-    let sc = Scenario {
-        seed: 42,
-        value_len: 4096,
-        drop_pct: 0,
-        dup_pct: 0,
-        naive: false,
-        outages: Vec::new(),
-    };
-    let puts = 512u64;
-    let run = |mode: ProtocolMode| {
-        let (cluster, outcome) = run_update_heavy(&sc, 16, puts, mode, 10);
-        assert_eq!(outcome, RunOutcome::PredicateSatisfied);
-        let report = cluster.report(outcome);
-        let metrics = cluster.sim().metrics().clone();
-        (report, metrics)
-    };
-    let (on, on_metrics) = run(ProtocolMode::delta());
-    let (off, off_metrics) = run(ProtocolMode::default());
-
-    assert_eq!(on.puts_succeeded, off.puts_succeeded);
-    assert_eq!(off.puts_succeeded, puts);
-    assert_eq!(on.amr_versions, off.amr_versions);
-    assert_eq!(on.non_durable, off.non_durable);
-    assert_eq!(on_metrics.event("delta_unresolvable"), 0);
-
-    let policy = pahoehoe::policy::Policy::paper_default();
-    let full_stripe = u64::from(policy.n) * sc.value_len as u64 / u64::from(policy.k);
-    let off_payload = off_metrics.event("full_frag_bytes");
-    assert_eq!(
-        off_payload,
-        puts * full_stripe,
-        "every put ships one full stripe"
-    );
-    assert_eq!(off_metrics.event("delta_frag_bytes"), 0);
-    let on_payload = on_metrics.event("delta_frag_bytes") + on_metrics.event("full_frag_bytes");
-    let ratio = off_payload as f64 / on_payload as f64;
-    assert!(
-        ratio >= 3.0,
-        "expected >= 3x put-path payload reduction, got {ratio:.2}x \
-         ({off_payload} B full-stripe vs {on_payload} B with delta coding)"
-    );
 }

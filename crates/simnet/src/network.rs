@@ -84,22 +84,6 @@ impl NetworkConfig {
         }
     }
 
-    /// Same latency model with a message duplication rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duplicate_rate` is not within `[0, 1]`.
-    pub fn with_duplicate_rate(duplicate_rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&duplicate_rate),
-            "duplicate rate must be a probability"
-        );
-        NetworkConfig {
-            duplicate_rate,
-            ..NetworkConfig::paper_default()
-        }
-    }
-
     /// Samples a one-way latency from the default uniform distribution.
     pub fn sample_latency<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         Self::sample(self.latency_min, self.latency_max, rng)

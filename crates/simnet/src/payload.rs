@@ -20,9 +20,9 @@ pub trait Payload: Clone {
 
     /// Protocol event counters this payload's actors may record via
     /// [`Metrics::record_event`](crate::Metrics::record_event), indexed by
-    /// event id. These count protocol-level happenings (cache hits, delta
-    /// fallbacks, bytes saved) rather than messages, and stay out of the
-    /// per-kind send/drop tables. Defaults to none.
+    /// event id. These count protocol-level happenings (repairs triggered,
+    /// bytes repaired, degraded reads) rather than messages, and stay out
+    /// of the per-kind send/drop tables. Defaults to none.
     const EVENTS: &'static [&'static str] = &[];
 
     /// Dense index of this message's kind into [`KINDS`](Payload::KINDS).

@@ -21,14 +21,12 @@
 //! ```
 
 pub mod accumulator;
-pub mod histogram;
 pub mod percentile;
 pub mod rss;
 pub mod streaming;
 pub mod t_table;
 
 pub use accumulator::{Accumulator, Summary};
-pub use histogram::Histogram;
 pub use percentile::percentile;
 pub use rss::{current_rss_bytes, peak_rss_bytes};
 pub use streaming::StreamingQuantile;
