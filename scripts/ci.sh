@@ -63,6 +63,9 @@ explore_mode smoke-batch --smoke --batch
 # The one explicit pair: one worker against two, fresh from the same build.
 cmp target/digest-one-worker.txt target/digest-smoke-batch.txt
 echo "    two-worker sweep digest is byte-identical to one-worker"
+# The smoke sweep takes only the clean, loss and duplication fault specs:
+# batched rounds with an FS outage run only here.
+explore_mode full-batch --batch
 
 # Two workload rounds: every second-round put overwrites a key that already
 # holds a version, checked by every invariant.
