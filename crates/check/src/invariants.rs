@@ -717,6 +717,36 @@ impl Invariant for RedundancyFloor {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Invariant 9: per-actor bookkeeping stays within its bound.
+// ---------------------------------------------------------------------------
+
+/// State an actor keeps per peer stays bounded by the peers that exist. An
+/// FS's silent-sibling map ([`Fs::silent_siblings`]) decides what a batched
+/// round re-asks. Each of its keys must be an FS other than its owner —
+/// never a KLS, a proxy or the FS itself — and the keys are distinct, so it
+/// holds at most the cluster's FS count less one entries.
+pub struct ResourceBounds;
+
+impl Invariant for ResourceBounds {
+    fn name(&self) -> &'static str {
+        "resource-bounds"
+    }
+
+    fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
+        for &fs in view.fss {
+            for sibling in view.sim.actor::<Fs>(fs).silent_siblings() {
+                if sibling == fs || !view.fss.contains(&sibling) {
+                    return Err(format!(
+                        "{fs:?} counts {sibling:?} as a silent sibling, which is not another FS"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The full registry: every invariant the explorer checks, in reporting
 /// order.
 pub fn registry() -> Vec<Box<dyn Invariant>> {
@@ -729,6 +759,7 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
         Box::new(DurableMonotone::new()),
         Box::new(CompactionSafety),
         Box::new(RedundancyFloor::new()),
+        Box::new(ResourceBounds),
     ]
 }
 

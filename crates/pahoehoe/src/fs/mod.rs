@@ -30,7 +30,9 @@
 //! and FS AMR indications — leaves through the [`Outbox`]: one message per
 //! object version, the paper's accounting, or with
 //! [`ProtocolMode::batch_rounds`] one [`Message::Batch`] per destination
-//! and kind per dispatch (DESIGN.md §8.6).
+//! and kind per dispatch (DESIGN.md §8.6). Batched rounds also stop
+//! re-sending what is known: a verification step whose last answers lack
+//! only silent siblings re-asks those siblings alone.
 //!
 //! What an FS keeps resident follows the versions that still hold
 //! fragments, not the puts it has served. AMR is the paper's terminal
@@ -144,8 +146,10 @@ pub struct Fs {
     /// Per sibling FS, when this FS first sent it a `ConvergeFs` that it
     /// has not answered since: any message from the sibling removes its
     /// entry, so there is at most one per sibling and never one for a KLS
-    /// or a proxy. An entry older than a round when the sibling speaks
-    /// means it was unreachable and is back (`Fs::heard_from`).
+    /// or a proxy ([`Fs::silent_siblings`]). An entry older than a round
+    /// when the sibling speaks means it was unreachable and is back
+    /// (`Fs::heard_from`); while it stands, batched rounds re-ask that
+    /// sibling alone (`Fs::step`).
     silent_since: BTreeMap<NodeId, SimTime>,
 }
 
@@ -291,6 +295,14 @@ impl Fs {
     /// Versions this FS has compacted, in object-version order.
     pub fn compacted_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
         self.store.compacted_versions()
+    }
+
+    /// The siblings this FS has sent a `ConvergeFs` that they have not
+    /// answered since, in id order. Only other FSs belong here, so there
+    /// are never more than the cluster has FSs less one — the explorer's
+    /// `resource-bounds` invariant checks both.
+    pub fn silent_siblings(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.silent_since.keys().copied()
     }
 
     // ---- internals ----

@@ -27,7 +27,7 @@ impl Fs {
             // Probe siblings with the recovery-intent flag; their replies
             // report what they need; we fetch after a short accumulation
             // window.
-            self.probe_siblings(ctx, ov, &meta, true);
+            self.probe_siblings(ctx, ov, &meta, true, false);
             let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
             (RecoveryPhase::AwaitingReports, Some(wait_timer))
         } else {

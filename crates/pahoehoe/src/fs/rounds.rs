@@ -1,14 +1,15 @@
 //! The round/step loop (§3.4, Fig. 4): when a round fires, which pending
 //! versions it steps, what a step does — metadata repair, fragment recovery
-//! (`recovery.rs`) or verification — and the handlers for round traffic,
-//! which leaves through the [`Outbox`].
+//! (`recovery.rs`), verification, or under batched rounds a re-ask of the
+//! silent siblings alone — and the handlers for round traffic, which leaves
+//! through the [`Outbox`].
 
 use std::sync::Arc;
 
 use erasure::FragmentIndex;
-use simnet::{Context, NodeId};
+use simnet::{Context, NodeId, SimTime};
 
-use super::store::{ConvWork, RecoveryPhase};
+use super::store::{ConvWork, RecoveryPhase, Step};
 use super::{FragEntry, Fs, TAG_ROUND};
 use crate::convergence::RoundSchedule;
 use crate::messages::Message;
@@ -107,21 +108,22 @@ impl Fs {
         self.ensure_round(ctx);
     }
 
-    /// Sends every other sibling of `ov` a convergence probe, noting for
-    /// each when it was first probed without answering since.
+    /// Sends every other sibling of `ov` a convergence probe — or, for a
+    /// re-ask, only those not in its `fs_ok` — noting for each when it was
+    /// first probed without answering since.
     pub(super) fn probe_siblings(
         &mut self,
         ctx: &mut Context<'_, Message>,
         ov: ObjectVersion,
         meta: &Arc<Metadata>,
         recovery_intent: bool,
+        reask: bool,
     ) {
         let me = ctx.self_id();
         for fs in meta.siblings().filter(|&fs| fs != me) {
-            debug_assert!(
-                self.topo.all_fss().any(|known| known == fs),
-                "metadata names {fs:?}, which is not an FS"
-            );
+            if reask && self.store.work(ov).is_some_and(|w| w.fs_ok.contains(&fs)) {
+                continue;
+            }
             self.silent_since.entry(fs).or_insert(ctx.now());
             let probe = Message::ConvergeFs {
                 ov,
@@ -146,7 +148,7 @@ impl Fs {
             return;
         };
         let now = ctx.now();
-        if now.duration_since(since) <= self.opts.round_min {
+        if !self.silent_long(since, now) {
             return;
         }
         let me = ctx.self_id();
@@ -184,16 +186,47 @@ impl Fs {
         meta.siblings().find(|&fs| fs != back)
     }
 
-    /// Whether `work`'s last step was a verification step that every
-    /// sibling but `back` answered verified. A version also waiting on
-    /// another sibling, on a recovery or on its metadata would fail its
-    /// re-probe again, so `back` speaking is no news for it.
+    /// Whether `work`'s last step was a verification step (or a re-ask)
+    /// that every sibling but `back` answered verified. A version also
+    /// waiting on another sibling, on a recovery or on its metadata would
+    /// fail its re-probe again, so `back` speaking is no news for it.
     fn only_unanswered(meta: &Metadata, work: &ConvWork, me: NodeId, back: NodeId) -> bool {
-        work.step_open
+        work.step != Step::Closed
             && !work.fs_ok.contains(&back)
             && meta
                 .siblings()
                 .all(|fs| fs == me || fs == back || work.fs_ok.contains(&fs))
+    }
+
+    /// Whether a sibling that has owed this FS an answer since `since` has
+    /// been silent for longer than `round_min`: unreachable, not slow.
+    fn silent_long(&self, since: SimTime, now: SimTime) -> bool {
+        now.duration_since(since) > self.opts.round_min
+    }
+
+    /// Whether the answers kept from `work`'s last verification step leave
+    /// only silent siblings to ask: every KLS verified, and so did every
+    /// sibling but one or more that have been silent longer than
+    /// `round_min`.
+    // lint:hot
+    fn only_silent_unanswered(
+        &self,
+        meta: &Metadata,
+        work: &ConvWork,
+        me: NodeId,
+        now: SimTime,
+    ) -> bool {
+        let mut unanswered = meta
+            .siblings()
+            .filter(|&fs| fs != me && !work.fs_ok.contains(&fs))
+            .peekable();
+        work.kls_ok.len() >= self.total_klss
+            && unanswered.peek().is_some()
+            && unanswered.all(|fs| {
+                self.silent_since
+                    .get(&fs)
+                    .is_some_and(|&since| self.silent_long(since, now))
+            })
     }
 
     /// Ensures the store tracks `ov` (pending unless it is already
@@ -312,6 +345,15 @@ impl Fs {
             .expect("pending implies stored");
         let meta = Arc::clone(&entry.meta);
         let missing = Self::missing_mask(entry, me);
+        let verifying = meta.is_complete() && missing.is_empty();
+        // Batched rounds re-ask only the silent siblings while the last
+        // verification step's other answers stand.
+        let reask = verifying
+            && self.mode.batch_rounds
+            && self
+                .store
+                .work_at(ov, slot)
+                .is_some_and(|work| self.only_silent_unanswered(&meta, work, me, ctx.now()));
 
         // Charge the backoff up front; any new information resets it.
         let attempt = {
@@ -320,11 +362,27 @@ impl Fs {
             work.attempts += 1;
             let delay = self.opts.backoff_delay(work.attempts);
             work.next_eligible = ctx.now() + delay;
-            work.step_open = false;
+            // Answers are kept only for a re-ask: any other step starts
+            // afresh, so kept answers always come from a verification step.
+            work.step = if reask {
+                Step::Reasking
+            } else {
+                work.kls_ok.clear();
+                work.fs_ok.clear();
+                if verifying {
+                    Step::Verifying
+                } else {
+                    Step::Closed
+                }
+            };
             work.attempts as usize
         };
 
-        if !meta.is_complete() {
+        if reask {
+            // 3'. Re-ask: what the last verification step lacked, from the
+            // siblings that owe it; `check_amr` settles nothing on it.
+            self.probe_siblings(ctx, ov, &meta, false, true);
+        } else if !meta.is_complete() {
             // 1. Metadata repair: probe one KLS per missing DC, rotating
             // through the DC's KLSs across attempts (§3.5 fixed order).
             for dc in self.topo.dc_ids() {
@@ -347,21 +405,30 @@ impl Fs {
             self.start_recovery(ctx, ov);
         } else {
             // 3. Verification: probe all KLSs and sibling FSs.
-            {
-                // lint:allow(panic-path): step already verified the version is pending
-                let work = self.store.work_at_mut(ov, slot).expect("present");
-                work.kls_ok.clear();
-                work.fs_ok.clear();
-                work.step_open = true;
-            }
             for kls in self.topo.all_klss() {
                 let meta = Arc::clone(&meta);
                 self.outbox
                     .post(ctx, kls, Message::ConvergeKls { ov, meta });
             }
-            self.probe_siblings(ctx, ov, &meta, false);
+            self.probe_siblings(ctx, ov, &meta, false, false);
             self.check_amr(ctx, ov);
         }
+    }
+
+    /// A silent sibling answered a re-ask of `ov` verified: it is back and
+    /// whole, so the kept answers are moot. Forget them and run a full
+    /// verification step now, from a reset back-off.
+    fn verify_afresh(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+        let Some(slot) = self.store.slot_of(ov) else {
+            return;
+        };
+        let Some(work) = self.store.work_at_mut(ov, slot) else {
+            return;
+        };
+        work.attempts = 0;
+        work.kls_ok.clear();
+        work.fs_ok.clear();
+        self.step(ctx, ov, slot);
     }
 
     /// Fragment indices assigned to `me` that are not in the store.
@@ -377,13 +444,14 @@ impl Fs {
     }
 
     /// Records a verification-step reply and finalizes AMR when everyone
-    /// verified (the paper's `is_amr`).
+    /// verified (the paper's `is_amr`) — in answer to one verification
+    /// step, never to kept answers and a re-ask.
     fn check_amr(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
         let me = ctx.self_id();
         let Some(work) = self.store.work(ov) else {
             return;
         };
-        if !work.step_open {
+        if work.step != Step::Verifying {
             return;
         }
         // `kls_ok` only ever holds KLSs that replied verified, so reaching
@@ -493,6 +561,7 @@ impl Fs {
                 if verified {
                     work.fs_ok.insert(from);
                 }
+                let reasked = verified && work.step == Step::Reasking;
                 // Recovery bookkeeping.
                 let mut backed_off = false;
                 if let Some(rec) = work.recovery.as_mut() {
@@ -509,6 +578,9 @@ impl Fs {
                     return;
                 }
                 self.check_amr(ctx, ov);
+                if reasked {
+                    self.verify_afresh(ctx, ov);
+                }
             }
 
             Message::ConvergeKlsReply { ov, verified } => {

@@ -28,12 +28,13 @@ pub(super) struct ConvWork {
     pub(super) attempts: u32,
     /// Next time a step may run.
     pub(super) next_eligible: SimTime,
-    /// KLSs that verified during the current step.
+    /// KLSs that verified during the last verification step.
     pub(super) kls_ok: BTreeSet<NodeId>,
-    /// Sibling FSs that verified during the current step.
+    /// Sibling FSs that verified during the last verification step (or a
+    /// re-ask since).
     pub(super) fs_ok: BTreeSet<NodeId>,
-    /// Whether a verification step is awaiting replies.
-    pub(super) step_open: bool,
+    /// What the latest step awaits.
+    pub(super) step: Step,
     /// In-flight fragment recovery, if any.
     pub(super) recovery: Option<Recovery>,
 }
@@ -46,10 +47,25 @@ impl ConvWork {
             next_eligible: created,
             kls_ok: BTreeSet::new(),
             fs_ok: BTreeSet::new(),
-            step_open: false,
+            step: Step::Closed,
             recovery: None,
         }
     }
+}
+
+/// What a version's latest convergence step awaits (`Fs::step`).
+#[derive(Debug, PartialEq, Eq, Clone, Copy)]
+pub(super) enum Step {
+    /// No verification answers: no step has run, or the latest repaired
+    /// metadata or started a recovery (and cleared `kls_ok` / `fs_ok`).
+    Closed,
+    /// A verification step's answers, all fresh: every KLS and sibling
+    /// verifying settles AMR.
+    Verifying,
+    /// A re-ask of the silent siblings alone (batched rounds): the other
+    /// answers are kept from the last verification step, so they settle
+    /// nothing, and a verified answer runs a full step at once.
+    Reasking,
 }
 
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -368,6 +384,11 @@ impl VersionStore {
     pub(super) fn entry_mut(&mut self, ov: ObjectVersion) -> Option<&mut FragEntry> {
         let s = self.index.get(&ov)?;
         Some(&mut live_mut(&mut self.slots, s).entry)
+    }
+
+    /// The slot `ov` lives in, for stepping it outside a round's listing.
+    pub(super) fn slot_of(&self, ov: ObjectVersion) -> Option<u32> {
+        self.index.get(&ov)
     }
 
     /// Entry access by the slot a `collect_pending`/`collect_live` listing

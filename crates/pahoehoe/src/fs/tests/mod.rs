@@ -694,7 +694,7 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
         assert_eq!(fs.pending_versions().collect::<Vec<_>>(), versions);
         for &ov in &versions {
             let work = fs.store.work(ov).expect("pending");
-            assert!(work.step_open);
+            assert_eq!(work.step, store::Step::Verifying);
             assert_eq!(work.kls_ok.iter().collect::<Vec<_>>(), [&kls0]);
             assert_eq!(work.fs_ok.iter().collect::<Vec<_>>(), [&fs1_node]);
             assert_eq!(work.attempts, 1);
@@ -727,21 +727,30 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
     assert_eq!(sends(&sim, "KLSConvergeRep"), 5);
 }
 
-/// A sibling that answers every probe at once and verifies one version.
+/// A sibling that answers every probe at once — each entry of a batch
+/// singly — and verifies one version.
 struct Answering {
     verifies: ObjectVersion,
 }
 impl Actor<Message> for Answering {
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
-        if let Message::ConvergeFs { ov, .. } = msg {
-            let reply = Message::ConvergeFsReply {
-                ov,
-                verified: ov == self.verifies,
-                have: Vec::new(),
-                missing: Vec::new(),
-                recovering: false,
-            };
-            ctx.send(from, reply);
+        match msg {
+            Message::ConvergeFs { ov, .. } => {
+                let reply = Message::ConvergeFsReply {
+                    ov,
+                    verified: ov == self.verifies,
+                    have: Vec::new(),
+                    missing: Vec::new(),
+                    recovering: false,
+                };
+                ctx.send(from, reply);
+            }
+            Message::Batch(entries) => {
+                for entry in entries {
+                    self.on_message(ctx, from, entry);
+                }
+            }
+            _ => {}
         }
     }
     fn on_timer(&mut self, _ctx: &mut Context<'_, Message>, _tag: u64) {}
@@ -753,46 +762,48 @@ impl Actor<Message> for Answering {
     }
 }
 
-/// Node ids of [`reprobe_world`].
+/// Node ids of [`sibling_world`].
 const REPROBE_FS: NodeId = NodeId::new(2);
 const SILENT: NodeId = NodeId::new(5);
 
+/// Complete metadata for [`sibling_world`], with DC0's two fragments on
+/// the FSs `dc0` and DC1's on `dc1`.
+fn placed(dc0: [u32; 2], dc1: [u32; 2]) -> Arc<Metadata> {
+    let mut meta = Metadata::new(tiny_policy(), DataCenterId::new(0), 100);
+    for (dc, fss) in [(0, dc0), (1, dc1)] {
+        let locs = (0..2).map(|disk| Location {
+            fs: NodeId::new(fss[disk]),
+            disk: disk as u8,
+        });
+        meta.add_dc_locations(DataCenterId::new(dc), locs.collect());
+    }
+    Arc::new(meta)
+}
+
 /// Four FSs over two DCs — 1 and 2 in DC0 (KLS 0), 4 and 5 in DC1 (KLS 3)
-/// — of which only node 2 is a real FS. Siblings 1 and 4 answer every
-/// probe at once, but 1 verifies only the second version and 4 only the
-/// first; 5 never answers until a test scripts it, nor do the KLSs. At
-/// time zero node 6, the proxy, stores node 2's fragments of four versions
-/// placed on {2, 4, 5}, {1, 2, 5}, {2, 4} and {2, 4, 5}, with synchronized
-/// 60 s rounds and no `min_age`, so node 2 steps all four at 60, 120, 240
-/// and 480 s, probing the siblings every time.
-fn reprobe_world() -> (Simulation<Message>, [ObjectVersion; 4]) {
+/// — of which only node 2 is a real FS, running `mode`. Siblings 1 and 4
+/// answer every probe at once, but 1 verifies only the second version and
+/// 4 only the first; 5 never answers until a test scripts it. The KLSs are
+/// real when `klss_answer`, else they never answer. At time zero node 6,
+/// the proxy, stores node 2's fragments of one version per placement, with
+/// synchronized 60 s rounds and no `min_age`, so node 2 first steps them
+/// all at 60 s.
+fn sibling_world(
+    mode: ProtocolMode,
+    klss_answer: bool,
+    placements: &[Arc<Metadata>],
+) -> (Simulation<Message>, Vec<ObjectVersion>) {
     let id = NodeId::new;
     let topo = Topology::new(vec![
         (vec![id(0)], vec![id(1), id(2)]),
         (vec![id(3)], vec![id(4), id(5)]),
     ]);
-    let placed = |dc0: [u32; 2], dc1: [u32; 2]| {
-        let mut meta = Metadata::new(tiny_policy(), DataCenterId::new(0), 100);
-        for (dc, fss) in [(0, dc0), (1, dc1)] {
-            let locs = (0..2).map(|disk| Location {
-                fs: id(fss[disk]),
-                disk: disk as u8,
-            });
-            meta.add_dc_locations(DataCenterId::new(dc), locs.collect());
-        }
-        Arc::new(meta)
-    };
-    let versions = [1, 2, 3, 4]
-        .map(|k| ObjectVersion::new(Key::from_u64(k), Timestamp::new(SimTime::from_micros(5), 0)));
-    let placements = [
-        placed([2, 2], [4, 5]),
-        placed([1, 2], [5, 5]),
-        placed([2, 2], [4, 4]),
-        placed([2, 2], [5, 4]),
-    ];
+    let versions: Vec<ObjectVersion> = (1..=placements.len() as u64)
+        .map(|k| ObjectVersion::new(Key::from_u64(k), Timestamp::new(SimTime::from_micros(5), 0)))
+        .collect();
     let f = frags(100);
     let mut puts = Vec::new();
-    for (&ov, meta) in versions.iter().zip(&placements) {
+    for (&ov, meta) in versions.iter().zip(placements) {
         for fragment in meta
             .assigned_to(REPROBE_FS)
             .map(|i| f[usize::from(i)].clone())
@@ -810,17 +821,24 @@ fn reprobe_world() -> (Simulation<Message>, [ObjectVersion; 4]) {
     };
     let network = simnet::NetworkConfig::paper_default();
     let mut sim = Simulation::with_network(7, network, simnet::FaultPlan::none());
-    sim.add_actor(stub());
+    let add_kls = |sim: &mut Simulation<Message>, dc| {
+        if klss_answer {
+            sim.add_actor(Kls::new(topo.clone(), DataCenterId::new(dc)));
+        } else {
+            sim.add_actor(stub());
+        }
+    };
+    add_kls(&mut sim, 0);
     sim.add_actor(Answering {
         verifies: versions[1],
     });
     sim.add_actor(Fs::with_mode(
-        topo,
+        topo.clone(),
         DataCenterId::new(0),
         opts,
-        ProtocolMode::default(),
+        mode,
     ));
-    sim.add_actor(stub());
+    add_kls(&mut sim, 1);
     sim.add_actor(Answering {
         verifies: versions[0],
     });
@@ -830,6 +848,20 @@ fn reprobe_world() -> (Simulation<Message>, [ObjectVersion; 4]) {
         inbox: Vec::new(),
     });
     (sim, versions)
+}
+
+/// [`sibling_world`] in the default mode with silent KLSs and four
+/// versions, placed on {2, 4, 5}, {1, 2, 5}, {2, 4} and {2, 4, 5}: node 2
+/// steps all four at 60, 120, 240 and 480 s, probing the siblings every
+/// time.
+fn reprobe_world() -> (Simulation<Message>, Vec<ObjectVersion>) {
+    let placements = [
+        placed([2, 2], [4, 5]),
+        placed([1, 2], [5, 5]),
+        placed([2, 2], [4, 4]),
+        placed([2, 2], [5, 4]),
+    ];
+    sibling_world(ProtocolMode::default(), false, &placements)
 }
 
 /// `(attempts, next_eligible)` of each version's pending work at node 2.
@@ -909,10 +941,162 @@ fn silent_sibling_map_holds_only_unanswered_sibling_fss() {
     for s in [30, 61, 121, 241, 481] {
         sim.run_until_time(SimTime::ZERO + SimDuration::from_secs(s));
         let fs: &Fs = sim.actor(REPROBE_FS);
-        let silent: Vec<NodeId> = fs.silent_since.keys().copied().collect();
+        let silent: Vec<NodeId> = fs.silent_siblings().collect();
         let expected = if s < 60 { vec![] } else { vec![SILENT] };
         assert_eq!(silent, expected, "at {s} s");
     }
+}
+
+/// Destination and kind label of each message node 2 sent in `[from, to)`.
+fn sent_by_reprober(
+    sim: &Simulation<Message>,
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(NodeId, &'static str)> {
+    let trace = sim.trace().expect("tracing");
+    let sends = trace.events().iter().filter(|e| e.from == REPROBE_FS);
+    let window = sends.filter(|e| from <= e.at && e.at < to);
+    window.map(|e| (e.to, e.kind)).collect()
+}
+
+/// The versions of the `ConvergeFs` probes node 5 received since the last
+/// call, batch entries one by one; it receives nothing else.
+fn probed_silent(sim: &mut Simulation<Message>) -> Vec<ObjectVersion> {
+    let inbox = std::mem::take(&mut sim.actor_mut::<Driver>(SILENT).inbox);
+    let entries = inbox.into_iter().flat_map(|(_, msg)| match msg {
+        Message::Batch(entries) => entries,
+        single => vec![single],
+    });
+    let probe = |msg| match msg {
+        Message::ConvergeFs { ov, .. } => ov,
+        other => panic!("node 5 was sent {other:?}"),
+    };
+    entries.map(probe).collect()
+}
+
+/// Node 5 sends node 2 its answer about `ov` at `at`.
+fn silent_answers(sim: &mut Simulation<Message>, at: SimTime, ov: ObjectVersion, verified: bool) {
+    let reply = Message::ConvergeFsReply {
+        ov,
+        verified,
+        have: Vec::new(),
+        missing: Vec::new(),
+        recovering: false,
+    };
+    sim.actor_mut::<Driver>(SILENT).script = vec![(REPROBE_FS, reply)];
+    sim.schedule_timer(SILENT, at.duration_since(sim.now()), 0);
+}
+
+#[test]
+fn batched_rounds_reask_only_the_silent_sibling() {
+    let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
+    let batching = ProtocolMode {
+        batch_rounds: true,
+        ..ProtocolMode::default()
+    };
+    // Node 2 re-probes `a` for node 5, node 1 re-probes `b`; every KLS and
+    // the other sibling verify both, and 5 stays silent.
+    let placements = [placed([2, 2], [4, 5]), placed([1, 2], [5, 5])];
+    let (kls0, kls3) = (NodeId::new(0), NodeId::new(3));
+    let full_step_of_a = [
+        (kls0, "KLSConvergeReq"),
+        (kls3, "KLSConvergeReq"),
+        (NodeId::new(4), "FSConvergeReq"),
+        (SILENT, "FSConvergeReq"),
+    ];
+
+    // Unbatched, the second steps are full steps, like the first.
+    let (mut sim, _) = sibling_world(ProtocolMode::default(), true, &placements);
+    sim.enable_trace();
+    sim.run_until_time(secs(121));
+    let full_step_of_b = [
+        (kls0, "KLSConvergeReq"),
+        (kls3, "KLSConvergeReq"),
+        (NodeId::new(1), "FSConvergeReq"),
+        (SILENT, "FSConvergeReq"),
+    ];
+    assert_eq!(
+        sent_by_reprober(&sim, secs(120), secs(121)),
+        [full_step_of_a, full_step_of_b].concat()
+    );
+
+    let (mut sim, versions) = sibling_world(batching, true, &placements);
+    let [a, b] = versions[..] else {
+        unreachable!("two versions")
+    };
+    sim.enable_trace();
+    let step = |sim: &Simulation<Message>, ov| {
+        let work = sim.actor::<Fs>(REPROBE_FS).store.work(ov).expect("pending");
+        (
+            work.step,
+            work.attempts,
+            work.kls_ok.len(),
+            work.fs_ok.len(),
+        )
+    };
+    sim.run_until_time(secs(61));
+    assert_eq!(probed_silent(&mut sim), [a, b]);
+    assert_eq!(step(&sim, a), (store::Step::Verifying, 1, 2, 1));
+
+    // 5 has owed an answer since 60 s. The next two steps re-ask it alone:
+    // one batch, one entry per version, no KLS probe, and the answers of
+    // the verification step are kept through an unanswered re-ask.
+    for (round, attempts) in [(120, 2), (240, 3)] {
+        sim.run_until_time(secs(round + 1));
+        assert_eq!(
+            sent_by_reprober(&sim, secs(round), secs(round + 1)),
+            [(SILENT, "FSConvergeReq")],
+            "at {round} s"
+        );
+        assert_eq!(probed_silent(&mut sim), [a, b], "at {round} s");
+        for ov in [a, b] {
+            assert_eq!(step(&sim, ov), (store::Step::Reasking, attempts, 2, 1));
+        }
+    }
+
+    // 5 answers `b` "not verified" at 250 s: `b` stays on its back-off,
+    // and 5 speaking again revives `a`, which node 2 re-probes for it.
+    silent_answers(&mut sim, secs(250), b, false);
+    sim.run_until_time(secs(251));
+    let [revived, held] = backoffs(&sim, &versions)[..] else {
+        unreachable!("two versions")
+    };
+    assert_eq!(held, (3, secs(480)));
+    assert_eq!(revived.0, 0);
+    assert!(
+        secs(250) < revived.1 && revived.1 < secs(251),
+        "{revived:?}"
+    );
+    assert!(sent_by_reprober(&sim, secs(250), secs(251)).is_empty());
+
+    // 5 has spoken, so `a`'s next step is a full one — which 5 leaves
+    // unanswered — and the one after that a re-ask again.
+    sim.run_until_time(secs(301));
+    assert_eq!(sent_by_reprober(&sim, secs(300), secs(301)), full_step_of_a);
+    assert_eq!(probed_silent(&mut sim), [a]);
+    sim.run_until_time(secs(361));
+    assert_eq!(
+        sent_by_reprober(&sim, secs(360), secs(361)),
+        [(SILENT, "FSConvergeReq")]
+    );
+    assert_eq!(probed_silent(&mut sim), [a]);
+    assert_eq!(step(&sim, a), (store::Step::Reasking, 2, 2, 1));
+
+    // 5 answers the re-ask verified at 370 s: the full step runs at once,
+    // from a reset back-off, and settles nothing until its own answers
+    // are in — the KLSs' and 4's arrive, 5's does not.
+    silent_answers(&mut sim, secs(370), a, true);
+    sim.run_until_time(secs(371));
+    assert_eq!(sent_by_reprober(&sim, secs(370), secs(371)), full_step_of_a);
+    assert_eq!(probed_silent(&mut sim), [a]);
+    assert_eq!(step(&sim, a), (store::Step::Verifying, 1, 2, 1));
+    assert_eq!(sim.actor::<Fs>(REPROBE_FS).amr_settled_at(a), None);
+
+    // 5 answers the fresh probe: now `a` is AMR.
+    silent_answers(&mut sim, secs(380), a, true);
+    sim.run_until_time(secs(381));
+    let settled = sim.actor::<Fs>(REPROBE_FS).amr_settled_at(a);
+    assert!(settled.is_some_and(|at| at > secs(380)), "{settled:?}");
 }
 
 #[test]

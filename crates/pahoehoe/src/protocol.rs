@@ -11,7 +11,8 @@
 //!   probe replies and AMR indications one dispatch produces as one
 //!   [`Message::Batch`](crate::messages::Message::Batch) per destination
 //!   and kind — sent, lost and answered as a unit — instead of one message
-//!   per object version (DESIGN.md §8.6).
+//!   per object version, and re-asks only the siblings that went silent
+//!   instead of repeating a verification step (DESIGN.md §8.6).
 //!
 //! A mode is a constructor argument:
 //! [`ClusterConfig::protocol`](crate::cluster::ClusterConfig) hands it to
@@ -38,7 +39,11 @@ pub struct ProtocolMode {
     /// probes, the `ConvergeFsReply`s it owes and FS-originated
     /// `AmrIndication`s — as one multi-entry message per destination and
     /// kind: one header, one fault check, one loss draw, one latency draw.
-    /// Which versions step, and when, is untouched. Off by default because
+    /// A verification step whose last answers lack only siblings silent
+    /// for longer than `round_min` re-asks those siblings alone, with no
+    /// KLS probe; it settles nothing from the kept answers. Which versions
+    /// step, and when, is untouched, with one exception: a re-ask answered
+    /// verified runs the full step at once. Off by default because
     /// the paper's figures count one message per version (and fewer sends
     /// shift every later RNG draw, so the pinned default-mode digests would
     /// move); scale runs opt in.
