@@ -144,10 +144,34 @@ impl Window {
 /// pair in both directions; [`FaultPlan::add_partition`] builds the full
 /// bipartite set of link outages between two groups, the paper's WAN
 /// partition.
+///
+/// The engine asks [`FaultPlan::blocks`] once per send, so windows are
+/// indexed by endpoint: a send reads its two nodes' outage lists and the
+/// link list of its lower endpoint, never the windows of other nodes — and
+/// none at all at a time no window is open.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    node_outages: Vec<(NodeId, Window)>,
-    link_outages: Vec<(NodeId, NodeId, Window)>,
+    /// Node outage windows, by node index.
+    node_outages: Vec<Vec<Window>>,
+    /// Link outage windows, by the index of the link's lower endpoint:
+    /// the higher endpoint and the window.
+    link_outages: Vec<Vec<(NodeId, Window)>>,
+    /// When any window is open: their union, as disjoint windows in time
+    /// order.
+    open: Vec<Window>,
+}
+
+/// The list at `index` of a per-node table, empty past its end.
+fn at<T>(table: &[Vec<T>], index: usize) -> &[T] {
+    table.get(index).map_or(&[][..], Vec::as_slice)
+}
+
+/// The list at `index` of a per-node table, growing the table to reach it.
+fn at_mut<T>(table: &mut Vec<Vec<T>>, index: usize) -> &mut Vec<T> {
+    if table.len() <= index {
+        table.resize_with(index + 1, Vec::new);
+    }
+    &mut table[index]
 }
 
 impl FaultPlan {
@@ -164,13 +188,12 @@ impl FaultPlan {
         start: SimTime,
         duration: SimDuration,
     ) -> &mut Self {
-        self.node_outages.push((
-            node,
-            Window {
-                start,
-                end: start + duration,
-            },
-        ));
+        let window = Window {
+            start,
+            end: start + duration,
+        };
+        at_mut(&mut self.node_outages, node.index()).push(window);
+        self.note_open(window);
         self
     }
 
@@ -183,14 +206,13 @@ impl FaultPlan {
         start: SimTime,
         duration: SimDuration,
     ) -> &mut Self {
-        self.link_outages.push((
-            a,
-            b,
-            Window {
-                start,
-                end: start + duration,
-            },
-        ));
+        let window = Window {
+            start,
+            end: start + duration,
+        };
+        let (lo, hi) = (a.min(b), a.max(b));
+        at_mut(&mut self.link_outages, lo.index()).push((hi, window));
+        self.note_open(window);
         self
     }
 
@@ -214,28 +236,64 @@ impl FaultPlan {
 
     /// Adds every outage of `other` to this plan.
     pub fn merge(&mut self, other: &FaultPlan) -> &mut Self {
-        self.node_outages.extend_from_slice(&other.node_outages);
-        self.link_outages.extend_from_slice(&other.link_outages);
+        for (node, windows) in other.node_outages.iter().enumerate() {
+            at_mut(&mut self.node_outages, node).extend_from_slice(windows);
+        }
+        for (lo, links) in other.link_outages.iter().enumerate() {
+            at_mut(&mut self.link_outages, lo).extend_from_slice(links);
+        }
+        for &window in &other.open {
+            self.note_open(window);
+        }
         self
+    }
+
+    /// Adds `window` to the union of open windows, merging it with every
+    /// open window it overlaps or touches.
+    fn note_open(&mut self, window: Window) {
+        if window.start >= window.end {
+            return;
+        }
+        let first = self.open.partition_point(|o| o.end < window.start);
+        let last = self.open.partition_point(|o| o.start <= window.end);
+        let merged = self.open[first..last].iter().fold(window, |m, o| Window {
+            start: m.start.min(o.start),
+            end: m.end.max(o.end),
+        });
+        self.open.splice(first..last, [merged]);
+    }
+
+    /// Whether any window, of any node or link, is open at `t`.
+    fn any_open(&self, t: SimTime) -> bool {
+        // Compared without a branch per window: `t` is as good as random
+        // from one send to the next, and the union is a handful of windows
+        // (a partition's links all share one).
+        self.open
+            .iter()
+            .fold(false, |hit, o| hit | ((o.start <= t) & (t < o.end)))
     }
 
     /// Whether a message from `from` to `to` sent at time `t` is blocked by
     /// a scheduled fault (node outage on either endpoint, or a link outage
     /// between them).
+    // lint:hot
     pub fn blocks(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
-        self.node_outages
-            .iter()
-            .any(|&(n, w)| (n == from || n == to) && w.contains(t))
-            || self.link_outages.iter().any(|&(a, b, w)| {
-                ((a == from && b == to) || (a == to && b == from)) && w.contains(t)
-            })
+        if !self.any_open(t) {
+            return false;
+        }
+        let (lo, hi) = (from.min(to), from.max(to));
+        self.node_down(from, t)
+            || self.node_down(to, t)
+            || at(&self.link_outages, lo.index())
+                .iter()
+                .any(|&(b, w)| b == hi && w.contains(t))
     }
 
     /// Whether `node` is inside any node-outage window at time `t`.
     pub fn node_down(&self, node: NodeId, t: SimTime) -> bool {
-        self.node_outages
+        at(&self.node_outages, node.index())
             .iter()
-            .any(|&(n, w)| n == node && w.contains(t))
+            .any(|w| w.contains(t))
     }
 }
 
@@ -371,5 +429,74 @@ mod tests {
         }
         assert!(!plan.blocks(g1[0], g1[1], t(30)));
         assert!(!plan.blocks(g2[0], g2[1], t(30)));
+    }
+
+    /// One scheduled fault of [`indexed_plan_agrees_with_a_linear_scan`]:
+    /// `(a, b, start_s, len_s)`, an outage of node `a` when `b` is
+    /// [`NODE_OUTAGE`], else of the link `a`–`b`.
+    type Outage = (u32, u32, u64, u64);
+    const NODE_OUTAGE: u32 = 12;
+
+    /// The plan as one flat list, every entry scanned per question: how
+    /// [`FaultPlan`] answered before it indexed windows by endpoint.
+    fn linear_blocks(outages: &[Outage], from: NodeId, to: NodeId, now: SimTime) -> bool {
+        let (from, to) = (from.index() as u32, to.index() as u32);
+        outages.iter().any(|&(a, b, start, len)| {
+            let touches = if b == NODE_OUTAGE {
+                a == from || a == to
+            } else {
+                (a, b) == (from, to) || (a, b) == (to, from)
+            };
+            touches && t(start) <= now && now < t(start + len)
+        })
+    }
+
+    fn linear_node_down(outages: &[Outage], node: NodeId, now: SimTime) -> bool {
+        let nodes_only: Vec<Outage> = outages
+            .iter()
+            .copied()
+            .filter(|&(_, b, ..)| b == NODE_OUTAGE)
+            .collect();
+        linear_blocks(&nodes_only, node, node, now)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn indexed_plan_agrees_with_a_linear_scan(
+            outages in proptest::collection::vec(
+                (0u32..NODE_OUTAGE, 0u32..=NODE_OUTAGE, 0u64..100, 0u64..40),
+                0..32,
+            ),
+            probes in proptest::collection::vec((0u32..14, 0u32..14, 0u64..150), 1..64),
+        ) {
+            // Built in two halves and merged, so `merge` is checked too.
+            let (first, rest) = outages.split_at(outages.len() / 2);
+            let build = |part: &[Outage]| {
+                let mut plan = FaultPlan::none();
+                for &(a, b, start, len) in part {
+                    let (a, len) = (NodeId::new(a), SimDuration::from_secs(len));
+                    if b == NODE_OUTAGE {
+                        plan.add_node_outage(a, t(start), len);
+                    } else {
+                        plan.add_link_outage(a, NodeId::new(b), t(start), len);
+                    }
+                }
+                plan
+            };
+            let mut plan = build(first);
+            plan.merge(&build(rest));
+            for (from, to, at) in probes {
+                let (from, to, now) = (NodeId::new(from), NodeId::new(to), t(at));
+                proptest::prop_assert_eq!(
+                    plan.blocks(from, to, now),
+                    linear_blocks(&outages, from, to, now),
+                    "{:?} -> {:?} at {:?}", from, to, now
+                );
+                proptest::prop_assert_eq!(
+                    plan.node_down(from, now),
+                    linear_node_down(&outages, from, now)
+                );
+            }
+        }
     }
 }
