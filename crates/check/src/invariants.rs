@@ -25,6 +25,7 @@ use pahoehoe::client::Client;
 use pahoehoe::cluster::Cluster;
 use pahoehoe::fs::Fs;
 use pahoehoe::messages::Message;
+use pahoehoe::proxy::Proxy;
 use pahoehoe::repair::RepairOptions;
 use pahoehoe::topology::{DataCenterId, Topology};
 use pahoehoe::types::ObjectVersion;
@@ -59,6 +60,8 @@ pub struct ClusterView<'a> {
     pub klss: &'a [NodeId],
     /// All client node ids.
     pub clients: &'a [NodeId],
+    /// All proxy node ids.
+    pub proxies: &'a [NodeId],
     /// Standard-workload value length (drives blob reconstruction).
     pub value_len: usize,
     /// The durability policy of the workload's puts.
@@ -725,7 +728,10 @@ impl Invariant for RedundancyFloor {
 /// FS's silent-sibling map ([`Fs::silent_siblings`]) decides what a batched
 /// round re-asks. Each of its keys must be an FS other than its owner —
 /// never a KLS, a proxy or the FS itself — and the keys are distinct, so it
-/// holds at most the cluster's FS count less one entries.
+/// holds at most the cluster's FS count less one entries. A proxy's
+/// idempotence marks ([`Proxy::marked_clients`]) are one per client: each
+/// key must be a client, so however many operations a run issues, a proxy
+/// holds at most the cluster's client count of them.
 pub struct ResourceBounds;
 
 impl Invariant for ResourceBounds {
@@ -739,6 +745,15 @@ impl Invariant for ResourceBounds {
                 if sibling == fs || !view.fss.contains(&sibling) {
                     return Err(format!(
                         "{fs:?} counts {sibling:?} as a silent sibling, which is not another FS"
+                    ));
+                }
+            }
+        }
+        for &proxy in view.proxies {
+            for client in view.sim.actor::<Proxy>(proxy).marked_clients() {
+                if !view.clients.contains(&client) {
+                    return Err(format!(
+                        "{proxy:?} keeps an idempotence mark for {client:?}, which is not a client"
                     ));
                 }
             }
@@ -772,6 +787,7 @@ struct StaticCtx {
     fss: Vec<NodeId>,
     klss: Vec<NodeId>,
     clients: Vec<NodeId>,
+    proxies: Vec<NodeId>,
     value_len: usize,
     policy: Policy,
     repair: Option<RepairOptions>,
@@ -785,6 +801,7 @@ impl StaticCtx {
             fss: &self.fss,
             klss: &self.klss,
             clients: &self.clients,
+            proxies: &self.proxies,
             value_len: self.value_len,
             policy: self.policy,
             repair: self.repair.as_ref(),
@@ -877,6 +894,7 @@ impl Checker {
             fss: cluster.topology().all_fss().collect(),
             klss: cluster.topology().all_klss().collect(),
             clients: cluster.client_ids(),
+            proxies: cluster.proxy_ids(),
             value_len: cluster.config().workload_value_len,
             policy: cluster.config().policy,
             repair: cluster.config().convergence.repair.clone(),

@@ -409,6 +409,14 @@ impl Cluster {
         v
     }
 
+    /// Node ids of every proxy, in the order of [`Cluster::client_ids`]:
+    /// the client at each position talks to the proxy at the same one.
+    pub fn proxy_ids(&self) -> Vec<NodeId> {
+        let mut v = vec![self.layout.proxy()];
+        v.extend(self.extra.iter().map(|&(p, _)| p));
+        v
+    }
+
     /// The `(proxy, client)` node ids of extra pair `i`.
     pub fn extra_pair(&self, i: usize) -> (NodeId, NodeId) {
         self.extra[i]
