@@ -13,6 +13,10 @@
 //!   per sibling fragment), for which each FS sends **one** response and
 //!   receives an AMR indication.
 //!
+//! Each store-fragment request carries the complete metadata, so each AMR
+//! indication is priced as the protocol's own indication to an FS known
+//! to hold it complete: the object version alone.
+//!
 //! We reproduce that calculation with the same wire-size model the
 //! simulated protocols use, so byte totals are comparable.
 
@@ -107,13 +111,7 @@ pub fn per_put(
         frags,
     );
     add(Message::StoreFragmentReply { ov, fragment: 0 }, fss);
-    add(
-        Message::AmrIndication {
-            ov,
-            meta: meta.clone(),
-        },
-        fss,
-    );
+    add(Message::AmrIndication { ov, meta: None }, fss);
     out
 }
 

@@ -271,6 +271,9 @@ impl Fs {
             }
         }
         if indicate && self.opts.fs_amr_indication {
+            // `check_amr` settles only on every sibling answering
+            // "verified", which takes complete metadata, and metadata never
+            // shrinks: the indications carry the version alone.
             let me = ctx.self_id();
             let meta = Arc::clone(
                 &self
@@ -282,9 +285,8 @@ impl Fs {
             );
             for fs in meta.siblings() {
                 if fs != me {
-                    let meta = Arc::clone(&meta);
                     self.outbox
-                        .post(ctx, fs, Message::AmrIndication { ov, meta });
+                        .post(ctx, fs, Message::AmrIndication { ov, meta: None });
                 }
             }
         }
@@ -535,7 +537,27 @@ impl Fs {
             Message::AmrIndication { ov, meta } => {
                 // Complete our metadata and stop all convergence work
                 // (cancelling recovery timers), without re-indicating.
-                self.adopt(ctx, ov, &meta);
+                match meta {
+                    Some(meta) => {
+                        self.adopt(ctx, ov, &meta);
+                    }
+                    None => {
+                        // The sender knows we hold complete metadata: what
+                        // `adopt` would do with nothing to merge, which is
+                        // to make sure a round is coming while `ov` is
+                        // pending.
+                        debug_assert!(
+                            self.store.entry(ov).map_or_else(
+                                || self.store.residual(ov).is_some(),
+                                |e| e.meta.is_complete()
+                            ),
+                            "{ov:?}: an indication without metadata to an FS without it complete"
+                        );
+                        if !self.store.is_settled(ov) {
+                            self.ensure_round(ctx);
+                        }
+                    }
+                }
                 self.finalize_amr(ctx, ov, false);
             }
 

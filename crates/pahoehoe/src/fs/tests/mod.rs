@@ -237,7 +237,7 @@ fn amr_indication_stops_convergence_and_completes_meta() {
                 fs_node,
                 Message::AmrIndication {
                     ov: ov(),
-                    meta: full_meta(100),
+                    meta: Some(full_meta(100)),
                 },
             ),
         ],
@@ -248,6 +248,43 @@ fn amr_indication_stops_convergence_and_completes_meta() {
     assert_eq!(fs.amr_versions().count(), 1);
     assert!(fs.verified(ov()), "indication completed the metadata");
     assert_eq!(fs.steps_run(), 0, "no convergence work was done");
+}
+
+/// A verifying FS settles only on its siblings' "verified", which takes
+/// complete metadata, so its indications carry the version alone — and the
+/// sibling settles on one as on a full one, without a step of its own.
+#[test]
+fn indications_after_a_verification_step_carry_the_version_alone() {
+    use crate::messages::{HEADER_BYTES, OV_BYTES};
+
+    let meta = full_meta(64);
+    let f = frags(64);
+    let store = |to: u32, i: usize| {
+        let (ov, meta, fragment) = (ov(), meta.clone(), f[i].clone());
+        (
+            NodeId::new(to),
+            Message::StoreFragment { ov, meta, fragment },
+        )
+    };
+    let script = vec![store(1, 0), store(1, 1), store(3, 2), store(3, 3)];
+    let (mut sim, fs0, fs1, _) = tiny_world(ConvergenceOptions::fs_amr_unsynchronized(), script);
+    sim.enable_trace();
+    sim.run_until_time(SimTime::ZERO + SimDuration::from_secs(600));
+    let (a, b): (&Fs, &Fs) = (sim.actor(fs0), sim.actor(fs1));
+    assert_eq!(a.amr_versions().collect::<Vec<_>>(), [ov()]);
+    assert_eq!(b.amr_versions().collect::<Vec<_>>(), [ov()]);
+    // One FS verified first; the other heard its indication before its own
+    // round came.
+    assert_eq!(a.steps_run() + b.steps_run(), 1);
+    assert!(a.verified(ov()) && b.verified(ov()));
+    let trace = sim.trace().expect("tracing");
+    let indications: Vec<_> = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == "AMRIndication")
+        .map(|e| e.bytes)
+        .collect();
+    assert_eq!(indications, [HEADER_BYTES + OV_BYTES]);
 }
 
 #[test]
@@ -467,7 +504,7 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
         (fs_node, Message::StoreFragment { ov, meta, fragment })
     };
     let indicate = |ov| {
-        let meta = meta.clone();
+        let meta = Some(meta.clone());
         (fs_node, Message::AmrIndication { ov, meta })
     };
     // Compaction alone, so fs0 answers the scripted singles with singles.
@@ -555,18 +592,21 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
     }
 
     // A repeated indication re-stamps the settle time, as it does for
-    // a full entry, and leaves the residual alone.
-    deliver(&mut sim, vec![indicate(v1)]);
-    let fs: &Fs = sim.actor(fs0);
-    let restamped = fs.amr_settled_at(v1).expect("still AMR");
-    assert!(
-        restamped > first_settled,
-        "{restamped:?} vs {first_settled:?}"
-    );
-    assert_eq!(fs.compacted_residual(v1), Some(held));
-    assert!(fs.verified(v1));
-    assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), [v1]);
-    assert_eq!(fs.amr_versions().collect::<Vec<_>>(), [v1, v2]);
+    // a full entry, and leaves the residual alone — with the metadata or,
+    // as a sibling that saw this FS verify sends it, without.
+    let mut settled = first_settled;
+    let lean = (fs_node, Message::AmrIndication { ov: v1, meta: None });
+    for again in [indicate(v1), lean] {
+        deliver(&mut sim, vec![again]);
+        let fs: &Fs = sim.actor(fs0);
+        let restamped = fs.amr_settled_at(v1).expect("still AMR");
+        assert!(restamped > settled, "{restamped:?} vs {settled:?}");
+        settled = restamped;
+        assert_eq!(fs.compacted_residual(v1), Some(held));
+        assert!(fs.verified(v1));
+        assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), [v1]);
+        assert_eq!(fs.amr_versions().collect::<Vec<_>>(), [v1, v2]);
+    }
 }
 
 /// Batched rounds are a network, not an identity: a round that steps

@@ -97,6 +97,13 @@ for csv in target/figures/*.csv; do
     same_as_committed "$csv" "$(basename "$csv")"
 done
 
+echo "==> pahoehoe-sim on the benchmark's small-put-churn shape (200 puts x 256 B)"
+# The scenario runner takes the benchmark's cluster shapes, so per-kind
+# bytes per put of a benchmark workload need no benchmark patch.
+cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 --scale \
+    --puts 200 --value-bytes 256 | tee target/pahoehoe-sim-small-put-churn.txt
+grep -q "outcome:        PredicateSatisfied" target/pahoehoe-sim-small-put-churn.txt
+
 echo "==> bench scale (smoke, gates equal events per update-* pair, compaction in every compacting cell, and the pinned (events, compacted_entries) of all five cells)"
 cargo run -p bench --release --bin scale -- --smoke
 python3 -m json.tool target/BENCH_scale.smoke.json > /dev/null

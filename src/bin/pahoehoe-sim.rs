@@ -9,6 +9,10 @@
 //!   --puts N            number of puts              [default: 20]
 //!   --value-bytes N     object size in bytes        [default: 102400]
 //!   --opt PRESET        naive|fsamr-s|fsamr-u|putamr|sibling|all [default: all]
+//!   --layout D,K,F      data centers, KLSs per DC, FSs per DC [default: 2,2,3]
+//!   --policy K,N,D,M    k, n, data centers, max fragments per FS
+//!                                                   [default: 4,12,2,2]
+//!   --scale             ProtocolMode::scale(): compaction and batched rounds
 //!   --drop-rate P       message drop probability    [default: 0.0]
 //!   --fs-down N         FSs unavailable for 10 min  [default: 0]
 //!   --kls-down PATTERN  0|1|2C|2P|3                 [default: 0]
@@ -21,16 +25,30 @@
 //! ```text
 //! cargo run --release --bin pahoehoe-sim -- --puts 100 --fs-down 2 --opt all
 //! ```
+//!
+//! The benchmark's `small-put-churn` shape (four data centers of two KLSs
+//! and four FSs, one fragment of 16 per FS, scale mode) with its 256-byte
+//! values:
+//!
+//! ```text
+//! cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 \
+//!     --scale --puts 200 --value-bytes 256
+//! ```
 
 use pahoehoe_repro::experiments::figures::{fs_outage, kls_outage, paper_layout};
-use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig};
+use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe_repro::pahoehoe::policy::Policy;
+use pahoehoe_repro::pahoehoe::protocol::ProtocolMode;
 use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig};
 
 struct Args {
     puts: usize,
     value_bytes: usize,
     opt: String,
+    layout: ClusterLayout,
+    policy: Policy,
+    scale: bool,
     drop_rate: f64,
     fs_down: usize,
     kls_down: String,
@@ -38,11 +56,53 @@ struct Args {
     trace: bool,
 }
 
+/// `N` comma-separated whole numbers.
+fn numbers<const N: usize>(flag: &str, text: &str) -> Result<[usize; N], String> {
+    let parsed: Vec<usize> = text
+        .split(',')
+        .map(|v| v.trim().parse())
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{flag}: {e}"))?;
+    parsed
+        .try_into()
+        .map_err(|_| format!("{flag} takes {N} comma-separated numbers, got {text}"))
+}
+
+fn parse_layout(text: &str) -> Result<ClusterLayout, String> {
+    let [dcs, kls_per_dc, fs_per_dc] = numbers("--layout", text)?;
+    if dcs == 0 || kls_per_dc == 0 || fs_per_dc == 0 {
+        return Err("--layout: every count must be at least 1".into());
+    }
+    Ok(ClusterLayout {
+        dcs,
+        kls_per_dc,
+        fs_per_dc,
+    })
+}
+
+/// The policy `K,N,DCS,MAX_PER_FS`, checked here so that a bad shape is a
+/// usage error rather than a panic inside `Policy::new`.
+fn parse_policy(text: &str) -> Result<Policy, String> {
+    let [k, n, dcs, max_per_fs] = numbers("--policy", text)?;
+    let byte = |v: usize| u8::try_from(v).map_err(|_| format!("--policy: {v} is over 255"));
+    let (k, n, dcs, max_per_fs) = (byte(k)?, byte(n)?, byte(dcs)?, byte(max_per_fs)?);
+    if dcs == 0 || n % dcs != 0 {
+        return Err("--policy: N must divide evenly across DCS".into());
+    }
+    if k == 0 || k > n / dcs || max_per_fs == 0 {
+        return Err("--policy: need 0 < K <= N / DCS and MAX_PER_FS > 0".into());
+    }
+    Ok(Policy::new(k, n, dcs, max_per_fs))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         puts: 20,
         value_bytes: 100 * 1024,
         opt: "all".into(),
+        layout: paper_layout(),
+        policy: Policy::paper_default(),
+        scale: false,
         drop_rate: 0.0,
         fs_down: 0,
         kls_down: "0".into(),
@@ -60,6 +120,9 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--value-bytes: {e}"))?
             }
             "--opt" => args.opt = val("--opt")?,
+            "--layout" => args.layout = parse_layout(&val("--layout")?)?,
+            "--policy" => args.policy = parse_policy(&val("--policy")?)?,
+            "--scale" => args.scale = true,
             "--drop-rate" => {
                 args.drop_rate = val("--drop-rate")?
                     .parse()
@@ -78,6 +141,26 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    let (layout, policy) = (args.layout, args.policy);
+    if usize::from(policy.data_centers()) != layout.dcs {
+        return Err(format!(
+            "the policy spans {} data centers and the layout has {}",
+            policy.data_centers(),
+            layout.dcs
+        ));
+    }
+    if usize::from(policy.frags_per_dc) > layout.fs_per_dc * usize::from(policy.max_frags_per_fs) {
+        return Err(format!(
+            "{} fragments per data center do not fit on {} FSs of at most {} each",
+            policy.frags_per_dc, layout.fs_per_dc, policy.max_frags_per_fs
+        ));
+    }
+    if args.fs_down > layout.dcs * layout.fs_per_dc {
+        return Err(format!(
+            "--fs-down: the layout has {} FSs",
+            layout.dcs * layout.fs_per_dc
+        ));
     }
     Ok(args)
 }
@@ -110,7 +193,7 @@ fn main() {
         }
     };
 
-    let layout = paper_layout();
+    let layout = args.layout;
     let mut faults = FaultPlan::none();
     if args.fs_down > 0 {
         faults.merge(&fs_outage(layout, args.fs_down));
@@ -121,6 +204,10 @@ fn main() {
 
     let mut cfg = ClusterConfig::paper_default();
     cfg.layout = layout;
+    cfg.policy = args.policy;
+    if args.scale {
+        cfg.protocol = ProtocolMode::scale();
+    }
     cfg.convergence = conv;
     cfg.workload_puts = args.puts;
     cfg.workload_value_len = args.value_bytes;
@@ -132,10 +219,16 @@ fn main() {
     }
 
     println!(
-        "pahoehoe-sim: {} puts x {} B, opt={}, drop={}, fs-down={}, kls-down={}, seed={}",
+        "pahoehoe-sim: {} puts x {} B, opt={}, layout={},{},{}, policy={:?}{}, drop={}, \
+         fs-down={}, kls-down={}, seed={}",
         args.puts,
         args.value_bytes,
         args.opt,
+        layout.dcs,
+        layout.kls_per_dc,
+        layout.fs_per_dc,
+        args.policy,
+        if args.scale { ", scale" } else { "" },
         args.drop_rate,
         args.fs_down,
         args.kls_down,
@@ -160,21 +253,30 @@ fn main() {
     }
 
     println!("\nper-kind traffic (client traffic excluded):");
-    println!("{:22} {:>10} {:>14}", "kind", "count", "bytes");
+    let per_put = |bytes: u64| bytes as f64 / args.puts.max(1) as f64;
+    let row = |kind: &str, count: u64, bytes: u64| {
+        println!(
+            "{:22} {:>10} {:>14} {:>12.1}",
+            kind,
+            count,
+            bytes,
+            per_put(bytes)
+        );
+    };
+    println!(
+        "{:22} {:>10} {:>14} {:>12}",
+        "kind", "count", "bytes", "bytes/put"
+    );
+    let (mut c, mut b) = (0u64, 0u64);
     for (kind, stats) in report.metrics.iter() {
         if kind.starts_with("Client") {
             continue;
         }
-        println!("{:22} {:>10} {:>14}", kind, stats.count, stats.bytes);
+        row(kind, stats.count, stats.bytes);
+        c += stats.count;
+        b += stats.bytes;
     }
-    let (mut c, mut b) = (0u64, 0u64);
-    for (kind, stats) in report.metrics.iter() {
-        if !kind.starts_with("Client") {
-            c += stats.count;
-            b += stats.bytes;
-        }
-    }
-    println!("{:22} {:>10} {:>14}", "TOTAL", c, b);
+    row("TOTAL", c, b);
 
     if args.trace {
         if let Some(trace) = cluster.sim().trace() {
