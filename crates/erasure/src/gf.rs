@@ -10,14 +10,14 @@
 //! ([`mul_logexp`], [`mul_acc_ref`]) are kept as the reference
 //! implementation that the tables and property tests are checked against.
 //!
-//! The bulk [`mul_acc`] kernel additionally carries a split-nibble SIMD
-//! path on x86-64 (the PSHUFB technique standard in storage Reed-Solomon
-//! libraries): each byte's product is the XOR of two 16-entry table
-//! lookups — one indexed by the low nibble, one by the high — and a
-//! 16/32-wide byte shuffle performs all lookups of a register at once.
-//! The nibble tables are compile-time constants; the scalar flat-table
-//! loop remains both the portable fallback and the tail handler, and the
-//! property tests pin every path to [`mul_acc_ref`] bit for bit.
+//! The bulk [`mul_acc`] kernel has one body per platform. On x86-64 with
+//! AVX2 it runs a split-nibble shuffle kernel (the PSHUFB technique
+//! standard in storage Reed-Solomon libraries): each byte's product is the
+//! XOR of two 16-entry table lookups — one indexed by the low nibble, one
+//! by the high — and a 32-wide byte shuffle performs all lookups of a
+//! register at once. Everywhere else it runs the scalar flat-table loop,
+//! which also finishes the kernel's sub-register tails. The property tests
+//! pin both to [`mul_acc_ref`] bit for bit.
 
 /// The primitive polynomial, with the x⁸ term included (`0x11d`).
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -194,10 +194,10 @@ pub fn pow(a: u8, e: usize) -> u8 {
 /// `dst`: `dst[i] ^= scalar * src[i]`.
 ///
 /// This is the inner loop of Reed-Solomon encoding and decoding.
-/// `scalar == 1` degenerates to a word-wide XOR; on x86-64 with AVX2 or
-/// SSSE3 the body runs the split-nibble shuffle kernel ([`NIB_LO`] /
-/// [`NIB_HI`]), and everywhere else it fetches the 256-byte [`MUL`] row
-/// for `scalar` once and runs a branch-free, 8-way-unrolled loop.
+/// `scalar == 1` degenerates to a word-wide XOR; on x86-64 with AVX2 the
+/// body runs the split-nibble shuffle kernel ([`NIB_LO`] / [`NIB_HI`]),
+/// and everywhere else it fetches the 256-byte [`MUL`] row for `scalar`
+/// once and runs a branch-free, 8-way-unrolled loop.
 ///
 /// # Panics
 ///
@@ -219,25 +219,8 @@ pub fn mul_acc(dst: &mut [u8], src: &[u8], scalar: u8) {
     mul_acc_table(dst, src, scalar);
 }
 
-/// Whether [`mul_acc`] runs the split-nibble SIMD kernel on this CPU.
-///
-/// Callers that choose between loop structures (the codec's packed
-/// gather versus row-at-a-time `mul_acc`) use this to pick the layout
-/// that feeds the faster kernel.
-#[inline]
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2") || std::is_x86_feature_detected!("ssse3")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// The portable flat-table body of [`mul_acc`] (non-trivial scalars);
-/// also finishes the sub-register tail for the SIMD kernel.
+/// also finishes the sub-register tail for the AVX2 kernel.
 // lint:hot
 fn mul_acc_table(dst: &mut [u8], src: &[u8], scalar: u8) {
     let row = mul_row(scalar);
@@ -296,10 +279,10 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// This module is the one place the crate steps outside safe Rust: the
 /// PSHUFB technique needs the `std::arch` intrinsics. The unsafety is
 /// narrow and mechanical — unaligned 16/32-byte loads and stores entirely
-/// inside bounds established by `chunks_exact`, plus `#[target_feature]`
-/// functions that are only reached behind the matching runtime CPU
-/// feature check — and every path is pinned bit-for-bit to
-/// [`mul_acc_ref`] by the property tests.
+/// inside bounds established by `chunks_exact`, plus a `#[target_feature]`
+/// function that is only reached behind the matching runtime CPU feature
+/// check — and the kernel is pinned bit-for-bit to [`mul_acc_ref`] by the
+/// property tests.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
@@ -307,29 +290,22 @@ mod simd {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
         _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
-        _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
+        _mm256_xor_si256, _mm_loadu_si128,
     };
 
-    /// Runs the widest available shuffle kernel; returns `false` when the
-    /// CPU supports neither AVX2 nor SSSE3 so the caller falls back to
-    /// the portable loop. The `is_x86_feature_detected!` result is
-    /// cached by the standard library, so the per-call cost is one
-    /// atomic load.
+    /// Runs the AVX2 shuffle kernel; returns `false` when the CPU lacks
+    /// AVX2 so the caller falls back to the portable loop. The
+    /// `is_x86_feature_detected!` result is cached by the standard
+    /// library, so the per-call cost is one atomic load.
     // lint:hot
     #[inline]
     pub fn mul_acc_simd(dst: &mut [u8], src: &[u8], scalar: u8) -> bool {
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 feature was just verified at runtime.
-            unsafe { mul_acc_avx2(dst, src, scalar) };
-            return true;
+        if !std::is_x86_feature_detected!("avx2") {
+            return false;
         }
-        if std::is_x86_feature_detected!("ssse3") {
-            // SAFETY: the SSSE3 feature was just verified at runtime.
-            unsafe { mul_acc_ssse3(dst, src, scalar) };
-            return true;
-        }
-        false
+        // SAFETY: the AVX2 feature was just verified at runtime.
+        unsafe { mul_acc_avx2(dst, src, scalar) };
+        true
     }
 
     /// 32 bytes per iteration: both 16-entry nibble tables are broadcast
@@ -376,41 +352,6 @@ mod simd {
         }
         mul_acc_table(d_chunks.into_remainder(), s_chunks.remainder(), scalar);
     }
-
-    /// 16 bytes per iteration; the same kernel narrowed to SSE registers
-    /// for pre-AVX2 hardware.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports SSSE3.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], scalar: u8) {
-        // SAFETY: the nibble tables are 16-byte rows, valid for an
-        // unaligned 128-bit load.
-        let (lo, hi) = unsafe {
-            (
-                _mm_loadu_si128(NIB_LO[scalar as usize].as_ptr().cast::<__m128i>()),
-                _mm_loadu_si128(NIB_HI[scalar as usize].as_ptr().cast::<__m128i>()),
-            )
-        };
-        let mask = _mm_set1_epi8(0x0f);
-        let mut d_chunks = dst.chunks_exact_mut(16);
-        let mut s_chunks = src.chunks_exact(16);
-        for (d, s) in (&mut d_chunks).zip(&mut s_chunks) {
-            // SAFETY: `chunks_exact` guarantees `d` and `s` are exactly
-            // 16 bytes, in bounds for unaligned 128-bit access.
-            unsafe {
-                let sv = _mm_loadu_si128(s.as_ptr().cast::<__m128i>());
-                let lo_idx = _mm_and_si128(sv, mask);
-                let hi_idx = _mm_and_si128(_mm_srli_epi64(sv, 4), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo, lo_idx), _mm_shuffle_epi8(hi, hi_idx));
-                let dv = _mm_loadu_si128(d.as_ptr().cast::<__m128i>());
-                _mm_storeu_si128(d.as_mut_ptr().cast::<__m128i>(), _mm_xor_si128(dv, prod));
-            }
-        }
-        mul_acc_table(d_chunks.into_remainder(), s_chunks.remainder(), scalar);
-    }
 }
 
 /// Log/exp-table reference implementation of [`mul_acc`].
@@ -441,6 +382,10 @@ pub fn mul_acc_ref(dst: &mut [u8], src: &[u8], scalar: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Slice lengths both `mul_acc` bodies are checked at, over all 256
+    /// scalars.
+    const REFERENCE_LENS: [usize; 5] = [19, 16, 32, 133, 1000];
 
     #[test]
     fn exp_log_are_inverse_bijections() {
@@ -518,10 +463,10 @@ mod tests {
     #[test]
     fn mul_acc_matches_reference_all_scalars() {
         // Lengths chosen to cross every kernel boundary: sub-register
-        // (19), exactly one SSE/AVX register (16, 32), register chunks
-        // plus an awkward tail (133), and a realistic row (1000) — each
-        // with zeros sprinkled in.
-        for len in [19usize, 16, 32, 133, 1000] {
+        // (16, 19), exactly one AVX2 register (32), register chunks plus
+        // an awkward tail (133), and a realistic row (1000) — each with
+        // zeros sprinkled in.
+        for len in REFERENCE_LENS {
             let src: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(37) % 251) as u8).collect();
             for scalar in 0..=255u8 {
                 let mut fast = vec![0x5Au8; src.len()];
@@ -549,14 +494,18 @@ mod tests {
     #[test]
     fn mul_acc_table_fallback_matches_reference() {
         // The portable loop must stay correct on its own (it is the tail
-        // handler and the non-x86 path), independent of SIMD dispatch.
-        let src: Vec<u8> = (0..200usize).map(|i| (i * 7 % 253) as u8).collect();
-        for scalar in [2u8, 29, 142, 255] {
-            let mut fast = vec![0xC3u8; src.len()];
-            let mut slow = fast.clone();
-            mul_acc_table(&mut fast, &src, scalar);
-            mul_acc_ref(&mut slow, &src, scalar);
-            assert_eq!(fast, slow, "scalar={scalar}");
+        // handler and the whole kernel on every host without AVX2),
+        // independent of SIMD dispatch: every scalar, the dispatch test's
+        // lengths, and the empty, single-byte and 8-byte-word edges.
+        for len in REFERENCE_LENS.into_iter().chain([0, 1, 7, 8, 9]) {
+            let src: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
+            for scalar in 0..=255u8 {
+                let mut fast = vec![0xC3u8; src.len()];
+                let mut slow = fast.clone();
+                mul_acc_table(&mut fast, &src, scalar);
+                mul_acc_ref(&mut slow, &src, scalar);
+                assert_eq!(fast, slow, "len={len} scalar={scalar}");
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the erasure codec and its field arithmetic.
 
+use bytes::Bytes;
 use erasure::{gf, Codec, Fragment};
 use proptest::prelude::*;
 
@@ -169,7 +170,7 @@ proptest! {
         prop_assert_eq!(&first, &cold);
     }
 
-    // ---- `_into` variants agree with the allocating APIs ----
+    // ---- scratch-reusing variants agree with the allocating APIs ----
 
     #[test]
     fn into_variants_match_allocating_apis(
@@ -179,8 +180,9 @@ proptest! {
         let codec = Codec::new(4, 12).unwrap();
         let frags = codec.encode(&value);
 
-        let mut frag_scratch = Vec::new();
-        codec.encode_into(&value, &mut frag_scratch);
+        // A fragment list left by an earlier encode is cleared first.
+        let mut frag_scratch = codec.encode(&reuse);
+        codec.encode_value(&Bytes::from(value.clone()), &mut frag_scratch);
         prop_assert_eq!(&frag_scratch, &frags);
 
         // Dirty, arbitrarily sized scratch must not leak into the output.

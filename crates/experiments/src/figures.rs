@@ -159,33 +159,47 @@ pub fn fig6_7(opts: FigureOptions) -> Vec<ConfigResult> {
 
 // ---------------------------------------------------------------- Fig. 8
 
-/// KLS outage patterns of §5.3: `1` (one KLS down), `2C` (one per DC —
-/// network stays connected), `2P` (both KLSs of the proxy-remote DC —
-/// effectively a WAN partition for metadata), `3`.
-pub fn kls_outage(layout: ClusterLayout, pattern: &str) -> FaultPlan {
+/// KLS outage patterns of §5.3, each with the `(dc, i)` KLSs it takes
+/// down: `0` (none), `1` (one KLS down), `2C` (one per DC — network stays
+/// connected), `2P` (both KLSs of the proxy-remote DC — effectively a WAN
+/// partition for metadata), `3`.
+const KLS_OUTAGES: [(&str, &[(usize, usize)]); 5] = [
+    ("0", &[]),
+    ("1", &[(0, 0)]),
+    ("2C", &[(0, 0), (1, 0)]),
+    ("2P", &[(1, 0), (1, 1)]),
+    ("3", &[(0, 0), (1, 0), (1, 1)]),
+];
+
+/// The outage of the KLS outage pattern named `pattern` (`0`, `1`, `2C`,
+/// `2P` or `3`) on `layout`.
+///
+/// # Errors
+///
+/// An unknown pattern, or one that takes down a KLS `layout` lacks.
+pub fn kls_outage(layout: ClusterLayout, pattern: &str) -> Result<FaultPlan, String> {
+    let (_, klss) = KLS_OUTAGES
+        .iter()
+        .find(|(name, _)| *name == pattern)
+        .ok_or_else(|| {
+            let names: Vec<&str> = KLS_OUTAGES.iter().map(|(name, _)| *name).collect();
+            format!(
+                "unknown KLS outage pattern {pattern:?} (one of {})",
+                names.join(", ")
+            )
+        })?;
     let mut plan = FaultPlan::none();
-    let mut down = |dc: usize, i: usize| {
+    for &(dc, i) in *klss {
+        if dc >= layout.dcs || i >= layout.kls_per_dc {
+            return Err(format!(
+                "KLS outage pattern {pattern} takes down KLS {i} of data center {dc}, \
+                 but the layout has {} data centers of {} KLSs",
+                layout.dcs, layout.kls_per_dc
+            ));
+        }
         plan.add_node_outage(layout.kls(dc, i), SimTime::ZERO, OUTAGE);
-    };
-    match pattern {
-        "0" => {}
-        "1" => down(0, 0),
-        "2C" => {
-            down(0, 0);
-            down(1, 0);
-        }
-        "2P" => {
-            down(1, 0);
-            down(1, 1);
-        }
-        "3" => {
-            down(0, 0);
-            down(1, 0);
-            down(1, 1);
-        }
-        other => panic!("unknown KLS outage pattern {other:?}"),
     }
-    plan
+    Ok(plan)
 }
 
 /// Figure 8: message bytes as KLSs become unavailable, for each
@@ -199,13 +213,16 @@ pub fn fig8(opts: FigureOptions) -> Vec<ConfigResult> {
         FaultPlan::none,
         NetworkConfig::paper_default(),
     )];
-    for pattern in ["1", "2C", "2P", "3"] {
+    // Pattern `0` is the `0-All` reference column above.
+    for &(pattern, _) in &KLS_OUTAGES[1..] {
         for (name, conv) in failure_optimization_matrix() {
             out.push(run_config(
                 &format!("{pattern}-{name}"),
                 opts,
                 conv,
-                move || kls_outage(layout, pattern),
+                move || {
+                    kls_outage(layout, pattern).expect("the paper layout has every pattern's KLSs")
+                },
                 NetworkConfig::paper_default(),
             ));
         }
@@ -291,7 +308,7 @@ mod tests {
         let layout = paper_layout();
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         let down_set = |pattern: &str| -> Vec<(usize, usize)> {
-            let plan = kls_outage(layout, pattern);
+            let plan = kls_outage(layout, pattern).unwrap();
             let mut v = Vec::new();
             for dc in 0..2 {
                 for i in 0..2 {
@@ -307,12 +324,20 @@ mod tests {
         assert_eq!(down_set("2C"), vec![(0, 0), (1, 0)]);
         assert_eq!(down_set("2P"), vec![(1, 0), (1, 1)], "whole remote DC");
         assert_eq!(down_set("3").len(), 3);
+        // A layout without the pattern's KLSs is an error, not a panic
+        // inside `ClusterLayout::kls`.
+        let one_kls = ClusterLayout {
+            kls_per_dc: 1,
+            ..layout
+        };
+        assert!(kls_outage(one_kls, "2C").is_ok());
+        assert!(kls_outage(one_kls, "2P").is_err());
     }
 
     #[test]
     #[should_panic(expected = "unknown KLS outage pattern")]
     fn bogus_pattern_panics() {
-        let _ = kls_outage(paper_layout(), "4X");
+        kls_outage(paper_layout(), "4X").unwrap();
     }
 
     /// One-seed miniature for fast structural checks.

@@ -55,16 +55,10 @@ echo "==> mutation smoke (pinned 12 mutants, kill-rate gate >= 10/12)"
 cargo run -p check --release --bin mutate -- --smoke --bench-out target/BENCH_analysis.json
 python3 -m json.tool target/BENCH_analysis.json > /dev/null
 
-echo "==> invariant explorer (batched smoke sweep, one worker)"
-cargo run -p check --release --bin explore -- --smoke --batch --digest-out target/digest-one-worker.txt
 # Every fault spec and preset with an FS's round traffic sent, lost and
-# answered one multi-entry message per destination at a time.
-explore_mode smoke-batch --smoke --batch
-# The one explicit pair: one worker against two, fresh from the same build.
-cmp target/digest-one-worker.txt target/digest-smoke-batch.txt
-echo "    two-worker sweep digest is byte-identical to one-worker"
-# The smoke sweep takes only the clean, loss and duplication fault specs:
-# batched rounds with an FS outage run only here.
+# answered one multi-entry message per destination at a time. The smoke
+# sweep's scenarios are a subset of this one and a digest line depends only
+# on its scenario, so no smoke batched leg runs.
 explore_mode full-batch --batch
 
 # Two workload rounds: every second-round put overwrites a key that already

@@ -52,6 +52,8 @@ struct Args {
     drop_rate: f64,
     fs_down: usize,
     kls_down: String,
+    /// `kls_down`'s outage on `layout`, checked by `parse_args`.
+    kls_faults: FaultPlan,
     seed: u64,
     trace: bool,
 }
@@ -106,6 +108,7 @@ fn parse_args() -> Result<Args, String> {
         drop_rate: 0.0,
         fs_down: 0,
         kls_down: "0".into(),
+        kls_faults: FaultPlan::none(),
         seed: 42,
         trace: false,
     };
@@ -162,6 +165,7 @@ fn parse_args() -> Result<Args, String> {
             layout.dcs * layout.fs_per_dc
         ));
     }
+    args.kls_faults = kls_outage(layout, &args.kls_down).map_err(|e| format!("--kls-down: {e}"))?;
     Ok(args)
 }
 
@@ -194,13 +198,8 @@ fn main() {
     };
 
     let layout = args.layout;
-    let mut faults = FaultPlan::none();
-    if args.fs_down > 0 {
-        faults.merge(&fs_outage(layout, args.fs_down));
-    }
-    if args.kls_down != "0" {
-        faults.merge(&kls_outage(layout, &args.kls_down));
-    }
+    let mut faults = fs_outage(layout, args.fs_down);
+    faults.merge(&args.kls_faults);
 
     let mut cfg = ClusterConfig::paper_default();
     cfg.layout = layout;

@@ -1,0 +1,23 @@
+//! `pahoehoe-sim` turns a bad flag value into a usage error (exit 2 with a
+//! message on stderr), never a panic.
+
+use std::process::Command;
+
+#[test]
+fn bad_kls_down_values_are_usage_errors() {
+    for args in [
+        // Not a pattern at all.
+        &["--kls-down", "9"][..],
+        // A pattern that takes down a second KLS in a data center of one.
+        &["--layout", "2,1,3", "--kls-down", "2P"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pahoehoe-sim"))
+            .args(args)
+            .output()
+            .expect("pahoehoe-sim runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--kls-down"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
