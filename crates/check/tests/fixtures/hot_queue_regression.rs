@@ -1,26 +1,27 @@
-// Fixture: the simulation core's declared hot paths — the timing-wheel
-// dispatch loop and the per-send metrics update — with the allocating
-// regressions the lint must catch if they ever creep back in.
+// Fixture: the simulation core's declared hot paths — the event queue's
+// pop (a heap of keys over an event pool) and the per-send metrics
+// update — with the allocating regressions the lint must catch if they
+// ever creep back in.
 
-struct Wheel {
-    slots: Vec<Vec<u64>>,
-    cursor: usize,
+struct EventQueue {
+    pool: Vec<Vec<u64>>,
+    top: usize,
 }
 
-impl Wheel {
+impl EventQueue {
     // lint:hot
     fn pop_regressed(&mut self) -> Option<u64> {
-        // Regression: draining a slot by copying it out allocates on
-        // every dispatch.
-        let drained = self.slots[self.cursor].to_vec();
-        self.slots[self.cursor].clear();
-        drained.first().copied()
+        // Regression: taking the event by copying its pool entry out
+        // allocates on every dispatch.
+        let taken = self.pool[self.top].to_vec();
+        self.pool[self.top].clear();
+        taken.first().copied()
     }
 
     // lint:hot
     fn pop_clean(&mut self) -> Option<u64> {
-        let slot = &mut self.slots[self.cursor];
-        slot.pop()
+        let entry = &mut self.pool[self.top];
+        entry.pop()
     }
 }
 

@@ -66,15 +66,16 @@ fn detects_hot_path_alloc() {
 
 #[test]
 fn detects_simulation_core_hot_path_regressions() {
-    // The engine's real hot paths (wheel dispatch, `record_send`) carry
-    // `// lint:hot` markers; this fixture mirrors their shape and proves
-    // an allocating regression in either one trips the lint.
+    // The engine's real hot paths (the heap queue's push, peek and pop,
+    // `record_send`) carry `// lint:hot` markers; this fixture mirrors
+    // their shape and proves an allocating regression in either the queue
+    // or the metrics trips the lint.
     let findings = lint_file(&fixture("hot_queue_regression.rs")).unwrap();
     assert_eq!(rules_hit(&findings), ["hot-path-alloc"]);
     assert_eq!(findings.len(), 2, "to_vec in pop + Vec::new in record_send");
     assert!(
         findings.iter().any(|f| f.excerpt.contains("to_vec")),
-        "wheel-dispatch regression flagged: {findings:?}"
+        "queue-pop regression flagged: {findings:?}"
     );
     assert!(
         findings.iter().any(|f| f.excerpt.contains("Vec::new")),

@@ -15,7 +15,7 @@ use crate::metrics::Metrics;
 use crate::network::{FaultPlan, NetworkConfig};
 use crate::node::NodeId;
 use crate::payload::Payload;
-use crate::queue::{EventKind, QueuedEvent, TimerSlab, TimingWheel};
+use crate::queue::{EventKind, EventQueue, QueuedEvent, TimerSlab};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, Trace, TraceEvent};
 
@@ -30,18 +30,12 @@ pub enum RunOutcome {
     PredicateSatisfied,
     /// The virtual-time deadline was reached.
     DeadlineReached,
-    /// The event-count safety limit was hit (almost certainly a bug such as
-    /// a self-perpetuating timer loop).
-    EventLimitReached,
 }
 
 struct Inner<M> {
     now: SimTime,
     seq: u64,
-    /// Boxed so the wheel's inline state (the 128-byte summary bitmap
-    /// among it) stays out of `Inner`, whose other fields the run loop
-    /// touches on every event.
-    queue: Box<TimingWheel<M>>,
+    queue: EventQueue<M>,
     /// Generation-stamped liveness for every scheduled timer; cancelling
     /// bumps a generation so the queued firing event goes stale in place.
     timers: TimerSlab,
@@ -64,14 +58,6 @@ impl<M: Payload> Inner<M> {
         let at = self.now + delay;
         self.push(at, node, EventKind::Timer { id, tag });
         id
-    }
-
-    /// Retires `id` and, if it was still live, drops the queue's memoized
-    /// peek, which may point at the now-stale firing event.
-    fn cancel_timer(&mut self, id: TimerId) {
-        if self.timers.retire(id) {
-            self.queue.invalidate_peek();
-        }
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
@@ -169,7 +155,7 @@ impl<M: Payload> Context<'_, M> {
     /// Cancels a previously scheduled timer. Cancelling a timer that
     /// already fired (or was already cancelled) is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
+        self.inner.timers.retire(id);
     }
 
     /// The simulation's seeded random number generator.
@@ -191,7 +177,6 @@ pub struct Simulation<M: Payload> {
     inner: Inner<M>,
     started: bool,
     events_processed: u64,
-    event_limit: u64,
     inspector: Option<Inspector<M>>,
 }
 
@@ -209,7 +194,7 @@ impl<M: Payload> Simulation<M> {
             inner: Inner {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: Box::new(TimingWheel::new()),
+                queue: EventQueue::new(),
                 timers: TimerSlab::new(),
                 rng: StdRng::seed_from_u64(seed),
                 network,
@@ -219,7 +204,6 @@ impl<M: Payload> Simulation<M> {
             },
             started: false,
             events_processed: 0,
-            event_limit: u64::MAX,
             inspector: None,
         }
     }
@@ -236,19 +220,6 @@ impl<M: Payload> Simulation<M> {
     /// Replaces any previously installed inspector.
     pub fn set_inspector(&mut self, inspector: impl FnMut(&Simulation<M>) + 'static) {
         self.inspector = Some(Box::new(inspector));
-    }
-
-    /// Removes the observation hook installed by
-    /// [`set_inspector`](Self::set_inspector), if any.
-    pub fn clear_inspector(&mut self) {
-        self.inspector = None;
-    }
-
-    /// Caps the total number of events this simulation will process; a run
-    /// that hits the cap returns [`RunOutcome::EventLimitReached`]. Useful
-    /// as a safety net around protocols that retry forever.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Adds an actor and returns its node id. Ids are dense indices in
@@ -280,7 +251,7 @@ impl<M: Payload> Simulation<M> {
     /// events. Cancelling an already-fired or already-cancelled timer is
     /// a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
+        self.inner.timers.retire(id);
     }
 
     /// Current virtual time.
@@ -366,7 +337,7 @@ impl<M: Payload> Simulation<M> {
     /// `pred` is evaluated once before the run starts and then exactly
     /// once per **dispatched** event (message delivery or timer firing).
     /// Queue housekeeping that dispatches nothing — discarding cancelled
-    /// timers, promoting far-future events — never re-evaluates it.
+    /// timers — never re-evaluates it.
     pub fn run_until(&mut self, pred: impl FnMut(&Simulation<M>) -> bool) -> RunOutcome {
         self.run_impl(SimTime::MAX, pred)
     }
@@ -425,9 +396,6 @@ impl<M: Payload> Simulation<M> {
             if at >= deadline {
                 self.inner.now = self.inner.now.max(deadline);
                 return RunOutcome::DeadlineReached;
-            }
-            if self.events_processed >= self.event_limit {
-                return RunOutcome::EventLimitReached;
             }
             let inner = &mut self.inner;
             // lint:allow(panic-path): peek_next returned Some on this very iteration
@@ -777,14 +745,12 @@ mod tests {
     }
 
     #[test]
-    fn cancelling_the_peeked_timer_drops_the_queue_memo() {
-        // The engine's half of the queue contract: a run that stops at its
-        // deadline leaves the queue's peek memo on the next event, and a
-        // cancel of that very timer must drop the memo — or the next run
-        // takes the dead timer's time for the next live event's and
-        // dispatches whatever follows it, deadline or not. (Inside a
-        // dispatch the memo is already empty — `pop` cleared it — so that
-        // half pins the outcome, not the invalidation.)
+    fn a_timer_cancelled_between_runs_never_fires() {
+        // A run that stops at its deadline leaves timer A at the front of
+        // the queue. Once A is cancelled, the next run must neither fire it
+        // nor take its time for the next live event's and dispatch
+        // whatever follows it, deadline or not. The same holds when A is
+        // cancelled from inside a dispatch.
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         for from_inside in [false, true] {
             let mut sim: Simulation<Msg> = Simulation::new(1);
@@ -870,7 +836,6 @@ mod tests {
         sim.run_until_quiescent();
         assert_eq!(observed.get(), sim.events_processed());
         assert_eq!(max_pongs.get(), 10, "inspector observes actor state");
-        sim.clear_inspector();
     }
 
     #[test]
@@ -903,21 +868,6 @@ mod tests {
         let outcome = sim.run_until_time(deadline);
         assert_eq!(outcome, RunOutcome::DeadlineReached);
         assert_eq!(sim.now(), deadline);
-    }
-
-    #[test]
-    fn event_limit_is_a_safety_net() {
-        let mut sim = Simulation::new(3);
-        let ponger = sim.add_actor(Ponger);
-        sim.add_actor(Pinger {
-            peer: ponger,
-            rounds: 100,
-            pongs: 0,
-            last_pong_at: SimTime::ZERO,
-        });
-        sim.set_event_limit(10);
-        assert_eq!(sim.run_until_quiescent(), RunOutcome::EventLimitReached);
-        assert_eq!(sim.events_processed(), 10);
     }
 
     #[test]

@@ -78,13 +78,6 @@ impl Trace {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Events on the directed link `from → to`.
-    pub fn on_link(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events
-            .iter()
-            .filter(move |e| e.from == from && e.to == to)
-    }
-
     /// Total bytes sent between two (unordered) endpoints — e.g. to
     /// measure cross-WAN traffic between two data-center node groups.
     pub fn bytes_between(&self, a: &[NodeId], b: &[NodeId]) -> u64 {
@@ -135,8 +128,6 @@ mod tests {
         t.record(ev(3, 0, 2, "A", 30));
         assert_eq!(t.len(), 3);
         assert_eq!(t.of_kind("A").count(), 2);
-        assert_eq!(t.on_link(NodeId::new(0), NodeId::new(1)).count(), 1);
-        assert_eq!(t.on_link(NodeId::new(1), NodeId::new(0)).count(), 1);
     }
 
     #[test]

@@ -129,7 +129,10 @@ fn parse_args() -> Result<Args, String> {
             "--drop-rate" => {
                 args.drop_rate = val("--drop-rate")?
                     .parse()
-                    .map_err(|e| format!("--drop-rate: {e}"))?
+                    .map_err(|e| format!("--drop-rate: {e}"))?;
+                if !(0.0..=1.0).contains(&args.drop_rate) {
+                    return Err(format!("--drop-rate: {} is not in [0, 1]", args.drop_rate));
+                }
             }
             "--fs-down" => {
                 args.fs_down = val("--fs-down")?

@@ -1,15 +1,18 @@
 //! `pahoehoe-sim` turns a bad flag value into a usage error (exit 2 with a
-//! message on stderr), never a panic.
+//! message on stderr naming the flag), never a panic.
 
 use std::process::Command;
 
 #[test]
-fn bad_kls_down_values_are_usage_errors() {
-    for args in [
+fn bad_flag_values_are_usage_errors() {
+    for (flag, args) in [
         // Not a pattern at all.
-        &["--kls-down", "9"][..],
+        ("--kls-down", &["--kls-down", "9"][..]),
         // A pattern that takes down a second KLS in a data center of one.
-        &["--layout", "2,1,3", "--kls-down", "2P"],
+        ("--kls-down", &["--layout", "2,1,3", "--kls-down", "2P"]),
+        // Not a probability.
+        ("--drop-rate", &["--drop-rate", "1.5"]),
+        ("--drop-rate", &["--drop-rate", "NaN"]),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_pahoehoe-sim"))
             .args(args)
@@ -17,7 +20,7 @@ fn bad_kls_down_values_are_usage_errors() {
             .expect("pahoehoe-sim runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("--kls-down"), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
