@@ -73,7 +73,7 @@ use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
 
 use rounds::Outbox;
-use store::VersionStore;
+use store::{Slot, VersionStore};
 
 /// Timer tags (upper byte selects the kind, low bits carry an op id).
 const TAG_ROUND: u64 = 1 << 56;
@@ -133,9 +133,9 @@ pub struct Fs {
     codecs: BTreeMap<(u8, u8), Codec>,
     /// Reusable fragment-list scratch for the recovery path.
     recover_scratch: Vec<Fragment>,
-    /// Reusable `(version, slot)` list for `run_round` and `scrub`,
-    /// so steady-state rounds do not allocate a version list each tick.
-    version_scratch: Vec<(ObjectVersion, u32)>,
+    /// Reusable slot list for `run_round` and `scrub`, so steady-state
+    /// rounds do not allocate a version list each tick.
+    version_scratch: Vec<Slot>,
     /// This DC's repair actor, set by the cluster builder when the
     /// repair engine is enabled; inventory reports go here.
     repair_target: Option<NodeId>,
@@ -209,7 +209,7 @@ impl Fs {
 
     /// The stored entry for `ov`, if any.
     pub fn entry(&self, ov: ObjectVersion) -> Option<&FragEntry> {
-        self.store.entry(ov)
+        self.store.entry(self.store.find(ov)?)
     }
 
     /// Whether this FS holds every fragment assigned to it by `ov`'s
@@ -221,7 +221,7 @@ impl Fs {
     pub fn verified(&self, ov: ObjectVersion) -> bool {
         // A version is live or a residual, never both, and the probes that
         // matter are about live ones: ask the index first.
-        match self.store.entry(ov) {
+        match self.entry(ov) {
             Some(entry) => Self::entry_verified(entry, self.self_node()),
             None => self.store.residual(ov).is_some(),
         }
@@ -245,7 +245,10 @@ impl Fs {
     /// When this FS settled `ov` as AMR (verified it, or received an AMR
     /// indication), if it has.
     pub fn amr_settled_at(&self, ov: ObjectVersion) -> Option<SimTime> {
-        self.store.amr_at(ov)
+        match self.store.find(ov) {
+            Some(s) => self.store.amr_at(s),
+            None => self.store.residual(ov).map(|(_, at)| at),
+        }
     }
 
     /// Every version present in the fragment store.
@@ -277,7 +280,7 @@ impl Fs {
     /// held when the superseded, settled-AMR version was collapsed to an
     /// O(1) record — if `ov` has been compacted.
     pub fn compacted_residual(&self, ov: ObjectVersion) -> Option<FragMask> {
-        self.store.residual(ov)
+        self.store.residual(ov).map(|(held, _)| held)
     }
 
     /// Number of versions this FS has compacted to residual records.
@@ -323,18 +326,21 @@ impl Fs {
         meta: &Arc<Metadata>,
         fragment: Fragment,
     ) {
-        self.adopt(ctx, ov, meta);
         // Compacted versions accept no bytes; a full store would treat
         // this as a duplicate of a fragment it already holds — in both
-        // cases the store is unchanged and note_progress still runs.
-        if let Some(entry) = self.store.entry_mut(ov) {
+        // cases the store is unchanged and a round is still made sure of.
+        let Some(s) = self.adopt(ctx, ov, meta) else {
+            self.ensure_round(ctx);
+            return;
+        };
+        if let Some(entry) = self.store.entry_mut(s) {
             let idx = fragment.index();
             if !entry.fragments.contains_key(&idx) {
                 entry.checksums.insert(idx, Checksum::of(fragment.data()));
                 entry.fragments.insert(idx, fragment);
             }
         }
-        self.note_progress(ctx, ov);
+        self.note_progress(ctx, s);
     }
 
     /// Self id captured from the first processed event (actors do not know
@@ -370,9 +376,11 @@ impl Actor<Message> for Fs {
             Message::StoreMetadata { ov, meta } => {
                 // Proxy location update for a fragment we already hold
                 // (second wave of the put, §5.2).
-                self.adopt(ctx, ov, &meta);
                 // Compacted versions settled with complete metadata.
-                let complete = self.store.entry(ov).is_none_or(|e| e.meta.is_complete());
+                let complete = self
+                    .adopt(ctx, ov, &meta)
+                    .and_then(|s| self.store.entry(s))
+                    .is_none_or(|e| e.meta.is_complete());
                 ctx.send(from, Message::StoreMetadataReply { ov, complete });
             }
 
@@ -399,10 +407,10 @@ impl Actor<Message> for Fs {
 
             Message::DecideLocsReply { ov, dc, locations } => {
                 // Reply to our FsDecideLocs probe.
-                if let Some(entry) = self.store.entry_mut(ov) {
-                    if !entry.meta.has_dc(dc) {
+                if let Some(s) = self.store.find(ov) {
+                    if let Some(entry) = self.store.entry_mut(s).filter(|e| !e.meta.has_dc(dc)) {
                         Arc::make_mut(&mut entry.meta).add_dc_locations(dc, locations);
-                        self.note_progress(ctx, ov);
+                        self.note_progress(ctx, s);
                     }
                 }
             }
@@ -413,7 +421,8 @@ impl Actor<Message> for Fs {
                 // regenerate it (§3.1).
                 let mut data = None;
                 let mut corrupt = false;
-                if let Some(entry) = self.store.entry_mut(ov) {
+                let s = self.store.find(ov);
+                if let Some(entry) = s.and_then(|s| self.store.entry_mut(s)) {
                     if let Some(frag) = entry.fragments.get(&fragment) {
                         let sound = entry
                             .checksums
@@ -429,9 +438,9 @@ impl Actor<Message> for Fs {
                         }
                     }
                 }
-                if corrupt {
+                if let Some(s) = s.filter(|_| corrupt) {
                     self.corruption_detected += 1;
-                    self.re_pend(ov, ctx.now());
+                    self.re_pend(s, ctx.now());
                     self.ensure_round(ctx);
                 }
                 ctx.send(
@@ -466,8 +475,8 @@ impl Actor<Message> for Fs {
             }
             TAG_RECOVERY_WAIT => self.recovery_wait_elapsed(ctx, op),
             TAG_RECOVERY_TIMEOUT => {
-                if let Some(ov) = self.store.find_recovery(op) {
-                    self.abort_recovery(ctx, ov);
+                if let Some(s) = self.store.find_recovery(op) {
+                    self.abort_recovery(ctx, s);
                     self.ensure_round(ctx);
                 }
             }

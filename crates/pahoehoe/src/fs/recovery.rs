@@ -8,18 +8,19 @@ use std::sync::Arc;
 use erasure::{Checksum, Fragment, FragmentIndex};
 use simnet::{Context, NodeId};
 
-use super::store::{Recovery, RecoveryPhase};
+use super::store::{Recovery, RecoveryPhase, Slot};
 use super::{Fs, TAG_RECOVERY_TIMEOUT, TAG_RECOVERY_WAIT};
 use crate::messages::{Message, OpId};
 use crate::types::ObjectVersion;
 
 impl Fs {
-    pub(super) fn start_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+    pub(super) fn start_recovery(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
         let me = ctx.self_id();
+        let ov = s.ov();
         let op = self.next_op;
         self.next_op += 1;
         // lint:allow(panic-path): recovery starts only for pending (hence stored) versions
-        let meta = Arc::clone(&self.store.entry(ov).expect("pending implies stored").meta);
+        let meta = Arc::clone(&self.store.entry(s).expect("pending implies stored").meta);
         let timeout_timer =
             ctx.schedule_timer(self.opts.recovery_timeout, TAG_RECOVERY_TIMEOUT | op);
 
@@ -27,7 +28,7 @@ impl Fs {
             // Probe siblings with the recovery-intent flag; their replies
             // report what they need; we fetch after a short accumulation
             // window.
-            self.probe_siblings(ctx, ov, &meta, true, false);
+            self.probe_siblings(ctx, s, &meta, true, false);
             let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
             (RecoveryPhase::AwaitingReports, Some(wait_timer))
         } else {
@@ -48,7 +49,7 @@ impl Fs {
             (RecoveryPhase::Fetching, None)
         };
         // lint:allow(panic-path): recovery starts only for pending versions
-        let work = self.store.work_mut(ov).expect("present");
+        let work = self.store.work_mut(s).expect("present");
         work.recovery = Some(Recovery {
             op,
             phase,
@@ -62,13 +63,13 @@ impl Fs {
     /// The recovery-wait window closed: pick fragments to fetch based on
     /// the siblings' reports.
     pub(super) fn recovery_wait_elapsed(&mut self, ctx: &mut Context<'_, Message>, op: OpId) {
-        let Some(ov) = self.store.find_recovery(op) else {
+        let Some(s) = self.store.find_recovery(op) else {
             return;
         };
         let me = ctx.self_id();
         let (local, k) = {
-            // lint:allow(panic-path): find_recovery returned this ov, so it is stored
-            let entry = self.store.entry(ov).expect("recovering implies stored");
+            // lint:allow(panic-path): find_recovery returned this slot, so it is stored
+            let entry = self.store.entry(s).expect("recovering implies stored");
             let local: BTreeSet<FragmentIndex> = entry.fragments.keys().copied().collect();
             (local, usize::from(entry.meta.policy().k))
         };
@@ -78,8 +79,8 @@ impl Fs {
         let mut plan: Vec<(NodeId, FragmentIndex)> = Vec::new();
         let mut planned: BTreeSet<FragmentIndex> = local.clone();
         {
-            // lint:allow(panic-path): find_recovery returned this ov, so it is pending
-            let work = self.store.work_mut(ov).expect("recovering");
+            // lint:allow(panic-path): find_recovery returned this slot, so it is pending
+            let work = self.store.work_mut(s).expect("recovering");
             // lint:allow(panic-path): find_recovery guarantees an in-flight recovery
             let rec = work.recovery.as_mut().expect("recovering");
             debug_assert_eq!(rec.op, op);
@@ -100,7 +101,7 @@ impl Fs {
         if planned.len() < k {
             // Not enough fragments reachable right now; retry at a later
             // round (backoff was charged when the step started).
-            self.abort_recovery(ctx, ov);
+            self.abort_recovery(ctx, s);
             return;
         }
         debug_assert!(!plan.iter().any(|(fs, _)| *fs == me));
@@ -109,7 +110,7 @@ impl Fs {
                 fs,
                 Message::RetrieveFrag {
                     op,
-                    ov,
+                    ov: s.ov(),
                     fragment: idx,
                 },
             );
@@ -117,20 +118,20 @@ impl Fs {
         // If we already hold k fragments locally (possible when only our
         // *other* disk's fragment is missing), finish immediately.
         if local.len() >= k {
-            self.try_finish_recovery(ctx, ov);
+            self.try_finish_recovery(ctx, s);
         }
     }
 
     /// Completes the recovery if enough fragments are on hand: regenerate
     /// our missing fragments (and, in sibling mode, everything the
     /// siblings reported missing) and push the siblings' shares to them.
-    fn try_finish_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+    fn try_finish_recovery(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
         let me = ctx.self_id();
         let (policy, value_len, meta, my_mask, pool, sibling_needs) = {
             // lint:allow(panic-path): recovery in flight implies stored
-            let entry = self.store.entry(ov).expect("recovering implies stored");
+            let entry = self.store.entry(s).expect("recovering implies stored");
             // lint:allow(panic-path): recovery in flight implies pending
-            let work = self.store.work(ov).expect("recovering");
+            let work = self.store.work(s).expect("recovering");
             // lint:allow(panic-path): callers reach here only with a recovery in flight
             let rec = work.recovery.as_ref().expect("recovery in flight");
             let mut pool = entry.fragments.clone();
@@ -184,7 +185,7 @@ impl Fs {
         // Store our own missing fragments.
         {
             // lint:allow(panic-path): recovering versions stay stored
-            let entry = self.store.entry_mut(ov).expect("present");
+            let entry = self.store.entry_mut(s).expect("present");
             for idx in my_mask.iter() {
                 // lint:allow(panic-path): recover_into returns a fragment for every requested target
                 let frag = by_idx[&idx].clone();
@@ -198,7 +199,7 @@ impl Fs {
                 ctx.send(
                     fs,
                     Message::SiblingStore {
-                        ov,
+                        ov: s.ov(),
                         meta: Arc::clone(&meta),
                         // lint:allow(panic-path): recover_into returns a fragment for every requested target
                         fragment: by_idx[&idx].clone(),
@@ -209,11 +210,11 @@ impl Fs {
 
         self.recoveries_done += 1;
         // lint:allow(panic-path): recovering versions stay pending until settled here
-        let work = self.store.work_mut(ov).expect("present");
+        let work = self.store.work_mut(s).expect("present");
         // lint:allow(panic-path): recovery was in flight until taken here
         let rec = work.recovery.take().expect("recovery in flight");
         self.cancel_recovery_timers(ctx, &rec);
-        self.note_progress(ctx, ov);
+        self.note_progress(ctx, s);
     }
 
     /// A fragment fetched for the recovery `op` of `ov` arrived (or its
@@ -225,7 +226,10 @@ impl Fs {
         ov: ObjectVersion,
         data: Option<Fragment>,
     ) {
-        let Some(work) = self.store.work_mut(ov) else {
+        let Some(s) = self.store.find(ov) else {
+            return;
+        };
+        let Some(work) = self.store.work_mut(s) else {
             return;
         };
         let Some(rec) = work.recovery.as_mut() else {
@@ -237,7 +241,7 @@ impl Fs {
         if let Some(frag) = data {
             rec.collected.insert(frag.index(), frag);
         }
-        self.try_finish_recovery(ctx, ov);
+        self.try_finish_recovery(ctx, s);
     }
 
     pub(super) fn cancel_recovery_timers(&self, ctx: &mut Context<'_, Message>, rec: &Recovery) {
@@ -247,12 +251,12 @@ impl Fs {
         ctx.cancel_timer(rec.timeout_timer);
     }
 
-    /// Abandons `ov`'s in-flight recovery, if it has one — it timed out,
+    /// Abandons `s`'s in-flight recovery, if it has one — it timed out,
     /// could not reach `k` fragments, or lost the contention rule (§4.2) to
     /// a sibling with a higher id. Backoff was already set by the step that
     /// started it.
-    pub(super) fn abort_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
-        let work = self.store.work_mut(ov);
+    pub(super) fn abort_recovery(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
+        let work = self.store.work_mut(s);
         if let Some(rec) = work.and_then(|w| w.recovery.take()) {
             self.cancel_recovery_timers(ctx, &rec);
         }

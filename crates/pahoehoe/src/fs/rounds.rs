@@ -9,7 +9,7 @@ use std::sync::Arc;
 use erasure::FragmentIndex;
 use simnet::{Context, NodeId, SimTime};
 
-use super::store::{ConvWork, RecoveryPhase, Step};
+use super::store::{ConvWork, RecoveryPhase, Slot, Step};
 use super::{FragEntry, Fs, TAG_ROUND};
 use crate::convergence::RoundSchedule;
 use crate::messages::Message;
@@ -98,35 +98,35 @@ impl Fs {
         self.round_scheduled = true;
     }
 
-    /// New information arrived for `ov`: reset its backoff so convergence
-    /// reacts promptly, and make sure a round is coming.
-    pub(super) fn note_progress(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
-        if let Some(work) = self.store.work_mut(ov) {
+    /// New information arrived for `s`'s version: reset its backoff so
+    /// convergence reacts promptly, and make sure a round is coming.
+    pub(super) fn note_progress(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
+        if let Some(work) = self.store.work_mut(s) {
             work.attempts = 0;
             work.next_eligible = ctx.now();
         }
         self.ensure_round(ctx);
     }
 
-    /// Sends every other sibling of `ov` a convergence probe — or, for a
-    /// re-ask, only those not in its `fs_ok` — noting for each when it was
-    /// first probed without answering since.
+    /// Sends every other sibling of `s`'s version a convergence probe — or,
+    /// for a re-ask, only those not in its `fs_ok` — noting for each when
+    /// it was first probed without answering since.
     pub(super) fn probe_siblings(
         &mut self,
         ctx: &mut Context<'_, Message>,
-        ov: ObjectVersion,
+        s: Slot,
         meta: &Arc<Metadata>,
         recovery_intent: bool,
         reask: bool,
     ) {
         let me = ctx.self_id();
         for fs in meta.siblings().filter(|&fs| fs != me) {
-            if reask && self.store.work(ov).is_some_and(|w| w.fs_ok.contains(&fs)) {
+            if reask && self.store.work(s).is_some_and(|w| w.fs_ok.contains(&fs)) {
                 continue;
             }
             self.silent_since.entry(fs).or_insert(ctx.now());
             let probe = Message::ConvergeFs {
-                ov,
+                ov: s.ov(),
                 meta: Arc::clone(meta),
                 recovery_intent,
             };
@@ -155,15 +155,15 @@ impl Fs {
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_pending(&mut versions);
         let mut revived = false;
-        for &(ov, slot) in &versions {
-            let waited_on_it = match (self.store.entry_at(ov, slot), self.store.work_at(ov, slot)) {
+        for &s in &versions {
+            let waited_on_it = match (self.store.entry(s), self.store.work(s)) {
                 (Some(entry), Some(work)) => {
                     Self::reprober(&entry.meta, from) == Some(me)
                         && Self::only_unanswered(&entry.meta, work, me, from)
                 }
                 _ => false,
             };
-            if let Some(work) = self.store.work_at_mut(ov, slot).filter(|_| waited_on_it) {
+            if let Some(work) = self.store.work_mut(s).filter(|_| waited_on_it) {
                 work.attempts = 0;
                 work.next_eligible = now;
                 revived = true;
@@ -230,42 +230,39 @@ impl Fs {
     }
 
     /// Ensures the store tracks `ov` (pending unless it is already
-    /// settled) and merges `meta` in. Returns `true` if the metadata
-    /// gained locations.
+    /// settled) and merges `meta` in: the one index probe of a message
+    /// that carries metadata. Returns `ov`'s slot, or `None` if it was
+    /// compacted: it is settled AMR with complete metadata, so a full
+    /// store's merge would be a no-op and, settled, schedule nothing.
     // lint:hot
     pub(super) fn adopt(
         &mut self,
         ctx: &mut Context<'_, Message>,
         ov: ObjectVersion,
         meta: &Arc<Metadata>,
-    ) -> bool {
+    ) -> Option<Slot> {
         let now = ctx.now();
-        let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
+        let (s, entry) = self.store.adopt(ov, now, || FragEntry {
             meta: Arc::clone(meta),
             fragments: FragMap::new(),
             checksums: FragMap::new(),
-        }) else {
-            // Compacted: the version is settled AMR with complete
-            // metadata, so a full store's merge would be a no-op and
-            // the settled branch below would skip scheduling anyway.
-            return false;
-        };
+        })?;
         let changed = Metadata::merge_shared(&mut entry.meta, meta);
-        if !self.store.is_settled(ov) {
+        if self.store.work(s).is_some() {
             if changed {
-                self.note_progress(ctx, ov);
+                self.note_progress(ctx, s);
             } else {
                 self.ensure_round(ctx);
             }
         }
-        changed
+        Some(s)
     }
 
-    /// Marks `ov` AMR: drop convergence work, optionally broadcast FS AMR
-    /// indications.
-    fn finalize_amr(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, indicate: bool) {
-        let newly_settled = self.store.amr_at(ov).is_none();
-        if let Some(work) = self.store.settle_amr(ov, ctx.now()) {
+    /// Marks `s`'s version AMR: drop convergence work, optionally broadcast
+    /// FS AMR indications. Compaction may vacate `s`.
+    fn finalize_amr(&mut self, ctx: &mut Context<'_, Message>, s: Slot, indicate: bool) {
+        let newly_settled = self.store.amr_at(s).is_none();
+        if let Some(work) = self.store.settle_amr(s, ctx.now()) {
             if let Some(rec) = work.recovery {
                 self.cancel_recovery_timers(ctx, &rec);
             }
@@ -278,11 +275,12 @@ impl Fs {
             let meta = Arc::clone(
                 &self
                     .store
-                    .entry(ov)
+                    .entry(s)
                     // lint:allow(panic-path): settled versions stay stored
                     .expect("settled versions are stored")
                     .meta,
             );
+            let ov = s.ov();
             for fs in meta.siblings() {
                 if fs != me {
                     self.outbox
@@ -299,7 +297,7 @@ impl Fs {
         // [`VersionStore::compact_superseded`] keeps hot-key settles
         // amortized O(1).
         if self.mode.compact_converged && newly_settled {
-            self.store.compact_superseded(ov);
+            self.store.compact_superseded(s);
         }
     }
 
@@ -309,8 +307,8 @@ impl Fs {
         let now = ctx.now();
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_pending(&mut versions);
-        for &(ov, slot) in &versions {
-            let Some(work) = self.store.work_at(ov, slot) else {
+        for &s in &versions {
+            let Some(work) = self.store.work(s) else {
                 continue;
             };
             if work.recovery.is_some() || now < work.next_eligible {
@@ -318,17 +316,17 @@ impl Fs {
             }
             // `min_age` is on the version's own age (its stamp is a proxy
             // clock reading), not on how long this FS has known of it.
-            let age_us = now.as_micros().saturating_sub(ov.ts.clock_micros());
+            let age_us = now.as_micros().saturating_sub(s.ov().ts.clock_micros());
             if age_us < self.opts.min_age.as_micros() {
                 continue;
             }
             if let Some(limit) = self.opts.give_up_age {
                 if now.duration_since(work.created) > limit {
-                    self.store.settle_gave_up(ov);
+                    self.store.settle_gave_up(s);
                     continue;
                 }
             }
-            self.step(ctx, ov, slot);
+            self.step(ctx, s);
         }
         versions.clear();
         self.version_scratch = versions;
@@ -337,12 +335,13 @@ impl Fs {
 
     /// One convergence step for one object version.
     // lint:hot
-    fn step(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion, slot: u32) {
+    fn step(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
         self.steps_run += 1;
         let me = ctx.self_id();
+        let ov = s.ov();
         let entry = self
             .store
-            .entry_at(ov, slot)
+            .entry(s)
             // lint:allow(panic-path): step runs only over the pending listing
             .expect("pending implies stored");
         let meta = Arc::clone(&entry.meta);
@@ -354,13 +353,13 @@ impl Fs {
             && self.mode.batch_rounds
             && self
                 .store
-                .work_at(ov, slot)
+                .work(s)
                 .is_some_and(|work| self.only_silent_unanswered(&meta, work, me, ctx.now()));
 
         // Charge the backoff up front; any new information resets it.
         let attempt = {
             // lint:allow(panic-path): step already verified the version is pending
-            let work = self.store.work_at_mut(ov, slot).expect("checked by caller");
+            let work = self.store.work_mut(s).expect("checked by caller");
             work.attempts += 1;
             let delay = self.opts.backoff_delay(work.attempts);
             work.next_eligible = ctx.now() + delay;
@@ -383,7 +382,7 @@ impl Fs {
         if reask {
             // 3'. Re-ask: what the last verification step lacked, from the
             // siblings that owe it; `check_amr` settles nothing on it.
-            self.probe_siblings(ctx, ov, &meta, false, true);
+            self.probe_siblings(ctx, s, &meta, false, true);
         } else if !meta.is_complete() {
             // 1. Metadata repair: probe one KLS per missing DC, rotating
             // through the DC's KLSs across attempts (§3.5 fixed order).
@@ -404,7 +403,7 @@ impl Fs {
             }
         } else if !missing.is_empty() {
             // 2. Fragment recovery.
-            self.start_recovery(ctx, ov);
+            self.start_recovery(ctx, s);
         } else {
             // 3. Verification: probe all KLSs and sibling FSs.
             for kls in self.topo.all_klss() {
@@ -412,25 +411,22 @@ impl Fs {
                 self.outbox
                     .post(ctx, kls, Message::ConvergeKls { ov, meta });
             }
-            self.probe_siblings(ctx, ov, &meta, false, false);
-            self.check_amr(ctx, ov);
+            self.probe_siblings(ctx, s, &meta, false, false);
+            self.check_amr(ctx, s);
         }
     }
 
-    /// A silent sibling answered a re-ask of `ov` verified: it is back and
-    /// whole, so the kept answers are moot. Forget them and run a full
-    /// verification step now, from a reset back-off.
-    fn verify_afresh(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
-        let Some(slot) = self.store.slot_of(ov) else {
-            return;
-        };
-        let Some(work) = self.store.work_at_mut(ov, slot) else {
+    /// A silent sibling answered a re-ask of `s`'s version verified: it is
+    /// back and whole, so the kept answers are moot. Forget them and run a
+    /// full verification step now, from a reset back-off.
+    fn verify_afresh(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
+        let Some(work) = self.store.work_mut(s) else {
             return;
         };
         work.attempts = 0;
         work.kls_ok.clear();
         work.fs_ok.clear();
-        self.step(ctx, ov, slot);
+        self.step(ctx, s);
     }
 
     /// Fragment indices assigned to `me` that are not in the store.
@@ -448,9 +444,9 @@ impl Fs {
     /// Records a verification-step reply and finalizes AMR when everyone
     /// verified (the paper's `is_amr`) — in answer to one verification
     /// step, never to kept answers and a re-ask.
-    fn check_amr(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
+    fn check_amr(&mut self, ctx: &mut Context<'_, Message>, s: Slot) {
         let me = ctx.self_id();
-        let Some(work) = self.store.work(ov) else {
+        let Some(work) = self.store.work(s) else {
             return;
         };
         if work.step != Step::Verifying {
@@ -463,13 +459,14 @@ impl Fs {
             return;
         }
         // lint:allow(panic-path): pending versions are always stored
-        let meta = &self.store.entry(ov).expect("pending implies stored").meta;
-        let all_siblings_ok = meta
+        let entry = self.store.entry(s).expect("pending implies stored");
+        let all_siblings_ok = entry
+            .meta
             .siblings()
             .filter(|&fs| fs != me)
             .all(|fs| work.fs_ok.contains(&fs));
-        if all_siblings_ok && self.verified(ov) {
-            self.finalize_amr(ctx, ov, true);
+        if all_siblings_ok && Self::entry_verified(entry, me) {
+            self.finalize_amr(ctx, s, true);
         }
     }
 
@@ -483,33 +480,34 @@ impl Fs {
         recovery_intent: bool,
     ) {
         let me = ctx.self_id();
-        self.adopt(ctx, ov, meta);
+        let s = self.adopt(ctx, ov, meta);
         // Sibling-recovery contention: both of us are recovering — the FS
         // with the *lower* id backs off (§4.2).
-        if recovery_intent && self.opts.sibling_recovery && me < from {
-            self.abort_recovery(ctx, ov);
+        if let Some(s) = s.filter(|_| recovery_intent && self.opts.sibling_recovery && me < from) {
+            self.abort_recovery(ctx, s);
         }
-        let (have, missing, verified): (Vec<FragmentIndex>, Vec<FragmentIndex>, bool) =
-            match self.store.entry(ov) {
-                Some(entry) => {
+        let live = s.and_then(|s| Some((self.store.entry(s)?, self.store.work(s))));
+        let (have, missing, verified, recovering): (Vec<FragmentIndex>, Vec<FragmentIndex>, _, _) =
+            match live {
+                Some((entry, work)) => {
                     let have = entry.fragments.keys().copied().collect();
                     let missing = if entry.meta.is_complete() {
                         Self::missing_mask(entry, me).iter().collect()
                     } else {
                         Vec::new()
                     };
-                    (have, missing, Self::entry_verified(entry, me))
+                    let recovering = work.is_some_and(|w| w.recovery.is_some());
+                    (have, missing, Self::entry_verified(entry, me), recovering)
                 }
                 None => {
                     // Compacted: the residual mask is exactly the fragment
                     // set the full store would report, and a verified AMR
                     // version misses nothing — the reply is byte-identical.
                     // lint:allow(panic-path): adopt stores any non-compacted version
-                    let held = self.store.residual(ov).expect("compacted");
-                    (held.iter().collect(), Vec::new(), true)
+                    let (held, _) = self.store.residual(ov).expect("compacted");
+                    (held.iter().collect(), Vec::new(), true, false)
                 }
             };
-        let recovering = self.store.work(ov).is_some_and(|w| w.recovery.is_some());
         self.outbox.post(
             ctx,
             from,
@@ -537,28 +535,31 @@ impl Fs {
             Message::AmrIndication { ov, meta } => {
                 // Complete our metadata and stop all convergence work
                 // (cancelling recovery timers), without re-indicating.
-                match meta {
-                    Some(meta) => {
-                        self.adopt(ctx, ov, &meta);
-                    }
+                let s = match meta {
+                    Some(meta) => self.adopt(ctx, ov, &meta),
                     None => {
                         // The sender knows we hold complete metadata: what
                         // `adopt` would do with nothing to merge, which is
                         // to make sure a round is coming while `ov` is
                         // pending.
+                        let s = self.store.find(ov);
                         debug_assert!(
-                            self.store.entry(ov).map_or_else(
+                            s.and_then(|s| self.store.entry(s)).map_or_else(
                                 || self.store.residual(ov).is_some(),
                                 |e| e.meta.is_complete()
                             ),
                             "{ov:?}: an indication without metadata to an FS without it complete"
                         );
-                        if !self.store.is_settled(ov) {
+                        if s.is_some_and(|s| self.store.work(s).is_some()) {
                             self.ensure_round(ctx);
                         }
+                        s
                     }
+                };
+                match s {
+                    Some(s) => self.finalize_amr(ctx, s, false),
+                    None => self.store.restamp_residual(ov, ctx.now()),
                 }
-                self.finalize_amr(ctx, ov, false);
             }
 
             Message::ConvergeFs {
@@ -576,7 +577,10 @@ impl Fs {
                 missing,
                 recovering,
             } => {
-                let Some(work) = self.store.work_mut(ov) else {
+                let Some(s) = self.store.find(ov) else {
+                    return;
+                };
+                let Some(work) = self.store.work_mut(s) else {
                     return;
                 };
                 // Verification bookkeeping.
@@ -596,22 +600,23 @@ impl Fs {
                     backed_off = recovering && me < from;
                 }
                 if backed_off {
-                    self.abort_recovery(ctx, ov);
+                    self.abort_recovery(ctx, s);
                     return;
                 }
-                self.check_amr(ctx, ov);
+                self.check_amr(ctx, s);
                 if reasked {
-                    self.verify_afresh(ctx, ov);
+                    self.verify_afresh(ctx, s);
                 }
             }
 
             Message::ConvergeKlsReply { ov, verified } => {
-                if let Some(work) = self.store.work_mut(ov) {
-                    if verified {
-                        work.kls_ok.insert(from);
-                    }
+                let Some(s) = self.store.find(ov) else {
+                    return;
+                };
+                if let Some(work) = self.store.work_mut(s).filter(|_| verified) {
+                    work.kls_ok.insert(from);
                 }
-                self.check_amr(ctx, ov);
+                self.check_amr(ctx, s);
             }
 
             other => {

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use erasure::{Fragment, FragmentIndex};
 use simnet::{Context, SimTime};
 
+use super::store::Slot;
 use super::Fs;
 use crate::messages::Message;
 use crate::protocol::FragMask;
@@ -22,7 +23,7 @@ impl Fs {
     /// Nothing is scheduled: the scrubber finds the damage on a later pass
     /// if scrubbing is on, and otherwise the next read of the fragment does.
     pub fn corrupt_fragment(&mut self, ov: ObjectVersion, idx: FragmentIndex) -> bool {
-        let Some(entry) = self.store.entry_mut(ov) else {
+        let Some(entry) = self.store.find(ov).and_then(|s| self.store.entry_mut(s)) else {
             return false;
         };
         let Some(frag) = entry.fragments.get_mut(&idx) else {
@@ -54,9 +55,9 @@ impl Fs {
         // dead disk cannot lose them.
         let mut versions = Vec::new();
         self.store.collect_live(&mut versions);
-        for (ov, slot) in versions {
+        for s in versions {
             let doomed: Vec<FragmentIndex> = {
-                let Some(entry) = self.store.entry_at(ov, slot) else {
+                let Some(entry) = self.store.entry(s) else {
                     continue;
                 };
                 entry
@@ -71,21 +72,21 @@ impl Fs {
             if doomed.is_empty() {
                 continue;
             }
-            let entry = self.store.entry_at_mut(ov, slot).expect("present");
+            let entry = self.store.entry_mut(s).expect("present");
             for idx in &doomed {
                 entry.fragments.remove(idx);
                 entry.checksums.remove(idx);
                 lost += 1;
             }
-            self.re_pend(ov, now);
+            self.re_pend(s, now);
         }
         lost
     }
 
     /// Re-enters a version into the convergence store (after corruption
     /// or disk loss), clearing any AMR/give-up status.
-    pub(super) fn re_pend(&mut self, ov: ObjectVersion, now: SimTime) {
-        let work = self.store.reopen(ov, now);
+    pub(super) fn re_pend(&mut self, s: Slot, now: SimTime) {
+        let work = self.store.reopen(s, now);
         work.attempts = 0;
         work.next_eligible = now;
     }
@@ -109,20 +110,20 @@ impl Fs {
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_live(&mut versions);
         let resume = self.scrub_cursor.take();
-        for &(ov, slot) in &versions {
-            if resume.is_some_and(|cur| ov < cur) {
+        for &s in &versions {
+            if resume.is_some_and(|cur| s.ov() < cur) {
                 continue;
             }
             if scanned >= budget {
                 // Out of budget: resume from this version next tick.
-                self.scrub_cursor = Some(ov);
+                self.scrub_cursor = Some(s.ov());
                 break;
             }
             // Corrupted fragment indices as a mask: no per-version list
             // allocation on the (usually clean) scrub walk.
             let mut bad = FragMask::new();
             {
-                let Some(entry) = self.store.entry_at_mut(ov, slot) else {
+                let Some(entry) = self.store.entry_mut(s) else {
                     continue;
                 };
                 for (&idx, frag) in &entry.fragments {
@@ -144,7 +145,7 @@ impl Fs {
                     found += 1;
                 }
             }
-            self.re_pend(ov, now);
+            self.re_pend(s, now);
         }
         versions.clear();
         self.version_scratch = versions;
@@ -166,12 +167,12 @@ impl Fs {
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_live(&mut versions);
         let mut entries = Vec::with_capacity(versions.len());
-        for &(ov, slot) in &versions {
-            let Some(entry) = self.store.entry_at(ov, slot) else {
+        for &s in &versions {
+            let Some(entry) = self.store.entry(s) else {
                 continue;
             };
             entries.push((
-                ov,
+                s.ov(),
                 Arc::clone(&entry.meta),
                 entry.fragments.keys().copied().collect(),
             ));

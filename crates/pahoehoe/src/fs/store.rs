@@ -4,6 +4,7 @@
 //! settled, superseded versions to [`Residual`]s (DESIGN.md §8.7). It
 //! sends nothing and sets no timer.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use erasure::{Fragment, FragmentIndex};
@@ -164,8 +165,13 @@ struct ResidualTable {
 }
 
 impl ResidualTable {
-    /// Where the record stamped `ts` sits in `chain`, if it is there.
+    /// Where the record stamped `ts` sits in `chain`, if it is there. The
+    /// usual question is about a version newer than every record, which
+    /// one comparison with the chain's end answers.
     fn position(chain: &[Residual], ts: Timestamp) -> Option<usize> {
+        if chain.last()?.ts() < ts {
+            return None;
+        }
         chain.binary_search_by(|r| r.ts().cmp(&ts)).ok()
     }
 
@@ -261,80 +267,23 @@ fn live_mut(slots: &mut [Option<VersionSlot>], s: u32) -> &mut VersionSlot {
     slots[s as usize].as_mut().expect("occupied slot")
 }
 
-/// Shard count of the store's key-sharded `ov -> slot` index (power of
-/// two; the shard is a hash of the key, so every version of a key lands in
-/// the same shard and per-key range scans stay local).
-const SHARD_FANOUT: usize = 64;
-
-/// The store's `ov -> slot` index, split into [`SHARD_FANOUT`] shards by
-/// key hash. Lookups touch a single shard whose size is
-/// `~versions / SHARD_FANOUT`, which keeps comparisons short and the
-/// working set of a hot key's operations small at million-key scale.
-#[derive(Debug)]
-struct ShardIndex {
-    shards: Vec<BTreeMap<ObjectVersion, u32>>,
+/// A live version's place in the store. [`VersionStore::find`] and
+/// [`VersionStore::adopt`] resolve a version to one, once per message, and
+/// the listings hand them out; every other accessor takes one. Only the
+/// store makes a `Slot`. It names its version as well as its slab slot, and
+/// every access checks that the slot still holds that version, so a handle
+/// whose slot compaction vacated reads as absent, before and after a later
+/// insert reuses the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Slot {
+    at: u32,
+    ov: ObjectVersion,
 }
 
-impl ShardIndex {
-    fn new() -> Self {
-        ShardIndex {
-            shards: (0..SHARD_FANOUT).map(|_| BTreeMap::new()).collect(),
-        }
-    }
-
-    /// The shard holding `key`'s versions (splitmix64 finalizer: workload
-    /// keys are often sequential, so the raw bits must be mixed).
-    // lint:hot
-    fn shard_of(key: Key) -> usize {
-        let mut h = key.as_u64();
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        (h & (SHARD_FANOUT as u64 - 1)) as usize
-    }
-
-    // lint:hot
-    fn get(&self, ov: &ObjectVersion) -> Option<u32> {
-        // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[Self::shard_of(ov.key)].get(ov).copied()
-    }
-
-    fn insert(&mut self, ov: ObjectVersion, s: u32) {
-        // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[Self::shard_of(ov.key)].insert(ov, s);
-    }
-
-    fn remove(&mut self, ov: &ObjectVersion) {
-        // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[Self::shard_of(ov.key)].remove(ov);
-    }
-
-    /// `key`'s versions strictly newer than `ov`, ascending, with slot
-    /// ids.
-    fn key_versions_above(
-        &self,
-        ov: ObjectVersion,
-    ) -> impl DoubleEndedIterator<Item = (ObjectVersion, u32)> + '_ {
-        let hi = ObjectVersion::new(ov.key, Timestamp::MAX);
-        // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[Self::shard_of(ov.key)]
-            .range((std::ops::Bound::Excluded(ov), std::ops::Bound::Included(hi)))
-            .map(|(&v, &s)| (v, s))
-    }
-
-    /// `key`'s versions strictly older than `ov`, ascending, with slot
-    /// ids.
-    fn key_versions_below(
-        &self,
-        ov: ObjectVersion,
-    ) -> impl DoubleEndedIterator<Item = (ObjectVersion, u32)> + '_ {
-        let lo = ObjectVersion::new(ov.key, Timestamp::MIN);
-        // lint:allow(panic-path): shard_of is masked to the shard count
-        self.shards[Self::shard_of(ov.key)]
-            .range(lo..ov)
-            .map(|(&v, &s)| (v, s))
+impl Slot {
+    /// The version this handle was resolved for.
+    pub(super) fn ov(self) -> ObjectVersion {
+        self.ov
     }
 }
 
@@ -342,18 +291,22 @@ impl ShardIndex {
 ///
 /// Every *live* version — one that still holds its fragments — sits in a
 /// slab slot, with an `ov -> slot` index and a sorted list of pending slot
-/// indices that `run_round` walks without any map lookups. Versions are
-/// never forgotten, but a compacted one shrinks to a 24-byte [`Residual`]
-/// in its key's chain of the [`ResidualTable`] and gives its slot and index
-/// entry back, so slab, index, pending list and every walk over them are
-/// O(live versions), not O(versions ever stored).
+/// indices that `run_round` walks without any map lookups. A handler
+/// probes the index once per message, through [`VersionStore::find`] or
+/// [`VersionStore::adopt`], and reaches the version by its [`Slot`] from
+/// then on. Versions are never forgotten, but a compacted one shrinks to a
+/// 24-byte [`Residual`] in its key's chain of the [`ResidualTable`] and
+/// gives its slot and index entry back, so slab, index, pending list and
+/// every walk over them are O(live versions), not O(versions ever stored).
 #[derive(Debug)]
 pub(super) struct VersionStore {
     /// `None` marks a vacated slot, listed in `free`.
     slots: Vec<Option<VersionSlot>>,
     /// Slots vacated by compaction, reused before the slab grows.
     free: Vec<u32>,
-    index: ShardIndex,
+    /// Each live version's slot, in object-version order: a key's live
+    /// versions are one range.
+    index: BTreeMap<ObjectVersion, u32>,
     /// Slot indices of pending versions, sorted by object version so
     /// rounds step versions in version order.
     pending: Vec<u32>,
@@ -370,110 +323,76 @@ impl VersionStore {
         VersionStore {
             slots: Vec::new(),
             free: Vec::new(),
-            index: ShardIndex::new(),
+            index: BTreeMap::new(),
             pending: Vec::new(),
             residuals: ResidualTable::default(),
         }
     }
 
-    pub(super) fn entry(&self, ov: ObjectVersion) -> Option<&FragEntry> {
-        let s = self.index.get(&ov)?;
-        Some(&live(&self.slots, s).entry)
-    }
-
-    pub(super) fn entry_mut(&mut self, ov: ObjectVersion) -> Option<&mut FragEntry> {
-        let s = self.index.get(&ov)?;
-        Some(&mut live_mut(&mut self.slots, s).entry)
-    }
-
-    /// The slot `ov` lives in, for stepping it outside a round's listing.
-    pub(super) fn slot_of(&self, ov: ObjectVersion) -> Option<u32> {
-        self.index.get(&ov)
-    }
-
-    /// Entry access by the slot a `collect_pending`/`collect_live` listing
-    /// named (skips the index walk). A listed slot stays good for the walk
-    /// it was listed for: nothing is inserted during a round or a scrub,
-    /// so no slot changes owner, and a slot that compaction vacated
-    /// mid-walk reads as absent.
+    /// The slot of `ov`, if it is live.
     // lint:hot
-    pub(super) fn entry_at(&self, ov: ObjectVersion, s: u32) -> Option<&FragEntry> {
-        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
-        let slot = self.slots[s as usize].as_ref()?;
-        debug_assert_eq!(slot.ov, ov);
-        Some(&slot.entry)
+    pub(super) fn find(&self, ov: ObjectVersion) -> Option<Slot> {
+        self.index.get(&ov).map(|&at| Slot { at, ov })
     }
 
-    /// Mutable variant of [`VersionStore::entry_at`].
+    /// `s`'s record, if its slot still holds the version `s` names.
     // lint:hot
-    pub(super) fn entry_at_mut(&mut self, ov: ObjectVersion, s: u32) -> Option<&mut FragEntry> {
-        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
-        let slot = self.slots[s as usize].as_mut()?;
-        debug_assert_eq!(slot.ov, ov);
-        Some(&mut slot.entry)
+    fn held(&self, s: Slot) -> Option<&VersionSlot> {
+        let slot = self.slots.get(s.at as usize)?.as_ref()?;
+        (slot.ov == s.ov).then_some(slot)
     }
 
-    /// The convergence work for `ov`, if it is pending.
-    pub(super) fn work(&self, ov: ObjectVersion) -> Option<&ConvWork> {
-        match &live(&self.slots, self.index.get(&ov)?).state {
+    /// Mutable variant of [`VersionStore::held`].
+    // lint:hot
+    fn held_mut(&mut self, s: Slot) -> Option<&mut VersionSlot> {
+        let slot = self.slots.get_mut(s.at as usize)?.as_mut()?;
+        (slot.ov == s.ov).then_some(slot)
+    }
+
+    pub(super) fn entry(&self, s: Slot) -> Option<&FragEntry> {
+        Some(&self.held(s)?.entry)
+    }
+
+    pub(super) fn entry_mut(&mut self, s: Slot) -> Option<&mut FragEntry> {
+        Some(&mut self.held_mut(s)?.entry)
+    }
+
+    /// The convergence work for `s`'s version, if it is pending.
+    pub(super) fn work(&self, s: Slot) -> Option<&ConvWork> {
+        match &self.held(s)?.state {
             VersionState::Pending(w) => Some(w),
             _ => None,
         }
     }
 
-    pub(super) fn work_mut(&mut self, ov: ObjectVersion) -> Option<&mut ConvWork> {
-        match &mut live_mut(&mut self.slots, self.index.get(&ov)?).state {
+    pub(super) fn work_mut(&mut self, s: Slot) -> Option<&mut ConvWork> {
+        match &mut self.held_mut(s)?.state {
             VersionState::Pending(w) => Some(w),
             _ => None,
         }
     }
 
-    /// Work access by listed slot (see [`VersionStore::entry_at`]).
-    // lint:hot
-    pub(super) fn work_at(&self, ov: ObjectVersion, s: u32) -> Option<&ConvWork> {
-        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
-        let slot = self.slots[s as usize].as_ref()?;
-        debug_assert_eq!(slot.ov, ov);
-        match &slot.state {
-            VersionState::Pending(w) => Some(w),
+    /// When `s`'s version settled AMR, if it has.
+    pub(super) fn amr_at(&self, s: Slot) -> Option<SimTime> {
+        match self.held(s)?.state {
+            VersionState::Amr(at) => Some(at),
             _ => None,
         }
     }
 
-    /// Mutable variant of [`VersionStore::work_at`].
-    // lint:hot
-    pub(super) fn work_at_mut(&mut self, ov: ObjectVersion, s: u32) -> Option<&mut ConvWork> {
-        // lint:allow(panic-path): a slot from a collect_* listing is inside the slab, which never shrinks
-        let slot = self.slots[s as usize].as_mut()?;
-        debug_assert_eq!(slot.ov, ov);
-        match &mut slot.state {
-            VersionState::Pending(w) => Some(w),
-            _ => None,
-        }
+    /// What compaction kept of `ov`, if it has been compacted: the
+    /// fragment indices it held then, and when it settled AMR.
+    pub(super) fn residual(&self, ov: ObjectVersion) -> Option<(FragMask, SimTime)> {
+        let residual = self.residuals.get(ov)?;
+        Some((self.residuals.held(residual), residual.amr_at))
     }
 
-    /// Whether `ov` is settled (AMR or given up).
-    pub(super) fn is_settled(&self, ov: ObjectVersion) -> bool {
-        match self.index.get(&ov) {
-            Some(s) => !matches!(live(&self.slots, s).state, VersionState::Pending(_)),
-            None => self.residuals.get(ov).is_some(),
+    /// Re-stamps compacted `ov`'s AMR time, as a repeated settle re-stamps
+    /// a live version's.
+    pub(super) fn restamp_residual(&mut self, ov: ObjectVersion, at: SimTime) {
+        if let Some(residual) = self.residuals.get_mut(ov) {
+            residual.amr_at = at;
         }
-    }
-
-    pub(super) fn amr_at(&self, ov: ObjectVersion) -> Option<SimTime> {
-        match self.index.get(&ov) {
-            Some(s) => match live(&self.slots, s).state {
-                VersionState::Amr(at) => Some(at),
-                _ => None,
-            },
-            None => self.residuals.get(ov).map(|r| r.amr_at),
-        }
-    }
-
-    /// The compaction residual for `ov`: the fragment-index mask recorded
-    /// when the version's entry was released, if it has been compacted.
-    pub(super) fn residual(&self, ov: ObjectVersion) -> Option<FragMask> {
-        self.residuals.get(ov).map(|r| self.residuals.held(r))
     }
 
     /// Number of compacted residual records.
@@ -493,9 +412,9 @@ impl VersionStore {
         (self.slots.len(), self.free.len())
     }
 
-    /// Incremental compaction run on the *first* settle of `ov`:
-    /// compacts `ov` itself when a strictly newer settled-AMR version of
-    /// its key exists, and every settled-AMR version strictly older than
+    /// Incremental compaction run on the *first* settle of `s`'s version
+    /// `ov`: compacts `ov` itself when a strictly newer settled-AMR version
+    /// of its key exists, and every settled-AMR version strictly older than
     /// `ov` — fragments, checksums and the metadata handle are dropped,
     /// the slot and its index entry are freed, and a [`Residual`] is all
     /// that stays.
@@ -503,11 +422,11 @@ impl VersionStore {
     /// Running this on every first settle maintains the invariant that
     /// *every settled version superseded by a newer settled version is
     /// compacted*. Each version is compacted exactly once, and because a
-    /// compacted version leaves the index, the walks below only meet a
+    /// compacted version leaves the index, the walk below only meets a
     /// key's live versions — the newest settled one plus the bounded
     /// window of still-unsettled interleaved ones — so the amortized cost
     /// per settle is O(1) however many versions the key has had.
-    pub(super) fn compact_superseded(&mut self, ov: ObjectVersion) {
+    pub(super) fn compact_superseded(&mut self, s: Slot) {
         let VersionStore {
             slots,
             free,
@@ -515,39 +434,44 @@ impl VersionStore {
             residuals,
             ..
         } = self;
-        // `ov` is superseded iff any strictly newer version of its key
-        // has settled (newer unsettled versions are the in-flight
-        // window; scan past them). A newer residual counts: it settled
-        // before it was compacted, and the newest one ends the key's
-        // chain. The usual settle is of the key's newest version, which
-        // the index alone can tell.
-        let superseded = {
-            let mut newer_live = index.key_versions_above(ov).peekable();
-            newer_live.peek().is_some()
-                && (newer_live.any(|(_, s)| matches!(live(slots, s).state, VersionState::Amr(_)))
-                    || residuals.newest(ov.key).is_some_and(|ts| ts > ov.ts))
+        let ov = s.ov;
+        let amr_at = |at: u32| match live(slots, at).state {
+            VersionState::Amr(t) => Some(t),
+            _ => None,
         };
-        // Everything strictly older than the just-settled `ov` is
-        // superseded too.
-        let own = index.get(&ov).filter(|_| superseded).map(|s| (ov, s));
-        let victims: Vec<(ObjectVersion, u32, SimTime)> = index
-            .key_versions_below(ov)
-            .chain(own)
-            .filter_map(|(victim, s)| match live(slots, s).state {
-                VersionState::Amr(at) => Some((victim, s, at)),
-                _ => None,
-            })
-            .collect();
-        for (victim, s, amr_at) in victims {
+        // One walk over the key's live versions. Everything strictly older
+        // than the just-settled `ov` is superseded; `ov` is superseded iff
+        // any strictly newer version of its key has settled (newer
+        // unsettled versions are the in-flight window). A newer residual
+        // counts: it settled before it was compacted, and the newest one
+        // ends the key's chain.
+        let mut victims: Vec<(ObjectVersion, u32, SimTime)> = Vec::new();
+        let (mut newer_live, mut newer_amr) = (false, false);
+        let key =
+            ObjectVersion::new(ov.key, Timestamp::MIN)..=ObjectVersion::new(ov.key, Timestamp::MAX);
+        for (&v, &at) in index.range(key) {
+            if v < ov {
+                victims.extend(amr_at(at).map(|t| (v, at, t)));
+            } else if v > ov {
+                newer_live = true;
+                newer_amr |= amr_at(at).is_some();
+            }
+        }
+        let superseded =
+            newer_live && (newer_amr || residuals.newest(ov.key).is_some_and(|ts| ts > ov.ts));
+        if superseded {
+            victims.extend(amr_at(s.at).map(|t| (ov, s.at, t)));
+        }
+        for (victim, at, settled) in victims {
             let mut held = FragMask::new();
-            for &idx in live(slots, s).entry.fragments.keys() {
+            for &idx in live(slots, at).entry.fragments.keys() {
                 held.insert(idx);
             }
-            residuals.insert(victim, held, amr_at);
+            residuals.insert(victim, held, settled);
             index.remove(&victim);
             // lint:allow(panic-path): `live` read this very slot two statements up
-            slots[s as usize] = None;
-            free.push(s);
+            slots[at as usize] = None;
+            free.push(at);
         }
     }
 
@@ -555,29 +479,24 @@ impl VersionStore {
         self.pending.is_empty()
     }
 
-    /// Fills `out` with the pending versions in object-version order plus
-    /// their slots, reusing `out`'s capacity.
+    /// Fills `out` with the pending versions' slots in object-version
+    /// order, reusing `out`'s capacity.
     // lint:hot
-    pub(super) fn collect_pending(&self, out: &mut Vec<(ObjectVersion, u32)>) {
+    pub(super) fn collect_pending(&self, out: &mut Vec<Slot>) {
         out.clear();
-        out.extend(self.pending.iter().map(|&s| (live(&self.slots, s).ov, s)));
+        out.extend(self.pending.iter().map(|&at| Slot {
+            at,
+            ov: live(&self.slots, at).ov,
+        }));
     }
 
-    /// Fills `out` with every version that still holds a full entry —
-    /// compacted versions have no bytes to scrub, lose or report — plus
-    /// their slots, in object-version order.
+    /// Fills `out` with the slots of every version that still holds a full
+    /// entry — compacted versions have no bytes to scrub, lose or report —
+    /// in object-version order.
     // lint:hot
-    pub(super) fn collect_live(&self, out: &mut Vec<(ObjectVersion, u32)>) {
+    pub(super) fn collect_live(&self, out: &mut Vec<Slot>) {
         out.clear();
-        out.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| Some((slot.as_ref()?.ov, i as u32))),
-        );
-        // Slab order is allocation order with reuse; callers walk by
-        // version (the scrub cursor, the report's entry order).
-        out.sort_unstable_by_key(|&(ov, _)| ov);
+        out.extend(self.index.iter().map(|(&ov, &at)| Slot { at, ov }));
     }
 
     pub(super) fn pending_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
@@ -585,8 +504,7 @@ impl VersionStore {
     }
 
     /// Live versions matching `keep` plus the `compacted` ones, in global
-    /// object-version order (collected and sorted across shards;
-    /// inspection paths only).
+    /// object-version order (inspection paths only).
     fn sorted_versions_where(
         &self,
         compacted: impl Iterator<Item = ObjectVersion>,
@@ -594,9 +512,7 @@ impl VersionStore {
     ) -> std::vec::IntoIter<ObjectVersion> {
         let mut out: Vec<ObjectVersion> = self
             .index
-            .shards
             .iter()
-            .flat_map(|m| m.iter())
             .filter(|(_, &s)| keep(live(&self.slots, s)))
             .map(|(&ov, _)| ov)
             .chain(compacted)
@@ -627,104 +543,99 @@ impl VersionStore {
         self.residuals.versions()
     }
 
-    /// Entry for `ov`, inserting a fresh one (which always starts
-    /// pending) built by `make` if absent. Returns the entry and whether
-    /// it was inserted — or `None` if the version is a compacted
-    /// residual, which must never be resurrected into a full entry.
-    pub(super) fn entry_or_insert_with(
+    /// `ov`'s slot and entry, inserting a fresh entry (which always starts
+    /// pending) built by `make` if `ov` is new — or `None` if the version
+    /// is a compacted residual, which must never be resurrected into a full
+    /// entry. One index probe either way.
+    // lint:hot
+    pub(super) fn adopt(
         &mut self,
         ov: ObjectVersion,
         now: SimTime,
         make: impl FnOnce() -> FragEntry,
-    ) -> Option<(&mut FragEntry, bool)> {
-        if let Some(s) = self.index.get(&ov) {
-            return Some((&mut live_mut(&mut self.slots, s).entry, false));
-        }
-        // Only a version older than a live one of its key can be a
-        // residual, so a key's newest version — the usual insert — skips
-        // the residual table.
-        if self.index.key_versions_above(ov).next().is_some() && self.residuals.get(ov).is_some() {
-            return None;
-        }
-        let slot = Some(VersionSlot {
-            ov,
-            entry: make(),
-            state: VersionState::Pending(Box::new(ConvWork::new(now))),
-        });
-        let s = match self.free.pop() {
-            Some(s) => {
-                // lint:allow(panic-path): the free list holds ids of slots inside the slab
-                self.slots[s as usize] = slot;
-                s
-            }
-            None => {
-                self.slots.push(slot);
-                (self.slots.len() - 1) as u32
+    ) -> Option<(Slot, &mut FragEntry)> {
+        let VersionStore {
+            slots,
+            free,
+            index,
+            pending,
+            residuals,
+        } = self;
+        let at = match index.entry(ov) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(_) if residuals.get(ov).is_some() => return None,
+            Entry::Vacant(new) => {
+                let slot = Some(VersionSlot {
+                    ov,
+                    entry: make(),
+                    state: VersionState::Pending(Box::new(ConvWork::new(now))),
+                });
+                let at = match free.pop() {
+                    Some(at) => {
+                        // lint:allow(panic-path): the free list holds ids of slots inside the slab
+                        slots[at as usize] = slot;
+                        at
+                    }
+                    None => {
+                        slots.push(slot);
+                        (slots.len() - 1) as u32
+                    }
+                };
+                new.insert(at);
+                Self::pending_insert(slots, pending, at);
+                at
             }
         };
-        self.index.insert(ov, s);
-        Self::pending_insert(&self.slots, &mut self.pending, s);
-        Some((&mut live_mut(&mut self.slots, s).entry, true))
+        Some((Slot { at, ov }, &mut live_mut(slots, at).entry))
     }
 
-    /// Settles `ov` as AMR at `at` (overwriting an earlier AMR time),
-    /// returning the pending work it displaced, if any.
-    pub(super) fn settle_amr(&mut self, ov: ObjectVersion, at: SimTime) -> Option<ConvWork> {
-        let Some(s) = self.index.get(&ov) else {
-            if let Some(residual) = self.residuals.get_mut(ov) {
-                residual.amr_at = at;
-            }
+    /// Settles `s`'s version as AMR at `at` (overwriting an earlier AMR
+    /// time), returning the pending work it displaced, if any.
+    pub(super) fn settle_amr(&mut self, s: Slot, at: SimTime) -> Option<ConvWork> {
+        self.settle(s, VersionState::Amr(at))
+    }
+
+    /// Abandons `s`'s version (give-up age exceeded), returning its pending
+    /// work.
+    pub(super) fn settle_gave_up(&mut self, s: Slot) -> Option<ConvWork> {
+        self.settle(s, VersionState::GaveUp)
+    }
+
+    fn settle(&mut self, s: Slot, settled: VersionState) -> Option<ConvWork> {
+        let VersionState::Pending(work) = std::mem::replace(&mut self.held_mut(s)?.state, settled)
+        else {
             return None;
         };
-        Self::pending_remove(&self.slots, &mut self.pending, ov);
-        match std::mem::replace(
-            &mut live_mut(&mut self.slots, s).state,
-            VersionState::Amr(at),
-        ) {
-            VersionState::Pending(w) => Some(*w),
-            _ => None,
-        }
-    }
-
-    /// Abandons `ov` (give-up age exceeded), returning its pending work.
-    pub(super) fn settle_gave_up(&mut self, ov: ObjectVersion) -> Option<ConvWork> {
-        let s = self.index.get(&ov)?;
-        Self::pending_remove(&self.slots, &mut self.pending, ov);
-        match std::mem::replace(
-            &mut live_mut(&mut self.slots, s).state,
-            VersionState::GaveUp,
-        ) {
-            VersionState::Pending(w) => Some(*w),
-            _ => None,
-        }
+        Self::pending_remove(&self.slots, &mut self.pending, s.ov);
+        Some(*work)
     }
 
     /// Re-enters a stored version for convergence (after corruption or
     /// disk loss), clearing any AMR/give-up mark; the returned work is
     /// fresh or the still-pending one.
-    pub(super) fn reopen(&mut self, ov: ObjectVersion, now: SimTime) -> &mut ConvWork {
+    pub(super) fn reopen(&mut self, s: Slot, now: SimTime) -> &mut ConvWork {
         // Compacted versions hold no bytes to lose, so they never
-        // re-enter convergence: the version is in the index.
+        // re-enter convergence: the handle is live.
         // lint:allow(panic-path): callers reopen only versions whose full entry they just edited
-        let s = self.index.get(&ov).expect("reopened version is stored");
-        if !matches!(live(&self.slots, s).state, VersionState::Pending(_)) {
-            live_mut(&mut self.slots, s).state =
-                VersionState::Pending(Box::new(ConvWork::new(now)));
-            Self::pending_insert(&self.slots, &mut self.pending, s);
+        let slot = self.held_mut(s).expect("reopened version is stored");
+        if !matches!(slot.state, VersionState::Pending(_)) {
+            slot.state = VersionState::Pending(Box::new(ConvWork::new(now)));
+            Self::pending_insert(&self.slots, &mut self.pending, s.at);
         }
-        match &mut live_mut(&mut self.slots, s).state {
+        match &mut live_mut(&mut self.slots, s.at).state {
             VersionState::Pending(w) => w,
             _ => unreachable!("just made pending"),
         }
     }
 
-    /// The version whose in-flight recovery carries `op`, if any.
-    pub(super) fn find_recovery(&self, op: OpId) -> Option<ObjectVersion> {
-        self.pending.iter().find_map(|&s| {
-            let slot = live(&self.slots, s);
+    /// The slot of the version whose in-flight recovery carries `op`, if
+    /// any.
+    pub(super) fn find_recovery(&self, op: OpId) -> Option<Slot> {
+        self.pending.iter().find_map(|&at| {
+            let slot = live(&self.slots, at);
             match &slot.state {
                 VersionState::Pending(w) if w.recovery.as_ref().is_some_and(|r| r.op == op) => {
-                    Some(slot.ov)
+                    Some(Slot { at, ov: slot.ov })
                 }
                 _ => None,
             }

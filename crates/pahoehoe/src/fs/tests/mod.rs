@@ -27,6 +27,12 @@ fn ov() -> ObjectVersion {
     ObjectVersion::new(Key::from_u64(9), Timestamp::new(SimTime::from_micros(5), 0))
 }
 
+/// `ov`'s convergence work at `fs`, which must hold it pending.
+fn pending_work(fs: &Fs, ov: ObjectVersion) -> &store::ConvWork {
+    let s = fs.store.find(ov).expect("stored");
+    fs.store.work(s).expect("pending")
+}
+
 pub(super) fn full_meta(value_len: usize) -> Arc<Metadata> {
     let mut meta = Metadata::new(tiny_policy(), DataCenterId::new(0), value_len);
     meta.add_dc_locations(
@@ -358,7 +364,7 @@ fn late_adopter_waits_min_age_once() {
         probes.any(|e| (e.to, e.kind, e.at) == (fs0_node, "FSConvergeReq", stepped_at)),
         "no recovery-intent probe left fs1 at {stepped_at:?}"
     );
-    let work = sim.actor::<Fs>(fs1).store.work(ov()).expect("pending");
+    let work = pending_work(sim.actor(fs1), ov());
     assert!(work.recovery.is_some());
 
     // The other side of the gate: an FS that hears of the version
@@ -733,7 +739,7 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
         let fs: &Fs = sim.actor(fs0);
         assert_eq!(fs.pending_versions().collect::<Vec<_>>(), versions);
         for &ov in &versions {
-            let work = fs.store.work(ov).expect("pending");
+            let work = pending_work(fs, ov);
             assert_eq!(work.step, store::Step::Verifying);
             assert_eq!(work.kls_ok.iter().collect::<Vec<_>>(), [&kls0]);
             assert_eq!(work.fs_ok.iter().collect::<Vec<_>>(), [&fs1_node]);
@@ -907,7 +913,7 @@ fn reprobe_world() -> (Simulation<Message>, Vec<ObjectVersion>) {
 /// `(attempts, next_eligible)` of each version's pending work at node 2.
 fn backoffs(sim: &Simulation<Message>, versions: &[ObjectVersion]) -> Vec<(u32, SimTime)> {
     let fs: &Fs = sim.actor(REPROBE_FS);
-    let work = |&ov| fs.store.work(ov).expect("pending");
+    let work = |&ov| pending_work(fs, ov);
     versions
         .iter()
         .map(|ov| (work(ov).attempts, work(ov).next_eligible))
@@ -1066,7 +1072,7 @@ fn batched_rounds_reask_only_the_silent_sibling() {
     };
     sim.enable_trace();
     let step = |sim: &Simulation<Message>, ov| {
-        let work = sim.actor::<Fs>(REPROBE_FS).store.work(ov).expect("pending");
+        let work = pending_work(sim.actor(REPROBE_FS), ov);
         (
             work.step,
             work.attempts,

@@ -6,6 +6,15 @@ use super::*;
 use crate::fs::tests::full_meta;
 use crate::protocol::FragMap;
 
+/// A fresh entry with complete metadata and no fragments.
+fn blank() -> FragEntry {
+    FragEntry {
+        meta: full_meta(8),
+        fragments: FragMap::new(),
+        checksums: FragMap::new(),
+    }
+}
+
 #[test]
 fn residual_record_is_packed() {
     assert!(std::mem::size_of::<Residual>() <= 24);
@@ -34,16 +43,12 @@ fn residual_record_is_packed() {
     for i in 0..=1_000u64 {
         let ov = version(7, 10 * (i + 1));
         let at = SimTime::from_micros(i);
-        let (entry, _) = store
-            .entry_or_insert_with(ov, at, || FragEntry {
-                meta: full_meta(8),
-                fragments: FragMap::new(),
-                checksums: FragMap::new(),
-            })
+        let (s, entry) = store
+            .adopt(ov, at, blank)
             .expect("a new version is never a residual");
         entry.fragments.insert(0, Fragment::new(0, vec![0; 4]));
-        store.settle_amr(ov, at);
-        store.compact_superseded(ov);
+        store.settle_amr(s, at);
+        store.compact_superseded(s);
         assert_eq!(store.compacted_count() as u64, i);
         let Some(chain) = store.residuals.chains.get(&key) else {
             assert_eq!(i, 0, "the second settle compacts the first version");
@@ -133,12 +138,13 @@ fn model_version(i: usize) -> ObjectVersion {
     )
 }
 
-/// What every case starts with, on the first key: the residual-chain
-/// shapes a random sequence reaches too rarely to rely on. Versions
-/// settle out of timestamp order, so two residuals land mid-chain —
-/// one holding `{64, 255}`, the same count as its neighbours'
-/// `{0, 1}` — six compactions take the chain past its exact-fit
-/// length, and a repeated settle re-stamps a mid-chain record.
+/// What every case starts with: on the first key, the residual-chain
+/// shapes a random sequence reaches too rarely to rely on; then a second
+/// key's insert into a slot compaction vacated. Versions settle out of
+/// timestamp order, so two residuals land mid-chain — one holding
+/// `{64, 255}`, the same count as its neighbours' `{0, 1}` — six
+/// compactions take the chain past its exact-fit length, and a repeated
+/// settle re-stamps a mid-chain record.
 fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
     const INSERT: u8 = 0;
     const FRAGMENT: u8 = 2;
@@ -160,8 +166,11 @@ fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
     }
     // Chain of the first key after each settle, compaction on:
     // [] [0] [0 3] [0 1 3] [0 1 2 3] [0 1 2 3 4] [.. 5]; then the
-    // re-stamp of 1 and 2; then [.. 6].
+    // re-stamp of 1 and 2; then [.. 6]. Settling 1 after 4 compacts 1
+    // itself, vacating the slot its handle names.
     ops.extend([0, 3, 4, 1, 2, 5, 6, 1, 2, 7].map(|version| (SETTLE, version, 0)));
+    // A second key's first version takes a slot compaction freed.
+    ops.push((INSERT, MODEL_TIMESTAMPS, 0));
     ops
 }
 
@@ -174,9 +183,8 @@ struct ModelEntry {
 }
 
 /// The version store as four ordered collections — the obvious
-/// representation, from which [`VersionStore`]'s slab, sharded index,
-/// pending list, free list and residual table must be
-/// indistinguishable.
+/// representation, from which [`VersionStore`]'s slab, index, pending
+/// list, free list and residual table must be indistinguishable.
 #[derive(Default)]
 struct ModelStore {
     entries: BTreeMap<ObjectVersion, ModelEntry>,
@@ -190,8 +198,8 @@ impl ModelStore {
         self.entries.get(&ov).is_some_and(|e| !e.compacted)
     }
 
-    /// `entry_or_insert_with`: `None` for a compacted version, else
-    /// whether the version was new.
+    /// `adopt`: `None` for a compacted version, else whether the version
+    /// was new.
     fn insert(&mut self, ov: ObjectVersion) -> Option<bool> {
         if self.entries.get(&ov).is_some_and(|e| e.compacted) {
             return None;
@@ -239,9 +247,13 @@ impl ModelStore {
 }
 
 /// Compares everything the store answers with the model's answer.
+/// `handles` is every slot the store has handed out so far, by version:
+/// each must still read its own version while that version is live and
+/// nothing once compaction vacated it, whoever holds its slot now.
 fn check_against_model(
     store: &mut VersionStore,
     model: &ModelStore,
+    handles: &BTreeMap<ObjectVersion, Slot>,
     now: SimTime,
 ) -> proptest::test_runner::TestCaseResult {
     use proptest::prelude::*;
@@ -250,15 +262,22 @@ fn check_against_model(
     for ov in (0..MODEL_VERSIONS).map(model_version) {
         let m = model.entries.get(&ov);
         let full = m.filter(|e| !e.compacted).map(|e| e.held.clone());
-        prop_assert_eq!(store.entry(ov).map(held), full, "entry of {:?}", ov);
-        prop_assert_eq!(store.work(ov).is_some(), model.pending.contains(&ov));
+        let s = store.find(ov);
+        prop_assert_eq!(s.is_some(), full.is_some(), "find({:?})", ov);
         prop_assert_eq!(
-            store.is_settled(ov),
-            model.amr.contains_key(&ov) || model.gave_up.contains(&ov),
-            "is_settled({:?})",
+            s.and_then(|s| store.entry(s)).map(held),
+            full,
+            "entry of {:?}",
             ov
         );
-        prop_assert_eq!(store.amr_at(ov), model.amr.get(&ov).copied());
+        let pending = model.pending.contains(&ov);
+        prop_assert_eq!(s.and_then(|s| store.work(s)).is_some(), pending);
+        let (residual_held, residual_at) = store.residual(ov).unzip();
+        let amr_at = match s {
+            Some(s) => store.amr_at(s),
+            None => residual_at,
+        };
+        prop_assert_eq!(amr_at, model.amr.get(&ov).copied(), "amr_at({:?})", ov);
         let residual = m.filter(|e| e.compacted).map(|e| {
             let mut mask = FragMask::new();
             for &idx in &e.held {
@@ -266,13 +285,33 @@ fn check_against_model(
             }
             mask
         });
-        prop_assert_eq!(store.residual(ov), residual, "residual of {:?}", ov);
+        prop_assert_eq!(residual_held, residual, "residual of {:?}", ov);
         if residual.is_some() {
-            let again = store.entry_or_insert_with(ov, now, || -> FragEntry {
+            let again = store.adopt(ov, now, || -> FragEntry {
                 unreachable!("a compacted version is never rebuilt")
             });
             prop_assert!(again.is_none(), "{:?} was resurrected", ov);
         }
+    }
+
+    // Handles: a live version keeps the slot it was first given, and a
+    // vacated handle reads as absent even where a later insert reuses its
+    // slot.
+    for (&ov, &h) in handles {
+        prop_assert_eq!(h.ov(), ov);
+        let live = model.is_live(ov);
+        prop_assert_eq!(store.find(ov).filter(|&s| s == h).is_some(), live);
+        let full = model
+            .entries
+            .get(&ov)
+            .filter(|_| live)
+            .map(|e| e.held.clone());
+        prop_assert_eq!(store.entry(h).map(held), full, "handle of {:?}", ov);
+        prop_assert_eq!(store.work(h).is_some(), live && model.pending.contains(&ov));
+        prop_assert_eq!(
+            store.amr_at(h).is_some(),
+            live && model.amr.contains_key(&ov)
+        );
     }
 
     // Listings: same versions, same order; listed slots resolve.
@@ -292,16 +331,18 @@ fn check_against_model(
     let mut listed = Vec::new();
     store.collect_pending(&mut listed);
     prop_assert_eq!(
-        listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(),
+        listed.iter().map(|s| s.ov()).collect::<Vec<_>>(),
         pending.clone()
     );
-    for &(ov, s) in &listed {
-        prop_assert!(store.work_at(ov, s).is_some() && store.entry_at(ov, s).is_some());
+    for &s in &listed {
+        prop_assert!(store.work(s).is_some() && store.entry(s).is_some());
+        prop_assert_eq!(store.find(s.ov()), Some(s));
     }
     store.collect_live(&mut listed);
-    prop_assert_eq!(listed.iter().map(|&(ov, _)| ov).collect::<Vec<_>>(), live);
-    for &(ov, s) in &listed {
-        prop_assert_eq!(store.entry_at(ov, s).map(held), store.entry(ov).map(held));
+    prop_assert_eq!(listed.iter().map(|s| s.ov()).collect::<Vec<_>>(), live);
+    for &s in &listed {
+        prop_assert_eq!(store.find(s.ov()), Some(s));
+        prop_assert!(store.entry(s).is_some());
     }
     prop_assert_eq!(store.pending_versions().collect::<Vec<_>>(), pending);
     prop_assert_eq!(store.pending_is_empty(), model.pending.is_empty());
@@ -330,35 +371,42 @@ fn check_against_model(
 }
 
 /// Drives the store and the model through `ops` — `(kind, version,
-/// fragment index)` triples — comparing after every step. Operations
-/// keep to what `Fs` does: it settles only versions it has adopted,
-/// gives up only on pending ones, and reopens only versions whose
-/// full entry it holds.
+/// fragment index)` triples — comparing after every step. Each operation
+/// resolves its version once, as an `Fs` handler does, and keeps to what
+/// `Fs` does with it: it settles only versions it has adopted (a compacted
+/// one is re-stamped), gives up only on pending ones, and reopens only
+/// versions whose full entry it holds. Returns how many handles the store
+/// had vacated and then handed the same slot to a later insert.
 fn run_against_model(
     ops: &[(u8, usize, FragmentIndex)],
     compact: bool,
-) -> proptest::test_runner::TestCaseResult {
+) -> Result<usize, proptest::test_runner::TestCaseError> {
     use proptest::prelude::*;
 
     let mut store = VersionStore::new();
     let mut model = ModelStore::default();
-    let blank = || FragEntry {
-        meta: full_meta(8),
-        fragments: FragMap::new(),
-        checksums: FragMap::new(),
-    };
+    let mut handles: BTreeMap<ObjectVersion, Slot> = BTreeMap::new();
+    let mut reused = 0;
     for (step, &(kind, version, idx)) in ops.iter().enumerate() {
         let now = SimTime::from_micros(1 + step as u64);
         let ov = model_version(version);
+        let s = store.find(ov);
         match kind {
             0 | 1 => {
-                let got = store
-                    .entry_or_insert_with(ov, now, blank)
-                    .map(|(_, new)| new);
-                prop_assert_eq!(got, model.insert(ov), "insert {:?}", ov);
+                let got = store.adopt(ov, now, blank).map(|(s, _)| s);
+                let new = got.is_some() && s.is_none();
+                prop_assert_eq!(got.map(|_| new), model.insert(ov), "insert {:?}", ov);
+                prop_assert!(s.is_none() || got == s, "{:?} moved", ov);
+                if let Some(got) = got.filter(|_| new) {
+                    reused += handles
+                        .values()
+                        .filter(|h| !model.is_live(h.ov()) && h.at == got.at)
+                        .count();
+                    handles.insert(ov, got);
+                }
             }
             2 => {
-                let entry = store.entry_mut(ov);
+                let entry = s.and_then(|s| store.entry_mut(s));
                 prop_assert_eq!(entry.is_some(), model.is_live(ov));
                 if let Some(entry) = entry {
                     entry
@@ -368,28 +416,37 @@ fn run_against_model(
                 }
             }
             3..=5 if model.entries.contains_key(&ov) => {
-                let first = store.amr_at(ov).is_none();
+                let first = s.is_some_and(|s| store.amr_at(s).is_none());
                 prop_assert_eq!(first, !model.amr.contains_key(&ov));
-                let displaced = store.settle_amr(ov, now).is_some();
+                let displaced = match s {
+                    Some(s) => store.settle_amr(s, now).is_some(),
+                    None => {
+                        store.restamp_residual(ov, now);
+                        false
+                    }
+                };
                 prop_assert_eq!(displaced, model.settle_amr(ov, now), "settle {:?}", ov);
-                if compact && first {
-                    store.compact_superseded(ov);
+                // What `Fs::finalize_amr` does next: the compaction may
+                // take `ov` itself, vacating `s`.
+                if let Some(s) = s.filter(|_| compact && first) {
+                    store.compact_superseded(s);
                     model.compact_superseded(ov);
                 }
             }
             6 if model.pending.contains(&ov) => {
-                let displaced = store.settle_gave_up(ov).is_some();
+                let s = s.expect("a pending version is live");
+                let displaced = store.settle_gave_up(s).is_some();
                 prop_assert_eq!(displaced, model.settle_gave_up(ov));
             }
             7 if model.is_live(ov) => {
-                store.reopen(ov, now);
+                store.reopen(s.expect("live"), now);
                 model.reopen(ov);
             }
             _ => {}
         }
-        check_against_model(&mut store, &model, now)?;
+        check_against_model(&mut store, &model, &handles, now)?;
     }
-    Ok(())
+    Ok(reused)
 }
 
 proptest::proptest! {
@@ -400,7 +457,9 @@ proptest::proptest! {
     /// run rarely produces: give-up and reopen between settles,
     /// settles in any version order, slot reuse after compaction,
     /// and (by [`model_prelude`]) long, mixed-mask residual chains
-    /// filled out of order.
+    /// filled out of order. Every handle the store gave out is checked
+    /// after every step, and (by the prelude) at least one was vacated
+    /// and its slot reused.
     #[test]
     fn version_store_matches_the_model(
         ops in proptest::collection::vec(
@@ -413,6 +472,7 @@ proptest::proptest! {
             .map(|(kind, version, nth)| (kind, version, MODEL_FRAGMENTS[nth]));
         let ops: Vec<_> = model_prelude().into_iter().chain(drawn).collect();
         run_against_model(&ops, false)?;
-        run_against_model(&ops, true)?;
+        let reused = run_against_model(&ops, true)?;
+        proptest::prop_assert!(reused > 0, "no vacated slot was reused");
     }
 }

@@ -109,6 +109,11 @@ python3 -m json.tool target/BENCH_scale.smoke.json > /dev/null
 echo "==> benchmark self-checks (BENCHMARK.json vs describe, all four workloads traced and untraced)"
 benchmark/check.sh
 
+echo "==> benchmark unit tests"
+# The stand-alone package has its own workspace, so `cargo test --workspace`
+# above does not reach its tests.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench schema versions"
 for f in BENCH_*.json target/BENCH_*.json; do
     grep -q '"schema_version": 1' "$f" || { echo "    $f schema drift"; exit 1; }
