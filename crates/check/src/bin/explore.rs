@@ -1,19 +1,20 @@
 //! Invariant-sweep driver: `cargo run --release -p check --bin explore`.
 //!
 //! Runs the full protocol-invariant registry after every event of every
-//! `(seed, fault plan, convergence preset)` scenario. Exits 0 when every
-//! invariant held everywhere; on a violation, prints the shrunk minimal
-//! repro triple, dumps the violating run's message trace to a file and
-//! exits 1.
+//! `(seed, fault plan, convergence preset)` scenario of the grid, then the
+//! scenarios `--scale` and `--repair` add, each under its own invariants.
+//! Exits 0 when every invariant held everywhere; on a violation, prints the
+//! shrunk repro scenario, dumps the violating run's message trace to a file
+//! and exits 1.
 //!
 //! Flags:
 //!
 //! * `--smoke` — the 54-scenario smoke sweep (default is the 144-scenario
 //!   full sweep);
 //! * `--seeds N` — override the number of seeds swept;
-//! * `--puts N`, `--value-len N` — workload shape;
-//! * `--inject-corruption` — deliberately corrupt a stored fragment after
-//!   convergence in every scenario, to prove the checker catches it;
+//! * `--puts N`, `--value-len N` — the grid's workload shape;
+//! * `--inject-corruption` — deliberately corrupt a stored fragment at the
+//!   end of every scenario, to prove the checker catches it;
 //! * `--trace-out PATH` — where to write the violation trace (default
 //!   `target/check-violation.trace`);
 //! * `--workers N` — fan the scenarios out over `N` worker threads through
@@ -21,34 +22,32 @@
 //!   produces byte-identical digests — the CI determinism check);
 //! * `--digest-out PATH` — write one replay-digest line per scenario, for
 //!   comparing runs byte for byte;
-//! * `--overwrite` — run the standard workload for **two rounds**, so
+//! * `--overwrite` — run the grid's workload for **two rounds**, so
 //!   every second-round put overwrites a key that already holds a version,
 //!   under every fault spec, preset and invariant. The extra puts move the
 //!   digests, which must still not depend on `--workers`;
-//! * `--batch` — run the sweep with batched convergence rounds on: every
+//! * `--batch` — run the grid with batched convergence rounds on: every
 //!   fault plan and preset with an FS's round traffic sent, lost,
 //!   duplicated and answered one multi-entry message per destination at a
 //!   time. Fewer sends shift the RNG, so the digests are its own; the
-//!   invariants are everyone's. (The `--scale` cell below also batches,
-//!   but it is failure-free: no round of it ever has a version to step);
-//! * `--scale` — after the sweep, run the scale-tier spot check: one Zipf
-//!   streaming-workload scenario under the scale protocol mode
-//!   (converged-version compaction, batched rounds) with the invariant
-//!   registry installed at a sampled rate. Its digest line — which pins
-//!   the compacted-version count — is appended to `--digest-out`;
-//! * `--repair` — after the sweep, run the repair-engine churn check:
-//!   four scenario families (sustained disk churn, whole-rack outage,
-//!   flash-crowd reads during rebuild, throttled repair storm) on
-//!   rack-aware repair-enabled clusters, under the redundancy-floor
-//!   invariant. One digest line per family — folding the `EV_REPAIR_*`
-//!   counters and the final redundancy floor — is appended to
-//!   `--digest-out`;
+//!   invariants are everyone's;
+//! * `--scale` — after the grid, run the scale cell
+//!   ([`Scenario::scale`](check::explorer::Scenario::scale)): a Zipf
+//!   streamed workload under the scale protocol mode (converged-version
+//!   compaction, batched rounds), the registry sampled every 500 events.
+//!   Its digest line pins the compacted-version count;
+//! * `--repair` — after the grid, run the four repair families
+//!   ([`Scenario::repair_families`](check::explorer::Scenario::repair_families)):
+//!   sustained disk churn, whole-rack outage, flash-crowd reads during
+//!   rebuild and a throttled repair storm on rack-aware repair-enabled
+//!   clusters, under the redundancy-floor invariant. Their digest lines
+//!   fold the `EV_REPAIR_*` counters and the final redundancy floor;
 //! * `--quiet` — suppress per-scenario progress lines.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use check::explorer::{self, Injection, SweepConfig, WorkloadCfg};
+use check::explorer::{self, Injection, Keys, Scenario, SweepConfig, WorkloadCfg};
 
 fn usage() -> ! {
     eprintln!(
@@ -63,6 +62,7 @@ fn main() -> ExitCode {
     let mut smoke = false;
     let mut seeds: Option<u64> = None;
     let mut workload = WorkloadCfg::default();
+    let mut batch = false;
     let mut injection = Injection::None;
     let mut trace_out = PathBuf::from("target/check-violation.trace");
     let mut digest_out: Option<PathBuf> = None;
@@ -89,8 +89,8 @@ fn main() -> ExitCode {
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
-            "--overwrite" => workload.rounds = 2,
-            "--batch" => workload.protocol.batch_rounds = true,
+            "--overwrite" => workload.keys = Keys::Rounds(2),
+            "--batch" => batch = true,
             "--scale" => scale = true,
             "--repair" => repair = true,
             "--quiet" => quiet = true,
@@ -98,7 +98,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // The sweep is chosen once every flag is read, so `--seeds 1 --smoke`
+    // The grid is chosen once every flag is read, so `--seeds 1 --smoke`
     // and `--smoke --seeds 1` are the same 18 scenarios.
     let mut cfg = if smoke {
         SweepConfig::smoke()
@@ -106,20 +106,33 @@ fn main() -> ExitCode {
         SweepConfig::full()
     };
     cfg.workload = workload;
+    cfg.protocol.batch_rounds = batch;
     if let Some(n) = seeds {
         cfg.seeds = (0..n).collect();
     }
+    let mut scenarios = cfg.scenarios();
+    let grid = scenarios.len();
+    if scale {
+        scenarios.push(Scenario::scale());
+    }
+    if repair {
+        scenarios.extend(Scenario::repair_families());
+    }
 
-    let total = cfg.scenarios().len();
-    if total == 0 && !scale && !repair {
+    let total = scenarios.len();
+    if total == 0 {
         eprintln!(
             "explore: nothing to run: the sweep has 0 scenarios and neither --scale nor \
              --repair was given"
         );
         return ExitCode::from(2);
     }
+    let named = match total - grid {
+        0 => String::new(),
+        n => format!(" + {n} named"),
+    };
     println!(
-        "exploring {total} scenarios ({} seeds x {} fault specs x {} presets), \
+        "exploring {total} scenarios ({} seeds x {} fault specs x {} presets{named}), \
          {} puts of {} B each, workers={}",
         cfg.seeds.len(),
         cfg.fault_specs.len(),
@@ -131,7 +144,7 @@ fn main() -> ExitCode {
 
     let mut n = 0usize;
     let mut digest = String::new();
-    let mut on_scenario = |sc: &explorer::Scenario, outcome: &explorer::ScenarioOutcome| {
+    let mut on_scenario = |sc: &Scenario, outcome: &explorer::ScenarioOutcome| {
         if digest_out.is_some() {
             digest.push_str(&explorer::digest_line(n, sc, outcome));
             digest.push('\n');
@@ -139,8 +152,9 @@ fn main() -> ExitCode {
         n += 1;
         if !quiet {
             println!(
-                "[{n:>3}/{total}] seed={} preset={:<7} drop={}% dup={}% outages={} -> \
+                "[{n:>3}/{total}] {}seed={} preset={:<7} drop={}% dup={}% outages={} -> \
                  {:?}, {} events, {:.0}s virtual{}",
+                sc.name.map_or(String::new(), |name| format!("{name} ")),
                 sc.seed,
                 sc.preset.name(),
                 sc.faults.drop_centi,
@@ -157,62 +171,7 @@ fn main() -> ExitCode {
             );
         }
     };
-    let result = explorer::sweep(&cfg, injection, workers, &mut on_scenario);
-
-    let mut scale_violation = None;
-    if scale {
-        let scale_cfg = explorer::ScaleCheckCfg::smoke();
-        let out = explorer::run_scale_check(&scale_cfg);
-        if !quiet {
-            println!(
-                "[scale] seed={} keys={} puts={} -> {:?}, {} events, {} compacted{}",
-                scale_cfg.seed,
-                scale_cfg.key_space,
-                scale_cfg.puts,
-                out.outcome,
-                out.events,
-                out.compacted,
-                if out.violation.is_some() {
-                    "  ** VIOLATION **"
-                } else {
-                    ""
-                },
-            );
-        }
-        if digest_out.is_some() {
-            digest.push_str(&explorer::scale_digest_line(&scale_cfg, &out));
-            digest.push('\n');
-        }
-        scale_violation = out.violation;
-    }
-
-    let mut repair_violation = None;
-    if repair {
-        let repair_cfg = explorer::RepairCheckCfg::smoke();
-        let out = explorer::run_repair_check(&repair_cfg);
-        for family in &out.families {
-            if !quiet {
-                println!(
-                    "[repair-{}] seed={} puts={} -> {} events, min_live={}{}",
-                    family.name,
-                    repair_cfg.seed,
-                    repair_cfg.puts,
-                    family.events,
-                    family.min_live,
-                    if family.violation.is_some() {
-                        "  ** VIOLATION **"
-                    } else {
-                        ""
-                    },
-                );
-            }
-            if digest_out.is_some() {
-                digest.push_str(&explorer::repair_digest_line(&repair_cfg, family));
-                digest.push('\n');
-            }
-        }
-        repair_violation = out.violation().cloned();
-    }
+    let result = explorer::sweep(&scenarios, injection, workers, &mut on_scenario);
 
     if let Some(path) = &digest_out {
         if let Some(dir) = path.parent() {
@@ -229,41 +188,11 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(v) = scale_violation {
-        println!();
-        println!(
-            "INVARIANT VIOLATED in scale check: {} — {}",
-            v.invariant, v.detail
-        );
-        println!(
-            "  at event {} / {:.3}s virtual",
-            v.events_processed,
-            v.sim_time.as_secs_f64()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(v) = repair_violation {
-        println!();
-        println!(
-            "INVARIANT VIOLATED in repair check: {} — {}",
-            v.invariant, v.detail
-        );
-        println!(
-            "  at event {} / {:.3}s virtual",
-            v.events_processed,
-            v.sim_time.as_secs_f64()
-        );
-        return ExitCode::FAILURE;
-    }
-
     match result.violation {
         None => {
             println!(
-                "ok: {} scenarios, {} events checked against all {} invariants",
-                result.scenarios_run,
-                result.events_checked,
-                check::invariants::registry().len()
+                "ok: {} scenarios, {} events checked",
+                result.scenarios_run, result.events_checked
             );
             ExitCode::SUCCESS
         }

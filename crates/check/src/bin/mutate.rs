@@ -8,9 +8,9 @@
 //! * `--smoke` — run the 12 pinned protocol mutants
 //!   ([`check::mutate::PINNED_SMOKE`]) against the explorer smoke sweep
 //!   (run in `--overwrite` mode so every key is put twice, plus the
-//!   `--scale` spot check, whose digest line pins the compacted-version
-//!   count, plus `--repair`, whose scenario families exercise the
-//!   background repair engine under the redundancy-floor invariant) — one
+//!   `--scale` cell, whose digest line pins the compacted-version count,
+//!   plus the `--repair` families, which exercise the background repair
+//!   engine under the redundancy-floor invariant) — one
 //!   build and one sweep per mutant — and gate on the kill-rate: **≥ 10 of
 //!   12** must be killed (invariant violation, digest mismatch, crash or
 //!   timeout). Surviving mutants print their source diff. Exit 1 when the
@@ -110,14 +110,14 @@ fn main() -> ExitCode {
     );
 
     println!("preparing scratch tree + unmutated baseline sweep...");
-    // `--scale` appends the scale check's digest line, which pins the
+    // `--scale` appends the scale cell's digest line, which pins the
     // compacted-version count — the only observable that can kill the
     // compaction-skip mutant. `--overwrite` runs the sweep's workload for
     // two rounds, so every mutant also meets overwrites under every
     // invariant.
-    // `--repair` runs the churn scenario families with the repair engine
-    // on, appending digest lines that fold the EV_REPAIR_* counters — the
-    // observables that kill repair-threshold-skip.
+    // `--repair` appends the repair families, whose digest lines fold the
+    // EV_REPAIR_* counters and whose redundancy-floor invariant kills
+    // repair-threshold-skip.
     let sweep_args = [
         "--scale".to_string(),
         "--overwrite".to_string(),

@@ -1,14 +1,21 @@
 //! Scenario sweep, violation shrinking and trace dumping.
 //!
 //! The explorer is a small explicit-state model checker over the
-//! *parameter* space of the simulation: every scenario is a `(seed, fault
-//! plan, convergence options)` triple, and a run of a scenario is fully
-//! deterministic, so a violating triple **is** a reproduction recipe. The
-//! sweep runs the full [invariant registry](crate::invariants::registry)
-//! after every simulation event of every scenario; on the first violation
-//! it greedily shrinks the triple (dropping outages, zeroing loss and
-//! duplication) to the minimal fault plan that still violates, and renders
-//! the shrunk run's message trace for offline diagnosis.
+//! *parameter* space of the simulation. Every checked run is a
+//! [`Scenario`]: a seed, a fault plan and a convergence preset, plus the
+//! cluster and workload shape, the steps taken once the workload
+//! converges and the invariants checked. A run of a scenario is fully
+//! deterministic, so a violating scenario **is** a reproduction recipe.
+//! [`sweep`] runs a list of scenarios — the seeds × fault plans × presets
+//! grid, then any hand-built ones such as the [scale cell](Scenario::scale)
+//! and the [repair families](Scenario::repair_families) — checking the
+//! scenario's invariants after every simulation event (or every
+//! `sample_every` events); on the first violation it greedily shrinks the
+//! fault plan (dropping outages, zeroing loss and duplication) to the
+//! minimal one that still violates, and renders the shrunk run's message
+//! trace for offline diagnosis.
+
+use std::fmt::Write as _;
 
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
@@ -20,7 +27,7 @@ use pahoehoe::types::{Key, ObjectVersion};
 use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
 use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
 
-use crate::invariants::{Checker, Violation};
+use crate::invariants::{self, Checker, Invariant, Violation};
 
 /// The six convergence configurations evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,33 +170,28 @@ impl FaultSpec {
     }
 }
 
-/// One point of the sweep: a fully deterministic run recipe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Simulation seed.
-    pub seed: u64,
-    /// Injected faults.
-    pub faults: FaultSpec,
-    /// Convergence configuration under test.
-    pub preset: Preset,
-}
-
-/// Workload shape shared by every scenario of a sweep. Small values keep
-/// per-event invariant checking (which hashes and compares every stored
-/// fragment) cheap.
-#[derive(Debug, Clone, Copy)]
+/// The client's workload.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadCfg {
-    /// Number of standard-workload puts.
+    /// Puts per round of the standard workload, or in all of a stream.
     pub puts: usize,
     /// Value length per put.
     pub value_len: usize,
-    /// Rounds of the standard workload. `1` is the insert-only sweep; `2`
-    /// (`--overwrite`) makes every put after the first round an overwrite
-    /// of a key that already holds a version.
-    pub rounds: usize,
-    /// The protocol mode every scenario's cluster runs (`--batch` sets
-    /// [`ProtocolMode::batch_rounds`]).
-    pub protocol: ProtocolMode,
+    /// How the puts pick their keys.
+    pub keys: Keys,
+}
+
+/// How a workload's puts pick their keys.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Keys {
+    /// The standard workload: keys `1..=puts`, each put once per round.
+    /// `1` is the insert-only sweep; `2` (`--overwrite`) makes every put
+    /// after the first round an overwrite of a key that already holds a
+    /// version.
+    Rounds(usize),
+    /// A streamed workload seeded by the scenario: the puts draw their keys
+    /// Zipf(1.1) from a space of this many keys.
+    Zipf(u64),
 }
 
 impl Default for WorkloadCfg {
@@ -197,9 +199,195 @@ impl Default for WorkloadCfg {
         WorkloadCfg {
             puts: 3,
             value_len: 4096,
-            rounds: 1,
-            protocol: ProtocolMode::default(),
+            keys: Keys::Rounds(1),
         }
+    }
+}
+
+/// One step a scenario takes after its workload converges, applied in
+/// order. Steps are data, so a scenario stays a printable repro.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Destroy disk `disk` of FS `fs` of DC 0 at the current virtual time.
+    DestroyDisk {
+        /// FS index within DC 0.
+        fs: usize,
+        /// Disk index on that FS.
+        disk: u8,
+    },
+    /// Queue a get of each of workload keys `1..=keys` and wake the client.
+    Gets {
+        /// Number of keys read.
+        keys: u64,
+    },
+    /// Run the simulation for this many more virtual seconds.
+    Run {
+        /// Seconds of virtual time.
+        secs: u64,
+    },
+}
+
+/// The invariants a scenario is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvariantSet {
+    /// The full [registry](invariants::registry).
+    Registry,
+    /// For runs that destroy disks: the redundancy floor, metrics sanity
+    /// and checksum integrity. The durability family and AMR convergence
+    /// assume no stored fragment is ever lost.
+    DiskLoss,
+}
+
+impl InvariantSet {
+    fn build(self) -> Vec<Box<dyn Invariant>> {
+        match self {
+            InvariantSet::Registry => invariants::registry(),
+            InvariantSet::DiskLoss => vec![
+                Box::new(invariants::RedundancyFloor::new()),
+                Box::new(invariants::MetricsSanity::new()),
+                Box::new(invariants::ChecksumIntegrity),
+            ],
+        }
+    }
+}
+
+/// One checked run: a fully deterministic recipe.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// Name of a hand-built scenario (`scale`, `repair-churn`, …); `None`
+    /// for a cell of the seeds × fault plans × presets grid.
+    pub name: Option<&'static str>,
+    /// Simulation seed (and the stream's, for a Zipf workload).
+    pub seed: u64,
+    /// Injected faults.
+    pub faults: FaultSpec,
+    /// Convergence configuration under test.
+    pub preset: Preset,
+    /// The protocol mode every actor runs (`--batch` sets
+    /// [`ProtocolMode::batch_rounds`]).
+    pub protocol: ProtocolMode,
+    /// The client's workload.
+    pub workload: WorkloadCfg,
+    /// `Some(r)`: rack-aware placement over `r` racks per DC.
+    pub racks_per_dc: Option<usize>,
+    /// The background repair engine, if any (one repair actor per DC).
+    pub repair: Option<RepairOptions>,
+    /// What happens once the workload converges.
+    pub steps: Vec<Step>,
+    /// The invariants checked.
+    pub invariants: InvariantSet,
+    /// Per-event checks run once every this many events; end-of-run
+    /// checks always run.
+    pub sample_every: u64,
+}
+
+impl Default for Scenario {
+    /// A grid cell: seed 0, no faults, every optimization, the default
+    /// workload and protocol mode, the full registry after every event.
+    fn default() -> Self {
+        Scenario {
+            name: None,
+            seed: 0,
+            faults: FaultSpec::clean(),
+            preset: Preset::All,
+            protocol: ProtocolMode::default(),
+            workload: WorkloadCfg::default(),
+            racks_per_dc: None,
+            repair: None,
+            steps: Vec::new(),
+            invariants: InvariantSet::Registry,
+            sample_every: 1,
+        }
+    }
+}
+
+impl Scenario {
+    /// The scale cell (`explore --scale`): a Zipf stream of 600 puts over
+    /// 200 keys under [`ProtocolMode::scale`] — update-heavy enough that
+    /// converged-version compaction provably fires — with the registry
+    /// sampled every 500 events.
+    pub fn scale() -> Scenario {
+        Scenario {
+            name: Some("scale"),
+            seed: 42,
+            protocol: ProtocolMode::scale(),
+            workload: WorkloadCfg {
+                puts: 600,
+                value_len: 1024,
+                keys: Keys::Zipf(200),
+            },
+            sample_every: 500,
+            ..Scenario::default()
+        }
+    }
+
+    /// The four repair families (`explore --repair`): eight puts on a
+    /// paper cluster with three racks per DC and a repair actor per DC,
+    /// then a destruction schedule confined to DC 0 (so the remote DC
+    /// always holds donors) and 420 s for the engine to re-protect what is
+    /// left degraded. Checked every 25 events: repair runs idle between
+    /// drain ticks, and the redundancy-floor grace clock starts at the
+    /// first sampled observation.
+    pub fn repair_families() -> Vec<Scenario> {
+        use Step::{DestroyDisk, Gets, Run};
+        let family = |name, repair, mut steps: Vec<Step>| {
+            steps.push(Run { secs: 420 });
+            Scenario {
+                name: Some(name),
+                seed: 42,
+                workload: WorkloadCfg {
+                    puts: 8,
+                    ..WorkloadCfg::default()
+                },
+                racks_per_dc: Some(3),
+                repair: Some(repair),
+                steps,
+                invariants: InvariantSet::DiskLoss,
+                sample_every: 25,
+                ..Scenario::default()
+            }
+        };
+        // Both disks of FS `fs` of DC 0 die at once. Rack `fs` of DC 0 is
+        // that one server, so every stripe drops to 4/6 live in that DC.
+        let server_loss = |fs| [DestroyDisk { fs, disk: 0 }, DestroyDisk { fs, disk: 1 }];
+        vec![
+            // Sustained churn: one disk dies every other virtual minute,
+            // rotating over DC 0's servers and disks, so damage accumulates
+            // until an object crosses the threshold.
+            family(
+                "repair-churn",
+                RepairOptions::paper_default(),
+                (0..6)
+                    .flat_map(|w| {
+                        let disk = (w / 3) as u8;
+                        [DestroyDisk { fs: w % 3, disk }, Run { secs: 120 }]
+                    })
+                    .collect(),
+            ),
+            family(
+                "repair-rack",
+                RepairOptions::paper_default(),
+                server_loss(0).to_vec(),
+            ),
+            // A flash crowd of reads racing the rebuild: the digest's
+            // degraded-read count observes the gets decoded around the hole.
+            family(
+                "repair-flash",
+                RepairOptions::paper_default(),
+                server_loss(0)
+                    .into_iter()
+                    .chain((0..3).flat_map(|burst| [Gets { keys: 8 }, Run { secs: 10 + burst }]))
+                    .collect(),
+            ),
+            // A repair storm under backpressure: two of DC 0's servers
+            // lose both disks and the token bucket is well under one job's
+            // cost, so the queue drains over many throttle-stalled ticks.
+            family(
+                "repair-storm",
+                RepairOptions::throttled(2048),
+                [server_loss(0), server_loss(1)].concat(),
+            ),
+        ]
     }
 }
 
@@ -209,10 +397,9 @@ impl Default for WorkloadCfg {
 pub enum Injection {
     /// No bug: the protocols run as implemented.
     None,
-    /// After the run converges, silently flip bytes of one stored fragment
+    /// At the end of the run, silently flip bytes of one stored fragment
     /// without updating its recorded checksum, then let the simulation run
-    /// a little longer. The checksum-integrity (and durability) invariants
-    /// must flag the very next event.
+    /// a little longer. The checksum-integrity invariant must flag it.
     CorruptFragment,
 }
 
@@ -225,58 +412,157 @@ pub struct ScenarioOutcome {
     pub events: u64,
     /// Virtual time at end of run.
     pub sim_time: SimTime,
-    /// Why the run stopped.
+    /// Why the last run phase stopped: convergence, or the last
+    /// [`Step::Run`].
     pub outcome: RunOutcome,
     /// Rendered message trace (only when requested).
     pub trace: Option<String>,
     /// Debug rendering of the traffic metrics — byte-identical across
     /// replays of the same scenario.
     pub metrics_digest: String,
+    /// Converged versions collapsed to residual records across all FSs.
+    pub compacted: u64,
+    /// Fewest distinct live fragments of any acknowledged version at the
+    /// end of the run (0 when nothing was acknowledged).
+    pub min_live: usize,
+    /// Final values of the repair engine's event counters, in
+    /// `REPAIR_EVENTS` order.
+    pub repair_events: [u64; 7],
 }
 
-/// Runs one scenario under the full invariant registry.
-pub fn run_scenario(
-    sc: &Scenario,
-    wl: &WorkloadCfg,
-    injection: Injection,
-    want_trace: bool,
-) -> ScenarioOutcome {
-    let mut cluster = scenario_cluster(sc, wl);
-    cluster.sim_mut().enable_trace();
-    let checker = Checker::install_registry(&mut cluster);
+/// The repair engine's event counters. Dense events are left out of the
+/// traffic-metrics rendering, so a repair scenario's digest line folds
+/// these explicitly: without them a repair engine that never triggers
+/// would be digest-invisible.
+const REPAIR_EVENTS: [&str; 7] = [
+    "repair_triggered",
+    "repair_completed",
+    "repair_abandoned",
+    "repair_bytes",
+    "repair_queue_depth",
+    "repair_throttle_stalls",
+    "degraded_reads",
+];
 
-    let report = cluster.run_to_convergence();
+/// Runs one scenario under its invariants. The message trace is recorded
+/// only when `want_trace` is set.
+pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> ScenarioOutcome {
+    let mut cluster = scenario_cluster(sc);
+    if want_trace {
+        cluster.sim_mut().enable_trace();
+    }
+    let checker = Checker::install_sampled(&mut cluster, sc.invariants.build(), sc.sample_every);
+
+    let mut outcome = cluster.run_to_convergence().outcome;
+    for &step in &sc.steps {
+        match step {
+            Step::DestroyDisk { fs, disk } => {
+                let victim = cluster.layout().fs(0, fs);
+                let now = cluster.sim().now();
+                cluster
+                    .sim_mut()
+                    .actor_mut::<Fs>(victim)
+                    .destroy_disk(disk, now);
+            }
+            Step::Gets { keys } => {
+                let client = cluster.layout().client();
+                for key in 1..=keys {
+                    cluster
+                        .sim_mut()
+                        .actor_mut::<Client>(client)
+                        .enqueue(ClientOp::Get {
+                            key: Key::from_u64(key),
+                        });
+                }
+                cluster
+                    .sim_mut()
+                    .schedule_timer(client, SimDuration::ZERO, 1);
+            }
+            Step::Run { secs } => {
+                let deadline = cluster.sim().now() + SimDuration::from_secs(secs);
+                outcome = cluster.sim_mut().run_until_time(deadline);
+            }
+        }
+    }
     if injection == Injection::CorruptFragment {
         inject_corruption(&mut cluster);
     }
 
-    let violation = checker.finish(&cluster, report.outcome);
+    let violation = checker.finish(&cluster, outcome);
     let sim = cluster.sim();
     ScenarioOutcome {
         violation,
         events: sim.events_processed(),
         sim_time: sim.now(),
-        outcome: report.outcome,
+        outcome,
         trace: want_trace.then(|| {
             sim.trace()
                 .map(|t| t.render())
                 .unwrap_or_else(|| "(trace disabled)".to_string())
         }),
         metrics_digest: format!("{:?}", sim.metrics()),
+        compacted: cluster
+            .topology()
+            .all_fss()
+            .map(|fs| cluster.fs(fs).compacted_count() as u64)
+            .sum(),
+        min_live: min_live(&cluster),
+        repair_events: REPAIR_EVENTS.map(|label| sim.metrics().event(label)),
     }
 }
 
-/// The cluster a scenario runs: the sweep's workload and protocol mode
-/// under the scenario's preset, network and fault plan.
-fn scenario_cluster(sc: &Scenario, wl: &WorkloadCfg) -> Cluster {
+/// The cluster a scenario runs: its workload, protocol mode, racks and
+/// repair engine under its preset, network and fault plan.
+fn scenario_cluster(sc: &Scenario) -> Cluster {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.protocol = wl.protocol;
-    cfg.convergence = sc.preset.options();
-    cfg.workload_puts = wl.puts;
-    cfg.workload_value_len = wl.value_len;
-    cfg.workload_rounds = wl.rounds;
+    cfg.protocol = sc.protocol;
+    cfg.convergence = ConvergenceOptions {
+        repair: sc.repair.clone(),
+        ..sc.preset.options()
+    };
+    cfg.racks_per_dc = sc.racks_per_dc;
+    let WorkloadCfg {
+        puts,
+        value_len,
+        keys,
+    } = sc.workload;
+    match keys {
+        Keys::Rounds(rounds) => {
+            cfg.workload_puts = puts;
+            cfg.workload_value_len = value_len;
+            cfg.workload_rounds = rounds;
+        }
+        Keys::Zipf(key_space) => {
+            cfg.streaming_workload = Some(StreamingWorkload {
+                puts: puts as u64,
+                key_space,
+                value_len,
+                policy: cfg.policy,
+                seed: sc.seed,
+                dist: KeyDistribution::Zipf { exponent: 1.1 },
+                overwrite_delta_permille: 0,
+            })
+        }
+    }
     cfg.network = sc.faults.network();
     Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan())
+}
+
+/// The fewest distinct fragment indices any acknowledged version still
+/// holds across the cluster's FSs — `n` when everything is intact.
+fn min_live(cluster: &Cluster) -> usize {
+    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
+    let live = |ov: ObjectVersion| {
+        let mut distinct = std::collections::BTreeSet::new();
+        for &fs in &fss {
+            if let Some(entry) = cluster.fs(fs).entry(ov) {
+                distinct.extend(entry.fragments.keys().copied());
+            }
+        }
+        distinct.len()
+    };
+    let acked = cluster.client().success_versions();
+    acked.iter().map(|&ov| live(ov)).min().unwrap_or(0)
 }
 
 /// Flips one stored fragment's bytes behind the checksum bookkeeping's
@@ -286,9 +572,8 @@ fn inject_corruption(cluster: &mut Cluster) {
     let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
     let target = fss.iter().find_map(|&fs| {
         let actor: &Fs = cluster.sim().actor(fs);
-        actor.known_versions().next().and_then(|ov| {
-            let entry = actor.entry(ov)?;
-            let idx = *entry.fragments.keys().next()?;
+        actor.known_versions().find_map(|ov| {
+            let idx = *actor.entry(ov)?.fragments.keys().next()?;
             Some((fs, ov, idx))
         })
     });
@@ -309,11 +594,10 @@ fn inject_corruption(cluster: &mut Cluster) {
 
 /// Greedily shrinks a violating scenario: repeatedly applies the first
 /// single-step fault simplification that still violates some invariant,
-/// until none does. The seed and preset — the other two coordinates of the
-/// repro triple — are preserved.
-pub fn shrink(sc: &Scenario, wl: &WorkloadCfg, injection: Injection) -> Scenario {
+/// until none does. Everything but the fault plan is preserved.
+pub fn shrink(sc: &Scenario, injection: Injection) -> Scenario {
     let violates = |candidate: &Scenario| {
-        run_scenario(candidate, wl, injection, false)
+        run_scenario(candidate, injection, false)
             .violation
             .is_some()
     };
@@ -333,8 +617,8 @@ pub fn shrink(sc: &Scenario, wl: &WorkloadCfg, injection: Injection) -> Scenario
     }
 }
 
-/// The sweep definition: the cartesian product of seeds, fault specs and
-/// presets, all run under one workload shape.
+/// The sweep grid: the cartesian product of seeds, fault specs and
+/// presets, all run with one protocol mode and workload.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Seeds to sweep.
@@ -343,7 +627,10 @@ pub struct SweepConfig {
     pub fault_specs: Vec<FaultSpec>,
     /// Convergence presets to sweep.
     pub presets: Vec<Preset>,
-    /// Workload shape.
+    /// The protocol mode every cell runs.
+    pub protocol: ProtocolMode,
+    /// The workload every cell runs. Small values keep per-event invariant
+    /// checking (which hashes and compares every stored fragment) cheap.
     pub workload: WorkloadCfg,
 }
 
@@ -415,8 +702,7 @@ impl SweepConfig {
         SweepConfig {
             seeds: (0..3).collect(),
             fault_specs: SweepConfig::fault_pool().into_iter().take(3).collect(),
-            presets: Preset::ALL.to_vec(),
-            workload: WorkloadCfg::default(),
+            ..SweepConfig::full()
         }
     }
 
@@ -427,11 +713,12 @@ impl SweepConfig {
             seeds: (0..4).collect(),
             fault_specs: SweepConfig::fault_pool(),
             presets: Preset::ALL.to_vec(),
+            protocol: ProtocolMode::default(),
             workload: WorkloadCfg::default(),
         }
     }
 
-    /// The scenarios of this sweep, in deterministic order.
+    /// The grid's scenarios, in deterministic order.
     pub fn scenarios(&self) -> Vec<Scenario> {
         let mut out = Vec::new();
         for &seed in &self.seeds {
@@ -441,6 +728,9 @@ impl SweepConfig {
                         seed,
                         faults: spec.clone(),
                         preset,
+                        protocol: self.protocol,
+                        workload: self.workload,
+                        ..Scenario::default()
                     });
                 }
             }
@@ -454,7 +744,7 @@ impl SweepConfig {
 pub struct ViolationReport {
     /// The scenario that first violated.
     pub original: Scenario,
-    /// The shrunk minimal `(seed, faults, options)` triple.
+    /// The shrunk scenario: the original with the minimal fault plan.
     pub shrunk: Scenario,
     /// The violation observed on the **shrunk** scenario.
     pub violation: Violation,
@@ -467,16 +757,15 @@ pub struct ViolationReport {
 pub struct SweepResult {
     /// Scenarios completed (including the violating one, if any).
     pub scenarios_run: usize,
-    /// Total simulation events processed — every one of them checked
-    /// against every invariant.
+    /// Total simulation events processed.
     pub events_checked: u64,
     /// The first violation found, shrunk, or `None` if every invariant held
     /// everywhere.
     pub violation: Option<ViolationReport>,
 }
 
-/// Runs the scenarios of `cfg`, `workers` at a time — each batch fanned out
-/// over scoped threads via [`simnet::sweep::map_indexed`], inline when
+/// Runs `scenarios`, `workers` at a time — each batch fanned out over
+/// scoped threads via [`simnet::sweep::map_indexed`], inline when
 /// `workers` is 1 — and stops at (and shrinks) the first invariant
 /// violation. `progress` is invoked once per scenario, in scenario order,
 /// with the scenario and its outcome.
@@ -490,30 +779,24 @@ pub struct SweepResult {
 /// Each scenario run is a pure function of its recipe, so worker scheduling
 /// cannot leak into any outcome.
 pub fn sweep(
-    cfg: &SweepConfig,
+    scenarios: &[Scenario],
     injection: Injection,
     workers: usize,
     mut progress: impl FnMut(&Scenario, &ScenarioOutcome),
 ) -> SweepResult {
     let mut events_checked = 0u64;
     let mut scenarios_run = 0usize;
-    let mut scenarios = cfg.scenarios().into_iter();
-    loop {
-        let batch: Vec<Scenario> = scenarios.by_ref().take(workers.max(1)).collect();
-        if batch.is_empty() {
-            break;
-        }
-        let outcomes = simnet::sweep::map_indexed(batch, workers, |_, sc| {
-            let outcome = run_scenario(&sc, &cfg.workload, injection, false);
-            (sc, outcome)
+    for batch in scenarios.chunks(workers.max(1)) {
+        let outcomes = simnet::sweep::map_indexed(batch.iter().collect(), workers, |_, sc| {
+            run_scenario(sc, injection, false)
         });
-        for (sc, outcome) in &outcomes {
+        for (sc, outcome) in batch.iter().zip(&outcomes) {
             scenarios_run += 1;
             events_checked += outcome.events;
             progress(sc, outcome);
             if outcome.violation.is_some() {
-                let shrunk = shrink(sc, &cfg.workload, injection);
-                let shrunk_outcome = run_scenario(&shrunk, &cfg.workload, injection, true);
+                let shrunk = shrink(sc, injection);
+                let shrunk_outcome = run_scenario(&shrunk, injection, true);
                 let violation = shrunk_outcome
                     .violation
                     .expect("shrink preserves the violation");
@@ -537,13 +820,22 @@ pub fn sweep(
     }
 }
 
-/// One line of the sweep's replay digest: every deterministic observable
-/// of a scenario run, including a checksum of the full traffic-metrics
-/// rendering. Byte-identical digests from one worker and from two are what
-/// the CI determinism check compares.
+/// One line of the replay digest: every deterministic observable of a
+/// scenario run, including a checksum of the full traffic-metrics
+/// rendering. A named scenario's line starts with its name; one that
+/// compacts adds the compacted-version count, and one with a repair engine
+/// the redundancy floor and the repair event counters. Byte-identical
+/// digests from one worker and from two are what the CI determinism check
+/// compares.
 pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> String {
-    format!(
-        "{index:03} seed={} preset={} drop={} dup={} outages={} -> {:?} events={} t={}us metrics={:016x}",
+    let mut line = format!("{index:03} ");
+    if let Some(name) = sc.name {
+        line.push_str(name);
+        line.push(' ');
+    }
+    let _ = write!(
+        line,
+        "seed={} preset={} drop={} dup={} outages={} -> {:?} events={} t={}us metrics={:016x}",
         sc.seed,
         sc.preset.name(),
         sc.faults.drop_centi,
@@ -553,390 +845,17 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
         outcome.events,
         outcome.sim_time.as_micros(),
         erasure::Checksum::of(outcome.metrics_digest.as_bytes()).as_u64(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Sampled-invariant scale check (`explore --scale`)
-// ---------------------------------------------------------------------------
-
-/// Configuration for the scale-tier spot check: one Zipf streaming-workload
-/// scenario run under [`ProtocolMode::scale`] (converged-version
-/// compaction) with the full invariant registry installed at a sampled
-/// rate.
-#[derive(Debug, Clone)]
-pub struct ScaleCheckCfg {
-    /// RNG seed for both the cluster and the workload stream.
-    pub seed: u64,
-    /// Number of distinct keys the Zipf stream draws from.
-    pub key_space: u64,
-    /// Total puts issued by the streaming client.
-    pub puts: u64,
-    /// Blob size per put.
-    pub value_len: usize,
-    /// Per-event invariant checks run once every this many events
-    /// (end-of-run checks always run).
-    pub sample_every: u64,
-}
-
-impl ScaleCheckCfg {
-    /// The CI smoke cell: small enough for the test gate, update-heavy
-    /// enough (a Zipf stream over a small key space) that converged-
-    /// version compaction provably fires.
-    pub fn smoke() -> Self {
-        ScaleCheckCfg {
-            seed: 42,
-            key_space: 200,
-            puts: 600,
-            value_len: 1024,
-            sample_every: 500,
-        }
-    }
-}
-
-/// Outcome of [`run_scale_check`].
-#[derive(Debug, Clone)]
-pub struct ScaleOutcome {
-    /// First invariant violation, if any.
-    pub violation: Option<Violation>,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Events processed.
-    pub events: u64,
-    /// Virtual time at the end of the run.
-    pub sim_time: SimTime,
-    /// Total converged versions collapsed to residual records across all
-    /// FSs — pinned in the digest line so a disabled compactor is a
-    /// digest-visible mutation.
-    pub compacted: u64,
-    /// Full traffic-metrics rendering.
-    pub metrics_digest: String,
-}
-
-/// Runs the scale-tier spot check: a cluster under
-/// [`ProtocolMode::scale`], whatever mode the surrounding sweep runs.
-pub fn run_scale_check(cfg: &ScaleCheckCfg) -> ScaleOutcome {
-    let mut cc = ClusterConfig::paper_default();
-    cc.protocol = ProtocolMode::scale();
-    cc.workload_value_len = cfg.value_len;
-    cc.streaming_workload = Some(StreamingWorkload {
-        puts: cfg.puts,
-        key_space: cfg.key_space,
-        value_len: cfg.value_len,
-        policy: cc.policy,
-        seed: cfg.seed,
-        dist: KeyDistribution::Zipf { exponent: 1.1 },
-        overwrite_delta_permille: 0,
-    });
-    let mut cluster = Cluster::build(cc, cfg.seed);
-    let checker = Checker::install_sampled(
-        &mut cluster,
-        crate::invariants::registry(),
-        cfg.sample_every,
     );
-    let report = cluster.run_to_convergence();
-    let violation = checker.finish(&cluster, report.outcome);
-    let compacted = cluster
-        .topology()
-        .all_fss()
-        .map(|fs| cluster.sim().actor::<Fs>(fs).compacted_count() as u64)
-        .sum();
-    let sim = cluster.sim();
-    ScaleOutcome {
-        violation,
-        outcome: report.outcome,
-        events: sim.events_processed(),
-        sim_time: sim.now(),
-        compacted,
-        metrics_digest: format!("{:?}", sim.metrics()),
+    if sc.protocol.compact_converged {
+        let _ = write!(line, " compacted={}", outcome.compacted);
     }
-}
-
-/// The scale check's replay-digest line, appended after the sweep's
-/// per-scenario lines when both `--scale` and `--digest-out` are given.
-pub fn scale_digest_line(cfg: &ScaleCheckCfg, out: &ScaleOutcome) -> String {
-    format!(
-        "scale seed={} keys={} puts={} dist=zipf -> {:?} events={} t={}us compacted={} metrics={:016x}",
-        cfg.seed,
-        cfg.key_space,
-        cfg.puts,
-        out.outcome,
-        out.events,
-        out.sim_time.as_micros(),
-        out.compacted,
-        erasure::Checksum::of(out.metrics_digest.as_bytes()).as_u64(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Repair-engine churn check (`explore --repair`)
-// ---------------------------------------------------------------------------
-
-/// Configuration for the repair-engine spot check: four scenario families
-/// (sustained disk churn, whole-rack outage, a flash crowd of reads during
-/// rebuild, and a throttled repair storm), each on a rack-aware
-/// paper-default cluster with one [`RepairActor`](pahoehoe::repair)
-/// per DC.
-#[derive(Debug, Clone)]
-pub struct RepairCheckCfg {
-    /// Simulation seed shared by every family.
-    pub seed: u64,
-    /// Standard-workload puts per family.
-    pub puts: usize,
-    /// Blob size per put.
-    pub value_len: usize,
-    /// Per-event invariant sampling rate (small: repair runs are idle
-    /// between drain ticks, and the redundancy-floor grace clock starts
-    /// at the first *sampled* observation).
-    pub sample_every: u64,
-}
-
-impl RepairCheckCfg {
-    /// The CI smoke cell.
-    pub fn smoke() -> Self {
-        RepairCheckCfg {
-            seed: 42,
-            puts: 8,
-            value_len: 4096,
-            sample_every: 25,
+    if sc.repair.is_some() {
+        let _ = write!(line, " min_live={}", outcome.min_live);
+        for (label, value) in REPAIR_EVENTS.iter().zip(outcome.repair_events) {
+            let _ = write!(line, " {label}={value}");
         }
     }
-}
-
-/// What one repair scenario family observed.
-#[derive(Debug, Clone)]
-pub struct RepairFamilyOutcome {
-    /// Family name (`churn`, `rack`, `flash`, `storm`).
-    pub name: &'static str,
-    /// First invariant violation, if any.
-    pub violation: Option<Violation>,
-    /// Events processed.
-    pub events: u64,
-    /// Virtual time at the end of the run.
-    pub sim_time: SimTime,
-    /// Minimum cluster-wide live-fragment count over the workload's
-    /// acknowledged versions at end of run — `n` when the repair engine
-    /// restored everything, lower when it left objects degraded.
-    pub min_live: usize,
-    /// Final values of the `EV_REPAIR_*` dense counters, by registry
-    /// label. Events are invisible to the metrics debug rendering, so the
-    /// digest folds these explicitly.
-    pub counters: Vec<(&'static str, u64)>,
-}
-
-/// Outcome of [`run_repair_check`]: one entry per scenario family.
-#[derive(Debug, Clone)]
-pub struct RepairOutcome {
-    /// Per-family results, in run order.
-    pub families: Vec<RepairFamilyOutcome>,
-}
-
-impl RepairOutcome {
-    /// The first invariant violation across all families, if any.
-    pub fn violation(&self) -> Option<&Violation> {
-        self.families.iter().find_map(|f| f.violation.as_ref())
-    }
-}
-
-/// The event counters folded into the repair digest.
-const REPAIR_COUNTERS: [&str; 7] = [
-    "repair_triggered",
-    "repair_completed",
-    "repair_abandoned",
-    "repair_bytes",
-    "repair_queue_depth",
-    "repair_throttle_stalls",
-    "degraded_reads",
-];
-
-/// The invariants a repair family runs under. Disk destruction is the
-/// whole point of these scenarios, so the durability-monotonicity family
-/// is out; the redundancy floor is the star.
-fn repair_invariants() -> Vec<Box<dyn crate::invariants::Invariant>> {
-    vec![
-        Box::new(crate::invariants::RedundancyFloor::new()),
-        Box::new(crate::invariants::MetricsSanity::new()),
-        Box::new(crate::invariants::ChecksumIntegrity),
-    ]
-}
-
-/// Builds one rack-aware, repair-enabled paper cluster, runs the standard
-/// workload to convergence, and hands it to `faults` for the family's
-/// destruction schedule. Returns the family outcome.
-fn run_repair_family(
-    name: &'static str,
-    cfg: &RepairCheckCfg,
-    opts: RepairOptions,
-    faults: impl FnOnce(&mut Cluster),
-) -> RepairFamilyOutcome {
-    let mut cc = ClusterConfig::paper_default();
-    cc.convergence.repair = Some(opts);
-    cc.racks_per_dc = Some(3);
-    cc.workload_puts = cfg.puts;
-    cc.workload_value_len = cfg.value_len;
-    let mut cluster = Cluster::build(cc, cfg.seed);
-    let checker = Checker::install_sampled(&mut cluster, repair_invariants(), cfg.sample_every);
-    let report = cluster.run_to_convergence();
-    debug_assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
-
-    faults(&mut cluster);
-
-    // Settle: give the engine its full grace window (and then some) to
-    // re-protect whatever the last destruction window left degraded.
-    let deadline = cluster.sim().now() + SimDuration::from_secs(420);
-    let outcome = cluster.sim_mut().run_until_time(deadline);
-    let violation = checker.finish(&cluster, outcome);
-
-    let acked: Vec<ObjectVersion> = cluster
-        .client()
-        .success_versions()
-        .iter()
-        .copied()
-        .collect();
-    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
-    let min_live = acked
-        .iter()
-        .map(|&ov| {
-            let mut distinct = std::collections::BTreeSet::new();
-            for &fs in &fss {
-                if let Some(entry) = cluster.fs(fs).entry(ov) {
-                    distinct.extend(entry.fragments.keys().copied());
-                }
-            }
-            distinct.len()
-        })
-        .min()
-        .unwrap_or(0);
-    let sim = cluster.sim();
-    RepairFamilyOutcome {
-        name,
-        violation,
-        events: sim.events_processed(),
-        sim_time: sim.now(),
-        min_live,
-        counters: REPAIR_COUNTERS
-            .iter()
-            .map(|&label| (label, sim.metrics().event(label)))
-            .collect(),
-    }
-}
-
-/// Destroys the given disks of FS `(dc, i)` at the cluster's current
-/// virtual time. Destruction is confined to DC 0 in every family, so the
-/// remote DC always holds live donors and each object stays repairable.
-fn destroy(cluster: &mut Cluster, i: usize, disks: &[u8]) {
-    let victim = cluster.layout().fs(0, i);
-    let now = cluster.sim().now();
-    for &disk in disks {
-        cluster
-            .sim_mut()
-            .actor_mut::<Fs>(victim)
-            .destroy_disk(disk, now);
-    }
-}
-
-/// Runs all four repair scenario families.
-pub fn run_repair_check(cfg: &RepairCheckCfg) -> RepairOutcome {
-    let mut families = Vec::new();
-
-    // Sustained node churn: one disk dies every other virtual minute,
-    // rotating over DC 0's servers and disks. Damage accumulates until an
-    // object crosses the threshold, then the engine must restore it
-    // before the next window ends.
-    families.push(run_repair_family(
-        "churn",
-        cfg,
-        RepairOptions::paper_default(),
-        |cluster| {
-            for window in 0..6usize {
-                destroy(cluster, window % 3, &[(window / 3) as u8]);
-                let deadline = cluster.sim().now() + SimDuration::from_secs(120);
-                cluster.sim_mut().run_until_time(deadline);
-            }
-        },
-    ));
-
-    // Whole-rack outage: with three racks per DC, rack 0 of DC 0 is one
-    // server; both its disks die at once, dropping every stripe to 4/6
-    // live in that DC.
-    families.push(run_repair_family(
-        "rack",
-        cfg,
-        RepairOptions::paper_default(),
-        |cluster| {
-            destroy(cluster, 0, &[0, 1]);
-        },
-    ));
-
-    // Flash crowd during rebuild: the same rack loss, immediately
-    // followed by a burst of reads racing the reconstruction — the
-    // degraded-read counter in the digest observes how many gets decoded
-    // around the hole.
-    let puts = cfg.puts;
-    families.push(run_repair_family(
-        "flash",
-        cfg,
-        RepairOptions::paper_default(),
-        move |cluster| {
-            destroy(cluster, 0, &[0, 1]);
-            let client_id = cluster.layout().client();
-            for burst in 0..3u64 {
-                for i in 0..puts as u64 {
-                    cluster
-                        .sim_mut()
-                        .actor_mut::<Client>(client_id)
-                        .enqueue(ClientOp::Get {
-                            key: Key::from_u64(i + 1),
-                        });
-                }
-                cluster
-                    .sim_mut()
-                    .schedule_timer(client_id, SimDuration::ZERO, 1);
-                let deadline = cluster.sim().now() + SimDuration::from_secs(10 + burst);
-                cluster.sim_mut().run_until_time(deadline);
-            }
-        },
-    ));
-
-    // Repair storm under backpressure: two of DC 0's three servers lose
-    // both disks, and the token bucket is sized well under one job's
-    // cost, so the queue must drain over many throttle-stalled ticks —
-    // still inside the grace window.
-    families.push(run_repair_family(
-        "storm",
-        cfg,
-        RepairOptions::throttled(2048),
-        |cluster| {
-            destroy(cluster, 0, &[0, 1]);
-            destroy(cluster, 1, &[0, 1]);
-        },
-    ));
-
-    RepairOutcome { families }
-}
-
-/// The repair check's replay digest: one line per family, folding the
-/// repair event counters and the end-of-run redundancy floor. Counters
-/// are folded explicitly because dense events are deliberately excluded
-/// from the traffic-metrics debug rendering — without them a repair
-/// engine that never triggers would be digest-invisible.
-pub fn repair_digest_line(cfg: &RepairCheckCfg, family: &RepairFamilyOutcome) -> String {
-    let counters: String = family
-        .counters
-        .iter()
-        .map(|(label, v)| format!(" {label}={v}"))
-        .collect();
-    format!(
-        "repair-{} seed={} puts={} -> {} events={} t={}us min_live={}{}",
-        family.name,
-        cfg.seed,
-        cfg.puts,
-        family.violation.as_ref().map_or("ok", |v| v.invariant),
-        family.events,
-        family.sim_time.as_micros(),
-        family.min_live,
-        counters,
-    )
+    line
 }
 
 #[cfg(test)]
@@ -949,24 +868,24 @@ mod tests {
     /// `rounds` acknowledged versions of every workload key.
     #[test]
     fn second_round_overwrites_every_workload_key() {
-        let sc = Scenario {
-            seed: 0,
-            faults: SweepConfig::fault_pool()[3].clone(),
-            preset: Preset::All,
-        };
-        assert!(sc.faults.drop_centi > 0 && !sc.faults.outages.is_empty());
+        let faults = SweepConfig::fault_pool()[3].clone();
+        assert!(faults.drop_centi > 0 && !faults.outages.is_empty());
         for rounds in [1, 2] {
-            let wl = WorkloadCfg {
-                rounds,
-                ..WorkloadCfg::default()
+            let sc = Scenario {
+                faults: faults.clone(),
+                workload: WorkloadCfg {
+                    keys: Keys::Rounds(rounds),
+                    ..WorkloadCfg::default()
+                },
+                ..Scenario::default()
             };
-            let mut cluster = scenario_cluster(&sc, &wl);
+            let mut cluster = scenario_cluster(&sc);
             let report = cluster.run_to_convergence();
             assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
             let acked = cluster.client().success_versions();
             for id in cluster.topology().all_klss() {
                 let kls: &Kls = cluster.sim().actor(id);
-                for i in 0..wl.puts {
+                for i in 0..sc.workload.puts {
                     let key = Key::from_u64(i as u64 + 1);
                     let versions = kls
                         .versions_of(key)

@@ -8,11 +8,14 @@
 //! caught at the earliest event that exhibits it, not at quiescence, and
 //! the recorded event index pins it in the message trace.
 //!
-//! The registry assumes the cluster runs the **standard workload**
-//! ([`Client::standard_workload`]): workload key `i + 1` holds
-//! [`Client::synthetic_value`]`(i, value_len)`, which lets the durability
-//! invariant reconstruct the expected blob for any acknowledged version
-//! without help from the actors under test.
+//! The registry assumes every put writes a key-derived blob: workload key
+//! `i + 1` holds [`Client::synthetic_value`]`(i, value_len)`, which lets the
+//! durability invariant reconstruct the expected blob for any acknowledged
+//! version without help from the actors under test. The **standard
+//! workload** ([`Client::standard_workload`]) does, and so does a
+//! [streamed workload](pahoehoe::workload::StreamingWorkload) with
+//! `overwrite_delta_permille: 0`; the checker takes the value length and
+//! policy from the stream when the cluster runs one.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -814,7 +817,8 @@ struct CheckerState {
     ctx: StaticCtx,
     violation: Option<Violation>,
     /// Run the per-event checks every `sample_every` events (1 = every
-    /// event). Final checks always run. Sampling trades detection
+    /// event), and once more on the final state. Final checks always run.
+    /// Sampling trades detection
     /// latency (not soundness of what *is* checked) for throughput on
     /// scale runs, where per-event whole-cluster walks would dominate.
     sample_every: u64,
@@ -823,12 +827,15 @@ struct CheckerState {
 
 impl CheckerState {
     fn check_event(&mut self, sim: &Simulation<Message>) {
+        self.events_since_check += 1;
+        if self.events_since_check >= self.sample_every {
+            self.check_now(sim);
+        }
+    }
+
+    fn check_now(&mut self, sim: &Simulation<Message>) {
         if self.violation.is_some() {
             return; // first violation wins; keep the run cheap afterwards
-        }
-        self.events_since_check += 1;
-        if self.events_since_check < self.sample_every {
-            return;
         }
         self.events_since_check = 0;
         let view = self.ctx.view(sim);
@@ -846,6 +853,11 @@ impl CheckerState {
     }
 
     fn check_final(&mut self, sim: &Simulation<Message>, outcome: RunOutcome) {
+        // A sampled run's last events may fall between samples: the state
+        // it ends in is checked like a sampled one.
+        if self.events_since_check > 0 {
+            self.check_now(sim);
+        }
         if self.violation.is_some() {
             return;
         }
@@ -872,32 +884,33 @@ pub struct Checker {
 
 impl Checker {
     /// Installs `invariants` as an inspector on `cluster`'s simulation.
-    /// Every invariant's [`check_event`](Invariant::check_event) runs after
-    /// each subsequent simulation event; call
-    /// [`finish`](Checker::finish) when the run ends to run the final
-    /// checks and retrieve the verdict.
-    pub fn install(cluster: &mut Cluster, invariants: Vec<Box<dyn Invariant>>) -> Checker {
-        Checker::install_sampled(cluster, invariants, 1)
-    }
-
-    /// Like [`install`](Checker::install), but runs the per-event checks
-    /// only every `sample_every` events. End-of-run checks are unaffected.
-    /// Scale runs use this to keep whole-cluster invariant walks off the
-    /// per-event hot path while still checking the same properties.
+    /// Every invariant's [`check_event`](Invariant::check_event) runs once
+    /// every `sample_every` events (1 = after each event) and on the state
+    /// the run ends in; call [`finish`](Checker::finish) when the run ends
+    /// to run the final checks and retrieve the verdict. Scale runs sample
+    /// to keep whole-cluster invariant walks off the per-event hot path
+    /// while still checking the same properties.
     pub fn install_sampled(
         cluster: &mut Cluster,
         invariants: Vec<Box<dyn Invariant>>,
         sample_every: u64,
     ) -> Checker {
+        let config = cluster.config();
+        // A streamed workload puts its own blobs, whatever the standard
+        // workload's fields say.
+        let (value_len, policy) = match &config.streaming_workload {
+            Some(stream) => (stream.value_len, stream.policy),
+            None => (config.workload_value_len, config.policy),
+        };
         let ctx = StaticCtx {
             topo: Arc::clone(cluster.topology()),
             fss: cluster.topology().all_fss().collect(),
             klss: cluster.topology().all_klss().collect(),
             clients: cluster.client_ids(),
             proxies: cluster.proxy_ids(),
-            value_len: cluster.config().workload_value_len,
-            policy: cluster.config().policy,
-            repair: cluster.config().convergence.repair.clone(),
+            value_len,
+            policy,
+            repair: config.convergence.repair.clone(),
         };
         let state = Rc::new(RefCell::new(CheckerState {
             invariants,
@@ -913,11 +926,6 @@ impl Checker {
         Checker { state }
     }
 
-    /// Installs the [full registry](registry) on `cluster`.
-    pub fn install_registry(cluster: &mut Cluster) -> Checker {
-        Checker::install(cluster, registry())
-    }
-
     /// Runs every invariant's end-of-run check and returns the first
     /// violation observed anywhere in the run, if any.
     pub fn finish(self, cluster: &Cluster, outcome: RunOutcome) -> Option<Violation> {
@@ -929,5 +937,36 @@ impl Checker {
     /// The first violation observed so far, without ending the run.
     pub fn violation(&self) -> Option<Violation> {
         self.state.borrow().violation.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pahoehoe::cluster::ClusterConfig;
+    use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+
+    /// The durability invariant rebuilds blobs at the stream's length, not
+    /// at the standard workload's (100 KiB by default, unused here).
+    #[test]
+    fn streamed_workload_is_checked_at_the_streams_value_len() {
+        let mut cfg = ClusterConfig::paper_default();
+        assert_eq!(cfg.workload_value_len, 100 * 1024);
+        cfg.streaming_workload = Some(StreamingWorkload {
+            puts: 30,
+            key_space: 10,
+            value_len: 1024,
+            policy: cfg.policy,
+            seed: 3,
+            dist: KeyDistribution::Zipf { exponent: 1.1 },
+            overwrite_delta_permille: 0,
+        });
+        let mut cluster = Cluster::build(cfg, 3);
+        let checker = Checker::install_sampled(&mut cluster, registry(), 1);
+        let report = cluster.run_to_convergence();
+        assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+        assert!(!cluster.client().success_versions().is_empty());
+        let violation = checker.finish(&cluster, report.outcome);
+        assert!(violation.is_none(), "{violation:?}");
     }
 }

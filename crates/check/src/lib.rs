@@ -12,9 +12,10 @@
 //!    metrics sanity) as an extensible registry checked after **every**
 //!    simulation event via [`simnet::Simulation::set_inspector`]. The
 //!    [`explorer`] module sweeps seeds × fault plans × all six
-//!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets,
-//!    shrinks any violating run to a minimal `(seed, faults, options)`
-//!    triple and dumps its message trace.
+//!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets, then
+//!    hand-built scenarios (the scale cell, the repair families) through
+//!    the same runner, shrinks any violating scenario's fault plan to a
+//!    minimal one and dumps its message trace.
 //!
 //! 2. **Determinism lint** (`cargo run -p check --bin lint`). The [`lint`]
 //!    module is a token-level Rust source scanner flagging constructs that

@@ -1,8 +1,8 @@
 //! Mutation-testing harness: measure whether the `check` invariants
 //! would actually kill a protocol bug.
 //!
-//! The explorer's six always-on invariants are a *claim* until something
-//! adversarial tests them. This module makes the claim a number: it
+//! The explorer's invariant registry is a *claim* until something
+//! adversarial tests it. This module makes the claim a number: it
 //! applies systematic, protocol-targeted source mutations in a scratch
 //! copy of the workspace, reruns the explorer smoke sweep against each
 //! mutant, and classifies the result:
@@ -305,7 +305,7 @@ fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Ve
     }
 
     // compaction-skip: the converged-version compactor never runs. Killed
-    // through the scale check's digest line, which pins the compacted
+    // through the scale cell's digest line, which pins the compacted
     // count (`explore --scale`, see DESIGN.md §8.7).
     const COMPACT_GATE: &str = "if self.mode.compact_converged && newly_settled {";
     for pos in occurrences(src, COMPACT_GATE) {
@@ -403,7 +403,7 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     ("fragmask-flip:protocol:0", "self.bits[w] |= 1 << b"),
     // timer slab reuses live generations
     ("timer-gen-skip:queue:0", "self.generations[id.slot()]"),
-    // compactor off: scale-check digest's compacted count drops
+    // compactor off: the scale cell digest's compacted count drops
     ("compaction-skip:fs:0", "self.mode.compact_converged"),
     // repair waits for parity exhaustion: floor invariant fires
     ("repair-threshold-skip:repair:0", "self.opts.threshold_pct"),

@@ -23,8 +23,9 @@ fn injected_corruption_is_caught_and_shrunk() {
             value_len: 2048,
             ..WorkloadCfg::default()
         },
+        ..SweepConfig::full()
     };
-    let result = sweep(&cfg, Injection::CorruptFragment, 1, |_, _| {});
+    let result = sweep(&cfg.scenarios(), Injection::CorruptFragment, 1, |_, _| {});
     let report = result.violation.expect("corruption must violate");
     assert!(
         matches!(
@@ -46,30 +47,33 @@ fn injected_corruption_is_caught_and_shrunk() {
 
 #[test]
 fn explore_binary_exits_nonzero_with_repro_and_trace() {
-    let trace_path = std::env::temp_dir().join("check-intentional-bug.trace");
-    let _ = std::fs::remove_file(&trace_path);
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
-        .args([
-            "--smoke",
-            "--quiet",
-            "--inject-corruption",
-            "--trace-out",
-            trace_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("explore binary runs");
-    assert_eq!(
-        output.status.code(),
-        Some(1),
-        "violation must exit 1; stdout:\n{}",
-        String::from_utf8_lossy(&output.stdout)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("INVARIANT VIOLATED"), "stdout: {stdout}");
-    assert!(stdout.contains("shrunk repro"), "stdout: {stdout}");
-    let trace = std::fs::read_to_string(&trace_path).expect("trace dumped");
-    assert!(!trace.is_empty());
-    let _ = std::fs::remove_file(&trace_path);
+    // The grid, the scale cell alone and the repair families alone: every
+    // scenario goes through the one sweep, so each is shrunk and traced.
+    for (name, mode) in [
+        ("smoke", &["--smoke"][..]),
+        ("scale", &["--seeds", "0", "--scale"]),
+        ("repair", &["--seeds", "0", "--repair"]),
+    ] {
+        let trace_path = std::env::temp_dir().join(format!("check-intentional-bug-{name}.trace"));
+        let _ = std::fs::remove_file(&trace_path);
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
+            .args(mode)
+            .args(["--quiet", "--inject-corruption", "--trace-out"])
+            .arg(&trace_path)
+            .output()
+            .expect("explore binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{name}: violation must exit 1; stdout:\n{stdout}"
+        );
+        assert!(stdout.contains("INVARIANT VIOLATED"), "{name}: {stdout}");
+        assert!(stdout.contains("shrunk repro"), "{name}: {stdout}");
+        let trace = std::fs::read_to_string(&trace_path).expect("trace dumped");
+        assert!(!trace.is_empty(), "{name}: empty trace");
+        let _ = std::fs::remove_file(&trace_path);
+    }
 }
 
 #[test]
@@ -131,9 +135,10 @@ fn clean_mini_sweep_reports_no_violation() {
             value_len: 2048,
             ..WorkloadCfg::default()
         },
+        ..SweepConfig::full()
     };
     let mut seen = 0;
-    let result = sweep(&cfg, Injection::None, 2, |_, outcome| {
+    let result = sweep(&cfg.scenarios(), Injection::None, 2, |_, outcome| {
         seen += 1;
         assert!(outcome.events > 0);
     });

@@ -18,8 +18,10 @@ fn assert_invariants_hold(seed: u64, faults: FaultSpec, preset: Preset) {
         seed,
         faults,
         preset,
+        workload: workload(),
+        ..Scenario::default()
     };
-    let outcome = run_scenario(&sc, &workload(), Injection::None, false);
+    let outcome = run_scenario(&sc, Injection::None, false);
     assert!(
         outcome.violation.is_none(),
         "invariant violated: {:?} for {sc:?}",

@@ -4,7 +4,7 @@
 
 use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario, WorkloadCfg};
 
-fn faulty_scenario(seed: u64) -> Scenario {
+fn faulty_scenario(seed: u64, puts: usize) -> Scenario {
     Scenario {
         seed,
         faults: FaultSpec {
@@ -17,19 +17,20 @@ fn faulty_scenario(seed: u64) -> Scenario {
             }],
         },
         preset: Preset::All,
+        workload: WorkloadCfg {
+            puts,
+            value_len: 2048,
+            ..WorkloadCfg::default()
+        },
+        ..Scenario::default()
     }
 }
 
 #[test]
 fn identical_seeds_replay_byte_identically() {
-    let wl = WorkloadCfg {
-        puts: 3,
-        value_len: 2048,
-        ..WorkloadCfg::default()
-    };
-    let sc = faulty_scenario(42);
-    let a = run_scenario(&sc, &wl, Injection::None, true);
-    let b = run_scenario(&sc, &wl, Injection::None, true);
+    let sc = faulty_scenario(42, 3);
+    let a = run_scenario(&sc, Injection::None, true);
+    let b = run_scenario(&sc, Injection::None, true);
 
     assert!(a.violation.is_none() && b.violation.is_none());
     assert_eq!(a.events, b.events, "event counts diverged");
@@ -43,13 +44,8 @@ fn identical_seeds_replay_byte_identically() {
 
 #[test]
 fn different_seeds_diverge() {
-    let wl = WorkloadCfg {
-        puts: 2,
-        value_len: 2048,
-        ..WorkloadCfg::default()
-    };
-    let a = run_scenario(&faulty_scenario(1), &wl, Injection::None, true);
-    let b = run_scenario(&faulty_scenario(2), &wl, Injection::None, true);
+    let a = run_scenario(&faulty_scenario(1, 2), Injection::None, true);
+    let b = run_scenario(&faulty_scenario(2, 2), Injection::None, true);
     assert_ne!(
         a.trace.unwrap(),
         b.trace.unwrap(),

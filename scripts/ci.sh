@@ -23,12 +23,14 @@ same_as_committed() { # fresh file, committed twin under results/
 # (the default); this runs the mode with two and `cmp`s, so one comparison
 # checks both that behaviour did not move and that it does not depend on
 # how scenarios were scheduled.
+explored_digests=()
 explore_mode() { # digest name, then the mode's explore flags
     local name=$1
     shift
     echo "==> invariant explorer ($name: explore $* --workers 2)"
     cargo run -p check --release --bin explore -- "$@" --workers 2 --digest-out "target/digest-$name.txt"
     same_as_committed "target/digest-$name.txt" "digests/$name.txt"
+    explored_digests+=("$name")
 }
 
 echo "==> cargo fmt --check"
@@ -67,14 +69,23 @@ explore_mode smoke-overwrite --smoke --overwrite
 # The paper-faithful 144-scenario sweep every default-mode digest claim is
 # about.
 explore_mode full
-# The scale-tier spot check alone: one Zipf streamed workload under
+# The scale cell alone: one Zipf streamed workload under
 # ProtocolMode::scale(); its line pins the compacted-version count.
 explore_mode scale --seeds 0 --scale
-# Four churn families (node churn, rack outage, flash-crowd reads during
-# rebuild, throttled repair storm) on a repair-enabled rack-aware cluster,
-# checked by the redundancy-floor invariant; the digest lines fold the
-# EV_REPAIR_* counters.
+# The four repair families alone (node churn, rack outage, flash-crowd
+# reads during rebuild, throttled repair storm) on a repair-enabled
+# rack-aware cluster, checked by the redundancy-floor invariant; the digest
+# lines fold the EV_REPAIR_* counters.
 explore_mode repair --seeds 0 --repair
+# A committed digest no leg regenerates would go stale unnoticed.
+for committed in results/digests/*.txt; do
+    name=$(basename "$committed" .txt)
+    [[ " ${explored_digests[*]} " == *" $name "* ]] || {
+        echo "    $committed has no explore leg that regenerates and compares it" >&2
+        exit 1
+    }
+done
+echo "    every digest under results/digests/ was regenerated and compared"
 
 echo "==> paper figures (regenerated and compared with results/*.txt and *.csv)"
 # The reproduction's own record, checked the way digests are: Figure 5 is
