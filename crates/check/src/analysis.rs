@@ -1,24 +1,48 @@
-//! Semantic workspace analysis: five rules the token [`lint`](crate::lint)
-//! cannot express, built on the [`rustlite`](crate::rustlite) front-end.
+//! The workspace checker: twelve rules over the [`rustlite`](crate::rustlite)
+//! front-end, one walk, one finding type, one suppression loop.
 //!
-//! PRs 2–4 introduced exactly the kind of mechanical coupling that rots
-//! silently: dual reference/optimized code paths behind process-wide
-//! switches, a dense compile-time message-kind registry, and one unsafe
-//! SIMD module. Each rule here pins one of those couplings:
+//! Seven **token rules** guard seeded-simulation determinism (a run is a
+//! pure function of its seed, and the compiler catches none of these) and
+//! one hot-path budget. They match single tokens of each file's stripped
+//! token stream (see `lint.rs`):
+//!
+//! * **hash-collections** — `HashMap`/`HashSet`: iteration order varies
+//!   across runs (randomized SipHash keys). Use `BTreeMap`/`BTreeSet`.
+//! * **wall-clock** — `SystemTime`/`Instant`: actors use the virtual clock
+//!   ([`Context::now`](simnet::Context::now)).
+//! * **ambient-rng** — `thread_rng`/`rand::random`: actors draw from the
+//!   simulation's seeded RNG ([`Context::rng`](simnet::Context::rng)).
+//! * **thread-spawn** — `std::thread::spawn`: free-running concurrency the
+//!   event queue cannot replay.
+//! * **float-key** — `f32`/`f64` map or set keys: NaN breaks `Ord`.
+//! * **hot-path-alloc** — `to_vec()`/`Vec::new` inside a function preceded
+//!   by a standalone `// lint:hot` line: declared allocation-free hot paths
+//!   write into caller-owned scratch.
+//! * **shared-mutable** — `static mut`, `Atomic*`, `lazy_static`,
+//!   `OnceLock`, `LazyLock`, `OnceCell`: process globals leak state between
+//!   runs and across sweep worker threads.
+//!
+//! The token rules check every file under a package's `src/` (the root
+//! package's included, and `src/**/tests/` and `#[cfg(test)]` modules
+//! too), never a package's `tests/` directory: integration tests may hold
+//! the very hazards the rules flag.
+//!
+//! Five **semantic rules** pin couplings that span files:
 //!
 //! * **exhaustive-dispatch** — every variant of the `Message` enum is
 //!   handled by *some* actor's `on_message` dispatch. Each actor handles
 //!   its own subset behind a `debug_assert!` catch-all, so per-actor
 //!   match exhaustiveness proves nothing; the union across actors is the
 //!   property that catches a new message kind nobody routes.
-//! * **mode-parity** — every reference/optimized switch (`set_reference_*`,
-//!   `set_batched_*`, `use_reference_*` functions and `*Mode`/`*Impl`
-//!   types) is exercised by at least one test. Matching is against test
-//!   *token streams* (integration-test files and `#[cfg(test)]` modules),
-//!   not raw text, so doc prose never satisfies the obligation. A switch
-//!   function is also satisfied by a test driving a `*Mode`/`*Impl` type
-//!   defined in the same file (e.g. a test constructing `FooMode::reference()`
-//!   covers a `set_reference_foo` that selects the same knob).
+//! * **mode-parity** — every protocol mode type (`*Mode`/`*Impl`, today
+//!   `ProtocolMode`) and every switch function (`set_reference_*`,
+//!   `set_batched_*`, `use_reference_*`; none is left, and
+//!   `shared-mutable` forbids the statics one would need) is exercised by
+//!   at least one test. Matching is against test *token streams*
+//!   (integration-test files and `#[cfg(test)]` modules), not raw text, so
+//!   doc prose never satisfies the obligation. A switch function is also
+//!   satisfied by a test driving a `*Mode`/`*Impl` type defined in the
+//!   same file.
 //! * **panic-path** — `.unwrap()`, `.expect()` and non-literal indexing
 //!   reachable from an actor dispatch root (`on_message` / `on_timer` /
 //!   `on_start`, plus the engine's `run_impl` event loop) via the by-name
@@ -39,6 +63,11 @@
 //!   their element type — are sized from `registry.len()`, never a
 //!   hand-written integer.
 //!
+//! A finding where the hazard is deliberate and safe is suppressed with
+//! `// lint:allow(<rule>)` on the same line, the preceding line, or — when
+//! the finding sits on an item behind attributes — the line above the
+//! attribute block; `panic-path` also wants a justification after it.
+//!
 //! All rules degrade safely on code the model cannot parse: no finding is
 //! ever produced from a construct rustlite does not understand, and the
 //! lexer never panics (see the robustness proptest in
@@ -48,13 +77,46 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::lint::json_escape;
 use crate::rustlite::{
     self, allows_by_line, bracket_range, find_allow, ident, punct, FileModel, Spanned, Tok,
 };
 
-/// The rule set: `(name, what it enforces)`.
+/// The rule set: `(name, what it enforces)`, the seven token rules first.
 pub const RULES: &[(&str, &str)] = &[
+    (
+        "hash-collections",
+        "HashMap/HashSet: iteration order is randomized per process; use BTreeMap/BTreeSet in \
+         simulation-visible state",
+    ),
+    (
+        "wall-clock",
+        "SystemTime/Instant: wall clocks diverge between runs; use the simulation's virtual clock",
+    ),
+    (
+        "ambient-rng",
+        "thread_rng()/rand::random(): OS-seeded randomness is unreproducible; draw from the \
+         simulation's seeded RNG",
+    ),
+    (
+        "thread-spawn",
+        "std::thread::spawn: free-running threads interleave nondeterministically with the \
+         event queue",
+    ),
+    (
+        "float-key",
+        "f32/f64 map or set keys: NaN breaks ordering and float key order perturbs iteration",
+    ),
+    (
+        "hot-path-alloc",
+        "to_vec()/Vec::new inside a function marked hot: declared allocation-free hot paths \
+         must write into caller-owned scratch",
+    ),
+    (
+        "shared-mutable",
+        "static mut / Atomic* / lazy_static / OnceLock / LazyLock / OnceCell: cross-actor \
+         mutable globals leak state between runs and across sweep worker threads; keep mutable \
+         state inside actors or the engine",
+    ),
     (
         "exhaustive-dispatch",
         "every Message enum variant is handled by some actor's on_message dispatch match \
@@ -62,8 +124,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "mode-parity",
-        "every reference/optimized switch (set_reference_*/set_batched_*/use_reference_* fns, \
-         *Mode/*Impl types) is exercised by at least one test's token stream",
+        "every protocol mode type (*Mode/*Impl, e.g. ProtocolMode) and switch fn \
+         (set_reference_*/set_batched_*/use_reference_*) is exercised by at least one test's \
+         token stream",
     ),
     (
         "panic-path",
@@ -81,13 +144,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Index of `rule` in [`RULES`] — the bit it occupies in the CLI's
-/// per-rule exit code (see `bin/analyze.rs`).
-pub fn rule_bit(rule: &str) -> Option<usize> {
-    RULES.iter().position(|(name, _)| *name == rule)
-}
-
-/// One analysis finding.
+/// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// File the finding is in.
@@ -98,7 +155,8 @@ pub struct Finding {
     pub col: usize,
     /// Rule name (a key of [`RULES`]).
     pub rule: &'static str,
-    /// Human-readable description of the violation.
+    /// Human-readable description of the violation; for a token rule,
+    /// the offending source line, trimmed.
     pub message: String,
 }
 
@@ -131,9 +189,59 @@ impl Finding {
     }
 }
 
+/// Escapes a string for embedding in a JSON literal.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Workspace model
 // ---------------------------------------------------------------------------
+
+/// Whether `path` lies under a directory named `tests`: test code, to the
+/// semantic rules and to the mutation scanner alike.
+pub(crate) fn under_tests_dir(path: &Path) -> bool {
+    path.components().any(|c| c.as_os_str() == "tests")
+}
+
+/// Whether `path` is a package's integration test: under a `tests`
+/// directory that is not inside `src/`. The token rules skip these
+/// files; `src/**/tests/` they check like any other.
+fn is_package_test(path: &Path) -> bool {
+    path.components()
+        .map(|c| c.as_os_str())
+        .take_while(|c| *c != "src")
+        .any(|c| c == "tests")
+}
+
+/// Recursively collects `.rs` files under `dir`, sorted for deterministic
+/// reports.
+pub(crate) fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rs_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
 
 /// One source file: raw text plus the parsed [`FileModel`].
 pub struct SrcFile {
@@ -150,7 +258,7 @@ pub struct SrcFile {
 
 impl SrcFile {
     fn new(path: PathBuf, src: String) -> SrcFile {
-        let is_test_file = crate::lint::under_tests_dir(&path);
+        let is_test_file = under_tests_dir(&path);
         let model = FileModel::parse(&src);
         SrcFile {
             path,
@@ -174,8 +282,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads the real workspace layout: `crates/*/src/**/*.rs` plus
-    /// `crates/*/tests/**/*.rs` under `root`, skipping `vendor/`. When
+    /// Loads the real workspace layout: `crates/*/src/**/*.rs`,
+    /// `crates/*/tests/**/*.rs` and the root package's `src/**/*.rs` under
+    /// `root`, skipping `vendor/` and any `fixtures/` directory. When
     /// `root` has no `crates/` directory (rule fixtures), every `.rs`
     /// under `root` is loaded instead, with files under any `tests/`
     /// component treated as test files.
@@ -192,9 +301,12 @@ impl Workspace {
                 for sub in ["src", "tests"] {
                     let d = dir.join(sub);
                     if d.is_dir() {
-                        crate::lint::rs_files(&d, &mut files)?;
+                        rs_files(&d, &mut files)?;
                     }
                 }
+            }
+            if root.join("src").is_dir() {
+                rs_files(&root.join("src"), &mut files)?;
             }
             // Fixture corpora are deliberately-bad *data*, not workspace
             // code (the analyzer's own tests feed them back through
@@ -206,7 +318,7 @@ impl Workspace {
                     .all(|c| c.as_os_str() != "fixtures")
             });
         } else {
-            crate::lint::rs_files(root, &mut files)?;
+            rs_files(root, &mut files)?;
         }
         let mut out = Vec::new();
         for path in files {
@@ -217,7 +329,7 @@ impl Workspace {
         Ok(Workspace { files: out })
     }
 
-    /// Builds a workspace from in-memory sources (unit tests).
+    /// Builds a workspace from in-memory sources (tests).
     pub fn from_sources(sources: Vec<(PathBuf, String)>) -> Workspace {
         Workspace {
             files: sources
@@ -297,6 +409,17 @@ fn qualified_refs(toks: &[Spanned], range: (usize, usize), enum_name: &str) -> V
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// The token rules
+// ---------------------------------------------------------------------------
+
+fn rule_tokens(ws: &Workspace, out: &mut Vec<Finding>) {
+    for f in ws.files.iter().filter(|f| !is_package_test(&f.path)) {
+        let lines: Vec<&str> = f.src.lines().collect();
+        out.extend(crate::lint::scan_tokens(&f.model.toks, &lines, &f.path));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -812,6 +935,7 @@ fn registry_file_checks(f: &SrcFile, out: &mut Vec<Finding>) {
 /// missing-justification finding rather than suppressing it.
 pub fn analyze(ws: &Workspace) -> Vec<Finding> {
     let mut raw = Vec::new();
+    rule_tokens(ws, &mut raw);
     rule_exhaustive_dispatch(ws, &mut raw);
     rule_mode_parity(ws, &mut raw);
     rule_panic_path(ws, &mut raw);

@@ -1,19 +1,15 @@
-//! Semantic analyzer driver: `cargo run -p check --release --bin analyze`.
+//! The workspace checker: `cargo run -p check --release --bin analyze`.
 //!
-//! Runs the five workspace-wide semantic rules of [`check::analysis`]
+//! Runs the twelve rules of [`check::analysis`] — seven token rules
+//! (hash-collections, wall-clock, ambient-rng, thread-spawn, float-key,
+//! hot-path-alloc, shared-mutable) and five semantic ones
 //! (exhaustive-dispatch, mode-parity, panic-path, unsafe-confinement,
-//! registry-sync) over `crates/*/{src,tests}` under the workspace root
-//! (default: the current directory; pass a path to override). `--rules`
-//! lists the rule set; `--format json` emits one JSON array of findings.
+//! registry-sync) — over `crates/*/{src,tests}` and the root package's
+//! `src` under the workspace root (default: the current directory; pass a
+//! path to override). `--rules` lists the rule set; `--format json` emits
+//! one JSON array of findings, each naming its rule.
 //!
-//! # Exit codes
-//!
-//! Stable, so CI can gate on *which* rules fired:
-//!
-//! * `0` — clean
-//! * `2` — scan error (unreadable root)
-//! * `100 + bitmask` — findings; bit *i* set when rule *i* (in `--rules`
-//!   order) fired. E.g. `104` = only `panic-path` (bit 2).
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +24,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--rules" => {
                 for (i, (name, what)) in analysis::RULES.iter().enumerate() {
-                    println!("{i} {name:<20} {what}");
+                    println!("{i:>2} {name:<20} {what}");
                 }
                 return ExitCode::SUCCESS;
             }
@@ -67,13 +63,8 @@ fn main() -> ExitCode {
         println!("analyze: {} finding(s)", findings.len());
     }
     if findings.is_empty() {
-        return ExitCode::SUCCESS;
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    let mut mask = 0u8;
-    for f in &findings {
-        if let Some(bit) = analysis::rule_bit(f.rule) {
-            mask |= 1 << bit;
-        }
-    }
-    ExitCode::from(100 + mask)
 }

@@ -29,7 +29,7 @@ use pahoehoe::cluster::Cluster;
 use pahoehoe::fs::Fs;
 use pahoehoe::messages::Message;
 use pahoehoe::proxy::Proxy;
-use pahoehoe::repair::RepairOptions;
+use pahoehoe::repair::{self, RepairOptions};
 use pahoehoe::topology::{DataCenterId, Topology};
 use pahoehoe::types::ObjectVersion;
 use pahoehoe::{Metadata, Policy};
@@ -614,8 +614,8 @@ impl Invariant for CompactionSafety {
 /// repairable-but-under-protected: a version whose live fragments in some
 /// data center fall below `threshold_pct` of that DC's assignment count,
 /// while at least `k` fragments survive cluster-wide (so reconstruction is
-/// possible), must be restored above the threshold within the policy's
-/// grace window. Vacuous for clusters without a repair engine, so it is
+/// possible), must be restored above the threshold within
+/// [`repair::GRACE`]. Vacuous for clusters without a repair engine, so it is
 /// safe in the always-on registry.
 pub struct RedundancyFloor {
     /// When each `(dc, version)` pair was first observed below threshold.
@@ -687,12 +687,13 @@ impl RedundancyFloor {
                 let since = self.below_since.get(&(dc, ov)).copied().unwrap_or(now);
                 let elapsed =
                     SimDuration::from_micros(now.as_micros().saturating_sub(since.as_micros()));
-                if elapsed > opts.grace {
+                if elapsed > repair::GRACE {
                     return Err(format!(
                         "{ov:?} has been repairable but below the redundancy floor in \
                          {dc} for {elapsed:?} (live {dc_live}/{target}, threshold \
                          {}%, grace {:?})",
-                        opts.threshold_pct, opts.grace
+                        opts.threshold_pct,
+                        repair::GRACE
                     ));
                 }
                 next.insert((dc, ov), since);

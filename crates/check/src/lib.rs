@@ -3,7 +3,7 @@
 
 //! Correctness tooling for the Pahoehoe reproduction.
 //!
-//! Four pillars, corresponding to the four binaries this crate ships:
+//! Three pillars, corresponding to the three binaries this crate ships:
 //!
 //! 1. **Invariant-checking model checker** (`cargo run -p check --bin
 //!    explore`). The [`invariants`] module defines the protocol properties
@@ -17,21 +17,18 @@
 //!    the same runner, shrinks any violating scenario's fault plan to a
 //!    minimal one and dumps its message trace.
 //!
-//! 2. **Determinism lint** (`cargo run -p check --bin lint`). The [`lint`]
-//!    module is a token-level Rust source scanner flagging constructs that
-//!    undermine seeded-simulation reproducibility: hash-ordered
-//!    collections in actor state, wall clocks, ambient RNGs, thread
-//!    spawning and floating-point map keys. `// lint:allow(<rule>)`
-//!    suppresses a finding where the hazard is deliberate and safe.
+//! 2. **Static checker** (`cargo run -p check --bin analyze`). The
+//!    [`analysis`] module runs twelve rules over the shared [`rustlite`]
+//!    front-end (a dependency-free lexer → fn/match model → per-module
+//!    call graph), one walk and one `lint:allow` suppression for all of
+//!    them. Seven token rules flag what undermines seeded-simulation
+//!    reproducibility (hash-ordered collections, wall clocks, ambient
+//!    RNGs, thread spawning, floating-point map keys, process globals)
+//!    and allocations in functions marked hot; five semantic rules check
+//!    dispatch exhaustiveness across actors, mode test parity, panic-path
+//!    justification, unsafe confinement and kind-registry coherence.
 //!
-//! 3. **Semantic analyzer** (`cargo run -p check --bin analyze`). The
-//!    [`analysis`] module layers five workspace-wide rules over the
-//!    shared [`rustlite`] front-end (a dependency-free lexer → fn/match
-//!    model → per-module call graph): dispatch exhaustiveness across
-//!    actors, mode-switch test parity, panic-path justification,
-//!    unsafe confinement and kind-registry coherence.
-//!
-//! 4. **Mutation-testing harness** (`cargo run -p check --bin mutate`).
+//! 3. **Mutation-testing harness** (`cargo run -p check --bin mutate`).
 //!    The [`mutate`] module applies protocol-targeted source mutations
 //!    (quorum off-by-one, comparison flips, ack drops, `FragMask`
 //!    bit-flips, timer-generation skips) in a scratch build tree, runs
@@ -42,6 +39,6 @@
 pub mod analysis;
 pub mod explorer;
 pub mod invariants;
-pub mod lint;
+mod lint;
 pub mod mutate;
 pub mod rustlite;

@@ -1,155 +1,20 @@
-//! Determinism lint: a token-level scanner for simulation-hostile code.
+//! The seven token rules of [`analysis::analyze`](crate::analysis::analyze):
+//! single-token matches over one file's stripped token stream (comments,
+//! strings and char literals blanked by the shared
+//! [`rustlite`](crate::rustlite) front-end, so prose and string fixtures
+//! never fire). [`analysis::RULES`](crate::analysis::RULES) says what each
+//! rule flags and why; `analysis` decides which files they check and
+//! applies `lint:allow` suppression.
 //!
-//! The whole point of `simnet` is that a run is a pure function of its
-//! seed. A handful of std constructs silently break that property when
-//! they leak into actor code, and none of them is caught by the compiler:
-//!
-//! * `HashMap`/`HashSet` — iteration order varies across runs (randomized
-//!   SipHash keys), so any protocol decision derived from iterating one is
-//!   nondeterministic. Actor state must use `BTreeMap`/`BTreeSet`.
-//! * `SystemTime` / `Instant` — wall clocks. Actors must use the virtual
-//!   clock ([`Context::now`](simnet::Context::now)).
-//! * `thread_rng` / `rand::random` — ambient OS-seeded randomness. Actors
-//!   must draw from the simulation's seeded RNG
-//!   ([`Context::rng`](simnet::Context::rng)).
-//! * `std::thread::spawn` — free-running concurrency whose interleaving
-//!   the event queue cannot replay.
-//! * `f32`/`f64` map or set keys — NaN breaks `Ord`, and float summation
-//!   order then depends on map iteration order.
-//!
-//! One rule guards performance rather than determinism: functions preceded
-//! by a standalone `// lint:hot` marker line are declared allocation-free
-//! hot paths (codec inner loops), and `to_vec()` / `Vec::new` inside them
-//! is flagged (`hot-path-alloc`) — per-call allocations are exactly what
-//! the `_into` codec APIs exist to avoid.
-//!
-//! The scanner lexes each file just enough to be trustworthy — comments,
-//! (raw) string literals and char literals are stripped before matching
-//! (via the shared [`rustlite`](crate::rustlite) front-end), so prose and
-//! test fixtures never trigger findings — and it walks `crates/*/src`
-//! only, skipping `vendor/` and generated code. A finding on a line where
-//! the hazard is deliberate and safe is suppressed with
-//! `// lint:allow(<rule>)` on the same line, the preceding line, or —
-//! when the finding sits on an item behind attributes — the line above
-//! the attribute block.
-//!
-//! Deeper, semantic workspace rules (dispatch exhaustiveness, mode
-//! parity, panic paths, unsafe confinement, registry sync) live in
-//! [`analysis`](crate::analysis); this module stays the cheap token pass.
+//! `hot-path-alloc` fires only inside a function whose body follows a
+//! standalone `// lint:hot` marker line: declared allocation-free hot
+//! paths (codec inner loops, the event queue) where `to_vec()` and
+//! `Vec::new` are exactly what the `_into` APIs exist to avoid.
 
-use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::rustlite::{self, allowed, allows_by_line, ident, punct, Spanned, Tok};
-
-/// The rule set: `(name, what it flags and why)`.
-pub const RULES: &[(&str, &str)] = &[
-    (
-        "hash-collections",
-        "HashMap/HashSet: iteration order is randomized per process; use BTreeMap/BTreeSet in \
-         simulation-visible state",
-    ),
-    (
-        "wall-clock",
-        "SystemTime/Instant: wall clocks diverge between runs; use the simulation's virtual clock",
-    ),
-    (
-        "ambient-rng",
-        "thread_rng()/rand::random(): OS-seeded randomness is unreproducible; draw from the \
-         simulation's seeded RNG",
-    ),
-    (
-        "thread-spawn",
-        "std::thread::spawn: free-running threads interleave nondeterministically with the \
-         event queue",
-    ),
-    (
-        "float-key",
-        "f32/f64 map or set keys: NaN breaks ordering and float key order perturbs iteration",
-    ),
-    (
-        "hot-path-alloc",
-        "to_vec()/Vec::new inside a function marked hot: declared allocation-free hot paths \
-         must write into caller-owned scratch",
-    ),
-    (
-        "shared-mutable",
-        "static mut / Atomic* / lazy_static / OnceLock / LazyLock / OnceCell: cross-actor \
-         mutable globals leak state between runs and across sweep worker threads; keep mutable \
-         state inside actors or the engine",
-    ),
-];
-
-/// Index of `rule` in [`RULES`] — the bit it occupies in the CLI's
-/// per-rule exit code (see `bin/lint.rs`).
-pub fn rule_bit(rule: &str) -> Option<usize> {
-    RULES.iter().position(|(name, _)| *name == rule)
-}
-
-/// One lint finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// File the finding is in.
-    pub file: PathBuf,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column (of the offending token).
-    pub col: usize,
-    /// Rule name (a key of [`RULES`]).
-    pub rule: &'static str,
-    /// The offending source excerpt.
-    pub excerpt: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.col,
-            self.rule,
-            self.excerpt
-        )
-    }
-}
-
-impl Finding {
-    /// This finding as one JSON object (hand-rolled; the workspace builds
-    /// offline with no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"file":"{}","line":{},"col":{},"rule":"{}","excerpt":"{}"}}"#,
-            json_escape(&self.file.display().to_string()),
-            self.line,
-            self.col,
-            self.rule,
-            json_escape(&self.excerpt)
-        )
-    }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rules
-// ---------------------------------------------------------------------------
+use crate::analysis::Finding;
+use crate::rustlite::{self, ident, punct, Spanned, Tok};
 
 /// After a `Map<`/`Set<` at `open`, returns the first type ident of the key
 /// parameter (skipping `&`, `mut` and lifetimes).
@@ -193,7 +58,8 @@ fn hot_fn_spans(toks: &[Spanned], src_lines: &[&str]) -> Vec<(usize, usize)> {
     spans
 }
 
-fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding> {
+/// Every token-rule finding in one file, before suppression.
+pub(crate) fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding> {
     let hot = hot_fn_spans(toks, src_lines);
     let in_hot = |i: usize| hot.iter().any(|&(s, e)| i >= s && i < e);
     let mut findings = Vec::new();
@@ -204,7 +70,7 @@ fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding
             line: sp.line,
             col: sp.col,
             rule,
-            excerpt: src_lines
+            message: src_lines
                 .get(sp.line - 1)
                 .map(|l| l.trim().to_string())
                 .unwrap_or_default(),
@@ -240,82 +106,22 @@ fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding
     findings
 }
 
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-/// Lints one file's source text.
-pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
-    let code = rustlite::strip_noncode(src);
-    let toks = rustlite::tokenize(&code);
-    let lines: Vec<&str> = src.lines().collect();
-    let allows = allows_by_line(src);
-    scan_tokens(&toks, &lines, file)
-        .into_iter()
-        .filter(|f| !allowed(&allows, &lines, f.line, f.rule))
-        .collect()
-}
-
-/// Lints one file on disk.
-pub fn lint_file(path: &Path) -> std::io::Result<Vec<Finding>> {
-    let src = std::fs::read_to_string(path)?;
-    Ok(lint_source(path, &src))
-}
-
-/// Whether `path` lies under a directory named `tests`: test code, to the
-/// analyzer and to the mutation scanner alike.
-pub(crate) fn under_tests_dir(path: &Path) -> bool {
-    path.components().any(|c| c.as_os_str() == "tests")
-}
-
-/// Recursively collects `.rs` files under `dir`, sorted for deterministic
-/// reports.
-pub(crate) fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Lints every `crates/*/src/**/*.rs` under the workspace root.
-/// `vendor/` (offline dependency stand-ins) and everything outside `src`
-/// (tests may contain deliberate hazards as fixtures) are out of scope by
-/// construction.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    let crates = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let src = dir.join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
-    }
-    let mut findings = Vec::new();
-    for file in files {
-        findings.extend(lint_file(&file)?);
-    }
-    Ok(findings)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::path::PathBuf;
+
+    use crate::analysis::{analyze, Finding, Workspace, RULES};
+
+    /// Every finding of the one checker on one product file.
+    fn lint_source(file: &str, src: &str) -> Vec<Finding> {
+        analyze(&Workspace::from_sources(vec![(
+            PathBuf::from(file),
+            src.to_string(),
+        )]))
+    }
 
     fn lint_str(src: &str) -> Vec<Finding> {
-        lint_source(Path::new("test.rs"), src)
+        lint_source("test.rs", src)
     }
 
     #[test]
@@ -376,7 +182,7 @@ mod tests {
     #[test]
     fn hot_marker_flags_allocations_in_next_fn_only() {
         // The markers here sit mid-line inside string literals, so no line
-        // of THIS file starts with one (the workspace lint scans lint.rs
+        // of THIS file starts with one (the checker scans lint.rs
         // itself and must stay clean).
         let src = "// lint:hot\nfn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n";
         let findings = lint_str(src);
@@ -441,19 +247,33 @@ mod tests {
         let f = &lint_str("let a = 1;\nlet t = Instant::now();\n")[0];
         assert_eq!(f.line, 2);
         assert_eq!(f.col, 9);
-        assert_eq!(f.excerpt, "let t = Instant::now();");
+        assert_eq!(f.message, "let t = Instant::now();");
         assert_eq!(
             f.to_json(),
-            r#"{"file":"test.rs","line":2,"col":9,"rule":"wall-clock","excerpt":"let t = Instant::now();"}"#
+            r#"{"file":"test.rs","line":2,"col":9,"rule":"wall-clock","message":"let t = Instant::now();"}"#
         );
     }
 
     #[test]
-    fn rule_bits_are_stable() {
-        assert_eq!(rule_bit("hash-collections"), Some(0));
-        assert_eq!(rule_bit("hot-path-alloc"), Some(5));
-        assert_eq!(rule_bit("shared-mutable"), Some(6));
-        assert_eq!(rule_bit("nonexistent"), None);
+    fn token_rules_lead_the_one_rule_table() {
+        let names: Vec<&str> = RULES.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "hash-collections",
+                "wall-clock",
+                "ambient-rng",
+                "thread-spawn",
+                "float-key",
+                "hot-path-alloc",
+                "shared-mutable",
+                "exhaustive-dispatch",
+                "mode-parity",
+                "panic-path",
+                "unsafe-confinement",
+                "registry-sync",
+            ]
+        );
     }
 
     #[test]
@@ -509,17 +329,13 @@ mod tests {
             "/work/crates/pahoehoe/src/protocol.rs",
             "/work/crates/simnet/src/sweep.rs",
         ] {
-            let findings = lint_source(Path::new(file), src);
+            let findings = lint_source(file, src);
             assert_eq!(findings.len(), 2, "{file}");
             assert!(findings.iter().all(|f| f.rule == "shared-mutable"));
         }
         // lint:allow still works, there as anywhere.
         let allowed_src = "static M: AtomicBool = AtomicBool::new(false); \
                            // lint:allow(shared-mutable)";
-        assert!(lint_source(
-            Path::new("/work/crates/pahoehoe/src/protocol.rs"),
-            allowed_src
-        )
-        .is_empty());
+        assert!(lint_source("/work/crates/pahoehoe/src/protocol.rs", allowed_src).is_empty());
     }
 }

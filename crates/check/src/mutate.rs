@@ -200,13 +200,13 @@ pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
 /// the directory's stem and ordinals run on from file to file.
 pub fn scan_dir(root: &Path, rel: &Path) -> io::Result<Vec<Mutation>> {
     let mut files = Vec::new();
-    crate::lint::rs_files(&root.join(rel), &mut files)?;
+    crate::analysis::rs_files(&root.join(rel), &mut files)?;
     let stem = stem_of(rel);
     let mut counts = SiteCounts::new();
     let mut out = Vec::new();
     for path in files {
         let file = path.strip_prefix(root).unwrap_or(&path);
-        if crate::lint::under_tests_dir(file) {
+        if crate::analysis::under_tests_dir(file) {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;

@@ -1,6 +1,5 @@
-//! A from-scratch, dependency-free Rust source front-end, shared by the
-//! token-level determinism [`lint`](crate::lint) and the semantic
-//! [`analysis`](crate::analysis) pass.
+//! A from-scratch, dependency-free Rust source front-end for the token and
+//! semantic rules of [`analysis`](crate::analysis).
 //!
 //! Three layers, each just deep enough to be trustworthy:
 //!
@@ -594,7 +593,7 @@ fn parse_match(toks: &[Spanned], kw: usize) -> Option<MatchModel> {
 }
 
 // ---------------------------------------------------------------------------
-// `lint:allow` suppression (shared by lint and analysis)
+// `lint:allow` suppression
 // ---------------------------------------------------------------------------
 
 /// One `lint:allow(rule)` marker occurrence.
@@ -634,21 +633,12 @@ pub fn allows_by_line(src: &str) -> BTreeMap<usize, Vec<Allow>> {
     out
 }
 
-/// Whether a finding of `rule` on 1-based `line` is suppressed: a marker
-/// on the same line, on the preceding line, or on the line above any run
-/// of attribute lines (`#[…]` / `#![…]`) directly preceding the finding —
-/// so an allow can sit above `#[derive(...)]` and still cover the item.
-pub fn allowed(
-    allows: &BTreeMap<usize, Vec<Allow>>,
-    lines: &[&str],
-    line: usize,
-    rule: &str,
-) -> bool {
-    find_allow(allows, lines, line, rule).is_some()
-}
-
-/// Like [`allowed`], but returns the matching marker so callers can
-/// inspect its justification (the `panic-path` rule requires one).
+/// The marker that suppresses a finding of `rule` on 1-based `line`, if
+/// any: one on the same line, on the preceding line, or on the line above
+/// any run of attribute lines (`#[…]` / `#![…]`) directly preceding the
+/// finding — so an allow can sit above `#[derive(...)]` and still cover
+/// the item. Returned so callers can inspect its justification (the
+/// `panic-path` rule requires one).
 pub fn find_allow<'a>(
     allows: &'a BTreeMap<usize, Vec<Allow>>,
     lines: &[&str],
@@ -763,12 +753,12 @@ mod tests {
         let src = "// lint:allow(some-rule)\n#[derive(Debug)]\n#[allow(dead_code)]\nstruct S;\n";
         let allows = allows_by_line(src);
         let lines: Vec<&str> = src.lines().collect();
-        assert!(allowed(&allows, &lines, 4, "some-rule"));
-        assert!(!allowed(&allows, &lines, 4, "other-rule"));
+        assert!(find_allow(&allows, &lines, 4, "some-rule").is_some());
+        assert!(find_allow(&allows, &lines, 4, "other-rule").is_none());
         // A non-attribute line in between breaks the chain.
         let src2 = "// lint:allow(some-rule)\nlet x = 1;\nstruct S;\n";
         let allows2 = allows_by_line(src2);
         let lines2: Vec<&str> = src2.lines().collect();
-        assert!(!allowed(&allows2, &lines2, 3, "some-rule"));
+        assert!(find_allow(&allows2, &lines2, 3, "some-rule").is_none());
     }
 }

@@ -1,6 +1,7 @@
-//! The semantic analyzer against known-bad fixture workspaces: every
-//! rule must fire on its positive fixture and stay silent on the
-//! negative twin, the real workspace must be clean, and the `rustlite`
+//! The checker's semantic rules against known-bad fixture workspaces:
+//! every rule must fire on its positive fixture and stay silent on the
+//! negative twin, the real workspace must be clean, the `analyze` binary
+//! must exit 0 clean and 1 on a finding, and the `rustlite`
 //! front-end must survive arbitrary mutilations of the fixture sources
 //! (a crashed analyzer is a skipped CI gate).
 
@@ -132,7 +133,7 @@ fn real_workspace_is_clean() {
     let findings = analyze_workspace(&root).expect("workspace loads");
     assert!(
         findings.is_empty(),
-        "semantic analysis must pass on the real workspace:\n{}",
+        "the checker must pass on the real workspace:\n{}",
         findings
             .iter()
             .map(|f| f.to_string())
@@ -155,6 +156,19 @@ fn analyze_binary_exits_clean_on_workspace() {
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );
+}
+
+#[test]
+fn analyze_binary_exits_one_and_names_the_rule_on_a_finding() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .arg(fixture_root("token_rule"))
+        .args(["--format", "json"])
+        .output()
+        .expect("analyze binary runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(1), "stdout:\n{stdout}");
+    assert_eq!(stdout.matches(r#""rule":"#).count(), 1, "{stdout}");
+    assert!(stdout.contains(r#""rule":"hash-collections""#), "{stdout}");
 }
 
 /// Every fixture source in the corpus, for the robustness property.

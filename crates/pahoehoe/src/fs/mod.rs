@@ -69,6 +69,7 @@ use crate::convergence::ConvergenceOptions;
 use crate::messages::{Message, OpId};
 use crate::metadata::Metadata;
 use crate::protocol::{FragMap, FragMask, ProtocolMode};
+use crate::repair::REPORT_INTERVAL;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
 
@@ -358,8 +359,8 @@ impl Actor<Message> for Fs {
         if let Some(interval) = self.opts.scrub_interval {
             ctx.schedule_timer(interval, TAG_SCRUB);
         }
-        if let Some(repair) = self.opts.repair.as_ref() {
-            ctx.schedule_timer(repair.report_interval, TAG_REPAIR_REPORT);
+        if self.opts.repair.is_some() {
+            ctx.schedule_timer(REPORT_INTERVAL, TAG_REPAIR_REPORT);
         }
     }
 
@@ -488,8 +489,8 @@ impl Actor<Message> for Fs {
             }
             TAG_REPAIR_REPORT => {
                 self.send_repair_report(ctx);
-                if let Some(repair) = self.opts.repair.as_ref() {
-                    ctx.schedule_timer(repair.report_interval, TAG_REPAIR_REPORT);
+                if self.opts.repair.is_some() {
+                    ctx.schedule_timer(REPORT_INTERVAL, TAG_REPAIR_REPORT);
                 }
             }
             _ => debug_assert!(false, "unknown FS timer tag {tag:#x}"),

@@ -35,11 +35,11 @@
 //! # Throttle and backpressure
 //!
 //! Repairs drain from a queue on a fixed-period tick. At most
-//! [`RepairOptions::max_in_flight`] jobs run concurrently, and a token
+//! [`MAX_IN_FLIGHT`] jobs run concurrently, and a token
 //! bucket refilled with [`RepairOptions::bandwidth_per_tick`] bytes per
 //! tick (0 = unthrottled) gates job admission; a tick whose budget cannot
 //! cover the next job records a throttle stall and leaves the job queued.
-//! Donor timeouts retry the whole job up to [`RepairOptions::retry_limit`]
+//! Donor timeouts retry the whole job up to [`RETRY_LIMIT`]
 //! times before abandoning it (a later report re-triggers from scratch).
 //!
 //! # Why repair-off digests are pinned
@@ -74,6 +74,22 @@ const TAG_JOB: u64 = 2 << 56;
 /// Mask selecting the tag class from a timer tag.
 const TAG_MASK: u64 = 0xff << 56;
 
+/// How long an object may stay repairable-but-below-threshold before the
+/// `redundancy-floor` invariant calls it a violation. Covers at least one
+/// [`REPORT_INTERVAL`] plus a repair round-trip.
+pub const GRACE: SimDuration = SimDuration::from_secs(120);
+/// Period of each FS's inventory report to its DC's repair actor.
+pub const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Period of the repair actor's queue-drain tick.
+pub const DRAIN_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Maximum concurrently in-flight repair jobs (backpressure bound).
+pub const MAX_IN_FLIGHT: usize = 4;
+/// How many times a job is retried after donor timeouts before it is
+/// abandoned (a later report re-triggers it from scratch).
+pub const RETRY_LIMIT: u32 = 3;
+/// Donor fetch timeout per job attempt.
+pub const DONOR_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Policy knobs for the background repair engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOptions {
@@ -83,39 +99,17 @@ pub struct RepairOptions {
     /// decision float-free and deterministic. Default 80 (the tentpole's
     /// "0.8×target").
     pub threshold_pct: u32,
-    /// How long an object may stay repairable-but-below-threshold before
-    /// the `redundancy-floor` invariant calls it a violation. Must cover
-    /// at least one report interval plus a repair round-trip.
-    pub grace: SimDuration,
-    /// Period of each FS's inventory report to its DC's repair actor.
-    pub report_interval: SimDuration,
-    /// Period of the repair actor's queue-drain tick.
-    pub drain_interval: SimDuration,
-    /// Maximum concurrently in-flight repair jobs (backpressure bound).
-    pub max_in_flight: usize,
     /// Token-bucket refill per drain tick, in fragment payload bytes;
     /// `0` disables throttling entirely.
     pub bandwidth_per_tick: u64,
-    /// How many times a job is retried after donor timeouts before it is
-    /// abandoned (a later report re-triggers it from scratch).
-    pub retry_limit: u32,
-    /// Donor fetch timeout per job attempt.
-    pub donor_timeout: SimDuration,
 }
 
 impl RepairOptions {
-    /// Production-shaped defaults: 80 % floor, 30 s reports, 1 s drain
-    /// ticks, 4 jobs in flight, unthrottled.
+    /// Production-shaped defaults: 80 % floor, unthrottled.
     pub fn paper_default() -> Self {
         RepairOptions {
             threshold_pct: 80,
-            grace: SimDuration::from_secs(120),
-            report_interval: SimDuration::from_secs(30),
-            drain_interval: SimDuration::from_secs(1),
-            max_in_flight: 4,
             bandwidth_per_tick: 0,
-            retry_limit: 3,
-            donor_timeout: SimDuration::from_secs(5),
         }
     }
 
@@ -269,7 +263,7 @@ impl RepairActor {
         if self.reported.len() < self.topo.fss_in(self.my_dc).len() {
             return;
         }
-        if ctx.now() < t.first_seen + self.opts.report_interval {
+        if ctx.now() < t.first_seen + REPORT_INTERVAL {
             return;
         }
         let local = self.local_assigned(&t.meta);
@@ -381,7 +375,7 @@ impl RepairActor {
                 },
             );
         }
-        let timer = ctx.schedule_timer(self.opts.donor_timeout, TAG_JOB | op);
+        let timer = ctx.schedule_timer(DONOR_TIMEOUT, TAG_JOB | op);
         self.jobs.insert(
             op,
             Job {
@@ -463,7 +457,7 @@ impl RepairActor {
             return;
         };
         t.retries += 1;
-        if t.retries > self.opts.retry_limit {
+        if t.retries > RETRY_LIMIT {
             t.state = JobState::Idle;
             t.retries = 0;
             self.abandoned += 1;
@@ -484,7 +478,7 @@ impl RepairActor {
             self.tokens = (self.tokens + self.opts.bandwidth_per_tick)
                 .min(self.opts.bandwidth_per_tick.saturating_mul(8));
         }
-        while self.jobs.len() < self.opts.max_in_flight {
+        while self.jobs.len() < MAX_IN_FLIGHT {
             let Some(&ov) = self.queue.front() else {
                 break;
             };
@@ -499,13 +493,13 @@ impl RepairActor {
             self.queue.pop_front();
             self.start_job(ctx, ov);
         }
-        ctx.schedule_timer(self.opts.drain_interval, TAG_DRAIN);
+        ctx.schedule_timer(DRAIN_INTERVAL, TAG_DRAIN);
     }
 }
 
 impl Actor<Message> for RepairActor {
     fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-        ctx.schedule_timer(self.opts.drain_interval, TAG_DRAIN);
+        ctx.schedule_timer(DRAIN_INTERVAL, TAG_DRAIN);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, clippy (warnings are errors), tests, the
-# determinism lint, and an explorer smoke sweep that model-checks the
-# protocol invariants. Run locally before pushing.
+# Full CI gate, run locally before pushing: formatting, clippy (warnings
+# are errors), the workspace tests, the static checker (`analyze`), the
+# mutation smoke (`mutate`), five invariant-explorer legs whose digests are
+# compared with results/digests/, the paper figures and CSVs compared with
+# results/, `pahoehoe-sim` on a benchmark shape, `bench scale --smoke`, the
+# stand-alone benchmark package's self-checks and unit tests, and a check
+# that no committed record changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,10 +49,7 @@ echo "==> cargo test"
 # pinned mutant set.
 cargo test --workspace -q
 
-echo "==> determinism lint"
-cargo run -p check --bin lint
-
-echo "==> semantic analyzer (workspace must be clean)"
+echo "==> static checker (7 token + 5 semantic rules; workspace must be clean)"
 cargo run -p check --release --bin analyze
 
 echo "==> mutation smoke (pinned 12 mutants, kill-rate gate >= 10/12)"
