@@ -392,7 +392,7 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     // recovery plan `planned.len() < k` -> <=
     ("cmp-flip:fs:0", "planned.len() < k"),
     // per-DC location count == frags_per_dc -> !=
-    ("cmp-flip:kls:0", "locs.len() == policy.frags_per_dc"),
+    ("cmp-flip:kls:0", "locs.len() == want"),
     // Checksum::verify == -> != (integrity inverted)
     ("cmp-flip:checksum:0", "Checksum::of(data) == self"),
     // ConvergeFsReply never sent (verification stalls)
@@ -710,10 +710,9 @@ pub fn write_bench(
             reports.iter().map(f).sum::<f64>() / reports.len() as f64
         }
     };
-    // Host context, local to this crate: `check` cannot depend on `bench`
-    // (dependency direction), so the object is rendered here in the same
-    // shape `bench::host_json` emits. Mutants run one at a time, each a
-    // single-threaded sweep.
+    // Host context: logical CPUs and worker threads, so a reader can tell
+    // what the wall-clock numbers ran on. Mutants run one at a time, each
+    // a single-threaded sweep.
     let nproc = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

@@ -25,35 +25,34 @@ use crate::topology::Topology;
 use crate::types::ObjectVersion;
 
 /// Object versions with at least `k` distinct fragments stored across the
+/// given fragment servers: the versions they know of that pass
+/// [`is_durable`].
+pub fn durable_versions(sim: &Simulation<Message>, fss: &[NodeId]) -> BTreeSet<ObjectVersion> {
+    let mut seen: BTreeSet<ObjectVersion> = BTreeSet::new();
+    for &fs in fss {
+        seen.extend(sim.actor::<Fs>(fs).known_versions());
+    }
+    seen.retain(|&ov| is_durable(sim, fss, ov));
+    seen
+}
+
+/// Whether at least `k` distinct fragments of `ov` are stored across the
 /// given fragment servers. A version some FS has compacted to a residual
 /// counts as durable: compaction only happens after the version settled
 /// AMR, and the residual is the record that its fragments were stored.
-pub fn durable_versions(sim: &Simulation<Message>, fss: &[NodeId]) -> BTreeSet<ObjectVersion> {
-    let mut out = BTreeSet::new();
-    let mut seen: BTreeSet<ObjectVersion> = BTreeSet::new();
+pub fn is_durable(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
+    let mut distinct: BTreeSet<u8> = BTreeSet::new();
+    let mut k = None;
     for &fs in fss {
-        for ov in sim.actor::<Fs>(fs).known_versions() {
-            seen.insert(ov);
+        let actor = sim.actor::<Fs>(fs);
+        if let Some(entry) = actor.entry(ov) {
+            k = Some(entry.meta.policy().k);
+            distinct.extend(entry.fragments.keys().copied());
+        } else if actor.compacted_residual(ov).is_some() {
+            return true;
         }
     }
-    for ov in seen {
-        let mut distinct: BTreeSet<u8> = BTreeSet::new();
-        let mut k = None;
-        let mut compacted = false;
-        for &fs in fss {
-            let actor = sim.actor::<Fs>(fs);
-            if let Some(entry) = actor.entry(ov) {
-                k = Some(entry.meta.policy().k);
-                distinct.extend(entry.fragments.keys().copied());
-            } else if actor.compacted_residual(ov).is_some() {
-                compacted = true;
-            }
-        }
-        if compacted || k.is_some_and(|k| distinct.len() >= usize::from(k)) {
-            out.insert(ov);
-        }
-    }
-    out
+    k.is_some_and(|k| distinct.len() >= usize::from(k))
 }
 
 /// Every object version any KLS or FS has heard of.

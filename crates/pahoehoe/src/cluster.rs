@@ -157,14 +157,10 @@ pub struct ClusterConfig {
     /// durability checks. `1` is the paper's workload, byte-identical to
     /// the historical script.
     pub workload_rounds: usize,
-    /// An explicit client script overriding the standard workload — e.g.
-    /// built with [`Workload`](crate::workload::Workload) for non-uniform
-    /// object sizes.
-    pub custom_workload: Option<Vec<ClientOp>>,
     /// A constant-memory streamed workload (takes precedence over the
-    /// standard workload, yields to `custom_workload`): the client
-    /// synthesizes each put from `(seed, index)` instead of materializing
-    /// a script — the scale harness's million-key mode.
+    /// standard workload): the client synthesizes each put from
+    /// `(seed, index)` instead of materializing a script —
+    /// `pahoehoe-sim --keys`, the scale tier's million-key mode.
     pub streaming_workload: Option<crate::workload::StreamingWorkload>,
     /// Virtual-time safety deadline for [`Cluster::run_to_convergence`].
     pub max_sim_time: SimDuration,
@@ -195,7 +191,6 @@ impl ClusterConfig {
             workload_puts: 0,
             workload_value_len: 100 * 1024,
             workload_rounds: 1,
-            custom_workload: None,
             streaming_workload: None,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             racks_per_dc: None,
@@ -296,10 +291,9 @@ impl Cluster {
         let proxy_id = sim.add_actor(Proxy::new(topo.clone(), DataCenterId::new(0), 0, proxy_cfg));
         debug_assert_eq!(proxy_id, layout.proxy());
 
-        let client = match (&config.custom_workload, &config.streaming_workload) {
-            (Some(script), _) => Client::new(proxy_id, script.clone()),
-            (None, Some(stream)) => Client::streaming(proxy_id, stream.clone()),
-            (None, None) => Client::standard_workload_rounds(
+        let client = match &config.streaming_workload {
+            Some(stream) => Client::streaming(proxy_id, stream.clone()),
+            None => Client::standard_workload_rounds(
                 proxy_id,
                 config.workload_puts,
                 config.workload_value_len,
@@ -500,8 +494,8 @@ impl Cluster {
         let client_ids = self.client_ids();
         let fss: Vec<NodeId> = self.topo.all_fss().collect();
         let deadline = SimTime::ZERO + self.config.max_sim_time;
-        // The convergence check walks every store, so gate it to at most
-        // once per half simulated second.
+        // The convergence check walks every FS's pending versions, so gate
+        // it to at most once per half simulated second.
         let next_check = Cell::new(0u64);
         let check_interval = SimDuration::from_millis(500).as_micros();
 
@@ -516,11 +510,10 @@ impl Cluster {
             if !client_ids.iter().all(|&c| sim.actor::<Client>(c).is_done()) {
                 return false;
             }
-            let durable = analysis::durable_versions(sim, &fss);
             fss.iter().all(|&fs| {
                 sim.actor::<Fs>(fs)
                     .pending_versions()
-                    .all(|ov| !durable.contains(&ov))
+                    .all(|ov| !analysis::is_durable(sim, &fss, ov))
             })
         });
         self.report(outcome)

@@ -66,6 +66,17 @@ impl Kls {
     /// center: `frags_per_dc` locations over the DC's fragment servers,
     /// at most `max_frags_per_fs` per server, ranked by rendezvous hash.
     ///
+    /// The ranked servers are grouped by rack (racks ordered by first
+    /// appearance in the ranking, so the hash still rotates which rack
+    /// leads) and the deal takes one fragment per rack per sweep,
+    /// round-robin inside each rack, `disk` counting a server's
+    /// placements. When racks ≥ fragments the first sweep finishes the
+    /// stripe on distinct racks; with fewer racks the per-rack counts stay
+    /// within one of each other until a rack runs out of capacity. A DC of
+    /// one rack is dealt round-robin across the whole ranking, so the
+    /// first `k` (data) fragments spread over distinct servers where
+    /// possible.
+    ///
     /// # Panics
     ///
     /// Panics if the DC lacks capacity for the policy
@@ -77,91 +88,73 @@ impl Kls {
         policy: &Policy,
     ) -> Vec<Location> {
         let fss = topo.fss_in(dc);
-        let capacity = fss.len() * policy.max_frags_per_fs as usize;
+        let want = policy.frags_per_dc as usize;
+        let per_fs = usize::from(policy.max_frags_per_fs);
         assert!(
-            capacity >= policy.frags_per_dc as usize,
+            fss.len() * per_fs >= want,
             "data center {dc} lacks capacity for {policy:?}"
         );
-        let mut ranked: Vec<NodeId> = fss.to_vec();
-        ranked.sort_by_key(|fs| (Self::placement_hash(ov, *fs), *fs));
-        if topo.rack_aware() {
-            return Self::rack_aware_locs(topo, dc, &ranked, policy);
-        }
-        // Deal fragments round-robin across the ranking so the first k
-        // (data) fragments spread over distinct servers where possible.
-        let mut locs = Vec::with_capacity(policy.frags_per_dc as usize);
-        let mut round = 0u8;
-        'outer: loop {
-            for &fs in &ranked {
-                locs.push(Location { fs, disk: round });
-                if locs.len() == policy.frags_per_dc as usize {
-                    break 'outer;
-                }
+        // The DC's servers ranked by rendezvous hash, then grouped by rack
+        // (`Topology::rack_of`; in a DC of one rack every server is in rack
+        // 0, and the position search is skipped).
+        let racks = topo.racks_in(dc);
+        let rack = |fs| {
+            if racks == 1 {
+                0
+            } else {
+                topo.rack_of(dc, fs).unwrap_or(0)
             }
-            round += 1;
-            debug_assert!(round < policy.max_frags_per_fs);
-        }
-        locs
-    }
-
-    /// Failure-domain-aware variant of the deal: group the ranked FSs by
-    /// rack (racks ordered by first appearance in the ranking, so the
-    /// rendezvous hash still rotates which rack leads), then deal one
-    /// fragment per rack per sweep, round-robin inside each rack with
-    /// `disk` counting a server's placements. When racks ≥ fragments the
-    /// first sweep finishes the stripe on all-distinct racks; with fewer
-    /// racks the per-rack counts stay within one of each other until a
-    /// rack runs out of capacity (max-spread degradation).
-    fn rack_aware_locs(
-        topo: &Topology,
-        dc: DataCenterId,
-        ranked: &[NodeId],
-        policy: &Policy,
-    ) -> Vec<Location> {
-        use std::collections::VecDeque;
-
-        let mut rack_order: Vec<usize> = Vec::new();
-        let mut groups: Vec<Vec<NodeId>> = Vec::new();
-        for &fs in ranked {
-            let rack = topo.rack_of(dc, fs).unwrap_or(0);
-            match rack_order.iter().position(|&r| r == rack) {
-                Some(i) => {
-                    if let Some(g) = groups.get_mut(i) {
-                        g.push(fs);
+        };
+        let mut ranked: Vec<NodeId> = fss.to_vec();
+        ranked.sort_by_key(|&fs| (Self::placement_hash(ov, fs), fs));
+        // Stable grouping: each server moves up to just behind the last
+        // earlier-ranked server of its rack.
+        for i in 1..ranked.len() {
+            let Some((&fs, ahead)) = ranked.get(..=i).and_then(<[_]>::split_last) else {
+                break;
+            };
+            let mine = rack(fs);
+            match ahead.iter().rposition(|&other| rack(other) == mine) {
+                Some(last) if last + 1 < i => {
+                    if let Some(run) = ranked.get_mut(last + 1..=i) {
+                        run.rotate_right(1);
                     }
                 }
-                None => {
-                    rack_order.push(rack);
-                    groups.push(vec![fs]);
-                }
+                _ => {}
             }
         }
-        // Each rack's deal order: its ranked members round-robin, a
-        // server's n-th placement landing on disk n.
-        let mut queues: Vec<VecDeque<Location>> = groups
-            .iter()
-            .map(|group| {
-                (0..policy.max_frags_per_fs)
-                    .flat_map(|disk| group.iter().map(move |&fs| Location { fs, disk }))
-                    .collect()
-            })
-            .collect();
-        let want = policy.frags_per_dc as usize;
+        // Racks are position classes, so a group holds `short` servers or
+        // one more. Sweep `s` deals each group its `s`-th placement: the
+        // server at `s % len` of the group, on its disk `s / len`, kept as
+        // one `(at, disk)` cursor per group length.
+        let short = fss.len() / racks;
+        let mut cursors = [(0, 0); 2];
         let mut locs = Vec::with_capacity(want);
-        while locs.len() < want {
-            let mut progressed = false;
-            for q in &mut queues {
+        loop {
+            for group in ranked.chunk_by(|&a, &b| rack(a) == rack(b)) {
+                let (at, disk) = if short == group.len() {
+                    cursors[0]
+                } else {
+                    cursors[1]
+                };
+                let Some(&fs) = group.get(at).filter(|_| disk < per_fs) else {
+                    continue;
+                };
+                locs.push(Location {
+                    fs,
+                    disk: disk as u8,
+                });
                 if locs.len() == want {
-                    break;
-                }
-                if let Some(l) = q.pop_front() {
-                    locs.push(l);
-                    progressed = true;
+                    return locs;
                 }
             }
-            assert!(progressed, "data center {dc} lacks capacity for {policy:?}");
+            for (cursor, len) in cursors.iter_mut().zip([short, short + 1]) {
+                cursor.0 += 1;
+                if cursor.0 == len {
+                    *cursor = (0, cursor.1 + 1);
+                }
+            }
         }
-        locs
     }
 
     fn placement_hash(ov: ObjectVersion, fs: NodeId) -> u64 {
@@ -496,27 +489,21 @@ mod tests {
 
     #[test]
     fn single_rack_placement_matches_legacy_deal() {
-        let legacy = topo();
-        let racked = Topology::with_racks(
-            vec![
-                (
-                    vec![NodeId::new(0), NodeId::new(1)],
-                    vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)],
-                ),
-                (
-                    vec![NodeId::new(5), NodeId::new(6)],
-                    vec![NodeId::new(7), NodeId::new(8), NodeId::new(9)],
-                ),
-            ],
-            1,
-        );
+        // One rack: fragment `s` goes to the `s % n`-th ranked server, on
+        // its disk `s / n` — the round-robin deal across the ranking.
+        let t = topo();
         let p = Policy::paper_default();
+        let dc = DataCenterId::new(0);
         for i in 0..50 {
-            assert_eq!(
-                Kls::which_locs(&legacy, DataCenterId::new(0), ov(i), &p),
-                Kls::which_locs(&racked, DataCenterId::new(0), ov(i), &p),
-                "one rack degenerates to the legacy deal"
-            );
+            let mut ranked = t.fss_in(dc).to_vec();
+            ranked.sort_by_key(|&fs| (Kls::placement_hash(ov(i), fs), fs));
+            let dealt: Vec<Location> = (0..usize::from(p.frags_per_dc))
+                .map(|s| Location {
+                    fs: ranked[s % ranked.len()],
+                    disk: (s / ranked.len()) as u8,
+                })
+                .collect();
+            assert_eq!(Kls::which_locs(&t, dc, ov(i), &p), dealt);
         }
     }
 

@@ -67,10 +67,9 @@ impl fmt::Display for DataCenterId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     dcs: Vec<DcMembers>,
-    /// Failure domains below the DC. `None` means racks are unmodeled
-    /// (the pre-rack topology); `Some(r)` partitions each DC's fragment
-    /// servers into `r` racks by position (see [`rack_of`](Self::rack_of)).
-    racks_per_dc: Option<usize>,
+    /// Failure domains below the DC: each DC's fragment servers fall into
+    /// this many racks by position (see [`rack_of`](Self::rack_of)).
+    racks_per_dc: usize,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,29 +79,25 @@ struct DcMembers {
 }
 
 impl Topology {
-    /// Builds a topology from per-DC member lists.
+    /// Builds a topology from per-DC member lists, each DC one rack.
     ///
     /// # Panics
     ///
     /// Panics if there are no data centers or any DC lacks a KLS or FS.
     pub fn new(dcs: Vec<(Vec<NodeId>, Vec<NodeId>)>) -> Arc<Self> {
-        Self::build(dcs, None)
+        Self::with_racks(dcs, 1)
     }
 
     /// Like [`new`](Self::new) but partitions each DC's fragment servers
-    /// into `racks` failure domains. Placement becomes rack-aware (see
-    /// `Kls::which_locs`) and repair donor selection avoids the failing
-    /// rack.
+    /// into `racks` failure domains. Placement spreads a DC's fragments
+    /// across its racks (see `Kls::which_locs`) and repair donor selection
+    /// avoids the failing rack.
     ///
     /// # Panics
     ///
     /// Panics if `racks` is zero, on top of [`new`](Self::new)'s checks.
     pub fn with_racks(dcs: Vec<(Vec<NodeId>, Vec<NodeId>)>, racks: usize) -> Arc<Self> {
         assert!(racks > 0, "need at least one rack per DC");
-        Self::build(dcs, Some(racks))
-    }
-
-    fn build(dcs: Vec<(Vec<NodeId>, Vec<NodeId>)>, racks_per_dc: Option<usize>) -> Arc<Self> {
         assert!(!dcs.is_empty(), "need at least one data center");
         let dcs: Vec<DcMembers> = dcs
             .into_iter()
@@ -112,21 +107,16 @@ impl Topology {
                 DcMembers { klss, fss }
             })
             .collect();
-        Arc::new(Topology { dcs, racks_per_dc })
-    }
-
-    /// Whether racks are modeled (placement and donor selection are
-    /// failure-domain-aware).
-    pub fn rack_aware(&self) -> bool {
-        self.racks_per_dc.is_some()
+        Arc::new(Topology {
+            dcs,
+            racks_per_dc: racks,
+        })
     }
 
     /// Number of racks in `dc`: the configured count, capped at the DC's
-    /// FS count (an FS is never split across racks). 1 when racks are
-    /// unmodeled.
+    /// FS count (an FS is never split across racks).
     pub fn racks_in(&self, dc: DataCenterId) -> usize {
-        self.racks_per_dc
-            .map_or(1, |r| r.min(self.dcs[dc.index()].fss.len()))
+        self.racks_per_dc.min(self.dcs[dc.index()].fss.len())
     }
 
     /// The rack hosting fragment server `fs` inside `dc`: its position in
@@ -274,7 +264,6 @@ mod tests {
             3,
         );
         let dc = DataCenterId::new(0);
-        assert!(t.rack_aware());
         assert_eq!(t.racks_in(dc), 3);
         let racks: Vec<usize> = t
             .fss_in(dc)
@@ -293,7 +282,6 @@ mod tests {
         );
         assert_eq!(t.racks_in(DataCenterId::new(0)), 2);
         let legacy = topo();
-        assert!(!legacy.rack_aware());
         assert_eq!(legacy.racks_in(DataCenterId::new(0)), 1);
         assert_eq!(
             legacy.rack_of(DataCenterId::new(0), NodeId::new(3)),

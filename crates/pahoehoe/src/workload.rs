@@ -1,167 +1,16 @@
 //! Workload generation.
 //!
-//! The paper targets "binary large objects such as pictures, audio files
-//! or movies of moderate size (~100 × 2¹⁰ B to 100 × 2²⁰ B)" (§2). This
-//! module builds deterministic, seed-driven put scripts over that range:
-//! fixed-size (the evaluation's 100 × 100 KiB workload), uniform, and a
-//! heavy-tailed media mix.
+//! A [`StreamingWorkload`] synthesizes each put from `(seed, index)` —
+//! key popularity from a [`KeyDistribution`], the value from the key — so
+//! a million-put stream costs no more resident memory than a ten-put one.
+//! The paper's fixed-size script is `Client::standard_workload_rounds`;
+//! any other script is a sequence of `Cluster::put` calls.
 
 use bytes::Bytes;
 
 use crate::client::{Client, ClientOp};
 use crate::policy::Policy;
 use crate::types::Key;
-
-/// Object-size distribution for generated workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SizeDistribution {
-    /// Every object has the same size (the paper's evaluation workload).
-    Fixed(usize),
-    /// Sizes uniform in `[min, max]`.
-    Uniform {
-        /// Smallest object size.
-        min: usize,
-        /// Largest object size (inclusive).
-        max: usize,
-    },
-    /// A media-archive mixture over the paper's stated range: 70 %
-    /// thumbnails/photos (100 KiB–1 MiB), 25 % audio (1–10 MiB, scaled
-    /// down 10× to keep simulations snappy), 5 % "movies" (top of the
-    /// range, scaled likewise).
-    MediaMix,
-}
-
-/// A deterministic workload builder.
-///
-/// ```
-/// use pahoehoe::workload::{SizeDistribution, Workload};
-///
-/// let ops = Workload::new(10)
-///     .sizes(SizeDistribution::Uniform { min: 1024, max: 8192 })
-///     .seed(7)
-///     .build();
-/// assert_eq!(ops.len(), 10);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Workload {
-    count: usize,
-    sizes: SizeDistribution,
-    policy: Policy,
-    key_prefix: String,
-    seed: u64,
-}
-
-impl Workload {
-    /// A workload of `count` puts with the paper's defaults
-    /// (100 KiB fixed-size objects, default policy).
-    pub fn new(count: usize) -> Self {
-        Workload {
-            count,
-            sizes: SizeDistribution::Fixed(100 * 1024),
-            policy: Policy::paper_default(),
-            key_prefix: "obj".to_string(),
-            seed: 0,
-        }
-    }
-
-    /// Sets the size distribution.
-    pub fn sizes(mut self, sizes: SizeDistribution) -> Self {
-        self.sizes = sizes;
-        self
-    }
-
-    /// Sets the durability policy for every put.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the key-name prefix (keys are `"<prefix>/<index>"`).
-    pub fn key_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.key_prefix = prefix.into();
-        self
-    }
-
-    /// Sets the generator seed (contents and sampled sizes derive from
-    /// it deterministically).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The key of the `i`-th object of this workload.
-    pub fn key(&self, i: usize) -> Key {
-        Key::from_name(format!("{}/{}", self.key_prefix, i).as_bytes())
-    }
-
-    fn sample_size(&self, rng: &mut SplitMix) -> usize {
-        match &self.sizes {
-            SizeDistribution::Fixed(s) => *s,
-            SizeDistribution::Uniform { min, max } => {
-                assert!(min <= max, "uniform range inverted");
-                min + (rng.next() as usize) % (max - min + 1)
-            }
-            SizeDistribution::MediaMix => {
-                let roll = rng.next() % 100;
-                let (lo, hi) = if roll < 70 {
-                    (100 * 1024, 1024 * 1024) // photos
-                } else if roll < 95 {
-                    (1024 * 1024 / 10, 10 * 1024 * 1024 / 10) // audio /10
-                } else {
-                    (10 * 1024 * 1024 / 10, 100 * 1024 * 1024 / 100) // movies /100
-                };
-                lo + (rng.next() as usize) % (hi - lo + 1)
-            }
-        }
-    }
-
-    /// Generates the put script.
-    pub fn build(&self) -> Vec<ClientOp> {
-        let mut rng = SplitMix(self.seed ^ 0x5851_f42d_4c95_7f2d);
-        (0..self.count)
-            .map(|i| {
-                let size = self.sample_size(&mut rng);
-                ClientOp::Put {
-                    key: self.key(i),
-                    value: Client::synthetic_value(self.seed.wrapping_add(i as u64), size),
-                    policy: self.policy,
-                }
-            })
-            .collect()
-    }
-
-    /// Total bytes the workload will store (sum of value sizes).
-    pub fn total_bytes(&self) -> usize {
-        self.build()
-            .iter()
-            .map(|op| match op {
-                ClientOp::Put { value, .. } => value.len(),
-                ClientOp::Get { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Expected value for key `i` (for read-back verification).
-    pub fn expected_value(&self, i: usize) -> Bytes {
-        match &self.build()[i] {
-            ClientOp::Put { value, .. } => value.clone(),
-            ClientOp::Get { .. } => unreachable!("workloads are puts"),
-        }
-    }
-}
-
-/// Tiny deterministic generator (splitmix64).
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// Stateless splitmix64 finalizer: a high-quality 64-bit mix of `x`.
 fn mix64(x: u64) -> u64 {
@@ -325,79 +174,6 @@ impl StreamingWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_sizes_are_fixed() {
-        let ops = Workload::new(5).build();
-        for op in &ops {
-            let ClientOp::Put { value, .. } = op else {
-                panic!("put")
-            };
-            assert_eq!(value.len(), 100 * 1024);
-        }
-    }
-
-    #[test]
-    fn uniform_sizes_stay_in_range_and_vary() {
-        let w = Workload::new(200)
-            .sizes(SizeDistribution::Uniform { min: 10, max: 20 })
-            .seed(3);
-        let mut seen = std::collections::BTreeSet::new();
-        for op in w.build() {
-            let ClientOp::Put { value, .. } = op else {
-                panic!("put")
-            };
-            assert!((10..=20).contains(&value.len()));
-            seen.insert(value.len());
-        }
-        assert!(seen.len() > 5, "uniform should hit most sizes: {seen:?}");
-    }
-
-    #[test]
-    fn media_mix_spans_the_papers_range() {
-        let w = Workload::new(300).sizes(SizeDistribution::MediaMix).seed(5);
-        let sizes: Vec<usize> = w
-            .build()
-            .iter()
-            .map(|op| match op {
-                ClientOp::Put { value, .. } => value.len(),
-                _ => 0,
-            })
-            .collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(min >= 100 * 1024, "min {min}");
-        assert!(max > 500 * 1024, "max {max}");
-        // Photos dominate.
-        let photos = sizes.iter().filter(|&&s| s <= 1024 * 1024).count() as f64;
-        assert!(photos / sizes.len() as f64 > 0.55);
-    }
-
-    #[test]
-    fn builds_are_deterministic_per_seed() {
-        let a = Workload::new(10).sizes(SizeDistribution::MediaMix).seed(9);
-        let b = Workload::new(10).sizes(SizeDistribution::MediaMix).seed(9);
-        let c = Workload::new(10).sizes(SizeDistribution::MediaMix).seed(10);
-        assert_eq!(a.total_bytes(), b.total_bytes());
-        assert_ne!(a.total_bytes(), c.total_bytes());
-        assert_eq!(a.expected_value(3), b.expected_value(3));
-    }
-
-    #[test]
-    fn keys_are_distinct_and_prefixed() {
-        let w = Workload::new(4).key_prefix("photos");
-        let keys: std::collections::BTreeSet<Key> = (0..4).map(|i| w.key(i)).collect();
-        assert_eq!(keys.len(), 4);
-        assert_eq!(w.key(0), Key::from_name(b"photos/0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "range inverted")]
-    fn inverted_uniform_panics() {
-        let _ = Workload::new(1)
-            .sizes(SizeDistribution::Uniform { min: 5, max: 1 })
-            .build();
-    }
 
     fn stream(dist: KeyDistribution) -> StreamingWorkload {
         StreamingWorkload {

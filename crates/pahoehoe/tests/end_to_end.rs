@@ -1,10 +1,13 @@
 //! End-to-end protocol tests for a full simulated Pahoehoe cluster.
 
+use std::collections::BTreeSet;
+
+use pahoehoe::analysis;
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe::protocol::ProtocolMode;
-use pahoehoe::types::Key;
-use simnet::{FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime};
+use pahoehoe::types::{Key, ObjectVersion};
+use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
 
 fn small_workload(mut cfg: ClusterConfig, puts: usize) -> ClusterConfig {
     cfg.workload_puts = puts;
@@ -336,6 +339,71 @@ fn report_counts_compacted_versions_as_durable_and_amr() {
     assert_eq!(report.non_durable, 0);
     assert_eq!(report.durable_not_amr, 0);
     assert_eq!(report.amr_versions, 12);
+}
+
+/// `(known, durable)` version counts of `cluster`, after checking that
+/// `durable_versions` is exactly the known versions `is_durable` accepts.
+fn durable_is_known_filtered(cluster: &Cluster) -> (usize, usize) {
+    let sim = cluster.sim();
+    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
+    let klss: Vec<NodeId> = cluster.topology().all_klss().collect();
+    let known = analysis::known_versions(sim, &klss, &fss);
+    let filtered: BTreeSet<ObjectVersion> = known
+        .iter()
+        .copied()
+        .filter(|&ov| analysis::is_durable(sim, &fss, ov))
+        .collect();
+    assert_eq!(analysis::durable_versions(sim, &fss), filtered);
+    (known.len(), filtered.len())
+}
+
+#[test]
+fn durable_versions_are_the_known_versions_is_durable_accepts() {
+    // One definition of durability: `durable_versions` (the report's) and
+    // `is_durable` (what `run_to_convergence` asks of each pending
+    // version) agree on a lossy run that leaves a version non-durable, a
+    // compacting one and one with FS outages, at every stage of each.
+    let layout = ClusterConfig::paper_default().layout;
+    let mut lossy = small_workload(ClusterConfig::paper_default(), 60);
+    lossy.network = NetworkConfig::with_drop_rate(0.15);
+    let mut compacting = small_workload(ClusterConfig::paper_default(), 4);
+    compacting.workload_rounds = 3;
+    compacting.protocol = ProtocolMode::scale();
+    let mut outages = FaultPlan::none();
+    outages.add_node_outage(layout.fs(0, 0), SimTime::ZERO, SimDuration::from_mins(10));
+    outages.add_node_outage(layout.fs(1, 2), SimTime::ZERO, SimDuration::from_mins(5));
+    let runs = [
+        (lossy, FaultPlan::none(), 7),
+        (compacting, FaultPlan::none(), 8),
+        (
+            small_workload(ClusterConfig::paper_default(), 5),
+            outages,
+            3,
+        ),
+    ];
+    let (mut non_durable, mut compacted) = (0, 0);
+    for (cfg, faults, seed) in runs {
+        let mut cluster = Cluster::build_with_faults(cfg, seed, faults);
+        for secs in [1, 5, 30, 120, 900] {
+            let at = SimTime::ZERO + SimDuration::from_secs(secs);
+            cluster.sim_mut().run_until_time(at);
+            durable_is_known_filtered(&cluster);
+        }
+        let report = cluster.run_to_convergence();
+        assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+        let (known, durable) = durable_is_known_filtered(&cluster);
+        non_durable += known - durable;
+        compacted += cluster
+            .topology()
+            .all_fss()
+            .map(|fs| cluster.fs(fs).compacted_count())
+            .sum::<usize>();
+    }
+    assert!(
+        non_durable > 0,
+        "the lossy run leaves a non-durable version"
+    );
+    assert!(compacted > 0, "the compacting run compacts");
 }
 
 #[test]

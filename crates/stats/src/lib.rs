@@ -7,7 +7,9 @@
 //! the 95th-percentile confidence interval for statistical significance
 //! (§5.1). This crate provides exactly those reductions: an online
 //! [`Accumulator`] (Welford's algorithm), a [`Summary`] with the mean and a
-//! Student-t 95 % confidence half-width, and order statistics.
+//! Student-t 95 % confidence half-width, and order statistics. [`rss`]
+//! reads the process's current and peak resident set, the memory figures
+//! `pahoehoe-sim` and the benchmark report.
 //!
 //! ```
 //! use stats::Accumulator;
@@ -23,11 +25,9 @@
 pub mod accumulator;
 pub mod percentile;
 pub mod rss;
-pub mod streaming;
 pub mod t_table;
 
 pub use accumulator::{Accumulator, Summary};
 pub use percentile::percentile;
 pub use rss::{current_rss_bytes, peak_rss_bytes};
-pub use streaming::StreamingQuantile;
 pub use t_table::t_critical_95;

@@ -1,10 +1,11 @@
-//! Process-memory accounting for the scale harness.
+//! Process-memory accounting for `pahoehoe-sim` and the benchmark.
 //!
 //! Reads the Linux `/proc/self/status` counters: `VmRSS` (current
 //! resident set) and `VmHWM` (the high-water mark). `VmHWM` is monotone
-//! for the life of the process, which is why the scale bench runs each
-//! grid cell in its own child process — the child's high-water mark *is*
-//! the cell's peak. On non-Linux platforms both readers return `None`.
+//! for the life of the process, which is why `scripts/scale.sh` runs each
+//! grid cell as its own `pahoehoe-sim` process — that process's
+//! high-water mark *is* the cell's peak. On non-Linux platforms both
+//! readers return `None`.
 
 /// Current resident-set size in bytes (`VmRSS`), if the platform exposes
 /// it.

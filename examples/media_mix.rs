@@ -2,29 +2,49 @@
 //!
 //! Pahoehoe targets "binary large objects such as pictures, audio files
 //! or movies of moderate size (~100 × 2¹⁰ B to 100 × 2²⁰ B)" (§2). This
-//! example stores a heavy-tailed mixture from that range using the
-//! [`Workload`](pahoehoe::workload::Workload) generator, then reports the
-//! storage economics the paper's introduction promises: erasure coding at
-//! the overhead of triple replication, with every object surviving eight
-//! simultaneous disk failures.
+//! example puts a heavy-tailed mixture from that range with
+//! `Cluster::put`, then reports the storage economics the paper's
+//! introduction promises: erasure coding at the overhead of triple
+//! replication, with every object surviving eight simultaneous disk
+//! failures.
 //!
 //! Run with: `cargo run --release --example media_mix`
 
+use pahoehoe::client::Client;
 use pahoehoe::cluster::{Cluster, ClusterConfig};
 use pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
-use pahoehoe::workload::{SizeDistribution, Workload};
 use simnet::SimDuration;
 
-fn main() {
-    let workload = Workload::new(30)
-        .sizes(SizeDistribution::MediaMix)
-        .key_prefix("media")
-        .seed(2026);
-    let user_bytes = workload.total_bytes();
+/// splitmix64: a deterministic stream of draws for the object sizes.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
-    let mut cfg = ClusterConfig::paper_default();
-    cfg.custom_workload = Some(workload.build());
-    let mut cluster = Cluster::build(cfg, 2026);
+/// Object `i`'s size: 70 % photos (100 KiB–1 MiB), 25 % audio (1–10 MiB,
+/// scaled down 10× to keep the simulation snappy), 5 % movies (the top of
+/// the range, scaled likewise).
+fn media_size(i: u64) -> usize {
+    let (lo, hi) = match mix(i) % 100 {
+        0..=69 => (100 << 10, 1 << 20),
+        70..=94 => ((1 << 20) / 10, (10 << 20) / 10),
+        _ => ((10 << 20) / 10, (100 << 20) / 100),
+    };
+    lo + (mix(!i) % (hi - lo + 1) as u64) as usize
+}
+
+fn main() {
+    let values: Vec<Vec<u8>> = (0..30)
+        .map(|i| Client::synthetic_value(2026 + i, media_size(i)).to_vec())
+        .collect();
+    let user_bytes: usize = values.iter().map(Vec::len).sum();
+
+    let mut cluster = Cluster::build(ClusterConfig::paper_default(), 2026);
+    for (i, value) in values.iter().enumerate() {
+        cluster.put(format!("media/{i}").as_bytes(), value.clone());
+    }
     let report = cluster.run_to_convergence();
 
     println!("== media archive: 30 objects, heavy-tailed sizes ==");
@@ -66,9 +86,7 @@ fn main() {
         }
     }
     // Reads succeed immediately from the surviving four fragments...
-    let sample = workload.expected_value(7);
-    let name = b"media/7";
-    assert_eq!(cluster.get(name).as_deref(), Some(&sample[..]));
+    assert_eq!(cluster.get(b"media/7").as_ref(), Some(&values[7]));
     println!("read after 8 disk losses: ok (any 4 of 12 fragments decode)");
 
     // ...and convergence rebuilds the destroyed disks in the background.

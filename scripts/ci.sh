@@ -3,9 +3,9 @@
 # are errors), the workspace tests, the static checker (`analyze`), the
 # mutation smoke (`mutate`), five invariant-explorer legs whose digests are
 # compared with results/digests/, the paper figures and CSVs compared with
-# results/, `pahoehoe-sim` on a benchmark shape, `bench scale --smoke`, the
-# stand-alone benchmark package's self-checks and unit tests, and a check
-# that no committed record changed.
+# results/, `pahoehoe-sim` on a benchmark shape, the scale tier's smoke
+# cells compared with results/scale/, the stand-alone benchmark package's
+# self-checks and unit tests, and a check that no committed record changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,7 +106,7 @@ done
 echo "==> pahoehoe-sim on the benchmark's small-put-churn shape (200 puts x 256 B)"
 # The scenario runner takes the benchmark's cluster shapes, so per-kind
 # bytes per put of a benchmark workload need no benchmark patch.
-cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 --scale \
+cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 --compact --batch \
     --puts 200 --value-bytes 256 | tee target/pahoehoe-sim-small-put-churn.txt
 grep -q "outcome:        PredicateSatisfied" target/pahoehoe-sim-small-put-churn.txt
 # A put announces its metadata on two data-center answers only: 28
@@ -114,9 +114,18 @@ grep -q "outcome:        PredicateSatisfied" target/pahoehoe-sim-small-put-churn
 # earlier DCs once), 56 when every answer was announced.
 grep -qE "^StoreMetadataReq +5600 " target/pahoehoe-sim-small-put-churn.txt
 
-echo "==> bench scale (smoke, gates equal events per update-* pair, compaction in every compacting cell, and the pinned (events, compacted_entries) of all five cells)"
-cargo run -p bench --release --bin scale -- --smoke
-python3 -m json.tool target/BENCH_scale.smoke.json > /dev/null
+echo "==> scale tier (smoke: five pahoehoe-sim cells compared with results/scale/)"
+# Also checks equal events per update-* pair and compaction in every
+# compacting cell.
+scripts/scale.sh --smoke
+# A committed cell output no smoke cell regenerates would go stale unnoticed.
+for committed in results/scale/*.txt; do
+    [[ -f target/scale/smoke/$(basename "$committed") ]] || {
+        echo "    $committed has no scale cell that regenerates and compares it" >&2
+        exit 1
+    }
+done
+echo "    every file under results/scale/ was regenerated and compared"
 
 echo "==> benchmark self-checks (BENCHMARK.json vs describe, all four workloads traced and untraced)"
 benchmark/check.sh
@@ -127,7 +136,7 @@ echo "==> benchmark unit tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> bench schema versions"
-for f in BENCH_*.json target/BENCH_*.json; do
+for f in BENCH_*.json target/BENCH_analysis.json; do
     grep -q '"schema_version": 1' "$f" || { echo "    $f schema drift"; exit 1; }
 done
 echo "    every committed and freshly written BENCH record carries schema_version 1"

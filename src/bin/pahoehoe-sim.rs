@@ -2,23 +2,33 @@
 //!
 //! A swiss-army driver for the simulated cluster: choose a workload, an
 //! optimization preset, failures and a loss rate, and get the paper-style
-//! per-message-kind report plus convergence statistics.
+//! per-message-kind report plus convergence statistics. Every run stops on
+//! `Cluster::run_to_convergence`, the paper's termination condition.
 //!
 //! ```text
 //! USAGE: pahoehoe-sim [OPTIONS]
 //!   --puts N            number of puts              [default: 20]
 //!   --value-bytes N     object size in bytes        [default: 102400]
+//!   --keys N            stream the puts over N keys (a StreamingWorkload)
+//!   --dist DIST         key popularity of the stream: seq|uniform|zipf:S|hot:H:P
+//!                                                   [default: zipf:1.1]
 //!   --opt PRESET        naive|fsamr-s|fsamr-u|putamr|sibling|all [default: all]
 //!   --layout D,K,F      data centers, KLSs per DC, FSs per DC [default: 2,2,3]
 //!   --policy K,N,D,M    k, n, data centers, max fragments per FS
 //!                                                   [default: 4,12,2,2]
-//!   --scale             ProtocolMode::scale(): compaction and batched rounds
+//!   --compact           compact converged, superseded versions
+//!   --batch             batched convergence rounds
 //!   --drop-rate P       message drop probability    [default: 0.0]
 //!   --fs-down N         FSs unavailable for 10 min  [default: 0]
 //!   --kls-down PATTERN  0|1|2C|2P|3                 [default: 0]
-//!   --seed N            simulation seed             [default: 42]
+//!   --seed N            simulation and stream seed  [default: 42]
 //!   --trace             print the first 40 traced messages
 //! ```
+//!
+//! Stdout is a pure function of the flags. Host measurements — wall
+//! seconds, events per wall-second, peak and steady RSS — go to stderr
+//! as one `key=value` line, so `scripts/scale.sh` can run each scale cell
+//! as its own process and read that process's peak.
 //!
 //! Example: reproduce one trial of the paper's Figure 7 "2-All" bar:
 //!
@@ -27,20 +37,30 @@
 //! ```
 //!
 //! The benchmark's `small-put-churn` shape (four data centers of two KLSs
-//! and four FSs, one fragment of 16 per FS, scale mode) with its 256-byte
-//! values:
+//! and four FSs, one fragment of 16 per FS, compaction and batched rounds)
+//! with its 256-byte values:
 //!
 //! ```text
 //! cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 \
-//!     --scale --puts 200 --value-bytes 256
+//!     --compact --batch --puts 200 --value-bytes 256
+//! ```
+//!
+//! A scale cell: 2 000 Zipf-1.1 puts of 4 KiB over 1 000 keys.
+//!
+//! ```text
+//! cargo run --release --bin pahoehoe-sim -- --keys 1000 --puts 2000 \
+//!     --value-bytes 4096 --compact --batch
 //! ```
 
 use pahoehoe_repro::experiments::figures::{fs_outage, kls_outage, paper_layout};
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe_repro::pahoehoe::fs::Fs;
 use pahoehoe_repro::pahoehoe::policy::Policy;
 use pahoehoe_repro::pahoehoe::protocol::ProtocolMode;
-use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig};
+use pahoehoe_repro::pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, SimDuration};
+use pahoehoe_repro::stats::{current_rss_bytes, peak_rss_bytes};
 
 struct Args {
     puts: usize,
@@ -48,7 +68,10 @@ struct Args {
     opt: String,
     layout: ClusterLayout,
     policy: Policy,
-    scale: bool,
+    /// The `--dist` text, and the stream `--keys` asks for.
+    dist: Option<String>,
+    stream: Option<StreamingWorkload>,
+    mode: ProtocolMode,
     drop_rate: f64,
     fs_down: usize,
     kls_down: String,
@@ -97,6 +120,39 @@ fn parse_policy(text: &str) -> Result<Policy, String> {
     Ok(Policy::new(k, n, dcs, max_per_fs))
 }
 
+/// A `--dist` value: `seq`, `uniform`, `zipf:S` with `S > 0`, or
+/// `hot:H:P` (`P` of every thousand puts go to the `H` hottest keys).
+fn parse_dist(text: &str) -> Result<KeyDistribution, String> {
+    let bad = || format!("--dist takes seq, uniform, zipf:S or hot:H:P, got {text}");
+    let parts: Vec<&str> = text.split(':').collect();
+    Ok(match parts[..] {
+        ["seq"] => KeyDistribution::Sequential,
+        ["uniform"] => KeyDistribution::Uniform,
+        ["zipf", s] => {
+            let exponent: f64 = s.parse().map_err(|_| bad())?;
+            if !(exponent > 0.0 && exponent.is_finite()) {
+                return Err(format!("--dist: the Zipf exponent {s} is not positive"));
+            }
+            KeyDistribution::Zipf { exponent }
+        }
+        ["hot", h, p] => {
+            let hot_keys = h.parse().map_err(|_| bad())?;
+            let hot_permille = p.parse().map_err(|_| bad())?;
+            if hot_keys == 0 || hot_permille > 1000 {
+                return Err(format!("--dist: need H > 0 and P <= 1000, got {text}"));
+            }
+            KeyDistribution::HotKey {
+                hot_keys,
+                hot_permille,
+            }
+        }
+        _ => return Err(bad()),
+    })
+}
+
+/// The stream's key popularity when `--keys` comes without `--dist`.
+const DEFAULT_DIST: &str = "zipf:1.1";
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         puts: 20,
@@ -104,7 +160,9 @@ fn parse_args() -> Result<Args, String> {
         opt: "all".into(),
         layout: paper_layout(),
         policy: Policy::paper_default(),
-        scale: false,
+        dist: None,
+        stream: None,
+        mode: ProtocolMode::default(),
         drop_rate: 0.0,
         fs_down: 0,
         kls_down: "0".into(),
@@ -112,6 +170,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         trace: false,
     };
+    let mut keys = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
@@ -125,7 +184,16 @@ fn parse_args() -> Result<Args, String> {
             "--opt" => args.opt = val("--opt")?,
             "--layout" => args.layout = parse_layout(&val("--layout")?)?,
             "--policy" => args.policy = parse_policy(&val("--policy")?)?,
-            "--scale" => args.scale = true,
+            "--keys" => {
+                let n = val("--keys")?.parse().map_err(|e| format!("--keys: {e}"))?;
+                if n == 0 {
+                    return Err("--keys: the stream needs at least one key".into());
+                }
+                keys = Some(n);
+            }
+            "--dist" => args.dist = Some(val("--dist")?),
+            "--compact" => args.mode.compact_converged = true,
+            "--batch" => args.mode.batch_rounds = true,
             "--drop-rate" => {
                 args.drop_rate = val("--drop-rate")?
                     .parse()
@@ -169,6 +237,19 @@ fn parse_args() -> Result<Args, String> {
         ));
     }
     args.kls_faults = kls_outage(layout, &args.kls_down).map_err(|e| format!("--kls-down: {e}"))?;
+    args.stream = match (keys, &args.dist) {
+        (None, Some(_)) => return Err("--dist shapes a stream: give --keys too".into()),
+        (None, None) => None,
+        (Some(key_space), dist) => Some(StreamingWorkload {
+            puts: args.puts as u64,
+            key_space,
+            value_len: args.value_bytes,
+            policy,
+            seed: args.seed,
+            dist: parse_dist(dist.as_deref().unwrap_or(DEFAULT_DIST))?,
+            overwrite_delta_permille: 0,
+        }),
+    };
     Ok(args)
 }
 
@@ -207,39 +288,80 @@ fn main() {
     let mut cfg = ClusterConfig::paper_default();
     cfg.layout = layout;
     cfg.policy = args.policy;
-    if args.scale {
-        cfg.protocol = ProtocolMode::scale();
-    }
+    cfg.protocol = args.mode;
     cfg.convergence = conv;
     cfg.workload_puts = args.puts;
     cfg.workload_value_len = args.value_bytes;
+    cfg.streaming_workload = args.stream.clone();
     cfg.network = NetworkConfig::with_drop_rate(args.drop_rate);
+    // A million-put stream takes tens of simulated hours; the default
+    // one-day safety net is too close.
+    cfg.max_sim_time = SimDuration::from_secs(14 * 24 * 3600);
 
     let mut cluster = Cluster::build_with_faults(cfg, args.seed, faults);
     if args.trace {
         cluster.sim_mut().enable_trace();
     }
 
+    let over = match &args.stream {
+        Some(stream) => format!(
+            " over {} keys ({})",
+            stream.key_space,
+            args.dist.as_deref().unwrap_or(DEFAULT_DIST)
+        ),
+        None => String::new(),
+    };
     println!(
-        "pahoehoe-sim: {} puts x {} B, opt={}, layout={},{},{}, policy={:?}{}, drop={}, \
+        "pahoehoe-sim: {} puts x {} B{}, opt={}, layout={},{},{}, policy={:?}{}{}, drop={}, \
          fs-down={}, kls-down={}, seed={}",
         args.puts,
         args.value_bytes,
+        over,
         args.opt,
         layout.dcs,
         layout.kls_per_dc,
         layout.fs_per_dc,
         args.policy,
-        if args.scale { ", scale" } else { "" },
+        if args.mode.compact_converged {
+            ", compact"
+        } else {
+            ""
+        },
+        if args.mode.batch_rounds {
+            ", batch"
+        } else {
+            ""
+        },
         args.drop_rate,
         args.fs_down,
         args.kls_down,
         args.seed
     );
+    // The run's wall time is reported on stderr only; it never reaches
+    // stdout or the simulation.
+    // lint:allow(wall-clock) — host throughput of the run, stderr only
+    let started = std::time::Instant::now();
     let report = cluster.run_to_convergence();
+    let wall_s = started.elapsed().as_secs_f64();
+    let sim = cluster.sim();
+    let events = sim.events_processed();
+    let compacted: usize = cluster
+        .topology()
+        .all_fss()
+        .map(|fs| sim.actor::<Fs>(fs).compacted_count())
+        .sum();
+    eprintln!(
+        "pahoehoe-sim: wall_s={wall_s:.3} events_per_wall_s={:.0} peak_rss_bytes={} \
+         steady_rss_bytes={}",
+        events as f64 / wall_s,
+        peak_rss_bytes().unwrap_or(0),
+        current_rss_bytes().unwrap_or(0)
+    );
 
     println!("\noutcome:        {:?}", report.outcome);
     println!("sim time:       {}", report.sim_time);
+    println!("events:         {events}");
+    println!("compacted entries: {compacted}");
     println!(
         "puts:           {} attempted, {} succeeded",
         report.puts_attempted, report.puts_succeeded

@@ -13,6 +13,13 @@ fn bad_flag_values_are_usage_errors() {
         // Not a probability.
         ("--drop-rate", &["--drop-rate", "1.5"]),
         ("--drop-rate", &["--drop-rate", "NaN"]),
+        // A stream needs a key to draw from.
+        ("--keys", &["--keys", "0"]),
+        // Not a Zipf exponent, and a hot set without its share.
+        ("--dist", &["--keys", "10", "--dist", "zipf:x"]),
+        ("--dist", &["--keys", "10", "--dist", "hot:1"]),
+        // A key distribution shapes a stream, and there is none.
+        ("--dist", &["--dist", "uniform"]),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_pahoehoe-sim"))
             .args(args)
