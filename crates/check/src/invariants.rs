@@ -175,7 +175,8 @@ impl Invariant for AckedDurability {
                     }
                     continue;
                 };
-                for (&idx, frag) in &entry.fragments {
+                for (&idx, stored) in &entry.fragments {
+                    let frag = &stored.fragment;
                     let expected = &self.expected_fragments(ov, view)[usize::from(idx)];
                     if frag.data().as_ref() != expected.data().as_ref() {
                         return Err(format!(
@@ -328,10 +329,11 @@ impl Invariant for NoResurrection {
 // ---------------------------------------------------------------------------
 
 /// Every fragment a server stores verifies against the content hash
-/// recorded when it was durably stored, and every stored fragment *has* a
-/// recorded hash — the §3.1 corruption-detection bookkeeping is never
-/// stale. Catches any write path that stores or mutates fragment bytes
-/// without updating the checksum.
+/// recorded when it was durably stored — the §3.1 corruption-detection
+/// bookkeeping is never stale. (A stored fragment and its hash are one
+/// record, so a fragment without a hash cannot be stored.) Catches any
+/// write path that stores or mutates fragment bytes without updating the
+/// checksum.
 pub struct ChecksumIntegrity;
 
 impl Invariant for ChecksumIntegrity {
@@ -355,21 +357,12 @@ impl Invariant for ChecksumIntegrity {
                     }
                     continue;
                 };
-                for (&idx, frag) in &entry.fragments {
-                    match entry.checksums.get(&idx) {
-                        None => {
-                            return Err(format!(
-                                "{fs:?} stores fragment {idx} of {ov:?} with no recorded checksum"
-                            ));
-                        }
-                        Some(sum) => {
-                            if *sum != Checksum::of(frag.data()) {
-                                return Err(format!(
-                                    "{fs:?} stores fragment {idx} of {ov:?} whose bytes \
-                                     mismatch its recorded checksum"
-                                ));
-                            }
-                        }
+                for (&idx, stored) in &entry.fragments {
+                    if stored.checksum != Checksum::of(stored.fragment.data()) {
+                        return Err(format!(
+                            "{fs:?} stores fragment {idx} of {ov:?} whose bytes \
+                             mismatch its recorded checksum"
+                        ));
                     }
                 }
             }

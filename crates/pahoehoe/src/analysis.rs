@@ -62,13 +62,49 @@ pub fn known_versions(
     fss: &[NodeId],
 ) -> BTreeSet<ObjectVersion> {
     let mut out = BTreeSet::new();
-    for &kls in klss {
-        out.extend(sim.actor::<Kls>(kls).known_versions());
-    }
-    for &fs in fss {
-        out.extend(sim.actor::<Fs>(fs).known_versions());
-    }
+    for_each_known_version(sim, klss, fss, &[], |ov| {
+        out.insert(ov);
+    });
     out
+}
+
+/// Calls `visit` once for every object version any KLS or FS has heard of
+/// or any of the `recorded` sets (a client's, say) holds, without building
+/// their union: a holder — each KLS, then each FS, then each set — passes
+/// on a version only if no holder before it knows that version.
+pub fn for_each_known_version(
+    sim: &Simulation<Message>,
+    klss: &[NodeId],
+    fss: &[NodeId],
+    recorded: &[&BTreeSet<ObjectVersion>],
+    mut visit: impl FnMut(ObjectVersion),
+) {
+    let klss: Vec<&Kls> = klss.iter().map(|&id| sim.actor::<Kls>(id)).collect();
+    let fss: Vec<&Fs> = fss.iter().map(|&id| sim.actor::<Fs>(id)).collect();
+    // Whether one of the first `n` KLSs, FSs or sets knows `ov`.
+    let in_klss = |n: usize, ov| klss.iter().take(n).any(|kls| kls.meta(ov).is_some());
+    let in_fss = |n: usize, ov| {
+        fss.iter()
+            .take(n)
+            .any(|fs| fs.entry(ov).is_some() || fs.compacted_residual(ov).is_some())
+    };
+    let in_sets = |n: usize, ov| recorded.iter().take(n).any(|set| set.contains(&ov));
+    for (i, kls) in klss.iter().enumerate() {
+        kls.known_versions()
+            .filter(|&ov| !in_klss(i, ov))
+            .for_each(&mut visit);
+    }
+    for (i, fs) in fss.iter().enumerate() {
+        fs.known_versions()
+            .filter(|&ov| !in_klss(klss.len(), ov) && !in_fss(i, ov))
+            .for_each(&mut visit);
+    }
+    for (i, set) in recorded.iter().enumerate() {
+        set.iter()
+            .copied()
+            .filter(|&ov| !in_klss(klss.len(), ov) && !in_fss(fss.len(), ov) && !in_sets(i, ov))
+            .for_each(&mut visit);
+    }
 }
 
 /// Whether `ov` is globally at maximum redundancy.

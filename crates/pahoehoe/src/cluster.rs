@@ -521,35 +521,31 @@ impl Cluster {
 
     /// Builds a [`ConvergenceReport`] for the current state, aggregating
     /// over every client (primary plus extras).
+    ///
+    /// Every version a server or a client knows of is classified once,
+    /// as it is visited: no set of versions is built.
     pub fn report(&self, outcome: RunOutcome) -> ConvergenceReport {
         let fss: Vec<NodeId> = self.topo.all_fss().collect();
         let klss: Vec<NodeId> = self.topo.all_klss().collect();
-
-        let mut success_versions: BTreeSet<ObjectVersion> = BTreeSet::new();
-        let mut client_versions: BTreeSet<ObjectVersion> = BTreeSet::new();
-        let mut puts_attempted = 0;
-        let mut puts_succeeded = 0;
-        for id in self.client_ids() {
-            let client: &Client = self.sim.actor(id);
-            success_versions.extend(client.success_versions());
-            client_versions.extend(client.success_versions());
-            client_versions.extend(client.failed_versions());
-            puts_attempted += client.puts_attempted();
-            puts_succeeded += client.puts_succeeded();
-        }
-
-        let durable = analysis::durable_versions(&self.sim, &fss);
-        let all_versions = analysis::known_versions(&self.sim, &klss, &fss)
-            .union(&client_versions)
-            .copied()
-            .collect::<BTreeSet<ObjectVersion>>();
+        let clients: Vec<&Client> = self
+            .client_ids()
+            .into_iter()
+            .map(|id| self.sim.actor::<Client>(id))
+            .collect();
+        let puts_attempted = clients.iter().map(|c| c.puts_attempted()).sum();
+        let puts_succeeded = clients.iter().map(|c| c.puts_succeeded()).sum();
+        let recorded: Vec<&BTreeSet<ObjectVersion>> = clients
+            .iter()
+            .flat_map(|c| [c.success_versions(), c.failed_versions()])
+            .collect();
 
         let mut amr_versions = 0;
         let mut excess_amr = 0;
         let mut durable_not_amr = 0;
         let mut non_durable = 0;
         let mut time_to_amr = Vec::new();
-        for &ov in &all_versions {
+        analysis::for_each_known_version(&self.sim, &klss, &fss, &recorded, |ov| {
+            let durable = analysis::is_durable(&self.sim, &fss, ov);
             let amr = analysis::is_amr(&self.sim, &self.topo, ov);
             if amr {
                 amr_versions += 1;
@@ -567,16 +563,16 @@ impl Cluster {
                 // Excess AMR (Fig. 9): the version converged but its put
                 // was never acknowledged successful to the client (failed
                 // answer, or the answer itself was lost).
-                if !success_versions.contains(&ov) {
+                if !clients.iter().any(|c| c.success_versions().contains(&ov)) {
                     excess_amr += 1;
                 }
-            } else if durable.contains(&ov) {
+            } else if durable {
                 durable_not_amr += 1;
             }
-            if !durable.contains(&ov) {
+            if !durable {
                 non_durable += 1;
             }
-        }
+        });
 
         time_to_amr.sort_unstable();
         ConvergenceReport {

@@ -96,12 +96,34 @@ pub struct FragEntry {
     /// Best-known metadata, shared by refcount with the messages that
     /// carried it and the other stores that adopted it.
     pub meta: Arc<Metadata>,
-    /// The sibling fragments this server holds, by fragment index.
-    pub fragments: FragMap<Fragment>,
-    /// Content hash recorded when each fragment was durably stored; the
-    /// scrubber and the read path verify against it to "detect disk
-    /// corruption using hashes" (§3.1).
-    pub checksums: FragMap<Checksum>,
+    /// The sibling fragments this server holds, by fragment index, each
+    /// with its checksum.
+    pub fragments: FragMap<StoredFragment>,
+}
+
+/// A fragment as an FS stores it: the bytes and the content hash recorded
+/// when they were durably stored, which the scrubber and the read path
+/// verify against to "detect disk corruption using hashes" (§3.1). The two
+/// are one record, so a stored fragment always has its hash.
+#[derive(Debug, Clone)]
+pub struct StoredFragment {
+    /// The fragment, as it is on disk now.
+    pub fragment: Fragment,
+    /// The hash of the bytes as they were stored.
+    pub checksum: Checksum,
+}
+
+impl StoredFragment {
+    /// Stores `fragment`, recording the hash of its bytes.
+    pub fn new(fragment: Fragment) -> Self {
+        let checksum = Checksum::of(fragment.data());
+        StoredFragment { fragment, checksum }
+    }
+
+    /// Whether the bytes still match the recorded hash.
+    pub fn is_sound(&self) -> bool {
+        self.checksum.verify(self.fragment.data())
+    }
 }
 
 /// A fragment server actor.
@@ -337,8 +359,7 @@ impl Fs {
         if let Some(entry) = self.store.entry_mut(s) {
             let idx = fragment.index();
             if !entry.fragments.contains_key(&idx) {
-                entry.checksums.insert(idx, Checksum::of(fragment.data()));
-                entry.fragments.insert(idx, fragment);
+                entry.fragments.insert(idx, StoredFragment::new(fragment));
             }
         }
         self.note_progress(ctx, s);
@@ -424,17 +445,12 @@ impl Actor<Message> for Fs {
                 let mut corrupt = false;
                 let s = self.store.find(ov);
                 if let Some(entry) = s.and_then(|s| self.store.entry_mut(s)) {
-                    if let Some(frag) = entry.fragments.get(&fragment) {
-                        let sound = entry
-                            .checksums
-                            .get(&fragment)
-                            .is_some_and(|sum| sum.verify(frag.data()));
-                        if sound {
-                            data = Some(frag.clone());
+                    if let Some(stored) = entry.fragments.get(&fragment) {
+                        if stored.is_sound() {
+                            data = Some(stored.fragment.clone());
                         } else {
                             // Present but corrupt.
                             entry.fragments.remove(&fragment);
-                            entry.checksums.remove(&fragment);
                             corrupt = true;
                         }
                     }

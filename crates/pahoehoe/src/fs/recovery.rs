@@ -5,12 +5,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use erasure::{Checksum, Fragment, FragmentIndex};
+use erasure::{Fragment, FragmentIndex};
 use simnet::{Context, NodeId};
 
 use super::store::{Recovery, RecoveryPhase, Slot};
-use super::{Fs, TAG_RECOVERY_TIMEOUT, TAG_RECOVERY_WAIT};
+use super::{Fs, StoredFragment, TAG_RECOVERY_TIMEOUT, TAG_RECOVERY_WAIT};
 use crate::messages::{Message, OpId};
+use crate::protocol::FragMap;
 use crate::types::ObjectVersion;
 
 impl Fs {
@@ -134,7 +135,10 @@ impl Fs {
             let work = self.store.work(s).expect("recovering");
             // lint:allow(panic-path): callers reach here only with a recovery in flight
             let rec = work.recovery.as_ref().expect("recovery in flight");
-            let mut pool = entry.fragments.clone();
+            let mut pool: FragMap<Fragment> = FragMap::new();
+            for (&idx, stored) in &entry.fragments {
+                pool.insert(idx, stored.fragment.clone());
+            }
             for (idx, frag) in &rec.collected {
                 if !pool.contains_key(idx) {
                     pool.insert(*idx, frag.clone());
@@ -189,8 +193,7 @@ impl Fs {
             for idx in my_mask.iter() {
                 // lint:allow(panic-path): recover_into returns a fragment for every requested target
                 let frag = by_idx[&idx].clone();
-                entry.checksums.insert(idx, Checksum::of(frag.data()));
-                entry.fragments.insert(idx, frag);
+                entry.fragments.insert(idx, StoredFragment::new(frag));
             }
         }
         // Push the siblings' recovered fragments to them (§4.2).

@@ -245,7 +245,6 @@ impl Fs {
         let (s, entry) = self.store.adopt(ov, now, || FragEntry {
             meta: Arc::clone(meta),
             fragments: FragMap::new(),
-            checksums: FragMap::new(),
         })?;
         let changed = Metadata::merge_shared(&mut entry.meta, meta);
         if self.store.work(s).is_some() {

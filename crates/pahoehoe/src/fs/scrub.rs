@@ -26,15 +26,15 @@ impl Fs {
         let Some(entry) = self.store.find(ov).and_then(|s| self.store.entry_mut(s)) else {
             return false;
         };
-        let Some(frag) = entry.fragments.get_mut(&idx) else {
+        let Some(stored) = entry.fragments.get_mut(&idx) else {
             return false;
         };
-        if frag.is_empty() {
+        if stored.fragment.is_empty() {
             return false;
         }
-        let mut bytes = frag.data().to_vec();
+        let mut bytes = stored.fragment.data().to_vec();
         bytes[0] ^= 0xFF;
-        *frag = Fragment::new(idx, bytes);
+        stored.fragment = Fragment::new(idx, bytes);
         true
     }
 
@@ -75,7 +75,6 @@ impl Fs {
             let entry = self.store.entry_mut(s).expect("present");
             for idx in &doomed {
                 entry.fragments.remove(idx);
-                entry.checksums.remove(idx);
                 lost += 1;
             }
             self.re_pend(s, now);
@@ -126,13 +125,9 @@ impl Fs {
                 let Some(entry) = self.store.entry_mut(s) else {
                     continue;
                 };
-                for (&idx, frag) in &entry.fragments {
-                    scanned += frag.len();
-                    if !entry
-                        .checksums
-                        .get(&idx)
-                        .is_some_and(|sum| sum.verify(frag.data()))
-                    {
+                for (&idx, stored) in &entry.fragments {
+                    scanned += stored.fragment.len();
+                    if !stored.is_sound() {
                         bad.insert(idx);
                     }
                 }
@@ -141,7 +136,6 @@ impl Fs {
                 }
                 for idx in bad.iter() {
                     entry.fragments.remove(&idx);
-                    entry.checksums.remove(&idx);
                     found += 1;
                 }
             }

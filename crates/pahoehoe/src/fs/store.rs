@@ -11,6 +11,7 @@ use erasure::{Fragment, FragmentIndex};
 use simnet::{NodeId, SimTime, TimerId};
 
 use super::FragEntry;
+use crate::chain::{Chains, Stamped};
 use crate::messages::OpId;
 use crate::protocol::FragMask;
 use crate::types::{Key, ObjectVersion, Timestamp};
@@ -135,57 +136,26 @@ struct Residual {
     held: u16,
 }
 
-impl Residual {
+impl Stamped for Residual {
     fn ts(&self) -> Timestamp {
         Timestamp::new(SimTime::from_micros(self.clock), self.proxy)
     }
 }
 
-/// Chains of up to this many records are allocated exact-fit: most keys of
-/// a wide key space are overwritten once or twice, and `Vec`'s first push
-/// would reserve four records for each of them. Longer chains belong to hot
-/// keys and grow amortised.
-const EXACT_FIT_CHAIN: usize = 4;
-
 /// What is left of an FS's compacted versions: per key, a chain of
-/// [`Residual`]s sorted by timestamp, so walking the table key by key
-/// lists versions in [`ObjectVersion`] order. A probe searches a map with
-/// one entry per compacted *key* — small and warm next to one entry per
-/// compacted version — and then the key's own chain.
+/// [`Residual`]s sorted by timestamp (the layout the KLS keeps its
+/// metadata in, [`Chains`]).
 #[derive(Debug, Default)]
 struct ResidualTable {
-    chains: BTreeMap<Key, Vec<Residual>>,
+    chains: Chains<Residual>,
     /// The distinct held-index sets, by [`Residual::held`] id. Placement
     /// deals fragments by server rank, so an FS only ever holds a handful
     /// of different sets; storing each once is what lets a record carry
     /// two bytes for any 256-bit mask.
     masks: Vec<FragMask>,
-    /// Records over all chains.
-    count: usize,
 }
 
 impl ResidualTable {
-    /// Where the record stamped `ts` sits in `chain`, if it is there. The
-    /// usual question is about a version newer than every record, which
-    /// one comparison with the chain's end answers.
-    fn position(chain: &[Residual], ts: Timestamp) -> Option<usize> {
-        if chain.last()?.ts() < ts {
-            return None;
-        }
-        chain.binary_search_by(|r| r.ts().cmp(&ts)).ok()
-    }
-
-    fn get(&self, ov: ObjectVersion) -> Option<&Residual> {
-        let chain = self.chains.get(&ov.key)?;
-        chain.get(Self::position(chain, ov.ts)?)
-    }
-
-    fn get_mut(&mut self, ov: ObjectVersion) -> Option<&mut Residual> {
-        let chain = self.chains.get_mut(&ov.key)?;
-        let at = Self::position(chain, ov.ts)?;
-        chain.get_mut(at)
-    }
-
     /// The fragment-index set `residual` recorded.
     fn held(&self, residual: &Residual) -> FragMask {
         // lint:allow(panic-path): a record's id is a position `intern` returned, and masks are never removed
@@ -194,16 +164,14 @@ impl ResidualTable {
 
     /// The timestamp of `key`'s newest compacted version.
     fn newest(&self, key: Key) -> Option<Timestamp> {
-        self.chains.get(&key)?.last().map(Residual::ts)
+        self.chains.chain(key).last().map(Residual::ts)
     }
 
     /// Every compacted version, in object-version order.
     fn versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
-        self.chains.iter().flat_map(|(&key, chain)| {
-            chain
-                .iter()
-                .map(move |residual| ObjectVersion::new(key, residual.ts()))
-        })
+        self.chains
+            .iter()
+            .map(|(key, residual)| ObjectVersion::new(key, residual.ts()))
     }
 
     /// The id of `mask`, added to the table if this is its first use.
@@ -228,27 +196,13 @@ impl ResidualTable {
     /// `held`. A version is compacted once: it has no record yet.
     fn insert(&mut self, ov: ObjectVersion, held: FragMask, amr_at: SimTime) {
         let held = self.intern(held);
-        let chain = self.chains.entry(ov.key).or_default();
-        // Versions mostly settle in timestamp order: look at the chain's
-        // end before searching it.
-        let at = match chain.last() {
-            Some(last) if last.ts() > ov.ts => chain.partition_point(|r| r.ts() < ov.ts),
-            _ => chain.len(),
-        };
-        debug_assert!(chain.get(at).is_none_or(|r| r.ts() != ov.ts));
-        if EXACT_FIT_CHAIN > chain.len() {
-            chain.reserve_exact(1);
-        }
-        chain.insert(
-            at,
-            Residual {
-                clock: ov.ts.clock_micros(),
-                amr_at,
-                proxy: ov.ts.proxy(),
-                held,
-            },
-        );
-        self.count += 1;
+        let (inserted, _) = self.chains.get_or_insert_with(ov, || Residual {
+            clock: ov.ts.clock_micros(),
+            amr_at,
+            proxy: ov.ts.proxy(),
+            held,
+        });
+        debug_assert!(inserted, "{ov:?} compacted twice");
     }
 }
 
@@ -383,21 +337,21 @@ impl VersionStore {
     /// What compaction kept of `ov`, if it has been compacted: the
     /// fragment indices it held then, and when it settled AMR.
     pub(super) fn residual(&self, ov: ObjectVersion) -> Option<(FragMask, SimTime)> {
-        let residual = self.residuals.get(ov)?;
+        let residual = self.residuals.chains.get(ov)?;
         Some((self.residuals.held(residual), residual.amr_at))
     }
 
     /// Re-stamps compacted `ov`'s AMR time, as a repeated settle re-stamps
     /// a live version's.
     pub(super) fn restamp_residual(&mut self, ov: ObjectVersion, at: SimTime) {
-        if let Some(residual) = self.residuals.get_mut(ov) {
+        if let Some(residual) = self.residuals.chains.get_mut(ov) {
             residual.amr_at = at;
         }
     }
 
     /// Number of compacted residual records.
     pub(super) fn compacted_count(&self) -> usize {
-        self.residuals.count
+        self.residuals.chains.len()
     }
 
     /// Slab slots in use: one per version that still holds a full entry.
@@ -563,7 +517,7 @@ impl VersionStore {
         } = self;
         let at = match index.entry(ov) {
             Entry::Occupied(known) => *known.get(),
-            Entry::Vacant(_) if residuals.get(ov).is_some() => return None,
+            Entry::Vacant(_) if residuals.chains.get(ov).is_some() => return None,
             Entry::Vacant(new) => {
                 let slot = Some(VersionSlot {
                     ov,

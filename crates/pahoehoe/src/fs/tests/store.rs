@@ -3,22 +3,40 @@
 //! under `tests/` so the analyzer reads it as test code.
 
 use super::*;
+use crate::chain::{Chain, EXACT_FIT_CHAIN};
 use crate::fs::tests::full_meta;
+use crate::fs::StoredFragment;
+use crate::metadata::Metadata;
 use crate::protocol::FragMap;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// A fresh entry with complete metadata and no fragments.
 fn blank() -> FragEntry {
     FragEntry {
         meta: full_meta(8),
         fragments: FragMap::new(),
-        checksums: FragMap::new(),
     }
+}
+
+/// A stored fragment of four bytes, each `idx`.
+fn stored(idx: FragmentIndex) -> StoredFragment {
+    StoredFragment::new(Fragment::new(idx, vec![idx; 4]))
+}
+
+/// Per-version memory is pinned: a field that grows what every stored
+/// version costs fails here. A live version's entry is its metadata handle
+/// and one vector of fragments, each with its checksum; a compacted one is
+/// a 24-byte record in a chain slot of at most four words.
+#[test]
+fn per_version_layout_is_pinned() {
+    assert!(size_of::<FragEntry>() <= size_of::<Arc<Metadata>>() + size_of::<Vec<u8>>());
+    assert!(size_of::<Residual>() <= 24);
+    assert!(size_of::<Chain<Residual>>() <= 32);
 }
 
 #[test]
 fn residual_record_is_packed() {
-    assert!(std::mem::size_of::<Residual>() <= 24);
-
     let version = |key: u64, us: u64| {
         ObjectVersion::new(
             Key::from_u64(key),
@@ -46,17 +64,17 @@ fn residual_record_is_packed() {
         let (s, entry) = store
             .adopt(ov, at, blank)
             .expect("a new version is never a residual");
-        entry.fragments.insert(0, Fragment::new(0, vec![0; 4]));
+        entry.fragments.insert(0, stored(0));
         store.settle_amr(s, at);
         store.compact_superseded(s);
         assert_eq!(store.compacted_count() as u64, i);
-        let Some(chain) = store.residuals.chains.get(&key) else {
+        let Some(chain) = store.residuals.chains.raw(key) else {
             assert_eq!(i, 0, "the second settle compacts the first version");
             continue;
         };
-        assert_eq!(chain.len() as u64, i);
-        if i <= 4 {
-            assert_eq!(chain.capacity(), chain.len(), "{i} compactions");
+        assert_eq!(chain.as_slice().len() as u64, i);
+        if i as usize <= EXACT_FIT_CHAIN {
+            assert_eq!(chain.capacity(), i as usize, "{i} compactions");
         }
         capacities.insert(chain.capacity());
     }
@@ -72,6 +90,7 @@ fn residual_record_is_packed() {
     assert_eq!(table.masks.len(), 300);
     for i in 0..300 {
         let residual = table
+            .chains
             .get(version(i as u64 % 9, i as u64))
             .expect("inserted");
         assert_eq!(table.held(residual), mask_of(i), "mask {i}");
@@ -83,7 +102,7 @@ fn residual_record_is_packed() {
         let ov = version(i as u64 % 100, i as u64 / 100);
         table.insert(ov, mask_of(i % 7), SimTime::from_micros(i as u64));
     }
-    assert_eq!((table.count, table.chains.len()), (10_000, 100));
+    assert_eq!((table.chains.len(), table.chains.keys()), (10_000, 100));
     assert!(table.masks.len() <= 7, "{}", table.masks.len());
     assert_eq!(
         table.versions().collect::<Vec<_>>(),
@@ -93,6 +112,7 @@ fn residual_record_is_packed() {
     );
     for i in 0..10_000 {
         let residual = table
+            .chains
             .get(version(i as u64 % 100, i as u64 / 100))
             .expect("inserted");
         assert_eq!(table.held(residual), mask_of(i % 7));
@@ -409,9 +429,7 @@ fn run_against_model(
                 let entry = s.and_then(|s| store.entry_mut(s));
                 prop_assert_eq!(entry.is_some(), model.is_live(ov));
                 if let Some(entry) = entry {
-                    entry
-                        .fragments
-                        .insert(idx, Fragment::new(idx, vec![idx; 4]));
+                    entry.fragments.insert(idx, stored(idx));
                     model.entries.entry(ov).or_default().held.insert(idx);
                 }
             }

@@ -3,13 +3,13 @@
 //! A KLS maintains two persistent stores (§3.2): a **timestamp store**
 //! mapping each key to its object versions, and a **metadata store**
 //! mapping each object version to its `(policy, locations)` metadata. The
-//! two are always written together, and object versions order by
-//! `(key, timestamp)`, so here one ordered table serves as both: the
-//! metadata store is the table, and the timestamp store is its
-//! `(key, MIN)..=(key, MAX)` range. The KLS answers location-decision
-//! requests for *its own* data center, absorbs metadata stores from
-//! proxies, answers convergence probes from fragment servers, and serves
-//! the version list for gets.
+//! two are always written together, so here they are one store of per-key
+//! chains ([`Chains`]): each key has one chain of `(timestamp, metadata)`
+//! records sorted by timestamp. The key's chain is its timestamp store, and
+//! a version's metadata is found in its key's chain. The KLS answers
+//! location-decision requests for *its own* data center, absorbs metadata
+//! stores from proxies, answers convergence probes from fragment servers,
+//! and serves the version list for gets: a page of one chain, newest first.
 //!
 //! # Location decisions
 //!
@@ -24,12 +24,11 @@
 //! across fragment servers over many objects.
 
 use std::any::Any;
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::ops::Bound;
 use std::sync::Arc;
 
 use simnet::{Actor, Context, NodeId};
 
+use crate::chain::{Chains, Stamped};
 use crate::messages::Message;
 use crate::metadata::{Location, Metadata};
 use crate::policy::Policy;
@@ -37,13 +36,27 @@ use crate::protocol::ProtocolMode;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, Timestamp};
 
+/// One version of a key in a KLS's store: its timestamp and its metadata
+/// (the key is its chain's).
+#[derive(Debug)]
+struct StoredVersion {
+    ts: Timestamp,
+    meta: Arc<Metadata>,
+}
+
+impl Stamped for StoredVersion {
+    fn ts(&self) -> Timestamp {
+        self.ts
+    }
+}
+
 /// A key lookup server actor.
 pub struct Kls {
     topo: Arc<Topology>,
     my_dc: DataCenterId,
-    /// Metadata per object version; a key's versions are a contiguous
-    /// range of it (the paper's timestamp store).
-    storemeta: BTreeMap<ObjectVersion, Arc<Metadata>>,
+    /// Metadata per object version, one chain per key (the paper's
+    /// timestamp store is a key's chain).
+    storemeta: Chains<StoredVersion>,
 }
 
 impl Kls {
@@ -52,7 +65,7 @@ impl Kls {
         Kls {
             topo,
             my_dc,
-            storemeta: BTreeMap::new(),
+            storemeta: Chains::default(),
         }
     }
 
@@ -180,56 +193,80 @@ impl Kls {
     /// [`Metadata::merge_shared`]).
     // lint:hot
     fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> (bool, &Arc<Metadata>) {
-        match self.storemeta.entry(ov) {
-            Entry::Occupied(existing) => {
-                let stored = existing.into_mut();
-                let learned = Metadata::merge_shared(stored, meta);
-                (learned, stored)
-            }
-            Entry::Vacant(slot) => (true, slot.insert(Arc::clone(meta))),
-        }
+        let (inserted, stored) = self.storemeta.get_or_insert_with(ov, || StoredVersion {
+            ts: ov.ts,
+            meta: Arc::clone(meta),
+        });
+        let learned = inserted || Metadata::merge_shared(&mut stored.meta, meta);
+        (learned, &stored.meta)
+    }
+
+    /// The stored metadata handle for `ov`, if any.
+    fn stored(&self, ov: ObjectVersion) -> Option<&Arc<Metadata>> {
+        self.storemeta.get(ov).map(|v| &v.meta)
     }
 
     /// The stored versions of `key` strictly older than `older_than`
     /// (all of them for `None`), oldest first, with their metadata: the
-    /// timestamp-store view of the table.
+    /// timestamp-store view, a prefix of the key's chain.
     // lint:hot
-    fn versions_before(
+    fn versions_before(&self, key: Key, older_than: Option<Timestamp>) -> &[StoredVersion] {
+        let chain = self.storemeta.chain(key);
+        let end = match (older_than, chain.last()) {
+            // A cursor past the newest version keeps the whole chain.
+            (Some(cursor), Some(newest)) if newest.ts >= cursor => {
+                chain.partition_point(|v| v.ts < cursor)
+            }
+            _ => chain.len(),
+        };
+        chain.split_at(end).0
+    }
+
+    /// One `RetrieveTs` page: `key`'s newest `limit` versions strictly
+    /// older than `older_than`, newest first, with their metadata, and
+    /// whether older ones remain.
+    fn page(
         &self,
         key: Key,
+        limit: u16,
         older_than: Option<Timestamp>,
-    ) -> impl DoubleEndedIterator<Item = (&ObjectVersion, &Arc<Metadata>)> {
-        let lo = Bound::Included(ObjectVersion::new(key, Timestamp::MIN));
-        let hi = match older_than {
-            Some(cursor) => Bound::Excluded(ObjectVersion::new(key, cursor)),
-            None => Bound::Included(ObjectVersion::new(key, Timestamp::MAX)),
-        };
-        self.storemeta.range((lo, hi))
+    ) -> (Vec<(Timestamp, Arc<Metadata>)>, bool) {
+        let older = self.versions_before(key, older_than);
+        let (rest, page) = older.split_at(older.len().saturating_sub(usize::from(limit)));
+        let versions = page
+            .iter()
+            .rev()
+            .map(|v| (v.ts, Arc::clone(&v.meta)))
+            .collect();
+        (versions, !rest.is_empty())
     }
 
     // ---- state inspection (used by the harness and tests) ----
 
     /// The stored metadata for `ov`, if any.
     pub fn meta(&self, ov: ObjectVersion) -> Option<&Metadata> {
-        self.storemeta.get(&ov).map(Arc::as_ref)
+        self.stored(ov).map(Arc::as_ref)
     }
 
     /// Whether this KLS stores *complete* metadata for `ov` (the per-KLS
     /// half of the AMR condition).
     pub fn has_complete_meta(&self, ov: ObjectVersion) -> bool {
-        self.storemeta.get(&ov).is_some_and(|m| m.is_complete())
+        self.stored(ov).is_some_and(|m| m.is_complete())
     }
 
     /// Known timestamps for `key`, oldest first.
     pub fn versions_of(&self, key: Key) -> Vec<Timestamp> {
         self.versions_before(key, None)
-            .map(|(ov, _)| ov.ts)
+            .iter()
+            .map(|v| v.ts)
             .collect()
     }
 
-    /// Every object version this KLS knows about.
+    /// Every object version this KLS knows about, in object-version order.
     pub fn known_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
-        self.storemeta.keys().copied()
+        self.storemeta
+            .iter()
+            .map(|(key, v)| ObjectVersion::new(key, v.ts))
     }
 }
 
@@ -260,22 +297,17 @@ impl Actor<Message> for Kls {
             // and pushes it to the sibling FSs (§3.5), so concurrent
             // repairs cannot fan out into divergent decisions.
             Message::FsDecideLocs { ov, meta } => {
-                let already_known = self
-                    .storemeta
-                    .get(&ov)
-                    .is_some_and(|m| m.has_dc(self.my_dc));
+                let my_dc = self.my_dc;
+                let already_known = self.stored(ov).is_some_and(|m| m.has_dc(my_dc));
                 // Learn everything the FS knows (including the true value
                 // length), then decide locations for my DC if nobody has.
-                self.absorb(ov, &meta);
-                let locations = match self.storemeta.get(&ov) {
-                    Some(m) if m.has_dc(self.my_dc) => {
-                        // lint:allow(panic-path): the match guard checked has_dc
-                        m.dc_locations(self.my_dc).expect("checked has_dc").to_vec()
-                    }
-                    _ => Self::which_locs(&self.topo, self.my_dc, ov, meta.policy()),
+                let known = self.absorb(ov, &meta).1.dc_locations(my_dc);
+                let locations = match known.map(<[Location]>::to_vec) {
+                    Some(locations) => locations,
+                    None => Self::which_locs(&self.topo, my_dc, ov, meta.policy()),
                 };
                 let mut fresh = Arc::clone(&meta);
-                Arc::make_mut(&mut fresh).add_dc_locations(self.my_dc, locations.clone());
+                Arc::make_mut(&mut fresh).add_dc_locations(my_dc, locations.clone());
                 let newly_decided = !already_known && self.absorb(ov, &fresh).0;
                 ctx.send(
                     from,
@@ -288,7 +320,7 @@ impl Actor<Message> for Kls {
                 // Indicate a *fresh* decision to the sibling FSs so they
                 // learn the locations without probing themselves.
                 if let Some(meta) = newly_decided
-                    .then(|| self.storemeta.get(&ov).map(Arc::clone))
+                    .then(|| self.stored(ov).map(Arc::clone))
                     .flatten()
                 {
                     for fs in meta.siblings() {
@@ -338,15 +370,7 @@ impl Actor<Message> for Kls {
                 limit,
                 older_than,
             } => {
-                // Page newest-first, strictly older than the cursor; a
-                // `(limit + 1)`-th version in range means more remain.
-                let mut older = self.versions_before(key, older_than).rev();
-                let versions: Vec<(Timestamp, Arc<Metadata>)> = older
-                    .by_ref()
-                    .take(usize::from(limit))
-                    .map(|(ov, m)| (ov.ts, Arc::clone(m)))
-                    .collect();
-                let more = older.next().is_some();
+                let (versions, more) = self.page(key, limit, older_than);
                 ctx.send(
                     from,
                     Message::RetrieveTsReply {
@@ -380,7 +404,7 @@ impl Actor<Message> for Kls {
 mod tests {
     use super::*;
     use simnet::SimTime;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn topo() -> Arc<Topology> {
         Topology::new(vec![
@@ -633,5 +657,167 @@ mod tests {
         let (learned, stored) = kls.absorb(v, &rest);
         assert!(!learned && stored.is_complete(), "idempotent");
         assert_eq!(kls.known_versions().count(), 1);
+    }
+
+    /// A version's slot in a KLS's store is four words: a lone version is
+    /// a 24-byte record held inline in its key's map entry, and a longer
+    /// chain a vector header. A field that grows what every stored version
+    /// costs fails here.
+    #[test]
+    fn per_version_layout_is_pinned() {
+        use crate::chain::Chain;
+        assert_eq!(std::mem::size_of::<StoredVersion>(), 24);
+        assert!(std::mem::size_of::<Chain<StoredVersion>>() <= 32);
+    }
+
+    // ---- the chain store against the ordered table it replaced ----
+
+    /// Keys drawn by the model test: the fourth is never stored, so pages
+    /// of a key with no versions are compared too.
+    const MODEL_KEYS: u64 = 4;
+
+    /// Timestamps per key: past the exact-fit chain length, so chains
+    /// grow from one inline record through exact-fit to amortised.
+    const MODEL_TIMESTAMPS: u64 = 10;
+
+    fn model_ts(i: u64) -> Timestamp {
+        Timestamp::new(SimTime::from_micros(100 * (1 + i)), (i % 3) as u32)
+    }
+
+    /// What the store was before it was chains: one ordered table, each
+    /// key's versions a range of it, merged the way `absorb` merges.
+    #[derive(Default)]
+    struct ModelKls {
+        table: BTreeMap<ObjectVersion, Arc<Metadata>>,
+    }
+
+    impl ModelKls {
+        fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> (bool, bool) {
+            match self.table.entry(ov) {
+                std::collections::btree_map::Entry::Occupied(existing) => {
+                    let stored = existing.into_mut();
+                    let learned = Metadata::merge_shared(stored, meta);
+                    (learned, stored.is_complete())
+                }
+                std::collections::btree_map::Entry::Vacant(slot) => {
+                    (true, slot.insert(Arc::clone(meta)).is_complete())
+                }
+            }
+        }
+
+        fn page(
+            &self,
+            key: Key,
+            limit: u16,
+            older_than: Option<Timestamp>,
+        ) -> (Vec<(Timestamp, Arc<Metadata>)>, bool) {
+            let lo = ObjectVersion::new(key, Timestamp::MIN);
+            let mut older = self
+                .table
+                .range(lo..=ObjectVersion::new(key, Timestamp::MAX))
+                .filter(|(ov, _)| older_than.is_none_or(|cursor| ov.ts < cursor))
+                .rev();
+            let versions = older
+                .by_ref()
+                .take(usize::from(limit))
+                .map(|(ov, m)| (ov.ts, Arc::clone(m)))
+                .collect();
+            (versions, older.next().is_some())
+        }
+    }
+
+    /// The metadata an absorb carries: one data center's locations (`which`
+    /// 0 or 1, value length not yet known), both (2), or none yet (3, value
+    /// length known) — so merges learn locations, a value length, or both.
+    fn model_meta(t: &Topology, ov: ObjectVersion, which: u8) -> Arc<Metadata> {
+        let p = Policy::paper_default();
+        let (dc0, dc1) = (DataCenterId::new(0), DataCenterId::new(1));
+        let value_len = if which >= 2 { 64 } else { 0 };
+        let mut meta = Metadata::new(p, dc0, value_len);
+        for (dc, wanted) in [
+            (dc0, which == 0 || which == 2),
+            (dc1, (1..3).contains(&which)),
+        ] {
+            if wanted {
+                meta.add_dc_locations(dc, Kls::which_locs(t, dc, ov, &p));
+            }
+        }
+        Arc::new(meta)
+    }
+
+    /// Everything the chain store answers, against the model's answer.
+    fn check_against_model(kls: &Kls, model: &ModelKls) -> proptest::test_runner::TestCaseResult {
+        use proptest::prelude::*;
+
+        let same = |a: Option<&Metadata>, b: Option<&Arc<Metadata>>| a == b.map(Arc::as_ref);
+        let cursors = [0, 3, 5, 9, MODEL_TIMESTAMPS].map(|i| Some(model_ts(i)));
+        for key in (0..MODEL_KEYS).map(Key::from_u64) {
+            for i in 0..=MODEL_TIMESTAMPS {
+                let ov = ObjectVersion::new(key, model_ts(i));
+                prop_assert!(same(kls.meta(ov), model.table.get(&ov)), "meta({:?})", ov);
+                prop_assert_eq!(
+                    kls.has_complete_meta(ov),
+                    model.table.get(&ov).is_some_and(|m| m.is_complete())
+                );
+            }
+            let model_versions: Vec<Timestamp> = model
+                .table
+                .keys()
+                .filter(|ov| ov.key == key)
+                .map(|ov| ov.ts)
+                .collect();
+            prop_assert_eq!(kls.versions_of(key), model_versions);
+            for limit in [0, 1, 3, 16] {
+                for older_than in [None, Some(Timestamp::MIN), Some(Timestamp::MAX)]
+                    .into_iter()
+                    .chain(cursors)
+                {
+                    let (got, got_more) = kls.page(key, limit, older_than);
+                    let (want, want_more) = model.page(key, limit, older_than);
+                    prop_assert_eq!(got_more, want_more);
+                    prop_assert_eq!(got.len(), want.len());
+                    for ((ts, m), (want_ts, want_m)) in got.iter().zip(&want) {
+                        prop_assert_eq!(ts, want_ts);
+                        prop_assert_eq!(m, want_m);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(
+            kls.known_versions().collect::<Vec<_>>(),
+            model.table.keys().copied().collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The per-key chain store answers exactly as the ordered table it
+        /// replaced: every accessor the harness reads, every `RetrieveTs`
+        /// page, and what each `absorb` returns. Sequences absorb versions
+        /// out of timestamp order, merge fuller and divergent snapshots
+        /// into stored ones, and (by a prelude on the first key) grow a
+        /// chain from one inline record through exact-fit to amortised.
+        #[test]
+        fn chain_store_matches_the_ordered_table(
+            ops in proptest::collection::vec(
+                (0..MODEL_KEYS - 1, 0..MODEL_TIMESTAMPS, 0u8..4),
+                1..120,
+            ),
+        ) {
+            let t = topo();
+            let mut kls = Kls::new(t.clone(), DataCenterId::new(0));
+            let mut model = ModelKls::default();
+            let prelude = [4, 1, 7, 0, 9, 2, 5, 8, 3, 6].map(|i| (0, i, 3));
+            for (key, i, which) in prelude.into_iter().chain(ops) {
+                let ov = ObjectVersion::new(Key::from_u64(key), model_ts(i));
+                let meta = model_meta(&t, ov, which);
+                let (learned, stored) = kls.absorb(ov, &meta);
+                let got = (learned, stored.is_complete());
+                proptest::prop_assert_eq!(got, model.absorb(ov, &meta), "absorb {:?}", ov);
+                check_against_model(&kls, &model)?;
+            }
+        }
     }
 }

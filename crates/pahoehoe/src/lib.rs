@@ -42,6 +42,7 @@
 //! ```
 
 pub mod analysis;
+mod chain;
 pub mod client;
 pub mod cluster;
 pub mod convergence;

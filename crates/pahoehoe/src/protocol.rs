@@ -129,9 +129,10 @@ impl FragMask {
     }
 }
 
-/// The fragments (or checksums) one server holds for one object version,
-/// by fragment index: a sorted vector sized to its contents. A server is
-/// assigned at most `max_frags_per_fs` — one or two — fragments of a
+/// The fragments one server holds for one object version (an FS's stored
+/// fragments with their checksums), by fragment index: a sorted vector
+/// sized to its contents. A server is assigned at most
+/// `max_frags_per_fs` — one or two — fragments of a
 /// version, so a B-tree node per entry would be almost entirely empty
 /// slots; this costs nothing while empty and one exact-fit allocation
 /// after. The methods are the `BTreeMap` subset the stores use.

@@ -3,8 +3,11 @@
 use std::collections::BTreeSet;
 
 use pahoehoe::analysis;
+use pahoehoe::client::Client;
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe::fs::Fs;
+use pahoehoe::kls::Kls;
 use pahoehoe::protocol::ProtocolMode;
 use pahoehoe::types::{Key, ObjectVersion};
 use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
@@ -342,12 +345,38 @@ fn report_counts_compacted_versions_as_durable_and_amr() {
 }
 
 /// `(known, durable)` version counts of `cluster`, after checking that
-/// `durable_versions` is exactly the known versions `is_durable` accepts.
+/// `durable_versions` is exactly the known versions `is_durable` accepts,
+/// and that `for_each_known_version` visits each version of the servers'
+/// and the client's sets exactly once.
 fn durable_is_known_filtered(cluster: &Cluster) -> (usize, usize) {
     let sim = cluster.sim();
     let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
     let klss: Vec<NodeId> = cluster.topology().all_klss().collect();
+    let client: &Client = sim.actor(cluster.layout().client());
+    let recorded = [client.success_versions(), client.failed_versions()];
+    let mut servers: BTreeSet<ObjectVersion> = BTreeSet::new();
+    for &kls in &klss {
+        servers.extend(sim.actor::<Kls>(kls).known_versions());
+    }
+    for &fs in &fss {
+        servers.extend(sim.actor::<Fs>(fs).known_versions());
+    }
+    let union: Vec<ObjectVersion> = recorded
+        .iter()
+        .copied()
+        .flatten()
+        .chain(&servers)
+        .copied()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let mut visited = Vec::new();
+    analysis::for_each_known_version(sim, &klss, &fss, &recorded, |ov| visited.push(ov));
+    visited.sort_unstable();
+    assert_eq!(visited, union);
+
     let known = analysis::known_versions(sim, &klss, &fss);
+    assert_eq!(known, servers);
     let filtered: BTreeSet<ObjectVersion> = known
         .iter()
         .copied()

@@ -5,7 +5,7 @@
 # cell's own peak RSS.
 #
 #   scripts/scale.sh           # the full seven-cell grid (~5 min; big-zipf
-#                              # alone peaks at ~2.7 GB: run it alone)
+#                              # alone peaks at ~2.1 GB: run it alone)
 #   scripts/scale.sh --smoke   # five small cells, each stdout compared
 #                              # with results/scale/<cell>.txt
 #
