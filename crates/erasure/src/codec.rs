@@ -8,9 +8,13 @@
 //! striped verbatim.
 //!
 //! Encode parity, decode reconstruction and recovery are one operation —
-//! rows of a matrix times the `k` input rows — and share one product loop
-//! over [`gf::mul_acc`]. There is one encoder, [`Codec::encode_value`];
-//! [`Codec::encode`] runs it on a copy of the value.
+//! rows of a matrix times the `k` input rows — and all three run the one
+//! product kernel, [`gf::mul_rows`], which appends each output byte to a
+//! `Vec` once: nothing is zero-filled first. Recovery multiplies the
+//! surviving fragments by the generator rows it regenerates composed with
+//! the decode matrix, so it never materializes the data rows. There is one
+//! encoder, [`Codec::encode_value`]; [`Codec::encode`] runs it on a copy
+//! of the value.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -64,6 +68,42 @@ impl InversionCache {
         let tick = self.tick;
         self.tick += 1;
         self.entries.insert(key, (tick, inv));
+    }
+}
+
+/// The `k` fragments a decode or recovery reads: their indices in
+/// ascending order (the inversion cache's key, 256 bytes on the stack) and
+/// the fragments they were picked from, so that picking allocates nothing.
+struct Picked<'a> {
+    len: usize,
+    indices: [FragmentIndex; 256],
+    fragments: &'a [Fragment],
+}
+
+impl<'a> Picked<'a> {
+    fn indices(&self) -> &[FragmentIndex] {
+        &self.indices[..self.len]
+    }
+
+    /// The picks' payloads in index order: the product's input rows. Each
+    /// is the first fragment carrying its index.
+    fn rows(&self) -> impl Iterator<Item = &'a [u8]> + Clone + '_ {
+        let fragments = self.fragments;
+        self.indices().iter().filter_map(move |&index| {
+            fragments
+                .iter()
+                .find(|f| f.index() == index)
+                .map(|f| &f.data()[..])
+        })
+    }
+
+    /// Whether the picks are the data fragments `0..k`, which decode to
+    /// themselves with no algebra.
+    fn is_systematic(&self) -> bool {
+        self.indices()
+            .iter()
+            .enumerate()
+            .all(|(i, &f)| f as usize == i)
     }
 }
 
@@ -159,43 +199,34 @@ impl Codec {
     /// copying its payload: the data fragments are zero-copy windows of
     /// `value` (only a padded tail row is materialized, when `value.len()`
     /// is not a multiple of the fragment length), and the parity rows are
-    /// computed into one shared backing allocation. This is the put path's
-    /// encoder, and the only one.
+    /// computed from them into one shared backing allocation. This is the
+    /// put path's encoder, and the only one.
     // lint:hot
     pub fn encode_value(&self, value: &Bytes, out: &mut Vec<Fragment>) {
         out.clear();
+        out.reserve(self.n);
         let flen = self.fragment_len(value.len());
         // Data rows: windows of the value where a full row fits, one
         // padded copy per tail row (at most one for non-degenerate
         // shapes; short values may owe several all-zero rows).
-        let mut rows: Vec<Bytes> = Vec::with_capacity(self.k);
         for i in 0..self.k {
             let start = i * flen;
             let end = start + flen;
-            if end <= value.len() {
-                rows.push(value.slice(start..end));
+            let row = if end <= value.len() {
+                value.slice(start..end)
             } else {
+                // The value's tail, then the zero padding: each byte
+                // written once.
+                let tail = &value[start.min(value.len())..];
                 let mut pad = Vec::with_capacity(flen);
-                pad.extend_from_slice(&value[start.min(value.len())..]);
-                pad.resize(flen, 0);
-                rows.push(Bytes::from(pad));
-            }
-        }
-        let pk = self.n - self.k;
-        let mut parity = vec![0u8; pk * flen];
-        self.mul_rows(
-            &self.generator,
-            self.k..self.n,
-            |i| &rows[i][..],
-            &mut parity,
-            flen,
-        );
-        let backing = Bytes::from(parity);
-        out.reserve(self.n);
-        for (i, row) in rows.into_iter().enumerate() {
+                pad.extend_from_slice(tail);
+                pad.extend(std::iter::repeat_n(0, flen - tail.len()));
+                Bytes::from(pad)
+            };
             out.push(Fragment::new(i as FragmentIndex, row));
         }
-        for p in 0..pk {
+        let backing = Bytes::from(self.parity(out, flen));
+        for p in 0..self.n - self.k {
             out.push(Fragment::new(
                 (self.k + p) as FragmentIndex,
                 backing.slice(p * flen..(p + 1) * flen),
@@ -203,27 +234,18 @@ impl Codec {
         }
     }
 
-    /// The one product loop behind encode, decode and recovery: for each
-    /// `flen`-byte segment of `out` (zeroed by the caller), in order, XORs
-    /// in `m[row][i] · input(i)` over the `k` input rows, where `row` is
-    /// the next of `rows`.
+    /// The `n - k` parity rows of the `k` data fragments `data`, back to
+    /// back in one exact-fit allocation.
     // lint:hot
-    fn mul_rows<'a>(
-        &self,
-        m: &Matrix,
-        rows: impl Iterator<Item = usize>,
-        input: impl Fn(usize) -> &'a [u8],
-        out: &mut [u8],
-        flen: usize,
-    ) {
-        if flen == 0 {
-            return;
-        }
-        for (row, seg) in rows.zip(out.chunks_exact_mut(flen)) {
-            for i in 0..self.k {
-                gf::mul_acc(seg, input(i), m.get(row, i));
-            }
-        }
+    fn parity(&self, data: &[Fragment], flen: usize) -> Vec<u8> {
+        let mut parity = Vec::with_capacity((self.n - self.k) * flen);
+        gf::mul_rows(
+            &mut parity,
+            (self.k..self.n).map(|r| self.generator.row(r)),
+            data.iter().map(|f| &f.data()[..]),
+            flen,
+        );
+        parity
     }
 
     /// Decodes the original `value_len`-byte value from any `k` distinct
@@ -244,13 +266,14 @@ impl Codec {
 
     /// Like [`decode`](Self::decode), but writes the value into `out`
     /// (cleared first), reusing its capacity across calls. The decode rows
-    /// are applied directly to `out`'s segments — no intermediate shard
-    /// `Vec`s.
+    /// are applied directly from the fragments into `out` — no
+    /// intermediate shard `Vec`s.
     ///
     /// # Errors
     ///
     /// Same conditions as [`decode`](Self::decode); on error `out`'s
     /// contents are unspecified (but it remains valid to reuse).
+    // lint:hot
     pub fn decode_into(
         &self,
         fragments: &[Fragment],
@@ -260,8 +283,17 @@ impl Codec {
         let picked = self.pick_fragments(fragments, value_len)?;
         let flen = self.fragment_len(value_len);
         out.clear();
-        out.resize(self.k * flen, 0);
-        self.reconstruct_into(&picked, flen, out);
+        if picked.is_systematic() {
+            // All k data fragments present — no algebra needed.
+            out.reserve(self.k * flen);
+            for row in picked.rows() {
+                out.extend_from_slice(row);
+            }
+        } else {
+            self.with_decode_matrix(&picked, |inv| {
+                gf::mul_rows(out, (0..self.k).map(|r| inv.row(r)), picked.rows(), flen);
+            });
+        }
         out.truncate(value_len);
         Ok(())
     }
@@ -291,7 +323,10 @@ impl Codec {
     /// Like [`recover`](Self::recover), but reuses `out` for the fragment
     /// list (cleared first). All regenerated fragments share one backing
     /// allocation, like the parity fragments of
-    /// [`encode_value`](Self::encode_value).
+    /// [`encode_value`](Self::encode_value), computed straight from the
+    /// picked fragments: each requested generator row is first composed
+    /// with the decode matrix (a `k`-byte row), so the data rows are never
+    /// materialized.
     ///
     /// # Errors
     ///
@@ -315,18 +350,19 @@ impl Codec {
         }
         let picked = self.pick_fragments(fragments, value_len)?;
         let flen = self.fragment_len(value_len);
-
-        let mut data = vec![0u8; self.k * flen];
-        self.reconstruct_into(&picked, flen, &mut data);
-
-        let mut buf = vec![0u8; missing.len() * flen];
-        self.mul_rows(
-            &self.generator,
-            missing.iter().map(|&m| m as usize),
-            |i| &data[i * flen..(i + 1) * flen],
-            &mut buf,
-            flen,
-        );
+        let targets = missing.iter().map(|&m| self.generator.row(m as usize));
+        let mut buf = Vec::with_capacity(missing.len() * flen);
+        if picked.is_systematic() {
+            gf::mul_rows(&mut buf, targets, picked.rows(), flen);
+        } else {
+            self.with_decode_matrix(&picked, |inv| {
+                // Row m of G·inv expresses fragment m over the picks.
+                let inv_rows = (0..self.k).map(|r| inv.row(r));
+                let mut composed = Vec::with_capacity(missing.len() * self.k);
+                gf::mul_rows(&mut composed, targets, inv_rows, self.k);
+                gf::mul_rows(&mut buf, composed.chunks_exact(self.k), picked.rows(), flen);
+            });
+        }
         let backing = Bytes::from(buf);
         out.reserve(missing.len());
         for (j, &m) in missing.iter().enumerate() {
@@ -335,21 +371,22 @@ impl Codec {
         Ok(())
     }
 
-    /// Validates and deduplicates `fragments`, returning the `k` fragments
-    /// that will serve as decode rows, in ascending index order.
+    /// Validates and deduplicates `fragments`, picking the first `k`
+    /// distinct indices: each new one is insertion-sorted into the picks,
+    /// so nothing is allocated.
     fn pick_fragments<'a>(
         &self,
         fragments: &'a [Fragment],
         value_len: usize,
-    ) -> Result<Vec<&'a Fragment>, CodecError> {
+    ) -> Result<Picked<'a>, CodecError> {
         let flen = self.fragment_len(value_len);
-
-        // Deduplicate by index, validating as we go.
-        let mut chosen: Vec<Option<&Fragment>> = vec![None; self.n];
-        let mut distinct = 0usize;
+        let mut picked = Picked {
+            len: 0,
+            indices: [0; 256],
+            fragments,
+        };
         for f in fragments {
-            let idx = f.index() as usize;
-            if idx >= self.n {
+            if f.index() as usize >= self.n {
                 return Err(CodecError::InvalidFragmentIndex {
                     index: f.index(),
                     n: self.n,
@@ -361,67 +398,41 @@ impl Codec {
                     actual: f.len(),
                 });
             }
-            if chosen[idx].is_none() {
-                chosen[idx] = Some(f);
-                distinct += 1;
-                if distinct == self.k {
-                    break;
-                }
+            let Err(at) = picked.indices().binary_search(&f.index()) else {
+                continue; // a duplicate index
+            };
+            picked.indices.copy_within(at..picked.len, at + 1);
+            picked.indices[at] = f.index();
+            picked.len += 1;
+            if picked.len == self.k {
+                return Ok(picked);
             }
         }
-        if distinct < self.k {
-            return Err(CodecError::NotEnoughFragments {
-                have: distinct,
-                need: self.k,
-            });
-        }
-        Ok(chosen.into_iter().flatten().take(self.k).collect())
+        Err(CodecError::NotEnoughFragments {
+            have: picked.len,
+            need: self.k,
+        })
     }
 
-    /// Reconstructs the `k` padded data shards from `picked` (ascending
-    /// index order, as produced by
-    /// [`pick_fragments`](Self::pick_fragments)) into `out`, which must be
-    /// `k * flen` zeroed bytes; shard `i` lands at `out[i*flen..(i+1)*flen]`.
-    // lint:hot
-    fn reconstruct_into(&self, picked: &[&Fragment], flen: usize, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.k * flen);
-
-        // Fast path: all k data fragments present — no algebra needed.
-        if picked
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.index() as usize == i)
-        {
-            for (i, f) in picked.iter().enumerate() {
-                out[i * flen..(i + 1) * flen].copy_from_slice(f.data());
-            }
-            return;
+    /// Runs `product` on the inverse of the generator rows `picked` names.
+    /// A cache hit runs it on the cached [`InversionCache`] entry in place
+    /// (the key is looked up as the picks' index slice, so a hit allocates
+    /// nothing); a miss runs Gaussian elimination, then caches the result.
+    fn with_decode_matrix<R>(&self, picked: &Picked, product: impl FnOnce(&Matrix) -> R) -> R {
+        if let Some(inv) = self.inversions.borrow().get(picked.indices()) {
+            return product(inv);
         }
-
-        let inv = self.decode_matrix(picked);
-        self.mul_rows(&inv, 0..self.k, |c| &picked[c].data()[..], out, flen);
-    }
-
-    /// Returns the inverse of the generator rows selected by `picked`,
-    /// consulting the [`InversionCache`] first.
-    ///
-    /// `picked` is in ascending index order, so the cache key is the
-    /// sorted surviving-index set directly. A hit clones the cached
-    /// `k × k` matrix (at most 256 bytes for the paper's shapes) instead
-    /// of re-running Gaussian elimination.
-    fn decode_matrix(&self, picked: &[&Fragment]) -> Matrix {
-        let key: Vec<u8> = picked.iter().map(|f| f.index()).collect();
-        if let Some(inv) = self.inversions.borrow().get(&key) {
-            return inv.clone();
-        }
-        let rows: Vec<usize> = key.iter().map(|&i| i as usize).collect();
+        let rows: Vec<usize> = picked.indices().iter().map(|&i| i as usize).collect();
         let inv = self
             .generator
             .select_rows(&rows)
             .inverse()
             .expect("any k rows of the systematic generator are independent");
-        self.inversions.borrow_mut().insert(key, inv.clone());
-        inv
+        let result = product(&inv);
+        self.inversions
+            .borrow_mut()
+            .insert(picked.indices().to_vec(), inv);
+        result
     }
 
     /// Number of decode-matrix inversions currently cached.
@@ -740,6 +751,25 @@ mod tests {
                 let expect = c.encode(&v);
                 c.encode_value(&Bytes::from(v), &mut out);
                 assert_eq!(out, expect, "k={k} n={n} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_value_parity_backing_fits_exactly() {
+        // The parity backing every parity fragment holds a window of is
+        // the `Vec` `parity` returns: any spare capacity in it would stay
+        // resident for as long as one parity fragment lives.
+        for (k, n) in [(4, 12), (3, 6), (16, 19), (4, 4)] {
+            let c = Codec::new(k, n).unwrap();
+            for len in [0usize, 1, 65, 100 * 1024] {
+                let mut out = Vec::new();
+                c.encode_value(&Bytes::from(value(len)), &mut out);
+                let flen = c.fragment_len(len);
+                let parity = c.parity(&out[..k], flen);
+                assert_eq!(parity.capacity(), parity.len(), "k={k} n={n} len={len}");
+                let windows: Vec<u8> = out[k..].iter().flat_map(|f| f.data().to_vec()).collect();
+                assert_eq!(parity, windows, "k={k} n={n} len={len}");
             }
         }
     }

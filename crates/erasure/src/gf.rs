@@ -10,14 +10,20 @@
 //! ([`mul_logexp`], [`mul_acc_ref`]) are kept as the reference
 //! implementation that the tables and property tests are checked against.
 //!
-//! The bulk [`mul_acc`] kernel has one body per platform. On x86-64 with
-//! AVX2 it runs a split-nibble shuffle kernel (the PSHUFB technique
-//! standard in storage Reed-Solomon libraries): each byte's product is the
-//! XOR of two 16-entry table lookups — one indexed by the low nibble, one
-//! by the high — and a 32-wide byte shuffle performs all lookups of a
-//! register at once. Everywhere else it runs the scalar flat-table loop,
-//! which also finishes the kernel's sub-register tails. The property tests
-//! pin both to [`mul_acc_ref`] bit for bit.
+//! There are two bulk operations. [`mul_acc`] (`dst ^= s · src`) is the
+//! portable flat-table primitive; the matrix algebra on k-byte rows runs
+//! on it. [`mul_rows`] is the codec's one product: rows of a coefficient
+//! matrix times the k input rows, appended to a `Vec` with each output
+//! byte written once. It has one body per platform. On x86-64 with AVX2 it
+//! runs a fused split-nibble shuffle kernel (the PSHUFB technique standard
+//! in storage Reed-Solomon libraries, in its dot-product form): each
+//! byte's product is the XOR of two 16-entry table lookups — one indexed
+//! by the low nibble, one by the high — a 32-wide byte shuffle performs
+//! all lookups of a register at once, and up to four output rows
+//! accumulate in registers across all inputs before each is stored once.
+//! Everywhere else it runs the flat-table loop, which writes the first
+//! input's product and adds the rest with [`mul_acc`]. The property tests
+//! pin both bodies to [`mul_acc_ref`] bit for bit.
 
 /// The primitive polynomial, with the x⁸ term included (`0x11d`).
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -84,7 +90,7 @@ const fn build_mul() -> [[u8; 256]; 256] {
     table
 }
 
-/// Split-nibble product tables for the SIMD kernel: for each scalar `s`,
+/// Split-nibble product tables for the AVX2 kernel: for each scalar `s`,
 /// `NIB_LO[s][x] == s * x` (products of the 16 possible low nibbles) and
 /// `NIB_HI[s][x] == s * (x << 4)` (products of the 16 possible high
 /// nibbles). Since GF(2⁸) multiplication distributes over XOR and any
@@ -114,7 +120,7 @@ const fn build_nib(high: bool) -> [[u8; 16]; 256] {
 /// `mul_row(s)[b] == s * b`.
 ///
 /// Hot loops that apply one scalar to a whole slice should fetch the row
-/// once and index it directly, as [`mul_acc`] does.
+/// once and index it directly, as [`mul_acc`] and [`mul_rows`] do.
 #[inline]
 pub fn mul_row(scalar: u8) -> &'static [u8; 256] {
     &MUL[scalar as usize]
@@ -193,11 +199,11 @@ pub fn pow(a: u8, e: usize) -> u8 {
 /// Multiplies every byte of `src` by `scalar` and XORs the products into
 /// `dst`: `dst[i] ^= scalar * src[i]`.
 ///
-/// This is the inner loop of Reed-Solomon encoding and decoding.
-/// `scalar == 1` degenerates to a word-wide XOR; on x86-64 with AVX2 the
-/// body runs the split-nibble shuffle kernel ([`NIB_LO`] / [`NIB_HI`]),
-/// and everywhere else it fetches the 256-byte [`MUL`] row for `scalar`
-/// once and runs a branch-free, 8-way-unrolled loop.
+/// The portable primitive: [`matrix`](crate::matrix)'s algebra on k-byte
+/// rows runs on it, and so does the flat-table body of [`mul_rows`].
+/// `scalar == 1` degenerates to a word-wide XOR; otherwise it fetches the
+/// 256-byte [`MUL`] row for `scalar` once and runs a branch-free,
+/// 8-way-unrolled loop.
 ///
 /// # Panics
 ///
@@ -212,17 +218,6 @@ pub fn mul_acc(dst: &mut [u8], src: &[u8], scalar: u8) {
         xor_slice(dst, src);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd::mul_acc_simd(dst, src, scalar) {
-        return;
-    }
-    mul_acc_table(dst, src, scalar);
-}
-
-/// The portable flat-table body of [`mul_acc`] (non-trivial scalars);
-/// also finishes the sub-register tail for the AVX2 kernel.
-// lint:hot
-fn mul_acc_table(dst: &mut [u8], src: &[u8], scalar: u8) {
     let row = mul_row(scalar);
     let mut d_chunks = dst.chunks_exact_mut(8);
     let mut s_chunks = src.chunks_exact(8);
@@ -252,6 +247,79 @@ fn mul_acc_table(dst: &mut [u8], src: &[u8], scalar: u8) {
     }
 }
 
+/// Most input rows [`mul_rows`] takes: a code over GF(2⁸) has at most 256
+/// fragments.
+const MAX_INPUTS: usize = 256;
+
+/// Appends `coeffs.len() * flen` bytes to `out`: for each coefficient row
+/// `c`, in order, the `flen` bytes `c[0]·in[0] ^ … ^ c[k-1]·in[k-1]`, where
+/// `in` are the `k` rows `inputs` yields.
+///
+/// This is the one product behind Reed-Solomon encode, decode and
+/// recovery: rows of a matrix (as [`Matrix::row`](crate::matrix::Matrix::row)
+/// slices) times the `k` input rows. Nothing is zero-filled first: each
+/// output byte is written once, into capacity grown with
+/// `reserve_exact`, so a `Vec` that arrives empty leaves with
+/// `capacity() == len()`. `inputs` is cloned, never collected, so naming
+/// the rows allocates nothing. On x86-64 with AVX2 the body is the fused
+/// shuffle kernel; everywhere else the flat-table loop writes the first
+/// input's product and adds the rest with [`mul_acc`].
+///
+/// # Panics
+///
+/// Panics if there are no inputs or more than 256 (no code over GF(2⁸)
+/// has more), an input is not `flen` bytes long, or a coefficient row
+/// does not have one entry per input.
+// lint:hot
+pub fn mul_rows<'c, 'i>(
+    out: &mut Vec<u8>,
+    mut coeffs: impl ExactSizeIterator<Item = &'c [u8]>,
+    inputs: impl Iterator<Item = &'i [u8]> + Clone,
+    flen: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::mul_rows(out, &mut coeffs, inputs.clone(), flen) {
+        return;
+    }
+    mul_rows_table(out, coeffs, inputs, flen);
+}
+
+/// The portable flat-table body of [`mul_rows`].
+// lint:hot
+fn mul_rows_table<'c, 'i>(
+    out: &mut Vec<u8>,
+    coeffs: impl ExactSizeIterator<Item = &'c [u8]>,
+    inputs: impl Iterator<Item = &'i [u8]> + Clone,
+    flen: usize,
+) {
+    let k = inputs.clone().count();
+    assert!(
+        (1..=MAX_INPUTS).contains(&k),
+        "mul_rows takes 1 to 256 input rows, not {k}"
+    );
+    out.reserve_exact(product_len(coeffs.len(), flen));
+    for row in coeffs {
+        assert_eq!(row.len(), k, "mul_rows coefficient row length mismatch");
+        let start = out.len();
+        let mut terms = row.iter().zip(inputs.clone());
+        if let Some((&c, first)) = terms.next() {
+            assert_eq!(first.len(), flen, "mul_rows input length mismatch");
+            let products = mul_row(c);
+            out.extend(first.iter().map(|&b| products[b as usize]));
+        }
+        for (&c, input) in terms {
+            assert_eq!(input.len(), flen, "mul_rows input length mismatch");
+            mul_acc(&mut out[start..], input, c);
+        }
+    }
+}
+
+/// The byte length of `rows` output rows of `flen` bytes.
+fn product_len(rows: usize, flen: usize) -> usize {
+    rows.checked_mul(flen)
+        .expect("mul_rows output length overflows usize")
+}
+
 /// XORs `src` into `dst` one machine word at a time (the `scalar == 1`
 /// fast path of [`mul_acc`]; GF(2⁸) multiplication by 1 is the identity,
 /// so the accumulate step is a plain XOR).
@@ -274,83 +342,218 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// The x86-64 split-nibble shuffle kernel behind [`mul_acc`].
+/// The x86-64 fused split-nibble shuffle kernel behind [`mul_rows`].
 ///
 /// This module is the one place the crate steps outside safe Rust: the
-/// PSHUFB technique needs the `std::arch` intrinsics. The unsafety is
-/// narrow and mechanical — unaligned 16/32-byte loads and stores entirely
-/// inside bounds established by `chunks_exact`, plus a `#[target_feature]`
-/// function that is only reached behind the matching runtime CPU feature
-/// check — and the kernel is pinned bit-for-bit to [`mul_acc_ref`] by the
-/// property tests.
+/// PSHUFB technique needs the `std::arch` intrinsics, and writing each
+/// output byte once means writing into a `Vec`'s spare capacity before
+/// `set_len`. The unsafety is narrow and mechanical — unaligned 16/32-byte
+/// loads inside inputs whose lengths the entry point checks, stores inside
+/// capacity it reserved, and a `#[target_feature]` function that is only
+/// reached behind the matching runtime CPU feature check — and the kernel
+/// is pinned bit-for-bit to [`mul_acc_ref`] by the property tests.
+///
+/// The kernel walks the rows in 64-byte steps of two registers. Per step,
+/// each input's two registers are loaded and split into nibble indices
+/// once. For each of up to four output rows, the two product tables of its
+/// coefficient for that input are broadcast to both 128-bit lanes (PSHUFB
+/// shuffles within lanes) once, shuffled by both registers' indices and
+/// XORed into the row's two sums, which are stored once after the last
+/// input: eight sums, four index registers, two tables and the mask fill
+/// the sixteen AVX2 registers. More rows take more passes over the inputs;
+/// a 32-byte remainder takes a one-register step, and a sub-register tail
+/// is finished with [`MUL`] lookups, each byte likewise written once.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    use super::{mul_acc_table, NIB_HI, NIB_LO};
+    use super::{product_len, MAX_INPUTS, MUL, NIB_HI, NIB_LO};
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
-        _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_loadu_si128,
+        _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi64,
+        _mm256_storeu_si256, _mm256_xor_si256, _mm_loadu_si128,
     };
+    use std::mem::MaybeUninit;
 
-    /// Runs the AVX2 shuffle kernel; returns `false` when the CPU lacks
-    /// AVX2 so the caller falls back to the portable loop. The
+    /// Output rows accumulated per pass over the inputs (see the module
+    /// doc for the register budget).
+    const GROUP: usize = 4;
+
+    /// Runs the fused AVX2 kernel and returns `true`; returns `false`,
+    /// leaving `out` and `coeffs` untouched, when the CPU lacks AVX2 so the
+    /// caller falls back to the portable loop. The
     /// `is_x86_feature_detected!` result is cached by the standard
     /// library, so the per-call cost is one atomic load.
     // lint:hot
-    #[inline]
-    pub fn mul_acc_simd(dst: &mut [u8], src: &[u8], scalar: u8) -> bool {
+    pub fn mul_rows<'c, 'i>(
+        out: &mut Vec<u8>,
+        mut coeffs: impl ExactSizeIterator<Item = &'c [u8]>,
+        inputs: impl Iterator<Item = &'i [u8]>,
+        flen: usize,
+    ) -> bool {
         if !std::is_x86_feature_detected!("avx2") {
             return false;
         }
-        // SAFETY: the AVX2 feature was just verified at runtime.
-        unsafe { mul_acc_avx2(dst, src, scalar) };
+        // The input base pointers, gathered once: every step reads them.
+        let mut gathered = [MaybeUninit::<*const u8>::uninit(); MAX_INPUTS];
+        let mut k = 0;
+        for input in inputs {
+            assert!(k < MAX_INPUTS, "mul_rows takes 1 to 256 input rows");
+            assert_eq!(input.len(), flen, "mul_rows input length mismatch");
+            gathered[k].write(input.as_ptr());
+            k += 1;
+        }
+        assert!(k > 0, "mul_rows takes 1 to 256 input rows, not 0");
+        // SAFETY: the first `k` entries were written above, and
+        // `MaybeUninit<T>` has the layout of `T`.
+        let inputs =
+            unsafe { std::slice::from_raw_parts(gathered.as_ptr().cast::<*const u8>(), k) };
+        let rows = coeffs.len();
+        out.reserve_exact(product_len(rows, flen));
+        let base = out.len();
+        let mut written = 0;
+        loop {
+            let mut group: [&[u8]; GROUP] = [&[]; GROUP];
+            let mut g = 0;
+            for row in coeffs.by_ref().take(GROUP) {
+                assert_eq!(row.len(), k, "mul_rows coefficient row length mismatch");
+                group[g] = row;
+                g += 1;
+            }
+            if g == 0 {
+                break;
+            }
+            // An iterator whose `len()` undercounted would otherwise write
+            // past the reservation.
+            assert!(
+                written + g <= rows,
+                "mul_rows coefficient iterator overran its len()"
+            );
+            // SAFETY: AVX2 was detected above. `out` has capacity for
+            // `rows * flen` bytes past `base`, and `written + g <= rows`, so
+            // the `g * flen` bytes at row `written` are inside it. Every
+            // input pointer is valid for `flen` bytes of reads, borrowed for
+            // the whole call, and every row in `group[..g]` has one entry
+            // per input (both checked above).
+            unsafe {
+                let dst = out.as_mut_ptr().add(base + written * flen);
+                match g {
+                    1 => dot::<1>(dst, &group, inputs, flen),
+                    2 => dot::<2>(dst, &group, inputs, flen),
+                    3 => dot::<3>(dst, &group, inputs, flen),
+                    _ => dot::<4>(dst, &group, inputs, flen),
+                }
+            }
+            written += g;
+        }
+        // SAFETY: `dot` initialised all `written * flen` bytes past `base`,
+        // which lie inside the reservation (checked per group above).
+        unsafe { out.set_len(base + written * flen) };
         true
     }
 
-    /// 32 bytes per iteration: both 16-entry nibble tables are broadcast
-    /// to the two 128-bit lanes (PSHUFB shuffles within lanes), each
-    /// source register is split into nibble indices, and the two
-    /// shuffled product halves XOR together and into `dst`.
+    /// Writes `R` output rows of `flen` bytes each, row `r` at
+    /// `dst + r * flen`: the sum over inputs `i` of `rows[r][i] · inputs[i]`.
     ///
     /// # Safety
     ///
-    /// The caller must ensure the CPU supports AVX2.
+    /// The CPU must support AVX2; `dst` must be valid for writes of
+    /// `R * flen` bytes; every input pointer must be valid for reads of
+    /// `flen` bytes, and every `rows[r]` with `r < R` must have one entry
+    /// per input.
     #[target_feature(enable = "avx2")]
-    unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], scalar: u8) {
-        // SAFETY: the nibble tables are 16-byte rows, valid for an
-        // unaligned 128-bit load.
-        let (lo, hi) = unsafe {
-            (
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    NIB_LO[scalar as usize].as_ptr().cast::<__m128i>(),
-                )),
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    NIB_HI[scalar as usize].as_ptr().cast::<__m128i>(),
-                )),
-            )
-        };
-        let mask = _mm256_set1_epi8(0x0f);
-        let mut d_chunks = dst.chunks_exact_mut(32);
-        let mut s_chunks = src.chunks_exact(32);
-        for (d, s) in (&mut d_chunks).zip(&mut s_chunks) {
-            // SAFETY: `chunks_exact` guarantees `d` and `s` are exactly
-            // 32 bytes, in bounds for unaligned 256-bit access.
-            unsafe {
-                let sv = _mm256_loadu_si256(s.as_ptr().cast::<__m256i>());
-                let lo_idx = _mm256_and_si256(sv, mask);
-                // The 64-bit lane shift drags bits across byte borders,
-                // but the mask keeps only each byte's own high nibble.
-                let hi_idx = _mm256_and_si256(_mm256_srli_epi64(sv, 4), mask);
-                let prod = _mm256_xor_si256(
-                    _mm256_shuffle_epi8(lo, lo_idx),
-                    _mm256_shuffle_epi8(hi, hi_idx),
-                );
-                let dv = _mm256_loadu_si256(d.as_ptr().cast::<__m256i>());
-                _mm256_storeu_si256(d.as_mut_ptr().cast::<__m256i>(), _mm256_xor_si256(dv, prod));
+    unsafe fn dot<const R: usize>(
+        dst: *mut u8,
+        rows: &[&[u8]; GROUP],
+        inputs: &[*const u8],
+        flen: usize,
+    ) {
+        let mut at = 0;
+        while at + 64 <= flen {
+            // SAFETY: `at + 64 <= flen`; the caller's guarantees cover the rest.
+            unsafe { step::<R, 2>(dst, rows, inputs, flen, at) };
+            at += 64;
+        }
+        if at + 32 <= flen {
+            // SAFETY: `at + 32 <= flen`; the caller's guarantees cover the rest.
+            unsafe { step::<R, 1>(dst, rows, inputs, flen, at) };
+            at += 32;
+        }
+        for at in at..flen {
+            for (r, row) in rows[..R].iter().enumerate() {
+                let mut b = 0u8;
+                for (&c, &input) in row.iter().zip(inputs) {
+                    // SAFETY: `at < flen`, inside the input's readable bytes.
+                    b ^= MUL[c as usize][unsafe { *input.add(at) } as usize];
+                }
+                // SAFETY: `r * flen + at < R * flen`, inside `dst`'s
+                // writable range.
+                unsafe { dst.add(r * flen + at).write(b) };
             }
         }
-        mul_acc_table(d_chunks.into_remainder(), s_chunks.remainder(), scalar);
+    }
+
+    /// Writes the `C` 32-byte registers at byte `at` of each of `R` output
+    /// rows; each row's two product tables per input are loaded once for
+    /// all `C` registers.
+    ///
+    /// # Safety
+    ///
+    /// As for [`dot`], and `at + 32 * C <= flen`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn step<const R: usize, const C: usize>(
+        dst: *mut u8,
+        rows: &[&[u8]; GROUP],
+        inputs: &[*const u8],
+        flen: usize,
+        at: usize,
+    ) {
+        let mask = _mm256_set1_epi8(0x0f);
+        let mut acc = [[_mm256_setzero_si256(); C]; R];
+        for (i, &input) in inputs.iter().enumerate() {
+            let mut lo_idx = [_mm256_setzero_si256(); C];
+            let mut hi_idx = [_mm256_setzero_si256(); C];
+            for c in 0..C {
+                // SAFETY: `at + 32 * (c + 1) <= flen`, inside the input's
+                // readable bytes, for an unaligned 256-bit load.
+                let sv = unsafe { _mm256_loadu_si256(input.add(at + 32 * c).cast::<__m256i>()) };
+                lo_idx[c] = _mm256_and_si256(sv, mask);
+                // The 64-bit lane shift drags bits across byte borders,
+                // but the mask keeps only each byte's own high nibble.
+                hi_idx[c] = _mm256_and_si256(_mm256_srli_epi64(sv, 4), mask);
+            }
+            for (sums, row) in acc.iter_mut().zip(rows) {
+                let k = row[i] as usize;
+                // SAFETY: the nibble tables are 16-byte rows, valid for an
+                // unaligned 128-bit load.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                            NIB_LO[k].as_ptr().cast::<__m128i>(),
+                        )),
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                            NIB_HI[k].as_ptr().cast::<__m128i>(),
+                        )),
+                    )
+                };
+                for c in 0..C {
+                    let prod = _mm256_xor_si256(
+                        _mm256_shuffle_epi8(lo, lo_idx[c]),
+                        _mm256_shuffle_epi8(hi, hi_idx[c]),
+                    );
+                    sums[c] = _mm256_xor_si256(sums[c], prod);
+                }
+            }
+        }
+        for (r, sums) in acc.iter().enumerate() {
+            for (c, sum) in sums.iter().enumerate() {
+                // SAFETY: `r * flen + at + 32 * (c + 1) <= R * flen`,
+                // inside `dst`'s writable range.
+                unsafe {
+                    _mm256_storeu_si256(dst.add(r * flen + at + 32 * c).cast::<__m256i>(), *sum)
+                };
+            }
+        }
     }
 }
 
@@ -382,10 +585,6 @@ pub fn mul_acc_ref(dst: &mut [u8], src: &[u8], scalar: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Slice lengths both `mul_acc` bodies are checked at, over all 256
-    /// scalars.
-    const REFERENCE_LENS: [usize; 5] = [19, 16, 32, 133, 1000];
 
     #[test]
     fn exp_log_are_inverse_bijections() {
@@ -462,11 +661,11 @@ mod tests {
 
     #[test]
     fn mul_acc_matches_reference_all_scalars() {
-        // Lengths chosen to cross every kernel boundary: sub-register
-        // (16, 19), exactly one AVX2 register (32), register chunks plus
-        // an awkward tail (133), and a realistic row (1000) — each with
-        // zeros sprinkled in.
-        for len in REFERENCE_LENS {
+        // Lengths chosen to cross every loop boundary: empty, one byte,
+        // either side of the 8-byte word (7, 8, 9), sub-register (16, 19),
+        // 32, words plus an awkward tail (133), and a realistic row (1000)
+        // — each with zeros sprinkled in.
+        for len in [0usize, 1, 7, 8, 9, 19, 16, 32, 133, 1000] {
             let src: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(37) % 251) as u8).collect();
             for scalar in 0..=255u8 {
                 let mut fast = vec![0x5Au8; src.len()];
@@ -474,6 +673,26 @@ mod tests {
                 mul_acc(&mut fast, &src, scalar);
                 mul_acc_ref(&mut slow, &src, scalar);
                 assert_eq!(fast, slow, "len={len} scalar={scalar}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_table_fallback_matches_reference() {
+        // `mul_acc` is the flat-table loop itself, so it must hold at every
+        // length around its 8-way unroll and tail (0..=24), on sub-slices
+        // that start off any word boundary, for every scalar.
+        let backing: Vec<u8> = (0..40usize).map(|i| (i * 7 % 253) as u8).collect();
+        for offset in 0..8usize {
+            for len in 0..=24usize {
+                let src = &backing[offset..offset + len];
+                for scalar in 0..=255u8 {
+                    let mut fast = vec![0xC3u8; offset + len];
+                    let mut slow = fast.clone();
+                    mul_acc(&mut fast[offset..], src, scalar);
+                    mul_acc_ref(&mut slow[offset..], src, scalar);
+                    assert_eq!(fast, slow, "offset={offset} len={len} scalar={scalar}");
+                }
             }
         }
     }
@@ -491,21 +710,82 @@ mod tests {
         }
     }
 
+    /// `rows` coefficient rows of `k` entries: a pseudo-random spread
+    /// with 0 and 1 planted in every row.
+    fn coefficient_rows(rows: usize, k: usize) -> Vec<Vec<u8>> {
+        (0..rows)
+            .map(|r| {
+                (0..k)
+                    .map(|i| match (r + i) % 5 {
+                        0 => 0,
+                        1 => 1,
+                        _ => ((r * 71 + i * 113 + 29) % 256) as u8,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn mul_acc_table_fallback_matches_reference() {
-        // The portable loop must stay correct on its own (it is the tail
-        // handler and the whole kernel on every host without AVX2),
-        // independent of SIMD dispatch: every scalar, the dispatch test's
-        // lengths, and the empty, single-byte and 8-byte-word edges.
-        for len in REFERENCE_LENS.into_iter().chain([0, 1, 7, 8, 9]) {
-            let src: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
-            for scalar in 0..=255u8 {
-                let mut fast = vec![0xC3u8; src.len()];
-                let mut slow = fast.clone();
-                mul_acc_table(&mut fast, &src, scalar);
-                mul_acc_ref(&mut slow, &src, scalar);
-                assert_eq!(fast, slow, "len={len} scalar={scalar}");
+    fn mul_rows_matches_reference_on_both_bodies() {
+        // Rows 1–9 cover every remainder of the four-row AVX2 group; the
+        // lengths cover empty, sub-register, either side of the one- and
+        // two-register steps, and long rows ending in a one-register step
+        // plus a tail (1000) or a 7-byte tail alone (4103).
+        // Each output arrives non-empty with spare capacity, and its prefix
+        // must survive the append.
+        const LENS: [usize; 10] = [0, 1, 31, 32, 33, 63, 64, 65, 1000, 4103];
+        let prefix = [0xEEu8, 0x11, 0x5A];
+        for k in 1..=17usize {
+            for flen in LENS {
+                let inputs: Vec<Vec<u8>> = (0..k)
+                    .map(|i| {
+                        (0..flen)
+                            .map(|j| ((j * 37 + i * 101) % 251) as u8)
+                            .collect()
+                    })
+                    .collect();
+                let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+                for rows in 1..=9usize {
+                    let coeffs = coefficient_rows(rows, k);
+                    let mut expect = prefix.to_vec();
+                    for row in &coeffs {
+                        let mut sum = vec![0u8; flen];
+                        for (&c, input) in row.iter().zip(&inputs) {
+                            mul_acc_ref(&mut sum, input, c);
+                        }
+                        expect.extend_from_slice(&sum);
+                    }
+                    let fresh = || {
+                        let mut out = Vec::with_capacity(prefix.len() + 5);
+                        out.extend_from_slice(&prefix);
+                        out
+                    };
+                    let mut fast = fresh();
+                    let rows_of = || coeffs.iter().map(Vec::as_slice);
+                    mul_rows(&mut fast, rows_of(), inputs.iter().copied(), flen);
+                    assert_eq!(fast, expect, "mul_rows k={k} flen={flen} rows={rows}");
+                    let mut table = fresh();
+                    mul_rows_table(&mut table, rows_of(), inputs.iter().copied(), flen);
+                    assert_eq!(
+                        table, expect,
+                        "mul_rows_table k={k} flen={flen} rows={rows}"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn mul_rows_into_an_empty_vec_fits_exactly() {
+        for flen in [0usize, 1, 33, 1000] {
+            let input = vec![7u8; flen];
+            let coeffs = coefficient_rows(5, 1);
+            let mut out = Vec::new();
+            let inputs = std::iter::once(input.as_slice());
+            mul_rows(&mut out, coeffs.iter().map(Vec::as_slice), inputs, flen);
+            assert_eq!(out.len(), 5 * flen);
+            assert_eq!(out.capacity(), out.len(), "flen={flen}");
         }
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate, run locally before pushing: formatting, clippy (warnings
-# are errors), the workspace tests, the static checker (`analyze`), the
-# mutation smoke (`mutate`), five invariant-explorer legs whose digests are
+# are errors), the workspace tests (the erasure crate's again in release),
+# the static checker (`analyze`), the mutation smoke (`mutate`), five
+# invariant-explorer legs whose digests are
 # compared with results/digests/, the paper figures and CSVs compared with
 # results/, `pahoehoe-sim` on a benchmark shape, the scale tier's smoke
 # cells compared with results/scale/, the stand-alone benchmark package's
@@ -48,6 +49,11 @@ echo "==> cargo test"
 # the committed BENCH_analysis.json was not regenerated for the current
 # pinned mutant set.
 cargo test --workspace -q
+
+echo "==> cargo test -p erasure --release"
+# The workspace run above is a debug build; the codec's unsafe AVX2 kernel
+# must also pass its tests under the optimizer.
+cargo test -p erasure --release -q
 
 echo "==> static checker (7 token + 5 semantic rules; workspace must be clean)"
 cargo run -p check --release --bin analyze
