@@ -198,7 +198,8 @@ mod tests {
     use super::*;
     use simnet::SimTime;
 
-    /// A 24-byte record, the size of both users' records.
+    /// A 16-byte record, the size of both users' records: a timestamp
+    /// word and one word more.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Rec {
         ts: Timestamp,
@@ -220,9 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_record_is_inline_and_the_slot_is_four_words() {
-        assert_eq!(std::mem::size_of::<Rec>(), 24);
-        assert!(std::mem::size_of::<Chain<Rec>>() <= 32);
+    fn a_lone_record_is_inline_and_the_slot_is_three_words() {
+        assert_eq!(std::mem::size_of::<Rec>(), 16);
+        assert!(std::mem::size_of::<Chain<Rec>>() <= 24);
         let mut chains: Chains<Rec> = Chains::default();
         let (inserted, rec) = chains.get_or_insert_with(ov(1, 5), || Rec { ts: ts(5), tag: 1 });
         assert!(inserted && rec.tag == 1);

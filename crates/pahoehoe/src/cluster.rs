@@ -27,7 +27,7 @@ use crate::protocol::ProtocolMode;
 use crate::proxy::{Proxy, ProxyConfig};
 use crate::repair::RepairActor;
 use crate::topology::{DataCenterId, Topology};
-use crate::types::{Key, ObjectVersion};
+use crate::types::{Key, ObjectVersion, ID_LIMIT, MICROS_LIMIT};
 
 /// Deterministic node-id layout for a cluster shape, computable *before*
 /// the simulation is built — fault plans (which need node ids) can then be
@@ -196,6 +196,32 @@ impl ClusterConfig {
             racks_per_dc: None,
         }
     }
+
+    /// Panics, naming the limit, if a proxy of this configuration could
+    /// build a timestamp the one-word [`Timestamp`] layout cannot hold.
+    ///
+    /// [`Timestamp`]: crate::types::Timestamp
+    fn check_timestamp_range(&self) {
+        let proxies = 1 + self.extra_proxies.len() as u64;
+        assert!(
+            proxies <= ID_LIMIT,
+            "{proxies} proxies: a timestamp names at most 2^16 = {ID_LIMIT} proxies"
+        );
+        let skew = self
+            .extra_proxies
+            .iter()
+            .map(|extra| extra.clock_skew)
+            .fold(self.proxy.clock_skew, SimDuration::max);
+        let last_stamp = self
+            .max_sim_time
+            .as_micros()
+            .saturating_add(skew.as_micros());
+        assert!(
+            last_stamp < MICROS_LIMIT,
+            "max_sim_time plus the largest proxy clock_skew is {last_stamp} µs: a timestamp's \
+             clock holds less than 2^48 = {MICROS_LIMIT} µs (about 8.9 years)"
+        );
+    }
 }
 
 /// Outcome classification after a run (the quantities the paper's
@@ -250,7 +276,17 @@ impl Cluster {
 
     /// Builds a cluster with a fault plan (node outages, partitions). Use
     /// [`ClusterLayout`] to compute the node ids the plan needs.
+    ///
+    /// # Panics
+    ///
+    /// If a proxy could stamp a version past what a [`Timestamp`] holds:
+    /// `max_sim_time` plus the largest proxy `clock_skew` reaches 2⁴⁸ µs,
+    /// or there are more proxies than 2¹⁶ ids name. Checked here so that no
+    /// run stops part-way through at its first out-of-range stamp.
+    ///
+    /// [`Timestamp`]: crate::types::Timestamp
     pub fn build_with_faults(config: ClusterConfig, seed: u64, faults: FaultPlan) -> Self {
+        config.check_timestamp_range();
         let layout = config.layout;
         let mut sim = Simulation::with_network(seed, config.network.clone(), faults);
 
@@ -729,6 +765,38 @@ mod tests {
         let plain = Cluster::build(ClusterConfig::paper_default(), 1);
         assert_eq!(plain.sim().actor_count(), 12);
         assert!(plain.repair_ids().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "less than 2^48 = 281474976710656 µs")]
+    fn a_horizon_past_the_timestamp_clock_is_refused() {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.max_sim_time = SimDuration::from_micros(MICROS_LIMIT - 1);
+        cfg.extra_proxies = vec![ExtraProxy {
+            dc: 1,
+            clock_skew: SimDuration::from_micros(1),
+        }];
+        let _ = Cluster::build(cfg, 1);
+    }
+
+    #[test]
+    fn a_horizon_just_inside_the_timestamp_clock_builds() {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.max_sim_time = SimDuration::from_micros(MICROS_LIMIT - 2);
+        cfg.proxy.clock_skew = SimDuration::from_micros(1);
+        let _ = Cluster::build(cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 proxies: a timestamp names at most 2^16 = 65536 proxies")]
+    fn more_proxies_than_timestamp_ids_are_refused() {
+        let mut cfg = ClusterConfig::paper_default();
+        let extra = ExtraProxy {
+            dc: 0,
+            clock_skew: SimDuration::ZERO,
+        };
+        cfg.extra_proxies = vec![extra; 1 << 16];
+        let _ = Cluster::build(cfg, 1);
     }
 
     #[test]

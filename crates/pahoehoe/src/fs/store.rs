@@ -14,7 +14,7 @@ use super::FragEntry;
 use crate::chain::{Chains, Stamped};
 use crate::messages::OpId;
 use crate::protocol::FragMask;
-use crate::types::{Key, ObjectVersion, Timestamp};
+use crate::types::{Key, MicrosId, ObjectVersion, Timestamp};
 
 /// Convergence bookkeeping for one not-yet-AMR object version.
 #[derive(Debug)]
@@ -116,29 +116,44 @@ struct VersionSlot {
 /// All that converged-version compaction keeps of a version: it was
 /// settled AMR *and* superseded by a newer settled-AMR version of the same
 /// key, so its fragment bytes, checksums, metadata handle, slab slot and
-/// index entry have all been released. One packed record in its key's
-/// chain of a [`ResidualTable`]: the key is the chain's, the timestamp is
-/// stored as its two parts so that the fields pack into three words, and
-/// the held-index set is an id into the table's interned masks.
+/// index entry have all been released. One two-word record in its key's
+/// chain of a [`ResidualTable`]: the key is the chain's, the first word is
+/// the version's timestamp, and the second packs when the version settled
+/// AMR (48-bit µs) over the id of its held-index set (16 bits) among the
+/// table's interned masks — the [`MicrosId`] layout a timestamp has.
 #[derive(Debug, Clone, Copy)]
 struct Residual {
-    /// The version timestamp's clock part, in microseconds.
-    clock: u64,
+    /// The version's timestamp.
+    ts: Timestamp,
     /// When the version settled AMR (re-stamped by a later indication, as
-    /// a full entry's is).
-    amr_at: SimTime,
-    /// The version timestamp's proxy part.
-    proxy: u32,
-    /// Which fragment indices were stored at compaction time — what keeps
-    /// convergence replies about this version byte-identical to the full
-    /// store's (and lets the sampled invariants assert the version really
-    /// was durable) — as an id into [`ResidualTable::masks`].
-    held: u16,
+    /// a full entry's is), over which fragment indices were stored at
+    /// compaction time — what keeps convergence replies about this version
+    /// byte-identical to the full store's (and lets the sampled invariants
+    /// assert the version really was durable) — as an id into
+    /// [`ResidualTable::masks`].
+    settled: MicrosId,
+}
+
+impl Residual {
+    /// When the version settled AMR.
+    fn amr_at(&self) -> SimTime {
+        SimTime::from_micros(self.settled.micros())
+    }
+
+    /// The id of the held-index set in [`ResidualTable::masks`].
+    fn held(&self) -> u16 {
+        self.settled.id()
+    }
+
+    /// Re-stamps the AMR time, keeping the held-index set.
+    fn restamp(&mut self, amr_at: SimTime) {
+        self.settled = MicrosId::new(amr_at.as_micros(), u32::from(self.held()));
+    }
 }
 
 impl Stamped for Residual {
     fn ts(&self) -> Timestamp {
-        Timestamp::new(SimTime::from_micros(self.clock), self.proxy)
+        self.ts
     }
 }
 
@@ -159,7 +174,7 @@ impl ResidualTable {
     /// The fragment-index set `residual` recorded.
     fn held(&self, residual: &Residual) -> FragMask {
         // lint:allow(panic-path): a record's id is a position `intern` returned, and masks are never removed
-        self.masks[usize::from(residual.held)]
+        self.masks[usize::from(residual.held())]
     }
 
     /// The timestamp of `key`'s newest compacted version.
@@ -197,10 +212,8 @@ impl ResidualTable {
     fn insert(&mut self, ov: ObjectVersion, held: FragMask, amr_at: SimTime) {
         let held = self.intern(held);
         let (inserted, _) = self.chains.get_or_insert_with(ov, || Residual {
-            clock: ov.ts.clock_micros(),
-            amr_at,
-            proxy: ov.ts.proxy(),
-            held,
+            ts: ov.ts,
+            settled: MicrosId::new(amr_at.as_micros(), u32::from(held)),
         });
         debug_assert!(inserted, "{ov:?} compacted twice");
     }
@@ -249,7 +262,7 @@ impl Slot {
 /// probes the index once per message, through [`VersionStore::find`] or
 /// [`VersionStore::adopt`], and reaches the version by its [`Slot`] from
 /// then on. Versions are never forgotten, but a compacted one shrinks to a
-/// 24-byte [`Residual`] in its key's chain of the [`ResidualTable`] and
+/// 16-byte [`Residual`] in its key's chain of the [`ResidualTable`] and
 /// gives its slot and index entry back, so slab, index, pending list and
 /// every walk over them are O(live versions), not O(versions ever stored).
 #[derive(Debug)]
@@ -338,14 +351,14 @@ impl VersionStore {
     /// fragment indices it held then, and when it settled AMR.
     pub(super) fn residual(&self, ov: ObjectVersion) -> Option<(FragMask, SimTime)> {
         let residual = self.residuals.chains.get(ov)?;
-        Some((self.residuals.held(residual), residual.amr_at))
+        Some((self.residuals.held(residual), residual.amr_at()))
     }
 
     /// Re-stamps compacted `ov`'s AMR time, as a repeated settle re-stamps
     /// a live version's.
     pub(super) fn restamp_residual(&mut self, ov: ObjectVersion, at: SimTime) {
         if let Some(residual) = self.residuals.chains.get_mut(ov) {
-            residual.amr_at = at;
+            residual.restamp(at);
         }
     }
 

@@ -27,12 +27,60 @@ fn stored(idx: FragmentIndex) -> StoredFragment {
 /// Per-version memory is pinned: a field that grows what every stored
 /// version costs fails here. A live version's entry is its metadata handle
 /// and one vector of fragments, each with its checksum; a compacted one is
-/// a 24-byte record in a chain slot of at most four words.
+/// a 16-byte record, its timestamp word and its (AMR time, held-mask id)
+/// word, in a chain slot of at most three words.
 #[test]
 fn per_version_layout_is_pinned() {
     assert!(size_of::<FragEntry>() <= size_of::<Arc<Metadata>>() + size_of::<Vec<u8>>());
-    assert!(size_of::<Residual>() <= 24);
-    assert!(size_of::<Chain<Residual>>() <= 32);
+    assert_eq!(size_of::<Residual>(), 16);
+    assert!(size_of::<Chain<Residual>>() <= 24);
+}
+
+/// The second word holds any AMR time below 2⁴⁸ µs beside any of the
+/// 2¹⁶ mask ids, both ends included, and a re-stamp moves only the time.
+#[test]
+fn residual_word_round_trips_its_range_ends() {
+    let ts = Timestamp::new(SimTime::from_micros(5), 3);
+    let last_micros = crate::types::MICROS_LIMIT - 1;
+    for micros in [0, last_micros] {
+        for held in [0, u16::MAX] {
+            let amr_at = SimTime::from_micros(micros);
+            let mut residual = Residual {
+                ts,
+                settled: MicrosId::new(micros, u32::from(held)),
+            };
+            assert_eq!(
+                (residual.ts(), residual.amr_at(), residual.held()),
+                (ts, amr_at, held)
+            );
+            let later = SimTime::from_micros(last_micros - micros);
+            residual.restamp(later);
+            assert_eq!(
+                (residual.ts(), residual.amr_at(), residual.held()),
+                (ts, later, held)
+            );
+        }
+    }
+
+    // Through the store: a re-stamped residual keeps the set it held.
+    let mut store = VersionStore::new();
+    let older = ObjectVersion::new(Key::from_u64(1), ts);
+    let newer = ObjectVersion::new(Key::from_u64(1), Timestamp::new(SimTime::from_micros(6), 3));
+    let settled = SimTime::from_micros(1);
+    for (ov, idx) in [(older, 64), (newer, 0)] {
+        let (s, entry) = store
+            .adopt(ov, SimTime::ZERO, blank)
+            .expect("a new version");
+        entry.fragments.insert(idx, stored(idx));
+        store.settle_amr(s, settled);
+        store.compact_superseded(s);
+    }
+    let mut held = FragMask::new();
+    held.insert(64);
+    assert_eq!(store.residual(older), Some((held, settled)));
+    let last = SimTime::from_micros(last_micros);
+    store.restamp_residual(older, last);
+    assert_eq!(store.residual(older), Some((held, last)));
 }
 
 #[test]
@@ -116,7 +164,7 @@ fn residual_record_is_packed() {
             .get(version(i as u64 % 100, i as u64 / 100))
             .expect("inserted");
         assert_eq!(table.held(residual), mask_of(i % 7));
-        assert_eq!(residual.amr_at, SimTime::from_micros(i as u64));
+        assert_eq!(residual.amr_at(), SimTime::from_micros(i as u64));
     }
 }
 

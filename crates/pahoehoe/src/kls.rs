@@ -659,15 +659,15 @@ mod tests {
         assert_eq!(kls.known_versions().count(), 1);
     }
 
-    /// A version's slot in a KLS's store is four words: a lone version is
-    /// a 24-byte record held inline in its key's map entry, and a longer
-    /// chain a vector header. A field that grows what every stored version
-    /// costs fails here.
+    /// A version's slot in a KLS's store is three words: a lone version is
+    /// a 16-byte record (its timestamp word and its metadata handle) held
+    /// inline in its key's map entry, and a longer chain a vector header.
+    /// A field that grows what every stored version costs fails here.
     #[test]
     fn per_version_layout_is_pinned() {
         use crate::chain::Chain;
-        assert_eq!(std::mem::size_of::<StoredVersion>(), 24);
-        assert!(std::mem::size_of::<Chain<StoredVersion>>() <= 32);
+        assert_eq!(std::mem::size_of::<StoredVersion>(), 16);
+        assert!(std::mem::size_of::<Chain<StoredVersion>>() <= 24);
     }
 
     // ---- the chain store against the ordered table it replaced ----

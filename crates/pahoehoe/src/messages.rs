@@ -489,6 +489,18 @@ mod tests {
         m
     }
 
+    /// Every queued or in-flight event carries a `Message`, so its size is
+    /// pinned: nine words since a version's identity is two. The wire
+    /// model prices the paper's timestamp ([`OV_BYTES`]), not this layout.
+    #[test]
+    fn message_size_is_pinned() {
+        assert!(
+            std::mem::size_of::<Message>() <= 72,
+            "{}",
+            std::mem::size_of::<Message>()
+        );
+    }
+
     #[test]
     fn kinds_match_figure_legends() {
         let m = Arc::new(full_meta());

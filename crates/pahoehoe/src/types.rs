@@ -47,54 +47,111 @@ impl fmt::Display for Key {
     }
 }
 
+/// Bits of a `MicrosId` word below its microsecond reading: the id.
+const ID_BITS: u32 = 16;
+
+/// The first microsecond reading a timestamp cannot hold: 2⁴⁸ µs, about
+/// 8.9 years of simulated time.
+pub const MICROS_LIMIT: u64 = 1 << (64 - ID_BITS);
+
+/// The number of proxy ids a timestamp can name: 2¹⁶ = 65 536.
+pub const ID_LIMIT: u64 = 1 << ID_BITS;
+
+/// A microsecond reading and a 16-bit id packed into one word: the reading
+/// in the high 48 bits, the id in the low 16.
+///
+/// Both fields are unsigned and the reading sits above the id, so the
+/// word's integer order is the lexicographic order of `(micros, id)`: the
+/// derived `Ord` is the pair's. It is the layout of a [`Timestamp`]
+/// (clock, proxy) and of the second word of an FS compaction residual (AMR
+/// time, held-mask id). [`MicrosId::new`] checks both ranges, so a value
+/// that does not fit stops the run instead of wrapping into another's
+/// order; `Cluster::build_with_faults` rejects a configuration that could
+/// reach either limit.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct MicrosId(u64);
+
+impl MicrosId {
+    /// Packs `micros` over `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `micros` is [`MICROS_LIMIT`] or more, or `id` is [`ID_LIMIT`] or
+    /// more.
+    pub(crate) fn new(micros: u64, id: u32) -> Self {
+        assert!(
+            micros < MICROS_LIMIT,
+            "{micros} µs does not fit a 48-bit reading (limit 2^48 µs, about 8.9 years)"
+        );
+        assert!(
+            u64::from(id) < ID_LIMIT,
+            "id {id} does not fit a 16-bit id (limit 2^16 = 65536 ids)"
+        );
+        MicrosId(micros << ID_BITS | u64::from(id))
+    }
+
+    /// The microsecond reading.
+    pub(crate) const fn micros(self) -> u64 {
+        self.0 >> ID_BITS
+    }
+
+    /// The id.
+    pub(crate) const fn id(self) -> u16 {
+        self.0 as u16
+    }
+}
+
+impl fmt::Debug for MicrosId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}us#{}", self.micros(), self.id())
+    }
+}
+
 /// A globally unique, totally ordered version timestamp.
 ///
 /// Per the paper (§3.2), "each proxy constructs a globally unique timestamp
 /// by concatenating the time from the loosely synchronized local clock with
-/// its own unique identifier". Ordering is lexicographic on
-/// `(clock, proxy)`, so concurrent puts at different proxies are ordered
-/// deterministically and never collide.
+/// its own unique identifier". This is that concatenation, in one word:
+/// the clock's microseconds in the high 48 bits, the proxy id in the low
+/// 16. Ordering is therefore lexicographic on `(clock, proxy)`, so
+/// concurrent puts at different proxies are ordered deterministically and
+/// never collide. The bounds are 2⁴⁸ µs of clock (8.9 years) and 2¹⁶
+/// proxies; [`Timestamp::new`] panics past either.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Timestamp {
-    /// Microseconds read from the proxy's loosely synchronized clock.
-    clock: u64,
-    /// The proxy's unique identifier (tie-breaker).
-    proxy: u32,
-}
+pub struct Timestamp(MicrosId);
 
 impl Timestamp {
     /// The smallest timestamp; `ObjectVersion::new(key, Timestamp::MIN)`
     /// lower-bounds every version of `key` in ordered scans.
-    pub const MIN: Timestamp = Timestamp { clock: 0, proxy: 0 };
+    pub const MIN: Timestamp = Timestamp(MicrosId(0));
 
-    /// The largest timestamp; upper bound for per-key ordered scans.
-    pub const MAX: Timestamp = Timestamp {
-        clock: u64::MAX,
-        proxy: u32::MAX,
-    };
+    /// The largest timestamp (clock 2⁴⁸ − 1 µs, proxy 2¹⁶ − 1); upper
+    /// bound for per-key ordered scans.
+    pub const MAX: Timestamp = Timestamp(MicrosId(u64::MAX));
 
     /// Builds a timestamp from a proxy clock reading and proxy id.
+    ///
+    /// # Panics
+    ///
+    /// If the reading is 2⁴⁸ µs or later, or `proxy` is 2¹⁶ or more.
     pub fn new(clock: SimTime, proxy: u32) -> Self {
-        Timestamp {
-            clock: clock.as_micros(),
-            proxy,
-        }
+        Timestamp(MicrosId::new(clock.as_micros(), proxy))
     }
 
     /// The clock component in microseconds.
     pub const fn clock_micros(self) -> u64 {
-        self.clock
+        self.0.micros()
     }
 
     /// The proxy-id component.
     pub const fn proxy(self) -> u32 {
-        self.proxy
+        self.0.id() as u32
     }
 }
 
 impl fmt::Debug for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ts({}us@p{})", self.clock, self.proxy)
+        write!(f, "ts({}us@p{})", self.clock_micros(), self.proxy())
     }
 }
 
@@ -140,6 +197,46 @@ mod tests {
         let k = Key::from_u64(5);
         assert!(ObjectVersion::new(k, Timestamp::MIN) <= ObjectVersion::new(k, t));
         assert!(ObjectVersion::new(k, t) <= ObjectVersion::new(k, Timestamp::MAX));
+    }
+
+    /// The version identity is two words, and a timestamp one: a field
+    /// that grows what every stored or sent version costs fails here.
+    #[test]
+    fn identity_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Timestamp>(), 8);
+        assert_eq!(std::mem::size_of::<ObjectVersion>(), 16);
+    }
+
+    #[test]
+    fn the_word_holds_both_range_ends() {
+        for (micros, id) in [
+            (0, 0),
+            (MICROS_LIMIT - 1, 0),
+            (0, 65_535),
+            (MICROS_LIMIT - 1, 65_535),
+        ] {
+            let word = MicrosId::new(micros, id);
+            assert_eq!((word.micros(), u32::from(word.id())), (micros, id));
+        }
+        assert_eq!(Timestamp::new(SimTime::ZERO, 0), Timestamp::MIN);
+        let last = Timestamp::new(SimTime::from_micros(MICROS_LIMIT - 1), 65_535);
+        assert_eq!(last, Timestamp::MAX);
+        assert_eq!(
+            (last.clock_micros(), last.proxy()),
+            (MICROS_LIMIT - 1, 65_535)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "limit 2^48 µs")]
+    fn a_clock_of_2_pow_48_micros_is_refused() {
+        Timestamp::new(SimTime::from_micros(MICROS_LIMIT), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit 2^16 = 65536 ids")]
+    fn proxy_65536_is_refused() {
+        Timestamp::new(SimTime::ZERO, 65_536);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use pahoehoe::metadata::{Location, Metadata};
 use pahoehoe::policy::Policy;
 use pahoehoe::topology::DataCenterId;
-use pahoehoe::types::{Key, ObjectVersion, Timestamp};
+use pahoehoe::types::{Key, ObjectVersion, Timestamp, ID_LIMIT, MICROS_LIMIT};
 use proptest::prelude::*;
 use simnet::{NodeId, SimTime};
 use std::sync::Arc;
@@ -48,6 +48,27 @@ fn snapshot(dcs: u8, flags: u8) -> Metadata {
         m.add_dc_locations(DataCenterId::new(dc), locs);
     }
     m
+}
+
+/// Strategy: one of `0..limit` — either end of the range, a small value
+/// (so equal values are drawn often), or any value, a quarter each.
+fn in_range_with_ends(limit: u64) -> impl Strategy<Value = u64> {
+    (0u8..4, 0u64..4, 0..limit).prop_map(move |(pick, small, any)| match pick {
+        0 => 0,
+        1 => limit - 1,
+        2 => small,
+        _ => any,
+    })
+}
+
+/// Strategy: a clock reading a timestamp holds (48 bits).
+fn clock_reading() -> impl Strategy<Value = u64> {
+    in_range_with_ends(MICROS_LIMIT)
+}
+
+/// Strategy: a proxy id a timestamp names (16 bits).
+fn proxy_id() -> impl Strategy<Value = u32> {
+    in_range_with_ends(ID_LIMIT).prop_map(|id| id as u32)
 }
 
 proptest! {
@@ -129,17 +150,22 @@ proptest! {
         }
     }
 
-    /// Timestamp ordering is total and consistent with (clock, proxy).
+    /// Timestamp ordering is total and consistent with (clock, proxy)
+    /// over the whole packed range, both ends included; each part reads
+    /// back as built, and `MIN` / `MAX` bound every value.
     #[test]
     fn timestamp_order_is_lexicographic(
-        c1 in 0u64..1000, p1 in 0u32..8,
-        c2 in 0u64..1000, p2 in 0u32..8,
+        c1 in clock_reading(), p1 in proxy_id(),
+        c2 in clock_reading(), p2 in proxy_id(),
     ) {
         let t1 = Timestamp::new(SimTime::from_micros(c1), p1);
         let t2 = Timestamp::new(SimTime::from_micros(c2), p2);
         let expected = (c1, p1).cmp(&(c2, p2));
         prop_assert_eq!(t1.cmp(&t2), expected);
         prop_assert_eq!(t1 == t2, c1 == c2 && p1 == p2);
+        prop_assert_eq!((t1.clock_micros(), t1.proxy()), (c1, p1));
+        prop_assert_eq!((t2.clock_micros(), t2.proxy()), (c2, p2));
+        prop_assert!(Timestamp::MIN <= t1 && t1 <= Timestamp::MAX);
     }
 
     /// Key fingerprints never collide across distinct small names (a

@@ -5,7 +5,7 @@
 # cell's own peak RSS.
 #
 #   scripts/scale.sh           # the full seven-cell grid (~5 min; big-zipf
-#                              # alone peaks at ~2.1 GB: run it alone)
+#                              # alone peaks at ~1.7 GB: run it alone)
 #   scripts/scale.sh --smoke   # five small cells, each stdout compared
 #                              # with results/scale/<cell>.txt
 #
@@ -16,8 +16,9 @@
 #     (compaction is local bookkeeping);
 #   - a compacting cell compacted nothing, or a cell did not converge;
 #   - full grid: compacted steady-RSS growth from update-small to
-#     update-large is not below the uncompacted growth, or mid-hot's steady
-#     RSS is not under half of mid-uniform's;
+#     update-large is not below the uncompacted growth, mid-hot's steady
+#     RSS is not under half of mid-uniform's, or big-zipf peaks at 2 GB
+#     (2 x 10^9 B) or more;
 #   - smoke: a cell's stdout differs from its committed twin. A change
 #     that means to move behaviour regenerates results/scale/ in the same
 #     commit (results/README.md).
@@ -103,6 +104,9 @@ if [[ $mode == full ]]; then
     hot=$(steady mid-hot) uniform=$(steady mid-uniform)
     ((2 * hot < uniform)) ||
         fail "mid-hot steady RSS $hot B is not under half of mid-uniform's $uniform B"
+    big=$(host big-zipf peak_rss_bytes)
+    ((big < 2000000000)) ||
+        fail "big-zipf peak RSS $big B is not under 2 GB (2 x 10^9 B)"
 fi
 
 if ((failures > 0)); then
