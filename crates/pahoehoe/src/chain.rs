@@ -29,8 +29,24 @@ pub(crate) trait Stamped {
 
 /// Chains of up to this many records are allocated exact-fit: a key
 /// written two to four times would otherwise pay for the four records
-/// `Vec`'s first allocation reserves. Longer chains grow amortised.
+/// `Vec`'s first allocation reserves. Longer chains grow by [`growth`].
 pub(crate) const EXACT_FIT_CHAIN: usize = 4;
+
+/// The records a full chain of `len` grows by: one up to
+/// [`EXACT_FIT_CHAIN`], then a quarter of `len` plus one. Growing by a
+/// quarter instead of `Vec`'s doubling keeps a long chain's unused tail
+/// within about a fifth of its capacity, at the cost of a reallocation
+/// every `len / 4` inserts instead of every `len`: still amortised
+/// constant copying per insert, but four times the final size freed on
+/// the way, which fragments the heap when many long chains grow together
+/// (DESIGN.md §8.7, `mid-hot`).
+fn growth(len: usize) -> usize {
+    if len < EXACT_FIT_CHAIN {
+        1
+    } else {
+        len / 4 + 1
+    }
+}
 
 /// One key's records, sorted by timestamp, timestamps distinct. Records
 /// are never removed, so `Many` always holds two or more.
@@ -82,8 +98,8 @@ impl<R: Stamped> Chain<R> {
             }
             Chain::Many(records) => records,
         };
-        if EXACT_FIT_CHAIN > records.len() {
-            records.reserve_exact(1);
+        if records.len() == records.capacity() {
+            records.reserve_exact(growth(records.len()));
         }
         records.insert(at, record);
         *self = Chain::Many(records);
@@ -239,16 +255,20 @@ mod tests {
             let (inserted, _) = chains.get_or_insert_with(ov(3, i), || Rec { ts: ts(i), tag: i });
             assert!(inserted);
             let chain = chains.raw(key).expect("inserted");
-            let len = chain.as_slice().len();
+            let (len, capacity) = (chain.as_slice().len(), chain.capacity());
             assert_eq!(len as u64, i + 1);
             if len <= EXACT_FIT_CHAIN {
-                assert_eq!(chain.capacity(), len, "{len} records");
+                assert_eq!(capacity, len, "{len} records");
+            } else {
+                assert!(capacity <= len + len / 4 + 1, "{len} records in {capacity}");
             }
-            if capacities.last() != Some(&chain.capacity()) {
-                capacities.push(chain.capacity());
+            if capacities.last() != Some(&capacity) {
+                capacities.push(capacity);
             }
         }
-        assert!(capacities.len() <= 12, "{capacities:?}");
+        // 1, 2, 3, 4, then each full chain grows by `len / 4 + 1`: 6, 8,
+        // 11, …, 887, 1 109.
+        assert!(capacities.len() <= 27, "{capacities:?}");
         assert_eq!((chains.len(), chains.keys()), (1_000, 1));
     }
 

@@ -22,6 +22,7 @@ use crate::convergence::ConvergenceOptions;
 use crate::fs::Fs;
 use crate::kls::Kls;
 use crate::messages::Message;
+use crate::metadata::FS_LIMIT;
 use crate::policy::Policy;
 use crate::protocol::ProtocolMode;
 use crate::proxy::{Proxy, ProxyConfig};
@@ -222,6 +223,20 @@ impl ClusterConfig {
              clock holds less than 2^48 = {MICROS_LIMIT} µs (about 8.9 years)"
         );
     }
+
+    /// Panics, naming the limit, if an FS of this configuration would have
+    /// a node id a fragment [`Location`] cannot name. Servers take the
+    /// lowest ids, so every FS id is below the server count.
+    ///
+    /// [`Location`]: crate::metadata::Location
+    fn check_location_range(&self) {
+        let servers = self.layout.dcs.saturating_mul(self.layout.per_dc());
+        assert!(
+            servers <= FS_LIMIT as usize,
+            "{servers} KLSs and FSs: a fragment location names node indices below \
+             2^24 - 1 = {FS_LIMIT}"
+        );
+    }
 }
 
 /// Outcome classification after a run (the quantities the paper's
@@ -287,6 +302,7 @@ impl Cluster {
     /// [`Timestamp`]: crate::types::Timestamp
     pub fn build_with_faults(config: ClusterConfig, seed: u64, faults: FaultPlan) -> Self {
         config.check_timestamp_range();
+        config.check_location_range();
         let layout = config.layout;
         let mut sim = Simulation::with_network(seed, config.network.clone(), faults);
 
@@ -785,6 +801,37 @@ mod tests {
         cfg.max_sim_time = SimDuration::from_micros(MICROS_LIMIT - 2);
         cfg.proxy.clock_skew = SimDuration::from_micros(1);
         let _ = Cluster::build(cfg, 1);
+    }
+
+    /// A layout of `servers` FSs in one data center, checked but never
+    /// built.
+    fn fs_only(servers: usize) -> ClusterConfig {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.layout = ClusterLayout {
+            dcs: 1,
+            kls_per_dc: 0,
+            fs_per_dc: servers,
+        };
+        cfg
+    }
+
+    #[test]
+    fn the_last_fs_id_a_location_names_passes() {
+        let cfg = fs_only(FS_LIMIT as usize);
+        assert_eq!(
+            cfg.layout.fs(0, FS_LIMIT as usize - 1).index(),
+            FS_LIMIT as usize - 1
+        );
+        cfg.check_location_range();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "16777216 KLSs and FSs: a fragment location names node indices \
+                               below 2^24 - 1 = 16777215"
+    )]
+    fn an_fs_id_past_the_location_word_is_refused() {
+        fs_only(FS_LIMIT as usize + 1).check_location_range();
     }
 
     #[test]

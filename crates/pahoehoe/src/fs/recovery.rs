@@ -36,9 +36,9 @@ impl Fs {
             // Naïve recovery: a get of this object version — request every
             // remotely assigned fragment (§3.4 `recover_fragment`).
             for (idx, loc) in meta.assignments() {
-                if loc.fs != me {
+                if loc.fs() != me {
                     ctx.send(
-                        loc.fs,
+                        loc.fs(),
                         Message::RetrieveFrag {
                             op,
                             ov,

@@ -64,7 +64,7 @@ impl Fs {
                     .meta
                     .assignments()
                     .filter(|(idx, loc)| {
-                        loc.fs == me && loc.disk == disk && entry.fragments.contains_key(idx)
+                        loc.fs() == me && loc.disk() == disk && entry.fragments.contains_key(idx)
                     })
                     .map(|(idx, _)| idx)
                     .collect()

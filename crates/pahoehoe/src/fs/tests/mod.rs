@@ -38,27 +38,15 @@ pub(super) fn full_meta(value_len: usize) -> Arc<Metadata> {
     meta.add_dc_locations(
         DataCenterId::new(0),
         vec![
-            Location {
-                fs: NodeId::new(1),
-                disk: 0,
-            },
-            Location {
-                fs: NodeId::new(1),
-                disk: 1,
-            },
+            Location::new(NodeId::new(1), 0),
+            Location::new(NodeId::new(1), 1),
         ],
     );
     meta.add_dc_locations(
         DataCenterId::new(1),
         vec![
-            Location {
-                fs: NodeId::new(3),
-                disk: 0,
-            },
-            Location {
-                fs: NodeId::new(3),
-                disk: 1,
-            },
+            Location::new(NodeId::new(3), 0),
+            Location::new(NodeId::new(3), 1),
         ],
     );
     Arc::new(meta)
@@ -207,14 +195,8 @@ fn amr_indication_stops_convergence_and_completes_meta() {
     partial.add_dc_locations(
         DataCenterId::new(0),
         vec![
-            Location {
-                fs: NodeId::new(1),
-                disk: 0,
-            },
-            Location {
-                fs: NodeId::new(1),
-                disk: 1,
-            },
+            Location::new(NodeId::new(1), 0),
+            Location::new(NodeId::new(1), 1),
         ],
     );
     let partial = Arc::new(partial);
@@ -817,10 +799,7 @@ const SILENT: NodeId = NodeId::new(5);
 fn placed(dc0: [u32; 2], dc1: [u32; 2]) -> Arc<Metadata> {
     let mut meta = Metadata::new(tiny_policy(), DataCenterId::new(0), 100);
     for (dc, fss) in [(0, dc0), (1, dc1)] {
-        let locs = (0..2).map(|disk| Location {
-            fs: NodeId::new(fss[disk]),
-            disk: disk as u8,
-        });
+        let locs = (0..2).map(|disk| Location::new(NodeId::new(fss[disk]), disk as u8));
         meta.add_dc_locations(DataCenterId::new(dc), locs.collect());
     }
     Arc::new(meta)

@@ -153,10 +153,7 @@ impl Kls {
                 let Some(&fs) = group.get(at).filter(|_| disk < per_fs) else {
                     continue;
                 };
-                locs.push(Location {
-                    fs,
-                    disk: disk as u8,
-                });
+                locs.push(Location::new(fs, disk as u8));
                 if locs.len() == want {
                     return locs;
                 }
@@ -432,12 +429,12 @@ mod tests {
         // Every FS belongs to DC0 and hosts exactly two fragments.
         let mut per_fs: BTreeMap<NodeId, usize> = BTreeMap::new();
         for l in &locs {
-            assert!(t.fss_in(DataCenterId::new(0)).contains(&l.fs));
-            *per_fs.entry(l.fs).or_default() += 1;
+            assert!(t.fss_in(DataCenterId::new(0)).contains(&l.fs()));
+            *per_fs.entry(l.fs()).or_default() += 1;
         }
         assert!(per_fs.values().all(|&c| c == 2));
         // Disks distinguish collocated fragments.
-        let mut pairs: Vec<(NodeId, u8)> = locs.iter().map(|l| (l.fs, l.disk)).collect();
+        let mut pairs: Vec<(NodeId, u8)> = locs.iter().map(|l| (l.fs(), l.disk())).collect();
         pairs.sort_unstable();
         pairs.dedup();
         assert_eq!(pairs.len(), 6, "(fs, disk) pairs are distinct");
@@ -455,7 +452,7 @@ mod tests {
         let mut first_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
         for i in 0..300 {
             let locs = Kls::which_locs(&t, DataCenterId::new(0), ov(i), &p);
-            *first_counts.entry(locs[0].fs).or_default() += 1;
+            *first_counts.entry(locs[0].fs()).or_default() += 1;
         }
         assert_eq!(first_counts.len(), 3, "every FS leads sometimes");
         for (&fs, &c) in &first_counts {
@@ -470,7 +467,7 @@ mod tests {
         let t = topo();
         let p = Policy::paper_default();
         let locs = Kls::which_locs(&t, DataCenterId::new(0), ov(3), &p);
-        let first_three: BTreeSet<NodeId> = locs[..3].iter().map(|l| l.fs).collect();
+        let first_three: BTreeSet<NodeId> = locs[..3].iter().map(|l| l.fs()).collect();
         assert_eq!(first_three.len(), 3);
     }
 
@@ -493,18 +490,18 @@ mod tests {
             assert_eq!(locs.len(), 6);
             let first_sweep: BTreeSet<usize> = locs[..3]
                 .iter()
-                .map(|l| t.rack_of(dc, l.fs).unwrap())
+                .map(|l| t.rack_of(dc, l.fs()).unwrap())
                 .collect();
             assert_eq!(first_sweep.len(), 3, "first sweep covers every rack");
             let mut per_rack: BTreeMap<usize, usize> = BTreeMap::new();
             for l in &locs {
-                *per_rack.entry(t.rack_of(dc, l.fs).unwrap()).or_default() += 1;
+                *per_rack.entry(t.rack_of(dc, l.fs()).unwrap()).or_default() += 1;
             }
             assert!(
                 per_rack.values().all(|&c| c == 2),
                 "balanced racks: {per_rack:?}"
             );
-            let mut pairs: Vec<(NodeId, u8)> = locs.iter().map(|l| (l.fs, l.disk)).collect();
+            let mut pairs: Vec<(NodeId, u8)> = locs.iter().map(|l| (l.fs(), l.disk())).collect();
             pairs.sort_unstable();
             pairs.dedup();
             assert_eq!(pairs.len(), 6, "(fs, disk) pairs are distinct");
@@ -522,10 +519,7 @@ mod tests {
             let mut ranked = t.fss_in(dc).to_vec();
             ranked.sort_by_key(|&fs| (Kls::placement_hash(ov(i), fs), fs));
             let dealt: Vec<Location> = (0..usize::from(p.frags_per_dc))
-                .map(|s| Location {
-                    fs: ranked[s % ranked.len()],
-                    disk: (s / ranked.len()) as u8,
-                })
+                .map(|s| Location::new(ranked[s % ranked.len()], (s / ranked.len()) as u8))
                 .collect();
             assert_eq!(Kls::which_locs(&t, dc, ov(i), &p), dealt);
         }

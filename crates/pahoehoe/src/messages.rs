@@ -479,10 +479,7 @@ mod tests {
         let mut m = Metadata::new(Policy::paper_default(), DataCenterId::new(0), 1000);
         for dc in 0..2u8 {
             let locs = (0..6)
-                .map(|i| Location {
-                    fs: NodeId::new(u32::from(dc) * 10 + u32::from(i) / 2),
-                    disk: i % 2,
-                })
+                .map(|i| Location::new(NodeId::new(u32::from(dc) * 10 + u32::from(i) / 2), i % 2))
                 .collect();
             m.add_dc_locations(DataCenterId::new(dc), locs);
         }
@@ -566,10 +563,7 @@ mod tests {
     #[test]
     fn a_batch_pays_one_header_for_all_its_entries() {
         let mut partial = Metadata::new(Policy::paper_default(), DataCenterId::new(0), 512);
-        let locs = (0..6).map(|i| Location {
-            fs: NodeId::new(u32::from(i) / 2),
-            disk: i % 2,
-        });
+        let locs = (0..6).map(|i| Location::new(NodeId::new(u32::from(i) / 2), i % 2));
         partial.add_dc_locations(DataCenterId::new(0), locs.collect());
         let metas = [Arc::new(partial), Arc::new(full_meta())];
         // The round messages an FS batches, entry `i` of each kind, with

@@ -1,5 +1,6 @@
 //! Object-version metadata: policy plus fragment locations.
 
+use std::fmt;
 use std::sync::Arc;
 
 use erasure::FragmentIndex;
@@ -8,23 +9,64 @@ use simnet::NodeId;
 use crate::policy::Policy;
 use crate::topology::DataCenterId;
 
+/// Bits of a [`Location`] word below its node index: the disk.
+const DISK_BITS: u32 = 8;
+
+/// The first node index a [`Location`] cannot name: 2²⁴ − 1. The node
+/// index fills the word's high 24 bits, and index 2²⁴ − 1 with disk 255
+/// would be the all-ones word, the undecided sentinel.
+pub const FS_LIMIT: u32 = (1 << (32 - DISK_BITS)) - 1;
+
 /// A fragment location: a fragment server plus a disk on that server
 /// (§3.5: "a location actually identifies both an FS and a disk on that FS
 /// so that multiple sibling fragments may be collocated on the same FS").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Location {
+///
+/// One word: the FS's node index in the high 24 bits, the disk in the low
+/// 8. The index sits above the disk, so the derived `Ord` is the
+/// lexicographic order of `(fs, disk)`. [`Location::new`] checks the
+/// index, and `Cluster::build_with_faults` refuses a cluster whose FS ids
+/// would not fit.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Location(u32);
+
+impl Location {
+    /// The location of disk `disk` on fragment server `fs`.
+    ///
+    /// # Panics
+    ///
+    /// If `fs`'s node index is [`FS_LIMIT`] (2²⁴ − 1) or more.
+    pub fn new(fs: NodeId, disk: u8) -> Self {
+        let index = fs.index();
+        assert!(
+            index < FS_LIMIT as usize,
+            "node index {index} does not fit a location (limit 2^24 - 1 = {FS_LIMIT})"
+        );
+        Location((index as u32) << DISK_BITS | u32::from(disk))
+    }
+
     /// The fragment server.
-    pub fs: NodeId,
+    pub const fn fs(self) -> NodeId {
+        NodeId::new(self.0 >> DISK_BITS)
+    }
+
     /// Disk index on that server.
-    pub disk: u8,
+    pub const fn disk(self) -> u8 {
+        self.0 as u8
+    }
+}
+
+impl fmt::Debug for Location {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Location")
+            .field("fs", &self.fs())
+            .field("disk", &self.disk())
+            .finish()
+    }
 }
 
 /// What an undecided slot of [`Metadata`]'s location table holds, so two
 /// records that know the same data centers compare (and print) equal.
-const UNDECIDED: Location = Location {
-    fs: NodeId::new(u32::MAX),
-    disk: u8::MAX,
-};
+const UNDECIDED: Location = Location(u32::MAX);
 
 /// The metadata a KLS stores per object version and a proxy assembles
 /// during a put: the durability policy and the decided fragment locations.
@@ -279,7 +321,7 @@ impl Metadata {
     /// [`fragments_of`](Self::fragments_of)).
     pub fn assigned_to(&self, fs: NodeId) -> impl Iterator<Item = FragmentIndex> + '_ {
         self.assignments()
-            .filter(move |(_, loc)| loc.fs == fs)
+            .filter(move |(_, loc)| loc.fs() == fs)
             .map(|(idx, _)| idx)
     }
 
@@ -317,7 +359,7 @@ impl Metadata {
             .filter(|&(dc, _)| Some(dc) != skip)
             .flat_map(|(_, slot)| &self.locs[self.slot_range(slot)]);
         for (id, loc) in out.ids.iter_mut().zip(hosts) {
-            *id = loc.fs;
+            *id = loc.fs();
             out.len += 1;
         }
         let ids = &mut out.ids[..out.len];
@@ -385,10 +427,7 @@ mod tests {
     /// Six locations over three FSs, two fragments each.
     fn six_locs(first_fs: u32) -> Vec<Location> {
         (0..6)
-            .map(|i| Location {
-                fs: fs(first_fs + i / 2),
-                disk: (i % 2) as u8,
-            })
+            .map(|i| Location::new(fs(first_fs + i / 2), (i % 2) as u8))
             .collect()
     }
 
@@ -417,7 +456,7 @@ mod tests {
         let mut m = Metadata::new(Policy::paper_default(), dc(0), 1);
         assert!(m.add_dc_locations(dc(0), six_locs(10)));
         assert!(!m.add_dc_locations(dc(0), six_locs(50)), "second ignored");
-        assert_eq!(m.dc_locations(dc(0)).unwrap()[0].fs, fs(10));
+        assert_eq!(m.dc_locations(dc(0)).unwrap()[0].fs(), fs(10));
     }
 
     #[test]
@@ -450,27 +489,9 @@ mod tests {
         let assigns: Vec<_> = m.assignments().collect();
         assert_eq!(assigns.len(), 12);
         // Home DC (dc0) covers fragments 0..6; dc1 covers 6..12.
-        assert_eq!(
-            assigns[0],
-            (
-                0,
-                Location {
-                    fs: fs(10),
-                    disk: 0
-                }
-            )
-        );
+        assert_eq!(assigns[0], (0, Location::new(fs(10), 0)));
         assert_eq!(assigns[5].0, 5);
-        assert_eq!(
-            assigns[6],
-            (
-                6,
-                Location {
-                    fs: fs(20),
-                    disk: 0
-                }
-            )
-        );
+        assert_eq!(assigns[6], (6, Location::new(fs(20), 0)));
         assert_eq!(assigns[11].0, 11);
     }
 
@@ -587,18 +608,7 @@ mod tests {
         // the RNG) have always seen.
         let p = Policy::new(2, 6, 3, 2);
         let mut m = Metadata::new(p, dc(2), 1);
-        let two = |first| {
-            vec![
-                Location {
-                    fs: fs(first),
-                    disk: 0,
-                },
-                Location {
-                    fs: fs(first),
-                    disk: 1,
-                },
-            ]
-        };
+        let two = |first| vec![Location::new(fs(first), 0), Location::new(fs(first), 1)];
         for (d, first) in [(2, 30), (0, 10), (1, 20)] {
             assert!(m.add_dc_locations(dc(d), two(first)));
         }
@@ -606,7 +616,7 @@ mod tests {
             m.decided_dcs().collect::<Vec<_>>(),
             vec![dc(0), dc(1), dc(2)]
         );
-        let idx: Vec<_> = m.assignments().map(|(i, l)| (i, l.fs)).collect();
+        let idx: Vec<_> = m.assignments().map(|(i, l)| (i, l.fs())).collect();
         assert_eq!(
             idx,
             vec![
@@ -640,10 +650,34 @@ mod tests {
         assert_eq!(full.wire_size(), 10 + 6 * 12);
     }
 
+    /// A location is one word, so a `(4, 16)` version's table is 64 B: a
+    /// field that grows what every stored version costs fails here.
+    #[test]
+    fn location_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Location>(), 4);
+        let m = Metadata::new(Policy::new(4, 16, 4, 1), dc(0), 1);
+        assert_eq!(std::mem::size_of_val(&*m.locs), 64);
+    }
+
+    #[test]
+    fn location_debug_names_both_fields() {
+        let loc = Location::new(fs(10), 3);
+        assert_eq!(format!("{loc:?}"), "Location { fs: n10, disk: 3 }");
+        let last = Location::new(fs(FS_LIMIT - 1), u8::MAX);
+        assert_eq!((last.fs(), last.disk()), (fs(FS_LIMIT - 1), u8::MAX));
+        assert_ne!(last, UNDECIDED);
+    }
+
+    #[test]
+    #[should_panic(expected = "node index 16777215 does not fit a location (limit 2^24 - 1")]
+    fn node_index_2_pow_24_minus_1_is_refused() {
+        Location::new(fs(FS_LIMIT), 0);
+    }
+
     #[test]
     #[should_panic(expected = "full per-DC fragment count")]
     fn short_dc_decision_panics() {
         let mut m = Metadata::new(Policy::paper_default(), dc(0), 1);
-        m.add_dc_locations(dc(0), vec![Location { fs: fs(1), disk: 0 }]);
+        m.add_dc_locations(dc(0), vec![Location::new(fs(1), 0)]);
     }
 }

@@ -373,7 +373,7 @@ impl Proxy {
                 op.holds_complete.insert(idx);
             }
             ctx.send(
-                loc.fs,
+                loc.fs(),
                 Message::StoreFragment {
                     ov,
                     meta: Arc::clone(meta),
@@ -609,8 +609,10 @@ impl Proxy {
                 // lint:allow(panic-path): untried is populated from kls_meta keys
                 let meta = Arc::clone(&get.kls_meta[&ts]);
                 let ov = ObjectVersion::new(get.key, ts);
-                let requests: Vec<(NodeId, FragmentIndex)> =
-                    meta.assignments().map(|(idx, loc)| (loc.fs, idx)).collect();
+                let requests: Vec<(NodeId, FragmentIndex)> = meta
+                    .assignments()
+                    .map(|(idx, loc)| (loc.fs(), idx))
+                    .collect();
                 let timer = ctx.schedule_timer(attempt_timeout, TAG_GET_ATTEMPT | op);
                 let no_locations = requests.is_empty();
                 get.current = Some(GetAttempt {
@@ -1113,10 +1115,7 @@ mod tests {
                 SimDuration::from_secs(3600)
             };
             let locations = [first + 1, first + 2]
-                .map(|fs| Location {
-                    fs: id(fs),
-                    disk: 0,
-                })
+                .map(|fs| Location::new(id(fs), 0))
                 .to_vec();
             sim.add_actor(Stub {
                 decides: Some((DataCenterId::new(d), locations)),
@@ -1266,10 +1265,7 @@ mod tests {
         let values = [vec![1u8; 400], vec![2u8; 400]];
         let [old_frags, new_frags] = values.clone().map(|value| codec.encode(&value));
         let mut meta = Metadata::new(Policy::new(4, 12, 1, 1), DataCenterId::new(0), 400);
-        let locations = (1..=12).map(|fs| Location {
-            fs: id(fs),
-            disk: 0,
-        });
+        let locations = (1..=12).map(|fs| Location::new(id(fs), 0));
         meta.add_dc_locations(DataCenterId::new(0), locations.collect());
         let meta = Arc::new(meta);
 
@@ -1341,13 +1337,7 @@ mod tests {
             (vec![id(0)], vec![id(1), id(2)]),
             (vec![id(3)], vec![id(4), id(5)]),
         ]);
-        let placed = |fss: [u32; 2]| {
-            fss.map(|fs| Location {
-                fs: id(fs),
-                disk: 0,
-            })
-            .to_vec()
-        };
+        let placed = |fss: [u32; 2]| fss.map(|fs| Location::new(id(fs), 0)).to_vec();
         let kls = |dc, fss, delay| Stub {
             decides: Some((DataCenterId::new(dc), placed(fss))),
             delay,

@@ -244,8 +244,8 @@ impl RepairActor {
     /// The fragment indices assigned to this actor's DC under `meta`.
     fn local_assigned(&self, meta: &Metadata) -> Vec<(FragmentIndex, NodeId)> {
         meta.assignments()
-            .filter(|(_, loc)| self.topo.dc_of(loc.fs) == Some(self.my_dc))
-            .map(|(idx, loc)| (idx, loc.fs))
+            .filter(|(_, loc)| self.topo.dc_of(loc.fs()) == Some(self.my_dc))
+            .map(|(idx, loc)| (idx, loc.fs()))
             .collect()
     }
 
@@ -347,8 +347,8 @@ impl RepairActor {
             }
         }
         for (idx, loc) in meta.assignments() {
-            if self.topo.dc_of(loc.fs) != Some(self.my_dc) {
-                donors.push((true, false, loc.fs, idx));
+            if self.topo.dc_of(loc.fs()) != Some(self.my_dc) {
+                donors.push((true, false, loc.fs(), idx));
             }
         }
         donors.sort_unstable();
@@ -648,7 +648,9 @@ mod tests {
         let mut actor = RepairActor::new(t, DataCenterId::new(0), RepairOptions::paper_default());
         let mut have = BTreeMap::new();
         for (idx, loc) in meta.assignments() {
-            have.entry(loc.fs).or_insert_with(BTreeSet::new).insert(idx);
+            have.entry(loc.fs())
+                .or_insert_with(BTreeSet::new)
+                .insert(idx);
         }
         actor.tracked.insert(
             v,
@@ -680,7 +682,7 @@ mod tests {
         // 4 of 6 fragments live -> 2 missing; flen = 1024/4 = 256.
         let mut have: BTreeMap<NodeId, BTreeSet<FragmentIndex>> = BTreeMap::new();
         for (idx, loc) in meta.assignments().take(4) {
-            have.entry(loc.fs).or_default().insert(idx);
+            have.entry(loc.fs()).or_default().insert(idx);
         }
         let tracked = Tracked {
             meta,

@@ -1,6 +1,6 @@
 //! Property-based tests for Pahoehoe's core data structures.
 
-use pahoehoe::metadata::{Location, Metadata};
+use pahoehoe::metadata::{Location, Metadata, FS_LIMIT};
 use pahoehoe::policy::Policy;
 use pahoehoe::topology::DataCenterId;
 use pahoehoe::types::{Key, ObjectVersion, Timestamp, ID_LIMIT, MICROS_LIMIT};
@@ -12,10 +12,7 @@ use std::sync::Arc;
 /// locations over 3 FSs x 2 disks, FS ids derived from a base).
 fn dc_locations(base: u32) -> Vec<Location> {
     (0..6u8)
-        .map(|i| Location {
-            fs: NodeId::new(base + u32::from(i % 3)),
-            disk: i / 3,
-        })
+        .map(|i| Location::new(NodeId::new(base + u32::from(i % 3)), i / 3))
         .collect()
 }
 
@@ -40,10 +37,7 @@ fn snapshot(dcs: u8, flags: u8) -> Metadata {
     let mut m = Metadata::new(Policy::new(4, 16, 4, 1), DataCenterId::new(2), value_len);
     for dc in (0..4u8).filter(|dc| dcs & (1 << dc) != 0) {
         let locs = (0..4)
-            .map(|i| Location {
-                fs: NodeId::new(10 * u32::from(dc) + i),
-                disk: 0,
-            })
+            .map(|i| Location::new(NodeId::new(10 * u32::from(dc) + i), 0))
             .collect();
         m.add_dc_locations(DataCenterId::new(dc), locs);
     }
@@ -166,6 +160,21 @@ proptest! {
         prop_assert_eq!((t1.clock_micros(), t1.proxy()), (c1, p1));
         prop_assert_eq!((t2.clock_micros(), t2.proxy()), (c2, p2));
         prop_assert!(Timestamp::MIN <= t1 && t1 <= Timestamp::MAX);
+    }
+
+    /// A location packs `(fs, disk)` into one word: both read back as
+    /// built, and the word's order and equality are the pair's.
+    #[test]
+    fn location_order_is_lexicographic(
+        f1 in in_range_with_ends(u64::from(FS_LIMIT)), d1 in 0..=u8::MAX,
+        f2 in in_range_with_ends(u64::from(FS_LIMIT)), d2 in 0..=u8::MAX,
+    ) {
+        let (f1, f2) = (NodeId::new(f1 as u32), NodeId::new(f2 as u32));
+        let (l1, l2) = (Location::new(f1, d1), Location::new(f2, d2));
+        prop_assert_eq!((l1.fs(), l1.disk()), (f1, d1));
+        prop_assert_eq!((l2.fs(), l2.disk()), (f2, d2));
+        prop_assert_eq!(l1.cmp(&l2), (f1, d1).cmp(&(f2, d2)));
+        prop_assert_eq!(l1 == l2, (f1, d1) == (f2, d2));
     }
 
     /// Key fingerprints never collide across distinct small names (a

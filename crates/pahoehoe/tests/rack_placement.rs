@@ -49,13 +49,13 @@ proptest! {
 
         // No (fs, disk) slot is used twice.
         let slots: BTreeSet<(NodeId, u8)> =
-            locs.iter().map(|l| (l.fs, l.disk)).collect();
+            locs.iter().map(|l| (l.fs(), l.disk())).collect();
         prop_assert_eq!(slots.len(), locs.len());
 
         let effective = racks.min(fs_count);
         let mut per_rack: BTreeMap<usize, usize> = BTreeMap::new();
         for loc in &locs {
-            let rack = topo.rack_of(dc, loc.fs).expect("placement targets FSs");
+            let rack = topo.rack_of(dc, loc.fs()).expect("placement targets FSs");
             prop_assert!(rack < effective);
             *per_rack.entry(rack).or_insert(0) += 1;
         }
