@@ -20,8 +20,8 @@
 //! * `--workers N` — fan the scenarios out over `N` worker threads through
 //!   `simnet::sweep` (default 1: the same harness, run inline; any `N`
 //!   produces byte-identical digests — the CI determinism check);
-//! * `--digest-out PATH` — write one replay-digest line per scenario, for
-//!   comparing runs byte for byte;
+//! * `--digest-out PATH` — write one replay-digest line per scenario, its
+//!   compacted-version count included, for comparing runs byte for byte;
 //! * `--overwrite` — run the grid's workload for **two rounds**, so
 //!   every second-round put overwrites a key that already holds a version,
 //!   under every fault spec, preset and invariant. The extra puts move the
@@ -33,9 +33,9 @@
 //!   invariants are everyone's;
 //! * `--scale` — after the grid, run the scale cell
 //!   ([`Scenario::scale`](check::explorer::Scenario::scale)): a Zipf
-//!   streamed workload under the scale protocol mode (converged-version
-//!   compaction, batched rounds), the registry sampled every 500 events.
-//!   Its digest line pins the compacted-version count;
+//!   streamed workload under the scale protocol mode (batched rounds),
+//!   update-heavy enough that most versions compact, the registry sampled
+//!   every 500 events;
 //! * `--repair` — after the grid, run the four repair families
 //!   ([`Scenario::repair_families`](check::explorer::Scenario::repair_families)):
 //!   sustained disk churn, whole-rack outage, flash-crowd reads during

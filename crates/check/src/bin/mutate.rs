@@ -7,8 +7,8 @@
 //!   module directory's the file was scanned as part of).
 //! * `--smoke` — run the 12 pinned protocol mutants
 //!   ([`check::mutate::PINNED_SMOKE`]) against the explorer smoke sweep
-//!   (run in `--overwrite` mode so every key is put twice, plus the
-//!   `--scale` cell, whose digest line pins the compacted-version count,
+//!   (run in `--overwrite` mode so every key is put twice and every digest
+//!   line pins a non-zero compacted-version count, plus the `--scale` cell,
 //!   plus the `--repair` families, which exercise the background repair
 //!   engine under the redundancy-floor invariant) — one
 //!   build and one sweep per mutant — and gate on the kill-rate: **≥ 10 of
@@ -110,11 +110,11 @@ fn main() -> ExitCode {
     );
 
     println!("preparing scratch tree + unmutated baseline sweep...");
-    // `--scale` appends the scale cell's digest line, which pins the
-    // compacted-version count — the only observable that can kill the
-    // compaction-skip mutant. `--overwrite` runs the sweep's workload for
-    // two rounds, so every mutant also meets overwrites under every
-    // invariant.
+    // `--overwrite` runs the sweep's workload for two rounds, so every
+    // mutant meets overwrites under every invariant, and every digest line
+    // pins a non-zero compacted-version count: what kills the
+    // compaction-skip mutant. `--scale` appends the scale cell, a Zipf
+    // stream under batched rounds.
     // `--repair` appends the repair families, whose digest lines fold the
     // EV_REPAIR_* counters and whose redundancy-floor invariant kills
     // repair-threshold-skip.

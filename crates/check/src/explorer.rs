@@ -822,9 +822,9 @@ pub fn sweep(
 
 /// One line of the replay digest: every deterministic observable of a
 /// scenario run, including a checksum of the full traffic-metrics
-/// rendering. A named scenario's line starts with its name; one that
-/// compacts adds the compacted-version count, and one with a repair engine
-/// the redundancy floor and the repair event counters. Byte-identical
+/// rendering, and the compacted-version count. A named scenario's line
+/// starts with its name, and one with a repair engine ends with the
+/// redundancy floor and the repair event counters. Byte-identical
 /// digests from one worker and from two are what the CI determinism check
 /// compares.
 pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> String {
@@ -835,7 +835,8 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
     }
     let _ = write!(
         line,
-        "seed={} preset={} drop={} dup={} outages={} -> {:?} events={} t={}us metrics={:016x}",
+        "seed={} preset={} drop={} dup={} outages={} -> {:?} events={} t={}us metrics={:016x} \
+         compacted={}",
         sc.seed,
         sc.preset.name(),
         sc.faults.drop_centi,
@@ -845,10 +846,8 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
         outcome.events,
         outcome.sim_time.as_micros(),
         erasure::Checksum::of(outcome.metrics_digest.as_bytes()).as_u64(),
+        outcome.compacted,
     );
-    if sc.protocol.compact_converged {
-        let _ = write!(line, " compacted={}", outcome.compacted);
-    }
     if sc.repair.is_some() {
         let _ = write!(line, " min_live={}", outcome.min_live);
         for (label, value) in REPAIR_EVENTS.iter().zip(outcome.repair_events) {

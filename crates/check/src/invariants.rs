@@ -476,10 +476,10 @@ impl Invariant for MetricsSanity {
 // ---------------------------------------------------------------------------
 
 /// Once a version is durable (≥ `k` distinct fragments stored), it stays
-/// durable. Message-level faults cannot destroy stored fragments, so any
+/// durable: message-level faults cannot destroy stored fragments, and a
+/// compacted version counts through its residual's held mask. So any
 /// shrink of the durable set means an actor deleted fragments it should
-/// have kept. Like [`AckedDurability`], not applicable to runs that
-/// destroy disks.
+/// have kept. Not applicable to runs that destroy disks.
 pub struct DurableMonotone {
     durable: BTreeSet<ObjectVersion>,
 }
@@ -505,9 +505,9 @@ impl Invariant for DurableMonotone {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        // Compacted versions stay in the durable set (their residual
-        // records the fragments they held), so any shrink means an actor
-        // deleted fragments it should have kept.
+        // Compacted versions stay in the durable set through their
+        // residuals' held masks, so any shrink means an actor deleted
+        // fragments it should have kept.
         let now = analysis::durable_versions(view.sim, view.fss);
         if let Some(&lost) = self.durable.difference(&now).next() {
             return Err(format!(

@@ -74,8 +74,7 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ),
     (
         "compaction-skip",
-        "converged-version compaction never fires (`if self.mode.compact_converged` gated \
-         with `&& false`)",
+        "converged-version compaction never fires (its `compact_superseded` call deleted)",
     ),
     (
         "repair-threshold-skip",
@@ -305,15 +304,15 @@ fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Ve
     }
 
     // compaction-skip: the converged-version compactor never runs. Killed
-    // through the scale cell's digest line, which pins the compacted
-    // count (`explore --scale`, see DESIGN.md §8.7).
-    const COMPACT_GATE: &str = "if self.mode.compact_converged && newly_settled {";
-    for pos in occurrences(src, COMPACT_GATE) {
+    // through the digest lines, each of which pins the compacted count
+    // (DESIGN.md §8.7).
+    const COMPACT_CALL: &str = "self.store.compact_superseded(s);";
+    for pos in occurrences(src, COMPACT_CALL) {
         push(
             "compaction-skip",
             pos,
-            pos + COMPACT_GATE.len(),
-            "if self.mode.compact_converged && newly_settled && false {".to_string(),
+            pos + COMPACT_CALL.len(),
+            String::new(),
         );
     }
 
@@ -403,8 +402,8 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     ("fragmask-flip:protocol:0", "self.bits[w] |= 1 << b"),
     // timer slab reuses live generations
     ("timer-gen-skip:queue:0", "self.generations[id.slot()]"),
-    // compactor off: the scale cell digest's compacted count drops
-    ("compaction-skip:fs:0", "self.mode.compact_converged"),
+    // compactor off: every overwrite digest line's compacted count drops
+    ("compaction-skip:fs:0", "self.store.compact_superseded(s)"),
     // repair waits for parity exhaustion: floor invariant fires
     ("repair-threshold-skip:repair:0", "self.opts.threshold_pct"),
 ];
@@ -915,14 +914,15 @@ mod tests {
 
     #[test]
     fn compaction_skip_site_is_found() {
-        let src = "fn f(&mut self) { if self.mode.compact_converged && newly_settled {\n    self.store.compact_superseded(ov);\n} }\n";
+        let src =
+            "fn f(&mut self) { if newly_settled {\n    self.store.compact_superseded(s);\n} }\n";
         let ms = scan_file(Path::new("fs.rs"), src);
         let m = ms
             .iter()
             .find(|m| m.operator == "compaction-skip")
             .expect("site found");
         assert_eq!(m.id, "compaction-skip:fs:0");
-        assert!(m.apply(src).contains("newly_settled && false {"));
+        assert!(!m.apply(src).contains("compact_superseded"));
     }
 
     #[test]

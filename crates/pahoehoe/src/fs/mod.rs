@@ -36,10 +36,10 @@
 //!
 //! What an FS keeps resident follows the versions that still hold
 //! fragments, not the puts it has served. AMR is the paper's terminal
-//! state, so with [`ProtocolMode::compact_converged`] a version that is
-//! settled AMR and superseded by a newer settled-AMR version of its key
-//! gives up its fragments, its metadata handle, its store slot and its
-//! index entry, and leaves one 16-byte residual in its key's chain — which
+//! state, so a version that is settled AMR and superseded by a newer
+//! settled-AMR version of its key always gives up its fragments, its
+//! metadata handle, its store slot and its index entry, and leaves one
+//! 16-byte residual in its key's chain — which
 //! fragment indices it held and when it settled — from which every later
 //! question about it (a re-delivered fragment, a sibling's probe, a
 //! repeated AMR indication) is answered as the full entry would have

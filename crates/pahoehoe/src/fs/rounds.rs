@@ -289,13 +289,12 @@ impl Fs {
         }
         // A newly settled AMR version supersedes every older settled
         // version of the same key: collapse those to residual records.
-        // Pure local bookkeeping — no messages, timers, or RNG draws —
-        // so replay digests are unchanged. Gated on the first settle
-        // (re-indications re-stamp the AMR time but open no new
+        // Pure local bookkeeping: no messages, timers or RNG draws. Run
+        // on the first settle only (re-indications re-stamp the AMR time but open no new
         // compaction opportunity), which with the incremental walk in
         // [`VersionStore::compact_superseded`] keeps hot-key settles
         // amortized O(1).
-        if self.mode.compact_converged && newly_settled {
+        if newly_settled {
             self.store.compact_superseded(s);
         }
     }

@@ -92,15 +92,12 @@ fn tiny_world(
     opts: ConvergenceOptions,
     script: Vec<(NodeId, Message)>,
 ) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
-    tiny_world_with_mode(ProtocolMode::default(), opts, script)
-}
-
-fn tiny_world_with_mode(
-    mode: ProtocolMode,
-    opts: ConvergenceOptions,
-    script: Vec<(NodeId, Message)>,
-) -> (Simulation<Message>, NodeId, NodeId, NodeId) {
-    tiny_world_with_faults(simnet::FaultPlan::none(), mode, opts, script)
+    tiny_world_with_faults(
+        simnet::FaultPlan::none(),
+        ProtocolMode::default(),
+        opts,
+        script,
+    )
 }
 
 fn tiny_world_with_faults(
@@ -495,13 +492,8 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
         let meta = Some(meta.clone());
         (fs_node, Message::AmrIndication { ov, meta })
     };
-    // Compaction alone, so fs0 answers the scripted singles with singles.
-    let compacting = ProtocolMode {
-        compact_converged: true,
-        ..ProtocolMode::default()
-    };
-    let (mut sim, fs0, _, driver) =
-        tiny_world_with_mode(compacting, ConvergenceOptions::all(), Vec::new());
+    // Unbatched, so fs0 answers the scripted singles with singles.
+    let (mut sim, fs0, _, driver) = tiny_world(ConvergenceOptions::all(), Vec::new());
     // Delivers one batch of messages to fs0 and returns the replies.
     // Well inside the first convergence round (>= 30 s away), so only
     // the scripted messages act on the store.
@@ -656,10 +648,7 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
     assert_eq!(sim.metrics().dropped(), M as u64);
     assert_eq!(sends(&sim, "KLSConvergeReq"), 6 * M as u64);
 
-    let batching = ProtocolMode {
-        batch_rounds: true,
-        ..ProtocolMode::default()
-    };
+    let batching = ProtocolMode { batch_rounds: true };
     let (mut sim, fs0, fs1, _) = tiny_world_with_faults(cut(), batching, opts(), script());
     sim.enable_trace();
     sim.run_until_time(round(1) + SimDuration::from_secs(1));
@@ -1015,10 +1004,7 @@ fn silent_answers(sim: &mut Simulation<Message>, at: SimTime, ov: ObjectVersion,
 #[test]
 fn batched_rounds_reask_only_the_silent_sibling() {
     let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
-    let batching = ProtocolMode {
-        batch_rounds: true,
-        ..ProtocolMode::default()
-    };
+    let batching = ProtocolMode { batch_rounds: true };
     // Node 2 re-probes `a` for node 5, node 1 re-probes `b`; every KLS and
     // the other sibling verify both, and 5 stays silent.
     let placements = [placed([2, 2], [4, 5]), placed([1, 2], [5, 5])];

@@ -1,18 +1,20 @@
 //! Protocol behaviour switches and dense helpers.
 //!
-//! There is one protocol implementation. [`ProtocolMode`] carries the two
-//! switches that change what it *does* (all off by default, which is the
+//! There is one protocol implementation. [`ProtocolMode`] carries the one
+//! switch that changes what it *does* (off by default, which is the
 //! paper-faithful protocol the recorded sweep digests pin):
 //!
-//! * **`compact_converged`** — a fragment server releases a version that is
-//!   settled AMR and superseded by a newer settled-AMR version of its key
-//!   down to an O(1) residual record (DESIGN.md §8.7);
 //! * **`batch_rounds`** — a fragment server sends the convergence probes,
 //!   probe replies and AMR indications one dispatch produces as one
 //!   [`Message::Batch`](crate::messages::Message::Batch) per destination
 //!   and kind — sent, lost and answered as a unit — instead of one message
 //!   per object version, and re-asks only the siblings that went silent
 //!   instead of repeating a verification step (DESIGN.md §8.6).
+//!
+//! Converged-version compaction is not a mode: AMR is a version's terminal
+//! state, so every fragment server releases a version that is settled AMR
+//! and superseded by a newer settled-AMR version of its key down to an
+//! O(1) residual record (DESIGN.md §8.7).
 //!
 //! A mode is a constructor argument:
 //! [`ClusterConfig::protocol`](crate::cluster::ClusterConfig) hands it to
@@ -26,15 +28,6 @@ use erasure::FragmentIndex;
 /// The protocol behaviour an actor runs with, fixed at construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ProtocolMode {
-    /// Release the state of durably converged, superseded versions down
-    /// to an O(1) residual record: once a version is settled AMR locally
-    /// *and* a strictly newer version of the same key is also settled AMR
-    /// locally, its fragment bytes, checksums and metadata handle are
-    /// dropped. Off by default so the paper-faithful sweeps keep full
-    /// per-version state (and the durable-monotone invariant, which
-    /// compaction deliberately relaxes for superseded versions, stays
-    /// exact); scale runs opt in.
-    pub compact_converged: bool,
     /// Send a dispatch's round traffic — `ConvergeKls` and `ConvergeFs`
     /// probes, the `ConvergeFsReply`s it owes and FS-originated
     /// `AmrIndication`s — as one multi-entry message per destination and
@@ -51,12 +44,9 @@ pub struct ProtocolMode {
 }
 
 impl ProtocolMode {
-    /// The scale tier: converged-version compaction and batched rounds on.
+    /// The scale tier: batched rounds on.
     pub const fn scale() -> Self {
-        ProtocolMode {
-            compact_converged: true,
-            batch_rounds: true,
-        }
+        ProtocolMode { batch_rounds: true }
     }
 }
 
@@ -256,9 +246,8 @@ mod tests {
     #[test]
     fn mode_constructors_and_default() {
         let default = ProtocolMode::default();
-        assert!(!default.compact_converged && !default.batch_rounds);
-        let scale = ProtocolMode::scale();
-        assert!(scale.compact_converged && scale.batch_rounds);
+        assert!(!default.batch_rounds);
+        assert!(ProtocolMode::scale().batch_rounds);
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! Differential tests: the two [`ProtocolMode`] behaviour switches, each
-//! alone against the default protocol.
-//!
-//! Converged-version compaction must be *invisible* on a fault-free run —
-//! same outcome, event sequence, clock, traffic and per-server observables,
-//! with superseded settled versions allowed to collapse to residuals — and
-//! batched rounds must change how many messages convergence sends, never
-//! where it ends up. (The version store itself is checked
+//! Differential tests: the [`ProtocolMode`] behaviour switch, batched
+//! rounds, against the default protocol. Batching must change how many
+//! messages convergence sends, never where it ends up. (Converged-version
+//! compaction runs in both: it is not a mode. The version store is checked
 //! against an in-test model in `fs/tests/store.rs`, without a cluster.)
 
+use erasure::FragmentIndex;
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe::fs::Fs;
@@ -18,13 +15,6 @@ use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
 use proptest::prelude::*;
 use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Compaction and nothing else: [`ProtocolMode::scale`] also batches rounds,
-/// which moves messages, and these tests are about what compaction moves.
-const COMPACTING: ProtocolMode = ProtocolMode {
-    compact_converged: true,
-    batch_rounds: false,
-};
 
 /// A small randomized scenario: everything that feeds the deterministic
 /// simulation, minus the workload stream and the protocol mode under test.
@@ -111,198 +101,28 @@ fn run_update_heavy(
     (cluster, outcome)
 }
 
-/// Asserts the compacting run is observationally equivalent to the full
-/// run: identical KLS tables, identical per-FS classification sets and
-/// settle times, byte-identical entries for every uncompacted version,
-/// and for each compacted version a residual mask recording exactly the
-/// fragments the full store still holds. Returns the number of
-/// compacted store entries seen (a superseded version compacts once per
-/// FS that held it).
-fn assert_compaction_invisible(full: &Cluster, compact: &Cluster) -> usize {
-    let topo = full.topology().clone();
-    for id in topo.all_klss() {
-        let f: &Kls = full.sim().actor(id);
-        let c: &Kls = compact.sim().actor(id);
-        let mut f_ovs: Vec<_> = f.known_versions().collect();
-        let mut c_ovs: Vec<_> = c.known_versions().collect();
-        f_ovs.sort();
-        c_ovs.sort();
-        assert_eq!(f_ovs, c_ovs, "KLS {id:?} knows the same versions");
-        for ov in f_ovs {
-            assert_eq!(
-                format!("{:?}", f.meta(ov)),
-                format!("{:?}", c.meta(ov)),
-                "KLS {id:?} metadata for {ov:?} is untouched by compaction"
-            );
-        }
-    }
-
-    let sorted = |it: Box<dyn Iterator<Item = pahoehoe::types::ObjectVersion> + '_>| {
-        let mut v: Vec<_> = it.collect();
-        v.sort();
-        v
-    };
-    let mut compacted_entries = 0usize;
-    for id in topo.all_fss() {
-        let f: &Fs = full.sim().actor(id);
-        let c: &Fs = compact.sim().actor(id);
-        let known = sorted(Box::new(f.known_versions()));
-        assert_eq!(
-            known,
-            sorted(Box::new(c.known_versions())),
-            "FS {id:?} knows the same versions"
-        );
-        assert_eq!(
-            sorted(Box::new(f.amr_versions())),
-            sorted(Box::new(c.amr_versions())),
-            "FS {id:?} AMR sets match"
-        );
-        assert_eq!(
-            sorted(Box::new(f.pending_versions())),
-            sorted(Box::new(c.pending_versions())),
-            "FS {id:?} pending sets match"
-        );
-        assert_eq!(
-            sorted(Box::new(f.gave_up_versions())),
-            sorted(Box::new(c.gave_up_versions())),
-            "FS {id:?} gave-up sets match"
-        );
-        for ov in known {
-            assert_eq!(
-                f.amr_settled_at(ov),
-                c.amr_settled_at(ov),
-                "FS {id:?} settle time for {ov:?} matches"
-            );
-            assert_eq!(
-                f.verified(ov),
-                c.verified(ov),
-                "FS {id:?} verification for {ov:?} matches"
-            );
-            match c.compacted_residual(ov) {
-                Some(mask) => {
-                    compacted_entries += 1;
-                    assert!(
-                        c.amr_settled_at(ov).is_some(),
-                        "only settled-AMR versions compact ({ov:?})"
-                    );
-                    assert!(
-                        c.entry(ov).is_none(),
-                        "compacted slot for {ov:?} released its full entry"
-                    );
-                    let entry = f.entry(ov).expect("full run keeps the entry");
-                    let held: Vec<_> = mask.iter().collect();
-                    let full_held: Vec<_> = entry.fragments.keys().copied().collect();
-                    assert_eq!(
-                        held, full_held,
-                        "FS {id:?} residual for {ov:?} records exactly the fragments held"
-                    );
-                }
-                None => {
-                    assert_eq!(
-                        format!("{:?}", f.entry(ov)),
-                        format!("{:?}", c.entry(ov)),
-                        "FS {id:?} uncompacted entry for {ov:?} is byte-identical"
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            c.compacted_count(),
-            sorted(Box::new(c.compacted_versions())).len(),
-            "FS {id:?} compacted count matches its residual listing"
-        );
-    }
-    compacted_entries
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Converged-version compaction against the full store on an
-    /// update-heavy stream: on a clean network compaction is pure local
-    /// bookkeeping, so the outcome, event sequence, virtual clock,
-    /// per-kind message counts, KLS tables and every per-FS
-    /// observable must match — with superseded settled versions allowed
-    /// to collapse to residuals that mirror the full store's fragment
-    /// sets. (Under faults the stores legitimately diverge: a residual
-    /// still answers verification queries, but its released fragments
-    /// can no longer feed a straggling sibling's recovery, and late
-    /// duplicate fragment pushes are dropped instead of stored — so the
-    /// strict event-level claim is scoped to fault-free runs.)
-    #[test]
-    fn compaction_is_invisible(
-        sc in scenario_strategy(),
-        key_space in 1u64..4,
-        puts in 4u64..13,
-    ) {
-        let sc = Scenario {
-            drop_pct: 0,
-            dup_pct: 0,
-            outages: Vec::new(),
-            ..sc
-        };
-        let (full, full_outcome) =
-            run_update_heavy(&sc, key_space, puts, ProtocolMode::default());
-        let (compact, compact_outcome) = run_update_heavy(&sc, key_space, puts, COMPACTING);
-        prop_assert_eq!(full_outcome, compact_outcome);
-        prop_assert_eq!(
-            full.sim().events_processed(),
-            compact.sim().events_processed()
-        );
-        prop_assert_eq!(full.sim().now(), compact.sim().now());
-        let entries = |c: &Cluster| -> Vec<(&'static str, u64)> {
-            c.sim()
-                .metrics()
-                .registry()
-                .iter()
-                .map(|&k| (k, c.sim().metrics().kind(k).count))
-                .collect()
-        };
-        prop_assert_eq!(entries(&full), entries(&compact));
-        assert_compaction_invisible(&full, &compact);
-    }
-}
-
-/// A clean-network scripted run where every put supersedes the single
-/// key: compaction must collapse each superseded version on every FS
-/// that held its fragments, while staying observationally equivalent to
-/// the full store.
-#[test]
-fn compaction_collapses_superseded_versions_invisibly() {
-    let sc = Scenario {
-        seed: 7,
-        value_len: 4096,
-        drop_pct: 0,
-        dup_pct: 0,
-        naive: false,
-        outages: Vec::new(),
-    };
-    let (full, full_outcome) = run_update_heavy(&sc, 1, 8, ProtocolMode::default());
-    let (compact, compact_outcome) = run_update_heavy(&sc, 1, 8, COMPACTING);
-    assert_eq!(full_outcome, compact_outcome);
-    assert_eq!(
-        full.sim().events_processed(),
-        compact.sim().events_processed(),
-        "compaction is event-neutral"
-    );
-    let compacted = assert_compaction_invisible(&full, &compact);
-    // 8 puts to one key leave 7 superseded versions, each compacted on
-    // every FS that held fragments of it.
-    assert!(
-        compacted >= 7,
-        "each superseded version compacted somewhere (got {compacted} entries)"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Batched rounds: fewer messages, the same archive
 // ---------------------------------------------------------------------------
 
+/// The fragment indices `fs` holds of `ov`: its live entry's, or for a
+/// compacted version the ones its residual records.
+fn held(fs: &Fs, ov: ObjectVersion) -> Vec<FragmentIndex> {
+    match fs.entry(ov) {
+        Some(entry) => entry.fragments.keys().copied().collect(),
+        None => fs
+            .compacted_residual(ov)
+            .map(|mask| mask.iter().collect())
+            .unwrap_or_default(),
+    }
+}
+
 /// What a converged cluster must look like whatever its messages were:
 /// every put the client saw succeed is at maximum redundancy — complete
 /// metadata at every KLS, and every sibling FS settled AMR holding exactly
-/// its assigned fragments — no FS gave a version up, and no FS still has
-/// work for a durable version. Returns, per FS, the state and stored
+/// its assigned fragments (in its live entry, or in its residual once a
+/// newer version compacted it) — no FS gave a version up, and no FS still
+/// has work for a durable version. Returns, per FS, the state and held
 /// fragment indices of each durable version it knows: what two runs that
 /// stored the same versions must agree on. (Non-durable leftovers of failed
 /// attempts stay pending for ever; which siblings had heard of one when the
@@ -319,15 +139,8 @@ fn converged_state(cluster: &Cluster) -> BTreeMap<NodeId, BTreeMap<ObjectVersion
         for id in meta.siblings() {
             let fs: &Fs = sim.actor(id);
             assert!(fs.amr_settled_at(ov).is_some(), "FS {id:?} settled {ov:?}");
-            let held: Vec<_> = fs
-                .entry(ov)
-                .expect("live")
-                .fragments
-                .keys()
-                .copied()
-                .collect();
             assert_eq!(
-                held,
+                held(fs, ov),
                 meta.fragments_of(id),
                 "FS {id:?} stores its share of {ov:?}"
             );
@@ -344,8 +157,8 @@ fn converged_state(cluster: &Cluster) -> BTreeMap<NodeId, BTreeMap<ObjectVersion
             .known_versions()
             .filter(|ov| durable.contains(ov))
             .map(|ov| {
-                let held: Vec<_> = fs.entry(ov).expect("live").fragments.keys().collect();
-                (ov, format!("amr={} held={held:?}", amr.contains(&ov)))
+                let state = format!("amr={} held={:?}", amr.contains(&ov), held(fs, ov));
+                (ov, state)
             })
             .collect();
         state.insert(id, per_version);
@@ -381,10 +194,7 @@ proptest! {
         key_space in 1u64..4,
         puts in 4u64..13,
     ) {
-        let batching = ProtocolMode {
-            batch_rounds: true,
-            ..ProtocolMode::default()
-        };
+        let batching = ProtocolMode { batch_rounds: true };
         let (single, single_outcome) =
             run_update_heavy(&sc, key_space, puts, ProtocolMode::default());
         let (batched, batched_outcome) = run_update_heavy(&sc, key_space, puts, batching);

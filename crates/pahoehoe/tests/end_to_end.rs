@@ -333,15 +333,38 @@ fn report_counts_compacted_versions_as_durable_and_amr() {
     let report = cluster.run_to_convergence();
     assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
     assert_eq!(report.puts_succeeded, 12);
-    let compacted: usize = cluster
-        .topology()
-        .all_fss()
-        .map(|fs| cluster.fs(fs).compacted_count())
-        .sum();
-    assert!(compacted > 0, "the workload must compact something");
     assert_eq!(report.non_durable, 0);
     assert_eq!(report.durable_not_amr, 0);
     assert_eq!(report.amr_versions, 12);
+
+    // Every superseded version is a residual on each FS that knows it,
+    // the newest of each key is not, and each residual records exactly the
+    // fragments the metadata assigned to that FS.
+    let kls: &Kls = cluster
+        .sim()
+        .actor(cluster.topology().all_klss().next().expect("a KLS"));
+    for id in cluster.topology().all_fss() {
+        let fs = cluster.fs(id);
+        let known: Vec<ObjectVersion> = fs.known_versions().collect();
+        let superseded: Vec<ObjectVersion> = known
+            .iter()
+            .copied()
+            .filter(|ov| known.iter().any(|n| n.key == ov.key && n.ts > ov.ts))
+            .collect();
+        let compacted: Vec<ObjectVersion> = fs.compacted_versions().collect();
+        assert_eq!(compacted, superseded, "{id:?} compacts what was superseded");
+        assert!(!compacted.is_empty(), "{id:?} compacted nothing");
+        assert_eq!(fs.compacted_count(), compacted.len(), "{id:?}");
+        for ov in compacted {
+            let held: Vec<_> = fs
+                .compacted_residual(ov)
+                .expect("a listed residual")
+                .iter()
+                .collect();
+            let meta = kls.meta(ov).expect("an AMR version's metadata");
+            assert_eq!(held, meta.fragments_of(id), "{id:?} residual of {ov:?}");
+        }
+    }
 }
 
 /// `(known, durable)` version counts of `cluster`, after checking that

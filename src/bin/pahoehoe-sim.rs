@@ -4,6 +4,8 @@
 //! optimization preset, failures and a loss rate, and get the paper-style
 //! per-message-kind report plus convergence statistics. Every run stops on
 //! `Cluster::run_to_convergence`, the paper's termination condition.
+//! Converged-version compaction always runs, as in every cluster; the
+//! `compacted entries:` line counts the residuals it left.
 //!
 //! ```text
 //! USAGE: pahoehoe-sim [OPTIONS]
@@ -16,7 +18,6 @@
 //!   --layout D,K,F      data centers, KLSs per DC, FSs per DC [default: 2,2,3]
 //!   --policy K,N,D,M    k, n, data centers, max fragments per FS
 //!                                                   [default: 4,12,2,2]
-//!   --compact           compact converged, superseded versions
 //!   --batch             batched convergence rounds
 //!   --drop-rate P       message drop probability    [default: 0.0]
 //!   --fs-down N         FSs unavailable for 10 min  [default: 0]
@@ -37,19 +38,19 @@
 //! ```
 //!
 //! The benchmark's `small-put-churn` shape (four data centers of two KLSs
-//! and four FSs, one fragment of 16 per FS, compaction and batched rounds)
-//! with its 256-byte values:
+//! and four FSs, one fragment of 16 per FS, batched rounds) with its
+//! 256-byte values:
 //!
 //! ```text
 //! cargo run --release --bin pahoehoe-sim -- --layout 4,2,4 --policy 4,16,4,1 \
-//!     --compact --batch --puts 200 --value-bytes 256
+//!     --batch --puts 200 --value-bytes 256
 //! ```
 //!
 //! A scale cell: 2 000 Zipf-1.1 puts of 4 KiB over 1 000 keys.
 //!
 //! ```text
 //! cargo run --release --bin pahoehoe-sim -- --keys 1000 --puts 2000 \
-//!     --value-bytes 4096 --compact --batch
+//!     --value-bytes 4096 --batch
 //! ```
 
 use pahoehoe_repro::experiments::figures::{fs_outage, kls_outage, paper_layout};
@@ -192,7 +193,6 @@ fn parse_args() -> Result<Args, String> {
                 keys = Some(n);
             }
             "--dist" => args.dist = Some(val("--dist")?),
-            "--compact" => args.mode.compact_converged = true,
             "--batch" => args.mode.batch_rounds = true,
             "--drop-rate" => {
                 args.drop_rate = val("--drop-rate")?
@@ -312,7 +312,7 @@ fn main() {
         None => String::new(),
     };
     println!(
-        "pahoehoe-sim: {} puts x {} B{}, opt={}, layout={},{},{}, policy={:?}{}{}, drop={}, \
+        "pahoehoe-sim: {} puts x {} B{}, opt={}, layout={},{},{}, policy={:?}{}, drop={}, \
          fs-down={}, kls-down={}, seed={}",
         args.puts,
         args.value_bytes,
@@ -322,11 +322,6 @@ fn main() {
         layout.kls_per_dc,
         layout.fs_per_dc,
         args.policy,
-        if args.mode.compact_converged {
-            ", compact"
-        } else {
-            ""
-        },
         if args.mode.batch_rounds {
             ", batch"
         } else {

@@ -20,6 +20,8 @@ fn bad_flag_values_are_usage_errors() {
         ("--dist", &["--keys", "10", "--dist", "hot:1"]),
         // A key distribution shapes a stream, and there is none.
         ("--dist", &["--dist", "uniform"]),
+        // Compaction always runs, so no flag switches it.
+        ("--compact", &["--compact"]),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_pahoehoe-sim"))
             .args(args)
