@@ -1,4 +1,4 @@
-//! The workspace checker: twelve rules over the [`rustlite`](crate::rustlite)
+//! The workspace checker: twelve rules over the [`rustlite`]
 //! front-end, one walk, one finding type, one suppression loop.
 //!
 //! Seven **token rules** guard seeded-simulation determinism (a run is a

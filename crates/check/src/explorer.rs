@@ -15,7 +15,9 @@
 //! minimal one that still violates, and renders the shrunk run's message
 //! trace for offline diagnosis.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
@@ -25,7 +27,7 @@ use pahoehoe::protocol::ProtocolMode;
 use pahoehoe::repair::RepairOptions;
 use pahoehoe::types::{Key, ObjectVersion};
 use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
-use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
+use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime, TraceEvent};
 
 use crate::invariants::{self, Checker, Invariant, Violation};
 
@@ -448,9 +450,11 @@ const REPAIR_EVENTS: [&str; 7] = [
 /// only when `want_trace` is set.
 pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> ScenarioOutcome {
     let mut cluster = scenario_cluster(sc);
-    if want_trace {
-        cluster.sim_mut().enable_trace();
-    }
+    let trace = want_trace.then(|| {
+        let trace = Rc::new(RefCell::new(Vec::<TraceEvent>::new()));
+        cluster.sim_mut().observe(Rc::clone(&trace));
+        trace
+    });
     let checker = Checker::install_sampled(&mut cluster, sc.invariants.build(), sc.sample_every);
 
     let mut outcome = cluster.run_to_convergence().outcome;
@@ -495,11 +499,7 @@ pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> Sc
         events: sim.events_processed(),
         sim_time: sim.now(),
         outcome,
-        trace: want_trace.then(|| {
-            sim.trace()
-                .map(|t| t.render())
-                .unwrap_or_else(|| "(trace disabled)".to_string())
-        }),
+        trace: trace.map(|trace| render(&trace.borrow())),
         metrics_digest: format!("{:?}", sim.metrics()),
         compacted: cluster
             .topology()
@@ -509,6 +509,19 @@ pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> Sc
         min_live: min_live(&cluster),
         repair_events: REPAIR_EVENTS.map(|label| sim.metrics().event(label)),
     }
+}
+
+/// One line per send: time, endpoints, kind, wire size and disposition.
+fn render(trace: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for e in trace {
+        let _ = writeln!(
+            out,
+            "{} {} -> {} {} {}B {:?}",
+            e.at, e.from, e.to, e.kind, e.bytes, e.disposition
+        );
+    }
+    out
 }
 
 /// The cluster a scenario runs: its workload, protocol mode, racks and
@@ -566,7 +579,7 @@ fn min_live(cluster: &Cluster) -> usize {
 }
 
 /// Flips one stored fragment's bytes behind the checksum bookkeeping's
-/// back, then runs the simulation briefly so the inspector observes the
+/// back, then runs the simulation briefly so the checker observes the
 /// corrupted state.
 fn inject_corruption(cluster: &mut Cluster) {
     let fss: Vec<NodeId> = cluster.topology().all_fss().collect();

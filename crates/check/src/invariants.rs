@@ -3,10 +3,11 @@
 //! Each [`Invariant`] encodes one property the paper claims for Pahoehoe,
 //! phrased over the *observer's* view of a running cluster (the same
 //! accessors [`pahoehoe::analysis`] uses). A [`Checker`] installs the whole
-//! registry as a [`simnet::Simulation::set_inspector`] hook, so every
+//! registry as one [`simnet::Observer`] of the simulation, so every
 //! property is re-examined after **every** processed event — a violation is
 //! caught at the earliest event that exhibits it, not at quiescence, and
-//! the recorded event index pins it in the message trace.
+//! the recorded event index pins it in the message trace. The same observer
+//! shows every invariant every message send.
 //!
 //! The registry assumes every put writes a key-derived blob: workload key
 //! `i + 1` holds [`Client::synthetic_value`]`(i, value_len)`, which lets the
@@ -33,7 +34,9 @@ use pahoehoe::repair::{self, RepairOptions};
 use pahoehoe::topology::{DataCenterId, Topology};
 use pahoehoe::types::ObjectVersion;
 use pahoehoe::{Metadata, Policy};
-use simnet::{Disposition, NodeId, RunOutcome, SimDuration, SimTime, Simulation};
+use simnet::{
+    Disposition, NodeId, Observer, RunOutcome, SimDuration, SimTime, Simulation, TraceEvent,
+};
 
 /// One observed breach of a protocol invariant.
 #[derive(Debug, Clone)]
@@ -81,6 +84,12 @@ pub struct ClusterView<'a> {
 pub trait Invariant {
     /// Stable rule name, used in reports and violation records.
     fn name(&self) -> &'static str;
+
+    /// Shown every message send of the run, dropped ones included, before
+    /// the event that sent it is checked.
+    fn on_send(&mut self, event: &TraceEvent) {
+        let _ = event;
+    }
 
     /// Checked after every processed simulation event. Return `Err` with a
     /// description to report a violation.
@@ -375,18 +384,20 @@ impl Invariant for ChecksumIntegrity {
 // Invariant 5: traffic accounting is sane.
 // ---------------------------------------------------------------------------
 
-/// The metrics and trace agree with each other and with causality: counters
-/// only grow, drops never exceed sends, per-kind totals sum to the grand
-/// totals, and (when tracing is on) the trace records exactly one event
-/// per send, with drop dispositions matching the drop counter.
+/// The metrics agree with each other, with causality and with the sends
+/// the engine showed its observers: counters only grow, drops never exceed
+/// sends, per-kind totals sum to the grand totals, the metrics count
+/// exactly one send per [`on_send`](Invariant::on_send), and the drop
+/// counter matches the sends whose disposition was not `Delivered`.
 pub struct MetricsSanity {
     prev_total: u64,
     prev_bytes: u64,
     prev_dropped: u64,
     prev_duplicated: u64,
-    /// Trace prefix already validated (the trace is append-only).
-    trace_seen: usize,
-    trace_dropped: u64,
+    /// Sends shown to [`on_send`](Invariant::on_send), and how many of
+    /// those were not delivered.
+    sent: u64,
+    not_delivered: u64,
 }
 
 impl MetricsSanity {
@@ -397,8 +408,8 @@ impl MetricsSanity {
             prev_bytes: 0,
             prev_dropped: 0,
             prev_duplicated: 0,
-            trace_seen: 0,
-            trace_dropped: 0,
+            sent: 0,
+            not_delivered: 0,
         }
     }
 }
@@ -412,6 +423,13 @@ impl Default for MetricsSanity {
 impl Invariant for MetricsSanity {
     fn name(&self) -> &'static str {
         "metrics-sanity"
+    }
+
+    fn on_send(&mut self, event: &TraceEvent) {
+        self.sent += 1;
+        if event.disposition != Disposition::Delivered {
+            self.not_delivered += 1;
+        }
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
@@ -442,26 +460,18 @@ impl Invariant for MetricsSanity {
                  totals ({total} msgs, {bytes} B)"
             ));
         }
-        if let Some(trace) = view.sim.trace() {
-            if trace.len() != total as usize {
-                return Err(format!(
-                    "trace records {} events but {total} messages were sent",
-                    trace.len()
-                ));
-            }
-            for ev in &trace.events()[self.trace_seen..] {
-                if ev.disposition != Disposition::Delivered {
-                    self.trace_dropped += 1;
-                }
-            }
-            self.trace_seen = trace.len();
-            if self.trace_dropped != m.dropped() {
-                return Err(format!(
-                    "trace shows {} dropped messages, metrics count {}",
-                    self.trace_dropped,
-                    m.dropped()
-                ));
-            }
+        if self.sent != total {
+            return Err(format!(
+                "observers saw {} sends but the metrics count {total}",
+                self.sent
+            ));
+        }
+        if self.not_delivered != m.dropped() {
+            return Err(format!(
+                "observers saw {} sends not delivered, metrics count {} dropped",
+                self.not_delivered,
+                m.dropped()
+            ));
         }
         self.prev_total = total;
         self.prev_bytes = bytes;
@@ -776,7 +786,7 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
 }
 
 // ---------------------------------------------------------------------------
-// The checker: registry + inspector plumbing.
+// The checker: registry + observer plumbing.
 // ---------------------------------------------------------------------------
 
 struct StaticCtx {
@@ -819,14 +829,22 @@ struct CheckerState {
     events_since_check: u64,
 }
 
-impl CheckerState {
-    fn check_event(&mut self, sim: &Simulation<Message>) {
+impl Observer<Message> for CheckerState {
+    fn on_send(&mut self, event: &TraceEvent) {
+        for inv in &mut self.invariants {
+            inv.on_send(event);
+        }
+    }
+
+    fn after_event(&mut self, sim: &Simulation<Message>) {
         self.events_since_check += 1;
         if self.events_since_check >= self.sample_every {
             self.check_now(sim);
         }
     }
+}
 
+impl CheckerState {
     fn check_now(&mut self, sim: &Simulation<Message>) {
         if self.violation.is_some() {
             return; // first violation wins; keep the run cheap afterwards
@@ -870,14 +888,14 @@ impl CheckerState {
     }
 }
 
-/// Owns a registry of invariants installed as a simulation inspector, and
+/// Owns a registry of invariants installed as a simulation observer, and
 /// collects the first violation any of them reports.
 pub struct Checker {
     state: Rc<RefCell<CheckerState>>,
 }
 
 impl Checker {
-    /// Installs `invariants` as an inspector on `cluster`'s simulation.
+    /// Installs `invariants` as an observer of `cluster`'s simulation.
     /// Every invariant's [`check_event`](Invariant::check_event) runs once
     /// every `sample_every` events (1 = after each event) and on the state
     /// the run ends in; call [`finish`](Checker::finish) when the run ends
@@ -913,10 +931,7 @@ impl Checker {
             sample_every: sample_every.max(1),
             events_since_check: 0,
         }));
-        let hook = Rc::clone(&state);
-        cluster
-            .sim_mut()
-            .set_inspector(move |sim| hook.borrow_mut().check_event(sim));
+        cluster.sim_mut().observe(Rc::clone(&state));
         Checker { state }
     }
 
@@ -927,11 +942,6 @@ impl Checker {
         let state = self.state.borrow();
         state.violation.clone()
     }
-
-    /// The first violation observed so far, without ending the run.
-    pub fn violation(&self) -> Option<Violation> {
-        self.state.borrow().violation.clone()
-    }
 }
 
 #[cfg(test)]
@@ -939,6 +949,7 @@ mod tests {
     use super::*;
     use pahoehoe::cluster::ClusterConfig;
     use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+    use simnet::NetworkConfig;
 
     /// The durability invariant rebuilds blobs at the stream's length, not
     /// at the standard workload's (100 KiB by default, unused here).
@@ -962,5 +973,57 @@ mod tests {
         assert!(!cluster.client().success_versions().is_empty());
         let violation = checker.finish(&cluster, report.outcome);
         assert!(violation.is_none(), "{violation:?}");
+    }
+
+    /// A converged run under 5 % loss, and every send it made.
+    fn lossy_run() -> (Cluster, Vec<TraceEvent>) {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.workload_puts = 3;
+        cfg.workload_value_len = 1024;
+        cfg.network = NetworkConfig::with_drop_rate(0.05);
+        let mut cluster = Cluster::build(cfg, 1);
+        let trace = Rc::new(RefCell::new(Vec::new()));
+        cluster.sim_mut().observe(Rc::clone(&trace));
+        cluster.run_to_convergence();
+        assert!(cluster.sim().metrics().dropped() > 0, "nothing was lost");
+        (cluster, trace.take())
+    }
+
+    /// `metrics-sanity`'s verdict on `cluster`'s metrics once shown `sends`.
+    fn metrics_sanity(cluster: &Cluster, sends: &[TraceEvent]) -> Result<(), String> {
+        let mut inv = MetricsSanity::new();
+        for event in sends {
+            inv.on_send(event);
+        }
+        inv.check_event(&ClusterView {
+            sim: cluster.sim(),
+            topo: cluster.topology(),
+            fss: &[],
+            klss: &[],
+            clients: &[],
+            proxies: &[],
+            value_len: 0,
+            policy: cluster.config().policy,
+            repair: None,
+        })
+    }
+
+    #[test]
+    fn metrics_sanity_flags_a_send_the_metrics_did_not_count() {
+        let (cluster, mut sends) = lossy_run();
+        assert_eq!(metrics_sanity(&cluster, &sends), Ok(()));
+        sends.push(sends[0].clone());
+        assert!(metrics_sanity(&cluster, &sends).is_err());
+    }
+
+    #[test]
+    fn metrics_sanity_flags_a_lost_send_the_drop_counter_missed() {
+        let (cluster, mut sends) = lossy_run();
+        let delivered = sends
+            .iter_mut()
+            .find(|e| e.disposition == Disposition::Delivered)
+            .expect("a delivered send");
+        delivered.disposition = Disposition::DroppedRandom;
+        assert!(metrics_sanity(&cluster, &sends).is_err());
     }
 }

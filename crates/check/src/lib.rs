@@ -10,7 +10,8 @@
 //!    the paper claims (durability of acknowledged puts, convergence to
 //!    AMR, no resurrection of abandoned versions, checksum integrity,
 //!    metrics sanity) as an extensible registry checked after **every**
-//!    simulation event via [`simnet::Simulation::set_inspector`]. The
+//!    simulation event, and shown every message send, by one
+//!    [`simnet::Observer`] installed with [`simnet::Simulation::observe`]. The
 //!    [`explorer`] module sweeps seeds × fault plans × all six
 //!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets, then
 //!    hand-built scenarios (the scale cell, the repair families) through

@@ -173,8 +173,8 @@ pub struct Client {
     puts_succeeded: u64,
     /// Put attempts the proxy answered (success or failure). Paired with
     /// [`last_put_latency`](Client::last_put_latency) this lets an
-    /// external observer (e.g. the scale bench's inspector) stream every
-    /// per-put latency into a constant-memory estimator.
+    /// external observer (a `simnet::Observer`, after each event) stream
+    /// every per-put latency into a constant-memory estimator.
     puts_answered: u64,
     /// Issue-to-answer latency of the most recently answered put.
     last_put_latency: SimDuration,

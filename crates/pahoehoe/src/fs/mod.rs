@@ -27,7 +27,7 @@
 //! [`ConvergenceOptions`].
 //!
 //! Round traffic — a step's probes, the replies owed to a sibling's probes
-//! and FS AMR indications — leaves through the [`Outbox`]: one message per
+//! and FS AMR indications — leaves through the `Outbox`: one message per
 //! object version, the paper's accounting, or with
 //! [`ProtocolMode::batch_rounds`] one [`Message::Batch`] per destination
 //! and kind per dispatch (DESIGN.md §8.6). Batched rounds also stop

@@ -8,7 +8,16 @@ use crate::kls::Kls;
 use crate::metadata::Location;
 use crate::policy::Policy;
 use crate::types::{Key, Timestamp};
-use simnet::{SimDuration, Simulation};
+use simnet::{SimDuration, Simulation, TraceEvent};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Records every send `sim` makes from now on, in send order.
+fn traced(sim: &mut Simulation<Message>) -> Rc<RefCell<Vec<TraceEvent>>> {
+    let trace = Rc::default();
+    sim.observe(Rc::clone(&trace));
+    trace
+}
 
 /// Tiny world: 2 DCs x (1 KLS + 1 FS), policy (k=2, n=4), 2 frags
 /// per FS. Node ids: kls0=0, fs0=1, kls1=2, fs1=3, driver=4.
@@ -253,7 +262,7 @@ fn indications_after_a_verification_step_carry_the_version_alone() {
     };
     let script = vec![store(1, 0), store(1, 1), store(3, 2), store(3, 3)];
     let (mut sim, fs0, fs1, _) = tiny_world(ConvergenceOptions::fs_amr_unsynchronized(), script);
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     sim.run_until_time(SimTime::ZERO + SimDuration::from_secs(600));
     let (a, b): (&Fs, &Fs) = (sim.actor(fs0), sim.actor(fs1));
     assert_eq!(a.amr_versions().collect::<Vec<_>>(), [ov()]);
@@ -262,9 +271,8 @@ fn indications_after_a_verification_step_carry_the_version_alone() {
     // round came.
     assert_eq!(a.steps_run() + b.steps_run(), 1);
     assert!(a.verified(ov()) && b.verified(ov()));
-    let trace = sim.trace().expect("tracing");
     let indications: Vec<_> = trace
-        .events()
+        .borrow()
         .iter()
         .filter(|e| e.kind == "AMRIndication")
         .map(|e| e.bytes)
@@ -312,7 +320,7 @@ fn late_adopter_waits_min_age_once() {
     // its next round instead of holding it until 400 s + 300 s.
     let heard = SimTime::ZERO + SimDuration::from_secs(400);
     let (mut sim, _, fs1, driver) = tiny_world(opts.clone(), Vec::new());
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     // Start the actors (the driver's empty script runs at time zero),
     // then script the probe for 400 s.
     sim.run_until_time(SimTime::from_micros(1));
@@ -337,10 +345,13 @@ fn late_adopter_waits_min_age_once() {
     // The step found both fragments missing and opened a sibling
     // recovery: intent probes are out to fs0.
     let stepped_at = sim.now();
-    let trace = sim.trace().expect("tracing");
-    let mut probes = trace.events().iter().filter(|e| e.from == fs1);
+    let probe = (fs1, fs0_node, "FSConvergeReq", stepped_at);
+    let probed = trace
+        .borrow()
+        .iter()
+        .any(|e| (e.from, e.to, e.kind, e.at) == probe);
     assert!(
-        probes.any(|e| (e.to, e.kind, e.at) == (fs0_node, "FSConvergeReq", stepped_at)),
+        probed,
         "no recovery-intent probe left fs1 at {stepped_at:?}"
     );
     let work = pending_work(sim.actor(fs1), ov());
@@ -650,7 +661,7 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
 
     let batching = ProtocolMode { batch_rounds: true };
     let (mut sim, fs0, fs1, _) = tiny_world_with_faults(cut(), batching, opts(), script());
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     sim.run_until_time(round(1) + SimDuration::from_secs(1));
 
     // What fs0's round put on the wire: one probe per KLS and one for
@@ -670,18 +681,14 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
             meta: meta.clone(),
             recovery_intent: false,
         });
-    let sent_by_fs0_at = |sim: &Simulation<Message>, at| -> Vec<_> {
-        let trace = sim.trace().expect("tracing");
-        let probes = trace
-            .events()
-            .iter()
-            .filter(|e| e.from == fs0 && e.at == at);
+    let sent_by_fs0_at = |trace: &[TraceEvent], at| -> Vec<_> {
+        let probes = trace.iter().filter(|e| e.from == fs0 && e.at == at);
         probes
             .map(|e| (e.to, e.kind, e.bytes, e.disposition))
             .collect()
     };
     assert_eq!(
-        sent_by_fs0_at(&sim, round(1)),
+        sent_by_fs0_at(&trace.borrow(), round(1)),
         [
             (kls0, "KLSConvergeReq", kls_probe, Delivered),
             (kls1, "KLSConvergeReq", kls_probe, DroppedFault),
@@ -690,18 +697,20 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
     );
     assert_eq!(sim.metrics().dropped(), 1, "one message lost, not {M}");
     // The answers come back the same way: one reply per probe message.
-    let trace = sim.trace().expect("tracing");
-    let replies: Vec<_> = trace.events().iter().filter(|e| e.to == fs0).collect();
-    let kls_replies: Vec<_> = replies.iter().filter(|e| e.from == kls0).collect();
-    assert_eq!(kls_replies.len(), 1);
-    assert_eq!(kls_replies[0].kind, "KLSConvergeRep");
-    assert_eq!(kls_replies[0].bytes, HEADER_BYTES + M * (OV_BYTES + 1));
-    let fs_reply_kinds: Vec<_> = replies
-        .iter()
-        .filter(|e| e.from == fs1_node)
-        .map(|e| e.kind)
-        .collect();
-    assert_eq!(fs_reply_kinds, ["FSConvergeReq", "FSConvergeRep"]);
+    {
+        let trace = trace.borrow();
+        let replies: Vec<_> = trace.iter().filter(|e| e.to == fs0).collect();
+        let kls_replies: Vec<_> = replies.iter().filter(|e| e.from == kls0).collect();
+        assert_eq!(kls_replies.len(), 1);
+        assert_eq!(kls_replies[0].kind, "KLSConvergeRep");
+        assert_eq!(kls_replies[0].bytes, HEADER_BYTES + M * (OV_BYTES + 1));
+        let fs_reply_kinds: Vec<_> = replies
+            .iter()
+            .filter(|e| e.from == fs1_node)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(fs_reply_kinds, ["FSConvergeReq", "FSConvergeRep"]);
+    }
 
     // Exactly the M versions of the lost message lack kls1's answer,
     // each with its own step open and its own back-off charged; fs1,
@@ -724,7 +733,7 @@ fn a_batched_round_is_one_message_per_destination_lost_as_one() {
     // message per destination, and this time everything verifies.
     sim.run_until_time(round(2) + SimDuration::from_secs(1));
     assert_eq!(
-        sent_by_fs0_at(&sim, round(2)),
+        sent_by_fs0_at(&trace.borrow(), round(2)),
         [
             (kls0, "KLSConvergeReq", kls_probe, Delivered),
             (kls1, "KLSConvergeReq", kls_probe, Delivered),
@@ -892,7 +901,7 @@ fn backoffs(sim: &Simulation<Message>, versions: &[ObjectVersion]) -> Vec<(u32, 
 fn a_silent_sibling_speaking_again_revives_what_this_fs_reprobes() {
     let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
     let (mut sim, versions) = reprobe_world();
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     sim.run_until_time(secs(500));
     // Four failed steps each. Sibling 4 answered every probe within
     // milliseconds, so `versions[2]`, which node 2 re-probes for it and
@@ -929,12 +938,12 @@ fn a_silent_sibling_speaking_again_revives_what_this_fs_reprobes() {
         "{revived:?}"
     );
     assert_eq!(rest, [backed_off; 3]);
-    let sent_from = |sim: &Simulation<Message>, at| {
-        let trace = sim.trace().expect("tracing");
-        let sends = trace.events().iter().filter(|e| e.from == REPROBE_FS);
+    let sent_from = |at| {
+        let trace = trace.borrow();
+        let sends = trace.iter().filter(|e| e.from == REPROBE_FS);
         sends.filter(|e| e.at >= at).count()
     };
-    assert_eq!(sent_from(&sim, secs(500)), 0, "the revival sent nothing");
+    assert_eq!(sent_from(secs(500)), 0, "the revival sent nothing");
 
     // The first steps at the next round, from a fresh back-off; the
     // others wait out theirs.
@@ -943,7 +952,7 @@ fn a_silent_sibling_speaking_again_revives_what_this_fs_reprobes() {
     let stepped = (1, secs(540) + backoff);
     let expected = [stepped, backed_off, backed_off, backed_off];
     assert_eq!(backoffs(&sim, &versions), expected);
-    assert!(sent_from(&sim, secs(540)) > 0);
+    assert!(sent_from(secs(540)) > 0);
 }
 
 /// The silent-sibling map is bounded by the sibling count: one entry per
@@ -963,12 +972,12 @@ fn silent_sibling_map_holds_only_unanswered_sibling_fss() {
 
 /// Destination and kind label of each message node 2 sent in `[from, to)`.
 fn sent_by_reprober(
-    sim: &Simulation<Message>,
+    trace: &RefCell<Vec<TraceEvent>>,
     from: SimTime,
     to: SimTime,
 ) -> Vec<(NodeId, &'static str)> {
-    let trace = sim.trace().expect("tracing");
-    let sends = trace.events().iter().filter(|e| e.from == REPROBE_FS);
+    let trace = trace.borrow();
+    let sends = trace.iter().filter(|e| e.from == REPROBE_FS);
     let window = sends.filter(|e| from <= e.at && e.at < to);
     window.map(|e| (e.to, e.kind)).collect()
 }
@@ -1018,7 +1027,7 @@ fn batched_rounds_reask_only_the_silent_sibling() {
 
     // Unbatched, the second steps are full steps, like the first.
     let (mut sim, _) = sibling_world(ProtocolMode::default(), true, &placements);
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     sim.run_until_time(secs(121));
     let full_step_of_b = [
         (kls0, "KLSConvergeReq"),
@@ -1027,7 +1036,7 @@ fn batched_rounds_reask_only_the_silent_sibling() {
         (SILENT, "FSConvergeReq"),
     ];
     assert_eq!(
-        sent_by_reprober(&sim, secs(120), secs(121)),
+        sent_by_reprober(&trace, secs(120), secs(121)),
         [full_step_of_a, full_step_of_b].concat()
     );
 
@@ -1035,7 +1044,7 @@ fn batched_rounds_reask_only_the_silent_sibling() {
     let [a, b] = versions[..] else {
         unreachable!("two versions")
     };
-    sim.enable_trace();
+    let trace = traced(&mut sim);
     let step = |sim: &Simulation<Message>, ov| {
         let work = pending_work(sim.actor(REPROBE_FS), ov);
         (
@@ -1055,7 +1064,7 @@ fn batched_rounds_reask_only_the_silent_sibling() {
     for (round, attempts) in [(120, 2), (240, 3)] {
         sim.run_until_time(secs(round + 1));
         assert_eq!(
-            sent_by_reprober(&sim, secs(round), secs(round + 1)),
+            sent_by_reprober(&trace, secs(round), secs(round + 1)),
             [(SILENT, "FSConvergeReq")],
             "at {round} s"
         );
@@ -1078,16 +1087,19 @@ fn batched_rounds_reask_only_the_silent_sibling() {
         secs(250) < revived.1 && revived.1 < secs(251),
         "{revived:?}"
     );
-    assert!(sent_by_reprober(&sim, secs(250), secs(251)).is_empty());
+    assert!(sent_by_reprober(&trace, secs(250), secs(251)).is_empty());
 
     // 5 has spoken, so `a`'s next step is a full one — which 5 leaves
     // unanswered — and the one after that a re-ask again.
     sim.run_until_time(secs(301));
-    assert_eq!(sent_by_reprober(&sim, secs(300), secs(301)), full_step_of_a);
+    assert_eq!(
+        sent_by_reprober(&trace, secs(300), secs(301)),
+        full_step_of_a
+    );
     assert_eq!(probed_silent(&mut sim), [a]);
     sim.run_until_time(secs(361));
     assert_eq!(
-        sent_by_reprober(&sim, secs(360), secs(361)),
+        sent_by_reprober(&trace, secs(360), secs(361)),
         [(SILENT, "FSConvergeReq")]
     );
     assert_eq!(probed_silent(&mut sim), [a]);
@@ -1098,7 +1110,10 @@ fn batched_rounds_reask_only_the_silent_sibling() {
     // are in — the KLSs' and 4's arrive, 5's does not.
     silent_answers(&mut sim, secs(370), a, true);
     sim.run_until_time(secs(371));
-    assert_eq!(sent_by_reprober(&sim, secs(370), secs(371)), full_step_of_a);
+    assert_eq!(
+        sent_by_reprober(&trace, secs(370), secs(371)),
+        full_step_of_a
+    );
     assert_eq!(probed_silent(&mut sim), [a]);
     assert_eq!(step(&sim, a), (store::Step::Verifying, 1, 2, 1));
     assert_eq!(sim.actor::<Fs>(REPROBE_FS).amr_settled_at(a), None);

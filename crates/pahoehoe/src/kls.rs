@@ -4,7 +4,7 @@
 //! mapping each key to its object versions, and a **metadata store**
 //! mapping each object version to its `(policy, locations)` metadata. The
 //! two are always written together, so here they are one store of per-key
-//! chains ([`Chains`]): each key has one chain of `(timestamp, metadata)`
+//! chains (`Chains`): each key has one chain of `(timestamp, metadata)`
 //! records sorted by timestamp. The key's chain is its timestamp store, and
 //! a version's metadata is found in its key's chain. The KLS answers
 //! location-decision requests for *its own* data center, absorbs metadata

@@ -221,7 +221,7 @@ impl Metadata {
     /// Whether [`merge`](Self::merge) with `other` would learn anything —
     /// the same per-DC first-writer-wins test, without mutating. Lets the
     /// shared-metadata path skip the copy-on-write a no-op
-    /// [`merge_shared`] would otherwise force.
+    /// [`merge_shared`](Self::merge_shared) would otherwise force.
     pub fn would_learn_from(&self, other: &Metadata) -> bool {
         other.decided & !self.decided != 0 || (self.value_len == 0 && other.value_len != 0)
     }

@@ -894,7 +894,9 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig, ClusterLayout};
     use crate::convergence::ConvergenceOptions;
     use crate::policy::Policy;
-    use simnet::{FaultPlan, SimTime};
+    use simnet::{FaultPlan, SimTime, TraceEvent};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Tiny cluster: 2 DCs x (1 KLS + 1 FS), policy (2, 4).
     fn tiny_config() -> ClusterConfig {
@@ -1349,7 +1351,8 @@ mod tests {
             ..simnet::NetworkConfig::paper_default()
         };
         let mut sim = simnet::Simulation::with_network(3, network, FaultPlan::none());
-        sim.enable_trace();
+        let trace = Rc::new(RefCell::new(Vec::<TraceEvent>::new()));
+        sim.observe(Rc::clone(&trace));
         sim.add_actor(kls(0, [1, 2], SimDuration::ZERO));
         sim.add_actor(Stub::server(true));
         sim.add_actor(Stub::server(false));
@@ -1383,9 +1386,8 @@ mod tests {
             assert!(indication(fs).is_none(), "n{fs} holds complete metadata");
         }
         // Priced as the fields carried.
-        let trace = sim.trace().expect("tracing");
         let mut sent: Vec<(NodeId, usize)> = trace
-            .events()
+            .borrow()
             .iter()
             .filter(|e| e.kind == "AMRIndication")
             .map(|e| (e.to, e.bytes))

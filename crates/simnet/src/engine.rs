@@ -6,6 +6,8 @@
 //! the same seed and the same actor set are bit-for-bit identical.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,7 @@ use crate::node::NodeId;
 use crate::payload::Payload;
 use crate::queue::{EventKind, EventQueue, QueuedEvent, TimerSlab};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Disposition, Trace, TraceEvent};
+use crate::trace::{Disposition, TraceEvent};
 
 pub use crate::queue::TimerId;
 
@@ -43,7 +45,7 @@ struct Inner<M> {
     network: NetworkConfig,
     faults: FaultPlan,
     metrics: Metrics,
-    trace: Option<Trace>,
+    observers: Vec<Box<dyn Observer<M>>>,
 }
 
 impl<M: Payload> Inner<M> {
@@ -75,15 +77,18 @@ impl<M: Payload> Inner<M> {
         } else {
             Disposition::Delivered
         };
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
+        if !self.observers.is_empty() {
+            let event = TraceEvent {
                 at: self.now,
                 from,
                 to,
                 kind: msg.kind(),
                 bytes,
                 disposition,
-            });
+            };
+            for observer in &mut self.observers {
+                observer.on_send(&event);
+            }
         }
         if disposition != Disposition::Delivered {
             return;
@@ -164,9 +169,43 @@ impl<M: Payload> Context<'_, M> {
     }
 }
 
-/// An observation hook invoked after every processed event with a shared
-/// borrow of the whole simulation. See [`Simulation::set_inspector`].
-pub type Inspector<M> = Box<dyn FnMut(&Simulation<M>)>;
+/// Watches a run: every message send, and the whole simulation after every
+/// processed event. Both calls do nothing by default. Install one with
+/// [`Simulation::observe`].
+pub trait Observer<M: Payload> {
+    /// Called once per [`Context::send`], after the loss and fault models
+    /// decided the message's [`Disposition`] (dropped sends included).
+    fn on_send(&mut self, event: &TraceEvent) {
+        let _ = event;
+    }
+
+    /// Called after **every** processed event (message delivery or timer
+    /// firing), once the acting actor is back in its slot, so every
+    /// accessor of `sim` sees a consistent state.
+    fn after_event(&mut self, sim: &Simulation<M>) {
+        let _ = sim;
+    }
+}
+
+/// A shared observer: the caller keeps a clone and reads it after the run.
+/// Keep every borrow of it scoped: the simulation borrows it mutably on
+/// each send and event.
+impl<M: Payload, O: Observer<M>> Observer<M> for Rc<RefCell<O>> {
+    fn on_send(&mut self, event: &TraceEvent) {
+        self.borrow_mut().on_send(event);
+    }
+
+    fn after_event(&mut self, sim: &Simulation<M>) {
+        self.borrow_mut().after_event(sim);
+    }
+}
+
+/// An unbounded record of every send, in send order.
+impl<M: Payload> Observer<M> for Vec<TraceEvent> {
+    fn on_send(&mut self, event: &TraceEvent) {
+        self.push(event.clone());
+    }
+}
 
 /// A deterministic discrete-event simulation over actors exchanging
 /// messages of type `M`.
@@ -177,7 +216,6 @@ pub struct Simulation<M: Payload> {
     inner: Inner<M>,
     started: bool,
     events_processed: u64,
-    inspector: Option<Inspector<M>>,
 }
 
 impl<M: Payload> Simulation<M> {
@@ -200,26 +238,19 @@ impl<M: Payload> Simulation<M> {
                 network,
                 faults,
                 metrics: Metrics::for_payload::<M>(),
-                trace: None,
+                observers: Vec::new(),
             },
             started: false,
             events_processed: 0,
-            inspector: None,
         }
     }
 
-    /// Installs an observation hook that runs after **every** processed
-    /// event (message delivery or timer firing) with a shared borrow of the
-    /// simulation, after the acting actor has been returned to its slot.
-    ///
-    /// The hook sees a fully consistent simulation — every
-    /// [`try_actor`](Self::try_actor) accessor, [`metrics`](Self::metrics),
-    /// [`trace`](Self::trace) — which makes it the natural seam for
-    /// invariant checkers: panic (or record and inspect later) the moment a
-    /// protocol property is violated, rather than only at quiescence.
-    /// Replaces any previously installed inspector.
-    pub fn set_inspector(&mut self, inspector: impl FnMut(&Simulation<M>) + 'static) {
-        self.inspector = Some(Box::new(inspector));
+    /// Appends `observer` to the ones watching this run. Each sees every
+    /// send and every event from now on, in installation order — the seam
+    /// for invariant checkers and message traces. With none installed, a
+    /// send or an event pays one branch.
+    pub fn observe(&mut self, observer: impl Observer<M> + 'static) {
+        self.inner.observers.push(Box::new(observer));
     }
 
     /// Adds an actor and returns its node id. Ids are dense indices in
@@ -262,19 +293,6 @@ impl<M: Payload> Simulation<M> {
     /// Traffic metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    /// Enables per-message event tracing (off by default — large runs
-    /// send millions of messages). Call before running.
-    pub fn enable_trace(&mut self) {
-        if self.inner.trace.is_none() {
-            self.inner.trace = Some(Trace::new());
-        }
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.inner.trace.as_ref()
     }
 
     /// The fault plan (immutable once running).
@@ -426,11 +444,14 @@ impl<M: Payload> Simulation<M> {
             // lint:allow(panic-path): same slot that was just taken above
             self.actors[slot] = Some(actor);
 
-            // The inspector borrows the whole simulation, so take it out of
-            // its slot for the duration of the call.
-            if let Some(mut inspector) = self.inspector.take() {
-                inspector(self);
-                self.inspector = Some(inspector);
+            // An observer borrows the whole simulation, so the list leaves
+            // `inner` for the duration of the calls.
+            if !self.inner.observers.is_empty() {
+                let mut observers = std::mem::take(&mut self.inner.observers);
+                for observer in &mut observers {
+                    observer.after_event(self);
+                }
+                self.inner.observers = observers;
             }
 
             if pred(self) {
@@ -812,30 +833,64 @@ mod tests {
     }
 
     #[test]
-    fn inspector_sees_every_event() {
-        use std::cell::Cell;
-        use std::rc::Rc;
+    fn every_observer_sees_every_event_and_every_send() {
+        /// Counts what it is shown and checks it is called after each event.
+        struct Watch {
+            pinger: NodeId,
+            sends: u64,
+            not_delivered: u64,
+            events: u64,
+            pongs: u32,
+        }
+        impl Observer<Msg> for Watch {
+            fn on_send(&mut self, event: &TraceEvent) {
+                self.sends += 1;
+                if event.disposition != Disposition::Delivered {
+                    self.not_delivered += 1;
+                }
+            }
+            fn after_event(&mut self, sim: &Simulation<Msg>) {
+                self.events += 1;
+                assert_eq!(sim.events_processed(), self.events, "runs after each event");
+                self.pongs = sim.actor::<Pinger>(self.pinger).pongs;
+            }
+        }
 
-        let observed = Rc::new(Cell::new(0u64));
-        let max_pongs = Rc::new(Cell::new(0u32));
-        let mut sim = Simulation::new(7);
+        let mut sim =
+            Simulation::with_network(7, NetworkConfig::with_drop_rate(0.3), FaultPlan::none());
         let ponger = sim.add_actor(Ponger);
         let pinger = sim.add_actor(Pinger {
             peer: ponger,
-            rounds: 10,
+            rounds: 40,
             pongs: 0,
             last_pong_at: SimTime::ZERO,
         });
-        let obs = Rc::clone(&observed);
-        let pongs = Rc::clone(&max_pongs);
-        sim.set_inspector(move |s| {
-            obs.set(obs.get() + 1);
-            assert_eq!(s.events_processed(), obs.get(), "runs after each event");
-            pongs.set(s.actor::<Pinger>(pinger).pongs);
-        });
+        let watch = || {
+            Rc::new(RefCell::new(Watch {
+                pinger,
+                sends: 0,
+                not_delivered: 0,
+                events: 0,
+                pongs: 0,
+            }))
+        };
+        let (first, second) = (watch(), watch());
+        sim.observe(Rc::clone(&first));
+        sim.observe(Rc::clone(&second));
         sim.run_until_quiescent();
-        assert_eq!(observed.get(), sim.events_processed());
-        assert_eq!(max_pongs.get(), 10, "inspector observes actor state");
+        let m = sim.metrics();
+        assert!(m.dropped() > 0, "the loss model dropped something");
+        for watch in [first, second] {
+            let w = watch.borrow();
+            assert_eq!(w.sends, m.total_count());
+            assert_eq!(w.not_delivered, m.dropped());
+            assert_eq!(w.events, sim.events_processed());
+            assert_eq!(
+                w.pongs,
+                sim.actor::<Pinger>(pinger).pongs,
+                "sees actor state"
+            );
+        }
     }
 
     #[test]

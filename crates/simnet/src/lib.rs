@@ -65,10 +65,10 @@ pub mod time;
 pub mod trace;
 
 pub use actor::Actor;
-pub use engine::{Context, Inspector, RunOutcome, Simulation, TimerId};
+pub use engine::{Context, Observer, RunOutcome, Simulation, TimerId};
 pub use metrics::{DropStats, KindStats, Metrics};
 pub use network::{FaultPlan, LatencyOverride, NetworkConfig};
 pub use node::NodeId;
 pub use payload::Payload;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Disposition, Trace, TraceEvent};
+pub use trace::{Disposition, TraceEvent};

@@ -7,7 +7,7 @@
 //! capacity, which is what the lossy-network experiment measures.
 //!
 //! Counters are dense arrays indexed by the payload's compile-time kind
-//! registry ([`Payload::KINDS`](crate::Payload::KINDS)): `record_send` is
+//! registry ([`Payload::KINDS`]): `record_send` is
 //! a branch-free array index instead of the `BTreeMap` lookup it
 //! replaced. Reports still render in sorted label order via [`iter`]
 //! (which also skips never-sent kinds, so aggregated tables list only

@@ -15,7 +15,7 @@
 //! The heap holds 24-byte `(time, seq, pool index)` keys; the events
 //! themselves sit in one pool (`Vec`, LIFO free list) and never move
 //! while queued, so a sift moves keys instead of whole events. Timer
-//! cancellation is a generation bump in the [`TimerSlab`]; stale timer
+//! cancellation is a generation bump in the `TimerSlab`; stale timer
 //! events are discarded when they surface at the top, costing nothing
 //! while buried.
 

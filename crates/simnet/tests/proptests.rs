@@ -1,10 +1,13 @@
 //! Property-based tests for the discrete-event engine.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use simnet::{
-    Actor, Context, FaultPlan, NetworkConfig, NodeId, Payload, SimDuration, SimTime, Simulation,
+    Actor, Context, Disposition, FaultPlan, NetworkConfig, NodeId, Payload, SimDuration, SimTime,
+    Simulation, TraceEvent,
 };
 
 #[derive(Clone, Debug)]
@@ -67,6 +70,13 @@ fn ring(seed: u64, nodes: u32, hops: u32, drop: f64) -> Simulation<Token> {
     sim
 }
 
+/// Records every send of `sim` from now on.
+fn traced(sim: &mut Simulation<Token>) -> Rc<RefCell<Vec<TraceEvent>>> {
+    let trace = Rc::new(RefCell::new(Vec::new()));
+    sim.observe(Rc::clone(&trace));
+    trace
+}
+
 proptest! {
     #[test]
     fn time_never_goes_backwards(
@@ -90,7 +100,6 @@ proptest! {
         nodes in 2u32..6,
     ) {
         let mut sim = ring(seed, nodes, 20, 0.0);
-        sim.enable_trace();
         sim.run_until_quiescent();
         // Collect receipt times across all hops in order; consecutive
         // deliveries are one link apart: 10..=30ms.
@@ -110,10 +119,10 @@ proptest! {
     fn same_seed_same_trace(seed: u64, drop in 0.0f64..0.5) {
         let run = |seed| {
             let mut sim = ring(seed, 4, 30, drop);
-            sim.enable_trace();
+            let trace = traced(&mut sim);
             sim.run_until_quiescent();
             (
-                sim.trace().expect("enabled").events().to_vec(),
+                trace.take(),
                 sim.metrics().total_count(),
                 sim.metrics().dropped(),
             )
@@ -128,22 +137,21 @@ proptest! {
     #[test]
     fn metrics_and_trace_agree(seed: u64, drop in 0.0f64..0.9) {
         let mut sim = ring(seed, 3, 40, drop);
-        sim.enable_trace();
+        let trace = traced(&mut sim);
         sim.run_until_quiescent();
-        let trace = sim.trace().expect("enabled");
+        let trace = trace.borrow();
         prop_assert_eq!(
             trace.len() as u64,
             sim.metrics().total_count(),
             "every send traced"
         );
         let dropped = trace
-            .events()
             .iter()
-            .filter(|e| e.disposition != simnet::Disposition::Delivered)
+            .filter(|e| e.disposition != Disposition::Delivered)
             .count() as u64;
         prop_assert_eq!(dropped, sim.metrics().dropped());
         let bytes: u64 =
-            trace.events().iter().map(|e| e.bytes as u64).sum();
+            trace.iter().map(|e| e.bytes as u64).sum();
         prop_assert_eq!(bytes, sim.metrics().total_bytes());
     }
 

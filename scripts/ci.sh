@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Full CI gate, run locally before pushing: formatting, clippy (warnings
-# are errors), the workspace tests (the erasure crate's again in release),
-# the static checker (`analyze`), the mutation smoke (`mutate`), five
-# invariant-explorer legs whose digests are
-# compared with results/digests/, the paper figures and CSVs compared with
-# results/, `pahoehoe-sim` on a benchmark shape, the scale tier's smoke
-# cells compared with results/scale/, the stand-alone benchmark package's
-# self-checks and unit tests, and a check that no committed record changed.
+# Full CI gate, run locally before pushing: formatting, clippy and rustdoc
+# (warnings are errors), the workspace tests (the erasure crate's again in
+# release), the static checker (`analyze`), the mutation smoke (`mutate`),
+# five invariant-explorer legs whose digests are compared with
+# results/digests/, the paper figures and CSVs compared with results/,
+# `pahoehoe-sim` on a benchmark shape, the scale tier's smoke cells compared
+# with results/scale/, the stand-alone benchmark package's self-checks and
+# unit tests, and a check that no committed record changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +43,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings: no broken or private intra-doc links)"
+# The vendored dependencies are documented by their own authors, not here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+    --exclude proptest --exclude rand --exclude bytes
 
 echo "==> cargo test"
 # Includes check's committed_bench_records_the_pinned_set, which fails when

@@ -53,14 +53,18 @@
 //!     --value-bytes 4096 --batch
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use pahoehoe_repro::experiments::figures::{fs_outage, kls_outage, paper_layout};
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe_repro::pahoehoe::fs::Fs;
+use pahoehoe_repro::pahoehoe::messages::Message;
 use pahoehoe_repro::pahoehoe::policy::Policy;
 use pahoehoe_repro::pahoehoe::protocol::ProtocolMode;
 use pahoehoe_repro::pahoehoe::workload::{KeyDistribution, StreamingWorkload};
-use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, SimDuration};
+use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, Observer, SimDuration, TraceEvent};
 use pahoehoe_repro::stats::{current_rss_bytes, peak_rss_bytes};
 
 struct Args {
@@ -153,6 +157,22 @@ fn parse_dist(text: &str) -> Result<KeyDistribution, String> {
 
 /// The stream's key popularity when `--keys` comes without `--dist`.
 const DEFAULT_DIST: &str = "zipf:1.1";
+
+/// How many sends `--trace` prints.
+const TRACED_SENDS: usize = 40;
+
+/// The run's first [`TRACED_SENDS`] sends; the rest are not kept, so a
+/// traced run holds no more memory than an untraced one.
+#[derive(Default)]
+struct FirstSends(Vec<TraceEvent>);
+
+impl Observer<Message> for FirstSends {
+    fn on_send(&mut self, event: &TraceEvent) {
+        if self.0.len() < TRACED_SENDS {
+            self.0.push(event.clone());
+        }
+    }
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -299,9 +319,11 @@ fn main() {
     cfg.max_sim_time = SimDuration::from_secs(14 * 24 * 3600);
 
     let mut cluster = Cluster::build_with_faults(cfg, args.seed, faults);
-    if args.trace {
-        cluster.sim_mut().enable_trace();
-    }
+    let first_sends = args.trace.then(|| {
+        let sends = Rc::new(RefCell::new(FirstSends::default()));
+        cluster.sim_mut().observe(Rc::clone(&sends));
+        sends
+    });
 
     let over = match &args.stream {
         Some(stream) => format!(
@@ -397,15 +419,13 @@ fn main() {
     }
     row("TOTAL", c, b);
 
-    if args.trace {
-        if let Some(trace) = cluster.sim().trace() {
-            println!("\nfirst traced messages:");
-            for e in trace.events().iter().take(40) {
-                println!(
-                    "  {} {} -> {} {} ({} B) {:?}",
-                    e.at, e.from, e.to, e.kind, e.bytes, e.disposition
-                );
-            }
+    if let Some(sends) = first_sends {
+        println!("\nfirst traced messages:");
+        for e in &sends.borrow().0 {
+            println!(
+                "  {} {} -> {} {} ({} B) {:?}",
+                e.at, e.from, e.to, e.kind, e.bytes, e.disposition
+            );
         }
     }
 }

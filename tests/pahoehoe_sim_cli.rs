@@ -1,5 +1,6 @@
 //! `pahoehoe-sim` turns a bad flag value into a usage error (exit 2 with a
-//! message on stderr naming the flag), never a panic.
+//! message on stderr naming the flag), never a panic, and `--trace` prints
+//! a bounded prefix of the run's sends.
 
 use std::process::Command;
 
@@ -32,4 +33,33 @@ fn bad_flag_values_are_usage_errors() {
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// The run's stdout under `args`, which must succeed.
+fn stdout_of(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_pahoehoe-sim"))
+        .args(args)
+        .output()
+        .expect("pahoehoe-sim runs");
+    assert!(output.status.success(), "{args:?}: {output:?}");
+    String::from_utf8(output.stdout).expect("UTF-8 stdout")
+}
+
+#[test]
+fn trace_prints_the_first_forty_sends_only() {
+    let run = ["--puts", "2", "--value-bytes", "256"];
+    let plain = stdout_of(&run);
+    let traced = stdout_of(&[&run[..], &["--trace"]].concat());
+    let (report, sends) = traced
+        .split_once("\nfirst traced messages:\n")
+        .expect("a trace block");
+    assert_eq!(report, plain, "tracing moved the report");
+    let total: u64 = report
+        .lines()
+        .find_map(|line| line.strip_prefix("TOTAL"))
+        .and_then(|row| row.split_whitespace().next())
+        .and_then(|count| count.parse().ok())
+        .expect("a TOTAL row");
+    assert!(total > 40, "the run sent only {total} messages");
+    assert_eq!(sends.lines().count(), 40, "{sends}");
 }

@@ -1,4 +1,4 @@
-//! Cross-WAN traffic accounting via the simulator's message trace.
+//! Cross-WAN traffic accounting from a record of every message send.
 //!
 //! Figure 8's discussion makes a claim the aggregate counters cannot
 //! check directly: during recovery from a metadata partition, sibling
@@ -6,12 +6,16 @@
 //! fragments needed for their recovery over the WAN; instead, only one of
 //! the FSs performs this recovery on behalf of the others", reducing
 //! *WAN* usage specifically (the regenerated fragments then travel over
-//! the LAN). With per-message traces we can measure exactly the bytes
-//! crossing the inter-data-center boundary.
+//! the LAN). A `Vec<TraceEvent>` observer on the simulation records each
+//! send's endpoints and size, so the tests sum exactly the bytes crossing
+//! the inter-data-center boundary.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
-use pahoehoe_repro::simnet::{FaultPlan, NodeId, SimDuration, SimTime};
+use pahoehoe_repro::simnet::{FaultPlan, NodeId, SimDuration, SimTime, TraceEvent};
 
 fn layout() -> ClusterLayout {
     ClusterLayout {
@@ -19,6 +23,13 @@ fn layout() -> ClusterLayout {
         kls_per_dc: 2,
         fs_per_dc: 3,
     }
+}
+
+/// Records every send `cluster` makes from now on.
+fn traced(cluster: &mut Cluster) -> Rc<RefCell<Vec<TraceEvent>>> {
+    let trace = Rc::default();
+    cluster.sim_mut().observe(Rc::clone(&trace));
+    trace
 }
 
 /// Runs the Figure-8 "2P" scenario (both remote-DC KLSs down during the
@@ -36,7 +47,7 @@ fn wan_bytes(sibling_recovery: bool, seed: u64) -> (u64, u64) {
     cfg.workload_value_len = 64 * 1024;
     cfg.convergence = conv;
     let mut cluster = Cluster::build_with_faults(cfg, seed, faults);
-    cluster.sim_mut().enable_trace();
+    let trace = traced(&mut cluster);
     let report = cluster.run_to_convergence();
     assert_eq!(report.durable_not_amr, 0);
     assert_eq!(report.amr_versions, 10);
@@ -46,11 +57,17 @@ fn wan_bytes(sibling_recovery: bool, seed: u64) -> (u64, u64) {
     side_a.push(l.proxy());
     side_a.push(l.client());
     let side_b = l.dc_nodes(1);
-    let trace = cluster.sim().trace().expect("tracing enabled");
-    (
-        trace.bytes_between(&side_a, &side_b),
-        cluster.sim().metrics().total_bytes(),
-    )
+    let crosses = |e: &TraceEvent| {
+        (side_a.contains(&e.from) && side_b.contains(&e.to))
+            || (side_b.contains(&e.from) && side_a.contains(&e.to))
+    };
+    let wan = trace
+        .borrow()
+        .iter()
+        .filter(|e| crosses(e))
+        .map(|e| e.bytes as u64)
+        .sum();
+    (wan, cluster.sim().metrics().total_bytes())
 }
 
 #[test]
@@ -91,13 +108,13 @@ fn fragment_stores_respect_dc_locality_during_partition() {
     cfg.workload_puts = 5;
     cfg.workload_value_len = 32 * 1024;
     let mut cluster = Cluster::build_with_faults(cfg, 9, faults);
-    cluster.sim_mut().enable_trace();
+    let trace = traced(&mut cluster);
     cluster.run_to_convergence();
 
-    let trace = cluster.sim().trace().expect("enabled");
+    let trace = trace.borrow();
+    let of_kind = |kind| trace.iter().filter(move |e| e.kind == kind);
     let dc1: Vec<NodeId> = l.dc_nodes(1);
-    let cross_stores: Vec<_> = trace
-        .of_kind("StoreFragmentReq")
+    let cross_stores: Vec<_> = of_kind("StoreFragmentReq")
         .filter(|e| dc1.contains(&e.to))
         .collect();
     assert!(
@@ -105,5 +122,5 @@ fn fragment_stores_respect_dc_locality_during_partition() {
         "proxy never learned DC1 locations, so no direct stores there: {cross_stores:?}"
     );
     // DC1's fragments arrived via sibling pushes instead.
-    assert!(trace.of_kind("SiblingStoreReq").count() > 0);
+    assert!(of_kind("SiblingStoreReq").count() > 0);
 }
