@@ -109,10 +109,15 @@ pub trait Invariant {
 // Invariant 1: acknowledged puts are durable and decodable.
 // ---------------------------------------------------------------------------
 
-/// Once a put is ACKed to a client, at least `k` distinct sibling
-/// fragments of that version are stored across the fragment servers, every
-/// stored fragment is byte-identical to the systematic encoding of the
-/// original blob, and `k` of them decode back to the blob.
+/// Once a put is ACKed to a client, every stored fragment of that version
+/// is byte-identical to the systematic encoding of the original blob, and
+/// at least `k` distinct sibling fragments are stored across the fragment
+/// servers, `k` of which decode back to the blob — or the version was
+/// compacted: some FS holds its residual, and a strictly newer version of
+/// its key has at least `k` distinct fragments stored. Compaction frees
+/// a version's fragments only once a newer one settled AMR, and the newest
+/// version of a key that settled AMR anywhere is compacted nowhere, so all
+/// `n` of its fragments are stored.
 ///
 /// Holds under message-level faults (loss, duplication, outages), which
 /// never destroy stored fragments. Runs that destroy disks or corrupt
@@ -168,20 +173,14 @@ impl Invariant for AckedDurability {
         for &c in view.clients {
             acked.extend(view.sim.actor::<Client>(c).success_versions().iter());
         }
+        let k = usize::from(view.policy.k);
+        // Acked versions with fewer than k live fragments, and how many
+        // they have: each must have been compacted (checked below).
+        let mut freed: Vec<(ObjectVersion, usize)> = Vec::new();
         for ov in acked {
-            let k = usize::from(view.policy.k);
             let mut distinct: BTreeMap<u8, Fragment> = BTreeMap::new();
-            // Fragment indices recorded in compaction residuals: the bytes
-            // are gone (the version reached AMR — every sibling verified
-            // every assigned fragment — before its entry was released), so
-            // they count toward redundancy but cannot be byte-checked.
-            let mut residual_distinct: BTreeSet<u8> = BTreeSet::new();
             for &fs in view.fss {
-                let actor = view.sim.actor::<Fs>(fs);
-                let Some(entry) = actor.entry(ov) else {
-                    if let Some(held) = actor.compacted_residual(ov) {
-                        residual_distinct.extend(held.iter());
-                    }
+                let Some(entry) = view.sim.actor::<Fs>(fs).entry(ov) else {
                     continue;
                 };
                 for (&idx, stored) in &entry.fragments {
@@ -196,18 +195,11 @@ impl Invariant for AckedDurability {
                     distinct.entry(idx).or_insert_with(|| frag.clone());
                 }
             }
-            residual_distinct.extend(distinct.keys().copied());
-            if residual_distinct.len() < k {
-                return Err(format!(
-                    "ACKed {ov:?}: only {} distinct fragments stored or in residuals, \
-                     need k = {k}",
-                    residual_distinct.len()
-                ));
+            if distinct.len() < k {
+                freed.push((ov, distinct.len()));
+                continue;
             }
-            // The decode check needs actual bytes; run it only while k full
-            // fragments still exist (always, unless compaction released
-            // them first — in which case AMR verification already ran).
-            if distinct.len() >= k && self.decoded.insert(ov) {
+            if self.decoded.insert(ov) {
                 let subset: Vec<Fragment> = distinct.into_values().take(k).collect();
                 let mut decoded = std::mem::take(&mut self.decode_scratch);
                 let codec = self.codec.as_ref().expect("codec built above");
@@ -223,6 +215,42 @@ impl Invariant for AckedDurability {
                         "ACKed {ov:?}: k fragments decoded to the wrong blob"
                     ));
                 }
+            }
+        }
+        if freed.is_empty() {
+            return Ok(());
+        }
+        // The live fragment indices of every version of the freed
+        // versions' keys.
+        let keys: BTreeSet<_> = freed.iter().map(|(ov, _)| ov.key).collect();
+        let mut live: BTreeMap<ObjectVersion, BTreeSet<u8>> = BTreeMap::new();
+        for &fs in view.fss {
+            let actor = view.sim.actor::<Fs>(fs);
+            for ov in actor.known_versions().filter(|ov| keys.contains(&ov.key)) {
+                if let Some(entry) = actor.entry(ov) {
+                    live.entry(ov).or_default().extend(entry.fragments.keys());
+                }
+            }
+        }
+        for (ov, n) in freed {
+            let compacted = view
+                .fss
+                .iter()
+                .any(|&fs| view.sim.actor::<Fs>(fs).compacted_residual(ov).is_some());
+            if !compacted {
+                return Err(format!(
+                    "ACKed {ov:?}: only {n} distinct fragments stored, need k = {k}"
+                ));
+            }
+            let superseded = live
+                .range(ov..)
+                .take_while(|(v, _)| v.key == ov.key)
+                .any(|(v, held)| v.ts > ov.ts && held.len() >= k);
+            if !superseded {
+                return Err(format!(
+                    "ACKed {ov:?}: compacted to {n} distinct fragments, and no newer \
+                     version of its key has k = {k}"
+                ));
             }
         }
         Ok(())
@@ -487,9 +515,11 @@ impl Invariant for MetricsSanity {
 
 /// Once a version is durable (≥ `k` distinct fragments stored), it stays
 /// durable: message-level faults cannot destroy stored fragments, and a
-/// compacted version counts through its residual's held mask. So any
-/// shrink of the durable set means an actor deleted fragments it should
-/// have kept. Not applicable to runs that destroy disks.
+/// compacted version counts as durable through its residual
+/// ([`analysis::is_durable`]; for an acked one, [`AckedDurability`] checks
+/// that a newer version of its key holds `k` fragments). So any shrink of the durable set
+/// means an actor deleted fragments it should have kept. Not applicable to
+/// runs that destroy disks.
 pub struct DurableMonotone {
     durable: BTreeSet<ObjectVersion>,
 }
@@ -516,8 +546,8 @@ impl Invariant for DurableMonotone {
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
         // Compacted versions stay in the durable set through their
-        // residuals' held masks, so any shrink means an actor deleted
-        // fragments it should have kept.
+        // residuals, so any shrink means an actor deleted fragments it
+        // should have kept.
         let now = analysis::durable_versions(view.sim, view.fss);
         if let Some(&lost) = self.durable.difference(&now).next() {
             return Err(format!(
@@ -538,7 +568,9 @@ impl Invariant for DurableMonotone {
 /// settled AMR there (the superseding write), and the version never
 /// re-enters the pending set. Together with [`NoResurrection`] this pins
 /// the no-resurrection half of the compaction contract; the durability
-/// half is [`AckedDurability`]'s residual accounting.
+/// half is [`AckedDurability`]'s: a compacted version's fragments are
+/// gone, so an acked one passes only while a newer version of its key
+/// holds `k` distinct fragments.
 ///
 /// Compaction also hands the version's store slot back, so the bookkeeping
 /// is checked too: a version is a residual or a full entry, never both,
@@ -1014,6 +1046,88 @@ mod tests {
         assert_eq!(metrics_sanity(&cluster, &sends), Ok(()));
         sends.push(sends[0].clone());
         assert!(metrics_sanity(&cluster, &sends).is_err());
+    }
+
+    /// `acked-durability`'s verdict on `cluster` as it stands.
+    fn acked_durability(cluster: &Cluster) -> Result<(), String> {
+        let topo = cluster.topology();
+        let (fss, klss): (Vec<_>, Vec<_>) = (topo.all_fss().collect(), topo.all_klss().collect());
+        AckedDurability::new().check_event(&ClusterView {
+            sim: cluster.sim(),
+            topo,
+            fss: &fss,
+            klss: &klss,
+            clients: &cluster.client_ids(),
+            proxies: &cluster.proxy_ids(),
+            value_len: cluster.config().workload_value_len,
+            policy: cluster.config().policy,
+            repair: None,
+        })
+    }
+
+    /// A converged run that put one key twice, so every FS compacted the
+    /// first version; and both versions.
+    fn overwritten_key() -> (Cluster, ObjectVersion, ObjectVersion) {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.workload_puts = 1;
+        cfg.workload_rounds = 2;
+        cfg.workload_value_len = 1024;
+        let mut cluster = Cluster::build(cfg, 1);
+        let report = cluster.run_to_convergence();
+        assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+        let acked: Vec<_> = cluster
+            .client()
+            .success_versions()
+            .iter()
+            .copied()
+            .collect();
+        let [v1, v2] = acked[..] else {
+            panic!("two acked versions, not {acked:?}")
+        };
+        for id in cluster.topology().all_fss() {
+            let fs = cluster.fs(id);
+            assert!(fs.entry(v1).is_none(), "{id:?} still holds {v1:?}");
+        }
+        (cluster, v1, v2)
+    }
+
+    /// The distinct fragments of `ov` stored across the FSs.
+    fn live_fragments(cluster: &Cluster, ov: ObjectVersion) -> usize {
+        let held = cluster
+            .topology()
+            .all_fss()
+            .filter_map(|id| cluster.fs(id).entry(ov))
+            .flat_map(|entry| entry.fragments.keys().copied());
+        held.collect::<BTreeSet<_>>().len()
+    }
+
+    #[test]
+    fn acked_durability_accepts_a_version_compacted_everywhere() {
+        let (cluster, v1, _) = overwritten_key();
+        assert_eq!(live_fragments(&cluster, v1), 0);
+        assert_eq!(acked_durability(&cluster), Ok(()));
+    }
+
+    #[test]
+    fn acked_durability_flags_a_compacted_version_once_its_successor_is_short() {
+        let (mut cluster, v1, v2) = overwritten_key();
+        let k = usize::from(cluster.config().policy.k);
+        let meta = cluster
+            .topology()
+            .all_fss()
+            .find_map(|id| Some(Arc::clone(&cluster.fs(id).entry(v2)?.meta)))
+            .expect("v2 is stored");
+        let now = cluster.sim().now();
+        for (_, loc) in meta.assignments() {
+            if live_fragments(&cluster, v2) < k {
+                break;
+            }
+            let fs = cluster.sim_mut().actor_mut::<Fs>(loc.fs());
+            fs.destroy_disk(loc.disk(), now);
+        }
+        assert_eq!(live_fragments(&cluster, v2), k - 1);
+        let err = acked_durability(&cluster).expect_err("v1 is freed and v2 is short of k");
+        assert!(err.contains(&format!("{v1:?}")), "{err}");
     }
 
     #[test]

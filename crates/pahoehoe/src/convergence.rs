@@ -88,20 +88,13 @@ pub struct ConvergenceOptions {
     /// Abandon an in-flight fragment recovery after this long (retried
     /// with backoff at a later round).
     pub recovery_timeout: SimDuration,
-    /// Periodic disk-scrub interval: each scrub re-hashes every stored
-    /// fragment and drops corrupted ones back into convergence (§3.1's
-    /// elided corruption detection). `None` (the default, matching the
+    /// Periodic disk-scrub interval: each tick re-hashes the next 64 KiB
+    /// of stored fragments, resuming where the last tick stopped, and
+    /// drops corrupted ones back into convergence (§3.1's elided
+    /// corruption detection). `None` (the default, matching the
     /// paper's experiments) disables scrubbing; corruption is then still
     /// caught on the read path.
     pub scrub_interval: Option<SimDuration>,
-    /// How many fragment payload bytes one scrub tick may re-hash before
-    /// yielding. Scrubbing walks the store with a persistent cursor, so
-    /// its cost per event is proportional to scanned bytes instead of the
-    /// whole store (a multi-tick pass resumes where the last tick
-    /// stopped). Only meaningful when [`scrub_interval`] is set.
-    ///
-    /// [`scrub_interval`]: Self::scrub_interval
-    pub scrub_chunk_bytes: usize,
     /// Background repair engine configuration. `None` (the default — the
     /// paper has no repair engine, and the pinned sweep digests assume
     /// its absence) runs no repair actors; `Some` adds one
@@ -127,7 +120,6 @@ impl ConvergenceOptions {
             recovery_wait: SimDuration::from_millis(500),
             recovery_timeout: SimDuration::from_secs(5),
             scrub_interval: None,
-            scrub_chunk_bytes: 64 * 1024,
             repair: None,
         }
     }

@@ -68,7 +68,7 @@ use simnet::{Actor, Context, NodeId, SimTime};
 use crate::convergence::ConvergenceOptions;
 use crate::messages::{Message, OpId};
 use crate::metadata::Metadata;
-use crate::protocol::{FragMap, FragMask, ProtocolMode};
+use crate::protocol::{FragMap, ProtocolMode};
 use crate::repair::REPORT_INTERVAL;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
@@ -164,7 +164,7 @@ pub struct Fs {
     repair_target: Option<NodeId>,
     /// First version the next scrub tick scans (`None`: start a fresh
     /// pass). Scrub walks the store in version order, a
-    /// [`ConvergenceOptions::scrub_chunk_bytes`] budget at a time.
+    /// [`scrub::SCRUB_CHUNK_BYTES`] budget at a time.
     scrub_cursor: Option<ObjectVersion>,
     /// Per sibling FS, when this FS first sent it a `ConvergeFs` that it
     /// has not answered since: any message from the sibling removes its
@@ -239,8 +239,8 @@ impl Fs {
     /// metadata and that metadata is complete (the per-FS half of the AMR
     /// condition; the paper's `verify(storefrag[ov])`). A compacted
     /// residual reports `true`: compaction requires the version to have
-    /// been settled AMR, which implies it verified (so replies about it
-    /// stay byte-identical to the full store's).
+    /// been settled AMR, which implies it verified, though its fragments
+    /// are gone since.
     pub fn verified(&self, ov: ObjectVersion) -> bool {
         // A version is live or a residual, never both, and the probes that
         // matter are about live ones: ask the index first.
@@ -270,7 +270,7 @@ impl Fs {
     pub fn amr_settled_at(&self, ov: ObjectVersion) -> Option<SimTime> {
         match self.store.find(ov) {
             Some(s) => self.store.amr_at(s),
-            None => self.store.residual(ov).map(|(_, at)| at),
+            None => self.compacted_residual(ov),
         }
     }
 
@@ -299,11 +299,11 @@ impl Fs {
         self.corruption_detected
     }
 
-    /// The compaction residual for `ov` — the fragment indices this FS
-    /// held when the superseded, settled-AMR version was collapsed to an
-    /// O(1) record — if `ov` has been compacted.
-    pub fn compacted_residual(&self, ov: ObjectVersion) -> Option<FragMask> {
-        self.store.residual(ov).map(|(held, _)| held)
+    /// If this FS compacted `ov` — collapsed the superseded, settled-AMR
+    /// version to an O(1) record and freed its fragments — when `ov`
+    /// settled AMR.
+    pub fn compacted_residual(&self, ov: ObjectVersion) -> Option<SimTime> {
+        self.store.residual(ov)
     }
 
     /// Number of versions this FS has compacted to residual records.

@@ -488,23 +488,24 @@ impl Fs {
         let (have, missing, verified, recovering): (Vec<FragmentIndex>, Vec<FragmentIndex>, _, _) =
             match live {
                 Some((entry, work)) => {
-                    let have = entry.fragments.keys().copied().collect();
+                    let have: Vec<FragmentIndex> = entry.fragments.keys().copied().collect();
                     let missing = if entry.meta.is_complete() {
                         Self::missing_mask(entry, me).iter().collect()
                     } else {
                         Vec::new()
                     };
                     let recovering = work.is_some_and(|w| w.recovery.is_some());
-                    (have, missing, Self::entry_verified(entry, me), recovering)
+                    let verified = Self::entry_verified(entry, me);
+                    // "Verified, holding nothing" means "compacted": probes
+                    // go to siblings only, and a sibling's share is never
+                    // empty.
+                    debug_assert!(!verified || !have.is_empty(), "{ov:?}: verified, empty");
+                    (have, missing, verified, recovering)
                 }
-                None => {
-                    // Compacted: the residual mask is exactly the fragment
-                    // set the full store would report, and a verified AMR
-                    // version misses nothing — the reply is byte-identical.
-                    // lint:allow(panic-path): adopt stores any non-compacted version
-                    let (held, _) = self.store.residual(ov).expect("compacted");
-                    (held.iter().collect(), Vec::new(), true, false)
-                }
+                // Compacted (`adopt` stores every other version): AMR here,
+                // so verified, but its fragments are freed. It offers none,
+                // and a verified AMR version misses none.
+                None => (Vec::new(), Vec::new(), true, false),
             };
         self.outbox.post(
             ctx,

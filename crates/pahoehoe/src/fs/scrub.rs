@@ -14,6 +14,10 @@ use crate::messages::Message;
 use crate::protocol::FragMask;
 use crate::types::ObjectVersion;
 
+/// How many fragment payload bytes one scrub tick may re-hash before
+/// yielding ([`Fs::scrub`]).
+pub(super) const SCRUB_CHUNK_BYTES: usize = 64 * 1024;
+
 impl Fs {
     // ---- fault injection (harness API) ----
 
@@ -91,19 +95,16 @@ impl Fs {
     }
 
     /// One scrub tick: verifies stored fragments against their recorded
-    /// checksums, at most [`ConvergenceOptions::scrub_chunk_bytes`] of
-    /// payload per tick (a persistent cursor resumes the walk on the next
-    /// tick, so the cost of one event is proportional to the bytes it
-    /// scanned, not to the whole store). Corrupted fragments are dropped
+    /// checksums, at most [`SCRUB_CHUNK_BYTES`] of payload per tick (a
+    /// persistent cursor resumes the walk on the next tick, so the cost of
+    /// one event is proportional to the bytes it scanned, not to the whole
+    /// store). Corrupted fragments are dropped
     /// and their versions re-entered for convergence (which regenerates
     /// them from the siblings). Returns the number of corrupted fragments
     /// found this tick.
-    ///
-    /// [`ConvergenceOptions::scrub_chunk_bytes`]: crate::convergence::ConvergenceOptions::scrub_chunk_bytes
     // lint:hot
     pub(super) fn scrub(&mut self, ctx: &mut Context<'_, Message>) -> usize {
         let now = ctx.now();
-        let budget = self.opts.scrub_chunk_bytes.max(1);
         let mut scanned = 0usize;
         let mut found = 0;
         let mut versions = std::mem::take(&mut self.version_scratch);
@@ -113,7 +114,7 @@ impl Fs {
             if resume.is_some_and(|cur| s.ov() < cur) {
                 continue;
             }
-            if scanned >= budget {
+            if scanned >= SCRUB_CHUNK_BYTES {
                 // Out of budget: resume from this version next tick.
                 self.scrub_cursor = Some(s.ov());
                 break;

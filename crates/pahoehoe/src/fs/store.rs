@@ -13,8 +13,7 @@ use simnet::{NodeId, SimTime, TimerId};
 use super::FragEntry;
 use crate::chain::{Chains, Stamped};
 use crate::messages::OpId;
-use crate::protocol::FragMask;
-use crate::types::{Key, MicrosId, ObjectVersion, Timestamp};
+use crate::types::{Key, ObjectVersion, Timestamp};
 
 /// Convergence bookkeeping for one not-yet-AMR object version.
 #[derive(Debug)]
@@ -117,38 +116,15 @@ struct VersionSlot {
 /// settled AMR *and* superseded by a newer settled-AMR version of the same
 /// key, so its fragment bytes, checksums, metadata handle, slab slot and
 /// index entry have all been released. One two-word record in its key's
-/// chain of a [`ResidualTable`]: the key is the chain's, the first word is
-/// the version's timestamp, and the second packs when the version settled
-/// AMR (48-bit µs) over the id of its held-index set (16 bits) among the
-/// table's interned masks — the [`MicrosId`] layout a timestamp has.
+/// chain of a [`ResidualTable`]: the key is the chain's, the words are the
+/// version's timestamp and when it settled AMR. Which fragments it held is
+/// not kept: they are freed, and no reply may claim them.
 #[derive(Debug, Clone, Copy)]
 struct Residual {
-    /// The version's timestamp.
     ts: Timestamp,
     /// When the version settled AMR (re-stamped by a later indication, as
-    /// a full entry's is), over which fragment indices were stored at
-    /// compaction time — what keeps convergence replies about this version
-    /// byte-identical to the full store's (and lets the sampled invariants
-    /// assert the version really was durable) — as an id into
-    /// [`ResidualTable::masks`].
-    settled: MicrosId,
-}
-
-impl Residual {
-    /// When the version settled AMR.
-    fn amr_at(&self) -> SimTime {
-        SimTime::from_micros(self.settled.micros())
-    }
-
-    /// The id of the held-index set in [`ResidualTable::masks`].
-    fn held(&self) -> u16 {
-        self.settled.id()
-    }
-
-    /// Re-stamps the AMR time, keeping the held-index set.
-    fn restamp(&mut self, amr_at: SimTime) {
-        self.settled = MicrosId::new(amr_at.as_micros(), u32::from(self.held()));
-    }
+    /// a full entry's is).
+    amr_at: SimTime,
 }
 
 impl Stamped for Residual {
@@ -163,20 +139,9 @@ impl Stamped for Residual {
 #[derive(Debug, Default)]
 struct ResidualTable {
     chains: Chains<Residual>,
-    /// The distinct held-index sets, by [`Residual::held`] id. Placement
-    /// deals fragments by server rank, so an FS only ever holds a handful
-    /// of different sets; storing each once is what lets a record carry
-    /// two bytes for any 256-bit mask.
-    masks: Vec<FragMask>,
 }
 
 impl ResidualTable {
-    /// The fragment-index set `residual` recorded.
-    fn held(&self, residual: &Residual) -> FragMask {
-        // lint:allow(panic-path): a record's id is a position `intern` returned, and masks are never removed
-        self.masks[usize::from(residual.held())]
-    }
-
     /// The timestamp of `key`'s newest compacted version.
     fn newest(&self, key: Key) -> Option<Timestamp> {
         self.chains.chain(key).last().map(Residual::ts)
@@ -189,32 +154,12 @@ impl ResidualTable {
             .map(|(key, residual)| ObjectVersion::new(key, residual.ts()))
     }
 
-    /// The id of `mask`, added to the table if this is its first use.
-    fn intern(&mut self, mask: FragMask) -> u16 {
-        let known = self.masks.iter().position(|m| *m == mask);
-        let Ok(id) = u16::try_from(known.unwrap_or(self.masks.len())) else {
-            // 65 536 different placements on one server is a broken
-            // placement, not a workload: stop rather than wrap an id.
-            panic!(
-                "this FS compacted versions holding more than {} distinct fragment-index sets, \
-                 and a residual names its set by a u16 id",
-                self.masks.len()
-            );
-        };
-        if known.is_none() {
-            self.masks.push(mask);
-        }
-        id
-    }
-
-    /// Records that `ov`, settled AMR at `amr_at`, was compacted holding
-    /// `held`. A version is compacted once: it has no record yet.
-    fn insert(&mut self, ov: ObjectVersion, held: FragMask, amr_at: SimTime) {
-        let held = self.intern(held);
-        let (inserted, _) = self.chains.get_or_insert_with(ov, || Residual {
-            ts: ov.ts,
-            settled: MicrosId::new(amr_at.as_micros(), u32::from(held)),
-        });
+    /// Records that `ov`, settled AMR at `amr_at`, was compacted. A
+    /// version is compacted once: it has no record yet.
+    fn insert(&mut self, ov: ObjectVersion, amr_at: SimTime) {
+        let (inserted, _) = self
+            .chains
+            .get_or_insert_with(ov, || Residual { ts: ov.ts, amr_at });
         debug_assert!(inserted, "{ov:?} compacted twice");
     }
 }
@@ -347,18 +292,16 @@ impl VersionStore {
         }
     }
 
-    /// What compaction kept of `ov`, if it has been compacted: the
-    /// fragment indices it held then, and when it settled AMR.
-    pub(super) fn residual(&self, ov: ObjectVersion) -> Option<(FragMask, SimTime)> {
-        let residual = self.residuals.chains.get(ov)?;
-        Some((self.residuals.held(residual), residual.amr_at()))
+    /// When compacted `ov` settled AMR, if it has been compacted.
+    pub(super) fn residual(&self, ov: ObjectVersion) -> Option<SimTime> {
+        Some(self.residuals.chains.get(ov)?.amr_at)
     }
 
     /// Re-stamps compacted `ov`'s AMR time, as a repeated settle re-stamps
     /// a live version's.
     pub(super) fn restamp_residual(&mut self, ov: ObjectVersion, at: SimTime) {
         if let Some(residual) = self.residuals.chains.get_mut(ov) {
-            residual.restamp(at);
+            residual.amr_at = at;
         }
     }
 
@@ -430,13 +373,9 @@ impl VersionStore {
             victims.extend(amr_at(s.at).map(|t| (ov, s.at, t)));
         }
         for (victim, at, settled) in victims {
-            let mut held = FragMask::new();
-            for &idx in live(slots, at).entry.fragments.keys() {
-                held.insert(idx);
-            }
-            residuals.insert(victim, held, settled);
+            residuals.insert(victim, settled);
             index.remove(&victim);
-            // lint:allow(panic-path): `live` read this very slot two statements up
+            // lint:allow(panic-path): `live` read this slot in the walk above
             slots[at as usize] = None;
             free.push(at);
         }

@@ -480,6 +480,21 @@ fn simultaneous_recoveries_resolve_by_server_id() {
     assert!(sim.metrics().kind("SiblingStoreReq").count >= 1);
 }
 
+/// Has `driver` send `script` and returns the replies. Well inside the
+/// first convergence round (>= 30 s away), so only the scripted messages
+/// act on the store.
+fn deliver(
+    sim: &mut Simulation<Message>,
+    driver: NodeId,
+    script: Vec<(NodeId, Message)>,
+) -> Vec<(NodeId, Message)> {
+    sim.actor_mut::<Driver>(driver).script = script;
+    sim.schedule_timer(driver, SimDuration::ZERO, 0);
+    let deadline = sim.now() + SimDuration::from_millis(200);
+    sim.run_until_time(deadline);
+    std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
+}
+
 #[test]
 fn compacted_version_keeps_answering_after_its_slot_is_reused() {
     // Three versions of one key on fs0. v1 and v2 settle AMR, which
@@ -505,16 +520,7 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
     };
     // Unbatched, so fs0 answers the scripted singles with singles.
     let (mut sim, fs0, _, driver) = tiny_world(ConvergenceOptions::all(), Vec::new());
-    // Delivers one batch of messages to fs0 and returns the replies.
-    // Well inside the first convergence round (>= 30 s away), so only
-    // the scripted messages act on the store.
-    let deliver = |sim: &mut Simulation<Message>, script| {
-        sim.actor_mut::<Driver>(driver).script = script;
-        sim.schedule_timer(driver, SimDuration::ZERO, 0);
-        let deadline = sim.now() + SimDuration::from_millis(200);
-        sim.run_until_time(deadline);
-        std::mem::take(&mut sim.actor_mut::<Driver>(driver).inbox)
-    };
+    let deliver = |sim: &mut Simulation<Message>, script| deliver(sim, driver, script);
     let slab = |sim: &Simulation<Message>| sim.actor::<Fs>(fs0).store.slab_shape();
 
     deliver(&mut sim, vec![store(v1, 0), store(v1, 1)]);
@@ -523,12 +529,13 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
     deliver(&mut sim, vec![store(v2, 0), store(v2, 1)]);
     assert_eq!(slab(&sim), (2, 0));
     deliver(&mut sim, vec![indicate(v2)]);
-    let mut held = FragMask::new();
-    held.insert(0);
-    held.insert(1);
     {
         let fs: &Fs = sim.actor(fs0);
-        assert_eq!(fs.compacted_residual(v1), Some(held), "v2 superseded v1");
+        assert_eq!(
+            fs.compacted_residual(v1),
+            Some(first_settled),
+            "v2 superseded v1"
+        );
         assert!(fs.entry(v1).is_none());
         assert_eq!((fs.resident_slots(), fs.compacted_count()), (1, 1));
         assert_eq!(slab(&sim), (2, 1), "v1's slot is on the free list");
@@ -557,30 +564,15 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
         assert_eq!(slab(&sim), (2, 0));
     }
 
-    // A sibling's probe hears what the full store would have said.
+    // A sibling's probe hears that v1 is settled here and that its
+    // fragments are gone.
     let probe = Message::ConvergeFs {
         ov: v1,
         meta: meta.clone(),
         recovery_intent: false,
     };
     let replies = deliver(&mut sim, vec![(fs_node, probe)]);
-    match &replies[..] {
-        [(
-            _,
-            Message::ConvergeFsReply {
-                ov,
-                verified: true,
-                have,
-                missing,
-                recovering: false,
-            },
-        )] => {
-            assert_eq!(*ov, v1);
-            assert_eq!(have[..], [0, 1]);
-            assert!(missing.is_empty());
-        }
-        other => panic!("unexpected replies {other:?}"),
-    }
+    assert_compacted_reply(&replies, v1);
 
     // A repeated indication re-stamps the settle time, as it does for
     // a full entry, and leaves the residual alone — with the metadata or,
@@ -593,11 +585,75 @@ fn compacted_version_keeps_answering_after_its_slot_is_reused() {
         let restamped = fs.amr_settled_at(v1).expect("still AMR");
         assert!(restamped > settled, "{restamped:?} vs {settled:?}");
         settled = restamped;
-        assert_eq!(fs.compacted_residual(v1), Some(held));
+        assert_eq!(fs.compacted_residual(v1), Some(restamped));
         assert!(fs.verified(v1));
         assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), [v1]);
         assert_eq!(fs.amr_versions().collect::<Vec<_>>(), [v1, v2]);
     }
+}
+
+/// `replies` is one `ConvergeFsReply` about `ov` from an FS that compacted
+/// it: verified, offering no fragment and missing none, not recovering.
+fn assert_compacted_reply(replies: &[(NodeId, Message)], ov: ObjectVersion) {
+    match replies {
+        [(
+            _,
+            Message::ConvergeFsReply {
+                ov: about,
+                verified: true,
+                have,
+                missing,
+                recovering: false,
+            },
+        )] => {
+            assert_eq!(*about, ov);
+            assert!(have.is_empty(), "freed fragments offered: {have:?}");
+            assert!(missing.is_empty(), "{missing:?}");
+        }
+        other => panic!("unexpected replies {other:?}"),
+    }
+}
+
+#[test]
+fn a_compacted_version_offers_no_fragments_to_a_recovering_sibling() {
+    // fs0 stores its share of v1 and v2 of one key; both settle AMR, which
+    // compacts v1 and frees its fragments. A sibling that is recovering
+    // v1 asks fs0 what it has: fs0 verifies (v1 is AMR here) but must
+    // offer nothing, or the sibling would plan to fetch freed bytes.
+    let fs_node = NodeId::new(1);
+    let at = |us| {
+        ObjectVersion::new(
+            Key::from_u64(9),
+            Timestamp::new(SimTime::from_micros(us), 0),
+        )
+    };
+    let (v1, v2) = (at(5), at(10));
+    let meta = full_meta(100);
+    let f = frags(100);
+    let (mut sim, fs0, _, driver) = tiny_world(ConvergenceOptions::all(), Vec::new());
+    for ov in [v1, v2] {
+        let store = |i: usize| {
+            let (meta, fragment) = (meta.clone(), f[i].clone());
+            (fs_node, Message::StoreFragment { ov, meta, fragment })
+        };
+        deliver(&mut sim, driver, vec![store(0), store(1)]);
+        let meta = Some(meta.clone());
+        deliver(
+            &mut sim,
+            driver,
+            vec![(fs_node, Message::AmrIndication { ov, meta })],
+        );
+    }
+    let fs: &Fs = sim.actor(fs0);
+    assert!(fs.compacted_residual(v1).is_some() && fs.entry(v1).is_none());
+
+    let probe = Message::ConvergeFs {
+        ov: v1,
+        meta,
+        recovery_intent: true,
+    };
+    let replies = deliver(&mut sim, driver, vec![(fs_node, probe)]);
+    assert_compacted_reply(&replies, v1);
 }
 
 /// Batched rounds are a network, not an identity: a round that steps

@@ -27,8 +27,8 @@ fn stored(idx: FragmentIndex) -> StoredFragment {
 /// Per-version memory is pinned: a field that grows what every stored
 /// version costs fails here. A live version's entry is its metadata handle
 /// and one vector of fragments, each with its checksum; a compacted one is
-/// a 16-byte record, its timestamp word and its (AMR time, held-mask id)
-/// word, in a chain slot of at most three words.
+/// a 16-byte record, its timestamp and its AMR time, in a chain slot of at
+/// most three words.
 #[test]
 fn per_version_layout_is_pinned() {
     assert!(size_of::<FragEntry>() <= size_of::<Arc<Metadata>>() + size_of::<Vec<u8>>());
@@ -36,33 +36,11 @@ fn per_version_layout_is_pinned() {
     assert!(size_of::<Chain<Residual>>() <= 24);
 }
 
-/// The second word holds any AMR time below 2⁴⁸ µs beside any of the
-/// 2¹⁶ mask ids, both ends included, and a re-stamp moves only the time.
+/// A residual keeps when its version settled AMR, and a re-stamp moves
+/// only that time.
 #[test]
 fn residual_word_round_trips_its_range_ends() {
     let ts = Timestamp::new(SimTime::from_micros(5), 3);
-    let last_micros = crate::types::MICROS_LIMIT - 1;
-    for micros in [0, last_micros] {
-        for held in [0, u16::MAX] {
-            let amr_at = SimTime::from_micros(micros);
-            let mut residual = Residual {
-                ts,
-                settled: MicrosId::new(micros, u32::from(held)),
-            };
-            assert_eq!(
-                (residual.ts(), residual.amr_at(), residual.held()),
-                (ts, amr_at, held)
-            );
-            let later = SimTime::from_micros(last_micros - micros);
-            residual.restamp(later);
-            assert_eq!(
-                (residual.ts(), residual.amr_at(), residual.held()),
-                (ts, later, held)
-            );
-        }
-    }
-
-    // Through the store: a re-stamped residual keeps the set it held.
     let mut store = VersionStore::new();
     let older = ObjectVersion::new(Key::from_u64(1), ts);
     let newer = ObjectVersion::new(Key::from_u64(1), Timestamp::new(SimTime::from_micros(6), 3));
@@ -75,12 +53,13 @@ fn residual_word_round_trips_its_range_ends() {
         store.settle_amr(s, settled);
         store.compact_superseded(s);
     }
-    let mut held = FragMask::new();
-    held.insert(64);
-    assert_eq!(store.residual(older), Some((held, settled)));
-    let last = SimTime::from_micros(last_micros);
-    store.restamp_residual(older, last);
-    assert_eq!(store.residual(older), Some((held, last)));
+    assert_eq!(store.residual(older), Some(settled));
+    assert_eq!(store.residual(newer), None, "the newest version is live");
+    for last in [SimTime::ZERO, SimTime::MAX] {
+        store.restamp_residual(older, last);
+        assert_eq!(store.residual(older), Some(last));
+        assert_eq!(store.compacted_versions().collect::<Vec<_>>(), [older]);
+    }
 }
 
 #[test]
@@ -91,16 +70,6 @@ fn residual_record_is_packed() {
             Timestamp::new(SimTime::from_micros(us), 0),
         )
     };
-    // Distinct for distinct `i`, with bits in every word of the mask:
-    // the binary digits of `i + 1`, 28 indices apart.
-    let mask_of = |i: usize| {
-        let mut mask = FragMask::new();
-        for bit in (0..10).filter(|bit| ((i + 1) >> bit) & 1 == 1) {
-            mask.insert((bit * 28) as FragmentIndex);
-        }
-        mask
-    };
-
     // A short chain is exactly as long as what it holds, through the
     // store's own compaction path; a long one has at most a quarter of its
     // length, plus one, spare.
@@ -134,31 +103,16 @@ fn residual_record_is_packed() {
         capacities.insert(capacity);
     }
     assert!(capacities.len() <= 27, "{capacities:?}");
-    assert_eq!(store.residuals.masks.len(), 1);
     assert_eq!(store.resident_slots(), 1);
 
-    // N distinct masks are N table entries, each read back bit-exact.
-    let mut table = ResidualTable::default();
-    for i in 0..300 {
-        table.insert(version(i as u64 % 9, i as u64), mask_of(i), SimTime::ZERO);
-    }
-    assert_eq!(table.masks.len(), 300);
-    for i in 0..300 {
-        let residual = table
-            .chains
-            .get(version(i as u64 % 9, i as u64))
-            .expect("inserted");
-        assert_eq!(table.held(residual), mask_of(i), "mask {i}");
-    }
-
-    // The table grows with the masks in use, not with the residuals.
+    // Many keys' chains read back in object-version order, each record
+    // with its own AMR time.
     let mut table = ResidualTable::default();
     for i in 0..10_000 {
         let ov = version(i as u64 % 100, i as u64 / 100);
-        table.insert(ov, mask_of(i % 7), SimTime::from_micros(i as u64));
+        table.insert(ov, SimTime::from_micros(i as u64));
     }
     assert_eq!((table.chains.len(), table.chains.keys()), (10_000, 100));
-    assert!(table.masks.len() <= 7, "{}", table.masks.len());
     assert_eq!(
         table.versions().collect::<Vec<_>>(),
         (0..100u64)
@@ -170,28 +124,10 @@ fn residual_record_is_packed() {
             .chains
             .get(version(i as u64 % 100, i as u64 / 100))
             .expect("inserted");
-        assert_eq!(table.held(residual), mask_of(i % 7));
-        assert_eq!(residual.amr_at(), SimTime::from_micros(i as u64));
+        assert_eq!(residual.amr_at, SimTime::from_micros(i as u64));
     }
 }
 
-#[test]
-#[should_panic(expected = "65536 distinct fragment-index sets")]
-fn residual_mask_ids_run_out_loudly() {
-    // A full id space (the entries' values do not matter here).
-    let mut table = ResidualTable {
-        masks: vec![FragMask::new(); 1 << 16],
-        ..ResidualTable::default()
-    };
-    assert_eq!(
-        table.intern(FragMask::new()),
-        0,
-        "a known mask still interns"
-    );
-    let mut fresh = FragMask::new();
-    fresh.insert(1);
-    table.intern(fresh);
-}
 // ---- the version store against a map-based model ----
 
 /// Timestamps per key in the model test: enough for six compacted
@@ -201,8 +137,8 @@ const MODEL_TIMESTAMPS: usize = 8;
 /// The versions the model test draws from: 3 keys x 8 timestamps.
 const MODEL_VERSIONS: usize = 3 * MODEL_TIMESTAMPS;
 
-/// The fragment indices the model test stores: every word of a
-/// [`FragMask`] and both of its ends.
+/// The fragment indices the model test stores: low ones, one past the
+/// first 64 and the last.
 const MODEL_FRAGMENTS: [FragmentIndex; 6] = [0, 1, 2, 3, 64, 255];
 
 fn model_version(i: usize) -> ObjectVersion {
@@ -216,10 +152,9 @@ fn model_version(i: usize) -> ObjectVersion {
 /// What every case starts with: on the first key, the residual-chain
 /// shapes a random sequence reaches too rarely to rely on; then a second
 /// key's insert into a slot compaction vacated. Versions settle out of
-/// timestamp order, so two residuals land mid-chain — one holding
-/// `{64, 255}`, the same count as its neighbours' `{0, 1}` — six
-/// compactions take the chain past its exact-fit length, and a repeated
-/// settle re-stamps a mid-chain record.
+/// timestamp order, so two residuals land mid-chain, six compactions take
+/// the chain past its exact-fit length, and a repeated settle re-stamps a
+/// mid-chain record.
 fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
     const INSERT: u8 = 0;
     const FRAGMENT: u8 = 2;
@@ -250,7 +185,7 @@ fn model_prelude() -> Vec<(u8, usize, FragmentIndex)> {
 }
 
 /// What the model keeps per known version: the fragment indices held,
-/// and whether compaction has reduced the version to that set.
+/// and whether compaction has freed them.
 #[derive(Default)]
 struct ModelEntry {
     held: BTreeSet<FragmentIndex>,
@@ -297,7 +232,7 @@ impl ModelStore {
     /// The compaction rule, stated on its own: on the first AMR
     /// settle of `ov`, every settled-AMR version of the key older
     /// than `ov` — and `ov` itself if a newer settled-AMR version of
-    /// the key exists — keeps only its held indices and settle time.
+    /// the key exists — keeps only its settle time.
     fn compact_superseded(&mut self, ov: ObjectVersion) {
         let newer_amr = self.amr.keys().any(|v| v.key == ov.key && v.ts > ov.ts);
         for (v, entry) in &mut self.entries {
@@ -347,21 +282,20 @@ fn check_against_model(
         );
         let pending = model.pending.contains(&ov);
         prop_assert_eq!(s.and_then(|s| store.work(s)).is_some(), pending);
-        let (residual_held, residual_at) = store.residual(ov).unzip();
+        let residual = store.residual(ov);
         let amr_at = match s {
             Some(s) => store.amr_at(s),
-            None => residual_at,
+            None => residual,
         };
         prop_assert_eq!(amr_at, model.amr.get(&ov).copied(), "amr_at({:?})", ov);
-        let residual = m.filter(|e| e.compacted).map(|e| {
-            let mut mask = FragMask::new();
-            for &idx in &e.held {
-                mask.insert(idx);
-            }
-            mask
-        });
-        prop_assert_eq!(residual_held, residual, "residual of {:?}", ov);
-        if residual.is_some() {
+        let compacted = m.is_some_and(|e| e.compacted);
+        prop_assert_eq!(
+            residual,
+            model.amr.get(&ov).copied().filter(|_| compacted),
+            "residual of {:?}",
+            ov
+        );
+        if compacted {
             let again = store.adopt(ov, now, || -> FragEntry {
                 unreachable!("a compacted version is never rebuilt")
             });
@@ -529,7 +463,7 @@ proptest::proptest! {
     /// with compaction off and on, through interleavings a cluster
     /// run rarely produces: give-up and reopen between settles,
     /// settles in any version order, slot reuse after compaction,
-    /// and (by [`model_prelude`]) long, mixed-mask residual chains
+    /// and (by [`model_prelude`]) long residual chains
     /// filled out of order. Every handle the store gave out is checked
     /// after every step, and (by the prelude) at least one was vacated
     /// and its slot reused.

@@ -47,7 +47,7 @@ impl fmt::Display for Key {
     }
 }
 
-/// Bits of a `MicrosId` word below its microsecond reading: the id.
+/// Bits of a timestamp below its clock reading: the proxy id.
 const ID_BITS: u32 = 16;
 
 /// The first microsecond reading a timestamp cannot hold: 2⁴⁸ µs, about
@@ -57,56 +57,6 @@ pub const MICROS_LIMIT: u64 = 1 << (64 - ID_BITS);
 /// The number of proxy ids a timestamp can name: 2¹⁶ = 65 536.
 pub const ID_LIMIT: u64 = 1 << ID_BITS;
 
-/// A microsecond reading and a 16-bit id packed into one word: the reading
-/// in the high 48 bits, the id in the low 16.
-///
-/// Both fields are unsigned and the reading sits above the id, so the
-/// word's integer order is the lexicographic order of `(micros, id)`: the
-/// derived `Ord` is the pair's. It is the layout of a [`Timestamp`]
-/// (clock, proxy) and of the second word of an FS compaction residual (AMR
-/// time, held-mask id). [`MicrosId::new`] checks both ranges, so a value
-/// that does not fit stops the run instead of wrapping into another's
-/// order; `Cluster::build_with_faults` rejects a configuration that could
-/// reach either limit.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct MicrosId(u64);
-
-impl MicrosId {
-    /// Packs `micros` over `id`.
-    ///
-    /// # Panics
-    ///
-    /// If `micros` is [`MICROS_LIMIT`] or more, or `id` is [`ID_LIMIT`] or
-    /// more.
-    pub(crate) fn new(micros: u64, id: u32) -> Self {
-        assert!(
-            micros < MICROS_LIMIT,
-            "{micros} µs does not fit a 48-bit reading (limit 2^48 µs, about 8.9 years)"
-        );
-        assert!(
-            u64::from(id) < ID_LIMIT,
-            "id {id} does not fit a 16-bit id (limit 2^16 = 65536 ids)"
-        );
-        MicrosId(micros << ID_BITS | u64::from(id))
-    }
-
-    /// The microsecond reading.
-    pub(crate) const fn micros(self) -> u64 {
-        self.0 >> ID_BITS
-    }
-
-    /// The id.
-    pub(crate) const fn id(self) -> u16 {
-        self.0 as u16
-    }
-}
-
-impl fmt::Debug for MicrosId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}us#{}", self.micros(), self.id())
-    }
-}
-
 /// A globally unique, totally ordered version timestamp.
 ///
 /// Per the paper (§3.2), "each proxy constructs a globally unique timestamp
@@ -115,19 +65,23 @@ impl fmt::Debug for MicrosId {
 /// the clock's microseconds in the high 48 bits, the proxy id in the low
 /// 16. Ordering is therefore lexicographic on `(clock, proxy)`, so
 /// concurrent puts at different proxies are ordered deterministically and
-/// never collide. The bounds are 2⁴⁸ µs of clock (8.9 years) and 2¹⁶
-/// proxies; [`Timestamp::new`] panics past either.
+/// never collide: both fields are unsigned and the clock sits above the
+/// id, so the word's integer order is the pair's. The bounds are 2⁴⁸ µs of
+/// clock (8.9 years) and 2¹⁶ proxies; [`Timestamp::new`] panics past
+/// either instead of wrapping into another timestamp's order, and
+/// `Cluster::build_with_faults` rejects a configuration that could reach
+/// either limit.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Timestamp(MicrosId);
+pub struct Timestamp(u64);
 
 impl Timestamp {
     /// The smallest timestamp; `ObjectVersion::new(key, Timestamp::MIN)`
     /// lower-bounds every version of `key` in ordered scans.
-    pub const MIN: Timestamp = Timestamp(MicrosId(0));
+    pub const MIN: Timestamp = Timestamp(0);
 
     /// The largest timestamp (clock 2⁴⁸ − 1 µs, proxy 2¹⁶ − 1); upper
     /// bound for per-key ordered scans.
-    pub const MAX: Timestamp = Timestamp(MicrosId(u64::MAX));
+    pub const MAX: Timestamp = Timestamp(u64::MAX);
 
     /// Builds a timestamp from a proxy clock reading and proxy id.
     ///
@@ -135,17 +89,26 @@ impl Timestamp {
     ///
     /// If the reading is 2⁴⁸ µs or later, or `proxy` is 2¹⁶ or more.
     pub fn new(clock: SimTime, proxy: u32) -> Self {
-        Timestamp(MicrosId::new(clock.as_micros(), proxy))
+        let micros = clock.as_micros();
+        assert!(
+            micros < MICROS_LIMIT,
+            "{micros} µs does not fit a 48-bit reading (limit 2^48 µs, about 8.9 years)"
+        );
+        assert!(
+            u64::from(proxy) < ID_LIMIT,
+            "id {proxy} does not fit a 16-bit id (limit 2^16 = 65536 ids)"
+        );
+        Timestamp(micros << ID_BITS | u64::from(proxy))
     }
 
     /// The clock component in microseconds.
     pub const fn clock_micros(self) -> u64 {
-        self.0.micros()
+        self.0 >> ID_BITS
     }
 
     /// The proxy-id component.
     pub const fn proxy(self) -> u32 {
-        self.0.id() as u32
+        self.0 as u16 as u32
     }
 }
 
@@ -215,8 +178,8 @@ mod tests {
             (0, 65_535),
             (MICROS_LIMIT - 1, 65_535),
         ] {
-            let word = MicrosId::new(micros, id);
-            assert_eq!((word.micros(), u32::from(word.id())), (micros, id));
+            let ts = Timestamp::new(SimTime::from_micros(micros), id);
+            assert_eq!((ts.clock_micros(), ts.proxy()), (micros, id));
         }
         assert_eq!(Timestamp::new(SimTime::ZERO, 0), Timestamp::MIN);
         let last = Timestamp::new(SimTime::from_micros(MICROS_LIMIT - 1), 65_535);

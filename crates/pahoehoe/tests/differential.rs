@@ -105,26 +105,26 @@ fn run_update_heavy(
 // Batched rounds: fewer messages, the same archive
 // ---------------------------------------------------------------------------
 
-/// The fragment indices `fs` holds of `ov`: its live entry's, or for a
-/// compacted version the ones its residual records.
-fn held(fs: &Fs, ov: ObjectVersion) -> Vec<FragmentIndex> {
+/// The fragment indices `fs` holds of `ov`, or `None` once `fs` compacted
+/// it and freed them.
+fn held(fs: &Fs, ov: ObjectVersion) -> Option<Vec<FragmentIndex>> {
     match fs.entry(ov) {
-        Some(entry) => entry.fragments.keys().copied().collect(),
-        None => fs
-            .compacted_residual(ov)
-            .map(|mask| mask.iter().collect())
-            .unwrap_or_default(),
+        Some(entry) => Some(entry.fragments.keys().copied().collect()),
+        None => {
+            assert!(fs.compacted_residual(ov).is_some(), "{ov:?} is unknown");
+            None
+        }
     }
 }
 
 /// What a converged cluster must look like whatever its messages were:
 /// every put the client saw succeed is at maximum redundancy — complete
 /// metadata at every KLS, and every sibling FS settled AMR holding exactly
-/// its assigned fragments (in its live entry, or in its residual once a
-/// newer version compacted it) — no FS gave a version up, and no FS still
-/// has work for a durable version. Returns, per FS, the state and held
-/// fragment indices of each durable version it knows: what two runs that
-/// stored the same versions must agree on. (Non-durable leftovers of failed
+/// its assigned fragments (unless a newer version compacted it) — no FS
+/// gave a version up, and no FS still has work for a durable version.
+/// Returns, per FS, the state and held fragment indices (or that it was
+/// compacted) of each durable version it knows: what two runs that stored
+/// the same versions must agree on. (Non-durable leftovers of failed
 /// attempts stay pending for ever; which siblings had heard of one when the
 /// run stopped is an accident of timing.)
 fn converged_state(cluster: &Cluster) -> BTreeMap<NodeId, BTreeMap<ObjectVersion, String>> {
@@ -139,11 +139,13 @@ fn converged_state(cluster: &Cluster) -> BTreeMap<NodeId, BTreeMap<ObjectVersion
         for id in meta.siblings() {
             let fs: &Fs = sim.actor(id);
             assert!(fs.amr_settled_at(ov).is_some(), "FS {id:?} settled {ov:?}");
-            assert_eq!(
-                held(fs, ov),
-                meta.fragments_of(id),
-                "FS {id:?} stores its share of {ov:?}"
-            );
+            if let Some(held) = held(fs, ov) {
+                assert_eq!(
+                    held,
+                    meta.fragments_of(id),
+                    "FS {id:?} stores its share of {ov:?}"
+                );
+            }
         }
     }
     let mut state = BTreeMap::new();
@@ -157,7 +159,11 @@ fn converged_state(cluster: &Cluster) -> BTreeMap<NodeId, BTreeMap<ObjectVersion
             .known_versions()
             .filter(|ov| durable.contains(ov))
             .map(|ov| {
-                let state = format!("amr={} held={:?}", amr.contains(&ov), held(fs, ov));
+                let held = match held(fs, ov) {
+                    Some(held) => format!("held={held:?}"),
+                    None => "compacted".to_string(),
+                };
+                let state = format!("amr={} {held}", amr.contains(&ov));
                 (ov, state)
             })
             .collect();

@@ -238,11 +238,10 @@ fn repair_is_not_triggered_above_threshold() {
 fn paced_scrub_detects_corruption_without_starving_the_protocol() {
     let mut cfg = ClusterConfig::paper_default();
     cfg.workload_puts = 10;
-    cfg.workload_value_len = 8 * 1024;
-    // 8 KiB values fragment to 2 KiB, so a 4 KiB budget re-hashes two
-    // fragments per tick and a full pass takes multiple ticks.
+    cfg.workload_value_len = 128 * 1024;
+    // 128 KiB values fragment to 32 KiB, so a tick's 64 KiB budget
+    // re-hashes two fragments and a full pass takes multiple ticks.
     cfg.convergence.scrub_interval = Some(SimDuration::from_secs(5));
-    cfg.convergence.scrub_chunk_bytes = 4 * 1024;
     let mut cluster = Cluster::build(cfg, 3);
     let report = cluster.run_to_convergence();
     assert_eq!(report.amr_versions, 10);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate, run locally before pushing: formatting, clippy and rustdoc
 # (warnings are errors), the workspace tests (the erasure crate's again in
-# release), the static checker (`analyze`), the mutation smoke (`mutate`),
-# five invariant-explorer legs whose digests are compared with
+# release), the static checker (`analyze`), the mutation smoke (`mutate`,
+# each mutant's class compared with BENCH_analysis.json), five
+# invariant-explorer legs whose digests are compared with
 # results/digests/, the paper figures and CSVs compared with results/,
 # `pahoehoe-sim` on a benchmark shape, the scale tier's smoke cells compared
 # with results/scale/, the stand-alone benchmark package's self-checks and
@@ -68,6 +69,19 @@ echo "==> mutation smoke (pinned 12 mutants, kill-rate gate >= 10/12)"
 # The record goes under target/: CI never rewrites a committed BENCH file.
 cargo run -p check --release --bin mutate -- --smoke --bench-out target/BENCH_analysis.json
 python3 -m json.tool target/BENCH_analysis.json > /dev/null
+# Each pinned mutant must die the way the committed record says (digest,
+# invariant or crash), timings aside: a change that moves one regenerates
+# the record with `mutate --smoke --bench-out BENCH_analysis.json`.
+mutant_classes() { # BENCH_analysis.json -> one "id outcome" line per mutant
+    python3 -c 'import json, sys
+for o in json.load(open(sys.argv[1]))["outcomes"]:
+    print(o["id"], o["outcome"])' "$1"
+}
+diff <(mutant_classes BENCH_analysis.json) <(mutant_classes target/BENCH_analysis.json) || {
+    echo "    a pinned mutant changed class: regenerate BENCH_analysis.json" >&2
+    exit 1
+}
+echo "    every pinned mutant is in its committed class"
 
 # Every fault spec and preset with an FS's round traffic sent, lost and
 # answered one multi-entry message per destination at a time. The smoke
