@@ -5,9 +5,10 @@
 # each mutant's class compared with BENCH_analysis.json), five
 # invariant-explorer legs whose digests are compared with
 # results/digests/, the paper figures and CSVs compared with results/,
-# `pahoehoe-sim` on a benchmark shape, the scale tier's smoke cells compared
-# with results/scale/, the stand-alone benchmark package's self-checks and
-# unit tests, and a check that no committed record changed.
+# `pahoehoe-sim` on a benchmark shape compared with results/sim/, the scale
+# tier's smoke cells compared with results/scale/, the stand-alone benchmark
+# package's self-checks and unit tests, and a check that no committed record
+# changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,6 +140,9 @@ grep -q "outcome:        PredicateSatisfied" target/pahoehoe-sim-small-put-churn
 # StoreMetadata per put on this 4-DC shape (8 KLSs twice, the 12 FSs of the
 # earlier DCs once), 56 when every answer was announced.
 grep -qE "^StoreMetadataReq +5600 " target/pahoehoe-sim-small-put-churn.txt
+# Stdout is a pure function of the flags (host numbers go to stderr), so the
+# whole run is pinned, not just the two lines above.
+same_as_committed target/pahoehoe-sim-small-put-churn.txt sim/small-put-churn.txt
 
 echo "==> scale tier (smoke: three pahoehoe-sim cells compared with results/scale/)"
 # Also checks that every cell compacted and converged.
