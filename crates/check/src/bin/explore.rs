@@ -47,7 +47,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use check::explorer::{self, Injection, Keys, Scenario, SweepConfig, WorkloadCfg};
+use check::explorer::{self, Injection, Scenario, SweepConfig};
+use pahoehoe::workload::StreamingWorkload;
 
 fn usage() -> ! {
     eprintln!(
@@ -61,7 +62,8 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut seeds: Option<u64> = None;
-    let mut workload = WorkloadCfg::default();
+    let workload = Scenario::default().workload;
+    let (mut puts, mut value_len, mut rounds) = (workload.key_space, workload.value_len, 1);
     let mut batch = false;
     let mut injection = Injection::None;
     let mut trace_out = PathBuf::from("target/check-violation.trace");
@@ -81,15 +83,15 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--seeds" => seeds = Some(num(&mut args) as u64),
-            "--puts" => workload.puts = num(&mut args),
-            "--value-len" => workload.value_len = num(&mut args),
+            "--puts" => puts = num(&mut args) as u64,
+            "--value-len" => value_len = num(&mut args),
             "--inject-corruption" => injection = Injection::CorruptFragment,
             "--trace-out" => trace_out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--workers" => workers = num(&mut args),
             "--digest-out" => {
                 digest_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
             }
-            "--overwrite" => workload.keys = Keys::Rounds(2),
+            "--overwrite" => rounds = 2,
             "--batch" => batch = true,
             "--scale" => scale = true,
             "--repair" => repair = true,
@@ -105,7 +107,7 @@ fn main() -> ExitCode {
     } else {
         SweepConfig::full()
     };
-    cfg.workload = workload;
+    cfg.workload = StreamingWorkload::numbered(puts, rounds, value_len, workload.policy);
     cfg.protocol.batch_rounds = batch;
     if let Some(n) = seeds {
         cfg.seeds = (0..n).collect();

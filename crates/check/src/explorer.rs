@@ -27,6 +27,7 @@ use pahoehoe::protocol::ProtocolMode;
 use pahoehoe::repair::RepairOptions;
 use pahoehoe::types::{Key, ObjectVersion};
 use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+use pahoehoe::Policy;
 use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime, TraceEvent};
 
 use crate::invariants::{self, Checker, Invariant, Violation};
@@ -172,40 +173,6 @@ impl FaultSpec {
     }
 }
 
-/// The client's workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadCfg {
-    /// Puts per round of the standard workload, or in all of a stream.
-    pub puts: usize,
-    /// Value length per put.
-    pub value_len: usize,
-    /// How the puts pick their keys.
-    pub keys: Keys,
-}
-
-/// How a workload's puts pick their keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Keys {
-    /// The standard workload: keys `1..=puts`, each put once per round.
-    /// `1` is the insert-only sweep; `2` (`--overwrite`) makes every put
-    /// after the first round an overwrite of a key that already holds a
-    /// version.
-    Rounds(usize),
-    /// A streamed workload seeded by the scenario: the puts draw their keys
-    /// Zipf(1.1) from a space of this many keys.
-    Zipf(u64),
-}
-
-impl Default for WorkloadCfg {
-    fn default() -> Self {
-        WorkloadCfg {
-            puts: 3,
-            value_len: 4096,
-            keys: Keys::Rounds(1),
-        }
-    }
-}
-
 /// One step a scenario takes after its workload converges, applied in
 /// order. Steps are data, so a scenario stays a printable repro.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,7 +226,7 @@ pub struct Scenario {
     /// Name of a hand-built scenario (`scale`, `repair-churn`, …); `None`
     /// for a cell of the seeds × fault plans × presets grid.
     pub name: Option<&'static str>,
-    /// Simulation seed (and the stream's, for a Zipf workload).
+    /// Simulation seed.
     pub seed: u64,
     /// Injected faults.
     pub faults: FaultSpec,
@@ -269,7 +236,7 @@ pub struct Scenario {
     /// [`ProtocolMode::batch_rounds`]).
     pub protocol: ProtocolMode,
     /// The client's workload.
-    pub workload: WorkloadCfg,
+    pub workload: StreamingWorkload,
     /// `Some(r)`: rack-aware placement over `r` racks per DC.
     pub racks_per_dc: Option<usize>,
     /// The background repair engine, if any (one repair actor per DC).
@@ -293,7 +260,10 @@ impl Default for Scenario {
             faults: FaultSpec::clean(),
             preset: Preset::All,
             protocol: ProtocolMode::default(),
-            workload: WorkloadCfg::default(),
+            // The paper's script shrunk to 3 puts of 4 KiB, one per key:
+            // small values keep per-event invariant checking (which hashes
+            // and compares every stored fragment) cheap.
+            workload: StreamingWorkload::numbered(3, 1, 4096, Policy::paper_default()),
             racks_per_dc: None,
             repair: None,
             steps: Vec::new(),
@@ -313,10 +283,14 @@ impl Scenario {
             name: Some("scale"),
             seed: 42,
             protocol: ProtocolMode::scale(),
-            workload: WorkloadCfg {
+            workload: StreamingWorkload {
                 puts: 600,
+                key_space: 200,
                 value_len: 1024,
-                keys: Keys::Zipf(200),
+                policy: Policy::paper_default(),
+                seed: 42,
+                dist: KeyDistribution::Zipf { exponent: 1.1 },
+                overwrite_delta_permille: 0,
             },
             sample_every: 500,
             ..Scenario::default()
@@ -337,10 +311,7 @@ impl Scenario {
             Scenario {
                 name: Some(name),
                 seed: 42,
-                workload: WorkloadCfg {
-                    puts: 8,
-                    ..WorkloadCfg::default()
-                },
+                workload: StreamingWorkload::numbered(8, 1, 4096, Policy::paper_default()),
                 racks_per_dc: Some(3),
                 repair: Some(repair),
                 steps,
@@ -534,29 +505,7 @@ fn scenario_cluster(sc: &Scenario) -> Cluster {
         ..sc.preset.options()
     };
     cfg.racks_per_dc = sc.racks_per_dc;
-    let WorkloadCfg {
-        puts,
-        value_len,
-        keys,
-    } = sc.workload;
-    match keys {
-        Keys::Rounds(rounds) => {
-            cfg.workload_puts = puts;
-            cfg.workload_value_len = value_len;
-            cfg.workload_rounds = rounds;
-        }
-        Keys::Zipf(key_space) => {
-            cfg.streaming_workload = Some(StreamingWorkload {
-                puts: puts as u64,
-                key_space,
-                value_len,
-                policy: cfg.policy,
-                seed: sc.seed,
-                dist: KeyDistribution::Zipf { exponent: 1.1 },
-                overwrite_delta_permille: 0,
-            })
-        }
-    }
+    cfg.streaming_workload = Some(sc.workload.clone());
     cfg.network = sc.faults.network();
     Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan())
 }
@@ -642,9 +591,8 @@ pub struct SweepConfig {
     pub presets: Vec<Preset>,
     /// The protocol mode every cell runs.
     pub protocol: ProtocolMode,
-    /// The workload every cell runs. Small values keep per-event invariant
-    /// checking (which hashes and compares every stored fragment) cheap.
-    pub workload: WorkloadCfg,
+    /// The workload every cell runs ([`Scenario::default`]'s by default).
+    pub workload: StreamingWorkload,
 }
 
 impl SweepConfig {
@@ -727,7 +675,7 @@ impl SweepConfig {
             fault_specs: SweepConfig::fault_pool(),
             presets: Preset::ALL.to_vec(),
             protocol: ProtocolMode::default(),
-            workload: WorkloadCfg::default(),
+            workload: Scenario::default().workload,
         }
     }
 
@@ -742,7 +690,7 @@ impl SweepConfig {
                         faults: spec.clone(),
                         preset,
                         protocol: self.protocol,
-                        workload: self.workload,
+                        workload: self.workload.clone(),
                         ..Scenario::default()
                     });
                 }
@@ -885,10 +833,7 @@ mod tests {
         for rounds in [1, 2] {
             let sc = Scenario {
                 faults: faults.clone(),
-                workload: WorkloadCfg {
-                    keys: Keys::Rounds(rounds),
-                    ..WorkloadCfg::default()
-                },
+                workload: StreamingWorkload::numbered(3, rounds, 4096, Policy::paper_default()),
                 ..Scenario::default()
             };
             let mut cluster = scenario_cluster(&sc);
@@ -897,14 +842,14 @@ mod tests {
             let acked = cluster.client().success_versions();
             for id in cluster.topology().all_klss() {
                 let kls: &Kls = cluster.sim().actor(id);
-                for i in 0..sc.workload.puts {
-                    let key = Key::from_u64(i as u64 + 1);
+                for i in 0..sc.workload.key_space {
+                    let key = Key::from_u64(i + 1);
                     let versions = kls
                         .versions_of(key)
                         .into_iter()
                         .filter(|&ts| acked.contains(&ObjectVersion::new(key, ts)))
                         .count();
-                    assert_eq!(versions, rounds, "KLS {id:?}, key {key:?}");
+                    assert_eq!(versions as u64, rounds, "KLS {id:?}, key {key:?}");
                 }
             }
         }

@@ -12,11 +12,10 @@
 //! The registry assumes every put writes a key-derived blob: workload key
 //! `i + 1` holds [`Client::synthetic_value`]`(i, value_len)`, which lets the
 //! durability invariant reconstruct the expected blob for any acknowledged
-//! version without help from the actors under test. The **standard
-//! workload** ([`Client::standard_workload`]) does, and so does a
-//! [streamed workload](pahoehoe::workload::StreamingWorkload) with
-//! `overwrite_delta_permille: 0`; the checker takes the value length and
-//! policy from the stream when the cluster runs one.
+//! version without help from the actors under test. The cluster's
+//! [workload](pahoehoe::workload::StreamingWorkload) does whenever its
+//! `overwrite_delta_permille` is 0, and the checker takes the value length
+//! and policy from it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,7 +67,7 @@ pub struct ClusterView<'a> {
     pub clients: &'a [NodeId],
     /// All proxy node ids.
     pub proxies: &'a [NodeId],
-    /// Standard-workload value length (drives blob reconstruction).
+    /// The workload's value length (drives blob reconstruction).
     pub value_len: usize,
     /// The durability policy of the workload's puts.
     pub policy: Policy,
@@ -114,10 +113,11 @@ pub trait Invariant {
 /// at least `k` distinct sibling fragments are stored across the fragment
 /// servers, `k` of which decode back to the blob — or the version was
 /// compacted: some FS holds its residual, and a strictly newer version of
-/// its key has at least `k` distinct fragments stored. Compaction frees
-/// a version's fragments only once a newer one settled AMR, and the newest
-/// version of a key that settled AMR anywhere is compacted nowhere, so all
-/// `n` of its fragments are stored.
+/// its key has at least `k` distinct fragments stored
+/// ([`analysis::is_durable`]). Compaction frees a version's fragments only
+/// once a newer one settled AMR, and the newest version of a key that
+/// settled AMR anywhere is compacted nowhere, so all `n` of its fragments
+/// are stored.
 ///
 /// Holds under message-level faults (loss, duplication, outages), which
 /// never destroy stored fragments. Runs that destroy disks or corrupt
@@ -217,21 +217,6 @@ impl Invariant for AckedDurability {
                 }
             }
         }
-        if freed.is_empty() {
-            return Ok(());
-        }
-        // The live fragment indices of every version of the freed
-        // versions' keys.
-        let keys: BTreeSet<_> = freed.iter().map(|(ov, _)| ov.key).collect();
-        let mut live: BTreeMap<ObjectVersion, BTreeSet<u8>> = BTreeMap::new();
-        for &fs in view.fss {
-            let actor = view.sim.actor::<Fs>(fs);
-            for ov in actor.known_versions().filter(|ov| keys.contains(&ov.key)) {
-                if let Some(entry) = actor.entry(ov) {
-                    live.entry(ov).or_default().extend(entry.fragments.keys());
-                }
-            }
-        }
         for (ov, n) in freed {
             let compacted = view
                 .fss
@@ -242,11 +227,7 @@ impl Invariant for AckedDurability {
                     "ACKed {ov:?}: only {n} distinct fragments stored, need k = {k}"
                 ));
             }
-            let superseded = live
-                .range(ov..)
-                .take_while(|(v, _)| v.key == ov.key)
-                .any(|(v, held)| v.ts > ov.ts && held.len() >= k);
-            if !superseded {
+            if !analysis::is_durable(view.sim, view.fss, ov) {
                 return Err(format!(
                     "ACKed {ov:?}: compacted to {n} distinct fragments, and no newer \
                      version of its key has k = {k}"
@@ -295,7 +276,7 @@ impl Invariant for QuiescentAmr {
         }
         for &c in view.clients {
             for &ov in view.sim.actor::<Client>(c).success_versions() {
-                if !durable.contains(&ov) {
+                if !analysis::is_durable(view.sim, view.fss, ov) {
                     return Err(format!("ACKed version {ov:?} is not durable at end of run"));
                 }
             }
@@ -515,9 +496,9 @@ impl Invariant for MetricsSanity {
 
 /// Once a version is durable (≥ `k` distinct fragments stored), it stays
 /// durable: message-level faults cannot destroy stored fragments, and a
-/// compacted version counts as durable through its residual
-/// ([`analysis::is_durable`]; for an acked one, [`AckedDurability`] checks
-/// that a newer version of its key holds `k` fragments). So any shrink of the durable set
+/// compacted version counts as durable while a newer version of its key
+/// holds `k` fragments ([`analysis::is_durable`]), which compaction only
+/// allows once that version settled AMR. So any shrink of the durable set
 /// means an actor deleted fragments it should have kept. Not applicable to
 /// runs that destroy disks.
 pub struct DurableMonotone {
@@ -545,9 +526,9 @@ impl Invariant for DurableMonotone {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        // Compacted versions stay in the durable set through their
-        // residuals, so any shrink means an actor deleted fragments it
-        // should have kept.
+        // Compacted versions stay in the durable set through the newer
+        // versions that superseded them, so any shrink means an actor
+        // deleted fragments it should have kept.
         let now = analysis::durable_versions(view.sim, view.fss);
         if let Some(&lost) = self.durable.difference(&now).next() {
             return Err(format!(
@@ -940,12 +921,12 @@ impl Checker {
         sample_every: u64,
     ) -> Checker {
         let config = cluster.config();
-        // A streamed workload puts its own blobs, whatever the standard
-        // workload's fields say.
-        let (value_len, policy) = match &config.streaming_workload {
-            Some(stream) => (stream.value_len, stream.policy),
-            None => (config.workload_value_len, config.policy),
-        };
+        // The blobs are the workload's; a cluster without one acks nothing
+        // the registry could rebuild.
+        let (value_len, policy) = config
+            .streaming_workload
+            .as_ref()
+            .map_or((0, config.policy), |wl| (wl.value_len, wl.policy));
         let ctx = StaticCtx {
             topo: Arc::clone(cluster.topology()),
             fss: cluster.topology().all_fss().collect(),
@@ -983,12 +964,10 @@ mod tests {
     use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
     use simnet::NetworkConfig;
 
-    /// The durability invariant rebuilds blobs at the stream's length, not
-    /// at the standard workload's (100 KiB by default, unused here).
+    /// The durability invariant rebuilds blobs at the stream's length.
     #[test]
     fn streamed_workload_is_checked_at_the_streams_value_len() {
         let mut cfg = ClusterConfig::paper_default();
-        assert_eq!(cfg.workload_value_len, 100 * 1024);
         cfg.streaming_workload = Some(StreamingWorkload {
             puts: 30,
             key_space: 10,
@@ -1010,8 +989,7 @@ mod tests {
     /// A converged run under 5 % loss, and every send it made.
     fn lossy_run() -> (Cluster, Vec<TraceEvent>) {
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 3;
-        cfg.workload_value_len = 1024;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 1024, cfg.policy));
         cfg.network = NetworkConfig::with_drop_rate(0.05);
         let mut cluster = Cluster::build(cfg, 1);
         let trace = Rc::new(RefCell::new(Vec::new()));
@@ -1059,7 +1037,12 @@ mod tests {
             klss: &klss,
             clients: &cluster.client_ids(),
             proxies: &cluster.proxy_ids(),
-            value_len: cluster.config().workload_value_len,
+            value_len: cluster
+                .config()
+                .streaming_workload
+                .as_ref()
+                .unwrap()
+                .value_len,
             policy: cluster.config().policy,
             repair: None,
         })
@@ -1069,9 +1052,7 @@ mod tests {
     /// first version; and both versions.
     fn overwritten_key() -> (Cluster, ObjectVersion, ObjectVersion) {
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 1;
-        cfg.workload_rounds = 2;
-        cfg.workload_value_len = 1024;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(1, 2, 1024, cfg.policy));
         let mut cluster = Cluster::build(cfg, 1);
         let report = cluster.run_to_convergence();
         assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);

@@ -50,7 +50,6 @@ fn small_put_churn(plan: FaultPlan) -> Cluster {
     cfg.policy = Policy::new(4, 16, 4, 1);
     cfg.protocol = ProtocolMode::scale();
     cfg.network = NetworkConfig::with_drop_rate(0.01);
-    cfg.workload_value_len = 256;
     cfg.streaming_workload = Some(StreamingWorkload {
         puts: PUTS,
         key_space: 100,

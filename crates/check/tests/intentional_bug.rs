@@ -5,7 +5,9 @@
 //! converse guard sits here too: a sweep of nothing is a usage error, not
 //! a pass.
 
-use check::explorer::{sweep, FaultSpec, Injection, Preset, SweepConfig, WorkloadCfg};
+use check::explorer::{sweep, FaultSpec, Injection, Preset, SweepConfig};
+use pahoehoe::workload::StreamingWorkload;
+use pahoehoe::Policy;
 
 #[test]
 fn injected_corruption_is_caught_and_shrunk() {
@@ -18,11 +20,7 @@ fn injected_corruption_is_caught_and_shrunk() {
             outages: vec![],
         }],
         presets: vec![Preset::All],
-        workload: WorkloadCfg {
-            puts: 2,
-            value_len: 2048,
-            ..WorkloadCfg::default()
-        },
+        workload: StreamingWorkload::numbered(2, 1, 2048, Policy::paper_default()),
         ..SweepConfig::full()
     };
     let result = sweep(&cfg.scenarios(), Injection::CorruptFragment, 1, |_, _| {});
@@ -130,11 +128,7 @@ fn clean_mini_sweep_reports_no_violation() {
         seeds: vec![0, 1],
         fault_specs: SweepConfig::fault_pool().into_iter().take(2).collect(),
         presets: vec![Preset::Naive, Preset::All],
-        workload: WorkloadCfg {
-            puts: 2,
-            value_len: 2048,
-            ..WorkloadCfg::default()
-        },
+        workload: StreamingWorkload::numbered(2, 1, 2048, Policy::paper_default()),
         ..SweepConfig::full()
     };
     let mut seen = 0;

@@ -2,15 +2,13 @@
 //! fault plans, for both the naïve and the fully optimized convergence
 //! configurations.
 
-use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario, WorkloadCfg};
+use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario};
+use pahoehoe::workload::StreamingWorkload;
+use pahoehoe::Policy;
 use proptest::prelude::*;
 
-fn workload() -> WorkloadCfg {
-    WorkloadCfg {
-        puts: 2,
-        value_len: 2048,
-        ..WorkloadCfg::default()
-    }
+fn workload() -> StreamingWorkload {
+    StreamingWorkload::numbered(2, 1, 2048, Policy::paper_default())
 }
 
 fn assert_invariants_hold(seed: u64, faults: FaultSpec, preset: Preset) {

@@ -2,9 +2,11 @@
 //! bit-for-bit identical — same event count, same metrics, same message
 //! trace — even under message loss, duplication and an outage.
 
-use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario, WorkloadCfg};
+use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario};
+use pahoehoe::workload::StreamingWorkload;
+use pahoehoe::Policy;
 
-fn faulty_scenario(seed: u64, puts: usize) -> Scenario {
+fn faulty_scenario(seed: u64, puts: u64) -> Scenario {
     Scenario {
         seed,
         faults: FaultSpec {
@@ -17,11 +19,7 @@ fn faulty_scenario(seed: u64, puts: usize) -> Scenario {
             }],
         },
         preset: Preset::All,
-        workload: WorkloadCfg {
-            puts,
-            value_len: 2048,
-            ..WorkloadCfg::default()
-        },
+        workload: StreamingWorkload::numbered(puts, 1, 2048, Policy::paper_default()),
         ..Scenario::default()
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! Usage: `cargo run -p experiments --release --bin ablations [--quick]`
 
-use experiments::figures::{fs_outage, paper_layout, FigureOptions};
+use experiments::figures::{base_config, fs_outage, paper_layout, FigureOptions};
 use experiments::runner::{aggregate, run_many};
-use pahoehoe::cluster::{Cluster, ClusterConfig};
+use pahoehoe::cluster::Cluster;
 use pahoehoe::convergence::ConvergenceOptions;
 use simnet::SimDuration;
 use stats::Accumulator;
@@ -20,11 +20,7 @@ fn run_knob(
 ) -> (String, f64, f64, f64, f64) {
     let layout = paper_layout();
     let reports = run_many(1..opts.seeds + 1, |seed| {
-        let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = opts.puts;
-        cfg.workload_value_len = opts.value_len;
-        cfg.convergence = conv.clone();
-        Cluster::build_with_faults(cfg, seed, fs_outage(layout, 2))
+        Cluster::build_with_faults(base_config(opts, conv.clone()), seed, fs_outage(layout, 2))
     });
     let agg = aggregate(label, &reports);
     let mut amr_p95 = Accumulator::new();

@@ -2,6 +2,7 @@
 
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe::workload::StreamingWorkload;
 use simnet::{FaultPlan, NetworkConfig, SimDuration, SimTime};
 use stats::{percentile, Summary};
 
@@ -48,10 +49,11 @@ pub fn paper_layout() -> ClusterLayout {
     }
 }
 
-fn base_config(opts: FigureOptions, conv: ConvergenceOptions) -> ClusterConfig {
+/// The paper's cluster running `opts`' workload under `conv`.
+pub fn base_config(opts: FigureOptions, conv: ConvergenceOptions) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = opts.puts;
-    cfg.workload_value_len = opts.value_len;
+    let workload = StreamingWorkload::numbered(opts.puts as u64, 1, opts.value_len, cfg.policy);
+    cfg.streaming_workload = Some(workload);
     cfg.convergence = conv;
     cfg
 }

@@ -14,7 +14,7 @@
 //! | Fig. 8 | [`figures::fig8`] / `fig8` | message bytes vs. unavailable KLSs (incl. the 2C/2P split) |
 //! | Fig. 9 | [`figures::fig9`] / `fig9` | lossy network: puts attempted, excess-AMR and non-durable versions vs. drop rate |
 //!
-//! Methodology follows §5.1: the standard workload is 100 puts of 100 KiB
+//! Methodology follows §5.1: the workload is 100 puts of 100 KiB
 //! objects under the default `(4, 12)` policy on a 2×(2 KLS + 3 FS)
 //! cluster; every experiment runs until all object versions that can
 //! achieve AMR do so; results are means over 50 seeded trials (150 for the

@@ -212,11 +212,11 @@ pub fn aggregate(label: impl Into<String>, reports: &[ConvergenceReport]) -> Con
 mod tests {
     use super::*;
     use pahoehoe::cluster::ClusterConfig;
+    use pahoehoe::workload::StreamingWorkload;
 
     fn tiny(seed: u64) -> Cluster {
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 2;
-        cfg.workload_value_len = 2048;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(2, 1, 2048, cfg.policy));
         Cluster::build(cfg, seed)
     }
 

@@ -408,8 +408,9 @@ mod tests {
 
         // A lossy faulted run must produce per-kind fault/random cells.
         let mut cfg = pahoehoe::cluster::ClusterConfig::paper_default();
-        cfg.workload_puts = 2;
-        cfg.workload_value_len = 2048;
+        cfg.streaming_workload = Some(pahoehoe::workload::StreamingWorkload::numbered(
+            2, 1, 2048, cfg.policy,
+        ));
         cfg.network.drop_rate = 0.1;
         let layout = cfg.layout;
         let reports = crate::runner::run_many(0..2, |seed| {

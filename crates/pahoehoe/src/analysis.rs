@@ -10,9 +10,9 @@
 //!   complete metadata for it and every sibling FS stores both complete
 //!   metadata and all of its assigned sibling fragments.
 //!
-//! Under converged-version compaction an FS may hold only a residual record
-//! of a superseded version; since compaction requires the version to have
-//! settled AMR first, a residual counts as stored on both definitions.
+//! Under converged-version compaction an FS may hold only a residual of a
+//! superseded version: it counts as stored for AMR (which compaction
+//! requires first), and as durable only while a newer version of its key is.
 
 use std::collections::BTreeSet;
 
@@ -24,35 +24,58 @@ use crate::messages::Message;
 use crate::topology::Topology;
 use crate::types::ObjectVersion;
 
-/// Object versions with at least `k` distinct fragments stored across the
-/// given fragment servers: the versions they know of that pass
-/// [`is_durable`].
+/// Object versions that pass [`is_durable`], of those the given fragment
+/// servers know: one pass over them, newest first, so a compacted version
+/// comes after every newer version of its key.
 pub fn durable_versions(sim: &Simulation<Message>, fss: &[NodeId]) -> BTreeSet<ObjectVersion> {
     let mut seen: BTreeSet<ObjectVersion> = BTreeSet::new();
     for &fs in fss {
         seen.extend(sim.actor::<Fs>(fs).known_versions());
     }
-    seen.retain(|&ov| is_durable(sim, fss, ov));
-    seen
+    let mut newer = None; // the key of the last version walked that holds `k`
+    seen.into_iter()
+        .rev()
+        .filter(|&ov| {
+            if newer == Some(ov.key) && compacted(sim, fss, ov) {
+                return true;
+            }
+            let holds = holds_k(sim, fss, ov);
+            newer = if holds { Some(ov.key) } else { newer };
+            holds
+        })
+        .collect()
 }
 
-/// Whether at least `k` distinct fragments of `ov` are stored across the
-/// given fragment servers. A version some FS has compacted to a residual
-/// counts as durable: compaction only happens after the version settled
-/// AMR, and the residual is the record that its fragments were stored.
+/// Whether at least `k` distinct live fragments of `ov` are stored across
+/// the given fragment servers, or some FS compacted `ov` and a strictly
+/// newer version of its key has `k`: a compacted version's own fragments
+/// are freed.
 pub fn is_durable(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
+    holds_k(sim, fss, ov)
+        || (compacted(sim, fss, ov)
+            && fss
+                .iter()
+                .flat_map(|&fs| sim.actor::<Fs>(fs).live_versions_of(ov.key))
+                .any(|v| v.ts > ov.ts && holds_k(sim, fss, v)))
+}
+
+/// Whether `k` distinct live fragments of `ov` are stored across `fss`.
+fn holds_k(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
     let mut distinct: BTreeSet<u8> = BTreeSet::new();
     let mut k = None;
     for &fs in fss {
-        let actor = sim.actor::<Fs>(fs);
-        if let Some(entry) = actor.entry(ov) {
+        if let Some(entry) = sim.actor::<Fs>(fs).entry(ov) {
             k = Some(entry.meta.policy().k);
             distinct.extend(entry.fragments.keys().copied());
-        } else if actor.compacted_residual(ov).is_some() {
-            return true;
         }
     }
     k.is_some_and(|k| distinct.len() >= usize::from(k))
+}
+
+/// Whether some FS of `fss` compacted `ov` to a residual.
+fn compacted(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
+    fss.iter()
+        .any(|&fs| sim.actor::<Fs>(fs).compacted_residual(ov).is_some())
 }
 
 /// Every object version any KLS or FS has heard of.

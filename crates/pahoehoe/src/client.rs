@@ -214,41 +214,6 @@ impl Client {
         }
     }
 
-    /// Builds the paper's standard workload: `count` puts of `value_len`
-    /// bytes each, with deterministic per-key contents.
-    pub fn standard_workload(
-        proxy: NodeId,
-        count: usize,
-        value_len: usize,
-        policy: Policy,
-    ) -> Self {
-        Self::standard_workload_rounds(proxy, count, value_len, policy, 1)
-    }
-
-    /// The standard workload repeated `rounds` times: every round puts
-    /// each key once, with the same key-derived contents each round, so
-    /// `rounds > 1` turns the insert-only script into an overwrite stream
-    /// while staying compatible with byte-level durability checks (the
-    /// blob for a key never changes across rounds).
-    pub fn standard_workload_rounds(
-        proxy: NodeId,
-        count: usize,
-        value_len: usize,
-        policy: Policy,
-        rounds: usize,
-    ) -> Self {
-        let script = (0..rounds.max(1))
-            .flat_map(|_| {
-                (0..count).map(move |i| ClientOp::Put {
-                    key: Key::from_u64(i as u64 + 1),
-                    value: Self::synthetic_value(i as u64, value_len),
-                    policy,
-                })
-            })
-            .collect();
-        Client::new(proxy, script)
-    }
-
     /// Creates a client that synthesizes its puts one at a time from a
     /// [`StreamingWorkload`] — constant memory in the workload size.
     pub fn streaming(proxy: NodeId, workload: StreamingWorkload) -> Self {
@@ -512,22 +477,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 256);
-    }
-
-    #[test]
-    fn standard_workload_has_one_put_per_key() {
-        let c = Client::standard_workload(NodeId::new(0), 5, 128, Policy::paper_default());
-        assert_eq!(c.script.len(), 5);
-        let keys: BTreeSet<Key> = c
-            .script
-            .iter()
-            .map(|op| match op {
-                ClientOp::Put { key, .. } => *key,
-                ClientOp::Get { key } => *key,
-            })
-            .collect();
-        assert_eq!(keys.len(), 5);
-        assert!(!c.is_done());
     }
 
     fn outcome(i: u64) -> GetOutcome {

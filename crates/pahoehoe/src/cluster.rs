@@ -29,6 +29,7 @@ use crate::proxy::{Proxy, ProxyConfig};
 use crate::repair::RepairActor;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, ID_LIMIT, MICROS_LIMIT};
+use crate::workload::StreamingWorkload;
 
 /// Deterministic node-id layout for a cluster shape, computable *before*
 /// the simulation is built — fault plans (which need node ids) can then be
@@ -139,30 +140,17 @@ pub struct ClusterConfig {
     /// Convergence configuration for every FS (and the proxy's Put-AMR
     /// switch).
     pub convergence: ConvergenceOptions,
-    /// Protocol behaviour switches (converged-version compaction, batched
-    /// rounds; see [`crate::protocol`]) for every actor in the cluster.
-    /// Both off by default.
+    /// The protocol mode every actor runs: batched rounds or not (see
+    /// [`crate::protocol`]; off by default). Every mode compacts.
     pub protocol: ProtocolMode,
     /// Proxy timeouts and clock skew.
     pub proxy: ProxyConfig,
     /// Network latency and loss model.
     pub network: NetworkConfig,
-    /// Size of the standard workload (number of puts; 0 = no scripted
-    /// workload, drive the cluster via [`Cluster::put`]/[`Cluster::get`]).
-    pub workload_puts: usize,
-    /// Value size for the standard workload.
-    pub workload_value_len: usize,
-    /// Rounds of the standard workload: each round puts every key once
-    /// with the same key-derived contents, so `> 1` turns the insert-only
-    /// script into an overwrite stream without breaking byte-level
-    /// durability checks. `1` is the paper's workload, byte-identical to
-    /// the historical script.
-    pub workload_rounds: usize,
-    /// A constant-memory streamed workload (takes precedence over the
-    /// standard workload): the client synthesizes each put from
-    /// `(seed, index)` instead of materializing a script —
-    /// `pahoehoe-sim --keys`, the scale tier's million-key mode.
-    pub streaming_workload: Option<crate::workload::StreamingWorkload>,
+    /// The primary client's workload, synthesized one put at a time (the
+    /// paper's script is [`StreamingWorkload::numbered`]). `None`, the
+    /// default, leaves the cluster to [`Cluster::put`]/[`Cluster::get`].
+    pub streaming_workload: Option<StreamingWorkload>,
     /// Virtual-time safety deadline for [`Cluster::run_to_convergence`].
     pub max_sim_time: SimDuration,
     /// Failure-domain modeling: `Some(r)` partitions each data center's
@@ -189,9 +177,6 @@ impl ClusterConfig {
             protocol: ProtocolMode::default(),
             proxy: ProxyConfig::default(),
             network: NetworkConfig::paper_default(),
-            workload_puts: 0,
-            workload_value_len: 100 * 1024,
-            workload_rounds: 1,
             streaming_workload: None,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             racks_per_dc: None,
@@ -345,13 +330,7 @@ impl Cluster {
 
         let client = match &config.streaming_workload {
             Some(stream) => Client::streaming(proxy_id, stream.clone()),
-            None => Client::standard_workload_rounds(
-                proxy_id,
-                config.workload_puts,
-                config.workload_value_len,
-                config.policy,
-                config.workload_rounds,
-            ),
+            None => Client::new(proxy_id, Vec::new()),
         };
         let client_id = sim.add_actor(client);
         debug_assert_eq!(client_id, layout.client());

@@ -5,13 +5,17 @@ use simnet::SimDuration;
 
 use crate::repair::RepairOptions;
 
+/// Period of [synchronized](RoundSchedule::Synchronized) rounds: the
+/// midpoint of the paper's 30–90 s range. Every FS fires at its multiples.
+pub const SYNC_PERIOD: SimDuration = SimDuration::from_secs(60);
+
 /// How fragment servers schedule their periodic convergence rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundSchedule {
-    /// Every FS fires rounds at the same fixed phase and period. This is
-    /// the worst case for the FS-AMR-indication optimization (the paper's
-    /// *FSAMR-S* configuration): sibling steps run simultaneously, so the
-    /// indications arrive too late to save work.
+    /// Every FS fires rounds at the same multiples of [`SYNC_PERIOD`].
+    /// This is the worst case for the FS-AMR-indication optimization (the
+    /// paper's *FSAMR-S* configuration): sibling steps run simultaneously,
+    /// so the indications arrive too late to save work.
     Synchronized,
     /// Rounds are "scheduled uniformly randomly between every 30 and 90
     /// seconds" (§4.1), de-synchronizing siblings so one FS's indication
@@ -65,9 +69,6 @@ pub struct ConvergenceOptions {
     pub round_min: SimDuration,
     /// Upper bound of the unsynchronized round interval (paper: 90 s).
     pub round_max: SimDuration,
-    /// Fixed period of synchronized rounds (midpoint of the paper's
-    /// 30–90 s range).
-    pub sync_period: SimDuration,
     /// Exponential-backoff base for repeatedly unsuccessful convergence
     /// steps on one object version (§3.5: "the older the non-AMR object
     /// version, the longer before a convergence step is tried again").
@@ -113,7 +114,6 @@ impl ConvergenceOptions {
             min_age: SimDuration::ZERO,
             round_min: SimDuration::from_secs(30),
             round_max: SimDuration::from_secs(90),
-            sync_period: SimDuration::from_secs(60),
             backoff_base: SimDuration::from_secs(60),
             backoff_cap: SimDuration::from_secs(600),
             give_up_age: None,

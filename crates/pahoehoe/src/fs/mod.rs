@@ -71,7 +71,7 @@ use crate::metadata::Metadata;
 use crate::protocol::{FragMap, ProtocolMode};
 use crate::repair::REPORT_INTERVAL;
 use crate::topology::{DataCenterId, Topology};
-use crate::types::ObjectVersion;
+use crate::types::{Key, ObjectVersion};
 
 use rounds::Outbox;
 use store::{Slot, VersionStore};
@@ -277,6 +277,11 @@ impl Fs {
     /// Every version present in the fragment store.
     pub fn known_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
         self.store.known_versions()
+    }
+
+    /// `key`'s versions that still hold a full entry, oldest first.
+    pub fn live_versions_of(&self, key: Key) -> impl Iterator<Item = ObjectVersion> + '_ {
+        self.store.live_versions_of(key)
     }
 
     /// Versions abandoned after exceeding the give-up age.

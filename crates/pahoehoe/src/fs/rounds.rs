@@ -11,7 +11,7 @@ use simnet::{Context, NodeId, SimTime};
 
 use super::store::{ConvWork, RecoveryPhase, Slot, Step};
 use super::{FragEntry, Fs, TAG_ROUND};
-use crate::convergence::RoundSchedule;
+use crate::convergence::{RoundSchedule, SYNC_PERIOD};
 use crate::messages::Message;
 use crate::metadata::Metadata;
 use crate::protocol::{FragMap, FragMask};
@@ -88,7 +88,7 @@ impl Fs {
             }
             RoundSchedule::Synchronized => {
                 // Fire at the next global multiple of the period.
-                let period = self.opts.sync_period.as_micros();
+                let period = SYNC_PERIOD.as_micros();
                 let now = ctx.now().as_micros();
                 let next = (now / period + 1) * period;
                 simnet::SimDuration::from_micros(next - now)

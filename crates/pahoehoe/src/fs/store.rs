@@ -405,6 +405,15 @@ impl VersionStore {
         out.extend(self.index.iter().map(|(&ov, &at)| Slot { at, ov }));
     }
 
+    /// `key`'s live versions, oldest first.
+    pub(super) fn live_versions_of(&self, key: Key) -> impl Iterator<Item = ObjectVersion> + '_ {
+        let first = ObjectVersion::new(key, Timestamp::MIN);
+        self.index
+            .range(first..)
+            .map(|(&ov, _)| ov)
+            .take_while(move |ov| ov.key == key)
+    }
+
     pub(super) fn pending_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
         self.pending.iter().map(|&s| live(&self.slots, s).ov)
     }

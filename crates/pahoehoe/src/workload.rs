@@ -3,8 +3,8 @@
 //! A [`StreamingWorkload`] synthesizes each put from `(seed, index)` —
 //! key popularity from a [`KeyDistribution`], the value from the key — so
 //! a million-put stream costs no more resident memory than a ten-put one.
-//! The paper's fixed-size script is `Client::standard_workload_rounds`;
-//! any other script is a sequence of `Cluster::put` calls.
+//! The paper's script is [`StreamingWorkload::numbered`]; any other script
+//! is a sequence of `Cluster::put` calls.
 
 use bytes::Bytes;
 
@@ -29,6 +29,9 @@ fn mix64(x: u64) -> u64 {
 /// and no per-key state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDistribution {
+    /// [`Sequential`](Self::Sequential), but the key is the rank itself,
+    /// not a fingerprint of it ([`StreamingWorkload::numbered`]).
+    Numbered,
     /// Put `i` writes rank `i % key_space + 1`: every key exactly once
     /// when `puts == key_space` (the insert-only scale shape).
     Sequential,
@@ -55,11 +58,11 @@ pub enum KeyDistribution {
 /// put from `(seed, i)` alone, so a million-key workload costs no more
 /// resident memory than a ten-key one — no key vector, no value table.
 ///
-/// Keys are fingerprints of the sampled popularity rank, so key
-/// popularity follows the configured distribution while the key *values*
-/// spread uniformly over the 64-bit space (shard-friendly). Values follow
-/// the standard-workload convention — the blob for key `k` is
-/// [`Client::synthetic_value`]`(k - 1, value_len)` — so the durability
+/// Keys are fingerprints of the sampled popularity rank (but for
+/// [`KeyDistribution::Numbered`]), so key popularity follows the
+/// configured distribution while the key *values* spread uniformly over
+/// the 64-bit space (shard-friendly). The blob for key `k` is
+/// [`Client::synthetic_value`]`(k - 1, value_len)`, so the durability
 /// invariants can reconstruct any expected blob from the key alone.
 ///
 /// ```
@@ -90,26 +93,36 @@ pub struct StreamingWorkload {
     pub seed: u64,
     /// Key-popularity shape.
     pub dist: KeyDistribution,
-    /// Overwrite correlation: the fraction of bytes (in 1/1000) each put
-    /// rewrites inside a fixed per-key window, with contents that vary by
-    /// put index. `0` keeps the standard key-derived blobs — required
-    /// whenever byte-level durability checks are installed, since those
-    /// reconstruct the expected blob from the key alone. Nonzero values
-    /// make windowed overwrites: successive puts to the same key differ
-    /// only within the window. Nothing in the workspace sets it above 0
-    /// except its own test; it stays because `benchmark/src/api.rs` names
-    /// it, and goes with that reference in ROADMAP item 1's `[benchmark]`
-    /// change.
+    /// Overwrite correlation: each put rewrites this fraction of its bytes
+    /// (in 1/1000) inside a fixed per-key window, with contents that vary by
+    /// put index. Byte-level durability checks need `0`, the key-derived
+    /// blobs. Only its own test sets it above 0; it goes with its reference
+    /// in `benchmark/src/api.rs` in ROADMAP item 6(c).
     pub overwrite_delta_permille: u16,
 }
 
 impl StreamingWorkload {
+    /// The paper's script (§5.1), `rounds` times: keys `1..=keys` in order,
+    /// each with its key-derived blob, so later rounds overwrite every key
+    /// with the same bytes.
+    pub fn numbered(keys: u64, rounds: u64, value_len: usize, policy: Policy) -> Self {
+        StreamingWorkload {
+            puts: keys * rounds,
+            key_space: keys,
+            value_len,
+            policy,
+            seed: 0,
+            dist: KeyDistribution::Numbered,
+            overwrite_delta_permille: 0,
+        }
+    }
+
     /// The popularity rank (`1..=key_space`) put `i` writes.
     pub fn rank_at(&self, i: u64) -> u64 {
         let n = self.key_space.max(1);
         let draw = mix64(self.seed ^ mix64(i));
         match self.dist {
-            KeyDistribution::Sequential => i % n + 1,
+            KeyDistribution::Numbered | KeyDistribution::Sequential => i % n + 1,
             KeyDistribution::Uniform => draw % n + 1,
             KeyDistribution::Zipf { exponent } => {
                 // Invert the continuous Zipf CDF: for s != 1 the mass below
@@ -140,9 +153,14 @@ impl StreamingWorkload {
     }
 
     /// The key put `i` writes: a 64-bit fingerprint of its rank (uniform
-    /// over the key space regardless of the popularity shape).
+    /// over the key space regardless of the popularity shape), or under
+    /// [`KeyDistribution::Numbered`] the rank itself.
     pub fn key_at(&self, i: u64) -> Key {
-        Key::from_u64(mix64(self.seed ^ self.rank_at(i)) | 1)
+        let rank = self.rank_at(i);
+        match self.dist {
+            KeyDistribution::Numbered => Key::from_u64(rank),
+            _ => Key::from_u64(mix64(self.seed ^ rank) | 1),
+        }
     }
 
     /// Synthesizes put `i` — value bytes included — in O(`value_len`).
@@ -215,6 +233,29 @@ mod tests {
     }
 
     #[test]
+    fn numbered_stream_is_the_papers_script() {
+        let policy = Policy::paper_default();
+        let mut wl = StreamingWorkload::numbered(5, 2, 128, policy);
+        assert_eq!(wl.puts, 10);
+        for seed in [0, 7] {
+            wl.seed = seed;
+            for i in 0..wl.puts {
+                let ClientOp::Put {
+                    key,
+                    value,
+                    policy: p,
+                } = wl.op_at(i)
+                else {
+                    panic!("streams are puts")
+                };
+                assert_eq!(key, Key::from_u64(i % 5 + 1), "put {i}, seed {seed}");
+                assert_eq!(value, Client::synthetic_value(i % 5, 128), "put {i}");
+                assert_eq!(p, policy);
+            }
+        }
+    }
+
+    #[test]
     fn sequential_stream_covers_the_key_space_exactly() {
         let mut wl = stream(KeyDistribution::Sequential);
         wl.puts = wl.key_space;
@@ -283,7 +324,7 @@ mod tests {
         let lo = (*changed.first().unwrap()).min(*changed2.first().unwrap());
         let hi = (*changed.last().unwrap()).max(*changed2.last().unwrap());
         assert!(hi - lo < w, "both diffs share one {w}-byte window");
-        // Zero keeps the standard key-derived convention byte-for-byte.
+        // Zero keeps the key-derived convention byte-for-byte.
         wl.overwrite_delta_permille = 0;
         let ClientOp::Put { value: plain, .. } = wl.op_at(i) else {
             panic!("put")
@@ -297,6 +338,7 @@ mod tests {
     #[test]
     fn streaming_ranks_stay_in_range() {
         for dist in [
+            KeyDistribution::Numbered,
             KeyDistribution::Sequential,
             KeyDistribution::Uniform,
             KeyDistribution::Zipf { exponent: 1.0 },

@@ -68,7 +68,6 @@ fn run_update_heavy(
     let mut cfg = ClusterConfig::paper_default();
     cfg.layout = layout;
     cfg.protocol = mode;
-    cfg.workload_value_len = sc.value_len;
     cfg.streaming_workload = Some(StreamingWorkload {
         puts,
         key_space,

@@ -10,17 +10,23 @@ use pahoehoe::fs::Fs;
 use pahoehoe::kls::Kls;
 use pahoehoe::protocol::ProtocolMode;
 use pahoehoe::types::{Key, ObjectVersion};
+use pahoehoe::workload::StreamingWorkload;
 use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
 
-fn small_workload(mut cfg: ClusterConfig, puts: usize) -> ClusterConfig {
-    cfg.workload_puts = puts;
-    cfg.workload_value_len = 8 * 1024;
+/// `cfg` with the paper's script over `keys` keys of 8 KiB, `rounds` times.
+fn small_workload(mut cfg: ClusterConfig, keys: u64, rounds: u64) -> ClusterConfig {
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(
+        keys,
+        rounds,
+        8 * 1024,
+        cfg.policy,
+    ));
     cfg
 }
 
 #[test]
 fn failure_free_with_all_optimizations_needs_no_convergence() {
-    let cfg = small_workload(ClusterConfig::paper_default(), 10);
+    let cfg = small_workload(ClusterConfig::paper_default(), 10, 1);
     let mut cluster = Cluster::build(cfg, 1);
     let report = cluster.run_to_convergence();
     assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
@@ -43,7 +49,7 @@ fn failure_free_with_all_optimizations_needs_no_convergence() {
 
 #[test]
 fn failure_free_naive_converges_with_probes() {
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 10);
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 10, 1);
     cfg.convergence = ConvergenceOptions::naive();
     let mut cluster = Cluster::build(cfg, 2);
     let report = cluster.run_to_convergence();
@@ -69,7 +75,7 @@ fn fs_outage_is_repaired_by_convergence() {
     let mut faults = FaultPlan::none();
     // One FS in DC0 is unreachable for 10 minutes from the start.
     faults.add_node_outage(layout.fs(0, 0), SimTime::ZERO, SimDuration::from_mins(10));
-    let cfg = small_workload(ClusterConfig::paper_default(), 5);
+    let cfg = small_workload(ClusterConfig::paper_default(), 5, 1);
     let mut cluster = Cluster::build_with_faults(cfg, 3, faults);
     let report = cluster.run_to_convergence();
     assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
@@ -96,7 +102,7 @@ fn returned_fs_does_not_wait_min_age_again() {
     let outage_end = SimTime::ZERO + start + len;
     let mut faults = FaultPlan::none();
     faults.add_node_outage(layout.fs(0, 0), SimTime::ZERO + start, len);
-    let cfg = small_workload(ClusterConfig::paper_default(), 0);
+    let cfg = ClusterConfig::paper_default();
     let mut cluster = Cluster::build_with_faults(cfg, 12, faults);
     cluster.sim_mut().run_until_time(SimTime::ZERO + start);
     for i in 0..20u8 {
@@ -153,7 +159,7 @@ fn returned_fs_is_reprobed_without_waiting_out_a_capped_back_off() {
     let outage_end = SimTime::ZERO + start + len;
     let mut faults = FaultPlan::none();
     faults.add_node_outage(layout.fs(0, 0), SimTime::ZERO + start, len);
-    let cfg = small_workload(ClusterConfig::paper_default(), 0);
+    let cfg = ClusterConfig::paper_default();
     let mut cluster = Cluster::build_with_faults(cfg, 14, faults);
     for i in 0..24u8 {
         let at = SimTime::ZERO + start + SimDuration::from_secs(100 * u64::from(i));
@@ -183,7 +189,7 @@ fn min_age_still_holds_back_young_versions() {
     // The other side: 1 % loss and no outage. Lost `StoreFragment`s and
     // indications leave versions pending, and none of them may be stepped
     // before the first put's stamp + min_age.
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 40);
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 40, 1);
     cfg.network = NetworkConfig::with_drop_rate(0.01);
     let min_age = cfg.convergence.min_age;
     let mut cluster = Cluster::build(cfg, 13);
@@ -237,7 +243,7 @@ fn wan_partition_preserves_availability_and_heals() {
         SimTime::ZERO,
         SimDuration::from_mins(10),
     );
-    let cfg = small_workload(ClusterConfig::paper_default(), 5);
+    let cfg = small_workload(ClusterConfig::paper_default(), 5, 1);
     let mut cluster = Cluster::build_with_faults(cfg, 4, faults);
     let report = cluster.run_to_convergence();
     assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
@@ -266,7 +272,7 @@ fn whole_dc_blackout_with_loss_converges() {
     for node in layout.dc_nodes(1) {
         faults.add_node_outage(node, SimTime::ZERO, SimDuration::from_secs(300));
     }
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 3);
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 3, 1);
     cfg.network = NetworkConfig::with_drop_rate(0.02);
     let mut cluster = Cluster::build_with_faults(cfg, 42, faults);
     let r = cluster.run_to_convergence();
@@ -286,7 +292,7 @@ fn whole_dc_blackout_with_loss_converges() {
 
 #[test]
 fn lossy_network_eventually_converges() {
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 10);
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 10, 1);
     cfg.network = NetworkConfig::with_drop_rate(0.10);
     let mut cluster = Cluster::build(cfg, 5);
     let report = cluster.run_to_convergence();
@@ -326,8 +332,7 @@ fn report_counts_compacted_versions_as_durable_and_amr() {
     // version but the newest of each key is superseded once AMR, so the
     // FSs collapse them to residual records. The ledger must still count
     // them — compaction only happens after a version reached AMR.
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 4);
-    cfg.workload_rounds = 3;
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 4, 3);
     cfg.protocol = ProtocolMode::scale();
     let mut cluster = Cluster::build(cfg, 8);
     let report = cluster.run_to_convergence();
@@ -403,10 +408,9 @@ fn durable_versions_are_the_known_versions_is_durable_accepts() {
     // version) agree on a lossy run that leaves a version non-durable, a
     // compacting one and one with FS outages, at every stage of each.
     let layout = ClusterConfig::paper_default().layout;
-    let mut lossy = small_workload(ClusterConfig::paper_default(), 60);
+    let mut lossy = small_workload(ClusterConfig::paper_default(), 60, 1);
     lossy.network = NetworkConfig::with_drop_rate(0.15);
-    let mut compacting = small_workload(ClusterConfig::paper_default(), 4);
-    compacting.workload_rounds = 3;
+    let mut compacting = small_workload(ClusterConfig::paper_default(), 4, 3);
     compacting.protocol = ProtocolMode::scale();
     let mut outages = FaultPlan::none();
     outages.add_node_outage(layout.fs(0, 0), SimTime::ZERO, SimDuration::from_mins(10));
@@ -415,7 +419,7 @@ fn durable_versions_are_the_known_versions_is_durable_accepts() {
         (lossy, FaultPlan::none(), 7),
         (compacting, FaultPlan::none(), 8),
         (
-            small_workload(ClusterConfig::paper_default(), 5),
+            small_workload(ClusterConfig::paper_default(), 5, 1),
             outages,
             3,
         ),
@@ -446,13 +450,61 @@ fn durable_versions_are_the_known_versions_is_durable_accepts() {
 }
 
 #[test]
+fn a_compacted_version_is_durable_only_while_a_newer_one_holds_k_fragments() {
+    // One key put twice: every FS compacts v1 once v2 settles, so v1 is
+    // durable through v2 alone. Destroying every disk that holds a
+    // fragment of v2 leaves v1 with nothing to be read from.
+    let mut cfg = ClusterConfig::paper_default();
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(1, 2, 1024, cfg.policy));
+    let mut cluster = Cluster::build(cfg, 1);
+    let report = cluster.run_to_convergence();
+    assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+    let acked: Vec<ObjectVersion> = cluster
+        .client()
+        .success_versions()
+        .iter()
+        .copied()
+        .collect();
+    let [v1, v2] = acked[..] else {
+        panic!("two acked versions, not {acked:?}")
+    };
+    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
+    assert!(analysis::is_durable(cluster.sim(), &fss, v1));
+    assert!(analysis::durable_versions(cluster.sim(), &fss).contains(&v1));
+
+    let now = cluster.sim().now();
+    for &id in &fss {
+        let disks: BTreeSet<u8> = cluster.fs(id).entry(v2).map_or_else(BTreeSet::new, |e| {
+            e.meta
+                .assignments()
+                .filter(|(_, loc)| loc.fs() == id)
+                .map(|(_, loc)| loc.disk())
+                .collect()
+        });
+        let fs = cluster.sim_mut().actor_mut::<Fs>(id);
+        for disk in disks {
+            fs.destroy_disk(disk, now);
+        }
+    }
+    let sim = cluster.sim();
+    assert!(fss
+        .iter()
+        .all(|&id| sim.actor::<Fs>(id).entry(v2).unwrap().fragments.is_empty()));
+    assert!(!analysis::is_durable(sim, &fss, v2));
+    assert!(
+        !analysis::is_durable(sim, &fss, v1),
+        "v1's fragments were freed"
+    );
+    assert!(analysis::durable_versions(sim, &fss).is_empty());
+}
+
+#[test]
 fn fs_slots_follow_live_versions_not_puts() {
     // 50 overwrite rounds over 20 keys: 1 000 versions reach every FS, but
     // once converged only the newest of each key still holds fragments.
     // Compaction gives the other 980 slots back, so the slab is sized by
     // the live versions, and every version is accounted for exactly once.
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 20);
-    cfg.workload_rounds = 50;
+    let mut cfg = small_workload(ClusterConfig::paper_default(), 20, 50);
     cfg.protocol = ProtocolMode::scale();
     let mut cluster = Cluster::build(cfg, 10);
     let report = cluster.run_to_convergence();
@@ -498,7 +550,7 @@ fn gets_are_all_counted_and_the_newest_retained() {
 #[test]
 fn identical_seeds_reproduce_identical_runs() {
     let run = |seed| {
-        let cfg = small_workload(ClusterConfig::paper_default(), 5);
+        let cfg = small_workload(ClusterConfig::paper_default(), 5, 1);
         let mut cluster = Cluster::build(cfg, seed);
         let r = cluster.run_to_convergence();
         (
@@ -520,14 +572,14 @@ fn one_metadata_allocation_per_amr_version() {
     // quiescence every server that still stores the record must hold the
     // *same* allocation — merging adopts the superset snapshot instead of
     // copying it.
-    let mut cfg = small_workload(ClusterConfig::paper_default(), 6);
+    let mut cfg = ClusterConfig::paper_default();
     cfg.layout = ClusterLayout {
         dcs: 4,
         kls_per_dc: 2,
         fs_per_dc: 4,
     };
     cfg.policy = pahoehoe::Policy::new(4, 16, 4, 1);
-    cfg.workload_rounds = 2;
+    let mut cfg = small_workload(cfg, 6, 2);
     cfg.protocol = ProtocolMode::scale();
     let mut cluster = Cluster::build(cfg, 42);
     let report = cluster.run_to_convergence();

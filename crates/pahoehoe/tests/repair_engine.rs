@@ -7,14 +7,14 @@ use pahoehoe::cluster::{Cluster, ClusterConfig};
 use pahoehoe::fs::Fs;
 use pahoehoe::repair::RepairOptions;
 use pahoehoe::types::{Key, ObjectVersion};
+use pahoehoe::workload::StreamingWorkload;
 use simnet::{NodeId, RunOutcome, SimDuration};
 
-fn repair_cfg(puts: usize) -> ClusterConfig {
+fn repair_cfg(puts: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_default();
     cfg.convergence.repair = Some(RepairOptions::paper_default());
     cfg.racks_per_dc = Some(3);
-    cfg.workload_puts = puts;
-    cfg.workload_value_len = 8 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(puts, 1, 8 * 1024, cfg.policy));
     cfg
 }
 
@@ -237,8 +237,7 @@ fn repair_is_not_triggered_above_threshold() {
 #[test]
 fn paced_scrub_detects_corruption_without_starving_the_protocol() {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 10;
-    cfg.workload_value_len = 128 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(10, 1, 128 * 1024, cfg.policy));
     // 128 KiB values fragment to 32 KiB, so a tick's 64 KiB budget
     // re-hashes two fragments and a full pass takes multiple ticks.
     cfg.convergence.scrub_interval = Some(SimDuration::from_secs(5));

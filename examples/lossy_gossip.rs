@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release --example lossy_gossip`
 
 use pahoehoe::cluster::{Cluster, ClusterConfig};
+use pahoehoe::workload::StreamingWorkload;
 use simnet::NetworkConfig;
 use stats::Accumulator;
 
@@ -26,8 +27,8 @@ fn main() {
         let mut sim_secs = Accumulator::new();
         for seed in 0..5 {
             let mut cfg = ClusterConfig::paper_default();
-            cfg.workload_puts = 25;
-            cfg.workload_value_len = 32 * 1024;
+            cfg.streaming_workload =
+                Some(StreamingWorkload::numbered(25, 1, 32 * 1024, cfg.policy));
             cfg.network = NetworkConfig::with_drop_rate(drop);
             let mut cluster = Cluster::build(cfg, seed);
             let report = cluster.run_to_convergence();

@@ -13,13 +13,13 @@
 use pahoehoe_repro::pahoehoe::analysis;
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig};
 use pahoehoe_repro::pahoehoe::protocol::ProtocolMode;
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::simnet::{NetworkConfig, RunOutcome};
 
 /// The paper's cluster at 5 % loss: every acknowledged put ends AMR.
 fn every_acked_put_ends_amr(protocol: ProtocolMode, seed: u64) {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 300;
-    cfg.workload_value_len = 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(300, 1, 1024, cfg.policy));
     cfg.network = NetworkConfig::with_drop_rate(0.05);
     cfg.protocol = protocol;
     let mut cluster = Cluster::build(cfg, seed);

@@ -14,6 +14,7 @@
 
 use pahoehoe_repro::pahoehoe::analysis;
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, SimDuration, SimTime};
 
 #[test]
@@ -92,8 +93,7 @@ fn amr_is_stable_across_later_failures() {
     let mut faults = FaultPlan::none();
     faults.add_node_outage(layout.fs(0, 0), outage_start, SimDuration::from_mins(10));
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 5;
-    cfg.workload_value_len = 4096;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 4096, cfg.policy));
     let mut cluster = Cluster::build_with_faults(cfg, 11, faults);
     let before = cluster.run_to_convergence();
     assert_eq!(before.amr_versions, 5);
@@ -151,8 +151,7 @@ fn eventual_consistency_under_randomized_fault_schedules() {
             );
         }
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 5;
-        cfg.workload_value_len = 4096;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 4096, cfg.policy));
         cfg.network = NetworkConfig::with_drop_rate(next(8) as f64 / 100.0);
         let mut cluster = Cluster::build_with_faults(cfg, seed, faults);
         let report = cluster.run_to_convergence();

@@ -6,6 +6,7 @@
 //! recovery pushes may all arrive twice.
 
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime};
 
 #[test]
@@ -14,8 +15,7 @@ fn cluster_state_is_identical_under_full_duplication() {
     // exactly the same logical state (same AMR count, same values).
     let run = |duplicate_rate: f64| {
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 8;
-        cfg.workload_value_len = 4096;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(8, 1, 4096, cfg.policy));
         cfg.network = NetworkConfig {
             duplicate_rate,
             ..NetworkConfig::paper_default()
@@ -36,8 +36,7 @@ fn cluster_state_is_identical_under_full_duplication() {
 #[test]
 fn duplicated_stores_do_not_double_fragments() {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 3;
-    cfg.workload_value_len = 2048;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 2048, cfg.policy));
     cfg.network = NetworkConfig {
         duplicate_rate: 1.0,
         ..NetworkConfig::paper_default()
@@ -77,8 +76,7 @@ fn duplication_combined_with_loss_and_outage_still_converges() {
     let mut faults = FaultPlan::none();
     faults.add_node_outage(layout.fs(1, 1), SimTime::ZERO, SimDuration::from_mins(10));
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 5;
-    cfg.workload_value_len = 4096;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 4096, cfg.policy));
     cfg.network = NetworkConfig {
         duplicate_rate: 0.2,
         drop_rate: 0.05,

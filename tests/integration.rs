@@ -4,13 +4,13 @@
 use pahoehoe_repro::pahoehoe::client::Client;
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::pahoehoe::Policy;
 use pahoehoe_repro::simnet::{FaultPlan, RunOutcome, SimDuration, SimTime};
 
-fn small(puts: usize) -> ClusterConfig {
+fn small(puts: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = puts;
-    cfg.workload_value_len = 8 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(puts, 1, 8 * 1024, cfg.policy));
     cfg
 }
 
@@ -217,8 +217,7 @@ fn three_data_centers_converge_too() {
         fs_per_dc: 3,
     };
     cfg.policy = Policy::new(4, 18, 3, 2);
-    cfg.workload_puts = 5;
-    cfg.workload_value_len = 8 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 8 * 1024, cfg.policy));
     let mut cluster = Cluster::build(cfg, 23);
     let report = cluster.run_to_convergence();
     assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
@@ -265,8 +264,7 @@ fn lan_wan_latency_classes_speed_up_local_work() {
             fs_per_dc: 6,
         };
         cfg.policy = Policy::new(4, 12, 1, 2);
-        cfg.workload_puts = 5;
-        cfg.workload_value_len = 8 * 1024;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 8 * 1024, cfg.policy));
         if lan {
             cfg.network = cfg.layout.lan_wan_network(
                 cfg.network.clone(),

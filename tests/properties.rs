@@ -7,6 +7,7 @@ use pahoehoe_repro::pahoehoe::analysis;
 use pahoehoe_repro::pahoehoe::client::{Client, ClientOp};
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::types::Key;
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::pahoehoe::Policy;
 use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -80,8 +81,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let mut cfg = ClusterConfig::paper_default();
-        cfg.workload_puts = 4;
-        cfg.workload_value_len = 4096;
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(4, 1, 4096, cfg.policy));
         cfg.network = NetworkConfig::with_drop_rate(drop_pct as f64 / 100.0);
         let mut cluster =
             Cluster::build_with_faults(cfg, seed, plan_from(&outages));
@@ -133,8 +133,7 @@ proptest! {
     ) {
         let run = || {
             let mut cfg = ClusterConfig::paper_default();
-            cfg.workload_puts = 3;
-            cfg.workload_value_len = 2048;
+            cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 2048, cfg.policy));
             let mut cluster =
                 Cluster::build_with_faults(cfg, seed, plan_from(&outages));
             let r = cluster.run_to_convergence();

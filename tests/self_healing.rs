@@ -3,6 +3,7 @@
 
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::simnet::SimDuration;
 
 fn layout() -> ClusterLayout {
@@ -15,8 +16,7 @@ fn layout() -> ClusterLayout {
 
 fn converged_cluster(scrub: Option<SimDuration>, seed: u64) -> Cluster {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 3;
-    cfg.workload_value_len = 8 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 8 * 1024, cfg.policy));
     cfg.convergence.scrub_interval = scrub;
     let mut cluster = Cluster::build(cfg, seed);
     let report = cluster.run_to_convergence();

@@ -15,6 +15,7 @@ use std::rc::Rc;
 
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
 use pahoehoe_repro::simnet::{FaultPlan, NodeId, SimDuration, SimTime, TraceEvent};
 
 fn layout() -> ClusterLayout {
@@ -43,8 +44,7 @@ fn wan_bytes(sibling_recovery: bool, seed: u64) -> (u64, u64) {
     let mut conv = ConvergenceOptions::all();
     conv.sibling_recovery = sibling_recovery;
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 10;
-    cfg.workload_value_len = 64 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(10, 1, 64 * 1024, cfg.policy));
     cfg.convergence = conv;
     let mut cluster = Cluster::build_with_faults(cfg, seed, faults);
     let trace = traced(&mut cluster);
@@ -105,8 +105,7 @@ fn fragment_stores_respect_dc_locality_during_partition() {
         faults.add_node_outage(l.kls(1, i), SimTime::ZERO, SimDuration::from_mins(10));
     }
     let mut cfg = ClusterConfig::paper_default();
-    cfg.workload_puts = 5;
-    cfg.workload_value_len = 32 * 1024;
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(5, 1, 32 * 1024, cfg.policy));
     let mut cluster = Cluster::build_with_faults(cfg, 9, faults);
     let trace = traced(&mut cluster);
     cluster.run_to_convergence();
