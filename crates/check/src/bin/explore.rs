@@ -13,8 +13,10 @@
 //!   full sweep);
 //! * `--seeds N` — override the number of seeds swept;
 //! * `--puts N`, `--value-len N` — the grid's workload shape;
-//! * `--inject-corruption` — deliberately corrupt a stored fragment at the
-//!   end of every scenario, to prove the checker catches it;
+//! * `--inject-corruption` — append a [`Step::CorruptFragment`] to every
+//!   scenario (the grid's, `--scale`'s and `--repair`'s), after its other
+//!   steps: a stored fragment is corrupted at the end of the run, to prove
+//!   the checker catches it;
 //! * `--trace-out PATH` — where to write the violation trace (default
 //!   `target/check-violation.trace`);
 //! * `--workers N` — fan the scenarios out over `N` worker threads through
@@ -47,7 +49,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use check::explorer::{self, Injection, Scenario, SweepConfig};
+use check::explorer::{self, Scenario, Step, SweepConfig};
 use pahoehoe::workload::StreamingWorkload;
 
 fn usage() -> ! {
@@ -65,7 +67,7 @@ fn main() -> ExitCode {
     let workload = Scenario::default().workload;
     let (mut puts, mut value_len, mut rounds) = (workload.key_space, workload.value_len, 1);
     let mut batch = false;
-    let mut injection = Injection::None;
+    let mut inject = false;
     let mut trace_out = PathBuf::from("target/check-violation.trace");
     let mut digest_out: Option<PathBuf> = None;
     let mut workers = 1usize;
@@ -85,7 +87,7 @@ fn main() -> ExitCode {
             "--seeds" => seeds = Some(num(&mut args) as u64),
             "--puts" => puts = num(&mut args) as u64,
             "--value-len" => value_len = num(&mut args),
-            "--inject-corruption" => injection = Injection::CorruptFragment,
+            "--inject-corruption" => inject = true,
             "--trace-out" => trace_out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--workers" => workers = num(&mut args),
             "--digest-out" => {
@@ -119,6 +121,11 @@ fn main() -> ExitCode {
     }
     if repair {
         scenarios.extend(Scenario::repair_families());
+    }
+    if inject {
+        for sc in &mut scenarios {
+            sc.steps.push(Step::CorruptFragment);
+        }
     }
 
     let total = scenarios.len();
@@ -173,7 +180,7 @@ fn main() -> ExitCode {
             );
         }
     };
-    let result = explorer::sweep(&scenarios, injection, workers, &mut on_scenario);
+    let result = explorer::sweep(&scenarios, workers, &mut on_scenario);
 
     if let Some(path) = &digest_out {
         if let Some(dir) = path.parent() {

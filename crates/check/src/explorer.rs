@@ -19,71 +19,23 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use pahoehoe::analysis;
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe::convergence::ConvergenceOptions;
 use pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
 use pahoehoe::protocol::ProtocolMode;
 use pahoehoe::repair::RepairOptions;
-use pahoehoe::types::{Key, ObjectVersion};
+use pahoehoe::types::Key;
 use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
-use pahoehoe::Policy;
-use simnet::{FaultPlan, NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime, TraceEvent};
+use pahoehoe::{Message, Policy};
+use simnet::{
+    FaultPlan, NetworkConfig, NodeId, Payload, RunOutcome, SimDuration, SimTime, TraceEvent,
+};
 
 use crate::invariants::{self, Checker, Invariant, Violation};
 
-/// The six convergence configurations evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preset {
-    /// Naïve convergence (§3.4).
-    Naive,
-    /// FS AMR indications, synchronized rounds (*FSAMR-S*).
-    FsAmrSynchronized,
-    /// FS AMR indications, unsynchronized rounds (*FSAMR-U*).
-    FsAmrUnsynchronized,
-    /// Proxy Put-AMR indications (*PutAMR*).
-    PutAmr,
-    /// Sibling fragment recovery (*Sibling*).
-    Sibling,
-    /// Every optimization (*All*).
-    All,
-}
-
-impl Preset {
-    /// All six presets, in the paper's presentation order.
-    pub const ALL: [Preset; 6] = [
-        Preset::Naive,
-        Preset::FsAmrSynchronized,
-        Preset::FsAmrUnsynchronized,
-        Preset::PutAmr,
-        Preset::Sibling,
-        Preset::All,
-    ];
-
-    /// The paper's label for this configuration.
-    pub fn name(self) -> &'static str {
-        match self {
-            Preset::Naive => "Naive",
-            Preset::FsAmrSynchronized => "FSAMR-S",
-            Preset::FsAmrUnsynchronized => "FSAMR-U",
-            Preset::PutAmr => "PutAMR",
-            Preset::Sibling => "Sibling",
-            Preset::All => "All",
-        }
-    }
-
-    /// The corresponding [`ConvergenceOptions`].
-    pub fn options(self) -> ConvergenceOptions {
-        match self {
-            Preset::Naive => ConvergenceOptions::naive(),
-            Preset::FsAmrSynchronized => ConvergenceOptions::fs_amr_synchronized(),
-            Preset::FsAmrUnsynchronized => ConvergenceOptions::fs_amr_unsynchronized(),
-            Preset::PutAmr => ConvergenceOptions::put_amr(),
-            Preset::Sibling => ConvergenceOptions::sibling(),
-            Preset::All => ConvergenceOptions::all(),
-        }
-    }
-}
+pub use pahoehoe::convergence::Preset;
 
 /// One scheduled node outage, in layout-independent form: `node` is a raw
 /// node index (see [`ClusterLayout`] for the id assignment).
@@ -194,6 +146,13 @@ pub enum Step {
         /// Seconds of virtual time.
         secs: u64,
     },
+    /// Bit rot: flip a byte of the first fragment stored anywhere (the
+    /// first FS in id order, its first live version) without updating its
+    /// recorded checksum, wake that FS 1 ms later and run 2 s more, so the
+    /// checksum-integrity invariant must flag it. The run's outcome stays
+    /// what the steps before set. `explore --inject-corruption` appends it
+    /// to every scenario, to prove the checker catches a violation.
+    CorruptFragment,
 }
 
 /// The invariants a scenario is checked against.
@@ -364,18 +323,6 @@ impl Scenario {
     }
 }
 
-/// A deliberately introduced bug, used to prove the checker catches
-/// violations end to end (and by the intentional-bug test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injection {
-    /// No bug: the protocols run as implemented.
-    None,
-    /// At the end of the run, silently flip bytes of one stored fragment
-    /// without updating its recorded checksum, then let the simulation run
-    /// a little longer. The checksum-integrity invariant must flag it.
-    CorruptFragment,
-}
-
 /// Everything observed about one scenario run.
 #[derive(Debug)]
 pub struct ScenarioOutcome {
@@ -398,28 +345,17 @@ pub struct ScenarioOutcome {
     /// Fewest distinct live fragments of any acknowledged version at the
     /// end of the run (0 when nothing was acknowledged).
     pub min_live: usize,
-    /// Final values of the repair engine's event counters, in
-    /// `REPAIR_EVENTS` order.
-    pub repair_events: [u64; 7],
+    /// Final values of the protocol event counters (the repair engine's
+    /// and the get path's), in [`Message::EVENTS`] order. Dense events are
+    /// left out of the traffic-metrics rendering, so a repair scenario's
+    /// digest line folds these explicitly: without them a repair engine
+    /// that never triggers would be digest-invisible.
+    pub repair_events: Vec<u64>,
 }
-
-/// The repair engine's event counters. Dense events are left out of the
-/// traffic-metrics rendering, so a repair scenario's digest line folds
-/// these explicitly: without them a repair engine that never triggers
-/// would be digest-invisible.
-const REPAIR_EVENTS: [&str; 7] = [
-    "repair_triggered",
-    "repair_completed",
-    "repair_abandoned",
-    "repair_bytes",
-    "repair_queue_depth",
-    "repair_throttle_stalls",
-    "degraded_reads",
-];
 
 /// Runs one scenario under its invariants. The message trace is recorded
 /// only when `want_trace` is set.
-pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> ScenarioOutcome {
+pub fn run_scenario(sc: &Scenario, want_trace: bool) -> ScenarioOutcome {
     let mut cluster = scenario_cluster(sc);
     let trace = want_trace.then(|| {
         let trace = Rc::new(RefCell::new(Vec::<TraceEvent>::new()));
@@ -457,14 +393,14 @@ pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> Sc
                 let deadline = cluster.sim().now() + SimDuration::from_secs(secs);
                 outcome = cluster.sim_mut().run_until_time(deadline);
             }
+            Step::CorruptFragment => corrupt_fragment(&mut cluster),
         }
-    }
-    if injection == Injection::CorruptFragment {
-        inject_corruption(&mut cluster);
     }
 
     let violation = checker.finish(&cluster, outcome);
     let sim = cluster.sim();
+    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
+    let acked = cluster.client().success_versions();
     ScenarioOutcome {
         violation,
         events: sim.events_processed(),
@@ -472,13 +408,19 @@ pub fn run_scenario(sc: &Scenario, injection: Injection, want_trace: bool) -> Sc
         outcome,
         trace: trace.map(|trace| render(&trace.borrow())),
         metrics_digest: format!("{:?}", sim.metrics()),
-        compacted: cluster
-            .topology()
-            .all_fss()
-            .map(|fs| cluster.fs(fs).compacted_count() as u64)
+        compacted: fss
+            .iter()
+            .map(|&fs| cluster.fs(fs).compacted_count() as u64)
             .sum(),
-        min_live: min_live(&cluster),
-        repair_events: REPAIR_EVENTS.map(|label| sim.metrics().event(label)),
+        min_live: acked
+            .iter()
+            .map(|&ov| analysis::live_fragments(sim, &fss, ov).count())
+            .min()
+            .unwrap_or(0),
+        repair_events: Message::EVENTS
+            .iter()
+            .map(|label| sim.metrics().event(label))
+            .collect(),
     }
 }
 
@@ -510,27 +452,10 @@ fn scenario_cluster(sc: &Scenario) -> Cluster {
     Cluster::build_with_faults(cfg, sc.seed, sc.faults.plan())
 }
 
-/// The fewest distinct fragment indices any acknowledged version still
-/// holds across the cluster's FSs — `n` when everything is intact.
-fn min_live(cluster: &Cluster) -> usize {
-    let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
-    let live = |ov: ObjectVersion| {
-        let mut distinct = std::collections::BTreeSet::new();
-        for &fs in &fss {
-            if let Some(entry) = cluster.fs(fs).entry(ov) {
-                distinct.extend(entry.fragments.keys().copied());
-            }
-        }
-        distinct.len()
-    };
-    let acked = cluster.client().success_versions();
-    acked.iter().map(|&ov| live(ov)).min().unwrap_or(0)
-}
-
-/// Flips one stored fragment's bytes behind the checksum bookkeeping's
-/// back, then runs the simulation briefly so the checker observes the
-/// corrupted state.
-fn inject_corruption(cluster: &mut Cluster) {
+/// [`Step::CorruptFragment`]: flips one stored fragment's bytes behind the
+/// checksum bookkeeping's back, then runs the simulation briefly so the
+/// checker observes the corrupted state.
+fn corrupt_fragment(cluster: &mut Cluster) {
     let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
     let target = fss.iter().find_map(|&fs| {
         let actor: &Fs = cluster.sim().actor(fs);
@@ -557,12 +482,8 @@ fn inject_corruption(cluster: &mut Cluster) {
 /// Greedily shrinks a violating scenario: repeatedly applies the first
 /// single-step fault simplification that still violates some invariant,
 /// until none does. Everything but the fault plan is preserved.
-pub fn shrink(sc: &Scenario, injection: Injection) -> Scenario {
-    let violates = |candidate: &Scenario| {
-        run_scenario(candidate, injection, false)
-            .violation
-            .is_some()
-    };
+pub fn shrink(sc: &Scenario) -> Scenario {
+    let violates = |candidate: &Scenario| run_scenario(candidate, false).violation.is_some();
     let mut current = sc.clone();
     'outer: loop {
         for spec in current.faults.simplifications() {
@@ -741,7 +662,6 @@ pub struct SweepResult {
 /// cannot leak into any outcome.
 pub fn sweep(
     scenarios: &[Scenario],
-    injection: Injection,
     workers: usize,
     mut progress: impl FnMut(&Scenario, &ScenarioOutcome),
 ) -> SweepResult {
@@ -749,15 +669,15 @@ pub fn sweep(
     let mut scenarios_run = 0usize;
     for batch in scenarios.chunks(workers.max(1)) {
         let outcomes = simnet::sweep::map_indexed(batch.iter().collect(), workers, |_, sc| {
-            run_scenario(sc, injection, false)
+            run_scenario(sc, false)
         });
         for (sc, outcome) in batch.iter().zip(&outcomes) {
             scenarios_run += 1;
             events_checked += outcome.events;
             progress(sc, outcome);
             if outcome.violation.is_some() {
-                let shrunk = shrink(sc, injection);
-                let shrunk_outcome = run_scenario(&shrunk, injection, true);
+                let shrunk = shrink(sc);
+                let shrunk_outcome = run_scenario(&shrunk, true);
                 let violation = shrunk_outcome
                     .violation
                     .expect("shrink preserves the violation");
@@ -811,7 +731,7 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
     );
     if sc.repair.is_some() {
         let _ = write!(line, " min_live={}", outcome.min_live);
-        for (label, value) in REPAIR_EVENTS.iter().zip(outcome.repair_events) {
+        for (label, value) in Message::EVENTS.iter().zip(&outcome.repair_events) {
             let _ = write!(line, " {label}={value}");
         }
     }
@@ -822,6 +742,7 @@ pub fn digest_line(index: usize, sc: &Scenario, outcome: &ScenarioOutcome) -> St
 mod tests {
     use super::*;
     use pahoehoe::kls::Kls;
+    use pahoehoe::types::ObjectVersion;
 
     /// `rounds = 2` (`explore --overwrite`) must really overwrite: once a
     /// lossy scenario with an FS outage converges, every KLS holds exactly

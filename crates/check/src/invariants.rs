@@ -652,50 +652,35 @@ impl RedundancyFloor {
         };
         let k = usize::from(view.policy.k);
         let now = view.sim.now();
-        struct LiveState {
-            per_dc: BTreeMap<DataCenterId, BTreeSet<u8>>,
-            global: BTreeSet<u8>,
-            meta: Arc<Metadata>,
-        }
-        let mut live: BTreeMap<ObjectVersion, LiveState> = BTreeMap::new();
+        // Every version some FS holds in full, with its most complete
+        // metadata: per-DC location decisions are first-writer-wins, so
+        // any more complete metadata strictly extends the others.
+        let mut held: BTreeMap<ObjectVersion, Arc<Metadata>> = BTreeMap::new();
         for &fs in view.fss {
-            let Some(dc) = view.topo.dc_of(fs) else {
-                continue;
-            };
             let actor = view.sim.actor::<Fs>(fs);
             for ov in actor.known_versions() {
                 let Some(entry) = actor.entry(ov) else {
                     continue;
                 };
-                let st = live.entry(ov).or_insert_with(|| LiveState {
-                    per_dc: BTreeMap::new(),
-                    global: BTreeSet::new(),
-                    meta: Arc::clone(&entry.meta),
-                });
-                for &idx in entry.fragments.keys() {
-                    st.per_dc.entry(dc).or_default().insert(idx);
-                    st.global.insert(idx);
-                }
-                // Per-DC location decisions are first-writer-wins, so any
-                // more complete metadata strictly extends the others.
-                if entry.meta.location_count() > st.meta.location_count() {
-                    st.meta = Arc::clone(&entry.meta);
+                let meta = held.entry(ov).or_insert_with(|| Arc::clone(&entry.meta));
+                if entry.meta.location_count() > meta.location_count() {
+                    *meta = Arc::clone(&entry.meta);
                 }
             }
         }
         let mut next: BTreeMap<(DataCenterId, ObjectVersion), SimTime> = BTreeMap::new();
-        for (&ov, st) in &live {
+        for (&ov, meta) in &held {
             // Reconstruction needs k fragments somewhere in the cluster;
             // with fewer the object is lost, not repair-engine-negligent.
-            if st.global.len() < k {
+            if analysis::live_fragments(view.sim, view.fss, ov).count() < k {
                 continue;
             }
             for dc in view.topo.dc_ids() {
-                let Some(locs) = st.meta.dc_locations(dc) else {
+                let Some(locs) = meta.dc_locations(dc) else {
                     continue;
                 };
                 let target = locs.len();
-                let dc_live = st.per_dc.get(&dc).map_or(0, BTreeSet::len);
+                let dc_live = analysis::live_fragments(view.sim, view.topo.fss_in(dc), ov).count();
                 let below = dc_live * 100 < opts.threshold_pct as usize * target;
                 if !below {
                     continue;
@@ -1074,12 +1059,8 @@ mod tests {
 
     /// The distinct fragments of `ov` stored across the FSs.
     fn live_fragments(cluster: &Cluster, ov: ObjectVersion) -> usize {
-        let held = cluster
-            .topology()
-            .all_fss()
-            .filter_map(|id| cluster.fs(id).entry(ov))
-            .flat_map(|entry| entry.fragments.keys().copied());
-        held.collect::<BTreeSet<_>>().len()
+        let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
+        analysis::live_fragments(cluster.sim(), &fss, ov).count()
     }
 
     #[test]

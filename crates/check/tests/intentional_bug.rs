@@ -5,7 +5,7 @@
 //! converse guard sits here too: a sweep of nothing is a usage error, not
 //! a pass.
 
-use check::explorer::{sweep, FaultSpec, Injection, Preset, SweepConfig};
+use check::explorer::{sweep, FaultSpec, Preset, Step, SweepConfig};
 use pahoehoe::workload::StreamingWorkload;
 use pahoehoe::Policy;
 
@@ -23,7 +23,11 @@ fn injected_corruption_is_caught_and_shrunk() {
         workload: StreamingWorkload::numbered(2, 1, 2048, Policy::paper_default()),
         ..SweepConfig::full()
     };
-    let result = sweep(&cfg.scenarios(), Injection::CorruptFragment, 1, |_, _| {});
+    let mut scenarios = cfg.scenarios();
+    for sc in &mut scenarios {
+        sc.steps.push(Step::CorruptFragment);
+    }
+    let result = sweep(&scenarios, 1, |_, _| {});
     let report = result.violation.expect("corruption must violate");
     assert!(
         matches!(
@@ -40,6 +44,11 @@ fn injected_corruption_is_caught_and_shrunk() {
     );
     assert_eq!(report.shrunk.seed, 7, "seed is preserved");
     assert_eq!(report.shrunk.preset, Preset::All, "preset is preserved");
+    assert_eq!(
+        report.shrunk.steps,
+        [Step::CorruptFragment],
+        "the injected step is preserved"
+    );
     assert!(!report.trace.is_empty(), "violating run must carry a trace");
 }
 
@@ -132,7 +141,7 @@ fn clean_mini_sweep_reports_no_violation() {
         ..SweepConfig::full()
     };
     let mut seen = 0;
-    let result = sweep(&cfg.scenarios(), Injection::None, 2, |_, outcome| {
+    let result = sweep(&cfg.scenarios(), 2, |_, outcome| {
         seen += 1;
         assert!(outcome.events > 0);
     });

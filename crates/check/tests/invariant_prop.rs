@@ -2,7 +2,7 @@
 //! fault plans, for both the naïve and the fully optimized convergence
 //! configurations.
 
-use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario};
+use check::explorer::{run_scenario, FaultSpec, Outage, Preset, Scenario};
 use pahoehoe::workload::StreamingWorkload;
 use pahoehoe::Policy;
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ fn assert_invariants_hold(seed: u64, faults: FaultSpec, preset: Preset) {
         workload: workload(),
         ..Scenario::default()
     };
-    let outcome = run_scenario(&sc, Injection::None, false);
+    let outcome = run_scenario(&sc, false);
     assert!(
         outcome.violation.is_none(),
         "invariant violated: {:?} for {sc:?}",

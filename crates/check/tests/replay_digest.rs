@@ -2,7 +2,7 @@
 //! bit-for-bit identical — same event count, same metrics, same message
 //! trace — even under message loss, duplication and an outage.
 
-use check::explorer::{run_scenario, FaultSpec, Injection, Outage, Preset, Scenario};
+use check::explorer::{run_scenario, FaultSpec, Outage, Preset, Scenario};
 use pahoehoe::workload::StreamingWorkload;
 use pahoehoe::Policy;
 
@@ -27,8 +27,8 @@ fn faulty_scenario(seed: u64, puts: u64) -> Scenario {
 #[test]
 fn identical_seeds_replay_byte_identically() {
     let sc = faulty_scenario(42, 3);
-    let a = run_scenario(&sc, Injection::None, true);
-    let b = run_scenario(&sc, Injection::None, true);
+    let a = run_scenario(&sc, true);
+    let b = run_scenario(&sc, true);
 
     assert!(a.violation.is_none() && b.violation.is_none());
     assert_eq!(a.events, b.events, "event counts diverged");
@@ -42,8 +42,8 @@ fn identical_seeds_replay_byte_identically() {
 
 #[test]
 fn different_seeds_diverge() {
-    let a = run_scenario(&faulty_scenario(1, 2), Injection::None, true);
-    let b = run_scenario(&faulty_scenario(2, 2), Injection::None, true);
+    let a = run_scenario(&faulty_scenario(1, 2), true);
+    let b = run_scenario(&faulty_scenario(2, 2), true);
     assert_ne!(
         a.trace.unwrap(),
         b.trace.unwrap(),

@@ -7,7 +7,7 @@
 //! Usage: `cargo run -p experiments --release --bin fig8 [--quick]`
 
 use experiments::figures::{fig8, FigureOptions};
-use experiments::table::{render, render_csv, render_drops, render_repair, render_run_stats, Unit};
+use experiments::table::{render, render_csv, render_drops, render_run_stats, Unit};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -44,10 +44,6 @@ fn main() {
     let drops = render_drops("Figure 8 - messages lost to KLS outages", &results);
     if !drops.is_empty() {
         println!("{drops}");
-    }
-    let repair = render_repair("Figure 8 - repair-engine ledger", &results);
-    if !repair.is_empty() {
-        println!("{repair}");
     }
     if csv {
         std::fs::write("fig8_bytes.csv", render_csv(&results, Unit::Bytes))

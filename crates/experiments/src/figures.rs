@@ -30,7 +30,7 @@ impl FigureOptions {
         }
     }
 
-    /// A reduced scale for tests and Criterion benches.
+    /// A reduced scale for tests and the figure binaries' `--quick`.
     pub fn quick() -> Self {
         FigureOptions {
             seeds: 3,

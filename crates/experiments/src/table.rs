@@ -188,55 +188,6 @@ pub fn render_run_stats(results: &[ConfigResult]) -> String {
     out
 }
 
-/// Renders the repair-engine ledger (`repair_triggered`,
-/// `repair_completed`, `repair_bytes`, ..., plus `degraded_reads`): one
-/// row per counter, one mean-per-run cell per configuration. Counters
-/// that stayed zero everywhere are elided; returns an empty string when
-/// no configuration ran the repair engine.
-pub fn render_repair(title: &str, results: &[ConfigResult]) -> String {
-    let mut labels: Vec<&'static str> = results
-        .iter()
-        .flat_map(|r| r.event_counts.keys().copied())
-        .filter(|l| l.starts_with("repair_") || *l == "degraded_reads")
-        .collect();
-    labels.sort_unstable();
-    labels.dedup();
-    let cell = |r: &ConfigResult, label: &str| -> f64 {
-        r.event_counts.get(label).map_or(0.0, |s| s.mean)
-    };
-    labels.retain(|l| results.iter().any(|r| cell(r, l) > 0.0));
-    if labels.is_empty() {
-        return String::new();
-    }
-
-    let label_w = labels
-        .iter()
-        .map(|l| l.len())
-        .chain(["counter".len()])
-        .max()
-        .unwrap_or(8);
-    let col_w = results
-        .iter()
-        .map(|r| r.label.len().max(12))
-        .collect::<Vec<_>>();
-
-    let mut out = String::new();
-    out.push_str(&format!("## {title} (mean per run)\n"));
-    out.push_str(&format!("{:label_w$}", "counter"));
-    for (r, w) in results.iter().zip(&col_w) {
-        out.push_str(&format!("  {:>w$}", r.label, w = w));
-    }
-    out.push('\n');
-    for label in &labels {
-        out.push_str(&format!("{label:label_w$}"));
-        for (r, w) in results.iter().zip(&col_w) {
-            out.push_str(&format!("  {:>w$.1}", cell(r, label), w = w));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the per-kind dropped-message breakdown: one row per message
 /// kind, one `fault/random` cell per configuration. Kinds that were never
 /// dropped anywhere are elided; returns an empty string when nothing was
@@ -371,32 +322,14 @@ mod tests {
         assert!(t.contains("fault drops"));
         assert!(t.contains("random drops"));
         assert!(t.contains("repair bytes"));
-    }
 
-    #[test]
-    fn repair_table_filters_the_repair_ledger() {
-        // No repair engine ran: the table must vanish.
-        assert_eq!(render_repair("clean", &sample()), "");
-
-        // Synthesize a configuration whose runs recorded repair activity
-        // alongside an unrelated counter: only the repair ledger (and
-        // degraded reads) may appear.
+        // The repair-bytes column reads the mean of the `repair_bytes`
+        // event counter.
         let mut results = sample();
-        let constant = |v: f64| -> stats::Summary {
-            [v].into_iter().collect::<stats::Accumulator>().summary()
-        };
-        let r = &mut results[0];
-        r.event_counts.insert("repair_triggered", constant(8.0));
-        r.event_counts.insert("repair_bytes", constant(98304.0));
-        r.event_counts.insert("degraded_reads", constant(3.0));
-        r.event_counts.insert("unrelated_counter", constant(5.0));
-        let t = render_repair("repair", &results);
-        assert!(t.contains("repair_triggered"), "{t}");
-        assert!(t.contains("repair_bytes"), "{t}");
-        assert!(t.contains("degraded_reads"), "{t}");
-        assert!(!t.contains("unrelated_counter"), "{t}");
-
-        // And the run-stats companion column picks up the mean.
+        let bytes = [98304.0].into_iter().collect::<stats::Accumulator>();
+        results[0]
+            .event_counts
+            .insert("repair_bytes", bytes.summary());
         let s = render_run_stats(&results);
         assert!(s.contains("98304.0"), "{s}");
     }

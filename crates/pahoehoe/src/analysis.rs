@@ -21,6 +21,7 @@ use simnet::{NodeId, Simulation};
 use crate::fs::Fs;
 use crate::kls::Kls;
 use crate::messages::Message;
+use crate::protocol::FragMask;
 use crate::topology::Topology;
 use crate::types::ObjectVersion;
 
@@ -59,17 +60,30 @@ pub fn is_durable(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) 
                 .any(|v| v.ts > ov.ts && holds_k(sim, fss, v)))
 }
 
-/// Whether `k` distinct live fragments of `ov` are stored across `fss`.
-fn holds_k(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
-    let mut distinct: BTreeSet<u8> = BTreeSet::new();
-    let mut k = None;
+/// The distinct fragment indices of `ov` stored live across `fss`: the
+/// count the paper's durability (§2–3) compares with `k`. A compacted
+/// residual holds none.
+pub fn live_fragments(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> FragMask {
+    let mut live = FragMask::new();
     for &fs in fss {
         if let Some(entry) = sim.actor::<Fs>(fs).entry(ov) {
-            k = Some(entry.meta.policy().k);
-            distinct.extend(entry.fragments.keys().copied());
+            for &idx in entry.fragments.keys() {
+                live.insert(idx);
+            }
         }
     }
-    k.is_some_and(|k| distinct.len() >= usize::from(k))
+    live
+}
+
+/// Whether `k` distinct live fragments of `ov` are stored across `fss`,
+/// `k` read from the metadata of an FS that holds `ov`.
+fn holds_k(sim: &Simulation<Message>, fss: &[NodeId], ov: ObjectVersion) -> bool {
+    let live = live_fragments(sim, fss, ov).count();
+    live > 0
+        && fss
+            .iter()
+            .find_map(|&fs| Some(sim.actor::<Fs>(fs).entry(ov)?.meta.policy().k))
+            .is_some_and(|k| live >= usize::from(k))
 }
 
 /// Whether some FS of `fss` compacted `ov` to a residual.

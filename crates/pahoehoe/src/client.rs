@@ -14,7 +14,7 @@
 //! to the caller, who reads it right after the get completes.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime};
@@ -171,19 +171,12 @@ pub struct Client {
     // ---- outcome accounting ----
     puts_attempted: u64,
     puts_succeeded: u64,
-    /// Put attempts the proxy answered (success or failure). Paired with
-    /// [`last_put_latency`](Client::last_put_latency) this lets an
-    /// external observer (a `simnet::Observer`, after each event) stream
-    /// every per-put latency into a constant-memory estimator.
-    puts_answered: u64,
     /// Issue-to-answer latency of the most recently answered put.
     last_put_latency: SimDuration,
     /// Versions whose put the client saw succeed.
     success_versions: BTreeSet<ObjectVersion>,
     /// Versions created by attempts the client saw fail.
     failed_versions: BTreeSet<ObjectVersion>,
-    /// Version each key's successful put produced.
-    version_of: BTreeMap<Key, ObjectVersion>,
     gets_done: GetLog,
 }
 
@@ -205,11 +198,9 @@ impl Client {
             puts_timed_out: 0,
             puts_attempted: 0,
             puts_succeeded: 0,
-            puts_answered: 0,
             last_put_latency: SimDuration::ZERO,
             success_versions: BTreeSet::new(),
             failed_versions: BTreeSet::new(),
-            version_of: BTreeMap::new(),
             gets_done: GetLog::default(),
         }
     }
@@ -284,11 +275,6 @@ impl Client {
         self.puts_succeeded
     }
 
-    /// Put attempts the proxy answered (success or failure) so far.
-    pub fn puts_answered(&self) -> u64 {
-        self.puts_answered
-    }
-
     /// Issue-to-answer latency of the most recently answered put.
     pub fn last_put_latency(&self) -> SimDuration {
         self.last_put_latency
@@ -303,11 +289,6 @@ impl Client {
     /// non-durable classification).
     pub fn failed_versions(&self) -> &BTreeSet<ObjectVersion> {
         &self.failed_versions
-    }
-
-    /// The version the successful put of `key` produced.
-    pub fn version_of(&self, key: Key) -> Option<ObjectVersion> {
-        self.version_of.get(&key).copied()
     }
 
     /// Completed gets in completion order: all of them counted, the
@@ -403,18 +384,16 @@ impl Actor<Message> for Client {
                     return;
                 }
                 self.clear_in_flight_timer(ctx);
-                let ClientOp::Put { key, .. } = &current else {
+                let ClientOp::Put { .. } = &current else {
                     debug_assert!(false, "put reply while get in flight");
                     return;
                 };
-                self.puts_answered += 1;
                 self.last_put_latency = SimDuration::from_micros(
                     ctx.now().as_micros() - self.in_flight_since.as_micros(),
                 );
                 if success {
                     self.puts_succeeded += 1;
                     self.success_versions.insert(ov);
-                    self.version_of.insert(*key, ov);
                     self.kick(ctx, self.gap);
                 } else {
                     // Retry the same logical put; a new attempt makes a

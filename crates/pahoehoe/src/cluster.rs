@@ -86,7 +86,7 @@ impl ClusterLayout {
     /// *within* each data center (plus the primary proxy/client, which
     /// live in DC 0) use the LAN range; everything else — the cross-DC
     /// links — uses the default range of `base`. An opt-in refinement of
-    /// the paper's single uniform distribution, used by ablations.
+    /// the paper's single uniform distribution; no figure uses it.
     pub fn lan_wan_network(
         &self,
         base: simnet::NetworkConfig,

@@ -23,6 +23,68 @@ pub enum RoundSchedule {
     Unsynchronized,
 }
 
+/// The six convergence configurations evaluated in the paper (§5), each
+/// naming one [`ConvergenceOptions`] constructor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// Naïve convergence (§3.4).
+    Naive,
+    /// FS AMR indications, synchronized rounds (*FSAMR-S*).
+    FsAmrSynchronized,
+    /// FS AMR indications, unsynchronized rounds (*FSAMR-U*).
+    FsAmrUnsynchronized,
+    /// Proxy Put-AMR indications (*PutAMR*).
+    PutAmr,
+    /// Sibling fragment recovery (*Sibling*).
+    Sibling,
+    /// Every optimization (*All*).
+    All,
+}
+
+impl Preset {
+    /// All six presets, in the paper's presentation order.
+    pub const ALL: [Preset; 6] = [
+        Preset::Naive,
+        Preset::FsAmrSynchronized,
+        Preset::FsAmrUnsynchronized,
+        Preset::PutAmr,
+        Preset::Sibling,
+        Preset::All,
+    ];
+
+    /// The paper's label for this configuration.
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::Naive => "Naive",
+            Preset::FsAmrSynchronized => "FSAMR-S",
+            Preset::FsAmrUnsynchronized => "FSAMR-U",
+            Preset::PutAmr => "PutAMR",
+            Preset::Sibling => "Sibling",
+            Preset::All => "All",
+        }
+    }
+
+    /// The preset whose [`name`](Preset::name) is `text`, ignoring case
+    /// (`naive`, `fsamr-s`, …, `all`).
+    pub fn parse(text: &str) -> Option<Preset> {
+        Preset::ALL
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(text))
+    }
+
+    /// The corresponding [`ConvergenceOptions`].
+    pub fn options(self) -> ConvergenceOptions {
+        match self {
+            Preset::Naive => ConvergenceOptions::naive(),
+            Preset::FsAmrSynchronized => ConvergenceOptions::fs_amr_synchronized(),
+            Preset::FsAmrUnsynchronized => ConvergenceOptions::fs_amr_unsynchronized(),
+            Preset::PutAmr => ConvergenceOptions::put_amr(),
+            Preset::Sibling => ConvergenceOptions::sibling(),
+            Preset::All => ConvergenceOptions::all(),
+        }
+    }
+}
+
 /// Tunable parameters and optimization switches for convergence.
 ///
 /// The presets correspond to the configurations evaluated in the paper:
@@ -232,6 +294,20 @@ mod tests {
 
         let all = ConvergenceOptions::all();
         assert!(all.fs_amr_indication && all.put_amr_indication && all.sibling_recovery);
+    }
+
+    #[test]
+    fn preset_parse_accepts_every_name_in_any_case() {
+        for p in Preset::ALL {
+            assert_eq!(Preset::parse(p.name()), Some(p));
+            assert_eq!(Preset::parse(&p.name().to_uppercase()), Some(p));
+        }
+        let lower = ["naive", "fsamr-s", "fsamr-u", "putamr", "sibling", "all"];
+        for (text, p) in lower.into_iter().zip(Preset::ALL) {
+            assert_eq!(Preset::parse(text), Some(p), "{text}");
+        }
+        assert_eq!(Preset::parse("bogus"), None);
+        assert_eq!(Preset::parse("fsamr"), None);
     }
 
     #[test]

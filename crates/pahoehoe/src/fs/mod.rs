@@ -39,8 +39,8 @@
 //! state, so a version that is settled AMR and superseded by a newer
 //! settled-AMR version of its key always gives up its fragments, its
 //! metadata handle, its store slot and its index entry, and leaves one
-//! 16-byte residual in its key's chain — which
-//! fragment indices it held and when it settled — from which every later
+//! 16-byte residual in its key's chain — its timestamp and when it
+//! settled, nothing about the fragments it held — from which every later
 //! question about it (a re-delivered fragment, a sibling's probe, a
 //! repeated AMR indication) is answered as the full entry would have
 //! answered it (DESIGN.md §8.7).
@@ -62,13 +62,13 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use erasure::{Checksum, Codec, Fragment};
+use erasure::{Checksum, Fragment};
 use simnet::{Actor, Context, NodeId, SimTime};
 
 use crate::convergence::ConvergenceOptions;
 use crate::messages::{Message, OpId};
 use crate::metadata::Metadata;
-use crate::protocol::{FragMap, ProtocolMode};
+use crate::protocol::{CodecCache, FragMap, ProtocolMode};
 use crate::repair::REPORT_INTERVAL;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion};
@@ -134,9 +134,8 @@ pub struct Fs {
     /// Own node id, captured at `on_start` (actors learn their id from the
     /// context).
     self_id: Option<NodeId>,
-    /// Protocol behaviour switches, fixed at construction.
-    mode: ProtocolMode,
-    /// Round traffic leaves through here (batched or not, per `mode`).
+    /// Round traffic leaves through here: one message per version, or
+    /// batched under [`ProtocolMode::batch_rounds`], fixed at construction.
     outbox: Outbox,
     /// Cached `topo.all_klss().count()` for the verification check.
     total_klss: usize,
@@ -151,9 +150,8 @@ pub struct Fs {
     recoveries_done: u64,
     /// Corrupted fragments detected (by the scrubber or the read path).
     corruption_detected: u64,
-    /// Codecs by `(k, n)`, built once per policy shape: constructing a
-    /// codec runs a Gaussian elimination, far too costly per recovery.
-    codecs: BTreeMap<(u8, u8), Codec>,
+    /// Codecs by `(k, n)`, for recovery.
+    codecs: CodecCache,
     /// Reusable fragment-list scratch for the recovery path.
     recover_scratch: Vec<Fragment>,
     /// Reusable slot list for `run_round` and `scrub`, so steady-state
@@ -191,7 +189,6 @@ impl Fs {
             my_dc,
             opts,
             self_id: None,
-            mode,
             outbox: Outbox::new(mode.batch_rounds),
             total_klss,
             store: VersionStore::new(),
@@ -200,7 +197,7 @@ impl Fs {
             steps_run: 0,
             recoveries_done: 0,
             corruption_detected: 0,
-            codecs: BTreeMap::new(),
+            codecs: CodecCache::default(),
             recover_scratch: Vec::new(),
             version_scratch: Vec::new(),
             repair_target: None,
@@ -214,13 +211,6 @@ impl Fs {
     /// [`ConvergenceOptions`] enables the repair engine).
     pub fn set_repair_target(&mut self, target: NodeId) {
         self.repair_target = Some(target);
-    }
-
-    fn codec(&mut self, k: u8, n: u8) -> &Codec {
-        self.codecs.entry((k, n)).or_insert_with(|| {
-            // lint:allow(panic-path): (k, n) validated when the policy was accepted
-            Codec::new(usize::from(k), usize::from(n)).expect("policy validated at put time")
-        })
     }
 
     // ---- state inspection ----
@@ -339,11 +329,12 @@ impl Fs {
     // ---- internals ----
 
     /// This FS's own node id. An actor learns its id from the context of
-    /// the first event it processes; the copy kept then is what the
-    /// inspection methods, which have no context, read.
+    /// `on_start`, which the engine runs for every actor before any event;
+    /// the copy kept then is what the inspection methods, which have no
+    /// context, read.
     fn self_node(&self) -> NodeId {
-        // lint:allow(panic-path): self_id is recorded the first time an event runs
-        self.self_id.expect("FS has processed at least one event")
+        // lint:allow(panic-path): self_id is recorded by on_start, before any event runs
+        self.self_id.expect("FS has started")
     }
 
     /// Store a fragment (from a proxy put, or a sibling push).
@@ -369,14 +360,6 @@ impl Fs {
         }
         self.note_progress(ctx, s);
     }
-
-    /// Self id captured from the first processed event (actors do not know
-    /// their id before that).
-    fn remember_self(&mut self, ctx: &Context<'_, Message>) {
-        if self.self_id.is_none() {
-            self.self_id = Some(ctx.self_id());
-        }
-    }
 }
 
 impl Actor<Message> for Fs {
@@ -391,7 +374,6 @@ impl Actor<Message> for Fs {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
-        self.remember_self(ctx);
         self.heard_from(ctx, from);
         match msg {
             Message::StoreFragment { ov, meta, fragment } => {
@@ -488,7 +470,6 @@ impl Actor<Message> for Fs {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
-        self.remember_self(ctx);
         let op = tag & !TAG_MASK;
         match tag & TAG_MASK {
             TAG_ROUND => {

@@ -178,7 +178,8 @@ impl Fs {
 
         let sources: Vec<Fragment> = pool.values().cloned().collect();
         let mut recovered = std::mem::take(&mut self.recover_scratch);
-        self.codec(policy.k, policy.n)
+        self.codecs
+            .get(policy.k, policy.n)
             .recover_into(&sources, &targets, value_len, &mut recovered)
             // lint:allow(panic-path): pool.len() >= k checked above
             .expect("k fragments suffice");

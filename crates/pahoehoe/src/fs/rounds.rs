@@ -47,6 +47,11 @@ impl Outbox {
         }
     }
 
+    /// Whether round traffic goes out batched.
+    pub(super) fn batching(&self) -> bool {
+        self.batching
+    }
+
     /// Sends `msg` to `to`: at once, or — batching — with the rest of what
     /// this dispatch posts of its kind for `to`.
     // lint:hot
@@ -348,7 +353,7 @@ impl Fs {
         // Batched rounds re-ask only the silent siblings while the last
         // verification step's other answers stand.
         let reask = verifying
-            && self.mode.batch_rounds
+            && self.outbox.batching()
             && self
                 .store
                 .work(s)

@@ -96,44 +96,49 @@ impl Fs {
 
     /// One scrub tick: verifies stored fragments against their recorded
     /// checksums, at most [`SCRUB_CHUNK_BYTES`] of payload per tick (a
-    /// persistent cursor resumes the walk on the next tick, so the cost of
-    /// one event is proportional to the bytes it scanned, not to the whole
-    /// store). Corrupted fragments are dropped
-    /// and their versions re-entered for convergence (which regenerates
-    /// them from the siblings). Returns the number of corrupted fragments
-    /// found this tick.
+    /// persistent cursor resumes the walk on the next tick, through one
+    /// range of the store's index, so the cost of one event is
+    /// proportional to the bytes it scanned, not to the whole store).
+    /// Corrupted fragments are dropped and their versions re-entered for
+    /// convergence (which regenerates them from the siblings). Returns the
+    /// number of corrupted fragments found this tick.
     // lint:hot
     pub(super) fn scrub(&mut self, ctx: &mut Context<'_, Message>) -> usize {
         let now = ctx.now();
         let mut scanned = 0usize;
-        let mut found = 0;
-        let mut versions = std::mem::take(&mut self.version_scratch);
-        self.store.collect_live(&mut versions);
+        // The walk reads the store; only the (usually no) versions with a
+        // corrupted fragment are kept for the repair below.
+        let mut damaged = std::mem::take(&mut self.version_scratch);
+        damaged.clear();
         let resume = self.scrub_cursor.take();
-        for &s in &versions {
-            if resume.is_some_and(|cur| s.ov() < cur) {
-                continue;
-            }
+        for s in self.store.live_from(resume) {
             if scanned >= SCRUB_CHUNK_BYTES {
                 // Out of budget: resume from this version next tick.
                 self.scrub_cursor = Some(s.ov());
                 break;
             }
+            let Some(entry) = self.store.entry(s) else {
+                continue;
+            };
+            let mut sound = true;
+            for stored in entry.fragments.values() {
+                scanned += stored.fragment.len();
+                sound &= stored.is_sound();
+            }
+            if !sound {
+                damaged.push(s);
+            }
+        }
+        let mut found = 0;
+        for &s in &damaged {
             // Corrupted fragment indices as a mask: no per-version list
-            // allocation on the (usually clean) scrub walk.
+            // allocation.
             let mut bad = FragMask::new();
-            {
-                let Some(entry) = self.store.entry_mut(s) else {
-                    continue;
-                };
+            if let Some(entry) = self.store.entry_mut(s) {
                 for (&idx, stored) in &entry.fragments {
-                    scanned += stored.fragment.len();
                     if !stored.is_sound() {
                         bad.insert(idx);
                     }
-                }
-                if bad.is_empty() {
-                    continue;
                 }
                 for idx in bad.iter() {
                     entry.fragments.remove(&idx);
@@ -142,8 +147,8 @@ impl Fs {
             }
             self.re_pend(s, now);
         }
-        versions.clear();
-        self.version_scratch = versions;
+        damaged.clear();
+        self.version_scratch = damaged;
         self.corruption_detected += found as u64;
         if found > 0 {
             self.ensure_round(ctx);

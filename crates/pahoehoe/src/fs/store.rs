@@ -6,6 +6,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use erasure::{Fragment, FragmentIndex};
 use simnet::{NodeId, SimTime, TimerId};
@@ -403,6 +404,17 @@ impl VersionStore {
     pub(super) fn collect_live(&self, out: &mut Vec<Slot>) {
         out.clear();
         out.extend(self.index.iter().map(|(&ov, &at)| Slot { at, ov }));
+    }
+
+    /// The slots of the versions that still hold a full entry, in
+    /// object-version order from `from` on (from the first with `None`):
+    /// one index range, so a walk that resumes at a cursor costs what it
+    /// reads, not the size of the store.
+    pub(super) fn live_from(&self, from: Option<ObjectVersion>) -> impl Iterator<Item = Slot> + '_ {
+        let start = from.map_or(Bound::Unbounded, Bound::Included);
+        self.index
+            .range((start, Bound::Unbounded))
+            .map(|(&ov, &at)| Slot { at, ov })
     }
 
     /// `key`'s live versions, oldest first.

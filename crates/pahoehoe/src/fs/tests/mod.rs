@@ -8,6 +8,7 @@ use crate::kls::Kls;
 use crate::metadata::Location;
 use crate::policy::Policy;
 use crate::types::{Key, Timestamp};
+use erasure::Codec;
 use simnet::{SimDuration, Simulation, TraceEvent};
 use std::cell::RefCell;
 use std::rc::Rc;

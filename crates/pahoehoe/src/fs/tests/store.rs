@@ -62,6 +62,39 @@ fn residual_word_round_trips_its_range_ends() {
     }
 }
 
+/// A walk resumed at a cursor starts at that version, whether the cursor
+/// is stored or not, and covers only live versions from there on.
+#[test]
+fn live_walk_starts_at_the_cursor() {
+    let version =
+        |key: u64| ObjectVersion::new(Key::from_u64(key), Timestamp::new(SimTime::ZERO, 0));
+    let mut store = VersionStore::new();
+    for key in [2, 4, 6, 8] {
+        store
+            .adopt(version(key), SimTime::ZERO, blank)
+            .expect("a new version");
+    }
+    let walk = |from| {
+        store
+            .live_from(from)
+            .map(|s| s.ov().key)
+            .collect::<Vec<_>>()
+    };
+    let keys = |ks: &[u64]| ks.iter().map(|&k| Key::from_u64(k)).collect::<Vec<_>>();
+    assert_eq!(walk(None), keys(&[2, 4, 6, 8]));
+    assert_eq!(
+        walk(Some(version(4))),
+        keys(&[4, 6, 8]),
+        "the cursor's own version first"
+    );
+    assert_eq!(
+        walk(Some(version(5))),
+        keys(&[6, 8]),
+        "a cursor between versions"
+    );
+    assert_eq!(walk(Some(version(9))), keys(&[]), "a cursor past the end");
+}
+
 #[test]
 fn residual_record_is_packed() {
     let version = |key: u64, us: u64| {

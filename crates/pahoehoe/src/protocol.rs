@@ -21,9 +21,13 @@
 //! every actor the cluster builds, and nothing process-wide selects one.
 //!
 //! [`FragMask`] and [`FragMap`] are the dense fragment-index set and the
-//! small sorted fragment map the actors keep per version.
+//! small sorted fragment map the actors keep per version; [`CodecCache`]
+//! is the codec each actor that encodes, decodes or recovers keeps per
+//! policy shape.
 
-use erasure::FragmentIndex;
+use std::collections::BTreeMap;
+
+use erasure::{Codec, FragmentIndex};
 
 /// The protocol behaviour an actor runs with, fixed at construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -115,6 +119,22 @@ impl FragMask {
                 rest &= rest - 1;
                 Some((w * 64 + b as usize) as FragmentIndex)
             })
+        })
+    }
+}
+
+/// Codecs by `(k, n)`, each built on first use: constructing a codec runs
+/// a Gaussian elimination, far too costly per put, read or recovery. The
+/// proxy, the FS and the repair actor each keep one.
+#[derive(Default)]
+pub struct CodecCache(BTreeMap<(u8, u8), Codec>);
+
+impl CodecCache {
+    /// The `(k, n)` codec, built if this is its first use.
+    pub fn get(&mut self, k: u8, n: u8) -> &Codec {
+        self.0.entry((k, n)).or_insert_with(|| {
+            // lint:allow(panic-path): a proxy validates each put's policy before it encodes, and every FS and repair actor reads (k, n) from that put's metadata
+            Codec::new(usize::from(k), usize::from(n)).expect("policy validated at put time")
         })
     }
 }

@@ -30,12 +30,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use erasure::{Codec, Fragment, FragmentIndex};
+use erasure::{Fragment, FragmentIndex};
 use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
 
 use crate::messages::{Message, OpId, EV_DEGRADED_READS};
 use crate::metadata::Metadata;
-use crate::protocol::{FragMask, ProtocolMode};
+use crate::protocol::{CodecCache, FragMask, ProtocolMode};
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, Timestamp};
 
@@ -190,7 +190,7 @@ pub struct Proxy {
     put_seq: BTreeMap<u64, ObjectVersion>,
     next_seq: u64,
     gets: BTreeMap<OpId, GetOp>,
-    codecs: BTreeMap<(u8, u8), Codec>,
+    codecs: CodecCache,
     /// Per client, the newest operation id accepted, for idempotence under
     /// the duplicating channel of §3.1 (a duplicated `ClientPut` must not
     /// spawn a second put). One id per client is enough: a client has one
@@ -224,7 +224,7 @@ impl Proxy {
             put_seq: BTreeMap::new(),
             next_seq: 0,
             gets: BTreeMap::new(),
-            codecs: BTreeMap::new(),
+            codecs: CodecCache::default(),
             client_high_water: BTreeMap::new(),
             puts_fully_acked: 0,
             frag_scratch: Vec::new(),
@@ -266,13 +266,6 @@ impl Proxy {
         fresh
     }
 
-    fn codec(&mut self, k: u8, n: u8) -> &Codec {
-        self.codecs.entry((k, n)).or_insert_with(|| {
-            // lint:allow(panic-path): (k, n) validated against MAX_FRAGMENTS at put accept
-            Codec::new(usize::from(k), usize::from(n)).expect("policy validated")
-        })
-    }
-
     // ---- put ----
 
     fn start_put(
@@ -290,7 +283,8 @@ impl Proxy {
         // Zero-copy encode: data fragments are windows of the client's
         // value; only parity is freshly written.
         let mut fragments = Vec::new();
-        self.codec(policy.k, policy.n)
+        self.codecs
+            .get(policy.k, policy.n)
             .encode_value(&value, &mut fragments);
         let meta = Arc::new(Metadata::new(policy, self.my_dc, value.len()));
 
@@ -713,7 +707,8 @@ impl Proxy {
             let value_len = current.meta.value_len();
             let policy = *current.meta.policy();
             let mut value = std::mem::take(&mut self.decode_scratch);
-            self.codec(policy.k, policy.n)
+            self.codecs
+                .get(policy.k, policy.n)
                 .decode_into(&frags, value_len, &mut value)
                 // lint:allow(panic-path): fragments.len() >= k checked above, all checksum-verified
                 .expect("k verified fragments decode");
@@ -894,6 +889,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig, ClusterLayout};
     use crate::convergence::ConvergenceOptions;
     use crate::policy::Policy;
+    use erasure::Codec;
     use simnet::{FaultPlan, SimTime, TraceEvent};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1479,10 +1475,10 @@ mod tests {
             vec![simnet::NodeId::new(1)],
         )]);
         let mut proxy = Proxy::new(topo, DataCenterId::new(0), 0, ProxyConfig::default());
-        let a = proxy.codec(2, 4) as *const Codec;
-        let b = proxy.codec(2, 4) as *const Codec;
+        let a = proxy.codecs.get(2, 4) as *const Codec;
+        let b = proxy.codecs.get(2, 4) as *const Codec;
         assert_eq!(a, b, "same parameters reuse the cached codec");
-        let c = proxy.codec(4, 12) as *const Codec;
+        let c = proxy.codecs.get(4, 12) as *const Codec;
         assert_ne!(a, c);
     }
 }

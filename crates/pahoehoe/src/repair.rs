@@ -47,16 +47,16 @@
 //! The engine is entirely gated on `ConvergenceOptions::repair`: with
 //! `None` (the default) no repair actors are built, no report timers are
 //! scheduled and no messages or counters change, so the full 144-scenario
-//! sweep digests stay byte-identical to the pre-repair tree. The
-//! equivalence ladder (sequential vs `simnet::sweep`-fanned sweep, default
-//! vs reference protocol) therefore keeps guarding the paper protocol while
-//! the repair scenarios guard the engine.
+//! sweep digests stay byte-identical to the pre-repair tree. The pinned
+//! digests (each swept with one worker and with two) therefore keep
+//! guarding the paper protocol while the repair scenarios guard the
+//! engine.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use erasure::{Codec, Fragment, FragmentIndex};
+use erasure::{Fragment, FragmentIndex};
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::messages::{
@@ -64,6 +64,7 @@ use crate::messages::{
     EV_REPAIR_QUEUE_DEPTH, EV_REPAIR_THROTTLE_STALLS, EV_REPAIR_TRIGGERED,
 };
 use crate::metadata::Metadata;
+use crate::protocol::CodecCache;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
 
@@ -185,8 +186,8 @@ pub struct RepairActor {
     /// FSs of my DC that have sent at least one report; threshold checks
     /// start once every FS has reported.
     reported: BTreeSet<NodeId>,
-    /// Codecs by `(k, n)`, built once per policy shape.
-    codecs: BTreeMap<(u8, u8), Codec>,
+    /// Codecs by `(k, n)`, for recovery.
+    codecs: CodecCache,
     triggered: u64,
     completed: u64,
     abandoned: u64,
@@ -205,7 +206,7 @@ impl RepairActor {
             next_op: 1,
             tokens: 0,
             reported: BTreeSet::new(),
-            codecs: BTreeMap::new(),
+            codecs: CodecCache::default(),
             triggered: 0,
             completed: 0,
             abandoned: 0,
@@ -412,12 +413,12 @@ impl RepairActor {
             }
             return;
         }
-        let codec = self.codecs.entry((p.k, p.n)).or_insert_with(|| {
-            // lint:allow(panic-path): the policy was validated at put time
-            Codec::new(usize::from(p.k), usize::from(p.n)).expect("policy validated at put time")
-        });
         let missing: Vec<FragmentIndex> = job.targets.iter().map(|(idx, _)| *idx).collect();
-        let Ok(rebuilt) = codec.recover(&job.collected, &missing, meta.value_len()) else {
+        let Ok(rebuilt) =
+            self.codecs
+                .get(p.k, p.n)
+                .recover(&job.collected, &missing, meta.value_len())
+        else {
             self.retry_or_abandon(ctx, op);
             return;
         };

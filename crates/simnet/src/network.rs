@@ -14,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 /// A latency override for links between two node groups — e.g. to model
 /// fast intra-data-center links against a slow WAN. The paper's model is
 /// a single uniform distribution for every link, so overrides are an
-/// opt-in extension (used by ablations).
+/// opt-in extension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyOverride {
     /// One endpoint group.

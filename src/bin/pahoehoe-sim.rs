@@ -59,7 +59,7 @@ use std::rc::Rc;
 
 use pahoehoe_repro::experiments::figures::{fs_outage, kls_outage, paper_layout};
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
-use pahoehoe_repro::pahoehoe::convergence::ConvergenceOptions;
+use pahoehoe_repro::pahoehoe::convergence::Preset;
 use pahoehoe_repro::pahoehoe::fs::Fs;
 use pahoehoe_repro::pahoehoe::messages::Message;
 use pahoehoe_repro::pahoehoe::policy::Policy;
@@ -69,7 +69,9 @@ use pahoehoe_repro::simnet::{FaultPlan, NetworkConfig, Observer, SimDuration, Tr
 use pahoehoe_repro::stats::{current_rss_bytes, peak_rss_bytes};
 
 struct Args {
+    /// The `--opt` text, echoed by the header.
     opt: String,
+    preset: Preset,
     layout: ClusterLayout,
     policy: Policy,
     /// The `--dist` text.
@@ -178,6 +180,7 @@ impl Observer<Message> for FirstSends {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         opt: "all".into(),
+        preset: Preset::All,
         layout: paper_layout(),
         policy: Policy::paper_default(),
         dist: None,
@@ -203,7 +206,15 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--value-bytes: {e}"))?
             }
-            "--opt" => args.opt = val("--opt")?,
+            "--opt" => {
+                args.opt = val("--opt")?;
+                args.preset = Preset::parse(&args.opt).ok_or_else(|| {
+                    format!(
+                        "--opt takes naive, fsamr-s, fsamr-u, putamr, sibling or all, got {}",
+                        args.opt
+                    )
+                })?;
+            }
             "--layout" => args.layout = parse_layout(&val("--layout")?)?,
             "--policy" => args.policy = parse_policy(&val("--policy")?)?,
             "--keys" => {
@@ -273,18 +284,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn preset(name: &str) -> Result<ConvergenceOptions, String> {
-    Ok(match name {
-        "naive" => ConvergenceOptions::naive(),
-        "fsamr-s" => ConvergenceOptions::fs_amr_synchronized(),
-        "fsamr-u" => ConvergenceOptions::fs_amr_unsynchronized(),
-        "putamr" => ConvergenceOptions::put_amr(),
-        "sibling" => ConvergenceOptions::sibling(),
-        "all" => ConvergenceOptions::all(),
-        other => return Err(format!("unknown preset {other}")),
-    })
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -293,14 +292,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let conv = match preset(&args.opt) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pahoehoe-sim: {e}");
-            std::process::exit(2);
-        }
-    };
-
     let layout = args.layout;
     let mut faults = fs_outage(layout, args.fs_down);
     faults.merge(&args.kls_faults);
@@ -309,7 +300,7 @@ fn main() {
     cfg.layout = layout;
     cfg.policy = args.policy;
     cfg.protocol = args.mode;
-    cfg.convergence = conv;
+    cfg.convergence = args.preset.options();
     cfg.streaming_workload = Some(args.stream.clone());
     cfg.network = NetworkConfig::with_drop_rate(args.drop_rate);
     // A million-put stream takes tens of simulated hours; the default

@@ -21,6 +21,8 @@ fn bad_flag_values_are_usage_errors() {
         ("--dist", &["--keys", "10", "--dist", "hot:1"]),
         // A key distribution shapes a stream, and there is none.
         ("--dist", &["--dist", "uniform"]),
+        // Not one of the paper's six presets.
+        ("--opt", &["--opt", "bogus"]),
         // Compaction always runs, so no flag switches it.
         ("--compact", &["--compact"]),
     ] {
