@@ -628,7 +628,7 @@ impl Invariant for CompactionSafety {
 
 /// When a repair engine is configured, no object may *stay*
 /// repairable-but-under-protected: a version whose live fragments in some
-/// data center fall below `threshold_pct` of that DC's assignment count,
+/// data center fall below [`repair::THRESHOLD_PCT`] of that DC's assignment count,
 /// while at least `k` fragments survive cluster-wide (so reconstruction is
 /// possible), must be restored above the threshold within
 /// [`repair::GRACE`]. Vacuous for clusters without a repair engine, so it is
@@ -647,9 +647,9 @@ impl RedundancyFloor {
     }
 
     fn scan(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        let Some(opts) = view.repair else {
+        if view.repair.is_none() {
             return Ok(());
-        };
+        }
         let k = usize::from(view.policy.k);
         let now = view.sim.now();
         // Every version some FS holds in full, with its most complete
@@ -681,7 +681,7 @@ impl RedundancyFloor {
                 };
                 let target = locs.len();
                 let dc_live = analysis::live_fragments(view.sim, view.topo.fss_in(dc), ov).count();
-                let below = dc_live * 100 < opts.threshold_pct as usize * target;
+                let below = dc_live * 100 < repair::THRESHOLD_PCT as usize * target;
                 if !below {
                     continue;
                 }
@@ -693,7 +693,7 @@ impl RedundancyFloor {
                         "{ov:?} has been repairable but below the redundancy floor in \
                          {dc} for {elapsed:?} (live {dc_live}/{target}, threshold \
                          {}%, grace {:?})",
-                        opts.threshold_pct,
+                        repair::THRESHOLD_PCT,
                         repair::GRACE
                     ));
                 }

@@ -31,7 +31,7 @@
 //! | `fragmask-flip` | `bits[w] \|= 1 << b` → `2 << b`: fragment-presence bitmask records the wrong bit |
 //! | `timer-gen-skip` | `TimerSlab` retire stops bumping the generation: cancelled timers still fire |
 //! | `compaction-skip` | the converged-version compactor never fires |
-//! | `repair-threshold-skip` | the repair actor ignores `repair_threshold` and only triggers once local parity is exhausted |
+//! | `repair-threshold-skip` | the repair actor ignores `THRESHOLD_PCT` and only triggers once local parity is exhausted |
 //!
 //! Every mutant is one build and one explorer smoke sweep (with the
 //! caller's extra args, e.g. `--scale --overwrite --repair`), compared against
@@ -78,8 +78,8 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ),
     (
         "repair-threshold-skip",
-        "the repair actor ignores the configured `repair_threshold` and only triggers \
-         once local parity is exhausted (`live * 100 < pct * target` -> `live < k`)",
+        "the repair actor ignores `THRESHOLD_PCT` and only triggers once local parity \
+         is exhausted (`live * 100 < pct * target` -> `live < k`)",
     ),
 ];
 
@@ -339,7 +339,7 @@ fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Ve
     // (`repair_triggered` drops to zero in the rack family).
     if stem == "repair" {
         const THRESHOLD: &str =
-            "let below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;";
+            "let below_threshold = live * 100 < u64::from(THRESHOLD_PCT) * target;";
         for pos in occurrences(src, THRESHOLD) {
             push(
                 "repair-threshold-skip",
@@ -405,7 +405,7 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     // compactor off: every overwrite digest line's compacted count drops
     ("compaction-skip:fs:0", "self.store.compact_superseded(s)"),
     // repair waits for parity exhaustion: floor invariant fires
-    ("repair-threshold-skip:repair:0", "self.opts.threshold_pct"),
+    ("repair-threshold-skip:repair:0", "THRESHOLD_PCT"),
 ];
 
 /// The ids of [`PINNED_SMOKE`].
@@ -927,7 +927,7 @@ mod tests {
 
     #[test]
     fn repair_threshold_skip_site_is_repair_only() {
-        let src = "let k = u64::from(t.meta.policy().k);\nlet below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;\n";
+        let src = "let k = u64::from(t.meta.policy().k);\nlet below_threshold = live * 100 < u64::from(THRESHOLD_PCT) * target;\n";
         let ms = scan_file(Path::new("repair.rs"), src);
         let m = ms
             .iter()

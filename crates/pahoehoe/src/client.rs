@@ -28,6 +28,17 @@ const TAG_NEXT_OP: u64 = 1;
 const TAG_OP_TIMEOUT: u64 = 1 << 56;
 const TAG_MASK: u64 = 0xff << 56;
 
+/// Pause between consecutive operations.
+const GAP: SimDuration = SimDuration::ZERO;
+/// Pause before retrying a failed put.
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(200);
+/// Give up on an unanswered operation after this long. The request or the
+/// answer may have been dropped by a lossy network; the paper's client
+/// "effectively handles [the proxy's unknown answer] like a timeout" and
+/// retries (§3.5). Must exceed the proxy's own operation timeout plus a
+/// round trip.
+const OP_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// One scripted client operation.
 #[derive(Debug, Clone)]
 pub enum ClientOp {
@@ -145,16 +156,6 @@ impl<'a> IntoIterator for &'a GetLog {
 /// A scripted workload client bound to one proxy.
 pub struct Client {
     proxy: NodeId,
-    /// Pause between consecutive operations.
-    gap: SimDuration,
-    /// Pause before retrying a failed put.
-    retry_delay: SimDuration,
-    /// Give up on an unanswered operation after this long. The request or
-    /// the answer may have been dropped by a lossy network; the paper's
-    /// client "effectively handles [the proxy's unknown answer] like a
-    /// timeout" and retries (§3.5). Must exceed the proxy's own
-    /// operation timeout plus a round trip.
-    op_timeout: SimDuration,
     script: VecDeque<ClientOp>,
     /// Constant-memory op source drained after `script`: ops synthesized
     /// one at a time from `(workload, next index)`, so a million-put
@@ -185,9 +186,6 @@ impl Client {
     pub fn new(proxy: NodeId, script: Vec<ClientOp>) -> Self {
         Client {
             proxy,
-            gap: SimDuration::ZERO,
-            retry_delay: SimDuration::from_millis(200),
-            op_timeout: SimDuration::from_secs(5),
             script: script.into(),
             stream: None,
             in_flight: None,
@@ -332,7 +330,7 @@ impl Client {
         }
         self.in_flight = Some((id, op));
         self.in_flight_since = ctx.now();
-        self.in_flight_timer = Some(ctx.schedule_timer(self.op_timeout, TAG_OP_TIMEOUT | id));
+        self.in_flight_timer = Some(ctx.schedule_timer(OP_TIMEOUT, TAG_OP_TIMEOUT | id));
     }
 
     fn clear_in_flight_timer(&mut self, ctx: &mut Context<'_, Message>) {
@@ -356,11 +354,11 @@ impl Client {
             put @ ClientOp::Put { .. } => {
                 self.puts_timed_out += 1;
                 self.script.push_front(put);
-                self.kick(ctx, self.retry_delay);
+                self.kick(ctx, RETRY_DELAY);
             }
             ClientOp::Get { key } => {
                 self.gets_done.push(GetOutcome { key, result: None });
-                self.kick(ctx, self.gap);
+                self.kick(ctx, GAP);
             }
         }
     }
@@ -394,13 +392,13 @@ impl Actor<Message> for Client {
                 if success {
                     self.puts_succeeded += 1;
                     self.success_versions.insert(ov);
-                    self.kick(ctx, self.gap);
+                    self.kick(ctx, GAP);
                 } else {
                     // Retry the same logical put; a new attempt makes a
                     // new object version (fresh timestamp).
                     self.failed_versions.insert(ov);
                     self.script.push_front(current);
-                    self.kick(ctx, self.retry_delay);
+                    self.kick(ctx, RETRY_DELAY);
                 }
             }
             Message::ClientGetReply { op, result } => {
@@ -417,7 +415,7 @@ impl Actor<Message> for Client {
                     return;
                 };
                 self.gets_done.push(GetOutcome { key: *key, result });
-                self.kick(ctx, self.gap);
+                self.kick(ctx, GAP);
             }
             other => {
                 debug_assert!(false, "client received unexpected {:?}", other);

@@ -152,8 +152,6 @@ pub struct Fs {
     corruption_detected: u64,
     /// Codecs by `(k, n)`, for recovery.
     codecs: CodecCache,
-    /// Reusable fragment-list scratch for the recovery path.
-    recover_scratch: Vec<Fragment>,
     /// Reusable slot list for `run_round` and `scrub`, so steady-state
     /// rounds do not allocate a version list each tick.
     version_scratch: Vec<Slot>,
@@ -198,7 +196,6 @@ impl Fs {
             recoveries_done: 0,
             corruption_detected: 0,
             codecs: CodecCache::default(),
-            recover_scratch: Vec::new(),
             version_scratch: Vec::new(),
             repair_target: None,
             scrub_cursor: None,
@@ -458,8 +455,13 @@ impl Actor<Message> for Fs {
                 );
             }
 
-            Message::RetrieveFragReply { op, ov, data, .. } => {
-                self.on_retrieve_frag_reply(ctx, op, ov, data);
+            Message::RetrieveFragReply {
+                op,
+                ov,
+                fragment,
+                data,
+            } => {
+                self.on_retrieve_frag_reply(ctx, op, ov, fragment, data);
             }
 
             other => {

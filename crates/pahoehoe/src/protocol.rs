@@ -21,13 +21,14 @@
 //! every actor the cluster builds, and nothing process-wide selects one.
 //!
 //! [`FragMask`] and [`FragMap`] are the dense fragment-index set and the
-//! small sorted fragment map the actors keep per version; [`CodecCache`]
-//! is the codec each actor that encodes, decodes or recovers keeps per
-//! policy shape.
+//! small sorted fragment map the actors keep per version; [`Donors`] is
+//! the donor fragments one retrieval gathers (a proxy's get attempt, an
+//! FS's recovery, a repair job); [`CodecCache`] is the codec each actor
+//! that encodes, decodes or recovers keeps per policy shape.
 
 use std::collections::BTreeMap;
 
-use erasure::{Codec, FragmentIndex};
+use erasure::{Codec, Fragment, FragmentIndex};
 
 /// The protocol behaviour an actor runs with, fixed at construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -120,6 +121,63 @@ impl FragMask {
                 Some((w * 64 + b as usize) as FragmentIndex)
             })
         })
+    }
+}
+
+impl FromIterator<FragmentIndex> for FragMask {
+    fn from_iter<I: IntoIterator<Item = FragmentIndex>>(indices: I) -> Self {
+        let mut mask = FragMask::new();
+        for idx in indices {
+            mask.insert(idx);
+        }
+        mask
+    }
+}
+
+/// The donor fragments one retrieval gathers: a proxy's get attempt, an
+/// FS's recovery (a recovery is a get of the version, §3.4) or a repair
+/// job. The channel duplicates messages (§3.1), so a fragment index counts
+/// once however often its reply arrives.
+#[derive(Debug, Default)]
+pub struct Donors {
+    /// Indices asked.
+    asked: FragMask,
+    /// Indices answered, with a fragment or ⊥.
+    answered: FragMask,
+    /// Fragments received: distinct, by ascending index.
+    received: Vec<Fragment>,
+}
+
+impl Donors {
+    /// Records that fragment `idx` was asked for.
+    pub fn ask(&mut self, idx: FragmentIndex) {
+        self.asked.insert(idx);
+    }
+
+    /// Records the reply for `idx`: its fragment, or `None` for ⊥. Returns
+    /// whether the reply is new; a repeated reply, or one for an index
+    /// never asked, changes nothing.
+    pub fn answer(&mut self, idx: FragmentIndex, data: Option<Fragment>) -> bool {
+        if !self.asked.contains(idx) || !self.answered.insert(idx) {
+            return false;
+        }
+        if let Some(frag) = data {
+            debug_assert_eq!(frag.index(), idx, "a reply carries the fragment asked");
+            let at = self.received.partition_point(|f| f.index() < idx);
+            self.received.insert(at, frag);
+        }
+        true
+    }
+
+    /// Requests asked and not yet answered.
+    pub fn outstanding(&self) -> usize {
+        self.asked.count() - self.answered.count()
+    }
+
+    /// The fragments received, distinct and by ascending index: the slice
+    /// the codec decodes or recovers from.
+    pub fn received(&self) -> &[Fragment] {
+        &self.received
     }
 }
 
@@ -329,7 +387,71 @@ mod tests {
         assert!(m.remove(63));
         assert!(!m.remove(63));
         assert_eq!(m.count(), 3);
+        let collected: FragMask = [255, 0, 64, 0].into_iter().collect();
+        assert_eq!(collected, m, "collecting repeats an index once");
         m.clear();
         assert!(m.is_empty());
+    }
+
+    fn frag(idx: FragmentIndex) -> Fragment {
+        Fragment::new(idx, vec![idx; 4])
+    }
+
+    #[test]
+    fn donors_count_a_repeated_answer_once() {
+        let mut d = Donors::default();
+        d.ask(3);
+        d.ask(5);
+        assert!(d.answer(3, Some(frag(3))));
+        assert!(!d.answer(3, Some(frag(3))), "a duplicate is not new");
+        assert!(!d.answer(3, None), "nor is a later ⊥ for the same index");
+        assert_eq!(d.received().len(), 1);
+        assert_eq!(d.outstanding(), 1);
+    }
+
+    #[test]
+    fn donors_count_a_bottom_as_answered_but_not_received() {
+        let mut d = Donors::default();
+        d.ask(2);
+        d.ask(7);
+        assert!(d.answer(7, None));
+        assert_eq!(d.outstanding(), 1);
+        assert!(d.received().is_empty());
+        assert!(
+            !d.answer(9, Some(frag(9))),
+            "an index never asked is ignored"
+        );
+        assert_eq!(d.outstanding(), 1);
+    }
+
+    #[test]
+    fn donors_track_outstanding_requests() {
+        let mut d = Donors::default();
+        assert_eq!(d.outstanding(), 0);
+        for idx in [0, 4, 8, 200] {
+            d.ask(idx);
+        }
+        d.ask(4);
+        assert_eq!(d.outstanding(), 4, "asking twice is one request");
+        d.answer(8, Some(frag(8)));
+        d.answer(0, None);
+        assert_eq!(d.outstanding(), 2);
+        d.answer(4, Some(frag(4)));
+        d.answer(200, Some(frag(200)));
+        assert_eq!(d.outstanding(), 0);
+    }
+
+    #[test]
+    fn donors_hand_out_fragments_in_index_order() {
+        let mut d = Donors::default();
+        for idx in [9, 1, 12, 4] {
+            d.ask(idx);
+        }
+        for idx in [12, 4, 9, 1] {
+            d.answer(idx, Some(frag(idx)));
+        }
+        let order: Vec<FragmentIndex> = d.received().iter().map(Fragment::index).collect();
+        assert_eq!(order, vec![1, 4, 9, 12]);
+        assert_eq!(d.received()[2].data().as_ref(), &[9u8; 4][..]);
     }
 }

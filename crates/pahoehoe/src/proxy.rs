@@ -35,7 +35,7 @@ use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
 
 use crate::messages::{Message, OpId, EV_DEGRADED_READS};
 use crate::metadata::Metadata;
-use crate::protocol::{CodecCache, FragMask, ProtocolMode};
+use crate::protocol::{CodecCache, Donors, FragMask, ProtocolMode};
 use crate::topology::{DataCenterId, Topology};
 use crate::types::{Key, ObjectVersion, Timestamp};
 
@@ -161,15 +161,10 @@ struct GetOp {
 struct GetAttempt {
     ts: Timestamp,
     meta: Arc<Metadata>,
-    fragments: BTreeMap<FragmentIndex, Fragment>,
-    /// Whether any FS answered ⊥ for this version.
+    /// The fragments asked of the version's FSs and their answers.
+    donors: Donors,
+    /// Whether any FS answered ⊥ for this version, or it has no locations.
     saw_bottom: bool,
-    /// Fragment requests sent.
-    requested: usize,
-    /// Fragment indices answered, with a fragment or ⊥. A mask, not a
-    /// count: the channel duplicates messages (§3.1), and a reply that
-    /// arrives twice is still one answer.
-    answered: FragMask,
     /// Straggler patience; after it fires the attempt no longer waits.
     timer: TimerId,
     timed_out: bool,
@@ -204,9 +199,8 @@ pub struct Proxy {
     /// by tests; equals the number of Put-AMR indications broadcast when
     /// the optimization is on).
     puts_fully_acked: u64,
-    /// Reusable scratch for the get decode path, so steady-state gets do
-    /// not allocate a fragment list and a value buffer per decode.
-    frag_scratch: Vec<Fragment>,
+    /// Reusable value buffer for the get decode path, so steady-state gets
+    /// do not allocate one per decode.
     decode_scratch: Vec<u8>,
 }
 
@@ -227,7 +221,6 @@ impl Proxy {
             codecs: CodecCache::default(),
             client_high_water: BTreeMap::new(),
             puts_fully_acked: 0,
-            frag_scratch: Vec::new(),
             decode_scratch: Vec::new(),
         }
     }
@@ -609,15 +602,17 @@ impl Proxy {
                     .collect();
                 let timer = ctx.schedule_timer(attempt_timeout, TAG_GET_ATTEMPT | op);
                 let no_locations = requests.is_empty();
+                let mut donors = Donors::default();
+                for &(_, idx) in &requests {
+                    donors.ask(idx);
+                }
                 get.current = Some(GetAttempt {
                     ts,
                     meta,
-                    fragments: BTreeMap::new(),
+                    donors,
                     // A version with no locations at all is provably not
                     // AMR and immediately hopeless.
                     saw_bottom: no_locations,
-                    requested: requests.len(),
-                    answered: FragMask::new(),
                     timer,
                     timed_out: false,
                 });
@@ -691,40 +686,28 @@ impl Proxy {
         if current.ts != ov.ts {
             return; // stale reply from an abandoned attempt
         }
-        current.answered.insert(fragment);
-        match data {
-            Some(frag) => {
-                current.fragments.insert(frag.index(), frag);
-            }
-            None => current.saw_bottom = true,
+        let bottom = data.is_none();
+        if !current.donors.answer(fragment, data) {
+            return; // a duplicate: the first copy was handled
         }
+        current.saw_bottom |= bottom;
         // can_decode?
         let k = usize::from(current.meta.policy().k);
-        if current.fragments.len() >= k {
-            let mut frags = std::mem::take(&mut self.frag_scratch);
-            frags.clear();
-            frags.extend(current.fragments.values().cloned());
+        if current.donors.received().len() >= k {
             let value_len = current.meta.value_len();
             let policy = *current.meta.policy();
             let mut value = std::mem::take(&mut self.decode_scratch);
             self.codecs
                 .get(policy.k, policy.n)
-                .decode_into(&frags, value_len, &mut value)
-                // lint:allow(panic-path): fragments.len() >= k checked above, all checksum-verified
+                .decode_into(current.donors.received(), value_len, &mut value)
+                // lint:allow(panic-path): k distinct fragments checked above, all checksum-verified
                 .expect("k verified fragments decode");
             let blob = Bytes::copy_from_slice(&value);
-            frags.clear();
-            self.frag_scratch = frags;
             self.decode_scratch = value;
             // A successful decode that stepped over a ⊥ reply is a
             // degraded read: the value was recoverable but redundancy is
             // impaired (the repair benchmark's quality-of-service signal).
-            if self
-                .gets
-                .get(&op)
-                .and_then(|g| g.current.as_ref())
-                .is_some_and(|c| c.saw_bottom)
-            {
+            if current.saw_bottom {
                 ctx.record_event(EV_DEGRADED_READS, 1);
             }
             self.finish_get(ctx, op, Some((ov, blob)));
@@ -752,9 +735,9 @@ impl Proxy {
         let not_amr = current.saw_bottom
             || Self::kls_evidence(get, current.ts)
             || !current.meta.is_complete();
-        let outstanding = current.requested - current.answered.count();
         let k = usize::from(current.meta.policy().k);
-        let hopeless = current.fragments.len() + outstanding < k || current.timed_out;
+        let hopeless =
+            current.donors.received().len() + current.donors.outstanding() < k || current.timed_out;
         if not_amr && hopeless {
             self.next_ts(ctx, op);
         } else if !not_amr && current.timed_out {

@@ -14,9 +14,9 @@
 //!
 //! Each actor watches the fragments assigned to its own data center
 //! (`frags_per_dc` of them per object). An object becomes *below
-//! threshold* when `live * 100 < threshold_pct * target` — integer
+//! threshold* when `live * 100 < THRESHOLD_PCT * target` — integer
 //! arithmetic, no floats, so every run computes the identical decision.
-//! With the paper policy (6 per DC) and the default `threshold_pct = 80`,
+//! With the paper policy (6 per DC) and [`THRESHOLD_PCT`] = 80,
 //! repair triggers once a DC drops to 4 of its 6 fragments. Objects with
 //! fewer than `k` live fragments *cluster-wide* are not repairable and
 //! are left for read-path convergence to flag.
@@ -31,6 +31,8 @@
 //! keeping the schedule deterministic. When the local DC cannot supply
 //! `k` live fragments the actor falls back to the sibling DC's assigned
 //! holders (verified by the fetch itself: absent fragments answer ⊥).
+//! The replies gather in a [`Donors`] collector, so a reply the channel
+//! duplicates (§3.1) counts once.
 //!
 //! # Throttle and backpressure
 //!
@@ -64,7 +66,7 @@ use crate::messages::{
     EV_REPAIR_QUEUE_DEPTH, EV_REPAIR_THROTTLE_STALLS, EV_REPAIR_TRIGGERED,
 };
 use crate::metadata::Metadata;
-use crate::protocol::CodecCache;
+use crate::protocol::{CodecCache, Donors, FragMask};
 use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
 
@@ -90,36 +92,30 @@ pub const MAX_IN_FLIGHT: usize = 4;
 pub const RETRY_LIMIT: u32 = 3;
 /// Donor fetch timeout per job attempt.
 pub const DONOR_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+/// Redundancy floor as a percentage of the per-DC fragment target: an
+/// object triggers repair when `live * 100 < THRESHOLD_PCT * target`.
+/// Integer percent keeps the decision float-free and deterministic.
+pub const THRESHOLD_PCT: u32 = 80;
 
 /// Policy knobs for the background repair engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOptions {
-    /// Redundancy floor as a percentage of the per-DC fragment target:
-    /// an object triggers repair when
-    /// `live * 100 < threshold_pct * target`. Integer percent keeps the
-    /// decision float-free and deterministic. Default 80 (the tentpole's
-    /// "0.8×target").
-    pub threshold_pct: u32,
     /// Token-bucket refill per drain tick, in fragment payload bytes;
     /// `0` disables throttling entirely.
     pub bandwidth_per_tick: u64,
 }
 
 impl RepairOptions {
-    /// Production-shaped defaults: 80 % floor, unthrottled.
+    /// Production-shaped defaults: unthrottled.
     pub fn paper_default() -> Self {
-        RepairOptions {
-            threshold_pct: 80,
-            bandwidth_per_tick: 0,
-        }
+        RepairOptions::throttled(0)
     }
 
-    /// The default policy with a bandwidth budget of `bytes` per drain
-    /// tick (the throttled benchmark cell).
+    /// A bandwidth budget of `bytes` per drain tick (the throttled
+    /// benchmark cell); `0` is unthrottled.
     pub fn throttled(bytes: u64) -> Self {
         RepairOptions {
             bandwidth_per_tick: bytes,
-            ..RepairOptions::paper_default()
         }
     }
 }
@@ -135,7 +131,7 @@ impl Default for RepairOptions {
 struct Tracked {
     meta: Arc<Metadata>,
     /// Fragment indices each reporting FS currently holds.
-    have: BTreeMap<NodeId, BTreeSet<FragmentIndex>>,
+    have: BTreeMap<NodeId, FragMask>,
     /// When this actor first learned of the version; threshold checks
     /// wait one report interval so every holder has had a chance to
     /// report before a fresh put looks degraded.
@@ -157,10 +153,8 @@ struct Job {
     ov: ObjectVersion,
     /// Missing `(fragment index, assigned FS)` pairs to regenerate.
     targets: Vec<(FragmentIndex, NodeId)>,
-    /// Donor fragments collected so far.
-    collected: Vec<Fragment>,
-    /// Donor replies still outstanding.
-    awaiting: usize,
+    /// The donor fragments asked and their answers.
+    donors: Donors,
     /// Store acks still outstanding after reconstruction.
     pending_acks: BTreeSet<FragmentIndex>,
     timer: TimerId,
@@ -235,11 +229,14 @@ impl RepairActor {
 
     /// Live fragment indices this actor believes `ov` has in its DC.
     pub fn live_fragments(&self, ov: ObjectVersion) -> usize {
-        self.tracked.get(&ov).map_or(0, |t| Self::live_set(t).len())
+        self.tracked
+            .get(&ov)
+            .map_or(0, |t| Self::live_set(t).count())
     }
 
-    fn live_set(t: &Tracked) -> BTreeSet<FragmentIndex> {
-        t.have.values().flatten().copied().collect()
+    /// The fragment indices some reporter holds.
+    fn live_set(t: &Tracked) -> FragMask {
+        t.have.values().flat_map(FragMask::iter).collect()
     }
 
     /// The fragment indices assigned to this actor's DC under `meta`.
@@ -275,10 +272,10 @@ impl RepairActor {
         let live_set = Self::live_set(t);
         let live = local
             .iter()
-            .filter(|(idx, _)| live_set.contains(idx))
+            .filter(|(idx, _)| live_set.contains(*idx))
             .count() as u64;
         let k = u64::from(t.meta.policy().k);
-        let below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;
+        let below_threshold = live * 100 < u64::from(THRESHOLD_PCT) * target;
         // Repairable: the cluster still has >= k fragments. Locally we
         // only *know* our DC's live set; assigned remote fragments count
         // as potential donors (the fetch verifies).
@@ -303,7 +300,7 @@ impl RepairActor {
         let live_set = Self::live_set(t);
         let missing = local
             .iter()
-            .filter(|(idx, _)| !live_set.contains(idx))
+            .filter(|(idx, _)| !live_set.contains(*idx))
             .count() as u64;
         (u64::from(p.k) + missing) * flen
     }
@@ -319,7 +316,7 @@ impl RepairActor {
         let local = self.local_assigned(&meta);
         let targets: Vec<(FragmentIndex, NodeId)> = local
             .iter()
-            .filter(|(idx, _)| !live_set.contains(idx))
+            .filter(|(idx, _)| !live_set.contains(*idx))
             .copied()
             .collect();
         if targets.is_empty() {
@@ -339,7 +336,7 @@ impl RepairActor {
         // the failing racks), then the sibling DCs' assigned holders.
         let mut donors: Vec<(bool, bool, NodeId, FragmentIndex)> = Vec::new();
         for (idx, fs) in &local {
-            if live_set.contains(idx) {
+            if live_set.contains(*idx) {
                 let sick = self
                     .topo
                     .rack_of(self.my_dc, *fs)
@@ -365,8 +362,9 @@ impl RepairActor {
         };
         let op = self.next_op;
         self.next_op += 1;
-        let awaiting = picked.len();
+        let mut donors = Donors::default();
         for (fs, idx) in picked {
+            donors.ask(idx);
             ctx.send(
                 fs,
                 Message::RetrieveFrag {
@@ -382,8 +380,7 @@ impl RepairActor {
             Job {
                 ov,
                 targets,
-                collected: Vec::new(),
-                awaiting,
+                donors,
                 pending_acks: BTreeSet::new(),
                 timer,
             },
@@ -406,8 +403,8 @@ impl RepairActor {
         let meta = Arc::clone(&t.meta);
         let p = *meta.policy();
         let k = usize::from(p.k);
-        if job.collected.len() < k {
-            if job.awaiting == 0 {
+        if job.donors.received().len() < k {
+            if job.donors.outstanding() == 0 {
                 // Every donor answered and we still lack k fragments.
                 self.retry_or_abandon(ctx, op);
             }
@@ -417,7 +414,7 @@ impl RepairActor {
         let Ok(rebuilt) =
             self.codecs
                 .get(p.k, p.n)
-                .recover(&job.collected, &missing, meta.value_len())
+                .recover(job.donors.received(), &missing, meta.value_len())
         else {
             self.retry_or_abandon(ctx, op);
             return;
@@ -441,7 +438,6 @@ impl RepairActor {
         }
         ctx.record_event(EV_REPAIR_BYTES, pushed_bytes);
         if let Some(job) = self.jobs.get_mut(&op) {
-            job.collected.clear();
             job.pending_acks = pending_acks;
         }
     }
@@ -510,9 +506,9 @@ impl Actor<Message> for RepairActor {
                 let now = ctx.now();
                 // Replace the reporter's inventory wholesale: a fragment
                 // it no longer lists is gone (disk loss, corruption).
-                let mut fresh: BTreeMap<ObjectVersion, BTreeSet<FragmentIndex>> = BTreeMap::new();
+                let mut fresh: BTreeMap<ObjectVersion, FragMask> = BTreeMap::new();
                 for (ov, meta, have) in entries {
-                    fresh.insert(ov, have.iter().copied().collect());
+                    fresh.insert(ov, have.into_iter().collect());
                     let t = self.tracked.entry(ov).or_insert_with(|| Tracked {
                         meta: Arc::clone(&meta),
                         have: BTreeMap::new(),
@@ -543,13 +539,16 @@ impl Actor<Message> for RepairActor {
                 }
             }
 
-            Message::RetrieveFragReply { op, data, .. } => {
-                if let Some(job) = self.jobs.get_mut(&op) {
-                    job.awaiting = job.awaiting.saturating_sub(1);
-                    if let Some(frag) = data {
-                        ctx.record_event(EV_REPAIR_BYTES, frag.len() as u64);
-                        job.collected.push(frag);
-                    }
+            Message::RetrieveFragReply {
+                op, fragment, data, ..
+            } => {
+                let Some(job) = self.jobs.get_mut(&op) else {
+                    return;
+                };
+                let bytes = data.as_ref().map_or(0, Fragment::len) as u64;
+                // A duplicated reply counts once, bytes and all.
+                if job.donors.answer(fragment, data) {
+                    ctx.record_event(EV_REPAIR_BYTES, bytes);
                     self.try_reconstruct(ctx, op);
                 }
             }
@@ -647,11 +646,9 @@ mod tests {
         let v = ov(1);
         let meta = meta_for(&t, v);
         let mut actor = RepairActor::new(t, DataCenterId::new(0), RepairOptions::paper_default());
-        let mut have = BTreeMap::new();
+        let mut have: BTreeMap<NodeId, FragMask> = BTreeMap::new();
         for (idx, loc) in meta.assignments() {
-            have.entry(loc.fs())
-                .or_insert_with(BTreeSet::new)
-                .insert(idx);
+            have.entry(loc.fs()).or_default().insert(idx);
         }
         actor.tracked.insert(
             v,
@@ -666,7 +663,7 @@ mod tests {
         assert_eq!(actor.live_fragments(v), 6);
         // 6 live of target 6: 600 >= 80*6=480, healthy.
         let tr = actor.tracked.get(&v).unwrap();
-        let live = RepairActor::live_set(tr).len() as u64;
+        let live = RepairActor::live_set(tr).count() as u64;
         assert!(live * 100 >= 80 * 6);
     }
 
@@ -681,7 +678,7 @@ mod tests {
             RepairOptions::paper_default(),
         );
         // 4 of 6 fragments live -> 2 missing; flen = 1024/4 = 256.
-        let mut have: BTreeMap<NodeId, BTreeSet<FragmentIndex>> = BTreeMap::new();
+        let mut have: BTreeMap<NodeId, FragMask> = BTreeMap::new();
         for (idx, loc) in meta.assignments().take(4) {
             have.entry(loc.fs()).or_default().insert(idx);
         }

@@ -98,6 +98,35 @@ fn repair_engine_reprotects_after_losing_both_disks_of_a_server() {
     }
 }
 
+/// The channel duplicates messages (§3.1): a donor reply that arrives twice
+/// counts once, so the both-disks loss repairs exactly as on a clean
+/// channel — every job completes at the first attempt, and the repair bytes
+/// are the duplication-free total (10 jobs × (4 donor + 2 rebuilt) × 2 KiB).
+#[test]
+fn duplicated_donor_replies_count_once() {
+    let mut cfg = repair_cfg(10);
+    cfg.network.duplicate_rate = 0.2;
+    let mut cluster = Cluster::build(cfg, 7);
+    assert_eq!(cluster.run_to_convergence().amr_versions, 10);
+
+    let victim = cluster.layout().fs(0, 0);
+    let now = cluster.sim().now();
+    {
+        let fs = cluster.sim_mut().actor_mut::<Fs>(victim);
+        fs.destroy_disk(0, now);
+        fs.destroy_disk(1, now);
+    }
+    cluster
+        .sim_mut()
+        .run_until_time(now + SimDuration::from_secs(900));
+
+    let repair = cluster.repair_actor(0);
+    assert_eq!(repair.jobs_triggered(), 10);
+    assert_eq!(repair.jobs_completed(), 10);
+    assert_eq!(repair.jobs_abandoned(), 0);
+    assert_eq!(cluster.sim().metrics().event("repair_bytes"), 122_880);
+}
+
 #[test]
 fn throttled_repair_stalls_but_still_reprotects() {
     let mut cfg = repair_cfg(10);

@@ -57,7 +57,7 @@ impl DropStats {
 ///
 /// Backed by dense arrays laid out by a payload type's kind registry;
 /// recording is O(1) array indexing, reporting sorts labels on demand.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Metrics {
     registry: &'static [&'static str],
     sends: Vec<KindStats>,
@@ -81,44 +81,17 @@ impl std::fmt::Debug for Metrics {
 }
 
 impl Metrics {
-    /// Creates empty metrics with an empty kind registry. Recording into
-    /// it panics; it exists as a neutral element for [`merge`](Self::merge)
-    /// and as the `Default`.
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Creates metrics laid out for `registry` (one slot per kind), with
-    /// no event counters.
-    pub fn with_registry(registry: &'static [&'static str]) -> Self {
-        Metrics::with_registries(registry, &[])
-    }
-
-    /// Creates metrics laid out for `registry` (one slot per kind) and
-    /// `event_registry` (one slot per protocol event counter).
-    pub fn with_registries(
-        registry: &'static [&'static str],
-        event_registry: &'static [&'static str],
-    ) -> Self {
-        Metrics {
-            registry,
-            sends: vec![KindStats::default(); registry.len()],
-            drops: vec![DropStats::default(); registry.len()],
-            duplicated: 0,
-            event_registry,
-            events: vec![0; event_registry.len()],
-        }
-    }
-
-    /// Creates metrics laid out for message type `M`'s kind and event
-    /// registries.
+    /// Creates empty metrics laid out for message type `M`'s kind and
+    /// event registries: one slot per kind and one per event counter.
     pub fn for_payload<M: Payload>() -> Self {
-        Metrics::with_registries(M::KINDS, M::EVENTS)
-    }
-
-    /// The kind registry this metrics object is laid out for.
-    pub fn registry(&self) -> &'static [&'static str] {
-        self.registry
+        Metrics {
+            registry: M::KINDS,
+            sends: vec![KindStats::default(); M::KINDS.len()],
+            drops: vec![DropStats::default(); M::KINDS.len()],
+            duplicated: 0,
+            event_registry: M::EVENTS,
+            events: vec![0; M::EVENTS.len()],
+        }
     }
 
     /// Records that one message of kind `kind_id` with `bytes` wire bytes
@@ -170,11 +143,6 @@ impl Metrics {
     // lint:hot
     pub fn record_event(&mut self, event_id: usize, amount: u64) {
         self.events[event_id] += amount;
-    }
-
-    /// The event-counter registry this metrics object is laid out for.
-    pub fn event_registry(&self) -> &'static [&'static str] {
-        self.event_registry
     }
 
     /// The value of event counter `event` (zero if never recorded or
@@ -266,58 +234,35 @@ impl Metrics {
     pub fn duplicated(&self) -> u64 {
         self.duplicated
     }
-
-    /// Merges another metrics object into this one (used when aggregating
-    /// trials). An empty-registry accumulator adopts the other's layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both sides carry different (non-empty) registries: their
-    /// dense arrays would not be commensurable.
-    pub fn merge(&mut self, other: &Metrics) {
-        if self.registry.is_empty() {
-            self.registry = other.registry;
-            self.sends = vec![KindStats::default(); other.registry.len()];
-            self.drops = vec![DropStats::default(); other.registry.len()];
-        }
-        if self.event_registry.is_empty() {
-            self.event_registry = other.event_registry;
-            self.events = vec![0; other.event_registry.len()];
-        }
-        assert_eq!(
-            self.registry, other.registry,
-            "cannot merge metrics from different kind registries"
-        );
-        assert_eq!(
-            self.event_registry, other.event_registry,
-            "cannot merge metrics from different event registries"
-        );
-        for (a, b) in self.sends.iter_mut().zip(&other.sends) {
-            a.count += b.count;
-            a.bytes += b.bytes;
-        }
-        for (a, b) in self.drops.iter_mut().zip(&other.drops) {
-            a.fault_count += b.fault_count;
-            a.fault_bytes += b.fault_bytes;
-            a.random_count += b.random_count;
-            a.random_bytes += b.random_bytes;
-        }
-        self.duplicated += other.duplicated;
-        for (a, b) in self.events.iter_mut().zip(&other.events) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const KINDS: &[&str] = &["Zed", "Alpha", "Mid"];
+    /// A payload with three kinds and two event counters, listed out of
+    /// label order.
+    #[derive(Clone)]
+    struct Msg;
+
+    impl Payload for Msg {
+        const KINDS: &'static [&'static str] = &["Zed", "Alpha", "Mid"];
+        const EVENTS: &'static [&'static str] = &["zeta_event", "alpha_event"];
+        fn kind_id(&self) -> usize {
+            0
+        }
+        fn wire_size(&self) -> usize {
+            0
+        }
+    }
+
+    fn metrics() -> Metrics {
+        Metrics::for_payload::<Msg>()
+    }
 
     #[test]
     fn record_and_query() {
-        let mut m = Metrics::with_registry(KINDS);
+        let mut m = metrics();
         m.record_send(1, 10);
         m.record_send(1, 20);
         m.record_send(2, 5);
@@ -337,13 +282,15 @@ mod tests {
 
     #[test]
     fn drops_tracked_separately_from_sends_and_split_by_cause() {
-        let mut m = Metrics::with_registry(KINDS);
+        let mut m = metrics();
         m.record_send(0, 10);
         m.record_drop(0, 10, false);
         m.record_send(0, 7);
         m.record_drop(0, 7, true);
+        m.record_duplicate();
         assert_eq!(m.total_count(), 2, "dropped messages still count as sent");
         assert_eq!(m.dropped(), 2);
+        assert_eq!(m.duplicated(), 1);
         let d = m.drops_for("Zed");
         assert_eq!(
             d,
@@ -361,7 +308,7 @@ mod tests {
 
     #[test]
     fn iteration_is_sorted_and_skips_unsent_kinds() {
-        let mut m = Metrics::with_registry(KINDS);
+        let mut m = metrics();
         m.record_send(0, 1);
         m.record_send(1, 1);
         let kinds: Vec<&str> = m.iter().map(|(k, _)| k).collect();
@@ -372,25 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_and_adopts_registry() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::with_registry(KINDS);
-        b.record_send(0, 1);
-        b.record_drop(0, 1, false);
-        b.record_duplicate();
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.kind("Zed"), KindStats { count: 2, bytes: 2 });
-        assert_eq!(a.dropped(), 2);
-        assert_eq!(a.duplicated(), 2);
-        assert_eq!(a.registry(), KINDS);
-    }
-
-    const EVENTS: &[&str] = &["zeta_event", "alpha_event"];
-
-    #[test]
     fn events_accumulate_and_stay_out_of_traffic_totals() {
-        let mut m = Metrics::with_registries(KINDS, EVENTS);
+        let mut m = metrics();
         m.record_event(0, 3);
         m.record_event(0, 2);
         m.record_event(1, 40);
@@ -406,19 +336,5 @@ mod tests {
             !dbg.contains("event"),
             "events are excluded from replay digests: {dbg}"
         );
-
-        let mut acc = Metrics::new();
-        acc.merge(&m);
-        acc.merge(&m);
-        assert_eq!(acc.event("zeta_event"), 10);
-        assert_eq!(acc.event_registry(), EVENTS);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind registries")]
-    fn merge_rejects_mismatched_registries() {
-        let mut a = Metrics::with_registry(&["A"]);
-        let b = Metrics::with_registry(&["B"]);
-        a.merge(&b);
     }
 }

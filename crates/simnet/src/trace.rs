@@ -42,3 +42,38 @@ pub struct TraceEvent {
     /// Delivery outcome.
     pub disposition: Disposition,
 }
+
+/// One line: time, endpoints, kind, wire size and disposition.
+impl std::fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} -> {} {} {}B {:?}",
+            self.at, self.from, self.to, self.kind, self.bytes, self.disposition
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_send_displays_as_one_dump_line() {
+        let e = TraceEvent {
+            at: SimTime::from_micros(1_500),
+            from: NodeId::new(3),
+            to: NodeId::new(7),
+            kind: "StoreFragmentReq",
+            bytes: 2048,
+            disposition: Disposition::DroppedRandom,
+        };
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "{} {} -> {} StoreFragmentReq 2048B DroppedRandom",
+                e.at, e.from, e.to
+            )
+        );
+    }
+}

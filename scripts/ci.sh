@@ -100,10 +100,11 @@ explore_mode full
 # ProtocolMode::scale(); like every digest line, its line pins the
 # compacted-version count.
 explore_mode scale --seeds 0 --scale
-# The four repair families alone (node churn, rack outage, flash-crowd
-# reads during rebuild, throttled repair storm) on a repair-enabled
-# rack-aware cluster, checked by the redundancy-floor invariant; the digest
-# lines fold the EV_REPAIR_* counters.
+# The five repair families alone (node churn, rack outage, flash-crowd
+# reads during rebuild, throttled repair storm, rack outage under 5 %
+# duplication) on a repair-enabled rack-aware cluster, checked by the
+# redundancy-floor invariant; the digest lines fold the EV_REPAIR_*
+# counters.
 explore_mode repair --seeds 0 --repair
 # A committed digest no leg regenerates would go stale unnoticed.
 for committed in results/digests/*.txt; do

@@ -411,10 +411,7 @@ fn main() {
     if let Some(sends) = first_sends {
         println!("\nfirst traced messages:");
         for e in &sends.borrow().0 {
-            println!(
-                "  {} {} -> {} {} ({} B) {:?}",
-                e.at, e.from, e.to, e.kind, e.bytes, e.disposition
-            );
+            println!("  {e}");
         }
     }
 }
