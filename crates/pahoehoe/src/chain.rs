@@ -1,23 +1,26 @@
 //! Per-key chains: the one layout for state kept per object version.
 //!
 //! Object versions order by `(key, timestamp)`, and the stores that keep a
-//! record per version — a KLS's metadata (its timestamp store, §3.2) and an
-//! FS's compaction residuals (DESIGN.md §8.7) — are read a key at a time.
-//! [`Chains`] keeps such records as an ordered map `Key → chain`, each
-//! chain holding that key's records sorted by timestamp. Walking the map
-//! key by key lists the records in [`ObjectVersion`] order; a lookup is one
-//! probe of a map with an entry per *key*, then the key's own chain.
+//! record per version — a KLS's metadata (its timestamp store, §3.2), an
+//! FS's live versions and its compaction residuals (DESIGN.md §8.7) — are
+//! read a key at a time. [`Chains`] keeps such records as a hash-addressed
+//! table `Key → chain` ([`KeyTable`]), each chain holding that key's
+//! records sorted by timestamp. A lookup is one probe of a table with an
+//! entry per *key*, then the key's own chain. A walk across keys
+//! ([`Chains::iter`], [`Chains::iter_from`]) sorts the keys it visits, so
+//! it lists the records in [`ObjectVersion`] order whatever the table's
+//! layout.
 //!
 //! A chain is sized to what it holds. A lone record sits inline in the
-//! map's value, with no allocation: most keys of a wide key space are
+//! table's value, with no allocation: most keys of a wide key space are
 //! written once. A chain of up to [`EXACT_FIT_CHAIN`] records is allocated
 //! exact-fit; longer chains belong to hot keys and grow amortised. Versions
 //! mostly arrive in timestamp order, so lookups and inserts compare with
 //! the chain's end before searching it.
 
 use std::cmp::Ordering;
-use std::collections::btree_map::{BTreeMap, Entry};
 
+use crate::table::{Entry, KeyTable};
 use crate::types::{Key, ObjectVersion, Timestamp};
 
 /// A record that knows the timestamp of the version it belongs to; the key
@@ -48,8 +51,9 @@ fn growth(len: usize) -> usize {
     }
 }
 
-/// One key's records, sorted by timestamp, timestamps distinct. Records
-/// are never removed, so `Many` always holds two or more.
+/// One key's records, sorted by timestamp, timestamps distinct. `Many`
+/// always holds two or more: a removal that leaves one turns the chain
+/// back into `One`.
 #[derive(Debug)]
 pub(crate) enum Chain<R> {
     /// A lone record, held inline.
@@ -105,6 +109,21 @@ impl<R: Stamped> Chain<R> {
         *self = Chain::Many(records);
     }
 
+    /// Removes the record at `at`, where `search` found it, from a chain
+    /// of two or more.
+    fn remove(&mut self, at: usize) -> Option<R> {
+        let Chain::Many(records) = self else {
+            return None;
+        };
+        let removed = (at < records.len()).then(|| records.remove(at));
+        if let [_] = records.as_slice() {
+            if let Some(last) = records.pop() {
+                *self = Chain::One(last);
+            }
+        }
+        removed
+    }
+
     /// The record at `at`.
     fn record_mut(&mut self, at: usize) -> &mut R {
         // lint:allow(panic-path): callers pass a position `search` found or `insert` just filled
@@ -121,10 +140,11 @@ impl<R: Stamped> Chain<R> {
     }
 }
 
-/// Per-version records as per-key chains, in [`ObjectVersion`] order.
+/// Per-version records as per-key chains, walked in [`ObjectVersion`]
+/// order.
 #[derive(Debug)]
 pub(crate) struct Chains<R> {
-    chains: BTreeMap<Key, Chain<R>>,
+    chains: KeyTable<Chain<R>>,
     /// Records over all chains.
     len: usize,
 }
@@ -132,7 +152,7 @@ pub(crate) struct Chains<R> {
 impl<R> Default for Chains<R> {
     fn default() -> Self {
         Chains {
-            chains: BTreeMap::new(),
+            chains: KeyTable::default(),
             len: 0,
         }
     }
@@ -142,13 +162,13 @@ impl<R: Stamped> Chains<R> {
     /// The record of `ov`, if any.
     // lint:hot
     pub(crate) fn get(&self, ov: ObjectVersion) -> Option<&R> {
-        let chain = self.chains.get(&ov.key)?;
+        let chain = self.chains.get(ov.key)?;
         chain.as_slice().get(chain.search(ov.ts).ok()?)
     }
 
     /// Mutable variant of [`Chains::get`].
     pub(crate) fn get_mut(&mut self, ov: ObjectVersion) -> Option<&mut R> {
-        let chain = self.chains.get_mut(&ov.key)?;
+        let chain = self.chains.get_mut(ov.key)?;
         let at = chain.search(ov.ts).ok()?;
         chain.as_mut_slice().get_mut(at)
     }
@@ -163,32 +183,65 @@ impl<R: Stamped> Chains<R> {
     ) -> (bool, &mut R) {
         let (inserted, chain, at) = match self.chains.entry(ov.key) {
             Entry::Vacant(vacant) => (true, vacant.insert(Chain::One(make())), 0),
-            Entry::Occupied(occupied) => {
-                let chain = occupied.into_mut();
-                match chain.search(ov.ts) {
-                    Ok(at) => (false, chain, at),
-                    Err(at) => {
-                        chain.insert(at, make());
-                        (true, chain, at)
-                    }
+            Entry::Occupied(chain) => match chain.search(ov.ts) {
+                Ok(at) => (false, chain, at),
+                Err(at) => {
+                    chain.insert(at, make());
+                    (true, chain, at)
                 }
-            }
+            },
         };
         self.len += usize::from(inserted);
         (inserted, chain.record_mut(at))
     }
 
+    /// Removes the record of `ov`, returning it; a key left with no
+    /// records leaves the table.
+    pub(crate) fn remove(&mut self, ov: ObjectVersion) -> Option<R> {
+        let chain = self.chains.get_mut(ov.key)?;
+        let at = chain.search(ov.ts).ok()?;
+        let removed = match chain {
+            Chain::One(_) => match self.chains.remove(ov.key)? {
+                Chain::One(record) => record,
+                Chain::Many(_) => return None,
+            },
+            Chain::Many(_) => chain.remove(at)?,
+        };
+        self.len -= 1;
+        Some(removed)
+    }
+
     /// `key`'s records, oldest first (empty if it has none).
     // lint:hot
     pub(crate) fn chain(&self, key: Key) -> &[R] {
-        self.chains.get(&key).map_or(&[], Chain::as_slice)
+        self.chains.get(key).map_or(&[], Chain::as_slice)
     }
 
     /// Every record with its key, in object-version order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, &R)> + '_ {
+        self.iter_from(None)
+    }
+
+    /// The records of `from` and every later version, with their keys, in
+    /// object-version order (all of them for `None`). The keys are sorted
+    /// here (see [`KeyTable::sorted_from`]); a key's own records are its
+    /// sorted chain.
+    pub(crate) fn iter_from(
+        &self,
+        from: Option<ObjectVersion>,
+    ) -> impl Iterator<Item = (Key, &R)> + '_ {
+        let first = from.map_or(Key::from_u64(0), |ov| ov.key);
         self.chains
-            .iter()
-            .flat_map(|(&key, chain)| chain.as_slice().iter().map(move |r| (key, r)))
+            .sorted_from(first)
+            .into_iter()
+            .flat_map(move |(key, chain)| {
+                let records = chain.as_slice();
+                let skip = match from {
+                    Some(ov) if ov.key == key => records.partition_point(|r| r.ts() < ov.ts),
+                    _ => 0,
+                };
+                records.iter().skip(skip).map(move |r| (key, r))
+            })
     }
 
     /// Records over all chains.
@@ -205,7 +258,7 @@ impl<R: Stamped> Chains<R> {
     /// `key`'s chain itself, for tests that watch its allocation.
     #[cfg(test)]
     pub(crate) fn raw(&self, key: Key) -> Option<&Chain<R>> {
-        self.chains.get(&key)
+        self.chains.get(key)
     }
 }
 

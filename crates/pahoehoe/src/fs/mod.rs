@@ -76,7 +76,8 @@ use crate::types::{Key, ObjectVersion};
 use rounds::Outbox;
 use store::{Slot, VersionStore};
 
-/// Timer tags (upper byte selects the kind, low bits carry an op id).
+/// Timer tags: the upper byte selects the kind; a recovery timer's low 56
+/// bits name its recovery (`VersionStore::recovery_timer`).
 const TAG_ROUND: u64 = 1 << 56;
 const TAG_RECOVERY_WAIT: u64 = 2 << 56;
 const TAG_RECOVERY_TIMEOUT: u64 = 3 << 56;
@@ -472,15 +473,15 @@ impl Actor<Message> for Fs {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
-        let op = tag & !TAG_MASK;
+        let payload = tag & !TAG_MASK;
         match tag & TAG_MASK {
             TAG_ROUND => {
                 self.round_scheduled = false;
                 self.run_round(ctx);
             }
-            TAG_RECOVERY_WAIT => self.recovery_wait_elapsed(ctx, op),
+            TAG_RECOVERY_WAIT => self.recovery_wait_elapsed(ctx, payload),
             TAG_RECOVERY_TIMEOUT => {
-                if let Some(s) = self.store.find_recovery(op) {
+                if let Some(s) = self.store.find_recovery(payload) {
                     self.abort_recovery(ctx, s);
                     self.ensure_round(ctx);
                 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use erasure::{Fragment, FragmentIndex};
 use simnet::{Context, NodeId};
 
-use super::store::{Recovery, RecoveryPhase, Slot};
+use super::store::{Recovery, RecoveryPhase, Slot, VersionStore};
 use super::{Fs, StoredFragment, TAG_RECOVERY_TIMEOUT, TAG_RECOVERY_WAIT};
 use crate::messages::{Message, OpId};
 use crate::protocol::Donors;
@@ -22,8 +22,9 @@ impl Fs {
         self.next_op += 1;
         // lint:allow(panic-path): recovery starts only for pending (hence stored) versions
         let meta = Arc::clone(&self.store.entry(s).expect("pending implies stored").meta);
+        let timer = VersionStore::recovery_timer(s, op);
         let timeout_timer =
-            ctx.schedule_timer(self.opts.recovery_timeout, TAG_RECOVERY_TIMEOUT | op);
+            ctx.schedule_timer(self.opts.recovery_timeout, TAG_RECOVERY_TIMEOUT | timer);
 
         let mut donors = Donors::default();
         let (phase, wait_timer) = if self.opts.sibling_recovery {
@@ -31,7 +32,7 @@ impl Fs {
             // report what they need; we fetch after a short accumulation
             // window.
             self.probe_siblings(ctx, s, &meta, true, false);
-            let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | op);
+            let wait_timer = ctx.schedule_timer(self.opts.recovery_wait, TAG_RECOVERY_WAIT | timer);
             (RecoveryPhase::AwaitingReports, Some(wait_timer))
         } else {
             // Naïve recovery: a get of this object version — request every
@@ -64,9 +65,10 @@ impl Fs {
     }
 
     /// The recovery-wait window closed: pick fragments to fetch based on
-    /// the siblings' reports.
-    pub(super) fn recovery_wait_elapsed(&mut self, ctx: &mut Context<'_, Message>, op: OpId) {
-        let Some(s) = self.store.find_recovery(op) else {
+    /// the siblings' reports. `timer` is the timer's payload
+    /// ([`VersionStore::recovery_timer`]).
+    pub(super) fn recovery_wait_elapsed(&mut self, ctx: &mut Context<'_, Message>, timer: u64) {
+        let Some(s) = self.store.find_recovery(timer) else {
             return;
         };
         let me = ctx.self_id();
@@ -81,12 +83,11 @@ impl Fs {
         // neither hold nor already planned, until k total are available.
         let mut plan: Vec<(NodeId, FragmentIndex)> = Vec::new();
         let mut planned: BTreeSet<FragmentIndex> = local.clone();
-        {
+        let op = {
             // lint:allow(panic-path): find_recovery returned this slot, so it is pending
             let work = self.store.work_mut(s).expect("recovering");
             // lint:allow(panic-path): find_recovery guarantees an in-flight recovery
             let rec = work.recovery.as_mut().expect("recovering");
-            debug_assert_eq!(rec.op, op);
             rec.phase = RecoveryPhase::Fetching;
             rec.wait_timer = None;
             for (&fs, (have, _)) in &rec.reports {
@@ -101,7 +102,8 @@ impl Fs {
                     }
                 }
             }
-        }
+            rec.op
+        };
         if planned.len() < k {
             // Not enough fragments reachable right now; retry at a later
             // round (backoff was charged when the step started).

@@ -96,9 +96,10 @@ impl Fs {
 
     /// One scrub tick: verifies stored fragments against their recorded
     /// checksums, at most [`SCRUB_CHUNK_BYTES`] of payload per tick (a
-    /// persistent cursor resumes the walk on the next tick, through one
-    /// range of the store's index, so the cost of one event is
-    /// proportional to the bytes it scanned, not to the whole store).
+    /// persistent cursor resumes the walk on the next tick, so a tick
+    /// reads the bytes of the versions it scans, not the whole store; it
+    /// does sort the keys from the cursor on, since the store's index is a
+    /// hash table).
     /// Corrupted fragments are dropped and their versions re-entered for
     /// convergence (which regenerates them from the siblings). Returns the
     /// number of corrupted fragments found this tick.

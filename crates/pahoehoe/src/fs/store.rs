@@ -4,9 +4,7 @@
 //! settled, superseded versions to [`Residual`]s (DESIGN.md §8.7). It
 //! sends nothing and sets no timer.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
 use erasure::FragmentIndex;
 use simnet::{NodeId, SimTime, TimerId};
@@ -16,6 +14,13 @@ use crate::chain::{Chains, Stamped};
 use crate::messages::OpId;
 use crate::protocol::Donors;
 use crate::types::{Key, ObjectVersion, Timestamp};
+
+/// Bits of a recovery timer's payload that carry its op id; the slab index
+/// sits above them ([`VersionStore::recovery_timer`]).
+const RECOVERY_OP_BITS: u32 = 24;
+
+/// The op id bits a recovery timer carries.
+const RECOVERY_OP_MASK: u64 = (1 << RECOVERY_OP_BITS) - 1;
 
 /// Convergence bookkeeping for one not-yet-AMR object version.
 #[derive(Debug)]
@@ -167,9 +172,24 @@ impl ResidualTable {
     }
 }
 
+/// A live version's place in the index: its timestamp (the key is its
+/// chain's) and its slab slot. One record per live version in its key's
+/// chain of [`VersionStore::index`], 16 B.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    ts: Timestamp,
+    at: u32,
+}
+
+impl Stamped for Live {
+    fn ts(&self) -> Timestamp {
+        self.ts
+    }
+}
+
 /// The occupied slab slot `s`, for a slot id taken from the index or the
 /// pending list: those only name occupied slots, because compaction drops
-/// a slot's index entry as it vacates the slot and only vacates settled
+/// a slot's index record as it vacates the slot and only vacates settled
 /// (hence not pending) slots.
 fn live(slots: &[Option<VersionSlot>], s: u32) -> &VersionSlot {
     // lint:allow(panic-path): index and pending entries always name occupied slots
@@ -205,23 +225,30 @@ impl Slot {
 /// Per-version storage for an FS.
 ///
 /// Every *live* version — one that still holds its fragments — sits in a
-/// slab slot, with an `ov -> slot` index and a sorted list of pending slot
-/// indices that `run_round` walks without any map lookups. A handler
-/// probes the index once per message, through [`VersionStore::find`] or
-/// [`VersionStore::adopt`], and reaches the version by its [`Slot`] from
-/// then on. Versions are never forgotten, but a compacted one shrinks to a
-/// 16-byte [`Residual`] in its key's chain of the [`ResidualTable`] and
-/// gives its slot and index entry back, so slab, index, pending list and
-/// every walk over them are O(live versions), not O(versions ever stored).
+/// slab slot. The index is a hash-addressed table keyed by [`Key`]
+/// ([`Chains`]) whose value is that key's live `(timestamp, slot)` list,
+/// sorted by timestamp and held inline when the key has one live version;
+/// a sorted list of pending slot indices is what `run_round` walks
+/// without any lookups. A handler probes the index once per message,
+/// through [`VersionStore::find`] or [`VersionStore::adopt`], and reaches
+/// the version by its [`Slot`] from then on. Versions are never
+/// forgotten, but a compacted one shrinks to a 16-byte [`Residual`] in its
+/// key's chain of the [`ResidualTable`] — a second table, so that settling
+/// a hot key walks its few live versions, not every residual it has left —
+/// and gives its slot and index record back, so slab, index, pending list
+/// and every walk over them are O(live versions), not O(versions ever
+/// stored). A walk across keys (the live listings, the scrub cursor's
+/// [`VersionStore::live_from`]) sorts the keys it visits, so it comes out
+/// in object-version order whatever the table's layout.
 #[derive(Debug)]
 pub(super) struct VersionStore {
     /// `None` marks a vacated slot, listed in `free`.
     slots: Vec<Option<VersionSlot>>,
     /// Slots vacated by compaction, reused before the slab grows.
     free: Vec<u32>,
-    /// Each live version's slot, in object-version order: a key's live
-    /// versions are one range.
-    index: BTreeMap<ObjectVersion, u32>,
+    /// Each live version's slot: per key, a chain of [`Live`] records
+    /// sorted by timestamp, so a key's live versions are one slice.
+    index: Chains<Live>,
     /// Slot indices of pending versions, sorted by object version so
     /// rounds step versions in version order.
     pending: Vec<u32>,
@@ -229,7 +256,9 @@ pub(super) struct VersionStore {
     /// misses: a version is in the index or here, never both. Compacting
     /// takes a newer settled version of the key, so the newest version a
     /// key has is never here: every residual has a newer version of its
-    /// key in the index.
+    /// key in the index. Kept apart from the index: one chain per key
+    /// holding both would make every settle of a hot key walk all its
+    /// residuals.
     residuals: ResidualTable,
 }
 
@@ -238,7 +267,7 @@ impl VersionStore {
         VersionStore {
             slots: Vec::new(),
             free: Vec::new(),
-            index: BTreeMap::new(),
+            index: Chains::default(),
             pending: Vec::new(),
             residuals: ResidualTable::default(),
         }
@@ -247,7 +276,7 @@ impl VersionStore {
     /// The slot of `ov`, if it is live.
     // lint:hot
     pub(super) fn find(&self, ov: ObjectVersion) -> Option<Slot> {
-        self.index.get(&ov).map(|&at| Slot { at, ov })
+        self.index.get(ov).map(|live| Slot { at: live.at, ov })
     }
 
     /// `s`'s record, if its slot still holds the version `s` names.
@@ -360,14 +389,13 @@ impl VersionStore {
         // ends the key's chain.
         let mut victims: Vec<(ObjectVersion, u32, SimTime)> = Vec::new();
         let (mut newer_live, mut newer_amr) = (false, false);
-        let key =
-            ObjectVersion::new(ov.key, Timestamp::MIN)..=ObjectVersion::new(ov.key, Timestamp::MAX);
-        for (&v, &at) in index.range(key) {
+        for live in index.chain(ov.key) {
+            let v = ObjectVersion::new(ov.key, live.ts);
             if v < ov {
-                victims.extend(amr_at(at).map(|t| (v, at, t)));
+                victims.extend(amr_at(live.at).map(|t| (v, live.at, t)));
             } else if v > ov {
                 newer_live = true;
-                newer_amr |= amr_at(at).is_some();
+                newer_amr |= amr_at(live.at).is_some();
             }
         }
         let superseded =
@@ -377,7 +405,7 @@ impl VersionStore {
         }
         for (victim, at, settled) in victims {
             residuals.insert(victim, settled);
-            index.remove(&victim);
+            index.remove(victim);
             // lint:allow(panic-path): `live` read this slot in the walk above
             slots[at as usize] = None;
             free.push(at);
@@ -402,30 +430,28 @@ impl VersionStore {
     /// Fills `out` with the slots of every version that still holds a full
     /// entry — compacted versions have no bytes to scrub, lose or report —
     /// in object-version order.
-    // lint:hot
     pub(super) fn collect_live(&self, out: &mut Vec<Slot>) {
         out.clear();
-        out.extend(self.index.iter().map(|(&ov, &at)| Slot { at, ov }));
+        out.extend(self.live_from(None));
     }
 
     /// The slots of the versions that still hold a full entry, in
-    /// object-version order from `from` on (from the first with `None`):
-    /// one index range, so a walk that resumes at a cursor costs what it
-    /// reads, not the size of the store.
+    /// object-version order from `from` on (from the first with `None`).
+    /// The walk sorts the keys from `from`'s on, so a resumed walk costs a
+    /// sort of the keys it has left, not of the whole store.
     pub(super) fn live_from(&self, from: Option<ObjectVersion>) -> impl Iterator<Item = Slot> + '_ {
-        let start = from.map_or(Bound::Unbounded, Bound::Included);
-        self.index
-            .range((start, Bound::Unbounded))
-            .map(|(&ov, &at)| Slot { at, ov })
+        self.index.iter_from(from).map(|(key, live)| Slot {
+            at: live.at,
+            ov: ObjectVersion::new(key, live.ts),
+        })
     }
 
     /// `key`'s live versions, oldest first.
     pub(super) fn live_versions_of(&self, key: Key) -> impl Iterator<Item = ObjectVersion> + '_ {
-        let first = ObjectVersion::new(key, Timestamp::MIN);
         self.index
-            .range(first..)
-            .map(|(&ov, _)| ov)
-            .take_while(move |ov| ov.key == key)
+            .chain(key)
+            .iter()
+            .map(move |live| ObjectVersion::new(key, live.ts))
     }
 
     pub(super) fn pending_versions(&self) -> impl Iterator<Item = ObjectVersion> + '_ {
@@ -440,13 +466,13 @@ impl VersionStore {
         keep: impl Fn(&VersionSlot) -> bool,
     ) -> std::vec::IntoIter<ObjectVersion> {
         let mut out: Vec<ObjectVersion> = self
-            .index
-            .iter()
-            .filter(|(_, &s)| keep(live(&self.slots, s)))
-            .map(|(&ov, _)| ov)
+            .live_from(None)
+            .filter(|s| keep(live(&self.slots, s.at)))
+            .map(Slot::ov)
             .chain(compacted)
             .collect();
-        out.sort_unstable();
+        // Two sorted runs: the stable sort merges them in one pass.
+        out.sort();
         out.into_iter()
     }
 
@@ -475,7 +501,9 @@ impl VersionStore {
     /// `ov`'s slot and entry, inserting a fresh entry (which always starts
     /// pending) built by `make` if `ov` is new — or `None` if the version
     /// is a compacted residual, which must never be resurrected into a full
-    /// entry. One index probe either way.
+    /// entry. One index probe for a known version; a new one also probes
+    /// the residuals, unless its key has no live version newer than it
+    /// (every residual has one), and then inserts.
     // lint:hot
     pub(super) fn adopt(
         &mut self,
@@ -490,10 +518,24 @@ impl VersionStore {
             pending,
             residuals,
         } = self;
-        let at = match index.entry(ov) {
-            Entry::Occupied(known) => *known.get(),
-            Entry::Vacant(_) if residuals.chains.get(ov).is_some() => return None,
-            Entry::Vacant(new) => {
+        // A key's live versions are one sorted chain, and every residual
+        // is older than its key's newest live version: a version past the
+        // chain's end is new without a residual probe.
+        let chain = index.chain(ov.key);
+        let known = match chain.last() {
+            Some(newest) if newest.ts == ov.ts => Some(newest.at),
+            Some(newest) if newest.ts > ov.ts => {
+                match chain.binary_search_by(|live| live.ts.cmp(&ov.ts)) {
+                    Ok(i) => chain.get(i).map(|live| live.at),
+                    Err(_) if residuals.chains.get(ov).is_some() => return None,
+                    Err(_) => None,
+                }
+            }
+            _ => None,
+        };
+        let at = match known {
+            Some(at) => at,
+            None => {
                 let slot = Some(VersionSlot {
                     ov,
                     entry: make(),
@@ -510,7 +552,8 @@ impl VersionStore {
                         (slots.len() - 1) as u32
                     }
                 };
-                new.insert(at);
+                let (inserted, _) = index.get_or_insert_with(ov, || Live { ts: ov.ts, at });
+                debug_assert!(inserted, "{ov:?} was live already");
                 Self::pending_insert(slots, pending, at);
                 at
             }
@@ -557,18 +600,34 @@ impl VersionStore {
         }
     }
 
-    /// The slot of the version whose in-flight recovery carries `op`, if
-    /// any.
-    pub(super) fn find_recovery(&self, op: OpId) -> Option<Slot> {
-        self.pending.iter().find_map(|&at| {
-            let slot = live(&self.slots, at);
-            match &slot.state {
-                VersionState::Pending(w) if w.recovery.as_ref().is_some_and(|r| r.op == op) => {
-                    Some(Slot { at, ov: slot.ov })
-                }
-                _ => None,
+    /// The payload of a timer for `s`'s recovery `op`: the slab index
+    /// above the op id's low [`RECOVERY_OP_BITS`] bits, 56 bits in all, so
+    /// that [`VersionStore::find_recovery`] goes straight to the slot.
+    pub(super) fn recovery_timer(s: Slot, op: OpId) -> u64 {
+        u64::from(s.at) << RECOVERY_OP_BITS | op & RECOVERY_OP_MASK
+    }
+
+    /// The slot of the version whose in-flight recovery a timer of
+    /// `payload` ([`VersionStore::recovery_timer`]) belongs to, if that
+    /// recovery is still in flight: the slot must hold a pending version
+    /// recovering under the timer's op id. A stale timer — its recovery
+    /// ended, or its slot was vacated or holds another version now —
+    /// finds nothing: op ids only grow, so another recovery matches only
+    /// 2^24 recoveries later, and every path that ends a recovery cancels
+    /// its timers long before that.
+    pub(super) fn find_recovery(&self, payload: u64) -> Option<Slot> {
+        let at = u32::try_from(payload >> RECOVERY_OP_BITS).ok()?;
+        let slot = self.slots.get(at as usize)?.as_ref()?;
+        match &slot.state {
+            VersionState::Pending(w)
+                if w.recovery
+                    .as_ref()
+                    .is_some_and(|r| r.op & RECOVERY_OP_MASK == payload & RECOVERY_OP_MASK) =>
+            {
+                Some(Slot { at, ov: slot.ov })
             }
-        })
+            _ => None,
+        }
     }
 
     fn pending_insert(slots: &[Option<VersionSlot>], pending: &mut Vec<u32>, s: u32) {

@@ -1200,3 +1200,72 @@ fn retrieve_unknown_fragment_answers_bottom() {
     let d: &Driver = sim.actor(driver);
     assert_eq!(d.received(), vec![(fs_node, "RetrieveFragRep")]);
 }
+
+/// The store's index and residuals are hash-addressed tables, yet every
+/// walk across keys comes out in object-version order: the FS's listings
+/// and the scrub cursor's walk, resumed at any version. The keys mix
+/// numbered ones (`1..=n`) with hashed ones, and arrive in no order.
+#[test]
+fn walks_across_keys_come_out_in_version_order() {
+    let mut fs = Fs::with_mode(
+        tiny_topo(),
+        DataCenterId::new(0),
+        ConvergenceOptions::all(),
+        ProtocolMode::default(),
+    );
+    let keys: Vec<Key> = (1..=40u64)
+        .map(|k| {
+            let mixed = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            Key::from_u64(if k % 2 == 0 { k } else { mixed })
+        })
+        .rev()
+        .collect();
+    let version = |key, us| ObjectVersion::new(key, Timestamp::new(SimTime::from_micros(us), 0));
+    let entry = || FragEntry {
+        meta: full_meta(8),
+        fragments: FragMap::new(),
+    };
+    // Three versions per key, the middle one first; settling the newest
+    // two compacts the middle one, so every key has live and compacted
+    // versions.
+    for &key in &keys {
+        for us in [20, 10, 30] {
+            fs.store
+                .adopt(version(key, us), SimTime::ZERO, entry)
+                .expect("a new version");
+        }
+        for us in [20, 30] {
+            let s = fs.store.find(version(key, us)).expect("live");
+            fs.store.settle_amr(s, SimTime::ZERO);
+            fs.store.compact_superseded(s);
+        }
+    }
+    let mut sorted: Vec<ObjectVersion> = keys
+        .iter()
+        .flat_map(|&key| [10, 20, 30].map(|us| version(key, us)))
+        .collect();
+    sorted.sort();
+    let stamped = |us| move |ov: &ObjectVersion| ov.ts.clock_micros() == us;
+    let only = |keep: &dyn Fn(&ObjectVersion) -> bool| {
+        sorted
+            .iter()
+            .copied()
+            .filter(|ov| keep(ov))
+            .collect::<Vec<_>>()
+    };
+    let (compacted, settled) = (only(&stamped(20)), only(&|ov| !stamped(10)(ov)));
+    let live = only(&|ov| !stamped(20)(ov));
+    assert_eq!(fs.known_versions().collect::<Vec<_>>(), sorted);
+    assert_eq!(fs.compacted_versions().collect::<Vec<_>>(), compacted);
+    assert_eq!(fs.amr_versions().collect::<Vec<_>>(), settled);
+    assert_eq!(
+        fs.pending_versions().collect::<Vec<_>>(),
+        only(&stamped(10))
+    );
+    let walk = |from| fs.store.live_from(from).map(|s| s.ov()).collect::<Vec<_>>();
+    assert_eq!(walk(None), live);
+    for &cursor in &sorted {
+        let rest: Vec<ObjectVersion> = live.iter().copied().filter(|&ov| ov >= cursor).collect();
+        assert_eq!(walk(Some(cursor)), rest, "resumed at {cursor:?}");
+    }
+}

@@ -519,3 +519,72 @@ proptest::proptest! {
         proptest::prop_assert!(reused > 0, "no vacated slot was reused");
     }
 }
+
+/// A recovery timer's payload leads straight to its slot, and a stale one
+/// finds nothing: another op id, a slot with no recovery, a settled
+/// version, and a slot compaction vacated and another version reused.
+#[test]
+fn a_recovery_timer_finds_its_slot_and_a_stale_one_finds_nothing() {
+    let mut sim: simnet::Simulation<crate::messages::Message> = simnet::Simulation::new(0);
+    let mut recover = |store: &mut VersionStore, s: Slot, op: OpId| {
+        let timeout_timer = sim.schedule_timer(NodeId::new(0), simnet::SimDuration::ZERO, 0);
+        store.work_mut(s).expect("pending").recovery = Some(Box::new(Recovery {
+            op,
+            phase: RecoveryPhase::Fetching,
+            reports: BTreeMap::new(),
+            donors: Donors::default(),
+            wait_timer: None,
+            timeout_timer,
+        }));
+    };
+    let version = |key: u64, us: u64| {
+        ObjectVersion::new(
+            Key::from_u64(key),
+            Timestamp::new(SimTime::from_micros(us), 0),
+        )
+    };
+    let mut store = VersionStore::new();
+    let adopt =
+        |store: &mut VersionStore, ov| store.adopt(ov, SimTime::ZERO, blank).expect("new").0;
+    let (old, new) = (
+        adopt(&mut store, version(1, 5)),
+        adopt(&mut store, version(1, 6)),
+    );
+    recover(&mut store, old, 7);
+    let timer = VersionStore::recovery_timer(old, 7);
+    assert_eq!(store.find_recovery(timer), Some(old));
+    assert_eq!(
+        store.find_recovery(VersionStore::recovery_timer(old, 8)),
+        None
+    );
+    assert_eq!(
+        store.find_recovery(VersionStore::recovery_timer(new, 7)),
+        None
+    );
+    assert_eq!(
+        store.find_recovery(timer + (2 << RECOVERY_OP_BITS)),
+        None,
+        "past the slab"
+    );
+
+    // Settled: the recovery went with the pending work.
+    assert!(store.settle_amr(old, SimTime::ZERO).is_some());
+    store.compact_superseded(old);
+    assert_eq!(store.find_recovery(timer), None);
+    // Compacted, and the slot reused by another version's recovery.
+    store.settle_amr(new, SimTime::ZERO);
+    store.compact_superseded(new);
+    assert_eq!(store.compacted_count(), 1);
+    let other = adopt(&mut store, version(2, 5));
+    assert_eq!(
+        store.slab_shape(),
+        (2, 0),
+        "the new version took the vacated slot"
+    );
+    recover(&mut store, other, 9);
+    assert_eq!(store.find_recovery(timer), None);
+    assert_eq!(
+        store.find_recovery(VersionStore::recovery_timer(other, 9)),
+        Some(other)
+    );
+}

@@ -54,6 +54,7 @@ pub mod policy;
 pub mod protocol;
 pub mod proxy;
 pub mod repair;
+mod table;
 pub mod topology;
 pub mod types;
 pub mod workload;

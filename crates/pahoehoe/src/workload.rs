@@ -12,8 +12,9 @@ use crate::client::{Client, ClientOp};
 use crate::policy::Policy;
 use crate::types::Key;
 
-/// Stateless splitmix64 finalizer: a high-quality 64-bit mix of `x`.
-fn mix64(x: u64) -> u64 {
+/// Stateless splitmix64 finalizer: a high-quality 64-bit mix of `x`. It
+/// also hashes keys for [`KeyTable`](crate::table::KeyTable).
+pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate, run locally before pushing: formatting, clippy and rustdoc
-# (warnings are errors), the workspace tests (the erasure crate's again in
-# release), the static checker (`analyze`), the mutation smoke (`mutate`,
+# (warnings are errors), the workspace tests (the erasure crate's and the
+# pahoehoe key table, chain and store tests again in release), the static
+# checker (`analyze`), the mutation smoke (`mutate`,
 # each mutant's class compared with BENCH_analysis.json), five
 # invariant-explorer legs whose digests are compared with
 # results/digests/, the paper figures and CSVs compared with results/,
@@ -61,6 +62,12 @@ echo "==> cargo test -p erasure --release"
 # The workspace run above is a debug build; the codec's unsafe AVX2 kernel
 # must also pass its tests under the optimizer.
 cargo test -p erasure --release -q
+
+echo "==> cargo test -p pahoehoe --release (key table, chains, version store)"
+# The hash-addressed key table's masks, tags and wrap-around probes run
+# under the optimizer in every benchmark; its oracle proptest and the
+# chain and store tests run there too.
+cargo test -p pahoehoe --release -q --lib -- table:: chain:: fs::
 
 echo "==> static checker (7 token + 5 semantic rules; workspace must be clean)"
 cargo run -p check --release --bin analyze
