@@ -2,7 +2,9 @@
 //!
 //! Runs the full protocol-invariant registry after every event of every
 //! `(seed, fault plan, convergence preset)` scenario of the grid, then the
-//! scenarios `--scale` and `--repair` add, each under its own invariants.
+//! scenarios `--scale` and `--repair` add, each under its own invariants
+//! and each checked after every event at the node it ran on, so the
+//! summary's "events checked" counts every state checked.
 //! Exits 0 when every invariant held everywhere; on a violation, prints the
 //! shrunk repro scenario, dumps the violating run's message trace to a file
 //! and exits 1.
@@ -36,8 +38,7 @@
 //! * `--scale` — after the grid, run the scale cell
 //!   ([`Scenario::scale`](check::explorer::Scenario::scale)): a Zipf
 //!   streamed workload under the scale protocol mode (batched rounds),
-//!   update-heavy enough that most versions compact, the registry sampled
-//!   every 500 events;
+//!   update-heavy enough that most versions compact, under the registry;
 //! * `--repair` — after the grid, run the five repair families
 //!   ([`Scenario::repair_families`](check::explorer::Scenario::repair_families)):
 //!   sustained disk churn, whole-rack outage, flash-crowd reads during

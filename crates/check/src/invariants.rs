@@ -9,6 +9,16 @@
 //! the recorded event index pins it in the message trace. The same observer
 //! shows every invariant every message send.
 //!
+//! An event changes the state of one node, the one it ran on, so each
+//! check covers that node ([`ClusterView::nodes`]). A per-node property is
+//! checked there alone. A property across nodes is checked for the object
+//! versions whose state changed there ([`ClusterView::changed`]): the
+//! checker keeps each FS's [`FragmentRecord`] from its last check and
+//! diffs it with a fresh one, and keeps each client's acked set. A check
+//! sees the same violations as one of the whole cluster, at the same
+//! event: the end-of-run pass is that whole-cluster check, the same code
+//! over every node with every version marked changed.
+//!
 //! The registry assumes every put writes a key-derived blob: workload key
 //! `i + 1` holds [`Client::synthetic_value`]`(i, value_len)`, which lets the
 //! durability invariant reconstruct the expected blob for any acknowledged
@@ -19,10 +29,11 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use erasure::{Checksum, Codec, Fragment};
+use erasure::{Checksum, Codec, Fragment, FragmentIndex};
 use pahoehoe::analysis;
 use pahoehoe::client::Client;
 use pahoehoe::cluster::Cluster;
@@ -31,14 +42,14 @@ use pahoehoe::messages::Message;
 use pahoehoe::proxy::Proxy;
 use pahoehoe::repair::{self, RepairOptions};
 use pahoehoe::topology::{DataCenterId, Topology};
-use pahoehoe::types::ObjectVersion;
+use pahoehoe::types::{Key, ObjectVersion};
 use pahoehoe::{Metadata, Policy};
 use simnet::{
     Disposition, NodeId, Observer, RunOutcome, SimDuration, SimTime, Simulation, TraceEvent,
 };
 
 /// One observed breach of a protocol invariant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Name of the violated invariant.
     pub invariant: &'static str,
@@ -51,9 +62,9 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// The cluster state handed to invariants: the simulation plus the static
+/// The cluster state handed to invariants: the simulation, the static
 /// facts (topology, node ids, workload shape) captured when the checker
-/// was installed.
+/// was installed, and what the check covers.
 pub struct ClusterView<'a> {
     /// The simulation, mid-run or after the run.
     pub sim: &'a Simulation<Message>,
@@ -75,6 +86,162 @@ pub struct ClusterView<'a> {
     /// police the repair policy (e.g. [`RedundancyFloor`]) are vacuous
     /// when this is `None`.
     pub repair: Option<&'a RepairOptions>,
+    /// The nodes this check covers, in id order: the one the event ran on
+    /// and any a harness step changed since the last check
+    /// ([`Checker::touch`]); every node at the first check and in the
+    /// end-of-run pass. No other node's state changed since it was last
+    /// checked.
+    pub nodes: &'a [NodeId],
+    /// The object versions whose state changed at a covered node since
+    /// the last check, in version order: each version whose fragment
+    /// record changed at a covered FS, with every version of its key that
+    /// any FS knows (a compacted version is durable through a newer one),
+    /// and each version a covered client newly acked. Every version in the
+    /// end-of-run pass.
+    pub changed: &'a BTreeSet<ObjectVersion>,
+    /// Each FS's fragment record, in `fss` order, as its last check took
+    /// it: this check's for a covered FS.
+    records: &'a [FragmentRecord],
+}
+
+impl<'a> ClusterView<'a> {
+    /// Whether this check covers `node`.
+    pub fn covers(&self, node: NodeId) -> bool {
+        self.nodes.binary_search(&node).is_ok()
+    }
+
+    /// The covered fragment servers, in `fss` order, each with the fragment
+    /// record this check took.
+    pub fn covered_fss(&self) -> impl Iterator<Item = (NodeId, &'a FragmentRecord)> + '_ {
+        self.fss
+            .iter()
+            .zip(self.records)
+            .filter(|&(&fs, _)| self.covers(fs))
+            .map(|(&fs, record)| (fs, record))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What an FS stores, as a check saw it.
+// ---------------------------------------------------------------------------
+
+/// What an FS holds of a version it knows, one row of a [`FragmentRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Held {
+    /// One stored fragment: its index, the checksum the FS recorded with
+    /// it, and the checksum of its bytes when the record was taken.
+    Fragment {
+        /// The fragment's index.
+        idx: FragmentIndex,
+        /// The checksum recorded when the fragment was stored.
+        recorded: Checksum,
+        /// The checksum of the fragment's bytes now.
+        fresh: Checksum,
+    },
+    /// A full entry that stores no fragment.
+    NoFragment,
+    /// A compaction residual.
+    Residual,
+    /// Neither an entry nor a residual: the store lists the version but
+    /// lost its bookkeeping.
+    Neither,
+}
+
+/// One FS's stored state as a check took it: for every version the FS
+/// knows, in version order, one row per stored fragment (by index), or one
+/// row saying it holds none. Every fragment is hashed afresh, so two
+/// records of one FS differ wherever its stored state changed in between —
+/// a fragment stored, freed or lost, or its bytes rewritten behind an
+/// unchanged recorded checksum.
+#[derive(Debug, Default)]
+pub struct FragmentRecord {
+    rows: Vec<(ObjectVersion, Held)>,
+}
+
+impl FragmentRecord {
+    /// Replaces this record with one of what `fs` stores now, reusing its
+    /// buffer.
+    fn retake(&mut self, fs: &Fs) {
+        self.rows.clear();
+        for ov in fs.known_versions() {
+            let Some(entry) = fs.entry(ov) else {
+                let held = match fs.compacted_residual(ov) {
+                    Some(_) => Held::Residual,
+                    None => Held::Neither,
+                };
+                self.rows.push((ov, held));
+                continue;
+            };
+            if entry.fragments.is_empty() {
+                self.rows.push((ov, Held::NoFragment));
+            }
+            self.rows
+                .extend(entry.fragments.iter().map(|(&idx, stored)| {
+                    let fresh = Checksum::of(stored.fragment.data());
+                    let recorded = stored.checksum;
+                    (
+                        ov,
+                        Held::Fragment {
+                            idx,
+                            recorded,
+                            fresh,
+                        },
+                    )
+                }));
+        }
+    }
+
+    /// The record's rows: each version the FS knows, in version order, with
+    /// what it holds.
+    pub fn rows(&self) -> &[(ObjectVersion, Held)] {
+        &self.rows
+    }
+
+    /// The versions of `key` the FS knows, oldest first (a version with
+    /// two fragments twice).
+    fn versions_of(&self, key: Key) -> impl Iterator<Item = ObjectVersion> + '_ {
+        let start = self.rows.partition_point(|&(ov, _)| ov.key < key);
+        self.rows[start..]
+            .iter()
+            .map(|&(ov, _)| ov)
+            .take_while(move |ov| ov.key == key)
+    }
+
+    /// Calls `changed` with each version, in version order, that one of
+    /// the two records knows and they do not hold alike (possibly more
+    /// than once).
+    fn changed_since(&self, old: &FragmentRecord, mut changed: impl FnMut(ObjectVersion)) {
+        let (mut new, mut old) = (self.rows.iter().peekable(), old.rows.iter().peekable());
+        loop {
+            let ov = match (new.peek(), old.peek()) {
+                (None, None) => return,
+                (Some(x), Some(y)) if x == y => {
+                    new.next();
+                    old.next();
+                    continue;
+                }
+                // One version held differently, or one that a record lacks.
+                (Some(&&(a, _)), Some(&&(b, _))) => {
+                    if a <= b {
+                        new.next();
+                    }
+                    if b <= a {
+                        old.next();
+                    }
+                    a.min(b)
+                }
+                (Some(&&(a, _)), None) => {
+                    new.next();
+                    a
+                }
+                (None, Some(&&(b, _))) => {
+                    old.next();
+                    b
+                }
+            };
+            changed(ov);
+        }
+    }
 }
 
 /// One checkable protocol property. Implementations may keep state across
@@ -90,8 +257,10 @@ pub trait Invariant {
         let _ = event;
     }
 
-    /// Checked after every processed simulation event. Return `Err` with a
-    /// description to report a violation.
+    /// Checked after every processed simulation event, on the nodes and
+    /// versions `view` covers, and once over every node and version when
+    /// the run ends. Return `Err` with a description to report a
+    /// violation.
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
         let _ = view;
         Ok(())
@@ -122,6 +291,10 @@ pub trait Invariant {
 /// Holds under message-level faults (loss, duplication, outages), which
 /// never destroy stored fragments. Runs that destroy disks or corrupt
 /// fragments deliberately must not register this invariant.
+///
+/// Checked for the acked versions among [`ClusterView::changed`]: a
+/// version's verdict reads only its key's stored state and whether it was
+/// acked.
 pub struct AckedDurability {
     codec: Option<Codec>,
     /// Expected encodings, cached per version (encoding is the hot cost).
@@ -169,10 +342,12 @@ impl Invariant for AckedDurability {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        let mut acked: BTreeSet<ObjectVersion> = BTreeSet::new();
-        for &c in view.clients {
-            acked.extend(view.sim.actor::<Client>(c).success_versions().iter());
-        }
+        let clients: Vec<&Client> = view.clients.iter().map(|&c| view.sim.actor(c)).collect();
+        let acked = view
+            .changed
+            .iter()
+            .copied()
+            .filter(|ov| clients.iter().any(|c| c.success_versions().contains(ov)));
         let k = usize::from(view.policy.k);
         // Acked versions with fewer than k live fragments, and how many
         // they have: each must have been compacted (checked below).
@@ -292,7 +467,7 @@ impl Invariant for QuiescentAmr {
 /// Once a fragment server gives up on a version (its `give_up_age`
 /// garbage collection), that version never re-enters the server's pending
 /// or AMR sets — convergence must not resurrect state the server already
-/// discarded.
+/// discarded. Checked on each covered FS.
 pub struct NoResurrection {
     gone: BTreeSet<(NodeId, ObjectVersion)>,
 }
@@ -318,7 +493,7 @@ impl Invariant for NoResurrection {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        for &fs in view.fss {
+        for (fs, _) in view.covered_fss() {
             let actor = view.sim.actor::<Fs>(fs);
             for ov in actor.pending_versions() {
                 if self.gone.contains(&(fs, ov)) {
@@ -351,7 +526,8 @@ impl Invariant for NoResurrection {
 /// bookkeeping is never stale. (A stored fragment and its hash are one
 /// record, so a fragment without a hash cannot be stored.) Catches any
 /// write path that stores or mutates fragment bytes without updating the
-/// checksum.
+/// checksum. Checked on each covered FS, from the hashes its
+/// [`FragmentRecord`] took.
 pub struct ChecksumIntegrity;
 
 impl Invariant for ChecksumIntegrity {
@@ -360,28 +536,29 @@ impl Invariant for ChecksumIntegrity {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        for &fs in view.fss {
-            let actor = view.sim.actor::<Fs>(fs);
-            for ov in actor.known_versions() {
-                let Some(entry) = actor.entry(ov) else {
-                    // A known version with no full entry must be a
-                    // compaction residual — anything else lost its
-                    // checksum bookkeeping.
-                    if actor.compacted_residual(ov).is_none() {
-                        return Err(format!(
-                            "{fs:?} knows {ov:?} but stores neither an entry nor a \
-                             compaction residual for it"
-                        ));
-                    }
-                    continue;
-                };
-                for (&idx, stored) in &entry.fragments {
-                    if stored.checksum != Checksum::of(stored.fragment.data()) {
+        for (fs, record) in view.covered_fss() {
+            for &(ov, held) in record.rows() {
+                match held {
+                    Held::Fragment {
+                        idx,
+                        recorded,
+                        fresh,
+                    } if recorded != fresh => {
                         return Err(format!(
                             "{fs:?} stores fragment {idx} of {ov:?} whose bytes \
                              mismatch its recorded checksum"
                         ));
                     }
+                    // A known version with no full entry must be a
+                    // compaction residual — anything else lost its
+                    // checksum bookkeeping.
+                    Held::Neither => {
+                        return Err(format!(
+                            "{fs:?} knows {ov:?} but stores neither an entry nor a \
+                             compaction residual for it"
+                        ));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -397,7 +574,9 @@ impl Invariant for ChecksumIntegrity {
 /// the engine showed its observers: counters only grow, drops never exceed
 /// sends, per-kind totals sum to the grand totals, the metrics count
 /// exactly one send per [`on_send`](Invariant::on_send), and the drop
-/// counter matches the sends whose disposition was not `Delivered`.
+/// counter matches the sends whose disposition was not `Delivered`. The
+/// metrics are the engine's, which every event moves, so they are checked
+/// after each one.
 pub struct MetricsSanity {
     prev_total: u64,
     prev_bytes: u64,
@@ -501,6 +680,10 @@ impl Invariant for MetricsSanity {
 /// allows once that version settled AMR. So any shrink of the durable set
 /// means an actor deleted fragments it should have kept. Not applicable to
 /// runs that destroy disks.
+///
+/// Checked for the versions in [`ClusterView::changed`]: whether a version
+/// is durable ([`analysis::is_durable`]) reads only its key's stored
+/// state.
 pub struct DurableMonotone {
     durable: BTreeSet<ObjectVersion>,
 }
@@ -529,13 +712,15 @@ impl Invariant for DurableMonotone {
         // Compacted versions stay in the durable set through the newer
         // versions that superseded them, so any shrink means an actor
         // deleted fragments it should have kept.
-        let now = analysis::durable_versions(view.sim, view.fss);
-        if let Some(&lost) = self.durable.difference(&now).next() {
-            return Err(format!(
-                "version {lost:?} was durable earlier in the run but is not anymore"
-            ));
+        for &ov in view.changed {
+            if analysis::is_durable(view.sim, view.fss, ov) {
+                self.durable.insert(ov);
+            } else if self.durable.contains(&ov) {
+                return Err(format!(
+                    "version {ov:?} was durable earlier in the run but is not anymore"
+                ));
+            }
         }
-        self.durable = now;
         Ok(())
     }
 }
@@ -557,7 +742,7 @@ impl Invariant for DurableMonotone {
 /// is checked too: a version is a residual or a full entry, never both,
 /// slots in use plus residuals account for every known version — a slot
 /// is neither leaked nor counted twice — and the newest version of a key
-/// is never a residual.
+/// is never a residual. Checked on each covered FS.
 pub struct CompactionSafety;
 
 impl Invariant for CompactionSafety {
@@ -566,7 +751,7 @@ impl Invariant for CompactionSafety {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        for &fs in view.fss {
+        for (fs, _) in view.covered_fss() {
             let actor = view.sim.actor::<Fs>(fs);
             let (slots, residuals) = (actor.resident_slots(), actor.compacted_count());
             let known: Vec<ObjectVersion> = actor.known_versions().collect();
@@ -607,9 +792,12 @@ impl Invariant for CompactionSafety {
                         "{fs:?} compacted {ov:?} yet it re-entered the pending set"
                     ));
                 }
+                // The versions after `ov` in version order start with the
+                // newer ones of its key.
                 let superseded = amr
-                    .iter()
-                    .any(|&newer| newer.key == ov.key && newer.ts > ov.ts);
+                    .range((Bound::Excluded(ov), Bound::Unbounded))
+                    .next()
+                    .is_some_and(|newer| newer.key == ov.key);
                 if !superseded {
                     return Err(format!(
                         "{fs:?} compacted {ov:?} with no newer settled-AMR version of \
@@ -632,7 +820,8 @@ impl Invariant for CompactionSafety {
 /// while at least `k` fragments survive cluster-wide (so reconstruction is
 /// possible), must be restored above the threshold within
 /// [`repair::GRACE`]. Vacuous for clusters without a repair engine, so it is
-/// safe in the always-on registry.
+/// safe in the always-on registry. Its clock is virtual time, which every
+/// event moves, so it scans the whole cluster after each one.
 pub struct RedundancyFloor {
     /// When each `(dc, version)` pair was first observed below threshold.
     below_since: BTreeMap<(DataCenterId, ObjectVersion), SimTime>,
@@ -736,7 +925,8 @@ impl Invariant for RedundancyFloor {
 /// holds at most the cluster's FS count less one entries. A proxy's
 /// idempotence marks ([`Proxy::marked_clients`]) are one per client: each
 /// key must be a client, so however many operations a run issues, a proxy
-/// holds at most the cluster's client count of them.
+/// holds at most the cluster's client count of them. Checked on each
+/// covered FS and proxy.
 pub struct ResourceBounds;
 
 impl Invariant for ResourceBounds {
@@ -745,7 +935,7 @@ impl Invariant for ResourceBounds {
     }
 
     fn check_event(&mut self, view: &ClusterView<'_>) -> Result<(), String> {
-        for &fs in view.fss {
+        for (fs, _) in view.covered_fss() {
             for sibling in view.sim.actor::<Fs>(fs).silent_siblings() {
                 if sibling == fs || !view.fss.contains(&sibling) {
                     return Err(format!(
@@ -754,7 +944,7 @@ impl Invariant for ResourceBounds {
                 }
             }
         }
-        for &proxy in view.proxies {
+        for &proxy in view.proxies.iter().filter(|&&p| view.covers(p)) {
             for client in view.sim.actor::<Proxy>(proxy).marked_clients() {
                 if !view.clients.contains(&client) {
                     return Err(format!(
@@ -793,13 +983,21 @@ struct StaticCtx {
     klss: Vec<NodeId>,
     clients: Vec<NodeId>,
     proxies: Vec<NodeId>,
+    /// Every node above, in id order: what the end-of-run pass covers.
+    all: Vec<NodeId>,
     value_len: usize,
     policy: Policy,
     repair: Option<RepairOptions>,
 }
 
 impl StaticCtx {
-    fn view<'a>(&'a self, sim: &'a Simulation<Message>) -> ClusterView<'a> {
+    fn view<'a>(
+        &'a self,
+        sim: &'a Simulation<Message>,
+        nodes: &'a [NodeId],
+        changed: &'a BTreeSet<ObjectVersion>,
+        records: &'a [FragmentRecord],
+    ) -> ClusterView<'a> {
         ClusterView {
             sim,
             topo: &self.topo,
@@ -810,6 +1008,9 @@ impl StaticCtx {
             value_len: self.value_len,
             policy: self.policy,
             repair: self.repair.as_ref(),
+            nodes,
+            changed,
+            records,
         }
     }
 }
@@ -818,13 +1019,18 @@ struct CheckerState {
     invariants: Vec<Box<dyn Invariant>>,
     ctx: StaticCtx,
     violation: Option<Violation>,
-    /// Run the per-event checks every `sample_every` events (1 = every
-    /// event), and once more on the final state. Final checks always run.
-    /// Sampling trades detection
-    /// latency (not soundness of what *is* checked) for throughput on
-    /// scale runs, where per-event whole-cluster walks would dominate.
-    sample_every: u64,
-    events_since_check: u64,
+    /// Each FS's fragment record as its last check took it, in `ctx.fss`
+    /// order.
+    records: Vec<FragmentRecord>,
+    /// The buffers of the record a check replaced, reused for the next.
+    spare: FragmentRecord,
+    /// Each client's acked versions as its last check saw them, in
+    /// `ctx.clients` order.
+    acked: Vec<BTreeSet<ObjectVersion>>,
+    /// Nodes a harness step changed since the last check
+    /// ([`Checker::touch`]); every node until the first check, which so
+    /// learns the state the checker was installed on.
+    touched: Vec<NodeId>,
 }
 
 impl Observer<Message> for CheckerState {
@@ -834,21 +1040,103 @@ impl Observer<Message> for CheckerState {
         }
     }
 
-    fn after_event(&mut self, sim: &Simulation<Message>) {
-        self.events_since_check += 1;
-        if self.events_since_check >= self.sample_every {
-            self.check_now(sim);
-        }
+    fn after_event(&mut self, sim: &Simulation<Message>, node: NodeId) {
+        let mut nodes = std::mem::take(&mut self.touched);
+        nodes.push(node);
+        self.check(sim, nodes, false);
     }
 }
 
 impl CheckerState {
-    fn check_now(&mut self, sim: &Simulation<Message>) {
+    fn new(cluster: &Cluster, invariants: Vec<Box<dyn Invariant>>) -> CheckerState {
+        let config = cluster.config();
+        // The blobs are the workload's; a cluster without one acks nothing
+        // the registry could rebuild.
+        let (value_len, policy) = config
+            .streaming_workload
+            .as_ref()
+            .map_or((0, config.policy), |wl| (wl.value_len, wl.policy));
+        let (fss, klss): (Vec<_>, Vec<_>) = (
+            cluster.topology().all_fss().collect(),
+            cluster.topology().all_klss().collect(),
+        );
+        let (clients, proxies) = (cluster.client_ids(), cluster.proxy_ids());
+        let mut all: Vec<NodeId> = [&fss, &klss, &clients, &proxies]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        all.sort_unstable();
+        CheckerState {
+            invariants,
+            records: fss.iter().map(|_| FragmentRecord::default()).collect(),
+            spare: FragmentRecord::default(),
+            acked: clients.iter().map(|_| BTreeSet::new()).collect(),
+            touched: all.clone(),
+            ctx: StaticCtx {
+                topo: Arc::clone(cluster.topology()),
+                fss,
+                klss,
+                clients,
+                proxies,
+                all,
+                value_len,
+                policy,
+                repair: config.convergence.repair.clone(),
+            },
+            violation: None,
+        }
+    }
+
+    /// Checks every invariant on `nodes`: retakes the fragment record of
+    /// each FS among them and the acked set of each client among them, and
+    /// marks changed what differs from the last check — or, with `all`,
+    /// every version either one holds.
+    fn check(&mut self, sim: &Simulation<Message>, mut nodes: Vec<NodeId>, all: bool) {
         if self.violation.is_some() {
             return; // first violation wins; keep the run cheap afterwards
         }
-        self.events_since_check = 0;
-        let view = self.ctx.view(sim);
+        nodes.sort_unstable();
+        nodes.dedup();
+        let covers = |node: &NodeId| nodes.binary_search(node).is_ok();
+        let mut changed: BTreeSet<ObjectVersion> = BTreeSet::new();
+        let mut keys: BTreeSet<Key> = BTreeSet::new();
+        for (i, fs) in self.ctx.fss.iter().enumerate() {
+            if !covers(fs) {
+                continue;
+            }
+            self.spare.retake(sim.actor::<Fs>(*fs));
+            std::mem::swap(&mut self.records[i], &mut self.spare);
+            let (new, old) = (&self.records[i], &self.spare);
+            if all {
+                changed.extend(new.rows.iter().chain(&old.rows).map(|&(ov, _)| ov));
+            } else {
+                new.changed_since(old, |ov| {
+                    changed.insert(ov);
+                    keys.insert(ov.key);
+                });
+            }
+        }
+        // Every version of a changed key, wherever it is stored: whether
+        // one is durable can turn on another's fragments.
+        for &key in &keys {
+            for record in &self.records {
+                changed.extend(record.versions_of(key));
+            }
+        }
+        for (c, seen) in self.ctx.clients.iter().zip(&mut self.acked) {
+            if !covers(c) {
+                continue;
+            }
+            let acked = sim.actor::<Client>(*c).success_versions();
+            if all {
+                changed.extend(acked);
+            } else if acked != seen {
+                changed.extend(acked.difference(seen));
+            }
+            seen.clone_from(acked);
+        }
+        let view = self.ctx.view(sim, &nodes, &changed, &self.records);
         for inv in &mut self.invariants {
             if let Err(detail) = inv.check_event(&view) {
                 self.violation = Some(Violation {
@@ -862,16 +1150,20 @@ impl CheckerState {
         }
     }
 
+    /// The whole-cluster check: every node, every version marked changed.
+    fn check_all(&mut self, sim: &Simulation<Message>) {
+        self.touched.clear();
+        self.check(sim, self.ctx.all.clone(), true);
+    }
+
     fn check_final(&mut self, sim: &Simulation<Message>, outcome: RunOutcome) {
-        // A sampled run's last events may fall between samples: the state
-        // it ends in is checked like a sampled one.
-        if self.events_since_check > 0 {
-            self.check_now(sim);
-        }
+        // A harness step may have changed a node after the last event.
+        self.check_all(sim);
         if self.violation.is_some() {
             return;
         }
-        let view = self.ctx.view(sim);
+        let none = BTreeSet::new();
+        let view = self.ctx.view(sim, &self.ctx.all, &none, &self.records);
         for inv in &mut self.invariants {
             if let Err(detail) = inv.check_final(&view, outcome) {
                 self.violation = Some(Violation {
@@ -894,47 +1186,26 @@ pub struct Checker {
 
 impl Checker {
     /// Installs `invariants` as an observer of `cluster`'s simulation.
-    /// Every invariant's [`check_event`](Invariant::check_event) runs once
-    /// every `sample_every` events (1 = after each event) and on the state
-    /// the run ends in; call [`finish`](Checker::finish) when the run ends
-    /// to run the final checks and retrieve the verdict. Scale runs sample
-    /// to keep whole-cluster invariant walks off the per-event hot path
-    /// while still checking the same properties.
-    pub fn install_sampled(
-        cluster: &mut Cluster,
-        invariants: Vec<Box<dyn Invariant>>,
-        sample_every: u64,
-    ) -> Checker {
-        let config = cluster.config();
-        // The blobs are the workload's; a cluster without one acks nothing
-        // the registry could rebuild.
-        let (value_len, policy) = config
-            .streaming_workload
-            .as_ref()
-            .map_or((0, config.policy), |wl| (wl.value_len, wl.policy));
-        let ctx = StaticCtx {
-            topo: Arc::clone(cluster.topology()),
-            fss: cluster.topology().all_fss().collect(),
-            klss: cluster.topology().all_klss().collect(),
-            clients: cluster.client_ids(),
-            proxies: cluster.proxy_ids(),
-            value_len,
-            policy,
-            repair: config.convergence.repair.clone(),
-        };
-        let state = Rc::new(RefCell::new(CheckerState {
-            invariants,
-            ctx,
-            violation: None,
-            sample_every: sample_every.max(1),
-            events_since_check: 0,
-        }));
+    /// Every invariant's [`check_event`](Invariant::check_event) runs after
+    /// each event, on the node it ran on; call [`finish`](Checker::finish)
+    /// when the run ends to check the state it ends in and retrieve the
+    /// verdict.
+    pub fn install(cluster: &mut Cluster, invariants: Vec<Box<dyn Invariant>>) -> Checker {
+        let state = Rc::new(RefCell::new(CheckerState::new(cluster, invariants)));
         cluster.sim_mut().observe(Rc::clone(&state));
         Checker { state }
     }
 
-    /// Runs every invariant's end-of-run check and returns the first
-    /// violation observed anywhere in the run, if any.
+    /// Tells the checker that a harness changed `node`'s state between
+    /// events (a destroyed disk, a corrupted fragment): the next check
+    /// covers `node` as well as the node its event ran on.
+    pub fn touch(&self, node: NodeId) {
+        self.state.borrow_mut().touched.push(node);
+    }
+
+    /// Checks every node and version once more, runs every invariant's
+    /// end-of-run check and returns the first violation observed anywhere
+    /// in the run, if any.
     pub fn finish(self, cluster: &Cluster, outcome: RunOutcome) -> Option<Violation> {
         self.state.borrow_mut().check_final(cluster.sim(), outcome);
         let state = self.state.borrow();
@@ -945,9 +1216,14 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::{self, FaultSpec, InvariantSet, Outage, Preset, Scenario, Step};
     use pahoehoe::cluster::ClusterConfig;
+    use pahoehoe::fs::WAKE_TIMER_TAG;
+    use pahoehoe::protocol::ProtocolMode;
     use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+    use proptest::prelude::*;
     use simnet::NetworkConfig;
+    use std::cell::Cell;
 
     /// The durability invariant rebuilds blobs at the stream's length.
     #[test]
@@ -963,7 +1239,7 @@ mod tests {
             overwrite_delta_permille: 0,
         });
         let mut cluster = Cluster::build(cfg, 3);
-        let checker = Checker::install_sampled(&mut cluster, registry(), 1);
+        let checker = Checker::install(&mut cluster, registry());
         let report = cluster.run_to_convergence();
         assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
         assert!(!cluster.client().success_versions().is_empty());
@@ -984,23 +1260,24 @@ mod tests {
         (cluster, trace.take())
     }
 
+    /// `invariant`'s verdict, once shown `sends`, on `cluster` as it stands:
+    /// the end-of-run pass's check of every node and version.
+    fn verdict(
+        cluster: &Cluster,
+        invariant: impl Invariant + 'static,
+        sends: &[TraceEvent],
+    ) -> Result<(), String> {
+        let mut state = CheckerState::new(cluster, vec![Box::new(invariant)]);
+        for event in sends {
+            state.on_send(event);
+        }
+        state.check_all(cluster.sim());
+        state.violation.map_or(Ok(()), |v| Err(v.detail))
+    }
+
     /// `metrics-sanity`'s verdict on `cluster`'s metrics once shown `sends`.
     fn metrics_sanity(cluster: &Cluster, sends: &[TraceEvent]) -> Result<(), String> {
-        let mut inv = MetricsSanity::new();
-        for event in sends {
-            inv.on_send(event);
-        }
-        inv.check_event(&ClusterView {
-            sim: cluster.sim(),
-            topo: cluster.topology(),
-            fss: &[],
-            klss: &[],
-            clients: &[],
-            proxies: &[],
-            value_len: 0,
-            policy: cluster.config().policy,
-            repair: None,
-        })
+        verdict(cluster, MetricsSanity::new(), sends)
     }
 
     #[test]
@@ -1013,32 +1290,13 @@ mod tests {
 
     /// `acked-durability`'s verdict on `cluster` as it stands.
     fn acked_durability(cluster: &Cluster) -> Result<(), String> {
-        let topo = cluster.topology();
-        let (fss, klss): (Vec<_>, Vec<_>) = (topo.all_fss().collect(), topo.all_klss().collect());
-        AckedDurability::new().check_event(&ClusterView {
-            sim: cluster.sim(),
-            topo,
-            fss: &fss,
-            klss: &klss,
-            clients: &cluster.client_ids(),
-            proxies: &cluster.proxy_ids(),
-            value_len: cluster
-                .config()
-                .streaming_workload
-                .as_ref()
-                .unwrap()
-                .value_len,
-            policy: cluster.config().policy,
-            repair: None,
-        })
+        verdict(cluster, AckedDurability::new(), &[])
     }
 
     /// A converged run that put one key twice, so every FS compacted the
     /// first version; and both versions.
     fn overwritten_key() -> (Cluster, ObjectVersion, ObjectVersion) {
-        let mut cfg = ClusterConfig::paper_default();
-        cfg.streaming_workload = Some(StreamingWorkload::numbered(1, 2, 1024, cfg.policy));
-        let mut cluster = Cluster::build(cfg, 1);
+        let mut cluster = paper_cluster(1, 2);
         let report = cluster.run_to_convergence();
         assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
         let acked: Vec<_> = cluster
@@ -1057,6 +1315,31 @@ mod tests {
         (cluster, v1, v2)
     }
 
+    /// Destroys disks that hold `ov`'s fragments until `k - 1` distinct
+    /// ones are left, calling `destroyed` with each FS hit.
+    fn destroy_down_to_k_minus_1(
+        cluster: &mut Cluster,
+        ov: ObjectVersion,
+        mut destroyed: impl FnMut(&mut Cluster, NodeId),
+    ) {
+        let k = usize::from(cluster.config().policy.k);
+        let meta = cluster
+            .topology()
+            .all_fss()
+            .find_map(|id| Some(Arc::clone(&cluster.fs(id).entry(ov)?.meta)))
+            .expect("ov is stored");
+        let now = cluster.sim().now();
+        for (_, loc) in meta.assignments() {
+            if live_fragments(cluster, ov) < k {
+                break;
+            }
+            let fs = cluster.sim_mut().actor_mut::<Fs>(loc.fs());
+            fs.destroy_disk(loc.disk(), now);
+            destroyed(cluster, loc.fs());
+        }
+        assert_eq!(live_fragments(cluster, ov), k - 1);
+    }
+
     /// The distinct fragments of `ov` stored across the FSs.
     fn live_fragments(cluster: &Cluster, ov: ObjectVersion) -> usize {
         let fss: Vec<NodeId> = cluster.topology().all_fss().collect();
@@ -1073,21 +1356,7 @@ mod tests {
     #[test]
     fn acked_durability_flags_a_compacted_version_once_its_successor_is_short() {
         let (mut cluster, v1, v2) = overwritten_key();
-        let k = usize::from(cluster.config().policy.k);
-        let meta = cluster
-            .topology()
-            .all_fss()
-            .find_map(|id| Some(Arc::clone(&cluster.fs(id).entry(v2)?.meta)))
-            .expect("v2 is stored");
-        let now = cluster.sim().now();
-        for (_, loc) in meta.assignments() {
-            if live_fragments(&cluster, v2) < k {
-                break;
-            }
-            let fs = cluster.sim_mut().actor_mut::<Fs>(loc.fs());
-            fs.destroy_disk(loc.disk(), now);
-        }
-        assert_eq!(live_fragments(&cluster, v2), k - 1);
+        destroy_down_to_k_minus_1(&mut cluster, v2, |_, _| {});
         let err = acked_durability(&cluster).expect_err("v1 is freed and v2 is short of k");
         assert!(err.contains(&format!("{v1:?}")), "{err}");
     }
@@ -1101,5 +1370,281 @@ mod tests {
             .expect("a delivered send");
         delivered.disposition = Disposition::DroppedRandom;
         assert!(metrics_sanity(&cluster, &sends).is_err());
+    }
+
+    /// A paper cluster whose client puts workload keys `1..=keys` of 1 KiB,
+    /// `rounds` times over.
+    fn paper_cluster(keys: u64, rounds: u64) -> Cluster {
+        let mut cfg = ClusterConfig::paper_default();
+        cfg.streaming_workload = Some(StreamingWorkload::numbered(keys, rounds, 1024, cfg.policy));
+        Cluster::build(cfg, 1)
+    }
+
+    /// The record of what `fs` stores now.
+    fn record_of(fs: &Fs) -> FragmentRecord {
+        let mut record = FragmentRecord::default();
+        record.retake(fs);
+        record
+    }
+
+    /// What `record` holds of `ov`, a row per stored fragment.
+    fn held(record: &FragmentRecord, ov: ObjectVersion) -> Vec<Held> {
+        let rows = record.rows().iter().filter(|&&(v, _)| v == ov);
+        rows.map(|&(_, held)| held).collect()
+    }
+
+    /// The versions `new` reports changed since `old`.
+    fn changes(new: &FragmentRecord, old: &FragmentRecord) -> Vec<ObjectVersion> {
+        let mut out = BTreeSet::new();
+        new.changed_since(old, |ov| {
+            out.insert(ov);
+        });
+        out.into_iter().collect()
+    }
+
+    #[test]
+    fn a_stored_fragment_is_a_change_and_a_second_look_is_not() {
+        let mut cluster = paper_cluster(3, 1);
+        let fs = cluster.topology().all_fss().next().unwrap();
+        let before = record_of(cluster.fs(fs));
+        assert_eq!(before.rows(), []);
+        cluster.run_to_convergence();
+        let after = record_of(cluster.fs(fs));
+        let stored: Vec<ObjectVersion> = cluster.fs(fs).known_versions().collect();
+        assert_eq!(stored.len(), 3);
+        assert_eq!(changes(&after, &before), stored);
+        assert_eq!(changes(&before, &after), stored, "and forgetting them");
+        assert_eq!(changes(&record_of(cluster.fs(fs)), &after), []);
+    }
+
+    #[test]
+    fn a_version_freed_by_compaction_is_a_change() {
+        let mut cluster = paper_cluster(1, 2);
+        let fs = cluster.topology().all_fss().next().unwrap();
+        let client = cluster.layout().client();
+        // Stop once the first version settled AMR at `fs`, before the
+        // second one lets the FS compact it.
+        cluster.sim_mut().run_until(|sim| {
+            let fs = sim.actor::<Fs>(fs);
+            let acked = sim.actor::<Client>(client).success_versions();
+            acked
+                .first()
+                .is_some_and(|&v1| fs.entry(v1).is_some() && fs.amr_settled_at(v1).is_some())
+        });
+        let v1 = *cluster.client().success_versions().first().unwrap();
+        let before = record_of(cluster.fs(fs));
+        assert!(matches!(held(&before, v1)[..], [Held::Fragment { .. }, ..]));
+        cluster.run_to_convergence();
+        let after = record_of(cluster.fs(fs));
+        assert_eq!(held(&after, v1), [Held::Residual]);
+        assert!(changes(&after, &before).contains(&v1));
+    }
+
+    #[test]
+    fn a_fragment_lost_with_its_disk_is_a_change() {
+        let mut cluster = paper_cluster(3, 1);
+        cluster.run_to_convergence();
+        let fs = cluster.topology().all_fss().next().unwrap();
+        let actor = cluster.fs(fs);
+        let on_disk_0: Vec<ObjectVersion> = actor
+            .known_versions()
+            .filter(|&ov| {
+                actor.entry(ov).is_some_and(|e| {
+                    e.meta.assignments().any(|(idx, loc)| {
+                        loc.fs() == fs && loc.disk() == 0 && e.fragments.contains_key(&idx)
+                    })
+                })
+            })
+            .collect();
+        assert!(!on_disk_0.is_empty());
+        let before = record_of(actor);
+        let now = cluster.sim().now();
+        assert!(cluster.sim_mut().actor_mut::<Fs>(fs).destroy_disk(0, now) > 0);
+        assert_eq!(changes(&record_of(cluster.fs(fs)), &before), on_disk_0);
+    }
+
+    #[test]
+    fn a_rewritten_fragment_is_a_change_behind_its_recorded_checksum() {
+        let mut cluster = paper_cluster(3, 1);
+        cluster.run_to_convergence();
+        let fs = cluster.topology().all_fss().next().unwrap();
+        let before = record_of(cluster.fs(fs));
+        let (ov, Held::Fragment { idx, recorded, .. }) = before.rows()[0] else {
+            panic!("the first version holds fragments");
+        };
+        assert!(cluster
+            .sim_mut()
+            .actor_mut::<Fs>(fs)
+            .corrupt_fragment(ov, idx));
+        let after = record_of(cluster.fs(fs));
+        assert_eq!(changes(&after, &before), [ov]);
+        let Held::Fragment {
+            recorded: now_recorded,
+            fresh,
+            ..
+        } = held(&after, ov)[0]
+        else {
+            panic!("{ov:?} still holds fragments");
+        };
+        assert_eq!(now_recorded, recorded);
+        assert_ne!(fresh, recorded);
+    }
+
+    /// Checks everything after every event: the whole-cluster pass that
+    /// ends a run, run as the oracle of the node-scoped checks.
+    struct Oracle(Rc<RefCell<CheckerState>>);
+
+    impl Observer<Message> for Oracle {
+        fn on_send(&mut self, event: &TraceEvent) {
+            self.0.borrow_mut().on_send(event);
+        }
+
+        fn after_event(&mut self, sim: &Simulation<Message>, _node: NodeId) {
+            self.0.borrow_mut().check_all(sim);
+        }
+    }
+
+    /// The verdict on a run of the cluster `make` builds under
+    /// `invariants`, checked at each event's node, and the oracle's. `run`
+    /// drives the run and tells the checker which nodes it changes between
+    /// events.
+    fn scoped_and_oracle(
+        make: impl Fn() -> Cluster,
+        invariants: impl Fn() -> Vec<Box<dyn Invariant>>,
+        run: impl Fn(&mut Cluster, &Checker) -> RunOutcome,
+    ) -> (Option<Violation>, Option<Violation>) {
+        let mut cluster = make();
+        let checker = Checker::install(&mut cluster, invariants());
+        let outcome = run(&mut cluster, &checker);
+        let scoped = checker.finish(&cluster, outcome);
+        let mut cluster = make();
+        let state = Rc::new(RefCell::new(CheckerState::new(&cluster, invariants())));
+        cluster.sim_mut().observe(Oracle(Rc::clone(&state)));
+        let checker = Checker { state };
+        let outcome = run(&mut cluster, &checker);
+        (scoped, checker.finish(&cluster, outcome))
+    }
+
+    /// A compacted version is durable through its key's newer version, so
+    /// when that one changes the compacted one is checked again: destroying
+    /// the newer version's fragments down to `k - 1` makes the older one
+    /// the first violation, as the whole-cluster oracle reports.
+    #[test]
+    fn a_compacted_version_is_checked_when_its_successor_changes() {
+        // Converge, then destroy the newer version's fragments, telling
+        // the checker of each FS and waking it.
+        let short_of_k = |cluster: &mut Cluster, checker: &Checker| {
+            let outcome = cluster.run_to_convergence().outcome;
+            let v2 = *cluster.client().success_versions().last().unwrap();
+            destroy_down_to_k_minus_1(cluster, v2, |cluster, fs| {
+                checker.touch(fs);
+                let sim = cluster.sim_mut();
+                sim.schedule_timer(fs, SimDuration::ZERO, WAKE_TIMER_TAG);
+            });
+            let deadline = cluster.sim().now() + SimDuration::from_secs(1);
+            cluster.sim_mut().run_until_time(deadline);
+            outcome
+        };
+        let (_, v1, _) = overwritten_key();
+        let durable_monotone =
+            || -> Vec<Box<dyn Invariant>> { vec![Box::new(DurableMonotone::new())] };
+        for invariants in [registry, durable_monotone] {
+            let (scoped, oracle) =
+                scoped_and_oracle(|| paper_cluster(1, 2), invariants, short_of_k);
+            let violation = scoped.clone().expect("v2 is short of k");
+            assert_ne!(violation.events_processed, u64::MAX);
+            assert!(
+                violation.detail.contains(&format!("{v1:?}")),
+                "{violation:?}"
+            );
+            assert_eq!(scoped, oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// Checking each event at its node finds what checking the whole
+        /// cluster finds, at the same event, in the same words: under
+        /// loss, duplication and an outage, with overwrites compacting,
+        /// and with a corrupted fragment or a destroyed disk.
+        #[test]
+        fn node_scoped_checks_match_the_whole_cluster_oracle(
+            seed in 0u64..10_000,
+            drop_centi in 0u8..=8,
+            dup_centi in 0u8..=5,
+            outage in (0u32..12, 0u64..=30, 1u64..=90),
+            preset in 0usize..6,
+            rounds in 1u64..=2,
+            batch in 0u8..2,
+            steps in 0u8..4,
+            disk in (0usize..3, 0u8..2),
+        ) {
+            let (node, start_secs, dur_secs) = outage;
+            let destroy = Step::DestroyDisk { fs: disk.0, disk: disk.1 };
+            let (invariants, steps, repair) = match steps {
+                0 => (InvariantSet::Registry, vec![], false),
+                1 => (InvariantSet::Registry, vec![Step::CorruptFragment], false),
+                2 => (InvariantSet::DiskLoss, vec![destroy, Step::Run { secs: 60 }], true),
+                _ => (InvariantSet::DiskLoss, vec![destroy, Step::CorruptFragment], false),
+            };
+            let sc = Scenario {
+                seed,
+                faults: FaultSpec {
+                    drop_centi,
+                    dup_centi,
+                    // Node 11 is past the servers: no outage.
+                    outages: (node < 10)
+                        .then_some(Outage { node, start_secs, dur_secs })
+                        .into_iter()
+                        .collect(),
+                },
+                preset: Preset::ALL[preset],
+                protocol: ProtocolMode { batch_rounds: batch == 1 },
+                workload: StreamingWorkload::numbered(2, rounds, 1024, Policy::paper_default()),
+                racks_per_dc: repair.then_some(3),
+                repair: repair.then(RepairOptions::paper_default),
+                steps,
+                invariants,
+                ..Scenario::default()
+            };
+            let (scoped, oracle) = scoped_and_oracle(
+                || explorer::scenario_cluster(&sc),
+                || sc.invariants.build(),
+                |cluster, checker| explorer::run_steps(&sc, cluster, checker),
+            );
+            if sc.steps.contains(&Step::CorruptFragment) {
+                prop_assert!(scoped.is_some(), "the corruption went unseen: {sc:?}");
+            }
+            prop_assert_eq!(scoped, oracle);
+        }
+    }
+
+    /// Counts the checks it is asked for.
+    struct CountChecks(Rc<Cell<u64>>);
+
+    impl Invariant for CountChecks {
+        fn name(&self) -> &'static str {
+            "count-checks"
+        }
+
+        fn check_event(&mut self, _view: &ClusterView<'_>) -> Result<(), String> {
+            self.0.set(self.0.get() + 1);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_scale_cell_is_checked_after_every_event() {
+        let sc = Scenario::scale();
+        let mut cluster = explorer::scenario_cluster(&sc);
+        let calls = Rc::new(Cell::new(0));
+        let checker =
+            Checker::install(&mut cluster, vec![Box::new(CountChecks(Rc::clone(&calls)))]);
+        let outcome = explorer::run_steps(&sc, &mut cluster, &checker);
+        let events = cluster.sim().events_processed();
+        assert_eq!(calls.get(), events);
+        assert_eq!(checker.finish(&cluster, outcome), None);
+        assert_eq!(calls.get(), events + 1, "and once more as the run ends");
     }
 }

@@ -3,9 +3,13 @@
 //! k = 4 of n = 16 with four fragments per DC and one per FS, under
 //! `ProtocolMode::scale()` — fed a Zipf stream of 256 B puts under 1 %
 //! loss, with DC 1 partitioned from the rest of the cluster, proxy
-//! included, in the middle of the stream.
+//! included, in the middle of the stream. Every invariant is checked after
+//! every event, at the node it ran on.
 
-use check::invariants::{registry, Checker};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use check::invariants::{registry, Checker, ClusterView, Invariant};
 use pahoehoe::analysis;
 use pahoehoe::client::Client;
 use pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
@@ -20,12 +24,6 @@ const LAYOUT: ClusterLayout = ClusterLayout {
     kls_per_dc: 2,
     fs_per_dc: 4,
 };
-/// Checking every invariant after every event costs O(acked versions ×
-/// FSs) per event: 119 s for this run in a release build. Checking after
-/// every 100th event, as `explore --scale` samples, takes about 1 s there
-/// and 16 s in a debug build; the end-of-run checks always run.
-const SAMPLE_EVERY: u64 = 100;
-
 /// The stream's puts land between 0 and ≈ 68 s of simulated time; DC 1 is
 /// cut off from 20 s to 40 s.
 fn dc1_partition() -> FaultPlan {
@@ -65,7 +63,7 @@ fn small_put_churn(plan: FaultPlan) -> Cluster {
 #[test]
 fn invariants_hold_on_four_dcs_through_a_partition() {
     let mut cluster = small_put_churn(dc1_partition());
-    let checker = Checker::install_sampled(&mut cluster, registry(), SAMPLE_EVERY);
+    let checker = Checker::install(&mut cluster, registry());
     let report = cluster.run_to_convergence();
     let violation = checker.finish(&cluster, report.outcome);
     assert!(violation.is_none(), "{violation:?}");
@@ -88,4 +86,30 @@ fn invariants_hold_on_four_dcs_through_a_partition() {
         fault > 0 && random > 0,
         "drops: {fault} by the partition, {random} by loss"
     );
+}
+
+/// Counts the checks it is asked for.
+struct CountChecks(Rc<Cell<u64>>);
+
+impl Invariant for CountChecks {
+    fn name(&self) -> &'static str {
+        "count-checks"
+    }
+
+    fn check_event(&mut self, _view: &ClusterView<'_>) -> Result<(), String> {
+        self.0.set(self.0.get() + 1);
+        Ok(())
+    }
+}
+
+#[test]
+fn every_event_on_four_dcs_is_checked() {
+    let mut cluster = small_put_churn(dc1_partition());
+    let calls = Rc::new(Cell::new(0));
+    let checker = Checker::install(&mut cluster, vec![Box::new(CountChecks(Rc::clone(&calls)))]);
+    let report = cluster.run_to_convergence();
+    let events = cluster.sim().events_processed();
+    assert_eq!(calls.get(), events);
+    assert_eq!(checker.finish(&cluster, report.outcome), None);
+    assert_eq!(calls.get(), events + 1, "and once more as the run ends");
 }

@@ -170,8 +170,8 @@ impl<M: Payload> Context<'_, M> {
 }
 
 /// Watches a run: every message send, and the whole simulation after every
-/// processed event. Both calls do nothing by default. Install one with
-/// [`Simulation::observe`].
+/// processed event, with the node that event ran on. Both calls do nothing
+/// by default. Install one with [`Simulation::observe`].
 pub trait Observer<M: Payload> {
     /// Called once per [`Context::send`], after the loss and fault models
     /// decided the message's [`Disposition`] (dropped sends included).
@@ -181,9 +181,11 @@ pub trait Observer<M: Payload> {
 
     /// Called after **every** processed event (message delivery or timer
     /// firing), once the acting actor is back in its slot, so every
-    /// accessor of `sim` sees a consistent state.
-    fn after_event(&mut self, sim: &Simulation<M>) {
-        let _ = sim;
+    /// accessor of `sim` sees a consistent state. `node` is the actor the
+    /// event was addressed to: the only one whose state the event could
+    /// change.
+    fn after_event(&mut self, sim: &Simulation<M>, node: NodeId) {
+        let _ = (sim, node);
     }
 }
 
@@ -195,8 +197,8 @@ impl<M: Payload, O: Observer<M>> Observer<M> for Rc<RefCell<O>> {
         self.borrow_mut().on_send(event);
     }
 
-    fn after_event(&mut self, sim: &Simulation<M>) {
-        self.borrow_mut().after_event(sim);
+    fn after_event(&mut self, sim: &Simulation<M>, node: NodeId) {
+        self.borrow_mut().after_event(sim, node);
     }
 }
 
@@ -449,7 +451,7 @@ impl<M: Payload> Simulation<M> {
             if !self.inner.observers.is_empty() {
                 let mut observers = std::mem::take(&mut self.inner.observers);
                 for observer in &mut observers {
-                    observer.after_event(self);
+                    observer.after_event(self, ev.to);
                 }
                 self.inner.observers = observers;
             }
@@ -849,10 +851,14 @@ mod tests {
                     self.not_delivered += 1;
                 }
             }
-            fn after_event(&mut self, sim: &Simulation<Msg>) {
+            fn after_event(&mut self, sim: &Simulation<Msg>, node: NodeId) {
                 self.events += 1;
                 assert_eq!(sim.events_processed(), self.events, "runs after each event");
-                self.pongs = sim.actor::<Pinger>(self.pinger).pongs;
+                let pongs = sim.actor::<Pinger>(self.pinger).pongs;
+                if node != self.pinger {
+                    assert_eq!(pongs, self.pongs, "only the event's node changes");
+                }
+                self.pongs = pongs;
             }
         }
 
