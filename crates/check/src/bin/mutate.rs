@@ -6,15 +6,15 @@
 //!   stable id (`operator:stem:occurrence`; the stem is the file's, or the
 //!   module directory's the file was scanned as part of).
 //! * `--smoke` — run the 12 pinned protocol mutants
-//!   ([`check::mutate::PINNED_SMOKE`]) against the explorer smoke sweep
-//!   (run in `--overwrite` mode so every key is put twice and every digest
-//!   line pins a non-zero compacted-version count, plus the `--scale` cell,
-//!   plus the `--repair` families, which exercise the background repair
-//!   engine under the redundancy-floor invariant) — one
-//!   build and one sweep per mutant — and gate on the kill-rate: **≥ 10 of
-//!   12** must be killed (invariant violation, digest mismatch, crash or
-//!   timeout). Surviving mutants print their source diff. Exit 1 when the
-//!   gate fails.
+//!   ([`check::mutate::PINNED_SMOKE`]) against the explorer suites
+//!   [`check::mutate::SWEEP_SUITES`] (`smoke-overwrite`, where every key is
+//!   put twice and every digest line pins a non-zero compacted-version
+//!   count, then `scale`, then `repair`, which exercises the background
+//!   repair engine under the redundancy-floor invariant) — one build and one
+//!   sweep per mutant — and gate on the kill-rate: **≥ 10 of 12** must be
+//!   killed (invariant violation, digest mismatch, crash or timeout).
+//!   Surviving mutants print their source diff. Exit 1 when the gate
+//!   fails.
 //! * `--id ID` (repeatable) — run specific mutants by id.
 //!
 //! `--bench-out PATH` additionally records `BENCH_analysis.json`: the
@@ -110,20 +110,7 @@ fn main() -> ExitCode {
     );
 
     println!("preparing scratch tree + unmutated baseline sweep...");
-    // `--overwrite` runs the sweep's workload for two rounds, so every
-    // mutant meets overwrites under every invariant, and every digest line
-    // pins a non-zero compacted-version count: what kills the
-    // compaction-skip mutant. `--scale` appends the scale cell, a Zipf
-    // stream under batched rounds.
-    // `--repair` appends the repair families, whose digest lines fold the
-    // EV_REPAIR_* counters and whose redundancy-floor invariant kills
-    // repair-threshold-skip.
-    let sweep_args = [
-        "--scale".to_string(),
-        "--overwrite".to_string(),
-        "--repair".to_string(),
-    ];
-    let harness = match mutate::Harness::prepare(&root, &sweep_args, timeout) {
+    let harness = match mutate::Harness::prepare(&root, timeout) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("mutate: baseline preparation failed: {e}");

@@ -6,17 +6,20 @@
 //! cluster and workload shape, the steps taken once the workload
 //! converges and the invariants checked. A run of a scenario is fully
 //! deterministic, so a violating scenario **is** a reproduction recipe.
-//! [`sweep`] runs a list of scenarios — the seeds × fault plans × presets
-//! grid, then any hand-built ones such as the [scale cell](Scenario::scale)
-//! and the [repair families](Scenario::repair_families) — checking the
-//! scenario's invariants after every simulation event, at the node it ran
-//! on; on the first violation it greedily shrinks the fault plan (dropping
-//! outages, zeroing loss and duplication) to the minimal one that still
-//! violates, and renders the shrunk run's message trace for offline
-//! diagnosis.
+//! [`suites`] names every checked run: each [`Suite`] is a list of
+//! scenarios — a seeds × fault plans × presets grid, or hand-built ones
+//! such as the [scale cell](Scenario::scale) and the
+//! [repair families](Scenario::repair_families) — with its digest committed
+//! under `results/digests/<name>.txt`. [`sweep`] runs a list of scenarios,
+//! checking each scenario's invariants after every simulation event, at the
+//! node it ran on; on the first violation it greedily shrinks the fault
+//! plan (dropping outages, zeroing loss and duplication) to the minimal one
+//! that still violates, and renders the shrunk run's message trace for
+//! offline diagnosis.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::rc::Rc;
 
 use pahoehoe::analysis;
@@ -152,7 +155,8 @@ pub enum Step {
     /// recorded checksum, wake that FS 1 ms later and run 2 s more, so the
     /// checksum-integrity invariant must flag it. The run's outcome stays
     /// what the steps before set. `explore --inject-corruption` appends it
-    /// to every scenario, to prove the checker catches a violation.
+    /// to every scenario of the suites it runs, to prove the checker
+    /// catches a violation.
     CorruptFragment,
 }
 
@@ -192,7 +196,7 @@ pub struct Scenario {
     pub faults: FaultSpec,
     /// Convergence configuration under test.
     pub preset: Preset,
-    /// The protocol mode every actor runs (`--batch` sets
+    /// The protocol mode every actor runs (the `full-batch` suite sets
     /// [`ProtocolMode::batch_rounds`]).
     pub protocol: ProtocolMode,
     /// The client's workload.
@@ -230,7 +234,7 @@ impl Default for Scenario {
 }
 
 impl Scenario {
-    /// The scale cell (`explore --scale`): a Zipf stream of 600 puts over
+    /// The scale cell (the `scale` suite): a Zipf stream of 600 puts over
     /// 200 keys under [`ProtocolMode::scale`] — update-heavy enough that
     /// converged-version compaction provably fires — under the registry.
     pub fn scale() -> Scenario {
@@ -251,7 +255,7 @@ impl Scenario {
         }
     }
 
-    /// The five repair families (`explore --repair`): eight puts on a
+    /// The five repair families (the `repair` suite): eight puts on a
     /// paper cluster with three racks per DC and a repair actor per DC,
     /// then a destruction schedule confined to DC 0 (so the remote DC
     /// always holds donors) and 420 s for the engine to re-protect what is
@@ -512,125 +516,131 @@ pub fn shrink(sc: &Scenario) -> Scenario {
     }
 }
 
-/// The sweep grid: the cartesian product of seeds, fault specs and
-/// presets, all run with one protocol mode and workload.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Seeds to sweep.
-    pub seeds: Vec<u64>,
-    /// Fault specs to sweep.
-    pub fault_specs: Vec<FaultSpec>,
-    /// Convergence presets to sweep.
-    pub presets: Vec<Preset>,
-    /// The protocol mode every cell runs.
-    pub protocol: ProtocolMode,
-    /// The workload every cell runs ([`Scenario::default`]'s by default).
-    pub workload: StreamingWorkload,
+/// The standard pool of fault specs: clean, loss-only, duplication-only,
+/// outage mixes. Outage node indices follow the paper-default layout
+/// (two DCs × two KLSs + three FSs); all outages heal within the first
+/// two virtual minutes.
+pub fn fault_pool() -> Vec<FaultSpec> {
+    let layout = ClusterLayout {
+        dcs: 2,
+        kls_per_dc: 2,
+        fs_per_dc: 3,
+    };
+    let fs = |dc, i| layout.fs(dc, i).index() as u32;
+    let kls = |dc, i| layout.kls(dc, i).index() as u32;
+    vec![
+        FaultSpec::clean(),
+        FaultSpec {
+            drop_centi: 5,
+            dup_centi: 0,
+            outages: vec![],
+        },
+        FaultSpec {
+            drop_centi: 0,
+            dup_centi: 5,
+            outages: vec![],
+        },
+        FaultSpec {
+            drop_centi: 2,
+            dup_centi: 2,
+            outages: vec![Outage {
+                node: fs(1, 0),
+                start_secs: 0,
+                dur_secs: 60,
+            }],
+        },
+        FaultSpec {
+            drop_centi: 0,
+            dup_centi: 0,
+            outages: vec![
+                Outage {
+                    node: kls(0, 0),
+                    start_secs: 0,
+                    dur_secs: 30,
+                },
+                Outage {
+                    node: fs(0, 1),
+                    start_secs: 10,
+                    dur_secs: 60,
+                },
+            ],
+        },
+        FaultSpec {
+            drop_centi: 10,
+            dup_centi: 5,
+            outages: vec![Outage {
+                node: fs(1, 2),
+                start_secs: 0,
+                dur_secs: 120,
+            }],
+        },
+    ]
 }
 
-impl SweepConfig {
-    /// The standard pool of fault specs: clean, loss-only, duplication-only,
-    /// outage mixes. Outage node indices follow the paper-default layout
-    /// (two DCs × two KLSs + three FSs); all outages heal within the first
-    /// two virtual minutes.
-    pub fn fault_pool() -> Vec<FaultSpec> {
-        let layout = ClusterLayout {
-            dcs: 2,
-            kls_per_dc: 2,
-            fs_per_dc: 3,
-        };
-        let fs = |dc, i| layout.fs(dc, i).index() as u32;
-        let kls = |dc, i| layout.kls(dc, i).index() as u32;
-        vec![
-            FaultSpec::clean(),
-            FaultSpec {
-                drop_centi: 5,
-                dup_centi: 0,
-                outages: vec![],
-            },
-            FaultSpec {
-                drop_centi: 0,
-                dup_centi: 5,
-                outages: vec![],
-            },
-            FaultSpec {
-                drop_centi: 2,
-                dup_centi: 2,
-                outages: vec![Outage {
-                    node: fs(1, 0),
-                    start_secs: 0,
-                    dur_secs: 60,
-                }],
-            },
-            FaultSpec {
-                drop_centi: 0,
-                dup_centi: 0,
-                outages: vec![
-                    Outage {
-                        node: kls(0, 0),
-                        start_secs: 0,
-                        dur_secs: 30,
-                    },
-                    Outage {
-                        node: fs(0, 1),
-                        start_secs: 10,
-                        dur_secs: 60,
-                    },
-                ],
-            },
-            FaultSpec {
-                drop_centi: 10,
-                dup_centi: 5,
-                outages: vec![Outage {
-                    node: fs(1, 2),
-                    start_secs: 0,
-                    dur_secs: 120,
-                }],
-            },
-        ]
-    }
-
-    /// The smoke sweep: 3 seeds × 3 fault specs × all 6 presets = 54
-    /// scenarios.
-    pub fn smoke() -> Self {
-        SweepConfig {
-            seeds: (0..3).collect(),
-            fault_specs: SweepConfig::fault_pool().into_iter().take(3).collect(),
-            ..SweepConfig::full()
-        }
-    }
-
-    /// The full sweep: 4 seeds × 6 fault specs × all 6 presets = 144
-    /// scenarios.
-    pub fn full() -> Self {
-        SweepConfig {
-            seeds: (0..4).collect(),
-            fault_specs: SweepConfig::fault_pool(),
-            presets: Preset::ALL.to_vec(),
-            protocol: ProtocolMode::default(),
-            workload: Scenario::default().workload,
-        }
-    }
-
-    /// The grid's scenarios, in deterministic order.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for &seed in &self.seeds {
-            for spec in &self.fault_specs {
-                for &preset in &self.presets {
-                    out.push(Scenario {
-                        seed,
-                        faults: spec.clone(),
-                        preset,
-                        protocol: self.protocol,
-                        workload: self.workload.clone(),
-                        ..Scenario::default()
-                    });
-                }
+/// The seeds × fault specs × presets grid over `base`, in deterministic
+/// order: every cell is `base` with that seed, fault spec and preset.
+pub fn grid(
+    seeds: Range<u64>,
+    fault_specs: &[FaultSpec],
+    presets: &[Preset],
+    base: &Scenario,
+) -> Vec<Scenario> {
+    let mut out = Vec::new();
+    for seed in seeds {
+        for faults in fault_specs {
+            for &preset in presets {
+                out.push(Scenario {
+                    seed,
+                    faults: faults.clone(),
+                    preset,
+                    ..base.clone()
+                });
             }
         }
-        out
     }
+    out
+}
+
+/// A named list of checked runs, with its digest committed under
+/// `results/digests/<name>.txt`.
+#[derive(Debug)]
+pub struct Suite {
+    /// The suite's name, which `explore` takes and its digest file bears.
+    pub name: &'static str,
+    /// The suite's scenarios, in digest-line order.
+    pub scenarios: Vec<Scenario>,
+}
+
+/// Every checked run, by suite, in the order `explore` runs them: `full`,
+/// the 144-scenario grid (4 seeds × [`fault_pool`] × every preset) every
+/// default-mode claim is about; `full-batch`, that grid with batched
+/// rounds; `smoke-overwrite`, the 54-scenario smoke grid (3 seeds × the
+/// pool's first 3 specs) with every key put twice; `scale`, the
+/// [scale cell](Scenario::scale); and `repair`, the
+/// [repair families](Scenario::repair_families). A new sweep is one more
+/// suite here with its own committed digest.
+pub fn suites() -> Vec<Suite> {
+    let (pool, base) = (fault_pool(), Scenario::default());
+    let batched = Scenario {
+        protocol: ProtocolMode { batch_rounds: true },
+        ..base.clone()
+    };
+    let wl = &base.workload;
+    let overwrite = Scenario {
+        workload: StreamingWorkload::numbered(wl.key_space, 2, wl.value_len, wl.policy),
+        ..base.clone()
+    };
+    let suite = |name, scenarios| Suite { name, scenarios };
+    vec![
+        suite("full", grid(0..4, &pool, &Preset::ALL, &base)),
+        suite("full-batch", grid(0..4, &pool, &Preset::ALL, &batched)),
+        suite(
+            "smoke-overwrite",
+            grid(0..3, &pool[..3], &Preset::ALL, &overwrite),
+        ),
+        suite("scale", vec![Scenario::scale()]),
+        suite("repair", Scenario::repair_families()),
+    ]
 }
 
 /// A violating scenario, shrunk, with its evidence.
@@ -756,12 +766,35 @@ mod tests {
     use pahoehoe::kls::Kls;
     use pahoehoe::types::ObjectVersion;
 
-    /// `rounds = 2` (`explore --overwrite`) must really overwrite: once a
+    #[test]
+    fn every_suite_is_non_empty() {
+        for suite in suites() {
+            assert!(!suite.scenarios.is_empty(), "suite {} is empty", suite.name);
+        }
+    }
+
+    /// Every suite has a committed digest and every committed digest a
+    /// suite, so none goes stale unchecked.
+    #[test]
+    fn suites_name_the_committed_digests_one_to_one() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/digests");
+        let mut committed: Vec<String> = std::fs::read_dir(&dir)
+            .expect("results/digests is readable")
+            .map(|entry| entry.expect("a directory entry").file_name())
+            .filter_map(|name| Some(name.to_str()?.strip_suffix(".txt")?.to_string()))
+            .collect();
+        committed.sort();
+        let mut named: Vec<String> = suites().iter().map(|s| s.name.to_string()).collect();
+        named.sort();
+        assert_eq!(named, committed);
+    }
+
+    /// `rounds = 2` (the `smoke-overwrite` suite) must really overwrite: once a
     /// lossy scenario with an FS outage converges, every KLS holds exactly
     /// `rounds` acknowledged versions of every workload key.
     #[test]
     fn second_round_overwrites_every_workload_key() {
-        let faults = SweepConfig::fault_pool()[3].clone();
+        let faults = fault_pool()[3].clone();
         assert!(faults.drop_centi > 0 && !faults.outages.is_empty());
         for rounds in [1, 2] {
             let sc = Scenario {

@@ -33,6 +33,7 @@ use std::ops::Bound;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use erasure::{Checksum, Codec, Fragment, FragmentIndex};
 use pahoehoe::analysis;
 use pahoehoe::client::Client;
@@ -149,20 +150,29 @@ pub enum Held {
 
 /// One FS's stored state as a check took it: for every version the FS
 /// knows, in version order, one row per stored fragment (by index), or one
-/// row saying it holds none. Every fragment is hashed afresh, so two
-/// records of one FS differ wherever its stored state changed in between —
+/// row saying it holds none. Each fragment's fresh checksum is of the bytes
+/// it holds now, so two records of one FS differ wherever its stored state changed in between —
 /// a fragment stored, freed or lost, or its bytes rewritten behind an
 /// unchanged recorded checksum.
 #[derive(Debug, Default)]
 pub struct FragmentRecord {
     rows: Vec<(ObjectVersion, Held)>,
+    /// Beside each row, a handle on the fragment bytes it hashed (`None`
+    /// for a row without a fragment). The handle keeps that allocation
+    /// alive, and a [`Bytes`] is immutable, so a fragment viewing the same
+    /// window of memory a later retake still holds the same bytes.
+    bytes: Vec<Option<Bytes>>,
 }
 
 impl FragmentRecord {
     /// Replaces this record with one of what `fs` stores now, reusing its
-    /// buffer.
-    fn retake(&mut self, fs: &Fs) {
+    /// buffers. A fragment whose bytes are the same window as its row of
+    /// `prev`, the FS's previous record, keeps that row's checksum; every
+    /// other fragment is hashed.
+    fn retake(&mut self, fs: &Fs, prev: &FragmentRecord) {
         self.rows.clear();
+        self.bytes.clear();
+        let mut at = 0;
         for ov in fs.known_versions() {
             let Some(entry) = fs.entry(ov) else {
                 let held = match fs.compacted_residual(ov) {
@@ -170,24 +180,44 @@ impl FragmentRecord {
                     None => Held::Neither,
                 };
                 self.rows.push((ov, held));
+                self.bytes.push(None);
                 continue;
             };
             if entry.fragments.is_empty() {
                 self.rows.push((ov, Held::NoFragment));
+                self.bytes.push(None);
             }
-            self.rows
-                .extend(entry.fragments.iter().map(|(&idx, stored)| {
-                    let fresh = Checksum::of(stored.fragment.data());
-                    let recorded = stored.checksum;
-                    (
-                        ov,
-                        Held::Fragment {
-                            idx,
-                            recorded,
-                            fresh,
-                        },
-                    )
-                }));
+            for (&idx, stored) in &entry.fragments {
+                let data = stored.fragment.data();
+                // Rows are in (version, fragment index) order, so `prev`'s
+                // row for this fragment, if any, is at or after the last one's.
+                let before = |&(v, held): &(ObjectVersion, Held)| match held {
+                    Held::Fragment { idx: i, .. } => (v, i) < (ov, idx),
+                    _ => v <= ov,
+                };
+                while prev.rows.get(at).is_some_and(before) {
+                    at += 1;
+                }
+                let fresh = match (prev.rows.get(at), prev.bytes.get(at)) {
+                    (Some(&(v, Held::Fragment { idx: i, fresh, .. })), Some(Some(old)))
+                        if (v, i) == (ov, idx)
+                            && (old.as_ptr(), old.len()) == (data.as_ptr(), data.len()) =>
+                    {
+                        fresh
+                    }
+                    _ => Checksum::of(data),
+                };
+                let recorded = stored.checksum;
+                self.rows.push((
+                    ov,
+                    Held::Fragment {
+                        idx,
+                        recorded,
+                        fresh,
+                    },
+                ));
+                self.bytes.push(Some(data.clone()));
+            }
         }
     }
 
@@ -1105,7 +1135,7 @@ impl CheckerState {
             if !covers(fs) {
                 continue;
             }
-            self.spare.retake(sim.actor::<Fs>(*fs));
+            self.spare.retake(sim.actor::<Fs>(*fs), &self.records[i]);
             std::mem::swap(&mut self.records[i], &mut self.spare);
             let (new, old) = (&self.records[i], &self.spare);
             if all {
@@ -1383,7 +1413,7 @@ mod tests {
     /// The record of what `fs` stores now.
     fn record_of(fs: &Fs) -> FragmentRecord {
         let mut record = FragmentRecord::default();
-        record.retake(fs);
+        record.retake(fs, &FragmentRecord::default());
         record
     }
 
@@ -1488,6 +1518,45 @@ mod tests {
         };
         assert_eq!(now_recorded, recorded);
         assert_ne!(fresh, recorded);
+    }
+
+    #[test]
+    fn a_fragment_restored_from_a_new_buffer_is_rehashed_and_not_a_change() {
+        let mut cluster = paper_cluster(3, 1);
+        cluster.run_to_convergence();
+        let fs = cluster.topology().all_fss().next().unwrap();
+        let before = record_of(cluster.fs(fs));
+        let (ov, Held::Fragment { idx, .. }) = before.rows()[0] else {
+            panic!("the first version holds fragments");
+        };
+        // Flipping the byte twice stores the same bytes from a new buffer.
+        for _ in 0..2 {
+            assert!(cluster
+                .sim_mut()
+                .actor_mut::<Fs>(fs)
+                .corrupt_fragment(ov, idx));
+        }
+        // A previous record with every checksum wrong: a retake keeps it
+        // for each fragment that is the same window, and hashes the rest.
+        let stale_sum = Checksum::of(b"stale");
+        let mut stale = FragmentRecord {
+            rows: before.rows.clone(),
+            bytes: before.bytes.clone(),
+        };
+        for (_, held) in &mut stale.rows {
+            if let Held::Fragment { fresh, .. } = held {
+                *fresh = stale_sum;
+            }
+        }
+        let mut after = FragmentRecord::default();
+        after.retake(cluster.fs(fs), &stale);
+        assert_eq!(after.rows()[0], before.rows()[0], "rehashed");
+        let kept = after.rows()[1..].iter().filter(
+            |(_, held)| matches!(held, Held::Fragment { fresh, .. } if *fresh == stale_sum),
+        );
+        assert_eq!(kept.count(), before.rows().len() - 1, "the rest kept");
+        after.retake(cluster.fs(fs), &before);
+        assert_eq!(changes(&after, &before), []);
     }
 
     /// Checks everything after every event: the whole-cluster pass that

@@ -12,11 +12,12 @@
 //!    metrics sanity) as an extensible registry checked after **every**
 //!    simulation event, and shown every message send, by one
 //!    [`simnet::Observer`] installed with [`simnet::Simulation::observe`]. The
-//!    [`explorer`] module sweeps seeds × fault plans × all six
-//!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets, then
-//!    hand-built scenarios (the scale cell, the repair families) through
-//!    the same runner, shrinks any violating scenario's fault plan to a
-//!    minimal one and dumps its message trace.
+//!    [`explorer`] module names every checked run in one list of suites —
+//!    seeds × fault plans × all six
+//!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets, and
+//!    hand-built scenarios (the scale cell, the repair families) — runs
+//!    them through one runner, shrinks any violating scenario's fault plan
+//!    to a minimal one and dumps its message trace.
 //!
 //! 2. **Static checker** (`cargo run -p check --bin analyze`). The
 //!    [`analysis`] module runs twelve rules over the shared [`rustlite`]
@@ -33,7 +34,7 @@
 //!    The [`mutate`] module applies protocol-targeted source mutations
 //!    (quorum off-by-one, comparison flips, ack drops, `FragMask`
 //!    bit-flips, timer-generation skips) in a scratch build tree, runs
-//!    the explorer smoke sweep against each mutant, and measures the
+//!    three explorer suites against each mutant, and measures the
 //!    invariant **kill-rate** — evidence the invariants would catch a
 //!    real protocol bug, not just a claim that they exist.
 

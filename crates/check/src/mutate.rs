@@ -4,8 +4,8 @@
 //! The explorer's invariant registry is a *claim* until something
 //! adversarial tests it. This module makes the claim a number: it
 //! applies systematic, protocol-targeted source mutations in a scratch
-//! copy of the workspace, reruns the explorer smoke sweep against each
-//! mutant, and classifies the result:
+//! copy of the workspace, reruns the explorer's [`SWEEP_SUITES`] against
+//! each mutant, and classifies the result:
 //!
 //! * **killed (invariant)** — the sweep aborts with `INVARIANT VIOLATED`:
 //!   the mutation produced a run one of the invariants caught.
@@ -33,9 +33,8 @@
 //! | `compaction-skip` | the converged-version compactor never fires |
 //! | `repair-threshold-skip` | the repair actor ignores `THRESHOLD_PCT` and only triggers once local parity is exhausted |
 //!
-//! Every mutant is one build and one explorer smoke sweep (with the
-//! caller's extra args, e.g. `--scale --overwrite --repair`), compared against
-//! the unmutated tree's digest.
+//! Every mutant is one build and one explorer run of the
+//! [`SWEEP_SUITES`], compared against the unmutated tree's digest.
 //!
 //! The build tree is copied once to `target/mutate/tree` and rebuilt
 //! incrementally per mutant (shared `CARGO_TARGET_DIR`), so the dominant
@@ -96,6 +95,15 @@ pub const TARGET_FILES: &[&str] = &[
     "crates/erasure/src/checksum.rs",
     "crates/pahoehoe/src/repair.rs",
 ];
+
+/// The explorer suites every mutant is swept with, in order:
+/// `smoke-overwrite` puts every key twice, so every mutant meets
+/// overwrites under every invariant and every digest line pins a non-zero
+/// compacted-version count (what kills `compaction-skip`); `scale` is a
+/// Zipf stream under batched rounds; `repair`'s digest lines fold the
+/// `EV_REPAIR_*` counters and its redundancy-floor invariant kills
+/// `repair-threshold-skip`.
+pub const SWEEP_SUITES: [&str; 3] = ["smoke-overwrite", "scale", "repair"];
 
 /// One concrete mutation: a byte-span replacement in one file.
 #[derive(Debug, Clone)]
@@ -465,7 +473,7 @@ pub struct MutantReport {
     pub outcome: Outcome,
     /// Release-rebuild time for the mutated tree, seconds.
     pub build_secs: f64,
-    /// Explorer smoke-sweep time, seconds.
+    /// Explorer sweep time, seconds.
     pub sweep_secs: f64,
 }
 
@@ -473,12 +481,10 @@ pub struct MutantReport {
 pub struct Harness {
     tree: PathBuf,
     target_dir: PathBuf,
-    /// Per-scenario digest of the unmutated smoke sweep.
+    /// Per-scenario digest of the unmutated sweep.
     pub baseline_digest: String,
     /// Time to build the unmutated tree from scratch, seconds.
     pub baseline_build_secs: f64,
-    /// Extra arguments passed to every explorer sweep.
-    sweep_args: Vec<String>,
     /// Per-phase time budget.
     timeout: Duration,
 }
@@ -535,13 +541,12 @@ fn run_with_timeout(
 
 impl Harness {
     /// Copies the workspace at `root` into `target/mutate/tree`, builds
-    /// the explorer there and records the unmutated baseline digest.
-    /// `sweep_args` are appended to every `explore --smoke --quiet` run
-    /// (e.g. `--scale --overwrite`).
-    pub fn prepare(root: &Path, sweep_args: &[String], timeout: Duration) -> io::Result<Harness> {
+    /// the explorer there and records the unmutated baseline digest of the
+    /// [`SWEEP_SUITES`].
+    pub fn prepare(root: &Path, timeout: Duration) -> io::Result<Harness> {
         // The sweep child runs with the *tree* as its working directory, so
         // every path shared with it must be absolute — a relative root would
-        // make `--digest-out` land inside the tree while the harness reads
+        // make `--digest-dir` land inside the tree while the harness reads
         // a sibling path that never exists (and an empty baseline digest
         // turns the whole digest check into a no-op).
         let root = root.canonicalize()?;
@@ -572,7 +577,6 @@ impl Harness {
             target_dir: scratch.join("cargo"),
             baseline_digest: String::new(),
             baseline_build_secs: 0.0,
-            sweep_args: sweep_args.to_vec(),
             timeout,
         };
         // lint:allow(wall-clock) — recorded bench numbers are real time
@@ -612,23 +616,28 @@ impl Harness {
         )
     }
 
-    /// Runs the explorer smoke sweep in the tree; returns
-    /// `(exit_code, output, digest_text)`.
+    /// Runs the explorer on the [`SWEEP_SUITES`] in the tree; returns
+    /// `(exit_code, output, digest_text)`, the digest being the suites'
+    /// digest files in order.
     fn sweep(&self) -> io::Result<Option<(i32, String, String)>> {
-        let digest_path = self.tree.join("digest.txt");
-        std::fs::remove_file(&digest_path).ok();
+        let digest_dir = self.tree.join("digests");
+        std::fs::remove_dir_all(&digest_dir).ok();
         let explore = self.target_dir.join("release").join("explore");
         let mut cmd = Command::new(explore);
-        cmd.args(["--smoke", "--quiet", "--digest-out"])
-            .arg(&digest_path)
-            .args(&self.sweep_args)
+        cmd.args(SWEEP_SUITES)
+            .args(["--quiet", "--digest-dir"])
+            .arg(&digest_dir)
             .current_dir(&self.tree);
         let Some((code, out)) =
             run_with_timeout(&mut cmd, &self.tree.join("sweep.log"), self.timeout)?
         else {
             return Ok(None);
         };
-        let digest = std::fs::read_to_string(&digest_path).unwrap_or_default();
+        let digest = SWEEP_SUITES
+            .iter()
+            .map(|suite| std::fs::read_to_string(digest_dir.join(format!("{suite}.txt"))))
+            .map(Result::unwrap_or_default)
+            .collect();
         Ok(Some((code, out, digest)))
     }
 

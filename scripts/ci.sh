@@ -3,8 +3,8 @@
 # (warnings are errors), the workspace tests (the erasure crate's and the
 # pahoehoe key table, chain and store tests again in release), the static
 # checker (`analyze`), the mutation smoke (`mutate`,
-# each mutant's class compared with BENCH_analysis.json), five
-# invariant-explorer legs whose digests are compared with
+# each mutant's class compared with BENCH_analysis.json), every
+# invariant-explorer suite with its digest compared with
 # results/digests/, the paper figures and CSVs compared with results/,
 # `pahoehoe-sim` on a benchmark shape compared with results/sim/, the scale
 # tier's smoke cells compared with results/scale/, the stand-alone benchmark
@@ -16,29 +16,15 @@ cd "$(dirname "$0")/.."
 # "Byte-identical behaviour" is a cmp against a committed file: every
 # explorer digest written below has a twin under results/digests/, and every
 # paper figure's table one under results/. A change that means to move one
-# (a protocol PR) regenerates the twin in the same commit (digests: the same
-# flags plus `--digest-out results/digests/<name>.txt`, no `--workers`;
-# figures: results/README.md).
+# (a protocol PR) regenerates the twin in the same commit (digests:
+# `explore --digest-dir results/digests`, no `--workers`; figures:
+# results/README.md).
 same_as_committed() { # fresh file, committed twin under results/
     cmp "$1" "results/$2" || {
         echo "    $1 differs from results/$2: behaviour moved" >&2
         exit 1
     }
     echo "    $1 is byte-identical to results/$2"
-}
-
-# One explorer mode. The committed digests were written by one worker
-# (the default); this runs the mode with two and `cmp`s, so one comparison
-# checks both that behaviour did not move and that it does not depend on
-# how scenarios were scheduled.
-explored_digests=()
-explore_mode() { # digest name, then the mode's explore flags
-    local name=$1
-    shift
-    echo "==> invariant explorer ($name: explore $* --workers 2)"
-    cargo run -p check --release --bin explore -- "$@" --workers 2 --digest-out "target/digest-$name.txt"
-    same_as_committed "target/digest-$name.txt" "digests/$name.txt"
-    explored_digests+=("$name")
 }
 
 echo "==> cargo fmt --check"
@@ -91,37 +77,17 @@ diff <(mutant_classes BENCH_analysis.json) <(mutant_classes target/BENCH_analysi
 }
 echo "    every pinned mutant is in its committed class"
 
-# Every fault spec and preset with an FS's round traffic sent, lost and
-# answered one multi-entry message per destination at a time. The smoke
-# sweep's scenarios are a subset of this one and a digest line depends only
-# on its scenario, so no smoke batched leg runs.
-explore_mode full-batch --batch
-
-# Two workload rounds: every second-round put overwrites a key that already
-# holds a version, checked by every invariant.
-explore_mode smoke-overwrite --smoke --overwrite
-# The paper-faithful 144-scenario sweep every default-mode digest claim is
-# about.
-explore_mode full
-# The scale cell alone: one Zipf streamed workload under
-# ProtocolMode::scale(); like every digest line, its line pins the
-# compacted-version count.
-explore_mode scale --seeds 0 --scale
-# The five repair families alone (node churn, rack outage, flash-crowd
-# reads during rebuild, throttled repair storm, rack outage under 5 %
-# duplication) on a repair-enabled rack-aware cluster, checked by the
-# redundancy-floor invariant; the digest lines fold the EV_REPAIR_*
-# counters.
-explore_mode repair --seeds 0 --repair
-# A committed digest no leg regenerates would go stale unnoticed.
+echo "==> invariant explorer (every suite, --workers 2)"
+# The suites are `check::explorer::suites()`, and a unit test there pins
+# their names one-to-one to results/digests/*.txt. The committed digests
+# were written by one worker (the default); this runs every suite with two
+# and `cmp`s, so one comparison checks both that behaviour did not move and
+# that it does not depend on how scenarios were scheduled.
+rm -rf target/digests
+cargo run -p check --release --bin explore -- --workers 2 --digest-dir target/digests
 for committed in results/digests/*.txt; do
-    name=$(basename "$committed" .txt)
-    [[ " ${explored_digests[*]} " == *" $name "* ]] || {
-        echo "    $committed has no explore leg that regenerates and compares it" >&2
-        exit 1
-    }
+    same_as_committed "target/digests/$(basename "$committed")" "digests/$(basename "$committed")"
 done
-echo "    every digest under results/digests/ was regenerated and compared"
 
 echo "==> paper figures (regenerated and compared with results/*.txt and *.csv)"
 # The reproduction's own record, checked the way digests are: Figure 5 is
