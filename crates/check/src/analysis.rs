@@ -53,9 +53,10 @@
 //!   or be refactored into a checked accessor. A bare marker without a
 //!   justification is itself a finding.
 //! * **unsafe-confinement** — `unsafe` appears only inside `mod simd` of
-//!   `gf.rs` (the `erasure::gf::simd` PSHUFB kernels). Everywhere else the
-//!   crates `forbid(unsafe_code)`, but that attribute is one edit away
-//!   from being weakened; this rule notices the edit.
+//!   `gf.rs` (`erasure::gf::simd`: the GFNI product kernel and the
+//!   checksum's AVX2 build). Everywhere else the crates
+//!   `forbid(unsafe_code)`, but that attribute is one edit away from being
+//!   weakened; this rule notices the edit.
 //! * **registry-sync** — the dense kind registry stays coherent:
 //!   `KINDS` labels are unique, `kind_id` maps every enum variant exactly
 //!   once onto ids that exactly cover `0..KINDS.len()`, and per-kind

@@ -14,16 +14,15 @@
 //! portable flat-table primitive; the matrix algebra on k-byte rows runs
 //! on it. [`mul_rows`] is the codec's one product: rows of a coefficient
 //! matrix times the k input rows, appended to a `Vec` with each output
-//! byte written once. It has one body per platform. On x86-64 with AVX2 it
-//! runs a fused split-nibble shuffle kernel (the PSHUFB technique standard
-//! in storage Reed-Solomon libraries, in its dot-product form): each
-//! byte's product is the XOR of two 16-entry table lookups — one indexed
-//! by the low nibble, one by the high — a 32-wide byte shuffle performs
-//! all lookups of a register at once, and up to four output rows
-//! accumulate in registers across all inputs before each is stored once.
-//! Everywhere else it runs the flat-table loop, which writes the first
-//! input's product and adds the rest with [`mul_acc`]. The property tests
-//! pin both bodies to [`mul_acc_ref`] bit for bit.
+//! byte written once. It has one body per platform. On x86-64 with AVX2
+//! and GFNI it runs a fused affine kernel: multiplication by a constant
+//! `s` is linear over GF(2), so it is an 8×8 bit matrix (one `u64` of
+//! `AFFINE`), and one `gf2p8affineqb` applies that matrix to all 32
+//! bytes of a register. Up to four output rows accumulate in registers
+//! across all inputs before each is stored once. Everywhere else it runs
+//! the flat-table loop, which writes the first input's product and adds
+//! the rest with [`mul_acc`]. The property tests pin both bodies to
+//! [`mul_acc_ref`] bit for bit.
 
 /// The primitive polynomial, with the x⁸ term included (`0x11d`).
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -90,26 +89,29 @@ const fn build_mul() -> [[u8; 256]; 256] {
     table
 }
 
-/// Split-nibble product tables for the AVX2 kernel: for each scalar `s`,
-/// `NIB_LO[s][x] == s * x` (products of the 16 possible low nibbles) and
-/// `NIB_HI[s][x] == s * (x << 4)` (products of the 16 possible high
-/// nibbles). Since GF(2⁸) multiplication distributes over XOR and any
-/// byte is `(b & 0x0f) ^ (b & 0xf0)`, the full product is
-/// `NIB_LO[s][b & 0x0f] ^ NIB_HI[s][b >> 4]` — two shuffle-sized lookups.
-static NIB_LO: [[u8; 16]; 256] = build_nib(false);
+/// The 8×8 bit matrix of multiplication by each scalar, laid out for
+/// `gf2p8affineqb`: byte `7 - i` of `AFFINE[s]` has bit `j` set when bit `i`
+/// of `s · 2ʲ` is set, so the instruction's output bit `i` — the parity of
+/// that byte AND the input `x` — is bit `i` of `s · x` (multiplication by
+/// `s` distributes over the bits of `x`).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+static AFFINE: [u64; 256] = build_affine();
 
-/// High-nibble half of the split-product tables; see [`NIB_LO`].
-static NIB_HI: [[u8; 16]; 256] = build_nib(true);
-
-const fn build_nib(high: bool) -> [[u8; 16]; 256] {
+const fn build_affine() -> [u64; 256] {
     let mul = build_mul();
-    let mut table = [[0u8; 16]; 256];
+    let mut table = [0u64; 256];
     let mut s = 0usize;
     while s < 256 {
-        let mut x = 0usize;
-        while x < 16 {
-            table[s][x] = mul[s][if high { x << 4 } else { x }];
-            x += 1;
+        let mut out_bit = 0;
+        while out_bit < 8 {
+            let mut row = 0u64;
+            let mut in_bit = 0;
+            while in_bit < 8 {
+                row |= (((mul[s][1 << in_bit] >> out_bit) & 1) as u64) << in_bit;
+                in_bit += 1;
+            }
+            table[s] |= row << (8 * (7 - out_bit));
+            out_bit += 1;
         }
         s += 1;
     }
@@ -261,9 +263,9 @@ const MAX_INPUTS: usize = 256;
 /// output byte is written once, into capacity grown with
 /// `reserve_exact`, so a `Vec` that arrives empty leaves with
 /// `capacity() == len()`. `inputs` is cloned, never collected, so naming
-/// the rows allocates nothing. On x86-64 with AVX2 the body is the fused
-/// shuffle kernel; everywhere else the flat-table loop writes the first
-/// input's product and adds the rest with [`mul_acc`].
+/// the rows allocates nothing. On x86-64 with AVX2 and GFNI the body is
+/// the fused affine kernel; everywhere else the flat-table loop writes the
+/// first input's product and adds the rest with [`mul_acc`].
 ///
 /// # Panics
 ///
@@ -342,35 +344,40 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// The x86-64 fused split-nibble shuffle kernel behind [`mul_rows`].
+/// The x86-64 bodies behind [`mul_rows`] and the wide
+/// [`Checksum`](crate::Checksum) path.
 ///
 /// This module is the one place the crate steps outside safe Rust: the
-/// PSHUFB technique needs the `std::arch` intrinsics, and writing each
-/// output byte once means writing into a `Vec`'s spare capacity before
-/// `set_len`. The unsafety is narrow and mechanical — unaligned 16/32-byte
-/// loads inside inputs whose lengths the entry point checks, stores inside
-/// capacity it reserved, and a `#[target_feature]` function that is only
-/// reached behind the matching runtime CPU feature check — and the kernel
-/// is pinned bit-for-bit to [`mul_acc_ref`] by the property tests.
+/// affine kernel needs the `std::arch` intrinsics, and writing each output
+/// byte once means writing into a `Vec`'s spare capacity before `set_len`.
+/// The unsafety is narrow and mechanical — unaligned 32-byte loads inside
+/// inputs whose lengths the entry point checks, stores inside capacity it
+/// reserved, and `#[target_feature]` functions that are only reached behind
+/// the matching runtime CPU feature check — and the kernel is pinned
+/// bit-for-bit to [`mul_acc_ref`] by the property tests.
 ///
 /// The kernel walks the rows in 64-byte steps of two registers. Per step,
-/// each input's two registers are loaded and split into nibble indices
-/// once. For each of up to four output rows, the two product tables of its
-/// coefficient for that input are broadcast to both 128-bit lanes (PSHUFB
-/// shuffles within lanes) once, shuffled by both registers' indices and
-/// XORed into the row's two sums, which are stored once after the last
-/// input: eight sums, four index registers, two tables and the mask fill
-/// the sixteen AVX2 registers. More rows take more passes over the inputs;
-/// a 32-byte remainder takes a one-register step, and a sub-register tail
-/// is finished with [`MUL`] lookups, each byte likewise written once.
+/// each input's two registers are loaded once. For each of up to four
+/// output rows, the [`AFFINE`] matrix of its coefficient for that input is
+/// broadcast to all four 64-bit lanes once, applied to both registers with
+/// `gf2p8affineqb` and XORed into the row's two sums, which are stored once
+/// after the last input: eight sums, two input registers and the matrix
+/// take eleven of the sixteen AVX2 registers. More rows take more passes
+/// over the inputs; a 32-byte remainder takes a one-register step, and a
+/// sub-register tail is finished with [`MUL`] lookups, each byte likewise
+/// written once. The registers stay 256 bits wide: a 512-bit body encoded
+/// faster on its own but made the whole put path slower (DESIGN §8.1).
+///
+/// [`checksum_wide`](crate::gf::simd::checksum_wide) is the checksum's
+/// wide body compiled a second time with AVX2 enabled, so its 128 lanes
+/// run eight to an instruction.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-mod simd {
-    use super::{product_len, MAX_INPUTS, MUL, NIB_HI, NIB_LO};
+pub(crate) mod simd {
+    use super::{product_len, AFFINE, MAX_INPUTS, MUL};
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
-        _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi64,
-        _mm256_storeu_si256, _mm256_xor_si256, _mm_loadu_si128,
+        __m256i, _mm256_gf2p8affine_epi64_epi8, _mm256_loadu_si256, _mm256_set1_epi64x,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm256_xor_si256,
     };
     use std::mem::MaybeUninit;
 
@@ -378,11 +385,11 @@ mod simd {
     /// doc for the register budget).
     const GROUP: usize = 4;
 
-    /// Runs the fused AVX2 kernel and returns `true`; returns `false`,
-    /// leaving `out` and `coeffs` untouched, when the CPU lacks AVX2 so the
-    /// caller falls back to the portable loop. The
-    /// `is_x86_feature_detected!` result is cached by the standard
-    /// library, so the per-call cost is one atomic load.
+    /// Runs the fused affine kernel and returns `true`; returns `false`,
+    /// leaving `out` and `coeffs` untouched, when the CPU lacks AVX2 or
+    /// GFNI so the caller falls back to the portable loop. The
+    /// `is_x86_feature_detected!` results are cached by the standard
+    /// library, so the per-call cost is two atomic loads.
     // lint:hot
     pub fn mul_rows<'c, 'i>(
         out: &mut Vec<u8>,
@@ -390,7 +397,7 @@ mod simd {
         inputs: impl Iterator<Item = &'i [u8]>,
         flen: usize,
     ) -> bool {
-        if !std::is_x86_feature_detected!("avx2") {
+        if !(std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("gfni")) {
             return false;
         }
         // The input base pointers, gathered once: every step reads them.
@@ -428,9 +435,9 @@ mod simd {
                 written + g <= rows,
                 "mul_rows coefficient iterator overran its len()"
             );
-            // SAFETY: AVX2 was detected above. `out` has capacity for
-            // `rows * flen` bytes past `base`, and `written + g <= rows`, so
-            // the `g * flen` bytes at row `written` are inside it. Every
+            // SAFETY: AVX2 and GFNI were detected above. `out` has capacity
+            // for `rows * flen` bytes past `base`, and `written + g <= rows`,
+            // so the `g * flen` bytes at row `written` are inside it. Every
             // input pointer is valid for `flen` bytes of reads, borrowed for
             // the whole call, and every row in `group[..g]` has one entry
             // per input (both checked above).
@@ -456,11 +463,11 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2; `dst` must be valid for writes of
-    /// `R * flen` bytes; every input pointer must be valid for reads of
+    /// The CPU must support AVX2 and GFNI; `dst` must be valid for writes
+    /// of `R * flen` bytes; every input pointer must be valid for reads of
     /// `flen` bytes, and every `rows[r]` with `r < R` must have one entry
     /// per input.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,gfni")]
     unsafe fn dot<const R: usize>(
         dst: *mut u8,
         rows: &[&[u8]; GROUP],
@@ -493,13 +500,13 @@ mod simd {
     }
 
     /// Writes the `C` 32-byte registers at byte `at` of each of `R` output
-    /// rows; each row's two product tables per input are loaded once for
-    /// all `C` registers.
+    /// rows; each row's matrix per input is broadcast once for all `C`
+    /// registers.
     ///
     /// # Safety
     ///
     /// As for [`dot`], and `at + 32 * C <= flen`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,gfni")]
     #[inline]
     unsafe fn step<const R: usize, const C: usize>(
         dst: *mut u8,
@@ -508,40 +515,20 @@ mod simd {
         flen: usize,
         at: usize,
     ) {
-        let mask = _mm256_set1_epi8(0x0f);
         let mut acc = [[_mm256_setzero_si256(); C]; R];
         for (i, &input) in inputs.iter().enumerate() {
-            let mut lo_idx = [_mm256_setzero_si256(); C];
-            let mut hi_idx = [_mm256_setzero_si256(); C];
-            for c in 0..C {
+            let mut src = [_mm256_setzero_si256(); C];
+            for (c, sv) in src.iter_mut().enumerate() {
                 // SAFETY: `at + 32 * (c + 1) <= flen`, inside the input's
                 // readable bytes, for an unaligned 256-bit load.
-                let sv = unsafe { _mm256_loadu_si256(input.add(at + 32 * c).cast::<__m256i>()) };
-                lo_idx[c] = _mm256_and_si256(sv, mask);
-                // The 64-bit lane shift drags bits across byte borders,
-                // but the mask keeps only each byte's own high nibble.
-                hi_idx[c] = _mm256_and_si256(_mm256_srli_epi64(sv, 4), mask);
+                *sv = unsafe { _mm256_loadu_si256(input.add(at + 32 * c).cast::<__m256i>()) };
             }
             for (sums, row) in acc.iter_mut().zip(rows) {
-                let k = row[i] as usize;
-                // SAFETY: the nibble tables are 16-byte rows, valid for an
-                // unaligned 128-bit load.
-                let (lo, hi) = unsafe {
-                    (
-                        _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                            NIB_LO[k].as_ptr().cast::<__m128i>(),
-                        )),
-                        _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                            NIB_HI[k].as_ptr().cast::<__m128i>(),
-                        )),
-                    )
-                };
-                for c in 0..C {
-                    let prod = _mm256_xor_si256(
-                        _mm256_shuffle_epi8(lo, lo_idx[c]),
-                        _mm256_shuffle_epi8(hi, hi_idx[c]),
-                    );
-                    sums[c] = _mm256_xor_si256(sums[c], prod);
+                // The matrix's bits, reinterpreted for the broadcast.
+                let matrix = _mm256_set1_epi64x(AFFINE[row[i] as usize] as i64);
+                for (sum, &sv) in sums.iter_mut().zip(&src) {
+                    let prod = _mm256_gf2p8affine_epi64_epi8::<0>(sv, matrix);
+                    *sum = _mm256_xor_si256(*sum, prod);
                 }
             }
         }
@@ -554,6 +541,26 @@ mod simd {
                 };
             }
         }
+    }
+
+    /// [`checksum::wide`](crate::checksum::wide) compiled with AVX2, or
+    /// `None` when the CPU lacks AVX2 and the caller runs the portable
+    /// build. Both builds return the same value.
+    // lint:hot
+    pub fn checksum_wide(data: &[u8]) -> Option<u64> {
+        if !std::is_x86_feature_detected!("avx2") {
+            return None;
+        }
+        // SAFETY: AVX2 was detected above.
+        Some(unsafe { checksum_wide_avx2(data) })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn checksum_wide_avx2(data: &[u8]) -> u64 {
+        crate::checksum::wide(data)
     }
 }
 
@@ -697,15 +704,26 @@ mod tests {
         }
     }
 
+    /// A scalar model of `gf2p8affineqb` on one byte with a zero constant:
+    /// output bit `i` is the parity of byte `7 - i` of `matrix` AND `x`.
+    fn affine_model(matrix: u64, x: u8) -> u8 {
+        (0..8).fold(0u8, |out, i| {
+            let row = (matrix >> (8 * (7 - i))) as u8;
+            out | (((row & x).count_ones() & 1) as u8) << i
+        })
+    }
+
     #[test]
-    fn nib_tables_split_the_product() {
-        // NIB_LO[s][b & 0x0f] ^ NIB_HI[s][b >> 4] must reassemble the
-        // full MUL row for every scalar and byte.
+    fn affine_matrices_are_the_products() {
+        // Applied as the instruction applies it, AFFINE[s] must give the
+        // MUL row of `s` for every scalar and byte.
         for s in 0..=255u8 {
-            for b in 0..=255u8 {
-                let split =
-                    NIB_LO[s as usize][(b & 0x0f) as usize] ^ NIB_HI[s as usize][(b >> 4) as usize];
-                assert_eq!(split, mul(s, b), "scalar={s} byte={b}");
+            for x in 0..=255u8 {
+                assert_eq!(
+                    affine_model(AFFINE[s as usize], x),
+                    mul(s, x),
+                    "scalar={s} byte={x}"
+                );
             }
         }
     }
@@ -728,14 +746,19 @@ mod tests {
 
     #[test]
     fn mul_rows_matches_reference_on_both_bodies() {
-        // Rows 1–9 cover every remainder of the four-row AVX2 group; the
+        // Rows 1–9 cover every remainder of the four-row kernel group; the
         // lengths cover empty, sub-register, either side of the one- and
         // two-register steps, and long rows ending in a one-register step
         // plus a tail (1000) or a 7-byte tail alone (4103).
         // Each output arrives non-empty with spare capacity, and its prefix
-        // must survive the append.
+        // must survive the append. On a host with AVX2 and GFNI the kernel
+        // must run, or `mul_rows` would be checked against the table loop
+        // it falls back to.
         const LENS: [usize; 10] = [0, 1, 31, 32, 33, 63, 64, 65, 1000, 4103];
         let prefix = [0xEEu8, 0x11, 0x5A];
+        #[cfg(target_arch = "x86_64")]
+        let affine_kernel =
+            std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("gfni");
         for k in 1..=17usize {
             for flen in LENS {
                 let inputs: Vec<Vec<u8>> = (0..k)
@@ -771,6 +794,16 @@ mod tests {
                         table, expect,
                         "mul_rows_table k={k} flen={flen} rows={rows}"
                     );
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        let mut kernel = fresh();
+                        let ran =
+                            simd::mul_rows(&mut kernel, rows_of(), inputs.iter().copied(), flen);
+                        assert_eq!(ran, affine_kernel, "affine kernel ran on this host");
+                        if ran {
+                            assert_eq!(kernel, expect, "simd k={k} flen={flen} rows={rows}");
+                        }
+                    }
                 }
             }
         }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 // Unsafe code is denied everywhere except the one documented exception:
-// `gf::simd`, the split-nibble PSHUFB kernel, which needs `std::arch`
-// intrinsics and carries per-call safety arguments.
+// `gf::simd` (the GFNI affine kernel and the checksum's AVX2 build), which
+// needs `std::arch` intrinsics and carries per-call safety arguments.
 #![deny(unsafe_code)]
 
 //! Systematic Reed-Solomon erasure coding over GF(2⁸), built from scratch.

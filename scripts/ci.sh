@@ -45,8 +45,18 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 echo "==> cargo test -p erasure --release"
-# The workspace run above is a debug build; the codec's unsafe AVX2 kernel
-# must also pass its tests under the optimizer.
+# The workspace run above is a debug build; the unsafe bodies in
+# erasure::gf::simd — the GFNI affine product kernel (AVX2 + GFNI) and the
+# checksum's AVX2 build of its wide body — must also pass their tests under
+# the optimizer. They run only where the CPU has those features, so the log
+# says which bodies this run exercised.
+for feature in avx2 gfni; do
+    if grep -qw "$feature" /proc/cpuinfo 2>/dev/null; then
+        echo "host has $feature: yes"
+    else
+        echo "host has $feature: no"
+    fi
+done
 cargo test -p erasure --release -q
 
 echo "==> cargo test -p pahoehoe --release (key table, chains, version store)"

@@ -1,6 +1,7 @@
 //! Tests for the paper's elided robustness features (§3.1): disk
 //! corruption detection via hashes, scrubbing, and disk rebuild.
 
+use pahoehoe_repro::erasure::checksum::WIDE_MIN;
 use pahoehoe_repro::pahoehoe::cluster::{Cluster, ClusterConfig, ClusterLayout};
 use pahoehoe_repro::pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
 use pahoehoe_repro::pahoehoe::workload::StreamingWorkload;
@@ -14,9 +15,16 @@ fn layout() -> ClusterLayout {
     }
 }
 
-fn converged_cluster(scrub: Option<SimDuration>, seed: u64) -> Cluster {
+/// The value length of most tests: 2 KiB fragments, checksummed by the
+/// four-lane body.
+const VALUE_LEN: usize = 8 * 1024;
+
+/// A value length whose 16 KiB fragments take the wide checksum body.
+const WIDE_VALUE_LEN: usize = 64 * 1024;
+
+fn converged_cluster(scrub: Option<SimDuration>, seed: u64, value_len: usize) -> Cluster {
     let mut cfg = ClusterConfig::paper_default();
-    cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 8 * 1024, cfg.policy));
+    cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, value_len, cfg.policy));
     cfg.convergence.scrub_interval = scrub;
     let mut cluster = Cluster::build(cfg, seed);
     let report = cluster.run_to_convergence();
@@ -41,15 +49,48 @@ fn stored_versions(
         .collect()
 }
 
-#[test]
-fn read_path_detects_corruption_and_convergence_repairs_it() {
-    use pahoehoe_repro::pahoehoe::client::{Client, ClientOp};
-
-    let mut cluster = converged_cluster(None, 1);
-    let fs_id = layout().fs(0, 0);
-    let victims = stored_versions(&cluster, fs_id);
+/// The first stored version on `fs` and one of its fragment indices, after
+/// checking that the fragment's length puts its checksum on the body that
+/// `value_len` is meant to reach.
+fn victim(
+    cluster: &Cluster,
+    fs: pahoehoe_repro::simnet::NodeId,
+    value_len: usize,
+) -> (pahoehoe_repro::pahoehoe::ObjectVersion, u8) {
+    let victims = stored_versions(cluster, fs);
     assert!(!victims.is_empty());
     let (ov, idx) = victims[0];
+    let entry = cluster.fs(fs).entry(ov).expect("victim stored");
+    let flen = entry
+        .fragments
+        .get(&idx)
+        .expect("victim fragment")
+        .fragment
+        .len();
+    assert_eq!(
+        flen >= WIDE_MIN,
+        value_len == WIDE_VALUE_LEN,
+        "{flen}-byte fragment"
+    );
+    (ov, idx)
+}
+
+#[test]
+fn read_path_detects_corruption_and_convergence_repairs_it() {
+    read_path_repair(VALUE_LEN);
+}
+
+#[test]
+fn read_path_detects_corruption_of_a_wide_checksummed_fragment() {
+    read_path_repair(WIDE_VALUE_LEN);
+}
+
+fn read_path_repair(value_len: usize) {
+    use pahoehoe_repro::pahoehoe::client::{Client, ClientOp};
+
+    let mut cluster = converged_cluster(None, 1, value_len);
+    let fs_id = layout().fs(0, 0);
+    let (ov, idx) = victim(&cluster, fs_id, value_len);
 
     // Corrupt one fragment in place (checksum left stale).
     assert!(cluster
@@ -94,11 +135,18 @@ fn read_path_detects_corruption_and_convergence_repairs_it() {
 
 #[test]
 fn scrubber_detects_and_repairs_corruption() {
-    let mut cluster = converged_cluster(Some(SimDuration::from_secs(30)), 2);
+    scrub_repair(VALUE_LEN);
+}
+
+#[test]
+fn scrubber_detects_corruption_of_a_wide_checksummed_fragment() {
+    scrub_repair(WIDE_VALUE_LEN);
+}
+
+fn scrub_repair(value_len: usize) {
+    let mut cluster = converged_cluster(Some(SimDuration::from_secs(30)), 2, value_len);
     let fs_id = layout().fs(1, 1);
-    let victims = stored_versions(&cluster, fs_id);
-    assert!(!victims.is_empty());
-    let (ov, idx) = victims[0];
+    let (ov, idx) = victim(&cluster, fs_id, value_len);
     assert!(cluster
         .sim_mut()
         .actor_mut::<Fs>(fs_id)
@@ -122,7 +170,7 @@ fn scrubber_detects_and_repairs_corruption() {
 
 #[test]
 fn destroyed_disk_is_rebuilt_by_convergence() {
-    let mut cluster = converged_cluster(None, 3);
+    let mut cluster = converged_cluster(None, 3, VALUE_LEN);
     let fs_id = layout().fs(0, 1);
     let before: usize = {
         let fs = cluster.fs(fs_id);
@@ -159,7 +207,7 @@ fn destroyed_disk_is_rebuilt_by_convergence() {
 
 #[test]
 fn scrubbing_a_clean_store_changes_nothing() {
-    let mut cluster = converged_cluster(Some(SimDuration::from_secs(20)), 4);
+    let mut cluster = converged_cluster(Some(SimDuration::from_secs(20)), 4, VALUE_LEN);
     let deadline = cluster.sim().now() + SimDuration::from_mins(5);
     cluster.sim_mut().run_until_time(deadline);
     for dc in 0..2 {
