@@ -17,7 +17,7 @@ use crate::metrics::Metrics;
 use crate::network::{FaultPlan, NetworkConfig};
 use crate::node::NodeId;
 use crate::payload::Payload;
-use crate::queue::{EventKind, EventQueue, QueuedEvent, TimerSlab};
+use crate::queue::{EventKind, EventQueue, Next, TimerSlab};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, TraceEvent};
 
@@ -36,7 +36,6 @@ pub enum RunOutcome {
 
 struct Inner<M> {
     now: SimTime,
-    seq: u64,
     queue: EventQueue<M>,
     /// Generation-stamped liveness for every scheduled timer; cancelling
     /// bumps a generation so the queued firing event goes stale in place.
@@ -49,16 +48,9 @@ struct Inner<M> {
 }
 
 impl<M: Payload> Inner<M> {
-    fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent { at, seq, to, kind });
-    }
-
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
         let id = self.timers.allocate();
-        let at = self.now + delay;
-        self.push(at, node, EventKind::Timer { id, tag });
+        self.queue.push_timer(self.now + delay, node, id, tag);
         id
     }
 
@@ -103,17 +95,11 @@ impl<M: Payload> Inner<M> {
         {
             self.metrics.record_duplicate();
             let latency = self.network.sample_link_latency(from, to, &mut self.rng);
-            self.push(
-                self.now + latency,
-                to,
-                EventKind::Deliver {
-                    from,
-                    msg: msg.clone(),
-                },
-            );
+            self.queue
+                .push_delivery(self.now + latency, to, from, msg.clone());
         }
         let latency = self.network.sample_link_latency(from, to, &mut self.rng);
-        self.push(self.now + latency, to, EventKind::Deliver { from, msg });
+        self.queue.push_delivery(self.now + latency, to, from, msg);
     }
 }
 
@@ -180,7 +166,7 @@ pub trait Observer<M: Payload> {
     }
 
     /// Called after **every** processed event (message delivery or timer
-    /// firing), once the acting actor is back in its slot, so every
+    /// firing), once the acting actor's handler has returned, so every
     /// accessor of `sim` sees a consistent state. `node` is the actor the
     /// event was addressed to: the only one whose state the event could
     /// change.
@@ -214,7 +200,7 @@ impl<M: Payload> Observer<M> for Vec<TraceEvent> {
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 pub struct Simulation<M: Payload> {
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    actors: Vec<Box<dyn Actor<M>>>,
     inner: Inner<M>,
     started: bool,
     events_processed: u64,
@@ -233,7 +219,6 @@ impl<M: Payload> Simulation<M> {
             actors: Vec::new(),
             inner: Inner {
                 now: SimTime::ZERO,
-                seq: 0,
                 queue: EventQueue::new(),
                 timers: TimerSlab::new(),
                 rng: StdRng::seed_from_u64(seed),
@@ -264,7 +249,7 @@ impl<M: Payload> Simulation<M> {
     pub fn add_actor<A: Actor<M> + 'static>(&mut self, actor: A) -> NodeId {
         assert!(!self.started, "cannot add actors after the run started");
         let id = NodeId::new(self.actors.len() as u32);
-        self.actors.push(Some(Box::new(actor)));
+        self.actors.push(Box::new(actor));
         id
     }
 
@@ -327,7 +312,6 @@ impl<M: Payload> Simulation<M> {
     pub fn try_actor<T: Any>(&self, id: NodeId) -> Option<&T> {
         self.actors
             .get(id.index())
-            .and_then(|slot| slot.as_ref())
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
 
@@ -342,7 +326,6 @@ impl<M: Payload> Simulation<M> {
     pub fn actor_mut<T: Any>(&mut self, id: NodeId) -> &mut T {
         self.actors
             .get_mut(id.index())
-            .and_then(|slot| slot.as_mut())
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
             .expect("actor type mismatch")
     }
@@ -373,17 +356,12 @@ impl<M: Payload> Simulation<M> {
             return;
         }
         self.started = true;
-        for i in 0..self.actors.len() {
-            let id = NodeId::new(i as u32);
-            // lint:allow(panic-path): slots are only vacated within a dispatch and restored before return
-            let mut actor = self.actors[i].take().expect("actor slot occupied");
+        for (i, actor) in self.actors.iter_mut().enumerate() {
             let mut ctx = Context {
-                self_id: id,
+                self_id: NodeId::new(i as u32),
                 inner: &mut self.inner,
             };
             actor.on_start(&mut ctx);
-            // lint:allow(panic-path): loop index bounded by actors.len()
-            self.actors[i] = Some(actor);
         }
     }
 
@@ -397,54 +375,39 @@ impl<M: Payload> Simulation<M> {
             return RunOutcome::PredicateSatisfied;
         }
         loop {
-            // The queue skips cancelled timers internally, so the next
-            // live event surfaces without counting housekeeping as events
-            // or re-evaluating the caller's predicate.
-            let inner = &mut self.inner;
-            let Some((at, _)) = inner.queue.peek_next(&inner.timers) else {
+            // One call per event: the queue discards cancelled timers
+            // itself, so housekeeping neither counts as an event nor
+            // re-evaluates the caller's predicate.
+            let ev = match self.inner.queue.pop_before(deadline, &self.inner.timers) {
+                Next::Due(ev) => ev,
+                Next::Drained if deadline == SimTime::MAX => return RunOutcome::Quiescent,
                 // With an explicit deadline, an idle simulation still
                 // advances its clock to the deadline, so callers can move
-                // virtual time forward past scheduled fault windows.
-                if deadline < SimTime::MAX {
-                    // A deadline already in the past leaves the clock alone:
-                    // virtual time is monotone.
+                // virtual time forward past scheduled fault windows. A
+                // deadline already in the past leaves the clock alone:
+                // virtual time is monotone.
+                Next::Drained | Next::NotBefore => {
                     self.inner.now = self.inner.now.max(deadline);
                     return RunOutcome::DeadlineReached;
                 }
-                return RunOutcome::Quiescent;
             };
-            if at >= deadline {
-                self.inner.now = self.inner.now.max(deadline);
-                return RunOutcome::DeadlineReached;
-            }
-            let inner = &mut self.inner;
-            // lint:allow(panic-path): peek_next returned Some on this very iteration
-            let ev = inner.queue.pop(&inner.timers).expect("peeked event exists");
             debug_assert!(ev.at >= self.inner.now, "time went backwards");
             self.inner.now = ev.at;
             self.events_processed += 1;
-            if let EventKind::Timer { id, .. } = &ev.kind {
-                self.inner.timers.retire(*id);
-            }
 
-            let slot = ev.to.index();
             // lint:allow(panic-path): NodeIds are minted by add_actor, so the slot exists
-            let mut actor = self.actors[slot]
-                .take()
-                // lint:allow(panic-path): an unknown or re-entered target is a harness bug that must fail loudly
-                .expect("event addressed to unknown or re-entered actor");
-            {
-                let mut ctx = Context {
-                    self_id: ev.to,
-                    inner: &mut self.inner,
-                };
-                match ev.kind {
-                    EventKind::Deliver { from, msg } => actor.on_message(&mut ctx, from, msg),
-                    EventKind::Timer { tag, .. } => actor.on_timer(&mut ctx, tag),
+            let actor = &mut self.actors[ev.to.index()];
+            let mut ctx = Context {
+                self_id: ev.to,
+                inner: &mut self.inner,
+            };
+            match ev.kind {
+                EventKind::Deliver { from, msg } => actor.on_message(&mut ctx, from, msg),
+                EventKind::Timer { id, tag } => {
+                    ctx.inner.timers.retire(id);
+                    actor.on_timer(&mut ctx, tag);
                 }
             }
-            // lint:allow(panic-path): same slot that was just taken above
-            self.actors[slot] = Some(actor);
 
             // An observer borrows the whole simulation, so the list leaves
             // `inner` for the duration of the calls.
@@ -806,19 +769,92 @@ mod tests {
         }
     }
 
+    /// The paper's network with every link's latency fixed at `ms`.
+    fn fixed_latency(ms: u64) -> NetworkConfig {
+        NetworkConfig {
+            latency_min: SimDuration::from_millis(ms),
+            latency_max: SimDuration::from_millis(ms),
+            ..NetworkConfig::paper_default()
+        }
+    }
+
+    #[test]
+    fn a_timer_and_a_delivery_due_together_run_in_scheduling_order() {
+        /// Sets a 10 ms timer and sends itself a message that arrives at
+        /// the same microsecond, in the order `timer_first` says, and logs
+        /// what ran when.
+        struct Tie {
+            timer_first: bool,
+            ran: Vec<(&'static str, SimTime)>,
+        }
+        impl Actor<Msg> for Tie {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                let me = ctx.self_id();
+                if self.timer_first {
+                    ctx.schedule_timer(SimDuration::from_millis(10), 0);
+                    ctx.send(me, Msg::Ping(0));
+                } else {
+                    ctx.send(me, Msg::Ping(0));
+                    ctx.schedule_timer(SimDuration::from_millis(10), 0);
+                }
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, _msg: Msg) {
+                self.ran.push(("message", ctx.now()));
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _tag: u64) {
+                self.ran.push(("timer", ctx.now()));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let due = SimTime::ZERO + SimDuration::from_millis(10);
+        for timer_first in [true, false] {
+            let mut sim = Simulation::with_network(1, fixed_latency(10), FaultPlan::none());
+            let id = sim.add_actor(Tie {
+                timer_first,
+                ran: Vec::new(),
+            });
+            assert_eq!(sim.run_until_quiescent(), RunOutcome::Quiescent);
+            let order = if timer_first {
+                [("timer", due), ("message", due)]
+            } else {
+                [("message", due), ("timer", due)]
+            };
+            assert_eq!(sim.actor::<Tie>(id).ran, order, "timer_first={timer_first}");
+        }
+    }
+
     #[test]
     fn predicate_runs_once_per_dispatched_event() {
         // `run_until` evaluates its predicate once up front and once per
         // *dispatched* event — never for queue housekeeping such as
         // skipping cancelled timers.
-        let (mut sim, pinger) = ping_pong_sim(7, 2);
-        // Five timers, three cancelled while still queued: the cancelled
-        // ones are skipped inside the queue and must not be visible to
-        // the predicate.
-        let ids: Vec<TimerId> = (0..5)
-            .map(|i| sim.schedule_timer(pinger, SimDuration::from_millis(2 + i), 7))
+        let mut sim = Simulation::with_network(7, fixed_latency(10), FaultPlan::none());
+        let ponger = sim.add_actor(Ponger);
+        sim.add_actor(Pinger {
+            peer: ponger,
+            rounds: 2,
+            pongs: 0,
+            last_pong_at: SimTime::ZERO,
+        });
+        let log = sim.add_actor(TimerLog {
+            fired: Vec::new(),
+            victim: None,
+        });
+        // Five timers, three cancelled while still queued, and a sixth,
+        // cancelled, due at the microsecond both pings arrive (10 ms) and
+        // ahead of them in scheduling order: the cancelled ones are
+        // skipped inside the queue and must not be visible to the
+        // predicate.
+        let mut ids: Vec<TimerId> = (0..5)
+            .map(|i| sim.schedule_timer(log, SimDuration::from_millis(2 + i), 10 + i))
             .collect();
-        for id in [ids[0], ids[2], ids[4]] {
+        ids.push(sim.schedule_timer(log, SimDuration::from_millis(10), 20));
+        for id in [ids[0], ids[2], ids[4], ids[5]] {
             sim.cancel_timer(id);
         }
         let calls = std::cell::Cell::new(0u64);
@@ -831,6 +867,12 @@ mod tests {
             calls.get(),
             1 + sim.events_processed(),
             "one call up front plus one per dispatch"
+        );
+        let ms = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        assert_eq!(
+            sim.actor::<TimerLog>(log).fired,
+            [(11, ms(3)), (13, ms(5))],
+            "no cancelled timer fires"
         );
     }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate, run locally before pushing: formatting, clippy and rustdoc
-# (warnings are errors), the workspace tests (the erasure crate's and the
-# pahoehoe key table, chain and store tests again in release), the static
+# (warnings are errors), the workspace tests (the erasure and simnet crates'
+# and the pahoehoe key table, chain and store tests again in release), the static
 # checker (`analyze`), the mutation smoke (`mutate`,
 # each mutant's class compared with BENCH_analysis.json), every
 # invariant-explorer suite with its digest compared with
@@ -58,6 +58,12 @@ for feature in avx2 gfni; do
     fi
 done
 cargo test -p erasure --release -q
+
+echo "==> cargo test -p simnet --release"
+# The event queue sits in every workload's hot loop: its oracle proptest
+# (pops against a sorted-map model) and the engine's tests run under the
+# optimizer too.
+cargo test -p simnet --release -q
 
 echo "==> cargo test -p pahoehoe --release (key table, chains, version store)"
 # The hash-addressed key table's masks, tags and wrap-around probes run
