@@ -165,9 +165,10 @@ pub enum Step {
 pub enum InvariantSet {
     /// The full [registry](invariants::registry).
     Registry,
-    /// For runs that destroy disks: the redundancy floor, metrics sanity
-    /// and checksum integrity. The durability family and AMR convergence
-    /// assume no stored fragment is ever lost.
+    /// For runs that destroy disks: the redundancy floor, metrics sanity,
+    /// checksum integrity and the checks read from the wire and from
+    /// compaction. The durability family and AMR convergence assume no
+    /// stored fragment is ever lost.
     DiskLoss,
 }
 
@@ -179,6 +180,10 @@ impl InvariantSet {
                 Box::new(invariants::RedundancyFloor::new()),
                 Box::new(invariants::MetricsSanity::new()),
                 Box::new(invariants::ChecksumIntegrity),
+                Box::new(invariants::PutAckAtThreshold::new()),
+                Box::new(invariants::RequestsAnswered::new()),
+                Box::new(invariants::CompactionProgress),
+                Box::new(invariants::TimerDiscipline::new()),
             ],
         }
     }

@@ -7,7 +7,11 @@
 //! property is re-examined after **every** processed event — a violation is
 //! caught at the earliest event that exhibits it, not at quiescence, and
 //! the recorded event index pins it in the message trace. The same observer
-//! shows every invariant every message send.
+//! shows every invariant each dispatched event before it runs, with its
+//! message or timer, and every message send with its message: the
+//! wire-level checks ([`PutAckAtThreshold`], [`RequestsAnswered`],
+//! [`TimerDiscipline`]) judge what a dispatch delivered against what it
+//! sent, never an actor's own bookkeeping.
 //!
 //! An event changes the state of one node, the one it ran on, so each
 //! check covers that node ([`ClusterView::nodes`]). A per-node property is
@@ -46,7 +50,8 @@ use pahoehoe::topology::{DataCenterId, Topology};
 use pahoehoe::types::{Key, ObjectVersion};
 use pahoehoe::{Metadata, Policy};
 use simnet::{
-    Disposition, NodeId, Observer, RunOutcome, SimDuration, SimTime, Simulation, TraceEvent,
+    Disposition, Event, NodeId, Observer, RunOutcome, SimDuration, SimTime, Simulation, TimerId,
+    TraceEvent,
 };
 
 /// One observed breach of a protocol invariant.
@@ -275,16 +280,22 @@ impl FragmentRecord {
 }
 
 /// One checkable protocol property. Implementations may keep state across
-/// events (e.g. to detect regressions), which is why both hooks take
+/// events (e.g. to detect regressions), which is why every hook takes
 /// `&mut self`.
 pub trait Invariant {
     /// Stable rule name, used in reports and violation records.
     fn name(&self) -> &'static str;
 
-    /// Shown every message send of the run, dropped ones included, before
-    /// the event that sent it is checked.
-    fn on_send(&mut self, event: &TraceEvent) {
-        let _ = event;
+    /// Shown every dispatched event, with the node it is addressed to,
+    /// before that node handles it: the event's sends and its check follow.
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
+        let _ = (node, event);
+    }
+
+    /// Shown every message send of the run with its message, dropped ones
+    /// included, before the event that sent it is checked.
+    fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+        let _ = (event, msg);
     }
 
     /// Checked after every processed simulation event, on the nodes and
@@ -643,7 +654,7 @@ impl Invariant for MetricsSanity {
         "metrics-sanity"
     }
 
-    fn on_send(&mut self, event: &TraceEvent) {
+    fn on_send(&mut self, event: &TraceEvent, _msg: &Message) {
         self.sent += 1;
         if event.disposition != Disposition::Delivered {
             self.not_delivered += 1;
@@ -987,6 +998,371 @@ impl Invariant for ResourceBounds {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Checks read from the wire: what a dispatch delivered and what it sent.
+// ---------------------------------------------------------------------------
+
+/// The messages `msg` carries: a batch's entries, or `msg` itself.
+fn entries(msg: &Message) -> &[Message] {
+    match msg {
+        Message::Batch(entries) => entries,
+        one => std::slice::from_ref(one),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 10: a put is acked at its success threshold, not before or after.
+// ---------------------------------------------------------------------------
+
+/// The paper's put rule (§3.2), both ways, from the wire. A put is the
+/// `DecideLocs` a proxy sends for a new version, carrying the policy and
+/// so the success threshold. The proxy sends a successful
+/// `ClientPutReply` for the version only once `StoreFragmentReply`s for
+/// at least the threshold's number of distinct fragment indices have been
+/// delivered to it (a duplicated ack counts once); and the dispatch that
+/// delivers the threshold-th distinct ack to a put it has not yet answered
+/// sends that reply. Read from the messages alone, never from the proxy's
+/// own count.
+#[derive(Default)]
+pub struct PutAckAtThreshold {
+    /// Each put seen, by proxy and version.
+    puts: BTreeMap<(NodeId, ObjectVersion), PutSeen>,
+    /// The put whose threshold-th distinct ack this dispatch delivered
+    /// while it was unanswered, until its reply is sent.
+    owed: Option<(NodeId, ObjectVersion)>,
+    /// A success reply sent short of the threshold.
+    early: Option<String>,
+}
+
+/// One put as the wire showed it.
+struct PutSeen {
+    threshold: usize,
+    /// The distinct fragment indices acknowledged to the proxy.
+    acked: BTreeSet<FragmentIndex>,
+    /// Whether the proxy has sent the client its reply.
+    answered: bool,
+}
+
+impl PutAckAtThreshold {
+    /// Creates the invariant with no puts seen.
+    pub fn new() -> Self {
+        PutAckAtThreshold::default()
+    }
+}
+
+impl Invariant for PutAckAtThreshold {
+    fn name(&self) -> &'static str {
+        "put-ack-at-threshold"
+    }
+
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
+        let Event::Deliver { msg, .. } = event else {
+            return;
+        };
+        for entry in entries(msg) {
+            let &Message::StoreFragmentReply { ov, fragment } = entry else {
+                continue;
+            };
+            let Some(put) = self.puts.get_mut(&(node, ov)) else {
+                continue;
+            };
+            if put.acked.insert(fragment) && !put.answered && put.acked.len() == put.threshold {
+                self.owed = Some((node, ov));
+            }
+        }
+    }
+
+    fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+        for entry in entries(msg) {
+            match *entry {
+                Message::DecideLocs { ov, policy, .. } => {
+                    self.puts
+                        .entry((event.from, ov))
+                        .or_insert_with(|| PutSeen {
+                            threshold: usize::from(policy.put_success_threshold),
+                            acked: BTreeSet::new(),
+                            answered: false,
+                        });
+                }
+                Message::ClientPutReply { ov, success, .. } => {
+                    let Some(put) = self.puts.get_mut(&(event.from, ov)) else {
+                        continue;
+                    };
+                    put.answered = true;
+                    if success && self.owed == Some((event.from, ov)) {
+                        self.owed = None;
+                    }
+                    if success && put.acked.len() < put.threshold && self.early.is_none() {
+                        self.early = Some(format!(
+                            "{:?} acked the put of {ov:?} as a success after {} distinct \
+                             fragment acks, short of its threshold {}",
+                            event.from,
+                            put.acked.len(),
+                            put.threshold
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn check_event(&mut self, _view: &ClusterView<'_>) -> Result<(), String> {
+        if let Some(early) = self.early.take() {
+            return Err(early);
+        }
+        match self.owed.take() {
+            Some((proxy, ov)) => Err(format!(
+                "{proxy:?} was delivered the threshold-th distinct fragment ack of its \
+                 unanswered put of {ov:?} and sent the client no success reply"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 11: every request the handlers always answer is answered.
+// ---------------------------------------------------------------------------
+
+/// The request/reply exchanges whose requests the handlers always answer
+/// in the dispatch that delivers them.
+#[derive(Debug, Clone, Copy)]
+enum Exchange {
+    /// `DecideLocs` (proxy) or `FsDecideLocs` (FS) → `DecideLocsReply`.
+    DecideLocs,
+    StoreMetadata,
+    StoreFragment,
+    RetrieveTs,
+    RetrieveFrag,
+    ConvergeKls,
+    ConvergeFs,
+}
+
+impl Exchange {
+    const ALL: [Exchange; 7] = [
+        Exchange::DecideLocs,
+        Exchange::StoreMetadata,
+        Exchange::StoreFragment,
+        Exchange::RetrieveTs,
+        Exchange::RetrieveFrag,
+        Exchange::ConvergeKls,
+        Exchange::ConvergeFs,
+    ];
+}
+
+/// What a message is to [`RequestsAnswered`].
+enum Role {
+    /// A request of the exchange, owed one reply.
+    Asks(Exchange),
+    /// The reply of the exchange.
+    Answers(Exchange),
+    /// Neither: no reply is owed for it in its dispatch.
+    Exempt,
+}
+
+/// The table of [`RequestsAnswered`]: every message kind, the exchange it
+/// asks or answers, or, beside the arm, why it is owed no answer.
+fn role(msg: &Message) -> Role {
+    use Exchange as X;
+    use Role::{Answers, Asks, Exempt};
+    match msg {
+        Message::DecideLocs { .. } | Message::FsDecideLocs { .. } => Asks(X::DecideLocs),
+        Message::DecideLocsReply { .. } => Answers(X::DecideLocs),
+        Message::StoreMetadata { .. } => Asks(X::StoreMetadata),
+        Message::StoreMetadataReply { .. } => Answers(X::StoreMetadata),
+        Message::StoreFragment { .. } => Asks(X::StoreFragment),
+        Message::StoreFragmentReply { .. } => Answers(X::StoreFragment),
+        Message::RetrieveTs { .. } => Asks(X::RetrieveTs),
+        Message::RetrieveTsReply { .. } => Answers(X::RetrieveTs),
+        Message::RetrieveFrag { .. } => Asks(X::RetrieveFrag),
+        Message::RetrieveFragReply { .. } => Answers(X::RetrieveFrag),
+        Message::ConvergeKls { .. } => Asks(X::ConvergeKls),
+        Message::ConvergeKlsReply { .. } => Answers(X::ConvergeKls),
+        Message::ConvergeFs { .. } => Asks(X::ConvergeFs),
+        Message::ConvergeFsReply { .. } => Answers(X::ConvergeFs),
+        // A client op is answered when it completes or times out, in a
+        // later dispatch.
+        Message::ClientPut { .. } | Message::ClientGet { .. } => Exempt,
+        // The answers to client ops.
+        Message::ClientPutReply { .. } | Message::ClientGetReply { .. } => Exempt,
+        // Indications are pushed and get no answer.
+        Message::AmrIndication { .. } | Message::LocsIndication { .. } => Exempt,
+        // A recovered fragment is pushed unacknowledged; the next round
+        // verifies it arrived.
+        Message::SiblingStore { .. } => Exempt,
+        // An inventory report is pushed on a timer and gets no answer.
+        Message::RepairReport { .. } => Exempt,
+        // A batch is judged entry by entry.
+        Message::Batch(_) => Exempt,
+    }
+}
+
+/// Each request of a kind the handlers always answer (the table is
+/// `role` in this module, with each exempt kind's reason) gets exactly
+/// one reply, sent by the node it was delivered to, to its sender, in the
+/// dispatch that delivered it, whatever the reply's disposition. A batch of requests is answered entry by entry (one batch
+/// of replies is as many replies), and a dispatch sends no reply it was
+/// not asked for. Read from the messages alone.
+#[derive(Default)]
+pub struct RequestsAnswered {
+    /// This dispatch: its node and, for a delivery, the sender.
+    at: Option<(NodeId, Option<NodeId>)>,
+    /// Requests it delivered and replies it sent back, per exchange.
+    asked: [u32; Exchange::ALL.len()],
+    answered: [u32; Exchange::ALL.len()],
+    /// A reply it sent elsewhere than to the asker.
+    stray: Option<(Exchange, NodeId)>,
+}
+
+impl RequestsAnswered {
+    /// Creates the invariant with no dispatch under way.
+    pub fn new() -> Self {
+        RequestsAnswered::default()
+    }
+}
+
+impl Invariant for RequestsAnswered {
+    fn name(&self) -> &'static str {
+        "requests-answered"
+    }
+
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
+        self.asked = [0; Exchange::ALL.len()];
+        self.answered = [0; Exchange::ALL.len()];
+        self.stray = None;
+        let asker = match event {
+            Event::Deliver { from, msg } => {
+                for entry in entries(msg) {
+                    if let Role::Asks(x) = role(entry) {
+                        self.asked[x as usize] += 1;
+                    }
+                }
+                Some(*from)
+            }
+            Event::Timer { .. } => None,
+        };
+        self.at = Some((node, asker));
+    }
+
+    fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+        let Some((_, asker)) = self.at else {
+            return;
+        };
+        for entry in entries(msg) {
+            if let Role::Answers(x) = role(entry) {
+                if asker == Some(event.to) {
+                    self.answered[x as usize] += 1;
+                } else {
+                    self.stray.get_or_insert((x, event.to));
+                }
+            }
+        }
+    }
+
+    fn check_event(&mut self, _view: &ClusterView<'_>) -> Result<(), String> {
+        let Some((node, _)) = self.at.take() else {
+            return Ok(());
+        };
+        if let Some((x, to)) = self.stray {
+            return Err(format!(
+                "{node:?} sent a {x:?} reply to {to:?}, which asked it nothing in this dispatch"
+            ));
+        }
+        let Some(x) = Exchange::ALL
+            .into_iter()
+            .find(|&x| self.asked[x as usize] != self.answered[x as usize])
+        else {
+            return Ok(());
+        };
+        let (asked, answered) = (self.asked[x as usize], self.answered[x as usize]);
+        Err(format!(
+            "{node:?} sent {answered} {x:?} reply(ies) for the {asked} {x:?} request(s) \
+             one dispatch delivered to it"
+        ))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 12: compaction leaves no superseded version in a live slot.
+// ---------------------------------------------------------------------------
+
+/// When the run ends, no FS holds a full entry (a live store slot) for a
+/// version its compaction rule says is superseded: one settled AMR there
+/// while a newer version of its key is also settled AMR there (DESIGN
+/// §8.7). The compactor runs on every first settle, so each such version
+/// is a residual by then. Read from the stores.
+pub struct CompactionProgress;
+
+impl Invariant for CompactionProgress {
+    fn name(&self) -> &'static str {
+        "compaction-progress"
+    }
+
+    fn check_final(&mut self, view: &ClusterView<'_>, _outcome: RunOutcome) -> Result<(), String> {
+        for &fs in view.fss {
+            let actor = view.sim.actor::<Fs>(fs);
+            // In version order, so a key's settled versions are adjacent,
+            // oldest first.
+            let amr: Vec<ObjectVersion> = actor.amr_versions().collect();
+            for pair in amr.windows(2) {
+                let (old, newer) = (pair[0], pair[1]);
+                if old.key == newer.key && actor.entry(old).is_some() {
+                    return Err(format!(
+                        "{fs:?} holds {old:?} in a live slot though {newer:?} of its key \
+                         settled AMR there too"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 13: each timer fires at most once.
+// ---------------------------------------------------------------------------
+
+/// A timer id the engine handed out fires at most once: every
+/// [`Event::Timer`] the engine dispatches carries an id no earlier firing
+/// carried. Read from the dispatched events.
+#[derive(Default)]
+pub struct TimerDiscipline {
+    fired: BTreeSet<TimerId>,
+    /// A timer that fired again, where and with what tag.
+    again: Option<(NodeId, TimerId, u64)>,
+}
+
+impl TimerDiscipline {
+    /// Creates the invariant with no timer fired.
+    pub fn new() -> Self {
+        TimerDiscipline::default()
+    }
+}
+
+impl Invariant for TimerDiscipline {
+    fn name(&self) -> &'static str {
+        "timer-discipline"
+    }
+
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
+        if let &Event::Timer { id, tag } = event {
+            if !self.fired.insert(id) {
+                self.again.get_or_insert((node, id, tag));
+            }
+        }
+    }
+
+    fn check_event(&mut self, _view: &ClusterView<'_>) -> Result<(), String> {
+        match self.again.take() {
+            Some((node, id, tag)) => Err(format!(
+                "timer {id:?} fired again, at {node:?} with tag {tag:#x}"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The full registry: every invariant the explorer checks, in reporting
 /// order.
 pub fn registry() -> Vec<Box<dyn Invariant>> {
@@ -1000,6 +1376,10 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
         Box::new(CompactionSafety),
         Box::new(RedundancyFloor::new()),
         Box::new(ResourceBounds),
+        Box::new(PutAckAtThreshold::new()),
+        Box::new(RequestsAnswered::new()),
+        Box::new(CompactionProgress),
+        Box::new(TimerDiscipline::new()),
     ]
 }
 
@@ -1064,9 +1444,15 @@ struct CheckerState {
 }
 
 impl Observer<Message> for CheckerState {
-    fn on_send(&mut self, event: &TraceEvent) {
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
         for inv in &mut self.invariants {
-            inv.on_send(event);
+            inv.before_event(node, event);
+        }
+    }
+
+    fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+        for inv in &mut self.invariants {
+            inv.on_send(event, msg);
         }
     }
 
@@ -1277,17 +1663,27 @@ mod tests {
         assert!(violation.is_none(), "{violation:?}");
     }
 
+    /// Every send, with its message.
+    #[derive(Default)]
+    struct Sends(Vec<(TraceEvent, Message)>);
+
+    impl Observer<Message> for Sends {
+        fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+            self.0.push((event.clone(), msg.clone()));
+        }
+    }
+
     /// A converged run under 5 % loss, and every send it made.
-    fn lossy_run() -> (Cluster, Vec<TraceEvent>) {
+    fn lossy_run() -> (Cluster, Vec<(TraceEvent, Message)>) {
         let mut cfg = ClusterConfig::paper_default();
         cfg.streaming_workload = Some(StreamingWorkload::numbered(3, 1, 1024, cfg.policy));
         cfg.network = NetworkConfig::with_drop_rate(0.05);
         let mut cluster = Cluster::build(cfg, 1);
-        let trace = Rc::new(RefCell::new(Vec::new()));
-        cluster.sim_mut().observe(Rc::clone(&trace));
+        let sends = Rc::new(RefCell::new(Sends::default()));
+        cluster.sim_mut().observe(Rc::clone(&sends));
         cluster.run_to_convergence();
         assert!(cluster.sim().metrics().dropped() > 0, "nothing was lost");
-        (cluster, trace.take())
+        (cluster, sends.take().0)
     }
 
     /// `invariant`'s verdict, once shown `sends`, on `cluster` as it stands:
@@ -1295,18 +1691,18 @@ mod tests {
     fn verdict(
         cluster: &Cluster,
         invariant: impl Invariant + 'static,
-        sends: &[TraceEvent],
+        sends: &[(TraceEvent, Message)],
     ) -> Result<(), String> {
         let mut state = CheckerState::new(cluster, vec![Box::new(invariant)]);
-        for event in sends {
-            state.on_send(event);
+        for (event, msg) in sends {
+            state.on_send(event, msg);
         }
         state.check_all(cluster.sim());
         state.violation.map_or(Ok(()), |v| Err(v.detail))
     }
 
     /// `metrics-sanity`'s verdict on `cluster`'s metrics once shown `sends`.
-    fn metrics_sanity(cluster: &Cluster, sends: &[TraceEvent]) -> Result<(), String> {
+    fn metrics_sanity(cluster: &Cluster, sends: &[(TraceEvent, Message)]) -> Result<(), String> {
         verdict(cluster, MetricsSanity::new(), sends)
     }
 
@@ -1394,9 +1790,9 @@ mod tests {
     #[test]
     fn metrics_sanity_flags_a_lost_send_the_drop_counter_missed() {
         let (cluster, mut sends) = lossy_run();
-        let delivered = sends
+        let (delivered, _) = sends
             .iter_mut()
-            .find(|e| e.disposition == Disposition::Delivered)
+            .find(|(e, _)| e.disposition == Disposition::Delivered)
             .expect("a delivered send");
         delivered.disposition = Disposition::DroppedRandom;
         assert!(metrics_sanity(&cluster, &sends).is_err());
@@ -1564,8 +1960,12 @@ mod tests {
     struct Oracle(Rc<RefCell<CheckerState>>);
 
     impl Observer<Message> for Oracle {
-        fn on_send(&mut self, event: &TraceEvent) {
-            self.0.borrow_mut().on_send(event);
+        fn before_event(&mut self, node: NodeId, event: &Event<'_, Message>) {
+            self.0.borrow_mut().before_event(node, event);
+        }
+
+        fn on_send(&mut self, event: &TraceEvent, msg: &Message) {
+            self.0.borrow_mut().on_send(event, msg);
         }
 
         fn after_event(&mut self, sim: &Simulation<Message>, _node: NodeId) {
@@ -1687,6 +2087,177 @@ mod tests {
             }
             prop_assert_eq!(scoped, oracle);
         }
+    }
+
+    /// One dispatch: an event at a node, and what that node then sent, as
+    /// `(to, message)`.
+    type Dispatch<'a> = (NodeId, Event<'a, Message>, Vec<(NodeId, Message)>);
+
+    /// `invariant`'s first violation over `dispatches` on `cluster`.
+    fn dispatched(
+        cluster: &Cluster,
+        invariant: impl Invariant + 'static,
+        dispatches: &[Dispatch<'_>],
+    ) -> Result<(), String> {
+        let mut state = CheckerState::new(cluster, vec![Box::new(invariant)]);
+        for (node, event, sends) in dispatches {
+            state.before_event(*node, event);
+            for (to, msg) in sends {
+                let event = TraceEvent {
+                    at: cluster.sim().now(),
+                    from: *node,
+                    to: *to,
+                    kind: simnet::Payload::kind(msg),
+                    bytes: simnet::Payload::wire_size(msg),
+                    disposition: Disposition::Delivered,
+                };
+                state.on_send(&event, msg);
+            }
+            state.after_event(cluster.sim(), *node);
+        }
+        state.violation.map_or(Ok(()), |v| Err(v.detail))
+    }
+
+    /// A converged one-put cluster, its put's version, its proxy and a KLS.
+    fn one_put() -> (Cluster, ObjectVersion, NodeId, NodeId) {
+        let mut cluster = paper_cluster(1, 1);
+        cluster.run_to_convergence();
+        let ov = *cluster.client().success_versions().first().unwrap();
+        let proxy = cluster.proxy_ids()[0];
+        let kls = cluster.topology().all_klss().next().unwrap();
+        (cluster, ov, proxy, kls)
+    }
+
+    #[test]
+    fn requests_answered_wants_one_reply_per_request_to_its_sender() {
+        let (cluster, ov, proxy, kls) = one_put();
+        let meta = Arc::new(Metadata::new(
+            Policy::paper_default(),
+            DataCenterId::new(0),
+            1024,
+        ));
+        let ask = Message::StoreMetadata {
+            ov,
+            meta: Arc::clone(&meta),
+        };
+        let reply = Message::StoreMetadataReply {
+            ov,
+            complete: false,
+        };
+        let deliver = |msg| Event::Deliver { from: proxy, msg };
+        let verdict = |msg, sends: Vec<(NodeId, Message)>| {
+            dispatched(
+                &cluster,
+                RequestsAnswered::new(),
+                &[(kls, deliver(msg), sends)],
+            )
+        };
+        assert_eq!(verdict(&ask, vec![(proxy, reply.clone())]), Ok(()));
+        assert!(verdict(&ask, vec![]).is_err(), "unanswered");
+        assert!(
+            verdict(&ask, vec![(proxy, reply.clone()); 2]).is_err(),
+            "twice"
+        );
+        assert!(
+            verdict(&ask, vec![(kls, reply.clone())]).is_err(),
+            "elsewhere"
+        );
+        let push = Message::AmrIndication { ov, meta: None };
+        assert_eq!(
+            verdict(&push, vec![]),
+            Ok(()),
+            "an indication is owed nothing"
+        );
+        assert!(
+            verdict(&push, vec![(proxy, reply)]).is_err(),
+            "nor answered"
+        );
+        // A batch of two probes is owed two replies, in one batch or not.
+        let probe = Message::ConvergeKls { ov, meta };
+        let answer = Message::ConvergeKlsReply { ov, verified: true };
+        let two = Message::Batch(vec![probe.clone(), probe]);
+        let one = Message::Batch(vec![answer.clone()]);
+        assert_eq!(
+            verdict(&two, vec![(proxy, one.clone()), (proxy, answer)]),
+            Ok(())
+        );
+        assert!(verdict(&two, vec![(proxy, one)]).is_err());
+    }
+
+    #[test]
+    fn put_ack_at_threshold_wants_the_reply_with_the_thresholdth_distinct_ack() {
+        let (cluster, ov, proxy, kls) = one_put();
+        let client = cluster.layout().client();
+        let policy = Policy::paper_default();
+        let put = Message::ClientPut {
+            op: 1,
+            key: ov.key,
+            value: Bytes::new(),
+            policy,
+        };
+        let decide = Message::DecideLocs {
+            ov,
+            policy,
+            home_dc: DataCenterId::new(0),
+        };
+        let reply = |success| (client, Message::ClientPutReply { op: 1, ov, success });
+        let acks = [
+            Message::StoreFragmentReply { ov, fragment: 0 },
+            Message::StoreFragmentReply { ov, fragment: 1 },
+            Message::StoreFragmentReply { ov, fragment: 1 },
+            Message::StoreFragmentReply { ov, fragment: 2 },
+            Message::StoreFragmentReply { ov, fragment: 3 },
+        ];
+        // The put starts, and acks 0, 1, 1 (a duplicate), 2 and 3 arrive,
+        // ack `at` with `sends`.
+        let verdict = |at: usize, sends: Vec<(NodeId, Message)>| {
+            let start = Event::Deliver {
+                from: client,
+                msg: &put,
+            };
+            let mut steps = vec![(proxy, start, vec![(kls, decide.clone())])];
+            for (i, ack) in acks.iter().enumerate() {
+                let sent = if i == at { sends.clone() } else { vec![] };
+                steps.push((
+                    proxy,
+                    Event::Deliver {
+                        from: kls,
+                        msg: ack,
+                    },
+                    sent,
+                ));
+            }
+            dispatched(&cluster, PutAckAtThreshold::new(), &steps)
+        };
+        assert_eq!(policy.put_success_threshold, 4);
+        assert_eq!(verdict(4, vec![reply(true)]), Ok(()));
+        let late = verdict(usize::MAX, vec![]).expect_err("the fourth distinct ack");
+        assert!(late.contains("no success reply"), "{late}");
+        let early = verdict(3, vec![reply(true)]).expect_err("three distinct acks");
+        assert!(early.contains("short of its threshold 4"), "{early}");
+        assert_eq!(
+            verdict(3, vec![reply(false)]),
+            Ok(()),
+            "a failure answers it"
+        );
+        assert!(
+            verdict(4, vec![reply(false)]).is_err(),
+            "at the threshold, a success"
+        );
+    }
+
+    #[test]
+    fn timer_discipline_flags_a_timer_that_fires_twice() {
+        let (mut cluster, _, proxy, _) = one_put();
+        let id = cluster
+            .sim_mut()
+            .schedule_timer(proxy, SimDuration::ZERO, 7);
+        let fire = || (proxy, Event::Timer { id, tag: 7 }, vec![]);
+        assert_eq!(
+            dispatched(&cluster, TimerDiscipline::new(), &[fire()]),
+            Ok(())
+        );
+        assert!(dispatched(&cluster, TimerDiscipline::new(), &[fire(), fire()]).is_err());
     }
 
     /// Counts the checks it is asked for.

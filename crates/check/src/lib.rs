@@ -9,9 +9,14 @@
 //!    explore`). The [`invariants`] module defines the protocol properties
 //!    the paper claims (durability of acknowledged puts, convergence to
 //!    AMR, no resurrection of abandoned versions, checksum integrity,
-//!    metrics sanity) as an extensible registry checked after **every**
-//!    simulation event, and shown every message send, by one
-//!    [`simnet::Observer`] installed with [`simnet::Simulation::observe`]. The
+//!    metrics sanity, compaction) as an extensible registry checked after
+//!    **every** simulation event by one [`simnet::Observer`] installed
+//!    with [`simnet::Simulation::observe`]. The same observer shows every
+//!    invariant each dispatched event with its message or timer before it
+//!    runs, and each send with its message, so the checks read from the
+//!    wire — a put acked at its success threshold (§3.2), every request
+//!    answered, every timer fired at most once — see what the actors did,
+//!    not what they say they did. The
 //!    [`explorer`] module names every checked run in one list of suites —
 //!    seeds × fault plans × all six
 //!    [`ConvergenceOptions`](pahoehoe::ConvergenceOptions) presets, and

@@ -98,8 +98,9 @@ pub const TARGET_FILES: &[&str] = &[
 
 /// The explorer suites every mutant is swept with, in order:
 /// `smoke-overwrite` puts every key twice, so every mutant meets
-/// overwrites under every invariant and every digest line pins a non-zero
-/// compacted-version count (what kills `compaction-skip`); `scale` is a
+/// overwrites under every invariant (`compaction-progress` kills
+/// `compaction-skip` there) and every digest line pins a non-zero
+/// compacted-version count; `scale` is a
 /// Zipf stream under batched rounds; `repair`'s digest lines fold the
 /// `EV_REPAIR_*` counters and its redundancy-floor invariant kills
 /// `repair-threshold-skip`.
@@ -312,7 +313,8 @@ fn scan_source(stem: &str, rel: &Path, src: &str, counts: &mut SiteCounts) -> Ve
     }
 
     // compaction-skip: the converged-version compactor never runs. Killed
-    // through the digest lines, each of which pins the compacted count
+    // by `compaction-progress` at the end of the first overwrite run, and
+    // by the digest lines, each of which pins the compacted count
     // (DESIGN.md §8.7).
     const COMPACT_CALL: &str = "self.store.compact_superseded(s);";
     for pos in occurrences(src, COMPACT_CALL) {
@@ -410,7 +412,7 @@ pub const PINNED_SMOKE: &[(&str, &str)] = &[
     ("fragmask-flip:protocol:0", "self.bits[w] |= 1 << b"),
     // timer slab reuses live generations
     ("timer-gen-skip:queue:0", "self.generations[id.slot()]"),
-    // compactor off: every overwrite digest line's compacted count drops
+    // compactor off: superseded settled versions keep live slots
     ("compaction-skip:fs:0", "self.store.compact_superseded(s)"),
     // repair waits for parity exhaustion: floor invariant fires
     ("repair-threshold-skip:repair:0", "THRESHOLD_PCT"),
@@ -899,7 +901,10 @@ mod tests {
 
     /// The committed `BENCH_analysis.json` must record a run of the pinned
     /// set as it is now: a stale file (regenerated before a mutant was
-    /// added or cut) fails here rather than drifting silently.
+    /// added or cut) fails here rather than drifting silently. And every
+    /// pinned mutant dies by a check: a digest diff says that behaviour
+    /// moved, not that it is wrong, so no pin may be recorded
+    /// `killed (digest)`.
     #[test]
     fn committed_bench_records_the_pinned_set() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_analysis.json");
@@ -917,7 +922,13 @@ mod tests {
             "BENCH_analysis.json is stale: rerun `mutate --smoke --bench-out BENCH_analysis.json`"
         );
         for id in pinned_ids() {
-            assert!(json.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
+            let entry = format!("\"id\": \"{id}\"");
+            let line = json.lines().find(|line| line.contains(&entry));
+            let line = line.unwrap_or_else(|| panic!("{id} missing"));
+            assert!(
+                !line.contains(Outcome::KilledDigest.label()),
+                "{id} is only killed by a digest diff: {line}"
+            );
         }
     }
 

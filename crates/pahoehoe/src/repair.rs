@@ -182,9 +182,6 @@ pub struct RepairActor {
     reported: BTreeSet<NodeId>,
     /// Codecs by `(k, n)`, for recovery.
     codecs: CodecCache,
-    triggered: u64,
-    completed: u64,
-    abandoned: u64,
 }
 
 impl RepairActor {
@@ -201,25 +198,7 @@ impl RepairActor {
             tokens: 0,
             reported: BTreeSet::new(),
             codecs: CodecCache::default(),
-            triggered: 0,
-            completed: 0,
-            abandoned: 0,
         }
-    }
-
-    /// Repair jobs triggered so far.
-    pub fn jobs_triggered(&self) -> u64 {
-        self.triggered
-    }
-
-    /// Repair jobs completed so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Repair jobs abandoned after exhausting retries.
-    pub fn jobs_abandoned(&self) -> u64 {
-        self.abandoned
     }
 
     /// Object versions currently queued or in flight.
@@ -286,7 +265,6 @@ impl RepairActor {
             let t = self.tracked.get_mut(&ov).expect("tracked above");
             t.state = JobState::Queued;
             self.queue.push_back(ov);
-            self.triggered += 1;
             ctx.record_event(EV_REPAIR_TRIGGERED, 1);
         }
     }
@@ -457,7 +435,6 @@ impl RepairActor {
         if t.retries > RETRY_LIMIT {
             t.state = JobState::Idle;
             t.retries = 0;
-            self.abandoned += 1;
             ctx.record_event(EV_REPAIR_ABANDONED, 1);
         } else {
             // Back off by re-queuing: the next drain tick (or a later
@@ -572,7 +549,6 @@ impl Actor<Message> for RepairActor {
                         t.state = JobState::Idle;
                         t.retries = 0;
                     }
-                    self.completed += 1;
                     ctx.record_event(EV_REPAIR_COMPLETED, 1);
                 }
             }

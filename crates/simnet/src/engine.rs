@@ -79,7 +79,7 @@ impl<M: Payload> Inner<M> {
                 disposition,
             };
             for observer in &mut self.observers {
-                observer.on_send(&event);
+                observer.on_send(&event, &msg);
             }
         }
         if disposition != Disposition::Delivered {
@@ -155,14 +155,43 @@ impl<M: Payload> Context<'_, M> {
     }
 }
 
-/// Watches a run: every message send, and the whole simulation after every
-/// processed event, with the node that event ran on. Both calls do nothing
-/// by default. Install one with [`Simulation::observe`].
+/// One event the engine is about to dispatch, as an observer sees it.
+#[derive(Debug)]
+pub enum Event<'a, M> {
+    /// `msg`, sent by `from`, is delivered.
+    Deliver {
+        /// The sender.
+        from: NodeId,
+        /// The message, still owned by the engine.
+        msg: &'a M,
+    },
+    /// The live timer `id` fires, carrying `tag`. A cancelled timer is
+    /// never dispatched, so it is never shown.
+    Timer {
+        /// The id [`Context::schedule_timer`] returned for it.
+        id: TimerId,
+        /// The tag it was scheduled with.
+        tag: u64,
+    },
+}
+
+/// Watches a run: every event before it is dispatched, every message send
+/// with its message, and the whole simulation after every processed event,
+/// with the node that event ran on. Every call does nothing by default.
+/// Install one with [`Simulation::observe`].
 pub trait Observer<M: Payload> {
-    /// Called once per [`Context::send`], after the loss and fault models
-    /// decided the message's [`Disposition`] (dropped sends included).
-    fn on_send(&mut self, event: &TraceEvent) {
-        let _ = event;
+    /// Called once per dispatched event, before the actor at `node` handles
+    /// it: the sends it makes and its [`after_event`](Self::after_event)
+    /// follow.
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, M>) {
+        let _ = (node, event);
+    }
+
+    /// Called once per [`Context::send`] of `msg`, after the loss and fault
+    /// models decided the message's [`Disposition`] (dropped sends
+    /// included).
+    fn on_send(&mut self, event: &TraceEvent, msg: &M) {
+        let _ = (event, msg);
     }
 
     /// Called after **every** processed event (message delivery or timer
@@ -179,8 +208,12 @@ pub trait Observer<M: Payload> {
 /// Keep every borrow of it scoped: the simulation borrows it mutably on
 /// each send and event.
 impl<M: Payload, O: Observer<M>> Observer<M> for Rc<RefCell<O>> {
-    fn on_send(&mut self, event: &TraceEvent) {
-        self.borrow_mut().on_send(event);
+    fn before_event(&mut self, node: NodeId, event: &Event<'_, M>) {
+        self.borrow_mut().before_event(node, event);
+    }
+
+    fn on_send(&mut self, event: &TraceEvent, msg: &M) {
+        self.borrow_mut().on_send(event, msg);
     }
 
     fn after_event(&mut self, sim: &Simulation<M>, node: NodeId) {
@@ -190,7 +223,7 @@ impl<M: Payload, O: Observer<M>> Observer<M> for Rc<RefCell<O>> {
 
 /// An unbounded record of every send, in send order.
 impl<M: Payload> Observer<M> for Vec<TraceEvent> {
-    fn on_send(&mut self, event: &TraceEvent) {
+    fn on_send(&mut self, event: &TraceEvent, _msg: &M) {
         self.push(event.clone());
     }
 }
@@ -233,9 +266,9 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Appends `observer` to the ones watching this run. Each sees every
-    /// send and every event from now on, in installation order — the seam
+    /// event and every send from now on, in installation order — the seam
     /// for invariant checkers and message traces. With none installed, a
-    /// send or an event pays one branch.
+    /// send pays one branch and an event two.
     pub fn observe(&mut self, observer: impl Observer<M> + 'static) {
         self.inner.observers.push(Box::new(observer));
     }
@@ -394,6 +427,16 @@ impl<M: Payload> Simulation<M> {
             debug_assert!(ev.at >= self.inner.now, "time went backwards");
             self.inner.now = ev.at;
             self.events_processed += 1;
+
+            if !self.inner.observers.is_empty() {
+                let event = match &ev.kind {
+                    EventKind::Deliver { from, msg } => Event::Deliver { from: *from, msg },
+                    &EventKind::Timer { id, tag } => Event::Timer { id, tag },
+                };
+                for observer in &mut self.inner.observers {
+                    observer.before_event(ev.to, &event);
+                }
+            }
 
             // lint:allow(panic-path): NodeIds are minted by add_actor, so the slot exists
             let actor = &mut self.actors[ev.to.index()];
@@ -887,7 +930,7 @@ mod tests {
             pongs: u32,
         }
         impl Observer<Msg> for Watch {
-            fn on_send(&mut self, event: &TraceEvent) {
+            fn on_send(&mut self, event: &TraceEvent, _msg: &Msg) {
                 self.sends += 1;
                 if event.disposition != Disposition::Delivered {
                     self.not_delivered += 1;
@@ -938,6 +981,151 @@ mod tests {
                 sim.actor::<Pinger>(pinger).pongs,
                 "sees actor state"
             );
+        }
+    }
+
+    /// What an observer or an actor logged, in the order it happened.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Entry {
+        /// At the first node, a message from the second.
+        Delivered(NodeId, NodeId, Msg),
+        /// At the node, the timer with this id and tag.
+        Fired(NodeId, TimerId, u64),
+        /// A message from the first node to the second.
+        Sent(NodeId, NodeId, Msg),
+        /// The end of an event at the node.
+        After(NodeId),
+    }
+
+    /// Pings its peer at start and on each live timer, answers each ping,
+    /// and logs what it handles and sends to a log it shares with its peer.
+    /// It schedules six timers at start and cancels every odd-tagged one.
+    struct Echo {
+        peer: NodeId,
+        log: Rc<RefCell<Vec<Entry>>>,
+        timers: Vec<TimerId>,
+    }
+
+    impl Echo {
+        fn send(&mut self, ctx: &mut Context<'_, Msg>, msg: Msg) {
+            let entry = Entry::Sent(ctx.self_id(), self.peer, msg.clone());
+            self.log.borrow_mut().push(entry);
+            ctx.send(self.peer, msg);
+        }
+    }
+
+    impl Actor<Msg> for Echo {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.send(ctx, Msg::Ping(0));
+            for tag in 0..6 {
+                let id = ctx.schedule_timer(SimDuration::from_millis(5 * tag), tag);
+                if tag % 2 == 1 {
+                    ctx.cancel_timer(id);
+                }
+                self.timers.push(id);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+            let entry = Entry::Delivered(ctx.self_id(), from, msg.clone());
+            self.log.borrow_mut().push(entry);
+            if let Msg::Ping(i) = msg {
+                self.send(ctx, Msg::Pong(i));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
+            let entry = Entry::Fired(ctx.self_id(), self.timers[tag as usize], tag);
+            self.log.borrow_mut().push(entry);
+            self.send(ctx, Msg::Ping(100 + tag as u32));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Logs every call it gets.
+    struct Watch(Vec<Entry>);
+
+    impl Observer<Msg> for Watch {
+        fn before_event(&mut self, node: NodeId, event: &Event<'_, Msg>) {
+            self.0.push(match *event {
+                Event::Deliver { from, msg } => Entry::Delivered(node, from, msg.clone()),
+                Event::Timer { id, tag } => Entry::Fired(node, id, tag),
+            });
+        }
+        fn on_send(&mut self, event: &TraceEvent, msg: &Msg) {
+            assert_eq!(event.kind, Msg::KINDS[msg.kind_id()]);
+            self.0.push(Entry::Sent(event.from, event.to, msg.clone()));
+        }
+        fn after_event(&mut self, _sim: &Simulation<Msg>, node: NodeId) {
+            self.0.push(Entry::After(node));
+        }
+    }
+
+    #[test]
+    fn before_event_shows_each_dispatch_with_its_message_or_timer_first() {
+        let network = NetworkConfig {
+            drop_rate: 0.2,
+            duplicate_rate: 0.2,
+            ..NetworkConfig::paper_default()
+        };
+        let mut sim = Simulation::with_network(3, network, FaultPlan::none());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        for peer in [b, a] {
+            sim.add_actor(Echo {
+                peer,
+                log: Rc::clone(&log),
+                timers: Vec::new(),
+            });
+        }
+        let watch = Rc::new(RefCell::new(Watch(Vec::new())));
+        sim.observe(Rc::clone(&watch));
+        sim.run_until_quiescent();
+        let (m, seen) = (sim.metrics(), &watch.borrow().0);
+        assert!(
+            m.dropped() > 0 && m.duplicated() > 0,
+            "loss and duplication both ran"
+        );
+
+        // Every dispatch exactly once and in order, each with its message
+        // or timer id; every send with the message sent, after its event.
+        let calls: Vec<Entry> = seen
+            .iter()
+            .filter(|e| !matches!(e, Entry::After(_)))
+            .cloned()
+            .collect();
+        assert_eq!(calls, *log.borrow());
+        let dispatched = seen.iter().filter(|e| !matches!(e, Entry::Sent(..)));
+        assert_eq!(dispatched.count() as u64, 2 * sim.events_processed());
+
+        // Each event's sends and then its `after_event` come before the
+        // next event; the sends before the first event are `on_start`'s.
+        let mut open = None;
+        for entry in seen {
+            match *entry {
+                Entry::Delivered(node, ..) | Entry::Fired(node, ..) => {
+                    assert_eq!(open.replace(node), None, "{entry:?}");
+                }
+                Entry::Sent(from, ..) => assert!(open.is_none_or(|n| n == from)),
+                Entry::After(node) => assert_eq!(open.take(), Some(node)),
+            }
+        }
+        assert_eq!(open, None);
+
+        // The three cancelled timers of each node never show.
+        for node in [a, b] {
+            let timers = &sim.actor::<Echo>(node).timers;
+            let fired: Vec<TimerId> = seen
+                .iter()
+                .filter_map(|e| match *e {
+                    Entry::Fired(n, id, _) if n == node => Some(id),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(fired, [timers[0], timers[2], timers[4]]);
         }
     }
 

@@ -17,12 +17,16 @@
 //! * a [`NetworkConfig`] (latency distribution, system-wide drop rate) and a
 //!   [`FaultPlan`] (node outages, link outages, partitions);
 //! * per-message-kind [`Metrics`] — message **count** and message **bytes**
-//!   sent, the two quantities every figure in the paper reports.
+//!   sent, the two quantities every figure in the paper reports;
+//! * one seam for watching a run, the [`Observer`]: each [`Event`] before
+//!   it is dispatched, each send with its message, and the simulation after
+//!   each event.
 //!
 //! # Examples
 //!
 //! ```
-//! use simnet::{Actor, Context, NodeId, Payload, Simulation, SimDuration};
+//! use std::{cell::RefCell, rc::Rc};
+//! use simnet::{Actor, Context, Event, NodeId, Observer, Payload, Simulation, SimDuration};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping;
@@ -45,12 +49,27 @@
 //!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
+//! /// Logs each dispatch: a timer's tag, or a delivery's sender.
+//! #[derive(Default)]
+//! struct Log(Vec<String>);
+//! impl Observer<Ping> for Log {
+//!     fn before_event(&mut self, node: NodeId, event: &Event<'_, Ping>) {
+//!         self.0.push(match event {
+//!             Event::Timer { tag, .. } => format!("{node}: timer {tag}"),
+//!             Event::Deliver { from, .. } => format!("{node}: ping from {from}"),
+//!         });
+//!     }
+//! }
+//!
 //! let mut sim = Simulation::new(42);
 //! let a = sim.add_actor(Node { got: 0 });
-//! let _b = sim.add_actor(Node { got: 0 });
+//! let b = sim.add_actor(Node { got: 0 });
 //! sim.schedule_timer(a, SimDuration::from_millis(5), 0);
+//! let log = Rc::new(RefCell::new(Log::default()));
+//! sim.observe(Rc::clone(&log));
 //! sim.run_until_quiescent();
 //! assert_eq!(sim.metrics().total_count(), 1);
+//! assert_eq!(log.borrow().0, [format!("{a}: timer 0"), format!("{b}: ping from {a}")]);
 //! ```
 
 pub mod actor;
@@ -65,7 +84,7 @@ pub mod time;
 pub mod trace;
 
 pub use actor::Actor;
-pub use engine::{Context, Observer, RunOutcome, Simulation, TimerId};
+pub use engine::{Context, Event, Observer, RunOutcome, Simulation, TimerId};
 pub use metrics::{DropStats, KindStats, Metrics};
 pub use network::{FaultPlan, LatencyOverride, NetworkConfig};
 pub use node::NodeId;

@@ -39,7 +39,7 @@ use crate::time::SimTime;
 ///
 /// Packs a slab slot and a generation stamp; cancelling bumps the
 /// generation so the queued firing event becomes stale in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 
 impl TimerId {

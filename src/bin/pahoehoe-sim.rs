@@ -170,7 +170,7 @@ const TRACED_SENDS: usize = 40;
 struct FirstSends(Vec<TraceEvent>);
 
 impl Observer<Message> for FirstSends {
-    fn on_send(&mut self, event: &TraceEvent) {
+    fn on_send(&mut self, event: &TraceEvent, _msg: &Message) {
         if self.0.len() < TRACED_SENDS {
             self.0.push(event.clone());
         }
